@@ -115,7 +115,7 @@ fuzz-corpus:
 	$(GO) run ./cmd/dlc-fuzzcorpus -root .
 
 # Race-detector sweep over the concurrent planes (durable streams, TCP
-# transport + resilient forwarder, DSOS, observability). -count=1 defeats
+# transport + uplink, DSOS, observability). -count=1 defeats
 # the test cache so every run actually races; -short keeps soak
 # iterations CI-sized (CI runs this too, as its own matrix leg).
 race-smoke:

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // CLI smoke tests: build-and-run the user-facing binaries end to end.
@@ -120,5 +121,73 @@ func TestCLIExperimentsTinyPanel(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "table2b.txt")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCLILdmsdRejectsIgnoredUplinkFlags: an uplink flag the selected
+// uplink would ignore is a startup error naming the flag, in the same
+// style as the -topo checks, while the two flag lines the benchmark
+// spawns ldmsd with keep starting.
+func TestCLILdmsdRejectsIgnoredUplinkFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke test")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "ldmsd")
+	runCmd(t, "build", "-o", bin, "./cmd/ldmsd")
+	base := []string{"-listen", "127.0.0.1:0"}
+	stream := filepath.Join(dir, "ldmsd.stream")
+
+	rejected := []struct {
+		name string
+		args []string
+		want string // the flag the error must name
+	}{
+		{"batch without an uplink", []string{"-batch", "64"}, "-batch "},
+		{"batch on the best-effort uplink", []string{"-forward", "127.0.0.1:1", "-batch", "64"}, "-batch "},
+		{"batch-age beside -stream", []string{"-forward", "127.0.0.1:1", "-reconnect", "-stream", stream, "-batch-age", "5ms"}, "-batch-age "},
+		{"batch-bytes on the durable uplink", []string{"-forward", "127.0.0.1:1", "-stream", stream, "-batch-bytes", "4096"}, "-batch-bytes "},
+		{"unknown spool policy without -reconnect", []string{"-spool-policy", "bogus"}, `"bogus"`},
+		{"unknown spool policy with -reconnect", []string{"-forward", "127.0.0.1:1", "-reconnect", "-spool-policy", "bogus"}, `"bogus"`},
+	}
+	for _, tc := range rejected {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := exec.Command(bin, append(base, tc.args...)...).CombinedOutput()
+			if err == nil {
+				t.Fatalf("ldmsd %v exited zero:\n%s", tc.args, out)
+			}
+			if !strings.Contains(string(out), tc.want) {
+				t.Fatalf("error does not name %q:\n%s", tc.want, out)
+			}
+		})
+	}
+
+	// bench/proc.go's two flag lines (the uplink dials lazily, so a dead
+	// upstream does not stop either from starting).
+	accepted := [][]string{
+		{"-forward", "127.0.0.1:1", "-stream", stream},
+		{"-forward", "127.0.0.1:1", "-reconnect", "-spool", "100000", "-spool-policy", "block", "-batch", "64", "-batch-age", "5ms"},
+	}
+	for _, args := range accepted {
+		cmd := exec.Command(bin, append(base, args...)...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		exited := make(chan error, 1)
+		go func() { exited <- cmd.Wait() }()
+		select {
+		case err := <-exited:
+			t.Fatalf("ldmsd %v exited at startup (%v):\n%s", args, err, stderr.String())
+		case <-time.After(300 * time.Millisecond):
+		}
+		_ = cmd.Process.Signal(os.Interrupt)
+		if err := <-exited; err != nil {
+			t.Fatalf("ldmsd %v did not shut down cleanly (%v):\n%s", args, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "listening on") {
+			t.Fatalf("ldmsd %v never listened:\n%s", args, stderr.String())
+		}
 	}
 }

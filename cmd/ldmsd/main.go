@@ -23,33 +23,41 @@
 // clock and is printed so a run can be replayed after the fact.
 //
 // By default forwarding is best-effort like LDMS Streams: if the upstream
-// aggregator dies, messages are dropped silently. -reconnect switches the
-// uplink to a ReconnectingForwarder that spools undelivered messages and
-// redials with backoff; -heartbeat adds liveness probes on the link. With
-// -batch/-batch-bytes/-batch-age the resilient uplink coalesces spooled
-// messages into batched frames (count, byte and linger-age flush bounds);
-// typed records cross the wire in compact binary, never as JSON.
+// aggregator dies, messages are dropped silently. The two reliable
+// configurations are one ldms.Uplink — a single link state machine (lazy
+// dial, redial with backoff and jitter, -heartbeat liveness probes) — fed
+// by one of two sources:
 //
-// -stream upgrades the daemon to durable streaming: every handled message
-// whose subject matches -stream-subjects (comma list, wildcards allowed;
-// default the -tag) is appended to a CRC-framed segment file before
-// best-effort fan-out, retained under the -stream-max-* bounds, and — when
-// -forward is also set — shipped upstream by a consumer-acked uplink that
-// survives crashes: the durable cursor (named by -stream-consumer) resumes
-// exactly where the previous incarnation's acks stopped, so an aggregator
-// or daemon restart costs redelivery, never data. -stream supersedes
-// -reconnect for the uplink (the stream is the spool).
+//	-reconnect  a bounded in-memory spool (-spool, -spool-policy) off the
+//	            daemon's bus. With -batch/-batch-bytes/-batch-age the spool
+//	            drains in rounds that cross the wire as batched frames
+//	            (count, byte and linger-age flush bounds); typed records
+//	            travel in compact binary, never as JSON.
+//	-stream     the durable stream itself: every handled message whose
+//	            subject matches -stream-subjects (comma list, wildcards
+//	            allowed; default the -tag) is appended to a CRC-framed
+//	            segment file before best-effort fan-out, retained under the
+//	            -stream-max-* bounds, and — when -forward is also set —
+//	            shipped upstream through a consumer-acked cursor that
+//	            survives crashes: the cursor (named by -stream-consumer)
+//	            resumes exactly where the previous incarnation's acks
+//	            stopped, so an aggregator or daemon restart costs
+//	            redelivery, never data. -stream supersedes -reconnect (the
+//	            stream is the spool).
 //
 // -topo-role places the daemon in the explicit aggregation tree of the
 // scale-out control plane: node (leaf), l1 or l2 (aggregation levels).
 // The role requires -stream (the durable cursor is what makes failover
 // exactly-once) and -topo-parent, and conflicts with -forward. With
-// -topo-standby the uplink is wrapped in a failure detector that probes
-// the active upstream and, after three consecutive missed probes,
-// re-homes the durable consumer to the standby — the ack floor survives
-// the switch, so re-homing costs redelivery, never data. Validation is
-// strict: an inconsistent -topo flag set is a startup error, never a
-// silent default.
+// -topo-standby the uplink's target set is the parent plus the standby: a
+// failure detector probes the active upstream and, after three
+// consecutive missed probes, re-homes the link to the other one on the
+// same durable consumer — the ack floor survives the switch, so
+// re-homing costs redelivery, never data.
+//
+// Validation is strict: an inconsistent -topo flag set, an unknown
+// -spool-policy, or a -batch* flag the selected uplink would ignore is a
+// startup error, never a silent default.
 package main
 
 import (
@@ -85,7 +93,7 @@ func main() {
 	reconnect := flag.Bool("reconnect", false, "resilient forwarding: spool + redial with backoff instead of best-effort")
 	spoolSize := flag.Int("spool", 1024, "reconnect spool size in messages")
 	spoolPolicy := flag.String("spool-policy", "drop-oldest", "spool overflow policy: drop-oldest, drop-newest or block")
-	heartbeat := flag.Duration("heartbeat", 0, "liveness probe interval on the reconnect uplink (0 = off)")
+	heartbeat := flag.Duration("heartbeat", 0, "liveness probe interval on the -reconnect or -stream uplink (0 = off)")
 	batchRecords := flag.Int("batch", 0, "max records per batched uplink frame (0 = frame per message; needs -reconnect)")
 	batchBytes := flag.Int("batch-bytes", 0, "max payload bytes per batched uplink frame (0 = unbounded)")
 	batchAge := flag.Duration("batch-age", 0, "max linger before a partial batch is flushed (0 = no linger)")
@@ -119,6 +127,20 @@ func main() {
 			fatal(fmt.Errorf("topo: role %q needs -stream; failover without a durable cursor would lose the ack floor", topoCfg.Role))
 		}
 	}
+
+	// Uplink flags get the same treatment: a daemon whose flag line says
+	// -batch 64 while it sends one frame per message is as misleading as
+	// one sitting outside its tree.
+	policy, err := ldms.ParseOverflowPolicy(*spoolPolicy)
+	if err != nil {
+		fatal(err)
+	}
+	spooled := *forward != "" && *reconnect && *streamPath == ""
+	flag.Visit(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "batch") && !spooled {
+			fatal(fmt.Errorf("-%s would be ignored: it shapes the rounds of the spooled uplink (-forward with -reconnect, without -stream); every other uplink sends one frame per message", f.Name))
+		}
+	})
 
 	d := ldms.NewDaemon("ldmsd", *producer)
 	count := &ldms.CountStore{}
@@ -201,88 +223,54 @@ func main() {
 		csv = ldms.NewCSVStore(f)
 		d.AttachStore(*tag, csv)
 	}
-	var fwd *ldms.ReconnectingForwarder
-	var uplink *ldms.TCPClient
-	var streamUp *ldms.StreamUplink
-	var failUp *ldms.FailoverUplink
-	if topoCfg.Enabled() {
-		if topoCfg.Standby != "" {
-			var err error
-			failUp, err = ldms.NewFailoverUplink(stream, ldms.FailoverConfig{
-				Primary: topoCfg.Parent,
-				Standby: topoCfg.Standby,
-				Uplink:  ldms.UplinkConfig{Consumer: *streamConsumer},
-			})
-			if err != nil {
-				fatal(err)
-			}
-			defer failUp.Close()
-			fmt.Fprintf(os.Stderr, "ldmsd: topo role %q uplink to %s (standby %s, consumer %q)\n",
-				topoCfg.Role, topoCfg.Parent, topoCfg.Standby, *streamConsumer)
-		} else {
-			var err error
-			streamUp, err = ldms.NewStreamUplink(stream, ldms.UplinkConfig{
-				Addr:     topoCfg.Parent,
-				Consumer: *streamConsumer,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			defer streamUp.Close()
-			fmt.Fprintf(os.Stderr, "ldmsd: topo role %q uplink to %s (no standby, consumer %q)\n",
-				topoCfg.Role, topoCfg.Parent, *streamConsumer)
-		}
+	// Without -http the registry stays nil and every Collect is a no-op.
+	var reg *obs.Registry
+	if *httpAddr != "" {
+		reg = obs.NewRegistry()
 	}
-	if *forward != "" {
-		if stream != nil {
-			var err error
-			streamUp, err = ldms.NewStreamUplink(stream, ldms.UplinkConfig{
-				Addr:     *forward,
-				Consumer: *streamConsumer,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			defer streamUp.Close()
-			fmt.Fprintf(os.Stderr, "ldmsd: stream uplink to %s (consumer %q, floor %d)\n",
-				*forward, *streamConsumer, streamUp.Stats().Consumer.AckFloor)
-		} else if *reconnect {
-			policy, err := ldms.ParseOverflowPolicy(*spoolPolicy)
-			if err != nil {
-				fatal(err)
-			}
-			batch := event.FlushPolicy{
-				MaxRecords: *batchRecords,
-				MaxBytes:   *batchBytes,
-				MaxAge:     *batchAge,
-			}
-			fwd, err = ldms.NewReconnectingForwarder(d, ldms.ForwarderConfig{
-				Addr:           *forward,
-				Tag:            *tag,
-				SpoolSize:      *spoolSize,
-				Overflow:       policy,
-				HeartbeatEvery: *heartbeat,
-				Batch:          batch,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			defer fwd.Close()
-			fmt.Fprintf(os.Stderr, "ldmsd: resilient forwarding tag %q to %s (spool %d, %s)\n",
-				*tag, *forward, *spoolSize, policy)
-			if batch.Enabled() {
-				fmt.Fprintf(os.Stderr, "ldmsd: batching uplink frames (max %d records, %d bytes, linger %s)\n",
-					*batchRecords, *batchBytes, *batchAge)
-			}
-		} else {
-			client, err := ldms.DialTCP(*forward)
-			if err != nil {
-				fatal(err)
-			}
-			defer client.Close()
-			ldms.ForwardTCP(d, *tag, client)
-			uplink = client
-			fmt.Fprintf(os.Stderr, "ldmsd: forwarding tag %q to %s\n", *tag, *forward)
+	// One uplink: the source is the stream when there is one, else the
+	// -reconnect spool; the target set is -forward, or the topology
+	// plane's parent and standby.
+	var up *ldms.Uplink
+	ucfg := ldms.UplinkConfig{Addr: *forward, HeartbeatEvery: *heartbeat}
+	if topoCfg.Enabled() {
+		ucfg.Addr, ucfg.Standby = topoCfg.Parent, topoCfg.Standby
+	}
+	switch {
+	case ucfg.Addr == "":
+	case stream != nil:
+		ucfg.Consumer = *streamConsumer
+		if up, err = ldms.NewStreamUplink(stream, ucfg); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "ldmsd: stream uplink to %s (consumer %q, floor %d)\n",
+			ucfg.Addr, *streamConsumer, up.Stats().Consumer.AckFloor)
+	case *reconnect:
+		ucfg.Tag, ucfg.SpoolSize, ucfg.Overflow = *tag, *spoolSize, policy
+		ucfg.Batch = event.FlushPolicy{MaxRecords: *batchRecords, MaxBytes: *batchBytes, MaxAge: *batchAge}
+		if up, err = ldms.NewSpoolUplink(d, ucfg); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "ldmsd: resilient forwarding tag %q to %s (spool %d, %s)\n",
+			*tag, *forward, *spoolSize, policy)
+		if ucfg.Batch.Enabled() {
+			fmt.Fprintf(os.Stderr, "ldmsd: batching uplink frames (max %d records, %d bytes, linger %s)\n",
+				*batchRecords, *batchBytes, *batchAge)
+		}
+	default:
+		client, err := ldms.DialTCP(*forward)
+		if err != nil {
+			fatal(err)
+		}
+		defer client.Close()
+		ldms.ForwardTCP(d, *tag, client)
+		client.Collect(reg, "uplink")
+		fmt.Fprintf(os.Stderr, "ldmsd: forwarding tag %q to %s\n", *tag, *forward)
+	}
+	if up != nil {
+		defer up.Close()
+		if topoCfg.Enabled() {
+			fmt.Fprintf(os.Stderr, "ldmsd: topo role %q (parent %s, standby %q)\n", topoCfg.Role, topoCfg.Parent, topoCfg.Standby)
 		}
 	}
 
@@ -294,7 +282,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "ldmsd: %s listening on %s (tag %q)\n", *producer, srv.Addr(), *tag)
 
 	if *httpAddr != "" {
-		reg := obs.NewRegistry()
 		clock := obs.WallClock()
 		d.Bus().Instrument("ldmsd", clock)
 		d.Bus().Collect(reg, "ldmsd")
@@ -306,12 +293,9 @@ func main() {
 			emit("dlc_store_count_bytes_total", float64(count.Bytes()))
 		})
 		health := obs.NewHealth()
-		if fwd != nil {
-			fwd.Collect(reg, "uplink")
-			health.Register("spool", fwd.SpoolHealth())
-		}
-		if uplink != nil {
-			uplink.Collect(reg, "uplink")
+		if up != nil {
+			up.Collect(reg, "uplink")
+			health.Register("uplink", up.Health())
 		}
 		if stream != nil {
 			stream.Collect(reg)
@@ -335,19 +319,10 @@ func main() {
 		select {
 		case <-tick.C:
 			line := fmt.Sprintf("ldmsd: received=%d stored-bytes=%d metric-sets=%d", srv.Received(), count.Bytes(), len(d.Sets()))
-			if fwd != nil {
-				st := fwd.Stats()
-				line += fmt.Sprintf(" fwd-sent=%d fwd-spool=%d fwd-dropped=%d fwd-reconnects=%d connected=%v",
-					st.Sent, st.SpoolDepth, st.Dropped, st.Reconnects, st.Connected)
-			}
-			if failUp != nil {
-				st := failUp.Stats()
-				line += fmt.Sprintf(" topo-active=%s topo-switches=%d topo-floor=%d topo-lag=%d",
-					st.Active, st.Switches, st.Uplink.Consumer.AckFloor, st.Uplink.Consumer.Lag)
-			} else if streamUp != nil {
-				st := streamUp.Stats()
-				line += fmt.Sprintf(" stream-sent=%d stream-lag=%d stream-floor=%d connected=%v",
-					st.Sent, st.Consumer.Lag, st.Consumer.AckFloor, st.Connected)
+			if up != nil {
+				st := up.Stats()
+				line += fmt.Sprintf(" uplink=%s sent=%d retries=%d dropped=%d spool=%d lag=%d floor=%d switches=%d connected=%v",
+					st.Active, st.Sent, st.Retries, st.Dropped, st.SpoolDepth, st.Consumer.Lag, st.Consumer.AckFloor, st.Switches, st.Connected)
 			} else if stream != nil {
 				st := stream.Stats()
 				line += fmt.Sprintf(" stream-msgs=%d stream-dropped=%d", st.Msgs, st.Dropped)
@@ -357,16 +332,10 @@ func main() {
 			if csv != nil {
 				_ = csv.Flush()
 			}
-			if fwd != nil {
-				// Give the spool a chance to drain before exiting.
-				_ = fwd.Flush(5 * time.Second)
-			}
-			if streamUp != nil {
-				// Best effort: whatever is not acked resumes next start.
-				_ = streamUp.Flush(5 * time.Second)
-			}
-			if failUp != nil {
-				_ = failUp.Flush(5 * time.Second)
+			if up != nil {
+				// Give the source a chance to drain before exiting; whatever
+				// a durable cursor has not acked resumes on the next start.
+				_ = up.Flush(5 * time.Second)
 			}
 			fmt.Fprintf(os.Stderr, "ldmsd: shutting down after %d messages\n", srv.Received())
 			return

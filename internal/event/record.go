@@ -123,7 +123,7 @@ func (r *Record) Encoded() bool {
 // slab-owned record (decoded into a pooled arena) returns a deep copy of
 // its message and trace — the slab may be reset the moment its last
 // reference drops, so any consumer that queues the message past the
-// synchronous hand-off (the forwarder spool, a channel, a struct field)
+// synchronous hand-off (the uplink spool, a channel, a struct field)
 // must detach first. Strings are shared, not copied: interned strings
 // are ordinary immutable heap strings and outlive every slab.
 func (r *Record) DetachCarrier() streams.Carrier {

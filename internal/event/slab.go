@@ -17,7 +17,7 @@ import (
 // must keep a record beyond the hand-off either takes its own reference
 // (Retain/Release, scoped sharing) or detaches an owned copy
 // (Record.DetachCarrier via streams.Detach, indefinite retention — the
-// forwarder spool and any other queueing boundary use this). When the
+// uplink spool and any other queueing boundary use this). When the
 // last reference drops, the slab resets and returns to its pool; memory
 // is reused for the next frame.
 //

@@ -9,7 +9,7 @@
 // The package answers the paper's Section IV-B worry — best-effort streams
 // with "no reconnect or resend for delivery" lose data whenever anything
 // on the path hiccups — by making those hiccups reproducible on demand, so
-// the resilience layer (ldms.ReconnectingForwarder, ldms.RetryStore) can
+// the resilience layer (ldms.Uplink, ldms.RetryStore) can
 // be exercised and measured instead of trusted.
 package faults
 
@@ -45,7 +45,7 @@ const (
 	// on/off fault a campaign wires up.
 	StoreFault
 	// ReplayOutage takes a link down like LinkPartition, but models an
-	// at-least-once transport (ldms.ReconnectingForwarder): messages spool
+	// at-least-once transport (ldms.Uplink): messages spool
 	// during the outage and the heal re-delivers them plus the pre-outage
 	// tail — duplicates for a downstream DedupStore to absorb. The link
 	// needs SetReplayTail for the duplicate part.

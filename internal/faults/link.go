@@ -38,7 +38,7 @@ type Link struct {
 	maxQueue int
 
 	// Replay-outage state: a link modeling an at-least-once transport
-	// (ldms.ReconnectingForwarder) spools during the outage instead of
+	// (ldms.Uplink) spools during the outage instead of
 	// dropping, and on heal re-delivers the recent pre-outage tail — the
 	// frames whose fate the sender could not know — before the spool.
 	// ringCap is set by SetReplayTail; spooling marks a CutReplay outage.

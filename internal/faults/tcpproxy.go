@@ -12,7 +12,7 @@ import (
 // connection kill" fault), black-hole new connections (a link partition),
 // or delay each copied chunk (a latency spike). Unlike the simulated Link
 // it operates in wall-clock time — it exists to exercise the reconnect
-// path of real daemons (cmd/ldmsd, ldms.ReconnectingForwarder), not to be
+// path of real daemons (cmd/ldmsd, ldms.Uplink), not to be
 // deterministic.
 type TCPProxy struct {
 	ln       net.Listener

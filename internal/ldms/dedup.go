@@ -10,7 +10,7 @@ import (
 // DedupStore makes an at-least-once ingest path exactly-once: the
 // connector stamps every message with a (producer, seq) identity, and this
 // wrapper drops any identity it has already stored. Reconnect replays
-// (ReconnectingForwarder re-sending its tail) and fault-link spool replays
+// (an Uplink re-sending its tail, ReplayLast) and fault-link spool replays
 // then become idempotent instead of double-inserting.
 //
 // A duplicate is acked (Store returns nil) without reaching the inner

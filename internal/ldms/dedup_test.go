@@ -127,7 +127,7 @@ func TestReconnectReplayExactlyOnce(t *testing.T) {
 	node := NewDaemon("node", "nid00040")
 	cfg := fastBackoff(srv.Addr())
 	cfg.ReplayLast = 4
-	f, err := NewReconnectingForwarder(node, cfg)
+	f, err := NewSpoolUplink(node, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

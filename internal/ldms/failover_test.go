@@ -7,30 +7,27 @@ import (
 	"darshanldms/internal/sos"
 )
 
-func fastFailover(primary, standby string) FailoverConfig {
-	return FailoverConfig{
-		Primary:     primary,
-		Standby:     standby,
-		ProbeEvery:  5 * time.Millisecond,
-		FailAfter:   3,
-		DialTimeout: 100 * time.Millisecond,
-		Uplink: UplinkConfig{
-			PollEvery:      time.Millisecond,
-			InitialBackoff: time.Millisecond,
-			MaxBackoff:     10 * time.Millisecond,
-			DialTimeout:    100 * time.Millisecond,
-			AckWait:        50 * time.Millisecond,
-			Seed:           1,
-		},
+func fastFailover(primary, standby string) UplinkConfig {
+	return UplinkConfig{
+		Addr:           primary,
+		Standby:        standby,
+		ProbeEvery:     5 * time.Millisecond,
+		FailAfter:      3,
+		PollEvery:      time.Millisecond,
+		InitialBackoff: time.Millisecond,
+		MaxBackoff:     10 * time.Millisecond,
+		DialTimeout:    100 * time.Millisecond,
+		AckWait:        50 * time.Millisecond,
+		Seed:           1,
 	}
 }
 
 func TestFailoverUplinkConfigErrors(t *testing.T) {
 	s := openTestStream(t, sos.NewMemWAL())
-	if _, err := NewFailoverUplink(s, FailoverConfig{Primary: "a:1"}); err == nil {
-		t.Fatal("missing standby accepted")
+	if _, err := NewStreamUplink(s, UplinkConfig{Standby: "a:1"}); err == nil {
+		t.Fatal("standby without a primary accepted")
 	}
-	if _, err := NewFailoverUplink(s, FailoverConfig{Primary: "a:1", Standby: "a:1"}); err == nil {
+	if _, err := NewStreamUplink(s, UplinkConfig{Addr: "a:1", Standby: "a:1"}); err == nil {
 		t.Fatal("standby == primary accepted")
 	}
 }
@@ -62,11 +59,33 @@ func TestFailoverUplinkSwitchesToStandby(t *testing.T) {
 	for i := 0; i < n/2; i++ {
 		appendSeq(t, s, i)
 	}
-	f, err := NewFailoverUplink(s, fastFailover(psrv.Addr(), ssrv.Addr()))
+	f, err := NewStreamUplink(s, fastFailover(psrv.Addr(), ssrv.Addr()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+
+	// Sample the ack floor for the whole run: it must never move backward,
+	// the re-home included.
+	stopSampling := make(chan struct{})
+	regressed := make(chan [2]uint64, 1)
+	go func() {
+		var last uint64
+		for {
+			floor := f.Stats().Consumer.AckFloor
+			if floor < last {
+				regressed <- [2]uint64{last, floor}
+				return
+			}
+			last = floor
+			select {
+			case <-stopSampling:
+				close(regressed)
+				return
+			case <-time.After(200 * time.Microsecond):
+			}
+		}
+	}()
 
 	waitFor(t, "first half on primary", func() bool { return len(pstore.Seqs()) >= n/2 })
 	psrv.Close() // primary dies; probes start missing
@@ -81,8 +100,19 @@ func TestFailoverUplinkSwitchesToStandby(t *testing.T) {
 	if st.Switches != 1 {
 		t.Fatalf("switches = %d", st.Switches)
 	}
-	if st.Uplink.Consumer.AckFloor != n {
-		t.Fatalf("ack floor %d, want %d", st.Uplink.Consumer.AckFloor, n)
+	if st.Consumer.AckFloor != n {
+		t.Fatalf("ack floor %d, want %d", st.Consumer.AckFloor, n)
+	}
+	close(stopSampling)
+	if r, bad := <-regressed; bad {
+		t.Fatalf("ack floor regressed across the switch: %d -> %d", r[0], r[1])
+	}
+	// The consumer was claimed exactly once: the same cursor object served
+	// both targets, so it is still open and its first-delivery count covers
+	// the whole run (a second claim would have restarted it from the floor).
+	if st.Consumer.Closed || st.Consumer.Delivered != n {
+		t.Fatalf("consumer re-claimed across the switch: closed=%v delivered=%d, want open/%d",
+			st.Consumer.Closed, st.Consumer.Delivered, n)
 	}
 	// Union of both aggregators covers every sequence number.
 	got := map[int]bool{}
@@ -110,7 +140,7 @@ func TestFailoverUplinkCloseIsClean(t *testing.T) {
 	}
 	defer psrv.Close()
 	s := openTestStream(t, sos.NewMemWAL())
-	f, err := NewFailoverUplink(s, fastFailover(psrv.Addr(), "127.0.0.1:1"))
+	f, err := NewStreamUplink(s, fastFailover(psrv.Addr(), "127.0.0.1:1"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // is unchanged.
 
 // countingWriter counts bytes flowing to an underlying writer; the
-// forwarder and client install it under their bufio layer so the count
+// uplink and client install it under their bufio layer so the count
 // is real wire bytes (headers included), not payload estimates.
 type countingWriter struct {
 	w io.Writer
@@ -40,46 +40,53 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Collect exports the forwarder's counters under labels {fwd="<name>"}:
-// spool depth/capacity/overflow, reconnects, replay, heartbeat and wire
-// activity. Everything is read from the snapshot the forwarder already
-// keeps, at scrape time only.
-func (f *ReconnectingForwarder) Collect(reg *obs.Registry, name string) {
+// Collect exports the uplink's counters under labels {fwd="<name>"}:
+// connection activity (dials, reconnects, connected, wire bytes, frames),
+// delivery (sent, retries, naks, replay, heartbeats) and the spool. The
+// series are the same for every source and target set — a
+// consumer-sourced uplink reports an empty spool — and everything is read
+// from the snapshot the uplink already keeps, at scrape time only.
+func (u *Uplink) Collect(reg *obs.Registry, name string) {
 	if reg == nil {
 		return
 	}
 	labels := `{fwd="` + name + `"}`
 	reg.RegisterCollector(func(emit func(string, float64)) {
-		st := f.Stats()
+		st := u.Stats()
 		emit("dlc_fwd_enqueued_total"+labels, float64(st.Enqueued))
 		emit("dlc_fwd_sent_total"+labels, float64(st.Sent))
 		emit("dlc_fwd_dropped_total"+labels, float64(st.Dropped))
 		emit("dlc_fwd_retries_total"+labels, float64(st.Retries))
+		emit("dlc_fwd_naks_total"+labels, float64(st.Naks))
 		emit("dlc_fwd_dials_total"+labels, float64(st.Dials))
 		emit("dlc_fwd_reconnects_total"+labels, float64(st.Reconnects))
 		emit("dlc_fwd_heartbeats_total"+labels, float64(st.Heartbeats))
 		emit("dlc_fwd_replayed_total"+labels, float64(st.Replayed))
 		emit("dlc_fwd_spool_depth"+labels, float64(st.SpoolDepth))
-		emit("dlc_fwd_spool_capacity"+labels, float64(f.cfg.SpoolSize))
+		emit("dlc_fwd_spool_capacity"+labels, float64(st.SpoolCap))
 		connected := 0.0
 		if st.Connected {
 			connected = 1
 		}
 		emit("dlc_fwd_connected"+labels, connected)
-		emit("dlc_fwd_wire_bytes_total"+labels, float64(f.wireBytes.Load()))
-		emit("dlc_fwd_frames_total"+labels, float64(f.framesOut.Load()))
-		emit("dlc_fwd_batch_frames_total"+labels, float64(f.batchFramesOut.Load()))
+		emit("dlc_fwd_wire_bytes_total"+labels, float64(u.wireBytes.Load()))
+		emit("dlc_fwd_frames_total"+labels, float64(u.framesOut.Load()))
+		emit("dlc_fwd_batch_frames_total"+labels, float64(u.batchFramesOut.Load()))
 	})
 }
 
-// SpoolHealth returns a /healthz probe that fails when the spool has
-// been pushed into overflow (messages were dropped) — the signal that
-// the uplink cannot keep up and data is being lost.
-func (f *ReconnectingForwarder) SpoolHealth() func() error {
+// Health returns a /healthz probe that fails once the uplink has lost
+// data: a spool pushed into overflow (messages were dropped), or a
+// consumer that lagged past the stream's retention or dead-lettered
+// (messages were skipped) — the signal that the uplink cannot keep up.
+func (u *Uplink) Health() func() error {
 	return func() error {
-		st := f.Stats()
+		st := u.Stats()
 		if st.Dropped > 0 {
 			return errors.New("spool overflow: " + utoa(st.Dropped) + " messages dropped")
+		}
+		if n := st.Consumer.Missed + st.Consumer.DeadLettered; n > 0 {
+			return errors.New("uplink lagged past retention: " + utoa(n) + " messages skipped")
 		}
 		return nil
 	}

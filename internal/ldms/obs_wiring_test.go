@@ -9,6 +9,7 @@ import (
 
 	"darshanldms/internal/dsos"
 	"darshanldms/internal/obs"
+	"darshanldms/internal/sos"
 	"darshanldms/internal/streams"
 )
 
@@ -65,78 +66,133 @@ func healthCode(h *obs.Health) int {
 }
 
 func TestLdmsdMetricsEndpointShape(t *testing.T) {
-	// Upstream aggregator the resilient uplink forwards to.
-	up := NewDaemon("agg", "head")
-	upSrv, err := ListenTCP(up, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		// uplink wires the node daemon's uplink like the named ldmsd flag
+		// line does and returns it with the stream it reads, if any.
+		uplink func(t *testing.T, d *Daemon, addr string) (*Uplink, *streams.DurableStream)
+	}{
+		{"-reconnect", func(t *testing.T, d *Daemon, addr string) (*Uplink, *streams.DurableStream) {
+			up, err := NewSpoolUplink(d, UplinkConfig{Addr: addr, Tag: "darshanConnector", SpoolSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return up, nil
+		}},
+		{"-stream", func(t *testing.T, d *Daemon, addr string) (*Uplink, *streams.DurableStream) {
+			s, err := streams.OpenStream(streams.StreamConfig{
+				Name: "ldmsd", Subjects: []string{"darshanConnector"}, Clock: obs.WallClock(),
+			}, sos.NewMemWAL())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Bus().BindStream(s); err != nil {
+				t.Fatal(err)
+			}
+			up, err := NewStreamUplink(s, UplinkConfig{Addr: addr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return up, s
+		}},
 	}
-	defer upSrv.Close()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Upstream aggregator the uplink forwards to.
+			agg := NewDaemon("agg", "head")
+			aggSrv, err := ListenTCP(agg, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer aggSrv.Close()
 
-	// The node daemon, wired exactly like `ldmsd -http -reconnect`.
-	d := NewDaemon("ldmsd", "nid00001")
-	count := &CountStore{}
-	d.AttachStore("darshanConnector", count)
-	fwd, err := NewReconnectingForwarder(d, ForwarderConfig{
-		Addr: upSrv.Addr(), Tag: "darshanConnector", SpoolSize: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fwd.Close()
-	srv, err := ListenTCP(d, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+			// The node daemon, wired exactly like `ldmsd -http -forward`
+			// with the row's uplink flag.
+			d := NewDaemon("ldmsd", "nid00001")
+			count := &CountStore{}
+			d.AttachStore("darshanConnector", count)
+			up, stream := tc.uplink(t, d, aggSrv.Addr())
+			defer up.Close()
+			srv, err := ListenTCP(d, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
 
-	reg := obs.NewRegistry()
-	clock := obs.WallClock()
-	d.Bus().Instrument("ldmsd", clock)
-	d.Bus().Collect(reg, "ldmsd")
-	srv.Instrument("tcp:ldmsd", clock)
-	srv.Collect(reg, "ldmsd")
-	CollectPools(reg)
-	reg.RegisterCollector(func(emit func(string, float64)) {
-		emit("dlc_store_count_messages_total", float64(count.Count()))
-		emit("dlc_store_count_bytes_total", float64(count.Bytes()))
-	})
-	fwd.Collect(reg, "uplink")
-	health := obs.NewHealth()
-	health.Register("spool", fwd.SpoolHealth())
+			reg := obs.NewRegistry()
+			clock := obs.WallClock()
+			d.Bus().Instrument("ldmsd", clock)
+			d.Bus().Collect(reg, "ldmsd")
+			srv.Instrument("tcp:ldmsd", clock)
+			srv.Collect(reg, "ldmsd")
+			CollectPools(reg)
+			reg.RegisterCollector(func(emit func(string, float64)) {
+				emit("dlc_store_count_messages_total", float64(count.Count()))
+				emit("dlc_store_count_bytes_total", float64(count.Bytes()))
+			})
+			up.Collect(reg, "uplink")
+			health := obs.NewHealth()
+			health.Register("uplink", up.Health())
+			if stream != nil {
+				stream.Collect(reg)
+			}
 
-	client, err := DialTCP(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	for i := 0; i < 20; i++ {
-		if err := client.Publish(streams.Message{
-			Tag: "darshanConnector", Type: streams.TypeJSON, Data: sampleConnectorMessage(),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for count.Count() < 20 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+			client, err := DialTCP(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			for i := 0; i < 20; i++ {
+				if err := client.Publish(streams.Message{
+					Tag: "darshanConnector", Type: streams.TypeJSON, Data: sampleConnectorMessage(),
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, "local store", func() bool { return count.Count() == 20 })
+			waitFor(t, "uplink delivery", func() bool { return aggSrv.Received() == 20 })
 
-	series := scrape(t, reg)
-	if len(series) < 30 {
-		t.Fatalf("ldmsd /metrics serves %d series, want >= 30", len(series))
-	}
-	wantStagePrefixes(t, series, []string{
-		"dlc_bus_", "dlc_tcp_", "dlc_fwd_", "dlc_pool_", "dlc_store_count_",
-	})
-	if got := series[`dlc_tcp_received_total{srv="ldmsd"}`]; got != "20" {
-		t.Errorf(`dlc_tcp_received_total{srv="ldmsd"} = %s, want 20`, got)
-	}
-	if got := series["dlc_store_count_messages_total"]; got != "20" {
-		t.Errorf("dlc_store_count_messages_total = %s, want 20", got)
-	}
-	if code := healthCode(health); code != http.StatusOK {
-		t.Errorf("/healthz = %d with a healthy spool, want 200", code)
+			series := scrape(t, reg)
+			if len(series) < 30 {
+				t.Fatalf("ldmsd /metrics serves %d series, want >= 30", len(series))
+			}
+			wantStagePrefixes(t, series, []string{
+				"dlc_bus_", "dlc_tcp_", "dlc_fwd_", "dlc_pool_", "dlc_store_count_",
+			})
+			if got := series[`dlc_tcp_received_total{srv="ldmsd"}`]; got != "20" {
+				t.Errorf(`dlc_tcp_received_total{srv="ldmsd"} = %s, want 20`, got)
+			}
+			if got := series["dlc_store_count_messages_total"]; got != "20" {
+				t.Errorf("dlc_store_count_messages_total = %s, want 20", got)
+			}
+			// The connection series every uplink configuration exports,
+			// with the exact names and labels bench/scrape.go reads.
+			for name, want := range map[string]string{
+				`dlc_fwd_dials_total{fwd="uplink"}`:      "1",
+				`dlc_fwd_reconnects_total{fwd="uplink"}`: "0",
+				`dlc_fwd_connected{fwd="uplink"}`:        "1",
+				`dlc_fwd_sent_total{fwd="uplink"}`:       "20",
+				`dlc_fwd_frames_total{fwd="uplink"}`:     "20",
+				`dlc_fwd_retries_total{fwd="uplink"}`:    "0",
+				`dlc_fwd_naks_total{fwd="uplink"}`:       "0",
+				`dlc_fwd_spool_depth{fwd="uplink"}`:      "0",
+			} {
+				if got, ok := series[name]; !ok || got != want {
+					t.Errorf("%s = %q, want %s", name, got, want)
+				}
+			}
+			if got := series[`dlc_fwd_wire_bytes_total{fwd="uplink"}`]; got == "" || got == "0" {
+				t.Errorf("dlc_fwd_wire_bytes_total = %q, want the bytes of 20 frames", got)
+			}
+			if stream != nil {
+				if got, ok := series[`dlc_stream_consumer_lag{stream="ldmsd",consumer="uplink"}`]; !ok || got != "0" {
+					t.Errorf("dlc_stream_consumer_lag = %q, want 0", got)
+				}
+			}
+			if code := healthCode(health); code != http.StatusOK {
+				t.Errorf("/healthz = %d with a healthy uplink, want 200", code)
+			}
+		})
 	}
 }
 

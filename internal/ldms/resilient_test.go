@@ -13,8 +13,8 @@ import (
 )
 
 // fastBackoff keeps reconnect tests quick.
-func fastBackoff(addr string) ForwarderConfig {
-	return ForwarderConfig{
+func fastBackoff(addr string) UplinkConfig {
+	return UplinkConfig{
 		Addr:           addr,
 		Tag:            "darshanConnector",
 		InitialBackoff: 2 * time.Millisecond,
@@ -75,7 +75,7 @@ func TestReconnectingForwarderSurvivesAggregatorRestart(t *testing.T) {
 	addr := srv.Addr()
 
 	node := NewDaemon("node", "nid00040")
-	f, err := NewReconnectingForwarder(node, fastBackoff(addr))
+	f, err := NewSpoolUplink(node, fastBackoff(addr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,10 @@ func deadAddr(t *testing.T) string {
 // spoolFixture starts a forwarder against a dead address and waits until
 // message 0 is in flight (worker popped it and is retrying), so subsequent
 // publishes interact with the spool deterministically.
-func spoolFixture(t *testing.T, cfg ForwarderConfig) (*Daemon, *ReconnectingForwarder) {
+func spoolFixture(t *testing.T, cfg UplinkConfig) (*Daemon, *Uplink) {
 	t.Helper()
 	node := NewDaemon("node", "nid00041")
-	f, err := NewReconnectingForwarder(node, cfg)
+	f, err := NewSpoolUplink(node, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestForwarderHeartbeatLiveness(t *testing.T) {
 	node := NewDaemon("node", "nid00042")
 	cfg := fastBackoff(srv.Addr())
 	cfg.HeartbeatEvery = 5 * time.Millisecond
-	f, err := NewReconnectingForwarder(node, cfg)
+	f, err := NewSpoolUplink(node, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestDropConnectionsForcesReconnect(t *testing.T) {
 	defer srv.Close()
 
 	node := NewDaemon("node", "nid00043")
-	f, err := NewReconnectingForwarder(node, fastBackoff(srv.Addr()))
+	f, err := NewSpoolUplink(node, fastBackoff(srv.Addr()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,13 +369,13 @@ func TestPingTCP(t *testing.T) {
 
 func TestForwarderConfigValidation(t *testing.T) {
 	node := NewDaemon("node", "nid00044")
-	if _, err := NewReconnectingForwarder(node, ForwarderConfig{Tag: "t"}); err == nil {
+	if _, err := NewSpoolUplink(node, UplinkConfig{Tag: "t"}); err == nil {
 		t.Fatal("missing address accepted")
 	}
-	if _, err := NewReconnectingForwarder(node, ForwarderConfig{Addr: "x"}); err == nil {
+	if _, err := NewSpoolUplink(node, UplinkConfig{Addr: "x"}); err == nil {
 		t.Fatal("missing tag accepted")
 	}
-	if _, err := NewReconnectingForwarder(nil, ForwarderConfig{Addr: "x", Tag: "t"}); err == nil {
+	if _, err := NewSpoolUplink(nil, UplinkConfig{Addr: "x", Tag: "t"}); err == nil {
 		t.Fatal("nil daemon accepted")
 	}
 }

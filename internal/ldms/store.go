@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"sync"
+	"time"
 
 	"darshanldms/internal/dsos"
 	"darshanldms/internal/event"
@@ -202,4 +203,81 @@ func (s *DSOSStore) Store(m streams.Message) error {
 		s.errs.Inc()
 	}
 	return err
+}
+
+// RetryConfig parameterizes a RetryStore.
+type RetryConfig struct {
+	// Attempts is the total number of tries per message (default 3).
+	Attempts int
+	// Backoff sleeps Backoff<<attempt between tries (0 = immediate retry,
+	// the right choice inside a simulation where wall-clock sleeps would
+	// stall the virtual clock).
+	Backoff time.Duration
+	// Timeout bounds the total wall-clock spent on one message including
+	// backoff sleeps (0 = no bound).
+	Timeout time.Duration
+}
+
+// RetryStore wraps a StorePlugin with bounded retry-with-timeout, the
+// opt-in hardening for the DSOS ingest path: a transiently failing dsosd
+// (or a sharded client that rotates to a healthy daemon on the next try)
+// no longer costs the message.
+type RetryStore struct {
+	inner StorePlugin
+	cfg   RetryConfig
+
+	mu       sync.Mutex
+	retries  uint64
+	failures uint64
+	lastErr  error
+}
+
+// NewRetryStore wraps inner with the retry policy.
+func NewRetryStore(inner StorePlugin, cfg RetryConfig) *RetryStore {
+	if cfg.Attempts <= 0 {
+		cfg.Attempts = 3
+	}
+	return &RetryStore{inner: inner, cfg: cfg}
+}
+
+// Name implements StorePlugin.
+func (s *RetryStore) Name() string { return "retry(" + s.inner.Name() + ")" }
+
+// Store implements StorePlugin: it retries inner.Store up to Attempts
+// times within Timeout.
+func (s *RetryStore) Store(m streams.Message) error {
+	var deadline time.Time
+	if s.cfg.Timeout > 0 {
+		deadline = time.Now().Add(s.cfg.Timeout)
+	}
+	var err error
+	for attempt := 0; attempt < s.cfg.Attempts; attempt++ {
+		if err = s.inner.Store(m); err == nil {
+			return nil
+		}
+		if attempt+1 == s.cfg.Attempts {
+			break
+		}
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			break
+		}
+		s.mu.Lock()
+		s.retries++
+		s.mu.Unlock()
+		if s.cfg.Backoff > 0 {
+			time.Sleep(s.cfg.Backoff << attempt)
+		}
+	}
+	s.mu.Lock()
+	s.failures++
+	s.lastErr = err
+	s.mu.Unlock()
+	return err
+}
+
+// Stats returns retry/failure counts and the last error.
+func (s *RetryStore) Stats() (retries, failures uint64, lastErr error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.retries, s.failures, s.lastErr
 }

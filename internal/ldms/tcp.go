@@ -34,6 +34,10 @@ const MaxFrame = maxFrame
 // namespace.
 const HeartbeatTag = "!ldms.heartbeat"
 
+// heartbeat is the liveness-probe message PingTCP and an Uplink's
+// heartbeat loop write.
+var heartbeat = streams.Message{Tag: HeartbeatTag, Type: streams.TypeString, Data: []byte("ping")}
+
 type wireMsg struct {
 	Tag  string `json:"tag"`
 	Type int    `json:"type"`
@@ -153,7 +157,7 @@ func (s *TCPServer) LastActivity() time.Time {
 
 // DropConnections forcibly closes every live connection while keeping the
 // listener up — the "TCP connection kill" fault. Clients without reconnect
-// lose the link silently; a ReconnectingForwarder redials.
+// lose the link silently; an Uplink redials.
 func (s *TCPServer) DropConnections() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -202,7 +206,7 @@ func (s *TCPServer) serve(conn net.Conn) {
 		// maxFrame keeps it below 0x01000000). Each frame decodes into a
 		// pooled slab released after the publish fan-out below: Publish is
 		// synchronous, and any handler that queues a message past its
-		// return (the forwarder spool, durable streams) detaches or copies
+		// return (the uplink spool, durable streams) detaches or copies
 		// what it keeps.
 		lead, err := br.Peek(1)
 		if err != nil {
@@ -322,4 +326,19 @@ func ForwardTCP(from *Daemon, tag string, client *TCPClient) *streams.Subscripti
 		// Best-effort: a failed send is dropped, as LDMS Streams does.
 		_ = client.Publish(m)
 	})
+}
+
+// PingTCP dials addr, writes one heartbeat frame and closes — a one-shot
+// liveness probe for a remote daemon.
+func PingTCP(addr string, timeout time.Duration) error {
+	if timeout <= 0 {
+		timeout = 2 * time.Second
+	}
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	conn.SetWriteDeadline(time.Now().Add(timeout))
+	return WriteFrame(conn, heartbeat)
 }

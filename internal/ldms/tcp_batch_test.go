@@ -189,7 +189,7 @@ func TestForwarderBatchDrain(t *testing.T) {
 	local := NewDaemon("node", "nid00040")
 	cfg := fastBackoff(srv.Addr())
 	cfg.Batch = event.FlushPolicy{MaxRecords: 16, MaxAge: 2 * time.Millisecond}
-	fwd, err := NewReconnectingForwarder(local, cfg)
+	fwd, err := NewSpoolUplink(local, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestBatchReplayDedupExactlyOnce(t *testing.T) {
 	cfg := fastBackoff(srv.Addr())
 	cfg.Batch = event.FlushPolicy{MaxRecords: 4}
 	cfg.ReplayLast = 8
-	fwd, err := NewReconnectingForwarder(local, cfg)
+	fwd, err := NewSpoolUplink(local, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

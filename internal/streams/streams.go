@@ -44,7 +44,7 @@ type Carrier interface {
 // form the message's delivery identity: the connector stamps each message
 // with its producer (node) name and a per-producer sequence number so
 // downstream stores can deduplicate at-least-once replays (a reconnecting
-// forwarder re-sending its spool) without inspecting the payload. They
+// uplink re-sending its spool) without inspecting the payload. They
 // ride alongside the payload — the JSON bytes the paper specifies are
 // unchanged — and are zero for messages published without stamping.
 //
@@ -88,7 +88,7 @@ type Detacher interface {
 // Detach returns a message safe to retain past the synchronous delivery
 // hand-off. Messages whose carrier owns its memory (heap records, plain
 // Data bytes) pass through untouched; a pooled carrier is replaced by a
-// detached copy. Every queueing boundary — the forwarder spool, any
+// detached copy. Every queueing boundary — the uplink spool, any
 // handler that stores the message — must pass its message through here;
 // synchronous consumers need not.
 func Detach(m Message) Message {
@@ -311,7 +311,7 @@ func (b *Bus) PublishString(tag, data string) int {
 
 // NoteDrops folds n externally observed drops for tag into the bus
 // counters. Transports that buffer messages after Publish succeeded (e.g.
-// the TCP forwarder's spool) use this so that a tag's Stats.Dropped stays
+// the TCP uplink's spool) use this so that a tag's Stats.Dropped stays
 // the single place to look for lost messages, wherever the loss happened.
 func (b *Bus) NoteDrops(tag string, n uint64) {
 	if n == 0 {

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-baseline test check chaos-smoke streams-smoke topo-smoke scenario-smoke fuzz-smoke fuzz-corpus race-smoke cover determinism-smoke bench bench-smoke bench-floor bench-full experiments examples clean
+.PHONY: all build vet lint lint-json lint-baseline test check chaos-smoke streams-smoke topo-smoke topo-soak-diff scenario-smoke fuzz-smoke fuzz-corpus race-smoke cover determinism-smoke bench bench-smoke bench-floor bench-full experiments examples clean
 
 all: build vet lint test
 
@@ -64,9 +64,27 @@ streams-smoke:
 # every key exactly one post-cutover owner, ack floors never regress —
 # and the static-placement baseline must demonstrably lose acked data
 # under the same schedules (CI runs this too, as its own matrix leg).
+# Both placement strategies sit behind the one dsos client, so its package
+# races here as well, and the dsosd CLI test drives the real binary in
+# both modes (flag validation, live grow, SIGTERM snapshots).
 topo-smoke:
 	$(GO) test -race -short -count=1 -run 'RebalanceSoak' ./internal/harness
-	$(GO) test -race -count=1 ./internal/topo
+	$(GO) test -race -count=1 ./internal/topo ./internal/dsos
+	$(GO) test -count=1 -run 'TestCLIDsosd' .
+
+# The seeded 20-schedule rebalance soak report is byte-stable, so a change
+# that is not meant to move it must reproduce the parent commit's report:
+# build the parent from `git archive HEAD^`, run both, diff. CI runs this
+# on the topo-smoke leg and uploads $(TOPOOUT)/topo.txt as the artifact.
+TOPODIR ?= /tmp/dlc-topo-parent
+TOPOOUT ?= results
+topo-soak-diff:
+	rm -rf $(TOPODIR) && mkdir -p $(TOPODIR)/src
+	git archive HEAD^ | tar -x -C $(TOPODIR)/src
+	cd $(TOPODIR)/src && $(GO) run ./cmd/dlc-experiments -only topo -out $(TOPODIR)/out
+	$(GO) run ./cmd/dlc-experiments -only topo -out $(TOPOOUT)
+	diff $(TOPODIR)/out/topo.txt $(TOPOOUT)/topo.txt
+	@echo "rebalance soak: seeded report is byte-identical to the parent commit's"
 
 # Scenario-engine determinism gate: unit tests for the spec parser,
 # arrival processes and planner, then the curated five-scenario campaign

@@ -1,12 +1,21 @@
 package darshanldms_test
 
 import (
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
+
+	"darshanldms/internal/jsonmsg"
+	"darshanldms/internal/ldms"
+	"darshanldms/internal/streams"
 )
 
 // CLI smoke tests: build-and-run the user-facing binaries end to end.
@@ -190,4 +199,170 @@ func TestCLILdmsdRejectsIgnoredUplinkFlags(t *testing.T) {
 			t.Fatalf("ldmsd %v never listened:\n%s", args, stderr.String())
 		}
 	}
+}
+
+// freeAddr returns a loopback address nothing listens on right now.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr().String()
+}
+
+// httpDo returns the status and body of one request against a daemon's
+// HTTP API.
+func httpDo(t *testing.T, method, url string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// TestCLIDsosd: dsosd's -topo flags are validated strictly, and both
+// placement modes start, serve the HTTP API from the one client, stop
+// cleanly on SIGTERM and leave one snapshot per shard under the file
+// names each mode has always used.
+func TestCLIDsosd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke test")
+	}
+	bin := filepath.Join(t.TempDir(), "dsosd")
+	runCmd(t, "build", "-o", bin, "./cmd/dsosd")
+
+	for _, args := range [][]string{
+		{"-topo-role", "leaf"},
+		{"-topo-ring-seed", "42"},
+	} {
+		out, err := exec.Command(bin, append([]string{"-listen", "127.0.0.1:0"}, args...)...).CombinedOutput()
+		if err == nil {
+			t.Fatalf("dsosd %v exited zero:\n%s", args, out)
+		}
+		if !strings.Contains(string(out), "-topo-role") {
+			t.Fatalf("dsosd %v: error does not name -topo-role:\n%s", args, out)
+		}
+	}
+
+	// start spawns dsosd in its own directory and waits for /healthz.
+	start := func(t *testing.T, args ...string) (cmd *exec.Cmd, dir, listen, api string, stderr *strings.Builder) {
+		dir, listen, api = t.TempDir(), freeAddr(t), freeAddr(t)
+		cmd = exec.Command(bin, append([]string{"-listen", listen, "-http", api, "-snapshot-every", "1h"}, args...)...)
+		cmd.Dir = dir
+		stderr = &strings.Builder{}
+		cmd.Stderr = stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = cmd.Process.Kill() })
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			resp, err := http.Get("http://" + api + "/healthz")
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					return
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("dsosd %v never became healthy (%v):\n%s", args, err, stderr)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	// stop sends SIGTERM and checks the exit status and the snapshot set.
+	stop := func(t *testing.T, cmd *exec.Cmd, dir string, stderr *strings.Builder, want ...string) {
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("dsosd did not shut down cleanly (%v):\n%s", err, stderr)
+		}
+		snaps, err := filepath.Glob(filepath.Join(dir, "darshan_data.sos*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range snaps {
+			snaps[i] = filepath.Base(snaps[i])
+		}
+		if !reflect.DeepEqual(snaps, want) {
+			t.Fatalf("snapshots %v, want %v", snaps, want)
+		}
+	}
+
+	t.Run("hash placement grows live", func(t *testing.T) {
+		cmd, dir, listen, api, stderr := start(t, "-daemons", "3", "-topo-role", "store")
+		base := "http://" + api
+		for _, path := range []string{"/topo/grow?shard=dsosd3", "/topo/cutover"} {
+			if code, body := httpDo(t, http.MethodPost, base+path); code != http.StatusOK {
+				t.Fatalf("POST %s = %d %s", path, code, body)
+			}
+		}
+		c, err := ldms.DialTCP(listen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for rank := 0; rank < 16; rank++ {
+			m := jsonmsg.Message{
+				UID: 1, Exe: jsonmsg.NA, JobID: 7, Rank: rank, ProducerName: "nid00041",
+				File: jsonmsg.NA, Module: "POSIX", Type: jsonmsg.TypeMOD, Op: "write",
+				Seg: []jsonmsg.Segment{{DataSet: jsonmsg.NA, Len: 1024, Dur: 0.1, Timestamp: 1.6e9}},
+			}
+			if err := c.Publish(streams.Message{Tag: "darshanConnector", Type: streams.TypeJSON, Data: jsonmsg.FastEncoder{}.Encode(&m)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if _, body := httpDo(t, http.MethodGet, base+"/count"); strings.TrimSpace(body) == "16" {
+				break
+			} else if time.Now().After(deadline) {
+				t.Fatalf("/count = %q, want 16:\n%s", body, stderr)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		_, metrics := httpDo(t, http.MethodGet, base+"/metrics")
+		for _, series := range []string{"dlc_dsos_shards 4", `dlc_dsos_shard_up{shard="dsosd3"} 1`, "dlc_store_dsos_objects_total 16", "topo_shard_members 4"} {
+			if !strings.Contains(metrics, series) {
+				t.Errorf("/metrics lacks %q", series)
+			}
+		}
+		if code, body := httpDo(t, http.MethodGet, base+"/healthz"); code != http.StatusOK {
+			t.Errorf("/healthz = %d %s", code, body)
+		}
+		if code, body := httpDo(t, http.MethodGet, base+"/query?job=7&limit=5"); code != http.StatusOK || strings.Count(body, "\n") != 6 {
+			t.Errorf("/query?job=7&limit=5 = %d, want the header and 5 rows:\n%s", code, body)
+		}
+		for _, limit := range []string{"abc", "-1"} {
+			if code, body := httpDo(t, http.MethodGet, base+"/query?limit="+limit); code != http.StatusBadRequest || !strings.Contains(body, "limit") {
+				t.Errorf("/query?limit=%s = %d %q, want a 400 naming limit", limit, code, body)
+			}
+		}
+		stop(t, cmd, dir, stderr, "darshan_data.sos.dsosd0", "darshan_data.sos.dsosd1", "darshan_data.sos.dsosd2", "darshan_data.sos.dsosd3")
+	})
+
+	// bench/proc.go's dsosd flag line.
+	t.Run("round-robin", func(t *testing.T) {
+		cmd, dir, _, api, stderr := start(t, "-daemons", "4")
+		if code, body := httpDo(t, http.MethodGet, "http://"+api+"/count"); code != http.StatusOK || strings.TrimSpace(body) != "0" {
+			t.Errorf("/count = %d %q, want 0", code, body)
+		}
+		if code, _ := httpDo(t, http.MethodPost, "http://"+api+"/topo/cutover"); code != http.StatusNotFound {
+			t.Errorf("/topo/cutover is mounted without -topo-role store (%d)", code)
+		}
+		stop(t, cmd, dir, stderr, "darshan_data.sos", "darshan_data.sos.1", "darshan_data.sos.2", "darshan_data.sos.3")
+	})
 }

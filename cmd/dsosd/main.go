@@ -22,12 +22,12 @@
 // agrees on each key's owner) places objects by (producer, job, rank),
 // an insert acks only when all R owners stored it, and the shard set
 // rebalances live through /topo/grow, /topo/shrink, /topo/cutover and
-// /topo/abort on the HTTP API — WAL-backed handoff logs, fenced
-// dual-writes during migration and an atomic ring swap at cutover, with
-// queries merging both owners mid-migration. /healthz gains a placement
-// probe that degrades while any owner group is entirely down. The -topo
-// flag set is validated strictly; inconsistent flags are a startup
-// error, never a silent default.
+// /topo/abort on the HTTP API — fenced dual-writes during migration, a
+// handoff of the moved keys and an atomic ring swap at cutover, with
+// queries merging both owners mid-migration. Either way the shards sit
+// behind one DSOS client: the role only selects its placement strategy.
+// The -topo flag set is validated strictly; inconsistent flags are a
+// startup error, never a silent default.
 //
 // Usage:
 //
@@ -128,11 +128,20 @@ func main() {
 	}
 	client := dsos.Connect(cluster)
 
-	// With -topo-role store, placement switches from round-robin replica
-	// groups to the consistent-hash ring: every insert is placed by its
-	// (producer, job, rank) key, acked only when all R owners stored it,
-	// and the shard set can grow or shrink live through the /topo admin
-	// endpoints (WAL-backed handoff, fenced dual-writes, atomic cutover).
+	// Shard snapshots are keyed by launch index under round-robin
+	// placement (shard i > 0 appends .i).
+	snapPath := func(i int, _ *dsos.Daemon) string {
+		if i == 0 {
+			return *snapshot
+		}
+		return fmt.Sprintf("%s.%d", *snapshot, i)
+	}
+
+	// With -topo-role store, the cluster's placement switches from
+	// round-robin replica groups to the consistent-hash ring: every insert
+	// is placed by its (producer, job, rank) key, acked only when all R
+	// owners stored it, and the shard set can grow or shrink live through
+	// the /topo admin endpoints (fenced dual-writes, atomic cutover).
 	var hc *topo.HashCluster
 	if topoCfg.Enabled() {
 		shardFactory := func(name string) (*dsos.Daemon, error) {
@@ -161,22 +170,22 @@ func main() {
 			Seed:        topoCfg.RingSeed,
 			VNodes:      topoCfg.VNodes,
 			Replication: *repl,
-			Index:       "job_rank_time",
 			Factory:     shardFactory,
-		}, cluster.Daemons())
+		}, cluster)
 		if err != nil {
 			fatal(err)
+		}
+		// Hash membership is dynamic (grow/shrink at runtime), so shard
+		// snapshots are keyed by member name, not launch index.
+		snapPath = func(_ int, d *dsos.Daemon) string {
+			return fmt.Sprintf("%s.%s", *snapshot, d.Name)
 		}
 		fmt.Fprintf(os.Stderr, "dsosd: hash placement over %d shards (ring seed %d, R=%d)\n",
 			len(hc.Members()), topoCfg.RingSeed, *repl)
 	}
 
 	d := ldms.NewDaemon("dsosd-ingest", "dsosd")
-	dstore := ldms.NewDSOSStore(client)
-	var store ldms.StorePlugin = dstore
-	if hc != nil {
-		store = topo.NewHashStore(hc)
-	}
+	store := ldms.NewDSOSStore(client)
 	var h *ldms.StoreHandle
 	var stream *streams.DurableStream
 	if *streamPath != "" {
@@ -261,34 +270,10 @@ func main() {
 			return
 		}
 	}
-	countObjects := func() int {
-		if hc == nil {
-			return client.Count(dsos.DarshanSchemaName)
-		}
-		n := 0
-		for _, name := range hc.Members() {
-			n += hc.Daemon(name).Count(dsos.DarshanSchemaName)
-		}
-		return n
-	}
 	snap := func() {
-		shards := 0
-		if hc != nil {
-			// Hash membership is dynamic (grow/shrink at runtime), so
-			// shard snapshots are keyed by member name, not launch index.
-			for _, name := range hc.Members() {
-				snapShard(fmt.Sprintf("%s.%s", *snapshot, name), hc.Daemon(name))
-				shards++
-			}
-		} else {
-			for i, d := range cluster.Daemons() {
-				path := *snapshot
-				if i > 0 {
-					path = fmt.Sprintf("%s.%d", *snapshot, i)
-				}
-				snapShard(path, d)
-				shards++
-			}
+		shards := cluster.Daemons()
+		for i, d := range shards {
+			snapShard(snapPath(i, d), d)
 		}
 		stored := uint64(0)
 		if h != nil {
@@ -297,7 +282,7 @@ func main() {
 			stored = stream.Stats().Appended
 		}
 		fmt.Fprintf(os.Stderr, "dsosd: snapshot %s (%d shards, %d objects, %d stored)\n",
-			*snapshot, shards, countObjects(), stored)
+			*snapshot, len(shards), client.Count(dsos.DarshanSchemaName), stored)
 	}
 
 	if *httpAddr != "" {
@@ -307,7 +292,7 @@ func main() {
 		reg := obs.NewRegistry()
 		clock := obs.WallClock()
 		cluster.Instrument(reg, clock)
-		dstore.Instrument(reg, clock)
+		store.Instrument(reg, clock)
 		d.Bus().Instrument("dsosd-ingest", clock)
 		d.Bus().Collect(reg, "dsosd-ingest")
 		srv.Instrument("tcp:dsosd", clock)
@@ -318,19 +303,12 @@ func main() {
 		}
 		health := obs.NewHealth()
 		health.Register("cluster", cluster.ClusterHealth())
-		if hc != nil {
-			// The placement probe degrades /healthz while any ring owner
-			// group is entirely down — the same groups Query reports as
-			// lost — so an operator sees unreadable keyspace before a
-			// reader does.
-			health.Register("placement", hc.Health())
-			hc.Collect(reg)
-		}
 
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", obs.Handler(reg))
 		mux.Handle("/healthz", health.Handler())
 		if hc != nil {
+			hc.Collect(reg)
 			admin := func(fn func(*http.Request) error) http.HandlerFunc {
 				return func(w http.ResponseWriter, r *http.Request) {
 					if r.Method != http.MethodPost {
@@ -375,7 +353,7 @@ func main() {
 			})
 		}
 		mux.HandleFunc("/count", func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprintln(w, countObjects())
+			fmt.Fprintln(w, client.Count(dsos.DarshanSchemaName))
 		})
 		mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
 			index := r.URL.Query().Get("index")
@@ -399,22 +377,19 @@ func main() {
 					from, to = sos.Key{job, rank}, sos.Key{job, rank + 1}
 				}
 			}
-			var objs []sos.Object
-			var err error
-			if hc != nil {
-				// Hash-mode queries merge both sides of any in-flight
-				// migration, so keys stay readable mid-cutover.
-				objs, _, err = hc.Query(index, from, to)
-			} else {
-				objs, err = client.Query(index, from, to)
+			limit := 0
+			if v := r.URL.Query().Get("limit"); v != "" {
+				n, err := strconv.Atoi(v)
+				if err != nil || n < 0 {
+					http.Error(w, "bad limit", http.StatusBadRequest)
+					return
+				}
+				limit = n
 			}
+			objs, err := client.Query(index, from, to)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
-			}
-			limit := 0
-			if v := r.URL.Query().Get("limit"); v != "" {
-				limit, _ = strconv.Atoi(v)
 			}
 			fmt.Fprintln(w, jsonmsg.CSVHeader)
 			for i, o := range objs {

@@ -18,6 +18,10 @@
 //     under-replicated objects into healthy daemons (read repair). A query
 //     is only Partial when every replica of some placement group is down.
 //
+// Where objects go is a Placement strategy (placement.go): round-robin
+// over R successive daemons by default, or internal/topo's consistent-hash
+// ring. Either way there is one insert path and one query merge, below.
+//
 // With the defaults (R=1, no WAL) every path below reduces to the original
 // sharded behavior.
 package dsos
@@ -168,9 +172,16 @@ func (d *Daemon) Crash() {
 	if d.cont == nil {
 		return
 	}
-	// The schema/index configuration is re-read at startup; remember what
-	// was configured (covers daemons wrapped around restored containers
-	// that never went through AddSchema/AddIndex).
+	d.rememberConfigLocked()
+	d.cont = nil
+	d.fault = ErrCrashed
+}
+
+// rememberConfigLocked captures the rebuild material from the live
+// container when AddSchema/AddIndex never ran — a daemon wrapped around a
+// restored container. The schema/index configuration survives a crash or a
+// rebuild (a real dsosd re-reads it at startup); only the objects are lost.
+func (d *Daemon) rememberConfigLocked() {
 	if len(d.schemas) == 0 {
 		for _, name := range d.cont.Schemas() {
 			d.schemas = append(d.schemas, d.cont.Schema(name))
@@ -184,8 +195,23 @@ func (d *Daemon) Crash() {
 	if d.contName == "" {
 		d.contName = d.cont.Name
 	}
-	d.cont = nil
-	d.fault = ErrCrashed
+}
+
+// freshContainerLocked builds an empty container configured with the
+// remembered schemas and indices.
+func (d *Daemon) freshContainerLocked() (*sos.Container, error) {
+	cont := sos.NewContainer(d.contName)
+	for _, s := range d.schemas {
+		if err := cont.AddSchema(s); err != nil {
+			return nil, err
+		}
+	}
+	for _, spec := range d.idxSpecs {
+		if _, err := cont.AddIndex(spec); err != nil {
+			return nil, err
+		}
+	}
+	return cont, nil
 }
 
 // Restart models the dsosd coming back: a fresh container is configured
@@ -198,16 +224,9 @@ func (d *Daemon) Restart() error {
 	if d.cont != nil && !errors.Is(d.fault, ErrCrashed) {
 		return nil // not crashed; nothing to do
 	}
-	cont := sos.NewContainer(d.contName)
-	for _, s := range d.schemas {
-		if err := cont.AddSchema(s); err != nil {
-			return fmt.Errorf("dsos: %s restart: %w", d.Name, err)
-		}
-	}
-	for _, spec := range d.idxSpecs {
-		if _, err := cont.AddIndex(spec); err != nil {
-			return fmt.Errorf("dsos: %s restart: %w", d.Name, err)
-		}
+	cont, err := d.freshContainerLocked()
+	if err != nil {
+		return fmt.Errorf("dsos: %s restart: %w", d.Name, err)
 	}
 	if d.wal != nil {
 		recs, _, err := sos.ReplayWAL(d.wal.Store(), func(schema string, obj sos.Object, origin uint64) error {
@@ -254,20 +273,6 @@ func (d *Daemon) InsertOrigin(schema string, obj sos.Object, origin uint64) erro
 	return nil
 }
 
-// HasOrigin reports whether an object with the given origin id is present
-// under the index.
-func (d *Daemon) HasOrigin(index string, origin uint64) bool {
-	found := false
-	_ = d.IterOrigins(index, nil, func(_ sos.Object, o uint64) bool {
-		if o == origin {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
 // IterOrigins walks the index yielding each object with its origin id,
 // under the daemon lock.
 func (d *Daemon) IterOrigins(index string, from sos.Key, yield func(sos.Object, uint64) bool) error {
@@ -293,35 +298,6 @@ func (d *Daemon) Count(schema string) int {
 	return d.cont.Count(schema)
 }
 
-// RangeOrigins collects the objects with index-prefix keys in [from, to)
-// together with their origin ids — the per-shard read the topology layer's
-// hash-placement queries merge and dedup by origin.
-func (d *Daemon) RangeOrigins(index string, from, to sos.Key) ([]sos.Object, []uint64, error) {
-	return d.rangeQuery(index, from, to, true)
-}
-
-// KeyAttrs resolves an index to the attribute positions of its key and
-// the schema it is defined over, so callers outside the package can sort
-// and compare objects in index order.
-func (d *Daemon) KeyAttrs(index string) (attrs []int, schema string, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.cont == nil {
-		return nil, "", fmt.Errorf("dsos: %s: %w", d.Name, ErrCrashed)
-	}
-	ix := d.cont.Index(index)
-	if ix == nil {
-		return nil, "", fmt.Errorf("dsos: unknown index %q", index)
-	}
-	spec := ix.Spec()
-	sch := d.cont.Schema(spec.Schema)
-	attrs = make([]int, len(spec.Attrs))
-	for i, a := range spec.Attrs {
-		attrs[i] = sch.AttrIndex(a)
-	}
-	return attrs, spec.Schema, nil
-}
-
 // RetainWhere rebuilds the shard keeping only the objects keep accepts,
 // and rewrites the write-ahead log (if any) to match, so a later restart
 // cannot resurrect what was dropped. index must cover the objects being
@@ -337,18 +313,7 @@ func (d *Daemon) RetainWhere(index string, keep func(obj sos.Object, origin uint
 	if d.cont == nil {
 		return 0, fmt.Errorf("dsos: %s: %w", d.Name, ErrCrashed)
 	}
-	// Capture rebuild material the same way Crash does, so daemons wrapped
-	// around restored containers survive the rebuild too.
-	if len(d.schemas) == 0 {
-		for _, name := range d.cont.Schemas() {
-			d.schemas = append(d.schemas, d.cont.Schema(name))
-		}
-	}
-	if len(d.idxSpecs) == 0 {
-		for _, name := range d.cont.Indices() {
-			d.idxSpecs = append(d.idxSpecs, d.cont.Index(name).Spec())
-		}
-	}
+	d.rememberConfigLocked()
 	ix := d.cont.Index(index)
 	if ix == nil {
 		return 0, fmt.Errorf("dsos: unknown index %q", index)
@@ -373,16 +338,9 @@ func (d *Daemon) RetainWhere(index string, keep func(obj sos.Object, origin uint
 	if dropped == 0 {
 		return 0, nil
 	}
-	cont := sos.NewContainer(d.contName)
-	for _, s := range d.schemas {
-		if err := cont.AddSchema(s); err != nil {
-			return 0, fmt.Errorf("dsos: %s retain: %w", d.Name, err)
-		}
-	}
-	for _, spec := range d.idxSpecs {
-		if _, err := cont.AddIndex(spec); err != nil {
-			return 0, fmt.Errorf("dsos: %s retain: %w", d.Name, err)
-		}
+	cont, err := d.freshContainerLocked()
+	if err != nil {
+		return 0, fmt.Errorf("dsos: %s retain: %w", d.Name, err)
 	}
 	for _, r := range kept {
 		if err := cont.InsertOrigin(schema, r.obj, r.origin); err != nil {
@@ -431,13 +389,13 @@ func (d *Daemon) rangeQuery(index string, from, to sos.Key, withOrigins bool) ([
 	return objs, nil, err
 }
 
-// Cluster is a DSOS cluster: several dsosd daemons on storage servers.
+// Cluster is a DSOS cluster: several dsosd daemons on storage servers,
+// and the placement strategy that spreads objects over them.
 type Cluster struct {
-	daemons []*Daemon
-	mu      sync.Mutex
-	next    int    // round-robin ingest cursor
-	repl    int    // replication factor (>=1)
-	origin  uint64 // cluster-wide logical insert id allocator
+	mu     sync.Mutex
+	place  Placement
+	seq    uint64 // objects placed so far (the round-robin cursor)
+	origin uint64 // cluster-wide logical insert id allocator
 	// Obs plane (set by Instrument): quorum latency for replicated
 	// inserts, timed with the injected clock (virtual in the sim zone).
 	obsClock  obs.Clock
@@ -445,18 +403,18 @@ type Cluster struct {
 }
 
 // NewCluster creates n daemons named dsosd0..dsosd(n-1), all hosting the
-// same logical container.
+// same logical container, under unreplicated round-robin placement.
 //
 //lint:allow hotalloc cluster construction runs once, not per event
 func NewCluster(n int, containerName string) *Cluster {
 	if n <= 0 {
 		panic("dsos: cluster needs at least one daemon")
 	}
-	c := &Cluster{repl: 1}
-	for i := 0; i < n; i++ {
-		c.daemons = append(c.daemons, NewDaemon(fmt.Sprintf("dsosd%d", i), containerName))
+	daemons := make([]*Daemon, n)
+	for i := range daemons {
+		daemons[i] = NewDaemon(fmt.Sprintf("dsosd%d", i), containerName)
 	}
-	return c
+	return &Cluster{place: newSuccessive(daemons, 1)}
 }
 
 // NewClusterFromContainers wraps existing containers (e.g. restored
@@ -467,45 +425,49 @@ func NewClusterFromContainers(conts []*sos.Container) *Cluster {
 	if len(conts) == 0 {
 		panic("dsos: cluster needs at least one container")
 	}
-	c := &Cluster{repl: 1}
+	daemons := make([]*Daemon, len(conts))
 	for i, cont := range conts {
-		c.daemons = append(c.daemons, &Daemon{
-			Name: fmt.Sprintf("dsosd%d", i), cont: cont, contName: cont.Name,
-		})
+		daemons[i] = &Daemon{Name: fmt.Sprintf("dsosd%d", i), cont: cont, contName: cont.Name}
 	}
-	return c
+	return &Cluster{place: newSuccessive(daemons, 1)}
+}
+
+// Placement returns the current placement strategy.
+func (c *Cluster) Placement() Placement {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.place
+}
+
+// SetPlacement swaps the placement strategy. Inserts and queries already
+// planned finish under the placement they started with.
+func (c *Cluster) SetPlacement(p Placement) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.place = p
 }
 
 // Daemons returns the cluster members.
-func (c *Cluster) Daemons() []*Daemon { return c.daemons }
+func (c *Cluster) Daemons() []*Daemon { return c.Placement().Members() }
 
-// SetReplication sets the replication factor R: each insert is written to
-// R successive daemons. R is clamped to [1, len(daemons)]. R=1 (the
-// default) is the original unreplicated sharding.
+// SetReplication selects round-robin placement at replication factor R
+// over the current members: each insert is written to R successive
+// daemons. R is clamped to [1, len(daemons)]. R=1 (the default) is the
+// original unreplicated sharding.
 func (c *Cluster) SetReplication(r int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if r < 1 {
-		r = 1
-	}
-	if r > len(c.daemons) {
-		r = len(c.daemons)
-	}
-	c.repl = r
+	c.place = newSuccessive(c.place.Members(), r)
 }
 
-// Replication returns the configured replication factor.
-func (c *Cluster) Replication() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.repl
-}
+// Replication returns the replication factor (the owner-group size).
+func (c *Cluster) Replication() int { return len(c.Placement().Groups()[0]) }
 
 // EnableWAL attaches a write-ahead log to every daemon. mk builds the
 // backing for a daemon name; nil uses a fresh in-memory MemWAL per daemon
 // (the simulation's virtual disk).
 func (c *Cluster) EnableWAL(mk func(daemonName string) sos.WALStore) {
-	for _, d := range c.daemons {
+	for _, d := range c.Daemons() {
 		var st sos.WALStore
 		if mk != nil {
 			st = mk(d.Name)
@@ -518,7 +480,7 @@ func (c *Cluster) EnableWAL(mk func(daemonName string) sos.WALStore) {
 
 // AddSchema registers the schema on every daemon.
 func (c *Cluster) AddSchema(s *sos.Schema) error {
-	for _, d := range c.daemons {
+	for _, d := range c.Daemons() {
 		if err := d.AddSchema(s); err != nil {
 			return err
 		}
@@ -528,7 +490,7 @@ func (c *Cluster) AddSchema(s *sos.Schema) error {
 
 // AddIndex declares the index on every daemon.
 func (c *Cluster) AddIndex(spec sos.IndexSpec) error {
-	for _, d := range c.daemons {
+	for _, d := range c.Daemons() {
 		if err := d.AddIndex(spec); err != nil {
 			return err
 		}
@@ -547,118 +509,127 @@ func Connect(c *Cluster) *Client { return &Client{c: c} }
 // Cluster returns the cluster this client is connected to.
 func (cl *Client) Cluster() *Cluster { return cl.c }
 
-// Insert shards the object across the daemons. With R=1 it is the
-// original round-robin (each daemon takes 1/n of the stream). With R>1
-// the object is stamped with a fresh origin id and written to R
-// successive daemons; the insert is acked (returns nil) when at least one
-// replica stored it durably, and fails only when every replica did.
+// Insert places one object. See InsertBatch.
 func (cl *Client) Insert(schema string, obj sos.Object) error {
-	c := cl.c
-	c.mu.Lock()
-	n := len(c.daemons)
-	start := c.next % n
-	c.next++
-	repl := c.repl
-	var origin uint64
-	if repl > 1 {
-		c.origin++
-		origin = c.origin
-	}
-	clock, quorum := c.obsClock, c.quorumLat
-	c.mu.Unlock()
-	if repl == 1 {
-		return c.daemons[start].Insert(schema, obj)
-	}
-	var q0 time.Duration
-	if clock != nil {
-		q0 = clock()
-	}
-	var firstErr error
-	acked := 0
-	for i := 0; i < repl; i++ {
-		d := c.daemons[(start+i)%n]
-		if err := d.InsertOrigin(schema, obj, origin); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		acked++
-	}
-	if clock != nil {
-		quorum.Observe(uint64(clock() - q0))
-	}
-	if acked == 0 {
-		return firstErr
-	}
-	return nil
+	return cl.InsertBatch(schema, []sos.Object{obj})
 }
 
-// InsertBatch inserts the objects with a single placement reservation:
-// the round-robin cursor (and, under replication, the origin ids) are
-// advanced once for the whole batch, so the shard each object lands on is
-// exactly the shard a sequence of Insert calls would have chosen — batched
-// and unbatched ingest produce identical clusters. It returns the first
-// error once every remaining object has been attempted (ingest is
-// per-object best-effort, same as the unbatched path).
+// owners is one object's planned destinations.
+type owners struct{ ack, fence []*Daemon }
+
+// InsertBatch places the objects with a single reservation: the insert
+// sequence (and the origin ids, when the placement stamps them) advance
+// once for the whole batch, so each object lands exactly where a sequence
+// of Insert calls would have put it — batched and unbatched ingest
+// produce identical clusters.
+//
+// The placement's rules pick the ack rule. Any-replica: an object is
+// acked when at least one of its daemons stored it, and the first error
+// is returned once every remaining object has been attempted. AckAll:
+// every owner of every object must be up before anything is written, an
+// object is acked only when all its owners stored it, and the first
+// write error ends the batch. Fence daemons get a best-effort copy
+// either way.
 func (cl *Client) InsertBatch(schema string, objs []sos.Object) error {
 	if len(objs) == 0 {
 		return nil
 	}
 	c := cl.c
 	c.mu.Lock()
-	n := len(c.daemons)
-	start := c.next % n
-	c.next += len(objs)
-	repl := c.repl
+	p := c.place
+	rules := p.Rules()
+	seq := c.seq
+	var plan []owners
+	if rules.AckAll {
+		// Admission runs under the cluster lock, so it sees one placement
+		// and a refused batch consumes no origin ids.
+		var err error
+		if plan, err = admit(p, schema, objs, seq); err != nil {
+			c.mu.Unlock()
+			return err
+		}
+	}
+	c.seq += uint64(len(objs))
 	var origin uint64
-	if repl > 1 {
+	if rules.Stamp {
 		origin = c.origin
 		c.origin += uint64(len(objs))
 	}
 	clock, quorum := c.obsClock, c.quorumLat
 	c.mu.Unlock()
+
 	var firstErr error
 	for k, obj := range objs {
-		var err error
-		if repl == 1 {
-			err = c.daemons[(start+k)%n].Insert(schema, obj)
+		var to owners
+		if plan != nil {
+			to = plan[k]
 		} else {
-			var q0 time.Duration
-			if clock != nil {
-				q0 = clock()
-			}
-			acked := 0
-			var replErr error
-			for i := 0; i < repl; i++ {
-				d := c.daemons[(start+k+i)%n]
-				if e := d.InsertOrigin(schema, obj, origin+uint64(k+1)); e != nil {
-					if replErr == nil {
-						replErr = e
-					}
-					continue
-				}
-				acked++
-			}
-			if clock != nil {
-				quorum.Observe(uint64(clock() - q0))
-			}
-			if acked == 0 {
-				err = replErr
-			}
+			to.ack, to.fence = p.Owners(schema, obj, seq+uint64(k))
 		}
-		if err != nil && firstErr == nil {
-			firstErr = err
+		var id uint64
+		if rules.Stamp {
+			id = origin + uint64(k) + 1
+		}
+		timed := clock != nil && len(to.ack) > 1
+		var q0 time.Duration
+		if timed {
+			q0 = clock()
+		}
+		acked := 0
+		var objErr error
+		for _, d := range to.ack {
+			if err := d.InsertOrigin(schema, obj, id); err != nil {
+				if rules.AckAll {
+					return err
+				}
+				if objErr == nil {
+					objErr = err
+				}
+				continue
+			}
+			acked++
+		}
+		if timed {
+			quorum.Observe(uint64(clock() - q0))
+		}
+		if acked == 0 && firstErr == nil {
+			firstErr = objErr
+		}
+		for _, d := range to.fence {
+			// A fence daemon that misses its copy is covered by the
+			// migration's drain.
+			if d.InsertOrigin(schema, obj, id) == nil {
+				p.Fenced(d, id)
+			}
 		}
 	}
 	return firstErr
+}
+
+// admit plans a whole batch and refuses it unless every ack daemon of
+// every object is up.
+func admit(p Placement, schema string, objs []sos.Object, seq uint64) ([]owners, error) {
+	plan := make([]owners, len(objs))
+	for k, obj := range objs {
+		ack, fence := p.Owners(schema, obj, seq+uint64(k))
+		if len(ack) == 0 {
+			return nil, errors.New("dsos: placement has no owner for the object")
+		}
+		for _, d := range ack {
+			if !d.Up() {
+				return nil, fmt.Errorf("dsos: owner %s is down; batch refused", d.Name)
+			}
+		}
+		plan[k] = owners{ack, fence}
+	}
+	return plan, nil
 }
 
 // Count sums object counts across daemons. With replication each object
 // is counted once per stored replica.
 func (cl *Client) Count(schema string) int {
 	total := 0
-	for _, d := range cl.c.daemons {
+	for _, d := range cl.c.Daemons() {
 		total += d.Count(schema)
 	}
 	return total
@@ -669,12 +640,12 @@ type QueryInfo struct {
 	// Failed lists the daemons that could not serve the query.
 	Failed []string
 	// Partial is true when the result may be missing objects: with R=1 any
-	// failed daemon implies missing data; with R>1 only when R successive
-	// daemons (a whole placement group) are all down.
+	// failed daemon implies missing data; with R>1 only when a whole owner
+	// group is down.
 	Partial bool
-	// LostGroups lists each placement group whose every member failed —
-	// the groups whose data the merge could not see. Empty when Partial
-	// is false.
+	// LostGroups lists each owner group whose every member failed — the
+	// groups whose data the merge could not see. Empty when Partial is
+	// false.
 	LostGroups [][]string
 	// Repaired counts objects re-inserted into healthy daemons by read
 	// repair (under-replicated origins found during the merge).
@@ -700,77 +671,68 @@ func (cl *Client) Query(index string, from, to sos.Key) ([]sos.Object, error) {
 	return objs, nil
 }
 
-// QueryEx is Query with the degradation report. The returned error is
-// only non-nil for structural problems (unknown index); availability
-// problems are reported through QueryInfo.
+// QueryEx is Query with the degradation report. It fans out over every
+// member of the placement (a migration's staged members included, so a
+// key is found on whichever side of the fence holds it) and dedups
+// stamped objects by origin. The returned error is only non-nil for
+// structural problems (unknown index); availability problems are
+// reported through QueryInfo.
 func (cl *Client) QueryEx(index string, from, to sos.Key) ([]sos.Object, QueryInfo, error) {
-	c := cl.c
-	c.mu.Lock()
-	repl := c.repl
-	c.mu.Unlock()
-	withOrigins := repl > 1
+	p := cl.c.Placement()
+	members := p.Members()
+	rules := p.Rules()
 
-	type result struct {
-		objs    []sos.Object
-		origins []uint64
-		err     error
-	}
-	results := make([]result, len(c.daemons))
+	lists := make([][]sos.Object, len(members))
+	origins := make([][]uint64, len(members))
+	errs := make([]error, len(members))
 	var wg sync.WaitGroup
-	for i, d := range c.daemons {
+	for i, d := range members {
 		wg.Add(1)
 		go func(i int, d *Daemon) {
 			defer wg.Done()
-			objs, origins, err := d.rangeQuery(index, from, to, withOrigins)
-			results[i] = result{objs, origins, err}
+			lists[i], origins[i], errs[i] = d.rangeQuery(index, from, to, rules.Stamp)
 		}(i, d)
 	}
 	wg.Wait()
 
 	var info QueryInfo
-	failed := make([]bool, len(results))
-	lists := make([][]sos.Object, len(results))
-	origins := make([][]uint64, len(results))
+	var failed map[*Daemon]bool
 	total := 0
-	for i, r := range results {
-		if r.err != nil {
-			failed[i] = true
-			info.Failed = append(info.Failed, c.daemons[i].Name)
+	for i, err := range errs {
+		if err != nil {
+			if failed == nil {
+				failed = map[*Daemon]bool{}
+			}
+			failed[members[i]] = true
+			info.Failed = append(info.Failed, members[i].Name)
 			continue
 		}
-		lists[i] = r.objs
-		origins[i] = r.origins
-		total += len(r.objs)
+		total += len(lists[i])
 	}
-	info.LostGroups = lostGroups(failed, repl, c.daemons)
-	info.Partial = len(info.LostGroups) > 0
+	if failed != nil {
+		info.LostGroups = lostGroups(p.Groups(), func(d *Daemon) bool { return failed[d] })
+		info.Partial = len(info.LostGroups) > 0
+	}
 
-	// The daemons share the index definition; fetch key positions once.
-	keyAttrs, err := cl.keyExtractor(index)
+	keyAttrs, schema, err := indexKey(members, index)
 	if err != nil {
 		return nil, info, err
 	}
 	merged, seen := mergeOrdered(lists, origins, keyAttrs, total)
-	if withOrigins {
-		info.Repaired = cl.readRepair(index, seen, failed, repl)
+	if rules.Repair {
+		info.Repaired = readRepair(members, schema, seen, failed, len(p.Groups()[0]))
 	}
 	return merged, info, nil
 }
 
-// lostGroups returns every placement group of R successive daemons that
-// is entirely failed — the only configuration that can hide data from
-// the merge. Each group is listed once, in daemon order, starting at its
-// lowest-index member.
-func lostGroups(failed []bool, repl int, daemons []*Daemon) [][]string {
-	n := len(failed)
-	if repl > n {
-		repl = n
-	}
+// lostGroups returns the owner groups whose every member is down — the
+// only configuration that can hide data from the merge — as member names.
+func lostGroups(groups [][]*Daemon, down func(*Daemon) bool) [][]string {
 	var out [][]string
-	for start := 0; start < n; start++ {
+	for _, g := range groups {
 		allDown := true
-		for i := 0; i < repl; i++ {
-			if !failed[(start+i)%n] {
+		for _, d := range g {
+			if !down(d) {
 				allDown = false
 				break
 			}
@@ -778,25 +740,20 @@ func lostGroups(failed []bool, repl int, daemons []*Daemon) [][]string {
 		if !allDown {
 			continue
 		}
-		g := make([]string, 0, repl)
-		for i := 0; i < repl; i++ {
-			g = append(g, daemons[(start+i)%n].Name)
+		names := make([]string, len(g))
+		for i, d := range g {
+			names[i] = d.Name
 		}
-		out = append(out, g)
+		out = append(out, names)
 	}
 	return out
 }
 
 // readRepair re-inserts under-replicated objects: every origin that the
-// merge saw on fewer than R healthy daemons is copied (in ascending daemon
-// order) to healthy daemons that lack it, until R replicas exist. Returns
-// the number of replica copies written.
-func (cl *Client) readRepair(index string, seen map[uint64]*originTrack, failed []bool, repl int) int {
-	c := cl.c
-	ix, sch := cl.indexSchema(index)
-	if ix == "" {
-		return 0
-	}
+// merge saw on fewer than repl healthy daemons is copied (in ascending
+// member order) to healthy daemons that lack it, until repl replicas
+// exist. Returns the number of replica copies written.
+func readRepair(members []*Daemon, schema string, seen map[uint64]*originTrack, failed map[*Daemon]bool, repl int) int {
 	// Deterministic order: ascending origin id.
 	ids := make([]uint64, 0, len(seen))
 	for o, tr := range seen {
@@ -809,11 +766,14 @@ func (cl *Client) readRepair(index string, seen map[uint64]*originTrack, failed 
 	for _, o := range ids {
 		tr := seen[o]
 		need := repl - tr.copies
-		for i := 0; i < len(c.daemons) && need > 0; i++ {
-			if failed[i] || tr.on[i] {
+		for i, d := range members {
+			if need == 0 {
+				break
+			}
+			if failed[d] || tr.on[i] {
 				continue
 			}
-			if err := c.daemons[i].InsertOrigin(sch, tr.obj, o); err != nil {
+			if err := d.InsertOrigin(schema, tr.obj, o); err != nil {
 				continue
 			}
 			repaired++
@@ -823,21 +783,30 @@ func (cl *Client) readRepair(index string, seen map[uint64]*originTrack, failed 
 	return repaired
 }
 
-// indexSchema resolves the schema name an index is defined over, via the
-// first live daemon.
-func (cl *Client) indexSchema(index string) (name, schema string) {
-	for _, d := range cl.c.daemons {
+// indexKey resolves an index, via the first live member, to the attribute
+// positions of its key and the schema it is defined over.
+func indexKey(members []*Daemon, index string) (attrs []int, schema string, err error) {
+	for _, d := range members {
 		d.mu.Lock()
-		if d.cont != nil {
-			if ix := d.cont.Index(index); ix != nil {
-				spec := ix.Spec()
-				d.mu.Unlock()
-				return spec.Name, spec.Schema
-			}
+		if d.cont == nil {
+			d.mu.Unlock()
+			continue
+		}
+		ix := d.cont.Index(index)
+		if ix == nil {
+			d.mu.Unlock()
+			return nil, "", fmt.Errorf("dsos: unknown index %q", index)
+		}
+		spec := ix.Spec()
+		sch := d.cont.Schema(spec.Schema)
+		attrs = make([]int, len(spec.Attrs))
+		for i, a := range spec.Attrs {
+			attrs[i] = sch.AttrIndex(a)
 		}
 		d.mu.Unlock()
+		return attrs, spec.Schema, nil
 	}
-	return "", ""
+	return nil, "", fmt.Errorf("dsos: no live daemon to resolve index %q", index)
 }
 
 // DeleteJob removes every stored event of the given job from all daemons
@@ -848,7 +817,7 @@ func (cl *Client) indexSchema(index string) (name, schema string) {
 //lint:allow hotalloc retention management runs per job, off the ingest path
 func (cl *Client) DeleteJob(jobID int64) (int, error) {
 	total := 0
-	for _, d := range cl.c.daemons {
+	for _, d := range cl.c.Daemons() {
 		d.mu.Lock()
 		if d.cont == nil {
 			d.mu.Unlock()
@@ -875,7 +844,7 @@ func (cl *Client) DeleteJob(jobID int64) (int, error) {
 //lint:allow hotalloc query-side index hopping, two keys per job not per event
 func (cl *Client) DistinctJobs() ([]int64, error) {
 	seen := map[int64]bool{}
-	for _, d := range cl.c.daemons {
+	for _, d := range cl.c.Daemons() {
 		var from sos.Key
 		for {
 			var job int64
@@ -907,32 +876,6 @@ func (cl *Client) DistinctJobs() ([]int64, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
-}
-
-// keyExtractor returns the attribute positions of the index key, resolved
-// via the first live daemon.
-func (cl *Client) keyExtractor(index string) ([]int, error) {
-	for _, d := range cl.c.daemons {
-		d.mu.Lock()
-		if d.cont == nil {
-			d.mu.Unlock()
-			continue
-		}
-		ix := d.cont.Index(index)
-		if ix == nil {
-			d.mu.Unlock()
-			return nil, fmt.Errorf("dsos: unknown index %q", index)
-		}
-		spec := ix.Spec()
-		sch := d.cont.Schema(spec.Schema)
-		idxs := make([]int, len(spec.Attrs))
-		for i, a := range spec.Attrs {
-			idxs[i] = sch.AttrIndex(a)
-		}
-		d.mu.Unlock()
-		return idxs, nil
-	}
-	return nil, fmt.Errorf("dsos: no live daemon to resolve index %q", index)
 }
 
 // originTrack records where the merge saw one origin.

@@ -9,8 +9,9 @@ import (
 // advance no virtual clock, so the histogram is deterministic; wall
 // time in a real dsosd). A scrape-time collector exports the per-shard
 // view: object counts, cumulative inserts, WAL appends and replays, and
-// up/down state. Daemons are walked in cluster slice order, so the
-// snapshot is deterministic.
+// up/down state. It walks the placement's members at scrape time, in
+// their deterministic order, so a shard added or removed by a live
+// rebalance enters or leaves the snapshot with it.
 func (c *Cluster) Instrument(reg *obs.Registry, clock obs.Clock) {
 	if reg == nil {
 		return
@@ -21,13 +22,14 @@ func (c *Cluster) Instrument(reg *obs.Registry, clock obs.Clock) {
 	c.mu.Unlock()
 	reg.RegisterCollector(func(emit func(string, float64)) {
 		c.mu.Lock()
-		repl := c.repl
+		p := c.place
 		origins := c.origin
 		c.mu.Unlock()
-		emit("dlc_dsos_replication", float64(repl))
+		members := p.Members()
+		emit("dlc_dsos_replication", float64(len(p.Groups()[0])))
 		emit("dlc_dsos_origins_allocated_total", float64(origins))
-		emit("dlc_dsos_shards", float64(len(c.daemons)))
-		for _, d := range c.daemons {
+		emit("dlc_dsos_shards", float64(len(members)))
+		for _, d := range members {
 			labels := `{shard="` + d.Name + `"}`
 			emit("dlc_dsos_shard_objects"+labels, float64(d.Count(DarshanSchemaName)))
 			emit("dlc_dsos_shard_inserts_total"+labels, float64(d.Inserts()))
@@ -59,37 +61,29 @@ func (d *Daemon) Inserts() uint64 {
 	return d.inserts.Load()
 }
 
-// DegradedGroups returns the placement groups (R successive daemons)
-// whose every member is currently down — the groups a query would be
-// blind to right now. Empty means fully readable.
-func (c *Cluster) DegradedGroups() [][]string {
-	failed := make([]bool, len(c.daemons))
-	for i, d := range c.daemons {
-		failed[i] = !d.Up()
-	}
-	return lostGroups(failed, c.Replication(), c.daemons)
-}
-
-// ClusterHealth returns a /healthz probe that fails when any placement
-// group has every replica down (queries are hiding data) or when fewer
-// live daemons remain than the replication factor (inserts can fail
-// outright). The error names the dark groups and the down daemons, so
-// the probe distinguishes a one-shard blip from a lost replica set.
+// ClusterHealth returns a /healthz probe that fails when any owner group
+// has every member down (queries are hiding data, and under an every-owner
+// ack rule inserts for its keys are refused) or when fewer live daemons
+// remain than the replication factor (inserts can fail outright). The
+// error names the dark groups and the down daemons, so the probe
+// distinguishes a one-shard blip from a lost replica set.
 func (c *Cluster) ClusterHealth() func() error {
 	return func() error {
+		p := c.Placement()
 		up := 0
 		var down []string
-		for _, d := range c.daemons {
+		for _, d := range p.Members() {
 			if d.Up() {
 				up++
 			} else {
 				down = append(down, d.Name)
 			}
 		}
-		if groups := c.DegradedGroups(); len(groups) > 0 {
-			return &PartialError{Failed: down, Groups: groups}
+		groups := p.Groups()
+		if lost := lostGroups(groups, func(d *Daemon) bool { return !d.Up() }); len(lost) > 0 {
+			return &PartialError{Failed: down, Groups: lost}
 		}
-		if up < c.Replication() {
+		if up < len(groups[0]) {
 			return ErrPartial
 		}
 		return nil

@@ -103,20 +103,20 @@ type rebalanceTopo struct {
 	pump    *topo.StorePump
 	dedup   *ldms.DedupStore
 	ack     *ackRecorder
-	hstore  *topo.HashStore
 	decomm  map[string]bool // baseline decommissioned shards
 	notes   []string
 }
 
 const (
-	rebalanceSpare  = "dsosd-spare"
-	rebalanceVictim = "dsosd2"
+	rebalanceContainer = "rebalance-darshan"
+	rebalanceSpare     = "dsosd-spare"
+	rebalanceVictim    = "dsosd2"
 )
 
-// rebalanceShardFactory builds one dsosd shard with the darshan schema,
+// rebalanceShardFactory builds the shard a grow adds: the darshan schema,
 // its indices and a fresh in-memory WAL.
 func rebalanceShardFactory(name string) (*dsos.Daemon, error) {
-	d := dsos.NewDaemon(name, "rebalance-darshan")
+	d := dsos.NewDaemon(name, rebalanceContainer)
 	d.EnableWAL(sos.NewMemWAL())
 	if err := d.AddSchema(dsos.DarshanSchema()); err != nil {
 		return nil, err
@@ -185,27 +185,26 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 	}
 
 	// --- Shard plane: a consistent-hash dsos cluster. ---
-	shardNames := make([]string, 0, cfg.Shards)
-	var shards []*dsos.Daemon
-	for i := 0; i < cfg.Shards; i++ {
-		sn := fmt.Sprintf("dsosd%d", i)
-		d, err := rebalanceShardFactory(sn)
-		if err != nil {
-			return nil, err
-		}
-		shards = append(shards, d)
-		shardNames = append(shardNames, sn)
+	sc := dsos.NewCluster(cfg.Shards, rebalanceContainer)
+	sc.EnableWAL(nil)
+	if err := dsos.SetupDarshan(sc); err != nil {
+		return nil, err
+	}
+	shards := sc.Daemons()
+	shardNames := make([]string, len(shards))
+	for i, d := range shards {
+		shardNames[i] = d.Name
 	}
 	hc, err := topo.NewHashCluster(topo.HashConfig{
 		Seed:    cfg.Seed ^ 0x5eed,
-		Index:   "job_rank_time",
 		Factory: rebalanceShardFactory,
 		Clock:   e.Now,
-	}, shards)
+	}, sc)
 	if err != nil {
 		return nil, err
 	}
 	rt.hc = hc
+	client := dsos.Connect(sc)
 
 	// --- Aggregation tree: leaves -> L1 (a,b; standby s) -> L2 (c;
 	// standby d) -> store head. Every non-root member owns a durable
@@ -271,9 +270,8 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 		rt.uplinks[name] = u
 	}
 
-	// --- Store chain on the head: dedup -> ack witness -> hash store. ---
-	rt.hstore = topo.NewHashStore(hc)
-	rt.ack = newAckRecorder(rt.hstore)
+	// --- Store chain on the head: dedup -> ack witness -> DSOS store. ---
+	rt.ack = newAckRecorder(ldms.NewDSOSStore(client))
 	rt.dedup = ldms.NewDedupStore(rt.ack)
 	pump, err := topo.StartStorePump(e, streamsByName["store-head"], rt.dedup, topo.PumpConfig{})
 	if err != nil {
@@ -427,7 +425,7 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 		at := time.Duration(probeRng.Uniform(0.30, 0.72) * float64(h))
 		e.At(at, func() {
 			_, ackedSet := rt.ack.snapshot()
-			objs, info, err := hc.Query("job_rank_time", nil, nil)
+			objs, info, err := client.QueryEx("job_rank_time", nil, nil)
 			if err != nil || info.Partial {
 				return // a dark group is a liveness gap, not a safety bug
 			}
@@ -497,7 +495,7 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 	}
 
 	// --- Final merged view and invariant audit. ---
-	merged, _, err := hc.Query("job_rank_time", nil, nil)
+	merged, _, err := client.QueryEx("job_rank_time", nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -19,9 +19,10 @@ var puberrCheck = &Check{
 // error leaves a shard silently empty. Ack/Nak/Fetch/AppendStream cover the
 // durable-stream consumer protocol: a swallowed Ack error stalls the floor
 // (redelivery storms), a swallowed Fetch error looks like an empty stream.
-// InsertBatch/BeginAdd/BeginRemove/Cutover/Abort/Settle cover hash-shard
-// placement and migration: a dropped Cutover error strands a migration
-// half-done with the fence still up.
+// InsertBatch covers placement — dsos.Client.InsertBatch, the one insert
+// path under either strategy — and BeginAdd/BeginRemove/Cutover/Abort/
+// Settle cover topo.HashCluster's shard migration: a dropped Cutover
+// error strands a migration half-done with the fence still up.
 var pubErrNames = map[string]bool{
 	"Publish": true, "PublishJSON": true, "PublishString": true,
 	"Store": true, "Ingest": true,

@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"strings"
 
 	"darshanldms/internal/obs"
 )
@@ -53,35 +52,6 @@ func (h *HashCluster) Collect(reg *obs.Registry) {
 		emit("topo_shard_fenced_writes_total", float64(st.FencedWrites))
 		emit("topo_shard_abort_debt", float64(st.Debt))
 	})
-}
-
-// Health returns a /healthz probe for the shard plane. It fails while
-// any serving placement group — the R ring owners of some keyspace arc —
-// is entirely down (exactly the groups Query reports as LostGroups: keys
-// placed there are unreadable and new inserts for them are refused), and
-// names the degraded groups in the error.
-func (h *HashCluster) Health() func() error {
-	return func() error {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		var down []string
-		for _, g := range h.ring.Groups(h.cfg.Replication) {
-			lost := true
-			for _, name := range g {
-				if d := h.members[name]; d != nil && d.Up() {
-					lost = false
-					break
-				}
-			}
-			if lost {
-				down = append(down, strings.Join(g, "+"))
-			}
-		}
-		if len(down) > 0 {
-			return fmt.Errorf("topo: placement groups entirely down: %s", strings.Join(down, ", "))
-		}
-		return nil
-	}
 }
 
 // Collect registers a scrape-time collector for one uplink's pump and

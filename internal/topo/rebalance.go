@@ -9,13 +9,8 @@ import (
 	"time"
 
 	"darshanldms/internal/dsos"
-	"darshanldms/internal/event"
 	"darshanldms/internal/sos"
-	"darshanldms/internal/streams"
 )
-
-// KeyFunc maps a stored object to its placement key.
-type KeyFunc func(schema string, obj sos.Object) string
 
 // DarshanKey places darshan segments by (producer, job, rank): one
 // rank's records stay on one shard, so per-rank diagnosis queries touch
@@ -30,6 +25,13 @@ func DarshanKey(schema string, o sos.Object) string {
 	return schema + "/" + fmt.Sprint([]any(o))
 }
 
+// hashIndex is the identity index migrations drain, audit and clean by,
+// and hashSchema the schema it covers.
+const (
+	hashIndex  = "job_rank_time"
+	hashSchema = dsos.DarshanSchemaName
+)
+
 // HashConfig parameterizes a HashCluster.
 type HashConfig struct {
 	// Seed seeds the consistent-hash ring; same seed + same members =
@@ -38,52 +40,112 @@ type HashConfig struct {
 	// VNodes is the ring's virtual-node count per member (0 = default).
 	VNodes int
 	// Replication is the owner-group size R (default 1). Unlike the
-	// round-robin cluster, a hash insert acks only when EVERY owner
+	// round-robin placement, a hash insert acks only when EVERY owner
 	// stored it — a down owner is backpressure for the durable pipeline
 	// to retry, not a silently thinner replica set.
 	Replication int
-	// Index is the identity index migrations drain, audit and clean by
-	// (required; any index covering the schema works).
-	Index string
-	// Key extracts an object's placement key (default DarshanKey).
-	Key KeyFunc
 	// Factory builds a new shard daemon for BeginAdd (required to grow).
 	Factory func(name string) (*dsos.Daemon, error)
-	// Handoff supplies the WAL backing for one migration's src->dst
-	// handoff log (nil = fresh in-memory MemWAL, the sim's virtual disk;
-	// a real deployment points this at a spool file).
-	Handoff func(dst string) sos.WALStore
 	// Clock stamps the event log (nil = zero timestamps; virtual time in
 	// the sim zone).
 	Clock func() time.Duration
 }
 
-// HashCluster places objects on dsos daemons by consistent hash and
-// rebalances live. A grow/shrink runs in two phases:
+// ringPlacement is the hash ring as a dsos.Placement: one immutable
+// snapshot of the serving ring, the staged ring (nil unless migrating)
+// and the member set. Objects are placed by DarshanKey; every serving
+// owner must ack, staged owners that differ are fenced in best-effort.
+type ringPlacement struct {
+	h       *HashCluster
+	ring    *Ring // serving placement
+	staged  *Ring // staged placement (nil unless migrating)
+	repl    int
+	byName  map[string]*dsos.Daemon
+	members []*dsos.Daemon   // sorted by name, staged members included
+	groups  [][]*dsos.Daemon // the serving ring's owner groups
+}
+
+func (p *ringPlacement) Members() []*dsos.Daemon  { return p.members }
+func (p *ringPlacement) Groups() [][]*dsos.Daemon { return p.groups }
+
+// Rules: every owner acks with whole-batch admission, origins are always
+// stamped (queries dedup fenced and drained copies by them), and there
+// is no read repair — a copy on a non-owner is a placement violation.
+func (p *ringPlacement) Rules() dsos.Rules { return dsos.Rules{AckAll: true, Stamp: true} }
+
+func (p *ringPlacement) Owners(schema string, obj sos.Object, _ uint64) (ack, fence []*dsos.Daemon) {
+	key := DarshanKey(schema, obj)
+	serving := p.ring.Owners(key, p.repl)
+	ack = make([]*dsos.Daemon, len(serving))
+	for i, name := range serving {
+		ack[i] = p.byName[name]
+	}
+	if p.staged != nil {
+		for _, name := range p.staged.Owners(key, p.repl) {
+			if !contains(serving, name) {
+				fence = append(fence, p.byName[name])
+			}
+		}
+	}
+	return ack, fence
+}
+
+// Fenced records a dual-written copy so the cutover drain never re-copies
+// it. A copy landing after the migration ended is not recorded.
+func (p *ringPlacement) Fenced(d *dsos.Daemon, origin uint64) {
+	h := p.h
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.fenced != nil {
+		mark(h.fenced, origin, d.Name)
+		h.fencedWrites++
+	}
+}
+
+func contains(names []string, name string) bool {
+	for _, n := range names {
+		if n == name {
+			return true
+		}
+	}
+	return false
+}
+
+// mark records dst under origin in a two-level set.
+func mark(m map[uint64]map[string]bool, origin uint64, dst string) {
+	set := m[origin]
+	if set == nil {
+		set = map[string]bool{}
+		m[origin] = set
+	}
+	set[dst] = true
+}
+
+// HashCluster is the migration layer over a dsos cluster placed by
+// consistent hash: it owns the ring, swaps the cluster's placement on
+// every membership change, and rebalances live. Inserts and queries go
+// through the cluster's one client. A grow/shrink runs in two phases:
 //
 //	Begin*: the post-rebalance ring is staged. Inserts dual-write: every
 //	  serving owner (ack requires all of them) plus, best-effort, the
 //	  staged owners that differ — the fence. Fenced origins are recorded
 //	  so the drain never re-copies them.
-//	Cutover: each shard streams the objects it is about to stop owning
-//	  into a per-destination WAL-backed handoff log; destinations replay
-//	  behind the fence (fenced origins skipped); the ring swap is atomic
-//	  under the cluster lock; sources then retain only what they still
-//	  own (WALs rewritten to match, so restarts cannot resurrect moved
-//	  keys). Abort reverts the staged ring and unwinds fenced copies.
+//	Cutover: each shard hands the objects it is about to stop owning to
+//	  their staged owners; destinations take them behind the fence (fenced
+//	  origins skipped); the ring swap is atomic under the cluster lock;
+//	  sources then retain only what they still own (WALs rewritten to
+//	  match, so restarts cannot resurrect moved keys). Abort reverts the
+//	  staged ring and unwinds fenced copies.
 //
-// Queries always fan out over every member (staged members included) and
-// dedup by origin, so a key is readable from whichever side of the fence
-// holds it — at every instant of a migration.
+// Queries fan out over every member (staged members included) and dedup
+// by origin, so a key is readable from whichever side of the fence holds
+// it — at every instant of a migration.
 type HashCluster struct {
-	cfg HashConfig
+	cfg     HashConfig
+	cluster *dsos.Cluster
 
-	mu      sync.Mutex
-	ring    *Ring // serving placement
-	next    *Ring // staged placement (nil unless migrating)
-	members map[string]*dsos.Daemon
-	order   []string // sorted member names
-	origin  uint64   // cluster-wide insert id allocator
+	mu  sync.Mutex
+	cur *ringPlacement // what the cluster currently places by
 
 	pendingAdd    string
 	pendingRemove string
@@ -92,7 +154,7 @@ type HashCluster struct {
 
 	migrations   uint64
 	aborts       uint64
-	moved        uint64 // objects copied by handoff replays
+	moved        uint64 // objects copied by cutover handoffs
 	fencedWrites uint64
 	log          []TreeEvent
 }
@@ -103,46 +165,69 @@ type RebalanceStats struct {
 	Migrating    bool
 	Migrations   uint64 // completed cutovers
 	Aborts       uint64
-	Moved        uint64 // objects copied via handoff logs
+	Moved        uint64 // objects copied by cutover handoffs
 	FencedWrites uint64
 	Debt         int // aborted fenced copies not yet dropped (down dests)
 }
 
-// NewHashCluster wraps existing daemons (schemas and WALs already set
-// up) with consistent-hash placement.
-func NewHashCluster(cfg HashConfig, members []*dsos.Daemon) (*HashCluster, error) {
-	if cfg.Index == "" {
-		return nil, errors.New("topo: hash cluster needs an identity index")
-	}
-	if len(members) == 0 {
-		return nil, errors.New("topo: hash cluster needs at least one member")
-	}
+// NewHashCluster switches the cluster (daemons, schemas and WALs already
+// set up) from round-robin to consistent-hash placement over its current
+// members.
+func NewHashCluster(cfg HashConfig, cluster *dsos.Cluster) (*HashCluster, error) {
 	if cfg.Replication <= 0 {
 		cfg.Replication = 1
-	}
-	if cfg.Key == nil {
-		cfg.Key = DarshanKey
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = func() time.Duration { return 0 }
 	}
-	h := &HashCluster{
-		cfg:     cfg,
-		ring:    NewRing(cfg.Seed, cfg.VNodes),
-		members: map[string]*dsos.Daemon{},
-		debt:    map[string]map[uint64]bool{},
-	}
-	for _, d := range members {
-		if _, ok := h.members[d.Name]; ok {
-			return nil, fmt.Errorf("topo: duplicate member %q", d.Name)
-		}
-		if err := h.ring.Add(d.Name); err != nil {
+	h := &HashCluster{cfg: cfg, cluster: cluster, debt: map[string]map[uint64]bool{}}
+	ring := NewRing(cfg.Seed, cfg.VNodes)
+	byName := map[string]*dsos.Daemon{}
+	for _, d := range cluster.Daemons() {
+		if err := ring.Add(d.Name); err != nil {
 			return nil, err
 		}
-		h.members[d.Name] = d
+		byName[d.Name] = d
 	}
-	h.order = h.ring.Members()
+	h.placeLocked(ring, nil, byName)
 	return h, nil
+}
+
+// placeLocked publishes a new placement snapshot to the cluster.
+func (h *HashCluster) placeLocked(ring, staged *Ring, byName map[string]*dsos.Daemon) {
+	p := &ringPlacement{h: h, ring: ring, staged: staged, repl: h.cfg.Replication, byName: byName}
+	names := make([]string, 0, len(byName))
+	for name := range byName {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		p.members = append(p.members, byName[name])
+	}
+	for _, g := range ring.Groups(p.repl) {
+		ds := make([]*dsos.Daemon, len(g))
+		for i, name := range g {
+			ds[i] = byName[name]
+		}
+		p.groups = append(p.groups, ds)
+	}
+	h.cur = p
+	h.cluster.SetPlacement(p)
+}
+
+// withMember returns a copy of the member map with name set to d (nil
+// deletes it).
+func (p *ringPlacement) withMember(name string, d *dsos.Daemon) map[string]*dsos.Daemon {
+	out := make(map[string]*dsos.Daemon, len(p.byName)+1)
+	for k, v := range p.byName {
+		out[k] = v
+	}
+	if d != nil {
+		out[name] = d
+	} else {
+		delete(out, name)
+	}
+	return out
 }
 
 func (h *HashCluster) logf(format string, args ...any) {
@@ -153,15 +238,17 @@ func (h *HashCluster) logf(format string, args ...any) {
 func (h *HashCluster) Ring() *Ring {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.ring
+	return h.cur.ring
 }
 
 // Members returns the sorted member names (staged members included).
 func (h *HashCluster) Members() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]string, len(h.order))
-	copy(out, h.order)
+	out := make([]string, len(h.cur.members))
+	for i, d := range h.cur.members {
+		out[i] = d.Name
+	}
 	return out
 }
 
@@ -169,221 +256,14 @@ func (h *HashCluster) Members() []string {
 func (h *HashCluster) Daemon(name string) *dsos.Daemon {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.members[name]
-}
-
-// Insert places one object. See InsertBatch.
-func (h *HashCluster) Insert(schema string, obj sos.Object) error {
-	return h.InsertBatch(schema, []sos.Object{obj})
-}
-
-// InsertBatch places a batch all-or-nothing at admission: every serving
-// owner of every object must be up before anything is written, so a
-// failed batch leaves no partial copies for a redelivery to duplicate.
-// Each object is stamped with a fresh origin id (placement queries dedup
-// by it) and acked only once all its serving owners stored it; during a
-// migration the staged owners are fenced in best-effort — a staged
-// owner that misses the fence is covered by the cutover drain.
-func (h *HashCluster) InsertBatch(schema string, objs []sos.Object) error {
-	if len(objs) == 0 {
-		return nil
-	}
-	h.mu.Lock()
-	repl := h.cfg.Replication
-	type placement struct {
-		owners []*dsos.Daemon // serving owners (ack set)
-		staged []*dsos.Daemon // staged-only dests (fence set)
-		stagedNames []string
-	}
-	plan := make([]placement, len(objs))
-	for i, o := range objs {
-		key := h.cfg.Key(schema, o)
-		ownerNames := h.ring.Owners(key, repl)
-		if len(ownerNames) == 0 {
-			h.mu.Unlock()
-			return errors.New("topo: hash cluster has no members")
-		}
-		for _, name := range ownerNames {
-			d := h.members[name]
-			if d == nil || !d.Up() {
-				h.mu.Unlock()
-				return fmt.Errorf("topo: owner %s of key %q is down", name, key)
-			}
-			plan[i].owners = append(plan[i].owners, d)
-		}
-		if h.next != nil {
-			for _, name := range h.next.Owners(key, repl) {
-				dup := false
-				for _, on := range ownerNames {
-					if on == name {
-						dup = true
-						break
-					}
-				}
-				if dup {
-					continue
-				}
-				if d := h.members[name]; d != nil {
-					plan[i].staged = append(plan[i].staged, d)
-					plan[i].stagedNames = append(plan[i].stagedNames, name)
-				}
-			}
-		}
-	}
-	base := h.origin
-	h.origin += uint64(len(objs))
-	h.mu.Unlock()
-
-	for i, o := range objs {
-		origin := base + uint64(i) + 1
-		for _, d := range plan[i].owners {
-			if err := d.InsertOrigin(schema, o, origin); err != nil {
-				return err
-			}
-		}
-		for j, d := range plan[i].staged {
-			if !d.Up() {
-				continue // the drain will cover it
-			}
-			if err := d.InsertOrigin(schema, o, origin); err != nil {
-				continue
-			}
-			h.mu.Lock()
-			if h.fenced != nil {
-				set := h.fenced[origin]
-				if set == nil {
-					set = map[string]bool{}
-					h.fenced[origin] = set
-				}
-				set[plan[i].stagedNames[j]] = true
-				h.fencedWrites++
-			}
-			h.mu.Unlock()
-		}
-	}
-	return nil
-}
-
-// keyAttrs resolves the identity index via the first live member.
-func (h *HashCluster) keyAttrs(order []string, members map[string]*dsos.Daemon) ([]int, string, error) {
-	var firstErr error
-	for _, name := range order {
-		attrs, schema, err := members[name].KeyAttrs(h.cfg.Index)
-		if err == nil {
-			return attrs, schema, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return nil, "", fmt.Errorf("topo: no live member to resolve index %q: %w", h.cfg.Index, firstErr)
-}
-
-// Query fans the range query out over every member (staged members
-// included, so a mid-migration key is found on whichever side holds it),
-// dedups by origin and merges in index-key order. Availability problems
-// are reported through the QueryInfo: Partial is true only when some
-// owner group of the serving ring is entirely down.
-func (h *HashCluster) Query(index string, from, to sos.Key) ([]sos.Object, dsos.QueryInfo, error) {
-	h.mu.Lock()
-	order := make([]string, len(h.order))
-	copy(order, h.order)
-	members := make(map[string]*dsos.Daemon, len(h.members))
-	for k, v := range h.members {
-		members[k] = v
-	}
-	ring := h.ring
-	repl := h.cfg.Replication
-	h.mu.Unlock()
-
-	type result struct {
-		objs    []sos.Object
-		origins []uint64
-		err     error
-	}
-	results := make([]result, len(order))
-	var wg sync.WaitGroup
-	for i, name := range order {
-		wg.Add(1)
-		go func(i int, d *dsos.Daemon) {
-			defer wg.Done()
-			objs, origins, err := d.RangeOrigins(index, from, to)
-			results[i] = result{objs, origins, err}
-		}(i, members[name])
-	}
-	wg.Wait()
-
-	var info dsos.QueryInfo
-	downSet := map[string]bool{}
-	for i, r := range results {
-		if r.err != nil {
-			info.Failed = append(info.Failed, order[i])
-			downSet[order[i]] = true
-		}
-	}
-	for _, g := range ring.Groups(repl) {
-		allDown := true
-		for _, m := range g {
-			if !downSet[m] {
-				allDown = false
-				break
-			}
-		}
-		if allDown {
-			info.LostGroups = append(info.LostGroups, g)
-		}
-	}
-	info.Partial = len(info.LostGroups) > 0
-
-	attrs, _, err := h.keyAttrs(order, members)
-	if err != nil {
-		return nil, info, err
-	}
-	type row struct {
-		obj    sos.Object
-		key    sos.Key
-		member int
-		pos    int
-	}
-	var rows []row
-	seen := map[uint64]bool{}
-	for i, r := range results {
-		for p, o := range r.objs {
-			origin := r.origins[p]
-			if origin != 0 {
-				if seen[origin] {
-					continue
-				}
-				seen[origin] = true
-			}
-			k := make(sos.Key, 0, len(attrs))
-			for _, a := range attrs {
-				k = append(k, o[a])
-			}
-			rows = append(rows, row{obj: o, key: k, member: i, pos: p})
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if c := sos.CompareKeys(rows[i].key, rows[j].key); c != 0 {
-			return c < 0
-		}
-		if rows[i].member != rows[j].member {
-			return rows[i].member < rows[j].member
-		}
-		return rows[i].pos < rows[j].pos
-	})
-	out := make([]sos.Object, len(rows))
-	for i, r := range rows {
-		out[i] = r.obj
-	}
-	return out, info, nil
+	return h.cur.byName[name]
 }
 
 // Migrating reports whether a rebalance is staged but not cut over.
 func (h *HashCluster) Migrating() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.next != nil
+	return h.cur.staged != nil
 }
 
 // BeginAdd stages a grow: the named shard is built by the factory,
@@ -392,32 +272,28 @@ func (h *HashCluster) Migrating() bool {
 func (h *HashCluster) BeginAdd(name string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.next != nil {
+	cur := h.cur
+	if cur.staged != nil {
 		return errors.New("topo: rebalance already in progress")
 	}
 	if h.cfg.Factory == nil {
 		return errors.New("topo: hash cluster has no shard factory; cannot grow")
 	}
-	if _, ok := h.members[name]; ok {
+	if _, ok := cur.byName[name]; ok {
 		return fmt.Errorf("topo: member %q already present", name)
 	}
 	d, err := h.cfg.Factory(name)
 	if err != nil {
 		return err
 	}
-	next := h.ring.Clone()
+	next := cur.ring.Clone()
 	if err := next.Add(name); err != nil {
 		return err
 	}
-	h.members[name] = d
-	i := sort.SearchStrings(h.order, name)
-	h.order = append(h.order, "")
-	copy(h.order[i+1:], h.order[i:])
-	h.order[i] = name
-	h.next = next
+	h.placeLocked(cur.ring, next, cur.withMember(name, d))
 	h.pendingAdd = name
 	h.fenced = map[uint64]map[string]bool{}
-	h.logf("begin grow +%s (members %d -> %d)", name, len(h.order)-1, len(h.order))
+	h.logf("begin grow +%s (members %d -> %d)", name, len(cur.members), len(h.cur.members))
 	return nil
 }
 
@@ -427,28 +303,35 @@ func (h *HashCluster) BeginAdd(name string) error {
 func (h *HashCluster) BeginRemove(name string) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.next != nil {
+	cur := h.cur
+	if cur.staged != nil {
 		return errors.New("topo: rebalance already in progress")
 	}
-	d := h.members[name]
+	d := cur.byName[name]
 	if d == nil {
 		return fmt.Errorf("topo: member %q not present", name)
 	}
-	if len(h.order) == 1 {
+	if len(cur.members) == 1 {
 		return errors.New("topo: cannot remove the last member")
 	}
 	if !d.Up() {
 		return fmt.Errorf("topo: member %q is down; cannot drain it", name)
 	}
-	next := h.ring.Clone()
+	next := cur.ring.Clone()
 	if err := next.Remove(name); err != nil {
 		return err
 	}
-	h.next = next
+	h.placeLocked(cur.ring, next, cur.byName)
 	h.pendingRemove = name
 	h.fenced = map[uint64]map[string]bool{}
-	h.logf("begin shrink -%s (members %d -> %d)", name, len(h.order), len(h.order)-1)
+	h.logf("begin shrink -%s (members %d -> %d)", name, len(cur.members), len(cur.members)-1)
 	return nil
+}
+
+// handoff is one object a cutover moves to a staged owner.
+type handoff struct {
+	obj    sos.Object
+	origin uint64
 }
 
 // Cutover completes the staged rebalance: drain, replay, atomic ring
@@ -459,77 +342,44 @@ func (h *HashCluster) BeginRemove(name string) error {
 func (h *HashCluster) Cutover() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.next == nil {
+	cur := h.cur
+	if cur.staged == nil {
 		return errors.New("topo: no rebalance in progress")
 	}
-	repl := h.cfg.Replication
-	attrs, schema, err := h.keyAttrs(h.order, h.members)
-	if err != nil {
-		return err
-	}
-	_ = attrs
+	repl := cur.repl
 
 	// Drain: walk every source; any object whose staged owners include a
-	// member that does not already hold it goes into that destination's
-	// handoff log. The fence set keeps dual-written (and previously
-	// replayed) origins out; drained tracks this pass only, and commits
-	// into the fence per destination AFTER that destination's replay
-	// succeeds — so a cutover that dies mid-way re-drains exactly the
-	// copies that never landed, and only those.
-	handoffs := map[string]*sos.WAL{}
-	stores := map[string]sos.WALStore{}
+	// member that does not already hold it is handed to that destination.
+	// The fence set keeps dual-written (and previously replayed) origins
+	// out; drained tracks this pass only, and commits into the fence per
+	// destination AFTER that destination's replay succeeds — so a cutover
+	// that dies mid-way re-drains exactly the copies that never landed,
+	// and only those. Nothing is dropped from a source before the swap,
+	// so a failed cutover loses nothing.
+	pending := map[string][]handoff{}
 	drained := map[uint64]map[string]bool{}
-	perDst := map[string][]uint64{}
-	for _, src := range h.order {
-		d := h.members[src]
+	for _, d := range cur.members {
+		src := d.Name
 		if !d.Up() {
 			return fmt.Errorf("topo: cutover: source %s is down", src)
 		}
-		err := d.IterOrigins(h.cfg.Index, nil, func(o sos.Object, origin uint64) bool {
-			key := h.cfg.Key(schema, o)
-			oldOwners := h.ring.Owners(key, repl)
-			holds := func(name string) bool {
-				for _, m := range oldOwners {
-					if m == name {
-						return true
-					}
-				}
-				return false
-			}
-			if !holds(src) {
+		err := d.IterOrigins(hashIndex, nil, func(o sos.Object, origin uint64) bool {
+			key := DarshanKey(hashSchema, o)
+			oldOwners := cur.ring.Owners(key, repl)
+			if !contains(oldOwners, src) {
 				// A lingering copy (aborted fence debt); the owner drains it.
 				return true
 			}
-			for _, dst := range h.next.Owners(key, repl) {
-				if dst == src || holds(dst) {
+			for _, dst := range cur.staged.Owners(key, repl) {
+				if dst == src || contains(oldOwners, dst) {
 					continue
 				}
 				if origin != 0 && (h.fenced[origin][dst] || drained[origin][dst]) {
 					continue
 				}
-				w := handoffs[dst]
-				if w == nil {
-					var st sos.WALStore
-					if h.cfg.Handoff != nil {
-						st = h.cfg.Handoff(dst)
-					} else {
-						st = sos.NewMemWAL()
-					}
-					w = sos.NewWAL(st)
-					handoffs[dst] = w
-					stores[dst] = st
-				}
-				if err := w.Append(schema, o, origin); err != nil {
-					return false
-				}
+				pending[dst] = append(pending[dst], handoff{o, origin})
 				if origin != 0 {
-					set := drained[origin]
-					if set == nil {
-						set = map[string]bool{}
-						drained[origin] = set
-					}
-					set[dst] = true
-					perDst[dst] = append(perDst[dst], origin)
+					mark(drained, origin, dst)
 				}
 			}
 			return true
@@ -540,66 +390,49 @@ func (h *HashCluster) Cutover() error {
 	}
 
 	// Replay behind the fence, destinations in sorted order.
-	dsts := make([]string, 0, len(handoffs))
-	for dst := range handoffs {
+	dsts := make([]string, 0, len(pending))
+	for dst := range pending {
 		dsts = append(dsts, dst)
 	}
 	sort.Strings(dsts)
 	movedNow := uint64(0)
 	for _, dst := range dsts {
-		d := h.members[dst]
+		d := cur.byName[dst]
 		if d == nil || !d.Up() {
 			return fmt.Errorf("topo: cutover: destination %s is down", dst)
 		}
-		recs, _, err := sos.ReplayWAL(stores[dst], func(schema string, obj sos.Object, origin uint64) error {
-			return d.InsertOrigin(schema, obj, origin)
-		})
-		if err != nil {
-			return fmt.Errorf("topo: cutover replay into %s: %w", dst, err)
+		for _, ho := range pending[dst] {
+			if err := d.InsertOrigin(hashSchema, ho.obj, ho.origin); err != nil {
+				return fmt.Errorf("topo: cutover replay into %s: %w", dst, err)
+			}
 		}
 		// Commit this destination's copies into the fence: a retried
 		// cutover must not hand them off again.
-		for _, origin := range perDst[dst] {
-			set := h.fenced[origin]
-			if set == nil {
-				set = map[string]bool{}
-				h.fenced[origin] = set
+		for _, ho := range pending[dst] {
+			if ho.origin != 0 {
+				mark(h.fenced, ho.origin, dst)
 			}
-			set[dst] = true
 		}
-		movedNow += uint64(recs)
+		movedNow += uint64(len(pending[dst]))
 	}
 
-	// Atomic swap.
-	h.ring = h.next
-	h.next = nil
-	removed := h.pendingRemove
+	// Atomic swap; the removed member leaves the cluster entirely.
+	ring := cur.staged
+	byName := cur.byName
+	if h.pendingRemove != "" {
+		byName = cur.withMember(h.pendingRemove, nil)
+	}
+	h.placeLocked(ring, nil, byName)
 	h.pendingAdd, h.pendingRemove = "", ""
 	h.fenced = nil
 	h.moved += movedNow
 	h.migrations++
 
-	// Cleanup: sources retain exactly what they still own; the removed
-	// member leaves the cluster entirely.
-	order := make([]string, len(h.order))
-	copy(order, h.order)
-	for _, name := range order {
-		if name == removed {
-			delete(h.members, name)
-			i := sort.SearchStrings(h.order, name)
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			continue
-		}
-		name := name
-		d := h.members[name]
-		dropped, err := d.RetainWhere(h.cfg.Index, func(o sos.Object, origin uint64) bool {
-			key := h.cfg.Key(schema, o)
-			for _, m := range h.ring.Owners(key, repl) {
-				if m == name {
-					return true
-				}
-			}
-			return false
+	// Cleanup: sources retain exactly what they still own.
+	for _, d := range h.cur.members {
+		name := d.Name
+		dropped, err := d.RetainWhere(hashIndex, func(o sos.Object, _ uint64) bool {
+			return contains(ring.Owners(DarshanKey(hashSchema, o), repl), name)
 		})
 		if err != nil {
 			return fmt.Errorf("topo: post-cutover cleanup %s: %w", name, err)
@@ -608,7 +441,7 @@ func (h *HashCluster) Cutover() error {
 			h.logf("cutover: %s released %d moved objects", name, dropped)
 		}
 	}
-	h.logf("cutover complete: moved %d objects, ring %v", movedNow, h.ring.Members())
+	h.logf("cutover complete: moved %d objects, ring %v", movedNow, ring.Members())
 	return h.settleDebtLocked()
 }
 
@@ -618,7 +451,8 @@ func (h *HashCluster) Cutover() error {
 func (h *HashCluster) Abort() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.next == nil {
+	cur := h.cur
+	if cur.staged == nil {
 		return errors.New("topo: no rebalance in progress")
 	}
 	// Aggregate fenced copies per destination.
@@ -635,15 +469,12 @@ func (h *HashCluster) Abort() error {
 			set[origin] = true
 		}
 	}
+	byName := cur.byName
 	if h.pendingAdd != "" {
-		delete(h.members, h.pendingAdd)
-		i := sort.SearchStrings(h.order, h.pendingAdd)
-		if i < len(h.order) && h.order[i] == h.pendingAdd {
-			h.order = append(h.order[:i], h.order[i+1:]...)
-		}
+		byName = cur.withMember(h.pendingAdd, nil)
 	}
 	h.logf("abort rebalance (add=%q remove=%q)", h.pendingAdd, h.pendingRemove)
-	h.next = nil
+	h.placeLocked(cur.ring, nil, byName)
 	h.pendingAdd, h.pendingRemove = "", ""
 	h.fenced = nil
 	h.aborts++
@@ -669,7 +500,7 @@ func (h *HashCluster) settleDebtLocked() error {
 	sort.Strings(dsts)
 	var firstErr error
 	for _, dst := range dsts {
-		d := h.members[dst]
+		d := h.cur.byName[dst]
 		if d == nil {
 			delete(h.debt, dst)
 			continue
@@ -678,7 +509,7 @@ func (h *HashCluster) settleDebtLocked() error {
 			continue // retried on the next Settle
 		}
 		drop := h.debt[dst]
-		_, err := d.RetainWhere(h.cfg.Index, func(_ sos.Object, origin uint64) bool {
+		_, err := d.RetainWhere(hashIndex, func(_ sos.Object, origin uint64) bool {
 			return !drop[origin]
 		})
 		if err != nil {
@@ -701,8 +532,8 @@ func (h *HashCluster) Stats() RebalanceStats {
 		debt += len(set)
 	}
 	return RebalanceStats{
-		Members:      len(h.order),
-		Migrating:    h.next != nil,
+		Members:      len(h.cur.members),
+		Migrating:    h.cur.staged != nil,
 		Migrations:   h.migrations,
 		Aborts:       h.aborts,
 		Moved:        h.moved,
@@ -726,25 +557,11 @@ func (h *HashCluster) Events() []TreeEvent {
 // origin twice. Returns the violations (empty = clean).
 func (h *HashCluster) AuditPlacement() ([]string, error) {
 	h.mu.Lock()
-	if h.next != nil {
-		h.mu.Unlock()
+	cur := h.cur
+	h.mu.Unlock()
+	if cur.staged != nil {
 		return nil, errors.New("topo: audit during a migration is meaningless; cut over or abort first")
 	}
-	order := make([]string, len(h.order))
-	copy(order, h.order)
-	members := make(map[string]*dsos.Daemon, len(h.members))
-	for k, v := range h.members {
-		members[k] = v
-	}
-	ring := h.ring
-	repl := h.cfg.Replication
-	h.mu.Unlock()
-
-	attrs, schema, err := h.keyAttrs(order, members)
-	if err != nil {
-		return nil, err
-	}
-	_ = attrs
 	type track struct {
 		obj     sos.Object
 		holders []string
@@ -752,9 +569,10 @@ func (h *HashCluster) AuditPlacement() ([]string, error) {
 	}
 	origins := map[uint64]*track{}
 	var ids []uint64
-	for _, name := range order {
+	for _, d := range cur.members {
+		name := d.Name
 		seenHere := map[uint64]bool{}
-		err := members[name].IterOrigins(h.cfg.Index, nil, func(o sos.Object, origin uint64) bool {
+		err := d.IterOrigins(hashIndex, nil, func(o sos.Object, origin uint64) bool {
 			if origin == 0 {
 				return true
 			}
@@ -784,8 +602,8 @@ func (h *HashCluster) AuditPlacement() ([]string, error) {
 			violations = append(violations,
 				fmt.Sprintf("origin %d stored %d extra times on one shard", origin, tr.dups))
 		}
-		key := h.cfg.Key(schema, tr.obj)
-		want := append([]string(nil), ring.Owners(key, repl)...)
+		key := DarshanKey(hashSchema, tr.obj)
+		want := append([]string(nil), cur.ring.Owners(key, cur.repl)...)
 		sort.Strings(want)
 		got := append([]string(nil), tr.holders...)
 		sort.Strings(got)
@@ -795,57 +613,4 @@ func (h *HashCluster) AuditPlacement() ([]string, error) {
 		}
 	}
 	return violations, nil
-}
-
-// HashStore adapts a HashCluster to the ldms store-plugin contract
-// (Name/Store), parsing darshan segments out of connector messages. A
-// message whose owners are unreachable fails as a unit — admission is
-// checked for the whole batch before anything is written — so the
-// consumer-acked ingest pump naks it and redelivery cannot duplicate a
-// half-stored message.
-type HashStore struct {
-	h *HashCluster
-
-	mu        sync.Mutex
-	stored    uint64
-	failed    uint64
-	unstamped uint64
-}
-
-// NewHashStore wraps the cluster.
-func NewHashStore(h *HashCluster) *HashStore { return &HashStore{h: h} }
-
-// Name implements the store-plugin contract.
-func (s *HashStore) Name() string { return "dsos_hash" }
-
-// Store implements the store-plugin contract.
-func (s *HashStore) Store(m streams.Message) error {
-	msg, err := event.Fields(m)
-	if err != nil {
-		s.mu.Lock()
-		s.unstamped++
-		s.mu.Unlock()
-		return nil // not a connector payload; nothing to place
-	}
-	objs := dsos.ObjectsFromMessage(msg)
-	if len(objs) == 0 {
-		return nil
-	}
-	if err := s.h.InsertBatch(dsos.DarshanSchemaName, objs); err != nil {
-		s.mu.Lock()
-		s.failed++
-		s.mu.Unlock()
-		return err
-	}
-	s.mu.Lock()
-	s.stored += uint64(len(objs))
-	s.mu.Unlock()
-	return nil
-}
-
-// Stats returns (objects stored, failed messages, unparseable messages).
-func (s *HashStore) Stats() (uint64, uint64, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stored, s.failed, s.unstamped
 }

@@ -9,11 +9,11 @@
 //     from their durable cursors, with (producer,seq) dedup keeping the
 //     end-to-end effect exactly-once.
 //   - Consistent-hash shard placement over dsos daemons (ring.go,
-//     rebalance.go) with live rebalancing: growing or shrinking the
-//     shard set migrates exactly the moved key ranges through a
-//     WAL-backed handoff, behind a dual-write fence, with an atomic
-//     cutover — queries merge both owners mid-migration so nothing
-//     acked is ever unreadable.
+//     rebalance.go): the ring is a dsos.Placement behind the one DSOS
+//     client, and HashCluster rebalances it live — growing or shrinking
+//     the shard set hands over exactly the moved key ranges, behind a
+//     dual-write fence, with an atomic cutover; queries merge both
+//     owners mid-migration so nothing acked is ever unreadable.
 //
 // Everything here is clock-agnostic (callers inject time.Duration
 // clocks) and seeded, so the rebalance soak in internal/harness replays

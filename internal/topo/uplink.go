@@ -169,7 +169,7 @@ func (u *Uplink) State() UplinkState {
 }
 
 // MessageStore is the store side of a pump — satisfied by
-// ldms.StorePlugin implementations (DedupStore chains, HashStore).
+// ldms.StorePlugin implementations (DedupStore chains over DSOSStore).
 type MessageStore interface {
 	Store(m streams.Message) error
 }

@@ -52,9 +52,18 @@ chaos-smoke:
 # stream reopens, link outages and lag past retention must audit clean
 # (no acked message lost, no duplicate stored, cursors monotone, drops
 # exactly accounted), and the legacy best-effort bus must demonstrably
-# lose data under the same schedules (CI runs this too).
+# lose data under the same schedules (CI runs this too). Then the batch
+# contract of the durable path under the race detector: the segment's
+# batch entry (legacy read-compat, torn batch, hostile counts, trims
+# inside a batch), PublishBatch accounting, the batch ack, and the
+# blocking Wait raced against AppendBatch, Close and consumer replacement;
+# on the uplink side the cursor's one-frame-one-ack round, the crash
+# between send and batch ack, the per-message store hop and the idle
+# wake-up.
 streams-smoke:
 	$(GO) test -race -short -run 'StreamSoak' ./internal/harness
+	$(GO) test -race -count=1 -run 'Batch|Wait|Legacy|Lazy|Retention' ./internal/streams
+	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory' ./internal/ldms
 
 # CI-sized control-plane soak under the race detector: the managed
 # topology (aggregation tree with failover + consistent-hash shards with

@@ -1,6 +1,8 @@
 package darshanldms_test
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -8,11 +10,15 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"darshanldms/internal/dsos"
+	"darshanldms/internal/event"
 	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/ldms"
 	"darshanldms/internal/streams"
@@ -135,8 +141,9 @@ func TestCLIExperimentsTinyPanel(t *testing.T) {
 
 // TestCLILdmsdRejectsIgnoredUplinkFlags: an uplink flag the selected
 // uplink would ignore is a startup error naming the flag, in the same
-// style as the -topo checks, while the two flag lines the benchmark
-// spawns ldmsd with keep starting.
+// style as the -topo checks — and saying what the -stream uplink sends
+// instead, batch frames of its own rounds — while the two flag lines the
+// benchmark spawns ldmsd with keep starting.
 func TestCLILdmsdRejectsIgnoredUplinkFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test")
@@ -150,12 +157,13 @@ func TestCLILdmsdRejectsIgnoredUplinkFlags(t *testing.T) {
 	rejected := []struct {
 		name string
 		args []string
-		want string // the flag the error must name
+		want string // what the error must name: the flag, and for a -batch* flag what -stream does instead
 	}{
 		{"batch without an uplink", []string{"-batch", "64"}, "-batch "},
 		{"batch on the best-effort uplink", []string{"-forward", "127.0.0.1:1", "-batch", "64"}, "-batch "},
 		{"batch-age beside -stream", []string{"-forward", "127.0.0.1:1", "-reconnect", "-stream", stream, "-batch-age", "5ms"}, "-batch-age "},
 		{"batch-bytes on the durable uplink", []string{"-forward", "127.0.0.1:1", "-stream", stream, "-batch-bytes", "4096"}, "-batch-bytes "},
+		{"the durable uplink's own rounds are named", []string{"-forward", "127.0.0.1:1", "-stream", stream, "-batch", "64"}, "rounds of up to 64 as batch frames"},
 		{"unknown spool policy without -reconnect", []string{"-spool-policy", "bogus"}, `"bogus"`},
 		{"unknown spool policy with -reconnect", []string{"-forward", "127.0.0.1:1", "-reconnect", "-spool-policy", "bogus"}, `"bogus"`},
 	}
@@ -365,4 +373,217 @@ func TestCLIDsosd(t *testing.T) {
 		}
 		stop(t, cmd, dir, stderr, "darshan_data.sos", "darshan_data.sos.1", "darshan_data.sos.2", "darshan_data.sos.3")
 	})
+}
+
+// lockedBuffer is a daemon's stderr: written by the exec copier while the
+// test reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// lastStat returns the value of key in the daemon's most recent stats
+// line ("... sent=2496 ... floor=2496 ..."), or -1 when there is none yet.
+func lastStat(stderr, key string) int {
+	i := strings.LastIndex(stderr, " "+key+"=")
+	if i < 0 {
+		return -1
+	}
+	n, err := strconv.Atoi(strings.FieldsFunc(stderr[i+len(key)+2:], func(r rune) bool { return r < '0' || r > '9' })[0])
+	if err != nil {
+		return -1
+	}
+	return n
+}
+
+// TestCLIDurablePathEndToEnd crosses both daemons' durable paths with
+// real binaries, sockets and files: ldmsd -stream -forward into dsosd
+// -stream -wal, typed events in 64-event batch frames, ldmsd SIGTERMed and
+// restarted mid-stream on the same segment file. Every event is stored
+// exactly once, one rank's rows match what was sent, nothing at rest in
+// either stream is JSON, and ldmsd's books balance across the restart.
+func TestCLIDurablePathEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke test")
+	}
+	bins := t.TempDir()
+	ldmsdBin, dsosdBin := filepath.Join(bins, "ldmsd"), filepath.Join(bins, "dsosd")
+	runCmd(t, "build", "-o", ldmsdBin, "./cmd/ldmsd")
+	runCmd(t, "build", "-o", dsosdBin, "./cmd/dsosd")
+
+	waitUntil := func(what string, stderr fmt.Stringer, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(20 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s:\n%s", what, stderr)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	spawn := func(bin, dir string, args ...string) (*exec.Cmd, *lockedBuffer) {
+		cmd := exec.Command(bin, args...)
+		cmd.Dir = dir
+		stderr := &lockedBuffer{}
+		cmd.Stderr = stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = cmd.Process.Kill() })
+		return cmd, stderr
+	}
+
+	dsosdDir, ldmsdDir := t.TempDir(), t.TempDir()
+	storeAddr, api, nodeAddr := freeAddr(t), freeAddr(t), freeAddr(t)
+	dsosd, dsosdErr := spawn(dsosdBin, dsosdDir, "-listen", storeAddr, "-http", api, "-daemons", "2",
+		"-snapshot-every", "1h", "-stream", "dsosd.stream", "-wal", "wal")
+	waitUntil("dsosd /healthz", dsosdErr, func() bool {
+		resp, err := http.Get("http://" + api + "/healthz")
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	})
+	startLdmsd := func() (*exec.Cmd, *lockedBuffer) {
+		cmd, stderr := spawn(ldmsdBin, ldmsdDir, "-listen", nodeAddr, "-forward", storeAddr,
+			"-stream", "ldmsd.stream", "-stats", "50ms", "-producer", "nid00040")
+		waitUntil("ldmsd listening", stderr, func() bool { return ldms.PingTCP(nodeAddr, 200*time.Millisecond) == nil })
+		return cmd, stderr
+	}
+	count := func() int {
+		_, body := httpDo(t, http.MethodGet, "http://"+api+"/count")
+		n, _ := strconv.Atoi(strings.TrimSpace(body))
+		return n
+	}
+
+	const events, frame, ranks, refRank = 5000, 64, 8, 3
+	var wantRows int
+	var wantLen int64
+	msgs := make([]streams.Message, events)
+	for i := range msgs {
+		seq := uint64(i + 1)
+		m := &jsonmsg.Message{
+			UID: 99066, Exe: "/projects/mpi-io-test", JobID: 7, Rank: i % ranks, ProducerName: "nid00040",
+			File: "/nscratch/mpi-io-test.dat", RecordID: 9, Module: "POSIX", Type: jsonmsg.TypeMOD,
+			MaxByte: -1, Switches: -1, Flushes: -1, Cnt: 1, Op: "write", Seq: seq,
+			Seg: []jsonmsg.Segment{{
+				DataSet: jsonmsg.NA, PtSel: -1, IrregHSlab: -1, RegHSlab: -1, NDims: -1, NPoints: -1,
+				Off: int64(i) * 4096, Len: int64(1 + i%977), Dur: 0.000125, Timestamp: jsonmsg.Quant6(1.6e9 + float64(i)/1000),
+			}},
+		}
+		if m.Rank == refRank {
+			wantRows++
+			wantLen += m.Seg[0].Len
+		}
+		msgs[i] = streams.Message{Tag: "darshanConnector", Type: streams.TypeJSON, Record: event.NewRecord(m, nil), Producer: "nid00040", Seq: seq}
+	}
+	send := func(batch []streams.Message) {
+		t.Helper()
+		conn, err := net.Dial("tcp", nodeAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		for len(batch) > 0 {
+			n := min(frame, len(batch))
+			if err := ldms.WriteBatchFrame(conn, batch[:n]); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[n:]
+		}
+	}
+
+	// First half, then SIGTERM ldmsd once it has forwarded all of it.
+	const half = 39 * frame
+	ldmsd, ldmsdErr := startLdmsd()
+	send(msgs[:half])
+	waitUntil("first half stored", dsosdErr, func() bool { return count() == half })
+	waitUntil("first incarnation's books", ldmsdErr, func() bool { return lastStat(ldmsdErr.String(), "floor") == half })
+	sentFirst := lastStat(ldmsdErr.String(), "sent")
+	if err := ldmsd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := ldmsd.Wait(); err != nil {
+		t.Fatalf("ldmsd did not shut down cleanly (%v):\n%s", err, ldmsdErr)
+	}
+
+	// Restart on the same segment file: the stream and the cursor resume.
+	ldmsd, ldmsdErr = startLdmsd()
+	if !strings.Contains(ldmsdErr.String(), fmt.Sprintf("recovered seqs [1,%d]", half)) ||
+		!strings.Contains(ldmsdErr.String(), fmt.Sprintf("floor %d)", half)) {
+		t.Fatalf("restarted ldmsd did not resume stream and cursor at %d:\n%s", half, ldmsdErr)
+	}
+	send(msgs[half:])
+	waitUntil("everything stored", dsosdErr, func() bool { return count() == events })
+	waitUntil("second incarnation's books", ldmsdErr, func() bool { return lastStat(ldmsdErr.String(), "floor") == events })
+	if sent := sentFirst + lastStat(ldmsdErr.String(), "sent"); sent != events {
+		t.Errorf("ldmsd sent %d messages across the restart, want exactly %d", sent, events)
+	}
+	if lag := lastStat(ldmsdErr.String(), "lag"); lag != 0 {
+		t.Errorf("ldmsd lag %d with the floor at the stream's last sequence", lag)
+	}
+	time.Sleep(100 * time.Millisecond) // a duplicate would land after the count first reads 5000
+	if n := count(); n != events {
+		t.Fatalf("/count = %d, want exactly %d", n, events)
+	}
+
+	// One rank's rows are the rows that were sent.
+	code, body := httpDo(t, http.MethodGet, fmt.Sprintf("http://%s/query?job=7&rank=%d", api, refRank))
+	lines := strings.Split(strings.TrimSpace(body), "\n")[1:]
+	if code != http.StatusOK || len(lines) != wantRows {
+		t.Fatalf("/query rank %d: status %d, %d rows, want %d", refRank, code, len(lines), wantRows)
+	}
+	var gotLen int64
+	for _, line := range lines {
+		cells := strings.Split(line, ",")
+		n, err := strconv.ParseInt(cells[dsos.ColSegLen], 10, 64)
+		if err != nil || cells[dsos.ColModule] != "POSIX" {
+			t.Fatalf("row %q", line)
+		}
+		gotLen += n
+	}
+	if gotLen != wantLen {
+		t.Errorf("rank %d: sum(seg_len) = %d, want %d", refRank, gotLen, wantLen)
+	}
+
+	for _, d := range []struct {
+		cmd    *exec.Cmd
+		stderr *lockedBuffer
+	}{{ldmsd, ldmsdErr}, {dsosd, dsosdErr}} {
+		if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.cmd.Wait(); err != nil {
+			t.Fatalf("daemon did not shut down cleanly (%v):\n%s", err, d.stderr)
+		}
+	}
+	if strings.Contains(dsosdErr.String(), "ingest:") {
+		t.Errorf("dsosd reported ingest errors:\n%s", dsosdErr)
+	}
+	// Nothing at rest is JSON: both segments hold the binary batch codec.
+	for _, path := range []string{filepath.Join(ldmsdDir, "ldmsd.stream"), filepath.Join(dsosdDir, "dsosd.stream")} {
+		seg, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seg) == 0 || bytes.Contains(seg, []byte(`"seg":[`)) {
+			t.Errorf("%s: %d bytes, JSON at rest: %v", filepath.Base(path), len(seg), bytes.Contains(seg, []byte(`"seg":[`)))
+		}
+		if per := len(seg) / events; per > 250 {
+			t.Errorf("%s: %d bytes per event at rest", filepath.Base(path), per)
+		}
+	}
 }

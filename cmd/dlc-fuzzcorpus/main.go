@@ -15,9 +15,11 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -90,6 +92,12 @@ func main() {
 	// Maximal varint continuation bytes: hostile string lengths and
 	// segment counts for the bounded-allocation checks.
 	write(ev, "FuzzSlabCodec", "hostile-varints", bytes.Repeat([]byte{0xFF}, 48))
+	// Float bits travel verbatim, NaN included: a record the target must
+	// not compare with DeepEqual.
+	nan := m
+	nan.Seg = []jsonmsg.Segment{m.Seg[0]}
+	nan.Seg[0].Dur = math.NaN()
+	write(ev, "FuzzSlabCodec", "nan-duration", event.AppendMessage(nil, &nan))
 
 	// --- ldms.FuzzReadFrame: legacy single-message framing ---
 	lp := "internal/ldms"
@@ -153,6 +161,15 @@ func main() {
 	write(sm, "FuzzStreamCursor", "hostile-string-length",
 		[]byte{0, 0, 0x01, 9, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0xFF, 0xFF, 0xFF, 0xFF})
 	write(sm, "FuzzStreamCursor", "empty", nil)
+	// The format before the batch entry: replay must keep reading it.
+	write(sm, "FuzzStreamCursor", "legacy-segment", append([]byte{2, 0}, legacySegment...))
+	write(sm, "FuzzStreamCursor", "legacy-then-batch", append([]byte{0, 0}, legacyThenBatch()...))
+	// A CRC-clean batch entry whose record count is a lie: bounded
+	// allocation, replay stops at it.
+	hostile := []byte{0, 0, 0x04, 1}                       // StartSeq prefix, batch kind, version
+	hostile = binary.LittleEndian.AppendUint64(hostile, 1) // firstSeq
+	hostile = binary.LittleEndian.AppendUint64(hostile, 0) // appendedAt
+	write(sm, "FuzzStreamCursor", "hostile-batch-count", binary.AppendUvarint(hostile, 1<<40))
 
 	// --- streams.FuzzRetention: retention-policy op sequences ---
 	// Bytes 0-2 draw the policy (MaxMsgs, MaxBytes, MaxAge); then (op, arg)
@@ -167,6 +184,12 @@ func main() {
 		append([]byte{3, 3, 2}, bytes.Repeat([]byte{0, 24, 3, 0, 2, 50}, 8)...))
 	write(sm, "FuzzRetention", "all-bounds-tight",
 		append([]byte{1, 1, 1}, bytes.Repeat([]byte{0, 200, 2, 255, 3, 0}, 8)...))
+	// Op 4 appends a batch entry of 1..8 messages: bounds that trim into
+	// the middle of a batch, across crashes.
+	write(sm, "FuzzRetention", "trim-inside-batch",
+		append([]byte{5, 0, 0}, bytes.Repeat([]byte{4, 7, 0, 9, 3, 0}, 8)...))
+	write(sm, "FuzzRetention", "batch-byte-bound-reopen",
+		append([]byte{0, 3, 2}, bytes.Repeat([]byte{4, 31, 2, 9, 3, 0, 4, 2}, 6)...))
 
 	// --- topo.FuzzRing: consistent-hash ring op sequences ---
 	// Two bytes per op: (op%4, arg%8) — add, remove, single-owner lookup,
@@ -216,11 +239,18 @@ func main() {
 	fmt.Fprintf(os.Stderr, "dlc-fuzzcorpus: wrote %d seed files under %s\n", n, *root)
 }
 
-// validSegment builds a durable-stream segment through the public API: six
-// appends under count retention (drop markers), a consumer acking three
+// validSegment builds a durable-stream segment through the public API:
+// two single appends and one mixed batch (typed, opaque JSON, string) —
+// batch entries all — under count retention that trims into the batch
+// (drop markers), a consumer acking three one by one and two as a round
 // (cursor records), then the raw segment bytes.
 func validSegment() []byte {
 	wal := sos.NewMemWAL()
+	fillSegment(wal)
+	return readAll(wal)
+}
+
+func fillSegment(wal *sos.MemWAL) {
 	s, err := streams.OpenStream(streams.StreamConfig{
 		Name:      "seed",
 		Subjects:  []string{"darshan.>"},
@@ -229,28 +259,47 @@ func validSegment() []byte {
 	if err != nil {
 		fatal(err)
 	}
-	for i := 1; i <= 6; i++ {
-		if _, err := s.Append(streams.Message{
+	opaque := func(i int) streams.Message {
+		return streams.Message{
 			Tag: "darshan.nid00040.POSIX", Type: streams.TypeJSON,
 			Data:     []byte(fmt.Sprintf(`{"n":%d}`, i)),
 			Producer: "nid00040", Seq: uint64(i),
-		}); err != nil {
+		}
+	}
+	for i := 1; i <= 2; i++ {
+		if _, err := s.Append(opaque(i)); err != nil {
 			fatal(err)
 		}
+	}
+	typed := sampleJSONMsg()
+	if _, err := s.AppendBatch([]streams.Message{
+		{Tag: "darshan.nid00046.POSIX", Type: streams.TypeJSON, Record: event.NewRecord(&typed, nil), Producer: "nid00046", Seq: 1},
+		opaque(3),
+		{Tag: "darshan.nid00040.note", Type: streams.TypeString, Data: []byte("hello")},
+		opaque(4),
+	}); err != nil {
+		fatal(err)
 	}
 	c, err := s.Consumer(streams.ConsumerConfig{Name: "seed-consumer"})
 	if err != nil {
 		fatal(err)
 	}
-	ds, err := c.Fetch(3)
+	ds, err := c.Fetch(4)
 	if err != nil {
 		fatal(err)
 	}
-	for _, d := range ds {
-		if err := c.Ack(d.Seq); err != nil {
-			fatal(err)
-		}
+	if err := c.Ack(ds[0].Seq); err != nil {
+		fatal(err)
 	}
+	if err := c.AckBatch(ds[1:3]); err != nil {
+		fatal(err)
+	}
+	if err := c.Nak(ds[3].Seq); err != nil {
+		fatal(err)
+	}
+}
+
+func readAll(wal *sos.MemWAL) []byte {
 	r, err := wal.Open()
 	if err != nil {
 		fatal(err)
@@ -261,6 +310,46 @@ func validSegment() []byte {
 		fatal(err)
 	}
 	return data
+}
+
+// legacySegment is the valid-segment seed as the last commit that still
+// wrote one text msg entry per message generated it (six appends under
+// MaxMsgs 4, three acks), frozen here because nothing can write that
+// format any more and replay must keep reading it.
+const legacySegment = "" +
+	"K\x00\x00\x00\xa7:\b-\x01\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x16\x00\x00\x00darshan.ni" +
+	"d00040.POSIX\b\x00\x00\x00nid00040\a\x00\x00\x00{\"n\":1}K\x00\x00\x00d:{\xdd\x01\x02\x00\x00\x00" +
+	"\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x16\x00\x00\x00darshan.nid00040.POSIX\b" +
+	"\x00\x00\x00nid00040\a\x00\x00\x00{\"n\":2}K\x00\x00\x00\x1a8\x85;\x01\x03\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00" +
+	"\x03\x00\x00\x00\x00\x00\x00\x00\x16\x00\x00\x00darshan.nid00040.POSIX\b\x00\x00\x00nid00040\a\x00" +
+	"\x00\x00{\"n\":3}K\x00\x00\x00\xa3=\xec\xe6\x01\x04\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x16\x00\x00\x00d" +
+	"arshan.nid00040.POSIX\b\x00\x00\x00nid00040\a\x00\x00\x00{\"n\":4}K\x00\x00\x00" +
+	"\xdd?\x12\x00\x01\x05\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00\x16\x00\x00\x00darshan.nid000" +
+	"40.POSIX\b\x00\x00\x00nid00040\a\x00\x00\x00{\"n\":5}\n\x00\x00\x00\bԘJ\x03\x00\x02\x00\x00\x00\x00\x00\x00" +
+	"\x00K\x00\x00\x00\x1e?a\xf0\x01\x06\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x06\x00\x00\x00\x00\x00\x00\x00\x16\x00\x00\x00darshan.n" +
+	"id00040.POSIX\b\x00\x00\x00nid00040\a\x00\x00\x00{\"n\":6}\n\x00\x00\x00\x96\xd42\x86\x03\x00\x03\x00" +
+	"\x00\x00\x00\x00\x00\x00\x1a\x00\x00\x00\x8ah\xf9\x10\x02\x02\x00\x00\x00\x00\x00\x00\x00\r\x00\x00\x00seed-consumer\x1a\x00\x00\x00\x84\xf8r\xb5" +
+	"\x02\x03\x00\x00\x00\x00\x00\x00\x00\r\x00\x00\x00seed-consumer\x1a\x00\x00\x00,\x04\"{\x02\x04\x00\x00\x00\x00\x00\x00\x00\r\x00\x00\x00s" +
+	"eed-consumer\x1a\x00\x00\x00\"\x94\xa9\xde\x02\x05\x00\x00\x00\x00\x00\x00\x00\r\x00\x00\x00seed-consumer"
+
+// legacyThenBatch is a stream upgraded in place: the frozen pre-batch
+// segment with today's entries appended behind it.
+func legacyThenBatch() []byte {
+	wal := sos.NewMemWAL()
+	if _, err := wal.Write([]byte(legacySegment)); err != nil {
+		fatal(err)
+	}
+	s, err := streams.OpenStream(streams.StreamConfig{Name: "seed"}, wal)
+	if err != nil {
+		fatal(err)
+	}
+	if _, err := s.AppendBatch([]streams.Message{
+		{Tag: "darshan.nid00040.POSIX", Type: streams.TypeJSON, Data: []byte(`{"n":7}`), Producer: "nid00040", Seq: 7},
+		{Tag: "darshan.nid00040.note", Type: streams.TypeString, Data: []byte("hello")},
+	}); err != nil {
+		fatal(err)
+	}
+	return readAll(wal)
 }
 
 // grow8 and shrink8 emit ring-op pairs adding then removing members

@@ -9,9 +9,10 @@
 // insert is written to R successive shards.
 //
 // With -stream the receive and store stages are decoupled by a durable
-// stream: every received message is appended to a CRC-framed segment file
-// before anything else, and a consumer-acked ingest loop feeds the shards
-// from it — acking a message only after its insert succeeded, naking it
+// stream: every received frame is appended to a CRC-framed segment file
+// as one binary batch entry before anything else, and a consumer-acked
+// ingest loop (ldms.IngestStream) feeds the shards from it, woken by the
+// append — acking each message only after its insert succeeded, naking it
 // for redelivery otherwise. A dsosd crash anywhere between receive and
 // insert then costs redelivery, not data, and a DedupStore absorbs the
 // redelivered overlap so the stored sequence stays exactly-once.
@@ -189,7 +190,7 @@ func main() {
 	var h *ldms.StoreHandle
 	var stream *streams.DurableStream
 	if *streamPath != "" {
-		// Durable staging: received messages hit the segment before any
+		// Durable staging: received frames hit the segment before any
 		// insert, and the ingest loop below consumes with acks. The direct
 		// bus->store attachment is skipped so every message takes exactly
 		// one path. The DedupStore makes the at-least-once redelivery of
@@ -215,27 +216,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		deduped := ldms.NewDedupStore(store)
-		go func() {
-			for {
-				ds, err := cons.Fetch(64)
-				if err != nil {
-					return // consumer replaced or closed
-				}
-				if len(ds) == 0 {
-					time.Sleep(5 * time.Millisecond)
-					continue
-				}
-				for _, del := range ds {
-					if serr := deduped.Store(del.Msg); serr != nil {
-						_ = cons.Nak(del.Seq)
-						fmt.Fprintln(os.Stderr, "dsosd: ingest:", serr)
-					} else if aerr := cons.Ack(del.Seq); aerr != nil {
-						return
-					}
-				}
-			}
-		}()
+		go ldms.IngestStream(cons, ldms.NewDedupStore(store), func(err error) {
+			fmt.Fprintln(os.Stderr, "dsosd: ingest:", err)
+		})
 		st := stream.Stats()
 		fmt.Fprintf(os.Stderr, "dsosd: durable ingest stream %s: recovered seqs [%d,%d], consumer %q at floor %d\n",
 			*streamPath, st.FirstSeq, st.LastSeq, *streamConsumer, cons.AckFloor())
@@ -307,6 +290,7 @@ func main() {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", obs.Handler(reg))
 		mux.Handle("/healthz", health.Handler())
+		obs.MountPprof(mux)
 		if hc != nil {
 			hc.Collect(reg)
 			admin := func(fn func(*http.Request) error) http.HandlerFunc {

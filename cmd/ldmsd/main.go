@@ -33,17 +33,21 @@
 //	            drains in rounds that cross the wire as batched frames
 //	            (count, byte and linger-age flush bounds); typed records
 //	            travel in compact binary, never as JSON.
-//	-stream     the durable stream itself: every handled message whose
-//	            subject matches -stream-subjects (comma list, wildcards
+//	-stream     the durable stream itself: every received frame whose
+//	            messages match -stream-subjects (comma list, wildcards
 //	            allowed; default the -tag) is appended to a CRC-framed
-//	            segment file before best-effort fan-out, retained under the
-//	            -stream-max-* bounds, and — when -forward is also set —
-//	            shipped upstream through a consumer-acked cursor that
-//	            survives crashes: the cursor (named by -stream-consumer)
-//	            resumes exactly where the previous incarnation's acks
-//	            stopped, so an aggregator or daemon restart costs
-//	            redelivery, never data. -stream supersedes -reconnect (the
-//	            stream is the spool).
+//	            segment file as one binary batch entry — the codec of the
+//	            batched wire, so nothing is rendered to JSON — before
+//	            best-effort fan-out, retained under the -stream-max-*
+//	            bounds, and — when -forward is also set — shipped upstream
+//	            through a consumer-acked cursor that survives crashes: the
+//	            cursor (named by -stream-consumer) resumes exactly where the
+//	            previous incarnation's acks stopped, so an aggregator or
+//	            daemon restart costs redelivery, never data. The cursor is
+//	            woken by the append and sends rounds of up to 64 messages,
+//	            each one batch frame, one ack and one cursor checkpoint;
+//	            the -batch* flags do not apply to it. -stream supersedes
+//	            -reconnect (the stream is the spool).
 //
 // -topo-role places the daemon in the explicit aggregation tree of the
 // scale-out control plane: node (leaf), l1 or l2 (aggregation levels).
@@ -94,7 +98,7 @@ func main() {
 	spoolSize := flag.Int("spool", 1024, "reconnect spool size in messages")
 	spoolPolicy := flag.String("spool-policy", "drop-oldest", "spool overflow policy: drop-oldest, drop-newest or block")
 	heartbeat := flag.Duration("heartbeat", 0, "liveness probe interval on the -reconnect or -stream uplink (0 = off)")
-	batchRecords := flag.Int("batch", 0, "max records per batched uplink frame (0 = frame per message; needs -reconnect)")
+	batchRecords := flag.Int("batch", 0, "max records per batched frame of the -reconnect uplink (0 = frame per message)")
 	batchBytes := flag.Int("batch-bytes", 0, "max payload bytes per batched uplink frame (0 = unbounded)")
 	batchAge := flag.Duration("batch-age", 0, "max linger before a partial batch is flushed (0 = no linger)")
 	seed := flag.Uint64("seed", 0, "sampler RNG seed; 0 derives one from the wall clock (nonreproducible)")
@@ -129,8 +133,8 @@ func main() {
 	}
 
 	// Uplink flags get the same treatment: a daemon whose flag line says
-	// -batch 64 while it sends one frame per message is as misleading as
-	// one sitting outside its tree.
+	// -batch 32 -batch-age 5ms while its uplink is shaped by none of it is
+	// as misleading as one sitting outside its tree.
 	policy, err := ldms.ParseOverflowPolicy(*spoolPolicy)
 	if err != nil {
 		fatal(err)
@@ -138,7 +142,7 @@ func main() {
 	spooled := *forward != "" && *reconnect && *streamPath == ""
 	flag.Visit(func(f *flag.Flag) {
 		if strings.HasPrefix(f.Name, "batch") && !spooled {
-			fatal(fmt.Errorf("-%s would be ignored: it shapes the rounds of the spooled uplink (-forward with -reconnect, without -stream); every other uplink sends one frame per message", f.Name))
+			fatal(fmt.Errorf("-%s would be ignored: it shapes the rounds of the spooled uplink (-forward with -reconnect, without -stream); the -stream uplink sends its own rounds of up to 64 as batch frames, and the best-effort uplink one frame per message", f.Name))
 		}
 	})
 
@@ -303,6 +307,7 @@ func main() {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", obs.Handler(reg))
 		mux.Handle("/healthz", health.Handler())
+		obs.MountPprof(mux)
 		go func() {
 			fmt.Fprintf(os.Stderr, "ldmsd: telemetry on %s (/metrics, /healthz)\n", *httpAddr)
 			if err := http.ListenAndServe(*httpAddr, mux); err != nil {

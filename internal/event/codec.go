@@ -4,20 +4,70 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"sync"
 
 	"darshanldms/internal/jsonmsg"
+	"darshanldms/internal/streams"
 )
 
-// Compact binary codec for the Table I record, used inside batched TCP
-// frames so typed records cross the wire without ever being rendered to
-// JSON (Recorder-style compact trace records). The layout is fixed-order:
-// varints for integers (zigzag for signed), raw IEEE-754 bits for floats,
-// length-prefixed strings, a segment count followed by the segments.
+// Compact binary codec for the Table I record: the typed kind of the
+// batch record codec (streams/record.go), so a typed record crosses a
+// batched TCP frame and rests in a durable-stream segment without ever
+// being rendered to JSON (Recorder-style compact trace records). The
+// envelope and the opaque kind live in streams, which cannot import this
+// package; recordCodec below is registered there once. The layout is
+// fixed-order: varints for integers (zigzag for signed), raw IEEE-754
+// bits for floats, length-prefixed strings, a segment count followed by
+// the segments.
 // Float bits travel verbatim, so a decoded record is value-identical to
 // the encoded one — the property the golden ingest test pins down.
 
 // ErrTruncated reports a record cut short of its declared contents.
 var ErrTruncated = errors.New("event: truncated binary record")
+
+func init() { streams.RegisterRecordCodec(recordCodec{}) }
+
+// recordCodec implements streams.RecordCodec over *Record.
+type recordCodec struct{}
+
+// AppendTyped appends the record's fields in binary when they are
+// materialized; it never triggers a parse.
+func (recordCodec) AppendTyped(b []byte, c streams.Carrier) ([]byte, bool) {
+	r, ok := c.(*Record)
+	if !ok {
+		return b, false
+	}
+	m := r.TypedFields()
+	if m == nil {
+		return b, false
+	}
+	return AppendMessage(b, m), true
+}
+
+// DecodeTyped decodes one binary record into a typed-first *Record, so
+// Fields downstream is a field read and Payload renders JSON (the fast
+// encoder's) only if a text boundary ever asks. The record owns its
+// memory — one allocation for wrapper and fields, one for the segments;
+// the repetitive string fields are interned, as on the wire path.
+func (recordCodec) DecodeTyped(b []byte) (streams.Carrier, int, error) {
+	rec := &struct {
+		Record
+		fields jsonmsg.Message
+	}{}
+	in := interners.Get().(*Interner)
+	d := decoder{b: b}
+	err := d.decodeInto(&rec.fields, nil, in)
+	interners.Put(in)
+	if err != nil {
+		return nil, 0, err
+	}
+	rec.msg = &rec.fields
+	return &rec.Record, d.off, nil
+}
+
+// interners lends DecodeTyped an Interner per call: the codec is shared
+// by every stream in the process and an Interner is single-threaded.
+var interners = sync.Pool{New: func() any { return NewInterner() }}
 
 // minSegSize is the smallest possible encoded segment: an empty DataSet
 // (1 byte), seven single-byte varints, and two 8-byte floats. Decoders

@@ -284,20 +284,20 @@ func FuzzSlabCodec(f *testing.F) {
 		if n1 != n2 {
 			t.Fatalf("consumed %d (heap) vs %d (slab) bytes", n1, n2)
 		}
-		if !reflect.DeepEqual(heap, slabbed) {
-			t.Fatalf("decoded records diverge:\n heap %+v\n slab %+v", heap, slabbed)
-		}
+		// Records are compared through their canonical encoding, which
+		// carries every field and the float bits verbatim: DeepEqual would
+		// call a record holding a NaN different from itself.
 		re1 := AppendMessage(nil, heap)
 		re2 := AppendMessage(nil, slabbed)
 		if !bytes.Equal(re1, re2) {
-			t.Fatalf("re-encodings diverge:\n heap %x\n slab %x", re1, re2)
+			t.Fatalf("decoded records diverge:\n heap %+v\n slab %+v", heap, slabbed)
 		}
 		// The canonical re-encoding must itself round-trip.
 		again, _, err := DecodeMessage(re1)
 		if err != nil {
 			t.Fatalf("re-encoding of an accepted record rejected: %v", err)
 		}
-		if !reflect.DeepEqual(again, heap) {
+		if !bytes.Equal(AppendMessage(nil, again), re1) {
 			t.Fatalf("re-encode round trip drifted:\n got %+v\nwant %+v", again, heap)
 		}
 	})

@@ -23,18 +23,59 @@ import (
 // or parsed, and a batch-frame replay dedups per record exactly like the
 // legacy frame-per-message replay.
 //
-// The identity is remembered in a per-producer seen-set, not a high-water
-// mark: latency spikes can reorder fresh messages across hops, and a
-// high-water mark would misclassify a late-but-new message as a replay.
+// The identity is remembered exactly, not as a high-water mark: latency
+// spikes can reorder fresh messages across hops, and a high-water mark
+// would misclassify a late-but-new message as a replay. Memory stays
+// bounded for the common in-order stream all the same: per producer the
+// contiguous stored prefix 1..floor is one number, and only sequences
+// stored above a gap sit in a set (the shape streams.Consumer uses for
+// its ack floor). The floor advances over sequences actually stored and
+// never infers one: a gap pins it, and the set grows until the gap fills.
 type DedupStore struct {
 	inner StorePlugin
 
 	mu         sync.Mutex
-	seen       map[string]map[uint64]struct{}
+	seen       map[string]*seenSeqs
 	duplicates uint64
 	stored     uint64
 	unstamped  uint64
 	clock      obs.Clock // set by Instrument: stamps the "dedup" trace hop
+}
+
+// seenSeqs is one producer's stored identities: every sequence in
+// [1, floor] plus the sparse set above it.
+type seenSeqs struct {
+	floor uint64
+	above map[uint64]struct{}
+}
+
+func (p *seenSeqs) has(seq uint64) bool {
+	if p == nil {
+		return false
+	}
+	if seq <= p.floor {
+		return true
+	}
+	_, ok := p.above[seq]
+	return ok
+}
+
+func (p *seenSeqs) add(seq uint64) {
+	if seq != p.floor+1 {
+		if p.above == nil {
+			p.above = map[uint64]struct{}{}
+		}
+		p.above[seq] = struct{}{}
+		return
+	}
+	p.floor = seq
+	for len(p.above) > 0 {
+		if _, ok := p.above[p.floor+1]; !ok {
+			break
+		}
+		delete(p.above, p.floor+1)
+		p.floor++
+	}
 }
 
 // hopDedup names the dedup stage in record traces.
@@ -42,7 +83,7 @@ const hopDedup = "dedup"
 
 // NewDedupStore wraps inner with (producer, seq) deduplication.
 func NewDedupStore(inner StorePlugin) *DedupStore {
-	return &DedupStore{inner: inner, seen: map[string]map[uint64]struct{}{}}
+	return &DedupStore{inner: inner, seen: map[string]*seenSeqs{}}
 }
 
 // Name implements StorePlugin.
@@ -64,7 +105,8 @@ func (s *DedupStore) Store(m streams.Message) error {
 		s.unstamped++
 		return s.inner.Store(m)
 	}
-	if _, dup := s.seen[m.Producer][m.Seq]; dup {
+	p := s.seen[m.Producer]
+	if p.has(m.Seq) {
 		s.duplicates++
 		return nil
 	}
@@ -73,12 +115,11 @@ func (s *DedupStore) Store(m streams.Message) error {
 		// a replay, and must reach the inner store again.
 		return err
 	}
-	set := s.seen[m.Producer]
-	if set == nil {
-		set = map[uint64]struct{}{}
-		s.seen[m.Producer] = set
+	if p == nil {
+		p = &seenSeqs{}
+		s.seen[m.Producer] = p
 	}
-	set[m.Seq] = struct{}{}
+	p.add(m.Seq)
 	s.stored++
 	return nil
 }
@@ -109,6 +150,5 @@ func (s *DedupStore) Unstamped() uint64 {
 func (s *DedupStore) Seen(producer string, seq uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.seen[producer][seq]
-	return ok
+	return s.seen[producer].has(seq)
 }

@@ -13,7 +13,6 @@ func fastFailover(primary, standby string) UplinkConfig {
 		Standby:        standby,
 		ProbeEvery:     5 * time.Millisecond,
 		FailAfter:      3,
-		PollEvery:      time.Millisecond,
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     10 * time.Millisecond,
 		DialTimeout:    100 * time.Millisecond,
@@ -89,6 +88,11 @@ func TestFailoverUplinkSwitchesToStandby(t *testing.T) {
 
 	waitFor(t, "first half on primary", func() bool { return len(pstore.Seqs()) >= n/2 })
 	psrv.Close() // primary dies; probes start missing
+	// An append now wakes the uplink at once, so without this wait the
+	// second half could be written into the dead primary's socket before
+	// the close is noticed — frames of unknown fate, which is ReplayLast's
+	// subject, not this test's.
+	waitFor(t, "disconnect detection", func() bool { return !f.Stats().Connected })
 
 	for i := n / 2; i < n; i++ {
 		appendSeq(t, s, i)

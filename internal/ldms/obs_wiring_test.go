@@ -172,7 +172,6 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 				`dlc_fwd_reconnects_total{fwd="uplink"}`: "0",
 				`dlc_fwd_connected{fwd="uplink"}`:        "1",
 				`dlc_fwd_sent_total{fwd="uplink"}`:       "20",
-				`dlc_fwd_frames_total{fwd="uplink"}`:     "20",
 				`dlc_fwd_retries_total{fwd="uplink"}`:    "0",
 				`dlc_fwd_naks_total{fwd="uplink"}`:       "0",
 				`dlc_fwd_spool_depth{fwd="uplink"}`:      "0",
@@ -181,12 +180,24 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 					t.Errorf("%s = %q, want %s", name, got, want)
 				}
 			}
+			// The spool sends one legacy frame per message; a cursor round
+			// is one batch frame however many messages it holds.
+			frames, batches := series[`dlc_fwd_frames_total{fwd="uplink"}`], series[`dlc_fwd_batch_frames_total{fwd="uplink"}`]
+			if stream == nil && (frames != "20" || batches != "0") {
+				t.Errorf("spool uplink wrote %s legacy and %s batch frames, want 20 and 0", frames, batches)
+			}
+			if stream != nil && (frames != "0" || batches == "0" || batches == "") {
+				t.Errorf("stream uplink wrote %s legacy and %s batch frames, want 0 and at least 1", frames, batches)
+			}
 			if got := series[`dlc_fwd_wire_bytes_total{fwd="uplink"}`]; got == "" || got == "0" {
 				t.Errorf("dlc_fwd_wire_bytes_total = %q, want the bytes of 20 frames", got)
 			}
 			if stream != nil {
-				if got, ok := series[`dlc_stream_consumer_lag{stream="ldmsd",consumer="uplink"}`]; !ok || got != "0" {
-					t.Errorf("dlc_stream_consumer_lag = %q, want 0", got)
+				// The gauge holds the deepest backlog since the last scrape,
+				// so the scrape above closed the busy interval and a second
+				// one reads the drained stream.
+				if got, ok := scrape(t, reg)[`dlc_stream_consumer_lag{stream="ldmsd",consumer="uplink"}`]; !ok || got != "0" {
+					t.Errorf("dlc_stream_consumer_lag = %q after the drain, want 0", got)
 				}
 			}
 			if code := healthCode(health); code != http.StatusOK {

@@ -204,10 +204,10 @@ func (s *TCPServer) serve(conn net.Conn) {
 		// and the same peek classifies the frame for the wire counters (a
 		// legacy frame's first length byte can never be the batch magic —
 		// maxFrame keeps it below 0x01000000). Each frame decodes into a
-		// pooled slab released after the publish fan-out below: Publish is
-		// synchronous, and any handler that queues a message past its
-		// return (the uplink spool, durable streams) detaches or copies
-		// what it keeps.
+		// pooled slab released after the publish fan-out below: PublishBatch
+		// is synchronous, and whatever keeps a message past its return (the
+		// uplink spool detaches, a durable stream stores the encoded record)
+		// keeps nothing slab-owned.
 		lead, err := br.Peek(1)
 		if err != nil {
 			return // EOF: best-effort, drop the link
@@ -222,19 +222,26 @@ func (s *TCPServer) serve(conn net.Conn) {
 		} else {
 			s.frames.Add(1)
 		}
+		// The frame goes to the bus as one batch, heartbeats filtered out
+		// in place; the server's own books are kept once per frame.
+		batch := msgs[:0]
+		for _, m := range msgs {
+			if m.Tag != HeartbeatTag {
+				batch = append(batch, m)
+			}
+		}
 		s.mu.Lock()
 		hop, clock := s.hop, s.clock
+		s.lastSeen = time.Now()
+		s.heartbeats += uint64(len(msgs) - len(batch))
+		s.received += uint64(len(batch))
 		s.mu.Unlock()
-		for _, m := range msgs {
-			s.mu.Lock()
-			s.lastSeen = time.Now()
-			if m.Tag == HeartbeatTag {
-				s.heartbeats++
-				s.mu.Unlock()
-				continue
-			}
-			s.received++
-			s.mu.Unlock()
+		var now time.Duration
+		if hop != "" {
+			now = clock()
+		}
+		for i := range batch {
+			m := &batch[i]
 			if m.Record == nil && m.Type == streams.TypeJSON && m.Data != nil {
 				// Wrap raw JSON in a bytes-first record so every store
 				// fanned out below shares one cached parse instead of
@@ -243,11 +250,11 @@ func (s *TCPServer) serve(conn net.Conn) {
 			}
 			if hop != "" {
 				if st, ok := m.Record.(streams.Stamper); ok {
-					st.Stamp(hop, clock())
+					st.Stamp(hop, now)
 				}
 			}
-			s.d.Bus().Publish(m)
 		}
+		s.d.Bus().PublishBatch(batch)
 		slab.Release()
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 
 	"darshanldms/internal/event"
-	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/streams"
 )
 
@@ -25,27 +24,19 @@ import (
 //	byte 0      batchMagic (0xBB)
 //	byte 1      batchVersion
 //	bytes 2..5  big-endian payload length (bounded by maxFrame)
-//	payload     uvarint record count, then per record:
-//	            kind byte (recOpaque | recTyped)
-//	            tag string, type uvarint, producer string, seq uvarint
-//	            recTyped:  compact binary record (event.AppendMessage)
-//	            recOpaque: uvarint length + payload bytes
+//	payload     the batch body of the streams batch record codec
+//	            (streams.AppendRecords): uvarint record count, then per
+//	            record an envelope and a typed or opaque body
 //
-// Typed records whose fields are materialized travel in the compact
-// binary form — no JSON is produced on either side; records that only
-// have bytes (raw publishers, lossy-encoder placeholders) travel opaque.
+// The payload is the same bytes a durable stream keeps at rest, so a
+// frame received, staged in a stream and forwarded is never re-rendered:
+// typed records whose fields are materialized stay in the compact binary
+// form — no JSON is produced on any hop; records that only have bytes
+// (raw publishers, lossy-encoder placeholders) travel opaque.
 const (
 	batchMagic   = 0xBB
 	batchVersion = 1
-
-	recOpaque = 0
-	recTyped  = 1
 )
-
-// minBatchRec is the smallest possible encoded record (kind byte plus
-// five single-byte envelope fields); declared counts are capped against
-// it so a hostile header cannot cause a huge preallocation.
-const minBatchRec = 6
 
 // framePool recycles batch frame scratch buffers; steady-state batching
 // does not allocate a frame buffer per flush.
@@ -64,43 +55,6 @@ func FramePoolCounters() (gets, puts uint64) { return framePool.Counters() }
 // leak assertions in tests.
 func SlabPoolCounters() (gets, puts uint64) { return slabPool.Counters() }
 
-// appendBatchString appends a length-prefixed string.
-func appendBatchString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// AppendBatch appends the batch payload (count + records, no frame
-// header) for msgs to b and returns the extended slice.
-func AppendBatch(b []byte, msgs []streams.Message) []byte {
-	b = binary.AppendUvarint(b, uint64(len(msgs)))
-	for i := range msgs {
-		m := &msgs[i]
-		var fields *jsonmsg.Message
-		if r, ok := m.Record.(*event.Record); ok {
-			fields = r.TypedFields()
-		}
-		if fields != nil {
-			b = append(b, recTyped)
-			b = appendBatchString(b, m.Tag)
-			b = binary.AppendUvarint(b, uint64(m.Type))
-			b = appendBatchString(b, m.Producer)
-			b = binary.AppendUvarint(b, m.Seq)
-			b = event.AppendMessage(b, fields)
-			continue
-		}
-		b = append(b, recOpaque)
-		b = appendBatchString(b, m.Tag)
-		b = binary.AppendUvarint(b, uint64(m.Type))
-		b = appendBatchString(b, m.Producer)
-		b = binary.AppendUvarint(b, m.Seq)
-		payload := m.Payload()
-		b = binary.AppendUvarint(b, uint64(len(payload)))
-		b = append(b, payload...)
-	}
-	return b
-}
-
 // WriteBatchFrame writes msgs as one batch frame. An empty batch is
 // rejected, mirroring WriteFrame's zero-length rule.
 func WriteBatchFrame(w io.Writer, msgs []streams.Message) error {
@@ -109,7 +63,7 @@ func WriteBatchFrame(w io.Writer, msgs []streams.Message) error {
 	}
 	buf := framePool.Get()
 	buf = append(buf, batchMagic, batchVersion, 0, 0, 0, 0)
-	buf = AppendBatch(buf, msgs)
+	buf = streams.AppendRecords(buf, msgs)
 	payloadLen := len(buf) - 6
 	if payloadLen > maxFrame {
 		framePool.Put(buf)
@@ -121,93 +75,21 @@ func WriteBatchFrame(w io.Writer, msgs []streams.Message) error {
 	return err
 }
 
-// DecodeBatch parses a batch payload (as laid out by AppendBatch) into
-// stream messages. Received typed records become typed-first
-// event.Records (their JSON is produced lazily, if ever); opaque records
-// become bytes-first event.Records so downstream consumers share one
-// cached parse.
+// DecodeBatch parses a batch payload into freshly allocated messages —
+// the heap decoder the durable stream also reads its segments with, and
+// the reference the slab decoder is tested against. Received typed
+// records are typed-first event.Records (their JSON is produced lazily,
+// if ever); opaque JSON becomes a bytes-first event.Record so downstream
+// consumers share one cached parse. Opaque payloads alias payload.
 func DecodeBatch(payload []byte) ([]streams.Message, error) {
-	off := 0
-	uvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(payload[off:])
-		if n <= 0 {
-			return 0, event.ErrTruncated
-		}
-		off += n
-		return v, nil
-	}
-	str := func() (string, error) {
-		n, err := uvarint()
-		if err != nil {
-			return "", err
-		}
-		if n > uint64(len(payload)-off) {
-			return "", event.ErrTruncated
-		}
-		s := string(payload[off : off+int(n)])
-		off += int(n)
-		return s, nil
-	}
-	count, err := uvarint()
+	out, err := streams.DecodeRecords(payload)
 	if err != nil {
 		return nil, err
 	}
-	if count == 0 {
-		return nil, errors.New("ldms: empty batch frame")
-	}
-	if count > uint64(len(payload)-off)/minBatchRec+1 {
-		return nil, fmt.Errorf("ldms: batch declares %d records in %d bytes", count, len(payload))
-	}
-	out := make([]streams.Message, 0, count)
-	for i := uint64(0); i < count; i++ {
-		if off >= len(payload) {
-			return nil, event.ErrTruncated
+	for i := range out {
+		if m := &out[i]; m.Record == nil && m.Type == streams.TypeJSON && m.Data != nil {
+			m.Record = event.FromPayload(m.Data)
 		}
-		kind := payload[off]
-		off++
-		var m streams.Message
-		if m.Tag, err = str(); err != nil {
-			return nil, err
-		}
-		typ, err := uvarint()
-		if err != nil {
-			return nil, err
-		}
-		m.Type = streams.MsgType(typ)
-		if m.Producer, err = str(); err != nil {
-			return nil, err
-		}
-		if m.Seq, err = uvarint(); err != nil {
-			return nil, err
-		}
-		switch kind {
-		case recTyped:
-			msg, n, err := event.DecodeMessage(payload[off:])
-			if err != nil {
-				return nil, err
-			}
-			off += n
-			m.Record = event.NewRecord(msg, nil)
-		case recOpaque:
-			n, err := uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if n > uint64(len(payload)-off) {
-				return nil, event.ErrTruncated
-			}
-			m.Data = append([]byte(nil), payload[off:off+int(n)]...)
-			off += int(n)
-			if m.Type == streams.TypeJSON && n > 0 {
-				m.Record = event.FromPayload(m.Data)
-			}
-		default:
-			return nil, fmt.Errorf("ldms: unknown batch record kind %d", kind)
-		}
-		out = append(out, m)
-	}
-	if off != len(payload) {
-		return nil, fmt.Errorf("ldms: %d trailing bytes after batch", len(payload)-off)
 	}
 	return out, nil
 }
@@ -274,9 +156,8 @@ func NewBatchDecoder() *BatchDecoder {
 	return &BatchDecoder{in: event.NewInterner()}
 }
 
-// batchReader walks a batch payload with sticky-error methods (the
-// closure-based cursor in DecodeBatch costs two allocations per call;
-// the method form costs none).
+// batchReader walks a batch payload with sticky-error methods, interning
+// every string it reads.
 type batchReader struct {
 	b   []byte
 	off int
@@ -289,7 +170,7 @@ func (r *batchReader) uvarint() uint64 {
 	}
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		r.err = event.ErrTruncated
+		r.err = streams.ErrTruncated
 		return 0
 	}
 	r.off += n
@@ -302,7 +183,7 @@ func (r *batchReader) str(in *event.Interner) string {
 		return ""
 	}
 	if n > uint64(len(r.b)-r.off) {
-		r.err = event.ErrTruncated
+		r.err = streams.ErrTruncated
 		return ""
 	}
 	s := in.Intern(r.b[r.off : r.off+int(n)])
@@ -323,15 +204,15 @@ func (d *BatchDecoder) DecodeBatchSlab(payload []byte, slab *event.Slab) ([]stre
 		return nil, r.err
 	}
 	if count == 0 {
-		return nil, errors.New("ldms: empty batch frame")
+		return nil, streams.ErrEmptyBatch
 	}
-	if count > uint64(len(payload)-r.off)/minBatchRec+1 {
+	if count > uint64(len(payload)-r.off)/streams.MinBatchRecord+1 {
 		return nil, fmt.Errorf("ldms: batch declares %d records in %d bytes", count, len(payload))
 	}
 	out := slab.Out(int(count))
 	for i := uint64(0); i < count; i++ {
 		if r.off >= len(payload) {
-			return nil, event.ErrTruncated
+			return nil, streams.ErrTruncated
 		}
 		kind := payload[r.off]
 		r.off++
@@ -344,20 +225,20 @@ func (d *BatchDecoder) DecodeBatchSlab(payload []byte, slab *event.Slab) ([]stre
 			return nil, r.err
 		}
 		switch kind {
-		case recTyped:
+		case streams.RecTyped:
 			msg, n, err := event.DecodeMessageSlab(payload[r.off:], slab, d.in)
 			if err != nil {
 				return nil, err
 			}
 			r.off += n
 			m.Record = slab.Wrap(msg, nil)
-		case recOpaque:
+		case streams.RecOpaque:
 			n := r.uvarint()
 			if r.err != nil {
 				return nil, r.err
 			}
 			if n > uint64(len(payload)-r.off) {
-				return nil, event.ErrTruncated
+				return nil, streams.ErrTruncated
 			}
 			m.Data = append([]byte(nil), payload[r.off:r.off+int(n)]...)
 			r.off += int(n)

@@ -27,7 +27,8 @@ import (
 //
 //	source      NewSpoolUplink: bounded in-memory spool off a daemon's bus
 //	            NewStreamUplink: durable streams.Consumer (the stream is
-//	            the spool; the ack floor survives a crash)
+//	            the spool; the ack floor survives a crash); a round is one
+//	            fetch, one batch frame, one ack, one cursor checkpoint
 //	target set  Addr alone, or Addr + Standby with a dial-probe failure
 //	            detector that re-homes the link
 
@@ -91,19 +92,19 @@ type UplinkConfig struct {
 
 	// Consumer source (NewStreamUplink). Consumer names the durable cursor
 	// (default "uplink") and Filter its subject filter (default
-	// everything). BatchSize bounds one fetch round (default 64) and
-	// MaxInflight the consumer's unacked window (default 2 x BatchSize).
-	// AckWait is the redelivery deadline — how long a fetched-but-unacked
-	// message (e.g. lost when the process died mid-send on a previous
-	// incarnation's cursor) waits before the stream offers it again
-	// (default 30s). PollEvery is the idle poll interval when the stream
-	// has nothing to deliver (default 10ms).
+	// everything). BatchSize bounds one round — fetched together, sent as
+	// one batch frame, acked together (default 64) — and MaxInflight the
+	// consumer's unacked window (default 2 x BatchSize). AckWait is the
+	// redelivery deadline — how long a fetched-but-unacked message (e.g.
+	// lost when the process died mid-send on a previous incarnation's
+	// cursor) waits before the stream offers it again (default 30s). An
+	// idle uplink sleeps on the stream and is woken by the next append;
+	// there is no poll interval.
 	Consumer    string
 	Filter      string
 	BatchSize   int
 	MaxInflight int
 	AckWait     time.Duration
-	PollEvery   time.Duration
 }
 
 func (cfg *UplinkConfig) setDefaults() {
@@ -146,9 +147,6 @@ func (cfg *UplinkConfig) setDefaults() {
 	if cfg.AckWait <= 0 {
 		cfg.AckWait = 30 * time.Second
 	}
-	if cfg.PollEvery <= 0 {
-		cfg.PollEvery = 10 * time.Millisecond
-	}
 }
 
 // UplinkStats is a snapshot of an uplink's counters.
@@ -182,10 +180,13 @@ type UplinkStats struct {
 //	spool   settle(true) releases the round; settle(false) keeps it in
 //	        hand and the next take returns it again, so a message leaves
 //	        only sent or — on overflow or Close — as a counted drop.
-//	cursor  settle(true) acks every delivery of the round, after the
-//	        flush and never before; settle(false) naks the whole round
-//	        for immediate redelivery. Nothing is ever dropped: the
-//	        backlog is the stream itself.
+//	cursor  settle(true) acks the round with one batch ack — one floor
+//	        advance, one cursor checkpoint — after the flush and never
+//	        before; settle(false) naks the whole round for immediate
+//	        redelivery. Nothing is ever dropped: the backlog is the
+//	        stream itself. A crash between the flush and the ack
+//	        redelivers the whole round, which is safe because the hop
+//	        below deduplicates by (producer, seq).
 type source interface {
 	// take blocks until a round is ready; !ok means the source stopped.
 	take() (round []streams.Message, ok bool)
@@ -209,8 +210,9 @@ type source interface {
 type Uplink struct {
 	cfg UplinkConfig
 	src source
-	// batchFrames selects the round writer: one batch frame per round, or
-	// one legacy frame per message.
+	// batchFrames selects the spool's round writer: one batch frame per
+	// round, or one legacy frame per message (the spool's zero-Batch
+	// wire behavior). A cursor round is always one batch frame.
 	batchFrames bool
 
 	mu      sync.Mutex
@@ -291,7 +293,8 @@ func NewStreamUplink(s *streams.DurableStream, cfg UplinkConfig) (*Uplink, error
 	if err != nil {
 		return nil, err
 	}
-	u.start(&cursor{cons: cons, max: u.cfg.BatchSize, poll: u.cfg.PollEvery, pause: u.pause})
+	u.batchFrames = true
+	u.start(&cursor{cons: cons, max: u.cfg.BatchSize})
 	return u, nil
 }
 
@@ -627,48 +630,56 @@ func (u *Uplink) Close() error {
 }
 
 // cursor is the durable source: rounds are fetched from a named
-// streams.Consumer and settled by ack or nak.
+// streams.Consumer and settled by one batch ack, or naked back.
 type cursor struct {
-	cons  *streams.Consumer
-	max   int
-	poll  time.Duration
-	pause func(time.Duration) bool
+	cons *streams.Consumer
+	max  int
 
 	round []streams.Delivery // fetched, not yet settled
 	msgs  []streams.Message  // the round's messages; backing array reused
 	naks  atomic.Uint64
 }
 
+// idleWait bounds one sleep of an idle cursor. It is not a poll interval:
+// an append, a due redelivery or Close ends the sleep at once, and the
+// bound only keeps a missed wake-up from being fatal.
+const idleWait = time.Second
+
 func (c *cursor) take() ([]streams.Message, bool) {
 	for {
 		ds, err := c.cons.Fetch(c.max)
 		if err != nil {
 			// Closed consumer (stop, or a successor claimed the name) ends
-			// the loop; an empty stream just waits for the next poll.
+			// the loop.
 			return nil, false
 		}
-		if len(ds) > 0 {
-			c.round = ds
-			c.msgs = c.msgs[:0]
-			for _, d := range ds {
-				c.msgs = append(c.msgs, d.Msg)
+		if len(ds) == 0 {
+			if c.cons.Wait(idleWait) != nil {
+				return nil, false
 			}
-			return c.msgs, true
+			continue
 		}
-		c.pause(c.poll)
+		c.round = ds
+		c.msgs = c.msgs[:0]
+		for _, d := range ds {
+			c.msgs = append(c.msgs, d.Msg)
+		}
+		return c.msgs, true
 	}
 }
 
 func (c *cursor) settle(sent bool) {
-	for _, d := range c.round {
-		if sent {
-			// A failed ack means the consumer was closed under us; the
-			// next Fetch ends the loop and the successor redelivers.
-			_ = c.cons.Ack(d.Seq)
-		} else if c.cons.Nak(d.Seq) == nil {
-			// The link is down: hand the whole round back without
-			// burning a dial attempt per message.
-			c.naks.Add(1)
+	if sent {
+		// A failed ack means the consumer was closed under us; the next
+		// Fetch ends the loop and the successor redelivers.
+		_ = c.cons.AckBatch(c.round)
+	} else {
+		// The link is down: hand the whole round back without burning a
+		// dial attempt per message.
+		for _, d := range c.round {
+			if c.cons.Nak(d.Seq) == nil {
+				c.naks.Add(1)
+			}
 		}
 	}
 	c.round = nil

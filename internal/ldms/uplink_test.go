@@ -18,7 +18,6 @@ import (
 func fastUplink(addr string) UplinkConfig {
 	return UplinkConfig{
 		Addr:           addr,
-		PollEvery:      time.Millisecond,
 		InitialBackoff: time.Millisecond,
 		MaxBackoff:     10 * time.Millisecond,
 		DialTimeout:    200 * time.Millisecond,
@@ -292,6 +291,9 @@ func (c *captureServer) close() {
 // wire exactly what WriteFrame / WriteBatchFrame produce for the same
 // sequence: dsosd persists what arrives, so a byte of drift here is a
 // byte of drift in disk_bytes_per_event and a break with older peers.
+// The spool's bytes are what they have always been; a cursor round is
+// exactly WriteBatchFrame(round) of the messages the stream was given —
+// they rest in the segment in the same codec, so nothing is re-rendered.
 func TestUplinkWireIdentity(t *testing.T) {
 	r := rng.New(14)
 	msgs := make([]streams.Message, 8)
@@ -349,7 +351,10 @@ func TestUplinkWireIdentity(t *testing.T) {
 			cat(batch(msgs[0]), batch(msgs[1:4]...), batch(msgs[4:6]...), frames(heartbeat)),
 			cat(batch(msgs[4:6]...), batch(msgs[6]), batch(msgs[7])),
 		}},
-		{"consumer", false, event.FlushPolicy{}, framePerMsg},
+		{"consumer", false, event.FlushPolicy{}, [2][]byte{
+			cat(batch(msgs[:6]...), frames(heartbeat)),
+			cat(batch(msgs[4:6]...), batch(msgs[6]), batch(msgs[7])),
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -358,17 +363,24 @@ func TestUplinkWireIdentity(t *testing.T) {
 			cfg.Tag, cfg.Batch, cfg.ReplayLast = "darshanConnector", tc.batch, 2
 			var (
 				u       *Uplink
-				publish func(streams.Message)
+				publish func(...streams.Message)
 				err     error
 			)
 			if tc.spool {
 				node := NewDaemon("node", "nid00040")
-				publish = func(m streams.Message) { node.Bus().Publish(m) }
+				publish = func(ms ...streams.Message) {
+					for _, m := range ms {
+						node.Bus().Publish(m)
+					}
+				}
 				u, err = NewSpoolUplink(node, cfg)
 			} else {
+				// One AppendBatch per call: the stream shows the cursor all
+				// of them or none, so the round that finally gets through
+				// holds exactly the six.
 				s := openTestStream(t, sos.NewMemWAL())
-				publish = func(m streams.Message) {
-					if _, err := s.Append(m); err != nil {
+				publish = func(ms ...streams.Message) {
+					if _, err := s.AppendBatch(ms); err != nil {
 						t.Error(err)
 					}
 				}
@@ -384,9 +396,7 @@ func TestUplinkWireIdentity(t *testing.T) {
 			// once the peer is up are the same on every run.
 			publish(msgs[0])
 			waitFor(t, "message 1 in hand", func() bool { return u.Stats().Retries >= 1 })
-			for _, m := range msgs[1:6] {
-				publish(m)
-			}
+			publish(msgs[1:6]...)
 			srv := listenCapture(t, addr)
 			waitFor(t, "first six sent", func() bool { return u.Stats().Sent == 6 })
 			if err := u.send([]streams.Message{heartbeat}, false); err != nil {

@@ -12,10 +12,10 @@ var ackleakCheck = &Check{
 }
 
 // settleCallNames are the calls that settle a fetched delivery's fate.
-// Term/DeadLetter are accepted for forward compatibility with explicit
-// dead-letter APIs.
+// AckBatch settles a whole round in one call. Term/DeadLetter are
+// accepted for forward compatibility with explicit dead-letter APIs.
 var settleCallNames = map[string]bool{
-	"Ack": true, "Nak": true, "Term": true, "DeadLetter": true,
+	"Ack": true, "Nak": true, "AckBatch": true, "Term": true, "DeadLetter": true,
 }
 
 // runAckleak tracks every `ds, err := c.Fetch(n)` whose result is a

@@ -9,7 +9,7 @@ import (
 
 var lockheldCheck = &Check{
 	Name: "lockheld",
-	Doc:  "every Lock needs an Unlock on all paths, and no blocking sim primitive may run under a held lock",
+	Doc:  "every Lock needs an Unlock on all paths, and no blocking primitive (sim, or a stream consumer's Wait) may run under a held lock",
 	Run:  runLockheld,
 }
 
@@ -22,10 +22,13 @@ var blockingPrimNames = map[string]bool{
 }
 
 // simPrimitiveTypeNames lets fixture packages (and future sim-like types)
-// participate without living under internal/sim.
+// participate without living under internal/sim. Consumer is the durable
+// stream's: its Wait parks the caller in wall time until the stream has
+// something to deliver, which may be never — a lock held across it is held
+// for as long as the stream stays quiet.
 var simPrimitiveTypeNames = map[string]bool{
 	"Proc": true, "Engine": true, "Barrier": true, "Mailbox": true,
-	"Resource": true, "WaitGroup": true, "Comm": true,
+	"Resource": true, "WaitGroup": true, "Comm": true, "Consumer": true,
 }
 
 func runLockheld(p *Pass) {
@@ -136,7 +139,7 @@ func hasMethod(t types.Type, name string) bool {
 //
 //   - no unlock anywhere downstream → one finding at the Lock;
 //   - unlocks exist but a path leaks → one finding per leaking return;
-//   - a blocking sim primitive while the lock is open → finding at the
+//   - a blocking primitive while the lock is open → finding at the
 //     blocking call (observed via onOpen, i.e. precisely on held paths,
 //     where the old heuristic used textual Lock..firstUnlock bounds).
 func (p *Pass) checkLock(g *funcCFG, funcBody *ast.BlockStmt, l lockSite) {
@@ -169,8 +172,8 @@ func (p *Pass) checkLock(g *funcCFG, funcBody *ast.BlockStmt, l lockSite) {
 				}
 				seenBlocking[call.Pos()] = true
 				p.Reportf(call.Pos(),
-					"release "+l.recv+" before blocking in virtual time; a parked holder deadlocks the event loop",
-					"blocking sim primitive %s.%s called while %s is held",
+					"release "+l.recv+" before blocking; a parked holder stalls every user of the lock (in virtual time it deadlocks the event loop)",
+					"blocking primitive %s.%s called while %s is held",
 					types.ExprString(sel.X), sel.Sel.Name, l.recv)
 				return true
 			})

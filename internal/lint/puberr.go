@@ -19,6 +19,10 @@ var puberrCheck = &Check{
 // error leaves a shard silently empty. Ack/Nak/Fetch/AppendStream cover the
 // durable-stream consumer protocol: a swallowed Ack error stalls the floor
 // (redelivery storms), a swallowed Fetch error looks like an empty stream.
+// AppendBatch/AckBatch are the same calls for a whole frame or round, where
+// a dropped error loses or stalls sixty-four messages at once; PublishBatch
+// is listed beside Publish (both return receiver counts today, so only an
+// error-returning namesake is flagged).
 // InsertBatch covers placement — dsos.Client.InsertBatch, the one insert
 // path under either strategy — and BeginAdd/BeginRemove/Cutover/Abort/
 // Settle cover topo.HashCluster's shard migration: a dropped Cutover
@@ -28,6 +32,7 @@ var pubErrNames = map[string]bool{
 	"Store": true, "Ingest": true,
 	"Insert": true, "Append": true, "Restart": true, "Recover": true,
 	"Ack": true, "Nak": true, "Fetch": true, "AppendStream": true,
+	"AppendBatch": true, "AckBatch": true, "PublishBatch": true,
 	"InsertBatch": true, "BeginAdd": true, "BeginRemove": true,
 	"Cutover": true, "Abort": true, "Settle": true,
 }

@@ -17,6 +17,7 @@ type Consumer struct{}
 func (c *Consumer) Fetch(n int) ([]Delivery, error) { return nil, nil }
 func (c *Consumer) Ack(seq uint64) error            { return nil }
 func (c *Consumer) Nak(seq uint64) error            { return nil }
+func (c *Consumer) AckBatch(ds []Delivery) error    { return nil }
 
 // Drop reads the payloads and never settles: the deliveries sit
 // inflight until the ack deadline and redeliver.
@@ -34,6 +35,34 @@ func Drop(c *Consumer, sink func(Msg)) {
 func DropNoGuard(c *Consumer) {
 	ds, _ := c.Fetch(4) // want ackleak
 	_ = ds
+}
+
+// DropFailedRound batch-acks the round it sent and forgets the one it
+// could not send: that round is neither acked nor naked.
+func DropFailedRound(c *Consumer, sent bool) {
+	ds, err := c.Fetch(8) // want ackleak
+	if err != nil {
+		return
+	}
+	if sent {
+		_ = c.AckBatch(ds)
+	}
+}
+
+// GoodBatchAck settles the round either way: one batch ack, or a nak
+// per delivery.
+func GoodBatchAck(c *Consumer, sent bool) {
+	ds, err := c.Fetch(8)
+	if err != nil {
+		return
+	}
+	if sent {
+		_ = c.AckBatch(ds)
+		return
+	}
+	for _, d := range ds {
+		_ = c.Nak(d.Seq)
+	}
 }
 
 // GoodAckLoop settles every delivery (the empty-fetch case has nothing

@@ -65,6 +65,29 @@ func (c *counter) BlockingHeld(mb *Mailbox) {
 	c.mu.Unlock()
 }
 
+// Consumer mimics streams.Consumer: Wait parks the caller until the
+// stream has something to deliver.
+type Consumer struct{}
+
+// Wait blocks until an append, a redelivery deadline or Close.
+func (c *Consumer) Wait(ms int) error { return nil }
+
+// WaitHeld sleeps on the stream with the lock held: nobody else gets the
+// lock until something is appended.
+func (c *counter) WaitHeld(cons *Consumer) {
+	c.mu.Lock()
+	_ = cons.Wait(1000) // want lockheld
+	c.mu.Unlock()
+}
+
+// GoodWaitReleased drops the lock before it sleeps.
+func (c *counter) GoodWaitReleased(cons *Consumer) {
+	c.mu.Lock()
+	c.n++
+	c.mu.Unlock()
+	_ = cons.Wait(1000)
+}
+
 // Suppressed is an acknowledged handoff pattern.
 func (c *counter) Suppressed() {
 	c.mu.Lock() //lint:allow lockheld fixture: unlocked by the callback

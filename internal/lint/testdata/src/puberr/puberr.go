@@ -40,18 +40,30 @@ func (c *Consumer) Fetch(n int) ([]byte, error) { return nil, nil }
 // AppendStream persists a published message to the stream segment.
 func (c *Consumer) AppendStream(b []byte) (uint64, error) { return 0, nil }
 
+// AppendBatch persists a whole frame as one segment entry.
+func (c *Consumer) AppendBatch(b [][]byte) (uint64, error) { return 0, nil }
+
+// AckBatch settles a whole round; a dropped error stalls all of it.
+func (c *Consumer) AckBatch(seqs []uint64) error { return nil }
+
+// PublishBatch hands a frame to a remote peer; the error reports loss.
+func (f *Forwarder) PublishBatch(b [][]byte) error { return nil }
+
 // Bad drops delivery errors on the floor.
 func Bad(f *Forwarder, c *Consumer, b []byte) {
-	f.Publish(b)      // want puberr
-	f.Store(b)        // want puberr
-	f.Ingest(b)       // want puberr
-	f.Insert(b)       // want puberr
-	f.Append(b)       // want puberr
-	f.Restart()       // want puberr
-	c.Ack(1)          // want puberr
-	c.Nak(1)          // want puberr
-	c.Fetch(16)       // want puberr
-	c.AppendStream(b) // want puberr
+	f.Publish(b)        // want puberr
+	f.Store(b)          // want puberr
+	f.Ingest(b)         // want puberr
+	f.Insert(b)         // want puberr
+	f.Append(b)         // want puberr
+	f.Restart()         // want puberr
+	c.Ack(1)            // want puberr
+	c.Nak(1)            // want puberr
+	c.Fetch(16)         // want puberr
+	c.AppendStream(b)   // want puberr
+	c.AppendBatch(nil)  // want puberr
+	c.AckBatch(nil)     // want puberr
+	f.PublishBatch(nil) // want puberr
 }
 
 // Good handles, visibly discards, or annotates.
@@ -67,5 +79,9 @@ func Good(f *Forwarder, c *Consumer, b []byte) error {
 		return err
 	}
 	_ = c.Nak(1) // poison-message give-up, deliberately visible: allowed
+	if _, err := c.AppendBatch(nil); err != nil {
+		return err
+	}
+	_ = c.AckBatch(nil) // a closed consumer ends the loop at the next fetch: allowed
 	return nil
 }

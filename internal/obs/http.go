@@ -2,9 +2,22 @@ package obs
 
 import (
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"sync"
 )
+
+// MountPprof mounts the runtime profiling endpoints under /debug/pprof/
+// on a daemon's own telemetry mux, so a performance claim can carry a
+// profile of the real process (go tool pprof http://HOST/debug/pprof/profile).
+// Nothing is served unless the daemon serves the mux.
+func MountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
 
 // Handler serves the registry in Prometheus text format; mount it at
 // /metrics on a daemon's HTTP mux. A nil registry serves an empty body.

@@ -149,10 +149,18 @@ func Restore(r io.Reader) (*Container, error) {
 		if nObjs > 1<<32 {
 			return nil, fmt.Errorf("sos: implausible object count %d", nObjs)
 		}
-		slab := make([]Object, 0, nObjs)
+		if nObjs > 0 && len(attrs) == 0 && !withOrigins {
+			// Such objects occupy no bytes, so nothing would ever stop the
+			// loop below short of the declared count.
+			return nil, fmt.Errorf("sos: %d objects declared for a schema without attributes", nObjs)
+		}
+		// The count is a hint, not a promise: preallocate no more than a
+		// modest slab so a hostile header cannot ask for gigabytes before
+		// the first object fails to read.
+		slab := make([]Object, 0, min(nObjs, 1<<16))
 		var origins []uint64
 		if withOrigins {
-			origins = make([]uint64, 0, nObjs)
+			origins = make([]uint64, 0, min(nObjs, 1<<16))
 		}
 		for j := uint64(0); j < nObjs; j++ {
 			obj := make(Object, len(attrs))
@@ -185,8 +193,14 @@ func Restore(r io.Reader) (*Container, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
+		if nAttrs > 1<<16 {
+			return nil, fmt.Errorf("sos: implausible index attr count %d", nAttrs)
+		}
 		for j := uint64(0); j < nAttrs; j++ {
 			spec.Attrs = append(spec.Attrs, d.str())
+		}
+		if d.err != nil {
+			return nil, d.err
 		}
 		if _, err := c.AddIndex(spec); err != nil {
 			return nil, err

@@ -1,7 +1,9 @@
 package sos
 
 import (
+	"bufio"
 	"bytes"
+	"compress/gzip"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -340,6 +342,46 @@ func TestSnapshotRestore(t *testing.T) {
 func TestRestoreRejectsGarbage(t *testing.T) {
 	if _, err := Restore(bytes.NewReader([]byte("garbage data here"))); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestRestoreHostileCounts: a header that declares four billion objects,
+// or an index over 2^60 attributes, and then ends must fail on the
+// missing data — not on the memory the count asked for (FuzzRestore's
+// worker died of both).
+func TestRestoreHostileCounts(t *testing.T) {
+	snapshot := func(tail func(e *snapEnc)) []byte {
+		var snap bytes.Buffer
+		snap.WriteString(snapMagic)
+		zw := gzip.NewWriter(&snap)
+		bw := bufio.NewWriter(zw)
+		e := &snapEnc{w: bw}
+		e.str("fz") // container name
+		e.u64(1)    // next object id
+		e.u64(1)    // one schema
+		e.str("ev")
+		e.u64(1) // one attribute
+		e.str("job_id")
+		e.u64(uint64(TypeInt64))
+		tail(e)
+		if e.err != nil || bw.Flush() != nil || zw.Close() != nil {
+			t.Fatal("building the snapshot failed")
+		}
+		return snap.Bytes()
+	}
+	for name, snap := range map[string][]byte{
+		"objects": snapshot(func(e *snapEnc) { e.u64(1 << 32) }),
+		"index attrs": snapshot(func(e *snapEnc) {
+			e.u64(0) // no objects
+			e.u64(1) // one index
+			e.str("j")
+			e.str("ev")
+			e.u64(1 << 60)
+		}),
+	} {
+		if _, err := Restore(bytes.NewReader(snap)); err == nil {
+			t.Errorf("%s: a snapshot cut off after a hostile count restored", name)
+		}
 	}
 }
 

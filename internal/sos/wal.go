@@ -48,6 +48,7 @@ const walMaxRecord = 16 << 20
 type WAL struct {
 	mu       sync.Mutex
 	st       WALStore
+	frame    Frame // reused record buffer (guarded by mu)
 	appended uint64
 }
 
@@ -69,35 +70,58 @@ func (w *WAL) Appended() uint64 {
 // Append durably logs one insert. The record is written with a single
 // Write call so a torn write can only truncate, never interleave.
 func (w *WAL) Append(schema string, obj Object, origin uint64) error {
-	body, err := encodeWALBody(schema, obj, origin)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	rec, err := appendWALBody(w.frame.Begin(), schema, obj, origin)
 	if err != nil {
 		return err
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := AppendFrame(w.st, body); err != nil {
+	if err := w.frame.Commit(w.st, rec); err != nil {
 		return fmt.Errorf("sos: wal append: %w", err)
 	}
 	w.appended++
 	return nil
 }
 
-// AppendFrame writes one length+CRC framed record to the store, in a
-// single Write call so a torn write can only truncate, never interleave.
-// It is the generic layer under WAL.Append; other durable logs (the
-// streams package's durable-stream segments) share it so every
-// append-only file in the system has the same framing and the same
-// torn-tail recovery story.
-func AppendFrame(st WALStore, body []byte) error {
+// frameHeader is the length+CRC prefix of every framed record.
+const frameHeader = 8
+
+// Frame builds length+CRC framed records in one reusable buffer: Begin
+// returns the buffer positioned past the reserved header, the caller
+// appends the record body to it, and Commit fills the header in and hands
+// header and body to the store in a single Write, so a torn write can
+// only truncate, never interleave. It is the generic layer under
+// WAL.Append; other durable logs (the streams package's durable-stream
+// segments) share it so every append-only file in the system has the same
+// framing and the same torn-tail recovery story. A Frame is not safe for
+// concurrent use: its owner keeps one under the lock it already holds
+// across an append, and a steady-state append then allocates nothing.
+type Frame struct{ buf []byte }
+
+// Begin starts a record and returns the buffer to append its body to.
+func (f *Frame) Begin() []byte {
+	return append(f.buf[:0], make([]byte, frameHeader)...)
+}
+
+// Commit frames rec — the slice Begin returned, with the body appended —
+// and writes it to the store.
+func (f *Frame) Commit(st WALStore, rec []byte) error {
+	f.buf = rec // keep whatever the appends grew
+	body := rec[frameHeader:]
 	if len(body) == 0 || len(body) > walMaxRecord {
 		return fmt.Errorf("sos: frame body of %d bytes", len(body))
 	}
-	rec := make([]byte, 8+len(body))
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(body)))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(body))
-	copy(rec[8:], body)
 	_, err := st.Write(rec)
 	return err
+}
+
+// AppendFrame writes body as one framed record: the one-shot form of
+// Frame for callers without a buffer to reuse.
+func AppendFrame(st WALStore, body []byte) error {
+	var f Frame
+	return f.Commit(st, append(f.Begin(), body...))
 }
 
 // ErrStopReplay, returned by a ReplayFrames apply callback, stops the
@@ -153,14 +177,14 @@ const (
 	walString
 )
 
-func encodeWALBody(schema string, obj Object, origin uint64) ([]byte, error) {
-	b := make([]byte, 0, 64+16*len(obj))
-	b = appendU32(b, uint32(len(schema)))
-	b = append(b, schema...)
-	b = binary.LittleEndian.AppendUint64(b, origin)
+// appendWALBody appends one insert record's body to b.
+func appendWALBody(b []byte, schema string, obj Object, origin uint64) ([]byte, error) {
 	if len(obj) > math.MaxUint16 {
 		return nil, fmt.Errorf("sos: wal record with %d values", len(obj))
 	}
+	b = appendU32(b, uint32(len(schema)))
+	b = append(b, schema...)
+	b = binary.LittleEndian.AppendUint64(b, origin)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(obj)))
 	for _, v := range obj {
 		switch val := v.(type) {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"darshanldms/internal/sos"
 )
 
 // Consumer is a durable, acknowledged cursor over a DurableStream —
@@ -43,6 +41,7 @@ type Consumer struct {
 	acked   map[uint64]struct{} // acked/skipped above the floor
 	infl    map[uint64]*inflightMsg
 	nextSeq uint64 // next never-considered sequence
+	lagPeak uint64 // deepest backlog any Fetch has faced since the last telemetry scrape
 	closed  bool
 
 	delivered    uint64
@@ -112,7 +111,8 @@ type ConsumerStats struct {
 	Name         string
 	Filter       string
 	AckFloor     uint64 // every sequence <= this is settled
-	Lag          uint64 // stream head minus floor: how far behind
+	Lag          uint64 // stream head minus floor: how far behind, right now
+	LagPeak      uint64 // the deepest Lag any Fetch has faced since the last telemetry scrape
 	Inflight     int    // delivered, unacked
 	Delivered    uint64 // first deliveries
 	Redelivered  uint64 // deadline/Nak redeliveries
@@ -152,6 +152,7 @@ func (s *DurableStream) Consumer(cfg ConsumerConfig) (*Consumer, error) {
 	defer s.mu.Unlock()
 	if old, ok := s.consumers[cfg.Name]; ok {
 		old.closed = true
+		s.waiters.Broadcast()
 	}
 	floor, resumed := s.floors[cfg.Name]
 	if !resumed {
@@ -218,7 +219,22 @@ func (c *Consumer) Fetch(max int) ([]Delivery, error) {
 	}
 	now := s.cfg.Clock()
 	floorBefore := c.floor
+	if lag := s.lastSeq - c.floor; lag > c.lagPeak {
+		c.lagPeak = lag
+	}
 	var out []Delivery
+	// deliver decodes seq's slot into out; false means the message is gone
+	// (evicted by retention) and the caller settles it as missed.
+	deliver := func(seq uint64, deliveries int) bool {
+		m, ok := s.messageLocked(s.slotAt(seq))
+		if ok {
+			if out == nil { // sized once: everything due plus everything new, capped by max
+				out = make([]Delivery, 0, min(max, len(c.infl)+int(s.lastSeq+1-c.nextSeq)+1))
+			}
+			out = append(out, Delivery{Seq: seq, Deliveries: deliveries, Msg: m})
+		}
+		return ok
+	}
 
 	// Redeliveries first: an unacked message is older than anything new.
 	// Map iteration order must not reach the caller — sort the due set.
@@ -234,23 +250,21 @@ func (c *Consumer) Fetch(max int) ([]Delivery, error) {
 			break
 		}
 		st := c.infl[seq]
-		e := s.entryAt(seq)
 		switch {
-		case e == nil:
+		case c.maxDeliver > 0 && st.deliveries >= c.maxDeliver && s.slotAt(seq) != nil:
+			delete(c.infl, seq)
+			c.deadLettered++
+			c.settleLocked(seq)
+		case deliver(seq, st.deliveries+1):
+			st.deliveries++
+			st.due = now + c.backoffFor(st.deliveries)
+			c.redelivered++
+		default:
 			// Evicted by retention while inflight: it can never be
 			// delivered again. Settle it so the cursor is not pinned.
 			delete(c.infl, seq)
 			c.missed++
 			c.settleLocked(seq)
-		case c.maxDeliver > 0 && st.deliveries >= c.maxDeliver:
-			delete(c.infl, seq)
-			c.deadLettered++
-			c.settleLocked(seq)
-		default:
-			st.deliveries++
-			st.due = now + c.backoffFor(st.deliveries)
-			c.redelivered++
-			out = append(out, Delivery{Seq: seq, Deliveries: st.deliveries, Msg: e.message()})
 		}
 	}
 
@@ -264,20 +278,19 @@ func (c *Consumer) Fetch(max int) ([]Delivery, error) {
 		if _, done := c.acked[seq]; done {
 			continue
 		}
-		e := s.entryAt(seq)
+		sl := s.slotAt(seq)
 		switch {
-		case e == nil:
+		case sl != nil && !MatchSubject(c.filter, sl.subject):
+			c.filtered++
+			c.settleLocked(seq)
+		case deliver(seq, 1):
+			c.infl[seq] = &inflightMsg{deliveries: 1, due: now + c.backoffFor(1)}
+			c.delivered++
+		default:
 			// Lagged past retention: the message is gone. Account it and
 			// move on — a stuck cursor would be worse than a counted gap.
 			c.missed++
 			c.settleLocked(seq)
-		case !MatchSubject(c.filter, e.subject):
-			c.filtered++
-			c.settleLocked(seq)
-		default:
-			c.infl[seq] = &inflightMsg{deliveries: 1, due: now + c.backoffFor(1)}
-			c.delivered++
-			out = append(out, Delivery{Seq: seq, Deliveries: 1, Msg: e.message()})
 		}
 	}
 	if c.floor != floorBefore {
@@ -290,29 +303,46 @@ func (c *Consumer) Fetch(max int) ([]Delivery, error) {
 // idempotent no-op (the redelivered copy of an already-settled message);
 // acking a sequence that was never delivered is ErrNotInflight.
 func (c *Consumer) Ack(seq uint64) error {
+	one := [1]Delivery{{Seq: seq}}
+	return c.AckBatch(one[:])
+}
+
+// AckBatch settles a whole fetched round at once: every delivery is
+// acked as Ack would ack it, the floor advances once, and one cursor
+// checkpoint is written for the round instead of one per message. A
+// delivery that is not inflight does not stop the others; the first such
+// error is returned.
+func (c *Consumer) AckBatch(ds []Delivery) error {
 	s := c.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c.closed {
 		return ErrConsumerClosed
 	}
-	if seq <= c.floor {
-		return nil
-	}
-	if _, ok := c.acked[seq]; ok {
-		return nil
-	}
-	if _, ok := c.infl[seq]; !ok {
-		return fmt.Errorf("%w: ack %d (floor %d)", ErrNotInflight, seq, c.floor)
-	}
-	delete(c.infl, seq)
-	c.ackedCount++
 	floorBefore := c.floor
-	c.settleLocked(seq)
+	var first error
+	for i := range ds {
+		seq := ds[i].Seq
+		if seq <= c.floor {
+			continue
+		}
+		if _, ok := c.acked[seq]; ok {
+			continue
+		}
+		if _, ok := c.infl[seq]; !ok {
+			if first == nil {
+				first = fmt.Errorf("%w: ack %d (floor %d)", ErrNotInflight, seq, c.floor)
+			}
+			continue
+		}
+		delete(c.infl, seq)
+		c.ackedCount++
+		c.settleLocked(seq)
+	}
 	if c.floor != floorBefore {
 		c.checkpointLocked()
 	}
-	return nil
+	return first
 }
 
 // Nak negatively acknowledges an inflight delivery: the message becomes
@@ -331,6 +361,7 @@ func (c *Consumer) Nak(seq uint64) error {
 	}
 	st.due = now0(s)
 	c.naks++
+	s.waiters.Broadcast()
 	return nil
 }
 
@@ -356,7 +387,69 @@ func (c *Consumer) Redeliver() int {
 			n++
 		}
 	}
+	s.waiters.Broadcast()
 	return n
+}
+
+// Wait blocks until Fetch has something to do — a new message the
+// inflight window has room for, or an inflight delivery whose redelivery
+// deadline has passed — or until d has elapsed, whichever comes first; an
+// idle consumer sleeps on the stream instead of polling it. It returns
+// ErrConsumerClosed, at once or on wake-up, when the consumer is closed
+// or replaced. Deadlines are measured on the stream's clock, so Wait
+// belongs to real daemons whose clock is wall time; virtual-time
+// harnesses keep calling the non-blocking Fetch from their own schedule.
+func (c *Consumer) Wait(d time.Duration) error {
+	s := c.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ready, due := c.readyLocked()
+	if c.closed || ready || d <= 0 {
+		return c.closedErrLocked()
+	}
+	if due > 0 && due < d {
+		d = due
+	}
+	expired := false
+	t := time.AfterFunc(d, func() { //lint:allow walltime Wait is the real daemons' blocking call; virtual-time harnesses poll Fetch and never reach it
+		s.mu.Lock()
+		expired = true
+		s.waiters.Broadcast()
+		s.mu.Unlock()
+	})
+	defer t.Stop()
+	for !c.closed && !expired && !ready {
+		s.waiters.Wait()
+		ready, _ = c.readyLocked()
+	}
+	return c.closedErrLocked()
+}
+
+// readyLocked reports whether a Fetch now would deliver or settle
+// anything and, when not, how long until the earliest inflight
+// redelivery deadline (0 when nothing is inflight) (s.mu held).
+func (c *Consumer) readyLocked() (ready bool, due time.Duration) {
+	s := c.s
+	if c.nextSeq <= s.lastSeq && len(c.infl) < c.maxInflight {
+		return true, 0
+	}
+	now := s.cfg.Clock()
+	for _, st := range c.infl {
+		if st.due <= now {
+			return true, 0
+		}
+		if w := st.due - now; due == 0 || w < due {
+			due = w
+		}
+	}
+	return false, due
+}
+
+func (c *Consumer) closedErrLocked() error {
+	if c.closed {
+		return ErrConsumerClosed
+	}
+	return nil
 }
 
 // now0 reads the stream clock (helper so Nak stays readable).
@@ -380,7 +473,7 @@ func (c *Consumer) settleLocked(seq uint64) {
 // worst a lost checkpoint costs is redelivery after a crash.
 func (c *Consumer) checkpointLocked() {
 	s := c.s
-	if err := sos.AppendFrame(s.store, encodeCursorEntry(c.name, c.floor)); err != nil {
+	if err := s.frame.Commit(s.store, appendCursorEntry(s.frame.Begin(), c.name, c.floor)); err != nil {
 		s.walErrs++
 	}
 	s.floors[c.name] = c.floor
@@ -415,6 +508,7 @@ func (c *Consumer) statsLocked() ConsumerStats {
 		Filter:       c.filter,
 		AckFloor:     c.floor,
 		Lag:          c.s.lastSeq - c.floor,
+		LagPeak:      c.lagPeak,
 		Inflight:     len(c.infl),
 		Delivered:    c.delivered,
 		Redelivered:  c.redelivered,
@@ -433,4 +527,5 @@ func (c *Consumer) Close() {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
 	c.closed = true
+	c.s.waiters.Broadcast()
 }

@@ -105,9 +105,10 @@ func TestStreamPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestStreamLazyPayloadPersisted(t *testing.T) {
-	// A Message carrying a lazy Record (not literal Data) must be forced
-	// at the append boundary and survive a reopen byte-for-byte.
+func TestStreamOpaqueCarrierPersisted(t *testing.T) {
+	// A carrier the typed plane's codec does not know has only its bytes
+	// to offer: it is stored opaque and survives a reopen byte-for-byte.
+	// (A typed record is NOT forced — TestStreamLazyPayloadNotForced.)
 	wal := sos.NewMemWAL()
 	s := mustOpenStream(t, StreamConfig{Name: "darshan"}, wal)
 	if _, err := s.Append(Message{Tag: "t", Type: TypeJSON, Record: carrierFunc(`{"lazy":true}`)}); err != nil {

@@ -2,24 +2,33 @@ package streams
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"time"
 
 	"darshanldms/internal/sos"
 )
 
-// fuzzSeg builds a clean segment: two messages and a cursor record.
+// fuzzSeg builds a clean segment: one pre-batch msg entry, one batch
+// entry of two, and a cursor record.
 func fuzzSeg(floor uint64) *sos.MemWAL {
 	wal := sos.NewMemWAL()
-	for seq := uint64(1); seq <= 2; seq++ {
-		_ = sos.AppendFrame(wal, encodeMsgEntry(&entry{
-			seq: seq, at: time.Duration(seq),
-			subject: "darshan.nid00040.posix", mtype: TypeJSON,
-			payload: []byte(`{"n":1}`), producer: "nid00040", pseq: seq,
-		}))
-	}
+	_ = sos.AppendFrame(wal, encodeMsgEntry(&entry{
+		seq: 1, at: 1,
+		subject: "darshan.nid00040.posix", mtype: TypeJSON,
+		payload: []byte(`{"n":1}`), producer: "nid00040", pseq: 1,
+	}))
+	_ = sos.AppendFrame(wal, fuzzBatchEntry(2))
 	_ = sos.AppendFrame(wal, encodeCursorEntry("fz", floor))
 	return wal
+}
+
+// fuzzBatchEntry is a well-formed two-message batch entry at firstSeq.
+func fuzzBatchEntry(firstSeq uint64) []byte {
+	return AppendRecords(appendBatchHeader(nil, firstSeq, time.Duration(firstSeq)), []Message{
+		{Tag: "darshan.nid00040.posix", Type: TypeJSON, Data: []byte(`{"n":2}`), Producer: "nid00040", Seq: firstSeq},
+		{Tag: "darshan.nid00040.note", Type: TypeString, Data: []byte("x")},
+	})
 }
 
 // FuzzStreamCursor hardens segment recovery and durable cursor resume:
@@ -35,6 +44,8 @@ func FuzzStreamCursor(f *testing.F) {
 	})...))
 	f.Add(append([]byte{9, 9}, encodeCursorEntry("fz", 99)...))
 	f.Add(append([]byte{0, 0}, encodeDropEntry(DropByCount, 2)...))
+	f.Add(append([]byte{2, 0}, fuzzBatchEntry(4)...))
+	f.Add(append([]byte{0, 0}, binary.AppendUvarint(appendBatchHeader(nil, 4, 0), 1<<40)...)) // hostile count
 	f.Add(append([]byte{2, 0}, 0x01, 0xFF, 0xFF, 0xFF, 0xFF))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var start uint64
@@ -49,6 +60,9 @@ func FuzzStreamCursor(f *testing.F) {
 
 		// The decoders must parse-or-error on anything.
 		_, _ = decodeMsgEntry(body)
+		if _, _, recs, err := decodeBatchHeader(body); err == nil {
+			_, _ = DecodeRecords(recs)
+		}
 		_, _, _ = decodeCursorEntry(body)
 		_, _, _ = decodeDropEntry(body)
 
@@ -137,13 +151,27 @@ func FuzzRetention(f *testing.F) {
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i], ops[i+1]
-			switch op % 4 {
+			switch op % 5 {
 			case 0, 1:
 				if _, err := s.Append(Message{
 					Tag: "darshan.nid00040.posix", Type: TypeJSON,
 					Data: bytes.Repeat([]byte("x"), int(arg%33)),
 				}); err != nil {
 					t.Fatalf("append: %v", err)
+				}
+			case 4:
+				// A batch entry of 1..8 messages: retention may trim into
+				// the middle of it, now or after a reopen.
+				batch := make([]Message, 1+int(arg%8))
+				for j := range batch {
+					batch[j] = Message{
+						Tag: "darshan.nid00040.posix", Type: TypeJSON,
+						Data: bytes.Repeat([]byte("y"), int(arg%33)),
+					}
+				}
+				before := s.Stats().LastSeq
+				if first, err := s.AppendBatch(batch); err != nil || first != before+1 {
+					t.Fatalf("append batch: seq %d after %d, %v", first, before, err)
 				}
 			case 2:
 				now += time.Duration(arg) * time.Millisecond

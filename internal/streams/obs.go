@@ -43,14 +43,19 @@ func (b *Bus) Collect(reg *obs.Registry, hop string) {
 //	dlc_stream_dropped_total{stream=...,reason=...}   retention drops by reason
 //	dlc_stream_wal_errors_total{stream=...}           failed segment appends
 //	dlc_stream_consumer_ack_floor{stream=...,consumer=...}
-//	dlc_stream_consumer_lag{stream=...,consumer=...}  head minus floor
+//	dlc_stream_consumer_lag{stream=...,consumer=...}  head minus floor: now, or the
+//	                                                  deepest any fetch faced since the
+//	                                                  last scrape if that was deeper
 //	dlc_stream_consumer_inflight{stream=...,consumer=...}
 //	dlc_stream_consumer_redelivered_total{...}
 //	dlc_stream_consumer_missed_total{...}             lagged past retention
 //	dlc_stream_consumer_deadlettered_total{...}
 //
 // Like the bus collector it only reads state the stream already keeps —
-// append and fetch paths are untouched — and all iteration is sorted.
+// append and fetch paths are untouched — and all iteration is sorted. The
+// lag gauge holds its peak between scrapes: a consumer that is woken by the
+// append drains a burst in less than a scrape interval, and a sampled
+// instantaneous lag would report a backlog of thousands as zero.
 func (s *DurableStream) Collect(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -68,10 +73,10 @@ func (s *DurableStream) Collect(reg *obs.Registry) {
 			emit(`dlc_stream_dropped_total{stream="`+st.Name+`",reason="`+r.String()+`"}`,
 				float64(st.DroppedFor[r]))
 		}
-		for _, cs := range s.ConsumerStats() {
+		for _, cs := range s.consumerStats(true) {
 			cl := `{stream="` + st.Name + `",consumer="` + cs.Name + `"}`
 			emit("dlc_stream_consumer_ack_floor"+cl, float64(cs.AckFloor))
-			emit("dlc_stream_consumer_lag"+cl, float64(cs.Lag))
+			emit("dlc_stream_consumer_lag"+cl, float64(max(cs.Lag, cs.LagPeak)))
 			emit("dlc_stream_consumer_inflight"+cl, float64(cs.Inflight))
 			emit("dlc_stream_consumer_redelivered_total"+cl, float64(cs.Redelivered))
 			emit("dlc_stream_consumer_missed_total"+cl, float64(cs.Missed))

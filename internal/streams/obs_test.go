@@ -75,6 +75,12 @@ func TestStreamCollect(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	s.Collect(reg)
+	// The lag gauge holds its peak between scrapes: the fetch faced all
+	// four messages, so that is what the first scrape reports, and the
+	// next one is back to the backlog of the moment.
+	if out := reg.Render(); !strings.Contains(out, `dlc_stream_consumer_lag{stream="soak",consumer="uplink"} 4`) {
+		t.Errorf("first scrape does not hold the peak lag:\n%s", out)
+	}
 	out := reg.Render()
 	for _, want := range []string{
 		`dlc_stream_msgs{stream="soak"} 2`,

@@ -233,57 +233,96 @@ func (b *Bus) Subscribe(tag string, h Handler) *Subscription {
 // tag's Errored (never its Dropped) and does not count as a receiver; a
 // publish is Dropped only when no receiver accepted it at all.
 func (b *Bus) Publish(msg Message) int {
+	one := [1]Message{msg}
+	return b.publishRun(one[:])
+}
+
+// PublishBatch publishes msgs in order with Publish's delivery and
+// accounting, except for how bound streams are fed: each run of
+// consecutive same-tag messages — a received frame is almost always one
+// run — reaches every stream that captures the tag as ONE AppendBatch
+// (one segment entry, one write) before any handler sees the run. The
+// batch append is all or nothing, so when it fails every message of the
+// run counts as Errored for that stream and none as received. Handlers
+// then get the messages one at a time, exactly as Publish delivers them.
+// It returns the total number of receivers across the batch.
+func (b *Bus) PublishBatch(msgs []Message) int {
+	total := 0
+	for len(msgs) > 0 {
+		n := 1
+		for n < len(msgs) && msgs[n].Tag == msgs[0].Tag {
+			n++
+		}
+		total += b.publishRun(msgs[:n])
+		msgs = msgs[n:]
+	}
+	return total
+}
+
+// publishRun publishes a non-empty run of messages sharing one tag.
+func (b *Bus) publishRun(run []Message) int {
+	tag := run[0].Tag
 	b.mu.Lock()
-	st, ok := b.stats[msg.Tag]
+	st, ok := b.stats[tag]
 	if !ok {
 		st = &Stats{}
-		b.stats[msg.Tag] = st
+		b.stats[tag] = st
 	}
-	st.Published++
+	st.Published += uint64(len(run))
 	hop, clock := b.hop, b.clock
-	list := append([]*Subscription(nil), b.subs[msg.Tag]...)
+	list := append([]*Subscription(nil), b.subs[tag]...)
 	for _, sub := range b.wsubs {
-		if MatchSubject(sub.tag, msg.Tag) {
+		if MatchSubject(sub.tag, tag) {
 			list = append(list, sub)
 		}
 	}
 	var sinks []*DurableStream
 	for _, name := range b.streamNames {
-		if s := b.streams[name]; s.Matches(msg.Tag) {
+		if s := b.streams[name]; s.Matches(tag) {
 			sinks = append(sinks, s)
 		}
 	}
 	b.mu.Unlock()
 	if hop != "" {
-		if s, ok := msg.Record.(Stamper); ok {
-			s.Stamp(hop, clock())
+		now := clock()
+		for i := range run {
+			if s, ok := run[i].Record.(Stamper); ok {
+				s.Stamp(hop, now)
+			}
 		}
 	}
 	// Streams first — persistence before best-effort fan-out — then
 	// handlers, all outside the lock so handlers may publish or subscribe.
-	received, errored := 0, 0
+	stored, failed := 0, 0
 	for _, s := range sinks {
-		if _, err := s.Append(msg); err != nil {
-			errored++
+		if _, err := s.AppendBatch(run); err != nil {
+			failed++
 		} else {
-			received++
+			stored++
 		}
 	}
-	for _, sub := range list {
-		if deliverSafe(sub.handler, msg) {
-			received++
-		} else {
-			errored++
+	var delivered, errored, dropped uint64
+	for i := range run {
+		received, broken := stored, failed
+		for _, sub := range list {
+			if deliverSafe(sub.handler, run[i]) {
+				received++
+			} else {
+				broken++
+			}
+		}
+		delivered += uint64(received)
+		errored += uint64(broken)
+		if received == 0 {
+			dropped++
 		}
 	}
 	b.mu.Lock()
-	st.Delivered += uint64(received)
-	st.Errored += uint64(errored)
-	if received == 0 {
-		st.Dropped++
-	}
+	st.Delivered += delivered
+	st.Errored += errored
+	st.Dropped += dropped
 	b.mu.Unlock()
-	return received
+	return int(delivered)
 }
 
 // deliverSafe invokes one handler, absorbing a panic so a broken

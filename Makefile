@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-baseline test check chaos-smoke streams-smoke topo-smoke topo-soak-diff scenario-smoke fuzz-smoke fuzz-corpus race-smoke cover determinism-smoke bench bench-smoke bench-floor bench-full experiments examples clean
+.PHONY: all build vet lint lint-json lint-baseline test check chaos-smoke streams-smoke topo-smoke topo-soak-diff scenario-smoke fuzz-smoke fuzz-corpus race-smoke cover determinism-smoke bench bench-smoke bench-ledger bench-full experiments examples clean
 
 all: build vet lint test
 
@@ -170,23 +170,36 @@ determinism-smoke:
 	diff -r $(DETDIR)/off $(DETDIR)/on
 	@echo "determinism: telemetry-on outputs are byte-identical"
 
-# Scaled-down benchmarks: one per table/figure plus pipeline microbenches.
+# Scaled-down `go test` benchmarks: one per table/figure plus package
+# microbenches. Test code for measuring while working; gates nothing.
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# Pipeline-throughput microbenchmark of the typed message plane; writes
-# results/BENCH_pipeline.json (events/sec, ns/event, allocs/event plus
-# the 1/2/4/8-shard scaling series) and compares it against the committed
-# perf floor ci/bench.floor with the floor's ±10% noise band (CI runs
-# this too and uploads the JSON). The floor only tightens via an explicit
-# `make bench-floor` regeneration — never from a lucky CI run.
+# The perf gate. `go run ./bench -smoke` builds and spawns the real
+# ldmsd -> dsosd on both uplink configurations (durable stream + WAL, and
+# best-effort batches), verifies exact /count, a reference rank and every
+# query's row count, and writes bench/out/bench.json; ci/benchgate then
+# holds that run's allocs/event and bytes/event (every layer, and every
+# workload's disk bytes with its per-daemon split) to the committed
+# ci/bench.ledger in both directions, like the lint baseline: worse is a
+# regression, better is a stale entry, missing on either side is an error.
+# Only allocs and bytes are gated because only they repeat from run to run
+# and host to host; wall-clock numbers wander 12-37% here, so a speed
+# claim is paired `bash bench/run.sh` evidence in a PR (bench/README.md),
+# never a CI threshold. Allocations depend on the compiler's escape
+# analysis, so the ledger names the Go minor that wrote it and only that
+# toolchain enforces it; any other prints the comparison and passes. CI
+# pins that minor as its own bench-smoke leg (.github/workflows/ci.yml).
 bench-smoke:
-	$(GO) run ./cmd/dlc-experiments -only pipeline -reps 3 -out results -bench-floor ci/bench.floor
+	$(GO) run ./bench -smoke
+	$(GO) run ./ci/benchgate
 
-# Deliberately regenerate the committed perf floor from this machine's
-# run (the ratchet's only tightening path, mirroring the lint baseline).
-bench-floor:
-	$(GO) run ./cmd/dlc-experiments -only pipeline -reps 3 -out results -bench-floor ci/bench.floor -write-floor
+# Deliberately regenerate the ledger from this tree (the only way it
+# changes, mirroring lint-baseline); commit the diff with its reason, and
+# if the Go minor changed, move ci.yml's pinned bench-smoke leg with it.
+bench-ledger:
+	$(GO) run ./bench -smoke
+	$(GO) run ./ci/benchgate -write
 
 # The paper's full workload sizes (slow: ~20 minutes).
 bench-full:

@@ -2,6 +2,7 @@ package darshanldms_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -21,6 +22,7 @@ import (
 	"darshanldms/internal/event"
 	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/ldms"
+	"darshanldms/internal/sos"
 	"darshanldms/internal/streams"
 )
 
@@ -82,17 +84,20 @@ func TestCLIExperimentsUnknownSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test")
 	}
-	// -only with a bogus suite name must exit non-zero and list the valid
-	// names, not silently run nothing.
-	cmd := exec.Command("go", "run", "./cmd/dlc-experiments", "-only", "bogus", "-out", t.TempDir())
-	cmd.Dir = "."
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("-only bogus exited zero:\n%s", out)
-	}
-	for _, want := range []string{`unknown suite "bogus"`, "2a,2b,2c", "scenario"} {
-		if !strings.Contains(string(out), want) {
-			t.Fatalf("error output missing %q:\n%s", want, out)
+	// -only with an unknown suite name must exit non-zero and list the
+	// valid names, not silently run nothing. "pipeline" is the in-process
+	// benchmark bench/ replaced: a script still passing it must fail loudly.
+	bin := filepath.Join(t.TempDir(), "dlc-experiments")
+	runCmd(t, "build", "-o", bin, "./cmd/dlc-experiments")
+	for _, suite := range []string{"bogus", "pipeline"} {
+		out, err := exec.Command(bin, "-only", suite, "-out", t.TempDir()).CombinedOutput()
+		if err == nil {
+			t.Fatalf("-only %s exited zero:\n%s", suite, out)
+		}
+		for _, want := range []string{fmt.Sprintf("unknown suite %q", suite), "2a,2b,2c", "topo,scenario"} {
+			if !strings.Contains(string(out), want) {
+				t.Fatalf("-only %s: error output missing %q:\n%s", suite, want, out)
+			}
 		}
 	}
 }
@@ -310,20 +315,14 @@ func TestCLIDsosd(t *testing.T) {
 		}
 	}
 
-	t.Run("hash placement grows live", func(t *testing.T) {
-		cmd, dir, listen, api, stderr := start(t, "-daemons", "3", "-topo-role", "store")
-		base := "http://" + api
-		for _, path := range []string{"/topo/grow?shard=dsosd3", "/topo/cutover"} {
-			if code, body := httpDo(t, http.MethodPost, base+path); code != http.StatusOK {
-				t.Fatalf("POST %s = %d %s", path, code, body)
-			}
-		}
+	// publish sends n events of job 7 and waits until /count shows them.
+	publish := func(t *testing.T, listen, api string, n int, stderr *strings.Builder) {
 		c, err := ldms.DialTCP(listen)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		for rank := 0; rank < 16; rank++ {
+		for rank := 0; rank < n; rank++ {
 			m := jsonmsg.Message{
 				UID: 1, Exe: jsonmsg.NA, JobID: 7, Rank: rank, ProducerName: "nid00041",
 				File: jsonmsg.NA, Module: "POSIX", Type: jsonmsg.TypeMOD, Op: "write",
@@ -335,13 +334,24 @@ func TestCLIDsosd(t *testing.T) {
 		}
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			if _, body := httpDo(t, http.MethodGet, base+"/count"); strings.TrimSpace(body) == "16" {
-				break
+			if _, body := httpDo(t, http.MethodGet, "http://"+api+"/count"); strings.TrimSpace(body) == strconv.Itoa(n) {
+				return
 			} else if time.Now().After(deadline) {
-				t.Fatalf("/count = %q, want 16:\n%s", body, stderr)
+				t.Fatalf("/count = %q, want %d:\n%s", body, n, stderr)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
+	}
+
+	t.Run("hash placement grows live", func(t *testing.T) {
+		cmd, dir, listen, api, stderr := start(t, "-daemons", "3", "-topo-role", "store")
+		base := "http://" + api
+		for _, path := range []string{"/topo/grow?shard=dsosd3", "/topo/cutover"} {
+			if code, body := httpDo(t, http.MethodPost, base+path); code != http.StatusOK {
+				t.Fatalf("POST %s = %d %s", path, code, body)
+			}
+		}
+		publish(t, listen, api, 16, stderr)
 		_, metrics := httpDo(t, http.MethodGet, base+"/metrics")
 		for _, series := range []string{"dlc_dsos_shards 4", `dlc_dsos_shard_up{shard="dsosd3"} 1`, "dlc_store_dsos_objects_total 16", "topo_shard_members 4"} {
 			if !strings.Contains(metrics, series) {
@@ -373,6 +383,54 @@ func TestCLIDsosd(t *testing.T) {
 		}
 		stop(t, cmd, dir, stderr, "darshan_data.sos", "darshan_data.sos.1", "darshan_data.sos.2", "darshan_data.sos.3")
 	})
+
+	// The temporary a snapshot is written to must sit beside -snapshot, or
+	// the rename onto it fails (EXDEV) whenever that is another filesystem
+	// than the working directory, and the store never reaches disk.
+	t.Run("snapshot outside the working directory", func(t *testing.T) {
+		snapDir := filepath.Join(dirOnAnotherFilesystem(t), "sub")
+		if err := os.Mkdir(snapDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		snapPath := filepath.Join(snapDir, "data.sos")
+		cmd, dir, listen, api, stderr := start(t, "-daemons", "1", "-snapshot", snapPath)
+		publish(t, listen, api, 5, stderr)
+		stop(t, cmd, dir, stderr) // no snapshot under the default name in the working directory
+		f, err := os.Open(snapPath)
+		if err != nil {
+			t.Fatalf("no snapshot at -snapshot: %v\n%s", err, stderr)
+		}
+		defer f.Close()
+		cont, err := sos.Restore(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cont.Count(dsos.DarshanSchemaName); got != 5 {
+			t.Errorf("restored %d objects, want 5", got)
+		}
+		for _, d := range []string{dir, snapDir} {
+			if left, _ := filepath.Glob(filepath.Join(d, "dsosd-snap-*")); len(left) > 0 {
+				t.Errorf("temporary snapshot left behind: %v", left)
+			}
+		}
+	})
+}
+
+// dirOnAnotherFilesystem returns a scratch directory on a filesystem other
+// than t.TempDir()'s where the host has one (/dev/shm on Linux), so a
+// rename between the two is a real cross-device rename; else any scratch
+// directory, and the log says the EXDEV path was not exercised.
+func dirOnAnotherFilesystem(t *testing.T) string {
+	t.Helper()
+	if dir, err := os.MkdirTemp("/dev/shm", "dlc-cli-test-*"); err == nil {
+		t.Cleanup(func() { os.RemoveAll(dir) })
+		probe := filepath.Join(t.TempDir(), "probe")
+		if os.WriteFile(probe, nil, 0o644) == nil && errors.Is(os.Rename(probe, filepath.Join(dir, "probe")), syscall.EXDEV) {
+			return dir
+		}
+	}
+	t.Log("no second filesystem found (/dev/shm absent or on the temp dir's device): the cross-device rename is NOT exercised by this run")
+	return t.TempDir()
 }
 
 // lockedBuffer is a daemon's stderr: written by the exec copier while the

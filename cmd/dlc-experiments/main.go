@@ -6,11 +6,10 @@
 //	dlc-experiments [-seed N] [-reps N] [-scale F] [-out DIR] [-only LIST]
 //
 // -only selects a comma-separated subset of
-// {2a,2b,2c,ablation,sweep,5,6,7,8,9,faults,chaos,topo,pipeline,scenario};
-// the default runs everything except pipeline (whose wall-clock numbers
-// are host-dependent), topo (the control-plane soak, reported as a CI
-// artifact rather than a golden output) and scenario (the declarative
-// scenario campaign, likewise a CI artifact).
+// {2a,2b,2c,ablation,sweep,5,6,7,8,9,faults,chaos,topo,scenario};
+// the default runs everything except topo (the control-plane soak,
+// reported as a CI artifact rather than a golden output) and scenario
+// (the declarative scenario campaign, likewise a CI artifact).
 // -scenario runs a single ad-hoc scenario spec file through the full
 // pipeline instead of a curated suite (see DESIGN.md "Scenario engine").
 // -scale shrinks the workloads (1.0 = the paper's full configuration;
@@ -28,7 +27,6 @@ import (
 	"darshanldms/internal/harness"
 	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/obs"
-	"darshanldms/internal/pipebench"
 	"darshanldms/internal/scenario"
 	"darshanldms/internal/simfs"
 	"darshanldms/internal/webui"
@@ -39,14 +37,9 @@ func main() {
 	reps := flag.Int("reps", 5, "repetitions per configuration (the paper used 5)")
 	scale := flag.Float64("scale", 1.0, "workload scale (1.0 = paper's full size)")
 	outDir := flag.String("out", "results", "output directory")
-	only := flag.String("only", "all", "comma-separated subset of 2a,2b,2c,ablation,sweep,5,6,7,8,9,faults,chaos,topo,pipeline,scenario")
+	only := flag.String("only", "all", "comma-separated subset of 2a,2b,2c,ablation,sweep,5,6,7,8,9,faults,chaos,topo,scenario")
 	scenarioFile := flag.String("scenario", "", "run this ad-hoc scenario spec file instead of a suite (see internal/scenario)")
 	bins := flag.Int("bins", 24, "time bins for Figure 9")
-	benchEvents := flag.Int("bench-events", 75_000, "events per pipeline benchmark rep")
-	benchBatch := flag.Int("bench-batch", 512, "records per batch frame in the pipeline benchmark")
-	benchShards := flag.String("bench-shards", "1,2,4,8", "comma-separated shard counts for the pipeline scaling series (empty skips it)")
-	benchFloor := flag.String("bench-floor", "", "compare the pipeline benchmark against this committed floor file and fail on regression")
-	writeFloor := flag.Bool("write-floor", false, "regenerate the -bench-floor file from this run instead of checking against it (the only way the ratchet tightens)")
 	telemetry := flag.Bool("telemetry", false, "enable per-event span tracing and dump a pipeline telemetry snapshot to stderr; the generated tables and figures are bit-identical either way (CI diffs the two modes)")
 	flag.Parse()
 
@@ -54,15 +47,15 @@ func main() {
 		obs.SetTracing(true)
 	}
 
-	valid := []string{"2a", "2b", "2c", "ablation", "sweep", "5", "6", "7", "8", "9", "faults", "chaos", "topo", "pipeline", "scenario"}
+	valid := []string{"2a", "2b", "2c", "ablation", "sweep", "5", "6", "7", "8", "9", "faults", "chaos", "topo", "scenario"}
 	want := map[string]bool{}
 	if *scenarioFile != "" && *only == "all" {
 		// An ad-hoc spec file on its own means "run just that scenario".
 		*only = "scenario"
 	}
 	if *only == "all" {
-		// topo, pipeline and scenario are excluded: their reports are CI
-		// artifacts, not golden outputs.
+		// topo and scenario are excluded: their reports are CI artifacts,
+		// not golden outputs.
 		for _, k := range []string{"2a", "2b", "2c", "ablation", "sweep", "5", "6", "7", "8", "9", "faults", "chaos"} {
 			want[k] = true
 		}
@@ -196,8 +189,8 @@ func main() {
 	if want["topo"] {
 		// Control-plane soak: the managed tree + hash ring must hold every
 		// invariant; the static-placement baseline under the same
-		// schedules must demonstrably lose acked data. Like pipeline, topo
-		// is excluded from "all" so the golden output set is unchanged.
+		// schedules must demonstrably lose acked data. topo is excluded
+		// from "all" so the golden output set is unchanged.
 		managed := harness.DefaultRebalanceSoakConfig(*seed)
 		soak, err := harness.RebalanceSoak(managed)
 		if err != nil {
@@ -257,48 +250,6 @@ func main() {
 			}
 			if !shed {
 				fatal(fmt.Errorf("scenario campaign: flash-crowd-metadata shed nothing on the rate-limited uplink; the pathology demonstration is vacuous"))
-			}
-		}
-	}
-	if want["pipeline"] {
-		// Wall-clock microbenchmark of the typed message plane; excluded
-		// from "all" so golden regeneration stays host-independent. The
-		// JSON artifact carries the machine-readable numbers for CI.
-		var shards []int
-		for _, s := range strings.Split(*benchShards, ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				continue
-			}
-			var n int
-			if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n < 1 {
-				fatal(fmt.Errorf("pipeline bench: bad -bench-shards entry %q", s))
-			}
-			shards = append(shards, n)
-		}
-		report, err := pipebench.RunShards(*seed, *benchEvents, *reps, *benchBatch, shards)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(pipebench.Render(report))
-		jsonPath := filepath.Join(*outDir, "BENCH_pipeline.json")
-		if err := pipebench.WriteJSON(jsonPath, report); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-		if report.SpeedupTyped < 3 {
-			fatal(fmt.Errorf("pipeline bench: typed plane %.2fx vs legacy, want >= 3x", report.SpeedupTyped))
-		}
-		if *benchFloor != "" {
-			if *writeFloor {
-				if err := pipebench.WriteFloor(*benchFloor, report); err != nil {
-					fatal(err)
-				}
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *benchFloor)
-			} else if err := pipebench.CheckFile(*benchFloor, report); err != nil {
-				fatal(err)
-			} else {
-				fmt.Fprintf(os.Stderr, "bench floor %s holds\n", *benchFloor)
 			}
 		}
 	}

@@ -134,7 +134,7 @@ func main() {
 	write(lp, "FuzzReadBatchFrame", "hostile-count-varint",
 		append(append([]byte{}, b[:6]...), bytes.Repeat([]byte{0xFF}, 16)...))
 	write(lp, "FuzzReadBatchFrame", "corrupt-body", corrupt(b, len(b)/2))
-	// ReadAnyFrame also accepts the legacy framing; seed that path too.
+	// ReadAnyFrameSlab also accepts the legacy framing; seed that path too.
 	write(lp, "FuzzReadBatchFrame", "legacy-frame", frame.Bytes())
 
 	// --- sos.FuzzRestore: container snapshot parser ---

@@ -234,7 +234,8 @@ func main() {
 		*container, *daemons, cluster.Replication(), *walDir, srv.Addr())
 
 	snapShard := func(path string, d *dsos.Daemon) {
-		f, err := os.CreateTemp(".", "dsosd-snap-*")
+		// Beside its destination, so the rename never crosses filesystems.
+		f, err := os.CreateTemp(filepath.Dir(path), "dsosd-snap-*")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dsosd: snapshot:", err)
 			return

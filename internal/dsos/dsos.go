@@ -809,33 +809,6 @@ func indexKey(members []*Daemon, index string) (attrs []int, schema string, err 
 	return nil, "", fmt.Errorf("dsos: no live daemon to resolve index %q", index)
 }
 
-// DeleteJob removes every stored event of the given job from all daemons
-// (retention management) and compacts. It returns the number of objects
-// removed. Crashed daemons are skipped (their shards rebuild from the WAL,
-// which retains deleted jobs — retention re-runs after recovery).
-//
-//lint:allow hotalloc retention management runs per job, off the ingest path
-func (cl *Client) DeleteJob(jobID int64) (int, error) {
-	total := 0
-	for _, d := range cl.c.Daemons() {
-		d.mu.Lock()
-		if d.cont == nil {
-			d.mu.Unlock()
-			continue
-		}
-		n, err := d.cont.DeleteWhere("job_rank_time", sos.Key{jobID}, sos.Key{jobID + 1})
-		if err == nil {
-			d.cont.Compact(DarshanSchemaName)
-		}
-		d.mu.Unlock()
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
 // DistinctJobs returns the sorted distinct job ids present in the darshan
 // schema, discovered by index hopping (seek to job+1 after each hit) so the
 // cost is O(jobs x log n) rather than a full scan. Crashed daemons are

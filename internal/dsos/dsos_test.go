@@ -248,37 +248,6 @@ func TestClusterPanicsOnZeroDaemons(t *testing.T) {
 	NewCluster(0, "x")
 }
 
-func TestDeleteJobRetention(t *testing.T) {
-	_, cl := newDarshanCluster(t, 3)
-	for job := int64(1); job <= 3; job++ {
-		for i := 0; i < 30; i++ {
-			cl.Insert(DarshanSchemaName, sampleObject(job, int64(i%4), float64(i), "write"))
-		}
-	}
-	n, err := cl.DeleteJob(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 30 {
-		t.Fatalf("deleted %d", n)
-	}
-	if cl.Count(DarshanSchemaName) != 60 {
-		t.Fatalf("count %d", cl.Count(DarshanSchemaName))
-	}
-	jobs, err := cl.DistinctJobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 2 || jobs[0] != 1 || jobs[1] != 3 {
-		t.Fatalf("jobs %v", jobs)
-	}
-	// The other jobs' data is fully intact and ordered.
-	objs, err := cl.Query("job_rank_time", sos.Key{int64(3)}, sos.Key{int64(4)})
-	if err != nil || len(objs) != 30 {
-		t.Fatalf("job 3 objects %d, %v", len(objs), err)
-	}
-}
-
 // BenchmarkParallelQueryFanout measures the cost of fanning a query over
 // k daemons and k-way merging, versus a single container (at in-memory
 // speeds the merge overhead dominates; with disk-backed daemons the

@@ -244,19 +244,6 @@ func (d *decoder) decodeInto(m *jsonmsg.Message, slab *Slab, in *Interner) error
 	return nil
 }
 
-// DecodeMessage decodes one binary record from the front of b, returning
-// the message and the number of bytes consumed. Everything is freshly
-// heap-allocated; this is the standalone path — the batched wire path
-// uses DecodeMessageSlab.
-func DecodeMessage(b []byte) (*jsonmsg.Message, int, error) {
-	d := decoder{b: b}
-	m := &jsonmsg.Message{}
-	if err := d.decodeInto(m, nil, nil); err != nil {
-		return nil, 0, err
-	}
-	return m, d.off, nil
-}
-
 // DecodeMessageSlab decodes one binary record from the front of b into
 // slab-owned memory: the message struct and its segment array come from s
 // and are valid only while s is retained; strings are interned through in

@@ -174,7 +174,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	}
 	for i, m := range msgs {
 		enc := AppendMessage(nil, m)
-		got, n, err := DecodeMessage(enc)
+		got, n, err := decodeHeap(enc)
 		if err != nil {
 			t.Fatalf("msg %d: decode: %v", i, err)
 		}
@@ -194,7 +194,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 func TestBinaryCodecTruncation(t *testing.T) {
 	enc := AppendMessage(nil, sampleMessage())
 	for n := 0; n < len(enc); n++ {
-		if _, _, err := DecodeMessage(enc[:n]); err == nil {
+		if _, _, err := decodeHeap(enc[:n]); err == nil {
 			t.Fatalf("decode of %d/%d bytes succeeded", n, len(enc))
 		}
 	}
@@ -207,7 +207,7 @@ func TestBinaryCodecHostileSegCount(t *testing.T) {
 	enc := AppendMessage(nil, m)
 	// The seg count is the last varint; rewrite it to something huge.
 	hostile := append(append([]byte(nil), enc[:len(enc)-1]...), 0xFF, 0xFF, 0xFF, 0xFF, 0x0F)
-	if _, _, err := DecodeMessage(hostile); err == nil {
+	if _, _, err := decodeHeap(hostile); err == nil {
 		t.Fatalf("hostile seg count accepted")
 	}
 }

@@ -82,11 +82,23 @@ func TestSlabArenaRewinds(t *testing.T) {
 	s.Release()
 }
 
+// decodeHeap is the independent reference the slab decoder is compared
+// against: the production heap decoder (recordCodec.DecodeTyped, what a
+// durable stream reads its typed records with), which owns every byte it
+// returns.
+func decodeHeap(b []byte) (*jsonmsg.Message, int, error) {
+	c, n, err := recordCodec{}.DecodeTyped(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	return c.(*Record).TypedFields(), n, nil
+}
+
 // TestDecodeMessageSlabMatchesHeap is the inline differential check the
 // fuzz target generalizes: both decoders agree on a valid record.
 func TestDecodeMessageSlabMatchesHeap(t *testing.T) {
 	enc := AppendMessage(nil, sampleMessage())
-	heap, n1, err := DecodeMessage(enc)
+	heap, n1, err := decodeHeap(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +265,7 @@ func TestSlabConcurrentDecodeNoReuseWhileRetained(t *testing.T) {
 }
 
 // FuzzSlabCodec differentially fuzzes the two binary decoders: for any
-// input the heap path (DecodeMessage) and the arena path
+// input the heap path (decodeHeap) and the arena path
 // (DecodeMessageSlab + Interner) must agree byte-for-byte — same
 // accept/reject decision, same consumed length, same decoded record — and
 // any accepted record must re-encode identically from both.
@@ -269,7 +281,7 @@ func FuzzSlabCodec(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 32))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		heap, n1, err1 := DecodeMessage(data)
+		heap, n1, err1 := decodeHeap(data)
 		s := &Slab{}
 		s.refs.Store(1)
 		defer s.Release()
@@ -293,7 +305,7 @@ func FuzzSlabCodec(f *testing.F) {
 			t.Fatalf("decoded records diverge:\n heap %+v\n slab %+v", heap, slabbed)
 		}
 		// The canonical re-encoding must itself round-trip.
-		again, _, err := DecodeMessage(re1)
+		again, _, err := decodeHeap(re1)
 		if err != nil {
 			t.Fatalf("re-encoding of an accepted record rejected: %v", err)
 		}

@@ -33,16 +33,3 @@ func (r *Record) Spans() []obs.Span {
 	copy(out, r.spans)
 	return out
 }
-
-// StampBatch stamps every typed record in a batch at one hop — the
-// transport uses it when a whole frame crosses a boundary at once.
-func StampBatch(records []*Record, hop string, at time.Duration) {
-	if !obs.TracingEnabled() {
-		return
-	}
-	for _, r := range records {
-		if r != nil {
-			r.Stamp(hop, at)
-		}
-	}
-}

@@ -417,10 +417,10 @@ func TestDedupStoreMemoryIsBounded(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchIsTheStreamsDecoder: the heap decoder of the wire and
-// the decoder a stream reads its segment with are one function, so what
-// the stream stores for a frame is the frame's own payload bytes.
-func TestDecodeBatchIsTheStreamsDecoder(t *testing.T) {
+// TestSegmentHoldsTheFramePayload: the wire and the durable stream share
+// one batch record codec, so what the stream stores for a frame is the
+// frame's own payload bytes.
+func TestSegmentHoldsTheFramePayload(t *testing.T) {
 	in := []streams.Message{
 		typedMsg(1),
 		{Tag: "darshanConnector", Type: streams.TypeJSON, Data: []byte(`{"op":"open"}`), Producer: "p", Seq: 2},

@@ -17,7 +17,8 @@ import (
 // first byte: legacy frames start with the high byte of a 4-byte
 // big-endian length bounded by maxFrame (16 MiB), which is always 0x00
 // or 0x01, so batchMagic can never be confused for one. Both kinds may
-// interleave on a single connection; ReadAnyFrame dispatches per frame.
+// interleave on a single connection; ReadAnyFrameSlab dispatches per
+// frame.
 //
 // Layout:
 //
@@ -51,10 +52,6 @@ var slabPool event.SlabPool
 // leak assertions in tests.
 func FramePoolCounters() (gets, puts uint64) { return framePool.Counters() }
 
-// SlabPoolCounters exposes the decode slab pool's Get/return counts for
-// leak assertions in tests.
-func SlabPoolCounters() (gets, puts uint64) { return slabPool.Counters() }
-
 // WriteBatchFrame writes msgs as one batch frame. An empty batch is
 // rejected, mirroring WriteFrame's zero-length rule.
 func WriteBatchFrame(w io.Writer, msgs []streams.Message) error {
@@ -73,69 +70,6 @@ func WriteBatchFrame(w io.Writer, msgs []streams.Message) error {
 	_, err := w.Write(buf)
 	framePool.Put(buf)
 	return err
-}
-
-// DecodeBatch parses a batch payload into freshly allocated messages —
-// the heap decoder the durable stream also reads its segments with, and
-// the reference the slab decoder is tested against. Received typed
-// records are typed-first event.Records (their JSON is produced lazily,
-// if ever); opaque JSON becomes a bytes-first event.Record so downstream
-// consumers share one cached parse. Opaque payloads alias payload.
-func DecodeBatch(payload []byte) ([]streams.Message, error) {
-	out, err := streams.DecodeRecords(payload)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		if m := &out[i]; m.Record == nil && m.Type == streams.TypeJSON && m.Data != nil {
-			m.Record = event.FromPayload(m.Data)
-		}
-	}
-	return out, nil
-}
-
-// ReadBatchFrame reads one batch frame (the magic byte has already been
-// peeked, not consumed).
-func ReadBatchFrame(r io.Reader) ([]streams.Message, error) {
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if hdr[0] != batchMagic {
-		return nil, fmt.Errorf("ldms: not a batch frame (0x%02x)", hdr[0])
-	}
-	if hdr[1] != batchVersion {
-		return nil, fmt.Errorf("ldms: unsupported batch version %d", hdr[1])
-	}
-	n := binary.BigEndian.Uint32(hdr[2:6])
-	if n == 0 {
-		return nil, errors.New("ldms: zero-length batch frame")
-	}
-	if n > maxFrame {
-		return nil, fmt.Errorf("ldms: oversized batch frame (%d bytes)", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return DecodeBatch(payload)
-}
-
-// ReadAnyFrame reads the next frame, legacy or batch, returning its
-// messages. It needs a *bufio.Reader to peek the discriminating byte.
-func ReadAnyFrame(br *bufio.Reader) ([]streams.Message, error) {
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, err
-	}
-	if first[0] == batchMagic {
-		return ReadBatchFrame(br)
-	}
-	m, err := ReadFrame(br)
-	if err != nil {
-		return nil, err
-	}
-	return []streams.Message{m}, nil
 }
 
 // BatchDecoder is the zero-alloc receive side of the batched wire path:

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -37,6 +38,42 @@ func typedMsg(seq uint64) streams.Message {
 	}
 }
 
+// readAnyFrameHeap is the independent reference the slab decoder is
+// compared against: the frame header read here, then the production heap
+// decoder a durable stream reads its segments with (streams.DecodeRecords
+// and the typed codec event registers there). Opaque payloads alias the
+// frame.
+func readAnyFrameHeap(br *bufio.Reader) ([]streams.Message, error) {
+	first, err := br.Peek(1)
+	if err != nil {
+		return nil, err
+	}
+	if first[0] != batchMagic {
+		m, err := ReadFrame(br)
+		return []streams.Message{m}, err
+	}
+	var hdr [6]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(hdr[2:6])
+	if hdr[1] != batchVersion || n == 0 || n > maxFrame {
+		return nil, fmt.Errorf("bad batch frame header % x", hdr)
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(br, payload); err != nil {
+		return nil, err
+	}
+	return streams.DecodeRecords(payload)
+}
+
+// readAnyFrame reads one frame through the production (slab) decoder. The
+// slab is left retained, so the messages stay valid for the test's life.
+func readAnyFrame(br *bufio.Reader) ([]streams.Message, error) {
+	msgs, _, err := NewBatchDecoder().ReadAnyFrameSlab(br)
+	return msgs, err
+}
+
 func TestBatchFrameRoundTripMixed(t *testing.T) {
 	in := []streams.Message{
 		typedMsg(1),
@@ -48,9 +85,9 @@ func TestBatchFrameRoundTripMixed(t *testing.T) {
 	if err := WriteBatchFrame(&buf, in); err != nil {
 		t.Fatalf("WriteBatchFrame: %v", err)
 	}
-	out, err := ReadAnyFrame(bufio.NewReader(&buf))
+	out, err := readAnyFrame(bufio.NewReader(&buf))
 	if err != nil {
-		t.Fatalf("ReadAnyFrame: %v", err)
+		t.Fatalf("ReadAnyFrameSlab: %v", err)
 	}
 	if len(out) != len(in) {
 		t.Fatalf("got %d messages, want %d", len(out), len(in))
@@ -98,7 +135,7 @@ func TestBatchFrameInterleavesWithLegacy(t *testing.T) {
 	br := bufio.NewReader(&buf)
 	var tags []string
 	for i := 0; i < 3; i++ {
-		msgs, err := ReadAnyFrame(br)
+		msgs, err := readAnyFrame(br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -119,7 +156,7 @@ func TestBatchFrameRejectsEmpty(t *testing.T) {
 	}
 	// A hand-built frame declaring zero records must be rejected too.
 	frame := []byte{batchMagic, batchVersion, 0, 0, 0, 1, 0}
-	if _, err := ReadAnyFrame(bufio.NewReader(bytes.NewReader(frame))); err == nil {
+	if _, err := readAnyFrame(bufio.NewReader(bytes.NewReader(frame))); err == nil {
 		t.Fatalf("zero-record batch frame accepted by reader")
 	}
 }
@@ -131,7 +168,7 @@ func TestBatchFrameRejectsOversizedDeclaredCount(t *testing.T) {
 	frame = append(frame, batchMagic, batchVersion, 0, 0, 0, 0)
 	frame = append(frame, payload...)
 	binary.BigEndian.PutUint32(frame[2:6], uint32(len(payload)))
-	if _, err := ReadAnyFrame(bufio.NewReader(bytes.NewReader(frame))); err == nil {
+	if _, err := readAnyFrame(bufio.NewReader(bytes.NewReader(frame))); err == nil {
 		t.Fatalf("hostile declared count accepted")
 	}
 }
@@ -143,7 +180,7 @@ func TestBatchFrameTruncation(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for n := 0; n < len(full); n++ {
-		if _, err := ReadAnyFrame(bufio.NewReader(bytes.NewReader(full[:n]))); err == nil {
+		if _, err := readAnyFrame(bufio.NewReader(bytes.NewReader(full[:n]))); err == nil {
 			t.Fatalf("truncated frame (%d/%d bytes) accepted", n, len(full))
 		}
 	}
@@ -292,16 +329,16 @@ func FuzzReadBatchFrame(f *testing.F) {
 	f.Add(typed.Bytes()[:8])                                           // truncated
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msgs, err := ReadAnyFrame(bufio.NewReader(bytes.NewReader(data)))
+		msgs, err := readAnyFrameHeap(bufio.NewReader(bytes.NewReader(data)))
 		// The arena-pooled decoder must make the same accept/reject
 		// decision on every input and yield the same message count.
 		smsgs, slab, serr := NewBatchDecoder().ReadAnyFrameSlab(bufio.NewReader(bytes.NewReader(data)))
 		if (err == nil) != (serr == nil) {
-			t.Fatalf("decoders disagree on validity: legacy err=%v, slab err=%v", err, serr)
+			t.Fatalf("decoders disagree on validity: heap err=%v, slab err=%v", err, serr)
 		}
 		if serr == nil {
 			if len(smsgs) != len(msgs) {
-				t.Fatalf("slab path decoded %d messages, legacy %d", len(smsgs), len(msgs))
+				t.Fatalf("slab path decoded %d messages, heap %d", len(smsgs), len(msgs))
 			}
 			slab.Release()
 		}
@@ -320,7 +357,8 @@ func FuzzReadBatchFrame(f *testing.F) {
 }
 
 // TestBatchDecoderSlabMatchesLegacy: the arena-pooled decode path must be
-// observationally identical to the allocating one — same envelopes, same
+// observationally identical to the allocating one (readAnyFrameHeap: the
+// decoder durable streams read segments with) — same envelopes, same
 // typed fields, same opaque payloads — for a mixed batch and for a legacy
 // single-message frame.
 func TestBatchDecoderSlabMatchesLegacy(t *testing.T) {
@@ -341,20 +379,20 @@ func TestBatchDecoderSlabMatchesLegacy(t *testing.T) {
 	}
 	wire := buf.Bytes()
 
-	legacyBR := bufio.NewReader(bytes.NewReader(wire))
+	heapBR := bufio.NewReader(bytes.NewReader(wire))
 	slabBR := bufio.NewReader(bytes.NewReader(wire))
 	dec := NewBatchDecoder()
 	for frame := 0; frame < 2; frame++ {
-		want, err := ReadAnyFrame(legacyBR)
+		want, err := readAnyFrameHeap(heapBR)
 		if err != nil {
-			t.Fatalf("frame %d legacy: %v", frame, err)
+			t.Fatalf("frame %d heap: %v", frame, err)
 		}
 		got, slab, err := dec.ReadAnyFrameSlab(slabBR)
 		if err != nil {
 			t.Fatalf("frame %d slab: %v", frame, err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("frame %d: %d messages via slab, %d via legacy", frame, len(got), len(want))
+			t.Fatalf("frame %d: %d messages via slab, %d via heap", frame, len(got), len(want))
 		}
 		for i := range want {
 			if got[i].Tag != want[i].Tag || got[i].Type != want[i].Type ||

@@ -46,14 +46,12 @@ type UplinkConfig struct {
 	ProbeEvery time.Duration
 	FailAfter  int
 
-	// Reconnect backoff: delays grow InitialBackoff, xMultiplier, ... up
-	// to MaxBackoff, each scaled by a uniform ±Jitter fraction so that a
-	// daemon restart is not greeted by a synchronized thundering herd.
-	InitialBackoff    time.Duration // default 50ms
-	MaxBackoff        time.Duration // default 5s
-	BackoffMultiplier float64       // default 2.0
-	Jitter            float64       // default 0.2 (±20%)
-	DialTimeout       time.Duration // default 2s
+	// Reconnect backoff: delays double from InitialBackoff up to
+	// MaxBackoff, each scaled by a uniform ±20% so that a daemon restart
+	// is not greeted by a synchronized thundering herd.
+	InitialBackoff time.Duration // default 50ms
+	MaxBackoff     time.Duration // default 5s
+	DialTimeout    time.Duration // default 2s
 
 	// Seed seeds the jitter stream; a fixed seed gives a reproducible
 	// backoff schedule in tests. Zero derives from the wall clock.
@@ -91,17 +89,16 @@ type UplinkConfig struct {
 	Batch event.FlushPolicy
 
 	// Consumer source (NewStreamUplink). Consumer names the durable cursor
-	// (default "uplink") and Filter its subject filter (default
-	// everything). BatchSize bounds one round — fetched together, sent as
-	// one batch frame, acked together (default 64) — and MaxInflight the
-	// consumer's unacked window (default 2 x BatchSize). AckWait is the
+	// (default "uplink"), which takes every subject of the stream.
+	// BatchSize bounds one round — fetched together, sent as one batch
+	// frame, acked together (default 64) — and MaxInflight the consumer's
+	// unacked window (default 2 x BatchSize). AckWait is the
 	// redelivery deadline — how long a fetched-but-unacked message (e.g.
 	// lost when the process died mid-send on a previous incarnation's
 	// cursor) waits before the stream offers it again (default 30s). An
 	// idle uplink sleeps on the stream and is woken by the next append;
 	// there is no poll interval.
 	Consumer    string
-	Filter      string
 	BatchSize   int
 	MaxInflight int
 	AckWait     time.Duration
@@ -119,12 +116,6 @@ func (cfg *UplinkConfig) setDefaults() {
 	}
 	if cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = 5 * time.Second
-	}
-	if cfg.BackoffMultiplier < 1 {
-		cfg.BackoffMultiplier = 2.0
-	}
-	if cfg.Jitter <= 0 || cfg.Jitter > 1 {
-		cfg.Jitter = 0.2
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
@@ -286,7 +277,6 @@ func NewStreamUplink(s *streams.DurableStream, cfg UplinkConfig) (*Uplink, error
 	}
 	cons, err := s.Consumer(streams.ConsumerConfig{
 		Name:        u.cfg.Consumer,
-		Filter:      u.cfg.Filter,
 		MaxInflight: u.cfg.MaxInflight,
 		AckWait:     u.cfg.AckWait,
 	})
@@ -359,19 +349,19 @@ func (u *Uplink) run() {
 			backoff = u.cfg.InitialBackoff
 			continue
 		}
-		backoff = time.Duration(float64(backoff) * u.cfg.BackoffMultiplier)
+		backoff *= 2
 		if backoff > u.cfg.MaxBackoff {
 			backoff = u.cfg.MaxBackoff
 		}
 	}
 }
 
-// jitter scales d by a uniform factor in [1-Jitter, 1+Jitter).
+// jitter scales d by a uniform factor in [0.8, 1.2).
 func (u *Uplink) jitter(d time.Duration) time.Duration {
 	u.connMu.Lock()
 	f := u.jr.Float64()
 	u.connMu.Unlock()
-	return time.Duration(float64(d) * (1 + u.cfg.Jitter*(2*f-1)))
+	return time.Duration(float64(d) * (1 + 0.2*(2*f-1)))
 }
 
 // pause sleeps for d and reports whether it slept it out; Close and a

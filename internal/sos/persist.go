@@ -21,12 +21,11 @@ const snapMagic = "SOS-GO-SNAP1"
 // unreplicated snapshots stay byte-identical to the original format.
 const snapMagic2 = "SOS-GO-SNAP2"
 
-// hasOrigins reports whether any live object carries a non-zero origin.
+// hasOrigins reports whether any object carries a non-zero origin.
 func (c *Container) hasOrigins() bool {
-	for schema, origins := range c.origins {
-		dead := c.dead[schema]
-		for pos, o := range origins {
-			if o != 0 && !dead[pos] {
+	for _, origins := range c.origins {
+		for _, o := range origins {
+			if o != 0 {
 				return true
 			}
 		}
@@ -59,15 +58,9 @@ func (c *Container) Snapshot(w io.Writer) error {
 			e.str(a.Name)
 			e.u64(uint64(a.Type))
 		}
-		// Only live objects are persisted (tombstones are dropped, so a
-		// snapshot/restore cycle doubles as compaction).
 		slab := c.slabs[name]
-		dead := c.dead[name]
-		e.u64(uint64(len(slab) - len(dead)))
+		e.u64(uint64(len(slab)))
 		for pos, obj := range slab {
-			if dead[pos] {
-				continue
-			}
 			for i, v := range obj {
 				e.value(sch.Attrs[i].Type, v)
 			}

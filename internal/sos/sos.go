@@ -170,9 +170,6 @@ type Container struct {
 	slabs   map[string][]Object
 	indices map[string]*Index
 	nextOID uint64
-	// dead marks tombstoned slab positions per schema (monitoring stores
-	// are append-mostly; deletion exists for retention management).
-	dead map[string]map[int]bool
 	// origins holds the cluster-assigned logical insert id of each slab
 	// position (replicated DSOS writes stamp the same origin on every
 	// replica so quorum reads can collapse copies). The slice is allocated
@@ -212,7 +209,6 @@ func NewContainer(name string) *Container {
 		schemas: map[string]*Schema{},
 		slabs:   map[string][]Object{},
 		indices: map[string]*Index{},
-		dead:    map[string]map[int]bool{},
 		origins: map[string][]uint64{},
 	}
 }
@@ -259,9 +255,6 @@ func (c *Container) AddIndex(spec IndexSpec) (*Index, error) {
 	ix := &Index{spec: spec, attrIdxs: idxs, tree: newBTree()}
 	c.indices[spec.Name] = ix
 	for pos, obj := range c.slabs[spec.Schema] {
-		if c.dead[spec.Schema][pos] {
-			continue
-		}
 		ix.tree.insert(c.indexKey(ix, obj, uint64(pos)), objRef{schema: spec.Schema, pos: pos})
 	}
 	return ix, nil
@@ -361,90 +354,9 @@ func typeMatches(t Type, v any) bool {
 	return false
 }
 
-// Count returns the number of live objects stored under schema.
+// Count returns the number of objects stored under schema.
 func (c *Container) Count(schema string) int {
-	return len(c.slabs[schema]) - len(c.dead[schema])
-}
-
-// DeleteWhere tombstones every object whose key prefix in the given index
-// lies in [from, to) and returns how many were removed. Tombstoned objects
-// disappear from all iteration immediately; Compact reclaims their space.
-// This is the retention-management path of a monitoring store (drop old
-// jobs' data).
-func (c *Container) DeleteWhere(indexName string, from, to Key) (int, error) {
-	ix := c.indices[indexName]
-	if ix == nil {
-		return 0, fmt.Errorf("sos: unknown index %q", indexName)
-	}
-	schema := ix.spec.Schema
-	marks := c.dead[schema]
-	if marks == nil {
-		marks = map[int]bool{}
-		c.dead[schema] = marks
-	}
-	n := 0
-	it := ix.tree.seek(from)
-	for it.valid() {
-		_, ref := it.entry()
-		obj := c.slabs[ref.schema][ref.pos]
-		if to != nil {
-			key := make(Key, 0, len(ix.attrIdxs))
-			for _, ai := range ix.attrIdxs {
-				key = append(key, obj[ai])
-			}
-			if CompareKeys(key, to) >= 0 {
-				break
-			}
-		}
-		if !marks[ref.pos] {
-			marks[ref.pos] = true
-			n++
-		}
-		it.next()
-	}
-	return n, nil
-}
-
-// Compact rebuilds the schema's slab and every index on it without the
-// tombstoned objects, returning the number reclaimed.
-func (c *Container) Compact(schema string) int {
-	marks := c.dead[schema]
-	if len(marks) == 0 {
-		return 0
-	}
-	old := c.slabs[schema]
-	live := make([]Object, 0, len(old)-len(marks))
-	oldOrigins := c.origins[schema]
-	var liveOrigins []uint64
-	if oldOrigins != nil {
-		liveOrigins = make([]uint64, 0, len(old)-len(marks))
-	}
-	for pos, obj := range old {
-		if !marks[pos] {
-			live = append(live, obj)
-			if oldOrigins != nil {
-				liveOrigins = append(liveOrigins, oldOrigins[pos])
-			}
-		}
-	}
-	c.slabs[schema] = live
-	if oldOrigins != nil {
-		c.origins[schema] = liveOrigins
-	}
-	delete(c.dead, schema)
-	// Rebuild affected indices.
-	for name, ix := range c.indices {
-		if ix.spec.Schema != schema {
-			continue
-		}
-		spec := ix.spec
-		delete(c.indices, name)
-		if _, err := c.AddIndex(spec); err != nil {
-			// Cannot fail: the spec was previously valid.
-			panic(err)
-		}
-	}
-	return len(marks)
+	return len(c.slabs[schema])
 }
 
 // Iter streams objects in index order, starting at the first key >= from
@@ -458,10 +370,8 @@ func (c *Container) Iter(indexName string, from Key, yield func(Object) bool) er
 	it := ix.tree.seek(from)
 	for it.valid() {
 		_, ref := it.entry()
-		if !c.dead[ref.schema][ref.pos] {
-			if !yield(c.slabs[ref.schema][ref.pos]) {
-				return nil
-			}
+		if !yield(c.slabs[ref.schema][ref.pos]) {
+			return nil
 		}
 		it.next()
 	}
@@ -499,10 +409,8 @@ func (c *Container) IterOrigins(indexName string, from Key, yield func(Object, u
 	it := ix.tree.seek(from)
 	for it.valid() {
 		_, ref := it.entry()
-		if !c.dead[ref.schema][ref.pos] {
-			if !yield(c.slabs[ref.schema][ref.pos], c.originAt(ref.schema, ref.pos)) {
-				return nil
-			}
+		if !yield(c.slabs[ref.schema][ref.pos], c.originAt(ref.schema, ref.pos)) {
+			return nil
 		}
 		it.next()
 	}

@@ -427,94 +427,3 @@ func BenchmarkPrefixScan(b *testing.B) {
 		})
 	}
 }
-
-func TestDeleteWhereTombstones(t *testing.T) {
-	c := newTestContainer(t)
-	for i := 0; i < 30; i++ {
-		c.Insert("darshan_event", Object{int64(i % 3), int64(0), float64(i), "write", int64(i)})
-	}
-	n, err := c.DeleteWhere("job_rank_time", Key{int64(1)}, Key{int64(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 10 {
-		t.Fatalf("deleted %d, want 10", n)
-	}
-	if c.Count("darshan_event") != 20 {
-		t.Fatalf("count %d", c.Count("darshan_event"))
-	}
-	// Deleted job invisible to iteration, others intact.
-	c.Iter("job_rank_time", nil, func(o Object) bool {
-		if o[0].(int64) == 1 {
-			t.Fatal("tombstoned object surfaced")
-		}
-		return true
-	})
-	// Idempotent.
-	n2, _ := c.DeleteWhere("job_rank_time", Key{int64(1)}, Key{int64(2)})
-	if n2 != 0 {
-		t.Fatalf("re-delete removed %d", n2)
-	}
-}
-
-func TestCompactReclaimsAndRebuilds(t *testing.T) {
-	c := newTestContainer(t)
-	for i := 0; i < 30; i++ {
-		c.Insert("darshan_event", Object{int64(i % 3), int64(0), float64(i), "write", int64(i)})
-	}
-	c.DeleteWhere("job_rank_time", Key{int64(0)}, Key{int64(1)})
-	if got := c.Compact("darshan_event"); got != 10 {
-		t.Fatalf("compacted %d", got)
-	}
-	if c.Count("darshan_event") != 20 {
-		t.Fatalf("count %d", c.Count("darshan_event"))
-	}
-	if c.Index("job_rank_time").Len() != 20 {
-		t.Fatalf("index len %d", c.Index("job_rank_time").Len())
-	}
-	count := 0
-	c.Iter("job_rank_time", nil, func(o Object) bool {
-		count++
-		return true
-	})
-	if count != 20 {
-		t.Fatalf("iterated %d", count)
-	}
-	// Compact with nothing to do.
-	if c.Compact("darshan_event") != 0 {
-		t.Fatal("second compact reclaimed")
-	}
-	// Inserts still work after compaction.
-	if err := c.Insert("darshan_event", Object{int64(9), int64(9), 9.0, "open", int64(9)}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Count("darshan_event") != 21 {
-		t.Fatal("insert after compact")
-	}
-}
-
-func TestSnapshotSkipsTombstones(t *testing.T) {
-	c := newTestContainer(t)
-	for i := 0; i < 20; i++ {
-		c.Insert("darshan_event", Object{int64(i % 2), int64(0), float64(i), "write", int64(i)})
-	}
-	c.DeleteWhere("job_rank_time", Key{int64(0)}, Key{int64(1)})
-	var buf bytes.Buffer
-	if err := c.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Restore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Count("darshan_event") != 10 {
-		t.Fatalf("restored %d, want only live objects", c2.Count("darshan_event"))
-	}
-}
-
-func TestDeleteWhereUnknownIndex(t *testing.T) {
-	c := newTestContainer(t)
-	if _, err := c.DeleteWhere("nope", nil, nil); err == nil {
-		t.Fatal("expected error")
-	}
-}

@@ -245,6 +245,15 @@ func httpDo(t *testing.T, method, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// job7Event is the event TestCLIDsosd publishes for one rank of job 7.
+func job7Event(rank int) jsonmsg.Message {
+	return jsonmsg.Message{
+		UID: 1, Exe: jsonmsg.NA, JobID: 7, Rank: rank, ProducerName: "nid00041",
+		File: jsonmsg.NA, Module: "POSIX", Type: jsonmsg.TypeMOD, Op: "write",
+		Seg: []jsonmsg.Segment{{DataSet: jsonmsg.NA, Len: 1024, Dur: 0.1, Timestamp: 1.6e9}},
+	}
+}
+
 // TestCLIDsosd: dsosd's -topo flags are validated strictly, and both
 // placement modes start, serve the HTTP API from the one client, stop
 // cleanly on SIGTERM and leave one snapshot per shard under the file
@@ -323,11 +332,7 @@ func TestCLIDsosd(t *testing.T) {
 		}
 		defer c.Close()
 		for rank := 0; rank < n; rank++ {
-			m := jsonmsg.Message{
-				UID: 1, Exe: jsonmsg.NA, JobID: 7, Rank: rank, ProducerName: "nid00041",
-				File: jsonmsg.NA, Module: "POSIX", Type: jsonmsg.TypeMOD, Op: "write",
-				Seg: []jsonmsg.Segment{{DataSet: jsonmsg.NA, Len: 1024, Dur: 0.1, Timestamp: 1.6e9}},
-			}
+			m := job7Event(rank)
 			if err := c.Publish(streams.Message{Tag: "darshanConnector", Type: streams.TypeJSON, Data: jsonmsg.FastEncoder{}.Encode(&m)}); err != nil {
 				t.Fatal(err)
 			}
@@ -368,6 +373,51 @@ func TestCLIDsosd(t *testing.T) {
 			if code, body := httpDo(t, http.MethodGet, base+"/query?limit="+limit); code != http.StatusBadRequest || !strings.Contains(body, "limit") {
 				t.Errorf("/query?limit=%s = %d %q, want a 400 naming limit", limit, code, body)
 			}
+		}
+		// Every (index, job, rank, limit) shape returns the bytes the
+		// per-cell fmt rendering produced: the header, then the matching
+		// ranks in order (all 16 events share job and timestamp).
+		for _, q := range []struct {
+			params      string
+			first, last int // ranks returned, first to last
+		}{
+			{"", 0, 15},
+			{"?job=7", 0, 15},
+			{"?job=7&rank=3", 3, 3},
+			{"?job=7&rank=3&limit=1", 3, 3},
+			{"?job=7&limit=5", 0, 4},
+			{"?index=job_time_rank&job=7&rank=3", 0, 15},
+			{"?index=job_time_rank&job=7&limit=7", 0, 6},
+			{"?index=time_job_rank", 0, 15},
+			{"?index=time_job_rank&limit=2", 0, 1},
+			{"?job=8", 0, -1},
+			{"?limit=0", 0, 15},
+		} {
+			want := jsonmsg.CSVHeader + "\n"
+			for rank := q.first; rank <= q.last; rank++ {
+				m := job7Event(rank)
+				cells := []string{}
+				for _, v := range dsos.ObjectsFromMessage(&m)[0] {
+					if f, ok := v.(float64); ok {
+						cells = append(cells, strconv.FormatFloat(f, 'f', 6, 64))
+					} else {
+						cells = append(cells, fmt.Sprint(v))
+					}
+				}
+				want += strings.Join(cells, ",") + "\n"
+			}
+			if code, body := httpDo(t, http.MethodGet, base+"/query"+q.params); code != http.StatusOK || body != want {
+				t.Errorf("/query%s = %d:\n%s\nwant:\n%s", q.params, code, body, want)
+			}
+		}
+		// A job filter on an index ordered by time first would seek an
+		// int64 into float64 keys; it is a 400 naming the index, and the
+		// daemon keeps serving.
+		if code, body := httpDo(t, http.MethodGet, base+"/query?index=time_job_rank&job=3"); code != http.StatusBadRequest || !strings.Contains(body, "time_job_rank") {
+			t.Errorf("/query?index=time_job_rank&job=3 = %d %q, want a 400 naming the index", code, body)
+		}
+		if code, body := httpDo(t, http.MethodGet, base+"/count"); code != http.StatusOK || strings.TrimSpace(body) != "16" {
+			t.Errorf("/count after the bad query = %d %q, want 16", code, body)
 		}
 		stop(t, cmd, dir, stderr, "darshan_data.sos.dsosd0", "darshan_data.sos.dsosd1", "darshan_data.sos.dsosd2", "darshan_data.sos.dsosd3")
 	})

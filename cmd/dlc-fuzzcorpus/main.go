@@ -65,6 +65,14 @@ func main() {
 	write(log, "FuzzRead", "hostile-varint-payload",
 		gzipEnvelope(darshanlog.Magic, bytes.Repeat([]byte{0xFF}, 64)))
 	write(log, "FuzzRead", "empty-gzip-payload", gzipEnvelope(darshanlog.Magic, nil))
+	// A header with no records and one DXT trace that declares 2^30
+	// segments, then ends: the segment loop must stop at the first failed
+	// read, not append 2^30 zero segments.
+	var trace []byte
+	for _, v := range []uint64{259903, 1, 0, 0, 1, 4, 0, 0, 1, 0, 0, 7, 1 << 30} {
+		trace = binary.LittleEndian.AppendUint64(trace, v)
+	}
+	write(log, "FuzzRead", "hostile-segment-count", gzipEnvelope(darshanlog.Magic, trace))
 
 	// --- jsonmsg.FuzzParse: store-side JSON parser ---
 	jm := "internal/jsonmsg"
@@ -146,6 +154,24 @@ func main() {
 	write(sp, "FuzzRestore", "corrupt-tail", corrupt(snap, len(snap)-4))
 	write(sp, "FuzzRestore", "hostile-count-region",
 		append(append([]byte{}, snap[:16]...), bytes.Repeat([]byte{0xFF}, 32)...))
+
+	// --- dsos.FuzzCursorMatchesQueryEx: streaming merge vs the reference ---
+	// Each byte draws one parameter of the cluster and query (the target's
+	// doc comment has the layout): shards, R, rows/12, timestamp period,
+	// index, from (elements, value), to (elements, value), mistype, limit,
+	// down member, under-replicated member.
+	ds := "internal/dsos"
+	write(ds, "FuzzCursorMatchesQueryEx", "r1-x4-time-head-limit-1000",
+		[]byte{3, 0, 120, 40, 2, 0, 0, 0, 0, 0, 2, 0, 0})
+	write(ds, "FuzzCursorMatchesQueryEx", "r2-x4-replica-down-read-repair",
+		[]byte{3, 1, 150, 20, 0, 1, 7, 2, 12, 0, 0, 2, 1})
+	write(ds, "FuzzCursorMatchesQueryEx", "r1-x2-crashed-member-ties-limit-7",
+		[]byte{1, 0, 60, 2, 1, 1, 1, 1, 4, 0, 1, 130, 0})
+	write(ds, "FuzzCursorMatchesQueryEx", "r2-x3-limit-1-ties",
+		[]byte{2, 1, 40, 1, 1, 0, 0, 0, 0, 0, 5, 0, 3})
+	write(ds, "FuzzCursorMatchesQueryEx", "mistyped-time-bound", []byte{0, 0, 10, 5, 2, 1, 3, 0, 0, 7})
+	write(ds, "FuzzCursorMatchesQueryEx", "only-member-crashed", []byte{0, 0, 20, 5, 0, 0, 0, 0, 0, 0, 0, 129})
+	write(ds, "FuzzCursorMatchesQueryEx", "empty-store", []byte{3, 1, 0})
 
 	// --- streams.FuzzStreamCursor: durable segment recovery + cursor resume ---
 	// The first two bytes of each seed are the consumer StartSeq the target

@@ -41,6 +41,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"net/http"
@@ -340,56 +341,7 @@ func main() {
 		mux.HandleFunc("/count", func(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintln(w, client.Count(dsos.DarshanSchemaName))
 		})
-		mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-			index := r.URL.Query().Get("index")
-			if index == "" {
-				index = "job_rank_time"
-			}
-			var from, to sos.Key
-			if v := r.URL.Query().Get("job"); v != "" {
-				job, err := strconv.ParseInt(v, 10, 64)
-				if err != nil {
-					http.Error(w, "bad job", http.StatusBadRequest)
-					return
-				}
-				from, to = sos.Key{job}, sos.Key{job + 1}
-				if rv := r.URL.Query().Get("rank"); rv != "" && index == "job_rank_time" {
-					rank, err := strconv.ParseInt(rv, 10, 64)
-					if err != nil {
-						http.Error(w, "bad rank", http.StatusBadRequest)
-						return
-					}
-					from, to = sos.Key{job, rank}, sos.Key{job, rank + 1}
-				}
-			}
-			limit := 0
-			if v := r.URL.Query().Get("limit"); v != "" {
-				n, err := strconv.Atoi(v)
-				if err != nil || n < 0 {
-					http.Error(w, "bad limit", http.StatusBadRequest)
-					return
-				}
-				limit = n
-			}
-			objs, err := client.Query(index, from, to)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			fmt.Fprintln(w, jsonmsg.CSVHeader)
-			for i, o := range objs {
-				if limit > 0 && i >= limit {
-					break
-				}
-				for j, v := range o {
-					if j > 0 {
-						fmt.Fprint(w, ",")
-					}
-					fmt.Fprint(w, formatValue(v))
-				}
-				fmt.Fprintln(w)
-			}
-		})
+		mux.Handle("/query", queryHandler(client))
 		go func() {
 			fmt.Fprintf(os.Stderr, "dsosd: HTTP query API on %s (/metrics, /healthz)\n", *httpAddr)
 			if err := http.ListenAndServe(*httpAddr, mux); err != nil {
@@ -414,13 +366,75 @@ func main() {
 	}
 }
 
-// formatValue renders CSV cells with fixed-point floats (timestamps must
-// not degrade to scientific notation).
-func formatValue(v any) string {
-	if f, ok := v.(float64); ok {
-		return strconv.FormatFloat(f, 'f', 6, 64)
+// queryHandler serves /query: the CSV header, then one row per object of
+// an index range, streamed as the cursor merges them. index (default
+// job_rank_time) picks the order; job narrows it to one job on an index
+// that starts with job_id (a 400 on any other); rank narrows a job on
+// job_rank_time and is ignored elsewhere; limit > 0 stops the merge after
+// that many rows. A result that is partial from the start is a 400 naming
+// the dark placement groups; one that turns partial mid-stream aborts the
+// response, so a client sees an error rather than a short body.
+func queryHandler(client *dsos.Client) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		index := q.Get("index")
+		if index == "" {
+			index = "job_rank_time"
+		}
+		var job, rank *int64
+		if v := q.Get("job"); v != "" {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				http.Error(w, "bad job", http.StatusBadRequest)
+				return
+			}
+			job = &n
+			if rv := q.Get("rank"); rv != "" && index == "job_rank_time" {
+				n, err := strconv.ParseInt(rv, 10, 64)
+				if err != nil {
+					http.Error(w, "bad rank", http.StatusBadRequest)
+					return
+				}
+				rank = &n
+			}
+		}
+		from, to, err := dsos.DarshanBounds(index, job, rank)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		limit := 0
+		if v := q.Get("limit"); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 0 {
+				http.Error(w, "bad limit", http.StatusBadRequest)
+				return
+			}
+			limit = n
+		}
+		cur, err := client.Cursor(r.Context(), index, from, to, limit)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if info := cur.Info(); info.Partial {
+			http.Error(w, (&dsos.PartialError{Failed: info.Failed, Groups: info.LostGroups}).Error(), http.StatusBadRequest)
+			return
+		}
+		bw := bufio.NewWriterSize(w, 32<<10)
+		bw.WriteString(jsonmsg.CSVHeader + "\n")
+		var row []byte
+		for cur.Next() {
+			row = append(dsos.AppendCSVRow(row[:0], cur.Object()), '\n')
+			if _, err := bw.Write(row); err != nil {
+				return // the client is gone
+			}
+		}
+		if cur.Err() != nil || cur.Info().Partial {
+			panic(http.ErrAbortHandler)
+		}
+		_ = bw.Flush() // it fails only when the client has gone; nobody is left to tell
 	}
-	return fmt.Sprintf("%v", v)
 }
 
 func fatal(err error) {

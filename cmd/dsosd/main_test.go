@@ -1,0 +1,125 @@
+package main
+
+import (
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+
+	"darshanldms/internal/dsos"
+	"darshanldms/internal/jsonmsg"
+	"darshanldms/internal/sos"
+)
+
+// testCluster stores n events of jobs 1-3 round-robin over shards.
+func testCluster(t *testing.T, shards, n int) (*dsos.Cluster, *dsos.Client) {
+	t.Helper()
+	c := dsos.NewCluster(shards, "darshan_data")
+	if err := dsos.SetupDarshan(c); err != nil {
+		t.Fatal(err)
+	}
+	c.EnableWAL(nil)
+	cl := dsos.Connect(c)
+	for i := 0; i < n; i++ {
+		m := jsonmsg.Message{
+			UID: 1, Exe: jsonmsg.NA, JobID: int64(1 + i%3), Rank: i % 16, ProducerName: "nid00041",
+			File: jsonmsg.NA, Module: "POSIX", Type: jsonmsg.TypeMOD, Op: "write",
+			Seg: []jsonmsg.Segment{{DataSet: jsonmsg.NA, Len: int64(i), Dur: 0.1, Timestamp: 1.6e9 + float64(i%50)}},
+		}
+		if err := cl.InsertBatch(dsos.DarshanSchemaName, dsos.ObjectsFromMessage(&m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c, cl
+}
+
+// TestQueryStreamsMergedRows: /query's body is the header and then the
+// merged rows, cut at limit, for each query shape.
+func TestQueryStreamsMergedRows(t *testing.T) {
+	_, cl := testCluster(t, 4, 3000)
+	srv := httptest.NewServer(queryHandler(cl))
+	defer srv.Close()
+	for _, q := range []struct {
+		params   string
+		index    string
+		from, to sos.Key
+		limit    int
+	}{
+		{"", "job_rank_time", nil, nil, 0},
+		{"?job=2&rank=7", "job_rank_time", sos.Key{int64(2), int64(7)}, sos.Key{int64(2), int64(8)}, 0},
+		{"?index=job_time_rank&job=3&rank=7&limit=40", "job_time_rank", sos.Key{int64(3)}, sos.Key{int64(4)}, 40},
+		{"?index=time_job_rank&limit=1000", "time_job_rank", nil, nil, 1000},
+	} {
+		objs, err := cl.Query(q.index, q.from, q.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.limit > 0 {
+			objs = objs[:q.limit]
+		}
+		want := []byte(jsonmsg.CSVHeader + "\n")
+		for _, o := range objs {
+			want = append(dsos.AppendCSVRow(want, o), '\n')
+		}
+		resp, err := http.Get(srv.URL + q.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %v", q.params, resp.StatusCode, err)
+		}
+		if string(body) != string(want) {
+			t.Fatalf("GET %s: %d body bytes, want %d", q.params, len(body), len(want))
+		}
+	}
+}
+
+// crashOnWrite crashes a shard the first time the handler's output
+// reaches the connection, so the crash lands while the cursor is paused
+// between chunks.
+type crashOnWrite struct {
+	http.ResponseWriter
+	crash func()
+}
+
+func (w crashOnWrite) Write(p []byte) (int, error) {
+	w.crash()
+	return w.ResponseWriter.Write(p)
+}
+
+// TestQueryAbortsWhenAMemberFailsMidStream: a shard that crashes after
+// the response has started makes the result partial; the handler aborts
+// the response, so the client reads an error, never a silently short body.
+// The next request is partial from the start and is a 400 naming the dark
+// group.
+func TestQueryAbortsWhenAMemberFailsMidStream(t *testing.T) {
+	c, cl := testCluster(t, 2, 4000)
+	h := queryHandler(cl)
+	var once sync.Once
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h(crashOnWrite{w, func() { once.Do(c.Daemons()[1].Crash) }}, r)
+	}))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/query")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err == nil {
+		t.Fatalf("the response ended cleanly after %d rows of 4000", strings.Count(string(body), "\n")-1)
+	}
+	resp, err = http.Get(srv.URL + "/query")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "dsosd1") {
+		t.Fatalf("partial query = %d %q, want a 400 naming dsosd1", resp.StatusCode, body)
+	}
+}

@@ -1,6 +1,9 @@
 // dsosql is the command-line query interface to stored connector data
 // (the DSOS CLI of the paper): it loads a container snapshot written by
-// dsosd and runs index queries, printing CSV rows.
+// dsosd and runs index queries, printing CSV rows. A snapshot query and a
+// live dsosd's /query share the store cursor, the job/rank bound rule
+// (dsos.DarshanBounds) and the row renderer (dsos.AppendCSVRow), so both
+// print the same bytes for the same rows.
 //
 // Usage:
 //
@@ -10,13 +13,13 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"os"
-	"strconv"
 
 	"darshanldms/internal/dsos"
 	"darshanldms/internal/jsonmsg"
@@ -27,8 +30,8 @@ func main() {
 	snapshot := flag.String("snapshot", "darshan_data.sos", "container snapshot to query")
 	connect := flag.String("connect", "", "query a live dsosd over HTTP instead of a snapshot")
 	index := flag.String("index", "job_rank_time", "index to order/search by")
-	job := flag.Int64("job", -1, "filter: job id (prefix of the index)")
-	rank := flag.Int64("rank", -1, "filter: rank (second prefix element, job_rank_time only)")
+	job := flag.Int64("job", -1, "filter: job id (on an index that starts with job_id)")
+	rank := flag.Int64("rank", -1, "filter: rank within -job (job_rank_time only; ignored on other indices)")
 	limit := flag.Int("limit", 0, "maximum rows (0 = all)")
 	showSchemas := flag.Bool("schemas", false, "list schemas and exit")
 	showIndices := flag.Bool("indices", false, "list indices and exit")
@@ -61,46 +64,35 @@ func main() {
 		return
 	}
 
-	var from, to sos.Key
-	if *job >= 0 {
-		from = sos.Key{*job}
-		to = sos.Key{*job + 1}
-		if *rank >= 0 {
-			from = sos.Key{*job, *rank}
-			to = sos.Key{*job, *rank + 1}
-		}
-	}
-	fmt.Println(jsonmsg.CSVHeader)
-	n := 0
-	err = cont.Iter(*index, from, func(o sos.Object) bool {
-		if to != nil {
-			key := sos.Key{o[dsos.ColJobID]}
-			if *rank >= 0 {
-				key = sos.Key{o[dsos.ColJobID], o[dsos.ColRank]}
-			}
-			if sos.CompareKeys(key, to) >= 0 {
-				return false
-			}
-		}
-		row := ""
-		for i, v := range o {
-			if i > 0 {
-				row += ","
-			}
-			if f, ok := v.(float64); ok {
-				row += strconv.FormatFloat(f, 'f', 6, 64)
-			} else {
-				row += fmt.Sprintf("%v", v)
-			}
-		}
-		fmt.Println(row)
-		n++
-		return *limit == 0 || n < *limit
-	})
+	from, to, err := dsos.DarshanBounds(*index, flagValue(*job), flagValue(*rank))
 	if err != nil {
 		fatal(err)
 	}
+	cur, err := cont.Cursor(*index, from, to)
+	if err != nil {
+		fatal(err)
+	}
+	out := bufio.NewWriter(os.Stdout)
+	out.WriteString(jsonmsg.CSVHeader + "\n")
+	n := 0
+	var row []byte
+	for (*limit == 0 || n < *limit) && cur.Next() {
+		row = append(dsos.AppendCSVRow(row[:0], cur.Object()), '\n')
+		out.Write(row)
+		n++
+	}
+	if err := out.Flush(); err != nil {
+		fatal(err)
+	}
 	fmt.Fprintf(os.Stderr, "dsosql: %d rows\n", n)
+}
+
+// flagValue maps a -job/-rank flag to a filter: negative means not given.
+func flagValue(v int64) *int64 {
+	if v < 0 {
+		return nil
+	}
+	return &v
 }
 
 // queryRemote runs the query against a dsosd HTTP endpoint and streams the

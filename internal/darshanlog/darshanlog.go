@@ -157,6 +157,9 @@ func Read(r io.Reader) (*Log, error) {
 				Start:  time.Duration(dec.i64()),
 				End:    time.Duration(dec.i64()),
 			})
+			if dec.err != nil {
+				return nil, dec.err
+			}
 		}
 		log.DXT = append(log.DXT, tr)
 		if dec.err != nil {

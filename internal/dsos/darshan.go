@@ -1,6 +1,9 @@
 package dsos
 
 import (
+	"fmt"
+	"strconv"
+
 	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/sos"
 )
@@ -93,6 +96,52 @@ func SetupDarshan(c *Cluster) error {
 		}
 	}
 	return nil
+}
+
+// DarshanBounds turns the paper's job and rank filters (nil = not given)
+// into [from, to) bounds on a darshan index. A job filter applies to an
+// index whose first attribute is job_id and is an error on any other; a
+// rank filter narrows a job filter on job_rank_time and is ignored
+// elsewhere. An index outside DarshanIndices takes the job filter as is,
+// and the store checks its types.
+//
+//lint:allow hotalloc two keys per query, not per event
+func DarshanBounds(index string, job, rank *int64) (from, to sos.Key, err error) {
+	if job == nil {
+		return nil, nil, nil
+	}
+	for _, spec := range DarshanIndices() {
+		if spec.Name == index && spec.Attrs[0] != "job_id" {
+			return nil, nil, fmt.Errorf("index %q is ordered by %s first; a job filter needs an index that starts with job_id", index, spec.Attrs[0])
+		}
+	}
+	if rank != nil && index == "job_rank_time" {
+		return sos.Key{*job, *rank}, sos.Key{*job, *rank + 1}, nil
+	}
+	return sos.Key{*job}, sos.Key{*job + 1}, nil
+}
+
+// AppendCSVRow appends o as one CSV row in the Fig 3 column order, without
+// the newline: floats fixed-point with six decimals (timestamps must not
+// degrade to scientific notation), integers in decimal, strings raw.
+// Objects hold only the four sos attribute types.
+func AppendCSVRow(dst []byte, o sos.Object) []byte {
+	for i, v := range o {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		switch v := v.(type) {
+		case float64:
+			dst = strconv.AppendFloat(dst, v, 'f', 6, 64)
+		case int64:
+			dst = strconv.AppendInt(dst, v, 10)
+		case uint64:
+			dst = strconv.AppendUint(dst, v, 10)
+		case string:
+			dst = append(dst, v...)
+		}
+	}
+	return dst
 }
 
 // ObjectsFromMessage converts a connector message into store objects, one

@@ -1,10 +1,10 @@
 // Package dsos is the Distributed Scalable Object Store layer: a set of
 // dsosd daemons, each an independent sos.Container, with sharded ingest and
-// parallel queries whose per-daemon result streams are merged in index-key
-// order — matching the paper's description ("the DSOS Client API can
-// perform parallel queries to all dsosd in a DSOS cluster; the results are
-// returned in parallel and sorted based on the index selected by the
-// user").
+// queries over every daemon whose index scans are merged, as they stream,
+// in index-key order (cursor.go) — matching the paper's description ("the
+// DSOS Client API can perform parallel queries to all dsosd in a DSOS
+// cluster; the results are returned in parallel and sorted based on the
+// index selected by the user").
 //
 // Durability and availability are layered on top of the plain shards:
 //
@@ -20,14 +20,14 @@
 //
 // Where objects go is a Placement strategy (placement.go): round-robin
 // over R successive daemons by default, or internal/topo's consistent-hash
-// ring. Either way there is one insert path and one query merge, below.
+// ring. Either way there is one insert path and one query merge (the
+// Cursor in cursor.go).
 //
 // With the defaults (R=1, no WAL) every path below reduces to the original
 // sharded behavior.
 package dsos
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"sort"
@@ -371,24 +371,6 @@ func (d *Daemon) RetainWhere(index string, keep func(obj sos.Object, origin uint
 	return dropped, nil
 }
 
-// rangeQuery collects objects (and their origin ids when asked) with
-// index-prefix keys in [from, to).
-func (d *Daemon) rangeQuery(index string, from, to sos.Key, withOrigins bool) ([]sos.Object, []uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.fault != nil {
-		return nil, nil, fmt.Errorf("dsos: %s unavailable: %w", d.Name, d.fault)
-	}
-	if d.cont == nil {
-		return nil, nil, fmt.Errorf("dsos: %s: %w", d.Name, ErrCrashed)
-	}
-	if withOrigins {
-		return d.cont.RangeOrigins(index, from, to)
-	}
-	objs, err := d.cont.Range(index, from, to)
-	return objs, nil, err
-}
-
 // Cluster is a DSOS cluster: several dsosd daemons on storage servers,
 // and the placement strategy that spreads objects over them.
 type Cluster struct {
@@ -635,180 +617,6 @@ func (cl *Client) Count(schema string) int {
 	return total
 }
 
-// QueryInfo describes how degraded a query result is.
-type QueryInfo struct {
-	// Failed lists the daemons that could not serve the query.
-	Failed []string
-	// Partial is true when the result may be missing objects: with R=1 any
-	// failed daemon implies missing data; with R>1 only when a whole owner
-	// group is down.
-	Partial bool
-	// LostGroups lists each owner group whose every member failed — the
-	// groups whose data the merge could not see. Empty when Partial is
-	// false.
-	LostGroups [][]string
-	// Repaired counts objects re-inserted into healthy daemons by read
-	// repair (under-replicated origins found during the merge).
-	Repaired int
-}
-
-// Query runs the range query on every daemon in parallel and merges the
-// per-daemon (already index-ordered) results into one stream ordered by
-// the index key. from/to are prefixes of the index attributes; to is
-// exclusive and nil bounds are open.
-//
-// Faulted daemons no longer fail the whole query: the merge covers the
-// healthy replicas and the error is ErrPartial (alongside the merged
-// objects) only when data may actually be missing.
-func (cl *Client) Query(index string, from, to sos.Key) ([]sos.Object, error) {
-	objs, info, err := cl.QueryEx(index, from, to)
-	if err != nil {
-		return nil, err
-	}
-	if info.Partial {
-		return objs, &PartialError{Failed: info.Failed, Groups: info.LostGroups}
-	}
-	return objs, nil
-}
-
-// QueryEx is Query with the degradation report. It fans out over every
-// member of the placement (a migration's staged members included, so a
-// key is found on whichever side of the fence holds it) and dedups
-// stamped objects by origin. The returned error is only non-nil for
-// structural problems (unknown index); availability problems are
-// reported through QueryInfo.
-func (cl *Client) QueryEx(index string, from, to sos.Key) ([]sos.Object, QueryInfo, error) {
-	p := cl.c.Placement()
-	members := p.Members()
-	rules := p.Rules()
-
-	lists := make([][]sos.Object, len(members))
-	origins := make([][]uint64, len(members))
-	errs := make([]error, len(members))
-	var wg sync.WaitGroup
-	for i, d := range members {
-		wg.Add(1)
-		go func(i int, d *Daemon) {
-			defer wg.Done()
-			lists[i], origins[i], errs[i] = d.rangeQuery(index, from, to, rules.Stamp)
-		}(i, d)
-	}
-	wg.Wait()
-
-	var info QueryInfo
-	var failed map[*Daemon]bool
-	total := 0
-	for i, err := range errs {
-		if err != nil {
-			if failed == nil {
-				failed = map[*Daemon]bool{}
-			}
-			failed[members[i]] = true
-			info.Failed = append(info.Failed, members[i].Name)
-			continue
-		}
-		total += len(lists[i])
-	}
-	if failed != nil {
-		info.LostGroups = lostGroups(p.Groups(), func(d *Daemon) bool { return failed[d] })
-		info.Partial = len(info.LostGroups) > 0
-	}
-
-	keyAttrs, schema, err := indexKey(members, index)
-	if err != nil {
-		return nil, info, err
-	}
-	merged, seen := mergeOrdered(lists, origins, keyAttrs, total)
-	if rules.Repair {
-		info.Repaired = readRepair(members, schema, seen, failed, len(p.Groups()[0]))
-	}
-	return merged, info, nil
-}
-
-// lostGroups returns the owner groups whose every member is down — the
-// only configuration that can hide data from the merge — as member names.
-func lostGroups(groups [][]*Daemon, down func(*Daemon) bool) [][]string {
-	var out [][]string
-	for _, g := range groups {
-		allDown := true
-		for _, d := range g {
-			if !down(d) {
-				allDown = false
-				break
-			}
-		}
-		if !allDown {
-			continue
-		}
-		names := make([]string, len(g))
-		for i, d := range g {
-			names[i] = d.Name
-		}
-		out = append(out, names)
-	}
-	return out
-}
-
-// readRepair re-inserts under-replicated objects: every origin that the
-// merge saw on fewer than repl healthy daemons is copied (in ascending
-// member order) to healthy daemons that lack it, until repl replicas
-// exist. Returns the number of replica copies written.
-func readRepair(members []*Daemon, schema string, seen map[uint64]*originTrack, failed map[*Daemon]bool, repl int) int {
-	// Deterministic order: ascending origin id.
-	ids := make([]uint64, 0, len(seen))
-	for o, tr := range seen {
-		if o != 0 && tr.copies < repl {
-			ids = append(ids, o)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	repaired := 0
-	for _, o := range ids {
-		tr := seen[o]
-		need := repl - tr.copies
-		for i, d := range members {
-			if need == 0 {
-				break
-			}
-			if failed[d] || tr.on[i] {
-				continue
-			}
-			if err := d.InsertOrigin(schema, tr.obj, o); err != nil {
-				continue
-			}
-			repaired++
-			need--
-		}
-	}
-	return repaired
-}
-
-// indexKey resolves an index, via the first live member, to the attribute
-// positions of its key and the schema it is defined over.
-func indexKey(members []*Daemon, index string) (attrs []int, schema string, err error) {
-	for _, d := range members {
-		d.mu.Lock()
-		if d.cont == nil {
-			d.mu.Unlock()
-			continue
-		}
-		ix := d.cont.Index(index)
-		if ix == nil {
-			d.mu.Unlock()
-			return nil, "", fmt.Errorf("dsos: unknown index %q", index)
-		}
-		spec := ix.Spec()
-		sch := d.cont.Schema(spec.Schema)
-		attrs = make([]int, len(spec.Attrs))
-		for i, a := range spec.Attrs {
-			attrs[i] = sch.AttrIndex(a)
-		}
-		d.mu.Unlock()
-		return attrs, spec.Schema, nil
-	}
-	return nil, "", fmt.Errorf("dsos: no live daemon to resolve index %q", index)
-}
-
 // DistinctJobs returns the sorted distinct job ids present in the darshan
 // schema, discovered by index hopping (seek to job+1 after each hit) so the
 // cost is O(jobs x log n) rather than a full scan. Crashed daemons are
@@ -849,107 +657,4 @@ func (cl *Client) DistinctJobs() ([]int64, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
-}
-
-// originTrack records where the merge saw one origin.
-type originTrack struct {
-	obj    sos.Object
-	on     []bool // per-daemon presence
-	copies int
-}
-
-// mergeOrdered k-way merges index-ordered object lists by their key
-// attributes using a binary heap: O(total log k). When origin lists are
-// provided, replicas of the same origin are emitted once and their
-// placement is tracked for read repair.
-func mergeOrdered(lists [][]sos.Object, origins [][]uint64, keyAttrs []int, total int) ([]sos.Object, map[uint64]*originTrack) {
-	keyOf := func(o sos.Object) sos.Key {
-		k := make(sos.Key, 0, len(keyAttrs))
-		for _, a := range keyAttrs {
-			k = append(k, o[a])
-		}
-		return k
-	}
-	withOrigins := false
-	for _, og := range origins {
-		if og != nil {
-			withOrigins = true
-			break
-		}
-	}
-	var seen map[uint64]*originTrack
-	if withOrigins {
-		seen = make(map[uint64]*originTrack, total)
-	}
-	h := &mergeHeap{}
-	for i, lst := range lists {
-		if len(lst) > 0 {
-			h.items = append(h.items, mergeItem{key: keyOf(lst[0]), list: i, seq: i})
-		}
-	}
-	heap.Init(h)
-	out := make([]sos.Object, 0, total)
-	cursors := make([]int, len(lists))
-	for h.Len() > 0 {
-		it := h.items[0]
-		lst := lists[it.list]
-		pos := cursors[it.list]
-		obj := lst[pos]
-		emit := true
-		if withOrigins {
-			var o uint64
-			if og := origins[it.list]; og != nil {
-				o = og[pos]
-			}
-			if o != 0 {
-				tr := seen[o]
-				if tr == nil {
-					tr = &originTrack{obj: obj, on: make([]bool, len(lists))}
-					seen[o] = tr
-				} else {
-					emit = false
-				}
-				if !tr.on[it.list] {
-					tr.on[it.list] = true
-					tr.copies++
-				}
-			}
-		}
-		if emit {
-			out = append(out, obj)
-		}
-		cursors[it.list]++
-		if cursors[it.list] < len(lst) {
-			h.items[0] = mergeItem{key: keyOf(lst[cursors[it.list]]), list: it.list, seq: it.list}
-			heap.Fix(h, 0)
-		} else {
-			heap.Pop(h)
-		}
-	}
-	return out, seen
-}
-
-type mergeItem struct {
-	key  sos.Key
-	list int
-	seq  int // stable tiebreak: lower daemon index first
-}
-
-type mergeHeap struct{ items []mergeItem }
-
-func (h *mergeHeap) Len() int { return len(h.items) }
-func (h *mergeHeap) Less(i, j int) bool {
-	if c := sos.CompareKeys(h.items[i].key, h.items[j].key); c != 0 {
-		return c < 0
-	}
-	return h.items[i].seq < h.items[j].seq
-}
-func (h *mergeHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x any)    { h.items = append(h.items, x.(mergeItem)) }
-func (h *mergeHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }

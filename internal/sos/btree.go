@@ -135,31 +135,39 @@ type iterator struct {
 
 // seek positions the iterator at the first key >= key (nil key = minimum).
 func (t *btree) seek(key Key) iterator {
+	n := t.leafFor(key)
+	it := iterator{node: n, pos: lowerBound(n.keys, key)}
+	it.advanceLeaf()
+	return it
+}
+
+// seekAfter positions the iterator at the first key > key. Tree keys are
+// unique (the oid suffix), so seeking after a key the tree returned
+// resumes exactly behind it, whatever was inserted in between.
+func (t *btree) seekAfter(key Key) iterator {
+	n := t.leafFor(key)
+	it := iterator{node: n, pos: upperBound(n.keys, key)}
+	it.advanceLeaf()
+	return it
+}
+
+// leafFor descends to the leaf key belongs in (nil = the first leaf).
+// Separators are copies of right-leaf first keys: child i holds keys <
+// keys[i]; child i+1 holds keys >= keys[i].
+func (t *btree) leafFor(key Key) *btreeNode {
 	n := t.root
-	if key == nil {
-		for !n.leaf {
-			n = n.children[0]
-		}
-		return iterator{node: n, pos: 0}
-	}
 	for !n.leaf {
-		// Descend left of the first separator > key... separators are copies
-		// of right-leaf first keys: child i holds keys < keys[i]; child i+1
-		// holds keys >= keys[i]. Use lowerBound-like descent.
 		i := 0
 		for i < len(n.keys) && CompareKeys(key, n.keys[i]) >= 0 {
 			i++
 		}
 		n = n.children[i]
 	}
-	pos := lowerBound(n.keys, key)
-	it := iterator{node: n, pos: pos}
-	if pos >= len(n.keys) {
-		it.advanceLeaf()
-	}
-	return it
+	return n
 }
 
+// advanceLeaf moves an iterator positioned past its leaf's last key onto
+// the next leaf's first.
 func (it *iterator) advanceLeaf() {
 	for it.node != nil && it.pos >= len(it.node.keys) {
 		it.node = it.node.next

@@ -154,11 +154,27 @@ type IndexSpec struct {
 type Index struct {
 	spec     IndexSpec
 	attrIdxs []int
+	types    []Type // the type of each key attribute
 	tree     *btree
 }
 
 // Spec returns the index declaration.
 func (ix *Index) Spec() IndexSpec { return ix.spec }
+
+// CheckKey reports an error unless k can bound a scan of the index: at
+// most one element per key attribute, each of that attribute's type. A
+// bound of the wrong type cannot be ordered against the tree's keys.
+func (ix *Index) CheckKey(k Key) error {
+	if len(k) > len(ix.types) {
+		return fmt.Errorf("sos: index %q: a bound of %d values, the key has %d attributes", ix.spec.Name, len(k), len(ix.types))
+	}
+	for i, v := range k {
+		if !typeMatches(ix.types[i], v) {
+			return fmt.Errorf("sos: index %q: bound value %d is %T, attribute %q is %s", ix.spec.Name, i, v, ix.spec.Attrs[i], ix.types[i])
+		}
+	}
+	return nil
+}
 
 // Len returns the number of indexed entries.
 func (ix *Index) Len() int { return ix.tree.size }
@@ -245,14 +261,15 @@ func (c *Container) AddIndex(spec IndexSpec) (*Index, error) {
 		return nil, fmt.Errorf("sos: index %q references unknown schema %q", spec.Name, spec.Schema)
 	}
 	idxs := make([]int, len(spec.Attrs))
+	types := make([]Type, len(spec.Attrs))
 	for i, a := range spec.Attrs {
 		pos := sch.AttrIndex(a)
 		if pos < 0 {
 			return nil, fmt.Errorf("sos: index %q references unknown attribute %q", spec.Name, a)
 		}
-		idxs[i] = pos
+		idxs[i], types[i] = pos, sch.Attrs[pos].Type
 	}
-	ix := &Index{spec: spec, attrIdxs: idxs, tree: newBTree()}
+	ix := &Index{spec: spec, attrIdxs: idxs, types: types, tree: newBTree()}
 	c.indices[spec.Name] = ix
 	for pos, obj := range c.slabs[spec.Schema] {
 		ix.tree.insert(c.indexKey(ix, obj, uint64(pos)), objRef{schema: spec.Schema, pos: pos})
@@ -359,21 +376,103 @@ func (c *Container) Count(schema string) int {
 	return len(c.slabs[schema])
 }
 
+// Cursor walks one index in key order over an attribute-prefix range
+// [from, to). It copies nothing and holds no lock: Key and Object return
+// the container's own slices, which the caller must not modify. A cursor
+// is valid until the container is next modified; a scan that spans
+// modifications reopens with CursorAfter the last Key it saw.
+type Cursor struct {
+	slab    []Object
+	origins []uint64
+	to      Key
+	it      iterator
+	started bool
+}
+
+// Cursor opens a cursor on the named index at the first key >= from (nil
+// = the minimum) that stops before to (nil = open). Both bounds are
+// prefixes of the index's attributes and must have their types
+// (Index.CheckKey).
+func (c *Container) Cursor(indexName string, from, to Key) (Cursor, error) {
+	return c.open(indexName, from, nil, to)
+}
+
+// CursorAfter opens a cursor just past after, a Key that a cursor on the
+// same index returned, that stops before to. Tree keys end in a unique
+// object id, so the scan resumes exactly behind the last entry it saw.
+func (c *Container) CursorAfter(indexName string, after, to Key) (Cursor, error) {
+	return c.open(indexName, nil, after, to)
+}
+
+func (c *Container) open(indexName string, from, after, to Key) (Cursor, error) {
+	ix := c.indices[indexName]
+	if ix == nil {
+		return Cursor{}, fmt.Errorf("sos: unknown index %q", indexName)
+	}
+	if err := ix.CheckKey(from); err != nil {
+		return Cursor{}, err
+	}
+	if err := ix.CheckKey(to); err != nil {
+		return Cursor{}, err
+	}
+	it := ix.tree.seek(from)
+	if after != nil {
+		it = ix.tree.seekAfter(after)
+	}
+	return Cursor{slab: c.slabs[ix.spec.Schema], origins: c.origins[ix.spec.Schema], to: to, it: it}, nil
+}
+
+// Next moves to the next entry in range and reports whether there is one.
+// The bound is checked against the tree key's attribute prefix in place.
+func (cur *Cursor) Next() bool {
+	if cur.started {
+		cur.it.next()
+	}
+	cur.started = true
+	if !cur.it.valid() {
+		return false
+	}
+	if cur.to != nil {
+		k := cur.it.node.keys[cur.it.pos]
+		if CompareKeys(k[:len(k)-1], cur.to) >= 0 {
+			cur.it.node = nil // stay exhausted
+			return false
+		}
+	}
+	return true
+}
+
+// Key returns the current entry's tree key: the index attributes, then
+// the object id that makes it unique.
+func (cur *Cursor) Key() Key { return cur.it.node.keys[cur.it.pos] }
+
+// Object returns the current entry's object.
+func (cur *Cursor) Object() Object { return cur.slab[cur.it.node.refs[cur.it.pos].pos] }
+
+// Origin returns the current object's stamped origin id (0 when the
+// schema has none).
+func (cur *Cursor) Origin() uint64 {
+	if pos := cur.it.node.refs[cur.it.pos].pos; pos < len(cur.origins) {
+		return cur.origins[pos]
+	}
+	return 0
+}
+
 // Iter streams objects in index order, starting at the first key >= from
 // (nil = minimum), until yield returns false or the index is exhausted.
 // from is a prefix of the index's attributes.
 func (c *Container) Iter(indexName string, from Key, yield func(Object) bool) error {
-	ix := c.indices[indexName]
-	if ix == nil {
-		return fmt.Errorf("sos: unknown index %q", indexName)
+	return c.IterOrigins(indexName, from, func(o Object, _ uint64) bool { return yield(o) })
+}
+
+// IterOrigins streams objects like Iter but also yields each object's
+// stamped origin id (0 when the schema has none).
+func (c *Container) IterOrigins(indexName string, from Key, yield func(Object, uint64) bool) error {
+	cur, err := c.Cursor(indexName, from, nil)
+	if err != nil {
+		return err
 	}
-	it := ix.tree.seek(from)
-	for it.valid() {
-		_, ref := it.entry()
-		if !yield(c.slabs[ref.schema][ref.pos]) {
-			return nil
-		}
-		it.next()
+	for cur.Next() && yield(cur.Object(), cur.Origin()) {
 	}
 	return nil
 }
@@ -381,61 +480,13 @@ func (c *Container) Iter(indexName string, from Key, yield func(Object) bool) er
 // Range collects objects whose index key (attribute prefix) lies in
 // [from, to) — to is exclusive; nil bounds are open.
 func (c *Container) Range(indexName string, from, to Key) ([]Object, error) {
-	var out []Object
-	err := c.Iter(indexName, from, func(o Object) bool {
-		if to != nil {
-			ix := c.indices[indexName]
-			key := make(Key, 0, len(ix.attrIdxs))
-			for _, ai := range ix.attrIdxs {
-				key = append(key, o[ai])
-			}
-			if CompareKeys(key, to) >= 0 {
-				return false
-			}
-		}
-		out = append(out, o)
-		return true
-	})
-	return out, err
-}
-
-// IterOrigins streams objects like Iter but also yields each object's
-// stamped origin id (0 when the schema has none).
-func (c *Container) IterOrigins(indexName string, from Key, yield func(Object, uint64) bool) error {
-	ix := c.indices[indexName]
-	if ix == nil {
-		return fmt.Errorf("sos: unknown index %q", indexName)
+	cur, err := c.Cursor(indexName, from, to)
+	if err != nil {
+		return nil, err
 	}
-	it := ix.tree.seek(from)
-	for it.valid() {
-		_, ref := it.entry()
-		if !yield(c.slabs[ref.schema][ref.pos], c.originAt(ref.schema, ref.pos)) {
-			return nil
-		}
-		it.next()
-	}
-	return nil
-}
-
-// RangeOrigins collects objects like Range alongside their origin ids, in
-// matching order.
-func (c *Container) RangeOrigins(indexName string, from, to Key) ([]Object, []uint64, error) {
 	var out []Object
-	var origins []uint64
-	err := c.IterOrigins(indexName, from, func(o Object, origin uint64) bool {
-		if to != nil {
-			ix := c.indices[indexName]
-			key := make(Key, 0, len(ix.attrIdxs))
-			for _, ai := range ix.attrIdxs {
-				key = append(key, o[ai])
-			}
-			if CompareKeys(key, to) >= 0 {
-				return false
-			}
-		}
-		out = append(out, o)
-		origins = append(origins, origin)
-		return true
-	})
-	return out, origins, err
+	for cur.Next() {
+		out = append(out, cur.Object())
+	}
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -21,7 +22,11 @@ import (
 // two ways: against referenceQuery, the old collect-and-sort merge kept
 // below, and against a digest of (objects, Failed, LostGroups, Partial,
 // Repaired) recorded by running the same scenario on the parent commit's
-// code before it was deleted.
+// code before it was deleted. The digests were recorded from the
+// materialising QueryEx (scan every member whole, then merge), so they
+// also hold the streaming dsos.Cursor that replaced it to the same rows,
+// report and read repair; its limited reads are held to the reference's
+// head.
 //
 // One difference was found and kept: HashCluster.Query merged every query
 // by the identity index's key (job_rank_time) whatever index was asked
@@ -44,18 +49,18 @@ func referenceQuery(t *testing.T, members []*dsos.Daemon, index string, attrs []
 		if !d.Up() {
 			continue
 		}
-		objs, origins, err := d.Container().RangeOrigins(index, from, to)
+		cur, err := d.Container().Cursor(index, from, to)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for p, o := range objs {
-			if origin := origins[p]; origin != 0 {
+		for p := 0; cur.Next(); p++ {
+			if origin := cur.Origin(); origin != 0 {
 				if seen[origin] {
 					continue
 				}
 				seen[origin] = true
 			}
-			rows = append(rows, row{o, i, p})
+			rows = append(rows, row{cur.Object(), i, p})
 		}
 	}
 	keyOf := func(o sos.Object) sos.Key {
@@ -214,6 +219,26 @@ func TestUnifiedQueryMatchesDeletedImplementations(t *testing.T) {
 				// The reference reads first: QueryEx may read-repair, which
 				// changes which member holds an origin's first copy.
 				want := referenceQuery(t, members, q.index, q.attrs, q.from, q.to)
+				// Limited cursors stop inside the merge with the full
+				// query's head and report, and never repair: the full
+				// query below still finds (and digests) every repair.
+				for _, limit := range []int{1, 7, 1000, len(want) + 1} {
+					cur, err := cl.Cursor(context.Background(), q.index, q.from, q.to, limit)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var head []sos.Object
+					for cur.Next() {
+						head = append(head, cur.Object())
+					}
+					if n := min(limit, len(want)); !reflect.DeepEqual(head, want[:n]) {
+						t.Fatalf("query %d (%s) limit %d: %d objects differ from the reference head", qi, q.index, limit, len(head))
+					}
+					if info := cur.Info(); !reflect.DeepEqual(info.Failed, tc.failed) || !reflect.DeepEqual(info.LostGroups, tc.lost) ||
+						info.Partial != (len(tc.lost) > 0) || info.Repaired != 0 {
+						t.Fatalf("query %d limit %d info = %+v, want failed %v lost %v and no repair", qi, limit, info, tc.failed, tc.lost)
+					}
+				}
 				objs, info, err := cl.QueryEx(q.index, q.from, q.to)
 				if err != nil {
 					t.Fatal(err)

@@ -123,6 +123,7 @@ FUZZ_TARGETS ?= \
 	internal/ldms:FuzzReadFrame \
 	internal/ldms:FuzzReadBatchFrame \
 	internal/sos:FuzzRestore \
+	internal/sos:FuzzKeyOrder \
 	internal/dsos:FuzzCursorMatchesQueryEx \
 	internal/streams:FuzzStreamCursor \
 	internal/streams:FuzzRetention \

@@ -1,6 +1,7 @@
 package dsos
 
 import (
+	"bytes"
 	"container/heap"
 	"context"
 	"fmt"
@@ -114,6 +115,7 @@ type memberScan struct {
 	// resuming in it by key would be wrong; the member fails instead.
 	cont *sos.Container
 	rows []scanRow // the current chunk
+	keys []byte    // the chunk's tree keys, copied out of the member's tree
 	pos  int       // the next row of rows to merge
 	more bool      // the member may hold rows past this chunk
 	down bool
@@ -121,13 +123,14 @@ type memberScan struct {
 
 // scanRow is one index entry copied out of a member.
 type scanRow struct {
-	key    sos.Key // the tree key: the index attributes, then the object id
+	key    []byte // the tree key: the encoded index attributes, then the object id
 	obj    sos.Object
 	origin uint64
 }
 
-// attrs is the row's index-attribute prefix, which the merge orders by.
-func (r *scanRow) attrs() sos.Key { return r.key[:len(r.key)-1] }
+// attrs is the row's encoded index attributes, which the merge orders by:
+// the tree key without its 8-byte object id.
+func (r *scanRow) attrs() []byte { return r.key[:len(r.key)-8] }
 
 // Cursor opens a streaming query over [from, to) of index on every member
 // of the current placement. limit > 0 stops the merge after that many
@@ -198,13 +201,14 @@ func (c *Cursor) Next() bool {
 		}
 		m := c.heap.items[0].member
 		s := &c.scans[m]
-		r := s.rows[s.pos]
+		r := &s.rows[s.pos]
 		s.pos++
-		c.advance(m)
-		if c.stamp && r.origin != 0 && !c.firstCopy(&r, m) {
+		dup := c.stamp && r.origin != 0 && !c.firstCopy(r, m)
+		c.obj = r.obj
+		c.advance(m) // may refill the member's chunk over r
+		if dup {
 			continue
 		}
-		c.obj = r.obj
 		c.emitted++
 		return true
 	}
@@ -270,9 +274,14 @@ func (d *Daemon) scan(s *memberScan, index string, from, to sos.Key, n int) bool
 		return false
 	}
 	s.cont = d.cont
-	s.rows, s.pos = s.rows[:0], 0
+	s.rows, s.keys, s.pos = s.rows[:0], s.keys[:0], 0
 	for len(s.rows) < n && cur.Next() {
-		s.rows = append(s.rows, scanRow{key: cur.Key(), obj: cur.Object(), origin: cur.Origin()})
+		k := cur.Key()
+		if cap(s.keys) == 0 {
+			s.keys = make([]byte, 0, n*len(k)) // room for a chunk of such keys
+		}
+		s.keys = append(s.keys, k...)
+		s.rows = append(s.rows, scanRow{key: s.keys[len(s.keys)-len(k):], obj: cur.Object(), origin: cur.Origin()})
 	}
 	s.more = len(s.rows) == n
 	return true
@@ -299,7 +308,8 @@ func (c *Cursor) degrade() {
 // merge emits all rows of a key back to back: a replica can only repeat
 // inside the current run, which is all the dedup has to hold.
 type originRun struct {
-	key  sos.Key        // the run's index attributes
+	key  []byte         // the run's encoded index attributes, a copy
+	open bool           // key holds a run
 	at   map[uint64]int // origin -> its position in ids
 	ids  []uint64
 	objs []sos.Object
@@ -317,13 +327,13 @@ type repairItem struct {
 // firstCopy records that member m holds r's origin and reports whether
 // this is the origin's first copy.
 func (c *Cursor) firstCopy(r *scanRow, m int) bool {
-	if key := r.attrs(); c.run.key == nil || sos.CompareKeys(key, c.run.key) != 0 {
+	if key := r.attrs(); !c.run.open || !bytes.Equal(key, c.run.key) {
 		if c.repair {
 			c.closeRun()
 		} else {
 			c.run.reset()
 		}
-		c.run.key = key
+		c.run.key, c.run.open = append(c.run.key[:0], key...), true
 	}
 	n := len(c.scans)
 	i, seen := c.run.at[r.origin]
@@ -361,7 +371,7 @@ func (c *Cursor) closeRun() {
 
 func (r *originRun) reset() {
 	clear(r.at)
-	r.key, r.ids, r.objs, r.on = nil, r.ids[:0], r.objs[:0], r.on[:0]
+	r.open, r.ids, r.objs, r.on = false, r.ids[:0], r.objs[:0], r.on[:0]
 }
 
 // readRepair copies each under-replicated origin, in ascending origin
@@ -439,10 +449,10 @@ func indexSchema(members []*Daemon, index string, from, to sos.Key) (string, err
 	return "", fmt.Errorf("dsos: no live daemon to resolve index %q", index)
 }
 
-// mergeItem is one member's next row in the merge: its index attributes,
-// and the member, which breaks ties (lower member first).
+// mergeItem is one member's next row in the merge: its encoded index
+// attributes, and the member, which breaks ties (lower member first).
 type mergeItem struct {
-	key    sos.Key
+	key    []byte
 	member int
 }
 
@@ -450,7 +460,7 @@ type mergeHeap struct{ items []mergeItem }
 
 func (h *mergeHeap) Len() int { return len(h.items) }
 func (h *mergeHeap) Less(i, j int) bool {
-	if c := sos.CompareKeys(h.items[i].key, h.items[j].key); c != 0 {
+	if c := bytes.Compare(h.items[i].key, h.items[j].key); c != 0 {
 		return c < 0
 	}
 	return h.items[i].member < h.items[j].member

@@ -160,17 +160,17 @@ func mergeOrdered(lists [][]sos.Object, origins [][]uint64, keyAttrs []int, tota
 	if withOrigins {
 		seen = make(map[uint64]*originTrack, total)
 	}
-	h := &mergeHeap{}
+	h := &refHeap{}
 	for i, lst := range lists {
 		if len(lst) > 0 {
-			h.items = append(h.items, mergeItem{key: keyOf(lst[0]), member: i})
+			*h = append(*h, refItem{key: keyOf(lst[0]), member: i})
 		}
 	}
 	heap.Init(h)
 	out := make([]sos.Object, 0, total)
 	cursors := make([]int, len(lists))
 	for h.Len() > 0 {
-		it := h.items[0]
+		it := (*h)[0]
 		lst := lists[it.member]
 		pos := cursors[it.member]
 		obj := lst[pos]
@@ -199,13 +199,39 @@ func mergeOrdered(lists [][]sos.Object, origins [][]uint64, keyAttrs []int, tota
 		}
 		cursors[it.member]++
 		if cursors[it.member] < len(lst) {
-			h.items[0] = mergeItem{key: keyOf(lst[cursors[it.member]]), member: it.member}
+			(*h)[0] = refItem{key: keyOf(lst[cursors[it.member]]), member: it.member}
 			heap.Fix(h, 0)
 		} else {
 			heap.Pop(h)
 		}
 	}
 	return out, seen
+}
+
+// refItem is one list's next object in the reference merge, keyed by its
+// attribute values: the reference orders by CompareKeys, not by the byte
+// keys the cursor merges.
+type refItem struct {
+	key    sos.Key
+	member int
+}
+
+type refHeap []refItem
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if c := sos.CompareKeys(h[i].key, h[j].key); c != 0 {
+		return c < 0
+	}
+	return h[i].member < h[j].member
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refItem)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
 }
 
 // referenceRepair re-inserts under-replicated objects: every origin that

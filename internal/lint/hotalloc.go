@@ -90,7 +90,7 @@ func funcAllowsHotalloc(fd *ast.FuncDecl) bool {
 // type's underlying is []any (sos.Object, sos.Key and friends): each
 // element is boxed into an interface at construction, so one literal on
 // the hot path is len(Elts) allocations per event. The arena/cached-box
-// builders (dsos.RowArena, Container.takeKey) exist to avoid this.
+// row builder dsos.RowArena exists to avoid this.
 func (p *Pass) isAnySliceLit(cl *ast.CompositeLit) bool {
 	if len(cl.Elts) == 0 {
 		return false

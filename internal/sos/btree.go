@@ -1,23 +1,35 @@
 package sos
 
-// A B+tree keyed by composite attribute keys, the index structure behind
-// SOS containers. Keys are made unique by an appended object id, so
-// duplicate attribute values preserve insertion order. The tree supports
+import (
+	"bytes"
+	"slices"
+)
+
+// A B+tree over the byte-string keys of key.go, the index structure
+// behind SOS containers. Keys are made unique by their trailing object id,
+// so equal attribute values keep insertion order. The tree supports
 // insertion and ordered iteration — SOS partitions are append-mostly, and
 // the monitoring workload never deletes.
+//
+// A node stores its keys inline: a buffer that key bytes are only ever
+// appended to, and a sorted array of slots locating each key in it. A
+// compare is bytes.Compare on node-local memory, and a node's only
+// pointers are children and next, so the garbage collector never traces a
+// key. Bytes once written never change, so a key slice stays valid after
+// the node splits.
 
 const btreeOrder = 64 // max keys per node
 
-type objRef struct {
-	schema string
-	pos    int // position within the schema's object slab
-}
+// slot locates one key in its node's buffer.
+type slot struct{ off, n uint32 }
 
 type btreeNode struct {
-	keys     []Key
-	children []*btreeNode // internal nodes: len(keys)+1 children
-	refs     []objRef     // leaf nodes
+	buf      []byte
+	slots    []slot
+	children []*btreeNode // internal nodes: len(slots)+1 children
+	refs     []int        // leaf nodes: each key's slab position
 	next     *btreeNode   // leaf chain
+	last     int          // leaf nodes: the slot of the previous insert
 	leaf     bool
 }
 
@@ -26,105 +38,123 @@ type btree struct {
 	size int
 }
 
-func newBTree() *btree {
-	return &btree{root: &btreeNode{leaf: true}}
+func newBTree() *btree { return &btree{root: newNode(true, 0)} }
+
+// newNode makes a node with room for the one key past btreeOrder that
+// makes it split, and bufCap bytes of keys.
+func newNode(leaf bool, bufCap int) *btreeNode {
+	n := &btreeNode{buf: make([]byte, 0, bufCap), slots: make([]slot, 0, btreeOrder+1), last: -1, leaf: leaf}
+	if leaf {
+		n.refs = make([]int, 0, btreeOrder+1)
+	} else {
+		n.children = make([]*btreeNode, 0, btreeOrder+2)
+	}
+	return n
 }
 
-// insert adds key -> ref. Keys must be unique (enforced by the caller via
-// the oid suffix).
-func (t *btree) insert(key Key, ref objRef) {
-	root := t.root
-	if len(root.keys) >= btreeOrder {
-		newRoot := &btreeNode{leaf: false}
-		newRoot.children = append(newRoot.children, root)
-		t.splitChild(newRoot, 0)
-		t.root = newRoot
-		root = newRoot
+// key returns the node's i-th key.
+func (n *btreeNode) key(i int) []byte {
+	s := n.slots[i]
+	return n.buf[s.off : s.off+s.n : s.off+s.n]
+}
+
+// put stores a copy of key as the node's i-th key.
+func (n *btreeNode) put(i int, key []byte) {
+	n.slots = slices.Insert(n.slots, i, slot{uint32(len(n.buf)), uint32(len(key))})
+	n.buf = append(n.buf, key...)
+}
+
+// search returns the first slot whose key is >= key, or > key when after.
+func (n *btreeNode) search(key []byte, after bool) int {
+	lo, hi := 0, len(n.slots)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c := bytes.Compare(n.key(mid), key); c < 0 || after && c == 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	t.insertNonFull(root, key, ref)
+	return lo
+}
+
+// insert adds key -> ref, copying key. Keys must be unique (the object id
+// suffix makes them so).
+func (t *btree) insert(key []byte, ref int) {
+	if sep, right := t.insertAt(t.root, key, ref); right != nil {
+		root := newNode(false, cap(t.root.buf))
+		root.children = append(root.children, t.root, right)
+		root.put(0, sep)
+		t.root = root
+	}
 	t.size++
 }
 
-func (t *btree) splitChild(parent *btreeNode, i int) {
-	child := parent.children[i]
-	mid := len(child.keys) / 2
-	right := &btreeNode{leaf: child.leaf}
-	if child.leaf {
-		right.keys = append(right.keys, child.keys[mid:]...)
-		right.refs = append(right.refs, child.refs[mid:]...)
-		child.keys = child.keys[:mid]
-		child.refs = child.refs[:mid]
-		right.next = child.next
-		child.next = right
-		// Leaf split: parent separator is right's first key (copied up).
-		parent.keys = append(parent.keys, nil)
-		copy(parent.keys[i+1:], parent.keys[i:])
-		parent.keys[i] = right.keys[0]
+// insertAt inserts key under n. Separators are copies of right-node first
+// keys: child i holds keys < key(i), child i+1 keys >= key(i). A node
+// that overflows splits after the insert, and insertAt returns the new
+// right sibling and the separator the parent needs for it.
+//
+// A leaf whose previous insert landed just before this one splits at the
+// insertion point: the new key ends the left half, or starts the right one
+// when it is the leaf's last. Keys appended to a key region then fill each
+// leaf, even when the next region's first keys share it. Every other node
+// splits in the middle.
+func (t *btree) insertAt(n *btreeNode, key []byte, ref int) (sep []byte, right *btreeNode) {
+	i := n.search(key, true)
+	if n.leaf {
+		n.put(i, key)
+		n.refs = slices.Insert(n.refs, i, ref)
+		at := len(n.slots) / 2
+		if i > 0 && i == n.last+1 {
+			at = min(i+1, len(n.slots)-1)
+		}
+		n.last = i
+		if len(n.slots) <= btreeOrder {
+			return nil, nil
+		}
+		right = n.split(at)
+		return right.key(0), right
+	}
+	if sep, right = t.insertAt(n.children[i], key, ref); right == nil {
+		return nil, nil
+	}
+	n.put(i, sep)
+	n.children = slices.Insert(n.children, i+1, right)
+	if len(n.slots) <= btreeOrder {
+		return nil, nil
+	}
+	mid := len(n.slots) / 2
+	return n.key(mid), n.split(mid)
+}
+
+// split moves the keys from slot at on into a new right sibling and
+// returns it. An internal node's key at moves up to the parent instead.
+// Both halves get fresh buffers holding only their own keys.
+func (n *btreeNode) split(at int) *btreeNode {
+	right := newNode(n.leaf, cap(n.buf))
+	from := at
+	if n.leaf {
+		right.refs = append(right.refs, n.refs[at:]...)
+		n.refs = n.refs[:at]
+		right.next, n.next = n.next, right
+		right.last = n.last - at
 	} else {
-		// Internal split: middle key moves up.
-		upKey := child.keys[mid]
-		right.keys = append(right.keys, child.keys[mid+1:]...)
-		right.children = append(right.children, child.children[mid+1:]...)
-		child.keys = child.keys[:mid]
-		child.children = child.children[:mid+1]
-		parent.keys = append(parent.keys, nil)
-		copy(parent.keys[i+1:], parent.keys[i:])
-		parent.keys[i] = upKey
+		from++
+		right.children = append(right.children, n.children[from:]...)
+		clear(n.children[from:])
+		n.children = n.children[:from]
 	}
-	parent.children = append(parent.children, nil)
-	copy(parent.children[i+2:], parent.children[i+1:])
-	parent.children[i+1] = right
-}
-
-func (t *btree) insertNonFull(n *btreeNode, key Key, ref objRef) {
-	for !n.leaf {
-		i := upperBound(n.keys, key)
-		child := n.children[i]
-		if len(child.keys) >= btreeOrder {
-			t.splitChild(n, i)
-			if CompareKeys(key, n.keys[i]) >= 0 {
-				child = n.children[i+1]
-			} else {
-				child = n.children[i]
-			}
-		}
-		n = child
+	for j := from; j < len(n.slots); j++ {
+		right.put(len(right.slots), n.key(j))
 	}
-	i := upperBound(n.keys, key)
-	n.keys = append(n.keys, nil)
-	copy(n.keys[i+1:], n.keys[i:])
-	n.keys[i] = key
-	n.refs = append(n.refs, objRef{})
-	copy(n.refs[i+1:], n.refs[i:])
-	n.refs[i] = ref
-}
-
-// upperBound returns the first position whose key is > key.
-func upperBound(keys []Key, key Key) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if CompareKeys(keys[mid], key) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	buf := make([]byte, 0, cap(n.buf))
+	for j, s := range n.slots[:at] {
+		n.slots[j].off = uint32(len(buf))
+		buf = append(buf, n.buf[s.off:s.off+s.n]...)
 	}
-	return lo
-}
-
-// lowerBound returns the first position whose key is >= key.
-func lowerBound(keys []Key, key Key) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if CompareKeys(keys[mid], key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	n.buf, n.slots = buf, n.slots[:at]
+	return right
 }
 
 // iterator walks leaves in ascending key order.
@@ -133,43 +163,24 @@ type iterator struct {
 	pos  int
 }
 
-// seek positions the iterator at the first key >= key (nil key = minimum).
-func (t *btree) seek(key Key) iterator {
-	n := t.leafFor(key)
-	it := iterator{node: n, pos: lowerBound(n.keys, key)}
-	it.advanceLeaf()
-	return it
-}
-
-// seekAfter positions the iterator at the first key > key. Tree keys are
-// unique (the oid suffix), so seeking after a key the tree returned
-// resumes exactly behind it, whatever was inserted in between.
-func (t *btree) seekAfter(key Key) iterator {
-	n := t.leafFor(key)
-	it := iterator{node: n, pos: upperBound(n.keys, key)}
-	it.advanceLeaf()
-	return it
-}
-
-// leafFor descends to the leaf key belongs in (nil = the first leaf).
-// Separators are copies of right-leaf first keys: child i holds keys <
-// keys[i]; child i+1 holds keys >= keys[i].
-func (t *btree) leafFor(key Key) *btreeNode {
+// seek positions an iterator at the first key >= key, or > key when
+// after (empty key = the minimum). Tree keys are unique, so seeking after
+// a key the tree returned resumes exactly behind it, whatever was
+// inserted in between.
+func (t *btree) seek(key []byte, after bool) iterator {
 	n := t.root
 	for !n.leaf {
-		i := 0
-		for i < len(n.keys) && CompareKeys(key, n.keys[i]) >= 0 {
-			i++
-		}
-		n = n.children[i]
+		n = n.children[n.search(key, true)]
 	}
-	return n
+	it := iterator{node: n, pos: n.search(key, after)}
+	it.advanceLeaf()
+	return it
 }
 
 // advanceLeaf moves an iterator positioned past its leaf's last key onto
 // the next leaf's first.
 func (it *iterator) advanceLeaf() {
-	for it.node != nil && it.pos >= len(it.node.keys) {
+	for it.node != nil && it.pos >= len(it.node.slots) {
 		it.node = it.node.next
 		it.pos = 0
 	}
@@ -177,12 +188,7 @@ func (it *iterator) advanceLeaf() {
 
 // valid reports whether the iterator points at an entry.
 func (it *iterator) valid() bool {
-	return it.node != nil && it.pos < len(it.node.keys)
-}
-
-// entry returns the current key and ref.
-func (it *iterator) entry() (Key, objRef) {
-	return it.node.keys[it.pos], it.node.refs[it.pos]
+	return it.node != nil && it.pos < len(it.node.slots)
 }
 
 // next advances to the following entry.

@@ -1,0 +1,232 @@
+package sos
+
+import (
+	"bytes"
+	"encoding/binary"
+	"slices"
+	"sort"
+	"testing"
+	"testing/quick"
+
+	"darshanldms/internal/rng"
+)
+
+// treeKey is the tree key of the attribute values k and object id oid.
+func treeKey(k Key, oid uint64) []byte {
+	return binary.BigEndian.AppendUint64(appendKey(nil, k), oid)
+}
+
+// scan returns every key of the leaf chain, in chain order.
+func (t *btree) scan() [][]byte {
+	var out [][]byte
+	for it := t.seek(nil, false); it.valid(); it.next() {
+		out = append(out, it.node.key(it.pos))
+	}
+	return out
+}
+
+func TestBTreeInsertSeekProperty(t *testing.T) {
+	f := func(vals []int64) bool {
+		tr := newBTree()
+		for i, v := range vals {
+			tr.insert(treeKey(Key{v}, uint64(i)), i)
+		}
+		// Full scan must be sorted and complete.
+		keys := tr.scan()
+		for i := 1; i < len(keys); i++ {
+			if bytes.Compare(keys[i-1], keys[i]) >= 0 {
+				return false
+			}
+		}
+		return len(keys) == len(vals)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBTreeSeekSemantics(t *testing.T) {
+	tr := newBTree()
+	for i := 0; i < 1000; i += 2 { // even keys only
+		tr.insert(treeKey(Key{int64(i)}, uint64(i)), i)
+	}
+	// Seeking an odd key lands on the next even one.
+	it := tr.seek(appendKey(nil, Key{int64(501)}), false)
+	if !it.valid() {
+		t.Fatal("seek past data")
+	}
+	if ref := it.node.refs[it.pos]; ref != 502 {
+		t.Fatalf("seek(501) found %d", ref)
+	}
+	// Seeking beyond the maximum is invalid.
+	if it := tr.seek(appendKey(nil, Key{int64(5000)}), false); it.valid() {
+		t.Fatal("seek beyond max should be invalid")
+	}
+}
+
+// insertPatterns are the key orders a tree must stay correct under, as
+// (attribute values, object id) pairs. The per-region pattern is the
+// job_rank_time shape: 64 regions, each appended to 1024 times in rising
+// time, interleaved at random.
+var insertPatterns = map[string]func() []Key{
+	"ascending": func() []Key {
+		return seqKeys(20000, func(i int) Key { return Key{int64(i)} })
+	},
+	"descending": func() []Key {
+		return seqKeys(20000, func(i int) Key { return Key{int64(-i)} })
+	},
+	"random": func() []Key {
+		r := rng.New(1)
+		return seqKeys(20000, func(int) Key { return Key{r.Float64()} })
+	},
+	"per-region": func() []Key {
+		r := rng.New(2)
+		next := make([]int, 64)
+		return seqKeys(64*1024, func(int) Key {
+			reg := r.Intn(64)
+			for next[reg] == 1024 {
+				reg = (reg + 1) % 64
+			}
+			next[reg]++
+			return Key{int64(reg / 8), int64(reg % 8), float64(next[reg])}
+		})
+	},
+	"all-equal": func() []Key {
+		return seqKeys(20000, func(int) Key { return Key{int64(7), "same"} })
+	},
+}
+
+func seqKeys(n int, f func(int) Key) []Key {
+	out := make([]Key, n)
+	for i := range out {
+		out[i] = f(i)
+	}
+	return out
+}
+
+// TestBTreeStructure builds a tree of three or more levels under each
+// insertion pattern and checks its invariants: the leaf chain is strictly
+// ascending, every separator s has left < s <= right, every leaf is at
+// the same depth, seek agrees with sort.Search on a sorted copy of the
+// keys, and size is exact. In-order patterns fill their leaves.
+func TestBTreeStructure(t *testing.T) {
+	for name, pattern := range insertPatterns {
+		t.Run(name, func(t *testing.T) {
+			tr := newBTree()
+			var want [][]byte
+			for i, k := range pattern() {
+				key := treeKey(k, uint64(i))
+				tr.insert(key, i)
+				want = append(want, key)
+			}
+			slices.SortFunc(want, bytes.Compare)
+			if got := tr.scan(); tr.size != len(want) || !slices.EqualFunc(got, want, bytes.Equal) {
+				t.Fatalf("size %d, leaf chain of %d keys, want the %d inserted in order", tr.size, len(got), len(want))
+			}
+			depth, leaves := checkNode(t, tr.root, nil, nil)
+			if depth < 3 {
+				t.Fatalf("a tree of %d levels; the test needs three", depth)
+			}
+			fill := float64(tr.size) / float64(leaves*btreeOrder)
+			t.Logf("%d keys, %d levels, %d leaves, leaf fill %.1f%%", tr.size, depth, leaves, 100*fill)
+			if (name == "ascending" || name == "per-region") && fill < 0.9 {
+				t.Errorf("leaf fill %.1f%%, want >= 90%% for keys arriving in order", 100*fill)
+			}
+			r := rng.New(3)
+			for range 2000 {
+				probe := want[r.Intn(len(want))]
+				switch r.Intn(3) {
+				case 0: // an attribute prefix
+					probe = probe[:r.Intn(len(probe)-8)]
+				case 1: // a key between two stored ones
+					probe = append(slices.Clone(probe), 0)
+				}
+				for _, after := range []bool{false, true} {
+					i := sort.Search(len(want), func(i int) bool {
+						c := bytes.Compare(want[i], probe)
+						return c > 0 || c == 0 && !after
+					})
+					it := tr.seek(probe, after)
+					if it.valid() != (i < len(want)) || it.valid() && !bytes.Equal(it.node.key(it.pos), want[i]) {
+						t.Fatalf("seek(%x, after=%v) disagrees with sort.Search's %d of %d", probe, after, i, len(want))
+					}
+				}
+			}
+		})
+	}
+}
+
+// checkNode checks the subtree under n, whose keys must lie in [lo, hi)
+// (nil = open), and returns its depth and leaf count.
+func checkNode(t *testing.T, n *btreeNode, lo, hi []byte) (depth, leaves int) {
+	t.Helper()
+	for i := range n.slots {
+		k := n.key(i)
+		if lo != nil && bytes.Compare(k, lo) < 0 || hi != nil && bytes.Compare(k, hi) >= 0 || i > 0 && bytes.Compare(n.key(i-1), k) >= 0 {
+			t.Fatalf("key %x is out of order or outside [%x, %x)", k, lo, hi)
+		}
+	}
+	if len(n.slots) > btreeOrder {
+		t.Fatalf("a node of %d keys", len(n.slots))
+	}
+	if n.leaf {
+		return 1, 1
+	}
+	if len(n.children) != len(n.slots)+1 {
+		t.Fatalf("%d children under %d separators", len(n.children), len(n.slots))
+	}
+	for i, child := range n.children {
+		clo, chi := lo, hi
+		if i > 0 {
+			clo = n.key(i - 1)
+		}
+		if i < len(n.slots) {
+			chi = n.key(i)
+		}
+		d, l := checkNode(t, child, clo, chi)
+		if i > 0 && d != depth {
+			t.Fatalf("leaves at depths %d and %d", depth, d)
+		}
+		depth, leaves = d, leaves+l
+	}
+	return depth + 1, leaves
+}
+
+// TestSteadyStateInsertAllocs: once the slab has room, an insert into a
+// container with the three darshan-shaped indices allocates only its
+// share of node splits, well under once per row.
+func TestSteadyStateInsertAllocs(t *testing.T) {
+	c := newTestContainer(t)
+	for _, spec := range []IndexSpec{
+		{Name: "job_time_rank", Schema: "darshan_event", Attrs: []string{"job_id", "timestamp", "rank"}},
+		{Name: "time_job_rank", Schema: "darshan_event", Attrs: []string{"timestamp", "job_id", "rank"}},
+	} {
+		if _, err := c.AddIndex(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const warm, runs = 20000, 4000
+	rows := make([]Object, warm+runs+1)
+	for i := range rows {
+		rows[i] = Object{int64(i % 3), int64(i % 64), float64(i), "write", int64(i)}
+	}
+	c.slabs["darshan_event"] = make([]Object, 0, len(rows))
+	for _, o := range rows[:warm] {
+		if err := c.Insert("darshan_event", o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := warm
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := c.Insert("darshan_event", rows[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs >= 1 {
+		t.Fatalf("a steady-state insert allocates %.0f times", allocs)
+	}
+	if got := c.Index("time_job_rank").Len(); got != next {
+		t.Fatalf("indexed %d of %d rows", got, next)
+	}
+}

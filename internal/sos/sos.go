@@ -7,6 +7,8 @@
 package sos
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -76,13 +78,16 @@ func (s *Schema) AttrIndex(name string) int {
 // Object is one stored tuple, values aligned with the schema's attributes.
 type Object []any
 
-// Key is a composite index key (attribute values, plus a trailing object id
-// added internally for uniqueness).
+// Key is a composite index key: attribute values, as a scan bound. The
+// tree stores keys encoded (key.go) and followed by an object id that makes
+// each unique.
 type Key []any
 
-// CompareKeys orders composite keys element-wise. Supported element types:
-// int64, uint64, float64, string. Shorter keys order before longer ones
-// with an equal prefix (enabling prefix scans).
+// CompareKeys orders composite keys element-wise: the order of sos.Key
+// values, which the tree's byte keys (key.go) encode. Supported element
+// types: int64, uint64, float64, string. Floats are totally ordered: -0
+// equals +0, and NaN sorts after +Inf and equals every NaN. Shorter keys
+// order before longer ones with an equal prefix (enabling prefix scans).
 func CompareKeys(a, b Key) int {
 	n := len(a)
 	if len(b) < n {
@@ -122,10 +127,10 @@ func compareValue(a, b any) int {
 		}
 	case float64:
 		bv := b.(float64)
-		switch {
-		case av < bv:
+		switch aNaN, bNaN := av != av, bv != bv; {
+		case av < bv, bNaN && !aNaN:
 			return -1
-		case av > bv:
+		case av > bv, aNaN && !bNaN:
 			return 1
 		}
 	case string:
@@ -156,6 +161,18 @@ type Index struct {
 	attrIdxs []int
 	types    []Type // the type of each key attribute
 	tree     *btree
+	key      []byte // the tree key being inserted
+}
+
+// insert adds obj, stored at slab position pos, under its tree key: the
+// encoded index attributes, then the object id.
+func (ix *Index) insert(obj Object, oid uint64, pos int) {
+	k := ix.key[:0]
+	for _, ai := range ix.attrIdxs {
+		k = appendValue(k, obj[ai])
+	}
+	ix.key = binary.BigEndian.AppendUint64(k, oid)
+	ix.tree.insert(ix.key, pos)
 }
 
 // Spec returns the index declaration.
@@ -185,7 +202,9 @@ type Container struct {
 	schemas map[string]*Schema
 	slabs   map[string][]Object
 	indices map[string]*Index
-	nextOID uint64
+	// bySchema lists each schema's indices, which every insert updates.
+	bySchema map[string][]*Index
+	nextOID  uint64
 	// origins holds the cluster-assigned logical insert id of each slab
 	// position (replicated DSOS writes stamp the same origin on every
 	// replica so quorum reads can collapse copies). The slice is allocated
@@ -193,39 +212,17 @@ type Container struct {
 	// nothing and keep their exact pre-replication memory and snapshot
 	// layout.
 	origins map[string][]uint64
-	// keys carves index-key backings from a shared []any chunk instead of
-	// one make per key. The B+trees retain every key for the container's
-	// lifetime, so the chunks are never recycled — they simply become the
-	// keys' storage, at one allocation per keyChunk values instead of one
-	// per key per index.
-	keys []any
-}
-
-// keyChunk sizes the shared index-key chunk (values, not keys).
-const keyChunk = 4096
-
-// takeKey carves a zero-length, capacity-capped key window of capacity n.
-func (c *Container) takeKey(n int) Key {
-	if len(c.keys) < n {
-		size := keyChunk
-		if n > size {
-			size = n
-		}
-		c.keys = make([]any, size)
-	}
-	k := Key(c.keys[:0:n])
-	c.keys = c.keys[n:]
-	return k
 }
 
 // NewContainer creates an empty container.
 func NewContainer(name string) *Container {
 	return &Container{
-		Name:    name,
-		schemas: map[string]*Schema{},
-		slabs:   map[string][]Object{},
-		indices: map[string]*Index{},
-		origins: map[string][]uint64{},
+		Name:     name,
+		schemas:  map[string]*Schema{},
+		slabs:    map[string][]Object{},
+		indices:  map[string]*Index{},
+		bySchema: map[string][]*Index{},
+		origins:  map[string][]uint64{},
 	}
 }
 
@@ -271,8 +268,9 @@ func (c *Container) AddIndex(spec IndexSpec) (*Index, error) {
 	}
 	ix := &Index{spec: spec, attrIdxs: idxs, types: types, tree: newBTree()}
 	c.indices[spec.Name] = ix
+	c.bySchema[spec.Schema] = append(c.bySchema[spec.Schema], ix)
 	for pos, obj := range c.slabs[spec.Schema] {
-		ix.tree.insert(c.indexKey(ix, obj, uint64(pos)), objRef{schema: spec.Schema, pos: pos})
+		ix.insert(obj, uint64(pos), pos)
 	}
 	return ix, nil
 }
@@ -288,18 +286,6 @@ func (c *Container) Indices() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// indexKey builds the composite tree key for obj. oid is the pre-boxed
-// object id (any holding a uint64): the caller boxes it once and shares
-// the box across every index on the schema instead of re-boxing per
-// index.
-func (c *Container) indexKey(ix *Index, obj Object, oid any) Key {
-	key := c.takeKey(len(ix.attrIdxs) + 1)
-	for _, ai := range ix.attrIdxs {
-		key = append(key, obj[ai])
-	}
-	return append(key, oid)
 }
 
 // Insert appends an object to the schema's slab and updates every index on
@@ -334,12 +320,10 @@ func (c *Container) InsertOrigin(schemaName string, obj Object, origin uint64) e
 	if c.origins[schemaName] != nil {
 		c.origins[schemaName] = append(c.origins[schemaName], origin)
 	}
-	var oid any = c.nextOID // boxed once, shared by every index
+	oid := c.nextOID
 	c.nextOID++
-	for _, ix := range c.indices {
-		if ix.spec.Schema == schemaName {
-			ix.tree.insert(c.indexKey(ix, obj, oid), objRef{schema: schemaName, pos: pos})
-		}
+	for _, ix := range c.bySchema[schemaName] {
+		ix.insert(obj, oid, pos)
 	}
 	return nil
 }
@@ -378,14 +362,13 @@ func (c *Container) Count(schema string) int {
 
 // Cursor walks one index in key order over an attribute-prefix range
 // [from, to). It copies nothing and holds no lock: Key and Object return
-// the container's own slices, which the caller must not modify. A cursor
+// the container's own memory, which the caller must not modify. A cursor
 // is valid until the container is next modified; a scan that spans
 // modifications reopens with CursorAfter the last Key it saw.
 type Cursor struct {
 	slab    []Object
 	origins []uint64
-	to      Key
-	it      iterator
+	it, end iterator // end is the first entry past the range
 	started bool
 }
 
@@ -397,14 +380,16 @@ func (c *Container) Cursor(indexName string, from, to Key) (Cursor, error) {
 	return c.open(indexName, from, nil, to)
 }
 
-// CursorAfter opens a cursor just past after, a Key that a cursor on the
-// same index returned, that stops before to. Tree keys end in a unique
+// CursorAfter opens a cursor just past after, a tree key (Cursor.Key)
+// that a cursor on the same index returned, that stops before to. Tree keys end in a unique
 // object id, so the scan resumes exactly behind the last entry it saw.
-func (c *Container) CursorAfter(indexName string, after, to Key) (Cursor, error) {
+func (c *Container) CursorAfter(indexName string, after []byte, to Key) (Cursor, error) {
 	return c.open(indexName, nil, after, to)
 }
 
-func (c *Container) open(indexName string, from, after, to Key) (Cursor, error) {
+// open encodes the bounds once and seeks both ends of the range, so
+// stepping the cursor compares positions, not keys.
+func (c *Container) open(indexName string, from Key, after []byte, to Key) (Cursor, error) {
 	ix := c.indices[indexName]
 	if ix == nil {
 		return Cursor{}, fmt.Errorf("sos: unknown index %q", indexName)
@@ -415,44 +400,43 @@ func (c *Container) open(indexName string, from, after, to Key) (Cursor, error) 
 	if err := ix.CheckKey(to); err != nil {
 		return Cursor{}, err
 	}
-	it := ix.tree.seek(from)
-	if after != nil {
-		it = ix.tree.seekAfter(after)
+	var scratch [2][64]byte // short bounds encode on the stack
+	lo := after
+	if after == nil {
+		lo = appendKey(scratch[0][:0], from)
 	}
-	return Cursor{slab: c.slabs[ix.spec.Schema], origins: c.origins[ix.spec.Schema], to: to, it: it}, nil
+	cur := Cursor{slab: c.slabs[ix.spec.Schema], origins: c.origins[ix.spec.Schema], it: ix.tree.seek(lo, after != nil)}
+	if to != nil {
+		hi := appendKey(scratch[1][:0], to)
+		cur.end = ix.tree.seek(hi, false)
+		if bytes.Compare(lo, hi) >= 0 {
+			cur.it = cur.end // an empty range
+		}
+	}
+	return cur, nil
 }
 
 // Next moves to the next entry in range and reports whether there is one.
-// The bound is checked against the tree key's attribute prefix in place.
 func (cur *Cursor) Next() bool {
-	if cur.started {
+	if cur.started && cur.it != cur.end {
 		cur.it.next()
 	}
 	cur.started = true
-	if !cur.it.valid() {
-		return false
-	}
-	if cur.to != nil {
-		k := cur.it.node.keys[cur.it.pos]
-		if CompareKeys(k[:len(k)-1], cur.to) >= 0 {
-			cur.it.node = nil // stay exhausted
-			return false
-		}
-	}
-	return true
+	return cur.it != cur.end && cur.it.valid()
 }
 
-// Key returns the current entry's tree key: the index attributes, then
-// the object id that makes it unique.
-func (cur *Cursor) Key() Key { return cur.it.node.keys[cur.it.pos] }
+// Key returns the current entry's tree key: the encoded index attributes,
+// then the 8-byte object id that makes it unique. The bytes are the
+// tree's: they never change, but holding them keeps a node buffer alive.
+func (cur *Cursor) Key() []byte { return cur.it.node.key(cur.it.pos) }
 
 // Object returns the current entry's object.
-func (cur *Cursor) Object() Object { return cur.slab[cur.it.node.refs[cur.it.pos].pos] }
+func (cur *Cursor) Object() Object { return cur.slab[cur.it.node.refs[cur.it.pos]] }
 
 // Origin returns the current object's stamped origin id (0 when the
 // schema has none).
 func (cur *Cursor) Origin() uint64 {
-	if pos := cur.it.node.refs[cur.it.pos].pos; pos < len(cur.origins) {
+	if pos := cur.it.node.refs[cur.it.pos]; pos < len(cur.origins) {
 		return cur.origins[pos]
 	}
 	return 0

@@ -6,7 +6,6 @@ import (
 	"compress/gzip"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"darshanldms/internal/rng"
 )
@@ -243,52 +242,6 @@ func TestCompareKeysAllTypes(t *testing.T) {
 		if got := CompareKeys(cse.a, cse.b); got != cse.want {
 			t.Fatalf("CompareKeys(%v,%v)=%d want %d", cse.a, cse.b, got, cse.want)
 		}
-	}
-}
-
-func TestBTreeInsertSeekProperty(t *testing.T) {
-	f := func(vals []int64) bool {
-		tr := newBTree()
-		for i, v := range vals {
-			tr.insert(Key{v, uint64(i)}, objRef{pos: i})
-		}
-		// Full scan must be sorted and complete.
-		it := tr.seek(nil)
-		count := 0
-		var prev Key
-		for it.valid() {
-			k, _ := it.entry()
-			if prev != nil && CompareKeys(prev, k) > 0 {
-				return false
-			}
-			prev = k
-			count++
-			it.next()
-		}
-		return count == len(vals)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBTreeSeekSemantics(t *testing.T) {
-	tr := newBTree()
-	for i := 0; i < 1000; i += 2 { // even keys only
-		tr.insert(Key{int64(i), uint64(i)}, objRef{pos: i})
-	}
-	// Seeking an odd key lands on the next even one.
-	it := tr.seek(Key{int64(501)})
-	if !it.valid() {
-		t.Fatal("seek past data")
-	}
-	k, _ := it.entry()
-	if k[0].(int64) != 502 {
-		t.Fatalf("seek(501) found %v", k)
-	}
-	// Seeking beyond the maximum is invalid.
-	if it := tr.seek(Key{int64(5000)}); it.valid() {
-		t.Fatal("seek beyond max should be invalid")
 	}
 }
 

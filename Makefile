@@ -58,12 +58,13 @@ chaos-smoke:
 # inside a batch), PublishBatch accounting, the batch ack, and the
 # blocking Wait raced against AppendBatch, Close and consumer replacement;
 # on the uplink side the cursor's one-frame-one-ack round, the crash
-# between send and batch ack, the per-message store hop and the idle
-# wake-up.
+# between send and batch ack and the idle wake-up; at the store hop the
+# round commit, its refusal and fail-stop, the dead letter, and a kill at
+# each point of a round.
 streams-smoke:
 	$(GO) test -race -short -run 'StreamSoak' ./internal/harness
 	$(GO) test -race -count=1 -run 'Batch|Wait|Legacy|Lazy|Retention' ./internal/streams
-	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory' ./internal/ldms
+	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|Recover|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory' ./internal/ldms
 
 # CI-sized control-plane soak under the race detector: the managed
 # topology (aggregation tree with failover + consistent-hash shards with
@@ -124,6 +125,7 @@ FUZZ_TARGETS ?= \
 	internal/ldms:FuzzReadBatchFrame \
 	internal/sos:FuzzRestore \
 	internal/sos:FuzzKeyOrder \
+	internal/sos:FuzzReplayWAL \
 	internal/dsos:FuzzCursorMatchesQueryEx \
 	internal/streams:FuzzStreamCursor \
 	internal/streams:FuzzRetention \

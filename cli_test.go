@@ -571,17 +571,17 @@ func TestCLIDurablePathEndToEnd(t *testing.T) {
 		waitUntil("ldmsd listening", stderr, func() bool { return ldms.PingTCP(nodeAddr, 200*time.Millisecond) == nil })
 		return cmd, stderr
 	}
-	count := func() int {
+	countAt := func(api string) int {
 		_, body := httpDo(t, http.MethodGet, "http://"+api+"/count")
 		n, _ := strconv.Atoi(strings.TrimSpace(body))
 		return n
 	}
+	count := func() int { return countAt(api) }
 
 	const events, frame, ranks, refRank = 5000, 64, 8, 3
 	var wantRows int
 	var wantLen int64
-	msgs := make([]streams.Message, events)
-	for i := range msgs {
+	mkEvent := func(i int) (*jsonmsg.Message, streams.Message) {
 		seq := uint64(i + 1)
 		m := &jsonmsg.Message{
 			UID: 99066, Exe: "/projects/mpi-io-test", JobID: 7, Rank: i % ranks, ProducerName: "nid00040",
@@ -592,15 +592,20 @@ func TestCLIDurablePathEndToEnd(t *testing.T) {
 				Off: int64(i) * 4096, Len: int64(1 + i%977), Dur: 0.000125, Timestamp: jsonmsg.Quant6(1.6e9 + float64(i)/1000),
 			}},
 		}
+		return m, streams.Message{Tag: "darshanConnector", Type: streams.TypeJSON, Record: event.NewRecord(m, nil), Producer: "nid00040", Seq: seq}
+	}
+	msgs := make([]streams.Message, events)
+	for i := range msgs {
+		var m *jsonmsg.Message
+		m, msgs[i] = mkEvent(i)
 		if m.Rank == refRank {
 			wantRows++
 			wantLen += m.Seg[0].Len
 		}
-		msgs[i] = streams.Message{Tag: "darshanConnector", Type: streams.TypeJSON, Record: event.NewRecord(m, nil), Producer: "nid00040", Seq: seq}
 	}
-	send := func(batch []streams.Message) {
+	sendTo := func(addr string, batch []streams.Message) {
 		t.Helper()
-		conn, err := net.Dial("tcp", nodeAddr)
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -613,6 +618,7 @@ func TestCLIDurablePathEndToEnd(t *testing.T) {
 			batch = batch[n:]
 		}
 	}
+	send := func(batch []streams.Message) { sendTo(nodeAddr, batch) }
 
 	// First half, then SIGTERM ldmsd once it has forwarded all of it.
 	const half = 39 * frame
@@ -692,6 +698,74 @@ func TestCLIDurablePathEndToEnd(t *testing.T) {
 		}
 		if per := len(seg) / events; per > 250 {
 			t.Errorf("%s: %d bytes per event at rest", filepath.Base(path), per)
+		}
+	}
+
+	// SIGKILL dsosd while its ingest lags the stream: n events sent
+	// straight to it, dsosd killed once its ingest stream has appended all
+	// of them — so the TCP hop's window is not what is measured — at k
+	// quarters of the way through the backlog left then, and restarted on
+	// the same -stream and -wal. The restart replays each shard log up to the ingest floor and
+	// the stream redelivers the rest: /count must come back exactly n.
+	const n = 20000
+	killMsgs := make([]streams.Message, n)
+	for i := range killMsgs {
+		_, killMsgs[i] = mkEvent(i)
+	}
+	metric := func(api, series string) int {
+		_, body := httpDo(t, http.MethodGet, "http://"+api+"/metrics")
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, _ := strconv.ParseFloat(v, 64)
+				return int(f)
+			}
+		}
+		return -1
+	}
+	for k := 0; k < 4; k++ {
+		dir := t.TempDir()
+		listen, api := freeAddr(t), freeAddr(t)
+		args := []string{"-listen", listen, "-http", api, "-daemons", "2", "-snapshot-every", "1h", "-stream", "dsosd.stream", "-wal", "wal"}
+		healthy := func(stderr fmt.Stringer) {
+			waitUntil("dsosd /healthz", stderr, func() bool {
+				resp, err := http.Get("http://" + api + "/healthz")
+				if err != nil {
+					return false
+				}
+				resp.Body.Close()
+				return resp.StatusCode == http.StatusOK
+			})
+		}
+		victim, victimErr := spawn(dsosdBin, dir, args...)
+		healthy(victimErr)
+		sendTo(listen, killMsgs)
+		waitUntil("every event appended", victimErr, func() bool {
+			return metric(api, `dlc_stream_appended_total{stream="dsosd-ingest"}`) == n
+		})
+		atKill := countAt(api)
+		for target := atKill + k*(n-atKill)/4; atKill < target; {
+			atKill = countAt(api)
+		}
+		if err := victim.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		_ = victim.Wait()
+
+		restarted, restartedErr := spawn(dsosdBin, dir, args...)
+		healthy(restartedErr)
+		waitUntil("the backlog re-ingested", restartedErr, func() bool { return countAt(api) >= n })
+		time.Sleep(200 * time.Millisecond) // a duplicate would land after the count first reads n
+		got := countAt(api)
+		t.Logf("SIGKILL at kill point %d: count %d at the kill, %d after the restart", k, atKill, got)
+		if got != n {
+			t.Fatalf("SIGKILL at kill point %d, with %d of %d ingested: /count = %d after the restart, want exactly %d\n%s",
+				k, atKill, n, got, n, restartedErr)
+		}
+		if err := restarted.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := restarted.Wait(); err != nil {
+			t.Fatalf("restarted dsosd did not shut down cleanly (%v):\n%s", err, restartedErr)
 		}
 	}
 }

@@ -172,6 +172,48 @@ func main() {
 	// {MinInt64, MaxUint64, +Inf, ""}.
 	write(sp, "FuzzKeyOrder", "extremes-bound-prefix", []byte{3, 0, 1, 2, 3, 1, 4, 0, 0, 0, 6, 1, 22, 20})
 
+	// --- sos.FuzzReplayWAL: floor-bounded shard log replay ---
+	// The first two bytes of each seed are the floor (little endian); the
+	// rest is log bytes. Rows are (int64, string) pairs.
+	floorLog := func(floor uint16, log []byte) []byte {
+		return append(binary.LittleEndian.AppendUint16(nil, floor), log...)
+	}
+	row := func(i int) sos.Object { return sos.Object{int64(i), fmt.Sprintf("r%d", i)} }
+	legacy := walLog(func(w *sos.WAL) error { return w.Append("ev", row(1), 0) })
+	write(sp, "FuzzReplayWAL", "legacy-one-row", floorLog(0, legacy))
+	batchLog := walLog(func(w *sos.WAL) error {
+		return w.AppendBatch("ev", []sos.Object{row(1), row(2), row(3)}, []uint64{11, 12, 13}, 5)
+	})
+	write(sp, "FuzzReplayWAL", "batch-record", floorLog(5, batchLog))
+	// A CRC-clean batch whose row count is a lie: nothing may be sized from it.
+	hostileBody := binary.LittleEndian.AppendUint32(nil, uint32(len("ev"))|1<<31)
+	hostileBody = append(hostileBody, "ev"...)
+	hostileBody = binary.LittleEndian.AppendUint64(hostileBody, 1)
+	hostileBody = binary.LittleEndian.AppendUint32(hostileBody, math.MaxUint32)
+	hostileBody = append(hostileBody, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)
+	write(sp, "FuzzReplayWAL", "hostile-row-count", floorLog(9, walLog(func(w *sos.WAL) error {
+		return sos.AppendFrame(w.Store(), hostileBody)
+	})))
+	twoBatches := walLog(func(w *sos.WAL) error {
+		if err := w.AppendBatch("ev", []sos.Object{row(1), row(2)}, nil, 3); err != nil {
+			return err
+		}
+		return w.AppendBatch("ev", []sos.Object{row(3), row(4)}, nil, 7)
+	})
+	write(sp, "FuzzReplayWAL", "torn-batch-tail", floorLog(9, twoBatches[:len(twoBatches)-10]))
+	write(sp, "FuzzReplayWAL", "token-above-floor", floorLog(5, twoBatches))
+	write(sp, "FuzzReplayWAL", "legacy-then-batch", floorLog(2, walLog(func(w *sos.WAL) error {
+		for i := 1; i <= 2; i++ {
+			if err := w.Append("ev", row(i), 0); err != nil {
+				return err
+			}
+		}
+		if err := w.AppendBatch("ev", []sos.Object{row(3), row(4)}, nil, 2); err != nil {
+			return err
+		}
+		return w.AppendBatch("ev", []sos.Object{row(5)}, nil, 6)
+	})))
+
 	// --- dsos.FuzzCursorMatchesQueryEx: streaming merge vs the reference ---
 	// Each byte draws one parameter of the cluster and query (the target's
 	// doc comment has the layout): shards, R, rows/12, timestamp period,
@@ -280,6 +322,15 @@ func main() {
 		[]byte(`{"name":"a#b//c","horizon_s":1,"fs":"NFS","cluster":{"nodes":24},"arrival":{"kind":"poisson","rate_per_s":1},"jobs":[{"kind":"checkpoint","weight":1}]}`))
 
 	fmt.Fprintf(os.Stderr, "dlc-fuzzcorpus: wrote %d seed files under %s\n", n, *root)
+}
+
+// walLog returns the bytes of a shard log written by appends.
+func walLog(appends func(w *sos.WAL) error) []byte {
+	mem := sos.NewMemWAL()
+	if err := appends(sos.NewWAL(mem)); err != nil {
+		fatal(err)
+	}
+	return readAll(mem)
 }
 
 // validSegment builds a durable-stream segment through the public API:

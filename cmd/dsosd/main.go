@@ -12,10 +12,16 @@
 // stream: every received frame is appended to a CRC-framed segment file
 // as one binary batch entry before anything else, and a consumer-acked
 // ingest loop (ldms.IngestStream) feeds the shards from it, woken by the
-// append — acking each message only after its insert succeeded, naking it
-// for redelivery otherwise. A dsosd crash anywhere between receive and
-// insert then costs redelivery, not data, and a DedupStore absorbs the
-// redelivered overlap so the stored sequence stays exactly-once.
+// append. Each fetched round commits as one insert — one log record per
+// shard, tagged with the round's highest stream sequence — and one ack,
+// so the consumer's durable ack floor is the commit point: at startup
+// each shard log replays only up to that floor, the rest is cut and the
+// stream redelivers it. A dsosd crash anywhere between receive and insert
+// then costs redelivery, neither data nor a duplicate, and a DedupStore
+// absorbs replays inside one incarnation. A log tagged past the stream's
+// last sequence belongs to another stream: dsosd refuses to start on it.
+// A round that fails after part of it was written stops the daemon with
+// a non-zero exit, to be discarded by that restart.
 //
 // With -topo-role store the shards switch from round-robin replica
 // groups to consistent-hash placement: the ring (seeded by
@@ -44,12 +50,14 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -99,33 +107,61 @@ func main() {
 		fatal(err)
 	}
 	cluster.SetReplication(*repl)
+
+	// The ingest stream opens before the shard logs replay: its consumer's
+	// durable ack floor is the commit point every log is cut back to.
+	d := ldms.NewDaemon("dsosd-ingest", "dsosd")
+	var stream *streams.DurableStream
+	var cons *streams.Consumer
+	floor, last := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	if *streamPath != "" {
+		// Durable staging: received frames hit the segment before any
+		// insert, and the ingest loop below consumes with acks. The direct
+		// bus->store attachment is skipped so every message takes exactly
+		// one path. The DedupStore makes the at-least-once redelivery of
+		// naked/unacked messages exactly-once in the shards.
+		fw, err := sos.OpenFileWAL(*streamPath)
+		if err != nil {
+			fatal(err)
+		}
+		defer fw.Close()
+		stream, err = streams.OpenStream(streams.StreamConfig{
+			Name:      "dsosd-ingest",
+			Subjects:  []string{*tag},
+			Retention: streams.RetentionPolicy{MaxMsgs: *streamMaxMsgs},
+			Clock:     obs.WallClock(),
+		}, fw)
+		if err != nil {
+			fatal(err)
+		}
+		if cons, err = stream.Consumer(streams.ConsumerConfig{Name: *streamConsumer}); err != nil {
+			fatal(err)
+		}
+		floor, last = cons.AckFloor(), stream.Stats().LastSeq
+	}
 	if *walDir != "" {
 		if err := os.MkdirAll(*walDir, 0o755); err != nil {
 			fatal(err)
 		}
-		for _, d := range cluster.Daemons() {
-			// Replay what the previous incarnation logged (stopping at any
-			// torn tail), truncate the tail, then attach the log for new
-			// appends. Replay runs before EnableWAL so recovered inserts are
-			// not re-appended.
-			path := filepath.Join(*walDir, d.Name+".wal")
+		for _, sd := range cluster.Daemons() {
+			// Replay what the previous incarnation logged up to the ingest
+			// floor (stopping at any torn tail), cut the rest, then append
+			// behind it. The stream redelivers the rounds cut here.
+			path := filepath.Join(*walDir, sd.Name+".wal")
 			fw, err := sos.OpenFileWAL(path)
 			if err != nil {
 				fatal(err)
 			}
-			recs, consumed, err := sos.ReplayWAL(fw, func(schema string, obj sos.Object, origin uint64) error {
-				return d.InsertOrigin(schema, obj, origin)
-			})
+			r, err := sd.RecoverWAL(fw, floor, last)
 			if err != nil {
 				fatal(err)
 			}
-			if err := fw.Reset(consumed); err != nil {
-				fatal(err)
+			if r.Rows > 0 {
+				fmt.Fprintf(os.Stderr, "dsosd: %s recovered %d records from %s\n", sd.Name, r.Rows, path)
 			}
-			if recs > 0 {
-				fmt.Fprintf(os.Stderr, "dsosd: %s recovered %d records from %s\n", d.Name, recs, path)
+			if r.Dropped > 0 {
+				fmt.Fprintf(os.Stderr, "dsosd: %s dropped %d rows past the ingest floor %d from %s\n", sd.Name, r.Dropped, floor, path)
 			}
-			d.EnableWAL(fw)
 		}
 	}
 	client := dsos.Connect(cluster)
@@ -186,43 +222,26 @@ func main() {
 			len(hc.Members()), topoCfg.RingSeed, *repl)
 	}
 
-	d := ldms.NewDaemon("dsosd-ingest", "dsosd")
 	store := ldms.NewDSOSStore(client)
 	var h *ldms.StoreHandle
-	var stream *streams.DurableStream
-	if *streamPath != "" {
-		// Durable staging: received frames hit the segment before any
-		// insert, and the ingest loop below consumes with acks. The direct
-		// bus->store attachment is skipped so every message takes exactly
-		// one path. The DedupStore makes the at-least-once redelivery of
-		// naked/unacked messages exactly-once in the shards.
-		fw, err := sos.OpenFileWAL(*streamPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer fw.Close()
-		stream, err = streams.OpenStream(streams.StreamConfig{
-			Name:      "dsosd-ingest",
-			Subjects:  []string{*tag},
-			Retention: streams.RetentionPolicy{MaxMsgs: *streamMaxMsgs},
-			Clock:     obs.WallClock(),
-		}, fw)
-		if err != nil {
-			fatal(err)
-		}
+	ingestDone := make(chan error, 1)
+	var ingestErr atomic.Pointer[error]
+	if stream != nil {
 		if err := d.Bus().BindStream(stream); err != nil {
 			fatal(err)
 		}
-		cons, err := stream.Consumer(streams.ConsumerConfig{Name: *streamConsumer})
-		if err != nil {
-			fatal(err)
-		}
-		go ldms.IngestStream(cons, ldms.NewDedupStore(store), func(err error) {
-			fmt.Fprintln(os.Stderr, "dsosd: ingest:", err)
-		})
+		go func() {
+			err := ldms.IngestStream(cons, ldms.NewDedupStore(store), func(err error) {
+				fmt.Fprintln(os.Stderr, "dsosd: ingest:", err)
+			})
+			if err != nil {
+				ingestErr.Store(&err)
+			}
+			ingestDone <- err
+		}()
 		st := stream.Stats()
 		fmt.Fprintf(os.Stderr, "dsosd: durable ingest stream %s: recovered seqs [%d,%d], consumer %q at floor %d\n",
-			*streamPath, st.FirstSeq, st.LastSeq, *streamConsumer, cons.AckFloor())
+			*streamPath, st.FirstSeq, st.LastSeq, *streamConsumer, floor)
 	} else {
 		h = d.AttachStore(*tag, store)
 	}
@@ -242,7 +261,7 @@ func main() {
 			return
 		}
 		name := f.Name()
-		err = d.Container().Snapshot(f)
+		err = d.Snapshot(f)
 		cerr := f.Close()
 		if err != nil || cerr != nil {
 			os.Remove(name)
@@ -288,6 +307,14 @@ func main() {
 		}
 		health := obs.NewHealth()
 		health.Register("cluster", cluster.ClusterHealth())
+		if stream != nil {
+			health.Register("ingest", func() error {
+				if err := ingestErr.Load(); err != nil {
+					return *err
+				}
+				return nil
+			})
+		}
 
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", obs.Handler(reg))
@@ -362,6 +389,13 @@ func main() {
 			snap()
 			fmt.Fprintln(os.Stderr, "dsosd: shutdown")
 			return
+		case err := <-ingestDone:
+			// A round failed after part of it was written: no snapshot of
+			// the partial round, and only a restart, cutting each shard log
+			// back to the ingest floor, discards it exactly.
+			if err != nil {
+				fatal(fmt.Errorf("ingest stopped: %w", err))
+			}
 		}
 	}
 }

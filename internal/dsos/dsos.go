@@ -30,6 +30,8 @@ package dsos
 import (
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -248,29 +250,118 @@ func (d *Daemon) Insert(schema string, obj sos.Object) error {
 }
 
 // InsertOrigin stores one object stamped with a cluster-wide origin id
-// (0 = unreplicated). The object is applied to the shard first (so schema
-// validation never leaves a poisoned WAL record) and then logged; the
-// insert is only acked once both succeed. Crash cannot interleave because
-// it takes the same lock.
+// (0 = unreplicated): the share of one row (insertShare), logged as a row
+// record.
 func (d *Daemon) InsertOrigin(schema string, obj sos.Object, origin uint64) error {
+	sh := share{objs: []sos.Object{obj}, ids: []uint64{origin}}
+	d.insertShare(schema, &sh, 0)
+	return sh.rowErr(0)
+}
+
+// insertShare stores one daemon's share of a batch under one lock: every
+// row is checked against the schema, the rows that pass are logged as one
+// record tagged token, and only then applied — so a checked row never
+// leaves a poisoned log record, and a failed log write applies nothing. A
+// row that fails the check fails alone (sh.errs); a share the daemon
+// cannot take at all — down, or the log write failed — sets sh.err and
+// stores none of it. Crash cannot interleave because it takes the same
+// lock.
+func (d *Daemon) insertShare(schema string, sh *share, token uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.fault != nil {
-		return fmt.Errorf("dsos: %s unavailable: %w", d.Name, d.fault)
+		sh.err = fmt.Errorf("dsos: %s unavailable: %w", d.Name, d.fault)
+		return
 	}
 	if d.cont == nil {
-		return fmt.Errorf("dsos: %s: %w", d.Name, ErrCrashed)
+		sh.err = fmt.Errorf("dsos: %s: %w", d.Name, ErrCrashed)
+		return
 	}
-	if err := d.cont.InsertOrigin(schema, obj, origin); err != nil {
-		return err
-	}
-	if d.wal != nil {
-		if err := d.wal.Append(schema, obj, origin); err != nil {
-			return err
+	for i, obj := range sh.objs {
+		if err := d.cont.Check(schema, obj); err != nil {
+			if sh.errs == nil {
+				sh.errs = make([]error, len(sh.objs))
+			}
+			sh.errs[i] = err
 		}
 	}
-	d.inserts.Add(1)
-	return nil
+	objs, ids := sh.objs, sh.ids
+	if sh.errs != nil { // log and apply only the rows that pass
+		objs, ids = nil, nil
+		for i, err := range sh.errs {
+			if err == nil {
+				objs, ids = append(objs, sh.objs[i]), append(ids, sh.ids[i])
+			}
+		}
+	}
+	if len(objs) == 0 {
+		return
+	}
+	if d.wal != nil {
+		if err := d.wal.AppendBatch(schema, objs, ids, token); err != nil {
+			sh.err = err
+			return
+		}
+	}
+	for i, obj := range objs {
+		d.cont.InsertChecked(schema, obj, ids[i])
+	}
+	sh.stored = len(objs)
+	d.inserts.Add(uint64(len(objs)))
+}
+
+// Snapshot writes the daemon's shard to w in sos.Container.Snapshot's
+// format. The daemon lock is held only to freeze the contents — O(schemas)
+// work — and the encoding and compression run outside it, so ingest never
+// waits on gzip.
+func (d *Daemon) Snapshot(w io.Writer) error {
+	d.mu.Lock()
+	if d.cont == nil {
+		d.mu.Unlock()
+		return fmt.Errorf("dsos: %s: %w", d.Name, ErrCrashed)
+	}
+	f := d.cont.Freeze()
+	d.mu.Unlock()
+	return f.Snapshot(w)
+}
+
+// RecoverWAL rebuilds the daemon's shard from the log in st up to floor
+// (sos.ReplayWALTo), cuts the log back to what it replayed, and attaches
+// it for new appends. last is the highest token the log may carry: a batch
+// past the floor tagged above last was written against another
+// incarnation of whatever issues the tokens, and RecoverWAL refuses it
+// before cutting anything. With floor and last at math.MaxUint64 it is the
+// plain replay, up to a torn tail.
+func (d *Daemon) RecoverWAL(st sos.WALStore, floor, last uint64) (sos.WALReplay, error) {
+	r, err := sos.ReplayWALTo(st, floor, func(schema string, obj sos.Object, origin uint64) error {
+		return d.InsertOrigin(schema, obj, origin)
+	})
+	if err != nil {
+		return r, fmt.Errorf("dsos: %s recover: %w", d.Name, err)
+	}
+	if r.Above > last {
+		return r, fmt.Errorf("dsos: %s recover: the log holds a batch tagged %d, past the last token %d: log and token source are from different incarnations", d.Name, r.Above, last)
+	}
+	if err := truncateWAL(st, r.Consumed); err != nil {
+		return r, fmt.Errorf("dsos: %s recover: %w", d.Name, err)
+	}
+	d.mu.Lock()
+	d.wal = sos.NewWAL(st)
+	d.recovered += uint64(r.Rows)
+	d.mu.Unlock()
+	return r, nil
+}
+
+// truncateWAL cuts a log backing to its first n bytes.
+func truncateWAL(st sos.WALStore, n int64) error {
+	switch w := st.(type) {
+	case interface{ Truncate(n int) }:
+		w.Truncate(int(n))
+		return nil
+	case interface{ Reset(n int64) error }:
+		return w.Reset(n)
+	}
+	return fmt.Errorf("WAL store %T cannot be truncated", st)
 }
 
 // IterOrigins walks the index yielding each object with its origin id,
@@ -349,15 +440,8 @@ func (d *Daemon) RetainWhere(index string, keep func(obj sos.Object, origin uint
 	}
 	if d.wal != nil {
 		st := d.wal.Store()
-		switch w := st.(type) {
-		case interface{ Truncate(n int) }:
-			w.Truncate(0)
-		case interface{ Reset(n int64) error }:
-			if err := w.Reset(0); err != nil {
-				return 0, fmt.Errorf("dsos: %s retain: wal reset: %w", d.Name, err)
-			}
-		default:
-			return 0, fmt.Errorf("dsos: %s retain: WAL store %T cannot be rewritten", d.Name, st)
+		if err := truncateWAL(st, 0); err != nil {
+			return 0, fmt.Errorf("dsos: %s retain: %w", d.Name, err)
 		}
 		wal := sos.NewWAL(st)
 		for _, r := range kept {
@@ -480,9 +564,11 @@ func (c *Cluster) AddIndex(spec sos.IndexSpec) error {
 	return nil
 }
 
-// Client is a DSOS client session.
+// Client is a DSOS client session. It is safe for concurrent use.
 type Client struct {
-	c *Cluster
+	c       *Cluster
+	busy    atomic.Bool // scratch is taken
+	scratch batch       // one insert's scratch at a time; a concurrent insert brings its own
 }
 
 // Connect returns a client for the cluster.
@@ -496,115 +582,281 @@ func (cl *Client) Insert(schema string, obj sos.Object) error {
 	return cl.InsertBatch(schema, []sos.Object{obj})
 }
 
-// owners is one object's planned destinations.
-type owners struct{ ack, fence []*Daemon }
+// ErrNothingWritten marks a failed insert that stored nothing anywhere —
+// a batch refused at admission, or one every daemon turned away — so
+// retrying all of it cannot duplicate an object. errors.Is finds it
+// beside the cause, whose text is unchanged.
+var ErrNothingWritten = errors.New("dsos: nothing written")
+
+type nothingWritten struct{ error }
+
+func (e nothingWritten) Unwrap() []error { return []error{e.error, ErrNothingWritten} }
 
 // InsertBatch places the objects with a single reservation: the insert
 // sequence (and the origin ids, when the placement stamps them) advance
 // once for the whole batch, so each object lands exactly where a sequence
 // of Insert calls would have put it — batched and unbatched ingest
-// produce identical clusters.
+// produce identical clusters. The objects are grouped by owner daemon in
+// first-seen order, and each daemon stores its share under one lock with
+// one log record (Daemon.insertShare), seeing its rows in batch order.
 //
 // The placement's rules pick the ack rule. Any-replica: an object is
 // acked when at least one of its daemons stored it, and the first error
-// is returned once every remaining object has been attempted. AckAll:
-// every owner of every object must be up before anything is written, an
-// object is acked only when all its owners stored it, and the first
-// write error ends the batch. Fence daemons get a best-effort copy
+// (in object order) is returned once every share has been attempted.
+// AckAll: every owner of every object must be up before anything is
+// written, an object is acked only when all its owners stored it, and the
+// first failed share ends the batch. Fence daemons get a best-effort copy
 // either way.
 func (cl *Client) InsertBatch(schema string, objs []sos.Object) error {
+	return cl.InsertTagged(schema, objs, 0)
+}
+
+// InsertTagged is InsertBatch with every log record it writes tagged
+// token: a durable ingest stream's commit mark, which lets a restart cut
+// each shard log back to what the stream settled (Daemon.RecoverWAL).
+// InsertBatch is the untagged case, token 0.
+func (cl *Client) InsertTagged(schema string, objs []sos.Object, token uint64) error {
 	if len(objs) == 0 {
 		return nil
+	}
+	b := &batch{}
+	if cl.busy.CompareAndSwap(false, true) {
+		b = &cl.scratch
+		defer cl.busy.Store(false)
 	}
 	c := cl.c
 	c.mu.Lock()
 	p := c.place
 	rules := p.Rules()
-	seq := c.seq
-	var plan []owners
-	if rules.AckAll {
-		// Admission runs under the cluster lock, so it sees one placement
-		// and a refused batch consumes no origin ids.
-		var err error
-		if plan, err = admit(p, schema, objs, seq); err != nil {
-			c.mu.Unlock()
-			return err
-		}
+	// Planning runs under the cluster lock, so AckAll admission sees one
+	// placement and a refused batch consumes no sequence or origin ids.
+	if err := b.plan(p, schema, objs, c.seq, c.origin, rules); err != nil {
+		c.mu.Unlock()
+		return nothingWritten{err}
 	}
 	c.seq += uint64(len(objs))
-	var origin uint64
 	if rules.Stamp {
-		origin = c.origin
 		c.origin += uint64(len(objs))
 	}
 	clock, quorum := c.obsClock, c.quorumLat
 	c.mu.Unlock()
 
-	var firstErr error
+	var q0 time.Duration
+	if clock != nil {
+		q0 = clock()
+	}
+	stored := false
+	for i := range b.shares {
+		sh := &b.shares[i]
+		sh.d.insertShare(schema, sh, token)
+		if clock != nil {
+			sh.done = clock()
+		}
+		stored = stored || sh.stored > 0
+		if !rules.AckAll {
+			continue
+		}
+		if err := sh.ackErr(); err != nil {
+			b.settle(p, b.shares[:i+1])
+			if !stored {
+				return nothingWritten{err}
+			}
+			return err
+		}
+	}
+	b.settle(p, b.shares)
+	unacked := false
+	for k := range b.objs {
+		o := &b.objs[k]
+		if clock != nil && o.owners > 1 {
+			quorum.Observe(uint64(o.last - q0))
+		}
+		unacked = unacked || o.acked == 0
+	}
+	if !unacked {
+		return nil
+	}
+	err := b.firstErr()
+	if err != nil && !stored {
+		return nothingWritten{err}
+	}
+	return err
+}
+
+// batch is the scratch of one InsertTagged call, reused by the next, so a
+// steady-state insert allocates nothing of its own.
+type batch struct {
+	shares []share     // one per owner daemon, in first-seen order
+	objs   []objResult // one per object
+}
+
+// share is one daemon's part of a batch: its rows in batch order.
+type share struct {
+	d      *Daemon
+	objs   []sos.Object
+	ids    []uint64 // each row's origin id (0 unstamped)
+	rows   []shareRow
+	errs   []error // nil unless a row failed its check: each row's verdict
+	err    error   // the whole share failed: none of it was stored
+	stored int     // rows stored
+	done   time.Duration
+}
+
+// shareRow places a share's row in its batch: the object it copies, and
+// its daemon's position among that object's ack owners (-1: a fence copy).
+type shareRow struct{ k, pos int32 }
+
+// objResult is one object's outcome across the shares holding it.
+type objResult struct {
+	owners int           // ack owners
+	acked  int           // ack owners that stored it
+	last   time.Duration // when its last ack share finished
+}
+
+// rowErr is row i's verdict.
+func (sh *share) rowErr(i int) error {
+	switch {
+	case sh.err != nil:
+		return sh.err
+	case sh.errs != nil:
+		return sh.errs[i]
+	}
+	return nil
+}
+
+// ackErr is the first failure among the share's ack rows.
+func (sh *share) ackErr() error {
+	for i, r := range sh.rows {
+		if r.pos >= 0 {
+			if err := sh.rowErr(i); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// plan groups the objects into shares by owner daemon. With AckAll it
+// refuses the batch unless every ack owner of every object is up.
+func (b *batch) plan(p Placement, schema string, objs []sos.Object, seq, origin uint64, rules Rules) error {
+	if b.shares == nil {
+		b.shares = make([]share, 0, len(p.Members()))
+	}
+	b.shares = b.shares[:0]
+	if cap(b.objs) < len(objs) {
+		b.objs = make([]objResult, len(objs))
+	}
+	b.objs = b.objs[:len(objs)]
 	for k, obj := range objs {
-		var to owners
-		if plan != nil {
-			to = plan[k]
-		} else {
-			to.ack, to.fence = p.Owners(schema, obj, seq+uint64(k))
+		ack, fence := p.Owners(schema, obj, seq+uint64(k))
+		if rules.AckAll {
+			if len(ack) == 0 {
+				return errors.New("dsos: placement has no owner for the object")
+			}
+			for _, d := range ack {
+				if !d.Up() {
+					return fmt.Errorf("dsos: owner %s is down; batch refused", d.Name)
+				}
+			}
 		}
 		var id uint64
 		if rules.Stamp {
 			id = origin + uint64(k) + 1
 		}
-		timed := clock != nil && len(to.ack) > 1
-		var q0 time.Duration
-		if timed {
-			q0 = clock()
+		b.objs[k] = objResult{owners: len(ack)}
+		for j, d := range ack {
+			b.shareOf(d, len(objs)).add(obj, id, shareRow{k: int32(k), pos: int32(j)})
 		}
-		acked := 0
-		var objErr error
-		for _, d := range to.ack {
-			if err := d.InsertOrigin(schema, obj, id); err != nil {
-				if rules.AckAll {
-					return err
-				}
-				if objErr == nil {
-					objErr = err
+		for _, d := range fence {
+			b.shareOf(d, len(objs)).add(obj, id, shareRow{k: int32(k), pos: -1})
+		}
+	}
+	return nil
+}
+
+// shareOf returns d's share, opening one at d's first row: on a slot whose
+// buffers an earlier batch grew, or on a new one sized for n rows, the
+// most a share of this batch can hold.
+func (b *batch) shareOf(d *Daemon, n int) *share {
+	for i := range b.shares {
+		if b.shares[i].d == d {
+			return &b.shares[i]
+		}
+	}
+	if len(b.shares) < cap(b.shares) {
+		b.shares = b.shares[:len(b.shares)+1]
+	} else {
+		b.shares = append(b.shares, share{})
+	}
+	sh := &b.shares[len(b.shares)-1]
+	if sh.objs == nil {
+		sh.objs = make([]sos.Object, 0, n)
+		sh.ids = make([]uint64, 0, n)
+		sh.rows = make([]shareRow, 0, n)
+	}
+	sh.d = d
+	sh.objs = sh.objs[:0]
+	sh.ids = sh.ids[:0]
+	sh.rows = sh.rows[:0]
+	sh.errs, sh.err = nil, nil
+	sh.stored, sh.done = 0, 0
+	return sh
+}
+
+func (sh *share) add(obj sos.Object, id uint64, r shareRow) {
+	sh.objs = append(sh.objs, obj)
+	sh.ids = append(sh.ids, id)
+	sh.rows = append(sh.rows, r)
+}
+
+// settle folds the attempted shares into per-object outcomes and reports
+// every fence copy that landed to the placement.
+func (b *batch) settle(p Placement, shares []share) {
+	for i := range shares {
+		sh := &shares[i]
+		for r, row := range sh.rows {
+			ok := sh.rowErr(r) == nil
+			if row.pos < 0 {
+				// A fence daemon that misses its copy is covered by the
+				// migration's drain.
+				if ok {
+					p.Fenced(sh.d, sh.ids[r])
 				}
 				continue
 			}
-			acked++
-		}
-		if timed {
-			quorum.Observe(uint64(clock() - q0))
-		}
-		if acked == 0 && firstErr == nil {
-			firstErr = objErr
-		}
-		for _, d := range to.fence {
-			// A fence daemon that misses its copy is covered by the
-			// migration's drain.
-			if d.InsertOrigin(schema, obj, id) == nil {
-				p.Fenced(d, id)
+			o := &b.objs[row.k]
+			if ok {
+				o.acked++
 			}
+			o.last = max(o.last, sh.done)
 		}
 	}
-	return firstErr
 }
 
-// admit plans a whole batch and refuses it unless every ack daemon of
-// every object is up.
-func admit(p Placement, schema string, objs []sos.Object, seq uint64) ([]owners, error) {
-	plan := make([]owners, len(objs))
-	for k, obj := range objs {
-		ack, fence := p.Owners(schema, obj, seq+uint64(k))
-		if len(ack) == 0 {
-			return nil, errors.New("dsos: placement has no owner for the object")
+// firstErr is the failure of the first object no ack owner stored: the
+// error of its earliest failing ack owner.
+func (b *batch) firstErr() error {
+	for k := range b.objs {
+		if b.objs[k].acked > 0 {
+			continue
 		}
-		for _, d := range ack {
-			if !d.Up() {
-				return nil, fmt.Errorf("dsos: owner %s is down; batch refused", d.Name)
+		var err error
+		pos := int32(math.MaxInt32)
+		for i := range b.shares {
+			sh := &b.shares[i]
+			for r, row := range sh.rows {
+				if int(row.k) == k && row.pos >= 0 && row.pos < pos {
+					if e := sh.rowErr(r); e != nil {
+						err, pos = e, row.pos
+					}
+				}
 			}
 		}
-		plan[k] = owners{ack, fence}
+		if err != nil {
+			return err
+		}
 	}
-	return plan, nil
+	return nil
 }
 
 // Count sums object counts across daemons. With replication each object

@@ -1,6 +1,7 @@
 package ldms
 
 import (
+	"fmt"
 	"sync"
 
 	"darshanldms/internal/obs"
@@ -36,6 +37,7 @@ type DedupStore struct {
 
 	mu         sync.Mutex
 	seen       map[string]*seenSeqs
+	fresh      []streams.Message // StoreRound's reused survivors
 	duplicates uint64
 	stored     uint64
 	unstamped  uint64
@@ -96,17 +98,12 @@ func (s *DedupStore) Name() string { return "dedup(" + s.inner.Name() + ")" }
 func (s *DedupStore) Store(m streams.Message) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.clock != nil {
-		if st, ok := m.Record.(streams.Stamper); ok {
-			st.Stamp(hopDedup, s.clock())
-		}
-	}
-	if m.Producer == "" || m.Seq == 0 {
+	s.stampLocked(m)
+	if !stamped(m) {
 		s.unstamped++
 		return s.inner.Store(m)
 	}
-	p := s.seen[m.Producer]
-	if p.has(m.Seq) {
+	if s.seen[m.Producer].has(m.Seq) {
 		s.duplicates++
 		return nil
 	}
@@ -115,13 +112,81 @@ func (s *DedupStore) Store(m streams.Message) error {
 		// a replay, and must reach the inner store again.
 		return err
 	}
+	s.markLocked(m)
+	return nil
+}
+
+// StoreRound implements RoundStore over an inner RoundStore: it drops the
+// round's replays — identities already stored, and a second copy inside
+// the round — and hands the rest to the inner store as one round. The
+// identities are marked seen, and the counters move, only once that round
+// has committed: a failed round is retried whole, and its retry is not a
+// replay.
+func (s *DedupStore) StoreRound(ms []streams.Message, token uint64, dead func(error)) error {
+	inner, ok := s.inner.(RoundStore)
+	if !ok {
+		return fmt.Errorf("ldms: dedup over %s: it does not store rounds", s.inner.Name())
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fresh := s.fresh[:0]
+	dups := uint64(0)
+	for _, m := range ms {
+		s.stampLocked(m)
+		if stamped(m) && (s.seen[m.Producer].has(m.Seq) || inRound(fresh, m)) {
+			dups++
+			continue
+		}
+		fresh = append(fresh, m)
+	}
+	s.fresh = fresh
+	defer clear(fresh) // the round's records are the inner store's now
+	if len(fresh) > 0 {
+		if err := inner.StoreRound(fresh, token, dead); err != nil {
+			return err
+		}
+	}
+	s.duplicates += dups
+	for _, m := range fresh {
+		if stamped(m) {
+			s.markLocked(m)
+		} else {
+			s.unstamped++
+		}
+	}
+	return nil
+}
+
+// inRound reports whether round already holds m's identity.
+func inRound(round []streams.Message, m streams.Message) bool {
+	for i := range round {
+		if round[i].Seq == m.Seq && round[i].Producer == m.Producer {
+			return true
+		}
+	}
+	return false
+}
+
+// stamped reports whether m carries a (producer, seq) identity.
+func stamped(m streams.Message) bool { return m.Producer != "" && m.Seq != 0 }
+
+func (s *DedupStore) stampLocked(m streams.Message) {
+	if s.clock != nil {
+		if st, ok := m.Record.(streams.Stamper); ok {
+			st.Stamp(hopDedup, s.clock())
+		}
+	}
+}
+
+// markLocked records m's identity as stored.
+func (s *DedupStore) markLocked(m streams.Message) {
+	p := s.seen[m.Producer]
 	if p == nil {
 		p = &seenSeqs{}
 		s.seen[m.Producer] = p
 	}
 	p.add(m.Seq)
 	s.stored++
-	return nil
 }
 
 // Duplicates returns how many stamped messages were suppressed as

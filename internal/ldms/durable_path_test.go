@@ -16,9 +16,9 @@ import (
 )
 
 // Tests of the durable path's batch contract: a frame is one batch from
-// the socket into the stream, a cursor round is one frame and one ack, an
-// idle consumer sleeps instead of polling, and the store hop still
-// settles message by message.
+// the socket into the stream, a cursor round is one frame and one ack, and
+// an idle consumer sleeps instead of polling. The store hop's round commit
+// is ingest_test.go's.
 
 // identStore records every (producer, seq) it is asked to store, and can
 // be told to fail chosen identities a number of times.
@@ -226,67 +226,6 @@ func TestCrashBetweenSendAndBatchAck(t *testing.T) {
 	}
 	if len(ids) != n {
 		t.Fatalf("%d identities stored, want %d", len(ids), n)
-	}
-}
-
-// TestIngestStreamSettlesPerMessage: a store error in the middle of a
-// round naks exactly that message and acks the ones before it (each ack
-// its own checkpoint), the loop keeps going, and after redelivery every
-// message has been stored exactly once.
-func TestIngestStreamSettlesPerMessage(t *testing.T) {
-	wal := &writeCounter{MemWAL: sos.NewMemWAL()}
-	s := openTestStream(t, wal)
-	const n = 10
-	batch := make([]streams.Message, n)
-	for i := range batch {
-		batch[i] = typedMsg(uint64(i + 1))
-	}
-	inner := &identStore{fail: map[string]int{"nid00040/5": 2}}
-	dedup := NewDedupStore(inner)
-	cons, err := s.Consumer(streams.ConsumerConfig{Name: "ingest"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var errs []error
-	var floorAtFirstErr uint64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		IngestStream(cons, dedup, func(err error) {
-			mu.Lock()
-			if len(errs) == 0 {
-				floorAtFirstErr = cons.AckFloor()
-			}
-			errs = append(errs, err)
-			mu.Unlock()
-		})
-	}()
-	if _, err := s.AppendBatch(batch); err != nil { // wakes the idle loop
-		t.Fatal(err)
-	}
-	waitFor(t, "round ingested", func() bool { return cons.AckFloor() == n })
-	cons.Close()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("IngestStream did not return after Close")
-	}
-	if len(errs) != 2 || floorAtFirstErr != 4 {
-		t.Fatalf("%d store errors reported, floor at the first %d; want 2 and 4 (1..4 acked before 5 failed)", len(errs), floorAtFirstErr)
-	}
-	cs := cons.Stats()
-	if cs.Naks != 2 || cs.Redelivered != 2 || cs.Acked != n {
-		t.Fatalf("consumer stats %+v, want exactly the failing message naked twice", cs)
-	}
-	ids := inner.ids()
-	if len(ids) != n || dedup.Duplicates() != 0 {
-		t.Fatalf("stored %v (%d duplicates absorbed), want each of %d once", ids, dedup.Duplicates(), n)
-	}
-	// One append, then one checkpoint per floor advance: acks 1..4, then
-	// 6..10 settle above the gap, then 5's ack carries the floor to 10.
-	if got := wal.writes.Load(); got != 1+4+1 {
-		t.Fatalf("%d segment writes, want 1 append + 5 checkpoints", got)
 	}
 }
 

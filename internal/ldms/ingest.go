@@ -1,41 +1,73 @@
 package ldms
 
-import "darshanldms/internal/streams"
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"darshanldms/internal/dsos"
+	"darshanldms/internal/streams"
+)
 
 // ingestRound bounds one fetch of the store hop.
 const ingestRound = 64
 
+// refusedWait spaces the retries of a round the store refused whole, so
+// an owner that stays down costs a retry per interval, not a spin.
+const refusedWait = 10 * time.Millisecond
+
+// RoundStore is a StorePlugin that can also settle a whole ingest round as
+// one commit.
+type RoundStore interface {
+	StorePlugin
+	// StoreRound stores ms as one commit tagged token, the highest stream
+	// sequence in the round. A message the store cannot decode is reported
+	// to dead and settled with the round. An error wrapping
+	// dsos.ErrNothingWritten means nothing of the round was stored.
+	StoreRound(ms []streams.Message, token uint64, dead func(error)) error
+}
+
 // IngestStream is the store hop of a durable daemon (cmd/dsosd): it
 // drains cons into store until the consumer is closed or replaced,
-// sleeping on the stream while there is nothing to deliver. A round
-// shares one fetch and one decode pass, but each message is settled on
-// its own — stored, then acked, the ack checkpointing the cursor — and a
-// failed store naks exactly that message for redelivery (onErr sees the
-// error). The per-message ack is deliberate: dedup identity lives in
-// memory and stored rows carry no (producer, seq), so after a kill -9 the
-// only record of what was stored is the durable cursor. Acking a whole
-// inserted round at once would widen the window in which a crash stores
-// a message twice from one message to the round; pair store with a
-// DedupStore and the window stays one message wide.
-func IngestStream(cons *streams.Consumer, store StorePlugin, onErr func(error)) {
+// sleeping on the stream while there is nothing to deliver. Each fetched
+// round (at most ingestRound messages) is settled as one commit:
+// store.StoreRound inserts all its fresh rows tagged with the round's
+// token — one log record and one write per shard it touches — and one
+// AckBatch then settles the round with one cursor checkpoint.
+//
+// The consumer's durable ack floor is thereby the commit point: every
+// shard log record tagged at or below it belongs to a settled round, and a
+// restart replays each log only up to the floor (dsos.Daemon.RecoverWAL)
+// and lets the stream redeliver the rest. A kill -9 anywhere in a round
+// costs neither a row nor a duplicate.
+//
+// A message the store cannot decode is dead-lettered (onErr sees it) and
+// acked with its round. A round the store refused before writing any of
+// it (dsos.ErrNothingWritten — an owner down under an every-owner ack
+// rule) is naked whole and retried; onErr sees the refusal. A round that
+// failed after part of it was written is naked and ends the loop with the
+// error: only a restart can discard a partial round, and it does so
+// exactly. IngestStream returns nil when the consumer is closed.
+func IngestStream(cons *streams.Consumer, store RoundStore, onErr func(error)) error {
+	c := &cursor{cons: cons, max: ingestRound}
 	for {
-		ds, err := cons.Fetch(ingestRound)
-		if err != nil {
-			return
+		msgs, ok := c.take()
+		if !ok {
+			return nil
 		}
-		if len(ds) == 0 {
-			if cons.Wait(idleWait) != nil {
-				return
-			}
-			continue
+		var token uint64
+		for _, d := range c.round {
+			token = max(token, d.Seq)
 		}
-		for _, d := range ds {
-			if serr := store.Store(d.Msg); serr != nil {
-				_ = cons.Nak(d.Seq) // a closed consumer ends the loop at the next Fetch
-				onErr(serr)
-			} else if cons.Ack(d.Seq) != nil {
-				return
-			}
+		err := store.StoreRound(msgs, token, onErr)
+		c.settle(err == nil)
+		switch {
+		case err == nil:
+		case errors.Is(err, dsos.ErrNothingWritten):
+			onErr(err)
+			time.Sleep(refusedWait)
+		default:
+			return fmt.Errorf("ldms: ingest round through seq %d partly stored: %w", token, err)
 		}
 	}
 }

@@ -248,8 +248,9 @@ func TestDsosdMetricsEndpointShape(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Count sees every replica: R=2 puts each of the ten rows on two shards.
 	deadline := time.Now().Add(5 * time.Second)
-	for client.Count(dsos.DarshanSchemaName) < 10 && time.Now().Before(deadline) {
+	for client.Count(dsos.DarshanSchemaName) < 2*10 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 

@@ -153,12 +153,13 @@ func (s *CSVStore) Flush() error {
 // DSOSStore inserts connector messages into a DSOS cluster (the paper's
 // storage path). Typed records are ingested straight from their fields —
 // the old parse-at-store hop (encode at the connector, re-parse the same
-// bytes here) is gone; raw JSON payloads still parse as before. Each
-// message's rows go down as one batch insert.
+// bytes here) is gone; raw JSON payloads still parse as before. A round of
+// messages goes down as one batch insert (StoreRound); Store is the round
+// of one.
 type DSOSStore struct {
 	client *dsos.Client
 	mu     sync.Mutex
-	objs   []sos.Object   // reused per-message object batch
+	objs   []sos.Object   // reused row batch of one round
 	arena  *dsos.RowArena // row backings + cached boxes (guarded by mu)
 	// Obs plane (set by Instrument; nil-safe counters otherwise).
 	clock   obs.Clock
@@ -178,27 +179,53 @@ func NewDSOSStore(client *dsos.Client) *DSOSStore {
 // Name implements StorePlugin.
 func (s *DSOSStore) Name() string { return "store_dsos" }
 
-// Store implements StorePlugin.
+// Store implements StorePlugin: the untagged round of one message, whose
+// decode error, if any, is the error.
 func (s *DSOSStore) Store(m streams.Message) error {
-	msg, err := event.Fields(m)
-	if err != nil {
+	var decodeErr error
+	one := [1]streams.Message{m}
+	if err := s.StoreRound(one[:], 0, func(err error) { decodeErr = err }); err != nil {
 		return err
 	}
+	return decodeErr
+}
+
+// StoreRound implements RoundStore: every message's rows, built through
+// the store's arena, go down as one InsertTagged tagged token. A message
+// that event.Fields cannot decode is dead-lettered: counted as a store
+// error, reported to dead (under the store's lock, so dead must not call
+// back into it) and left out of the insert — it never will decode, and
+// redelivering it would only spin.
+func (s *DSOSStore) StoreRound(ms []streams.Message, token uint64, dead func(error)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.clock != nil {
-		if st, ok := m.Record.(streams.Stamper); ok {
-			st.Stamp(hopStore, s.clock())
-		}
-	}
 	// Rows come from the store's arena: shared []any backings and cached
 	// boxes, so steady-state ingest of repeated values stops allocating.
-	// The message may be slab-backed — that is fine, the arena copies
-	// every value it reads and the insert below is synchronous.
-	s.objs = s.arena.AppendObjects(s.objs[:0], msg)
-	err = s.client.InsertBatch(dsos.DarshanSchemaName, s.objs)
-	s.msgs.Inc()
+	// A message may be slab-backed — that is fine, the arena copies every
+	// value it reads and the insert below is synchronous.
+	s.objs = s.objs[:0]
+	decoded := 0
+	for _, m := range ms {
+		msg, err := event.Fields(m)
+		if err != nil {
+			s.errs.Inc()
+			dead(err)
+			continue
+		}
+		if s.clock != nil {
+			if st, ok := m.Record.(streams.Stamper); ok {
+				st.Stamp(hopStore, s.clock())
+			}
+		}
+		s.objs = s.arena.AppendObjects(s.objs, msg)
+		decoded++
+	}
+	if decoded == 0 {
+		return nil
+	}
+	s.msgs.Add(uint64(decoded))
 	s.objects.Add(uint64(len(s.objs)))
+	err := s.client.InsertTagged(dsos.DarshanSchemaName, s.objs, token)
 	if err != nil {
 		s.errs.Inc()
 	}

@@ -21,9 +21,40 @@ const snapMagic = "SOS-GO-SNAP1"
 // unreplicated snapshots stay byte-identical to the original format.
 const snapMagic2 = "SOS-GO-SNAP2"
 
+// Frozen is a container's contents at one instant, for writing a snapshot
+// while the container keeps taking inserts. Slabs and origin lists are
+// append-only — an insert writes past their length or replaces the list,
+// never an element in place — so their slice headers pin exactly the
+// objects present when Freeze ran.
+type Frozen struct {
+	name    string
+	nextOID uint64
+	schemas []*Schema // sorted by name
+	slabs   [][]Object
+	origins [][]uint64
+	indices []IndexSpec // sorted by name
+}
+
+// Freeze captures the container's contents for a later Snapshot. It costs
+// O(schemas + indices), not O(objects): a caller holding the lock that
+// serialises inserts can take it and write the snapshot after releasing
+// that lock.
+func (c *Container) Freeze() *Frozen {
+	f := &Frozen{name: c.Name, nextOID: c.nextOID}
+	for _, name := range c.Schemas() {
+		f.schemas = append(f.schemas, c.schemas[name])
+		f.slabs = append(f.slabs, c.slabs[name])
+		f.origins = append(f.origins, c.origins[name])
+	}
+	for _, name := range c.Indices() {
+		f.indices = append(f.indices, c.indices[name].spec)
+	}
+	return f
+}
+
 // hasOrigins reports whether any object carries a non-zero origin.
-func (c *Container) hasOrigins() bool {
-	for _, origins := range c.origins {
+func (f *Frozen) hasOrigins() bool {
+	for _, origins := range f.origins {
 		for _, o := range origins {
 			if o != 0 {
 				return true
@@ -34,8 +65,11 @@ func (c *Container) hasOrigins() bool {
 }
 
 // Snapshot writes the container to w (gzip-compressed binary).
-func (c *Container) Snapshot(w io.Writer) error {
-	withOrigins := c.hasOrigins()
+func (c *Container) Snapshot(w io.Writer) error { return c.Freeze().Snapshot(w) }
+
+// Snapshot writes the frozen contents to w in Container.Snapshot's format.
+func (f *Frozen) Snapshot(w io.Writer) error {
+	withOrigins := f.hasOrigins()
 	magic := snapMagic
 	if withOrigins {
 		magic = snapMagic2
@@ -46,33 +80,33 @@ func (c *Container) Snapshot(w io.Writer) error {
 	zw := gzip.NewWriter(w)
 	bw := bufio.NewWriter(zw)
 	e := &snapEnc{w: bw}
-	e.str(c.Name)
-	e.u64(c.nextOID)
-	names := c.Schemas()
-	e.u64(uint64(len(names)))
-	for _, name := range names {
-		sch := c.schemas[name]
+	e.str(f.name)
+	e.u64(f.nextOID)
+	e.u64(uint64(len(f.schemas)))
+	for i, sch := range f.schemas {
 		e.str(sch.Name)
 		e.u64(uint64(len(sch.Attrs)))
 		for _, a := range sch.Attrs {
 			e.str(a.Name)
 			e.u64(uint64(a.Type))
 		}
-		slab := c.slabs[name]
+		slab, origins := f.slabs[i], f.origins[i]
 		e.u64(uint64(len(slab)))
 		for pos, obj := range slab {
-			for i, v := range obj {
-				e.value(sch.Attrs[i].Type, v)
+			for j, v := range obj {
+				e.value(sch.Attrs[j].Type, v)
 			}
 			if withOrigins {
-				e.u64(c.originAt(name, pos))
+				var o uint64
+				if pos < len(origins) {
+					o = origins[pos]
+				}
+				e.u64(o)
 			}
 		}
 	}
-	idxNames := c.Indices()
-	e.u64(uint64(len(idxNames)))
-	for _, name := range idxNames {
-		spec := c.indices[name].spec
+	e.u64(uint64(len(f.indices)))
+	for _, spec := range f.indices {
 		e.str(spec.Name)
 		e.str(spec.Schema)
 		e.u64(uint64(len(spec.Attrs)))

@@ -299,6 +299,16 @@ func (c *Container) Insert(schemaName string, obj Object) error {
 // on every replica so a quorum read can recognise copies of one logical
 // object; origin 0 means "unreplicated" and costs nothing.
 func (c *Container) InsertOrigin(schemaName string, obj Object, origin uint64) error {
+	if err := c.Check(schemaName, obj); err != nil {
+		return err
+	}
+	c.InsertChecked(schemaName, obj, origin)
+	return nil
+}
+
+// Check reports whether obj can be inserted under schemaName: the schema
+// exists and every value has its attribute's type.
+func (c *Container) Check(schemaName string, obj Object) error {
 	sch := c.schemas[schemaName]
 	if sch == nil {
 		return fmt.Errorf("sos: unknown schema %q", schemaName)
@@ -311,6 +321,14 @@ func (c *Container) InsertOrigin(schemaName string, obj Object, origin uint64) e
 			return fmt.Errorf("sos: attribute %q: value %T does not match %s", sch.Attrs[i].Name, v, sch.Attrs[i].Type)
 		}
 	}
+	return nil
+}
+
+// InsertChecked inserts like InsertOrigin an object that Check accepted,
+// without checking it again: it serves a caller that logs the rows it
+// checked before storing them. An unchecked object can panic in an index's
+// key encoder.
+func (c *Container) InsertChecked(schemaName string, obj Object, origin uint64) {
 	pos := len(c.slabs[schemaName])
 	c.slabs[schemaName] = append(c.slabs[schemaName], obj)
 	if origin != 0 && c.origins[schemaName] == nil {
@@ -325,16 +343,6 @@ func (c *Container) InsertOrigin(schemaName string, obj Object, origin uint64) e
 	for _, ix := range c.bySchema[schemaName] {
 		ix.insert(obj, oid, pos)
 	}
-	return nil
-}
-
-// originAt returns the origin stamped on the given slab position (0 when
-// the schema has no stamped inserts).
-func (c *Container) originAt(schema string, pos int) uint64 {
-	if o := c.origins[schema]; pos < len(o) {
-		return o[pos]
-	}
-	return 0
 }
 
 func typeMatches(t Type, v any) bool {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -24,10 +25,19 @@ import (
 // Record layout (little endian):
 //
 //	u32 body length | u32 CRC-32 (IEEE) of body | body
-//	body: u32 schema-name length, schema name,
-//	      u64 origin,
-//	      u16 value count, then per value: u8 type tag + payload
-//	      (int64/uint64/float64 as 8 bytes; string as u32 length + bytes)
+//	body, row record:   u32 schema-name length, schema name, one row
+//	body, batch record: u32 schema-name length | 1<<31, schema name,
+//	                    u64 token, u32 row count, that many rows
+//	row: u64 origin,
+//	     u16 value count, then per value: u8 type tag + payload
+//	     (int64/uint64/float64 as 8 bytes; string as u32 length + bytes)
+//
+// AppendBatch writes a one-row batch with token 0 as a row record, so
+// Append's bytes are those of the log before batches existed, and replay
+// reads both kinds. A token is the writer's commit mark: dsosd tags every
+// record of an ingest round with the highest stream sequence in the round,
+// and ReplayWALTo stops at the first batch tagged above the stream's
+// durable ack floor. A row record's token is 0, below every floor.
 //
 // A torn tail — a record cut short or corrupted by a crash mid-write — is
 // detected by the length/CRC pair; replay stops there and reports how many
@@ -60,26 +70,47 @@ func NewWAL(st WALStore) *WAL {
 // Store returns the backing store.
 func (w *WAL) Store() WALStore { return w.st }
 
-// Appended returns the number of records appended through this WAL.
+// Appended returns the number of rows appended through this WAL.
 func (w *WAL) Appended() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.appended
 }
 
-// Append durably logs one insert. The record is written with a single
-// Write call so a torn write can only truncate, never interleave.
+// Append durably logs one insert as a row record, with a single Write so
+// a torn write can only truncate, never interleave.
 func (w *WAL) Append(schema string, obj Object, origin uint64) error {
+	objs, origins := [1]Object{obj}, [1]uint64{origin}
+	return w.AppendBatch(schema, objs[:], origins[:], 0)
+}
+
+// AppendBatch durably logs objs as one batch record tagged token, with
+// one Write. origins is nil (every origin 0) or holds one per object. A
+// batch that would outgrow the record bound is split into records that
+// all carry token, which a floor-bounded replay cuts as one.
+func (w *WAL) AppendBatch(schema string, objs []Object, origins []uint64, token uint64) error {
+	if origins != nil && len(origins) != len(objs) {
+		return fmt.Errorf("sos: wal batch of %d objects with %d origins", len(objs), len(origins))
+	}
+	if len(schema) >= walBatch {
+		return fmt.Errorf("sos: wal schema name of %d bytes", len(schema))
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	rec, err := appendWALBody(w.frame.Begin(), schema, obj, origin)
-	if err != nil {
-		return err
+	for len(objs) > 0 {
+		rec, n, err := appendWALRecord(w.frame.Begin(), schema, objs, origins, token)
+		if err != nil {
+			return err
+		}
+		if err := w.frame.Commit(w.st, rec); err != nil {
+			return fmt.Errorf("sos: wal append: %w", err)
+		}
+		w.appended += uint64(n)
+		objs = objs[n:]
+		if origins != nil {
+			origins = origins[n:]
+		}
 	}
-	if err := w.frame.Commit(w.st, rec); err != nil {
-		return fmt.Errorf("sos: wal append: %w", err)
-	}
-	w.appended++
 	return nil
 }
 
@@ -151,8 +182,8 @@ func ReplayFrames(st WALStore, apply func(body []byte) error) (frames int, consu
 		if n == 0 || n > walMaxRecord {
 			return frames, consumed, nil // corrupt length: torn tail
 		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(r, body); err != nil {
+		body, err := readBody(r, int(n))
+		if err != nil {
 			return frames, consumed, nil // torn body
 		}
 		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(hdr[4:8]) {
@@ -169,6 +200,25 @@ func ReplayFrames(st WALStore, apply func(body []byte) error) (frames int, consu
 	}
 }
 
+// readBody reads an n-byte frame body, growing the buffer as bytes arrive
+// instead of trusting n up front: a corrupt length prefix costs what the
+// log holds, not what the prefix claims.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	const step = 64 << 10
+	body := make([]byte, 0, min(n, step))
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(n-len(body), len(body)))
+		}
+		got, err := io.ReadFull(r, body[len(body):min(n, cap(body))])
+		body = body[:len(body)+got]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return body, nil
+}
+
 // Value type tags in WAL records.
 const (
 	walInt64 = iota
@@ -177,13 +227,61 @@ const (
 	walString
 )
 
-// appendWALBody appends one insert record's body to b.
-func appendWALBody(b []byte, schema string, obj Object, origin uint64) ([]byte, error) {
+// walBatch flags a batch record in the schema-length word.
+const walBatch = 1 << 31
+
+// walMinRow and walMinValue are the fewest bytes a row and a value can
+// encode to: decoders check declared counts against them before sizing
+// anything from a count.
+const (
+	walMinRow   = 8 + 2
+	walMinValue = 1 + 4
+)
+
+// appendWALRecord appends the body of one record holding a prefix of objs
+// to rec (a Frame.Begin buffer) and reports how many objects it holds: all
+// of them unless the body would pass the record bound, and always at least
+// one.
+func appendWALRecord(rec []byte, schema string, objs []Object, origins []uint64, token uint64) ([]byte, int, error) {
+	originAt := func(i int) uint64 {
+		if origins == nil {
+			return 0
+		}
+		return origins[i]
+	}
+	if len(objs) == 1 && token == 0 {
+		rec = appendU32(rec, uint32(len(schema)))
+		rec = append(rec, schema...)
+		rec, err := appendWALRow(rec, objs[0], originAt(0))
+		return rec, 1, err
+	}
+	rec = appendU32(rec, uint32(len(schema))|walBatch)
+	rec = append(rec, schema...)
+	rec = binary.LittleEndian.AppendUint64(rec, token)
+	at := len(rec)
+	rec = appendU32(rec, 0) // the row count, filled in below
+	n := 0
+	for n < len(objs) {
+		end := len(rec)
+		var err error
+		if rec, err = appendWALRow(rec, objs[n], originAt(n)); err != nil {
+			return nil, 0, err
+		}
+		if n > 0 && len(rec)-frameHeader > walMaxRecord {
+			rec = rec[:end]
+			break
+		}
+		n++
+	}
+	binary.LittleEndian.PutUint32(rec[at:], uint32(n))
+	return rec, n, nil
+}
+
+// appendWALRow appends one row to b.
+func appendWALRow(b []byte, obj Object, origin uint64) ([]byte, error) {
 	if len(obj) > math.MaxUint16 {
 		return nil, fmt.Errorf("sos: wal record with %d values", len(obj))
 	}
-	b = appendU32(b, uint32(len(schema)))
-	b = append(b, schema...)
 	b = binary.LittleEndian.AppendUint64(b, origin)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(obj)))
 	for _, v := range obj {
@@ -212,54 +310,128 @@ func appendU32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)
 }
 
-// ReplayWAL reads records from the store and calls apply for each, in
+// ReplayWAL reads records from the store and calls apply for each row, in
 // append order. It stops silently at a torn or corrupt tail (the expected
-// shape of a crash mid-write) and returns the number of records applied
-// plus the number of clean bytes consumed, so a file backing can truncate
-// the tail before appending resumes. An apply error aborts the replay.
+// shape of a crash mid-write) and returns the number of rows applied plus
+// the number of clean bytes consumed, so a file backing can truncate the
+// tail before appending resumes. An apply error aborts the replay.
 func ReplayWAL(st WALStore, apply func(schema string, obj Object, origin uint64) error) (records int, consumed int64, err error) {
-	records, consumed, err = ReplayFrames(st, func(body []byte) error {
-		schema, obj, origin, derr := decodeWALBody(body)
-		if derr != nil {
-			return ErrStopReplay // corrupt structure: treat as torn tail
-		}
-		return apply(schema, obj, origin)
-	})
-	if err != nil {
-		return records, consumed, fmt.Errorf("sos: wal replay: %w", err)
-	}
-	return records, consumed, nil
+	r, err := ReplayWALTo(st, math.MaxUint64, apply)
+	return r.Rows, r.Consumed, err
 }
 
-func decodeWALBody(b []byte) (schema string, obj Object, origin uint64, err error) {
-	fail := fmt.Errorf("sos: short wal record")
-	if len(b) < 4 {
-		return "", nil, 0, fail
+// WALReplay is what a floor-bounded replay found.
+type WALReplay struct {
+	Rows     int    // rows applied
+	Consumed int64  // bytes of the records applied: where appends resume
+	Above    uint64 // the token of the first batch past the floor (0: none)
+	Dropped  int    // rows in the clean records from that batch on, not applied
+}
+
+// ReplayWALTo replays like ReplayWAL, but only up to floor: it stops at
+// the first batch record whose token is above floor, as if the log were
+// torn there. Consumed then ends just before that record, and Dropped
+// counts the rows of every clean record from it on, which the caller
+// discards by truncating the log to Consumed. A record is applied whole
+// or not at all: a structurally corrupt one is the torn tail.
+func ReplayWALTo(st WALStore, floor uint64, apply func(schema string, obj Object, origin uint64) error) (WALReplay, error) {
+	var r WALReplay
+	var rows []Object
+	var origins []uint64
+	_, _, err := ReplayFrames(st, func(body []byte) error {
+		schema, token, n, b, err := decodeWALHead(body)
+		if err != nil {
+			return ErrStopReplay
+		}
+		if r.Above != 0 || token > floor {
+			if r.Above == 0 {
+				r.Above = token
+			}
+			r.Dropped += n
+			return nil
+		}
+		rows, origins = rows[:0], origins[:0]
+		for i := 0; i < n; i++ {
+			var obj Object
+			var origin uint64
+			if obj, origin, b, err = decodeWALRow(b); err != nil {
+				return ErrStopReplay
+			}
+			rows, origins = append(rows, obj), append(origins, origin)
+		}
+		if len(b) != 0 {
+			return ErrStopReplay // trailing bytes: corrupt structure
+		}
+		for i, obj := range rows {
+			if err := apply(schema, obj, origins[i]); err != nil {
+				return err
+			}
+			r.Rows++
+		}
+		r.Consumed += int64(frameHeader + len(body))
+		return nil
+	})
+	if err != nil {
+		return r, fmt.Errorf("sos: wal replay: %w", err)
 	}
-	sn := binary.LittleEndian.Uint32(b)
+	return r, nil
+}
+
+// errShortRecord is a record body that ends before its structure does.
+var errShortRecord = errors.New("sos: short wal record")
+
+// decodeWALHead reads a record body's schema word and name and, for a
+// batch, its token and row count — checked against the bytes left before
+// anything is sized from it. rest holds the n rows.
+func decodeWALHead(b []byte) (schema string, token uint64, n int, rest []byte, err error) {
+	if len(b) < 4 {
+		return "", 0, 0, nil, errShortRecord
+	}
+	word := binary.LittleEndian.Uint32(b)
+	sn := word &^ walBatch
 	b = b[4:]
 	if uint32(len(b)) < sn {
-		return "", nil, 0, fail
+		return "", 0, 0, nil, errShortRecord
 	}
 	schema = string(b[:sn])
 	b = b[sn:]
-	if len(b) < 10 {
-		return "", nil, 0, fail
+	if word&walBatch == 0 {
+		return schema, 0, 1, b, nil
+	}
+	if len(b) < 12 {
+		return "", 0, 0, nil, errShortRecord
+	}
+	token = binary.LittleEndian.Uint64(b)
+	count := binary.LittleEndian.Uint32(b[8:])
+	b = b[12:]
+	if uint64(count)*walMinRow > uint64(len(b)) {
+		return "", 0, 0, nil, fmt.Errorf("sos: wal batch of %d rows in %d bytes", count, len(b))
+	}
+	return schema, token, int(count), b, nil
+}
+
+// decodeWALRow reads one row off the front of b.
+func decodeWALRow(b []byte) (obj Object, origin uint64, rest []byte, err error) {
+	if len(b) < walMinRow {
+		return nil, 0, nil, errShortRecord
 	}
 	origin = binary.LittleEndian.Uint64(b)
-	nvals := binary.LittleEndian.Uint16(b[8:])
-	b = b[10:]
+	nvals := int(binary.LittleEndian.Uint16(b[8:]))
+	b = b[walMinRow:]
+	if nvals*walMinValue > len(b) {
+		return nil, 0, nil, errShortRecord
+	}
 	obj = make(Object, 0, nvals)
-	for i := 0; i < int(nvals); i++ {
+	for i := 0; i < nvals; i++ {
 		if len(b) < 1 {
-			return "", nil, 0, fail
+			return nil, 0, nil, errShortRecord
 		}
 		tag := b[0]
 		b = b[1:]
 		switch tag {
 		case walInt64, walUint64, walFloat64:
 			if len(b) < 8 {
-				return "", nil, 0, fail
+				return nil, 0, nil, errShortRecord
 			}
 			u := binary.LittleEndian.Uint64(b)
 			b = b[8:]
@@ -273,23 +445,20 @@ func decodeWALBody(b []byte) (schema string, obj Object, origin uint64, err erro
 			}
 		case walString:
 			if len(b) < 4 {
-				return "", nil, 0, fail
+				return nil, 0, nil, errShortRecord
 			}
 			n := binary.LittleEndian.Uint32(b)
 			b = b[4:]
 			if uint32(len(b)) < n {
-				return "", nil, 0, fail
+				return nil, 0, nil, errShortRecord
 			}
 			obj = append(obj, string(b[:n]))
 			b = b[n:]
 		default:
-			return "", nil, 0, fmt.Errorf("sos: unknown wal value tag %d", tag)
+			return nil, 0, nil, fmt.Errorf("sos: unknown wal value tag %d", tag)
 		}
 	}
-	if len(b) != 0 {
-		return "", nil, 0, fmt.Errorf("sos: trailing bytes in wal record")
-	}
-	return schema, obj, origin, nil
+	return obj, origin, b, nil
 }
 
 // MemWAL is an in-memory WALStore — the simulation's "virtual file". It

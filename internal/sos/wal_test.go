@@ -2,6 +2,9 @@ package sos
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -225,5 +228,75 @@ func TestSnapshotOrigins(t *testing.T) {
 		if o != uint64(100+i) {
 			t.Fatalf("origin[%d] = %d, want %d", i, o, 100+i)
 		}
+	}
+}
+
+// TestWALRowRecordBytes pins the row record: a one-row batch with token 0
+// is written byte for byte as the log wrote inserts before batch records
+// existed, so those logs and the bytes per event stay as they were.
+func TestWALRowRecordBytes(t *testing.T) {
+	body := binary.LittleEndian.AppendUint32(nil, 1)
+	body = append(body, 's')
+	body = binary.LittleEndian.AppendUint64(body, 7) // origin
+	body = binary.LittleEndian.AppendUint16(body, 2) // values
+	body = append(body, walInt64)
+	body = binary.LittleEndian.AppendUint64(body, uint64(5))
+	body = append(body, walString)
+	body = binary.LittleEndian.AppendUint32(body, 2)
+	body = append(body, "ab"...)
+	want := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(body))
+	want = append(want, body...)
+	for _, write := range []func(*WAL) error{
+		func(w *WAL) error { return w.Append("s", Object{int64(5), "ab"}, 7) },
+		func(w *WAL) error { return w.AppendBatch("s", []Object{{int64(5), "ab"}}, []uint64{7}, 0) },
+	} {
+		mem := NewMemWAL()
+		if err := write(NewWAL(mem)); err != nil {
+			t.Fatal(err)
+		}
+		if got := readLog(t, mem); !bytes.Equal(got, want) {
+			t.Fatalf("row record\n got %x\nwant %x", got, want)
+		}
+	}
+}
+
+// TestWALBatchSplitsAtRecordBound: a batch too big for one record is
+// written as several, each within the bound and each carrying the batch's
+// token, and replays whole.
+func TestWALBatchSplitsAtRecordBound(t *testing.T) {
+	big := string(bytes.Repeat([]byte{'x'}, 1<<20))
+	var rows []Object
+	for i := 0; i < 20; i++ {
+		rows = append(rows, Object{int64(i), big})
+	}
+	mem := NewMemWAL()
+	if err := NewWAL(mem).AppendBatch("s", rows, nil, 9); err != nil {
+		t.Fatal(err)
+	}
+	frames := cleanFrames(readLog(t, mem))
+	if len(frames) != 2 {
+		t.Fatalf("%d records for a 20 MiB batch, want 2", len(frames))
+	}
+	n := 0
+	for _, fr := range frames {
+		if !fr.batch || fr.token != 9 {
+			t.Fatalf("record %+v, want a batch tagged 9", fr)
+		}
+		n += fr.rows
+	}
+	next := int64(0)
+	r, err := ReplayWALTo(mem, 9, func(_ string, obj Object, _ uint64) error {
+		if obj[0] != next {
+			return fmt.Errorf("row %v out of order", obj[0])
+		}
+		next++
+		return nil
+	})
+	if err != nil || n != 20 || r.Rows != 20 || r.Consumed != int64(mem.Len()) {
+		t.Fatalf("replayed %+v (err %v) of %d rows in the records", r, err, n)
+	}
+	if r, _ := ReplayWALTo(mem, 8, func(string, Object, uint64) error { return nil }); r.Rows != 0 || r.Dropped != 20 {
+		t.Fatalf("below the token: %+v, want every row dropped", r)
 	}
 }

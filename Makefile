@@ -126,6 +126,7 @@ FUZZ_TARGETS ?= \
 	internal/sos:FuzzRestore \
 	internal/sos:FuzzKeyOrder \
 	internal/sos:FuzzReplayWAL \
+	internal/sos:FuzzObjectsMatchBoxed \
 	internal/dsos:FuzzCursorMatchesQueryEx \
 	internal/streams:FuzzStreamCursor \
 	internal/streams:FuzzRetention \

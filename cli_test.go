@@ -397,7 +397,7 @@ func TestCLIDsosd(t *testing.T) {
 			for rank := q.first; rank <= q.last; rank++ {
 				m := job7Event(rank)
 				cells := []string{}
-				for _, v := range dsos.ObjectsFromMessage(&m)[0] {
+				for _, v := range dsos.ObjectsFromMessage(&m)[0].Values() {
 					if f, ok := v.(float64); ok {
 						cells = append(cells, strconv.FormatFloat(f, 'f', 6, 64))
 					} else {
@@ -625,7 +625,12 @@ func TestCLIDurablePathEndToEnd(t *testing.T) {
 	ldmsd, ldmsdErr := startLdmsd()
 	send(msgs[:half])
 	waitUntil("first half stored", dsosdErr, func() bool { return count() == half })
-	waitUntil("first incarnation's books", ldmsdErr, func() bool { return lastStat(ldmsdErr.String(), "floor") == half })
+	// The uplink counts a round sent after its flush returns, which can be
+	// after the round's ack moved the floor: wait for both.
+	waitUntil("first incarnation's books", ldmsdErr, func() bool {
+		s := ldmsdErr.String()
+		return lastStat(s, "floor") == half && lastStat(s, "sent") >= half
+	})
 	sentFirst := lastStat(ldmsdErr.String(), "sent")
 	if err := ldmsd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -642,7 +647,10 @@ func TestCLIDurablePathEndToEnd(t *testing.T) {
 	}
 	send(msgs[half:])
 	waitUntil("everything stored", dsosdErr, func() bool { return count() == events })
-	waitUntil("second incarnation's books", ldmsdErr, func() bool { return lastStat(ldmsdErr.String(), "floor") == events })
+	waitUntil("second incarnation's books", ldmsdErr, func() bool {
+		s := ldmsdErr.String()
+		return lastStat(s, "floor") == events && sentFirst+lastStat(s, "sent") >= events
+	})
 	if sent := sentFirst + lastStat(ldmsdErr.String(), "sent"); sent != events {
 		t.Errorf("ldmsd sent %d messages across the restart, want exactly %d", sent, events)
 	}

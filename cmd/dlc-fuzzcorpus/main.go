@@ -178,7 +178,7 @@ func main() {
 	floorLog := func(floor uint16, log []byte) []byte {
 		return append(binary.LittleEndian.AppendUint16(nil, floor), log...)
 	}
-	row := func(i int) sos.Object { return sos.Object{int64(i), fmt.Sprintf("r%d", i)} }
+	row := func(i int) sos.Object { return sos.NewObject(int64(i), fmt.Sprintf("r%d", i)) }
 	legacy := walLog(func(w *sos.WAL) error { return w.Append("ev", row(1), 0) })
 	write(sp, "FuzzReplayWAL", "legacy-one-row", floorLog(0, legacy))
 	batchLog := walLog(func(w *sos.WAL) error {
@@ -213,6 +213,41 @@ func main() {
 		}
 		return w.AppendBatch("ev", []sos.Object{row(5)}, nil, 6)
 	})))
+
+	// --- sos.FuzzObjectsMatchBoxed: typed rows vs the []any container ---
+	// The first byte holds flags (1 origins, 2 RowBuilder, 4 alternate
+	// builders); then ops. A row op is 0 and five selectors for the
+	// attributes (i int64, u uint64, f float64, s string, t string): an
+	// even selector 2k picks edge value k, an odd one a plain value.
+	boxedRow := func(sels ...byte) []byte { return append([]byte{0}, sels...) }
+	boxed := func(flags byte, ops ...[]byte) []byte {
+		out := []byte{flags}
+		for _, op := range ops {
+			out = append(out, op...)
+		}
+		return out
+	}
+	// f: NaN (0), -0 (2), +0 (4), a NaN with the sign bit set (16).
+	write(sp, "FuzzObjectsMatchBoxed", "nan-and-negative-zero-timestamps", boxed(0,
+		boxedRow(1, 1, 0, 1, 1), boxedRow(3, 1, 2, 1, 1), boxedRow(5, 1, 4, 1, 1),
+		boxedRow(7, 1, 16, 1, 1), boxedRow(9, 1, 0, 3, 1), boxedRow(11, 1, 2, 3, 1)))
+	// i: MinInt64 (6), MaxInt64 (8); u: MaxUint64 (4), 1<<63 (6).
+	write(sp, "FuzzObjectsMatchBoxed", "int-and-uint-extremes", boxed(2,
+		boxedRow(6, 4, 1, 1, 1), boxedRow(8, 6, 1, 1, 1), boxedRow(6, 0, 1, 1, 1),
+		boxedRow(8, 4, 3, 1, 1), boxedRow(0, 2, 5, 1, 1)))
+	// s: "" (0), "a" (2), "a\x00" (4), "\x00" (6), "a\x00b" (8).
+	write(sp, "FuzzObjectsMatchBoxed", "empty-and-nul-strings", boxed(4,
+		boxedRow(1, 1, 1, 0, 0), boxedRow(1, 1, 1, 2, 6), boxedRow(1, 1, 1, 4, 4),
+		boxedRow(1, 1, 1, 6, 2), boxedRow(1, 1, 1, 8, 8), boxedRow(3, 1, 1, 4, 0)))
+	// Op 2 spoils a row: attribute b%6 gets another type, b%6 = 5 drops
+	// the last value. Each must fail alone in both containers.
+	write(sp, "FuzzObjectsMatchBoxed", "mistyped-and-short-rows", boxed(1,
+		boxedRow(1, 1, 1, 1, 1), []byte{2, 3, 1, 1, 1, 1, 1}, []byte{2, 0, 3, 3, 3, 3, 3},
+		[]byte{2, 2, 5, 5, 5, 5, 5}, []byte{2, 5, 7, 7, 7, 7, 7}, boxedRow(9, 9, 9, 9, 9)))
+	// Op 3 adds 32(n+1) rows with distinct s values: n = 159 is 5120, past
+	// a RowBuilder's 4096-string table, so its rows span two tables.
+	write(sp, "FuzzObjectsMatchBoxed", "strings-past-the-arena-table", boxed(3,
+		boxedRow(1, 1, 0, 0, 0), []byte{3, 159}, boxedRow(2, 2, 2, 2, 2)))
 
 	// --- dsos.FuzzCursorMatchesQueryEx: streaming merge vs the reference ---
 	// Each byte draws one parameter of the cluster and query (the target's
@@ -541,7 +576,7 @@ func validSnapshot() []byte {
 		fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := c.Insert("ev", sos.Object{int64(i), "x", float64(i)}); err != nil {
+		if err := c.Insert("ev", sos.NewObject(int64(i), "x", float64(i))); err != nil {
 			fatal(err)
 		}
 	}

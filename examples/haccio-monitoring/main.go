@@ -63,8 +63,8 @@ func main() {
 	fmt.Printf("\njob %d rank 3 timeline (job_rank_time index): %d events\n", camp.JobIDs[0], len(objs))
 	for _, o := range objs {
 		fmt.Printf("  t=%12.3f  %-5s dur=%8.4fs len=%d\n",
-			o[dsos.ColSegTimestamp].(float64), o[dsos.ColOp].(string),
-			o[dsos.ColSegDur].(float64), o[dsos.ColSegLen].(int64))
+			o.Float(dsos.ColSegTimestamp), o.Str(dsos.ColOp),
+			o.Float(dsos.ColSegDur), o.Int(dsos.ColSegLen))
 	}
 
 	// The post-run path for contrast: write and re-parse a Darshan log.

@@ -68,11 +68,11 @@ func DetectAnomalies(client *dsos.Client, jobIDs []int64, threshold float64) ([]
 		sums := map[string]float64{}
 		counts := map[string]int{}
 		for _, o := range objs {
-			op := o[dsos.ColOp].(string)
+			op := o.Str(dsos.ColOp)
 			if op != "read" && op != "write" {
 				continue
 			}
-			sums[op] += o[dsos.ColSegDur].(float64)
+			sums[op] += o.Float(dsos.ColSegDur)
 			counts[op]++
 		}
 		for op := range durs {

@@ -53,7 +53,7 @@ func OpCounts(client *dsos.Client, jobIDs []int64) ([]OpCountStat, error) {
 		}
 		counts := map[string]float64{}
 		for _, o := range objs {
-			counts[o[dsos.ColOp].(string)]++
+			counts[o.Str(dsos.ColOp)]++
 		}
 		for _, op := range []string{"open", "close", "read", "write", "flush"} {
 			perOpPerJob[op] = append(perOpPerJob[op], counts[op])
@@ -95,11 +95,11 @@ func PerNodeOps(client *dsos.Client, jobIDs []int64, ops []string) ([]NodeOpCoun
 		}
 		counts := map[[2]string]int{} // (node, op) -> count
 		for _, o := range objs {
-			op := o[dsos.ColOp].(string)
+			op := o.Str(dsos.ColOp)
 			if !wanted[op] {
 				continue
 			}
-			counts[[2]string{o[dsos.ColProducerName].(string), op}]++
+			counts[[2]string{o.Str(dsos.ColProducerName), op}]++
 		}
 		keys := make([][2]string, 0, len(counts))
 		for k := range counts {
@@ -143,11 +143,11 @@ func PerRankDurations(client *dsos.Client, jobIDs []int64, nranks int) ([]JobOpD
 			var sum float64
 			count := 0
 			for _, o := range objs {
-				if o[dsos.ColOp].(string) != op {
+				if o.Str(dsos.ColOp) != op {
 					continue
 				}
-				rank := int(o[dsos.ColRank].(int64))
-				dur := o[dsos.ColSegDur].(float64)
+				rank := int(o.Int(dsos.ColRank))
+				dur := o.Float(dsos.ColSegDur)
 				sum += dur
 				count++
 				if rank >= 0 && rank < nranks {
@@ -191,23 +191,23 @@ func TimelineScatter(client *dsos.Client, jobID int64) ([]ScatterPoint, error) {
 	}
 	t0 := 0.0
 	for i, o := range objs {
-		ts := o[dsos.ColSegTimestamp].(float64)
+		ts := o.Float(dsos.ColSegTimestamp)
 		if i == 0 || ts < t0 {
 			t0 = ts
 		}
 	}
 	var out []ScatterPoint
 	for _, o := range objs {
-		op := o[dsos.ColOp].(string)
+		op := o.Str(dsos.ColOp)
 		if op != "read" && op != "write" {
 			continue
 		}
 		out = append(out, ScatterPoint{
-			Time: o[dsos.ColSegTimestamp].(float64) - t0,
-			Dur:  o[dsos.ColSegDur].(float64),
+			Time: o.Float(dsos.ColSegTimestamp) - t0,
+			Dur:  o.Float(dsos.ColSegDur),
 			Op:   op,
-			Rank: o[dsos.ColRank].(int64),
-			Len:  o[dsos.ColSegLen].(int64),
+			Rank: o.Int(dsos.ColRank),
+			Len:  o.Int(dsos.ColSegLen),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
@@ -234,23 +234,23 @@ func TopFiles(client *dsos.Client, jobID int64, n int) ([]FileHotspot, error) {
 	}
 	byRec := map[uint64]*FileHotspot{}
 	for _, o := range objs {
-		rec := o[dsos.ColRecordID].(uint64)
+		rec := o.Uint(dsos.ColRecordID)
 		h := byRec[rec]
 		if h == nil {
 			h = &FileHotspot{RecordID: rec}
 			byRec[rec] = h
 		}
-		if f := o[dsos.ColFile].(string); f != "N/A" && h.File == "" {
+		if f := o.Str(dsos.ColFile); f != "N/A" && h.File == "" {
 			h.File = f
 		}
 		h.Ops++
-		op := o[dsos.ColOp].(string)
+		op := o.Str(dsos.ColOp)
 		if op == "read" || op == "write" {
-			h.Bytes += o[dsos.ColSegLen].(int64)
+			h.Bytes += o.Int(dsos.ColSegLen)
 			if op == "write" {
-				h.WriteTime += o[dsos.ColSegDur].(float64)
+				h.WriteTime += o.Float(dsos.ColSegDur)
 			} else {
-				h.ReadTime += o[dsos.ColSegDur].(float64)
+				h.ReadTime += o.Float(dsos.ColSegDur)
 			}
 		}
 	}

@@ -38,7 +38,7 @@ func FromObjects(schema *sos.Schema, objs []sos.Object) *Frame {
 	f := NewFrame(names...)
 	for _, o := range objs {
 		for i, n := range names {
-			f.cols[n] = append(f.cols[n], o[i])
+			f.cols[n] = append(f.cols[n], o.Value(i))
 		}
 	}
 	f.rows = len(objs)

@@ -113,23 +113,23 @@ func TestConnectorEndToEnd(t *testing.T) {
 		t.Fatalf("stored %d objects", len(objs))
 	}
 	open := objs[0]
-	if open[dsos.ColOp].(string) != "open" || open[dsos.ColType].(string) != jsonmsg.TypeMET {
+	if open.Str(dsos.ColOp) != "open" || open.Str(dsos.ColType) != jsonmsg.TypeMET {
 		t.Fatalf("first object %v", open)
 	}
-	if open[dsos.ColExe].(string) != "/bin/hacc" || open[dsos.ColFile].(string) != "/nscratch/ckpt" {
+	if open.Str(dsos.ColExe) != "/bin/hacc" || open.Str(dsos.ColFile) != "/nscratch/ckpt" {
 		t.Fatalf("MET paths %v", open)
 	}
 	write := objs[1]
-	if write[dsos.ColOp].(string) != "write" || write[dsos.ColExe].(string) != jsonmsg.NA {
+	if write.Str(dsos.ColOp) != "write" || write.Str(dsos.ColExe) != jsonmsg.NA {
 		t.Fatalf("MOD write %v", write)
 	}
-	if write[dsos.ColSegLen].(int64) != 8<<20 {
-		t.Fatalf("write len %v", write[dsos.ColSegLen])
+	if write.Int(dsos.ColSegLen) != 8<<20 {
+		t.Fatalf("write len %v", write.Int(dsos.ColSegLen))
 	}
 	// Timestamps must ascend through the job.
 	last := 0.0
 	for _, o := range objs {
-		ts := o[dsos.ColSegTimestamp].(float64)
+		ts := o.Float(dsos.ColSegTimestamp)
 		if ts < last {
 			t.Fatal("timestamps not monotone in job_rank_time order")
 		}

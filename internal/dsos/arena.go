@@ -5,163 +5,60 @@ import (
 	"darshanldms/internal/sos"
 )
 
-// RowArena is the ingest-side allocator of the batched wire path. The
-// store's row shape is fixed — sos.Object is []any, one value per Table I
-// attribute — and building a row the naive way costs one slice allocation
-// plus one interface box per attribute, which is where most of the old
-// 38 allocs/event went. The arena removes both costs for the steady
-// state:
-//
-//   - row backings are carved from a shared []any chunk (one allocation
-//     per rowsPerChunk rows; the store retains rows forever, so chunks
-//     are never recycled — they simply become the rows' storage);
-//   - interface boxes for repeated values are cached per type, so a
-//     value seen before costs a map hit, not an allocation. Caches are
-//     capacity-capped: once full they stop remembering, so unbounded
-//     value streams (timestamps, offsets) degrade to one box each
-//     instead of growing the table without bound.
+// RowArena is the ingest-side row builder of the batched wire path. A row
+// is typed words, not boxed values: the arena copies each field of a
+// decoded message into a darshan-schema sos.RowBuilder, which carves the
+// row from a pointer-free chunk and interns its strings in one bounded
+// table. A number costs a store, a string one table lookup, and a row
+// allocates only its share of a chunk. The rows are the caller's to keep:
+// the store copies them on insert, and the arena never writes one again
+// nor keeps a reference to the message.
 //
 // A RowArena is NOT safe for concurrent use; keep one per ingest shard
 // (DSOSStore owns one under its mutex).
 type RowArena struct {
-	vals   []any
-	strs   map[string]any
-	ints   map[int64]any
-	uints  map[uint64]any
-	floats map[float64]any
+	b *sos.RowBuilder
 }
-
-// numCols is the Table I attribute count (the Col* index space).
-const numCols = ColSegTimestamp + 1
-
-// rowsPerChunk sizes the []any chunk rows are carved from.
-const rowsPerChunk = 256
-
-// rowCacheMax bounds each box cache, mirroring event.Interner's policy:
-// full caches keep answering hits but stop remembering misses.
-const rowCacheMax = 1 << 15
 
 // NewRowArena returns an empty arena.
 func NewRowArena() *RowArena {
-	return &RowArena{
-		strs:   make(map[string]any, 256),
-		ints:   make(map[int64]any, 1024),
-		uints:  make(map[uint64]any, 256),
-		floats: make(map[float64]any, 1024),
-	}
-}
-
-// row carves the next numCols-wide, capacity-capped row window.
-func (a *RowArena) row() sos.Object {
-	if len(a.vals) < numCols {
-		a.vals = make([]any, numCols*rowsPerChunk)
-	}
-	r := a.vals[:numCols:numCols]
-	a.vals = a.vals[numCols:]
-	return sos.Object(r)
-}
-
-func (a *RowArena) str(v string) any {
-	if b, ok := a.strs[v]; ok {
-		return b
-	}
-	var b any = v
-	if len(a.strs) < rowCacheMax {
-		a.strs[v] = b
-	}
-	return b
-}
-
-func (a *RowArena) i64(v int64) any {
-	if b, ok := a.ints[v]; ok {
-		return b
-	}
-	var b any = v
-	if len(a.ints) < rowCacheMax {
-		a.ints[v] = b
-	}
-	return b
-}
-
-// i64raw boxes without consulting the cache. High-cardinality columns
-// (file offsets, high-water marks) never repay a cache lookup — once the
-// cache is full every access would pay the map miss and the box; boxing
-// directly pays only the box.
-func (a *RowArena) i64raw(v int64) any { return v }
-
-// f64raw is i64raw for float columns (timestamps).
-func (a *RowArena) f64raw(v float64) any { return v }
-
-func (a *RowArena) u64(v uint64) any {
-	if b, ok := a.uints[v]; ok {
-		return b
-	}
-	var b any = v
-	if len(a.uints) < rowCacheMax {
-		a.uints[v] = b
-	}
-	return b
-}
-
-func (a *RowArena) f64(v float64) any {
-	if b, ok := a.floats[v]; ok {
-		return b
-	}
-	var b any = v
-	if len(a.floats) < rowCacheMax {
-		a.floats[v] = b
-	}
-	return b
+	return &RowArena{b: sos.NewRowBuilder(DarshanSchema())}
 }
 
 // AppendObjects appends one store object per seg entry to dst and
 // returns it, producing rows value-identical to the package-level
-// AppendObjects (same attribute order, same dynamic types) but built
-// from arena memory and cached boxes. Message-level attributes are
-// boxed once per message, not once per seg.
+// AppendObjects (same attribute order, same types) but copied into arena
+// words.
 func (a *RowArena) AppendObjects(dst []sos.Object, m *jsonmsg.Message) []sos.Object {
-	module := a.str(m.Module)
-	uid := a.i64(m.UID)
-	producer := a.str(m.ProducerName)
-	switches := a.i64(m.Switches)
-	file := a.str(m.File)
-	rank := a.i64(int64(m.Rank))
-	flushes := a.i64(m.Flushes)
-	recordID := a.u64(m.RecordID)
-	exe := a.str(m.Exe)
-	maxByte := a.i64raw(m.MaxByte)
-	typ := a.str(m.Type)
-	jobID := a.i64(m.JobID)
-	op := a.str(m.Op)
-	cnt := a.i64(m.Cnt)
+	b := a.b
 	for i := range m.Seg {
 		s := &m.Seg[i]
-		r := a.row()
-		r[ColModule] = module
-		r[ColUID] = uid
-		r[ColProducerName] = producer
-		r[ColSwitches] = switches
-		r[ColFile] = file
-		r[ColRank] = rank
-		r[ColFlushes] = flushes
-		r[ColRecordID] = recordID
-		r[ColExe] = exe
-		r[ColMaxByte] = maxByte
-		r[ColType] = typ
-		r[ColJobID] = jobID
-		r[ColOp] = op
-		r[ColCnt] = cnt
-		r[ColSegOff] = a.i64raw(s.Off)
-		r[ColSegPtSel] = a.i64(s.PtSel)
-		r[ColSegDur] = a.f64(s.Dur)
-		r[ColSegLen] = a.i64(s.Len)
-		r[ColSegNDims] = a.i64(s.NDims)
-		r[ColSegIrregHSlab] = a.i64(s.IrregHSlab)
-		r[ColSegRegHSlab] = a.i64(s.RegHSlab)
-		r[ColSegDataSet] = a.str(s.DataSet)
-		r[ColSegNPoints] = a.i64(s.NPoints)
-		r[ColSegTimestamp] = a.f64raw(s.Timestamp)
-		dst = append(dst, r)
+		b.Begin()
+		b.SetStr(ColModule, m.Module)
+		b.SetInt(ColUID, m.UID)
+		b.SetStr(ColProducerName, m.ProducerName)
+		b.SetInt(ColSwitches, m.Switches)
+		b.SetStr(ColFile, m.File)
+		b.SetInt(ColRank, int64(m.Rank))
+		b.SetInt(ColFlushes, m.Flushes)
+		b.SetUint(ColRecordID, m.RecordID)
+		b.SetStr(ColExe, m.Exe)
+		b.SetInt(ColMaxByte, m.MaxByte)
+		b.SetStr(ColType, m.Type)
+		b.SetInt(ColJobID, m.JobID)
+		b.SetStr(ColOp, m.Op)
+		b.SetInt(ColCnt, m.Cnt)
+		b.SetInt(ColSegOff, s.Off)
+		b.SetInt(ColSegPtSel, s.PtSel)
+		b.SetFloat(ColSegDur, s.Dur)
+		b.SetInt(ColSegLen, s.Len)
+		b.SetInt(ColSegNDims, s.NDims)
+		b.SetInt(ColSegIrregHSlab, s.IrregHSlab)
+		b.SetInt(ColSegRegHSlab, s.RegHSlab)
+		b.SetStr(ColSegDataSet, s.DataSet)
+		b.SetInt(ColSegNPoints, s.NPoints)
+		b.SetFloat(ColSegTimestamp, s.Timestamp)
+		dst = append(dst, b.Row())
 	}
 	return dst
 }

@@ -1,6 +1,7 @@
 package dsos
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -29,16 +30,16 @@ func arenaSample(seq uint64) *jsonmsg.Message {
 	}
 }
 
-// TestRowArenaMatchesAppendObjects: the cached-box builder must produce
-// rows value-identical to the allocating legacy builder, across enough
-// messages to exercise both the cache-hit and cache-miss paths of every
-// column (including the raw-boxed high-cardinality ones).
+// TestRowArenaMatchesAppendObjects: the arena must produce rows
+// value-identical to the legacy builder, across enough messages to fill
+// the arena's string table more than once.
 func TestRowArenaMatchesAppendObjects(t *testing.T) {
 	a := NewRowArena()
-	for seq := uint64(0); seq < 600; seq++ {
+	for seq := uint64(0); seq < 6000; seq++ {
 		m := arenaSample(seq)
-		want := AppendObjects(nil, m)
-		got := a.AppendObjects(nil, m)
+		m.File = fmt.Sprintf("/lscratch/out.%d.dat", seq) // a new string per message
+		want := rowValues(AppendObjects(nil, m))
+		got := rowValues(a.AppendObjects(nil, m))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seq %d: arena rows diverge from legacy builder:\n got %v\nwant %v", seq, got, want)
 		}
@@ -51,12 +52,13 @@ func TestRowArenaMatchesAppendObjects(t *testing.T) {
 func TestRowArenaRowsAreIndependent(t *testing.T) {
 	a := NewRowArena()
 	first := a.AppendObjects(nil, arenaSample(1))
-	snapshot := make([]any, len(first[0]))
-	copy(snapshot, first[0])
-	for seq := uint64(2); seq < 300; seq++ {
-		a.AppendObjects(nil, arenaSample(seq))
+	snapshot := first[0].Values()
+	for seq := uint64(2); seq < 6000; seq++ {
+		m := arenaSample(seq)
+		m.File = fmt.Sprintf("/lscratch/out.%d.dat", seq)
+		a.AppendObjects(nil, m)
 	}
-	if !reflect.DeepEqual([]any(first[0]), snapshot) {
+	if !reflect.DeepEqual(first[0].Values(), snapshot) {
 		t.Fatalf("row from message 1 changed after later appends:\n got %v\nwant %v", first[0], snapshot)
 	}
 }

@@ -212,7 +212,7 @@ func (c *Cursor) Next() bool {
 		c.emitted++
 		return true
 	}
-	c.obj = nil
+	c.obj = sos.Object{}
 	return false
 }
 

@@ -3,6 +3,7 @@ package dsos
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -16,6 +17,15 @@ import (
 )
 
 // drain reads a cursor to its end.
+// rowValues returns each row's Values, for comparing rows by value.
+func rowValues(objs []sos.Object) [][]any {
+	out := make([][]any, len(objs))
+	for i, o := range objs {
+		out[i] = o.Values()
+	}
+	return out
+}
+
 func drain(cur *Cursor) []sos.Object {
 	var out []sos.Object
 	for cur.Next() {
@@ -121,7 +131,7 @@ func counts(c *Cluster) []int {
 // sameRows compares rows value by value with CompareKeys' equality, under
 // which, unlike reflect.DeepEqual's, a NaN equals a NaN.
 func sameRows(a, b []sos.Object) bool {
-	return slices.EqualFunc(a, b, func(x, y sos.Object) bool { return sos.CompareKeys(sos.Key(x), sos.Key(y)) == 0 })
+	return slices.EqualFunc(a, b, func(x, y sos.Object) bool { return sos.CompareKeys(sos.Key(x.Values()), sos.Key(y.Values())) == 0 })
 }
 
 func sameReport(a, b QueryInfo) bool {
@@ -285,8 +295,70 @@ func TestPausedCursorHoldsNoLock(t *testing.T) {
 	if got := queryChunk + 10 + len(rest); got != n+1 {
 		t.Fatalf("cursor returned %d rows, want the %d stored before it opened plus the one inserted ahead of it", got, n)
 	}
-	if op := rest[len(rest)-1][ColOp]; op != "ahead" {
+	if op := rest[len(rest)-1].Str(ColOp); op != "ahead" {
 		t.Fatalf("last row is %q, want the row inserted ahead of the cursor", op)
+	}
+}
+
+// TestPausedCursorRowsSurviveGrowth: rows a cursor handed out are views
+// of the shard's pages and dictionary, read after the shard lock is
+// released. Between chunks, and while they are read, a writer adds pages
+// and dictionary strings; every row read must still equal the reference
+// taken before the writer ran. Run under -race, it checks that the views
+// share no word with what the writer changes.
+func TestPausedCursorRowsSurviveGrowth(t *testing.T) {
+	_, cl := newDarshanCluster(t, 2)
+	const n = 4 * queryChunk
+	for i := 0; i < n; i++ {
+		o := sampleObject(5, int64(i%8), float64(i), fmt.Sprintf("op%d", i%5))
+		if err := cl.Insert(DarshanSchemaName, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	from, to := sos.Key{int64(5)}, sos.Key{int64(6)}
+	want, _, err := referenceQueryEx(cl, "job_rank_time", from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// write adds rows outside the range, each with a new string, enough
+	// for several pages per shard.
+	written := 0
+	write := func(rows int) error {
+		for i := 0; i < rows; i++ {
+			written++
+			job := int64(1 + 8*(written%2)) // behind and past the range
+			if err := cl.Insert(DarshanSchemaName, sampleObject(job, 0, float64(written), fmt.Sprintf("new%d", written))); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	cur, err := cl.Cursor(context.Background(), "job_rank_time", from, to, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []sos.Object
+	for len(got) < queryChunk+10 && cur.Next() { // a chunk per shard taken
+		got = append(got, cur.Object())
+	}
+	if err := write(1200); err != nil { // while paused
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- write(1200) }() // while the rest is read
+	for cur.Next() {
+		o := cur.Object()
+		_ = o.Values() // read it while the writer runs
+		got = append(got, o)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rowValues(got), rowValues(want)) {
+		t.Fatalf("the cursor returned %d rows that differ from the reference's %d", len(got), len(want))
+	}
+	if stored := cl.Count(DarshanSchemaName); stored != n+written {
+		t.Fatalf("%d rows stored, want %d", stored, n+written)
 	}
 }
 
@@ -413,7 +485,7 @@ func TestCursorRacesInsertsAndPlacementSwap(t *testing.T) {
 				rows := 0
 				for cur.Next() {
 					o := cur.Object()
-					key := sos.Key{o[ColJobID], o[ColSegTimestamp], o[ColRank]}
+					key := sos.Key{o.Int(ColJobID), o.Float(ColSegTimestamp), o.Int(ColRank)}
 					if prev != nil && sos.CompareKeys(prev, key) > 0 {
 						t.Errorf("row %d out of order: %v after %v", rows, key, prev)
 						return

@@ -123,22 +123,22 @@ func DarshanBounds(index string, job, rank *int64) (from, to sos.Key, err error)
 
 // AppendCSVRow appends o as one CSV row in the Fig 3 column order, without
 // the newline: floats fixed-point with six decimals (timestamps must not
-// degrade to scientific notation), integers in decimal, strings raw.
-// Objects hold only the four sos attribute types.
+// degrade to scientific notation), integers in decimal, strings raw. It
+// renders straight from the row's typed attributes.
 func AppendCSVRow(dst []byte, o sos.Object) []byte {
-	for i, v := range o {
+	for i := 0; i < o.Len(); i++ {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		switch v := v.(type) {
-		case float64:
-			dst = strconv.AppendFloat(dst, v, 'f', 6, 64)
-		case int64:
-			dst = strconv.AppendInt(dst, v, 10)
-		case uint64:
-			dst = strconv.AppendUint(dst, v, 10)
-		case string:
-			dst = append(dst, v...)
+		switch o.Type(i) {
+		case sos.TypeFloat64:
+			dst = strconv.AppendFloat(dst, o.Float(i), 'f', 6, 64)
+		case sos.TypeInt64:
+			dst = strconv.AppendInt(dst, o.Int(i), 10)
+		case sos.TypeUint64:
+			dst = strconv.AppendUint(dst, o.Uint(i), 10)
+		case sos.TypeString:
+			dst = append(dst, o.Str(i)...)
 		}
 	}
 	return dst
@@ -154,17 +154,15 @@ func ObjectsFromMessage(m *jsonmsg.Message) []sos.Object {
 // it. Ingest consumes the typed record directly — the message arrives
 // here as the struct the connector built, not as JSON bytes to re-parse —
 // and the outer slice can be reused across messages (the objects
-// themselves are fresh; the store retains them).
+// themselves are fresh).
 //
-// This is the legacy boxing builder, kept as the typed-lazy baseline the
-// pipeline benchmark compares against; the batched wire path builds rows
-// through RowArena.AppendObjects instead.
-//
-//lint:allow hotalloc deliberate legacy baseline; hot ingest uses RowArena
+// This is the legacy builder, one sos.NewObject per row, kept as the
+// baseline the pipeline benchmark compares against; the batched wire path
+// builds rows through RowArena.AppendObjects instead.
 func AppendObjects(dst []sos.Object, m *jsonmsg.Message) []sos.Object {
 	for i := range m.Seg {
 		s := &m.Seg[i]
-		dst = append(dst, sos.Object{
+		dst = append(dst, sos.NewObject(
 			m.Module,
 			m.UID,
 			m.ProducerName,
@@ -189,7 +187,7 @@ func AppendObjects(dst []sos.Object, m *jsonmsg.Message) []sos.Object {
 			s.DataSet,
 			s.NPoints,
 			s.Timestamp,
-		})
+		))
 	}
 	return dst
 }

@@ -32,7 +32,7 @@ func TestAppendCSVRowMatchesFormatValue(t *testing.T) {
 	strs := []string{"", "N/A", "/nscratch/f,with,commas", "nid00040", "héllo"}
 	var dst []byte
 	for i := 0; i < 500; i++ {
-		o := make(sos.Object, len(sch.Attrs))
+		o := make([]any, len(sch.Attrs))
 		for j, a := range sch.Attrs {
 			switch a.Type {
 			case sos.TypeFloat64:
@@ -61,7 +61,7 @@ func TestAppendCSVRowMatchesFormatValue(t *testing.T) {
 		for j, v := range o {
 			cells[j] = formatValue(v)
 		}
-		dst = AppendCSVRow(dst[:0], o)
+		dst = AppendCSVRow(dst[:0], sos.NewObject(o...))
 		if want := strings.Join(cells, ","); string(dst) != want {
 			t.Fatalf("row %d:\n got %s\nwant %s", i, dst, want)
 		}

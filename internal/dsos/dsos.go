@@ -888,7 +888,7 @@ func (cl *Client) DistinctJobs() ([]int64, error) {
 				break
 			}
 			err := d.cont.Iter("job_rank_time", from, func(o sos.Object) bool {
-				job = o[ColJobID].(int64)
+				job = o.Int(ColJobID)
 				found = true
 				return false
 			})

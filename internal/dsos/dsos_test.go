@@ -70,8 +70,8 @@ func TestParallelQueryMergesSorted(t *testing.T) {
 		t.Fatalf("query returned %d of %d", len(objs), n)
 	}
 	for i := 1; i < len(objs); i++ {
-		a := sos.Key{objs[i-1][ColJobID], objs[i-1][ColRank], objs[i-1][ColSegTimestamp]}
-		b := sos.Key{objs[i][ColJobID], objs[i][ColRank], objs[i][ColSegTimestamp]}
+		a := sos.Key{objs[i-1].Int(ColJobID), objs[i-1].Int(ColRank), objs[i-1].Float(ColSegTimestamp)}
+		b := sos.Key{objs[i].Int(ColJobID), objs[i].Int(ColRank), objs[i].Float(ColSegTimestamp)}
 		if sos.CompareKeys(a, b) > 0 {
 			t.Fatalf("merged output out of order at %d", i)
 		}
@@ -97,10 +97,10 @@ func TestQueryJobRankPrefix(t *testing.T) {
 	}
 	lastTS := -1.0
 	for _, o := range objs {
-		if o[ColJobID].(int64) != 2 || o[ColRank].(int64) != 3 {
+		if o.Int(ColJobID) != 2 || o.Int(ColRank) != 3 {
 			t.Fatalf("stray object %v", o)
 		}
-		ts := o[ColSegTimestamp].(float64)
+		ts := o.Float(ColSegTimestamp)
 		if ts < lastTS {
 			t.Fatal("timestamps not ascending")
 		}
@@ -118,7 +118,7 @@ func TestAlternateIndexOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(objs); i++ {
-		if objs[i-1][ColSegTimestamp].(float64) > objs[i][ColSegTimestamp].(float64) {
+		if objs[i-1].Float(ColSegTimestamp) > objs[i].Float(ColSegTimestamp) {
 			t.Fatal("time_job_rank not time-ordered")
 		}
 	}
@@ -168,7 +168,7 @@ func TestObjectsFromMessageMultiSeg(t *testing.T) {
 	if len(objs) != 2 {
 		t.Fatalf("objects %d", len(objs))
 	}
-	if objs[1][ColSegLen].(int64) != 20 {
+	if objs[1].Int(ColSegLen) != 20 {
 		t.Fatalf("seg values %v", objs[1])
 	}
 }
@@ -182,8 +182,8 @@ func TestObjectMatchesSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	sch := DarshanSchema()
-	if len(obj) != len(sch.Attrs) {
-		t.Fatalf("object arity %d vs schema %d", len(obj), len(sch.Attrs))
+	if obj.Len() != len(sch.Attrs) {
+		t.Fatalf("object arity %d vs schema %d", obj.Len(), len(sch.Attrs))
 	}
 }
 

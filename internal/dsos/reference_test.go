@@ -88,7 +88,7 @@ func (d *Daemon) rangeQuery(index string, from, to sos.Key, withOrigins bool) ([
 		if to != nil {
 			key := make(sos.Key, 0, len(ix.Spec().Attrs))
 			for _, a := range ix.Spec().Attrs {
-				key = append(key, o[sch.AttrIndex(a)])
+				key = append(key, o.Value(sch.AttrIndex(a)))
 			}
 			if sos.CompareKeys(key, to) >= 0 {
 				return false
@@ -145,7 +145,7 @@ func mergeOrdered(lists [][]sos.Object, origins [][]uint64, keyAttrs []int, tota
 	keyOf := func(o sos.Object) sos.Key {
 		k := make(sos.Key, 0, len(keyAttrs))
 		for _, a := range keyAttrs {
-			k = append(k, o[a])
+			k = append(k, o.Value(a))
 		}
 		return k
 	}

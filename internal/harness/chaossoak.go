@@ -100,7 +100,7 @@ type ChaosSoakResult struct {
 const chaosReplayTail = 32
 
 // chaosObjKey is the multiset identity of one stored object.
-func chaosObjKey(o sos.Object) string { return fmt.Sprintf("%v", []any(o)) }
+func chaosObjKey(o sos.Object) string { return fmt.Sprintf("%v", o.Values()) }
 
 // ackRecorder sits between the dedup layer and the retry/store chain: on
 // inner success it records the objects the caller was just promised are

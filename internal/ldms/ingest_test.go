@@ -67,7 +67,7 @@ func segOffsets(t *testing.T, cl *dsos.Client) map[int64]int {
 	}
 	seen := map[int64]int{}
 	for _, o := range objs {
-		seen[o[dsos.ColSegOff].(int64)]++
+		seen[o.Int(dsos.ColSegOff)]++
 	}
 	return seen
 }

@@ -193,7 +193,7 @@ func TestDSOSStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(objs) != 10 || objs[0][dsos.ColProducerName].(string) != "nid00041" {
+	if len(objs) != 10 || objs[0].Str(dsos.ColProducerName) != "nid00041" {
 		t.Fatalf("query %d objects", len(objs))
 	}
 }

@@ -151,6 +151,13 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 			}
 			waitFor(t, "local store", func() bool { return count.Count() == 20 })
 			waitFor(t, "uplink delivery", func() bool { return aggSrv.Received() == 20 })
+			// The receiver counts a frame before the uplink's flush returns
+			// and counts it sent, and on a stream before the round's ack
+			// settles: wait for the sender's side too.
+			waitFor(t, "uplink sent count", func() bool { return up.Stats().Sent == 20 })
+			if stream != nil {
+				waitFor(t, "uplink ack floor", func() bool { return up.Stats().Consumer.AckFloor == 20 })
+			}
 
 			series := scrape(t, reg)
 			if len(series) < 30 {

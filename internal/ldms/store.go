@@ -160,7 +160,7 @@ type DSOSStore struct {
 	client *dsos.Client
 	mu     sync.Mutex
 	objs   []sos.Object   // reused row batch of one round
-	arena  *dsos.RowArena // row backings + cached boxes (guarded by mu)
+	arena  *dsos.RowArena // builds the rows by copying fields (guarded by mu)
 	// Obs plane (set by Instrument; nil-safe counters otherwise).
 	clock   obs.Clock
 	msgs    *obs.Counter
@@ -199,10 +199,10 @@ func (s *DSOSStore) Store(m streams.Message) error {
 func (s *DSOSStore) StoreRound(ms []streams.Message, token uint64, dead func(error)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Rows come from the store's arena: shared []any backings and cached
-	// boxes, so steady-state ingest of repeated values stops allocating.
-	// A message may be slab-backed — that is fine, the arena copies every
-	// value it reads and the insert below is synchronous.
+	// Rows come from the store's arena: typed words copied from each
+	// message's fields, so steady-state ingest allocates only chunks of
+	// words. A message may be slab-backed — that is fine, the arena copies
+	// every value it reads and keeps no reference to the message.
 	s.objs = s.objs[:0]
 	decoded := 0
 	for _, m := range ms {

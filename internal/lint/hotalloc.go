@@ -8,7 +8,7 @@ import (
 
 var hotallocCheck = &Check{
 	Name: "hotalloc",
-	Doc:  "no fmt.Sprint* or per-element interface boxing ([]any composite literals) on the per-event hot path (connector, event, jsonmsg, ldms, dsos)",
+	Doc:  "no fmt.Sprint* or per-element interface boxing ([]any composite literals) on the per-event hot path (connector, event, jsonmsg, ldms, dsos, sos)",
 	Run:  runHotalloc,
 }
 
@@ -19,13 +19,15 @@ var hotallocCheck = &Check{
 // (Table IIc) and the lazy message plane exists to avoid. Matching is by
 // whole path segment, like ZoneFor. internal/dsos joined the list with
 // the arena-pooled wire path: ingest builds store rows per event, so
-// boxing regressions there are exactly as hot as codec ones.
+// boxing regressions there are exactly as hot as codec ones. internal/sos,
+// the store engine under it, runs once per event too.
 var hotPathPaths = []string{
 	"internal/connector",
 	"internal/event",
 	"internal/jsonmsg",
 	"internal/ldms",
 	"internal/dsos",
+	"internal/sos",
 }
 
 // sprintNames are the fmt formatting calls that allocate their result
@@ -87,10 +89,10 @@ func funcAllowsHotalloc(fd *ast.FuncDecl) bool {
 }
 
 // isAnySliceLit reports whether cl is a non-empty composite literal whose
-// type's underlying is []any (sos.Object, sos.Key and friends): each
-// element is boxed into an interface at construction, so one literal on
-// the hot path is len(Elts) allocations per event. The arena/cached-box
-// row builder dsos.RowArena exists to avoid this.
+// type's underlying is []any (sos.Key and friends): each element is boxed
+// into an interface at construction, so one literal on the hot path is
+// len(Elts) allocations per event. Store rows are typed words built by
+// copying (sos.RowBuilder, dsos.RowArena) to avoid this.
 func (p *Pass) isAnySliceLit(cl *ast.CompositeLit) bool {
 	if len(cl.Elts) == 0 {
 		return false
@@ -136,7 +138,7 @@ func runHotalloc(p *Pass) {
 				case *ast.CompositeLit:
 					if p.isAnySliceLit(v) {
 						p.Reportf(v.Pos(),
-							"build rows through an arena/cached-box builder (dsos.RowArena) instead of a boxing literal; //lint:allow hotalloc <reason> if this site is deliberately cold",
+							"build rows through a copying row builder (sos.RowBuilder, dsos.RowArena) instead of a boxing literal; //lint:allow hotalloc <reason> if this site is deliberately cold",
 							"[]any composite literal on the per-event hot path boxes every element")
 					}
 				}

@@ -54,11 +54,11 @@ func Job(ctx context.Context, client *dsos.Client, jobID int64, bus *streams.Bus
 		enc = jsonmsg.FastEncoder{}
 	}
 	start := time.Now()
-	t0 := objs[0][dsos.ColSegTimestamp].(float64)
-	tLast := objs[len(objs)-1][dsos.ColSegTimestamp].(float64)
+	t0 := objs[0].Float(dsos.ColSegTimestamp)
+	tLast := objs[len(objs)-1].Float(dsos.ColSegTimestamp)
 	for _, o := range objs {
 		if opts.Speedup > 0 {
-			due := time.Duration((o[dsos.ColSegTimestamp].(float64) - t0) / opts.Speedup * float64(time.Second))
+			due := time.Duration((o.Float(dsos.ColSegTimestamp) - t0) / opts.Speedup * float64(time.Second))
 			if wait := due - time.Since(start); wait > 0 {
 				select {
 				case <-time.After(wait):
@@ -77,31 +77,31 @@ func Job(ctx context.Context, client *dsos.Client, jobID int64, bus *streams.Bus
 // (the inverse of dsos.ObjectsFromMessage for single-seg messages).
 func messageFromObject(o sos.Object) jsonmsg.Message {
 	return jsonmsg.Message{
-		Module:       o[dsos.ColModule].(string),
-		UID:          o[dsos.ColUID].(int64),
-		ProducerName: o[dsos.ColProducerName].(string),
-		Switches:     o[dsos.ColSwitches].(int64),
-		File:         o[dsos.ColFile].(string),
-		Rank:         int(o[dsos.ColRank].(int64)),
-		Flushes:      o[dsos.ColFlushes].(int64),
-		RecordID:     o[dsos.ColRecordID].(uint64),
-		Exe:          o[dsos.ColExe].(string),
-		MaxByte:      o[dsos.ColMaxByte].(int64),
-		Type:         o[dsos.ColType].(string),
-		JobID:        o[dsos.ColJobID].(int64),
-		Op:           o[dsos.ColOp].(string),
-		Cnt:          o[dsos.ColCnt].(int64),
+		Module:       o.Str(dsos.ColModule),
+		UID:          o.Int(dsos.ColUID),
+		ProducerName: o.Str(dsos.ColProducerName),
+		Switches:     o.Int(dsos.ColSwitches),
+		File:         o.Str(dsos.ColFile),
+		Rank:         int(o.Int(dsos.ColRank)),
+		Flushes:      o.Int(dsos.ColFlushes),
+		RecordID:     o.Uint(dsos.ColRecordID),
+		Exe:          o.Str(dsos.ColExe),
+		MaxByte:      o.Int(dsos.ColMaxByte),
+		Type:         o.Str(dsos.ColType),
+		JobID:        o.Int(dsos.ColJobID),
+		Op:           o.Str(dsos.ColOp),
+		Cnt:          o.Int(dsos.ColCnt),
 		Seg: []jsonmsg.Segment{{
-			Off:        o[dsos.ColSegOff].(int64),
-			PtSel:      o[dsos.ColSegPtSel].(int64),
-			Dur:        o[dsos.ColSegDur].(float64),
-			Len:        o[dsos.ColSegLen].(int64),
-			NDims:      o[dsos.ColSegNDims].(int64),
-			IrregHSlab: o[dsos.ColSegIrregHSlab].(int64),
-			RegHSlab:   o[dsos.ColSegRegHSlab].(int64),
-			DataSet:    o[dsos.ColSegDataSet].(string),
-			NPoints:    o[dsos.ColSegNPoints].(int64),
-			Timestamp:  o[dsos.ColSegTimestamp].(float64),
+			Off:        o.Int(dsos.ColSegOff),
+			PtSel:      o.Int(dsos.ColSegPtSel),
+			Dur:        o.Float(dsos.ColSegDur),
+			Len:        o.Int(dsos.ColSegLen),
+			NDims:      o.Int(dsos.ColSegNDims),
+			IrregHSlab: o.Int(dsos.ColSegIrregHSlab),
+			RegHSlab:   o.Int(dsos.ColSegRegHSlab),
+			DataSet:    o.Str(dsos.ColSegDataSet),
+			NPoints:    o.Int(dsos.ColSegNPoints),
+			Timestamp:  o.Float(dsos.ColSegTimestamp),
 		}},
 	}
 }

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -92,10 +93,8 @@ func TestReplayRoundTripsIntoStore(t *testing.T) {
 		t.Fatalf("lengths %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatalf("row %d field %d: %v vs %v", i, j, a[i][j], b[i][j])
-			}
+		if av, bv := a[i].Values(), b[i].Values(); !reflect.DeepEqual(av, bv) {
+			t.Fatalf("row %d: %v vs %v", i, av, bv)
 		}
 	}
 }

@@ -208,9 +208,8 @@ func TestSteadyStateInsertAllocs(t *testing.T) {
 	const warm, runs = 20000, 4000
 	rows := make([]Object, warm+runs+1)
 	for i := range rows {
-		rows[i] = Object{int64(i % 3), int64(i % 64), float64(i), "write", int64(i)}
+		rows[i] = NewObject(int64(i%3), int64(i%64), float64(i), "write", int64(i))
 	}
-	c.slabs["darshan_event"] = make([]Object, 0, len(rows))
 	for _, o := range rows[:warm] {
 		if err := c.Insert("darshan_event", o); err != nil {
 			t.Fatal(err)

@@ -16,11 +16,11 @@ func referenceRange(t *testing.T, c *Container, index string, from, to Key) []Ob
 	var out []Object
 	it := ix.tree.seek(appendKey(nil, from), false)
 	for ; it.valid(); it.next() {
-		o := c.slabs[ix.spec.Schema][it.node.refs[it.pos]]
+		o := c.slabs[ix.spec.Schema].object(it.node.refs[it.pos], c.dict.strs)
 		if to != nil {
 			key := make(Key, 0, len(ix.attrIdxs))
 			for _, ai := range ix.attrIdxs {
-				key = append(key, o[ai])
+				key = append(key, o.Value(ai))
 			}
 			if CompareKeys(key, to) >= 0 {
 				break
@@ -31,11 +31,20 @@ func referenceRange(t *testing.T, c *Container, index string, from, to Key) []Ob
 	return out
 }
 
+// rowValues returns each row's Values, for comparing rows by value.
+func rowValues(objs []Object) [][]any {
+	out := make([][]any, len(objs))
+	for i, o := range objs {
+		out[i] = o.Values()
+	}
+	return out
+}
+
 func fillEvents(t *testing.T, c *Container, n int, seed uint64) {
 	t.Helper()
 	r := rng.New(seed)
 	for i := 0; i < n; i++ {
-		obj := Object{int64(r.Intn(4)), int64(r.Intn(6)), float64(r.Intn(30)), "write", int64(i)}
+		obj := NewObject(int64(r.Intn(4)), int64(r.Intn(6)), float64(r.Intn(30)), "write", int64(i))
 		if err := c.Insert("darshan_event", obj); err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +75,7 @@ func TestCursorMatchesReferenceRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := referenceRange(t, c, "job_rank_time", from, to); !reflect.DeepEqual(got, want) {
+		if want := referenceRange(t, c, "job_rank_time", from, to); !reflect.DeepEqual(rowValues(got), rowValues(want)) {
 			t.Fatalf("[%v, %v): %d objects, reference %d", from, to, len(got), len(want))
 		}
 	}
@@ -102,7 +111,7 @@ func TestCursorAfterResumesPastInserts(t *testing.T) {
 		// at or past the scan's position is seen: its new object id sorts
 		// it after the last key even on equal attributes.
 		for _, job := range []int64{1, 2, 3} {
-			if err := c.Insert("darshan_event", Object{job, int64(0), 0.5, "late", int64(-step)}); err != nil {
+			if err := c.Insert("darshan_event", NewObject(job, int64(0), 0.5, "late", int64(-step))); err != nil {
 				t.Fatal(err)
 			}
 			if job < 3 && bytes.Compare(appendKey(nil, Key{job, int64(0), 0.5}), last[:len(last)-8]) >= 0 {
@@ -116,13 +125,13 @@ func TestCursorAfterResumesPastInserts(t *testing.T) {
 	var kept []Object
 	inserted := 0
 	for _, o := range got {
-		if o[3] == "late" {
+		if o.Str(3) == "late" {
 			inserted++
 			continue
 		}
 		kept = append(kept, o)
 	}
-	if !reflect.DeepEqual(kept, want) {
+	if !reflect.DeepEqual(rowValues(kept), rowValues(want)) {
 		t.Fatalf("the resumed scan returned %d of the %d objects stored before it", len(kept), len(want))
 	}
 	if inserted != late {
@@ -132,7 +141,7 @@ func TestCursorAfterResumesPastInserts(t *testing.T) {
 		t.Fatalf("%d of %d in-range inserts were ahead of the scan; the test needs both kinds", late, 2*steps)
 	}
 	for i := 1; i < len(got); i++ {
-		a, b := Key{got[i-1][0], got[i-1][1], got[i-1][2]}, Key{got[i][0], got[i][1], got[i][2]}
+		a, b := Key(got[i-1].Values()[:3]), Key(got[i].Values()[:3])
 		if CompareKeys(a, b) > 0 {
 			t.Fatalf("row %d out of order: %v after %v", i, b, a)
 		}

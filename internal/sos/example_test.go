@@ -21,17 +21,17 @@ func Example() {
 	c.AddIndex(sos.IndexSpec{Name: "job_rank_time", Schema: "event",
 		Attrs: []string{"job_id", "rank", "timestamp"}})
 
-	c.Insert("event", sos.Object{int64(7), int64(3), 2.0, "write"})
-	c.Insert("event", sos.Object{int64(7), int64(3), 1.0, "open"})
-	c.Insert("event", sos.Object{int64(7), int64(4), 1.5, "open"}) // other rank
-	c.Insert("event", sos.Object{int64(8), int64(3), 0.5, "open"}) // other job
+	c.Insert("event", sos.NewObject(int64(7), int64(3), 2.0, "write"))
+	c.Insert("event", sos.NewObject(int64(7), int64(3), 1.0, "open"))
+	c.Insert("event", sos.NewObject(int64(7), int64(4), 1.5, "open")) // other rank
+	c.Insert("event", sos.NewObject(int64(8), int64(3), 0.5, "open")) // other job
 
 	// Rank 3 of job 7, in time order.
 	c.Iter("job_rank_time", sos.Key{int64(7), int64(3)}, func(o sos.Object) bool {
-		if o[0].(int64) != 7 || o[1].(int64) != 3 {
+		if o.Int(0) != 7 || o.Int(1) != 3 {
 			return false
 		}
-		fmt.Printf("t=%.1f %s\n", o[2].(float64), o[3].(string))
+		fmt.Printf("t=%.1f %s\n", o.Float(2), o.Str(3))
 		return true
 	})
 	// Output:

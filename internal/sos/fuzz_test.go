@@ -21,7 +21,7 @@ func FuzzRestore(f *testing.F) {
 	_ = c.AddSchema(sch)
 	_, _ = c.AddIndex(IndexSpec{Name: "j", Schema: "ev", Attrs: []string{"job_id"}})
 	for i := 0; i < 5; i++ {
-		_ = c.Insert("ev", Object{int64(i), "x", float64(i)})
+		_ = c.Insert("ev", NewObject(int64(i), "x", float64(i)))
 	}
 	var buf bytes.Buffer
 	_ = c.Snapshot(&buf)
@@ -52,9 +52,9 @@ func FuzzRestore(f *testing.F) {
 func FuzzReplayWAL(f *testing.F) {
 	mem := NewMemWAL()
 	w := NewWAL(mem)
-	_ = w.Append("ev", Object{int64(1), "x"}, 0)
-	_ = w.AppendBatch("ev", []Object{{int64(2), "y"}, {int64(3), "z"}}, []uint64{7, 8}, 4)
-	_ = w.AppendBatch("ev", []Object{{int64(4), "w"}}, nil, 9)
+	_ = w.Append("ev", NewObject(int64(1), "x"), 0)
+	_ = w.AppendBatch("ev", []Object{NewObject(int64(2), "y"), NewObject(int64(3), "z")}, []uint64{7, 8}, 4)
+	_ = w.AppendBatch("ev", []Object{NewObject(int64(4), "w")}, nil, 9)
 	log := readLog(f, mem)
 	for _, floor := range []uint16{0, 4, 9} {
 		f.Add(append(binary.LittleEndian.AppendUint16(nil, floor), log...))

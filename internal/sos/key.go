@@ -20,32 +20,58 @@ const canonicalNaN = 0x7FF8000000000001
 func appendValue(b []byte, v any) []byte {
 	switch v := v.(type) {
 	case int64:
-		return binary.BigEndian.AppendUint64(b, uint64(v)^1<<63)
+		return appendWord(b, TypeInt64, uint64(v), nil)
 	case uint64:
-		return binary.BigEndian.AppendUint64(b, v)
+		return appendWord(b, TypeUint64, v, nil)
 	case float64:
-		bits := math.Float64bits(v)
-		switch {
-		case v != v:
-			bits = canonicalNaN
-		case v == 0:
-			bits = 0 // -0 is +0
-		}
-		if bits>>63 == 0 {
-			bits |= 1 << 63
-		} else {
-			bits = ^bits
-		}
-		return binary.BigEndian.AppendUint64(b, bits)
+		return appendWord(b, TypeFloat64, math.Float64bits(v), nil)
 	case string:
-		for i := 0; i < len(v); i++ {
-			if b = append(b, v[i]); v[i] == 0 {
-				b = append(b, 0xFF)
-			}
-		}
-		return append(b, 0, 1)
+		return appendString(b, v)
 	}
-	panic(fmt.Sprintf("sos: unsupported key type %T", v))
+	panic(unsupportedKey(v))
+}
+
+// unsupportedKey is the panic message for a key value of no attribute type.
+//
+//lint:allow hotalloc a panic's message, never on a working path
+func unsupportedKey(v any) string { return fmt.Sprintf("sos: unsupported key type %T", v) }
+
+// appendWord appends the order-preserving encoding of a row word of type
+// t to b; a string word indexes strs.
+func appendWord(b []byte, t Type, w uint64, strs []string) []byte {
+	switch t {
+	case TypeInt64:
+		return binary.BigEndian.AppendUint64(b, w^1<<63)
+	case TypeUint64:
+		return binary.BigEndian.AppendUint64(b, w)
+	case TypeFloat64:
+		switch v := math.Float64frombits(w); {
+		case v != v:
+			w = canonicalNaN
+		case v == 0:
+			w = 0 // -0 is +0
+		}
+		if w>>63 == 0 {
+			w |= 1 << 63
+		} else {
+			w = ^w
+		}
+		return binary.BigEndian.AppendUint64(b, w)
+	case TypeString:
+		return appendString(b, strs[w])
+	}
+	panic("sos: unsupported key type " + t.String())
+}
+
+// appendString appends the encoding of s: its bytes with each NUL escaped,
+// then a terminator that sorts below every escaped byte.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if b = append(b, s[i]); s[i] == 0 {
+			b = append(b, 0xFF)
+		}
+	}
+	return append(b, 0, 1)
 }
 
 // appendKey appends the encoding of every value of k to b.

@@ -143,7 +143,7 @@ func TestNaNKeepsTheIndexOrdered(t *testing.T) {
 		} else if i >= 10000 && i < 11000 {
 			inRange++
 		}
-		if err := c.Insert("ev", Object{ts, int64(i % 3), int64(i % 64)}); err != nil {
+		if err := c.Insert("ev", NewObject(ts, int64(i%3), int64(i%64))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,12 +159,12 @@ func TestNaNKeepsTheIndexOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(all); i++ {
-		if CompareKeys(Key(all[i-1]), Key(all[i])) > 0 {
+		if CompareKeys(Key(all[i-1].Values()), Key(all[i].Values())) > 0 {
 			t.Fatalf("row %d out of order: %v after %v", i, all[i], all[i-1])
 		}
 	}
 	for _, o := range all[len(all)-nans:] {
-		if ts := o[0].(float64); !math.IsNaN(ts) {
+		if ts := o.Float(0); !math.IsNaN(ts) {
 			t.Fatalf("timestamp %v among the last %d rows, which should be the NaN ones", ts, nans)
 		}
 	}

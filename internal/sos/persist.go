@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 )
 
 // Snapshot persistence: schemas and object slabs are written; indices are
@@ -22,15 +22,16 @@ const snapMagic = "SOS-GO-SNAP1"
 const snapMagic2 = "SOS-GO-SNAP2"
 
 // Frozen is a container's contents at one instant, for writing a snapshot
-// while the container keeps taking inserts. Slabs and origin lists are
-// append-only — an insert writes past their length or replaces the list,
-// never an element in place — so their slice headers pin exactly the
-// objects present when Freeze ran.
+// while the container keeps taking inserts. Slabs, the dictionary and
+// origin lists are append-only — an insert writes past their length or
+// replaces the list, never an element in place — so copies of their
+// headers pin exactly the objects present when Freeze ran.
 type Frozen struct {
 	name    string
 	nextOID uint64
 	schemas []*Schema // sorted by name
-	slabs   [][]Object
+	slabs   []slab
+	strs    []string
 	origins [][]uint64
 	indices []IndexSpec // sorted by name
 }
@@ -40,10 +41,10 @@ type Frozen struct {
 // serialises inserts can take it and write the snapshot after releasing
 // that lock.
 func (c *Container) Freeze() *Frozen {
-	f := &Frozen{name: c.Name, nextOID: c.nextOID}
+	f := &Frozen{name: c.Name, nextOID: c.nextOID, strs: c.dict.strs}
 	for _, name := range c.Schemas() {
 		f.schemas = append(f.schemas, c.schemas[name])
-		f.slabs = append(f.slabs, c.slabs[name])
+		f.slabs = append(f.slabs, *c.slabs[name])
 		f.origins = append(f.origins, c.origins[name])
 	}
 	for _, name := range c.Indices() {
@@ -90,11 +91,11 @@ func (f *Frozen) Snapshot(w io.Writer) error {
 			e.str(a.Name)
 			e.u64(uint64(a.Type))
 		}
-		slab, origins := f.slabs[i], f.origins[i]
-		e.u64(uint64(len(slab)))
-		for pos, obj := range slab {
-			for j, v := range obj {
-				e.value(sch.Attrs[j].Type, v)
+		slab, origins := &f.slabs[i], f.origins[i]
+		e.u64(uint64(slab.n))
+		for pos := 0; pos < slab.n; pos++ {
+			for j, w := range slab.row(pos) {
+				e.word(sch.Attrs[j].Type, w, f.strs)
 			}
 			if withOrigins {
 				var o uint64
@@ -181,20 +182,20 @@ func Restore(r io.Reader) (*Container, error) {
 			// loop below short of the declared count.
 			return nil, fmt.Errorf("sos: %d objects declared for a schema without attributes", nObjs)
 		}
-		// The count is a hint, not a promise: preallocate no more than a
-		// modest slab so a hostile header cannot ask for gigabytes before
-		// the first object fails to read.
-		slab := make([]Object, 0, min(nObjs, 1<<16))
+		// The count is a hint, not a promise: the slab grows a page at a
+		// time and preallocates no more than a modest origin list, so a
+		// hostile header cannot ask for gigabytes before the first object
+		// fails to read.
+		slab := c.slabs[name]
 		var origins []uint64
 		if withOrigins {
 			origins = make([]uint64, 0, min(nObjs, 1<<16))
 		}
 		for j := uint64(0); j < nObjs; j++ {
-			obj := make(Object, len(attrs))
-			for k := range attrs {
-				obj[k] = d.value(attrs[k].Type)
+			w := slab.grow()
+			for k, t := range slab.typ.types {
+				w[k] = d.word(t, &c.dict)
 			}
-			slab = append(slab, obj)
 			if withOrigins {
 				origins = append(origins, d.u64())
 			}
@@ -202,7 +203,6 @@ func Restore(r io.Reader) (*Container, error) {
 				return nil, d.err
 			}
 		}
-		c.slabs[name] = slab
 		if withOrigins {
 			c.origins[name] = origins
 		}
@@ -257,21 +257,19 @@ func (e *snapEnc) str(s string) {
 	}
 }
 
-func (e *snapEnc) value(t Type, v any) {
+// word writes a row word of type t; a string word indexes strs.
+func (e *snapEnc) word(t Type, w uint64, strs []string) {
 	switch t {
-	case TypeInt64:
-		e.u64(uint64(v.(int64)))
-	case TypeUint64:
-		e.u64(v.(uint64))
-	case TypeFloat64:
-		e.u64(math.Float64bits(v.(float64)))
+	case TypeInt64, TypeUint64, TypeFloat64:
+		e.u64(w)
 	case TypeString:
-		e.str(v.(string))
+		e.str(strs[w])
 	}
 }
 
 type snapDec struct {
 	r   *bufio.Reader
+	buf []byte // the last string bytes read
 	err error
 }
 
@@ -287,34 +285,40 @@ func (d *snapDec) u64() uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-func (d *snapDec) str() string {
+func (d *snapDec) str() string { return string(d.bytes()) }
+
+// bytes reads a string into the decoder's buffer, which the next read
+// reuses.
+func (d *snapDec) bytes() []byte {
 	n := d.u64()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > 1<<24 {
 		d.err = fmt.Errorf("sos: implausible string length %d", n)
-		return ""
+		return nil
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
+	d.buf = slices.Grow(d.buf[:0], int(n))[:n]
+	if _, err := io.ReadFull(d.r, d.buf); err != nil {
 		d.err = err
-		return ""
+		return nil
 	}
-	return string(b)
+	return d.buf
 }
 
-func (d *snapDec) value(t Type) any {
+// word reads a row word of type t, interning a string in dict.
+func (d *snapDec) word(t Type, dict *dict) uint64 {
 	switch t {
-	case TypeInt64:
-		return int64(d.u64())
-	case TypeUint64:
+	case TypeInt64, TypeUint64, TypeFloat64:
 		return d.u64()
-	case TypeFloat64:
-		return math.Float64frombits(d.u64())
 	case TypeString:
-		return d.str()
+		if b := d.bytes(); d.err == nil {
+			return dict.internBytes(b)
+		}
+		return 0
 	}
-	d.err = fmt.Errorf("sos: unknown type %d", t)
-	return nil
+	if d.err == nil {
+		d.err = fmt.Errorf("sos: unknown type %d", t)
+	}
+	return 0
 }

@@ -1,0 +1,405 @@
+package sos
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+	"strconv"
+	"unsafe"
+)
+
+// Rows are stored as fixed-width words, one 8-byte word per attribute: an
+// int64 or a uint64 as it is, a float64 as its IEEE bits, and a string as
+// an id into a string table. In a container the table is the container's
+// dictionary; a row built outside one (NewObject, RowBuilder, a WAL replay)
+// carries its own, and insertion interns its strings into the dictionary.
+// Only this package knows the layout: every reader goes through Object's
+// getters.
+//
+// A schema's rows live in pages: []uint64 arrays allocated once, at full
+// size, that never move and whose words never change once written. A page
+// holds no pointer, so the garbage collector never scans one. The
+// dictionary only grows — a string once given an id keeps it — so a slice
+// header of it taken under the lock that serialises inserts stays valid
+// after the lock is released, and so does a view of a stored row.
+
+// typeOther is the type NewObject records for a value of no attribute
+// type; the word indexes the value's Go type name, for Check's error.
+const typeOther Type = -1
+
+// Object is one row, aligned with its schema's attributes: a typed value
+// holding the row's words, the string table its string words index, and
+// each attribute's type. A stored row (Cursor.Object) is a view of the
+// container's page and dictionary and costs no allocation; the view stays
+// valid after the container grows. Build a row with NewObject or a
+// RowBuilder. The getters panic on an attribute of another type, as a type
+// assertion on the value would.
+//
+// An Object is three pointers, as small as the []any header it replaced,
+// so result slices and query chunks of rows cost what they did: the first
+// word (nil for a row without attributes), the first string of the table
+// (nil for an empty one; every string word is an id below its length),
+// and the types, which every row of a kind shares.
+type Object struct {
+	w    *uint64
+	strs *string
+	typ  *rowType
+}
+
+// rowType is the attribute types of a kind of row.
+type rowType struct{ types []Type }
+
+// NewObject builds a row from its values, each an int64, uint64, float64
+// or string. A value of any other type makes the row fail Container.Check.
+// It is the constructor for cold code and tests; ingest builds rows with a
+// RowBuilder, and both kinds take the same insert path.
+func NewObject(vals ...any) Object {
+	w, types := make([]uint64, len(vals)), make([]Type, len(vals))
+	var strs []string
+	for i, v := range vals {
+		switch v := v.(type) {
+		case int64:
+			types[i], w[i] = TypeInt64, uint64(v)
+		case uint64:
+			types[i], w[i] = TypeUint64, v
+		case float64:
+			types[i], w[i] = TypeFloat64, math.Float64bits(v)
+		case string:
+			types[i], w[i] = TypeString, uint64(len(strs))
+			strs = append(strs, v)
+		default:
+			types[i], w[i] = typeOther, uint64(len(strs))
+			strs = append(strs, goTypeName(v))
+		}
+	}
+	return Object{w: first(w), strs: first(strs), typ: &rowType{types}}
+}
+
+// first returns a pointer to s's first element, or nil for an empty s.
+func first[E any](s []E) *E {
+	if len(s) == 0 {
+		return nil
+	}
+	return &s[0]
+}
+
+// goTypeName names v's Go type for the error of a row that holds it.
+//
+//lint:allow hotalloc only rows that fail their check reach it
+func goTypeName(v any) string { return fmt.Sprintf("%T", v) }
+
+// Len returns the number of attributes.
+func (o Object) Len() int { return len(o.types()) }
+
+// Type returns attribute i's type.
+func (o Object) Type(i int) Type { return o.types()[i] }
+
+// Int returns int64 attribute i.
+func (o Object) Int(i int) int64 {
+	o.want(i, TypeInt64)
+	return int64(o.words()[i])
+}
+
+// Uint returns uint64 attribute i.
+func (o Object) Uint(i int) uint64 {
+	o.want(i, TypeUint64)
+	return o.words()[i]
+}
+
+// Float returns float64 attribute i.
+func (o Object) Float(i int) float64 {
+	o.want(i, TypeFloat64)
+	return math.Float64frombits(o.words()[i])
+}
+
+// Str returns string attribute i.
+func (o Object) Str(i int) string {
+	o.want(i, TypeString)
+	return o.str(o.words()[i])
+}
+
+// Value returns attribute i boxed: an int64, uint64, float64 or string
+// (nil for a value NewObject could not type). It serves generic code.
+func (o Object) Value(i int) any {
+	w := o.words()[i]
+	switch o.Type(i) {
+	case TypeInt64:
+		return int64(w)
+	case TypeUint64:
+		return w
+	case TypeFloat64:
+		return math.Float64frombits(w)
+	case TypeString:
+		return o.str(w)
+	}
+	return nil
+}
+
+// Values returns every attribute boxed, in schema order.
+func (o Object) Values() []any {
+	out := make([]any, o.Len())
+	for i := range out {
+		out[i] = o.Value(i)
+	}
+	return out
+}
+
+func (o Object) types() []Type {
+	if o.typ == nil {
+		return nil
+	}
+	return o.typ.types
+}
+
+// words returns the row's words.
+func (o Object) words() []uint64 { return unsafe.Slice(o.w, o.Len()) }
+
+// str returns the string of id, a string word of the row.
+func (o Object) str(id uint64) string { return strAt(o.strs, id) }
+
+// strAt returns element id of the string table that starts at strs; id is
+// below the table's length.
+func strAt(strs *string, id uint64) string {
+	return *(*string)(unsafe.Add(unsafe.Pointer(strs), uintptr(id)*unsafe.Sizeof("")))
+}
+
+// String formats the row as its Values.
+func (o Object) String() string { return fmt.Sprint(o.Values()) }
+
+func (o Object) want(i int, t Type) {
+	if o.Type(i) != t {
+		panic("sos: attribute " + strconv.Itoa(i) + " is " + o.typeName(i) + ", not " + t.String())
+	}
+}
+
+// typeName names attribute i's type; for a value NewObject could not type,
+// its Go type.
+func (o Object) typeName(i int) string {
+	if o.Type(i) == typeOther {
+		return o.str(o.words()[i])
+	}
+	return o.Type(i).String()
+}
+
+// schemaTypes returns the type of each of the schema's attributes.
+func schemaTypes(s *Schema) []Type {
+	types := make([]Type, len(s.Attrs))
+	for i, a := range s.Attrs {
+		types[i] = a.Type
+	}
+	return types
+}
+
+// pageWords is the most words a page holds: a page takes as many rows as
+// fit, rounded down to a power of two, and at least one.
+const pageWords = 1 << 13
+
+// slab is one schema's rows, in pages. A copy of it is a view of the rows
+// present when it was taken, which later inserts leave intact.
+type slab struct {
+	typ     *rowType
+	strCols []int // the string attributes, whose words insert translates
+	width   int
+	shift   uint // a page holds 1<<shift rows
+	pages   [][]uint64
+	n       int
+}
+
+func newSlab(types []Type) *slab {
+	s := &slab{typ: &rowType{types}, width: len(types)}
+	for i, t := range types {
+		if t == TypeString {
+			s.strCols = append(s.strCols, i)
+		}
+	}
+	s.shift = uint(bits.Len(uint(max(pageWords/max(s.width, 1), 1)))) - 1
+	return s
+}
+
+// row returns the words of the row at pos.
+func (s *slab) row(pos int) []uint64 {
+	p := s.pages[pos>>s.shift]
+	off := (pos & (1<<s.shift - 1)) * s.width
+	return p[off : off+s.width : off+s.width]
+}
+
+// grow adds a row and returns its words, all zero.
+func (s *slab) grow() []uint64 {
+	if s.n>>s.shift == len(s.pages) {
+		s.pages = append(s.pages, make([]uint64, s.width<<s.shift))
+	}
+	s.n++
+	return s.row(s.n - 1)
+}
+
+// object returns a view of the row at pos, whose strings strs holds.
+func (s *slab) object(pos int, strs []string) Object {
+	return Object{w: first(s.row(pos)), strs: first(strs), typ: s.typ}
+}
+
+// xlateMax bounds the source ids dict.from caches: a longer source table
+// is looked up string by string past it.
+const xlateMax = 1 << 13
+
+// dict is a container's string dictionary: every distinct string value
+// stored, at its id. It only grows.
+type dict struct {
+	strs []string
+	ids  map[string]uint32
+
+	// The translation of the last table rows were copied from: its start,
+	// and each of its ids seen in this generation.
+	src   *string
+	gen   uint32
+	xlate []xentry
+}
+
+type xentry struct{ gen, id uint32 }
+
+// intern returns s's id, adding it when new.
+func (d *dict) intern(s string) uint64 {
+	if id, ok := d.ids[s]; ok {
+		return uint64(id)
+	}
+	if d.ids == nil { // a first string: room for a modest dictionary
+		d.ids = make(map[string]uint32, 64)
+		d.strs = make([]string, 0, 64)
+	}
+	id := uint32(len(d.strs))
+	d.strs = append(d.strs, s)
+	d.ids[s] = id
+	return uint64(id)
+}
+
+// internBytes is intern for a string still in bytes, which it copies only
+// when new.
+func (d *dict) internBytes(b []byte) uint64 {
+	if id, ok := d.ids[string(b)]; ok {
+		return uint64(id)
+	}
+	return d.intern(string(b))
+}
+
+// from returns the id of string id of the table that starts at src, a
+// row's own. Rows
+// built by one RowBuilder share a table until it fills, so each of its
+// strings costs one dictionary lookup per table, not one per row: the
+// translation lasts while rows keep coming from the same table. A table
+// only grows, so an id it once gave keeps its string.
+func (d *dict) from(src *string, id uint64) uint64 {
+	if src != d.src {
+		d.src, d.gen = src, d.gen+1
+		if d.gen == 0 { // wrapped: no entry may look current
+			clear(d.xlate)
+			d.gen = 1
+		}
+	}
+	if id >= xlateMax {
+		return d.intern(strAt(src, id))
+	}
+	if int(id) >= len(d.xlate) {
+		d.xlate = slices.Grow(d.xlate, int(id)+1-len(d.xlate))[:id+1]
+	}
+	e := &d.xlate[id]
+	if e.gen != d.gen {
+		e.gen, e.id = d.gen, uint32(d.intern(strAt(src, id)))
+	}
+	return uint64(e.id)
+}
+
+// builderRows is how many rows a RowBuilder carves from one chunk.
+const builderRows = 256
+
+// builderStrings bounds a RowBuilder's string table.
+const builderStrings = 1 << 12
+
+// RowBuilder builds rows of one schema by copying values in, never boxing
+// them: row words are carved from pointer-free chunks, and strings are
+// interned in one bounded table that every row of the builder indexes.
+// When the table is full a fresh one starts; rows already built keep
+// theirs. A built row is never written again, and chunks are not reused:
+// the caller may hold rows as long as it likes. A RowBuilder is not safe
+// for concurrent use.
+type RowBuilder struct {
+	typ   *rowType
+	nstr  int // string attributes per row
+	chunk []uint64
+	row   []uint64 // the row since Begin
+	strs  []string // the table: never grown past its capacity
+	ids   map[string]uint32
+}
+
+// NewRowBuilder returns a builder of rows of schema s.
+func NewRowBuilder(s *Schema) *RowBuilder {
+	b := &RowBuilder{typ: &rowType{schemaTypes(s)}, ids: make(map[string]uint32, 256)}
+	for _, t := range b.typ.types {
+		if t == TypeString {
+			b.nstr++
+		}
+	}
+	b.fresh()
+	return b
+}
+
+// fresh starts a new string table whose id 0 is the empty string, the
+// value of a string attribute never set.
+func (b *RowBuilder) fresh() {
+	b.strs = append(make([]string, 0, max(builderStrings, b.nstr+1)), "")
+	clear(b.ids)
+	b.ids[""] = 0
+}
+
+// Begin starts a row with every attribute zero: 0, or the empty string.
+// Its strings all go to one table.
+func (b *RowBuilder) Begin() {
+	w := len(b.typ.types)
+	if len(b.chunk) < w {
+		b.chunk = make([]uint64, w*builderRows)
+	}
+	b.row, b.chunk = b.chunk[:w:w], b.chunk[w:]
+	if cap(b.strs)-len(b.strs) < b.nstr {
+		b.fresh()
+	}
+}
+
+// SetInt sets int64 attribute i of the row.
+func (b *RowBuilder) SetInt(i int, v int64) {
+	b.want(i, TypeInt64)
+	b.row[i] = uint64(v)
+}
+
+// SetUint sets uint64 attribute i of the row.
+func (b *RowBuilder) SetUint(i int, v uint64) {
+	b.want(i, TypeUint64)
+	b.row[i] = v
+}
+
+// SetFloat sets float64 attribute i of the row.
+func (b *RowBuilder) SetFloat(i int, v float64) {
+	b.want(i, TypeFloat64)
+	b.row[i] = math.Float64bits(v)
+}
+
+// SetStr sets string attribute i of the row.
+func (b *RowBuilder) SetStr(i int, v string) {
+	b.want(i, TypeString)
+	id, ok := b.ids[v]
+	if !ok {
+		id = uint32(len(b.strs))
+		b.strs = append(b.strs, v)
+		b.ids[v] = id
+	}
+	b.row[i] = uint64(id)
+}
+
+// Row returns the row built since Begin.
+func (b *RowBuilder) Row() Object {
+	return Object{w: first(b.row), strs: first(b.strs), typ: b.typ}
+}
+
+func (b *RowBuilder) want(i int, t Type) {
+	if b.typ.types[i] != t {
+		panic("sos: attribute " + strconv.Itoa(i) + " is " + b.typ.types[i].String() + ", not " + t.String())
+	}
+}

@@ -1,9 +1,9 @@
 // Package sos is the single-node Scalable Object Store underlying DSOS:
-// schemas of typed attributes, append-only object slabs (partitions),
-// B+tree indices over single or joint attribute keys (the paper's
-// job_rank_time-style indices), ordered iteration, and binary snapshot
-// persistence. The distributed layer (package dsos) shards objects over
-// several of these stores and merges parallel index scans.
+// schemas of typed attributes, append-only object slabs (partitions) of
+// typed rows (row.go), B+tree indices over single or joint attribute keys
+// (the paper's job_rank_time-style indices), ordered iteration, and binary
+// snapshot persistence. The distributed layer (package dsos) shards
+// objects over several of these stores and merges parallel index scans.
 package sos
 
 import (
@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -74,9 +75,6 @@ func (s *Schema) AttrIndex(name string) int {
 	}
 	return -1
 }
-
-// Object is one stored tuple, values aligned with the schema's attributes.
-type Object []any
 
 // Key is a composite index key: attribute values, as a scan bound. The
 // tree stores keys encoded (key.go) and followed by an object id that makes
@@ -142,7 +140,7 @@ func compareValue(a, b any) int {
 			return 1
 		}
 	default:
-		panic(fmt.Sprintf("sos: unsupported key type %T", a))
+		panic(unsupportedKey(a))
 	}
 	return 0
 }
@@ -164,12 +162,13 @@ type Index struct {
 	key      []byte // the tree key being inserted
 }
 
-// insert adds obj, stored at slab position pos, under its tree key: the
-// encoded index attributes, then the object id.
-func (ix *Index) insert(obj Object, oid uint64, pos int) {
+// insert adds the row w, stored at slab position pos with its strings in
+// strs, under its tree key: the index attributes encoded from the words,
+// then the object id.
+func (ix *Index) insert(w []uint64, strs []string, oid uint64, pos int) {
 	k := ix.key[:0]
-	for _, ai := range ix.attrIdxs {
-		k = appendValue(k, obj[ai])
+	for j, ai := range ix.attrIdxs {
+		k = appendWord(k, ix.types[j], w[ai], strs)
 	}
 	ix.key = binary.BigEndian.AppendUint64(k, oid)
 	ix.tree.insert(ix.key, pos)
@@ -186,7 +185,7 @@ func (ix *Index) CheckKey(k Key) error {
 		return fmt.Errorf("sos: index %q: a bound of %d values, the key has %d attributes", ix.spec.Name, len(k), len(ix.types))
 	}
 	for i, v := range k {
-		if !typeMatches(ix.types[i], v) {
+		if !boundMatches(ix.types[i], v) {
 			return fmt.Errorf("sos: index %q: bound value %d is %T, attribute %q is %s", ix.spec.Name, i, v, ix.spec.Attrs[i], ix.types[i])
 		}
 	}
@@ -196,11 +195,13 @@ func (ix *Index) CheckKey(k Key) error {
 // Len returns the number of indexed entries.
 func (ix *Index) Len() int { return ix.tree.size }
 
-// Container is one SOS container: schemas, object slabs and indices.
+// Container is one SOS container: schemas, object slabs, the string
+// dictionary their rows share, and indices.
 type Container struct {
 	Name    string
 	schemas map[string]*Schema
-	slabs   map[string][]Object
+	slabs   map[string]*slab
+	dict    dict
 	indices map[string]*Index
 	// bySchema lists each schema's indices, which every insert updates.
 	bySchema map[string][]*Index
@@ -219,7 +220,7 @@ func NewContainer(name string) *Container {
 	return &Container{
 		Name:     name,
 		schemas:  map[string]*Schema{},
-		slabs:    map[string][]Object{},
+		slabs:    map[string]*slab{},
 		indices:  map[string]*Index{},
 		bySchema: map[string][]*Index{},
 		origins:  map[string][]uint64{},
@@ -232,6 +233,7 @@ func (c *Container) AddSchema(s *Schema) error {
 		return fmt.Errorf("sos: schema %q already exists", s.Name)
 	}
 	c.schemas[s.Name] = s
+	c.slabs[s.Name] = newSlab(schemaTypes(s))
 	return nil
 }
 
@@ -269,8 +271,9 @@ func (c *Container) AddIndex(spec IndexSpec) (*Index, error) {
 	ix := &Index{spec: spec, attrIdxs: idxs, types: types, tree: newBTree()}
 	c.indices[spec.Name] = ix
 	c.bySchema[spec.Schema] = append(c.bySchema[spec.Schema], ix)
-	for pos, obj := range c.slabs[spec.Schema] {
-		ix.insert(obj, uint64(pos), pos)
+	s := c.slabs[spec.Schema]
+	for pos := 0; pos < s.n; pos++ {
+		ix.insert(s.row(pos), c.dict.strs, uint64(pos), pos)
 	}
 	return ix, nil
 }
@@ -307,18 +310,21 @@ func (c *Container) InsertOrigin(schemaName string, obj Object, origin uint64) e
 }
 
 // Check reports whether obj can be inserted under schemaName: the schema
-// exists and every value has its attribute's type.
+// exists and the row's attribute types are the schema's.
 func (c *Container) Check(schemaName string, obj Object) error {
-	sch := c.schemas[schemaName]
-	if sch == nil {
+	s := c.slabs[schemaName]
+	if s == nil {
 		return fmt.Errorf("sos: unknown schema %q", schemaName)
 	}
-	if len(obj) != len(sch.Attrs) {
-		return fmt.Errorf("sos: object has %d values, schema %q has %d attrs", len(obj), schemaName, len(sch.Attrs))
+	if obj.Len() != s.width {
+		return fmt.Errorf("sos: object has %d values, schema %q has %d attrs", obj.Len(), schemaName, s.width)
 	}
-	for i, v := range obj {
-		if !typeMatches(sch.Attrs[i].Type, v) {
-			return fmt.Errorf("sos: attribute %q: value %T does not match %s", sch.Attrs[i].Name, v, sch.Attrs[i].Type)
+	if obj.typ == s.typ || slices.Equal(obj.types(), s.typ.types) {
+		return nil
+	}
+	for i, t := range s.typ.types {
+		if obj.Type(i) != t {
+			return fmt.Errorf("sos: attribute %q: value %s does not match %s", c.schemas[schemaName].Attrs[i].Name, obj.typeName(i), t)
 		}
 	}
 	return nil
@@ -329,8 +335,13 @@ func (c *Container) Check(schemaName string, obj Object) error {
 // checked before storing them. An unchecked object can panic in an index's
 // key encoder.
 func (c *Container) InsertChecked(schemaName string, obj Object, origin uint64) {
-	pos := len(c.slabs[schemaName])
-	c.slabs[schemaName] = append(c.slabs[schemaName], obj)
+	s := c.slabs[schemaName]
+	pos := s.n
+	w := s.grow()
+	copy(w, obj.words())
+	for _, i := range s.strCols {
+		w[i] = c.dict.from(obj.strs, w[i])
+	}
 	if origin != 0 && c.origins[schemaName] == nil {
 		// First stamped insert: backfill zeros for earlier objects.
 		c.origins[schemaName] = make([]uint64, pos)
@@ -341,11 +352,12 @@ func (c *Container) InsertChecked(schemaName string, obj Object, origin uint64) 
 	oid := c.nextOID
 	c.nextOID++
 	for _, ix := range c.bySchema[schemaName] {
-		ix.insert(obj, oid, pos)
+		ix.insert(w, c.dict.strs, oid, pos)
 	}
 }
 
-func typeMatches(t Type, v any) bool {
+// boundMatches reports whether v, an element of a scan bound, has type t.
+func boundMatches(t Type, v any) bool {
 	switch t {
 	case TypeInt64:
 		_, ok := v.(int64)
@@ -365,16 +377,21 @@ func typeMatches(t Type, v any) bool {
 
 // Count returns the number of objects stored under schema.
 func (c *Container) Count(schema string) int {
-	return len(c.slabs[schema])
+	if s := c.slabs[schema]; s != nil {
+		return s.n
+	}
+	return 0
 }
 
 // Cursor walks one index in key order over an attribute-prefix range
 // [from, to). It copies nothing and holds no lock: Key and Object return
-// the container's own memory, which the caller must not modify. A cursor
-// is valid until the container is next modified; a scan that spans
-// modifications reopens with CursorAfter the last Key it saw.
+// views of the container's own memory, which stay valid after the
+// container is modified. The cursor itself is valid until the container is
+// next modified; a scan that spans modifications reopens with CursorAfter
+// the last Key it saw.
 type Cursor struct {
-	slab    []Object
+	rows    slab
+	strs    []string
 	origins []uint64
 	it, end iterator // end is the first entry past the range
 	started bool
@@ -413,7 +430,7 @@ func (c *Container) open(indexName string, from Key, after []byte, to Key) (Curs
 	if after == nil {
 		lo = appendKey(scratch[0][:0], from)
 	}
-	cur := Cursor{slab: c.slabs[ix.spec.Schema], origins: c.origins[ix.spec.Schema], it: ix.tree.seek(lo, after != nil)}
+	cur := Cursor{rows: *c.slabs[ix.spec.Schema], strs: c.dict.strs, origins: c.origins[ix.spec.Schema], it: ix.tree.seek(lo, after != nil)}
 	if to != nil {
 		hi := appendKey(scratch[1][:0], to)
 		cur.end = ix.tree.seek(hi, false)
@@ -438,8 +455,9 @@ func (cur *Cursor) Next() bool {
 // tree's: they never change, but holding them keeps a node buffer alive.
 func (cur *Cursor) Key() []byte { return cur.it.node.key(cur.it.pos) }
 
-// Object returns the current entry's object.
-func (cur *Cursor) Object() Object { return cur.slab[cur.it.node.refs[cur.it.pos]] }
+// Object returns the current entry's object, a view of its page and the
+// container's dictionary.
+func (cur *Cursor) Object() Object { return cur.rows.object(cur.it.node.refs[cur.it.pos], cur.strs) }
 
 // Origin returns the current object's stamped origin id (0 when the
 // schema has none).

@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"fmt"
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -48,14 +51,14 @@ func TestSchemaValidation(t *testing.T) {
 
 func TestInsertTypeChecking(t *testing.T) {
 	c := newTestContainer(t)
-	err := c.Insert("darshan_event", Object{int64(1), int64(2), 3.0, "open", int64(0)})
+	err := c.Insert("darshan_event", NewObject(int64(1), int64(2), 3.0, "open", int64(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Insert("darshan_event", Object{int64(1), "bad", 3.0, "open", int64(0)}); err == nil {
+	if err := c.Insert("darshan_event", NewObject(int64(1), "bad", 3.0, "open", int64(0))); err == nil {
 		t.Fatal("type mismatch accepted")
 	}
-	if err := c.Insert("darshan_event", Object{int64(1)}); err == nil {
+	if err := c.Insert("darshan_event", NewObject(int64(1))); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 	if err := c.Insert("nope", Object{}); err == nil {
@@ -68,20 +71,20 @@ func TestIndexOrdering(t *testing.T) {
 	r := rng.New(5)
 	const n = 2000
 	for i := 0; i < n; i++ {
-		obj := Object{
-			int64(r.Intn(5)),   // job_id
-			int64(r.Intn(32)),  // rank
-			r.Float64() * 1000, // timestamp
+		obj := NewObject(
+			int64(r.Intn(5)),  // job_id
+			int64(r.Intn(32)), // rank
+			r.Float64()*1000,  // timestamp
 			"write",
 			int64(i),
-		}
+		)
 		if err := c.Insert("darshan_event", obj); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var keys []Key
 	if err := c.Iter("job_rank_time", nil, func(o Object) bool {
-		keys = append(keys, Key{o[0], o[1], o[2]})
+		keys = append(keys, Key(o.Values()[:3]))
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -101,7 +104,7 @@ func TestPrefixSeek(t *testing.T) {
 	for job := int64(1); job <= 3; job++ {
 		for rank := int64(0); rank < 4; rank++ {
 			for k := 0; k < 5; k++ {
-				obj := Object{job, rank, float64(k), "write", int64(k)}
+				obj := NewObject(job, rank, float64(k), "write", int64(k))
 				if err := c.Insert("darshan_event", obj); err != nil {
 					t.Fatal(err)
 				}
@@ -111,10 +114,10 @@ func TestPrefixSeek(t *testing.T) {
 	// "search the data by a specific rank within a specific job over time"
 	var got []float64
 	err := c.Iter("job_rank_time", Key{int64(2), int64(1)}, func(o Object) bool {
-		if o[0].(int64) != 2 || o[1].(int64) != 1 {
+		if o.Int(0) != 2 || o.Int(1) != 1 {
 			return false
 		}
-		got = append(got, o[2].(float64))
+		got = append(got, o.Float(2))
 		return true
 	})
 	if err != nil {
@@ -131,7 +134,7 @@ func TestPrefixSeek(t *testing.T) {
 func TestRangeQuery(t *testing.T) {
 	c := newTestContainer(t)
 	for i := 0; i < 50; i++ {
-		obj := Object{int64(i % 5), int64(i % 7), float64(i), "read", int64(i)}
+		obj := NewObject(int64(i%5), int64(i%7), float64(i), "read", int64(i))
 		if err := c.Insert("darshan_event", obj); err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +147,7 @@ func TestRangeQuery(t *testing.T) {
 		t.Fatalf("range returned %d", len(objs))
 	}
 	for _, o := range objs {
-		if o[0].(int64) != 2 {
+		if o.Int(0) != 2 {
 			t.Fatalf("object outside range: %v", o)
 		}
 	}
@@ -153,7 +156,7 @@ func TestRangeQuery(t *testing.T) {
 func TestDuplicateKeysPreserved(t *testing.T) {
 	c := newTestContainer(t)
 	for i := 0; i < 100; i++ {
-		obj := Object{int64(1), int64(1), 5.0, "write", int64(i)}
+		obj := NewObject(int64(1), int64(1), 5.0, "write", int64(i))
 		if err := c.Insert("darshan_event", obj); err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +166,7 @@ func TestDuplicateKeysPreserved(t *testing.T) {
 	c.Iter("job_rank_time", nil, func(o Object) bool {
 		count++
 		// Equal keys must preserve insertion order (oid tiebreak).
-		if v := o[4].(int64); v <= last {
+		if v := o.Int(4); v <= last {
 			t.Fatalf("insertion order lost: %d after %d", v, last)
 		} else {
 			last = v
@@ -178,7 +181,7 @@ func TestDuplicateKeysPreserved(t *testing.T) {
 func TestIterEarlyStop(t *testing.T) {
 	c := newTestContainer(t)
 	for i := 0; i < 20; i++ {
-		c.Insert("darshan_event", Object{int64(1), int64(i), 0.0, "open", int64(i)})
+		c.Insert("darshan_event", NewObject(int64(1), int64(i), 0.0, "open", int64(i)))
 	}
 	seen := 0
 	c.Iter("job_rank_time", nil, func(Object) bool {
@@ -193,7 +196,7 @@ func TestIterEarlyStop(t *testing.T) {
 func TestAddIndexBackfills(t *testing.T) {
 	c := newTestContainer(t)
 	for i := 0; i < 30; i++ {
-		c.Insert("darshan_event", Object{int64(i), int64(0), float64(i), "open", int64(i)})
+		c.Insert("darshan_event", NewObject(int64(i), int64(0), float64(i), "open", int64(i)))
 	}
 	ix, err := c.AddIndex(IndexSpec{Name: "time_job", Schema: "darshan_event", Attrs: []string{"timestamp", "job_id"}})
 	if err != nil {
@@ -248,7 +251,7 @@ func TestCompareKeysAllTypes(t *testing.T) {
 func TestSnapshotRestore(t *testing.T) {
 	c := newTestContainer(t)
 	for i := 0; i < 500; i++ {
-		obj := Object{int64(i % 3), int64(i % 8), float64(i) * 0.5, "write", int64(i)}
+		obj := NewObject(int64(i%3), int64(i%8), float64(i)*0.5, "write", int64(i))
 		if err := c.Insert("darshan_event", obj); err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +274,7 @@ func TestSnapshotRestore(t *testing.T) {
 	collect := func(cc *Container) []Object {
 		var out []Object
 		cc.Iter("job_rank_time", Key{int64(1)}, func(o Object) bool {
-			if o[0].(int64) != 1 {
+			if o.Int(0) != 1 {
 				return false
 			}
 			out = append(out, o)
@@ -284,10 +287,8 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Fatalf("scan lengths %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatalf("object %d differs: %v vs %v", i, a[i], b[i])
-			}
+		if !reflect.DeepEqual(a[i].Values(), b[i].Values()) {
+			t.Fatalf("object %d differs: %v vs %v", i, a[i], b[i])
 		}
 	}
 }
@@ -351,7 +352,7 @@ func BenchmarkInsertIndexed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Insert("ev", Object{int64(i % 10), int64(i % 64), r.Float64()})
+		c.Insert("ev", NewObject(int64(i%10), int64(i%64), r.Float64()))
 	}
 }
 
@@ -366,17 +367,90 @@ func BenchmarkPrefixScan(b *testing.B) {
 	c.AddIndex(IndexSpec{Name: "jrt", Schema: "ev", Attrs: []string{"job_id", "rank", "timestamp"}})
 	r := rng.New(1)
 	for i := 0; i < 100000; i++ {
-		c.Insert("ev", Object{int64(i % 10), int64(i % 64), r.Float64()})
+		c.Insert("ev", NewObject(int64(i%10), int64(i%64), r.Float64()))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
 		c.Iter("jrt", Key{int64(i % 10)}, func(o Object) bool {
-			if o[0].(int64) != int64(i%10) {
+			if o.Int(0) != int64(i%10) {
 				return false
 			}
 			n++
 			return true
 		})
 	}
+}
+
+// TestRestoreSharesStrings: a restored container holds each distinct
+// string once, like the container it was snapshotted from, so its live
+// heap is within 10% of that container's.
+func TestRestoreSharesStrings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures a 100k-row heap")
+	}
+	const rows = 100000
+	ops := []string{"open", "read", "write", "close"}
+	ingest := func() *Container {
+		c := NewContainer("heap")
+		if err := c.AddSchema(boxedSchema(t)); err != nil {
+			t.Fatal(err)
+		}
+		b := NewRowBuilder(c.Schema("ev"))
+		for k := 0; k < rows; k++ {
+			b.Begin()
+			b.SetInt(0, int64(k))
+			b.SetUint(1, uint64(k%64))
+			b.SetFloat(2, 1.6e9+float64(k)/8)
+			b.SetStr(3, fmt.Sprintf("/lscratch/out.%03d.dat", k%500))
+			b.SetStr(4, ops[k%len(ops)])
+			if err := c.Insert("ev", b.Row()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	var snap bytes.Buffer
+	direct, directHeap := liveHeap(t, func() any { return ingest() })
+	if err := direct.(*Container).Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored, restoredHeap := liveHeap(t, func() any {
+		c, err := Restore(bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	})
+	if got := restored.(*Container).Count("ev"); got != rows {
+		t.Fatalf("restored %d of %d rows", got, rows)
+	}
+	runtime.KeepAlive(direct) // live through both measurements, like snap
+	runtime.KeepAlive(&snap)
+	ratio := float64(restoredHeap) / float64(directHeap)
+	t.Logf("live heap: ingested %d B, restored %d B (%.3f)", directHeap, restoredHeap, ratio)
+	if ratio > 1.1 {
+		t.Fatalf("the restored container's live heap is %.2fx the ingested one's", ratio)
+	}
+}
+
+// liveHeap builds a value and returns it with the live heap it added, as
+// runtime.MemStats reports after a collection.
+func liveHeap(t *testing.T, build func() any) (any, uint64) {
+	t.Helper()
+	before := heapAfterGC()
+	v := build()
+	after := heapAfterGC()
+	runtime.KeepAlive(v)
+	if after < before {
+		t.Fatalf("the live heap shrank while building: %d -> %d", before, after)
+	}
+	return v, after - before
+}
+
+func heapAfterGC() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

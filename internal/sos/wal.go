@@ -219,7 +219,7 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 	return body, nil
 }
 
-// Value type tags in WAL records.
+// Value type tags in WAL records; each equals its attribute Type.
 const (
 	walInt64 = iota
 	walUint64
@@ -277,30 +277,25 @@ func appendWALRecord(rec []byte, schema string, objs []Object, origins []uint64,
 	return rec, n, nil
 }
 
-// appendWALRow appends one row to b.
+// appendWALRow appends one row to b, from its words.
 func appendWALRow(b []byte, obj Object, origin uint64) ([]byte, error) {
-	if len(obj) > math.MaxUint16 {
-		return nil, fmt.Errorf("sos: wal record with %d values", len(obj))
+	if obj.Len() > math.MaxUint16 {
+		return nil, fmt.Errorf("sos: wal record with %d values", obj.Len())
 	}
 	b = binary.LittleEndian.AppendUint64(b, origin)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(obj)))
-	for _, v := range obj {
-		switch val := v.(type) {
-		case int64:
-			b = append(b, walInt64)
-			b = binary.LittleEndian.AppendUint64(b, uint64(val))
-		case uint64:
-			b = append(b, walUint64)
-			b = binary.LittleEndian.AppendUint64(b, val)
-		case float64:
-			b = append(b, walFloat64)
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(val))
-		case string:
-			b = append(b, walString)
-			b = appendU32(b, uint32(len(val)))
-			b = append(b, val...)
-		default:
-			return nil, fmt.Errorf("sos: wal cannot encode value of type %T", v)
+	b = binary.LittleEndian.AppendUint16(b, uint16(obj.Len()))
+	w := obj.words()
+	for i, t := range obj.types() {
+		if t < walInt64 || t > walString {
+			return nil, fmt.Errorf("sos: wal cannot encode value of type %s", obj.typeName(i))
+		}
+		b = append(b, byte(t))
+		if t == TypeString {
+			v := obj.str(w[i])
+			b = appendU32(b, uint32(len(v)))
+			b = append(b, v...)
+		} else {
+			b = binary.LittleEndian.AppendUint64(b, w[i])
 		}
 	}
 	return b, nil
@@ -338,6 +333,7 @@ func ReplayWALTo(st WALStore, floor uint64, apply func(schema string, obj Object
 	var r WALReplay
 	var rows []Object
 	var origins []uint64
+	var tab walTable
 	_, _, err := ReplayFrames(st, func(body []byte) error {
 		schema, token, n, b, err := decodeWALHead(body)
 		if err != nil {
@@ -354,7 +350,7 @@ func ReplayWALTo(st WALStore, floor uint64, apply func(schema string, obj Object
 		for i := 0; i < n; i++ {
 			var obj Object
 			var origin uint64
-			if obj, origin, b, err = decodeWALRow(b); err != nil {
+			if obj, origin, b, err = tab.decodeRow(b); err != nil {
 				return ErrStopReplay
 			}
 			rows, origins = append(rows, obj), append(origins, origin)
@@ -410,55 +406,62 @@ func decodeWALHead(b []byte) (schema string, token uint64, n int, rest []byte, e
 	return schema, token, int(count), b, nil
 }
 
-// decodeWALRow reads one row off the front of b.
-func decodeWALRow(b []byte) (obj Object, origin uint64, rest []byte, err error) {
+// walTable is a replay's string table: the rows it decodes index it, so a
+// string repeated across the log is allocated once. It only grows, so a
+// row keeps a valid view of it after later rows add strings. typ is the
+// last row's types, which the next row shares when it has the same.
+type walTable struct {
+	dict dict
+	typ  *rowType
+	cur  []Type // scratch: the types of the row being decoded
+}
+
+// decodeRow reads one row off the front of b.
+func (tab *walTable) decodeRow(b []byte) (obj Object, origin uint64, rest []byte, err error) {
 	if len(b) < walMinRow {
-		return nil, 0, nil, errShortRecord
+		return Object{}, 0, nil, errShortRecord
 	}
 	origin = binary.LittleEndian.Uint64(b)
 	nvals := int(binary.LittleEndian.Uint16(b[8:]))
 	b = b[walMinRow:]
 	if nvals*walMinValue > len(b) {
-		return nil, 0, nil, errShortRecord
+		return Object{}, 0, nil, errShortRecord
 	}
-	obj = make(Object, 0, nvals)
-	for i := 0; i < nvals; i++ {
+	w := make([]uint64, nvals)
+	tab.cur = tab.cur[:0]
+	for i := range w {
 		if len(b) < 1 {
-			return nil, 0, nil, errShortRecord
+			return Object{}, 0, nil, errShortRecord
 		}
-		tag := b[0]
+		tag := Type(b[0])
 		b = b[1:]
 		switch tag {
 		case walInt64, walUint64, walFloat64:
 			if len(b) < 8 {
-				return nil, 0, nil, errShortRecord
+				return Object{}, 0, nil, errShortRecord
 			}
-			u := binary.LittleEndian.Uint64(b)
+			w[i] = binary.LittleEndian.Uint64(b)
 			b = b[8:]
-			switch tag {
-			case walInt64:
-				obj = append(obj, int64(u))
-			case walUint64:
-				obj = append(obj, u)
-			default:
-				obj = append(obj, math.Float64frombits(u))
-			}
 		case walString:
 			if len(b) < 4 {
-				return nil, 0, nil, errShortRecord
+				return Object{}, 0, nil, errShortRecord
 			}
 			n := binary.LittleEndian.Uint32(b)
 			b = b[4:]
 			if uint32(len(b)) < n {
-				return nil, 0, nil, errShortRecord
+				return Object{}, 0, nil, errShortRecord
 			}
-			obj = append(obj, string(b[:n]))
+			w[i] = tab.dict.internBytes(b[:n])
 			b = b[n:]
 		default:
-			return nil, 0, nil, fmt.Errorf("sos: unknown wal value tag %d", tag)
+			return Object{}, 0, nil, fmt.Errorf("sos: unknown wal value tag %d", tag)
 		}
+		tab.cur = append(tab.cur, tag)
 	}
-	return obj, origin, b, nil
+	if tab.typ == nil || !slices.Equal(tab.cur, tab.typ.types) {
+		tab.typ = &rowType{slices.Clone(tab.cur)}
+	}
+	return Object{w: first(w), strs: first(tab.dict.strs), typ: tab.typ}, origin, b, nil
 }
 
 // MemWAL is an in-memory WALStore — the simulation's "virtual file". It

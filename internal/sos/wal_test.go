@@ -7,11 +7,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
 func walObj(i int) Object {
-	return Object{int64(i), uint64(i * 2), float64(i) / 3, "rank-" + string(rune('a'+i%26))}
+	return NewObject(int64(i), uint64(i*2), float64(i)/3, "rank-"+string(rune('a'+i%26)))
 }
 
 func TestWALRoundTrip(t *testing.T) {
@@ -47,13 +48,8 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	for i, obj := range got {
 		want := walObj(i)
-		if len(obj) != len(want) {
-			t.Fatalf("record %d: %d values, want %d", i, len(obj), len(want))
-		}
-		for j := range obj {
-			if obj[j] != want[j] {
-				t.Fatalf("record %d value %d: %v != %v", i, obj[j], j, want[j])
-			}
+		if !reflect.DeepEqual(obj.Values(), want.Values()) {
+			t.Fatalf("record %d: %v, want %v", i, obj, want)
 		}
 		if origins[i] != uint64(i+1) {
 			t.Fatalf("record %d origin = %d, want %d", i, origins[i], i+1)
@@ -198,7 +194,7 @@ func TestSnapshotOrigins(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := c.InsertOrigin("s", Object{int64(i)}, uint64(100+i)); err != nil {
+		if err := c.InsertOrigin("s", NewObject(int64(i)), uint64(100+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,8 +244,8 @@ func TestWALRowRecordBytes(t *testing.T) {
 	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(body))
 	want = append(want, body...)
 	for _, write := range []func(*WAL) error{
-		func(w *WAL) error { return w.Append("s", Object{int64(5), "ab"}, 7) },
-		func(w *WAL) error { return w.AppendBatch("s", []Object{{int64(5), "ab"}}, []uint64{7}, 0) },
+		func(w *WAL) error { return w.Append("s", NewObject(int64(5), "ab"), 7) },
+		func(w *WAL) error { return w.AppendBatch("s", []Object{NewObject(int64(5), "ab")}, []uint64{7}, 0) },
 	} {
 		mem := NewMemWAL()
 		if err := write(NewWAL(mem)); err != nil {
@@ -268,7 +264,7 @@ func TestWALBatchSplitsAtRecordBound(t *testing.T) {
 	big := string(bytes.Repeat([]byte{'x'}, 1<<20))
 	var rows []Object
 	for i := 0; i < 20; i++ {
-		rows = append(rows, Object{int64(i), big})
+		rows = append(rows, NewObject(int64(i), big))
 	}
 	mem := NewMemWAL()
 	if err := NewWAL(mem).AppendBatch("s", rows, nil, 9); err != nil {
@@ -287,8 +283,8 @@ func TestWALBatchSplitsAtRecordBound(t *testing.T) {
 	}
 	next := int64(0)
 	r, err := ReplayWALTo(mem, 9, func(_ string, obj Object, _ uint64) error {
-		if obj[0] != next {
-			return fmt.Errorf("row %v out of order", obj[0])
+		if obj.Int(0) != next {
+			return fmt.Errorf("row %v out of order", obj)
 		}
 		next++
 		return nil

@@ -16,13 +16,23 @@ import (
 // rank's records stay on one shard, so per-rank diagnosis queries touch
 // one owner, and the key is stable across every hop of the pipeline.
 func DarshanKey(schema string, o sos.Object) string {
-	if schema == dsos.DarshanSchemaName && len(o) > dsos.ColJobID {
-		prod, _ := o[dsos.ColProducerName].(string)
-		job, _ := o[dsos.ColJobID].(int64)
-		rank, _ := o[dsos.ColRank].(int64)
+	if schema == dsos.DarshanSchemaName && o.Len() > dsos.ColJobID {
+		// A mistyped attribute keys as its zero value; the row then fails
+		// the store's check on its owner.
+		var prod string
+		var job, rank int64
+		if o.Type(dsos.ColProducerName) == sos.TypeString {
+			prod = o.Str(dsos.ColProducerName)
+		}
+		if o.Type(dsos.ColJobID) == sos.TypeInt64 {
+			job = o.Int(dsos.ColJobID)
+		}
+		if o.Type(dsos.ColRank) == sos.TypeInt64 {
+			rank = o.Int(dsos.ColRank)
+		}
 		return prod + "/" + strconv.FormatInt(job, 10) + "/" + strconv.FormatInt(rank, 10)
 	}
-	return schema + "/" + fmt.Sprint([]any(o))
+	return schema + "/" + fmt.Sprint(o.Values())
 }
 
 // hashIndex is the identity index migrations drain, audit and clean by,

@@ -365,7 +365,7 @@ func TestDarshanKeyStableAndFallback(t *testing.T) {
 	if k != DarshanKey(dsos.DarshanSchemaName, hashObj(3, 7, 99.0)) {
 		t.Fatal("same (producer,job,rank) produced different keys")
 	}
-	if DarshanKey("other", sos.Object{int64(1)}) == "" {
+	if DarshanKey("other", sos.NewObject(int64(1))) == "" {
 		t.Fatal("fallback key empty")
 	}
 }

@@ -155,21 +155,18 @@ func main() {
 	write(sp, "FuzzRestore", "hostile-count-region",
 		append(append([]byte{}, snap[:16]...), bytes.Repeat([]byte{0xFF}, 32)...))
 
-	// --- sos.FuzzKeyOrder: byte keys vs CompareKeys ---
-	// Bytes: type count-1, types (0 int64, 1 uint64, 2 float64, 3 string),
-	// the two key lengths, then per position a share byte (even = one value
-	// for both keys) and value selectors: even picks an edge value (index
-	// sel/2), odd reads raw bits or a short string (the target's doc).
+	// --- sos.FuzzKeyOrder: byte keys vs the test's CompareKeys ---
+	// Bytes: type count-1, types (b%3: 0 int64, 1 uint64, 2 float64), the
+	// two key lengths, then per position a share byte (even = one value for
+	// both keys) and value selectors: even picks an edge value (index
+	// sel/2), odd reads raw bits (the target's doc).
 	write(sp, "FuzzKeyOrder", "negative-nan-after-inf", []byte{0, 2, 1, 1, 1, 26, 20})
 	write(sp, "FuzzKeyOrder", "negative-zero-equals-zero", []byte{0, 2, 1, 1, 1, 8, 10})
 	write(sp, "FuzzKeyOrder", "subnormals", []byte{0, 2, 1, 1, 1, 12, 14})
 	write(sp, "FuzzKeyOrder", "most-negative-float-first", []byte{0, 2, 1, 1, 1, 2, 4})
 	write(sp, "FuzzKeyOrder", "minus-one-before-one", []byte{0, 0, 1, 1, 1, 4, 8})
-	write(sp, "FuzzKeyOrder", "string-before-its-nul-extension", []byte{0, 3, 1, 1, 1, 10, 12})
-	write(sp, "FuzzKeyOrder", "escaped-nul-strings", []byte{0, 3, 1, 1, 1, 12, 20})
-	write(sp, "FuzzKeyOrder", "raw-strings-with-nul", []byte{0, 3, 1, 1, 1, 9, 0, 1, 2, 3, 11, 0, 0, 1, 2, 3})
 	// The one-value bound {MinInt64} against the four-value key
-	// {MinInt64, MaxUint64, +Inf, ""}.
+	// {MinInt64, MaxUint64, +Inf, MinInt64}.
 	write(sp, "FuzzKeyOrder", "extremes-bound-prefix", []byte{3, 0, 1, 2, 3, 1, 4, 0, 0, 0, 6, 1, 22, 20})
 
 	// --- sos.FuzzReplayWAL: floor-bounded shard log replay ---

@@ -111,8 +111,8 @@ type Cursor struct {
 type memberScan struct {
 	d *Daemon
 	// cont is the container the scan began on: the daemon's generation. A
-	// restarted daemon has a rebuilt container whose object ids differ, so
-	// resuming in it by key would be wrong; the member fails instead.
+	// restarted daemon has a rebuilt container whose slab positions differ,
+	// so resuming in it by key would be wrong; the member fails instead.
 	cont *sos.Container
 	rows []scanRow // the current chunk
 	keys []byte    // the chunk's tree keys, copied out of the member's tree
@@ -123,14 +123,14 @@ type memberScan struct {
 
 // scanRow is one index entry copied out of a member.
 type scanRow struct {
-	key    []byte // the tree key: the encoded index attributes, then the object id
+	key    []byte // the tree key: the encoded index attributes, then the slab position
 	obj    sos.Object
 	origin uint64
 }
 
 // attrs is the row's encoded index attributes, which the merge orders by:
-// the tree key without its 8-byte object id.
-func (r *scanRow) attrs() []byte { return r.key[:len(r.key)-8] }
+// the tree key without its slab position.
+func (r *scanRow) attrs() []byte { return r.key[:len(r.key)-sos.KeySuffixLen] }
 
 // Cursor opens a streaming query over [from, to) of index on every member
 // of the current placement. limit > 0 stops the merge after that many
@@ -276,7 +276,7 @@ func (d *Daemon) scan(s *memberScan, index string, from, to sos.Key, n int) bool
 	s.cont = d.cont
 	s.rows, s.keys, s.pos = s.rows[:0], s.keys[:0], 0
 	for len(s.rows) < n && cur.Next() {
-		k := cur.Key()
+		k := cur.Key() // the tree's bytes, which the next insert may move: copied under the lock
 		if cap(s.keys) == 0 {
 			s.keys = make([]byte, 0, n*len(k)) // room for a chunk of such keys
 		}

@@ -128,10 +128,10 @@ func counts(c *Cluster) []int {
 	return out
 }
 
-// sameRows compares rows value by value with CompareKeys' equality, under
+// sameRows compares rows value by value with compareKeys' equality, under
 // which, unlike reflect.DeepEqual's, a NaN equals a NaN.
 func sameRows(a, b []sos.Object) bool {
-	return slices.EqualFunc(a, b, func(x, y sos.Object) bool { return sos.CompareKeys(sos.Key(x.Values()), sos.Key(y.Values())) == 0 })
+	return slices.EqualFunc(a, b, func(x, y sos.Object) bool { return compareKeys(sos.Key(x.Values()), sos.Key(y.Values())) == 0 })
 }
 
 func sameReport(a, b QueryInfo) bool {
@@ -306,6 +306,13 @@ func TestPausedCursorHoldsNoLock(t *testing.T) {
 // and dictionary strings; every row read must still equal the reference
 // taken before the writer ran. Run under -race, it checks that the views
 // share no word with what the writer changes.
+//
+// While the cursor is paused, 10k more rows land in the middle of the
+// range's own (job, rank) regions, some next to each shard's resume key,
+// so inserts shift the tree bytes that key was copied from. The cursor
+// must then return the reference merge of the rows stored before it
+// opened and of exactly those new rows that sort past their shard's
+// resume key.
 func TestPausedCursorRowsSurviveGrowth(t *testing.T) {
 	_, cl := newDarshanCluster(t, 2)
 	const n = 4 * queryChunk
@@ -344,6 +351,30 @@ func TestPausedCursorRowsSurviveGrowth(t *testing.T) {
 	if err := write(1200); err != nil { // while paused
 		t.Fatal(err)
 	}
+	keyOf := func(o sos.Object) sos.Key {
+		return sos.Key{o.Int(ColJobID), o.Int(ColRank), o.Float(ColSegTimestamp)}
+	}
+	resume := map[string]sos.Key{} // by the op of the rows written to a member
+	for m := range cur.scans {
+		s := &cur.scans[m]
+		if !s.more || len(s.rows) == 0 {
+			t.Fatalf("member %d is not paused between chunks", m)
+		}
+		resume[fmt.Sprintf("mid%d", m)] = keyOf(s.rows[len(s.rows)-1].obj)
+	}
+	const mid = 10000
+	r := rng.New(11)
+	for i := 0; i < mid; i++ {
+		m := i % len(cur.scans)
+		op := fmt.Sprintf("mid%d", m)
+		rank, ts := int64(r.Intn(8)), float64(r.Intn(n))+0.5
+		if i%10 < 2 { // at, just behind or just past the resume key
+			rank, ts = resume[op][1].(int64), resume[op][2].(float64)+float64(r.Intn(3)-1)/2
+		}
+		if err := cur.scans[m].d.Insert(DarshanSchemaName, sampleObject(5, rank, ts, op)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	done := make(chan error, 1)
 	go func() { done <- write(1200) }() // while the rest is read
 	for cur.Next() {
@@ -354,11 +385,34 @@ func TestPausedCursorRowsSurviveGrowth(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rowValues(got), rowValues(want)) {
-		t.Fatalf("the cursor returned %d rows that differ from the reference's %d", len(got), len(want))
+	var old []sos.Object
+	for _, o := range got {
+		if _, ok := resume[o.Str(ColOp)]; !ok {
+			old = append(old, o)
+		}
 	}
-	if stored := cl.Count(DarshanSchemaName); stored != n+written {
-		t.Fatalf("%d rows stored, want %d", stored, n+written)
+	if !reflect.DeepEqual(rowValues(old), rowValues(want)) {
+		t.Fatalf("the cursor returned %d rows stored before it opened that differ from the reference's %d", len(old), len(want))
+	}
+	all, _, err := referenceQueryEx(cl, "job_rank_time", from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantAll []sos.Object
+	for _, o := range all {
+		if k, ok := resume[o.Str(ColOp)]; ok && compareKeys(keyOf(o), k) < 0 {
+			continue // behind its member's resume key when it was written
+		}
+		wantAll = append(wantAll, o)
+	}
+	if len(wantAll) == len(want) || len(wantAll) == len(want)+mid {
+		t.Fatalf("%d of %d new rows sort past the resume keys; the test needs rows on both sides", len(wantAll)-len(want), mid)
+	}
+	if !reflect.DeepEqual(rowValues(got), rowValues(wantAll)) {
+		t.Fatalf("the cursor returned %d rows that differ from the reference merge's %d", len(got), len(wantAll))
+	}
+	if stored := cl.Count(DarshanSchemaName); stored != n+written+mid {
+		t.Fatalf("%d rows stored, want %d", stored, n+written+mid)
 	}
 }
 
@@ -486,7 +540,7 @@ func TestCursorRacesInsertsAndPlacementSwap(t *testing.T) {
 				for cur.Next() {
 					o := cur.Object()
 					key := sos.Key{o.Int(ColJobID), o.Float(ColSegTimestamp), o.Int(ColRank)}
-					if prev != nil && sos.CompareKeys(prev, key) > 0 {
+					if prev != nil && compareKeys(prev, key) > 0 {
 						t.Errorf("row %d out of order: %v after %v", rows, key, prev)
 						return
 					}

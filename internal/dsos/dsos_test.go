@@ -72,7 +72,7 @@ func TestParallelQueryMergesSorted(t *testing.T) {
 	for i := 1; i < len(objs); i++ {
 		a := sos.Key{objs[i-1].Int(ColJobID), objs[i-1].Int(ColRank), objs[i-1].Float(ColSegTimestamp)}
 		b := sos.Key{objs[i].Int(ColJobID), objs[i].Int(ColRank), objs[i].Float(ColSegTimestamp)}
-		if sos.CompareKeys(a, b) > 0 {
+		if compareKeys(a, b) > 0 {
 			t.Fatalf("merged output out of order at %d", i)
 		}
 	}

@@ -1,6 +1,7 @@
 package dsos
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
@@ -15,6 +16,36 @@ import (
 // under its lock, the client waits for all of them, k-way merges
 // everything, and then read-repairs. A drained cursor must equal it row
 // for row, report for report, repair for repair.
+
+// compareKeys orders attribute values as the index trees do, element by
+// element: -0 equals +0, NaN sorts after +Inf and equals every NaN, and a
+// shorter key orders before a longer one it is a prefix of. Strings compare
+// as strings, for whole rows.
+func compareKeys(a, b sos.Key) int {
+	for i := range min(len(a), len(b)) {
+		var c int
+		switch av := a[i].(type) {
+		case int64:
+			c = cmp.Compare(av, b[i].(int64))
+		case uint64:
+			c = cmp.Compare(av, b[i].(uint64))
+		case string:
+			c = cmp.Compare(av, b[i].(string))
+		case float64:
+			bv := b[i].(float64)
+			switch aNaN, bNaN := av != av, bv != bv; {
+			case av < bv, bNaN && !aNaN:
+				c = -1
+			case av > bv, aNaN && !bNaN:
+				c = 1
+			}
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
 
 // referenceQueryEx is the old Client.QueryEx.
 func referenceQueryEx(cl *Client, index string, from, to sos.Key) ([]sos.Object, QueryInfo, error) {
@@ -90,7 +121,7 @@ func (d *Daemon) rangeQuery(index string, from, to sos.Key, withOrigins bool) ([
 			for _, a := range ix.Spec().Attrs {
 				key = append(key, o.Value(sch.AttrIndex(a)))
 			}
-			if sos.CompareKeys(key, to) >= 0 {
+			if compareKeys(key, to) >= 0 {
 				return false
 			}
 		}
@@ -209,7 +240,7 @@ func mergeOrdered(lists [][]sos.Object, origins [][]uint64, keyAttrs []int, tota
 }
 
 // refItem is one list's next object in the reference merge, keyed by its
-// attribute values: the reference orders by CompareKeys, not by the byte
+// attribute values: the reference orders by compareKeys, not by the byte
 // keys the cursor merges.
 type refItem struct {
 	key    sos.Key
@@ -220,7 +251,7 @@ type refHeap []refItem
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
-	if c := sos.CompareKeys(h[i].key, h[j].key); c != 0 {
+	if c := compareKeys(h[i].key, h[j].key); c != 0 {
 		return c < 0
 	}
 	return h[i].member < h[j].member

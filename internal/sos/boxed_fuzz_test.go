@@ -8,7 +8,7 @@ import (
 )
 
 // The differential schema: one attribute of each type and a second
-// string, under indices that lead with each type.
+// string, under indices that lead with each index attribute type.
 var (
 	boxedAttrs = []AttrSpec{
 		{Name: "i", Type: TypeInt64},
@@ -19,9 +19,9 @@ var (
 	}
 	boxedIndices = []IndexSpec{
 		{Name: "i", Schema: "ev", Attrs: []string{"i"}},
-		{Name: "u_t", Schema: "ev", Attrs: []string{"u", "t"}},
-		{Name: "f_s_i", Schema: "ev", Attrs: []string{"f", "s", "i"}},
-		{Name: "s_f", Schema: "ev", Attrs: []string{"s", "f"}},
+		{Name: "u_f", Schema: "ev", Attrs: []string{"u", "f"}},
+		{Name: "f_u_i", Schema: "ev", Attrs: []string{"f", "u", "i"}},
+		{Name: "i_f", Schema: "ev", Attrs: []string{"i", "f"}},
 	}
 )
 

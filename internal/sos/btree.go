@@ -2,74 +2,80 @@ package sos
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 )
 
-// A B+tree over the byte-string keys of key.go, the index structure
-// behind SOS containers. Keys are made unique by their trailing object id,
-// so equal attribute values keep insertion order. The tree supports
-// insertion and ordered iteration — SOS partitions are append-mostly, and
-// the monitoring workload never deletes.
+// A B+tree over the fixed-width byte keys of key.go, the index structure
+// behind SOS containers. A tree key is the index attributes' words, then
+// the row's 4-byte big-endian slab position, which makes it unique: equal
+// attribute values keep insertion order, and a leaf's payload is its key's
+// suffix. The tree supports insertion and ordered iteration — SOS
+// partitions are append-mostly, and the monitoring workload never deletes.
 //
-// A node stores its keys inline: a buffer that key bytes are only ever
-// appended to, and a sorted array of slots locating each key in it. A
-// compare is bytes.Compare on node-local memory, and a node's only
+// Every key of a tree has one width w, so a node stores its keys back to
+// back in one array of nodeBytes, allocated once at full size and never
+// regrown: key i is keys[i*w:]. An insert shifts the keys after it in
+// place. A compare is bytes.Compare on node-local memory, and a node's only
 // pointers are children and next, so the garbage collector never traces a
-// key. Bytes once written never change, so a key slice stays valid after
-// the node splits.
+// key.
 
-const btreeOrder = 64 // max keys per node
+// nodeBytes is the size of a node's key array: one allocation size class.
+const nodeBytes = 2048
 
-// slot locates one key in its node's buffer.
-type slot struct{ off, n uint32 }
+// KeySuffixLen is the length of a tree key's suffix (Cursor.Key): the row's
+// big-endian slab position, after the encoded index attributes.
+const KeySuffixLen = 4
 
 type btreeNode struct {
-	buf      []byte
-	slots    []slot
-	children []*btreeNode // internal nodes: len(slots)+1 children
-	refs     []int        // leaf nodes: each key's slab position
+	keys     []byte       // len/w keys, in an array of the tree's node capacity
+	children []*btreeNode // internal nodes: one more than keys
 	next     *btreeNode   // leaf chain
-	last     int          // leaf nodes: the slot of the previous insert
+	last     int32        // leaf nodes: the index of the previous insert
 	leaf     bool
 }
 
 type btree struct {
-	root *btreeNode
-	size int
+	root  *btreeNode
+	width int    // bytes per key
+	order int    // keys per node: nodeBytes/width
+	sep   []byte // the separator an insert is carrying up
+	size  int
 }
 
-func newBTree() *btree { return &btree{root: newNode(true, 0)} }
+// newBTree makes an empty tree of keys width bytes long; at least four
+// must fit a node.
+func newBTree(width int) *btree {
+	t := &btree{width: width, order: nodeBytes / width, sep: make([]byte, width)}
+	t.root = t.newNode(true)
+	return t
+}
 
-// newNode makes a node with room for the one key past btreeOrder that
-// makes it split, and bufCap bytes of keys.
-func newNode(leaf bool, bufCap int) *btreeNode {
-	n := &btreeNode{buf: make([]byte, 0, bufCap), slots: make([]slot, 0, btreeOrder+1), last: -1, leaf: leaf}
-	if leaf {
-		n.refs = make([]int, 0, btreeOrder+1)
-	} else {
-		n.children = make([]*btreeNode, 0, btreeOrder+2)
+func (t *btree) newNode(leaf bool) *btreeNode {
+	n := &btreeNode{keys: make([]byte, 0, t.order*t.width), last: -1, leaf: leaf}
+	if !leaf {
+		n.children = make([]*btreeNode, 0, t.order+1)
 	}
 	return n
 }
 
-// key returns the node's i-th key.
-func (n *btreeNode) key(i int) []byte {
-	s := n.slots[i]
-	return n.buf[s.off : s.off+s.n : s.off+s.n]
-}
+// key returns the node's i-th key, of width w.
+func (n *btreeNode) key(i, w int) []byte { return n.keys[i*w : i*w+w : i*w+w] }
 
-// put stores a copy of key as the node's i-th key.
+// put shifts the keys from i on one place right and copies key in at i.
 func (n *btreeNode) put(i int, key []byte) {
-	n.slots = slices.Insert(n.slots, i, slot{uint32(len(n.buf)), uint32(len(key))})
-	n.buf = append(n.buf, key...)
+	w := len(key)
+	n.keys = n.keys[:len(n.keys)+w]
+	copy(n.keys[i*w+w:], n.keys[i*w:])
+	copy(n.keys[i*w:], key)
 }
 
-// search returns the first slot whose key is >= key, or > key when after.
-func (n *btreeNode) search(key []byte, after bool) int {
-	lo, hi := 0, len(n.slots)
+// search returns the first index whose key is >= key, or > key when after.
+func (n *btreeNode) search(key []byte, w int, after bool) int {
+	lo, hi := 0, len(n.keys)/w
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c := bytes.Compare(n.key(mid), key); c < 0 || after && c == 0 {
+		if c := bytes.Compare(n.key(mid, w), key); c < 0 || after && c == 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -78,89 +84,101 @@ func (n *btreeNode) search(key []byte, after bool) int {
 	return lo
 }
 
-// insert adds key -> ref, copying key. Keys must be unique (the object id
-// suffix makes them so).
-func (t *btree) insert(key []byte, ref int) {
-	if sep, right := t.insertAt(t.root, key, ref); right != nil {
-		root := newNode(false, cap(t.root.buf))
+// insert adds key, copying it. Keys must be unique (the position suffix
+// makes them so).
+func (t *btree) insert(key []byte) {
+	if right := t.insertAt(t.root, key); right != nil {
+		root := t.newNode(false)
 		root.children = append(root.children, t.root, right)
-		root.put(0, sep)
+		root.put(0, t.sep)
 		t.root = root
 	}
 	t.size++
 }
 
 // insertAt inserts key under n. Separators are copies of right-node first
-// keys: child i holds keys < key(i), child i+1 keys >= key(i). A node
-// that overflows splits after the insert, and insertAt returns the new
-// right sibling and the separator the parent needs for it.
+// keys: child i holds keys < key(i), child i+1 keys >= key(i). A full node
+// splits, and insertAt returns the new right sibling, leaving the separator
+// the parent needs for it in t.sep.
 //
 // A leaf whose previous insert landed just before this one splits at the
 // insertion point: the new key ends the left half, or starts the right one
 // when it is the leaf's last. Keys appended to a key region then fill each
 // leaf, even when the next region's first keys share it. Every other node
 // splits in the middle.
-func (t *btree) insertAt(n *btreeNode, key []byte, ref int) (sep []byte, right *btreeNode) {
-	i := n.search(key, true)
+func (t *btree) insertAt(n *btreeNode, key []byte) *btreeNode {
+	w := t.width
+	i := n.search(key, w, true)
 	if n.leaf {
-		n.put(i, key)
-		n.refs = slices.Insert(n.refs, i, ref)
-		at := len(n.slots) / 2
-		if i > 0 && i == n.last+1 {
-			at = min(i+1, len(n.slots)-1)
+		if len(n.keys) < cap(n.keys) {
+			n.put(i, key)
+			n.last = int32(i)
+			return nil
 		}
-		n.last = i
-		if len(n.slots) <= btreeOrder {
-			return nil, nil
+		// Split as if the key were in: the left half keeps the first at
+		// keys of the node with it.
+		at := (t.order + 1) / 2
+		if i > 0 && i == int(n.last)+1 {
+			at = min(i+1, t.order)
 		}
-		right = n.split(at)
-		return right.key(0), right
+		from := at
+		if i < at {
+			from--
+		}
+		right := t.split(n, from)
+		right.next, n.next = n.next, right
+		n.last = int32(i)
+		if i < at {
+			n.put(i, key)
+		} else {
+			right.put(i-from, key)
+			right.last = int32(i - from)
+		}
+		copy(t.sep, right.key(0, w))
+		return right
 	}
-	if sep, right = t.insertAt(n.children[i], key, ref); right == nil {
-		return nil, nil
+	right := t.insertAt(n.children[i], key)
+	if right == nil {
+		return nil
 	}
-	n.put(i, sep)
-	n.children = slices.Insert(n.children, i+1, right)
-	if len(n.slots) <= btreeOrder {
-		return nil, nil
+	if len(n.keys) < cap(n.keys) {
+		n.put(i, t.sep)
+		n.children = slices.Insert(n.children, i+1, right)
+		return nil
 	}
-	mid := len(n.slots) / 2
-	return n.key(mid), n.split(mid)
+	// The right half takes key mid and the children after it; the child's
+	// separator goes into its half, then key mid moves up to the parent.
+	mid := t.order / 2
+	r := t.split(n, mid)
+	r.children = append(r.children, n.children[mid+1:]...)
+	clear(n.children[mid+1:])
+	n.children = n.children[:mid+1]
+	if i <= mid {
+		n.put(i, t.sep)
+		n.children = slices.Insert(n.children, i+1, right)
+	} else {
+		r.put(i-mid, t.sep)
+		r.children = slices.Insert(r.children, i-mid, right)
+	}
+	copy(t.sep, r.key(0, w))
+	r.keys = r.keys[:copy(r.keys, r.keys[w:])]
+	return r
 }
 
-// split moves the keys from slot at on into a new right sibling and
-// returns it. An internal node's key at moves up to the parent instead.
-// Both halves get fresh buffers holding only their own keys.
-func (n *btreeNode) split(at int) *btreeNode {
-	right := newNode(n.leaf, cap(n.buf))
-	from := at
-	if n.leaf {
-		right.refs = append(right.refs, n.refs[at:]...)
-		n.refs = n.refs[:at]
-		right.next, n.next = n.next, right
-		right.last = n.last - at
-	} else {
-		from++
-		right.children = append(right.children, n.children[from:]...)
-		clear(n.children[from:])
-		n.children = n.children[:from]
-	}
-	for j := from; j < len(n.slots); j++ {
-		right.put(len(right.slots), n.key(j))
-	}
-	buf := make([]byte, 0, cap(n.buf))
-	for j, s := range n.slots[:at] {
-		n.slots[j].off = uint32(len(buf))
-		buf = append(buf, n.buf[s.off:s.off+s.n]...)
-	}
-	n.buf, n.slots = buf, n.slots[:at]
+// split moves n's keys from index at on into a new right sibling and
+// returns it.
+func (t *btree) split(n *btreeNode, at int) *btreeNode {
+	right := t.newNode(n.leaf)
+	right.keys = append(right.keys, n.keys[at*t.width:]...)
+	n.keys = n.keys[:at*t.width]
 	return right
 }
 
-// iterator walks leaves in ascending key order.
+// iterator walks leaves in ascending key order; off is the byte offset of
+// the current key in its leaf.
 type iterator struct {
-	node *btreeNode
-	pos  int
+	node   *btreeNode
+	off, w int
 }
 
 // seek positions an iterator at the first key >= key, or > key when
@@ -170,9 +188,9 @@ type iterator struct {
 func (t *btree) seek(key []byte, after bool) iterator {
 	n := t.root
 	for !n.leaf {
-		n = n.children[n.search(key, true)]
+		n = n.children[n.search(key, t.width, true)]
 	}
-	it := iterator{node: n, pos: n.search(key, after)}
+	it := iterator{node: n, off: n.search(key, t.width, after) * t.width, w: t.width}
 	it.advanceLeaf()
 	return it
 }
@@ -180,19 +198,27 @@ func (t *btree) seek(key []byte, after bool) iterator {
 // advanceLeaf moves an iterator positioned past its leaf's last key onto
 // the next leaf's first.
 func (it *iterator) advanceLeaf() {
-	for it.node != nil && it.pos >= len(it.node.slots) {
+	for it.node != nil && it.off >= len(it.node.keys) {
 		it.node = it.node.next
-		it.pos = 0
+		it.off = 0
 	}
 }
 
 // valid reports whether the iterator points at an entry.
 func (it *iterator) valid() bool {
-	return it.node != nil && it.pos < len(it.node.slots)
+	return it.node != nil && it.off < len(it.node.keys)
 }
 
 // next advances to the following entry.
 func (it *iterator) next() {
-	it.pos++
+	it.off += it.w
 	it.advanceLeaf()
+}
+
+// key returns the current entry's key.
+func (it *iterator) key() []byte { return it.node.keys[it.off : it.off+it.w : it.off+it.w] }
+
+// pos returns the current entry's slab position, its key's suffix.
+func (it *iterator) pos() int {
+	return int(binary.BigEndian.Uint32(it.node.keys[it.off+it.w-KeySuffixLen:]))
 }

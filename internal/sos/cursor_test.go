@@ -16,7 +16,7 @@ func referenceRange(t *testing.T, c *Container, index string, from, to Key) []Ob
 	var out []Object
 	it := ix.tree.seek(appendKey(nil, from), false)
 	for ; it.valid(); it.next() {
-		o := c.slabs[ix.spec.Schema].object(it.node.refs[it.pos], c.dict.strs)
+		o := c.slabs[ix.spec.Schema].object(it.pos(), c.dict.strs)
 		if to != nil {
 			key := make(Key, 0, len(ix.attrIdxs))
 			for _, ai := range ix.attrIdxs {
@@ -84,7 +84,9 @@ func TestCursorMatchesReferenceRange(t *testing.T) {
 // TestCursorAfterResumesPastInserts: a scan that reopens with CursorAfter
 // the last key it saw, with inserts in between, returns every object it
 // would have returned without the inserts, in order, plus exactly the
-// inserted ones whose keys sort past the resume point.
+// inserted ones whose keys sort past the resume point. The inserts land in
+// the resume key's own region, shifting the tree's bytes under it: the
+// scan resumes from a copy.
 func TestCursorAfterResumesPastInserts(t *testing.T) {
 	c := newTestContainer(t)
 	fillEvents(t, c, 1000, 3)
@@ -100,7 +102,7 @@ func TestCursorAfterResumesPastInserts(t *testing.T) {
 		var last []byte
 		for n < 37 && cur.Next() {
 			got = append(got, cur.Object())
-			last = cur.Key()
+			last = append(last[:0], cur.Key()...)
 			n++
 		}
 		if n < 37 {
@@ -108,13 +110,13 @@ func TestCursorAfterResumesPastInserts(t *testing.T) {
 		}
 		// Inserts in both jobs of the range, behind or ahead of the scan
 		// depending on where it stands, and one past the range's end. One
-		// at or past the scan's position is seen: its new object id sorts
-		// it after the last key even on equal attributes.
+		// at or past the scan's position is seen: its new slab position
+		// sorts it after the last key even on equal attributes.
 		for _, job := range []int64{1, 2, 3} {
 			if err := c.Insert("darshan_event", NewObject(job, int64(0), 0.5, "late", int64(-step))); err != nil {
 				t.Fatal(err)
 			}
-			if job < 3 && bytes.Compare(appendKey(nil, Key{job, int64(0), 0.5}), last[:len(last)-8]) >= 0 {
+			if job < 3 && bytes.Compare(appendKey(nil, Key{job, int64(0), 0.5}), last[:len(last)-KeySuffixLen]) >= 0 {
 				late++
 			}
 		}

@@ -2,43 +2,37 @@ package sos
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
-// Tree keys are byte strings whose bytes.Compare order is CompareKeys'
-// order of the values they encode. Every value's encoding is
-// self-delimiting, so the encoding of a k-value Key is a byte prefix of
-// every longer key that starts with the same k values, and a tree key (the
-// index attributes, then the 8-byte big-endian object id) orders after the
-// bound it starts with.
+// Tree keys are byte strings whose bytes.Compare order is the order of the
+// values they encode. Every index attribute is an int64, a uint64 or a
+// float64, each encoded in 8 bytes, so the encoding of a k-value Key is a
+// byte prefix of every longer key that starts with the same k values, and
+// a tree key (the index attributes, then the 4-byte big-endian slab
+// position) orders after the bound it starts with. Floats are totally
+// ordered: -0 equals +0, and NaN sorts after +Inf and equals every NaN.
 
 // canonicalNaN is the one NaN pattern a key holds; it encodes after +Inf.
 const canonicalNaN = 0x7FF8000000000001
 
-// appendValue appends v's order-preserving encoding to b.
+// appendValue appends v's order-preserving encoding to b; v has the type of
+// its index attribute (Index.CheckKey).
 func appendValue(b []byte, v any) []byte {
 	switch v := v.(type) {
 	case int64:
-		return appendWord(b, TypeInt64, uint64(v), nil)
+		return appendWord(b, TypeInt64, uint64(v))
 	case uint64:
-		return appendWord(b, TypeUint64, v, nil)
+		return appendWord(b, TypeUint64, v)
 	case float64:
-		return appendWord(b, TypeFloat64, math.Float64bits(v), nil)
-	case string:
-		return appendString(b, v)
+		return appendWord(b, TypeFloat64, math.Float64bits(v))
 	}
-	panic(unsupportedKey(v))
+	panic("sos: key value of no index attribute type")
 }
 
-// unsupportedKey is the panic message for a key value of no attribute type.
-//
-//lint:allow hotalloc a panic's message, never on a working path
-func unsupportedKey(v any) string { return fmt.Sprintf("sos: unsupported key type %T", v) }
-
 // appendWord appends the order-preserving encoding of a row word of type
-// t to b; a string word indexes strs.
-func appendWord(b []byte, t Type, w uint64, strs []string) []byte {
+// t to b.
+func appendWord(b []byte, t Type, w uint64) []byte {
 	switch t {
 	case TypeInt64:
 		return binary.BigEndian.AppendUint64(b, w^1<<63)
@@ -57,21 +51,8 @@ func appendWord(b []byte, t Type, w uint64, strs []string) []byte {
 			w = ^w
 		}
 		return binary.BigEndian.AppendUint64(b, w)
-	case TypeString:
-		return appendString(b, strs[w])
 	}
 	panic("sos: unsupported key type " + t.String())
-}
-
-// appendString appends the encoding of s: its bytes with each NUL escaped,
-// then a terminator that sorts below every escaped byte.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if b = append(b, s[i]); s[i] == 0 {
-			b = append(b, 0xFF)
-		}
-	}
-	return append(b, 0, 1)
 }
 
 // appendKey appends the encoding of every value of k to b.

@@ -2,6 +2,8 @@ package sos
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -27,10 +29,44 @@ func (d *keyDraw) u64() uint64 {
 	return v
 }
 
+// CompareKeys orders composite keys element-wise: the documented order of
+// Key values, which the tree's byte keys (key.go) encode and which the
+// tests hold them to. Element types: int64, uint64, float64, and string
+// for comparing whole rows. Floats are totally ordered: -0 equals +0, and
+// NaN sorts after +Inf and equals every NaN. Shorter keys order before
+// longer ones with an equal prefix (enabling prefix scans).
+func CompareKeys(a, b Key) int {
+	for i := range min(len(a), len(b)) {
+		if c := compareValue(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+func compareValue(a, b any) int {
+	switch av := a.(type) {
+	case int64:
+		return cmp.Compare(av, b.(int64))
+	case uint64:
+		return cmp.Compare(av, b.(uint64))
+	case float64:
+		bv := b.(float64)
+		switch aNaN, bNaN := av != av, bv != bv; {
+		case av < bv, bNaN && !aNaN:
+			return -1
+		case av > bv, aNaN && !bNaN:
+			return 1
+		}
+		return 0
+	case string:
+		return cmp.Compare(av, b.(string))
+	}
+	panic(fmt.Sprintf("sos: unsupported key type %T", a))
+}
+
 // keyEdges are the values where an order-preserving encoding goes wrong
-// first: extremes, both zeros, subnormals, infinities, NaN payloads, and
-// strings holding the bytes the string encoding escapes or terminates
-// with.
+// first: extremes, both zeros, subnormals, infinities and NaN payloads.
 var keyEdges = map[Type][]any{
 	TypeInt64:  {int64(math.MinInt64), int64(math.MinInt64 + 1), int64(-1), int64(0), int64(1), int64(math.MaxInt64)},
 	TypeUint64: {uint64(0), uint64(1), uint64(1 << 63), uint64(math.MaxUint64)},
@@ -40,12 +76,10 @@ var keyEdges = map[Type][]any{
 		math.NaN(), math.Float64frombits(0x7FF0000000000001), math.Float64frombits(0xFFF8000000000000),
 		math.Float64frombits(0x7FFFFFFFFFFFFFFF),
 	},
-	TypeString: {"", "\x00", "\x00\x00", "\x01", "\xff", "a", "a\x00", "a\x00\x01", "a\x01", "a\xff", "a\x00\xff"},
 }
 
 // value draws one value of type t: an even selector byte picks an edge
-// value, an odd one raw bits (numbers) or a string of up to 5 bytes from
-// {0x00, 0x01, 0xFF, 'a'}.
+// value, an odd one raw bits.
 func (d *keyDraw) value(t Type) any {
 	sel := d.byte()
 	if sel%2 == 0 {
@@ -57,37 +91,32 @@ func (d *keyDraw) value(t Type) any {
 		return int64(d.u64())
 	case TypeUint64:
 		return d.u64()
-	case TypeFloat64:
-		return math.Float64frombits(d.u64())
 	}
-	s := make([]byte, int(sel/2)%6)
-	for i := range s {
-		s[i] = "\x00\x01\xffa"[d.byte()%4]
-	}
-	return string(s)
+	return math.Float64frombits(d.u64())
 }
 
 // FuzzKeyOrder holds the tree's byte keys to CompareKeys, the documented
 // order of Key values. Two keys are drawn over one list of 1-4 attribute
-// types, with independent lengths from 0 to the whole list, and:
+// types, each an index attribute type, with independent lengths from 0 to
+// the whole list, and:
 //
 //   - bytes.Compare of their encodings equals CompareKeys;
 //   - the shorter key's encoding is a prefix of the longer one's exactly
 //     when the longer key starts with the shorter key's values.
 //
 // Input bytes, each read as 0 once the input runs out: the type count
-// (1 + b%4), each type (b%4), the two lengths (b % (types+1)), then per
+// (1 + b%4), each type (b%3), the two lengths (b % (types+1)), then per
 // position a share byte (even: both keys get one value) and the values'
 // draws (keyDraw.value).
 func FuzzKeyOrder(f *testing.F) {
 	f.Add([]byte{0, 2, 1, 1, 1, 22, 20})         // NaN vs +Inf
-	f.Add([]byte{0, 3, 1, 1, 1, 12, 16})         // "a\x00" vs "a\x01"
+	f.Add([]byte{0, 1, 1, 1, 1, 2, 6})           // 1 vs MaxUint64
 	f.Add([]byte{1, 0, 2, 1, 2, 0, 0, 1, 11, 3}) // a one-value bound vs a key
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &keyDraw{data}
 		types := make([]Type, 1+d.byte()%4)
 		for i := range types {
-			types[i] = Type(d.byte() % 4)
+			types[i] = Type(d.byte() % 3)
 		}
 		a, b := make(Key, int(d.byte())%(len(types)+1)), make(Key, int(d.byte())%(len(types)+1))
 		for i := range max(len(a), len(b)) {

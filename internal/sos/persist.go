@@ -174,8 +174,8 @@ func Restore(r io.Reader) (*Container, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		if nObjs > 1<<32 {
-			return nil, fmt.Errorf("sos: implausible object count %d", nObjs)
+		if nObjs > maxRows {
+			return nil, errFull(name)
 		}
 		if nObjs > 0 && len(attrs) == 0 && !withOrigins {
 			// Such objects occupy no bytes, so nothing would ever stop the

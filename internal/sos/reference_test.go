@@ -31,14 +31,14 @@ type refIndex struct {
 }
 
 // insert adds obj, stored at slab position pos, under its tree key: the
-// encoded index attributes, then the object id.
-func (ix *refIndex) insert(obj refObject, oid uint64, pos int) {
+// encoded index attributes, then the position.
+func (ix *refIndex) insert(obj refObject, pos int) {
 	k := ix.key[:0]
 	for _, ai := range ix.attrIdxs {
 		k = appendValue(k, obj[ai])
 	}
-	ix.key = binary.BigEndian.AppendUint64(k, oid)
-	ix.tree.insert(ix.key, pos)
+	ix.key = binary.BigEndian.AppendUint32(k, uint32(pos))
+	ix.tree.insert(ix.key)
 }
 
 // Spec returns the index declaration.
@@ -132,11 +132,11 @@ func (c *refContainer) AddIndex(spec IndexSpec) (*refIndex, error) {
 		}
 		idxs[i], types[i] = pos, sch.Attrs[pos].Type
 	}
-	ix := &refIndex{spec: spec, attrIdxs: idxs, types: types, tree: newBTree()}
+	ix := &refIndex{spec: spec, attrIdxs: idxs, types: types, tree: newBTree(8*len(idxs) + KeySuffixLen)}
 	c.indices[spec.Name] = ix
 	c.bySchema[spec.Schema] = append(c.bySchema[spec.Schema], ix)
 	for pos, obj := range c.slabs[spec.Schema] {
-		ix.insert(obj, uint64(pos), pos)
+		ix.insert(obj, pos)
 	}
 	return ix, nil
 }
@@ -204,10 +204,9 @@ func (c *refContainer) InsertChecked(schemaName string, obj refObject, origin ui
 	if c.origins[schemaName] != nil {
 		c.origins[schemaName] = append(c.origins[schemaName], origin)
 	}
-	oid := c.nextOID
 	c.nextOID++
 	for _, ix := range c.bySchema[schemaName] {
-		ix.insert(obj, oid, pos)
+		ix.insert(obj, pos)
 	}
 }
 
@@ -255,8 +254,9 @@ func (c *refContainer) Cursor(indexName string, from, to Key) (refCursor, error)
 }
 
 // CursorAfter opens a cursor just past after, a tree key (refCursor.Key)
-// that a cursor on the same index returned, that stops before to. Tree keys end in a unique
-// object id, so the scan resumes exactly behind the last entry it saw.
+// that a cursor on the same index returned, that stops before to. Tree keys
+// end in the row's unique slab position, so the scan resumes exactly behind
+// the last entry it saw.
 func (c *refContainer) CursorAfter(indexName string, after []byte, to Key) (refCursor, error) {
 	return c.open(indexName, nil, after, to)
 }
@@ -300,17 +300,16 @@ func (cur *refCursor) Next() bool {
 }
 
 // Key returns the current entry's tree key: the encoded index attributes,
-// then the 8-byte object id that makes it unique. The bytes are the
-// tree's: they never change, but holding them keeps a node buffer alive.
-func (cur *refCursor) Key() []byte { return cur.it.node.key(cur.it.pos) }
+// then the slab position that makes it unique.
+func (cur *refCursor) Key() []byte { return cur.it.key() }
 
 // Object returns the current entry's object.
-func (cur *refCursor) Object() refObject { return cur.slab[cur.it.node.refs[cur.it.pos]] }
+func (cur *refCursor) Object() refObject { return cur.slab[cur.it.pos()] }
 
 // Origin returns the current object's stamped origin id (0 when the
 // schema has none).
 func (cur *refCursor) Origin() uint64 {
-	if pos := cur.it.node.refs[cur.it.pos]; pos < len(cur.origins) {
+	if pos := cur.it.pos(); pos < len(cur.origins) {
 		return cur.origins[pos]
 	}
 	return 0

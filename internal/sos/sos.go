@@ -77,73 +77,9 @@ func (s *Schema) AttrIndex(name string) int {
 }
 
 // Key is a composite index key: attribute values, as a scan bound. The
-// tree stores keys encoded (key.go) and followed by an object id that makes
-// each unique.
+// tree stores keys encoded (key.go) and followed by the row's slab
+// position, which makes each unique.
 type Key []any
-
-// CompareKeys orders composite keys element-wise: the order of sos.Key
-// values, which the tree's byte keys (key.go) encode. Supported element
-// types: int64, uint64, float64, string. Floats are totally ordered: -0
-// equals +0, and NaN sorts after +Inf and equals every NaN. Shorter keys
-// order before longer ones with an equal prefix (enabling prefix scans).
-func CompareKeys(a, b Key) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if c := compareValue(a[i], b[i]); c != 0 {
-			return c
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
-}
-
-func compareValue(a, b any) int {
-	switch av := a.(type) {
-	case int64:
-		bv := b.(int64)
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
-	case uint64:
-		bv := b.(uint64)
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
-	case float64:
-		bv := b.(float64)
-		switch aNaN, bNaN := av != av, bv != bv; {
-		case av < bv, bNaN && !aNaN:
-			return -1
-		case av > bv, aNaN && !bNaN:
-			return 1
-		}
-	case string:
-		bv := b.(string)
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
-	default:
-		panic(unsupportedKey(a))
-	}
-	return 0
-}
 
 // IndexSpec declares a (possibly joint) index, e.g. {"job_id","rank",
 // "timestamp"} named "job_rank_time".
@@ -162,16 +98,15 @@ type Index struct {
 	key      []byte // the tree key being inserted
 }
 
-// insert adds the row w, stored at slab position pos with its strings in
-// strs, under its tree key: the index attributes encoded from the words,
-// then the object id.
-func (ix *Index) insert(w []uint64, strs []string, oid uint64, pos int) {
+// insert adds the row w, stored at slab position pos, under its tree key:
+// the index attributes encoded from the words, then the position.
+func (ix *Index) insert(w []uint64, pos int) {
 	k := ix.key[:0]
 	for j, ai := range ix.attrIdxs {
-		k = appendWord(k, ix.types[j], w[ai], strs)
+		k = appendWord(k, ix.types[j], w[ai])
 	}
-	ix.key = binary.BigEndian.AppendUint64(k, oid)
-	ix.tree.insert(ix.key, pos)
+	ix.key = binary.BigEndian.AppendUint32(k, uint32(pos))
+	ix.tree.insert(ix.key)
 }
 
 // Spec returns the index declaration.
@@ -205,7 +140,9 @@ type Container struct {
 	indices map[string]*Index
 	// bySchema lists each schema's indices, which every insert updates.
 	bySchema map[string][]*Index
-	nextOID  uint64
+	// nextOID counts the objects ever inserted. No tree key holds it; the
+	// snapshot format does.
+	nextOID uint64
 	// origins holds the cluster-assigned logical insert id of each slab
 	// position (replicated DSOS writes stamp the same origin on every
 	// replica so quorum reads can collapse copies). The slice is allocated
@@ -250,7 +187,13 @@ func (c *Container) Schemas() []string {
 	return out
 }
 
-// AddIndex declares an index; existing objects are back-indexed.
+// maxIndexAttrs is the most attributes an index key holds: at least four
+// of its tree keys must fit a node.
+const maxIndexAttrs = (nodeBytes/4 - KeySuffixLen) / 8
+
+// AddIndex declares an index; existing objects are back-indexed. Every
+// index attribute is an int64, a uint64 or a float64: a string has no
+// fixed-width encoding that sorts by value.
 func (c *Container) AddIndex(spec IndexSpec) (*Index, error) {
 	if _, dup := c.indices[spec.Name]; dup {
 		return nil, fmt.Errorf("sos: index %q already exists", spec.Name)
@@ -259,6 +202,9 @@ func (c *Container) AddIndex(spec IndexSpec) (*Index, error) {
 	if sch == nil {
 		return nil, fmt.Errorf("sos: index %q references unknown schema %q", spec.Name, spec.Schema)
 	}
+	if len(spec.Attrs) > maxIndexAttrs {
+		return nil, fmt.Errorf("sos: index %q has %d attributes, at most %d", spec.Name, len(spec.Attrs), maxIndexAttrs)
+	}
 	idxs := make([]int, len(spec.Attrs))
 	types := make([]Type, len(spec.Attrs))
 	for i, a := range spec.Attrs {
@@ -266,14 +212,18 @@ func (c *Container) AddIndex(spec IndexSpec) (*Index, error) {
 		if pos < 0 {
 			return nil, fmt.Errorf("sos: index %q references unknown attribute %q", spec.Name, a)
 		}
+		if sch.Attrs[pos].Type == TypeString {
+			return nil, fmt.Errorf("sos: index %q: attribute %q is a string, which no index can key on", spec.Name, a)
+		}
 		idxs[i], types[i] = pos, sch.Attrs[pos].Type
 	}
-	ix := &Index{spec: spec, attrIdxs: idxs, types: types, tree: newBTree()}
+	width := 8*len(idxs) + KeySuffixLen
+	ix := &Index{spec: spec, attrIdxs: idxs, types: types, tree: newBTree(width), key: make([]byte, 0, width)}
 	c.indices[spec.Name] = ix
 	c.bySchema[spec.Schema] = append(c.bySchema[spec.Schema], ix)
 	s := c.slabs[spec.Schema]
 	for pos := 0; pos < s.n; pos++ {
-		ix.insert(s.row(pos), c.dict.strs, uint64(pos), pos)
+		ix.insert(s.row(pos), pos)
 	}
 	return ix, nil
 }
@@ -309,12 +259,24 @@ func (c *Container) InsertOrigin(schemaName string, obj Object, origin uint64) e
 	return nil
 }
 
+// maxRows bounds a schema's rows: a tree key's suffix is the row's slab
+// position in 4 bytes, which must never wrap and alias two rows.
+const maxRows = 1<<32 - 1
+
+// errFull is the error for an insert into a schema that holds maxRows.
+func errFull(schema string) error {
+	return fmt.Errorf("sos: schema %q full: it holds %d rows", schema, maxRows)
+}
+
 // Check reports whether obj can be inserted under schemaName: the schema
-// exists and the row's attribute types are the schema's.
+// exists, has room, and the row's attribute types are the schema's.
 func (c *Container) Check(schemaName string, obj Object) error {
 	s := c.slabs[schemaName]
 	if s == nil {
 		return fmt.Errorf("sos: unknown schema %q", schemaName)
+	}
+	if s.n >= maxRows {
+		return errFull(schemaName)
 	}
 	if obj.Len() != s.width {
 		return fmt.Errorf("sos: object has %d values, schema %q has %d attrs", obj.Len(), schemaName, s.width)
@@ -349,10 +311,9 @@ func (c *Container) InsertChecked(schemaName string, obj Object, origin uint64) 
 	if c.origins[schemaName] != nil {
 		c.origins[schemaName] = append(c.origins[schemaName], origin)
 	}
-	oid := c.nextOID
 	c.nextOID++
 	for _, ix := range c.bySchema[schemaName] {
-		ix.insert(w, c.dict.strs, oid, pos)
+		ix.insert(w, pos)
 	}
 }
 
@@ -368,9 +329,6 @@ func boundMatches(t Type, v any) bool {
 	case TypeFloat64:
 		_, ok := v.(float64)
 		return ok
-	case TypeString:
-		_, ok := v.(string)
-		return ok
 	}
 	return false
 }
@@ -384,11 +342,11 @@ func (c *Container) Count(schema string) int {
 }
 
 // Cursor walks one index in key order over an attribute-prefix range
-// [from, to). It copies nothing and holds no lock: Key and Object return
-// views of the container's own memory, which stay valid after the
-// container is modified. The cursor itself is valid until the container is
-// next modified; a scan that spans modifications reopens with CursorAfter
-// the last Key it saw.
+// [from, to). It copies nothing and holds no lock: Object returns a view of
+// the container's own memory, which stays valid after the container is
+// modified. The cursor itself, and the bytes Key returns, are valid until
+// the container is next modified; a scan that spans modifications reopens
+// with CursorAfter a copy of the last Key it saw.
 type Cursor struct {
 	rows    slab
 	strs    []string
@@ -406,8 +364,9 @@ func (c *Container) Cursor(indexName string, from, to Key) (Cursor, error) {
 }
 
 // CursorAfter opens a cursor just past after, a tree key (Cursor.Key)
-// that a cursor on the same index returned, that stops before to. Tree keys end in a unique
-// object id, so the scan resumes exactly behind the last entry it saw.
+// that a cursor on the same index returned, that stops before to. Tree keys
+// end in the row's unique slab position, so the scan resumes exactly behind
+// the last entry it saw.
 func (c *Container) CursorAfter(indexName string, after []byte, to Key) (Cursor, error) {
 	return c.open(indexName, nil, after, to)
 }
@@ -451,18 +410,23 @@ func (cur *Cursor) Next() bool {
 }
 
 // Key returns the current entry's tree key: the encoded index attributes,
-// then the 8-byte object id that makes it unique. The bytes are the
-// tree's: they never change, but holding them keeps a node buffer alive.
-func (cur *Cursor) Key() []byte { return cur.it.node.key(cur.it.pos) }
+// then the KeySuffixLen-byte slab position that makes it unique. The bytes
+// are the tree's own, which an insert into their node moves: they are valid
+// until the container is next modified, and a caller that keeps them past
+// that copies them first.
+func (cur *Cursor) Key() []byte { return cur.it.key() }
 
 // Object returns the current entry's object, a view of its page and the
 // container's dictionary.
-func (cur *Cursor) Object() Object { return cur.rows.object(cur.it.node.refs[cur.it.pos], cur.strs) }
+func (cur *Cursor) Object() Object { return cur.rows.object(cur.it.pos(), cur.strs) }
 
 // Origin returns the current object's stamped origin id (0 when the
 // schema has none).
 func (cur *Cursor) Origin() uint64 {
-	if pos := cur.it.node.refs[cur.it.pos]; pos < len(cur.origins) {
+	if len(cur.origins) == 0 {
+		return 0 // no need to decode the position
+	}
+	if pos := cur.it.pos(); pos < len(cur.origins) {
 		return cur.origins[pos]
 	}
 	return 0

@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
 	"sort"
+	"strings"
 	"testing"
 
 	"darshanldms/internal/rng"
@@ -218,6 +221,154 @@ func TestAddIndexValidation(t *testing.T) {
 	if _, err := c.AddIndex(IndexSpec{Name: "y", Schema: "darshan_event", Attrs: []string{"nope"}}); err == nil {
 		t.Fatal("unknown attribute accepted")
 	}
+	if _, err := c.AddIndex(IndexSpec{Name: "job_op", Schema: "darshan_event", Attrs: []string{"job_id", "op"}}); err == nil || !strings.Contains(err.Error(), `"op"`) {
+		t.Fatalf("a string index attribute: %v, want an error naming it", err)
+	}
+	many := make([]string, maxIndexAttrs+1)
+	for i := range many {
+		many[i] = "job_id"
+	}
+	if _, err := c.AddIndex(IndexSpec{Name: "wide", Schema: "darshan_event", Attrs: many}); err == nil {
+		t.Fatal("an index key wider than a node's quarter accepted")
+	}
+	if c.Index("job_op") != nil || c.Index("wide") != nil {
+		t.Fatal("a refused index was registered")
+	}
+}
+
+// skipTo makes the slab hold n rows, n a multiple of its page's row count,
+// without storing them: the pages before row n stay unallocated, so only
+// rows from n on may be read.
+func (s *slab) skipTo(n int) {
+	s.pages = make([][]uint64, n>>s.shift)
+	s.n = n
+}
+
+// TestSchemaFullGuard: a schema takes rows up to maxRows and refuses the
+// next, from Insert, Check and a WAL replay, so a row's 4-byte position
+// suffix never wraps onto another row's. The rows next to the limit are
+// indexed at their own positions, in position order.
+func TestSchemaFullGuard(t *testing.T) {
+	c := NewContainer("full")
+	sch, err := NewSchema("s", []AttrSpec{{Name: "k", Type: TypeInt64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddSchema(sch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddIndex(IndexSpec{Name: "byk", Schema: "s", Attrs: []string{"k"}}); err != nil {
+		t.Fatal(err)
+	}
+	s := c.slabs["s"]
+	start := maxRows &^ (1<<s.shift - 1) // the first row of the last page
+	s.skipTo(start)
+	for s.n < maxRows {
+		if err := c.Insert("s", NewObject(int64(7))); err != nil {
+			t.Fatalf("row %d of %d refused: %v", s.n, maxRows, err)
+		}
+	}
+	row := NewObject(int64(7))
+	for name, err := range map[string]error{"Insert": c.Insert("s", row), "Check": c.Check("s", row)} {
+		if err == nil || !strings.Contains(err.Error(), "full") {
+			t.Fatalf("%s past %d rows: %v, want the schema full", name, maxRows, err)
+		}
+	}
+	log := NewMemWAL()
+	if err := NewWAL(log).Append("s", row, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReplayWAL(log, func(schema string, o Object, origin uint64) error {
+		return c.InsertOrigin(schema, o, origin)
+	}); err == nil || !strings.Contains(err.Error(), "full") {
+		t.Fatalf("a replayed row past %d rows: %v, want the schema full", maxRows, err)
+	}
+	cur, err := c.Cursor("byk", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, prev := 0, start-1
+	for cur.Next() {
+		if pos := cur.it.pos(); pos != prev+1 || cur.Object().Int(0) != 7 {
+			t.Fatalf("entry %d is row %d, want row %d", n, pos, prev+1)
+		}
+		prev++
+		n++
+	}
+	if n != maxRows-start || prev != maxRows-1 {
+		t.Fatalf("the index holds %d rows up to %d, want %d up to %d", n, prev, maxRows-start, maxRows-1)
+	}
+}
+
+// TestIndexBytesPerRow measures what the three darshan indices cost per
+// row, as live heap, on 1M rows shaped like one shard's share of the
+// benchmark's traffic: every 4th event of a stream over 16 jobs x 64
+// ranks, each event of a random job and rank, with rising timestamps. The
+// rows have the darshan schema's 24 attributes, so their pages cost 192
+// B/row; the trees must cost at most 110 B/row, and less than the pages.
+func TestIndexBytesPerRow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures a 1M-row heap")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(20)) // a lower peak heap
+	attrs := []AttrSpec{{Name: "job_id", Type: TypeInt64}, {Name: "rank", Type: TypeInt64}, {Name: "timestamp", Type: TypeFloat64}}
+	for i := len(attrs); i < 24; i++ {
+		attrs = append(attrs, AttrSpec{Name: fmt.Sprintf("a%d", i), Type: TypeInt64})
+	}
+	sch, err := NewSchema("ev", attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := liveObjectBytes()
+	c := NewContainer("bytes")
+	if err := c.AddSchema(sch); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []IndexSpec{
+		{Name: "job_rank_time", Schema: "ev", Attrs: []string{"job_id", "rank", "timestamp"}},
+		{Name: "job_time_rank", Schema: "ev", Attrs: []string{"job_id", "timestamp", "rank"}},
+		{Name: "time_job_rank", Schema: "ev", Attrs: []string{"timestamp", "job_id", "rank"}},
+	} {
+		if _, err := c.AddIndex(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rows = 1000000
+	b := NewRowBuilder(sch)
+	r := rng.New(42)
+	for g := 0; c.Count("ev") < rows; g++ {
+		job, rank := r.Intn(16), r.Intn(64)
+		if g%4 != 0 {
+			continue
+		}
+		b.Begin()
+		b.SetInt(0, int64(job))
+		b.SetInt(1, int64(rank))
+		b.SetFloat(2, 1.6e9+float64(g)/1e4)
+		if err := c.Insert("ev", b.Row()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	total := liveObjectBytes() - before
+	pages := 0
+	for _, p := range c.slabs["ev"].pages {
+		pages += 8 * cap(p)
+	}
+	trees := int(total) - pages
+	runtime.KeepAlive(c)
+	perRow := float64(trees) / rows
+	t.Logf("%d rows: %d B live, pages %.1f B/row, trees %.1f B/row", rows, total, float64(pages)/rows, perRow)
+	if perRow > 110 || trees >= pages {
+		t.Fatalf("the trees cost %.1f B/row against %.1f B/row of pages; want at most 110 and less than the pages", perRow, float64(pages)/rows)
+	}
+}
+
+// liveObjectBytes is the heap occupied by objects after a collection.
+func liveObjectBytes() uint64 {
+	runtime.GC()
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(sample)
+	return sample[0].Value.Uint64()
 }
 
 func TestCompareKeysPrefix(t *testing.T) {

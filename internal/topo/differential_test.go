@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -80,7 +81,7 @@ func referenceQuery(t *testing.T, members []*dsos.Daemon, index string, attrs []
 		return k
 	}
 	sort.SliceStable(rows, func(i, j int) bool {
-		if c := sos.CompareKeys(keyOf(rows[i].obj), keyOf(rows[j].obj)); c != 0 {
+		if c := compareKeys(keyOf(rows[i].obj), keyOf(rows[j].obj)); c != 0 {
 			return c < 0
 		}
 		return rows[i].member < rows[j].member
@@ -90,6 +91,29 @@ func referenceQuery(t *testing.T, members []*dsos.Daemon, index string, attrs []
 		out[i] = r.obj
 	}
 	return out
+}
+
+// compareKeys orders the darshan index attributes (int64 and float64
+// values) as the index trees do: NaN sorts after +Inf and equals every NaN.
+func compareKeys(a, b sos.Key) int {
+	for i := range a {
+		var c int
+		if av, ok := a[i].(int64); ok {
+			c = cmp.Compare(av, b[i].(int64))
+		} else {
+			av, bv := a[i].(float64), b[i].(float64)
+			switch aNaN, bNaN := av != av, bv != bv; {
+			case av < bv, bNaN && !aNaN:
+				c = -1
+			case av > bv, aNaN && !bNaN:
+				c = 1
+			}
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 // diffQueries are the paper's three query shapes, with the index key's

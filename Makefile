@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-baseline test check chaos-smoke streams-smoke topo-smoke topo-soak-diff scenario-smoke fuzz-smoke fuzz-corpus race-smoke cover determinism-smoke bench bench-smoke bench-ledger bench-full experiments examples clean
+.PHONY: all build vet lint lint-json lint-baseline test check chaos-smoke streams-smoke topo-smoke topo-soak-diff scenario-smoke fuzz-smoke fuzz-corpus fuzz-corpus-check race-smoke cover determinism-smoke bench bench-smoke bench-ledger bench-full experiments examples clean
 
 all: build vet lint test
 
@@ -145,6 +145,15 @@ fuzz-smoke:
 # Regenerate the checked-in fuzz seed corpora (deterministic; diffable).
 fuzz-corpus:
 	$(GO) run ./cmd/dlc-fuzzcorpus -root .
+
+# The committed corpora are the generator's output, byte for byte: a
+# generator change that rewrites a frozen seed, or writes one that is not
+# committed, fails here (CI runs this in the fuzz-smoke leg).
+FUZZ_CORPUS_PATHS = ':(glob)**/testdata/fuzz/**'
+fuzz-corpus-check: fuzz-corpus
+	git diff --exit-code -- $(FUZZ_CORPUS_PATHS)
+	@untracked=$$(git ls-files --others --exclude-standard -- $(FUZZ_CORPUS_PATHS)); \
+	if [ -n "$$untracked" ]; then echo "$$untracked"; echo "fuzz corpus: seeds not in git"; exit 1; fi
 
 # Race-detector sweep over the concurrent planes (durable streams, TCP
 # transport + uplink, DSOS, observability). -count=1 defeats

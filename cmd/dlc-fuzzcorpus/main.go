@@ -171,45 +171,64 @@ func main() {
 
 	// --- sos.FuzzReplayWAL: floor-bounded shard log replay ---
 	// The first two bytes of each seed are the floor (little endian); the
-	// rest is log bytes. Rows are (int64, string) pairs.
+	// rest is log bytes. Rows are (int64, string) pairs. The v1 seeds are
+	// frozen bytes (v1Record); the v2 ones come from the live writer.
 	floorLog := func(floor uint16, log []byte) []byte {
 		return append(binary.LittleEndian.AppendUint16(nil, floor), log...)
 	}
-	row := func(i int) sos.Object { return sos.NewObject(int64(i), fmt.Sprintf("r%d", i)) }
-	legacy := walLog(func(w *sos.WAL) error { return w.Append("ev", row(1), 0) })
-	write(sp, "FuzzReplayWAL", "legacy-one-row", floorLog(0, legacy))
-	batchLog := walLog(func(w *sos.WAL) error {
-		return w.AppendBatch("ev", []sos.Object{row(1), row(2), row(3)}, []uint64{11, 12, 13}, 5)
-	})
-	write(sp, "FuzzReplayWAL", "batch-record", floorLog(5, batchLog))
+	write(sp, "FuzzReplayWAL", "legacy-one-row", floorLog(0, v1Log(v1Record(false, 0, []int{1}, nil))))
+	write(sp, "FuzzReplayWAL", "batch-record", floorLog(5, v1Log(v1Record(true, 5, []int{1, 2, 3}, []uint64{11, 12, 13}))))
 	// A CRC-clean batch whose row count is a lie: nothing may be sized from it.
 	hostileBody := binary.LittleEndian.AppendUint32(nil, uint32(len("ev"))|1<<31)
 	hostileBody = append(hostileBody, "ev"...)
 	hostileBody = binary.LittleEndian.AppendUint64(hostileBody, 1)
 	hostileBody = binary.LittleEndian.AppendUint32(hostileBody, math.MaxUint32)
 	hostileBody = append(hostileBody, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0)
-	write(sp, "FuzzReplayWAL", "hostile-row-count", floorLog(9, walLog(func(w *sos.WAL) error {
-		return sos.AppendFrame(w.Store(), hostileBody)
-	})))
-	twoBatches := walLog(func(w *sos.WAL) error {
-		if err := w.AppendBatch("ev", []sos.Object{row(1), row(2)}, nil, 3); err != nil {
-			return err
-		}
-		return w.AppendBatch("ev", []sos.Object{row(3), row(4)}, nil, 7)
-	})
+	write(sp, "FuzzReplayWAL", "hostile-row-count", floorLog(9, v1Log(hostileBody)))
+	twoBatches := v1Log(v1Record(true, 3, []int{1, 2}, nil), v1Record(true, 7, []int{3, 4}, nil))
 	write(sp, "FuzzReplayWAL", "torn-batch-tail", floorLog(9, twoBatches[:len(twoBatches)-10]))
 	write(sp, "FuzzReplayWAL", "token-above-floor", floorLog(5, twoBatches))
-	write(sp, "FuzzReplayWAL", "legacy-then-batch", floorLog(2, walLog(func(w *sos.WAL) error {
-		for i := 1; i <= 2; i++ {
-			if err := w.Append("ev", row(i), 0); err != nil {
-				return err
-			}
+	write(sp, "FuzzReplayWAL", "legacy-then-batch", floorLog(2, v1Log(
+		v1Record(false, 0, []int{1}, nil), v1Record(false, 0, []int{2}, nil),
+		v1Record(true, 2, []int{3, 4}, nil), v1Record(true, 6, []int{5}, nil))))
+	row := func(i int) sos.Object { return sos.NewObject(int64(i), fmt.Sprintf("r%d", i)) }
+	rows := func(is ...int) []sos.Object {
+		var out []sos.Object
+		for _, i := range is {
+			out = append(out, row(i))
 		}
-		if err := w.AppendBatch("ev", []sos.Object{row(3), row(4)}, nil, 2); err != nil {
+		return out
+	}
+	// The second record reuses two of the first's strings and adds one.
+	spanning := walLog(func(w *sos.WAL) error {
+		if err := w.AppendBatch("ev", rows(1, 2, 1), []uint64{1, 2, 3}, 2); err != nil {
 			return err
 		}
-		return w.AppendBatch("ev", []sos.Object{row(5)}, nil, 6)
+		return w.AppendBatch("ev", rows(2, 3, 1), nil, 4)
+	})
+	write(sp, "FuzzReplayWAL", "v2-delta-spanning-records", floorLog(4, spanning))
+	// A second writer that never replayed the log restarts the dictionary
+	// at 0: its record's dictBase is not the log's, and replay stops there.
+	write(sp, "FuzzReplayWAL", "v2-dict-base-mismatch", floorLog(9, walLog(func(w *sos.WAL) error {
+		if err := w.AppendBatch("ev", rows(1, 2), nil, 1); err != nil {
+			return err
+		}
+		return sos.NewWAL(w.Store()).AppendBatch("ev", rows(3), nil, 2)
 	})))
+	// A CRC-clean v2 record whose delta declares 2^40 strings.
+	hostileDelta := binary.LittleEndian.AppendUint32(nil, uint32(len("ev"))|1<<31|1<<30)
+	hostileDelta = append(hostileDelta, "ev"...)
+	hostileDelta = append(hostileDelta, 2, 1, 1, 2, 0, 3)               // version, token, rows, types
+	hostileDelta = binary.AppendUvarint(append(hostileDelta, 1), 1<<40) // dictBase 1: "r1"
+	hostileDelta = append(hostileDelta, 1, 'x', 2, 0)
+	write(sp, "FuzzReplayWAL", "v2-hostile-delta-count", floorLog(9, walLog(func(w *sos.WAL) error {
+		if err := w.AppendBatch("ev", rows(1), nil, 1); err != nil {
+			return err
+		}
+		return sos.AppendFrame(w.Store(), hostileDelta)
+	})))
+	// The second record torn inside its delta's new string.
+	write(sp, "FuzzReplayWAL", "v2-torn-delta", floorLog(9, spanning[:bytes.LastIndex(spanning, []byte("r3"))+1]))
 
 	// --- sos.FuzzObjectsMatchBoxed: typed rows vs the []any container ---
 	// The first byte holds flags (1 origins, 2 RowBuilder, 4 alternate
@@ -354,6 +373,48 @@ func main() {
 		[]byte(`{"name":"a#b//c","horizon_s":1,"fs":"NFS","cluster":{"nodes":24},"arrival":{"kind":"poisson","rate_per_s":1},"jobs":[{"kind":"checkpoint","weight":1}]}`))
 
 	fmt.Fprintf(os.Stderr, "dlc-fuzzcorpus: wrote %d seed files under %s\n", n, *root)
+}
+
+// v1Log frames record bodies as a shard log.
+func v1Log(bodies ...[]byte) []byte {
+	return walLog(func(w *sos.WAL) error {
+		for _, b := range bodies {
+			if err := sos.AppendFrame(w.Store(), b); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// v1Record is the body of a v1 shard log record, the format the writer
+// wrote before v2, frozen here so the legacy seeds keep their bytes: a row
+// record (batch false: one row, token 0) or a batch record tagged token,
+// holding the rows (i, "r<i>") with their origins (nil: all 0).
+func v1Record(batch bool, token uint64, rows []int, origins []uint64) []byte {
+	const tagInt64, tagString = 0, 3
+	word := uint32(len("ev"))
+	if batch {
+		word |= 1 << 31
+	}
+	b := append(binary.LittleEndian.AppendUint32(nil, word), "ev"...)
+	if batch {
+		b = binary.LittleEndian.AppendUint64(b, token)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(rows)))
+	}
+	for k, i := range rows {
+		var origin uint64
+		if origins != nil {
+			origin = origins[k]
+		}
+		s := fmt.Sprintf("r%d", i)
+		b = binary.LittleEndian.AppendUint64(b, origin)
+		b = binary.LittleEndian.AppendUint16(b, 2)
+		b = binary.LittleEndian.AppendUint64(append(b, tagInt64), uint64(i))
+		b = binary.LittleEndian.AppendUint32(append(b, tagString), uint32(len(s)))
+		b = append(b, s...)
+	}
+	return b
 }
 
 // walLog returns the bytes of a shard log written by appends.

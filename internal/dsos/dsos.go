@@ -101,9 +101,9 @@ func NewDaemon(name, containerName string) *Daemon {
 // is nil while the daemon is crashed.
 func (d *Daemon) Container() *sos.Container { return d.cont }
 
-// EnableWAL attaches a write-ahead log backed by st. Subsequent inserts
-// are logged before they are acked; Restart replays the log. The backing
-// must outlive crashes (it models the daemon's disk).
+// EnableWAL attaches a write-ahead log backed by st, still empty (RecoverWAL
+// reopens a log). Subsequent inserts are logged before they are acked;
+// Restart replays the log. The backing must outlive crashes (the disk).
 func (d *Daemon) EnableWAL(st sos.WALStore) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -227,20 +227,13 @@ func (d *Daemon) Restart() error {
 		return nil // not crashed; nothing to do
 	}
 	cont, err := d.freshContainerLocked()
+	if err == nil && d.wal != nil {
+		_, err = d.replayLocked(cont, d.wal.Store(), math.MaxUint64, math.MaxUint64)
+	}
 	if err != nil {
 		return fmt.Errorf("dsos: %s restart: %w", d.Name, err)
 	}
-	if d.wal != nil {
-		recs, _, err := sos.ReplayWAL(d.wal.Store(), func(schema string, obj sos.Object, origin uint64) error {
-			return cont.InsertOrigin(schema, obj, origin)
-		})
-		if err != nil {
-			return fmt.Errorf("dsos: %s restart: %w", d.Name, err)
-		}
-		d.recovered += uint64(recs)
-	}
-	d.cont = cont
-	d.fault = nil
+	d.cont, d.fault = cont, nil
 	return nil
 }
 
@@ -333,22 +326,34 @@ func (d *Daemon) Snapshot(w io.Writer) error {
 // before cutting anything. With floor and last at math.MaxUint64 it is the
 // plain replay, up to a torn tail.
 func (d *Daemon) RecoverWAL(st sos.WALStore, floor, last uint64) (sos.WALReplay, error) {
-	r, err := sos.ReplayWALTo(st, floor, func(schema string, obj sos.Object, origin uint64) error {
-		return d.InsertOrigin(schema, obj, origin)
-	})
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	r, err := d.replayLocked(d.cont, st, floor, last)
 	if err != nil {
 		return r, fmt.Errorf("dsos: %s recover: %w", d.Name, err)
 	}
+	return r, nil
+}
+
+// replayLocked is how Restart and RecoverWAL reopen a log: it replays st
+// into cont up to floor, refuses a log tagged past last, cuts the log back
+// to what it applied, and appends behind that from the replay's dictionary.
+func (d *Daemon) replayLocked(cont *sos.Container, st sos.WALStore, floor, last uint64) (sos.WALReplay, error) {
+	if cont == nil {
+		return sos.WALReplay{}, ErrCrashed
+	}
+	r, err := sos.ReplayWALTo(st, floor, cont.InsertOrigin)
+	if err != nil {
+		return r, err
+	}
 	if r.Above > last {
-		return r, fmt.Errorf("dsos: %s recover: the log holds a batch tagged %d, past the last token %d: log and token source are from different incarnations", d.Name, r.Above, last)
+		return r, fmt.Errorf("the log holds a batch tagged %d, past the last token %d: log and token source are from different incarnations", r.Above, last)
 	}
 	if err := truncateWAL(st, r.Consumed); err != nil {
-		return r, fmt.Errorf("dsos: %s recover: %w", d.Name, err)
+		return r, err
 	}
-	d.mu.Lock()
-	d.wal = sos.NewWAL(st)
+	d.wal = sos.ResumeWAL(st, r)
 	d.recovered += uint64(r.Rows)
-	d.mu.Unlock()
 	return r, nil
 }
 
@@ -410,15 +415,12 @@ func (d *Daemon) RetainWhere(index string, keep func(obj sos.Object, origin uint
 		return 0, fmt.Errorf("dsos: unknown index %q", index)
 	}
 	schema := ix.Spec().Schema
-	type rec struct {
-		obj    sos.Object
-		origin uint64
-	}
-	var kept []rec
+	var kept []sos.Object
+	var origins []uint64
 	dropped := 0
 	if err := d.cont.IterOrigins(index, nil, func(o sos.Object, origin uint64) bool {
 		if keep(o, origin) {
-			kept = append(kept, rec{o, origin})
+			kept, origins = append(kept, o), append(origins, origin)
 		} else {
 			dropped++
 		}
@@ -433,21 +435,19 @@ func (d *Daemon) RetainWhere(index string, keep func(obj sos.Object, origin uint
 	if err != nil {
 		return 0, fmt.Errorf("dsos: %s retain: %w", d.Name, err)
 	}
-	for _, r := range kept {
-		if err := cont.InsertOrigin(schema, r.obj, r.origin); err != nil {
+	for i, o := range kept {
+		if err := cont.InsertOrigin(schema, o, origins[i]); err != nil {
 			return 0, fmt.Errorf("dsos: %s retain: %w", d.Name, err)
 		}
 	}
-	if d.wal != nil {
+	if d.wal != nil { // a fresh log: a new dictionary, one untagged batch
 		st := d.wal.Store()
 		if err := truncateWAL(st, 0); err != nil {
 			return 0, fmt.Errorf("dsos: %s retain: %w", d.Name, err)
 		}
 		wal := sos.NewWAL(st)
-		for _, r := range kept {
-			if err := wal.Append(schema, r.obj, r.origin); err != nil {
-				return 0, fmt.Errorf("dsos: %s retain: wal rewrite: %w", d.Name, err)
-			}
+		if err := wal.AppendBatch(schema, kept, origins, 0); err != nil {
+			return 0, fmt.Errorf("dsos: %s retain: wal rewrite: %w", d.Name, err)
 		}
 		d.wal = wal
 	}

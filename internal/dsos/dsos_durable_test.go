@@ -1,12 +1,18 @@
 package dsos
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/sim"
+	"darshanldms/internal/sos"
 )
 
 func TestReplicatedInsert(t *testing.T) {
@@ -314,4 +320,116 @@ func TestCrashWithoutWALLosesShard(t *testing.T) {
 	if len(objs) != 10 {
 		t.Fatalf("surviving objects %d, want the other shard's 10", len(objs))
 	}
+}
+
+// TestRecoverAfterTornDelta tears a shard log inside the dictionary delta
+// of its last record, recovers, appends rows that reuse the torn strings and
+// rows that add new ones, and recovers again. Every acked row must come
+// back with its strings, and no record written after the first recovery
+// may be cut: the writer resumes from the dictionary the replay read, not
+// from the one it had before the crash, and appends behind the cut tail.
+func TestRecoverAfterTornDelta(t *testing.T) {
+	d := NewDaemon("dsosd0", "darshan_data")
+	if err := d.AddSchema(DarshanSchema()); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range DarshanIndices() {
+		if err := d.AddIndex(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mem := sos.NewMemWAL()
+	d.EnableWAL(mem)
+	arena := NewRowArena()
+	var acked []string // file, op of every acked row
+	insert := func(token uint64, files ...string) {
+		t.Helper()
+		var rows []sos.Object
+		for i, f := range files {
+			m := jsonmsg.Message{Module: "POSIX", ProducerName: "nid00040", File: f, Exe: "/bin/app",
+				Type: jsonmsg.TypeMOD, Op: "op-" + f, JobID: 1, Rank: i, Seg: []jsonmsg.Segment{{Timestamp: float64(token)}}}
+			rows = arena.AppendObjects(rows, &m)
+		}
+		sh := share{objs: rows, ids: make([]uint64, len(rows))}
+		d.insertShare(DarshanSchemaName, &sh, token)
+		if sh.err != nil || sh.stored != len(rows) {
+			t.Fatalf("insert of %v: %v", files, sh.err)
+		}
+		for _, f := range files {
+			acked = append(acked, f+" op-"+f)
+		}
+	}
+	long := func(name string) string { return "/scratch/" + name + strings.Repeat("x", 40) }
+
+	insert(1, long("a"), long("b"))
+	clean := mem.Len()
+	insert(2, long("a"), long("torn1"), long("torn2"))
+	acked = acked[:2] // the crash tears the second record: never acked
+	d.Crash()
+	log := readMem(t, mem)
+	at := bytes.Index(log[clean:], []byte(long("torn1")))
+	if at < 0 {
+		t.Fatal("the second record's delta does not hold its new string")
+	}
+	mem.Truncate(clean + at + 20) // mid-string, inside the delta
+	if err := d.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	checkRows(t, d, acked)
+
+	insert(3, long("torn1"), long("a"), long("c"))
+	insert(4, long("torn2"), long("c"), long("d"))
+	d.Crash()
+	if err := d.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	checkRows(t, d, acked)
+	// The dsosd path reads the same log, and finds no cut tail in it.
+	d2 := NewDaemon("dsosd0", "darshan_data")
+	if err := d2.AddSchema(DarshanSchema()); err != nil {
+		t.Fatal(err)
+	}
+	r, err := d2.RecoverWAL(mem, math.MaxUint64, math.MaxUint64)
+	if err != nil || r.Consumed != int64(mem.Len()) || r.Rows != len(acked) {
+		t.Fatalf("recovered %+v of a %d-byte log holding %d rows: %v", r, mem.Len(), len(acked), err)
+	}
+}
+
+// checkRows requires d to hold exactly the rows want lists, as
+// "file op", in any order.
+func checkRows(t *testing.T, d *Daemon, want []string) {
+	t.Helper()
+	var got []string
+	if err := d.IterOrigins("job_rank_time", nil, func(o sos.Object, _ uint64) bool {
+		got = append(got, o.Str(ColFile)+" "+o.Str(ColOp))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int{}
+	for _, s := range want {
+		count[s]++
+	}
+	for _, s := range got {
+		count[s]--
+	}
+	for s, n := range count {
+		if n != 0 || len(got) != len(want) {
+			t.Fatalf("holds %d rows, want %d: %q is off by %d", len(got), len(want), s, -n)
+		}
+	}
+}
+
+func readMem(t *testing.T, m *sos.MemWAL) []byte {
+	t.Helper()
+	r, err := m.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	b, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -256,9 +256,12 @@ func matchCursors(t *testing.T, typed *Container, ref *refContainer, stored []re
 // FuzzObjectsMatchBoxed holds the typed container to the []any one it
 // replaced (reference_test.go): rows built by NewObject or a RowBuilder,
 // inserted into both, must get the same Check verdicts, yield the same
-// rows over every index and bound, and write the same snapshot bytes and
-// WAL record bytes; the typed container's Restore and WAL replay must
-// round-trip to the same rows. The input format is boxedRows'.
+// rows over every index and bound, and write the same snapshot bytes; the
+// typed container's Restore must round-trip to the same rows. For the log,
+// the v1 writer kept as the reference (appendV1) must still write the
+// []any writer's bytes, and the v2 log the live writer writes must replay
+// to the rows, origins and tokens the v1 log replays to. The input format
+// is boxedRows'.
 func FuzzObjectsMatchBoxed(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 4, 6, 8, 1, 3, 5, 7, 9, 11})
 	f.Add([]byte{3, 0, 0, 2, 0, 4, 6, 2, 1, 0, 0, 0, 0, 0, 3, 0})
@@ -267,7 +270,7 @@ func FuzzObjectsMatchBoxed(f *testing.F) {
 		rows, withOrigins := boxedRows(data)
 		typed, ref := newBoxedPair(t)
 		b := NewRowBuilder(boxedSchema(t))
-		typedLog, refLog := NewMemWAL(), NewMemWAL()
+		typedLog, v1Log, refLog := NewMemWAL(), NewMemWAL(), NewMemWAL()
 		wal := NewWAL(typedLog)
 		var frame Frame
 		var kept []Object
@@ -292,6 +295,7 @@ func FuzzObjectsMatchBoxed(f *testing.F) {
 			if err := wal.Append("ev", o, origin); err != nil {
 				t.Fatal(err)
 			}
+			appendV1(t, v1Log, "ev", []Object{o}, []uint64{origin}, 0)
 			rec, _, err := refAppendWALRecord(frame.Begin(), "ev", []refObject{ro}, []uint64{origin}, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -306,6 +310,9 @@ func FuzzObjectsMatchBoxed(f *testing.F) {
 		if err := wal.AppendBatch("ev", kept, origins, 5); err != nil {
 			t.Fatal(err)
 		}
+		if len(kept) > 0 {
+			appendV1(t, v1Log, "ev", kept, origins, 5)
+		}
 		for rest, ro := origins, stored; len(ro) > 0; {
 			rec, n, err := refAppendWALRecord(frame.Begin(), "ev", ro, rest, 5)
 			if err != nil {
@@ -316,9 +323,9 @@ func FuzzObjectsMatchBoxed(f *testing.F) {
 			}
 			rest, ro = rest[n:], ro[n:]
 		}
-		typedBytes, refBytes := readLog(t, typedLog), readLog(t, refLog)
-		if !bytes.Equal(typedBytes, refBytes) {
-			t.Fatalf("WAL bytes differ: typed %d bytes, reference %d", len(typedBytes), len(refBytes))
+		v1Bytes, refBytes := readLog(t, v1Log), readLog(t, refLog)
+		if !bytes.Equal(v1Bytes, refBytes) {
+			t.Fatalf("v1 WAL bytes differ: typed %d bytes, reference %d", len(v1Bytes), len(refBytes))
 		}
 
 		var tsnap, rsnap bytes.Buffer
@@ -346,31 +353,50 @@ func FuzzObjectsMatchBoxed(f *testing.F) {
 			t.Fatalf("a restored container snapshots to other bytes (%v)", err)
 		}
 
-		// The row records replay into a container equal to the reference;
-		// the batch after them replays to the same rows again.
+		// Up to floor 4 each log replays its row records, into a container
+		// equal to the reference that snapshots to the same bytes, and stops
+		// at the batch tagged 5; the v2 log replays to the v1 log's rows and
+		// origins.
 		replayed, _ := newBoxedPair(t)
 		n := 0
-		if _, err := ReplayWALTo(typedLog, 4, func(schema string, o Object, origin uint64) error {
+		r2, err := ReplayWALTo(typedLog, 4, func(schema string, o Object, origin uint64) error {
 			if !sameRow(o, stored[n]) || origin != origins[n] {
 				return fmt.Errorf("replayed row %d is %v origin %d, want %v origin %d", n, o, origin, stored[n], origins[n])
 			}
 			n++
 			return replayed.InsertOrigin(schema, o, origin)
-		}); err != nil || n != len(stored) {
+		})
+		if err != nil || n != len(stored) {
 			t.Fatalf("replayed %d of %d rows: %v", n, len(stored), err)
 		}
 		matchCursors(t, replayed, ref, stored)
-		n = 0
-		var boxed []refObject
-		if _, err := refReplayWALTo(typedLog, math.MaxUint64, func(_ string, o refObject, _ uint64) error {
-			boxed = append(boxed, o)
+		replayedV1, _ := newBoxedPair(t)
+		r1, err := ReplayWALTo(v1Log, 4, replayedV1.InsertOrigin)
+		if err != nil || r1.Rows != r2.Rows || r1.Above != r2.Above || r1.Dropped != r2.Dropped {
+			t.Fatalf("up to floor 4 the v1 log replays %+v (%v), the v2 log %+v", r1, err, r2)
+		}
+		var snap1, snap2 bytes.Buffer
+		if err := replayedV1.Snapshot(&snap1); err != nil {
+			t.Fatal(err)
+		}
+		if err := replayed.Snapshot(&snap2); err != nil || !bytes.Equal(snap1.Bytes(), snap2.Bytes()) {
+			t.Fatalf("the v2 replay snapshots to other bytes than the v1 replay (%v)", err)
+		}
+		type logRow struct {
+			obj    refObject
+			origin uint64
+		}
+		var boxed []logRow
+		if _, err := refReplayWALTo(v1Log, math.MaxUint64, func(_ string, o refObject, origin uint64) error {
+			boxed = append(boxed, logRow{o, origin})
 			return nil
 		}); err != nil || len(boxed) != 2*len(stored) {
 			t.Fatalf("the reference replayed %d of %d rows: %v", len(boxed), 2*len(stored), err)
 		}
-		if _, _, err := ReplayWAL(typedLog, func(_ string, o Object, _ uint64) error {
-			if !sameRow(o, boxed[n]) {
-				return fmt.Errorf("replayed row %d is %v, the reference's %v", n, o, boxed[n])
+		n = 0
+		if _, _, err := ReplayWAL(typedLog, func(_ string, o Object, origin uint64) error {
+			if !sameRow(o, boxed[n].obj) || origin != boxed[n].origin {
+				return fmt.Errorf("replayed row %d is %v origin %d, the v1 log's %v origin %d", n, o, origin, boxed[n].obj, boxed[n].origin)
 			}
 			n++
 			return nil

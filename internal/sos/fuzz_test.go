@@ -133,8 +133,18 @@ func cleanFrames(log []byte) []walFrame {
 		if len(body) >= 4 {
 			word := binary.LittleEndian.Uint32(body)
 			fr.batch = word&(1<<31) != 0
-			sn := uint64(word &^ (1 << 31))
-			if fr.batch && uint64(len(body)) >= 4+sn+12 {
+			v2 := fr.batch && word&(1<<30) != 0
+			sn := uint64(word &^ (1<<31 | 1<<30))
+			switch {
+			case v2 && uint64(len(body)) >= 4+sn+1:
+				// version byte, then the token and the row count as uvarints
+				head := body[4+sn+1:]
+				token, k := binary.Uvarint(head)
+				if k > 0 {
+					rows, _ := binary.Uvarint(head[k:])
+					fr.token, fr.rows = token, int(rows)
+				}
+			case fr.batch && !v2 && uint64(len(body)) >= 4+sn+12:
 				fr.token = binary.LittleEndian.Uint64(body[4+sn:])
 				fr.rows = int(binary.LittleEndian.Uint32(body[4+sn+8:]))
 			}

@@ -670,10 +670,11 @@ func refReplayWALTo(st WALStore, floor uint64, apply func(schema string, obj ref
 	var rows []refObject
 	var origins []uint64
 	_, _, err := ReplayFrames(st, func(body []byte) error {
-		schema, token, n, b, err := decodeWALHead(body)
-		if err != nil {
-			return ErrStopReplay
+		h, err := decodeWALHead(body, new(dict))
+		if err != nil || h.v2 {
+			return ErrStopReplay // the reference reads v1 records only
 		}
+		schema, token, n, b := h.schema, h.token, h.rows, h.rest
 		if r.Above != 0 || token > floor {
 			if r.Above == 0 {
 				r.Above = token

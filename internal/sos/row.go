@@ -281,6 +281,16 @@ func (d *dict) internBytes(b []byte) uint64 {
 	return d.intern(string(b))
 }
 
+// truncate forgets every string from id n on.
+func (d *dict) truncate(n int) {
+	for _, s := range d.strs[n:] {
+		delete(d.ids, s)
+	}
+	clear(d.strs[n:])
+	d.strs = d.strs[:n]
+	d.src = nil // the translation may hold a forgotten id
+}
+
 // from returns the id of string id of the table that starts at src, a
 // row's own. Rows
 // built by one RowBuilder share a table until it fills, so each of its

@@ -22,22 +22,39 @@ import (
 // outside the daemon's volatile state), and a FileWAL is a real
 // append-only file for cmd/dsosd.
 //
-// Record layout (little endian):
+// Record layout (fixed-width words little endian, uvarints unsigned LEB128;
+// a zigzag varint is the uvarint of a word difference d as (d<<1)^(d>>63)):
 //
 //	u32 body length | u32 CRC-32 (IEEE) of body | body
-//	body, row record:   u32 schema-name length, schema name, one row
-//	body, batch record: u32 schema-name length | 1<<31, schema name,
-//	                    u64 token, u32 row count, that many rows
-//	row: u64 origin,
-//	     u16 value count, then per value: u8 type tag + payload
-//	     (int64/uint64/float64 as 8 bytes; string as u32 length + bytes)
+//	body, v2 batch record (the one AppendBatch writes):
+//	  u32 schema-name length | 1<<31 | 1<<30, schema name, u8 version 2,
+//	  uvarint token, uvarint row count, uvarint type count, a u8 type per
+//	  attribute, uvarint dictBase, uvarint delta count, per delta string a
+//	  uvarint length and the bytes, then the rows. A row is its origin,
+//	  then per attribute: a string as its uvarint log-dictionary id, an
+//	  int64 or uint64 — and the origin — as the zigzag varint of its word
+//	  less the row before's, a float64 as the uvarint of its bits XOR the
+//	  row before's (the row before the first is all zero).
+//	body, v1 row record: u32 schema-name length, schema name, one v1 row
+//	body, v1 batch record: u32 schema-name length | 1<<31, schema name,
+//	  u64 token, u32 row count, that many v1 rows
+//	v1 row: u64 origin, u16 value count, then per value a u8 type tag and
+//	  the payload (a number as 8 bytes, a string as u32 length + bytes)
 //
-// AppendBatch writes a one-row batch with token 0 as a row record, so
-// Append's bytes are those of the log before batches existed, and replay
-// reads both kinds. A token is the writer's commit mark: dsosd tags every
-// record of an ingest round with the highest stream sequence in the round,
-// and ReplayWALTo stops at the first batch tagged above the stream's
-// durable ack floor. A row record's token is 0, below every floor.
+// The log dictionary is the strings the log's v2 records have written since
+// it was created or last truncated, each at its position. A record's delta
+// holds only the strings new to the log, and dictBase is the dictionary's
+// size before them. Replay rebuilds the dictionary from the deltas it
+// applies; a record whose dictBase is not the size it has read is corrupt,
+// the torn tail, so a writer that diverged from its log cuts it visibly
+// instead of decoding wrong strings. A writer appending to a replayed log
+// starts from the dictionary the replay read (ResumeWAL). Replay still
+// reads v1 records, whose strings are inline and outside the dictionary.
+//
+// A token is the writer's commit mark: dsosd tags every record of an
+// ingest round with the highest stream sequence in the round, and
+// ReplayWALTo stops at the first batch tagged above the stream's durable
+// ack floor. A v1 row record's token is 0, below every floor.
 //
 // A torn tail — a record cut short or corrupted by a crash mid-write — is
 // detected by the length/CRC pair; replay stops there and reports how many
@@ -58,13 +75,28 @@ const walMaxRecord = 16 << 20
 type WAL struct {
 	mu       sync.Mutex
 	st       WALStore
-	frame    Frame // reused record buffer (guarded by mu)
+	frame    Frame    // reused record buffer (guarded by mu, as is the rest)
+	rows     []byte   // scratch: the rows of the record being built
+	prev     []uint64 // scratch: the row before's origin and words
+	dict     dict     // the log dictionary
 	appended uint64
 }
 
-// NewWAL creates a write-ahead log over the given backing.
+// NewWAL creates a write-ahead log over the given backing, which holds no
+// v2 record: a log that does is appended to through ResumeWAL.
 func NewWAL(st WALStore) *WAL {
 	return &WAL{st: st}
+}
+
+// ResumeWAL creates a write-ahead log that appends to st behind the
+// records r replayed from it, starting from the log dictionary they left.
+// The caller has cut st back to r.Consumed.
+func ResumeWAL(st WALStore, r WALReplay) *WAL {
+	w := &WAL{st: st, dict: dict{strs: slices.Clone(r.dict), ids: make(map[string]uint32, len(r.dict))}}
+	for i, s := range r.dict {
+		w.dict.ids[s] = uint32(i) // a string the log repeats: either id reads it
+	}
+	return w
 }
 
 // Store returns the backing store.
@@ -77,8 +109,8 @@ func (w *WAL) Appended() uint64 {
 	return w.appended
 }
 
-// Append durably logs one insert as a row record, with a single Write so
-// a torn write can only truncate, never interleave.
+// Append durably logs one insert as a one-row batch with token 0, with a
+// single Write so a torn write can only truncate, never interleave.
 func (w *WAL) Append(schema string, obj Object, origin uint64) error {
 	objs, origins := [1]Object{obj}, [1]uint64{origin}
 	return w.AppendBatch(schema, objs[:], origins[:], 0)
@@ -86,23 +118,30 @@ func (w *WAL) Append(schema string, obj Object, origin uint64) error {
 
 // AppendBatch durably logs objs as one batch record tagged token, with
 // one Write. origins is nil (every origin 0) or holds one per object. A
-// batch that would outgrow the record bound is split into records that
-// all carry token, which a floor-bounded replay cuts as one.
+// batch that would outgrow the record bound, or whose rows change types,
+// is split into records that all carry token, which a floor-bounded replay
+// cuts as one; each record carries the strings it is the first to use.
 func (w *WAL) AppendBatch(schema string, objs []Object, origins []uint64, token uint64) error {
 	if origins != nil && len(origins) != len(objs) {
 		return fmt.Errorf("sos: wal batch of %d objects with %d origins", len(objs), len(origins))
 	}
-	if len(schema) >= walBatch {
+	if len(schema) >= walV2 {
 		return fmt.Errorf("sos: wal schema name of %d bytes", len(schema))
+	}
+	for _, obj := range objs {
+		for i, t := range obj.types() {
+			if t < TypeInt64 || t > TypeString {
+				return fmt.Errorf("sos: wal cannot encode value of type %s", obj.typeName(i))
+			}
+		}
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for len(objs) > 0 {
-		rec, n, err := appendWALRecord(w.frame.Begin(), schema, objs, origins, token)
-		if err != nil {
-			return err
-		}
+		base := len(w.dict.strs)
+		rec, n := w.appendRecord(w.frame.Begin(), schema, objs, origins, token)
 		if err := w.frame.Commit(w.st, rec); err != nil {
+			w.dict.truncate(base) // the log holds none of the record's strings
 			return fmt.Errorf("sos: wal append: %w", err)
 		}
 		w.appended += uint64(n)
@@ -219,7 +258,7 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 	return body, nil
 }
 
-// Value type tags in WAL records; each equals its attribute Type.
+// Value type tags in v1 WAL records; each equals its attribute Type.
 const (
 	walInt64 = iota
 	walUint64
@@ -227,79 +266,97 @@ const (
 	walString
 )
 
-// walBatch flags a batch record in the schema-length word.
-const walBatch = 1 << 31
+// walBatch flags a batch record in the schema-length word, and walV2 (with
+// walBatch) a v2 one, whose version byte follows the schema name.
+const (
+	walBatch   = 1 << 31
+	walV2      = 1 << 30
+	walVersion = 2
+)
 
-// walMinRow and walMinValue are the fewest bytes a row and a value can
+// walMinRow and walMinValue are the fewest bytes a v1 row and value can
 // encode to: decoders check declared counts against them before sizing
-// anything from a count.
+// anything from a count. A v2 value, and a v2 row's origin, is at least a
+// byte.
 const (
 	walMinRow   = 8 + 2
 	walMinValue = 1 + 4
 )
 
-// appendWALRecord appends the body of one record holding a prefix of objs
-// to rec (a Frame.Begin buffer) and reports how many objects it holds: all
-// of them unless the body would pass the record bound, and always at least
-// one.
-func appendWALRecord(rec []byte, schema string, objs []Object, origins []uint64, token uint64) ([]byte, int, error) {
-	originAt := func(i int) uint64 {
-		if origins == nil {
-			return 0
-		}
-		return origins[i]
-	}
-	if len(objs) == 1 && token == 0 {
-		rec = appendU32(rec, uint32(len(schema)))
-		rec = append(rec, schema...)
-		rec, err := appendWALRow(rec, objs[0], originAt(0))
-		return rec, 1, err
-	}
-	rec = appendU32(rec, uint32(len(schema))|walBatch)
-	rec = append(rec, schema...)
-	rec = binary.LittleEndian.AppendUint64(rec, token)
-	at := len(rec)
-	rec = appendU32(rec, 0) // the row count, filled in below
+// appendRecord appends the body of one v2 record holding a prefix of objs
+// to rec (a Frame.Begin buffer) and reports how many objects it holds: the
+// longest run of rows of one type list whose body stays within the record
+// bound, and always at least one. The strings the rows are the first to
+// use join the log dictionary.
+func (w *WAL) appendRecord(rec []byte, schema string, objs []Object, origins []uint64, token uint64) ([]byte, int) {
+	typ, types := objs[0].typ, objs[0].types()
+	base := len(w.dict.strs)
+	// The body less the rows and the delta's strings, at its longest.
+	size := 4 + len(schema) + 1 + 6*binary.MaxVarintLen64 + len(types)
+	w.rows, w.prev = w.rows[:0], append(w.prev[:0], make([]uint64, 1+len(types))...)
 	n := 0
-	for n < len(objs) {
-		end := len(rec)
-		var err error
-		if rec, err = appendWALRow(rec, objs[n], originAt(n)); err != nil {
-			return nil, 0, err
-		}
-		if n > 0 && len(rec)-frameHeader > walMaxRecord {
-			rec = rec[:end]
+	for ; n < len(objs); n++ {
+		if objs[n].typ != typ && !slices.Equal(objs[n].types(), types) {
 			break
 		}
-		n++
+		end, added := len(w.rows), len(w.dict.strs)
+		var origin uint64
+		if origins != nil {
+			origin = origins[n]
+		}
+		w.rows = w.appendRow(w.rows, objs[n], origin)
+		for _, s := range w.dict.strs[added:] {
+			size += binary.MaxVarintLen32 + len(s)
+		}
+		if n > 0 && size+len(w.rows) > walMaxRecord {
+			w.rows = w.rows[:end]
+			w.dict.truncate(added)
+			break
+		}
 	}
-	binary.LittleEndian.PutUint32(rec[at:], uint32(n))
-	return rec, n, nil
+	rec = appendU32(rec, uint32(len(schema))|walBatch|walV2)
+	rec = append(rec, schema...)
+	rec = append(rec, walVersion)
+	rec = binary.AppendUvarint(rec, token)
+	rec = binary.AppendUvarint(rec, uint64(n))
+	rec = binary.AppendUvarint(rec, uint64(len(types)))
+	for _, t := range types {
+		rec = append(rec, byte(t))
+	}
+	rec = binary.AppendUvarint(rec, uint64(base))
+	rec = binary.AppendUvarint(rec, uint64(len(w.dict.strs)-base))
+	for _, s := range w.dict.strs[base:] {
+		rec = binary.AppendUvarint(rec, uint64(len(s)))
+		rec = append(rec, s...)
+	}
+	return append(rec, w.rows...), n
 }
 
-// appendWALRow appends one row to b, from its words.
-func appendWALRow(b []byte, obj Object, origin uint64) ([]byte, error) {
-	if obj.Len() > math.MaxUint16 {
-		return nil, fmt.Errorf("sos: wal record with %d values", obj.Len())
-	}
-	b = binary.LittleEndian.AppendUint64(b, origin)
-	b = binary.LittleEndian.AppendUint16(b, uint16(obj.Len()))
-	w := obj.words()
+// appendRow appends the row of obj and origin to b, each word against the
+// row before's (w.prev: the origin, then the attributes), which it becomes.
+func (w *WAL) appendRow(b []byte, obj Object, origin uint64) []byte {
+	b, w.prev[0] = binary.AppendUvarint(b, zigzag(origin-w.prev[0])), origin
+	prev, words := w.prev[1:], obj.words()
 	for i, t := range obj.types() {
-		if t < walInt64 || t > walString {
-			return nil, fmt.Errorf("sos: wal cannot encode value of type %s", obj.typeName(i))
+		v := words[i]
+		switch t {
+		case TypeString:
+			b = binary.AppendUvarint(b, w.dict.from(obj.strs, v))
+			continue
+		case TypeFloat64:
+			b = binary.AppendUvarint(b, v^prev[i])
+		default:
+			b = binary.AppendUvarint(b, zigzag(v-prev[i]))
 		}
-		b = append(b, byte(t))
-		if t == TypeString {
-			v := obj.str(w[i])
-			b = appendU32(b, uint32(len(v)))
-			b = append(b, v...)
-		} else {
-			b = binary.LittleEndian.AppendUint64(b, w[i])
-		}
+		prev[i] = v
 	}
-	return b, nil
+	return b
 }
+
+// zigzag maps a difference of words, read as an int64, to a uint64 that
+// is small when the difference is near zero either way; unzigzag inverts it.
+func zigzag(d uint64) uint64   { return d<<1 ^ uint64(int64(d)>>63) }
+func unzigzag(u uint64) uint64 { return u>>1 ^ -(u & 1) }
 
 func appendU32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)
@@ -321,6 +378,8 @@ type WALReplay struct {
 	Consumed int64  // bytes of the records applied: where appends resume
 	Above    uint64 // the token of the first batch past the floor (0: none)
 	Dropped  int    // rows in the clean records from that batch on, not applied
+
+	dict []string // the log dictionary the applied records left (ResumeWAL)
 }
 
 // ReplayWALTo replays like ReplayWAL, but only up to floor: it stops at
@@ -335,31 +394,37 @@ func ReplayWALTo(st WALStore, floor uint64, apply func(schema string, obj Object
 	var origins []uint64
 	var tab walTable
 	_, _, err := ReplayFrames(st, func(body []byte) error {
-		schema, token, n, b, err := decodeWALHead(body)
+		h, err := decodeWALHead(body, &tab.dict)
 		if err != nil {
 			return ErrStopReplay
 		}
-		if r.Above != 0 || token > floor {
+		if r.Above != 0 || h.token > floor {
 			if r.Above == 0 {
-				r.Above = token
+				r.Above = h.token
 			}
-			r.Dropped += n
+			r.Dropped += h.rows
 			return nil
 		}
+		b, base := h.rest, len(tab.log)
+		decode := tab.decodeRow
+		if h.v2 {
+			b, err = tab.beginV2(b, h.rows)
+			decode = tab.decodeRowV2
+		}
 		rows, origins = rows[:0], origins[:0]
-		for i := 0; i < n; i++ {
+		for i := 0; i < h.rows && err == nil; i++ {
 			var obj Object
 			var origin uint64
-			if obj, origin, b, err = tab.decodeRow(b); err != nil {
-				return ErrStopReplay
+			if obj, origin, b, err = decode(b); err == nil {
+				rows, origins = append(rows, obj), append(origins, origin)
 			}
-			rows, origins = append(rows, obj), append(origins, origin)
 		}
-		if len(b) != 0 {
-			return ErrStopReplay // trailing bytes: corrupt structure
+		if err != nil || len(b) != 0 { // a corrupt structure, or trailing bytes
+			tab.log = tab.log[:base] // the dictionary ends before the record
+			return ErrStopReplay
 		}
 		for i, obj := range rows {
-			if err := apply(schema, obj, origins[i]); err != nil {
+			if err := apply(h.schema, obj, origins[i]); err != nil {
 				return err
 			}
 			r.Rows++
@@ -367,6 +432,7 @@ func ReplayWALTo(st WALStore, floor uint64, apply func(schema string, obj Object
 		r.Consumed += int64(frameHeader + len(body))
 		return nil
 	})
+	r.dict = tab.log
 	if err != nil {
 		return r, fmt.Errorf("sos: wal replay: %w", err)
 	}
@@ -376,47 +442,171 @@ func ReplayWALTo(st WALStore, floor uint64, apply func(schema string, obj Object
 // errShortRecord is a record body that ends before its structure does.
 var errShortRecord = errors.New("sos: short wal record")
 
+// walHead is the head of a record body.
+type walHead struct {
+	schema string
+	token  uint64
+	rows   int    // declared, and checked against the bytes left
+	v2     bool   // a v2 batch record
+	rest   []byte // v1: the rows; v2: the type list, the delta and the rows
+}
+
 // decodeWALHead reads a record body's schema word and name and, for a
 // batch, its token and row count — checked against the bytes left before
-// anything is sized from it. rest holds the n rows.
-func decodeWALHead(b []byte) (schema string, token uint64, n int, rest []byte, err error) {
+// anything is sized from it. The schema name is interned in names.
+func decodeWALHead(b []byte, names *dict) (h walHead, err error) {
 	if len(b) < 4 {
-		return "", 0, 0, nil, errShortRecord
+		return h, errShortRecord
 	}
 	word := binary.LittleEndian.Uint32(b)
-	sn := word &^ walBatch
+	sn := word &^ (walBatch | walV2)
 	b = b[4:]
 	if uint32(len(b)) < sn {
-		return "", 0, 0, nil, errShortRecord
+		return h, errShortRecord
 	}
-	schema = string(b[:sn])
-	b = b[sn:]
-	if word&walBatch == 0 {
-		return schema, 0, 1, b, nil
+	h.schema = names.strs[names.internBytes(b[:sn])]
+	h.rest = b[sn:]
+	switch word & (walBatch | walV2) {
+	case 0:
+		h.rows = 1
+	case walBatch:
+		if len(h.rest) < 12 {
+			return h, errShortRecord
+		}
+		h.token, h.rows = binary.LittleEndian.Uint64(h.rest), int(binary.LittleEndian.Uint32(h.rest[8:]))
+		if h.rest = h.rest[12:]; uint64(h.rows)*walMinRow > uint64(len(h.rest)) {
+			return h, fmt.Errorf("sos: wal batch of %d rows in %d bytes", h.rows, len(h.rest))
+		}
+	case walBatch | walV2:
+		if len(h.rest) < 1 || h.rest[0] != walVersion {
+			return h, errors.New("sos: unknown wal record version")
+		}
+		var count uint64
+		if h.token, h.rest, err = uvarint(h.rest[1:]); err == nil {
+			count, h.rest, err = uvarint(h.rest)
+		}
+		if err != nil || count > uint64(len(h.rest)) { // a row is at least a byte
+			return h, errShortRecord
+		}
+		h.rows, h.v2 = int(count), true
+	default:
+		return h, errors.New("sos: unknown wal record kind")
 	}
-	if len(b) < 12 {
-		return "", 0, 0, nil, errShortRecord
-	}
-	token = binary.LittleEndian.Uint64(b)
-	count := binary.LittleEndian.Uint32(b[8:])
-	b = b[12:]
-	if uint64(count)*walMinRow > uint64(len(b)) {
-		return "", 0, 0, nil, fmt.Errorf("sos: wal batch of %d rows in %d bytes", count, len(b))
-	}
-	return schema, token, int(count), b, nil
+	return h, nil
 }
 
-// walTable is a replay's string table: the rows it decodes index it, so a
-// string repeated across the log is allocated once. It only grows, so a
-// row keeps a valid view of it after later rows add strings. typ is the
-// last row's types, which the next row shares when it has the same.
+// uvarint reads a uvarint off the front of b.
+func uvarint(b []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, nil, errShortRecord
+	}
+	return v, b[n:], nil
+}
+
+// walTable is a replay's string tables and row memory. log is the log
+// dictionary, which v2 rows index; dict interns v1 rows' strings, so a
+// string repeated across the log is allocated once. Both only grow, so a
+// row keeps a valid view after later rows add strings. Rows are carved
+// from pointer-free chunks that are never reused. typ is the last row's
+// types, which the next row shares when it has the same.
 type walTable struct {
-	dict dict
-	typ  *rowType
-	cur  []Type // scratch: the types of the row being decoded
+	log    []string
+	dict   dict // and the schema names
+	typ    *rowType
+	cur    []Type   // scratch: the types being decoded
+	prev   []uint64 // the v2 row before's words, and its origin
+	origin uint64
+	chunk  []uint64
 }
 
-// decodeRow reads one row off the front of b.
+// carve returns the words of a row of n attributes.
+func (tab *walTable) carve(n int) []uint64 {
+	if len(tab.chunk) < n {
+		tab.chunk = make([]uint64, max(n, pageWords))
+	}
+	w := tab.chunk[:n:n]
+	tab.chunk = tab.chunk[n:]
+	return w
+}
+
+// share sets typ to the row type of cur, unless typ already is.
+func (tab *walTable) share() {
+	if tab.typ == nil || !slices.Equal(tab.cur, tab.typ.types) {
+		tab.typ = &rowType{slices.Clone(tab.cur)}
+	}
+}
+
+// beginV2 reads a v2 record's type list and dictionary delta off the front
+// of b, ahead of its n rows.
+func (tab *walTable) beginV2(b []byte, n int) ([]byte, error) {
+	nt, b, err := uvarint(b)
+	if err != nil || nt > uint64(len(b)) {
+		return nil, errShortRecord
+	}
+	tab.cur = tab.cur[:0]
+	for _, t := range b[:nt] {
+		if t > walString {
+			return nil, fmt.Errorf("sos: unknown wal value type %d", t)
+		}
+		tab.cur = append(tab.cur, Type(t))
+	}
+	tab.share()
+	base, b, err := uvarint(b[nt:])
+	if err != nil || base != uint64(len(tab.log)) {
+		return nil, errors.New("sos: wal record's dictionary base is not the log's")
+	}
+	nd, b, err := uvarint(b)
+	if err != nil || nd > uint64(len(b)) {
+		return nil, errShortRecord
+	}
+	tab.log = slices.Grow(tab.log, int(nd))
+	for range nd {
+		l, rest, err := uvarint(b)
+		if err != nil || l > uint64(len(rest)) {
+			return nil, errShortRecord
+		}
+		tab.log, b = append(tab.log, string(rest[:l])), rest[l:]
+	}
+	if uint64(n)*(1+nt) > uint64(len(b)) {
+		return nil, errShortRecord
+	}
+	tab.prev, tab.origin = append(tab.prev[:0], make([]uint64, nt)...), 0
+	return b, nil
+}
+
+// decodeRowV2 reads one v2 row off the front of b.
+func (tab *walTable) decodeRowV2(b []byte) (Object, uint64, []byte, error) {
+	d, k := binary.Uvarint(b)
+	if k <= 0 {
+		return Object{}, 0, nil, errShortRecord
+	}
+	b, tab.origin = b[k:], tab.origin+unzigzag(d)
+	w := tab.carve(len(tab.prev))
+	for i, t := range tab.typ.types {
+		u, k := binary.Uvarint(b)
+		if k <= 0 {
+			return Object{}, 0, nil, errShortRecord
+		}
+		b = b[k:]
+		switch t {
+		case TypeString:
+			if u >= uint64(len(tab.log)) {
+				return Object{}, 0, nil, errors.New("sos: wal string id past the log dictionary")
+			}
+			w[i] = u
+			continue
+		case TypeFloat64:
+			u ^= tab.prev[i]
+		default:
+			u = tab.prev[i] + unzigzag(u)
+		}
+		w[i], tab.prev[i] = u, u
+	}
+	return Object{w: first(w), strs: first(tab.log), typ: tab.typ}, tab.origin, b, nil
+}
+
+// decodeRow reads one v1 row off the front of b.
 func (tab *walTable) decodeRow(b []byte) (obj Object, origin uint64, rest []byte, err error) {
 	if len(b) < walMinRow {
 		return Object{}, 0, nil, errShortRecord
@@ -427,7 +617,7 @@ func (tab *walTable) decodeRow(b []byte) (obj Object, origin uint64, rest []byte
 	if nvals*walMinValue > len(b) {
 		return Object{}, 0, nil, errShortRecord
 	}
-	w := make([]uint64, nvals)
+	w := tab.carve(nvals)
 	tab.cur = tab.cur[:0]
 	for i := range w {
 		if len(b) < 1 {
@@ -458,9 +648,7 @@ func (tab *walTable) decodeRow(b []byte) (obj Object, origin uint64, rest []byte
 		}
 		tab.cur = append(tab.cur, tag)
 	}
-	if tab.typ == nil || !slices.Equal(tab.cur, tab.typ.types) {
-		tab.typ = &rowType{slices.Clone(tab.cur)}
-	}
+	tab.share()
 	return Object{w: first(w), strs: first(tab.dict.strs), typ: tab.typ}, origin, b, nil
 }
 

@@ -3,11 +3,15 @@ package sos
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"testing"
 )
 
@@ -148,21 +152,21 @@ func TestFileWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fw2.Close()
-	recs, consumed, err := ReplayWAL(fw2, func(string, Object, uint64) error { return nil })
+	r, err := ReplayWALTo(fw2, math.MaxUint64, func(string, Object, uint64) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs != 7 {
-		t.Fatalf("recovered %d records, want 7", recs)
+	if r.Rows != 7 {
+		t.Fatalf("recovered %d records, want 7", r.Rows)
 	}
-	if err := fw2.Reset(consumed); err != nil {
+	if err := fw2.Reset(r.Consumed); err != nil {
 		t.Fatal(err)
 	}
-	w2 := NewWAL(fw2)
+	w2 := ResumeWAL(fw2, r)
 	if err := w2.Append("darshan", walObj(7), 7); err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err = ReplayWAL(fw2, func(string, Object, uint64) error { return nil })
+	recs, _, err := ReplayWAL(fw2, func(string, Object, uint64) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,33 +231,55 @@ func TestSnapshotOrigins(t *testing.T) {
 	}
 }
 
-// TestWALRowRecordBytes pins the row record: a one-row batch with token 0
-// is written byte for byte as the log wrote inserts before batch records
-// existed, so those logs and the bytes per event stay as they were.
+// TestWALRowRecordBytes pins read compatibility: frozen v1 row and batch
+// records — the bytes the writer wrote before v2, built by hand here —
+// replay to their rows, after which a v2 record replays as well.
 func TestWALRowRecordBytes(t *testing.T) {
-	body := binary.LittleEndian.AppendUint32(nil, 1)
-	body = append(body, 's')
-	body = binary.LittleEndian.AppendUint64(body, 7) // origin
-	body = binary.LittleEndian.AppendUint16(body, 2) // values
-	body = append(body, walInt64)
-	body = binary.LittleEndian.AppendUint64(body, uint64(5))
-	body = append(body, walString)
-	body = binary.LittleEndian.AppendUint32(body, 2)
-	body = append(body, "ab"...)
-	want := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
-	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(body))
-	want = append(want, body...)
-	for _, write := range []func(*WAL) error{
-		func(w *WAL) error { return w.Append("s", NewObject(int64(5), "ab"), 7) },
-		func(w *WAL) error { return w.AppendBatch("s", []Object{NewObject(int64(5), "ab")}, []uint64{7}, 0) },
-	} {
-		mem := NewMemWAL()
-		if err := write(NewWAL(mem)); err != nil {
-			t.Fatal(err)
-		}
-		if got := readLog(t, mem); !bytes.Equal(got, want) {
-			t.Fatalf("row record\n got %x\nwant %x", got, want)
-		}
+	row := func(b []byte, origin uint64, i int64, s string) []byte {
+		b = binary.LittleEndian.AppendUint64(b, origin)
+		b = binary.LittleEndian.AppendUint16(b, 2) // values
+		b = append(b, walInt64)
+		b = binary.LittleEndian.AppendUint64(b, uint64(i))
+		b = append(b, walString)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+		return append(b, s...)
+	}
+	frame := func(log, body []byte) []byte {
+		log = binary.LittleEndian.AppendUint32(log, uint32(len(body)))
+		log = binary.LittleEndian.AppendUint32(log, crc32.ChecksumIEEE(body))
+		return append(log, body...)
+	}
+	rowRec := row(append(binary.LittleEndian.AppendUint32(nil, 1), 's'), 7, 5, "ab")
+	batchRec := append(binary.LittleEndian.AppendUint32(nil, 1|1<<31), 's')
+	batchRec = binary.LittleEndian.AppendUint64(batchRec, 3) // token
+	batchRec = binary.LittleEndian.AppendUint32(batchRec, 2) // rows
+	batchRec = row(row(batchRec, 8, -6, "ab"), 9, 7, "")
+	mem := NewMemWAL()
+	_, _ = mem.Write(frame(frame(nil, rowRec), batchRec))
+	// The writer records the v1 writer produced are these bytes.
+	v1 := NewMemWAL()
+	appendV1(t, v1, "s", []Object{NewObject(int64(5), "ab")}, []uint64{7}, 0)
+	appendV1(t, v1, "s", []Object{NewObject(int64(-6), "ab"), NewObject(int64(7), "")}, []uint64{8, 9}, 3)
+	if !bytes.Equal(readLog(t, v1), readLog(t, mem)) {
+		t.Fatalf("the v1 reference writer\n wrote %x\n  want %x", readLog(t, v1), readLog(t, mem))
+	}
+	r, err := ReplayWALTo(mem, math.MaxUint64, func(string, Object, uint64) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ResumeWAL(mem, r).Append("s", NewObject(int64(10), "ab"), 10); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	if _, _, err := ReplayWAL(mem, func(schema string, obj Object, origin uint64) error {
+		got = append(got, fmt.Sprintf("%s %d %q %d", schema, obj.Int(0), obj.Str(1), origin))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{`s 5 "ab" 7`, `s -6 "ab" 8`, `s 7 "" 9`, `s 10 "ab" 10`}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed %q, want %q", got, want)
 	}
 }
 
@@ -263,8 +289,8 @@ func TestWALRowRecordBytes(t *testing.T) {
 func TestWALBatchSplitsAtRecordBound(t *testing.T) {
 	big := string(bytes.Repeat([]byte{'x'}, 1<<20))
 	var rows []Object
-	for i := 0; i < 20; i++ {
-		rows = append(rows, NewObject(int64(i), big))
+	for i := 0; i < 20; i++ { // each string new to the log: 20 MiB of deltas
+		rows = append(rows, NewObject(int64(i), big+strconv.Itoa(i)))
 	}
 	mem := NewMemWAL()
 	if err := NewWAL(mem).AppendBatch("s", rows, nil, 9); err != nil {
@@ -294,5 +320,223 @@ func TestWALBatchSplitsAtRecordBound(t *testing.T) {
 	}
 	if r, _ := ReplayWALTo(mem, 8, func(string, Object, uint64) error { return nil }); r.Rows != 0 || r.Dropped != 20 {
 		t.Fatalf("below the token: %+v, want every row dropped", r)
+	}
+}
+
+// appendV1 logs objs to st as the writer did before v2: the reference for
+// read compatibility.
+func appendV1(tb testing.TB, st WALStore, schema string, objs []Object, origins []uint64, token uint64) {
+	tb.Helper()
+	var f Frame
+	for len(objs) > 0 {
+		rec, n, err := appendWALRecord(f.Begin(), schema, objs, origins, token)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := f.Commit(st, rec); err != nil {
+			tb.Fatal(err)
+		}
+		objs = objs[n:]
+		if origins != nil {
+			origins = origins[n:]
+		}
+	}
+}
+
+// appendWALRecord appends the body of one record holding a prefix of objs
+// to rec (a Frame.Begin buffer) and reports how many objects it holds: all
+// of them unless the body would pass the record bound, and always at least
+// one.
+func appendWALRecord(rec []byte, schema string, objs []Object, origins []uint64, token uint64) ([]byte, int, error) {
+	originAt := func(i int) uint64 {
+		if origins == nil {
+			return 0
+		}
+		return origins[i]
+	}
+	if len(objs) == 1 && token == 0 {
+		rec = appendU32(rec, uint32(len(schema)))
+		rec = append(rec, schema...)
+		rec, err := appendWALRow(rec, objs[0], originAt(0))
+		return rec, 1, err
+	}
+	rec = appendU32(rec, uint32(len(schema))|walBatch)
+	rec = append(rec, schema...)
+	rec = binary.LittleEndian.AppendUint64(rec, token)
+	at := len(rec)
+	rec = appendU32(rec, 0) // the row count, filled in below
+	n := 0
+	for n < len(objs) {
+		end := len(rec)
+		var err error
+		if rec, err = appendWALRow(rec, objs[n], originAt(n)); err != nil {
+			return nil, 0, err
+		}
+		if n > 0 && len(rec)-frameHeader > walMaxRecord {
+			rec = rec[:end]
+			break
+		}
+		n++
+	}
+	binary.LittleEndian.PutUint32(rec[at:], uint32(n))
+	return rec, n, nil
+}
+
+// appendWALRow appends one row to b, from its words.
+func appendWALRow(b []byte, obj Object, origin uint64) ([]byte, error) {
+	if obj.Len() > math.MaxUint16 {
+		return nil, fmt.Errorf("sos: wal record with %d values", obj.Len())
+	}
+	b = binary.LittleEndian.AppendUint64(b, origin)
+	b = binary.LittleEndian.AppendUint16(b, uint16(obj.Len()))
+	w := obj.words()
+	for i, t := range obj.types() {
+		if t < walInt64 || t > walString {
+			return nil, fmt.Errorf("sos: wal cannot encode value of type %s", obj.typeName(i))
+		}
+		b = append(b, byte(t))
+		if t == TypeString {
+			v := obj.str(w[i])
+			b = appendU32(b, uint32(len(v)))
+			b = append(b, v...)
+		} else {
+			b = binary.LittleEndian.AppendUint64(b, w[i])
+		}
+	}
+	return b, nil
+}
+
+// BenchmarkReplayWAL replays 1M darshan-shaped rows logged in 16-row
+// records, the shape of a dsosd shard log under a durable firehose (64
+// messages a round over 4 shards), from a file. It reports ns/row and
+// allocs/row for the whole replay.
+func BenchmarkReplayWAL(b *testing.B) {
+	const rows, perRecord = 1 << 20, 16
+	fw, err := OpenFileWAL(filepath.Join(b.TempDir(), "shard.wal"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fw.Close()
+	w, batch := NewWAL(fw), darshanRows(perRecord)
+	for i := 0; i < rows; i += perRecord {
+		if err := w.AppendBatch("darshanConnector", batch(i), nil, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fi, err := os.Stat(fw.path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for range b.N {
+		n, _, err := ReplayWAL(fw, func(string, Object, uint64) error { return nil })
+		if err != nil || n != rows {
+			b.Fatalf("replayed %d of %d rows: %v", n, rows, err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*rows), "allocs/row")
+	b.ReportMetric(float64(fi.Size())/rows, "B/row")
+}
+
+// darshanRows returns a builder of n rows at a time shaped like the
+// darshan schema's (seven strings, fifteen integers, two floats), with
+// values that vary the way a run's events do: a few producers, files and
+// ranks, rising offsets and timestamps.
+func darshanRows(n int) func(start int) []Object {
+	types := []Type{TypeString, TypeInt64, TypeString, TypeInt64, TypeString, TypeInt64, TypeInt64, TypeUint64,
+		TypeString, TypeInt64, TypeString, TypeInt64, TypeString, TypeInt64, TypeInt64, TypeInt64,
+		TypeFloat64, TypeInt64, TypeInt64, TypeInt64, TypeInt64, TypeString, TypeInt64, TypeFloat64}
+	attrs := make([]AttrSpec, len(types))
+	for i, t := range types {
+		attrs[i] = AttrSpec{Name: "a" + strconv.Itoa(i), Type: t}
+	}
+	sch, err := NewSchema("darshanConnector", attrs)
+	if err != nil {
+		panic(err)
+	}
+	rb := NewRowBuilder(sch)
+	ops := []string{"open", "write", "read", "close"}
+	out := make([]Object, n)
+	return func(start int) []Object {
+		for k := range out {
+			i := start + k
+			rank := i * 7919 % 64
+			rb.Begin()
+			rb.SetStr(0, "POSIX")
+			rb.SetInt(1, 99066)
+			rb.SetStr(2, "nid000"+strconv.Itoa(40+rank%8))
+			rb.SetStr(4, "/nscratch/out."+strconv.Itoa(rank%16))
+			rb.SetInt(5, int64(rank))
+			rb.SetUint(7, uint64(rank)*0x9e3779b97f4a7c15)
+			rb.SetStr(8, "/bin/app")
+			rb.SetInt(9, -1)
+			rb.SetStr(10, "MOD")
+			rb.SetInt(11, int64(1+i/(1<<18)))
+			rb.SetStr(12, ops[i%4])
+			rb.SetInt(13, int64(1+i/64))
+			rb.SetInt(14, int64(i/64)*4096)
+			rb.SetInt(15, -1)
+			rb.SetFloat(16, float64(i%1000)/1e5)
+			rb.SetInt(17, 4096)
+			for a := 18; a <= 20; a++ {
+				rb.SetInt(a, -1)
+			}
+			rb.SetStr(21, "N/A")
+			rb.SetInt(22, -1)
+			rb.SetFloat(23, 1.7e9+float64(i)/1e4)
+			out[k] = rb.Row()
+		}
+		return out
+	}
+}
+
+// failingStore fails the next write it is told to, writing nothing.
+type failingStore struct {
+	*MemWAL
+	fail bool
+}
+
+func (s *failingStore) Write(p []byte) (int, error) {
+	if s.fail {
+		s.fail = false
+		return 0, errors.New("disk full")
+	}
+	return s.MemWAL.Write(p)
+}
+
+// TestWALWriterStaysInStepWithItsLog: the writer's dictionary holds what
+// its log holds. A failed write takes back the strings of the record it
+// lost, and a batch whose rows change types is split into records that
+// each carry their own type list and delta; both logs replay whole.
+func TestWALWriterStaysInStepWithItsLog(t *testing.T) {
+	st := &failingStore{MemWAL: NewMemWAL()}
+	w := NewWAL(st)
+	if err := w.Append("s", NewObject(int64(1), "a"), 0); err != nil {
+		t.Fatal(err)
+	}
+	st.fail = true
+	if err := w.AppendBatch("s", []Object{NewObject(int64(2), "lost")}, nil, 0); err == nil {
+		t.Fatal("a failed write reported no error")
+	}
+	rows := []Object{NewObject(int64(3), "lost"), NewObject("mixed", int64(4)), NewObject(int64(5), "a")}
+	if err := w.AppendBatch("s", rows, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	if frames := cleanFrames(readLog(t, st.MemWAL)); len(frames) != 4 {
+		t.Fatalf("%d records, want the first row's and one per run of row types", len(frames))
+	}
+	var got []string
+	r, err := ReplayWALTo(st, math.MaxUint64, func(_ string, o Object, _ uint64) error {
+		got = append(got, o.String())
+		return nil
+	})
+	want := []string{"[1 a]", "[3 lost]", "[mixed 4]", "[5 a]"}
+	if err != nil || r.Consumed != int64(st.Len()) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed %q (%+v, %v), want %q", got, r, err, want)
 	}
 }

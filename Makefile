@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-baseline test check chaos-smoke streams-smoke topo-smoke topo-soak-diff scenario-smoke fuzz-smoke fuzz-corpus fuzz-corpus-check race-smoke cover determinism-smoke bench bench-smoke bench-ledger bench-full experiments examples clean
+.PHONY: all build vet lint lint-json lint-baseline test check chaos-smoke streams-smoke topo-smoke topo-soak-diff scenario-smoke fuzz-smoke race-smoke cover determinism-smoke bench bench-smoke bench-ledger bench-full experiments examples clean
 
 all: build vet lint test
 
@@ -114,12 +114,14 @@ scenario-smoke:
 
 # Every parser-hardening fuzz target as package:Target pairs. fuzz-smoke
 # (local and in CI) iterates this list, and each target loads its checked-in
-# seed corpus from <package>/testdata/fuzz/<Target>/ (regenerate with
-# `make fuzz-corpus`). Adding a pair here is the single step to get a new
-# target fuzzed everywhere.
+# seed corpus from <package>/testdata/fuzz/<Target>/; the committed seeds are
+# the corpus, and plain `go test` replays them too. Adding a pair here is the
+# single step to get a new target fuzzed everywhere; TestFuzzTargetsMatch
+# fails while this list and the `func Fuzz*` declarations differ.
 FUZZ_TARGETS ?= \
 	internal/darshanlog:FuzzRead \
 	internal/jsonmsg:FuzzParse \
+	internal/jsonmsg:FuzzEncodeParse \
 	internal/event:FuzzSlabCodec \
 	internal/ldms:FuzzReadFrame \
 	internal/ldms:FuzzReadBatchFrame \
@@ -141,19 +143,6 @@ fuzz-smoke:
 		echo "== fuzz $$target ./$$pkg"; \
 		$(GO) test -run='^$$' -fuzz="^$$target\$$" -fuzztime $(FUZZTIME) ./$$pkg; \
 	done
-
-# Regenerate the checked-in fuzz seed corpora (deterministic; diffable).
-fuzz-corpus:
-	$(GO) run ./cmd/dlc-fuzzcorpus -root .
-
-# The committed corpora are the generator's output, byte for byte: a
-# generator change that rewrites a frozen seed, or writes one that is not
-# committed, fails here (CI runs this in the fuzz-smoke leg).
-FUZZ_CORPUS_PATHS = ':(glob)**/testdata/fuzz/**'
-fuzz-corpus-check: fuzz-corpus
-	git diff --exit-code -- $(FUZZ_CORPUS_PATHS)
-	@untracked=$$(git ls-files --others --exclude-standard -- $(FUZZ_CORPUS_PATHS)); \
-	if [ -n "$$untracked" ]; then echo "$$untracked"; echo "fuzz corpus: seeds not in git"; exit 1; fi
 
 # Race-detector sweep over the concurrent planes (durable streams, TCP
 # transport + uplink, DSOS, observability). -count=1 defeats

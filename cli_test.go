@@ -2,6 +2,7 @@ package darshanldms_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -171,10 +172,23 @@ func TestCLILdmsdRejectsIgnoredUplinkFlags(t *testing.T) {
 		{"the durable uplink's own rounds are named", []string{"-forward", "127.0.0.1:1", "-stream", stream, "-batch", "64"}, "rounds of up to 64 as batch frames"},
 		{"unknown spool policy without -reconnect", []string{"-spool-policy", "bogus"}, `"bogus"`},
 		{"unknown spool policy with -reconnect", []string{"-forward", "127.0.0.1:1", "-reconnect", "-spool-policy", "bogus"}, `"bogus"`},
+		{"spool on the best-effort uplink", []string{"-forward", "127.0.0.1:1", "-spool", "4096"}, "-spool "},
+		{"spool-policy beside -stream", []string{"-forward", "127.0.0.1:1", "-reconnect", "-stream", stream, "-spool-policy", "block"}, "-spool-policy "},
+		{"heartbeat without an uplink", []string{"-heartbeat", "1s"}, "-heartbeat "},
+		{"heartbeat on the best-effort uplink", []string{"-forward", "127.0.0.1:1", "-heartbeat", "1s"}, "-heartbeat "},
+		{"stream-subjects without -stream", []string{"-stream-subjects", "darshan.>"}, "-stream-subjects "},
+		{"stream-max-msgs without -stream", []string{"-stream-max-msgs", "10"}, "-stream-max-msgs "},
+		{"stream-max-bytes without -stream", []string{"-stream-max-bytes", "4096"}, "-stream-max-bytes "},
+		{"stream-max-age without -stream", []string{"-stream-max-age", "1m"}, "-stream-max-age "},
+		{"stream-consumer on the spooled uplink", []string{"-forward", "127.0.0.1:1", "-reconnect", "-stream-consumer", "up"}, "-stream-consumer "},
 	}
 	for _, tc := range rejected {
 		t.Run(tc.name, func(t *testing.T) {
-			out, err := exec.Command(bin, append(base, tc.args...)...).CombinedOutput()
+			// A daemon that accepts the flags would run forever: the
+			// deadline turns that into a failure instead of a hang.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			out, err := exec.CommandContext(ctx, bin, append(base, tc.args...)...).CombinedOutput()
 			if err == nil {
 				t.Fatalf("ldmsd %v exited zero:\n%s", tc.args, out)
 			}
@@ -211,6 +225,39 @@ func TestCLILdmsdRejectsIgnoredUplinkFlags(t *testing.T) {
 		if !strings.Contains(stderr.String(), "listening on") {
 			t.Fatalf("ldmsd %v never listened:\n%s", args, stderr.String())
 		}
+	}
+}
+
+// TestCLIDsosdRejectsIgnoredStreamFlags: the ingest stream's flags are an
+// error without -stream, as ldmsd's are, rather than silently unused.
+func TestCLIDsosdRejectsIgnoredStreamFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke test")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "dsosd")
+	runCmd(t, "build", "-o", bin, "./cmd/dsosd")
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"stream-consumer without -stream", []string{"-stream-consumer", "ingest"}, "-stream-consumer "},
+		{"stream-max-msgs without -stream", []string{"-wal", "wal", "-stream-max-msgs", "10"}, "-stream-max-msgs "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, bin, append([]string{"-listen", "127.0.0.1:0"}, tc.args...)...)
+			cmd.Dir = dir
+			out, err := cmd.CombinedOutput()
+			if err == nil {
+				t.Fatalf("dsosd %v exited zero:\n%s", tc.args, out)
+			}
+			if !strings.Contains(string(out), tc.want) {
+				t.Fatalf("error does not name %q:\n%s", tc.want, out)
+			}
+		})
 	}
 }
 

@@ -100,6 +100,12 @@ func main() {
 	if topoCfg.Enabled() && topoCfg.Role != topo.RoleStoreName {
 		fatal(fmt.Errorf("topo: role %q belongs to ldmsd; dsosd only takes role %q", topoCfg.Role, topo.RoleStoreName))
 	}
+	// The ingest stream's flags get the same treatment.
+	flag.Visit(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "stream-") && *streamPath == "" {
+			fatal(fmt.Errorf("-%s would be ignored: it configures the durable ingest stream, and -stream is not set", f.Name))
+		}
+	})
 
 	// The DSOS cluster this dsosd owns: one or more container shards.
 	cluster := dsos.NewCluster(*daemons, *container)

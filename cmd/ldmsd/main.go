@@ -60,8 +60,8 @@
 // re-homing costs redelivery, never data.
 //
 // Validation is strict: an inconsistent -topo flag set, an unknown
-// -spool-policy, or a -batch* flag the selected uplink would ignore is a
-// startup error, never a silent default.
+// -spool-policy, or a -batch*, -spool*, -heartbeat or -stream-* flag the
+// configuration would ignore is a startup error, never a silent default.
 package main
 
 import (
@@ -140,9 +140,17 @@ func main() {
 		fatal(err)
 	}
 	spooled := *forward != "" && *reconnect && *streamPath == ""
+	uplinked := (*forward != "" || topoCfg.Enabled()) && (*reconnect || *streamPath != "")
 	flag.Visit(func(f *flag.Flag) {
-		if strings.HasPrefix(f.Name, "batch") && !spooled {
+		switch {
+		case strings.HasPrefix(f.Name, "batch") && !spooled:
 			fatal(fmt.Errorf("-%s would be ignored: it shapes the rounds of the spooled uplink (-forward with -reconnect, without -stream); the -stream uplink sends its own rounds of up to 64 as batch frames, and the best-effort uplink one frame per message", f.Name))
+		case strings.HasPrefix(f.Name, "spool") && !spooled:
+			fatal(fmt.Errorf("-%s would be ignored: it bounds the spool of the spooled uplink (-forward with -reconnect, without -stream)", f.Name))
+		case f.Name == "heartbeat" && !uplinked:
+			fatal(fmt.Errorf("-heartbeat would be ignored: it probes the -reconnect or -stream uplink, and no such uplink is configured"))
+		case strings.HasPrefix(f.Name, "stream-") && *streamPath == "":
+			fatal(fmt.Errorf("-%s would be ignored: it configures the durable stream, and -stream is not set", f.Name))
 		}
 	})
 

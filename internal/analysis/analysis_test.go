@@ -35,38 +35,6 @@ func testClient(t *testing.T) *dsos.Client {
 	return dsos.Connect(c)
 }
 
-func TestFrameBasics(t *testing.T) {
-	f := NewFrame("a", "b")
-	f.AppendRow(int64(1), "x")
-	f.AppendRow(int64(2), "y")
-	f.AppendRow(int64(3), "x")
-	if f.Len() != 3 {
-		t.Fatalf("len %d", f.Len())
-	}
-	if got := f.Float64s("a"); got[2] != 3 {
-		t.Fatalf("col a %v", got)
-	}
-	if got := f.Strings("b"); got[1] != "y" {
-		t.Fatalf("col b %v", got)
-	}
-	sub := f.Filter(func(i int) bool { return f.Value(i, "b") == "x" })
-	if sub.Len() != 2 {
-		t.Fatalf("filtered %d", sub.Len())
-	}
-	counts := f.GroupCount("b")
-	if counts["x"] != 2 || counts["y"] != 1 {
-		t.Fatalf("counts %v", counts)
-	}
-	means := f.GroupMean("b", "a")
-	if means["x"] != 2 || means["y"] != 2 {
-		t.Fatalf("means %v", means)
-	}
-	sums := f.GroupSum("b", "a")
-	if sums["x"] != 4 {
-		t.Fatalf("sums %v", sums)
-	}
-}
-
 func TestFrameFromObjects(t *testing.T) {
 	cl := testClient(t)
 	insertEvent(t, cl, 1, 0, "nid00040", "write", 10, 0.5, 1024)
@@ -78,8 +46,9 @@ func TestFrameFromObjects(t *testing.T) {
 	if fr.Len() != 2 {
 		t.Fatalf("rows %d", fr.Len())
 	}
-	if got := fr.GroupSum("op", "seg_len"); got["write"] != 1024 || got["read"] != 2048 {
-		t.Fatalf("group sums %v", got)
+	ops, lens := fr.cols["op"], fr.cols["seg_len"]
+	if len(ops) != 2 || ops[0] != "write" || ops[1] != "read" || lens[0] != int64(1024) || lens[1] != int64(2048) {
+		t.Fatalf("columns op=%v seg_len=%v", ops, lens)
 	}
 }
 

@@ -8,34 +8,6 @@ import (
 	"darshanldms/internal/stats"
 )
 
-// LoadSample is one background-load observation (from the LDMS fsload
-// sampler) used for I/O-vs-system correlation.
-type LoadSample struct {
-	Time float64 // seconds
-	Load float64 // load factor, 1.0 nominal
-}
-
-// CorrelateLoad computes the Pearson correlation between a job's I/O
-// operation durations and the system load at the time of each operation
-// (nearest-sample alignment). A strong positive value identifies the
-// system, not the application, as the source of the variability — the
-// paper's root-cause question.
-func CorrelateLoad(pts []ScatterPoint, load []LoadSample) float64 {
-	if len(pts) == 0 || len(load) < 2 {
-		return 0
-	}
-	var durs, loads []float64
-	li := 0
-	for _, p := range pts {
-		for li+1 < len(load) && load[li+1].Time <= p.Time {
-			li++
-		}
-		durs = append(durs, p.Dur)
-		loads = append(loads, load[li].Load)
-	}
-	return stats.Pearson(durs, loads)
-}
-
 // Anomaly detection — the paper's stated purpose: "identify and better
 // understand any root cause(s) of application I/O performance variation"
 // at run time. Given a set of nominally identical jobs, DetectAnomalies

@@ -85,30 +85,3 @@ func TestDetectAnomaliesNeedsPopulation(t *testing.T) {
 		t.Fatalf("flagged with too small a population: %+v", anoms)
 	}
 }
-
-func TestCorrelateLoad(t *testing.T) {
-	// Durations track the load factor exactly -> r near 1.
-	var pts []ScatterPoint
-	var load []LoadSample
-	for i := 0; i < 60; i++ {
-		l := 1.0
-		if i >= 30 {
-			l = 3.0 // congestion in the second half
-		}
-		load = append(load, LoadSample{Time: float64(i), Load: l})
-		pts = append(pts, ScatterPoint{Time: float64(i) + 0.5, Dur: l * 10, Op: "write"})
-	}
-	if r := CorrelateLoad(pts, load); r < 0.95 {
-		t.Fatalf("correlation %v, want ~1", r)
-	}
-}
-
-func TestCorrelateLoadDegenerate(t *testing.T) {
-	if CorrelateLoad(nil, nil) != 0 {
-		t.Fatal("empty inputs")
-	}
-	pts := []ScatterPoint{{Time: 1, Dur: 1}}
-	if CorrelateLoad(pts, []LoadSample{{Time: 0, Load: 1}}) != 0 {
-		t.Fatal("single load sample")
-	}
-}

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -272,24 +271,6 @@ func TestSW4WritesImages(t *testing.T) {
 	}
 	if env.RT.EventCount() == 0 {
 		t.Fatal("no instrumented events")
-	}
-}
-
-func TestDescriptions(t *testing.T) {
-	e := sim.NewEngine()
-	defer e.Close()
-	m := cluster.New(e, cluster.Voltrino())
-	if !strings.Contains(MPIIOTestDescription(DefaultMPIIOTest(m.Nodes()[:22], true)), "collective") {
-		t.Fatal("mpi-io-test description")
-	}
-	if !strings.Contains(HACCIODescription(DefaultHACCIO(m.Nodes()[:16], 5_000_000)), "particles/rank=5000000") {
-		t.Fatal("hacc description")
-	}
-	if !strings.Contains(HMMERDescription(DefaultHMMER(m.Node(0), simfs.NFS)), "ranks=32") {
-		t.Fatal("hmmer description")
-	}
-	if !strings.Contains(SW4Description(DefaultSW4(m.Nodes()[:4])), "sw4") {
-		t.Fatal("sw4 description")
 	}
 }
 

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"darshanldms/internal/cluster"
 	"darshanldms/internal/darshan"
 	"darshanldms/internal/mpi"
@@ -78,10 +76,4 @@ func RunHACCIO(env Env, cfg HACCIOConfig) {
 			g.Close(r.Proc())
 		}
 	})
-}
-
-// HACCIODescription summarizes a configuration for reports.
-func HACCIODescription(cfg HACCIOConfig) string {
-	return fmt.Sprintf("hacc-io nodes=%d ranks=%d particles/rank=%d mode=%s",
-		len(cfg.Nodes), cfg.Ranks(), cfg.ParticlesPerRank, cfg.Mode)
 }

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"time"
 
 	"darshanldms/internal/cluster"
@@ -55,11 +54,6 @@ func DefaultHMMER(node *cluster.Node, kind simfs.Kind) HMMERConfig {
 		cfg.ReadsPerFamily = 55
 	}
 	return cfg
-}
-
-// EventEstimate returns the approximate Darshan event count of the run.
-func (c HMMERConfig) EventEstimate() int64 {
-	return int64(c.Families) * int64(c.ReadsPerFamily+c.WritesPerFamily+1)
 }
 
 // RunHMMER spawns the hmmbuild job: rank 0 performs all the I/O
@@ -129,10 +123,4 @@ func RunHMMER(env Env, cfg HMMERConfig) {
 		}
 		r.Barrier()
 	})
-}
-
-// HMMERDescription summarizes a configuration for reports.
-func HMMERDescription(cfg HMMERConfig) string {
-	return fmt.Sprintf("hmmbuild ranks=%d families=%d reads/fam=%d writes/fam=%d",
-		cfg.Ranks, cfg.Families, cfg.ReadsPerFamily, cfg.WritesPerFamily)
 }

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"darshanldms/internal/cluster"
 	"darshanldms/internal/darshan"
 	"darshanldms/internal/mpi"
@@ -74,14 +72,4 @@ func RunMPIIOTest(env Env, cfg MPIIOTestConfig) {
 		}
 		f.Close()
 	})
-}
-
-// MPIIOTestDescription summarizes a configuration for reports.
-func MPIIOTestDescription(cfg MPIIOTestConfig) string {
-	mode := "independent"
-	if cfg.Collective {
-		mode = "collective"
-	}
-	return fmt.Sprintf("mpi-io-test nodes=%d ranks=%d block=%d iters=%d %s",
-		len(cfg.Nodes), cfg.Ranks(), cfg.BlockSize, cfg.Iterations, mode)
 }

@@ -48,12 +48,6 @@ func RunMetaStorm(env Env, cfg MetaStormConfig) {
 	})
 }
 
-// MetaStormDescription summarizes a configuration for reports.
-func MetaStormDescription(cfg MetaStormConfig) string {
-	return fmt.Sprintf("metadata-storm nodes=%d ranks=%d files/rank=%d bytes/file=%d",
-		len(cfg.Nodes), cfg.Ranks(), cfg.FilesPerRank, cfg.FileBytes)
-}
-
 // SmallFilesConfig parameterizes the small-file pathology.
 type SmallFilesConfig struct {
 	Nodes        []*cluster.Node
@@ -89,10 +83,4 @@ func RunSmallFiles(env Env, cfg SmallFilesConfig) {
 			f.Close(r.Proc())
 		}
 	})
-}
-
-// SmallFilesDescription summarizes a configuration for reports.
-func SmallFilesDescription(cfg SmallFilesConfig) string {
-	return fmt.Sprintf("small-file nodes=%d ranks=%d files/rank=%d bytes/file=%d",
-		len(cfg.Nodes), cfg.Ranks(), cfg.FilesPerRank, cfg.FileBytes)
 }

@@ -73,9 +73,3 @@ func RunSW4(env Env, cfg SW4Config) {
 		}
 	})
 }
-
-// SW4Description summarizes a configuration for reports.
-func SW4Description(cfg SW4Config) string {
-	return fmt.Sprintf("sw4 nodes=%d ranks=%d steps=%d image-every=%d bytes/rank=%d",
-		len(cfg.Nodes), cfg.Ranks(), cfg.Steps, cfg.ImageEvery, cfg.BytesPerRank)
-}

@@ -96,9 +96,6 @@ func (m *Machine) Node(i int) *Node { return m.nodes[i] }
 // Head returns the head/service node.
 func (m *Machine) Head() *Node { return m.head }
 
-// NumNodes returns the number of compute nodes.
-func (m *Machine) NumNodes() int { return len(m.nodes) }
-
 // Compute occupies one core of the node for d of virtual time. When more
 // processes than cores compute simultaneously the excess queues, modelling
 // oversubscription.

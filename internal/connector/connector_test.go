@@ -80,7 +80,8 @@ func TestConnectorEndToEnd(t *testing.T) {
 	node := ldms.NewDaemon("node", "nid00046")
 	head := ldms.NewDaemon("head", "login")
 	remote := ldms.NewDaemon("remote", "shirley")
-	ldms.Chain(e, DefaultTag, 200*time.Microsecond, node, head, remote)
+	ldms.Relay(e, node, head, DefaultTag, 200*time.Microsecond)
+	ldms.Relay(e, head, remote, DefaultTag, 200*time.Microsecond)
 	cluster := dsos.NewCluster(2, "darshan_data")
 	if err := dsos.SetupDarshan(cluster); err != nil {
 		t.Fatal(err)

@@ -29,16 +29,12 @@ type dxtKey struct {
 type DXTTracer struct {
 	enabled bool
 	traces  map[dxtKey][]DXTSegment
-	total   int
 }
 
 // NewDXTTracer returns an enabled tracer.
 func NewDXTTracer() *DXTTracer {
 	return &DXTTracer{enabled: true, traces: map[dxtKey][]DXTSegment{}}
 }
-
-// SetEnabled toggles tracing at runtime.
-func (t *DXTTracer) SetEnabled(v bool) { t.enabled = v }
 
 // Enabled reports whether the tracer is recording.
 func (t *DXTTracer) Enabled() bool { return t.enabled }
@@ -50,16 +46,12 @@ func (t *DXTTracer) Trace(mod Module, rank int, id uint64, op Op, offset, length
 	}
 	k := dxtKey{mod, rank, id}
 	t.traces[k] = append(t.traces[k], DXTSegment{Op: op, Offset: offset, Length: length, Start: start, End: end})
-	t.total++
 }
 
 // Segments returns the trace for one (module, rank, record).
 func (t *DXTTracer) Segments(mod Module, rank int, id uint64) []DXTSegment {
 	return t.traces[dxtKey{mod, rank, id}]
 }
-
-// TotalSegments returns the number of traced segments.
-func (t *DXTTracer) TotalSegments() int { return t.total }
 
 // DXTTrace is an exported per-record trace for log output.
 type DXTTrace struct {

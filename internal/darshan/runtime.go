@@ -31,6 +31,10 @@ const (
 	ModH5F    Module = "H5F"
 	ModH5D    Module = "H5D"
 	ModLUSTRE Module = "LUSTRE" // striping metadata, counters only (no events)
+	// ModPNETCDF ("some PnetCDF" in the paper's module list) is enabled
+	// by default and named in the connector's module list; no workload
+	// here issues PnetCDF calls.
+	ModPNETCDF Module = "PNETCDF"
 )
 
 // NumSizeBins is the number of access-size histogram bins darshan keeps

@@ -217,7 +217,7 @@ func TestDXTDisableAtRuntime(t *testing.T) {
 		ctx := ctxFor(p)
 		f := OpenPosix(rt, fs, ctx, "/nscratch/d", true)
 		f.Write(p, 0, 4096)
-		rt.DXT().SetEnabled(false)
+		rt.DXT().enabled = false
 		f.Write(p, 4096, 4096)
 		f.Close(p)
 	})

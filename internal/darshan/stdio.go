@@ -51,10 +51,6 @@ func (f *StdioFile) Write(n int64) int64 {
 	return n
 }
 
-// SeekTo repositions the stream (no event: darshan counts seeks separately,
-// and the connector does not forward them).
-func (f *StdioFile) SeekTo(offset int64) { f.offset = offset }
-
 // Flush forces buffered data out (fflush).
 func (f *StdioFile) Flush() {
 	start := f.ctx.Now()

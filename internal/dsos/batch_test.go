@@ -3,6 +3,7 @@ package dsos
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -23,7 +24,7 @@ func (w *countingWAL) Write(p []byte) (int, error) {
 
 func walRows(t *testing.T, st sos.WALStore) (rows []sos.Object, origins []uint64) {
 	t.Helper()
-	if _, _, err := sos.ReplayWAL(st, func(_ string, obj sos.Object, origin uint64) error {
+	if _, err := sos.ReplayWALTo(st, math.MaxUint64, func(_ string, obj sos.Object, origin uint64) error {
 		rows, origins = append(rows, obj), append(origins, origin)
 		return nil
 	}); err != nil {

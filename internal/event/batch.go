@@ -20,9 +20,9 @@ type FlushPolicy struct {
 	// reaches this many bytes.
 	MaxBytes int
 	// MaxAge flushes when the oldest buffered record has waited this
-	// long. The batch itself never reads a clock — callers pass `now`
-	// in (the sim zone passes virtual time or zero), so the policy
-	// stays deterministic under the simulator.
+	// long. The batch itself never reads a clock: the caller that owns
+	// the round keeps the timer (ldms's spool), so the policy stays
+	// deterministic under the simulator.
 	MaxAge time.Duration
 }
 
@@ -39,15 +39,10 @@ func (p FlushPolicy) Enabled() bool {
 type Batch struct {
 	msgs  []streams.Message
 	bytes int
-	first time.Time // arrival of the oldest buffered record
 }
 
-// Add appends m, recording now as the batch's start time if it was
-// empty, and reports whether a count/byte trigger says to flush.
-func (b *Batch) Add(m streams.Message, now time.Time, p FlushPolicy) bool {
-	if len(b.msgs) == 0 {
-		b.first = now
-	}
+// Add appends m and reports whether a count/byte trigger says to flush.
+func (b *Batch) Add(m streams.Message, p FlushPolicy) bool {
 	b.msgs = append(b.msgs, m)
 	b.bytes += sizeOf(m)
 	return b.Full(p)
@@ -63,14 +58,6 @@ func (b *Batch) Full(p FlushPolicy) bool {
 		return true
 	}
 	return p.MaxBytes > 0 && b.bytes >= p.MaxBytes
-}
-
-// Due reports whether the age trigger has fired for a non-empty batch.
-func (b *Batch) Due(now time.Time, p FlushPolicy) bool {
-	if len(b.msgs) == 0 || p.MaxAge <= 0 {
-		return false
-	}
-	return now.Sub(b.first) >= p.MaxAge
 }
 
 // Len returns the number of buffered records.
@@ -91,7 +78,6 @@ func (b *Batch) Reset() {
 	}
 	b.msgs = b.msgs[:0]
 	b.bytes = 0
-	b.first = time.Time{}
 }
 
 // sizeOf estimates a message's payload contribution without forcing an

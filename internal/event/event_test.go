@@ -139,9 +139,6 @@ func TestFieldsHelper(t *testing.T) {
 	if !reflect.DeepEqual(parsed, msg) {
 		t.Fatalf("raw parse differs from typed fields:\n got %+v\nwant %+v", parsed, msg)
 	}
-	if !Lazy(typed) || Lazy(raw) {
-		t.Fatalf("Lazy misreports carrier form")
-	}
 }
 
 // TestQuant6RoundTrip pins the property the whole lazy plane rests on:
@@ -218,10 +215,10 @@ func TestBatchFlushPolicies(t *testing.T) {
 	}
 	var b Batch
 	countP := FlushPolicy{MaxRecords: 3}
-	if b.Add(mk(), time.Time{}, countP) || b.Add(mk(), time.Time{}, countP) {
+	if b.Add(mk(), countP) || b.Add(mk(), countP) {
 		t.Fatalf("batch full before MaxRecords")
 	}
-	if !b.Add(mk(), time.Time{}, countP) {
+	if !b.Add(mk(), countP) {
 		t.Fatalf("batch not full at MaxRecords")
 	}
 	b.Reset()
@@ -230,22 +227,14 @@ func TestBatchFlushPolicies(t *testing.T) {
 	}
 
 	byteP := FlushPolicy{MaxRecords: 100, MaxBytes: 25}
-	b.Add(mk(), time.Time{}, byteP)
-	b.Add(mk(), time.Time{}, byteP)
-	if !b.Add(mk(), time.Time{}, byteP) {
+	b.Add(mk(), byteP)
+	b.Add(mk(), byteP)
+	if !b.Add(mk(), byteP) {
 		t.Fatalf("batch not full at MaxBytes (30 >= 25)")
 	}
 	b.Reset()
 
 	ageP := FlushPolicy{MaxRecords: 100, MaxAge: time.Second}
-	t0 := time.Unix(100, 0)
-	b.Add(mk(), t0, ageP)
-	if b.Due(t0.Add(999*time.Millisecond), ageP) {
-		t.Fatalf("batch due before MaxAge")
-	}
-	if !b.Due(t0.Add(time.Second), ageP) {
-		t.Fatalf("batch not due at MaxAge")
-	}
 	if !ageP.Enabled() || (FlushPolicy{}).Enabled() || (FlushPolicy{MaxRecords: 1}).Enabled() {
 		t.Fatalf("FlushPolicy.Enabled wrong")
 	}
@@ -257,7 +246,7 @@ func TestBatchSizeOfUnencodedTyped(t *testing.T) {
 	var calls atomic.Uint64
 	r := NewRecord(sampleMessage(), countingEncoder{&calls})
 	var b Batch
-	b.Add(streams.Message{Record: r}, time.Time{}, FlushPolicy{MaxRecords: 10})
+	b.Add(streams.Message{Record: r}, FlushPolicy{MaxRecords: 10})
 	if b.Bytes() == 0 {
 		t.Fatalf("typed record contributed no size estimate")
 	}
@@ -269,7 +258,7 @@ func TestBatchSizeOfUnencodedTyped(t *testing.T) {
 func TestPoolsBalance(t *testing.T) {
 	var bp BatchPool
 	b1, b2 := bp.Get(), bp.Get()
-	b1.Add(streams.Message{Data: []byte("x")}, time.Time{}, FlushPolicy{MaxRecords: 4})
+	b1.Add(streams.Message{Data: []byte("x")}, FlushPolicy{MaxRecords: 4})
 	bp.Put(b1)
 	bp.Put(b2)
 	if gets, puts := bp.Counters(); gets != 2 || puts != 2 {

@@ -156,10 +156,3 @@ func Fields(m streams.Message) (*jsonmsg.Message, error) {
 	}
 	return jsonmsg.Parse(m.Data)
 }
-
-// Lazy reports whether the streams message carries a typed record (its
-// payload may never have been, and may never be, JSON-encoded).
-func Lazy(m streams.Message) bool {
-	_, ok := m.Record.(*Record)
-	return ok
-}

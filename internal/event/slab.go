@@ -14,8 +14,7 @@ import (
 // streams.Message out-slice — so steady-state decode performs zero
 // per-record heap allocations. Slabs are ref-counted: the decoder hands
 // the batch to its consumers with one reference held; a consumer that
-// must keep a record beyond the hand-off either takes its own reference
-// (Retain/Release, scoped sharing) or detaches an owned copy
+// must keep a record beyond the hand-off detaches an owned copy
 // (Record.DetachCarrier via streams.Detach, indefinite retention — the
 // uplink spool and any other queueing boundary use this). When the
 // last reference drops, the slab resets and returns to its pool; memory
@@ -187,14 +186,6 @@ func (s *Slab) Wrap(msg *jsonmsg.Message, codec jsonmsg.Encoder) *Record {
 	return r
 }
 
-// Retain takes an additional reference. It panics if the slab is not
-// currently retained — retaining released memory is a use-after-free.
-func (s *Slab) Retain() {
-	if s.refs.Add(1) <= 1 {
-		panic("event: Retain of a released slab")
-	}
-}
-
 // Release drops one reference. When the last reference drops the slab
 // resets (clearing every record decoded into it) and returns to its
 // pool. Releasing more times than retained panics.
@@ -214,9 +205,6 @@ func (s *Slab) Release() {
 		s.pool.put(s)
 	}
 }
-
-// Retained reports whether the slab currently holds any references.
-func (s *Slab) Retained() bool { return s.refs.Load() > 0 }
 
 // SlabPool is an instrumented pool of decode slabs, the sibling of
 // BatchPool/BufferPool. Get checks a slab out with one reference held;

@@ -11,6 +11,19 @@ import (
 	"darshanldms/internal/streams"
 )
 
+// Retain takes an additional reference: the scoped sharing these tests
+// exercise (production consumers detach instead). It panics if the slab
+// is not currently retained — retaining released memory is a
+// use-after-free.
+func (s *Slab) Retain() {
+	if s.refs.Add(1) <= 1 {
+		panic("event: Retain of a released slab")
+	}
+}
+
+// Retained reports whether the slab currently holds any references.
+func (s *Slab) Retained() bool { return s.refs.Load() > 0 }
+
 // TestSlabPoolLifecycle pins the ref-count contract: Get holds one
 // reference, Retain adds one, the final Release resets the slab and
 // returns it to the pool, and the pool's Get/return counters balance.

@@ -106,7 +106,7 @@ func TestStallBufferOverflowSheds(t *testing.T) {
 	src := ldms.NewDaemon("node", "nid00042")
 	dst := ldms.NewDaemon("agg", "head")
 	l := NewLink(e, src, dst, tag, 0)
-	l.SetStallQueue(3)
+	l.maxQueue = 3
 
 	l.Stall() // stalled before the run starts
 	publishEvery(e, src, 10, time.Millisecond)
@@ -174,7 +174,7 @@ func TestDaemonCrashCutsAllLinks(t *testing.T) {
 	remote := ldms.NewDaemon("agg", "remote")
 	count := &ldms.CountStore{}
 	remote.AttachStore(tag, count)
-	links := Chain(e, tag, 100*time.Microsecond, node, head, remote)
+	links := []*Link{NewLink(e, node, head, tag, 100*time.Microsecond), NewLink(e, head, remote, tag, 100*time.Microsecond)}
 
 	c := NewController(e)
 	crash, restart := CrashDaemon(links...)
@@ -225,7 +225,7 @@ func runScenario(t *testing.T, seed uint64) ([]string, uint64, uint64) {
 	remote := ldms.NewDaemon("agg", "remote")
 	count := &ldms.CountStore{}
 	remote.AttachStore(tag, count)
-	links := Chain(e, tag, 150*time.Microsecond, node, head, remote)
+	links := []*Link{NewLink(e, node, head, tag, 150*time.Microsecond), NewLink(e, head, remote, tag, 150*time.Microsecond)}
 
 	c := NewController(e)
 	c.RegisterLink("uplink", links[0])
@@ -296,7 +296,7 @@ func TestFlakyStoreInjection(t *testing.T) {
 		t.Fatalf("inactive store failed: %v", err)
 	}
 	fs.SetActive(true)
-	if err := fs.Store(m); !ErrInjected(err) {
+	if err := fs.Store(m); err != errInjected {
 		t.Fatalf("expected injected failure, got %v", err)
 	}
 	fs.SetActive(false)

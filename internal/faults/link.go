@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"time"
 
 	"darshanldms/internal/ldms"
@@ -60,14 +61,6 @@ func NewLink(e *sim.Engine, from, to *ldms.Daemon, tag string, latency time.Dura
 	l := &Link{e: e, to: to, tag: tag, latency: latency, maxQueue: DefaultStallQueue}
 	l.sub = from.Bus().Subscribe(tag, l.handle)
 	return l
-}
-
-// SetStallQueue overrides the stall buffer bound (n <= 0 keeps the
-// default).
-func (l *Link) SetStallQueue(n int) {
-	if n > 0 {
-		l.maxQueue = n
-	}
 }
 
 func (l *Link) handle(m streams.Message) {
@@ -188,19 +181,6 @@ func (l *Link) Stats() LinkStats {
 	return st
 }
 
-// Chain wires a fault-aware multi-hop path (like ldms.Chain) and returns
-// the links so each hop can be registered with a Controller.
-func Chain(e *sim.Engine, tag string, latency time.Duration, daemons ...*ldms.Daemon) []*Link {
-	if len(daemons) < 2 {
-		panic("faults: chain needs at least two daemons")
-	}
-	links := make([]*Link, 0, len(daemons)-1)
-	for i := 0; i+1 < len(daemons); i++ {
-		links = append(links, NewLink(e, daemons[i], daemons[i+1], tag, latency))
-	}
-	return links
-}
-
 // CrashDaemon returns crash/restart hooks that cut and restore every given
 // link — the topology-level effect of the daemon at their junction dying.
 // Register the pair with Controller.RegisterCrash.
@@ -253,12 +233,5 @@ func (f *FlakyStore) Store(m streams.Message) error {
 	return f.inner.Store(m)
 }
 
-type injectedError struct{}
-
-func (injectedError) Error() string { return "faults: injected store failure" }
-
-// ErrInjected is the sentinel returned by injected store failures.
-var errInjected = injectedError{}
-
-// ErrInjected reports whether err came from fault injection.
-func ErrInjected(err error) bool { return err == errInjected }
+// errInjected is the error injected store failures return.
+var errInjected = errors.New("faults: injected store failure")

@@ -234,7 +234,6 @@ func runChaosSoak(cfg ChaosSoakConfig, name string, mkProfile func(links, crashe
 		ctl.RegisterLink(ln, l)
 		allLinks = append(allLinks, l)
 		linkNames = append(linkNames, ln)
-		head.AddProducer(d)
 	}
 	crash, restart := faults.CrashDaemon(allLinks...)
 	ctl.RegisterCrash("agg-head", crash, restart)

@@ -100,7 +100,6 @@ func runUnderFaults(cfg faultRunConfig, profile faults.Profile) (*FaultRunResult
 		l := faults.NewLink(e, d, head.Daemon, connector.DefaultTag, 150*time.Microsecond)
 		ctl.RegisterLink("node-"+n.Name, l)
 		allLinks = append(allLinks, l)
-		head.AddProducer(d)
 	}
 	// Crashing the head aggregator cuts every link that touches it.
 	crash, restart := faults.CrashDaemon(allLinks...)

@@ -19,9 +19,6 @@ type FigureCampaign struct {
 	JobIDs []int64
 	NRanks int
 	Label  string
-	// Load holds each job's sampled file-system load timeline (the LDMS
-	// fsload sampler), for I/O-vs-system correlation.
-	Load map[int64][]analysis.LoadSample
 }
 
 // newStore builds a 4-daemon DSOS cluster with the darshan schema.
@@ -85,7 +82,6 @@ func MPIIOFigureCampaign(seed uint64, jobs int, scale float64) (*FigureCampaign,
 	camp := &FigureCampaign{
 		Client: client,
 		Label:  "MPI-IO-TEST NFS independent",
-		Load:   map[int64][]analysis.LoadSample{},
 	}
 	epoch := simfs.DrawEpoch(root.Derive("epoch"), 0.08)
 	var nranks int
@@ -99,7 +95,7 @@ func MPIIOFigureCampaign(seed uint64, jobs int, scale float64) (*FigureCampaign,
 				CacheMissProb: 0.25,
 			}}
 		}
-		res, err := Run(RunOptions{
+		_, err := Run(RunOptions{
 			Seed:         root.DeriveN("job", j).Uint64(),
 			JobID:        jobID,
 			UID:          99066,
@@ -123,25 +119,9 @@ func MPIIOFigureCampaign(seed uint64, jobs int, scale float64) (*FigureCampaign,
 			return nil, err
 		}
 		camp.JobIDs = append(camp.JobIDs, jobID)
-		camp.Load[jobID] = res.LoadSeries
 	}
 	camp.NRanks = nranks
 	return camp, nil
-}
-
-// CorrelateLoadIO returns, per job, the Pearson correlation between op
-// durations and the sampled file-system load — strong values point the
-// finger at the system rather than the application.
-func CorrelateLoadIO(camp *FigureCampaign) (map[int64]float64, error) {
-	out := map[int64]float64{}
-	for _, job := range camp.JobIDs {
-		pts, err := analysis.TimelineScatter(camp.Client, job)
-		if err != nil {
-			return nil, err
-		}
-		out[job] = analysis.CorrelateLoad(pts, camp.Load[job])
-	}
-	return out, nil
 }
 
 // Figure5 regenerates the Fig 5 dataset: per HACC configuration, the mean

@@ -318,40 +318,6 @@ func TestRenderersProduceOutput(t *testing.T) {
 	}
 }
 
-func TestCorrelateLoadIOIdentifiesSystemCause(t *testing.T) {
-	camp, err := MPIIOFigureCampaign(19, 3, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corr, err := CorrelateLoadIO(camp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Queueing follows load everywhere, so every job correlates positively;
-	// the congested job must too.
-	for job, r := range corr {
-		if r < 0 {
-			t.Errorf("job %d load-I/O correlation %.2f, want >= 0", job, r)
-		}
-	}
-	if corr[2] < 0.05 {
-		t.Errorf("job 2 load-I/O correlation %.2f, want positive", corr[2])
-	}
-	// The root-cause signal: job 2's sampled load level is visibly higher
-	// than the clean jobs' — the system, not the application, changed.
-	meanLoad := func(job int64) float64 {
-		var s float64
-		for _, ls := range camp.Load[job] {
-			s += ls.Load
-		}
-		return s / float64(len(camp.Load[job]))
-	}
-	if meanLoad(2) < 1.15*meanLoad(1) || meanLoad(2) < 1.15*meanLoad(3) {
-		t.Errorf("job 2 mean load %.2f should clearly exceed jobs 1 (%.2f) and 3 (%.2f)",
-			meanLoad(2), meanLoad(1), meanLoad(3))
-	}
-}
-
 func TestSamplingSweepMonotone(t *testing.T) {
 	points, err := SamplingSweep(37, 1, 0.005, []int{1, 10, 100})
 	if err != nil {

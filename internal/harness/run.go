@@ -10,7 +10,6 @@ package harness
 import (
 	"time"
 
-	"darshanldms/internal/analysis"
 	"darshanldms/internal/apps"
 	"darshanldms/internal/cluster"
 	"darshanldms/internal/connector"
@@ -49,9 +48,10 @@ type RunOptions struct {
 	App func(env apps.Env)
 	// RunLimit bounds the virtual runtime (0 = none), a failsafe.
 	RunLimit time.Duration
-	// SampleFSLoad, when positive, runs an LDMS fsload sampler at this
-	// interval so the run's system-behaviour timeline can be correlated
-	// with the I/O stream afterwards.
+	// SampleFSLoad, when positive, runs an LDMS fsload sampler on the
+	// head aggregator at this interval. Nothing reads its samples; the
+	// MPI-IO-TEST figure campaign keeps it on because the sampler's
+	// process is part of that campaign's seeded event schedule.
 	SampleFSLoad time.Duration
 	// Telemetry, when non-nil, attaches every pipeline stage of this
 	// run to the given obs registry (virtual-clock trace hops included).
@@ -62,14 +62,13 @@ type RunOptions struct {
 
 // RunResult reports one job execution.
 type RunResult struct {
-	JobID      int64
-	Runtime    time.Duration // virtual wall-clock of the job
-	Events     int64         // Darshan-instrumented events
-	Messages   uint64        // messages received at the final store
-	Rate       float64       // messages per virtual second
-	Conn       connector.Stats
-	Summary    *darshan.Summary
-	LoadSeries []analysis.LoadSample // fsload samples (when sampling was on)
+	JobID    int64
+	Runtime  time.Duration // virtual wall-clock of the job
+	Events   int64         // Darshan-instrumented events
+	Messages uint64        // messages received at the final store
+	Rate     float64       // messages per virtual second
+	Conn     connector.Stats
+	Summary  *darshan.Summary
 }
 
 // Run executes one job on a fresh simulated machine.
@@ -112,7 +111,6 @@ func Run(opts RunOptions) (*RunResult, error) {
 		d.AddSampler(ldms.NewMeminfoSampler(64<<20, root.DeriveN("meminfo", n.Index)))
 		nodeDaemons[n.Name] = d
 		ldms.Relay(e, d, head.Daemon, connector.DefaultTag, 150*time.Microsecond)
-		head.AddProducer(d)
 	}
 	if opts.SampleFSLoad > 0 {
 		head.AddSampler(ldms.NewFSLoadSampler(fs))
@@ -190,12 +188,6 @@ func Run(opts RunOptions) (*RunResult, error) {
 	}
 	if conn != nil {
 		res.Conn = conn.Stats()
-	}
-	for _, set := range head.History() {
-		res.LoadSeries = append(res.LoadSeries, analysis.LoadSample{
-			Time: set.Timestamp.Seconds(),
-			Load: set.Metrics["load_factor"],
-		})
 	}
 	res.Summary = rt.Finalize(e.Now(), inferNProcs(rt))
 	return res, nil

@@ -148,7 +148,6 @@ func RunScenarioSpec(spec *scenario.Spec, campaignSeed uint64) (*ScenarioResult,
 		l := faults.NewLink(e, d, head.Daemon, connector.DefaultTag, nodeLat)
 		ctl.RegisterLink("node-"+strconv.Itoa(idx), l)
 		allLinks = append(allLinks, l)
-		head.AddProducer(d)
 	}
 	crash, restart := faults.CrashDaemon(allLinks...)
 	ctl.RegisterCrash("head", crash, restart)

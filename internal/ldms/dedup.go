@@ -210,10 +210,3 @@ func (s *DedupStore) Unstamped() uint64 {
 	defer s.mu.Unlock()
 	return s.unstamped
 }
-
-// Seen reports whether the identity has been stored already.
-func (s *DedupStore) Seen(producer string, seq uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seen[producer].has(seq)
-}

@@ -63,7 +63,7 @@ func TestDedupStoreSuppressesReplays(t *testing.T) {
 	if got := inner.Seqs(); len(got) != 6 {
 		t.Fatalf("inner stored %v, want 6 total", got)
 	}
-	if !d.Seen("nid1", 3) || d.Seen("nid1", 4) {
+	if !d.seen["nid1"].has(3) || d.seen["nid1"].has(4) {
 		t.Fatal("Seen bookkeeping wrong")
 	}
 }

@@ -129,7 +129,7 @@ func TestRateLimitedRelayShedsLoad(t *testing.T) {
 	e.Spawn("publisher", func(p *sim.Proc) {
 		// 10 seconds at 500 msg/s: 5000 published, ~100/s forwardable.
 		for i := 0; i < 5000; i++ {
-			node.Bus().PublishString("t", "m")
+			node.Bus().Publish(streams.Message{Tag: "t", Type: streams.TypeString, Data: []byte("m")})
 			p.Sleep(2 * time.Millisecond)
 		}
 	})
@@ -161,7 +161,7 @@ func TestRateLimitedRelayNoLossUnderCapacity(t *testing.T) {
 	agg.AttachStore("t", count)
 	e.Spawn("publisher", func(p *sim.Proc) {
 		for i := 0; i < 500; i++ { // 50 msg/s: far below the cap
-			node.Bus().PublishString("t", "m")
+			node.Bus().Publish(streams.Message{Tag: "t", Type: streams.TypeString, Data: []byte("m")})
 			p.Sleep(20 * time.Millisecond)
 		}
 	})

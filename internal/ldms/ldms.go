@@ -41,8 +41,6 @@ type Daemon struct {
 	bus      *streams.Bus
 	samplers []Sampler
 	sets     map[string]MetricSet // latest set per schema+instance
-	history  []MetricSet          // bounded history for dashboards
-	maxHist  int
 }
 
 // NewDaemon creates a daemon for the given producer (node) name.
@@ -52,7 +50,6 @@ func NewDaemon(name, producer string) *Daemon {
 		Producer: producer,
 		bus:      streams.NewBus(),
 		sets:     map[string]MetricSet{},
-		maxHist:  4096,
 	}
 }
 
@@ -70,10 +67,6 @@ func (d *Daemon) SampleOnce(now time.Duration) []MetricSet {
 		set := s.Sample(d.Producer, now)
 		key := set.Schema + "/" + set.Instance
 		d.sets[key] = set
-		d.history = append(d.history, set)
-		if len(d.history) > d.maxHist {
-			d.history = d.history[len(d.history)-d.maxHist:]
-		}
 		out = append(out, set)
 	}
 	return out
@@ -103,9 +96,6 @@ func (d *Daemon) Sets() []MetricSet {
 	}
 	return out
 }
-
-// History returns the retained sample history.
-func (d *Daemon) History() []MetricSet { return d.history }
 
 // MeminfoSampler is a synthetic meminfo sampler: the kind of system-state
 // data LDMS collects alongside the Darshan stream so users can correlate
@@ -176,52 +166,17 @@ func (v *VMStatSampler) Sample(producer string, now time.Duration) MetricSet {
 	}
 }
 
-// Aggregator pulls metric sets from producer daemons and receives relayed
-// streams; it may itself be relayed to a higher-level aggregator (the
-// paper's Voltrino head node -> Shirley analysis cluster chain).
+// Aggregator receives relayed streams; it may itself be relayed to a
+// higher-level aggregator (the paper's Voltrino head node -> Shirley
+// analysis cluster chain).
 type Aggregator struct {
 	*Daemon
-	producers []*Daemon
-	pulled    []MetricSet
-	maxPulled int
 }
 
 // NewAggregator creates an aggregator daemon.
 func NewAggregator(name, producer string) *Aggregator {
-	return &Aggregator{Daemon: NewDaemon(name, producer), maxPulled: 65536}
+	return &Aggregator{Daemon: NewDaemon(name, producer)}
 }
-
-// AddProducer registers a lower-level daemon to pull metric sets from.
-func (a *Aggregator) AddProducer(d *Daemon) { a.producers = append(a.producers, d) }
-
-// PullOnce copies the current sets from every producer (LDMS's pull-based
-// metric path; the streams path is push-based, see Relay).
-func (a *Aggregator) PullOnce() int {
-	n := 0
-	for _, p := range a.producers {
-		for _, set := range p.Sets() {
-			a.pulled = append(a.pulled, set)
-			n++
-		}
-	}
-	if len(a.pulled) > a.maxPulled {
-		a.pulled = a.pulled[len(a.pulled)-a.maxPulled:]
-	}
-	return n
-}
-
-// StartPulling pulls at the given interval as a simulation daemon process.
-func (a *Aggregator) StartPulling(e *sim.Engine, interval time.Duration) {
-	e.SpawnDaemon("ldmsd-agg:"+a.Name, func(p *sim.Proc) {
-		for {
-			p.Sleep(interval)
-			a.PullOnce()
-		}
-	})
-}
-
-// Pulled returns the metric sets gathered so far.
-func (a *Aggregator) Pulled() []MetricSet { return a.pulled }
 
 // Relay forwards stream messages with a given tag from one daemon's bus to
 // another's — one hop of the LDMS transport. When e is non-nil the delivery
@@ -284,20 +239,6 @@ func minF(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// Chain wires a multi-hop path: each daemon's tag stream is relayed to the
-// next with the per-hop latency. It returns the subscriptions (close them
-// to tear the chain down).
-func Chain(e *sim.Engine, tag string, latency time.Duration, daemons ...*Daemon) []*streams.Subscription {
-	if len(daemons) < 2 {
-		panic("ldms: chain needs at least two daemons")
-	}
-	subs := make([]*streams.Subscription, 0, len(daemons)-1)
-	for i := 0; i+1 < len(daemons); i++ {
-		subs = append(subs, Relay(e, daemons[i], daemons[i+1], tag, latency))
-	}
-	return subs
 }
 
 // String describes the daemon.

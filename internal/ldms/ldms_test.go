@@ -57,39 +57,27 @@ func TestSimSamplingLoop(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Close()
 	d := NewDaemon("ldmsd0", "nid00040")
-	d.AddSampler(NewMeminfoSampler(64<<20, rng.New(4)))
+	s := &countingSampler{Sampler: NewMeminfoSampler(64<<20, rng.New(4))}
+	d.AddSampler(s)
 	d.StartSampling(e, time.Second)
 	e.Spawn("app", func(p *sim.Proc) { p.Sleep(10 * time.Second) })
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(d.History()); n < 9 || n > 10 {
-		t.Fatalf("samples %d", n)
+	if s.n < 9 || s.n > 10 {
+		t.Fatalf("samples %d", s.n)
 	}
 }
 
-func TestAggregatorPull(t *testing.T) {
-	e := sim.NewEngine()
-	defer e.Close()
-	var nodes []*Daemon
-	for i := 0; i < 3; i++ {
-		d := NewDaemon("ldmsd", "nid0004"+string(rune('0'+i)))
-		d.AddSampler(NewMeminfoSampler(64<<20, rng.New(uint64(i))))
-		d.StartSampling(e, time.Second)
-		nodes = append(nodes, d)
-	}
-	agg := NewAggregator("agg1", "head")
-	for _, d := range nodes {
-		agg.AddProducer(d)
-	}
-	agg.StartPulling(e, 2*time.Second)
-	e.Spawn("app", func(p *sim.Proc) { p.Sleep(10 * time.Second) })
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(agg.Pulled()) == 0 {
-		t.Fatal("aggregator pulled nothing")
-	}
+// countingSampler counts the samples its daemon takes.
+type countingSampler struct {
+	Sampler
+	n int
+}
+
+func (c *countingSampler) Sample(producer string, now time.Duration) MetricSet {
+	c.n++
+	return c.Sampler.Sample(producer, now)
 }
 
 func TestMultiHopRelayDeliversWithLatency(t *testing.T) {
@@ -98,7 +86,8 @@ func TestMultiHopRelayDeliversWithLatency(t *testing.T) {
 	nodeD := NewDaemon("node", "nid00040")
 	headD := NewDaemon("head", "voltrino-login")
 	remoteD := NewDaemon("remote", "shirley")
-	Chain(e, "darshanConnector", 500*time.Microsecond, nodeD, headD, remoteD)
+	Relay(e, nodeD, headD, "darshanConnector", 500*time.Microsecond)
+	Relay(e, headD, remoteD, "darshanConnector", 500*time.Microsecond)
 	var arrival time.Duration
 	count := &CountStore{}
 	remoteD.AttachStore("darshanConnector", count)

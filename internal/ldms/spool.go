@@ -155,7 +155,7 @@ func (s *spool) take() ([]streams.Message, bool) {
 		}
 		m := s.queue[0]
 		s.queue = s.queue[1:]
-		full := b.Add(m, time.Now(), s.policy)
+		full := b.Add(m, s.policy)
 		s.cond.Broadcast() // space freed for Block publishers
 		return !full
 	}

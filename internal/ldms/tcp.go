@@ -105,7 +105,6 @@ type TCPServer struct {
 	closed     bool
 	received   uint64
 	heartbeats uint64
-	lastSeen   time.Time
 	wg         sync.WaitGroup
 	// Obs plane: raw wire bytes and frames by kind (atomic: updated on
 	// every connection's read loop), plus the trace hop set by Instrument.
@@ -144,28 +143,6 @@ func (s *TCPServer) Heartbeats() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.heartbeats
-}
-
-// LastActivity returns the wall-clock time of the last frame (message or
-// heartbeat); the zero time means nothing has arrived yet. Supervisors use
-// it to decide whether a daemon's upstream link has gone quiet.
-func (s *TCPServer) LastActivity() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastSeen
-}
-
-// DropConnections forcibly closes every live connection while keeping the
-// listener up — the "TCP connection kill" fault. Clients without reconnect
-// lose the link silently; an Uplink redials.
-func (s *TCPServer) DropConnections() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.conns)
-	for c := range s.conns {
-		c.Close()
-	}
-	return n
 }
 
 func (s *TCPServer) acceptLoop() {
@@ -232,7 +209,6 @@ func (s *TCPServer) serve(conn net.Conn) {
 		}
 		s.mu.Lock()
 		hop, clock := s.hop, s.clock
-		s.lastSeen = time.Now()
 		s.heartbeats += uint64(len(msgs) - len(batch))
 		s.received += uint64(len(batch))
 		s.mu.Unlock()

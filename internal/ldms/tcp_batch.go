@@ -90,41 +90,6 @@ func NewBatchDecoder() *BatchDecoder {
 	return &BatchDecoder{in: event.NewInterner()}
 }
 
-// batchReader walks a batch payload with sticky-error methods, interning
-// every string it reads.
-type batchReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *batchReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.err = streams.ErrTruncated
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *batchReader) str(in *event.Interner) string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.err = streams.ErrTruncated
-		return ""
-	}
-	s := in.Intern(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
 // DecodeBatchSlab parses a batch payload into slab-owned stream
 // messages: the out-slice, record wrappers, message structs and segment
 // arrays all come from slab; envelope and field strings are interned.
@@ -132,60 +97,32 @@ func (r *batchReader) str(in *event.Interner) string {
 // have no typed lifecycle and downstream (durable streams) retains them.
 // The messages are valid only while slab is retained.
 func (d *BatchDecoder) DecodeBatchSlab(payload []byte, slab *event.Slab) ([]streams.Message, error) {
-	r := batchReader{b: payload}
-	count := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
+	r := streams.NewRecordWalker(payload)
+	count, err := r.Count()
+	if err != nil {
+		return nil, err
 	}
-	if count == 0 {
-		return nil, streams.ErrEmptyBatch
-	}
-	if count > uint64(len(payload)-r.off)/streams.MinBatchRecord+1 {
-		return nil, fmt.Errorf("ldms: batch declares %d records in %d bytes", count, len(payload))
-	}
-	out := slab.Out(int(count))
-	for i := uint64(0); i < count; i++ {
-		if r.off >= len(payload) {
-			return nil, streams.ErrTruncated
+	out := slab.Out(count)
+	for i := 0; i < count; i++ {
+		e, err := r.Next()
+		if err != nil {
+			return nil, err
 		}
-		kind := payload[r.off]
-		r.off++
-		var m streams.Message
-		m.Tag = r.str(d.in)
-		m.Type = streams.MsgType(r.uvarint())
-		m.Producer = r.str(d.in)
-		m.Seq = r.uvarint()
-		if r.err != nil {
-			return nil, r.err
-		}
-		switch kind {
-		case streams.RecTyped:
-			msg, n, err := event.DecodeMessageSlab(payload[r.off:], slab, d.in)
+		m := streams.Message{Tag: d.in.Intern(e.Tag), Type: e.Type, Producer: d.in.Intern(e.Producer), Seq: e.Seq}
+		if e.Kind == streams.RecTyped {
+			msg, n, err := event.DecodeMessageSlab(r.Rest(), slab, d.in)
 			if err != nil {
 				return nil, err
 			}
-			r.off += n
+			r.Skip(n)
 			m.Record = slab.Wrap(msg, nil)
-		case streams.RecOpaque:
-			n := r.uvarint()
-			if r.err != nil {
-				return nil, r.err
-			}
-			if n > uint64(len(payload)-r.off) {
-				return nil, streams.ErrTruncated
-			}
-			m.Data = append([]byte(nil), payload[r.off:r.off+int(n)]...)
-			r.off += int(n)
-			if m.Type == streams.TypeJSON && n > 0 {
-				m.Record = event.FromPayload(m.Data)
-			}
-		default:
-			return nil, fmt.Errorf("ldms: unknown batch record kind %d", kind)
+		} else {
+			m.Data = append([]byte(nil), e.Payload...)
 		}
 		out = append(out, m)
 	}
-	if r.off != len(payload) {
-		return nil, fmt.Errorf("ldms: %d trailing bytes after batch", len(payload)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -39,10 +39,7 @@ func typedMsg(seq uint64) streams.Message {
 }
 
 // readAnyFrameHeap is the independent reference the slab decoder is
-// compared against: the frame header read here, then the production heap
-// decoder a durable stream reads its segments with (streams.DecodeRecords
-// and the typed codec event registers there). Opaque payloads alias the
-// frame.
+// compared against: the frame header read here, then decodeRecordsHeap.
 func readAnyFrameHeap(br *bufio.Reader) ([]streams.Message, error) {
 	first, err := br.Peek(1)
 	if err != nil {
@@ -64,7 +61,89 @@ func readAnyFrameHeap(br *bufio.Reader) ([]streams.Message, error) {
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, err
 	}
-	return streams.DecodeRecords(payload)
+	return decodeRecordsHeap(payload)
+}
+
+// decodeRecordsHeap is this package's copy of the streams heap reference
+// decoder, with its own envelope walk so the production walker is checked
+// against code it does not share: freshly allocated messages, typed
+// bodies in a slab that is never released, opaque payloads aliasing body.
+func decodeRecordsHeap(body []byte) ([]streams.Message, error) {
+	off := 0
+	uvarint := func() (uint64, error) {
+		v, n := binary.Uvarint(body[off:])
+		if n <= 0 {
+			return 0, streams.ErrTruncated
+		}
+		off += n
+		return v, nil
+	}
+	field := func() ([]byte, error) {
+		n, err := uvarint()
+		if err != nil || n > uint64(len(body)-off) {
+			return nil, streams.ErrTruncated
+		}
+		off += int(n)
+		return body[off-int(n) : off], nil
+	}
+	count, err := uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if count == 0 || count > uint64(len(body)-off)/streams.MinBatchRecord+1 {
+		return nil, fmt.Errorf("batch declares %d records in %d bytes", count, len(body))
+	}
+	var slabs event.SlabPool
+	slab := slabs.Get()
+	var out []streams.Message
+	for i := uint64(0); i < count; i++ {
+		if off >= len(body) {
+			return nil, streams.ErrTruncated
+		}
+		kind := body[off]
+		off++
+		var m streams.Message
+		tag, err := field()
+		if err != nil {
+			return nil, err
+		}
+		typ, err := uvarint()
+		if err != nil {
+			return nil, err
+		}
+		producer, err := field()
+		if err != nil {
+			return nil, err
+		}
+		if m.Seq, err = uvarint(); err != nil {
+			return nil, err
+		}
+		m.Tag, m.Type, m.Producer = string(tag), streams.MsgType(typ), string(producer)
+		switch kind {
+		case streams.RecTyped:
+			msg, n, err := event.DecodeMessageSlab(body[off:], slab, nil)
+			if err != nil {
+				return nil, err
+			}
+			off += n
+			m.Record = event.NewRecord(msg, jsonmsg.FastEncoder{})
+		case streams.RecOpaque:
+			p, err := field()
+			if err != nil {
+				return nil, err
+			}
+			if len(p) > 0 {
+				m.Data = p
+			}
+		default:
+			return nil, fmt.Errorf("unknown batch record kind %d", kind)
+		}
+		out = append(out, m)
+	}
+	if off != len(body) {
+		return nil, fmt.Errorf("%d trailing bytes after batch", len(body)-off)
+	}
+	return out, nil
 }
 
 // readAnyFrame reads one frame through the production (slab) decoder. The

@@ -1,6 +1,6 @@
 // Package mpi is a simulated MPI runtime: ranks run as simulation processes
 // placed on cluster nodes, with point-to-point messaging, the collectives
-// the workloads need (Barrier, Bcast, Reduce/Allreduce, Gather), and an
+// the workloads need (Barrier, Allgather), and an
 // MPI-IO file layer offering independent and collective (two-phase) I/O.
 //
 // The MPI-IO layer performs its file accesses through a pluggable POSIX
@@ -138,65 +138,6 @@ func (r *Rank) coll() *collOp {
 		delete(r.w.colls, seq) // last participant: reclaim
 	}
 	return op
-}
-
-// Bcast broadcasts value from root to all ranks; every rank receives root's
-// value as the return.
-func (r *Rank) Bcast(root int, value any) any {
-	op := r.coll()
-	if r.ID == root {
-		op.result = value
-	}
-	op.barrier.Wait(r.p)
-	r.p.Sleep(r.collectiveLatency(64))
-	return op.result
-}
-
-// ReduceOp combines two contributions.
-type ReduceOp func(a, b any) any
-
-// SumInt64 adds int64 contributions.
-func SumInt64(a, b any) any { return a.(int64) + b.(int64) }
-
-// SumFloat64 adds float64 contributions.
-func SumFloat64(a, b any) any { return a.(float64) + b.(float64) }
-
-// MaxFloat64 keeps the larger float64 contribution.
-func MaxFloat64(a, b any) any {
-	if a.(float64) > b.(float64) {
-		return a
-	}
-	return b
-}
-
-// Allreduce combines every rank's contribution with op; all ranks receive
-// the combined result.
-func (r *Rank) Allreduce(value any, op ReduceOp) any {
-	c := r.coll()
-	c.contribs[r.ID] = value
-	c.barrier.Wait(r.p)
-	r.p.Sleep(r.collectiveLatency(64))
-	// Deterministic left fold, computed identically by every rank.
-	acc := c.contribs[0]
-	for i := 1; i < len(c.contribs); i++ {
-		acc = op(acc, c.contribs[i])
-	}
-	return acc
-}
-
-// Gather collects every rank's contribution at root; root receives the full
-// slice (indexed by rank), other ranks receive nil.
-func (r *Rank) Gather(root int, value any) []any {
-	c := r.coll()
-	c.contribs[r.ID] = value
-	c.barrier.Wait(r.p)
-	r.p.Sleep(r.collectiveLatency(256))
-	if r.ID != root {
-		return nil
-	}
-	out := make([]any, len(c.contribs))
-	copy(out, c.contribs)
-	return out
 }
 
 // Allgather collects every rank's contribution at every rank.

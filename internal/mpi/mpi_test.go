@@ -52,71 +52,14 @@ func TestBarrierAlignsRanks(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	e, _, w := testWorld(t, 2, 8)
-	got := make([]int, 8)
-	w.Launch(func(r *Rank) {
-		v := 0
-		if r.ID == 3 {
-			v = 42
-		}
-		got[r.ID] = r.Bcast(3, v).(int)
-	})
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != 42 {
-			t.Fatalf("rank %d got %d", i, v)
-		}
-	}
-}
-
-func TestAllreduceSum(t *testing.T) {
-	e, _, w := testWorld(t, 2, 10)
-	got := make([]int64, 10)
-	w.Launch(func(r *Rank) {
-		got[r.ID] = r.Allreduce(int64(r.ID), SumInt64).(int64)
-	})
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != 45 {
-			t.Fatalf("rank %d sum %d, want 45", i, v)
-		}
-	}
-}
-
-func TestGatherAtRoot(t *testing.T) {
-	e, _, w := testWorld(t, 2, 6)
-	var rootGot []any
-	w.Launch(func(r *Rank) {
-		res := r.Gather(0, r.ID*10)
-		if r.ID == 0 {
-			rootGot = res
-		} else if res != nil {
-			t.Errorf("non-root rank %d received gather data", r.ID)
-		}
-	})
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range rootGot {
-		if v.(int) != i*10 {
-			t.Fatalf("gather[%d] = %v", i, v)
-		}
-	}
-}
-
 func TestMultipleCollectivesInOrder(t *testing.T) {
 	e, _, w := testWorld(t, 2, 4)
 	w.Launch(func(r *Rank) {
 		for i := 0; i < 20; i++ {
-			v := r.Bcast(i%4, i*100+r.ID)
-			want := i*100 + i%4
-			if v.(int) != want {
-				t.Errorf("round %d: got %v want %d", i, v, want)
+			for k, v := range r.Allgather(i*100 + r.ID) {
+				if want := i*100 + k; v.(int) != want {
+					t.Errorf("round %d rank %d: got %v want %d", i, k, v, want)
+				}
 			}
 		}
 	})

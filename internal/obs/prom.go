@@ -19,13 +19,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	return nil
 }
 
-// Render returns the WriteProm output as a string.
-func (r *Registry) Render() string {
-	var b strings.Builder
-	_ = r.WriteProm(&b)
-	return b.String()
-}
-
 // RenderSamples renders an already-taken snapshot in the same text
 // format; harness reports embed per-stage snapshots this way.
 func RenderSamples(samples []Sample) string {

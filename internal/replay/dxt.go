@@ -15,11 +15,10 @@ import (
 //
 //	<module> <rank> <op> <offset> <length> <start_s> <end_s> <file>
 //
-// Blank lines and #-comments are skipped. ParseDXT reads a trace,
-// FormatDXT writes one (round-trip stable), and RunTrace (workload.go)
-// re-executes a trace as a timed simulated workload — Recorder-style
-// trace-driven evaluation (arXiv:2501.04654) through the same
-// instrumentation as the generative apps.
+// Blank lines and #-comments are skipped. ParseDXT reads a trace, and
+// RunTrace (workload.go) re-executes it as a timed simulated workload —
+// Recorder-style trace-driven evaluation (arXiv:2501.04654) through the
+// same instrumentation as the generative apps.
 
 // Trace ops.
 const (
@@ -141,18 +140,6 @@ func ParseDXT(data []byte) (*Trace, error) {
 		return t.Ops[i].Start < t.Ops[j].Start
 	})
 	return t, nil
-}
-
-// FormatDXT renders a trace back to the line format (ParseDXT∘FormatDXT
-// is the identity on normalized traces).
-func FormatDXT(t *Trace) []byte {
-	var b strings.Builder
-	b.WriteString("# module rank op offset length start_s end_s file\n")
-	for _, op := range t.Ops {
-		fmt.Fprintf(&b, "%s %d %s %d %d %.6f %.6f %s\n",
-			op.Module, op.Rank, op.Op, op.Offset, op.Length, op.Start, op.End, op.File)
-	}
-	return []byte(b.String())
 }
 
 // LoadTrace resolves a scenario trace name: "builtin:sample" is the

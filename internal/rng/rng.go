@@ -93,11 +93,6 @@ func (r *Stream) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative random 63-bit integer.
-func (r *Stream) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Stream) Intn(n int) int {
 	if n <= 0 {
@@ -114,23 +109,6 @@ func (r *Stream) Intn(n int) int {
 		}
 	}
 	return int(hi)
-}
-
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *Stream) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int63n with non-positive n")
-	}
-	v := r.Uint64()
-	hi, lo := bits.Mul64(v, uint64(n))
-	if lo < uint64(n) {
-		thresh := (-uint64(n)) % uint64(n)
-		for lo < thresh {
-			v = r.Uint64()
-			hi, lo = bits.Mul64(v, uint64(n))
-		}
-	}
-	return int64(hi)
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -190,39 +168,7 @@ func (r *Stream) Exponential(mean float64) float64 {
 	return mean * r.ExpFloat64()
 }
 
-// Pareto returns a Pareto variate with minimum xm and shape alpha.
-// Heavy-tailed draws model rare slow I/O operations.
-func (r *Stream) Pareto(xm, alpha float64) float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return xm / math.Pow(u, 1/alpha)
-		}
-	}
-}
-
 // Bool returns true with probability p.
 func (r *Stream) Bool(p float64) bool {
 	return r.Float64() < p
-}
-
-// Perm returns a random permutation of [0, n) (Fisher-Yates).
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -2,15 +2,46 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
+// canonical is a spec's canonical encoding: deterministic field order,
+// zero-valued optional fields omitted. Parse(canonical(s)) must yield a
+// spec whose canonical encoding is byte-identical.
+func canonical(t testing.TB, s *Spec) []byte {
+	t.Helper()
+	b, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		t.Fatalf("canonical encode: %v", err)
+	}
+	return append(b, '\n')
+}
+
+// suiteSources returns the raw embedded scenario files.
+func suiteSources(t testing.TB) [][]byte {
+	t.Helper()
+	ents, err := suiteFS.ReadDir("suite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for _, ent := range ents {
+		data, err := suiteFS.ReadFile("suite/" + ent.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, data)
+	}
+	return out
+}
+
 // FuzzScenarioSpec feeds arbitrary bytes through the full Parse→Validate→
-// Canonical path. Properties: no panic on hostile input, and for any spec
+// canonical path. Properties: no panic on hostile input, and for any spec
 // that parses, the canonical encoding is a fixed point that preserves the
 // validation verdict.
 func FuzzScenarioSpec(f *testing.F) {
-	for _, src := range Sources() {
+	for _, src := range suiteSources(f) {
 		f.Add(src)
 	}
 	f.Add([]byte(`{}`))
@@ -27,7 +58,7 @@ func FuzzScenarioSpec(f *testing.F) {
 		}
 		verdict := s.Validate()
 
-		c := s.Canonical()
+		c := canonical(t, s)
 		if len(c) > MaxSpecBytes {
 			// Indented canonical form of a near-limit input can exceed the
 			// size cap; the round-trip property only applies to re-parseable
@@ -47,8 +78,8 @@ func FuzzScenarioSpec(f *testing.F) {
 		case verdict != nil && verdict2 != nil && verdict.Error() != verdict2.Error():
 			t.Fatalf("validation error changed across round-trip:\n was %q\n now %q", verdict, verdict2)
 		}
-		if !bytes.Equal(c, s2.Canonical()) {
-			t.Fatalf("canonical encoding is not a fixed point:\n%s\nvs\n%s", c, s2.Canonical())
+		if !bytes.Equal(c, canonical(t, s2)) {
+			t.Fatalf("canonical encoding is not a fixed point:\n%s\nvs\n%s", c, canonical(t, s2))
 		}
 	})
 }

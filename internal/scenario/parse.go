@@ -63,20 +63,6 @@ func Load(data []byte) (*Spec, error) {
 	return s, nil
 }
 
-// Canonical returns the spec's canonical encoding: deterministic field
-// order, zero-valued optional fields omitted. Parse(Canonical(s)) yields
-// a spec whose Canonical encoding is byte-identical — the fuzz target's
-// round-trip property.
-func (s *Spec) Canonical() []byte {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		// Spec contains only JSON-encodable field types; Marshal cannot
-		// fail on it short of a programming error.
-		panic("scenario: canonical encode: " + err.Error())
-	}
-	return append(b, '\n')
-}
-
 // stripComments removes #- and //-comments outside string literals, so
 // the remainder is plain JSON. Bytes inside strings (and escapes) pass
 // through untouched.

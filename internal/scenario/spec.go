@@ -69,7 +69,7 @@ const (
 )
 
 // Spec is one validated scenario. Field order is the canonical encoding
-// order (see Canonical).
+// order: the JSON the tests re-parse to prove Parse a fixed point.
 type Spec struct {
 	// Name identifies the scenario in reports and artifact diffs.
 	Name string `json:"name"`

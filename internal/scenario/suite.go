@@ -9,7 +9,7 @@ import (
 // The curated suite: five scenarios covering the arrival × mix × fault
 // space the fixed three-app harness cannot reach. They are embedded so
 // dlc-experiments and the scenario-smoke CI leg need no file paths, and
-// they double as fuzz/golden corpus (Sources).
+// they double as fuzz seeds.
 //
 //go:embed suite/*.json
 var suiteFS embed.FS
@@ -36,22 +36,4 @@ func Suite() []*Spec {
 	}
 	sort.Slice(specs, func(i, j int) bool { return specs[i].Name < specs[j].Name })
 	return specs
-}
-
-// Sources returns the raw embedded scenario files keyed by file name, for
-// corpus generation (cmd/dlc-fuzzcorpus) and documentation tooling.
-func Sources() map[string][]byte {
-	ents, err := suiteFS.ReadDir("suite")
-	if err != nil {
-		panic("scenario: embedded suite missing: " + err.Error())
-	}
-	out := map[string][]byte{}
-	for _, ent := range ents {
-		data, err := suiteFS.ReadFile("suite/" + ent.Name())
-		if err != nil {
-			panic("scenario: " + err.Error())
-		}
-		out[ent.Name()] = data
-	}
-	return out
 }

@@ -139,22 +139,17 @@ func (p *Proc) Seconds() float64 { return p.e.now.Seconds() }
 // engine processes its start event. Run returns after all non-daemon
 // processes have finished.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	return e.spawn(name, fn, false, 0)
+	return e.spawn(name, fn, false)
 }
 
 // SpawnDaemon creates a background process (a sampler, an aggregator) that
 // does not keep Run alive: Run returns when all non-daemon processes have
 // finished, regardless of daemons.
 func (e *Engine) SpawnDaemon(name string, fn func(*Proc)) *Proc {
-	return e.spawn(name, fn, true, 0)
+	return e.spawn(name, fn, true)
 }
 
-// SpawnAt creates a process whose body starts after the given delay.
-func (e *Engine) SpawnAt(name string, delay time.Duration, fn func(*Proc)) *Proc {
-	return e.spawn(name, fn, false, delay)
-}
-
-func (e *Engine) spawn(name string, fn func(*Proc), daemon bool, delay time.Duration) *Proc {
+func (e *Engine) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 	p := &Proc{
 		Name:   name,
 		e:      e,
@@ -181,7 +176,7 @@ func (e *Engine) spawn(name string, fn func(*Proc), daemon bool, delay time.Dura
 		}()
 		fn(p)
 	}()
-	e.push(e.now+delay, p, nil)
+	e.push(e.now, p, nil)
 	return p
 }
 
@@ -205,11 +200,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.e.push(p.e.now+d, p, nil)
 	p.yield()
 	p.state = ""
-}
-
-// SleepSeconds suspends the process for s virtual seconds.
-func (p *Proc) SleepSeconds(s float64) {
-	p.Sleep(time.Duration(s * float64(time.Second)))
 }
 
 // Block suspends the process indefinitely; some other party must call Wake.

@@ -186,19 +186,6 @@ func TestSpawnFromProc(t *testing.T) {
 	}
 }
 
-func TestSpawnAtDelay(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
-	var started time.Duration = -1
-	e.SpawnAt("late", 4*time.Second, func(p *Proc) { started = p.Now() })
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if started != 4*time.Second {
-		t.Fatalf("started at %v", started)
-	}
-}
-
 func TestWakeBlockedProc(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
@@ -242,18 +229,6 @@ func TestManyProcsComplete(t *testing.T) {
 	}
 	if done != n {
 		t.Fatalf("%d of %d completed", done, n)
-	}
-}
-
-func TestSleepSeconds(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
-	e.Spawn("p", func(p *Proc) { p.SleepSeconds(1.5) })
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if e.Now() != 1500*time.Millisecond {
-		t.Fatalf("time %v", e.Now())
 	}
 }
 

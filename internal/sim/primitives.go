@@ -29,15 +29,6 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 	return &Resource{Name: name, e: e, capacity: capacity}
 }
 
-// Capacity returns the total capacity.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of waiting processes.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 // Acquire obtains n units, blocking p until they are available.
 // It panics if n exceeds the total capacity (the request could never be
 // satisfied).
@@ -162,11 +153,6 @@ func (m *Mailbox) Send(v any) {
 	m.q = append(m.q, v)
 }
 
-// SendAfter delivers v after d of virtual time (network latency).
-func (m *Mailbox) SendAfter(d time.Duration, v any) {
-	m.e.After(d, func() { m.Send(v) })
-}
-
 // Recv blocks p until a message is available and returns it.
 func (m *Mailbox) Recv(p *Proc) any {
 	if len(m.q) > 0 {
@@ -182,16 +168,6 @@ func (m *Mailbox) Recv(p *Proc) any {
 	v := p.handoff
 	p.handoff = nil
 	return v
-}
-
-// TryRecv returns a queued message without blocking, or (nil, false).
-func (m *Mailbox) TryRecv() (any, bool) {
-	if len(m.q) == 0 {
-		return nil, false
-	}
-	v := m.q[0]
-	m.q = m.q[1:]
-	return v, true
 }
 
 // WaitGroup lets a process wait for a set of other activities to complete,

@@ -5,6 +5,27 @@ import (
 	"time"
 )
 
+// Test-only views of primitive state.
+
+// TryRecv returns a queued message without blocking, or (nil, false).
+func (m *Mailbox) TryRecv() (any, bool) {
+	if len(m.q) == 0 {
+		return nil, false
+	}
+	v := m.q[0]
+	m.q = m.q[1:]
+	return v, true
+}
+
+// Capacity returns the total capacity.
+func (r *Resource) Capacity() int { return r.capacity }
+
+// InUse returns the number of units currently held.
+func (r *Resource) InUse() int { return r.inUse }
+
+// QueueLen returns the number of waiting processes.
+func (r *Resource) QueueLen() int { return len(r.waiters) }
+
 func TestResourceSerializes(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
@@ -187,7 +208,7 @@ func TestMailboxLatency(t *testing.T) {
 		at = p.Now()
 	})
 	e.Spawn("send", func(p *Proc) {
-		m.SendAfter(250*time.Millisecond, "hello")
+		e.After(250*time.Millisecond, func() { m.Send("hello") })
 	})
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)

@@ -44,9 +44,6 @@ func (c *VClock) Advance(d time.Duration) {
 	}
 }
 
-// Pending returns the accumulated, not-yet-slept time.
-func (c *VClock) Pending() time.Duration { return c.pending }
-
 // Flush sleeps off all pending time. Call before any operation that must
 // observe the true global clock (a blocking I/O call, a barrier).
 func (c *VClock) Flush() {

@@ -23,8 +23,8 @@ func TestVClockAccumulatesAndFlushes(t *testing.T) {
 		if p.Now() != 100*time.Millisecond {
 			t.Errorf("global clock %v after flush, want 100ms", p.Now())
 		}
-		if c.Pending() != 0 {
-			t.Errorf("pending %v after flush", c.Pending())
+		if c.pending != 0 {
+			t.Errorf("pending %v after flush", c.pending)
 		}
 	})
 	if err := e.Run(0); err != nil {
@@ -78,8 +78,8 @@ func TestVClockNegativeAdvance(t *testing.T) {
 	e.Spawn("p", func(p *Proc) {
 		c := NewVClock(p, time.Second)
 		c.Advance(-time.Minute)
-		if c.Pending() != 0 {
-			t.Errorf("negative advance changed pending: %v", c.Pending())
+		if c.pending != 0 {
+			t.Errorf("negative advance changed pending: %v", c.pending)
 		}
 	})
 	if err := e.Run(0); err != nil {

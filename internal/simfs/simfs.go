@@ -475,15 +475,6 @@ func (h *Handle) lustreChunk(p *sim.Proc, c stripeChunk, isWrite bool, load floa
 	fs.servers[c.ost].Use(p, 1, d)
 }
 
-// Unlink removes a file (no-op if absent), charging a metadata round trip.
-func (fs *FileSystem) Unlink(p *sim.Proc, path string) time.Duration {
-	start := fs.e.Now()
-	d := time.Duration(float64(fs.cfg.MetaLatency) * fs.loadNow() * fs.jitter())
-	fs.meta.Use(p, 1, d)
-	delete(fs.files, path)
-	return fs.e.Now() - start
-}
-
 // FileSize returns the size of path, or 0 if it does not exist.
 func (fs *FileSystem) FileSize(path string) int64 {
 	if f, ok := fs.files[path]; ok {

@@ -326,22 +326,6 @@ func TestEstimateOpOrdering(t *testing.T) {
 	}
 }
 
-func TestUnlink(t *testing.T) {
-	e, fs := newFS(t, NFS)
-	e.Spawn("app", func(p *sim.Proc) {
-		h := fs.OpenRetry(p, 0, "/nscratch/tmp", true, nil)
-		h.Write(p, 0, 100)
-		h.Close(p)
-		fs.Unlink(p, "/nscratch/tmp")
-	})
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Exists("/nscratch/tmp") {
-		t.Fatal("file survived unlink")
-	}
-}
-
 func TestLoadProfileFactor(t *testing.T) {
 	l := &LoadProfile{Epoch: 1.5, Wiggle: 0, Events: []CongestionEvent{
 		{Start: 10 * time.Second, End: 20 * time.Second, Factor: 2},

@@ -394,7 +394,7 @@ func FuzzObjectsMatchBoxed(f *testing.F) {
 			t.Fatalf("the reference replayed %d of %d rows: %v", len(boxed), 2*len(stored), err)
 		}
 		n = 0
-		if _, _, err := ReplayWAL(typedLog, func(_ string, o Object, origin uint64) error {
+		if _, _, err := replayWAL(typedLog, func(_ string, o Object, origin uint64) error {
 			if !sameRow(o, boxed[n].obj) || origin != boxed[n].origin {
 				return fmt.Errorf("replayed row %d is %v origin %d, the v1 log's %v origin %d", n, o, origin, boxed[n].obj, boxed[n].origin)
 			}

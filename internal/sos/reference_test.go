@@ -659,7 +659,7 @@ func refAppendWALRow(b []byte, obj refObject, origin uint64) ([]byte, error) {
 	return b, nil
 }
 
-// refReplayWALTo replays like ReplayWAL, but only up to floor: it stops at
+// refReplayWALTo replays the whole log like replayWAL, but only up to floor: it stops at
 // the first batch record whose token is above floor, as if the log were
 // torn there. Consumed then ends just before that record, and Dropped
 // counts the rows of every clean record from it on, which the caller

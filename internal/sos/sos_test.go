@@ -278,7 +278,7 @@ func TestSchemaFullGuard(t *testing.T) {
 	if err := NewWAL(log).Append("s", row, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReplayWAL(log, func(schema string, o Object, origin uint64) error {
+	if _, _, err := replayWAL(log, func(schema string, o Object, origin uint64) error {
 		return c.InsertOrigin(schema, o, origin)
 	}); err == nil || !strings.Contains(err.Error(), "full") {
 		t.Fatalf("a replayed row past %d rows: %v, want the schema full", maxRows, err)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"slices"
 	"sync"
@@ -362,16 +361,6 @@ func appendU32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)
 }
 
-// ReplayWAL reads records from the store and calls apply for each row, in
-// append order. It stops silently at a torn or corrupt tail (the expected
-// shape of a crash mid-write) and returns the number of rows applied plus
-// the number of clean bytes consumed, so a file backing can truncate the
-// tail before appending resumes. An apply error aborts the replay.
-func ReplayWAL(st WALStore, apply func(schema string, obj Object, origin uint64) error) (records int, consumed int64, err error) {
-	r, err := ReplayWALTo(st, math.MaxUint64, apply)
-	return r.Rows, r.Consumed, err
-}
-
 // WALReplay is what a floor-bounded replay found.
 type WALReplay struct {
 	Rows     int    // rows applied
@@ -382,9 +371,10 @@ type WALReplay struct {
 	dict []string // the log dictionary the applied records left (ResumeWAL)
 }
 
-// ReplayWALTo replays like ReplayWAL, but only up to floor: it stops at
-// the first batch record whose token is above floor, as if the log were
-// torn there. Consumed then ends just before that record, and Dropped
+// ReplayWALTo reads records from the store and calls apply for each row,
+// in append order, up to floor. It stops silently at a torn or corrupt
+// tail (the expected shape of a crash mid-write), and at the first batch
+// record whose token is above floor, as if the log were torn there. Consumed then ends just before that record, and Dropped
 // counts the rows of every clean record from it on, which the caller
 // discards by truncating the log to Consumed. A record is applied whole
 // or not at all: a structurally corrupt one is the torn tail.
@@ -705,7 +695,7 @@ type FileWAL struct {
 }
 
 // OpenFileWAL opens (creating if needed) the WAL file at path for
-// appending. Call ReplayWAL before writing so the append position sits
+// appending. Call ReplayWALTo before writing so the append position sits
 // after the last clean record (Reset truncates a torn tail).
 func OpenFileWAL(path string) (*FileWAL, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
@@ -726,7 +716,7 @@ func (w *FileWAL) Write(p []byte) (int, error) { return w.f.Write(p) }
 func (w *FileWAL) Open() (io.ReadCloser, error) { return os.Open(w.path) }
 
 // Reset truncates the file to n bytes (discarding a torn tail found by
-// ReplayWAL) and repositions appends there.
+// ReplayWALTo) and repositions appends there.
 func (w *FileWAL) Reset(n int64) error {
 	if err := w.f.Truncate(n); err != nil {
 		return err

@@ -15,6 +15,12 @@ import (
 	"testing"
 )
 
+// replayWAL replays the whole log: ReplayWALTo with no floor.
+func replayWAL(st WALStore, apply func(schema string, obj Object, origin uint64) error) (records int, consumed int64, err error) {
+	r, err := ReplayWALTo(st, math.MaxUint64, apply)
+	return r.Rows, r.Consumed, err
+}
+
 func walObj(i int) Object {
 	return NewObject(int64(i), uint64(i*2), float64(i)/3, "rank-"+string(rune('a'+i%26)))
 }
@@ -33,7 +39,7 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	var got []Object
 	var origins []uint64
-	recs, consumed, err := ReplayWAL(mem, func(schema string, obj Object, origin uint64) error {
+	recs, consumed, err := replayWAL(mem, func(schema string, obj Object, origin uint64) error {
 		if schema != "darshan" {
 			t.Fatalf("schema = %q", schema)
 		}
@@ -77,7 +83,7 @@ func TestWALTornTail(t *testing.T) {
 	}
 	mem.Truncate(clean + 5) // tear the 11th record mid-body
 
-	recs, consumed, err := ReplayWAL(mem, func(string, Object, uint64) error { return nil })
+	recs, consumed, err := replayWAL(mem, func(string, Object, uint64) error { return nil })
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -113,7 +119,7 @@ func TestWALCorruptBody(t *testing.T) {
 	}
 	mem.buf[twoRecs+12] ^= 0xff // flip a byte inside the third record's body
 
-	recs, _, err := ReplayWAL(mem, func(string, Object, uint64) error { return nil })
+	recs, _, err := replayWAL(mem, func(string, Object, uint64) error { return nil })
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -166,7 +172,7 @@ func TestFileWAL(t *testing.T) {
 	if err := w2.Append("darshan", walObj(7), 7); err != nil {
 		t.Fatal(err)
 	}
-	recs, _, err := ReplayWAL(fw2, func(string, Object, uint64) error { return nil })
+	recs, _, err := replayWAL(fw2, func(string, Object, uint64) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +277,7 @@ func TestWALRowRecordBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	if _, _, err := ReplayWAL(mem, func(schema string, obj Object, origin uint64) error {
+	if _, _, err := replayWAL(mem, func(schema string, obj Object, origin uint64) error {
 		got = append(got, fmt.Sprintf("%s %d %q %d", schema, obj.Int(0), obj.Str(1), origin))
 		return nil
 	}); err != nil {
@@ -431,7 +437,7 @@ func BenchmarkReplayWAL(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for range b.N {
-		n, _, err := ReplayWAL(fw, func(string, Object, uint64) error { return nil })
+		n, _, err := replayWAL(fw, func(string, Object, uint64) error { return nil })
 		if err != nil || n != rows {
 			b.Fatalf("replayed %d of %d rows: %v", n, rows, err)
 		}

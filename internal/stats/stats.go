@@ -141,68 +141,6 @@ func Sum(xs []float64) float64 {
 	return s
 }
 
-// Pearson returns the Pearson correlation coefficient of the paired
-// samples xs and ys (which must have equal length). It returns 0 when
-// either series has no variance or fewer than two samples exist.
-func Pearson(xs, ys []float64) float64 {
-	n := len(xs)
-	if n != len(ys) || n < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := 0; i < n; i++ {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Bin is one fixed-width time bin produced by TimeBins.
-type Bin struct {
-	Start float64 // inclusive lower edge
-	End   float64 // exclusive upper edge
-	Count int     // number of samples in the bin
-	Sum   float64 // sum of sample weights in the bin
-}
-
-// TimeBins partitions weighted samples (at times ts with weights ws) into
-// nbins fixed-width bins spanning [t0, t1). Samples outside the range are
-// clamped into the first/last bin. ts and ws must have equal length
-// (ws may be nil, in which case each sample has weight 1).
-func TimeBins(ts, ws []float64, t0, t1 float64, nbins int) []Bin {
-	if nbins <= 0 || t1 <= t0 {
-		return nil
-	}
-	bins := make([]Bin, nbins)
-	width := (t1 - t0) / float64(nbins)
-	for i := range bins {
-		bins[i].Start = t0 + float64(i)*width
-		bins[i].End = bins[i].Start + width
-	}
-	for i, t := range ts {
-		idx := int((t - t0) / width)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= nbins {
-			idx = nbins - 1
-		}
-		bins[idx].Count++
-		if ws != nil {
-			bins[idx].Sum += ws[i]
-		} else {
-			bins[idx].Sum++
-		}
-	}
-	return bins
-}
-
 // Histogram counts xs into nbins equal-width bins over [min, max] of the
 // data. It returns the bin counts and the bin width.
 func Histogram(xs []float64, nbins int) (counts []int, lo, width float64) {

@@ -104,44 +104,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestTimeBins(t *testing.T) {
-	ts := []float64{0.5, 1.5, 1.7, 9.9, -5, 100}
-	ws := []float64{1, 2, 3, 4, 5, 6}
-	bins := TimeBins(ts, ws, 0, 10, 10)
-	if len(bins) != 10 {
-		t.Fatalf("got %d bins", len(bins))
-	}
-	if bins[0].Count != 2 || bins[0].Sum != 6 { // 0.5 and clamped -5
-		t.Fatalf("bin0 = %+v", bins[0])
-	}
-	if bins[1].Count != 2 || bins[1].Sum != 5 {
-		t.Fatalf("bin1 = %+v", bins[1])
-	}
-	if bins[9].Count != 2 || bins[9].Sum != 10 { // 9.9 and clamped 100
-		t.Fatalf("bin9 = %+v", bins[9])
-	}
-}
-
-func TestTimeBinsNilWeights(t *testing.T) {
-	bins := TimeBins([]float64{1, 2, 3}, nil, 0, 4, 4)
-	total := 0.0
-	for _, b := range bins {
-		total += b.Sum
-	}
-	if total != 3 {
-		t.Fatalf("unit weights sum = %v", total)
-	}
-}
-
-func TestTimeBinsDegenerate(t *testing.T) {
-	if TimeBins(nil, nil, 0, 10, 0) != nil {
-		t.Fatal("0 bins should return nil")
-	}
-	if TimeBins(nil, nil, 10, 10, 5) != nil {
-		t.Fatal("empty range should return nil")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	counts, lo, width := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
 	if lo != 0 || !almost(width, 1.8, 1e-9) {
@@ -167,35 +129,6 @@ func TestHistogramConstantData(t *testing.T) {
 	}
 }
 
-// Property: binning conserves total count and weight.
-func TestTimeBinsConservation(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		ts := make([]float64, len(raw))
-		ws := make([]float64, len(raw))
-		for i, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				v = 0
-			}
-			ts[i] = math.Mod(math.Abs(v), 100)
-			ws[i] = 1.5
-		}
-		bins := TimeBins(ts, ws, 0, 100, 7)
-		count := 0
-		var sum float64
-		for _, b := range bins {
-			count += b.Count
-			sum += b.Sum
-		}
-		return count == len(ts) && almost(sum, 1.5*float64(len(ts)), 1e-6)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: mean lies within [min, max].
 func TestMeanBounds(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -215,37 +148,5 @@ func TestMeanBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPearsonPerfect(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	if r := Pearson(xs, ys); !almost(r, 1, 1e-12) {
-		t.Fatalf("perfect positive r = %v", r)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	if r := Pearson(xs, neg); !almost(r, -1, 1e-12) {
-		t.Fatalf("perfect negative r = %v", r)
-	}
-}
-
-func TestPearsonDegenerate(t *testing.T) {
-	if Pearson([]float64{1, 2}, []float64{1}) != 0 {
-		t.Fatal("length mismatch should be 0")
-	}
-	if Pearson([]float64{1}, []float64{1}) != 0 {
-		t.Fatal("single sample should be 0")
-	}
-	if Pearson([]float64{3, 3, 3}, []float64{1, 2, 3}) != 0 {
-		t.Fatal("zero variance should be 0")
-	}
-}
-
-func TestPearsonUncorrelated(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{1, -1, 1, -1}
-	if r := Pearson(xs, ys); math.Abs(r) > 0.5 {
-		t.Fatalf("near-orthogonal r = %v", r)
 	}
 }

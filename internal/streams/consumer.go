@@ -487,14 +487,6 @@ func (c *Consumer) AckFloor() uint64 {
 	return c.floor
 }
 
-// Pending returns how many retained sequences are still ahead of the
-// consumer (inflight included) — the catch-up distance.
-func (c *Consumer) Pending() uint64 {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.s.lastSeq - c.floor
-}
-
 // Stats returns a snapshot of the consumer's counters.
 func (c *Consumer) Stats() ConsumerStats {
 	c.s.mu.Lock()

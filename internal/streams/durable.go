@@ -40,7 +40,7 @@ type RetentionPolicy struct {
 // StreamConfig parameterizes a DurableStream.
 type StreamConfig struct {
 	// Name identifies the stream (required). It is the handle
-	// Bus.AppendStream and the obs series use.
+	// Bus.Stream and the obs series use.
 	Name string
 	// Subjects are the subject filters a bound bus routes into this
 	// stream (wildcards allowed). Empty means every published subject.
@@ -218,25 +218,23 @@ func (s *DurableStream) applyReplay(body []byte) error {
 
 // replayRecords appends one slot per record of a recovered batch body.
 func (s *DurableStream) replayRecords(recs []byte, at time.Duration) error {
-	r := recReader{b: recs}
-	n, err := r.count()
+	r := NewRecordWalker(recs)
+	n, err := r.Count()
 	if err != nil {
 		return err
 	}
 	var prev Message
 	for i := 0; i < n; i++ {
-		start := r.off
+		start := r.Offset()
 		m, size, err := r.record(&prev)
 		if err != nil {
 			return err
 		}
-		s.slots = append(s.slots, slot{rec: recs[start:r.off:r.off], subject: m.Tag, at: at, size: size})
+		end := r.Offset()
+		s.slots = append(s.slots, slot{rec: recs[start:end:end], subject: m.Tag, at: at, size: size})
 		prev = m
 	}
-	if r.off != len(recs) {
-		return fmt.Errorf("streams: %d trailing bytes after batch", len(recs)-r.off)
-	}
-	return nil
+	return r.Done()
 }
 
 // dropHeadLocked removes the oldest retained message from the window
@@ -386,7 +384,7 @@ func (s *DurableStream) messageLocked(sl *slot) (Message, bool) {
 	if sl == nil {
 		return Message{}, false
 	}
-	r := recReader{b: sl.rec}
+	r := NewRecordWalker(sl.rec)
 	prev := Message{Tag: sl.subject, Producer: s.producer}
 	m, _, err := r.record(&prev)
 	if err != nil {
@@ -418,14 +416,6 @@ func (s *DurableStream) statsLocked() StreamStats {
 		st.Dropped += n
 	}
 	return st
-}
-
-// ConsumerNames returns, sorted, the names of every consumer the stream
-// knows — live ones and durable cursors awaiting a claim.
-func (s *DurableStream) ConsumerNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.consumerNamesLocked()
 }
 
 func (s *DurableStream) consumerNamesLocked() []string {

@@ -275,10 +275,10 @@ func TestBusBindStreamRoutesMatching(t *testing.T) {
 		t.Fatal("double bind accepted")
 	}
 	// No handler subscribed: the stream alone counts as a receiver.
-	if n := b.PublishString("darshan.n.posix", "kept"); n != 1 {
+	if n := b.Publish(Message{Tag: "darshan.n.posix", Type: TypeString, Data: []byte("kept")}); n != 1 {
 		t.Fatalf("publish reached %d receivers, want 1 (the stream)", n)
 	}
-	if n := b.PublishString("slurm.job", "dropped"); n != 0 {
+	if n := b.Publish(Message{Tag: "slurm.job", Type: TypeString, Data: []byte("dropped")}); n != 0 {
 		t.Fatalf("non-matching publish reached %d receivers", n)
 	}
 	if st := s.Stats(); st.Appended != 1 {
@@ -294,28 +294,9 @@ func TestBusBindStreamRoutesMatching(t *testing.T) {
 	if !b.UnbindStream("darshan") || b.UnbindStream("darshan") {
 		t.Fatal("unbind bookkeeping")
 	}
-	b.PublishString("darshan.n.posix", "after-unbind")
+	b.Publish(Message{Tag: "darshan.n.posix", Type: TypeString, Data: []byte("after-unbind")})
 	if st := s.Stats(); st.Appended != 1 {
 		t.Fatalf("unbound stream still appended: %+v", st)
-	}
-}
-
-func TestBusAppendStream(t *testing.T) {
-	b := NewBus()
-	s := mustOpenStream(t, StreamConfig{Name: "darshan"}, nil)
-	if err := b.BindStream(s); err != nil {
-		t.Fatal(err)
-	}
-	seq, err := b.AppendStream("darshan", Message{Tag: "t", Data: []byte("direct")})
-	if err != nil || seq != 1 {
-		t.Fatalf("AppendStream: seq %d, err %v", seq, err)
-	}
-	if _, err := b.AppendStream("nope", Message{Tag: "t"}); err == nil {
-		t.Fatal("append to unbound stream accepted")
-	}
-	// Direct appends bypass fan-out accounting.
-	if st := b.Stats("t"); st.Published != 0 {
-		t.Fatalf("AppendStream leaked into bus stats: %+v", st)
 	}
 }
 

@@ -9,6 +9,13 @@ import (
 	"darshanldms/internal/sos"
 )
 
+// render returns the registry's Prometheus text exposition.
+func render(r *obs.Registry) string {
+	var b strings.Builder
+	_ = r.WriteProm(&b)
+	return b.String()
+}
+
 // TestBusCollect: the bus collector exports the per-tag fan-out counters
 // without touching the publish path.
 func TestBusCollect(t *testing.T) {
@@ -25,7 +32,7 @@ func TestBusCollect(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	b.Collect(reg, "node")
-	out := reg.Render()
+	out := render(reg)
 	for _, want := range []string{
 		`dlc_bus_published_total{bus="node",tag="darshanConnector"} 3`,
 		`dlc_bus_delivered_total{bus="node",tag="darshanConnector"} 3`,
@@ -78,10 +85,10 @@ func TestStreamCollect(t *testing.T) {
 	// The lag gauge holds its peak between scrapes: the fetch faced all
 	// four messages, so that is what the first scrape reports, and the
 	// next one is back to the backlog of the moment.
-	if out := reg.Render(); !strings.Contains(out, `dlc_stream_consumer_lag{stream="soak",consumer="uplink"} 4`) {
+	if out := render(reg); !strings.Contains(out, `dlc_stream_consumer_lag{stream="soak",consumer="uplink"} 4`) {
 		t.Errorf("first scrape does not hold the peak lag:\n%s", out)
 	}
-	out := reg.Render()
+	out := render(reg)
 	for _, want := range []string{
 		`dlc_stream_msgs{stream="soak"} 2`,
 		`dlc_stream_appended_total{stream="soak"} 4`,

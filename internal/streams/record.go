@@ -103,14 +103,35 @@ func AppendRecords(b []byte, msgs []Message) []byte {
 	return b
 }
 
-// recReader walks a batch body with sticky-error methods.
-type recReader struct {
+// RecordWalker walks a batch body, as laid out by AppendRecords, one
+// record at a time with a sticky error. It is the one decoder of the
+// record envelope: the durable stream's replay and delivery and the
+// batched TCP receive path (internal/ldms) all read through it. Strings
+// and bodies come back as views into the body; whether to reuse, intern
+// or copy them is the caller's choice, and so is the decoding of a typed
+// body, which starts at Rest and is consumed with Skip.
+type RecordWalker struct {
 	b   []byte
 	off int
 	err error
 }
 
-func (r *recReader) uvarint() uint64 {
+// NewRecordWalker returns a walker at the start of body.
+func NewRecordWalker(body []byte) RecordWalker { return RecordWalker{b: body} }
+
+// Envelope is one record's header, its strings viewing the walked body.
+type Envelope struct {
+	Kind     byte // RecOpaque or RecTyped
+	Tag      []byte
+	Type     MsgType
+	Producer []byte
+	Seq      uint64
+	// Payload is an opaque record's bytes. A typed record leaves it nil:
+	// its body is the front of Rest.
+	Payload []byte
+}
+
+func (r *RecordWalker) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -124,7 +145,7 @@ func (r *recReader) uvarint() uint64 {
 }
 
 // bytes returns a view of the next length-prefixed field.
-func (r *recReader) bytes() []byte {
+func (r *RecordWalker) bytes() []byte {
 	n := r.uvarint()
 	if r.err != nil {
 		return nil
@@ -138,19 +159,8 @@ func (r *recReader) bytes() []byte {
 	return b
 }
 
-// str materializes the next string, reusing last when the bytes equal
-// it: the envelope strings of one stream take a handful of values, and
-// runs of them stop allocating.
-func (r *recReader) str(last string) string {
-	b := r.bytes()
-	if string(b) == last { // compiles to a compare, no alloc
-		return last
-	}
-	return string(b)
-}
-
-// count reads and validates a batch body's record count.
-func (r *recReader) count() (int, error) {
+// Count reads and validates the batch body's record count.
+func (r *RecordWalker) Count() (int, error) {
 	n := r.uvarint()
 	if r.err != nil {
 		return 0, r.err
@@ -164,70 +174,86 @@ func (r *recReader) count() (int, error) {
 	return int(n), nil
 }
 
-// record decodes the next record. prev supplies the strings to reuse
-// (the previous record's, typically). An opaque payload aliases r.b; the
-// size returned is the record's payload contribution — the opaque
-// payload length, or the typed body length.
-func (r *recReader) record(prev *Message) (m Message, size int, err error) {
-	if r.off >= len(r.b) {
-		return m, 0, ErrTruncated
-	}
-	kind := r.b[r.off]
-	r.off++
-	m.Tag = r.str(prev.Tag)
-	m.Type = MsgType(r.uvarint())
-	m.Producer = r.str(prev.Producer)
-	m.Seq = r.uvarint()
+// Next reads the next record's envelope and, for an opaque record, its
+// payload. A typed record's body is left for the caller to decode.
+func (r *RecordWalker) Next() (Envelope, error) {
+	var e Envelope
 	if r.err != nil {
-		return m, 0, r.err
+		return e, r.err
 	}
-	switch kind {
+	if r.off >= len(r.b) {
+		return e, ErrTruncated
+	}
+	e.Kind = r.b[r.off]
+	r.off++
+	e.Tag = r.bytes()
+	e.Type = MsgType(r.uvarint())
+	e.Producer = r.bytes()
+	e.Seq = r.uvarint()
+	switch e.Kind {
 	case RecTyped:
-		if typedCodec == nil {
-			return m, 0, errNoTypedCodec
-		}
-		c, n, err := typedCodec.DecodeTyped(r.b[r.off:])
-		if err != nil {
-			return m, 0, err
-		}
-		r.off += n
-		m.Record = c
-		return m, n, nil
 	case RecOpaque:
-		p := r.bytes()
-		if r.err != nil {
-			return m, 0, r.err
+		e.Payload = r.bytes()
+	default:
+		if r.err == nil {
+			return e, fmt.Errorf("streams: unknown batch record kind %d", e.Kind)
 		}
-		if len(p) > 0 {
-			m.Data = p
-		}
-		return m, len(p), nil
 	}
-	return m, 0, fmt.Errorf("streams: unknown batch record kind %d", kind)
+	return e, r.err
 }
 
-// DecodeRecords parses a batch body (as laid out by AppendRecords) into
-// freshly allocated messages. Typed records come back as the codec's
-// carriers, their JSON produced lazily if ever; opaque payloads alias
-// body, which the caller must not reuse while the messages live.
-func DecodeRecords(body []byte) ([]Message, error) {
-	r := recReader{b: body}
-	n, err := r.count()
+// Rest returns the unread bytes: a typed record's body and what follows.
+func (r *RecordWalker) Rest() []byte { return r.b[r.off:] }
+
+// Skip consumes n bytes of Rest, the length of a decoded typed body.
+func (r *RecordWalker) Skip(n int) { r.off += n }
+
+// Offset returns how many bytes of the body have been consumed.
+func (r *RecordWalker) Offset() int { return r.off }
+
+// Done reports an error unless the whole body has been consumed.
+func (r *RecordWalker) Done() error {
+	if r.off != len(r.b) {
+		return fmt.Errorf("streams: %d trailing bytes after batch", len(r.b)-r.off)
+	}
+	return nil
+}
+
+// reuse materializes b, returning last when the bytes equal it: the
+// envelope strings of one stream take a handful of values, and runs of
+// them stop allocating.
+func reuse(b []byte, last string) string {
+	if string(b) == last { // compiles to a compare, no alloc
+		return last
+	}
+	return string(b)
+}
+
+// record decodes the next record into a message with heap-owned typed
+// fields. prev supplies the strings to reuse (the previous record's,
+// typically). An opaque payload aliases the walked body; the size
+// returned is the record's payload contribution — the opaque payload
+// length, or the typed body length.
+func (r *RecordWalker) record(prev *Message) (m Message, size int, err error) {
+	e, err := r.Next()
 	if err != nil {
-		return nil, err
+		return m, 0, err
 	}
-	out := make([]Message, 0, n)
-	var prev Message
-	for i := 0; i < n; i++ {
-		m, _, err := r.record(&prev)
-		if err != nil {
-			return nil, err
+	m = Message{Tag: reuse(e.Tag, prev.Tag), Type: e.Type, Producer: reuse(e.Producer, prev.Producer), Seq: e.Seq}
+	if e.Kind == RecOpaque {
+		if len(e.Payload) > 0 {
+			m.Data = e.Payload
 		}
-		out = append(out, m)
-		prev = m
+		return m, len(e.Payload), nil
 	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("streams: %d trailing bytes after batch", len(body)-r.off)
+	if typedCodec == nil {
+		return m, 0, errNoTypedCodec
 	}
-	return out, nil
+	c, n, err := typedCodec.DecodeTyped(r.Rest())
+	if err != nil {
+		return m, 0, err
+	}
+	r.Skip(n)
+	m.Record = c
+	return m, n, nil
 }

@@ -49,7 +49,7 @@ type Carrier interface {
 // unchanged — and are zero for messages published without stamping.
 //
 // A message carries its payload one of two ways: Data holds literal bytes
-// (the legacy eager form, still used by PublishJSON/PublishString and raw
+// (the legacy eager form, still used by PublishJSON and raw
 // TCP frames), while Record holds a typed record that encodes lazily at
 // the first text boundary that needs bytes. Consumers that only need the
 // wire bytes call Payload(); consumers that need fields use the typed
@@ -343,11 +343,6 @@ func (b *Bus) PublishJSON(tag string, data []byte) int {
 	return b.Publish(Message{Tag: tag, Type: TypeJSON, Data: data})
 }
 
-// PublishString publishes a string payload on tag.
-func (b *Bus) PublishString(tag, data string) int {
-	return b.Publish(Message{Tag: tag, Type: TypeString, Data: []byte(data)})
-}
-
 // NoteDrops folds n externally observed drops for tag into the bus
 // counters. Transports that buffer messages after Publish succeeded (e.g.
 // the TCP uplink's spool) use this so that a tag's Stats.Dropped stays
@@ -414,30 +409,6 @@ func (b *Bus) Stream(name string) *DurableStream {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.streams[name]
-}
-
-// StreamNames returns, sorted, the names of every bound stream.
-func (b *Bus) StreamNames() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, len(b.streamNames))
-	copy(out, b.streamNames)
-	return out
-}
-
-// AppendStream appends msg directly to the named bound stream, bypassing
-// handler fan-out, and returns the assigned sequence. Unlike Publish this
-// surfaces the persistence outcome to the caller: an error means the
-// message is NOT durable and the caller still owns its fate, so the
-// return must not be discarded (dlc-lint's puberr check enforces this).
-func (b *Bus) AppendStream(name string, msg Message) (uint64, error) {
-	b.mu.Lock()
-	s := b.streams[name]
-	b.mu.Unlock()
-	if s == nil {
-		return 0, fmt.Errorf("streams: no stream %q bound", name)
-	}
-	return s.Append(msg)
 }
 
 // Stats returns a snapshot of the counters for tag.

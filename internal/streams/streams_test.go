@@ -23,9 +23,9 @@ func TestTagIsolation(t *testing.T) {
 	darshan, other := 0, 0
 	b.Subscribe("darshanConnector", func(Message) { darshan++ })
 	b.Subscribe("slurm", func(Message) { other++ })
-	b.PublishString("darshanConnector", "x")
-	b.PublishString("darshanConnector", "y")
-	b.PublishString("slurm", "z")
+	b.Publish(Message{Tag: "darshanConnector", Type: TypeString, Data: []byte("x")})
+	b.Publish(Message{Tag: "darshanConnector", Type: TypeString, Data: []byte("y")})
+	b.Publish(Message{Tag: "slurm", Type: TypeString, Data: []byte("z")})
 	if darshan != 2 || other != 1 {
 		t.Fatalf("darshan=%d other=%d", darshan, other)
 	}
@@ -33,7 +33,7 @@ func TestTagIsolation(t *testing.T) {
 
 func TestBestEffortDropWithoutSubscriber(t *testing.T) {
 	b := NewBus()
-	if n := b.PublishString("nobody", "lost"); n != 0 {
+	if n := b.Publish(Message{Tag: "nobody", Type: TypeString, Data: []byte("lost")}); n != 0 {
 		t.Fatalf("delivered to %d, want 0", n)
 	}
 	st := b.Stats("nobody")
@@ -53,7 +53,7 @@ func TestMultipleSubscribersEachReceive(t *testing.T) {
 	a, c := 0, 0
 	b.Subscribe("t", func(Message) { a++ })
 	b.Subscribe("t", func(Message) { c++ })
-	if n := b.PublishString("t", "m"); n != 2 {
+	if n := b.Publish(Message{Tag: "t", Type: TypeString, Data: []byte("m")}); n != 2 {
 		t.Fatalf("delivered %d", n)
 	}
 	if a != 1 || c != 1 {
@@ -68,9 +68,9 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	b := NewBus()
 	got := 0
 	sub := b.Subscribe("t", func(Message) { got++ })
-	b.PublishString("t", "1")
+	b.Publish(Message{Tag: "t", Type: TypeString, Data: []byte("1")})
 	sub.Close()
-	b.PublishString("t", "2")
+	b.Publish(Message{Tag: "t", Type: TypeString, Data: []byte("2")})
 	if got != 1 {
 		t.Fatalf("got %d", got)
 	}
@@ -85,7 +85,7 @@ func TestMessageTypePreserved(t *testing.T) {
 	var types []MsgType
 	b.Subscribe("t", func(m Message) { types = append(types, m.Type) })
 	b.PublishJSON("t", []byte("{}"))
-	b.PublishString("t", "raw")
+	b.Publish(Message{Tag: "t", Type: TypeString, Data: []byte("raw")})
 	if types[0] != TypeJSON || types[1] != TypeString {
 		t.Fatalf("types %v", types)
 	}
@@ -100,7 +100,7 @@ func TestHandlerMayPublish(t *testing.T) {
 	final := 0
 	b.Subscribe("upstream", func(Message) { final++ })
 	b.Subscribe("local", func(m Message) { b.Publish(Message{Tag: "upstream", Type: m.Type, Data: m.Data}) })
-	b.PublishString("local", "relayed")
+	b.Publish(Message{Tag: "local", Type: TypeString, Data: []byte("relayed")})
 	if final != 1 {
 		t.Fatalf("relay delivered %d", final)
 	}
@@ -130,7 +130,7 @@ func TestConcurrentPublish(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				b.PublishString("t", "m")
+				b.Publish(Message{Tag: "t", Type: TypeString, Data: []byte("m")})
 			}
 		}()
 	}
@@ -160,18 +160,18 @@ func TestSubscriberReattachMidStream(t *testing.T) {
 	b := NewBus()
 	var first, second []string
 	sub := b.Subscribe("darshanConnector", func(m Message) { first = append(first, string(m.Data)) })
-	b.PublishString("darshanConnector", "a")
-	b.PublishString("darshanConnector", "b")
+	b.Publish(Message{Tag: "darshanConnector", Type: TypeString, Data: []byte("a")})
+	b.Publish(Message{Tag: "darshanConnector", Type: TypeString, Data: []byte("b")})
 	sub.Close()
 
 	// The gap: no subscriber, best-effort drops.
-	b.PublishString("darshanConnector", "lost1")
-	b.PublishString("darshanConnector", "lost2")
-	b.PublishString("darshanConnector", "lost3")
+	b.Publish(Message{Tag: "darshanConnector", Type: TypeString, Data: []byte("lost1")})
+	b.Publish(Message{Tag: "darshanConnector", Type: TypeString, Data: []byte("lost2")})
+	b.Publish(Message{Tag: "darshanConnector", Type: TypeString, Data: []byte("lost3")})
 
 	b.Subscribe("darshanConnector", func(m Message) { second = append(second, string(m.Data)) })
-	b.PublishString("darshanConnector", "c")
-	b.PublishString("darshanConnector", "d")
+	b.Publish(Message{Tag: "darshanConnector", Type: TypeString, Data: []byte("c")})
+	b.Publish(Message{Tag: "darshanConnector", Type: TypeString, Data: []byte("d")})
 
 	if len(first) != 2 || first[0] != "a" || first[1] != "b" {
 		t.Fatalf("first subscriber got %v, want [a b]", first)
@@ -196,7 +196,7 @@ func TestPanickingHandlerIsErroredNotDropped(t *testing.T) {
 	got := 0
 	b.Subscribe("t", func(Message) { panic("broken subscriber") })
 	b.Subscribe("t", func(Message) { got++ })
-	if n := b.PublishString("t", "m"); n != 1 {
+	if n := b.Publish(Message{Tag: "t", Type: TypeString, Data: []byte("m")}); n != 1 {
 		t.Fatalf("publish returned %d receivers, want 1 (the healthy one)", n)
 	}
 	if got != 1 {
@@ -214,7 +214,7 @@ func TestSolePanickingHandlerCountsBothWays(t *testing.T) {
 	// different questions and both must say so.
 	b := NewBus()
 	b.Subscribe("t", func(Message) { panic("x") })
-	if n := b.PublishString("t", "m"); n != 0 {
+	if n := b.Publish(Message{Tag: "t", Type: TypeString, Data: []byte("m")}); n != 0 {
 		t.Fatalf("publish returned %d", n)
 	}
 	st := b.Stats("t")
@@ -233,7 +233,7 @@ func TestNoteDropsFoldsIntoStats(t *testing.T) {
 		t.Fatalf("stats %+v, want dropped 3 published 0", st)
 	}
 	b.Subscribe("darshanConnector", func(Message) {})
-	b.PublishString("darshanConnector", "x")
+	b.Publish(Message{Tag: "darshanConnector", Type: TypeString, Data: []byte("x")})
 	b.NoteDrops("darshanConnector", 2)
 	b.NoteDrops("darshanConnector", 0) // no-op
 	st = b.Stats("darshanConnector")

@@ -99,13 +99,13 @@ func TestWildcardSubscription(t *testing.T) {
 	b.Subscribe("darshan.>", func(m Message) { tail = append(tail, m.Tag) })
 	b.Subscribe("darshan.nid00040.posix", func(m Message) { exact = append(exact, m.Tag) })
 
-	if n := b.PublishString("darshan.nid00040.posix", "x"); n != 3 {
+	if n := b.Publish(Message{Tag: "darshan.nid00040.posix", Type: TypeString, Data: []byte("x")}); n != 3 {
 		t.Fatalf("delivered to %d receivers, want 3", n)
 	}
-	if n := b.PublishString("darshan.nid00041.mpiio", "x"); n != 1 {
+	if n := b.Publish(Message{Tag: "darshan.nid00041.mpiio", Type: TypeString, Data: []byte("x")}); n != 1 {
 		t.Fatalf("delivered to %d receivers, want 1 (tail wildcard only)", n)
 	}
-	if n := b.PublishString("slurm.job", "x"); n != 0 {
+	if n := b.Publish(Message{Tag: "slurm.job", Type: TypeString, Data: []byte("x")}); n != 0 {
 		t.Fatalf("delivered to %d receivers, want 0", n)
 	}
 	if len(star) != 1 || len(tail) != 2 || len(exact) != 1 {
@@ -128,10 +128,10 @@ func TestWildcardSubscriptionClose(t *testing.T) {
 	b := NewBus()
 	got := 0
 	sub := b.Subscribe("darshan.>", func(Message) { got++ })
-	b.PublishString("darshan.a", "1")
+	b.Publish(Message{Tag: "darshan.a", Type: TypeString, Data: []byte("1")})
 	sub.Close()
 	sub.Close() // idempotent
-	b.PublishString("darshan.a", "2")
+	b.Publish(Message{Tag: "darshan.a", Type: TypeString, Data: []byte("2")})
 	if got != 1 {
 		t.Fatalf("got %d deliveries after close, want 1", got)
 	}
@@ -158,7 +158,7 @@ func TestWildcardDeliveryDeterminism(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			b.Subscribe(fmt.Sprintf("noise.%d", i), func(Message) {})
 		}
-		b.PublishString("darshan.n.posix", "x")
+		b.Publish(Message{Tag: "darshan.n.posix", Type: TypeString, Data: []byte("x")})
 		want := []string{"exact", "wild0", "wild1", "wild2", "wild3", "wild4", "wild5", "wild6", "wild7"}
 		if !reflect.DeepEqual(order, want) {
 			t.Fatalf("run %d: delivery order %v, want %v", run, order, want)
@@ -178,10 +178,10 @@ func TestStreamRoutingDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := b.StreamNames(); !reflect.DeepEqual(got, []string{"alpha", "mid", "zeta"}) {
-		t.Fatalf("StreamNames() = %v", got)
+	if got := b.streamNames; !reflect.DeepEqual(got, []string{"alpha", "mid", "zeta"}) {
+		t.Fatalf("bound stream names = %v", got)
 	}
-	b.PublishString("darshan.n.posix", "x")
+	b.Publish(Message{Tag: "darshan.n.posix", Type: TypeString, Data: []byte("x")})
 	for _, name := range names {
 		if st := b.Stream(name).Stats(); st.Appended != 1 {
 			t.Fatalf("stream %s appended %d, want 1", name, st.Appended)

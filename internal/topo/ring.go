@@ -155,23 +155,6 @@ func (r *Ring) Len() int {
 	return len(r.members)
 }
 
-// Has reports membership.
-func (r *Ring) Has(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	i := sort.SearchStrings(r.members, name)
-	return i < len(r.members) && r.members[i] == name
-}
-
-// Owner returns the member owning key (false on an empty ring).
-func (r *Ring) Owner(key string) (string, bool) {
-	o := r.Owners(key, 1)
-	if len(o) == 0 {
-		return "", false
-	}
-	return o[0], true
-}
-
 // Owners returns up to n distinct members owning key, in ring order from
 // the key's position: the primary first, then the replica successors.
 // Fewer than n members yields all of them.

@@ -2,9 +2,27 @@ package topo
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 )
+
+// Has reports membership.
+func (r *Ring) Has(name string) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	i := sort.SearchStrings(r.members, name)
+	return i < len(r.members) && r.members[i] == name
+}
+
+// Owner returns the member owning key (false on an empty ring).
+func (r *Ring) Owner(key string) (string, bool) {
+	o := r.Owners(key, 1)
+	if len(o) == 0 {
+		return "", false
+	}
+	return o[0], true
+}
 
 func probeKeys(n int) []string {
 	keys := make([]string, n)

@@ -132,6 +132,7 @@ FUZZ_TARGETS ?= \
 	internal/dsos:FuzzCursorMatchesQueryEx \
 	internal/streams:FuzzStreamCursor \
 	internal/streams:FuzzRetention \
+	internal/streams:FuzzBatchV2 \
 	internal/topo:FuzzRing \
 	internal/scenario:FuzzScenarioSpec
 

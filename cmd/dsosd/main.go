@@ -188,33 +188,12 @@ func main() {
 	// the /topo admin endpoints (fenced dual-writes, atomic cutover).
 	var hc *topo.HashCluster
 	if topoCfg.Enabled() {
-		shardFactory := func(name string) (*dsos.Daemon, error) {
-			nd := dsos.NewDaemon(name, *container)
-			if err := nd.AddSchema(dsos.DarshanSchema()); err != nil {
-				return nil, err
-			}
-			for _, spec := range dsos.DarshanIndices() {
-				if err := nd.AddIndex(spec); err != nil {
-					return nil, err
-				}
-			}
-			if *walDir != "" {
-				fw, err := sos.OpenFileWAL(filepath.Join(*walDir, name+".wal"))
-				if err != nil {
-					return nil, err
-				}
-				nd.EnableWAL(fw)
-			} else {
-				nd.EnableWAL(sos.NewMemWAL())
-			}
-			return nd, nil
-		}
 		var err error
 		hc, err = topo.NewHashCluster(topo.HashConfig{
 			Seed:        topoCfg.RingSeed,
 			VNodes:      topoCfg.VNodes,
 			Replication: *repl,
-			Factory:     shardFactory,
+			Factory:     shardFactory(*container, *walDir),
 		}, cluster)
 		if err != nil {
 			fatal(err)
@@ -480,4 +459,39 @@ func queryHandler(client *dsos.Client) http.HandlerFunc {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "dsosd:", err)
 	os.Exit(1)
+}
+
+// shardFactory builds the empty shard a hash-placement grow adds, with
+// its write-ahead log at <walDir>/<name>.wal (in memory when walDir is
+// empty). A file an earlier run left there is truncated first: the shard
+// is empty by construction, and a log resumed without its replay would
+// write records whose string dictionary restarts at zero behind records
+// that already carry one, so a later replay would stop at the first new
+// record.
+func shardFactory(container, walDir string) func(name string) (*dsos.Daemon, error) {
+	return func(name string) (*dsos.Daemon, error) {
+		nd := dsos.NewDaemon(name, container)
+		if err := nd.AddSchema(dsos.DarshanSchema()); err != nil {
+			return nil, err
+		}
+		for _, spec := range dsos.DarshanIndices() {
+			if err := nd.AddIndex(spec); err != nil {
+				return nil, err
+			}
+		}
+		if walDir == "" {
+			nd.EnableWAL(sos.NewMemWAL())
+			return nd, nil
+		}
+		fw, err := sos.OpenFileWAL(filepath.Join(walDir, name+".wal"))
+		if err != nil {
+			return nil, err
+		}
+		if err := fw.Reset(0); err != nil {
+			fw.Close()
+			return nil, err
+		}
+		nd.EnableWAL(fw)
+		return nd, nil
+	}
 }

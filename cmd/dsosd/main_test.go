@@ -4,6 +4,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -121,5 +123,54 @@ func TestQueryAbortsWhenAMemberFailsMidStream(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "dsosd1") {
 		t.Fatalf("partial query = %d %q, want a 400 naming dsosd1", resp.StatusCode, body)
+	}
+}
+
+// TestShardFactoryTruncatesStaleLog: a grown shard's log file left by an
+// earlier run must not be appended to. The new shard's first record
+// starts its string dictionary at zero, so behind a stale record that
+// already carries one a replay would stop before it; replay must give back
+// exactly what the new shard stored.
+func TestShardFactoryTruncatesStaleLog(t *testing.T) {
+	dir := t.TempDir()
+	row := func(file string) sos.Object {
+		m := jsonmsg.Message{
+			UID: 1, Exe: "/bin/stale", JobID: 7, Rank: 3, ProducerName: "nid00041",
+			File: file, Module: "POSIX", Type: jsonmsg.TypeMOD, Op: "write",
+			Seg: []jsonmsg.Segment{{DataSet: jsonmsg.NA, Len: 4096, Dur: 0.1, Timestamp: 1.6e9}},
+		}
+		return dsos.ObjectsFromMessage(&m)[0]
+	}
+	stale, err := sos.OpenFileWAL(filepath.Join(dir, "s9.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sos.NewWAL(stale).Append(dsos.DarshanSchemaName, row("/old/run.dat"), 1); err != nil {
+		t.Fatal(err)
+	}
+	stale.Close()
+
+	d, err := shardFactory("darshan_data", dir)("s9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := row("/new/run.dat")
+	if err := d.InsertOrigin(dsos.DarshanSchemaName, want, 2); err != nil {
+		t.Fatal(err)
+	}
+	fw, err := sos.OpenFileWAL(filepath.Join(dir, "s9.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fw.Close()
+	var got [][]any
+	if _, err := sos.ReplayWALTo(fw, ^uint64(0), func(_ string, obj sos.Object, _ uint64) error {
+		got = append(got, obj.Values())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !reflect.DeepEqual(got[0], want.Values()) {
+		t.Fatalf("replayed %d rows %v, want the one row the new shard stored: %v", len(got), got, want.Values())
 	}
 }

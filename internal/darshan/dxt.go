@@ -24,24 +24,19 @@ type dxtKey struct {
 }
 
 // DXTTracer collects per-(module, rank, record) segment traces. DXT traces
-// the POSIX and MPIIO layers only, matching the real module's coverage; it
-// can be enabled and disabled at runtime.
+// the POSIX and MPIIO layers only, matching the real module's coverage.
 type DXTTracer struct {
-	enabled bool
-	traces  map[dxtKey][]DXTSegment
+	traces map[dxtKey][]DXTSegment
 }
 
-// NewDXTTracer returns an enabled tracer.
+// NewDXTTracer returns an empty tracer.
 func NewDXTTracer() *DXTTracer {
-	return &DXTTracer{enabled: true, traces: map[dxtKey][]DXTSegment{}}
+	return &DXTTracer{traces: map[dxtKey][]DXTSegment{}}
 }
-
-// Enabled reports whether the tracer is recording.
-func (t *DXTTracer) Enabled() bool { return t.enabled }
 
 // Trace records one segment. Only POSIX and MPIIO are traced.
 func (t *DXTTracer) Trace(mod Module, rank int, id uint64, op Op, offset, length int64, start, end time.Duration) {
-	if !t.enabled || (mod != ModPOSIX && mod != ModMPIIO) {
+	if mod != ModPOSIX && mod != ModMPIIO {
 		return
 	}
 	k := dxtKey{mod, rank, id}

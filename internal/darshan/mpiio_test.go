@@ -76,9 +76,6 @@ func TestMPIFileWrappersRecordBothLayers(t *testing.T) {
 	if total != traced {
 		t.Fatalf("export segments %d != traced %d", total, traced)
 	}
-	if !rt.DXT().Enabled() {
-		t.Fatal("tracer should be enabled")
-	}
 }
 
 func TestStdioWriteFlushSeek(t *testing.T) {

@@ -211,25 +211,6 @@ func TestDXTTracesSegments(t *testing.T) {
 	}
 }
 
-func TestDXTDisableAtRuntime(t *testing.T) {
-	e, fs, rt := testEnv(t)
-	e.Spawn("app", func(p *sim.Proc) {
-		ctx := ctxFor(p)
-		f := OpenPosix(rt, fs, ctx, "/nscratch/d", true)
-		f.Write(p, 0, 4096)
-		rt.DXT().enabled = false
-		f.Write(p, 4096, 4096)
-		f.Close(p)
-	})
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	segs := rt.DXT().Segments(ModPOSIX, 0, RecordID("/nscratch/d"))
-	if len(segs) != 2 { // open + first write only
-		t.Fatalf("segments after disable: %d", len(segs))
-	}
-}
-
 func TestStdioMacroStepping(t *testing.T) {
 	e, fs, rt := testEnv(t)
 	const ops = 5000

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"sync"
 
 	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/streams"
@@ -16,9 +15,15 @@ import (
 // being rendered to JSON (Recorder-style compact trace records). The
 // envelope and the opaque kind live in streams, which cannot import this
 // package; recordCodec below is registered there once. The layout is
-// fixed-order: varints for integers (zigzag for signed), raw IEEE-754
-// bits for floats, length-prefixed strings, a segment count followed by
-// the segments.
+// fixed-order, and its strings are the batch's (streams.BatchContext): a
+// uvarint length and the bytes in a version-1 body, an id or a first
+// spelling in a version-2 one. A raw record — every version-1 record,
+// and record 0 of a version-2 body — writes varints for integers (zigzag
+// for signed) and raw IEEE-754 bits for floats. Every later version-2
+// record writes each integer column as the zigzag varint of its
+// difference from record 0's, and each float as the uvarint of its bits
+// XOR record 0's. A segment count is followed by the segments; the
+// segment columns' base is record 0's last segment.
 // Float bits travel verbatim, so a decoded record is value-identical to
 // the encoded one — the property the golden ingest test pins down.
 
@@ -27,12 +32,38 @@ var ErrTruncated = errors.New("event: truncated binary record")
 
 func init() { streams.RegisterRecordCodec(recordCodec{}) }
 
+// The numeric columns of a record, in the order of streams.BatchContext's
+// Base.
+const (
+	colUID = iota
+	colJob
+	colRank
+	colRecordID
+	colMaxByte
+	colSwitches
+	colFlushes
+	colCnt
+	colSeq
+	colPtSel
+	colIrregHSlab
+	colRegHSlab
+	colNDims
+	colNPoints
+	colOff
+	colLen
+	colDur
+	colTimestamp
+	numCols
+)
+
+var _ [streams.BaseCols - numCols]struct{} // Base must hold every column
+
 // recordCodec implements streams.RecordCodec over *Record.
 type recordCodec struct{}
 
 // AppendTyped appends the record's fields in binary when they are
 // materialized; it never triggers a parse.
-func (recordCodec) AppendTyped(b []byte, c streams.Carrier) ([]byte, bool) {
+func (recordCodec) AppendTyped(b []byte, c streams.Carrier, t *streams.BatchContext) ([]byte, bool) {
 	r, ok := c.(*Record)
 	if !ok {
 		return b, false
@@ -41,92 +72,144 @@ func (recordCodec) AppendTyped(b []byte, c streams.Carrier) ([]byte, bool) {
 	if m == nil {
 		return b, false
 	}
-	return AppendMessage(b, m), true
+	return appendBody(b, m, t), true
 }
 
 // DecodeTyped decodes one binary record into a typed-first *Record, so
 // Fields downstream is a field read and Payload renders JSON (the fast
 // encoder's) only if a text boundary ever asks. The record owns its
 // memory — one allocation for wrapper and fields, one for the segments;
-// the repetitive string fields are interned, as on the wire path.
-func (recordCodec) DecodeTyped(b []byte) (streams.Carrier, int, error) {
+// its strings are the batch table's.
+func (recordCodec) DecodeTyped(b []byte, t *streams.BatchContext) (streams.Carrier, int, error) {
 	rec := &struct {
 		Record
 		fields jsonmsg.Message
 	}{}
-	in := interners.Get().(*Interner)
-	d := decoder{b: b}
-	err := d.decodeInto(&rec.fields, nil, in)
-	interners.Put(in)
-	if err != nil {
+	d := newDecoder(b, t)
+	if err := d.decodeInto(&rec.fields, nil); err != nil {
 		return nil, 0, err
 	}
 	rec.msg = &rec.fields
 	return &rec.Record, d.off, nil
 }
 
-// interners lends DecodeTyped an Interner per call: the codec is shared
-// by every stream in the process and an Interner is single-threaded.
-var interners = sync.Pool{New: func() any { return NewInterner() }}
+// minSegSize is the smallest possible encoded segment: a one-byte
+// DataSet, seven one-byte varints and two one-byte float varints.
+// Decoders cap declared counts with it so a hostile header cannot make
+// them reserve gigabytes (same hardening as darshanlog's decoder).
+const minSegSize = 1 + 7 + 2
 
-// minSegSize is the smallest possible encoded segment: an empty DataSet
-// (1 byte), seven single-byte varints, and two 8-byte floats. Decoders
-// cap declared counts with it so a hostile header cannot make them
-// reserve gigabytes (same hardening as darshanlog's decoder).
-const minSegSize = 1 + 7 + 16
+func zigzag(d uint64) uint64   { return d<<1 ^ uint64(int64(d)>>63) }
+func unzigzag(u uint64) uint64 { return u>>1 ^ -(u & 1) }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+// zeroCols is what a raw record's numbers are written against.
+var zeroCols [streams.BaseCols]uint64
+
+// cols is what one record's numbers are written against: zero for a raw
+// record — its signed columns are then their plain zigzag varints — whose
+// columns are kept in the batch's Base, the base of every record after it.
+type cols struct {
+	c    *streams.BatchContext
+	base *[streams.BaseCols]uint64
+	raw  bool
 }
 
-func appendZig(b []byte, v int64) []byte {
-	return binary.AppendUvarint(b, uint64((v<<1)^(v>>63)))
+func colsOf(c *streams.BatchContext) cols {
+	if c.Raw() {
+		return cols{c: c, base: &zeroCols, raw: true}
+	}
+	return cols{c: c, base: &c.Base}
 }
 
-func appendFloat(b []byte, f float64) []byte {
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(f))
+func (k cols) keep(col int, v uint64) {
+	if k.raw {
+		k.c.Base[col] = v
+	}
 }
 
-// AppendMessage appends m's binary encoding to b and returns the
-// extended slice.
+// encoder writes one record's numbers.
+type encoder struct{ cols }
+
+// int writes a signed column: the zigzag varint of its difference.
+func (e encoder) int(b []byte, col int, v int64) []byte {
+	e.keep(col, uint64(v))
+	return binary.AppendUvarint(b, zigzag(uint64(v)-e.base[col]))
+}
+
+// uint writes an unsigned column: as it stands when raw.
+func (e encoder) uint(b []byte, col int, v uint64) []byte {
+	e.keep(col, v)
+	if e.raw {
+		return binary.AppendUvarint(b, v)
+	}
+	return binary.AppendUvarint(b, zigzag(v-e.base[col]))
+}
+
+// float writes a float column: its raw bits when raw, else the uvarint
+// of its bits XOR the base's.
+func (e encoder) float(b []byte, col int, f float64) []byte {
+	v := math.Float64bits(f)
+	e.keep(col, v)
+	if e.raw {
+		return binary.BigEndian.AppendUint64(b, v)
+	}
+	return binary.AppendUvarint(b, v^e.base[col])
+}
+
+// AppendMessage appends m's version-1 binary encoding to b — a record
+// that decodes on its own — and returns the extended slice.
 func AppendMessage(b []byte, m *jsonmsg.Message) []byte {
-	b = appendZig(b, m.UID)
-	b = appendString(b, m.Exe)
-	b = appendZig(b, m.JobID)
-	b = appendZig(b, int64(m.Rank))
-	b = appendString(b, m.ProducerName)
-	b = appendString(b, m.File)
-	b = binary.AppendUvarint(b, m.RecordID)
-	b = appendString(b, m.Module)
-	b = appendString(b, m.Type)
-	b = appendZig(b, m.MaxByte)
-	b = appendZig(b, m.Switches)
-	b = appendZig(b, m.Flushes)
-	b = appendZig(b, m.Cnt)
-	b = appendString(b, m.Op)
-	b = binary.AppendUvarint(b, m.Seq)
+	var c streams.BatchContext
+	_ = c.Reset(streams.BodyV1, nil)
+	return appendBody(b, m, &c)
+}
+
+// appendBody appends m's binary record in c's batch to b.
+func appendBody(b []byte, m *jsonmsg.Message, c *streams.BatchContext) []byte {
+	e := encoder{colsOf(c)}
+	b = e.int(b, colUID, m.UID)
+	b = c.AppendString(b, m.Exe)
+	b = e.int(b, colJob, m.JobID)
+	b = e.int(b, colRank, int64(m.Rank))
+	b = c.AppendString(b, m.ProducerName)
+	b = c.AppendString(b, m.File)
+	b = e.uint(b, colRecordID, m.RecordID)
+	b = c.AppendString(b, m.Module)
+	b = c.AppendString(b, m.Type)
+	b = e.int(b, colMaxByte, m.MaxByte)
+	b = e.int(b, colSwitches, m.Switches)
+	b = e.int(b, colFlushes, m.Flushes)
+	b = e.int(b, colCnt, m.Cnt)
+	b = c.AppendString(b, m.Op)
+	b = e.uint(b, colSeq, m.Seq)
 	b = binary.AppendUvarint(b, uint64(len(m.Seg)))
 	for i := range m.Seg {
 		s := &m.Seg[i]
-		b = appendString(b, s.DataSet)
-		b = appendZig(b, s.PtSel)
-		b = appendZig(b, s.IrregHSlab)
-		b = appendZig(b, s.RegHSlab)
-		b = appendZig(b, s.NDims)
-		b = appendZig(b, s.NPoints)
-		b = appendZig(b, s.Off)
-		b = appendZig(b, s.Len)
-		b = appendFloat(b, s.Dur)
-		b = appendFloat(b, s.Timestamp)
+		b = c.AppendString(b, s.DataSet)
+		b = e.int(b, colPtSel, s.PtSel)
+		b = e.int(b, colIrregHSlab, s.IrregHSlab)
+		b = e.int(b, colRegHSlab, s.RegHSlab)
+		b = e.int(b, colNDims, s.NDims)
+		b = e.int(b, colNPoints, s.NPoints)
+		b = e.int(b, colOff, s.Off)
+		b = e.int(b, colLen, s.Len)
+		b = e.float(b, colDur, s.Dur)
+		b = e.float(b, colTimestamp, s.Timestamp)
 	}
 	return b
 }
 
+// decoder reads one record against its batch's context, the mirror of
+// encoder.
 type decoder struct {
+	cols
 	b   []byte
 	off int
 	err error
+}
+
+func newDecoder(b []byte, c *streams.BatchContext) decoder {
+	return decoder{cols: colsOf(c), b: b}
 }
 
 func (d *decoder) uvarint() uint64 {
@@ -142,74 +225,70 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-func (d *decoder) zig() int64 {
-	u := d.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
+func (d *decoder) int(col int) int64 {
+	v := d.base[col] + unzigzag(d.uvarint())
+	d.keep(col, v)
+	return int64(v)
 }
 
-// strBytes returns a view into the input for the next length-prefixed
-// string; the caller copies or interns it. A nil return with no error is
-// the empty string.
-func (d *decoder) strBytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
+func (d *decoder) uint(col int) uint64 {
+	v := d.uvarint()
+	if !d.raw {
+		v = d.base[col] + unzigzag(v)
 	}
-	if n > uint64(len(d.b)-d.off) {
+	d.keep(col, v)
+	return v
+}
+
+func (d *decoder) float(col int) float64 {
+	var v uint64
+	switch {
+	case !d.raw:
+		v = d.uvarint() ^ d.base[col]
+	case d.err != nil:
+	case len(d.b)-d.off < 8:
 		d.err = ErrTruncated
-		return nil
+	default:
+		v = binary.BigEndian.Uint64(d.b[d.off:])
+		d.off += 8
 	}
-	b := d.b[d.off : d.off+int(n)]
-	d.off += int(n)
-	return b
+	d.keep(col, v)
+	return math.Float64frombits(v)
 }
 
-// str materializes the next string, interning through in when provided
-// (the slab path: repeated field values stop allocating entirely).
-func (d *decoder) str(in *Interner) string {
-	b := d.strBytes()
-	if in != nil {
-		return in.Intern(b)
-	}
-	if len(b) == 0 {
+func (d *decoder) str() string {
+	if d.err != nil {
 		return ""
 	}
-	return string(b)
-}
-
-func (d *decoder) float() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b)-d.off < 8 {
+	s, n, err := d.c.String(d.b[d.off:])
+	if err != nil {
 		d.err = ErrTruncated
-		return 0
+		return ""
 	}
-	f := math.Float64frombits(binary.BigEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return f
+	d.off += n
+	return s
 }
 
 // decodeInto decodes one binary record from the front of d.b into m,
-// interning strings through in when non-nil and allocating the segment
-// backing from slab when non-nil (falling back to the heap otherwise).
-func (d *decoder) decodeInto(m *jsonmsg.Message, slab *Slab, in *Interner) error {
+// allocating the segment backing from slab when non-nil (falling back to
+// the heap otherwise).
+func (d *decoder) decodeInto(m *jsonmsg.Message, slab *Slab) error {
 	m.Seg = nil // m may be reused arena memory; every other field is assigned below
-	m.UID = d.zig()
-	m.Exe = d.str(in)
-	m.JobID = d.zig()
-	m.Rank = int(d.zig())
-	m.ProducerName = d.str(in)
-	m.File = d.str(in)
-	m.RecordID = d.uvarint()
-	m.Module = d.str(in)
-	m.Type = d.str(in)
-	m.MaxByte = d.zig()
-	m.Switches = d.zig()
-	m.Flushes = d.zig()
-	m.Cnt = d.zig()
-	m.Op = d.str(in)
-	m.Seq = d.uvarint()
+	m.UID = d.int(colUID)
+	m.Exe = d.str()
+	m.JobID = d.int(colJob)
+	m.Rank = int(d.int(colRank))
+	m.ProducerName = d.str()
+	m.File = d.str()
+	m.RecordID = d.uint(colRecordID)
+	m.Module = d.str()
+	m.Type = d.str()
+	m.MaxByte = d.int(colMaxByte)
+	m.Switches = d.int(colSwitches)
+	m.Flushes = d.int(colFlushes)
+	m.Cnt = d.int(colCnt)
+	m.Op = d.str()
+	m.Seq = d.uint(colSeq)
 	nseg := d.uvarint()
 	if d.err != nil {
 		return d.err
@@ -226,16 +305,16 @@ func (d *decoder) decodeInto(m *jsonmsg.Message, slab *Slab, in *Interner) error
 	}
 	for i := uint64(0); i < nseg; i++ {
 		var s jsonmsg.Segment
-		s.DataSet = d.str(in)
-		s.PtSel = d.zig()
-		s.IrregHSlab = d.zig()
-		s.RegHSlab = d.zig()
-		s.NDims = d.zig()
-		s.NPoints = d.zig()
-		s.Off = d.zig()
-		s.Len = d.zig()
-		s.Dur = d.float()
-		s.Timestamp = d.float()
+		s.DataSet = d.str()
+		s.PtSel = d.int(colPtSel)
+		s.IrregHSlab = d.int(colIrregHSlab)
+		s.RegHSlab = d.int(colRegHSlab)
+		s.NDims = d.int(colNDims)
+		s.NPoints = d.int(colNPoints)
+		s.Off = d.int(colOff)
+		s.Len = d.int(colLen)
+		s.Dur = d.float(colDur)
+		s.Timestamp = d.float(colTimestamp)
 		if d.err != nil {
 			return d.err
 		}
@@ -244,16 +323,28 @@ func (d *decoder) decodeInto(m *jsonmsg.Message, slab *Slab, in *Interner) error
 	return nil
 }
 
-// DecodeMessageSlab decodes one binary record from the front of b into
-// slab-owned memory: the message struct and its segment array come from s
-// and are valid only while s is retained; strings are interned through in
-// when non-nil (interned strings are plain heap strings, valid forever).
-// On steady state this path performs zero per-record heap allocations.
-func DecodeMessageSlab(b []byte, s *Slab, in *Interner) (*jsonmsg.Message, int, error) {
-	d := decoder{b: b}
+// DecodeTypedSlab decodes one binary record of c's batch from the front
+// of b into slab-owned memory: the message struct and its segment array
+// come from s and are valid only while s is retained; the strings are
+// the batch table's, materialized through c's Interner. On steady state
+// this path performs zero per-record heap allocations.
+func DecodeTypedSlab(b []byte, c *streams.BatchContext, s *Slab) (*jsonmsg.Message, int, error) {
+	d := newDecoder(b, c)
 	m := s.Msg()
-	if err := d.decodeInto(m, s, in); err != nil {
+	if err := d.decodeInto(m, s); err != nil {
 		return nil, 0, err
 	}
 	return m, d.off, nil
+}
+
+// DecodeMessageSlab decodes one version-1 binary record (AppendMessage)
+// from the front of b into slab-owned memory, interning its strings
+// through in when non-nil; see DecodeTypedSlab.
+func DecodeMessageSlab(b []byte, s *Slab, in *Interner) (*jsonmsg.Message, int, error) {
+	var si streams.Interner
+	if in != nil {
+		si = in
+	}
+	_ = s.v1.Reset(streams.BodyV1, si)
+	return DecodeTypedSlab(b, &s.v1, s)
 }

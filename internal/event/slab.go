@@ -151,6 +151,8 @@ type Slab struct {
 	segs arena[jsonmsg.Segment]
 	recs arena[Record]
 	outs arena[streams.Message]
+
+	v1 streams.BatchContext // DecodeMessageSlab's: a lone version-1 record has no batch
 }
 
 // Msg allocates one zeroed message from the slab.

@@ -100,7 +100,9 @@ func TestSlabArenaRewinds(t *testing.T) {
 // durable stream reads its typed records with), which owns every byte it
 // returns.
 func decodeHeap(b []byte) (*jsonmsg.Message, int, error) {
-	c, n, err := recordCodec{}.DecodeTyped(b)
+	var t streams.BatchContext
+	_ = t.Reset(streams.BodyV1, nil)
+	c, n, err := recordCodec{}.DecodeTyped(b, &t)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -16,7 +16,8 @@ import (
 )
 
 // Tests of the durable path's batch contract: a frame is one batch from
-// the socket into the stream, a cursor round is one frame and one ack, and
+// the socket into the stream, a cursor round is one ack and one frame per
+// stored batch, and
 // an idle consumer sleeps instead of polling. The store hop's round commit
 // is ingest_test.go's.
 
@@ -102,6 +103,65 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 	return w.MemWAL.Write(p)
 }
 
+// TestCursorRoundKeepsStoredBatches: a round that spans stored batches
+// crosses the wire as one frame per batch — messages appended alone share
+// one — so the next daemon's stream stores the same batches however the
+// round was cut.
+func TestCursorRoundKeepsStoredBatches(t *testing.T) {
+	agg := NewDaemon("agg", "head")
+	in, err := streams.OpenStream(streams.StreamConfig{Name: "in", Subjects: []string{"darshanConnector"}}, sos.NewMemWAL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agg.Bus().BindStream(in); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ListenTCP(agg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	src := openTestStream(t, sos.NewMemWAL())
+	var msgs []streams.Message
+	for i := 1; i <= 7; i++ {
+		msgs = append(msgs, typedMsg(uint64(i)))
+	}
+	for _, b := range [][]streams.Message{msgs[:3], msgs[3:5], msgs[5:6], msgs[6:]} {
+		if _, err := src.AppendBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u, err := NewStreamUplink(src, fastUplink(srv.Addr())) // one round takes all seven
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	if err := u.Flush(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "delivery", func() bool { return srv.Received() == 7 })
+	if got := u.batchFramesOut.Load(); got != 3 {
+		t.Fatalf("a round of batches of 3, 2 and two singles left as %d frames, want 3", got)
+	}
+	runs := func(s *streams.DurableStream) []int {
+		cons, err := s.Consumer(streams.ConsumerConfig{Name: "check"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := cons.Fetch(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cons.AckBatch(ds); err != nil {
+			t.Fatal(err)
+		}
+		return batchRuns(nil, ds)
+	}
+	if got, want := runs(in), runs(src); fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(want) != "[3 5 7]" {
+		t.Fatalf("receiving stream's batch runs end at %v, the source's at %v; want [3 5 7] for both", got, want)
+	}
+}
+
 // TestCursorRoundIsOneFrameOneCheckpoint: a backlog drains in rounds of
 // BatchSize, each one batch frame on the wire and one cursor checkpoint
 // in the segment.
@@ -181,7 +241,7 @@ func TestCrashBetweenSendAndBatchAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		msgs, ok := cur.take()
+		msgs, _, ok := cur.take()
 		if !ok || len(msgs) != round {
 			t.Fatalf("round %d: %d messages, ok=%v", i+1, len(msgs), ok)
 		}

@@ -30,44 +30,54 @@ type RoundStore interface {
 // IngestStream is the store hop of a durable daemon (cmd/dsosd): it
 // drains cons into store until the consumer is closed or replaced,
 // sleeping on the stream while there is nothing to deliver. Each fetched
-// round (at most ingestRound messages) is settled as one commit:
-// store.StoreRound inserts all its fresh rows tagged with the round's
-// token — one log record and one write per shard it touches — and one
-// AckBatch then settles the round with one cursor checkpoint.
+// round (at most ingestRound messages) is one commit per batch run in it:
+// store.StoreRound inserts the fresh rows of each of its batch runs (a
+// stored batch, or messages stored alone; see batchRuns) tagged with the
+// run's token — one log record and one write per shard the run touches —
+// and one AckBatch then settles the round with one cursor checkpoint.
 //
 // The consumer's durable ack floor is thereby the commit point: every
-// shard log record tagged at or below it belongs to a settled round, and a
+// shard log record tagged at or below it belongs to a settled run, and a
 // restart replays each log only up to the floor (dsos.Daemon.RecoverWAL)
 // and lets the stream redeliver the rest. A kill -9 anywhere in a round
 // costs neither a row nor a duplicate.
 //
 // A message the store cannot decode is dead-lettered (onErr sees it) and
-// acked with its round. A round the store refused before writing any of
-// it (dsos.ErrNothingWritten — an owner down under an every-owner ack
-// rule) is naked whole and retried; onErr sees the refusal. A round that
-// failed after part of it was written is naked and ends the loop with the
-// error: only a restart can discard a partial round, and it does so
+// acked with its round. A run the store refused before writing any of it
+// (dsos.ErrNothingWritten — an owner down under an every-owner ack rule)
+// is naked with the rest of its round and retried, the runs before it
+// acked; onErr sees the refusal. A run that failed after part of it was
+// written is naked with the rest of its round and ends the loop with the
+// error: only a restart can discard a partial run, and it does so
 // exactly. IngestStream returns nil when the consumer is closed.
 func IngestStream(cons *streams.Consumer, store RoundStore, onErr func(error)) error {
 	c := &cursor{cons: cons, max: ingestRound}
 	for {
-		msgs, ok := c.take()
+		msgs, ends, ok := c.take()
 		if !ok {
 			return nil
 		}
+		stored := 0
 		var token uint64
-		for _, d := range c.round {
-			token = max(token, d.Seq)
+		var err error
+		for _, end := range ends {
+			token = 0
+			for _, d := range c.round[stored:end] {
+				token = max(token, d.Seq)
+			}
+			if err = store.StoreRound(msgs[stored:end], token, onErr); err != nil {
+				break
+			}
+			stored = end
 		}
-		err := store.StoreRound(msgs, token, onErr)
-		c.settle(err == nil)
+		c.settleFirst(stored)
 		switch {
 		case err == nil:
 		case errors.Is(err, dsos.ErrNothingWritten):
 			onErr(err)
 			time.Sleep(refusedWait)
 		default:
-			return fmt.Errorf("ldms: ingest round through seq %d partly stored: %w", token, err)
+			return fmt.Errorf("ldms: ingest run through seq %d partly stored: %w", token, err)
 		}
 	}
 }

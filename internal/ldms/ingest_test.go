@@ -15,10 +15,10 @@ import (
 	"darshanldms/internal/streams"
 )
 
-// Tests of the store hop (IngestStream): a fetched round settles as one
-// commit — one insert, one log record per shard, one ack — and the
-// consumer's durable ack floor is the commit point a restart cuts the
-// shard logs back to.
+// Tests of the store hop (IngestStream): a fetched round settles with one
+// ack and one commit — one insert, one log record per shard — per stored
+// batch in it, and the consumer's durable ack floor is the commit point a
+// restart cuts the shard logs back to.
 
 // ingestCluster is a two-shard cluster whose logs live on the given
 // backings, recovered up to floor as dsosd recovers its own.
@@ -133,24 +133,68 @@ type roundStub struct {
 	mu     sync.Mutex
 	fail   []error
 	rounds [][]uint64 // the producer seqs of every committed round
+	tokens []uint64   // and its token
 }
 
 func (s *roundStub) Name() string                  { return "store_round_stub" }
 func (s *roundStub) Store(m streams.Message) error { return s.StoreRound([]streams.Message{m}, 0, nil) }
-func (s *roundStub) StoreRound(ms []streams.Message, _ uint64, _ func(error)) error {
+func (s *roundStub) StoreRound(ms []streams.Message, token uint64, _ func(error)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.fail) > 0 {
 		err := s.fail[0]
 		s.fail = s.fail[1:]
-		return err
+		if err != nil {
+			return err
+		}
 	}
 	var seqs []uint64
 	for _, m := range ms {
 		seqs = append(seqs, m.Seq)
 	}
 	s.rounds = append(s.rounds, seqs)
+	s.tokens = append(s.tokens, token)
 	return nil
+}
+
+// TestIngestStreamCommitsByStoredBatch: a round that spans stored batches
+// is one commit per batch — messages appended alone share one — each
+// tagged with its own highest sequence, and one ack. A batch refused
+// inside a round leaves the batches before it acked and is retried with
+// the rest.
+func TestIngestStreamCommitsByStoredBatch(t *testing.T) {
+	s := openTestStream(t, sos.NewMemWAL())
+	var msgs []streams.Message
+	for i := 1; i <= 11; i++ {
+		msgs = append(msgs, typedMsg(uint64(i)))
+	}
+	for _, b := range [][]streams.Message{msgs[:3], msgs[3:5], msgs[5:6], msgs[6:7], msgs[7:9], msgs[9:]} {
+		if _, err := s.AppendBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused := fmt.Errorf("owner down: %w", dsos.ErrNothingWritten)
+	store := &roundStub{fail: []error{nil, nil, nil, refused}}
+	cons, err := s.Consumer(streams.ConsumerConfig{Name: "ingest"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := runIngest(t, cons, store, func(err error) {
+		if !errors.Is(err, dsos.ErrNothingWritten) {
+			t.Errorf("reported %v, want the refusal", err)
+		}
+	})
+	waitFor(t, "all settled", func() bool { return cons.AckFloor() == 11 })
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprint(store.rounds, store.tokens)
+	if want := "[[1 2 3] [4 5] [6 7] [8 9] [10 11]] [3 5 7 9 11]"; got != want {
+		t.Fatalf("batches of 3 and 2, two singles and two batches of 2 committed as %s, want %s", got, want)
+	}
+	if cs := cons.Stats(); cs.Naks != 4 || cs.Acked != 11 {
+		t.Fatalf("consumer %+v, want the refused batch and the one behind it (4) naked, all 11 acked", cs)
+	}
 }
 
 // TestIngestStreamRefusedRoundRetriesWhole: a round the store refused

@@ -23,11 +23,14 @@ import (
 // Layout:
 //
 //	byte 0      batchMagic (0xBB)
-//	byte 1      batchVersion
+//	byte 1      batchVersion: the batch body version (2 is written; a
+//	            version-1 frame is still read)
 //	bytes 2..5  big-endian payload length (bounded by maxFrame)
 //	payload     the batch body of the streams batch record codec
 //	            (streams.AppendRecords): uvarint record count, then per
-//	            record an envelope and a typed or opaque body
+//	            record an envelope and a typed or opaque body, their
+//	            strings in one batch-local table and every record's
+//	            numbers after the first written against the first's
 //
 // The payload is the same bytes a durable stream keeps at rest, so a
 // frame received, staged in a stream and forwarded is never re-rendered:
@@ -36,7 +39,7 @@ import (
 // (raw publishers, lossy-encoder placeholders) travel opaque.
 const (
 	batchMagic   = 0xBB
-	batchVersion = 1
+	batchVersion = streams.BodyV2
 )
 
 // framePool recycles batch frame scratch buffers; steady-state batching
@@ -74,14 +77,16 @@ func WriteBatchFrame(w io.Writer, msgs []streams.Message) error {
 
 // BatchDecoder is the zero-alloc receive side of the batched wire path:
 // one per connection (it is not safe for concurrent use). It owns a
-// string interner — the repetitive Table I fields stop allocating after
-// the first few frames — and a reusable payload scratch buffer; decoded
-// structs and slices live in a pooled Slab whose reference the caller
-// holds and must Release once the frame's messages are handed off.
-// Synchronous consumers need nothing more; consumers that queue a
-// message past the hand-off detach it first (streams.Detach).
+// string interner — a batch's strings are materialized once per batch,
+// and after the first few frames not even that allocates — a reusable
+// batch table and a reusable payload scratch buffer; decoded structs and
+// slices live in a pooled Slab whose reference the caller holds and must
+// Release once the frame's messages are handed off. Synchronous
+// consumers need nothing more; consumers that queue a message past the
+// hand-off detach it first (streams.Detach).
 type BatchDecoder struct {
 	in      *event.Interner
+	table   streams.BatchContext
 	payload []byte
 }
 
@@ -90,14 +95,17 @@ func NewBatchDecoder() *BatchDecoder {
 	return &BatchDecoder{in: event.NewInterner()}
 }
 
-// DecodeBatchSlab parses a batch payload into slab-owned stream
-// messages: the out-slice, record wrappers, message structs and segment
-// arrays all come from slab; envelope and field strings are interned.
+// decodeBatch parses a batch payload of the given body version into
+// slab-owned stream messages: the out-slice, record wrappers, message
+// structs and segment arrays all come from slab; strings are interned.
 // Opaque records still copy their payload bytes to the heap — raw bytes
 // have no typed lifecycle and downstream (durable streams) retains them.
 // The messages are valid only while slab is retained.
-func (d *BatchDecoder) DecodeBatchSlab(payload []byte, slab *event.Slab) ([]streams.Message, error) {
-	r := streams.NewRecordWalker(payload)
+func (d *BatchDecoder) decodeBatch(version byte, payload []byte, slab *event.Slab) ([]streams.Message, error) {
+	if err := d.table.Reset(version, d.in); err != nil {
+		return nil, err
+	}
+	r := streams.NewRecordWalker(payload, &d.table)
 	count, err := r.Count()
 	if err != nil {
 		return nil, err
@@ -108,9 +116,9 @@ func (d *BatchDecoder) DecodeBatchSlab(payload []byte, slab *event.Slab) ([]stre
 		if err != nil {
 			return nil, err
 		}
-		m := streams.Message{Tag: d.in.Intern(e.Tag), Type: e.Type, Producer: d.in.Intern(e.Producer), Seq: e.Seq}
+		m := streams.Message{Tag: e.Tag, Type: e.Type, Producer: e.Producer, Seq: e.Seq}
 		if e.Kind == streams.RecTyped {
-			msg, n, err := event.DecodeMessageSlab(r.Rest(), slab, d.in)
+			msg, n, err := event.DecodeTypedSlab(r.Rest(), &d.table, slab)
 			if err != nil {
 				return nil, err
 			}
@@ -141,7 +149,7 @@ func (d *BatchDecoder) ReadBatchFrameSlab(r io.Reader) ([]streams.Message, *even
 	if hdr[0] != batchMagic {
 		return nil, nil, fmt.Errorf("ldms: not a batch frame (0x%02x)", hdr[0])
 	}
-	if hdr[1] != batchVersion {
+	if hdr[1] != streams.BodyV1 && hdr[1] != batchVersion {
 		return nil, nil, fmt.Errorf("ldms: unsupported batch version %d", hdr[1])
 	}
 	n := binary.BigEndian.Uint32(hdr[2:6])
@@ -159,7 +167,7 @@ func (d *BatchDecoder) ReadBatchFrameSlab(r io.Reader) ([]streams.Message, *even
 		return nil, nil, err
 	}
 	slab := slabPool.Get()
-	msgs, err := d.DecodeBatchSlab(payload, slab)
+	msgs, err := d.decodeBatch(hdr[1], payload, slab)
 	if err != nil {
 		slab.Release()
 		return nil, nil, err

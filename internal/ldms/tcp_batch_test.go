@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -54,94 +55,214 @@ func readAnyFrameHeap(br *bufio.Reader) ([]streams.Message, error) {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[2:6])
-	if hdr[1] != batchVersion || n == 0 || n > maxFrame {
+	if (hdr[1] != streams.BodyV1 && hdr[1] != streams.BodyV2) || n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("bad batch frame header % x", hdr)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, err
 	}
-	return decodeRecordsHeap(payload)
+	return decodeRecordsHeap(hdr[1], payload)
 }
 
-// decodeRecordsHeap is this package's copy of the streams heap reference
-// decoder, with its own envelope walk so the production walker is checked
-// against code it does not share: freshly allocated messages, typed
-// bodies in a slab that is never released, opaque payloads aliasing body.
-func decodeRecordsHeap(body []byte) ([]streams.Message, error) {
-	off := 0
-	uvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(body[off:])
-		if n <= 0 {
-			return 0, streams.ErrTruncated
+// heapWalk is decodeRecordsHeap's cursor over one batch body: its own
+// string table and record-0 base, so the production walker, string table
+// and typed decoder are checked against code they do not share.
+type heapWalk struct {
+	b    []byte
+	off  int
+	err  error
+	v1   bool
+	raw  bool // v1, or record 0: numbers stand as they are
+	strs []string
+	base [streams.BaseCols]uint64
+}
+
+func (w *heapWalk) uvarint() uint64 {
+	if w.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(w.b[w.off:])
+	if n <= 0 {
+		w.err = streams.ErrTruncated
+		return 0
+	}
+	w.off += n
+	return v
+}
+
+// str reads a string: a length and the bytes in a version-1 body; in a
+// version-2 one an id below the table's size, or the table's size plus
+// the length of a literal that joins the table.
+func (w *heapWalk) str() string {
+	v := w.uvarint()
+	if !w.v1 {
+		if v < uint64(len(w.strs)) {
+			return w.strs[v]
 		}
-		off += n
-		return v, nil
+		v -= uint64(len(w.strs))
 	}
-	field := func() ([]byte, error) {
-		n, err := uvarint()
-		if err != nil || n > uint64(len(body)-off) {
-			return nil, streams.ErrTruncated
+	if w.err == nil && v > uint64(len(w.b)-w.off) {
+		w.err = streams.ErrTruncated
+	}
+	if w.err != nil {
+		return ""
+	}
+	s := string(w.b[w.off : w.off+int(v)])
+	w.off += int(v)
+	if !w.v1 {
+		w.strs = append(w.strs, s)
+	}
+	return s
+}
+
+// num reads column col: as it stands in a raw record (signed columns as
+// zigzag varints), else as the zigzag varint of its difference from
+// record 0's.
+func (w *heapWalk) num(col int, signed bool) uint64 {
+	u := w.uvarint()
+	var v uint64
+	switch {
+	case !w.raw:
+		v = w.base[col] + (u>>1 ^ -(u & 1))
+	case signed:
+		v = u>>1 ^ -(u & 1)
+	default:
+		v = u
+	}
+	if w.raw {
+		w.base[col] = v
+	}
+	return v
+}
+
+func (w *heapWalk) int(col int) int64 { return int64(w.num(col, true)) }
+
+// float reads column col: raw big-endian bits, else a uvarint XORed with
+// record 0's bits.
+func (w *heapWalk) float(col int) float64 {
+	var v uint64
+	switch {
+	case !w.raw:
+		v = w.uvarint() ^ w.base[col]
+	case w.err != nil:
+	case len(w.b)-w.off < 8:
+		w.err = streams.ErrTruncated
+	default:
+		v = binary.BigEndian.Uint64(w.b[w.off:])
+		w.off += 8
+	}
+	if w.raw {
+		w.base[col] = v
+	}
+	return math.Float64frombits(v)
+}
+
+// typed reads a typed body: the Table I record's fields in their fixed
+// order, column numbers as in the base.
+func (w *heapWalk) typed() (*jsonmsg.Message, error) {
+	m := &jsonmsg.Message{}
+	m.UID = w.int(0)
+	m.Exe = w.str()
+	m.JobID = w.int(1)
+	m.Rank = int(w.int(2))
+	m.ProducerName = w.str()
+	m.File = w.str()
+	m.RecordID = w.num(3, false)
+	m.Module = w.str()
+	m.Type = w.str()
+	m.MaxByte = w.int(4)
+	m.Switches = w.int(5)
+	m.Flushes = w.int(6)
+	m.Cnt = w.int(7)
+	m.Op = w.str()
+	m.Seq = w.num(8, false)
+	nseg := w.uvarint()
+	if w.err != nil {
+		return nil, w.err
+	}
+	if nseg > uint64(len(w.b)-w.off)/10+1 { // a segment is at least ten bytes
+		return nil, streams.ErrTruncated
+	}
+	for i := uint64(0); i < nseg; i++ {
+		var s jsonmsg.Segment
+		s.DataSet = w.str()
+		s.PtSel = w.int(9)
+		s.IrregHSlab = w.int(10)
+		s.RegHSlab = w.int(11)
+		s.NDims = w.int(12)
+		s.NPoints = w.int(13)
+		s.Off = w.int(14)
+		s.Len = w.int(15)
+		s.Dur = w.float(16)
+		s.Timestamp = w.float(17)
+		if w.err != nil {
+			return nil, w.err
 		}
-		off += int(n)
-		return body[off-int(n) : off], nil
+		m.Seg = append(m.Seg, s)
 	}
-	count, err := uvarint()
-	if err != nil {
-		return nil, err
+	return m, nil
+}
+
+// decodeRecordsHeap decodes a batch payload of the given version into
+// freshly allocated messages, opaque payloads aliasing body.
+func decodeRecordsHeap(version byte, body []byte) ([]streams.Message, error) {
+	w := &heapWalk{b: body, v1: version == streams.BodyV1}
+	count := w.uvarint()
+	if w.err != nil {
+		return nil, w.err
 	}
-	if count == 0 || count > uint64(len(body)-off)/streams.MinBatchRecord+1 {
+	if count == 0 || count > uint64(len(body)-w.off)/streams.MinBatchRecord+1 {
 		return nil, fmt.Errorf("batch declares %d records in %d bytes", count, len(body))
 	}
-	var slabs event.SlabPool
-	slab := slabs.Get()
 	var out []streams.Message
+	var seq0 uint64
 	for i := uint64(0); i < count; i++ {
-		if off >= len(body) {
+		if w.off >= len(body) {
 			return nil, streams.ErrTruncated
 		}
-		kind := body[off]
-		off++
+		w.raw = w.v1 || i == 0
+		kind := body[w.off]
+		w.off++
 		var m streams.Message
-		tag, err := field()
-		if err != nil {
-			return nil, err
+		m.Tag = w.str()
+		m.Type = streams.MsgType(w.uvarint())
+		m.Producer = w.str()
+		m.Seq = w.uvarint()
+		if w.raw {
+			seq0 = m.Seq
+		} else {
+			m.Seq = seq0 + (m.Seq>>1 ^ -(m.Seq & 1))
 		}
-		typ, err := uvarint()
-		if err != nil {
-			return nil, err
+		if w.err != nil {
+			return nil, w.err
 		}
-		producer, err := field()
-		if err != nil {
-			return nil, err
-		}
-		if m.Seq, err = uvarint(); err != nil {
-			return nil, err
-		}
-		m.Tag, m.Type, m.Producer = string(tag), streams.MsgType(typ), string(producer)
 		switch kind {
 		case streams.RecTyped:
-			msg, n, err := event.DecodeMessageSlab(body[off:], slab, nil)
+			msg, err := w.typed()
 			if err != nil {
 				return nil, err
 			}
-			off += n
 			m.Record = event.NewRecord(msg, jsonmsg.FastEncoder{})
 		case streams.RecOpaque:
-			p, err := field()
-			if err != nil {
-				return nil, err
+			n := w.uvarint()
+			if w.err == nil && n > uint64(len(body)-w.off) {
+				w.err = streams.ErrTruncated
 			}
-			if len(p) > 0 {
-				m.Data = p
+			if w.err != nil {
+				return nil, w.err
 			}
+			if n > 0 {
+				m.Data = body[w.off : w.off+int(n)]
+			}
+			w.off += int(n)
 		default:
 			return nil, fmt.Errorf("unknown batch record kind %d", kind)
 		}
 		out = append(out, m)
 	}
-	if off != len(body) {
-		return nil, fmt.Errorf("%d trailing bytes after batch", len(body)-off)
+	if w.off != len(body) {
+		return nil, fmt.Errorf("%d trailing bytes after batch", len(body)-w.off)
 	}
 	return out, nil
 }
@@ -401,6 +522,7 @@ func FuzzReadBatchFrame(f *testing.F) {
 		{Tag: "s", Type: streams.TypeString, Data: []byte("x")},
 	})
 	f.Add(mixed.Bytes())
+	f.Add(appendFrameV1(nil, []streams.Message{typedMsg(1), typedMsg(2)}))
 	f.Add([]byte{batchMagic, batchVersion, 0, 0, 0, 1, 0})             // zero records
 	f.Add([]byte{batchMagic, batchVersion, 0xFF, 0xFF, 0xFF, 0xFF})    // oversized frame
 	f.Add([]byte{batchMagic, batchVersion, 0, 0, 0, 3, 0x80, 0x80, 1}) // hostile count varint
@@ -418,6 +540,11 @@ func FuzzReadBatchFrame(f *testing.F) {
 		if serr == nil {
 			if len(smsgs) != len(msgs) {
 				t.Fatalf("slab path decoded %d messages, heap %d", len(smsgs), len(msgs))
+			}
+			// And the same messages: equal batches re-encode to equal
+			// bytes (float bits included, where NaN defeats DeepEqual).
+			if got, want := streams.AppendRecords(nil, smsgs), streams.AppendRecords(nil, msgs); !bytes.Equal(got, want) {
+				t.Fatalf("slab and heap decodes differ:\n slab % x\n heap % x", got, want)
 			}
 			slab.Release()
 		}

@@ -28,7 +28,8 @@ import (
 //	source      NewSpoolUplink: bounded in-memory spool off a daemon's bus
 //	            NewStreamUplink: durable streams.Consumer (the stream is
 //	            the spool; the ack floor survives a crash); a round is one
-//	            fetch, one batch frame, one ack, one cursor checkpoint
+//	            fetch, one ack, one cursor checkpoint, and one batch frame
+//	            per stored batch it holds (batchRuns)
 //	target set  Addr alone, or Addr + Standby with a dial-probe failure
 //	            detector that re-homes the link
 
@@ -180,7 +181,9 @@ type UplinkStats struct {
 //	        below deduplicates by (producer, seq).
 type source interface {
 	// take blocks until a round is ready; !ok means the source stopped.
-	take() (round []streams.Message, ok bool)
+	// ends, when not nil, are the exclusive ends of the round's batch
+	// frames; nil sends the round as one.
+	take() (round []streams.Message, ends []int, ok bool)
 	// settle reports the fate of the round take last returned.
 	settle(sent bool)
 	// stop refuses new input and wakes take; Close calls it once.
@@ -203,7 +206,7 @@ type Uplink struct {
 	src source
 	// batchFrames selects the spool's round writer: one batch frame per
 	// round, or one legacy frame per message (the spool's zero-Batch
-	// wire behavior). A cursor round is always one batch frame.
+	// wire behavior). A cursor round is always batch frames.
 	batchFrames bool
 
 	mu      sync.Mutex
@@ -327,12 +330,12 @@ func (u *Uplink) run() {
 	defer u.wg.Done()
 	backoff := u.cfg.InitialBackoff
 	for {
-		round, ok := u.src.take()
+		round, ends, ok := u.src.take()
 		if !ok {
 			return
 		}
 		n := uint64(len(round))
-		err := u.send(round, u.batchFrames)
+		err := u.send(round, ends, u.batchFrames)
 		// Count before settling: Flush returns the moment the source is
 		// drained, and a caller reading Stats next must see the round.
 		u.mu.Lock()
@@ -379,17 +382,18 @@ func (u *Uplink) pause(d time.Duration) bool {
 	}
 }
 
-// send writes msgs on the current connection — as one batch frame or one
-// legacy frame each — dialing first if necessary, and flushes once. Any
-// error tears the connection down for a fresh dial. On a reconnect with
-// ReplayLast set, the recent tail is re-sent before msgs.
-func (u *Uplink) send(msgs []streams.Message, batch bool) error {
+// send writes msgs on the current connection — as batch frames ending at
+// ends (one frame for nil ends), or one legacy frame each — dialing first
+// if necessary, and flushes once. Any error tears the connection down for
+// a fresh dial. On a reconnect with ReplayLast set, the recent tail is
+// re-sent before msgs.
+func (u *Uplink) send(msgs []streams.Message, ends []int, batch bool) error {
 	u.connMu.Lock()
 	defer u.connMu.Unlock()
 	if err := u.ensureConnLocked(); err != nil {
 		return err
 	}
-	if err := u.writeRoundLocked(msgs, batch); err != nil {
+	if err := u.writeRoundLocked(msgs, ends, batch); err != nil {
 		u.teardownLocked()
 		return err
 	}
@@ -409,27 +413,34 @@ func (u *Uplink) send(msgs []streams.Message, batch bool) error {
 
 // writeRoundLocked writes the pending tail replay, then msgs, and flushes
 // (connMu held).
-func (u *Uplink) writeRoundLocked(msgs []streams.Message, batch bool) error {
+func (u *Uplink) writeRoundLocked(msgs []streams.Message, ends []int, batch bool) error {
 	if u.replayPending {
-		if err := u.writeLocked(u.ring, u.batchFrames); err != nil {
+		if err := u.writeLocked(u.ring, nil, u.batchFrames); err != nil {
 			return err
 		}
 		u.replayed += uint64(len(u.ring))
 		u.replayPending = false
 	}
-	if err := u.writeLocked(msgs, batch); err != nil {
+	if err := u.writeLocked(msgs, ends, batch); err != nil {
 		return err
 	}
 	return u.bw.Flush()
 }
 
 // writeLocked frames msgs into the connection's buffer (connMu held).
-func (u *Uplink) writeLocked(msgs []streams.Message, batch bool) error {
+func (u *Uplink) writeLocked(msgs []streams.Message, ends []int, batch bool) error {
 	if batch {
-		if err := WriteBatchFrame(u.bw, msgs); err != nil {
-			return err
+		if ends == nil {
+			ends = []int{len(msgs)}
 		}
-		u.batchFramesOut.Add(1)
+		lo := 0
+		for _, hi := range ends {
+			if err := WriteBatchFrame(u.bw, msgs[lo:hi]); err != nil {
+				return err
+			}
+			u.batchFramesOut.Add(1)
+			lo = hi
+		}
 		return nil
 	}
 	for _, m := range msgs {
@@ -506,7 +517,7 @@ func (u *Uplink) heartbeatLoop() {
 		case <-u.done:
 			return
 		case <-tick.C:
-			if u.send(hb, false) == nil {
+			if u.send(hb, nil, false) == nil {
 				u.connMu.Lock()
 				u.heartbeats++
 				u.connMu.Unlock()
@@ -627,6 +638,7 @@ type cursor struct {
 
 	round []streams.Delivery // fetched, not yet settled
 	msgs  []streams.Message  // the round's messages; backing array reused
+	ends  []int              // the round's batch runs (batchRuns); reused
 	naks  atomic.Uint64
 }
 
@@ -635,17 +647,17 @@ type cursor struct {
 // bound only keeps a missed wake-up from being fatal.
 const idleWait = time.Second
 
-func (c *cursor) take() ([]streams.Message, bool) {
+func (c *cursor) take() ([]streams.Message, []int, bool) {
 	for {
 		ds, err := c.cons.Fetch(c.max)
 		if err != nil {
 			// Closed consumer (stop, or a successor claimed the name) ends
 			// the loop.
-			return nil, false
+			return nil, nil, false
 		}
 		if len(ds) == 0 {
 			if c.cons.Wait(idleWait) != nil {
-				return nil, false
+				return nil, nil, false
 			}
 			continue
 		}
@@ -654,22 +666,48 @@ func (c *cursor) take() ([]streams.Message, bool) {
 		for _, d := range ds {
 			c.msgs = append(c.msgs, d.Msg)
 		}
-		return c.msgs, true
+		c.ends = batchRuns(c.ends[:0], ds)
+		return c.msgs, c.ends, true
 	}
 }
 
+// batchRuns appends to ends the exclusive end of each run of ds that was
+// stored as one batch; messages stored alone run together. Cutting a
+// round there, not where a fetch happened to stop, keeps each stored
+// batch whole downstream: the uplink sends one frame per run, which the
+// next daemon stores as one batch again, and the store hop commits one
+// log record per run. Batched input is thus encoded in the same batches
+// at every hop, so what a record costs on disk does not depend on timing.
+func batchRuns(ends []int, ds []streams.Delivery) []int {
+	for i := 1; i < len(ds); i++ {
+		if ds[i].Batch != ds[i-1].Batch {
+			ends = append(ends, i)
+		}
+	}
+	return append(ends, len(ds))
+}
+
 func (c *cursor) settle(sent bool) {
+	n := 0
 	if sent {
+		n = len(c.round)
+	}
+	c.settleFirst(n)
+}
+
+// settleFirst acks the round's first n deliveries with one batch ack and
+// naks the rest for immediate redelivery.
+func (c *cursor) settleFirst(n int) {
+	if n > 0 {
 		// A failed ack means the consumer was closed under us; the next
 		// Fetch ends the loop and the successor redelivers.
-		_ = c.cons.AckBatch(c.round)
-	} else {
-		// The link is down: hand the whole round back without burning a
-		// dial attempt per message.
-		for _, d := range c.round {
-			if c.cons.Nak(d.Seq) == nil {
-				c.naks.Add(1)
-			}
+		_ = c.cons.AckBatch(c.round[:n])
+	}
+	// A nak hands a delivery back without burning a dial attempt (or a
+	// store retry) per message.
+	for _, d := range c.round[n:] {
+		if c.cons.Nak(d.Seq) == nil {
+			c.naks.Add(1)
 		}
 	}
 	c.round = nil

@@ -258,6 +258,33 @@ func (c *captureServer) accepted() int {
 	return len(c.conns)
 }
 
+// settle returns how many connections have been accepted once every
+// connection dialed before the call has been: it dials one of its own,
+// which the listen queue hands out after all of them, and waits for it.
+// The count includes that one.
+func (c *captureServer) settle(t *testing.T) int {
+	t.Helper()
+	conn, err := net.Dial("tcp", c.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	mine := conn.LocalAddr().String()
+	n := 0
+	waitFor(t, "the listen queue to drain", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for i, sc := range c.conns {
+			if sc.RemoteAddr().String() == mine {
+				n = i + 1
+				return true
+			}
+		}
+		return false
+	})
+	return n
+}
+
 // captured returns a copy of the bytes connection i has carried so far.
 func (c *captureServer) captured(i int) []byte {
 	c.mu.Lock()
@@ -352,7 +379,7 @@ func TestUplinkWireIdentity(t *testing.T) {
 			cat(batch(msgs[4:6]...), batch(msgs[6]), batch(msgs[7])),
 		}},
 		{"consumer", false, event.FlushPolicy{}, [2][]byte{
-			cat(batch(msgs[:6]...), frames(heartbeat)),
+			cat(batch(msgs[0]), batch(msgs[1:6]...), frames(heartbeat)),
 			cat(batch(msgs[4:6]...), batch(msgs[6]), batch(msgs[7])),
 		}},
 	}
@@ -377,7 +404,7 @@ func TestUplinkWireIdentity(t *testing.T) {
 			} else {
 				// One AppendBatch per call: the stream shows the cursor all
 				// of them or none, so the round that finally gets through
-				// holds exactly the six.
+				// holds exactly the six, one frame per stored batch.
 				s := openTestStream(t, sos.NewMemWAL())
 				publish = func(ms ...streams.Message) {
 					if _, err := s.AppendBatch(ms); err != nil {
@@ -399,7 +426,7 @@ func TestUplinkWireIdentity(t *testing.T) {
 			publish(msgs[1:6]...)
 			srv := listenCapture(t, addr)
 			waitFor(t, "first six sent", func() bool { return u.Stats().Sent == 6 })
-			if err := u.send([]streams.Message{heartbeat}, false); err != nil {
+			if err := u.send([]streams.Message{heartbeat}, nil, false); err != nil {
 				t.Fatal(err)
 			}
 			waitFor(t, "first connection's bytes", func() bool { return len(srv.captured(0)) >= len(tc.want[0]) })
@@ -567,13 +594,14 @@ func TestUplinkLifecycle(t *testing.T) {
 					}
 
 					// Never dials after Close: watch every target for several
-					// backoff and probe periods.
+					// backoff and probe periods, counting from a snapshot that
+					// includes a dial made before Close but still queued.
 					accepted := make([]int, len(addrs))
 					for i, a := range addrs {
 						if servers[i] == nil {
 							servers[i] = listenCapture(t, a)
 						}
-						accepted[i] = servers[i].accepted()
+						accepted[i] = servers[i].settle(t)
 					}
 					time.Sleep(5 * cfg.MaxBackoff)
 					for i, srv := range servers {

@@ -2,6 +2,7 @@ package streams
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -169,6 +170,45 @@ func TestAckBatchOneCheckpoint(t *testing.T) {
 	c.Close()
 	if err := c.AckBatch(ds); !errors.Is(err, ErrConsumerClosed) {
 		t.Fatalf("ack on a closed consumer: %v", err)
+	}
+}
+
+// TestDeliveryBatch: a delivery names the batch its message was stored
+// with — the batch's first sequence, or 0 for a message appended alone —
+// live and after a reopen, retention trims included.
+func TestDeliveryBatch(t *testing.T) {
+	wal := sos.NewMemWAL()
+	cfg := StreamConfig{Name: "darshan", Retention: RetentionPolicy{MaxMsgs: 6}}
+	s := mustOpenStream(t, cfg, wal)
+	msg := func(p string) Message { return Message{Tag: "t", Type: TypeString, Data: []byte(p)} }
+	for _, b := range [][]Message{{msg("a"), msg("b"), msg("c")}, {msg("d")}, {msg("e"), msg("f")}, {msg("g")}} {
+		if _, err := s.AppendBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batches := func(s *DurableStream) string {
+		c, err := s.Consumer(ConsumerConfig{Name: "r"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		ds, err := c.Fetch(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []uint64
+		for _, d := range ds {
+			out = append(out, d.Batch)
+		}
+		return fmt.Sprint(out)
+	}
+	// Retention keeps six of seven: the first batch loses its head.
+	const want = "[1 1 0 5 5 0]"
+	if got := batches(s); got != want {
+		t.Fatalf("live batches %s, want %s", got, want)
+	}
+	if got := batches(mustOpenStream(t, cfg, wal)); got != want {
+		t.Fatalf("reopened batches %s, want %s", got, want)
 	}
 }
 

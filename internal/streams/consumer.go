@@ -104,6 +104,10 @@ type Delivery struct {
 	Seq        uint64 // stream sequence (the Ack/Nak handle)
 	Deliveries int    // 1 for a first delivery, 2+ for redeliveries
 	Msg        Message
+	// Batch is the sequence of the first message of the batch Msg was
+	// appended with, or 0 when it was appended alone: deliveries sharing
+	// a nonzero Batch were stored together.
+	Batch uint64
 }
 
 // ConsumerStats is a point-in-time snapshot of one consumer.
@@ -226,12 +230,13 @@ func (c *Consumer) Fetch(max int) ([]Delivery, error) {
 	// deliver decodes seq's slot into out; false means the message is gone
 	// (evicted by retention) and the caller settles it as missed.
 	deliver := func(seq uint64, deliveries int) bool {
-		m, ok := s.messageLocked(s.slotAt(seq))
+		sl := s.slotAt(seq)
+		m, ok := s.messageLocked(sl)
 		if ok {
 			if out == nil { // sized once: everything due plus everything new, capped by max
 				out = make([]Delivery, 0, min(max, len(c.infl)+int(s.lastSeq+1-c.nextSeq)+1))
 			}
-			out = append(out, Delivery{Seq: seq, Deliveries: deliveries, Msg: m})
+			out = append(out, Delivery{Seq: seq, Deliveries: deliveries, Msg: m, Batch: sl.ctx.batch})
 		}
 		return ok
 	}

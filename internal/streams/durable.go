@@ -31,6 +31,13 @@ import (
 // unbounded; eviction is always drop-oldest, and every eviction is
 // counted by reason and made durable with a trim marker so the
 // accounting is exact across crashes.
+//
+// MaxBytes counts payload bytes as stored: an opaque record's payload
+// length, and a typed record's encoded body. In a version-2 batch that
+// body is written against record 0 and record 0 spells out the strings
+// the batch shares, so record 0 counts for more than the records after
+// it, and a bound keeps more typed messages than it did when each was
+// stored whole.
 type RetentionPolicy struct {
 	MaxMsgs  int           // retained message count bound (0 = unbounded)
 	MaxBytes int64         // retained payload byte bound (0 = unbounded)
@@ -77,14 +84,16 @@ type DurableStream struct {
 	mu    sync.Mutex
 	cfg   StreamConfig
 	store sos.WALStore
-	frame sos.Frame // reused segment record buffer
-	marks []int     // reused AppendBatch scratch: record and body offsets
+	frame sos.Frame    // reused segment record buffer
+	w     BatchContext // reused AppendBatch table
+	marks []int        // reused AppendBatch scratch: offsets and string bases
 
 	// The retained window is the encoded batch bodies plus this index:
 	// slots[head+i] is sequence firstSeq+i, a view into the body it
 	// arrived in. Retention advances head; AppendBatch slides the window
 	// back to the front of the array once the dead prefix outgrows it, so
 	// a steady-state stream neither reallocates nor copies per append.
+	// Appended bodies, contexts and tables are windows of shared chunks.
 	slots    []slot
 	head     int
 	firstSeq uint64 // seq of slots[head]; lastSeq+1 when empty
@@ -92,7 +101,9 @@ type DurableStream struct {
 	bytes    int64
 	drops    [int(dropReasons)]uint64
 	walErrs  uint64
-	producer string // last decoded producer name, reused by the next decode
+	bodies   chunks[byte]
+	ctxs     chunks[batchCtx]
+	strs     chunks[string]
 
 	consumers map[string]*Consumer
 	floors    map[string]uint64 // durable acked floors, incl. unclaimed
@@ -164,35 +175,29 @@ func (s *DurableStream) applyReplay(body []byte) error {
 	}
 	switch body[0] {
 	case segKindBatch:
-		first, at, recs, err := decodeBatchHeader(body)
+		first, version, at, recs, err := decodeBatchHeader(body)
 		if err != nil || first != s.lastSeq+1 {
 			return sos.ErrStopReplay // corrupt or out-of-order: torn tail
 		}
-		// All or nothing: the batch joins the window only once every
-		// record in it has decoded.
-		mark := len(s.slots)
-		if err := s.replayRecords(recs, at); err != nil {
-			s.slots = s.slots[:mark]
-			if errors.Is(err, errNoTypedCodec) {
-				return err // unreadable here, not corrupt: fail the open
+		if version == BodyV1 {
+			// In memory there is one representation: a version-1 entry is
+			// re-encoded as the version-2 body it would be written as today.
+			msgs, err := DecodeRecords(BodyV1, recs)
+			if err != nil {
+				return replayErr(err)
 			}
-			return sos.ErrStopReplay
+			recs = AppendRecords(nil, msgs)
 		}
-		for _, sl := range s.slots[mark:] {
-			s.bytes += int64(sl.size)
-		}
-		s.lastSeq += uint64(len(s.slots) - mark)
+		return s.replayBatch(recs, at)
 	case segKindMsg:
 		e, err := decodeMsgEntry(body)
 		if err != nil || e.seq != s.lastSeq+1 {
 			return sos.ErrStopReplay
 		}
-		// In memory there is one representation: the pre-batch entry is
-		// re-encoded as the opaque record it would be written as today.
-		rec, bodyAt := appendRecord(nil, &e.msg)
-		s.slots = append(s.slots, slot{rec: rec, subject: e.msg.Tag, at: e.at, size: len(rec) - bodyAt})
-		s.bytes += int64(len(rec) - bodyAt)
-		s.lastSeq = e.seq
+		// The pre-batch entry is re-encoded as the batch of one it would
+		// be written as today.
+		one := [1]Message{e.msg}
+		return s.replayBatch(AppendRecords(nil, one[:]), e.at)
 	case segKindCursor:
 		name, floor, err := decodeCursorEntry(body)
 		if err != nil {
@@ -216,23 +221,53 @@ func (s *DurableStream) applyReplay(body []byte) error {
 	return nil
 }
 
-// replayRecords appends one slot per record of a recovered batch body.
-func (s *DurableStream) replayRecords(recs []byte, at time.Duration) error {
-	r := NewRecordWalker(recs)
+// replayBatch appends one slot per record of a recovered version-2 batch
+// body, which the slots alias. All or nothing: the batch joins the window
+// only once every record in it has decoded.
+func (s *DurableStream) replayBatch(recs []byte, at time.Duration) error {
+	k := &batchCtx{at: at}
+	_ = k.Reset(BodyV2, nil)
+	mark := len(s.slots)
+	if err := s.walkRecords(recs, k); err != nil {
+		s.slots = s.slots[:mark]
+		return replayErr(err)
+	}
+	for _, sl := range s.slots[mark:] {
+		s.bytes += int64(sl.size)
+	}
+	n := len(s.slots) - mark
+	if n > 1 {
+		k.batch = s.lastSeq + 1
+	}
+	s.lastSeq += uint64(n)
+	return nil
+}
+
+// replayErr is what replay makes of a batch that does not decode: the
+// torn tail, unless this process cannot read typed records at all.
+func replayErr(err error) error {
+	if errors.Is(err, errNoTypedCodec) {
+		return err // unreadable here, not corrupt: fail the open
+	}
+	return sos.ErrStopReplay
+}
+
+// walkRecords decodes every record of recs against k, appending a slot
+// for each.
+func (s *DurableStream) walkRecords(recs []byte, k *batchCtx) error {
+	r := NewRecordWalker(recs, &k.BatchContext)
 	n, err := r.Count()
 	if err != nil {
 		return err
 	}
-	var prev Message
 	for i := 0; i < n; i++ {
-		start := r.Offset()
-		m, size, err := r.record(&prev)
+		start, strBase := r.Offset(), k.n
+		m, size, err := r.record()
 		if err != nil {
 			return err
 		}
 		end := r.Offset()
-		s.slots = append(s.slots, slot{rec: recs[start:end:end], subject: m.Tag, at: at, size: size})
-		prev = m
+		s.slots = append(s.slots, slot{rec: recs[start:end:end], ctx: k, subject: m.Tag, size: int32(size), strBase: int32(strBase)})
 	}
 	return r.Done()
 }
@@ -289,37 +324,67 @@ func (s *DurableStream) AppendBatch(msgs []Message) (uint64, error) {
 	first := s.lastSeq + 1
 	rec := appendBatchHeader(s.frame.Begin(), first, now)
 	bodyAt := len(rec)
+	_ = s.w.Reset(BodyV2, nil)
 	rec = binary.AppendUvarint(rec, uint64(len(msgs)))
 	s.marks = s.marks[:0]
 	for i := range msgs {
-		start := len(rec)
+		start, strBase := len(rec), s.w.n
 		var payloadAt int
-		rec, payloadAt = appendRecord(rec, &msgs[i])
-		s.marks = append(s.marks, start-bodyAt, payloadAt-bodyAt)
+		rec, payloadAt = s.w.appendRecord(rec, &msgs[i])
+		s.marks = append(s.marks, start-bodyAt, payloadAt-bodyAt, strBase)
 	}
 	if err := s.frame.Commit(s.store, rec); err != nil {
 		return 0, fmt.Errorf("streams: stream %q append: %w", s.cfg.Name, err)
 	}
-	// The frame buffer is reused; the window keeps its own copy of the
-	// body, one allocation for the whole batch.
-	body := append([]byte(nil), rec[bodyAt:]...)
+	// The frame buffer and the table are reused; the window keeps its own
+	// copies of the body, the base and the strings.
+	body := s.bodies.take(len(rec)-bodyAt, bodyChunk)
+	copy(body, rec[bodyAt:])
+	k := &s.ctxs.take(1, ctxChunk)[0]
+	k.at, k.Base, k.seq0 = now, s.w.Base, s.w.seq0
+	if len(msgs) > 1 {
+		k.batch = first
+	}
+	k.strs = s.strs.take(len(s.w.strs), strChunk)
+	copy(k.strs, s.w.strs)
 	if s.head > 0 && s.head >= s.retained() {
 		n := copy(s.slots, s.slots[s.head:])
 		clear(s.slots[n:])
 		s.slots, s.head = s.slots[:n], 0
 	}
 	for i := range msgs {
-		start, payloadAt, end := s.marks[2*i], s.marks[2*i+1], len(body)
+		start, payloadAt, strBase, end := s.marks[3*i], s.marks[3*i+1], s.marks[3*i+2], len(body)
 		if i+1 < len(msgs) {
-			end = s.marks[2*i+2]
+			end = s.marks[3*i+3]
 		}
-		s.slots = append(s.slots, slot{rec: body[start:end:end], subject: msgs[i].Tag, at: now, size: end - payloadAt})
+		s.slots = append(s.slots, slot{rec: body[start:end:end], ctx: k, subject: msgs[i].Tag, size: int32(end - payloadAt), strBase: int32(strBase)})
 		s.bytes += int64(end - payloadAt)
 	}
 	s.lastSeq += uint64(len(msgs))
 	s.applyRetentionLocked(now)
 	s.waiters.Broadcast()
 	return first, nil
+}
+
+// Chunk sizes, in elements, of a stream's append memory.
+const (
+	bodyChunk = 64 << 10
+	ctxChunk  = 64
+	strChunk  = 1024
+)
+
+// chunks hands out capacity-capped windows of shared chunks, so a
+// batch's body, context and table cost no allocation of their own. A
+// chunk is collected once no retained slot views it.
+type chunks[T any] struct{ free []T }
+
+func (c *chunks[T]) take(n, chunk int) []T {
+	if n > len(c.free) {
+		c.free = make([]T, max(n, chunk))
+	}
+	w := c.free[:n:n]
+	c.free = c.free[n:]
+	return w
 }
 
 // applyRetentionLocked evicts head messages until every retention bound
@@ -344,7 +409,7 @@ func (s *DurableStream) applyRetentionLocked(now time.Duration) {
 	for s.retained() > 0 {
 		var why DropReason
 		switch {
-		case r.MaxAge > 0 && s.slots[s.head].at+r.MaxAge < now:
+		case r.MaxAge > 0 && s.slots[s.head].ctx.at+r.MaxAge < now:
 			why = DropByAge
 		case r.MaxMsgs > 0 && s.retained() > r.MaxMsgs:
 			why = DropByCount
@@ -375,22 +440,28 @@ func (s *DurableStream) slotAt(seq uint64) *slot {
 
 // messageLocked decodes a retained slot back into the message it was
 // appended from (s.mu held): a typed record comes back typed-first, an
-// opaque payload shares the immutable batch body. It reports false for a
-// nil slot — a sequence outside the window. Every retained slot was
-// encoded by AppendBatch or fully decoded once by replay, so its decode
-// cannot fail on bytes this process holds; should it ever, the message
-// is reported gone like an evicted one rather than delivered as garbage.
+// opaque payload shares the immutable batch body, and every string is
+// the batch table's. It reports false for a nil slot — a sequence outside
+// the window. Every retained slot was encoded by AppendBatch or fully
+// decoded once by replay, so its decode cannot fail on bytes this process
+// holds; should it ever, the message is reported gone like an evicted one
+// rather than delivered as garbage.
 func (s *DurableStream) messageLocked(sl *slot) (Message, bool) {
 	if sl == nil {
 		return Message{}, false
 	}
-	r := NewRecordWalker(sl.rec)
-	prev := Message{Tag: sl.subject, Producer: s.producer}
-	m, _, err := r.record(&prev)
+	// The walk starts at the slot's own record: its table position is the
+	// slot's string base, and only record 0 spells out ids from 0.
+	c := &sl.ctx.BatchContext
+	c.n = int(sl.strBase)
+	r := NewRecordWalker(sl.rec, c)
+	if sl.strBase > 0 {
+		r.i = 1
+	}
+	m, _, err := r.record()
 	if err != nil {
 		return Message{}, false
 	}
-	s.producer = m.Producer
 	return m, true
 }
 

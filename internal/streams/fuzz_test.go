@@ -31,6 +31,14 @@ func fuzzBatchEntry(firstSeq uint64) []byte {
 	})
 }
 
+// fuzzPrefix is what a segment FuzzRetention reopens holds before its
+// first op: a batch written by an earlier writer, version 1 or 2.
+var fuzzPrefix = []Message{
+	{Tag: "darshan.nid00040.posix", Type: TypeJSON, Data: []byte(`{"n":1}`), Producer: "nid00040", Seq: 1},
+	{Tag: "darshan.nid00041.posix", Type: TypeJSON, Data: []byte(`{"n":2}`), Producer: "nid00041", Seq: 1},
+	{Tag: "darshan.nid00040.posix", Type: TypeString, Data: []byte("x"), Producer: "nid00040", Seq: 2},
+}
+
 // FuzzStreamCursor hardens segment recovery and durable cursor resume:
 // arbitrary bytes — as a raw segment, as a CRC-framed record body, and as
 // direct decoder input — must never panic, and whatever stream state is
@@ -45,6 +53,7 @@ func FuzzStreamCursor(f *testing.F) {
 	f.Add(append([]byte{9, 9}, encodeCursorEntry("fz", 99)...))
 	f.Add(append([]byte{0, 0}, encodeDropEntry(DropByCount, 2)...))
 	f.Add(append([]byte{2, 0}, fuzzBatchEntry(4)...))
+	f.Add(append([]byte{2, 0}, appendBatchEntryV1(nil, 4, 4, fuzzPrefix)...))
 	f.Add(append([]byte{0, 0}, binary.AppendUvarint(appendBatchHeader(nil, 4, 0), 1<<40)...)) // hostile count
 	f.Add(append([]byte{2, 0}, 0x01, 0xFF, 0xFF, 0xFF, 0xFF))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -60,8 +69,8 @@ func FuzzStreamCursor(f *testing.F) {
 
 		// The decoders must parse-or-error on anything.
 		_, _ = decodeMsgEntry(body)
-		if _, _, recs, err := decodeBatchHeader(body); err == nil {
-			_, _ = DecodeRecords(recs)
+		if _, version, _, recs, err := decodeBatchHeader(body); err == nil {
+			_, _ = DecodeRecords(version, recs)
 		}
 		_, _, _ = decodeCursorEntry(body)
 		_, _, _ = decodeDropEntry(body)
@@ -122,28 +131,38 @@ func FuzzStreamCursor(f *testing.F) {
 // FuzzRetention drives a stream through an arbitrary op sequence —
 // appends of varying size, clock jumps, crash/reopen — under a retention
 // policy drawn from the input, checking the drop-accounting invariants
-// after every step.
+// after every step. The third byte's top bits start the stream on a
+// segment an earlier writer left: 0x80 a version-1 batch, 0x40 a
+// version-2 one.
 func FuzzRetention(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 200, 10, 0, 1, 2, 3, 8, 9, 250, 4, 5})
 	f.Add(bytes.Repeat([]byte{0, 64}, 20))          // count-bound churn
 	f.Add(bytes.Repeat([]byte{1, 255, 2, 200}, 10)) // byte-bound churn + clock jumps
 	f.Add([]byte{8, 8, 0, 1, 3, 3, 0, 2, 2, 128, 3, 0, 255})
+	f.Add([]byte{2, 0, 0x80, 0, 9, 3, 0, 4, 5, 3, 0})
+	f.Add([]byte{2, 0, 0x40, 0, 9, 3, 0, 4, 5, 3, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) < 3 {
 			return
 		}
 		pol := RetentionPolicy{
-			MaxMsgs:  int(ops[0] % 9),                                // 0..8 (0 = unbounded)
-			MaxBytes: int64(ops[1]%5) * 16,                           // 0..64
-			MaxAge:   time.Duration(ops[2]%5) * 8 * time.Millisecond, // 0..32ms
+			MaxMsgs:  int(ops[0] % 9),                                     // 0..8 (0 = unbounded)
+			MaxBytes: int64(ops[1]%5) * 16,                                // 0..64
+			MaxAge:   time.Duration(ops[2]&0x3F%5) * 8 * time.Millisecond, // 0..32ms
+		}
+		wal := sos.NewMemWAL()
+		switch {
+		case ops[2]&0x80 != 0:
+			_ = sos.AppendFrame(wal, appendBatchEntryV1(nil, 1, 0, fuzzPrefix))
+		case ops[2]&0x40 != 0:
+			_ = sos.AppendFrame(wal, AppendRecords(appendBatchHeader(nil, 1, 0), fuzzPrefix))
 		}
 		ops = ops[3:]
 		if len(ops) > 512 {
 			ops = ops[:512]
 		}
 		var now time.Duration
-		wal := sos.NewMemWAL()
 		cfg := StreamConfig{Name: "fz", Retention: pol, Clock: func() time.Duration { return now }}
 		s, err := OpenStream(cfg, wal)
 		if err != nil {

@@ -1,26 +1,47 @@
 package streams
 
-// DecodeRecords is the heap reference decoder of a batch body (as laid
-// out by AppendRecords): freshly allocated messages, typed records as the
-// registered codec's carriers, opaque payloads aliasing body.
-func DecodeRecords(body []byte) ([]Message, error) {
-	r := NewRecordWalker(body)
-	n, err := r.Count()
-	if err != nil {
-		return nil, err
+import "encoding/binary"
+
+// appendRecordsV1 is the version-1 batch body writer, kept as the
+// reference the version-2 codec is held to and as the source of frozen
+// version-1 entries: every string spelled out, every number as it stands.
+func appendRecordsV1(b []byte, msgs []Message) []byte {
+	str := func(b []byte, s string) []byte {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		return append(b, s...)
 	}
-	out := make([]Message, 0, n)
-	var prev Message
-	for i := 0; i < n; i++ {
-		m, _, err := r.record(&prev)
-		if err != nil {
-			return nil, err
+	b = binary.AppendUvarint(b, uint64(len(msgs)))
+	for i := range msgs {
+		m := &msgs[i]
+		kindAt := len(b)
+		b = append(b, RecTyped)
+		b = str(b, m.Tag)
+		b = binary.AppendUvarint(b, uint64(m.Type))
+		b = str(b, m.Producer)
+		b = binary.AppendUvarint(b, m.Seq)
+		if m.Record != nil && typedCodec != nil {
+			var c BatchContext
+			_ = c.Reset(BodyV1, nil)
+			if tb, ok := typedCodec.AppendTyped(b, m.Record, &c); ok {
+				b = tb
+				continue
+			}
 		}
-		out = append(out, m)
-		prev = m
+		b[kindAt] = RecOpaque
+		b = str(b, string(m.Payload()))
 	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return b
 }
+
+// appendBatchEntryV1 is a version-1 segment batch entry of msgs at
+// firstSeq.
+func appendBatchEntryV1(b []byte, firstSeq uint64, at int64, msgs []Message) []byte {
+	b = append(b, segKindBatch, BodyV1)
+	b = binary.LittleEndian.AppendUint64(b, firstSeq)
+	b = binary.LittleEndian.AppendUint64(b, uint64(at))
+	return appendRecordsV1(b, msgs)
+}
+
+// AppendRecordsV1 lends the version-1 writer to this package's external
+// tests, which need the typed plane.
+var AppendRecordsV1 = appendRecordsV1

@@ -17,7 +17,8 @@ import (
 // Record layouts (little endian, first byte is the kind tag):
 //
 //	batch:  0x04 | u8 version | u64 firstSeq | u64 appendedAt (ns)
-//	              | batch body (record.go: count, then the records)
+//	              | batch body of that version (record.go: count, then
+//	              the records; version 2 is written, 1 is read only)
 //	cursor: 0x02 | u64 ackFloor | str consumer
 //	drop:   0x03 | u8 reason | u64 newFirstSeq
 //	msg:    0x01 | u64 seq | u8 msgtype | u64 publishedAt (ns)
@@ -47,8 +48,9 @@ const (
 	segKindBatch  = 0x04
 )
 
-// segBatchVersion is the batch entry layout version.
-const segBatchVersion = 1
+// segBatchVersion is the batch entry layout version written: the batch
+// body version. Replay also reads BodyV1 entries.
+const segBatchVersion = BodyV2
 
 // segBatchHeader is kind + version + firstSeq + appendedAt.
 const segBatchHeader = 1 + 1 + 8 + 8
@@ -81,15 +83,23 @@ func (r DropReason) String() string {
 // decoder must never trust an inner length either).
 const segMaxString = 16 << 20
 
-// slot is one retained message: a view of its encoded record inside the
-// batch body it was appended with (the body stays alive while any of its
-// slots does), plus the two fields retention and consumer filters need
-// without decoding it.
+// slot is one retained message: a view of its encoded version-2 record
+// inside the batch body it was appended with (the body stays alive while
+// any of its slots does), the context the batch's records share, and what
+// retention and consumer filters need without decoding it.
 type slot struct {
-	rec     []byte // one encoded record, envelope and body
+	rec     []byte    // one encoded record, envelope and body
+	ctx     *batchCtx // the batch's table and base, and its append time
 	subject string
-	at      time.Duration
-	size    int // payload bytes: the opaque payload's, or the typed body's
+	size    int32 // payload bytes: the opaque payload's, or the typed body's
+	strBase int32 // string ids the batch spelled out before this record
+}
+
+// batchCtx is what the retained slots of one batch share.
+type batchCtx struct {
+	BatchContext
+	at    time.Duration
+	batch uint64 // the batch's first sequence, or 0 for a batch of one
 }
 
 // legacyMsg is a decoded pre-batch msg entry.
@@ -163,35 +173,35 @@ func decodeMsgEntry(b []byte) (legacyMsg, error) {
 	return e, nil
 }
 
-// appendBatchHeader appends a batch entry's header; the batch body
-// (AppendRecords) follows it.
+// appendBatchHeader appends a batch entry's header; the version-2 batch
+// body follows it.
 func appendBatchHeader(b []byte, firstSeq uint64, at time.Duration) []byte {
 	b = append(b, segKindBatch, segBatchVersion)
 	b = binary.LittleEndian.AppendUint64(b, firstSeq)
 	return binary.LittleEndian.AppendUint64(b, uint64(at))
 }
 
-// decodeBatchHeader parses a batch entry's header and returns the batch
-// body that follows it.
-func decodeBatchHeader(b []byte) (firstSeq uint64, at time.Duration, body []byte, err error) {
+// decodeBatchHeader parses a batch entry's header and returns the body
+// version and the batch body that follows it.
+func decodeBatchHeader(b []byte) (firstSeq uint64, version byte, at time.Duration, body []byte, err error) {
 	if len(b) < segBatchHeader {
-		return 0, 0, nil, fmt.Errorf("streams: short segment batch record")
+		return 0, 0, 0, nil, fmt.Errorf("streams: short segment batch record")
 	}
 	if b[0] != segKindBatch {
-		return 0, 0, nil, fmt.Errorf("streams: segment record kind %d, want batch", b[0])
+		return 0, 0, 0, nil, fmt.Errorf("streams: segment record kind %d, want batch", b[0])
 	}
-	if b[1] != segBatchVersion {
-		return 0, 0, nil, fmt.Errorf("streams: unsupported segment batch version %d", b[1])
+	if b[1] != BodyV1 && b[1] != BodyV2 {
+		return 0, 0, 0, nil, fmt.Errorf("streams: unsupported segment batch version %d", b[1])
 	}
 	firstSeq = binary.LittleEndian.Uint64(b[2:])
 	ns := binary.LittleEndian.Uint64(b[10:])
 	if firstSeq == 0 {
-		return 0, 0, nil, fmt.Errorf("streams: segment batch record with sequence 0")
+		return 0, 0, 0, nil, fmt.Errorf("streams: segment batch record with sequence 0")
 	}
 	if ns > math.MaxInt64 {
-		return 0, 0, nil, fmt.Errorf("streams: segment timestamp overflow")
+		return 0, 0, 0, nil, fmt.Errorf("streams: segment timestamp overflow")
 	}
-	return firstSeq, time.Duration(ns), b[segBatchHeader:], nil
+	return firstSeq, b[1], time.Duration(ns), b[segBatchHeader:], nil
 }
 
 // appendCursorEntry appends a consumer-cursor checkpoint body.

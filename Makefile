@@ -78,7 +78,7 @@ streams-smoke:
 # races here as well, and the dsosd CLI test drives the real binary in
 # both modes (flag validation, live grow, SIGTERM snapshots).
 topo-smoke:
-	$(GO) test -race -short -count=1 -run 'RebalanceSoak' ./internal/harness
+	$(GO) test -race -short -count=1 -run 'RebalanceSoak|SoakHop' ./internal/harness
 	$(GO) test -race -count=1 ./internal/topo ./internal/dsos
 	$(GO) test -count=1 -run 'TestCLIDsosd' .
 

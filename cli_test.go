@@ -149,7 +149,8 @@ func TestCLIExperimentsTinyPanel(t *testing.T) {
 // uplink would ignore is a startup error naming the flag, in the same
 // style as the -topo checks — and saying what the -stream uplink sends
 // instead, batch frames of its own rounds — while the two flag lines the
-// benchmark spawns ldmsd with keep starting.
+// benchmark spawns ldmsd with keep starting. An interval a ticker would
+// panic on is a startup error as well.
 func TestCLILdmsdRejectsIgnoredUplinkFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test")
@@ -181,6 +182,8 @@ func TestCLILdmsdRejectsIgnoredUplinkFlags(t *testing.T) {
 		{"stream-max-bytes without -stream", []string{"-stream-max-bytes", "4096"}, "-stream-max-bytes "},
 		{"stream-max-age without -stream", []string{"-stream-max-age", "1m"}, "-stream-max-age "},
 		{"stream-consumer on the spooled uplink", []string{"-forward", "127.0.0.1:1", "-reconnect", "-stream-consumer", "up"}, "-stream-consumer "},
+		{"zero stats interval", []string{"-stats", "0"}, "-stats 0s"},
+		{"zero sampler interval", []string{"-samplers", "meminfo", "-sample-interval", "0"}, "-sample-interval 0s"},
 	}
 	for _, tc := range rejected {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,7 +232,9 @@ func TestCLILdmsdRejectsIgnoredUplinkFlags(t *testing.T) {
 }
 
 // TestCLIDsosdRejectsIgnoredStreamFlags: the ingest stream's flags are an
-// error without -stream, as ldmsd's are, rather than silently unused.
+// error without -stream, as ldmsd's are, rather than silently unused; so
+// is a shard count, replication factor or snapshot interval the daemon
+// would clamp or panic on.
 func TestCLIDsosdRejectsIgnoredStreamFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test")
@@ -244,6 +249,10 @@ func TestCLIDsosdRejectsIgnoredStreamFlags(t *testing.T) {
 	}{
 		{"stream-consumer without -stream", []string{"-stream-consumer", "ingest"}, "-stream-consumer "},
 		{"stream-max-msgs without -stream", []string{"-wal", "wal", "-stream-max-msgs", "10"}, "-stream-max-msgs "},
+		{"no shards", []string{"-daemons", "0"}, "-daemons 0"},
+		{"replication above the shard count", []string{"-daemons", "2", "-replication", "3"}, "-replication 3"},
+		{"zero replication", []string{"-replication", "0"}, "-replication 0"},
+		{"zero snapshot interval", []string{"-snapshot-every", "0"}, "-snapshot-every 0s"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -107,6 +107,17 @@ func main() {
 		}
 	})
 
+	// Numbers the placement or a ticker would clamp or panic on are a
+	// startup error too.
+	switch {
+	case *daemons < 1:
+		fatal(fmt.Errorf("-daemons %d: a dsosd owns at least one shard", *daemons))
+	case *repl < 1 || *repl > *daemons:
+		fatal(fmt.Errorf("-replication %d: R must be between 1 and -daemons (%d)", *repl, *daemons))
+	case *every <= 0:
+		fatal(fmt.Errorf("-snapshot-every %v: the snapshot interval must be positive", *every))
+	}
+
 	// The DSOS cluster this dsosd owns: one or more container shards.
 	cluster := dsos.NewCluster(*daemons, *container)
 	if err := dsos.SetupDarshan(cluster); err != nil {

@@ -154,6 +154,14 @@ func main() {
 		}
 	})
 
+	// An interval a ticker would panic on is a startup error too.
+	switch {
+	case *statsEvery <= 0:
+		fatal(fmt.Errorf("-stats %v: the stats interval must be positive", *statsEvery))
+	case *samplers != "" && *sampleEvery <= 0:
+		fatal(fmt.Errorf("-sample-interval %v: the sampler interval must be positive", *sampleEvery))
+	}
+
 	d := ldms.NewDaemon("ldmsd", *producer)
 	count := &ldms.CountStore{}
 	d.AttachStore(*tag, count)

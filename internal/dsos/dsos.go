@@ -157,7 +157,7 @@ func (d *Daemon) AddIndex(spec sos.IndexSpec) error {
 // with err until healed with SetFault(nil) — fault injection for the
 // resilience campaigns (a wedged but not crashed dsosd). With the sharded
 // client, a retried Insert rotates to the next (healthy) daemon, so
-// retry-with-timeout turns a dsosd outage into transparent failover.
+// bounded retry turns a dsosd outage into transparent failover.
 func (d *Daemon) SetFault(err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -201,7 +201,7 @@ func CrashDaemon(links ...*Link) (crash, restart func()) {
 // FlakyStore wraps an ldms.StorePlugin with deterministic transient
 // failures: while active, each Store call fails with probability p drawn
 // from its rng stream. Pair it with ldms.RetryStore to demonstrate the
-// retry-with-timeout ingest path under an unreliable dsosd.
+// retried ingest path under an unreliable dsosd.
 type FlakyStore struct {
 	inner  ldms.StorePlugin
 	r      *rng.Stream

@@ -4,24 +4,15 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"darshanldms/internal/apps"
-	"darshanldms/internal/cluster"
-	"darshanldms/internal/connector"
-	"darshanldms/internal/darshan"
 	"darshanldms/internal/dsos"
-	"darshanldms/internal/event"
 	"darshanldms/internal/faults"
-	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/ldms"
 	"darshanldms/internal/obs"
 	"darshanldms/internal/rng"
-	"darshanldms/internal/sim"
 	"darshanldms/internal/simfs"
 	"darshanldms/internal/sos"
-	"darshanldms/internal/streams"
 )
 
 // The chaos soak is the durability layer's acceptance harness: it reruns
@@ -95,57 +86,6 @@ type ChaosSoakResult struct {
 	Violations int // total across all runs
 }
 
-// chaosReplayTail is the at-least-once tail every link retains for
-// replay-outage heals — duplicates for the dedup layer to absorb.
-const chaosReplayTail = 32
-
-// chaosObjKey is the multiset identity of one stored object.
-func chaosObjKey(o sos.Object) string { return fmt.Sprintf("%v", o.Values()) }
-
-// ackRecorder sits between the dedup layer and the retry/store chain: on
-// inner success it records the objects the caller was just promised are
-// durable — the "acked" side of the no-acked-event-lost invariant. Below
-// the dedup layer it sees each stored identity exactly once.
-type ackRecorder struct {
-	inner ldms.StorePlugin
-	mu    sync.Mutex
-	acked uint64
-	objs  map[string]int
-}
-
-func newAckRecorder(inner ldms.StorePlugin) *ackRecorder {
-	return &ackRecorder{inner: inner, objs: map[string]int{}}
-}
-
-// Name implements ldms.StorePlugin.
-func (a *ackRecorder) Name() string { return "acktrack(" + a.inner.Name() + ")" }
-
-// Store implements ldms.StorePlugin.
-func (a *ackRecorder) Store(m streams.Message) error {
-	if err := a.inner.Store(m); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.acked++
-	if msg, err := event.Fields(m); err == nil {
-		for _, o := range dsos.ObjectsFromMessage(msg) {
-			a.objs[chaosObjKey(o)]++
-		}
-	}
-	return nil
-}
-
-func (a *ackRecorder) snapshot() (uint64, map[string]int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]int, len(a.objs))
-	for k, n := range a.objs {
-		out[k] = n
-	}
-	return a.acked, out
-}
-
 // soakSchedule draws one randomized fault schedule. Link and store faults
 // are drawn freely over the first 80% of the horizon, overlaps welcome;
 // daemon crashes are confined to disjoint per-target time slots so at most
@@ -195,49 +135,6 @@ func soakSchedule(r *rng.Stream, name string, horizon time.Duration, links, cras
 // merged multiset (nil when this run IS the oracle); the merged multiset of
 // this run is returned for that purpose.
 func runChaosSoak(cfg ChaosSoakConfig, name string, mkProfile func(links, crashes []string) faults.Profile, horizon time.Duration, oracle map[string]int) (*ChaosRunResult, map[string]int, error) {
-	e := sim.NewEngine()
-	defer e.Close()
-	m := cluster.New(e, cluster.Voltrino())
-	root := rng.New(cfg.Seed)
-
-	var fscfg simfs.Config
-	if cfg.FSKind == simfs.Lustre {
-		fscfg = simfs.DefaultLustre()
-	} else {
-		fscfg = simfs.DefaultNFS()
-	}
-	fscfg.Load = simfs.NominalLoad()
-	fs := simfs.New(e, fscfg, root.Derive("fs"))
-
-	rt := darshan.NewRuntime(darshan.Config{
-		JobID: 1, UID: 99066, Exe: "/projects/hacc/hacc-io", DXT: true,
-	}, 0)
-
-	// Same fault-injectable topology as the campaign, with every link
-	// retaining an at-least-once replay tail.
-	ctl := faults.NewController(e)
-	head := ldms.NewAggregator("agg-head", m.Head().Name)
-	remote := ldms.NewAggregator("agg-remote", "shirley")
-	uplink := faults.NewLink(e, head.Daemon, remote.Daemon, connector.DefaultTag, 300*time.Microsecond)
-	uplink.SetReplayTail(chaosReplayTail)
-	ctl.RegisterLink("uplink", uplink)
-	allLinks := []*faults.Link{uplink}
-	linkNames := []string{"uplink"}
-	nodeDaemons := map[string]*ldms.Daemon{}
-	for _, n := range m.Nodes() {
-		d := ldms.NewDaemon("ldmsd-"+n.Name, n.Name)
-		d.AddSampler(ldms.NewMeminfoSampler(64<<20, root.DeriveN("meminfo", n.Index)))
-		nodeDaemons[n.Name] = d
-		l := faults.NewLink(e, d, head.Daemon, connector.DefaultTag, 150*time.Microsecond)
-		l.SetReplayTail(chaosReplayTail)
-		ln := "node-" + n.Name
-		ctl.RegisterLink(ln, l)
-		allLinks = append(allLinks, l)
-		linkNames = append(linkNames, ln)
-	}
-	crash, restart := faults.CrashDaemon(allLinks...)
-	ctl.RegisterCrash("agg-head", crash, restart)
-
 	// Storage: a DSOS cluster with the configured durability knobs. Every
 	// dsosd is a crash target; its restart hook replays the WAL (if any).
 	sc := dsos.NewCluster(cfg.Daemons, "chaos-darshan")
@@ -248,60 +145,28 @@ func runChaosSoak(cfg ChaosSoakConfig, name string, mkProfile func(links, crashe
 	if cfg.WAL {
 		sc.EnableWAL(nil)
 	}
+	client := dsos.Connect(sc)
+	dstore := ldms.NewDSOSStore(client)
+
+	p := newFaultPipeline(faultRunConfig{
+		seed: cfg.Seed, scale: cfg.Scale, particlesPerRank: cfg.ParticlesPerRank, fsKind: cfg.FSKind,
+	}, dstore, "agg-head")
+	defer p.e.Close()
 	crashNames := []string{}
 	for _, d := range sc.Daemons() {
 		d := d
-		ctl.RegisterCrash(d.Name, d.Crash, func() { _ = d.Restart() })
+		p.ctl.RegisterCrash(d.Name, d.Crash, func() { _ = d.Restart() })
 		crashNames = append(crashNames, d.Name)
 	}
 	crashNames = append(crashNames, "agg-head")
-	client := dsos.Connect(sc)
-
-	// Store chain, outermost first: dedup absorbs replayed deliveries, the
-	// ack recorder witnesses what was promised durable, retry rides out
-	// transient store faults, flaky injects them, DSOS stores.
-	dstore := ldms.NewDSOSStore(client)
-	flaky := faults.NewFlakyStore(dstore, root.Derive("storefault"), storeFailProb)
-	retry := ldms.NewRetryStore(flaky, ldms.RetryConfig{Attempts: 4})
-	ack := newAckRecorder(retry)
-	dedup := ldms.NewDedupStore(ack)
-	handle := remote.AttachStore(connector.DefaultTag, dedup)
-	ctl.RegisterToggle("store", flaky.SetActive)
-
-	conn := connector.Attach(rt, connector.Config{
-		Encoder:        jsonmsg.FastEncoder{},
-		Meta:           jsonmsg.JobMeta{UID: 99066, JobID: 1, Exe: "/projects/hacc/hacc-io"},
-		ChargeOverhead: true,
-	}, func(producer string) *ldms.Daemon { return nodeDaemons[producer] })
-
-	// Telemetry: every soak run carries its own registry and the report
-	// embeds the snapshot, so the per-stage breakdown is always next to
-	// the invariant audit. Trace hops run on the engine's virtual clock.
-	reg := obs.NewRegistry()
-	clock := obs.Clock(e.Now)
-	conn.Instrument(reg)
-	connector.Collect(reg, []*connector.Connector{conn})
-	nodeBuses := make([]*streams.Bus, 0, len(nodeDaemons))
-	for _, n := range m.Nodes() {
-		d := nodeDaemons[n.Name]
-		d.Bus().Instrument(hopNodeBus, clock)
-		nodeBuses = append(nodeBuses, d.Bus())
-	}
-	collectBusGroup(reg, hopNodeBus, nodeBuses)
-	head.Daemon.Bus().Instrument(hopHeadBus, clock)
-	head.Daemon.Bus().Collect(reg, hopHeadBus)
-	remote.Daemon.Bus().Instrument(hopRemoteBus, clock)
-	remote.Daemon.Bus().Collect(reg, hopRemoteBus)
-	dedup.Instrument(reg, clock)
-	retry.Collect(reg)
-	dstore.Instrument(reg, clock)
-	sc.Instrument(reg, clock)
+	dstore.Instrument(p.reg, p.clock)
+	sc.Instrument(p.reg, p.clock)
 
 	profile := faults.Profile{Name: name}
 	if mkProfile != nil {
-		profile = mkProfile(linkNames, crashNames)
+		profile = mkProfile(p.linkNames, crashNames)
 	}
-	if err := ctl.Apply(profile); err != nil {
+	if err := p.ctl.Apply(profile); err != nil {
 		return nil, nil, err
 	}
 
@@ -311,7 +176,7 @@ func runChaosSoak(cfg ChaosSoakConfig, name string, mkProfile func(links, crashe
 	midRepaired := 0
 	if horizon > 0 {
 		for _, f := range []float64{0.4, 0.75} {
-			e.At(time.Duration(f*float64(horizon)), func() {
+			p.e.At(time.Duration(f*float64(horizon)), func() {
 				if _, info, err := client.QueryEx("job_rank_time", nil, nil); err == nil {
 					midRepaired += info.Repaired
 				}
@@ -319,13 +184,8 @@ func runChaosSoak(cfg ChaosSoakConfig, name string, mkProfile func(links, crashe
 		}
 	}
 
-	hacc := apps.DefaultHACCIO(m.Nodes()[:16], scaleInt64(cfg.ParticlesPerRank, cfg.Scale))
-	apps.RunHACCIO(apps.Env{E: e, M: m, FS: fs, RT: rt}, hacc)
-	if err := e.Run(0); err != nil {
-		return nil, nil, err
-	}
-	runtime := e.Now()
-	if err := e.Drain(runtime + time.Second); err != nil {
+	runtime, err := p.runJob()
+	if err != nil {
 		return nil, nil, err
 	}
 
@@ -341,29 +201,21 @@ func runChaosSoak(cfg ChaosSoakConfig, name string, mkProfile func(links, crashe
 	if err != nil {
 		return nil, nil, err
 	}
-	mergedSet := map[string]int{}
-	for _, o := range merged {
-		mergedSet[chaosObjKey(o)]++
-	}
+	mergedSet := multiset(merged)
 
 	res := &ChaosRunResult{
 		Schedule:  profile.Name,
 		Runtime:   runtime,
-		Published: conn.Stats().Published,
-		Deduped:   dedup.Duplicates(),
+		Published: p.conn.Stats().Published,
+		Deduped:   p.dedup.Duplicates(),
 		Repaired:  midRepaired + info.Repaired,
 		Merged:    len(merged),
-		Log:       ctl.Log(),
+		Log:       p.ctl.Log(),
 	}
-	acked, ackedSet := ack.snapshot()
+	acked, ackedSet := p.ack.snapshot()
 	res.Acked = acked
-	for _, l := range allLinks {
-		st := l.Stats()
-		res.LinkDropped += st.Dropped
-		res.LinkRecovered += st.Recovered
-		res.LinkDuplicated += st.Duplicated
-	}
-	retries, failures, _ := retry.Stats()
+	res.LinkDropped, res.LinkRecovered, res.LinkDuplicated = p.linkStats()
+	retries, failures, _ := p.retry.Stats()
 	res.StoreRetries = retries
 	res.StoreDrops = failures
 	for _, d := range sc.Daemons() {
@@ -372,34 +224,15 @@ func runChaosSoak(cfg ChaosSoakConfig, name string, mkProfile func(links, crashe
 
 	// --- Invariant audit ---
 
-	// 1. No acked event lost.
-	missing := 0
-	for k, n := range ackedSet {
-		if mergedSet[k] < n {
-			missing += n - mergedSet[k]
-		}
-	}
-	if missing > 0 {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("acked-but-lost: %d acked objects missing from the merged view", missing))
-	}
-
-	// 2. No duplicate stored: the merged view never exceeds the fault-free
-	// oracle (or, for the oracle run itself, its own acked multiset).
+	// 1-2. No acked event lost, and no duplicate stored: the merged view
+	// never exceeds the fault-free oracle (or, for the oracle run itself,
+	// its own acked multiset).
 	ref := oracle
 	if ref == nil {
 		ref = ackedSet
 	}
-	extra := 0
-	for k, n := range mergedSet {
-		if n > ref[k] {
-			extra += n - ref[k]
-		}
-	}
-	if extra > 0 {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("duplicate-stored: %d objects beyond the fault-free reference", extra))
-	}
+	missing, extra, violations := auditAcked(ackedSet, mergedSet, ref, "the fault-free reference")
+	res.Violations = append(res.Violations, violations...)
 
 	// 3. Replicas converge: post-repair, every origin on >= R daemons and a
 	// second query finds nothing left to repair.
@@ -437,12 +270,12 @@ func runChaosSoak(cfg ChaosSoakConfig, name string, mkProfile func(links, crashe
 		}
 	}
 
-	res.Obs = reg.Snapshot()
+	res.Obs = p.reg.Snapshot()
 
 	// 4. A lossless run must reproduce the oracle exactly.
-	storeErrs, _ := handle.Errors()
+	storeErrs, _ := p.handle.Errors()
 	if oracle != nil && res.LinkDropped == 0 && res.StoreDrops == 0 && storeErrs == 0 {
-		if len(mergedSet) != len(oracle) || missing > 0 || extra > 0 || res.Merged != multisetSize(oracle) {
+		if missing > 0 || extra > 0 || shortfall(oracle, mergedSet) > 0 {
 			res.Violations = append(res.Violations,
 				"oracle-mismatch: lossless run diverged from the fault-free oracle")
 		}
@@ -451,36 +284,16 @@ func runChaosSoak(cfg ChaosSoakConfig, name string, mkProfile func(links, crashe
 	return res, mergedSet, nil
 }
 
-func multisetSize(set map[string]int) int {
-	n := 0
-	for _, c := range set {
-		n += c
-	}
-	return n
-}
-
 // ChaosSoak runs the fault-free oracle and then every randomized schedule,
 // auditing the invariants after each. Everything is drawn from cfg.Seed, so
 // a soak replays bit-for-bit.
 func ChaosSoak(cfg ChaosSoakConfig) (*ChaosSoakResult, error) {
-	if cfg.Schedules <= 0 {
-		cfg.Schedules = 20
-	}
-	if cfg.EventsPerSchedule <= 0 {
-		cfg.EventsPerSchedule = 6
-	}
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	if cfg.ParticlesPerRank <= 0 {
-		cfg.ParticlesPerRank = 5_000_000
-	}
-	if cfg.Daemons <= 0 {
-		cfg.Daemons = 4
-	}
-	if cfg.Replication <= 0 {
-		cfg.Replication = 2
-	}
+	orDefault(&cfg.Schedules, 20)
+	orDefault(&cfg.EventsPerSchedule, 6)
+	orDefault(&cfg.Scale, 1)
+	orDefault(&cfg.ParticlesPerRank, 5_000_000)
+	orDefault(&cfg.Daemons, 4)
+	orDefault(&cfg.Replication, 2)
 
 	oracleRes, oracleSet, err := runChaosSoak(cfg, "oracle", nil, 0, nil)
 	if err != nil {
@@ -520,13 +333,9 @@ func RenderChaosSoak(c *ChaosSoakResult) string {
 	fmt.Fprintf(&b, "%-10s %9s %7s %7s %8s %7s %7s %7s %8s %7s %7s %s\n",
 		"schedule", "published", "acked", "deduped", "dropped", "recov", "dup", "retries", "walrec", "repair", "merged", "invariants")
 	row := func(r ChaosRunResult) {
-		verdict := "ok"
-		if len(r.Violations) > 0 {
-			verdict = fmt.Sprintf("VIOLATED (%d)", len(r.Violations))
-		}
 		fmt.Fprintf(&b, "%-10s %9d %7d %7d %8d %7d %7d %7d %8d %7d %7d %s\n",
 			r.Schedule, r.Published, r.Acked, r.Deduped, r.LinkDropped, r.LinkRecovered,
-			r.LinkDuplicated, r.StoreRetries, r.WALRecovered, r.Repaired, r.Merged, verdict)
+			r.LinkDuplicated, r.StoreRetries, r.WALRecovered, r.Repaired, r.Merged, verdict(r.Violations))
 	}
 	row(c.Oracle)
 	for _, r := range c.Runs {
@@ -534,15 +343,8 @@ func RenderChaosSoak(c *ChaosSoakResult) string {
 	}
 	fmt.Fprintf(&b, "total invariant violations: %d\n", c.Violations)
 	for _, r := range c.Runs {
-		if len(r.Violations) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "\n%s violations:\n", r.Schedule)
-		for _, v := range r.Violations {
-			fmt.Fprintf(&b, "  %s\n", v)
-		}
-		for _, rec := range r.Log {
-			fmt.Fprintf(&b, "  %s\n", rec)
+		if len(r.Violations) > 0 {
+			renderRunDetail(&b, r.Schedule+" violations:", r.Violations, nil, r.Log)
 		}
 	}
 	renderObsSection(&b, "pipeline stage snapshot (oracle run):", c.Oracle.Obs)

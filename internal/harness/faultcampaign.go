@@ -5,18 +5,10 @@ import (
 	"strings"
 	"time"
 
-	"darshanldms/internal/apps"
-	"darshanldms/internal/cluster"
-	"darshanldms/internal/connector"
-	"darshanldms/internal/darshan"
 	"darshanldms/internal/faults"
-	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/ldms"
 	"darshanldms/internal/obs"
-	"darshanldms/internal/rng"
-	"darshanldms/internal/sim"
 	"darshanldms/internal/simfs"
-	"darshanldms/internal/streams"
 )
 
 // The fault campaign reruns the HACC-IO monitoring pipeline under a set of
@@ -50,134 +42,40 @@ type FaultCampaignResult struct {
 	Runs     []FaultRunResult
 }
 
-// faultRunConfig carries the fixed workload parameters of a campaign.
-type faultRunConfig struct {
-	seed             uint64
-	scale            float64
-	particlesPerRank int64
-	fsKind           simfs.Kind
-}
-
-// storeFailProb is the FlakyStore failure probability while the "store"
-// toggle is active; with 4 retry attempts ~87% of hits still land.
-const storeFailProb = 0.6
-
 // runUnderFaults executes one HACC-IO job with fault-injectable links and
 // the given profile applied. An empty profile is the baseline.
 func runUnderFaults(cfg faultRunConfig, profile faults.Profile) (*FaultRunResult, error) {
-	e := sim.NewEngine()
-	defer e.Close()
-	m := cluster.New(e, cluster.Voltrino())
-	root := rng.New(cfg.seed)
-
-	var fscfg simfs.Config
-	if cfg.fsKind == simfs.Lustre {
-		fscfg = simfs.DefaultLustre()
-	} else {
-		fscfg = simfs.DefaultNFS()
-	}
-	fscfg.Load = simfs.NominalLoad()
-	fs := simfs.New(e, fscfg, root.Derive("fs"))
-
-	rt := darshan.NewRuntime(darshan.Config{
-		JobID: 1, UID: 99066, Exe: "/projects/hacc/hacc-io", DXT: true,
-	}, 0)
-
-	// Same two-level topology as Run, but every hop is a faults.Link the
-	// controller can partition, slow down or stall.
-	ctl := faults.NewController(e)
-	head := ldms.NewAggregator("agg-head", m.Head().Name)
-	remote := ldms.NewAggregator("agg-remote", "shirley")
-	uplink := faults.NewLink(e, head.Daemon, remote.Daemon, connector.DefaultTag, 300*time.Microsecond)
-	uplink.SetReplayTail(chaosReplayTail)
-	ctl.RegisterLink("uplink", uplink)
-	allLinks := []*faults.Link{uplink}
-	nodeDaemons := map[string]*ldms.Daemon{}
-	for _, n := range m.Nodes() {
-		d := ldms.NewDaemon("ldmsd-"+n.Name, n.Name)
-		d.AddSampler(ldms.NewMeminfoSampler(64<<20, root.DeriveN("meminfo", n.Index)))
-		nodeDaemons[n.Name] = d
-		l := faults.NewLink(e, d, head.Daemon, connector.DefaultTag, 150*time.Microsecond)
-		ctl.RegisterLink("node-"+n.Name, l)
-		allLinks = append(allLinks, l)
-	}
-	// Crashing the head aggregator cuts every link that touches it.
-	crash, restart := faults.CrashDaemon(allLinks...)
-	ctl.RegisterCrash("head", crash, restart)
-
-	// Store path: counting store behind flaky injection behind the opt-in
-	// retry layer (so StoreFault windows exercise retry-with-timeout),
-	// behind the dedup layer (so replay-outage heals don't double count).
+	// The pipeline's store chain ends in a counting store: StoreFault
+	// windows exercise the retries, and dedup keeps replay-outage heals
+	// from double counting. The campaign reports counts, not the ledger.
 	count := &ldms.CountStore{}
-	flaky := faults.NewFlakyStore(count, root.Derive("storefault"), storeFailProb)
-	retry := ldms.NewRetryStore(flaky, ldms.RetryConfig{Attempts: 4})
-	dedup := ldms.NewDedupStore(retry)
-	storeHandle := remote.AttachStore(connector.DefaultTag, dedup)
-	ctl.RegisterToggle("store", flaky.SetActive)
-
-	conn := connector.Attach(rt, connector.Config{
-		Encoder:        jsonmsg.FastEncoder{},
-		Meta:           jsonmsg.JobMeta{UID: 99066, JobID: 1, Exe: "/projects/hacc/hacc-io"},
-		ChargeOverhead: true,
-	}, func(producer string) *ldms.Daemon { return nodeDaemons[producer] })
-
-	// Telemetry mirrors the chaos soak: per-run registry, snapshot in
-	// the report, hop stamps on the engine's virtual clock.
-	reg := obs.NewRegistry()
-	clock := obs.Clock(e.Now)
-	conn.Instrument(reg)
-	connector.Collect(reg, []*connector.Connector{conn})
-	nodeBuses := make([]*streams.Bus, 0, len(nodeDaemons))
-	for _, n := range m.Nodes() {
-		d := nodeDaemons[n.Name]
-		d.Bus().Instrument(hopNodeBus, clock)
-		nodeBuses = append(nodeBuses, d.Bus())
-	}
-	collectBusGroup(reg, hopNodeBus, nodeBuses)
-	head.Daemon.Bus().Instrument(hopHeadBus, clock)
-	head.Daemon.Bus().Collect(reg, hopHeadBus)
-	remote.Daemon.Bus().Instrument(hopRemoteBus, clock)
-	remote.Daemon.Bus().Collect(reg, hopRemoteBus)
-	dedup.Instrument(reg, clock)
-	retry.Collect(reg)
-	reg.RegisterCollector(func(emit func(string, float64)) {
+	p := newFaultPipeline(cfg, count, "head")
+	defer p.e.Close()
+	p.reg.RegisterCollector(func(emit func(string, float64)) {
 		emit("dlc_store_count_messages_total", float64(count.Count()))
 	})
-
-	if err := ctl.Apply(profile); err != nil {
+	if err := p.ctl.Apply(profile); err != nil {
 		return nil, err
 	}
-
-	hacc := apps.DefaultHACCIO(m.Nodes()[:16], scaleInt64(cfg.particlesPerRank, cfg.scale))
-	apps.RunHACCIO(apps.Env{E: e, M: m, FS: fs, RT: rt}, hacc)
-	if err := e.Run(0); err != nil {
-		return nil, err
-	}
-	runtime := e.Now()
-	if err := e.Drain(runtime + time.Second); err != nil {
+	runtime, err := p.runJob()
+	if err != nil {
 		return nil, err
 	}
 
 	res := &FaultRunResult{
 		Profile:   profile.Name,
 		Runtime:   runtime,
-		Published: conn.Stats().Published,
+		Published: p.conn.Stats().Published,
 		Delivered: count.Count(),
-		Log:       ctl.Log(),
+		Log:       p.ctl.Log(),
+		Deduped:   p.dedup.Duplicates(),
 	}
-	for _, l := range allLinks {
-		st := l.Stats()
-		res.Dropped += st.Dropped
-		res.Recovered += st.Recovered
-		res.Duplicated += st.Duplicated
-	}
-	res.Deduped = dedup.Duplicates()
-	retries, failures, _ := retry.Stats()
+	res.Dropped, res.Recovered, res.Duplicated = p.linkStats()
+	retries, failures, _ := p.retry.Stats()
 	res.StoreRetries = retries
 	res.StoreDrops = failures
 	res.Dropped += failures
-	res.Obs = reg.Snapshot()
-	_ = storeHandle
+	res.Obs = p.reg.Snapshot()
 	return res, nil
 }
 
@@ -258,12 +156,8 @@ func RenderFaultCampaign(c *FaultCampaignResult) string {
 		row(r)
 	}
 	for _, r := range c.Runs {
-		if len(r.Log) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "\n%s fault log:\n", r.Profile)
-		for _, rec := range r.Log {
-			fmt.Fprintf(&b, "  %s\n", rec)
+		if len(r.Log) > 0 {
+			renderRunDetail(&b, r.Profile+" fault log:", nil, nil, r.Log)
 		}
 	}
 	renderObsSection(&b, "pipeline stage snapshot (baseline run):", c.Baseline.Obs)

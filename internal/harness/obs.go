@@ -38,6 +38,20 @@ const (
 	hopStore     = "store"
 )
 
+// instrumentBuses stamps the two-level pipeline's buses with their trace
+// hops and exports their series: the node daemons' buses as one group,
+// then the head and the remote aggregator's.
+func instrumentBuses(reg *obs.Registry, clock obs.Clock, nodes []*streams.Bus, head, remote *streams.Bus) {
+	for _, b := range nodes {
+		b.Instrument(hopNodeBus, clock)
+	}
+	collectBusGroup(reg, hopNodeBus, nodes)
+	head.Instrument(hopHeadBus, clock)
+	head.Collect(reg, hopHeadBus)
+	remote.Instrument(hopRemoteBus, clock)
+	remote.Collect(reg, hopRemoteBus)
+}
+
 // collectBusGroup exports one summed set of dlc_bus_* series for a
 // group of same-stage buses (the per-node daemon buses): per-node
 // series would swamp a report with dozens of identical rows, and a

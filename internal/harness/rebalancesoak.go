@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -22,10 +23,15 @@ import (
 
 // The rebalance soak is the control plane's acceptance harness: a
 // three-level aggregation tree (leaves -> L1 -> L2 -> store head) built
-// from durable streams and topo uplinks, feeding a consistent-hash shard
-// cluster, rerun under many seeded schedules that crash aggregators,
-// partition uplinks, crash shards AND trigger a live grow + shrink
-// rebalance mid-soak. After every run four invariants are audited:
+// from durable streams, feeding a consistent-hash shard cluster, rerun
+// under many seeded schedules that crash aggregators, partition uplinks,
+// crash shards AND trigger a live grow + shrink rebalance mid-soak. Every
+// hop runs the round step the daemons ship (ldms.Cursor): a tree hop
+// hands each stored-batch run of a round to its current parent and
+// settles the round after the ack gap, as the stream uplink does, and the
+// store head commits each round through dedup and the ack ledger into
+// the cluster, as dsosd -stream does. After every run four invariants are
+// audited:
 //
 //  1. No acked record lost — every object the store chain acked is in
 //     the final merged query.
@@ -68,8 +74,8 @@ type RebalanceRunResult struct {
 	Produced     uint64 // records appended to leaf streams
 	Acked        uint64 // identities acked durable by the store chain
 	Deduped      uint64 // replayed deliveries absorbed by dedup
-	Naks         uint64 // store-pump naks (down-shard backpressure)
-	AckLost      uint64 // uplink acks lost to crashes inside the ack gap
+	Naks         uint64 // store-head naks: refused rounds, naked whole (down-shard backpressure)
+	AckLost      uint64 // deliveries whose ack a crash inside the ack gap lost
 	Rehomes      uint64 // tree failovers
 	Misses       uint64 // heartbeat misses
 	Migrations   uint64 // completed cutovers
@@ -94,17 +100,102 @@ type RebalanceSoakResult struct {
 	Violations int
 }
 
-// rebalanceTopo is one assembled soak topology.
-type rebalanceTopo struct {
-	e       *sim.Engine
-	tree    *topo.Tree
-	uplinks map[string]*topo.Uplink
-	hc      *topo.HashCluster
-	pump    *topo.StorePump
-	dedup   *ldms.DedupStore
-	ack     *ackRecorder
-	decomm  map[string]bool // baseline decommissioned shards
-	notes   []string
+// The soak's hop timing, in virtual time: how often a hop polls its
+// cursor (a tree hop's poll doubles as its heartbeat), the gap between
+// handing a round on and settling it — a crash inside it loses the ack,
+// and the round is redelivered: duplicates for dedup, never loss — and
+// the consumers' redelivery deadline.
+const (
+	hopPollEvery = 5 * time.Millisecond
+	hopAckGap    = time.Millisecond
+	hopAckWait   = 200 * time.Millisecond
+)
+
+// treeHop is one tree member's uplink: the shipped round step over the
+// member's own durable consumer. The consumer, and so its ack floor,
+// belongs to the member and survives any number of re-homes — pointing
+// the hop at a new parent never touches the cursor.
+type treeHop struct {
+	cons        *streams.Consumer
+	ackLost     uint64 // deliveries whose ack a crash inside the ack gap lost
+	floor       uint64 // ack floor after the last settle
+	regressions uint64 // settles that found the floor lower than before
+}
+
+// startTreeHop claims the member's uplink consumer and spawns its loop.
+// Every poll is a heartbeat through Tree.Deliver, and the hop pauses
+// while the member itself is down.
+func startTreeHop(e *sim.Engine, t *topo.Tree, name string, s *streams.DurableStream) (*treeHop, error) {
+	cons, err := s.Consumer(streams.ConsumerConfig{Name: "uplink", MaxInflight: 2 * ldms.RoundSize, AckWait: hopAckWait})
+	if err != nil {
+		return nil, err
+	}
+	h := &treeHop{cons: cons}
+	cur := ldms.NewCursor(cons, ldms.RoundSize)
+	e.SpawnDaemon("uplink-"+name, func(p *sim.Proc) {
+		for {
+			p.Sleep(hopPollEvery)
+			if !t.Alive(name) {
+				continue
+			}
+			bus, ok := t.Deliver(name)
+			if !ok {
+				continue // miss counted; the tree decides on failover
+			}
+			msgs, ends, err := cur.Next()
+			if err != nil {
+				return // consumer replaced or closed
+			}
+			if len(msgs) == 0 {
+				continue
+			}
+			lo := 0
+			for _, hi := range ends {
+				bus.PublishBatch(msgs[lo:hi])
+				lo = hi
+			}
+			p.Sleep(hopAckGap)
+			if !t.Alive(name) {
+				// Crashed inside the gap: the parent has the round and we
+				// cannot ack it; it is redelivered whole.
+				h.ackLost += uint64(len(msgs))
+				continue
+			}
+			cur.Settle(len(msgs))
+			floor := cons.AckFloor()
+			if floor < h.floor {
+				h.regressions++
+			}
+			h.floor = floor
+		}
+	})
+	return h, nil
+}
+
+// startStoreHop claims the store head's ingest consumer and spawns the
+// commit loop dsosd -stream runs: each round committed through store and
+// settled, a refused round naked whole and retried on the next poll. A
+// round that failed after a partial write goes to partial — dsosd would
+// exit and cut it back on restart, which the soak does not model — and a
+// message that does not decode to dead.
+func startStoreHop(e *sim.Engine, s *streams.DurableStream, store ldms.RoundStore, dead, partial func(error)) (*streams.Consumer, error) {
+	cons, err := s.Consumer(streams.ConsumerConfig{Name: "store", AckWait: hopAckWait})
+	if err != nil {
+		return nil, err
+	}
+	cur := ldms.NewCursor(cons, ldms.RoundSize)
+	e.SpawnDaemon("store-head", func(p *sim.Proc) {
+		for {
+			p.Sleep(hopPollEvery)
+			if _, _, err := cur.Next(); err != nil {
+				return
+			}
+			if err := cur.Commit(store, dead); err != nil && !errors.Is(err, dsos.ErrNothingWritten) {
+				partial(err)
+			}
+		}
+	})
+	return cons, nil
 }
 
 const (
@@ -169,6 +260,29 @@ func rebalanceSchedule(r *rng.Stream, name string, h time.Duration, aggs, parts,
 	return p
 }
 
+// soakRecord is leaf li's i-th connector record, a typed POSIX write
+// with the (producer, seq) identity (leaf, i+1).
+func soakRecord(leaf string, li, i int) streams.Message {
+	msg := &jsonmsg.Message{
+		UID: 99066, Exe: "/projects/hacc/hacc-io",
+		JobID: int64(1 + i/50), Rank: li*1000 + i%8,
+		ProducerName: leaf, File: "/scratch/hacc", RecordID: uint64(i),
+		Module: "POSIX", Type: jsonmsg.TypeMOD, Op: "write",
+		MaxByte: -1, Cnt: 1,
+		Seg: []jsonmsg.Segment{{
+			DataSet: jsonmsg.NA, PtSel: -1, IrregHSlab: -1, RegHSlab: -1,
+			NDims: -1, NPoints: -1, Off: int64(i) * 4096, Len: 4096,
+			Dur: 0.01, Timestamp: float64(li*1_000_000 + i),
+		}},
+	}
+	return streams.Message{
+		Tag:      "darshanConnector",
+		Record:   event.NewRecord(msg, nil),
+		Producer: leaf,
+		Seq:      uint64(i + 1),
+	}
+}
+
 // runRebalanceSoak executes one soak run. mkProfile nil = the calm run
 // (grow + shrink on fixed times, no faults).
 func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs, parts, shards []string) faults.Profile) (*RebalanceRunResult, error) {
@@ -176,12 +290,9 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 	defer e.Close()
 	root := rng.New(cfg.Seed)
 	h := cfg.Horizon
-
-	rt := &rebalanceTopo{
-		e:       e,
-		tree:    topo.NewTree(e.Now, topo.DefaultFailAfter),
-		uplinks: map[string]*topo.Uplink{},
-		decomm:  map[string]bool{},
+	res := &RebalanceRunResult{Schedule: name}
+	note := func(format string, args ...any) {
+		res.Notes = append(res.Notes, fmt.Sprintf("[%8.3fs] %s", e.Now().Seconds(), fmt.Sprintf(format, args...)))
 	}
 
 	// --- Shard plane: a consistent-hash dsos cluster. ---
@@ -203,46 +314,39 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 	if err != nil {
 		return nil, err
 	}
-	rt.hc = hc
 	client := dsos.Connect(sc)
 
 	// --- Aggregation tree: leaves -> L1 (a,b; standby s) -> L2 (c;
 	// standby d) -> store head. Every non-root member owns a durable
-	// stream teed off its bus and an uplink pumping it to the tree's
-	// current routing decision. ---
-	type agg struct{ name, parent, standby string }
-	aggSpecs := []agg{
-		{"store-head", "", ""},
-		{"agg-d", "store-head", ""},
-		{"agg-c", "store-head", "agg-d"},
-		{"agg-s", "agg-c", "agg-d"},
-		{"agg-a", "agg-c", "agg-s"},
-		{"agg-b", "agg-c", "agg-s"},
-	}
-	buses := map[string]*streams.Bus{}
+	// stream teed off its bus and a hop feeding it to the tree's current
+	// routing decision. ---
+	tree := topo.NewTree(e.Now, topo.DefaultFailAfter)
 	streamsByName := map[string]*streams.DurableStream{}
 	mkMember := func(name, parent, standby string, role topo.Role) error {
 		bus := streams.NewBus()
-		buses[name] = bus
-		if err := rt.tree.Add(topo.Spec{Name: name, Role: role, Parent: parent, Standby: standby, Bus: bus}); err != nil {
+		if err := tree.Add(topo.Spec{Name: name, Role: role, Parent: parent, Standby: standby, Bus: bus}); err != nil {
 			return err
 		}
 		s, err := streams.OpenStream(streams.StreamConfig{Name: name, Clock: e.Now}, sos.NewMemWAL())
 		if err != nil {
 			return err
 		}
-		if err := bus.BindStream(s); err != nil {
-			return err
-		}
 		streamsByName[name] = s
-		return nil
+		return bus.BindStream(s)
 	}
-	for _, a := range aggSpecs {
+	for _, a := range [][3]string{
+		{"store-head", "", ""},
+		{"agg-d", "store-head", ""},
+		{"agg-c", "store-head", "agg-d"},
+		{"agg-s", "agg-c", "agg-d"},
+		{"agg-a", "agg-c", "agg-s"},
+		{"agg-b", "agg-c", "agg-s"},
+	} {
 		role := topo.RoleAgg
-		if a.parent == "" {
+		if a[1] == "" {
 			role = topo.RoleRoot
 		}
-		if err := mkMember(a.name, a.parent, a.standby, role); err != nil {
+		if err := mkMember(a[0], a[1], a[2], role); err != nil {
 			return nil, err
 		}
 	}
@@ -258,144 +362,106 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 		}
 		leafNames = append(leafNames, ln)
 	}
-	// Uplinks for every non-root member.
-	for _, name := range rt.tree.Members() {
+	hops := map[string]*treeHop{}
+	for _, name := range tree.Members() {
 		if name == "store-head" {
 			continue
 		}
-		u, err := topo.StartUplink(e, rt.tree, name, streamsByName[name], topo.PumpConfig{})
-		if err != nil {
+		if hops[name], err = startTreeHop(e, tree, name, streamsByName[name]); err != nil {
 			return nil, err
 		}
-		rt.uplinks[name] = u
 	}
 
-	// --- Store chain on the head: dedup -> ack witness -> DSOS store. ---
-	rt.ack = newAckRecorder(ldms.NewDSOSStore(client))
-	rt.dedup = ldms.NewDedupStore(rt.ack)
-	pump, err := topo.StartStorePump(e, streamsByName["store-head"], rt.dedup, topo.PumpConfig{})
+	// --- Store chain on the head: dedup -> ack ledger -> DSOS store. ---
+	ack := newAckRecorder(ldms.NewDSOSStore(client))
+	dedup := ldms.NewDedupStore(ack)
+	storeCons, err := startStoreHop(e, streamsByName["store-head"], dedup,
+		func(err error) { note("dead-lettered: %v", err) },
+		func(err error) {
+			res.Violations = append(res.Violations, fmt.Sprintf("partial-round: %v at %.3fs", err, e.Now().Seconds()))
+		})
 	if err != nil {
 		return nil, err
 	}
-	rt.pump = pump
 
 	// --- Fault wiring. ---
 	ctl := faults.NewController(e)
 	aggNames := []string{"agg-a", "agg-b", "agg-s", "agg-c", "agg-d"}
+	restartAgg := func(an string) {
+		tree.Restart(an)
+		hops[an].cons.Redeliver()
+	}
 	for _, an := range aggNames {
 		an := an
-		ctl.RegisterCrash(an, func() { rt.tree.Crash(an) }, func() {
-			rt.tree.Restart(an)
-			rt.uplinks[an].Redeliver()
-		})
+		ctl.RegisterCrash(an, func() { tree.Crash(an) }, func() { restartAgg(an) })
 	}
 	partTargets := []string{"agg-a", "agg-b", "leaf-00", leafNames[cfg.Leaves/2]}
 	for _, pn := range partTargets {
 		pn := pn
-		ctl.RegisterToggle("part-"+pn, func(on bool) { rt.tree.SetPartition(pn, on) })
+		ctl.RegisterToggle("part-"+pn, func(on bool) { tree.SetPartition(pn, on) })
 	}
+	decomm := map[string]bool{} // baseline decommissioned shards
 	for _, d := range shards {
 		d := d
 		ctl.RegisterCrash(d.Name, d.Crash, func() {
-			if rt.decomm[d.Name] {
+			if decomm[d.Name] {
 				return // baseline decommission is permanent
 			}
 			if err := d.Restart(); err != nil {
-				rt.notes = append(rt.notes, fmt.Sprintf("restart %s: %v", d.Name, err))
+				res.Notes = append(res.Notes, fmt.Sprintf("restart %s: %v", d.Name, err))
 			}
 		})
 	}
 	// Rebalance windows: toggle on = begin, toggle off = cutover. In the
 	// static baseline a grow is impossible and a shrink is a decommission
 	// — the victim shard dies with its data still placed on it.
-	note := func(format string, args ...any) {
-		rt.notes = append(rt.notes, fmt.Sprintf("[%8.3fs] %s", e.Now().Seconds(), fmt.Sprintf(format, args...)))
+	window := func(what string, begin func() error, static func()) func(bool) {
+		return func(on bool) {
+			switch {
+			case cfg.Static:
+				if on {
+					static()
+				}
+			case on:
+				if err := begin(); err != nil {
+					note("%s begin: %v", what, err)
+				}
+			case hc.Migrating():
+				if err := hc.Cutover(); err != nil {
+					note("%s cutover deferred: %v", what, err)
+				}
+			}
+		}
 	}
-	ctl.RegisterToggle("grow", func(on bool) {
-		if cfg.Static {
-			if on {
-				note("grow: static placement cannot add a shard")
-			}
-			return
-		}
-		if on {
-			if err := hc.BeginAdd(rebalanceSpare); err != nil {
-				note("grow begin: %v", err)
-			}
-			return
-		}
-		if !hc.Migrating() {
-			return
-		}
-		if err := hc.Cutover(); err != nil {
-			note("grow cutover deferred: %v", err)
-		}
-	})
-	ctl.RegisterToggle("shrink", func(on bool) {
-		if cfg.Static {
-			if on {
-				note("shrink: static placement decommissions %s, stranding its keys", rebalanceVictim)
-				rt.decomm[rebalanceVictim] = true
-				hc.Daemon(rebalanceVictim).Crash()
-			}
-			return
-		}
-		if on {
-			if err := hc.BeginRemove(rebalanceVictim); err != nil {
-				note("shrink begin: %v", err)
-			}
-			return
-		}
-		if !hc.Migrating() {
-			return
-		}
-		if err := hc.Cutover(); err != nil {
-			note("shrink cutover deferred: %v", err)
-		}
-	})
+	ctl.RegisterToggle("grow", window("grow", func() error { return hc.BeginAdd(rebalanceSpare) }, func() {
+		note("grow: static placement cannot add a shard")
+	}))
+	ctl.RegisterToggle("shrink", window("shrink", func() error { return hc.BeginRemove(rebalanceVictim) }, func() {
+		note("shrink: static placement decommissions %s, stranding its keys", rebalanceVictim)
+		decomm[rebalanceVictim] = true
+		hc.Daemon(rebalanceVictim).Crash()
+	}))
 
 	// --- Telemetry. ---
 	reg := obs.NewRegistry()
-	rt.tree.Collect(reg)
+	tree.Collect(reg)
 	hc.Collect(reg)
-	rt.dedup.Instrument(reg, obs.Clock(e.Now))
-	for _, ln := range leafNames {
-		rt.uplinks[ln].Collect(reg)
-	}
+	dedup.Instrument(reg, obs.Clock(e.Now))
 
 	// --- Workload: each leaf appends typed connector records with a
 	// unique (producer, seq) identity to its own durable stream. ---
 	produceFor := time.Duration(0.7 * float64(h))
 	interval := produceFor / time.Duration(cfg.MsgsPerLeaf)
-	var produced uint64
 	for li, ln := range leafNames {
 		li, ln := li, ln
 		jit := root.DeriveN("rebalance-producer", li)
 		e.Spawn("produce-"+ln, func(p *sim.Proc) {
 			for i := 0; i < cfg.MsgsPerLeaf; i++ {
 				p.Sleep(interval + time.Duration(jit.Intn(int(interval/4)+1)))
-				msg := &jsonmsg.Message{
-					UID: 99066, Exe: "/projects/hacc/hacc-io",
-					JobID: int64(1 + i/50), Rank: li*1000 + i%8,
-					ProducerName: ln, File: "/scratch/hacc", RecordID: uint64(i),
-					Module: "POSIX", Type: jsonmsg.TypeMOD, Op: "write",
-					MaxByte: -1, Cnt: 1,
-					Seg: []jsonmsg.Segment{{
-						DataSet: jsonmsg.NA, PtSel: -1, IrregHSlab: -1, RegHSlab: -1,
-						NDims: -1, NPoints: -1, Off: int64(i) * 4096, Len: 4096,
-						Dur: 0.01, Timestamp: float64(li*1_000_000 + i),
-					}},
-				}
-				_, err := streamsByName[ln].Append(streams.Message{
-					Tag:      "darshanConnector",
-					Record:   event.NewRecord(msg, nil),
-					Producer: ln,
-					Seq:      uint64(i + 1),
-				})
-				if err != nil {
+				if _, err := streamsByName[ln].Append(soakRecord(ln, li, i)); err != nil {
 					panic(err)
 				}
-				produced++
+				res.Produced++
 			}
 		})
 	}
@@ -414,33 +480,23 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 	if err := ctl.Apply(profile); err != nil {
 		return nil, err
 	}
+	res.Schedule = profile.Name
 
 	// --- Mid-soak readability probes: while faults and migrations are
 	// live, everything already acked must still be readable whenever no
 	// placement group is dark. Snapshot and query run in one engine
 	// callback, so the check is atomic in virtual time. ---
-	res := &RebalanceRunResult{Schedule: profile.Name}
 	probeRng := root.Derive("rebalance-probe")
 	for i := 0; i < 3; i++ {
 		at := time.Duration(probeRng.Uniform(0.30, 0.72) * float64(h))
 		e.At(at, func() {
-			_, ackedSet := rt.ack.snapshot()
+			_, ackedSet := ack.snapshot()
 			objs, info, err := client.QueryEx("job_rank_time", nil, nil)
 			if err != nil || info.Partial {
 				return // a dark group is a liveness gap, not a safety bug
 			}
 			res.MidChecks++
-			got := map[string]int{}
-			for _, o := range objs {
-				got[chaosObjKey(o)]++
-			}
-			missing := 0
-			for k, n := range ackedSet {
-				if got[k] < n {
-					missing += n - got[k]
-				}
-			}
-			if missing > 0 {
+			if missing := shortfall(ackedSet, multiset(objs)); missing > 0 {
 				res.Violations = append(res.Violations, fmt.Sprintf(
 					"mid-soak-unreadable: %d acked objects invisible at %.3fs with all groups up", missing, e.Now().Seconds()))
 			}
@@ -448,27 +504,22 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 	}
 
 	// --- Quiesce: restore the fleet, finish any staged migration, then
-	// let the pumps drain every backlog. ---
+	// let the hops drain every backlog. ---
 	e.At(h, func() {
 		for _, an := range aggNames {
-			rt.tree.Restart(an)
-			rt.uplinks[an].Redeliver()
+			restartAgg(an)
 		}
 		for _, ln := range leafNames {
-			rt.tree.SetPartition(ln, false)
-			rt.uplinks[ln].Redeliver()
+			tree.SetPartition(ln, false)
+			hops[ln].cons.Redeliver()
 		}
 		for _, pn := range partTargets {
-			rt.tree.SetPartition(pn, false)
+			tree.SetPartition(pn, false)
 		}
 		for _, sn := range hc.Members() {
-			if rt.decomm[sn] {
-				continue
-			}
-			d := hc.Daemon(sn)
-			if d != nil && !d.Up() {
+			if d := hc.Daemon(sn); !decomm[sn] && d != nil && !d.Up() {
 				if err := d.Restart(); err != nil {
-					rt.notes = append(rt.notes, fmt.Sprintf("quiesce restart %s: %v", sn, err))
+					res.Notes = append(res.Notes, fmt.Sprintf("quiesce restart %s: %v", sn, err))
 				}
 			}
 		}
@@ -499,52 +550,25 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 	if err != nil {
 		return nil, err
 	}
-	mergedSet := map[string]int{}
-	for _, o := range merged {
-		mergedSet[chaosObjKey(o)]++
-	}
-	acked, ackedSet := rt.ack.snapshot()
-
-	res.Produced = produced
+	acked, ackedSet := ack.snapshot()
 	res.Acked = acked
-	res.Deduped = rt.dedup.Duplicates()
-	res.Rehomes = rt.tree.Rehomes()
-	res.Misses = rt.tree.Misses()
+	res.Deduped = dedup.Duplicates()
+	res.Rehomes = tree.Rehomes()
+	res.Misses = tree.Misses()
 	res.Merged = len(merged)
-	res.Notes = rt.notes
 	res.Log = ctl.Log()
 	st := hc.Stats()
 	res.Migrations, res.Aborts, res.Moved, res.FencedWrites = st.Migrations, st.Aborts, st.Moved, st.FencedWrites
-	_, naks, _ := rt.pump.Stats()
-	res.Naks = naks
-	for _, u := range rt.uplinks {
-		res.AckLost += u.State().AckLost
+	res.Naks = storeCons.Stats().Naks
+	for _, u := range hops {
+		res.AckLost += u.ackLost
 	}
 
-	// 1. No acked record lost.
-	missing := 0
-	for k, n := range ackedSet {
-		if mergedSet[k] < n {
-			missing += n - mergedSet[k]
-		}
-	}
-	if missing > 0 {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("acked-but-lost: %d acked objects missing from the merged view", missing))
-	}
-
-	// 2. No (producer, seq) stored twice: below dedup each identity is
-	// acked at most once, so the merged view must never exceed it.
-	extra := 0
-	for k, n := range mergedSet {
-		if n > ackedSet[k] {
-			extra += n - ackedSet[k]
-		}
-	}
-	if extra > 0 {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("duplicate-stored: %d objects beyond the acked multiset", extra))
-	}
+	// 1-2. No acked record lost, and no (producer, seq) stored twice:
+	// below dedup each identity is acked at most once, so the merged view
+	// must never exceed the acked multiset.
+	_, _, violations := auditAcked(ackedSet, multiset(merged), ackedSet, "the acked multiset")
+	res.Violations = append(res.Violations, violations...)
 
 	// 3. Exactly one post-cutover owner per key (and no shard holding an
 	// origin twice — the placement half of invariant 2).
@@ -557,14 +581,10 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 	}
 
 	// 4. Re-homing never regresses a consumer ack floor.
-	for _, child := range rt.tree.Members() {
-		u := rt.uplinks[child]
-		if u == nil {
-			continue
-		}
-		if regressions := u.State().FloorRegressions; regressions > 0 {
+	for _, child := range tree.Members() {
+		if u := hops[child]; u != nil && u.regressions > 0 {
 			res.Violations = append(res.Violations,
-				fmt.Sprintf("ack-floor-regression: uplink %s regressed %d times", child, regressions))
+				fmt.Sprintf("ack-floor-regression: uplink %s regressed %d times", child, u.regressions))
 		}
 	}
 
@@ -576,24 +596,13 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 // schedule. Everything derives from cfg.Seed, so a soak replays
 // bit-for-bit.
 func RebalanceSoak(cfg RebalanceSoakConfig) (*RebalanceSoakResult, error) {
-	if cfg.Schedules <= 0 {
-		cfg.Schedules = 20
-	}
-	if cfg.EventsPerSchedule <= 0 {
-		cfg.EventsPerSchedule = 5
-	}
-	if cfg.Leaves <= 0 {
-		cfg.Leaves = 8
-	}
-	if cfg.MsgsPerLeaf <= 0 {
-		cfg.MsgsPerLeaf = 120
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 4 * time.Second
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 3
-	}
+	def := DefaultRebalanceSoakConfig(cfg.Seed)
+	orDefault(&cfg.Schedules, def.Schedules)
+	orDefault(&cfg.EventsPerSchedule, def.EventsPerSchedule)
+	orDefault(&cfg.Leaves, def.Leaves)
+	orDefault(&cfg.MsgsPerLeaf, def.MsgsPerLeaf)
+	orDefault(&cfg.Horizon, def.Horizon)
+	orDefault(&cfg.Shards, def.Shards)
 	placement := "hash ring + live rebalance"
 	if cfg.Static {
 		placement = "static placement (baseline)"
@@ -636,13 +645,9 @@ func RenderRebalanceSoak(c *RebalanceSoakResult) string {
 	fmt.Fprintf(&b, "%-10s %9s %7s %7s %6s %8s %7s %7s %6s %6s %7s %7s %s\n",
 		"schedule", "produced", "acked", "dedup", "naks", "acklost", "rehome", "miss", "migr", "moved", "fenced", "merged", "invariants")
 	row := func(r RebalanceRunResult) {
-		verdict := "ok"
-		if len(r.Violations) > 0 {
-			verdict = fmt.Sprintf("VIOLATED (%d)", len(r.Violations))
-		}
 		fmt.Fprintf(&b, "%-10s %9d %7d %7d %6d %8d %7d %7d %6d %6d %7d %7d %s\n",
 			r.Schedule, r.Produced, r.Acked, r.Deduped, r.Naks, r.AckLost, r.Rehomes,
-			r.Misses, r.Migrations, r.Moved, r.FencedWrites, r.Merged, verdict)
+			r.Misses, r.Migrations, r.Moved, r.FencedWrites, r.Merged, verdict(r.Violations))
 	}
 	row(c.Calm)
 	for _, r := range c.Runs {
@@ -650,18 +655,8 @@ func RenderRebalanceSoak(c *RebalanceSoakResult) string {
 	}
 	fmt.Fprintf(&b, "total invariant violations: %d\n", c.Violations)
 	for _, r := range c.Runs {
-		if len(r.Violations) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "\n%s violations:\n", r.Schedule)
-		for _, v := range r.Violations {
-			fmt.Fprintf(&b, "  %s\n", v)
-		}
-		for _, n := range r.Notes {
-			fmt.Fprintf(&b, "  note: %s\n", n)
-		}
-		for _, rec := range r.Log {
-			fmt.Fprintf(&b, "  %s\n", rec)
+		if len(r.Violations) > 0 {
+			renderRunDetail(&b, r.Schedule+" violations:", r.Violations, r.Notes, r.Log)
 		}
 	}
 	renderObsSection(&b, "control plane snapshot (calm run):", c.Calm.Obs)

@@ -61,7 +61,7 @@ func TestRebalanceSoakDurable(t *testing.T) {
 		t.Fatalf("no failover fired (rehomes %d, misses %d); aggregator faults never bit", rehomes, misses)
 	}
 	if naks == 0 {
-		t.Fatal("no store-pump naks; shard-down backpressure never exercised")
+		t.Fatal("no store-head naks; shard-down backpressure never exercised")
 	}
 	if migrations == 0 {
 		t.Fatal("no migration completed under faults")

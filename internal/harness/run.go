@@ -78,12 +78,7 @@ func Run(opts RunOptions) (*RunResult, error) {
 	m := cluster.New(e, cluster.Voltrino())
 	root := rng.New(opts.Seed)
 
-	var fscfg simfs.Config
-	if opts.FSKind == simfs.Lustre {
-		fscfg = simfs.DefaultLustre()
-	} else {
-		fscfg = simfs.DefaultNFS()
-	}
+	fscfg := fsConfig(opts.FSKind)
 	load := simfs.NominalLoad()
 	if opts.Load != nil {
 		cp := *opts.Load
@@ -149,15 +144,9 @@ func Run(opts RunOptions) (*RunResult, error) {
 		}
 		nodeBuses := make([]*streams.Bus, 0, len(nodeDaemons))
 		for _, n := range m.Nodes() {
-			d := nodeDaemons[n.Name]
-			d.Bus().Instrument(hopNodeBus, clock)
-			nodeBuses = append(nodeBuses, d.Bus())
+			nodeBuses = append(nodeBuses, nodeDaemons[n.Name].Bus())
 		}
-		collectBusGroup(reg, hopNodeBus, nodeBuses)
-		head.Daemon.Bus().Instrument(hopHeadBus, clock)
-		head.Daemon.Bus().Collect(reg, hopHeadBus)
-		remote.Daemon.Bus().Instrument(hopRemoteBus, clock)
-		remote.Daemon.Bus().Collect(reg, hopRemoteBus)
+		instrumentBuses(reg, clock, nodeBuses, head.Daemon.Bus(), remote.Daemon.Bus())
 		if dstore != nil {
 			dstore.Instrument(reg, clock)
 		} else {
@@ -191,6 +180,14 @@ func Run(opts RunOptions) (*RunResult, error) {
 	}
 	res.Summary = rt.Finalize(e.Now(), inferNProcs(rt))
 	return res, nil
+}
+
+// fsConfig is the default configuration of a file system kind.
+func fsConfig(kind simfs.Kind) simfs.Config {
+	if kind == simfs.Lustre {
+		return simfs.DefaultLustre()
+	}
+	return simfs.DefaultNFS()
 }
 
 // inferNProcs derives the world size from the instrumented records (the

@@ -110,12 +110,7 @@ func RunScenarioSpec(spec *scenario.Spec, campaignSeed uint64) (*ScenarioResult,
 	m := cluster.New(e, ccfg)
 	root := rng.New(plan.Seed)
 
-	var fscfg simfs.Config
-	if spec.FS == "Lustre" {
-		fscfg = simfs.DefaultLustre()
-	} else {
-		fscfg = simfs.DefaultNFS()
-	}
+	fscfg := fsConfig(simfs.Kind(spec.FS))
 	fscfg.Load = simfs.NominalLoad()
 	fs := simfs.New(e, fscfg, root.Derive("fs"))
 

@@ -235,7 +235,7 @@ func TestCrashBetweenSendAndBatchAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := &cursor{cons: cons, max: round}
+	cur := NewCursor(cons, round)
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)

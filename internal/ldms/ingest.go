@@ -2,15 +2,11 @@ package ldms
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"darshanldms/internal/dsos"
 	"darshanldms/internal/streams"
 )
-
-// ingestRound bounds one fetch of the store hop.
-const ingestRound = 64
 
 // refusedWait spaces the retries of a round the store refused whole, so
 // an owner that stays down costs a retry per interval, not a spin.
@@ -30,7 +26,7 @@ type RoundStore interface {
 // IngestStream is the store hop of a durable daemon (cmd/dsosd): it
 // drains cons into store until the consumer is closed or replaced,
 // sleeping on the stream while there is nothing to deliver. Each fetched
-// round (at most ingestRound messages) is one commit per batch run in it:
+// round (at most RoundSize messages) is one commit per batch run in it:
 // store.StoreRound inserts the fresh rows of each of its batch runs (a
 // stored batch, or messages stored alone; see batchRuns) tagged with the
 // run's token — one log record and one write per shard the run touches —
@@ -51,33 +47,18 @@ type RoundStore interface {
 // error: only a restart can discard a partial run, and it does so
 // exactly. IngestStream returns nil when the consumer is closed.
 func IngestStream(cons *streams.Consumer, store RoundStore, onErr func(error)) error {
-	c := &cursor{cons: cons, max: ingestRound}
+	c := NewCursor(cons, RoundSize)
 	for {
-		msgs, ends, ok := c.take()
-		if !ok {
+		if _, _, ok := c.take(); !ok {
 			return nil
 		}
-		stored := 0
-		var token uint64
-		var err error
-		for _, end := range ends {
-			token = 0
-			for _, d := range c.round[stored:end] {
-				token = max(token, d.Seq)
-			}
-			if err = store.StoreRound(msgs[stored:end], token, onErr); err != nil {
-				break
-			}
-			stored = end
-		}
-		c.settleFirst(stored)
-		switch {
+		switch err := c.Commit(store, onErr); {
 		case err == nil:
 		case errors.Is(err, dsos.ErrNothingWritten):
 			onErr(err)
 			time.Sleep(refusedWait)
 		default:
-			return fmt.Errorf("ldms: ingest run through seq %d partly stored: %w", token, err)
+			return err
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"io"
 	"sync"
-	"time"
 
 	"darshanldms/internal/dsos"
 	"darshanldms/internal/event"
@@ -235,20 +234,15 @@ func (s *DSOSStore) StoreRound(ms []streams.Message, token uint64, dead func(err
 // RetryConfig parameterizes a RetryStore.
 type RetryConfig struct {
 	// Attempts is the total number of tries per message (default 3).
+	// Retries are immediate: the store runs inside the simulation, where
+	// a wall-clock sleep would stall the virtual clock.
 	Attempts int
-	// Backoff sleeps Backoff<<attempt between tries (0 = immediate retry,
-	// the right choice inside a simulation where wall-clock sleeps would
-	// stall the virtual clock).
-	Backoff time.Duration
-	// Timeout bounds the total wall-clock spent on one message including
-	// backoff sleeps (0 = no bound).
-	Timeout time.Duration
 }
 
-// RetryStore wraps a StorePlugin with bounded retry-with-timeout, the
-// opt-in hardening for the DSOS ingest path: a transiently failing dsosd
-// (or a sharded client that rotates to a healthy daemon on the next try)
-// no longer costs the message.
+// RetryStore wraps a StorePlugin with bounded retry, the opt-in hardening
+// for the DSOS ingest path: a transiently failing dsosd (or a sharded
+// client that rotates to a healthy daemon on the next try) no longer
+// costs the message.
 type RetryStore struct {
 	inner StorePlugin
 	cfg   RetryConfig
@@ -270,29 +264,17 @@ func NewRetryStore(inner StorePlugin, cfg RetryConfig) *RetryStore {
 // Name implements StorePlugin.
 func (s *RetryStore) Name() string { return "retry(" + s.inner.Name() + ")" }
 
-// Store implements StorePlugin: it retries inner.Store up to Attempts
-// times within Timeout.
+// Store implements StorePlugin: it tries inner.Store up to Attempts times.
 func (s *RetryStore) Store(m streams.Message) error {
-	var deadline time.Time
-	if s.cfg.Timeout > 0 {
-		deadline = time.Now().Add(s.cfg.Timeout)
-	}
 	var err error
 	for attempt := 0; attempt < s.cfg.Attempts; attempt++ {
 		if err = s.inner.Store(m); err == nil {
 			return nil
 		}
-		if attempt+1 == s.cfg.Attempts {
-			break
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			break
-		}
-		s.mu.Lock()
-		s.retries++
-		s.mu.Unlock()
-		if s.cfg.Backoff > 0 {
-			time.Sleep(s.cfg.Backoff << attempt)
+		if attempt+1 < s.cfg.Attempts {
+			s.mu.Lock()
+			s.retries++
+			s.mu.Unlock()
 		}
 	}
 	s.mu.Lock()

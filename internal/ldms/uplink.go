@@ -29,7 +29,7 @@ import (
 //	            NewStreamUplink: durable streams.Consumer (the stream is
 //	            the spool; the ack floor survives a crash); a round is one
 //	            fetch, one ack, one cursor checkpoint, and one batch frame
-//	            per stored batch it holds (batchRuns)
+//	            per stored batch it holds (Cursor)
 //	target set  Addr alone, or Addr + Standby with a dial-probe failure
 //	            detector that re-homes the link
 
@@ -131,7 +131,7 @@ func (cfg *UplinkConfig) setDefaults() {
 		cfg.Consumer = "uplink"
 	}
 	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 64
+		cfg.BatchSize = RoundSize
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 2 * cfg.BatchSize
@@ -172,13 +172,9 @@ type UplinkStats struct {
 //	spool   settle(true) releases the round; settle(false) keeps it in
 //	        hand and the next take returns it again, so a message leaves
 //	        only sent or — on overflow or Close — as a counted drop.
-//	cursor  settle(true) acks the round with one batch ack — one floor
-//	        advance, one cursor checkpoint — after the flush and never
-//	        before; settle(false) naks the whole round for immediate
-//	        redelivery. Nothing is ever dropped: the backlog is the
-//	        stream itself. A crash between the flush and the ack
-//	        redelivers the whole round, which is safe because the hop
-//	        below deduplicates by (producer, seq).
+//	Cursor  settle(true) acks the round with one batch ack after the
+//	        flush and never before; settle(false) naks the whole round
+//	        for immediate redelivery.
 type source interface {
 	// take blocks until a round is ready; !ok means the source stopped.
 	// ends, when not nil, are the exclusive ends of the round's batch
@@ -287,7 +283,7 @@ func NewStreamUplink(s *streams.DurableStream, cfg UplinkConfig) (*Uplink, error
 		return nil, err
 	}
 	u.batchFrames = true
-	u.start(&cursor{cons: cons, max: u.cfg.BatchSize})
+	u.start(NewCursor(cons, u.cfg.BatchSize))
 	return u, nil
 }
 
@@ -628,99 +624,4 @@ func (u *Uplink) Close() error {
 		u.wg.Wait()
 	})
 	return nil
-}
-
-// cursor is the durable source: rounds are fetched from a named
-// streams.Consumer and settled by one batch ack, or naked back.
-type cursor struct {
-	cons *streams.Consumer
-	max  int
-
-	round []streams.Delivery // fetched, not yet settled
-	msgs  []streams.Message  // the round's messages; backing array reused
-	ends  []int              // the round's batch runs (batchRuns); reused
-	naks  atomic.Uint64
-}
-
-// idleWait bounds one sleep of an idle cursor. It is not a poll interval:
-// an append, a due redelivery or Close ends the sleep at once, and the
-// bound only keeps a missed wake-up from being fatal.
-const idleWait = time.Second
-
-func (c *cursor) take() ([]streams.Message, []int, bool) {
-	for {
-		ds, err := c.cons.Fetch(c.max)
-		if err != nil {
-			// Closed consumer (stop, or a successor claimed the name) ends
-			// the loop.
-			return nil, nil, false
-		}
-		if len(ds) == 0 {
-			if c.cons.Wait(idleWait) != nil {
-				return nil, nil, false
-			}
-			continue
-		}
-		c.round = ds
-		c.msgs = c.msgs[:0]
-		for _, d := range ds {
-			c.msgs = append(c.msgs, d.Msg)
-		}
-		c.ends = batchRuns(c.ends[:0], ds)
-		return c.msgs, c.ends, true
-	}
-}
-
-// batchRuns appends to ends the exclusive end of each run of ds that was
-// stored as one batch; messages stored alone run together. Cutting a
-// round there, not where a fetch happened to stop, keeps each stored
-// batch whole downstream: the uplink sends one frame per run, which the
-// next daemon stores as one batch again, and the store hop commits one
-// log record per run. Batched input is thus encoded in the same batches
-// at every hop, so what a record costs on disk does not depend on timing.
-func batchRuns(ends []int, ds []streams.Delivery) []int {
-	for i := 1; i < len(ds); i++ {
-		if ds[i].Batch != ds[i-1].Batch {
-			ends = append(ends, i)
-		}
-	}
-	return append(ends, len(ds))
-}
-
-func (c *cursor) settle(sent bool) {
-	n := 0
-	if sent {
-		n = len(c.round)
-	}
-	c.settleFirst(n)
-}
-
-// settleFirst acks the round's first n deliveries with one batch ack and
-// naks the rest for immediate redelivery.
-func (c *cursor) settleFirst(n int) {
-	if n > 0 {
-		// A failed ack means the consumer was closed under us; the next
-		// Fetch ends the loop and the successor redelivers.
-		_ = c.cons.AckBatch(c.round[:n])
-	}
-	// A nak hands a delivery back without burning a dial attempt (or a
-	// store retry) per message.
-	for _, d := range c.round[n:] {
-		if c.cons.Nak(d.Seq) == nil {
-			c.naks.Add(1)
-		}
-	}
-	c.round = nil
-}
-
-func (c *cursor) stop() { c.cons.Close() }
-
-func (c *cursor) drained() bool {
-	cs := c.cons.Stats()
-	return cs.Lag == 0 && cs.Inflight == 0
-}
-
-func (c *cursor) stats(st *UplinkStats) {
-	st.Naks = c.naks.Load()
-	st.Consumer = c.cons.Stats()
 }

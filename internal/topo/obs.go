@@ -53,21 +53,3 @@ func (h *HashCluster) Collect(reg *obs.Registry) {
 		emit("topo_shard_abort_debt", float64(st.Debt))
 	})
 }
-
-// Collect registers a scrape-time collector for one uplink's pump and
-// consumer state, labelled by child.
-func (u *Uplink) Collect(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.RegisterCollector(func(emit func(string, float64)) {
-		st := u.State()
-		l := fmt.Sprintf("{child=%q}", st.Child)
-		emit("topo_uplink_delivered_total"+l, float64(st.Delivered))
-		emit("topo_uplink_acked_total"+l, float64(st.Acked))
-		emit("topo_uplink_ack_lost_total"+l, float64(st.AckLost))
-		emit("topo_uplink_ack_floor"+l, float64(st.Floor))
-		emit("topo_uplink_floor_regressions_total"+l, float64(st.FloorRegressions))
-		emit("topo_uplink_lag"+l, float64(st.Consumer.Lag))
-	})
-}

@@ -2,12 +2,13 @@
 // shape dynamic instead of wired at construction time. Two planes live
 // here:
 //
-//   - An aggregation tree (tree.go, uplink.go): node samplers feed L1
-//     aggregators, L1s feed L2s, L2s feed the store head — each hop a
-//     durable-stream consumer, so an aggregator loss re-homes its
-//     children to a standby (or an ancestor) and the children resume
-//     from their durable cursors, with (producer,seq) dedup keeping the
-//     end-to-end effect exactly-once.
+//   - An aggregation tree (tree.go): node samplers feed L1 aggregators,
+//     L1s feed L2s, L2s feed the store head — each hop a durable-stream
+//     consumer, so an aggregator loss flips its children to their
+//     standby (and back) and the children resume from their durable
+//     cursors, with (producer,seq) dedup keeping the end-to-end effect
+//     exactly-once. The tree routes; the hops themselves are ldms's
+//     round step, driven by the daemons or by the soaks.
 //   - Consistent-hash shard placement over dsos daemons (ring.go,
 //     rebalance.go): the ring is a dsos.Placement behind the one DSOS
 //     client, and HashCluster rebalances it live — growing or shrinking

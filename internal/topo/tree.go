@@ -38,7 +38,7 @@ type Spec struct {
 	Name    string
 	Role    Role
 	Parent  string // configured upstream ("" only for the root)
-	Standby string // failover parent ("" = ancestor fallback only)
+	Standby string // failover parent ("" = no failover)
 	Bus     *streams.Bus
 }
 
@@ -64,10 +64,12 @@ func (e TreeEvent) String() string { return fmt.Sprintf("[%8.3fs] %s", e.At.Seco
 // heartbeat-driven failover. Every uplink delivery attempt doubles as a
 // heartbeat against the child's current parent; FailAfter consecutive
 // misses (a dead parent or a partitioned link — the child cannot tell
-// the difference, and does not need to) re-home the child to its standby
-// if that is alive, else to the nearest live ancestor. Children never
-// fail back: a recovered aggregator drains its own backlog but regains
-// children only through later failovers. Detection latency is therefore
+// the difference, and does not need to) flip the child between its
+// configured parent and its standby, the only two upstreams an ldmsd
+// knows (-topo-parent, -topo-standby). A child without a standby stays
+// and retries. Children never fail back on a restart: a recovered
+// aggregator drains its own backlog and regains a child only when that
+// child's current upstream fails in turn. Detection latency is therefore
 // FailAfter x the uplink poll interval.
 //
 // The tree is clock-agnostic (the injected clock only stamps the event
@@ -236,38 +238,24 @@ func (t *Tree) Deliver(child string) (*streams.Bus, bool) {
 	return p.Bus, true
 }
 
-// failoverLocked re-homes m: to its configured standby when that is live
-// and not already its parent, else to the nearest live ancestor of the
-// current parent. No candidate leaves m where it is, retrying — the miss
-// counter resets so re-homing is re-attempted every FailAfter misses.
+// failoverLocked re-homes m the way ldms.Uplink's prober does, between
+// its two configured upstreams: from the parent to the standby, and from
+// the standby back to the parent. Without a standby m stays where it is,
+// retrying. The miss counter resets either way, so a flip to a target
+// that is down too flips back after FailAfter more misses.
 func (t *Tree) failoverLocked(m *member) {
 	m.misses = 0
-	old := m.parent
-	target := ""
-	if m.Standby != "" && m.Standby != m.parent {
-		if s := t.members[m.Standby]; s != nil && s.alive {
-			target = m.Standby
-		}
-	}
-	if target == "" {
-		for p := t.members[m.parent]; p != nil && p.parent != ""; p = t.members[p.parent] {
-			anc := t.members[p.parent]
-			if anc == nil {
-				break
-			}
-			if anc.alive && anc.Name != m.Name {
-				target = anc.Name
-				break
-			}
-		}
-	}
-	if target == "" || target == m.parent {
+	if m.Standby == "" {
 		return
 	}
-	m.parent = target
+	old := m.parent
+	m.parent = m.Standby
+	if old == m.Standby {
+		m.parent = m.Parent
+	}
 	m.partitioned = false
 	t.rehomes++
-	t.logf("re-home %s: %s -> %s", m.Name, old, target)
+	t.logf("re-home %s: %s -> %s", m.Name, old, m.parent)
 }
 
 // Members returns the sorted member names.

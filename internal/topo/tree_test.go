@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"darshanldms/internal/sim"
-	"darshanldms/internal/sos"
 	"darshanldms/internal/streams"
 )
 
@@ -77,14 +76,23 @@ func TestTreeFailoverToStandby(t *testing.T) {
 	}
 }
 
-func TestTreeFailoverToAncestorWhenNoStandby(t *testing.T) {
+func TestTreeStaysWhenNoStandby(t *testing.T) {
 	tr := buildTestTree(t)
 	tr.Crash("l1a")
-	for i := 0; i < 3; i++ {
-		tr.Deliver("leaf1") // no standby configured
+	for i := 0; i < 9; i++ {
+		if _, ok := tr.Deliver("leaf1"); ok { // no standby configured
+			t.Fatal("delivered to a dead parent")
+		}
 	}
-	if got := tr.Parent("leaf1"); got != "l2" {
-		t.Fatalf("leaf1 parent = %s, want grandparent l2", got)
+	if got := tr.Parent("leaf1"); got != "l1a" {
+		t.Fatalf("leaf1 parent = %s, want l1a: an uplink knows no third address", got)
+	}
+	if tr.Rehomes() != 0 {
+		t.Fatalf("rehomes = %d", tr.Rehomes())
+	}
+	tr.Restart("l1a")
+	if _, ok := tr.Deliver("leaf1"); !ok {
+		t.Fatal("delivery after the parent restarted failed")
 	}
 }
 
@@ -132,25 +140,54 @@ func TestTreeNoFailbackAfterRestart(t *testing.T) {
 	}
 }
 
-func TestTreeStaysWhenNoCandidate(t *testing.T) {
+// With both upstreams dead the child flips between them every FailAfter
+// misses, as ldms.Uplink's prober does, and lands on whichever returns.
+func TestTreeFlipsWhenBothUpstreamsDead(t *testing.T) {
 	tr := buildTestTree(t)
 	tr.Crash("l1a")
 	tr.Crash("l1b")
-	tr.Crash("l1s")
-	tr.Crash("l2")
-	tr.Crash("root")
-	for i := 0; i < 9; i++ {
-		tr.Deliver("leaf0")
+	for i, want := range []string{"l1b", "l1a", "l1b"} {
+		for j := 0; j < 3; j++ {
+			tr.Deliver("leaf0")
+		}
+		if got := tr.Parent("leaf0"); got != want {
+			t.Fatalf("after flip %d: parent %s, want %s", i+1, got, want)
+		}
 	}
-	if got := tr.Parent("leaf0"); got != "l1a" {
-		t.Fatalf("re-homed to %s with the whole upstream dead", got)
-	}
-	tr.Restart("l1b")
+	tr.Restart("l1a")
 	for i := 0; i < 3; i++ {
 		tr.Deliver("leaf0")
 	}
-	if got := tr.Parent("leaf0"); got != "l1b" {
-		t.Fatalf("retry after restart did not re-home: parent %s", got)
+	if got := tr.Parent("leaf0"); got != "l1a" {
+		t.Fatalf("flip after restart did not reach l1a: parent %s", got)
+	}
+	if _, ok := tr.Deliver("leaf0"); !ok {
+		t.Fatal("delivery to the restarted parent failed")
+	}
+}
+
+// A child whose standby dies after its parent restarted goes back to the
+// parent, never to the grandparent: the parent and the standby are the
+// only upstreams it has.
+func TestTreeFailsBackToRestartedParent(t *testing.T) {
+	tr := buildTestTree(t)
+	tr.Crash("l1a")
+	for i := 0; i < 3; i++ {
+		tr.Deliver("leaf0")
+	}
+	tr.Restart("l1a")
+	tr.Crash("l1b")
+	for i := 0; i < 3; i++ {
+		tr.Deliver("leaf0")
+	}
+	if got := tr.Parent("leaf0"); got != "l1a" {
+		t.Fatalf("leaf0 parent = %s, want its restarted parent l1a", got)
+	}
+	if _, ok := tr.Deliver("leaf0"); !ok {
+		t.Fatal("delivery back to the parent failed")
+	}
+	if tr.Rehomes() != 2 {
+		t.Fatalf("rehomes = %d, want 2", tr.Rehomes())
 	}
 }
 
@@ -163,68 +200,6 @@ func TestTreeDeadChildCountsNothing(t *testing.T) {
 	}
 	if tr.Misses() != before {
 		t.Fatal("dead child counted a heartbeat miss")
-	}
-}
-
-// TestUplinkRehomePreservesAckFloor runs a leaf's durable uplink in the
-// sim, kills the parent mid-stream, and checks the re-homed consumer
-// resumes from its ack floor — every message reaches exactly one parent
-// at least once, and the floor never regresses.
-func TestUplinkRehomePreservesAckFloor(t *testing.T) {
-	e := sim.NewEngine()
-	defer e.Close()
-	tr := NewTree(e.Now, 3)
-	rootBus, aBus, bBus := streams.NewBus(), streams.NewBus(), streams.NewBus()
-	for _, s := range []Spec{
-		{Name: "root", Role: RoleRoot, Bus: rootBus},
-		{Name: "aggA", Role: RoleAgg, Parent: "root", Bus: aBus},
-		{Name: "aggB", Role: RoleAgg, Parent: "root", Bus: bBus},
-		{Name: "leaf", Role: RoleLeaf, Parent: "aggA", Standby: "aggB", Bus: streams.NewBus()},
-	} {
-		if err := tr.Add(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	leafStream, err := streams.OpenStream(streams.StreamConfig{Name: "leaf", Clock: e.Now}, sos.NewMemWAL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotA, gotB []string
-	aBus.Subscribe("data", func(m streams.Message) { gotA = append(gotA, string(m.Data)) })
-	bBus.Subscribe("data", func(m streams.Message) { gotB = append(gotB, string(m.Data)) })
-
-	u, err := StartUplink(e, tr, "leaf", leafStream, PumpConfig{Batch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 60
-	e.Spawn("producer", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			p.Sleep(2 * time.Millisecond)
-			if _, err := leafStream.Append(streams.Message{Tag: "data", Data: []byte{byte('0' + i%10)}}); err != nil {
-				panic(err)
-			}
-		}
-	})
-	e.At(40*time.Millisecond, func() { tr.Crash("aggA") })
-	e.Run(0)
-	e.Drain(2 * time.Second)
-
-	if tr.Parent("leaf") != "aggB" {
-		t.Fatalf("leaf parent = %s", tr.Parent("leaf"))
-	}
-	st := u.State()
-	if st.FloorRegressions != 0 {
-		t.Fatalf("ack floor regressed %d times across re-home", st.FloorRegressions)
-	}
-	if st.Floor != n {
-		t.Fatalf("ack floor %d, want %d (backlog not drained)", st.Floor, n)
-	}
-	if len(gotA) == 0 || len(gotB) == 0 {
-		t.Fatalf("expected traffic on both parents: A=%d B=%d", len(gotA), len(gotB))
-	}
-	if len(gotA)+len(gotB) < n {
-		t.Fatalf("parents saw %d messages, want >= %d", len(gotA)+len(gotB), n)
 	}
 }
 

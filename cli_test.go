@@ -833,3 +833,93 @@ func TestCLIDurablePathEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestCLILdmsdCountSeries pins what ldmsd's count series read on the
+// durable path: ldmsd -stream -http forwarding into dsosd -stream, N
+// typed events in batch frames and one legacy JSON frame. The message
+// count is every event received on the tag, whichever way the frame
+// reached the stream, and the byte count the literal payload bytes
+// received: the JSON frame's, as typed records materialize none.
+func TestCLILdmsdCountSeries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke test")
+	}
+	bins := t.TempDir()
+	ldmsdBin, dsosdBin := filepath.Join(bins, "ldmsd"), filepath.Join(bins, "dsosd")
+	runCmd(t, "build", "-o", ldmsdBin, "./cmd/ldmsd")
+	runCmd(t, "build", "-o", dsosdBin, "./cmd/dsosd")
+	spawn := func(bin string, args ...string) *lockedBuffer {
+		cmd := exec.Command(bin, args...)
+		cmd.Dir = t.TempDir()
+		stderr := &lockedBuffer{}
+		cmd.Stderr = stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = cmd.Process.Kill(); _ = cmd.Wait() })
+		return stderr
+	}
+	waitUntil := func(what string, stderr fmt.Stringer, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(20 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s:\n%s", what, stderr)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	storeAddr, storeAPI, nodeAddr, nodeAPI := freeAddr(t), freeAddr(t), freeAddr(t), freeAddr(t)
+	dsosdErr := spawn(dsosdBin, "-listen", storeAddr, "-http", storeAPI, "-snapshot-every", "1h", "-stream", "dsosd.stream")
+	ldmsdErr := spawn(ldmsdBin, "-listen", nodeAddr, "-http", nodeAPI, "-forward", storeAddr,
+		"-stream", "ldmsd.stream", "-stats", "50ms", "-producer", "nid00040")
+	waitUntil("ldmsd listening", ldmsdErr, func() bool { return ldms.PingTCP(nodeAddr, 200*time.Millisecond) == nil })
+
+	const frames, frame = 10, 64
+	events := make([]streams.Message, frames*frame+1)
+	for i := range events {
+		m := &jsonmsg.Message{
+			UID: 99066, Exe: "/projects/mpi-io-test", JobID: 7, Rank: i % 8, ProducerName: "nid00040",
+			File: "/nscratch/mpi-io-test.dat", RecordID: 9, Module: "POSIX", Type: jsonmsg.TypeMOD,
+			MaxByte: -1, Switches: -1, Flushes: -1, Cnt: 1, Op: "write", Seq: uint64(i + 1),
+			Seg: []jsonmsg.Segment{{
+				DataSet: jsonmsg.NA, PtSel: -1, IrregHSlab: -1, RegHSlab: -1, NDims: -1, NPoints: -1,
+				Off: int64(i) * 4096, Len: 4096, Dur: 0.000125, Timestamp: jsonmsg.Quant6(1.6e9 + float64(i)/1000),
+			}},
+		}
+		events[i] = streams.Message{Tag: "darshanConnector", Type: streams.TypeJSON, Record: event.NewRecord(m, nil), Producer: "nid00040", Seq: m.Seq}
+	}
+	legacy := events[len(events)-1]
+	legacy.Data, legacy.Record = legacy.Record.Payload(), nil
+	conn, err := net.Dial("tcp", nodeAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frames; i++ {
+		if err := ldms.WriteBatchFrame(conn, events[i*frame:(i+1)*frame]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ldms.WriteFrame(conn, legacy); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	n := len(events)
+	waitUntil("every event stored", dsosdErr, func() bool {
+		_, body := httpDo(t, http.MethodGet, "http://"+storeAPI+"/count")
+		return strings.TrimSpace(body) == strconv.Itoa(n)
+	})
+	waitUntil("received=N on ldmsd's stats line", ldmsdErr, func() bool { return lastStat(ldmsdErr.String(), "received") == n })
+	_, metrics := httpDo(t, http.MethodGet, "http://"+nodeAPI+"/metrics")
+	for name, want := range map[string]int{
+		"dlc_store_count_messages_total": n,
+		"dlc_store_count_bytes_total":    len(legacy.Data),
+	} {
+		if !strings.Contains(metrics, "\n"+name+" "+strconv.Itoa(want)+"\n") {
+			t.Errorf("ldmsd /metrics: want %s %d in\n%s", name, want, metrics)
+		}
+	}
+	if got := lastStat(ldmsdErr.String(), "stored-bytes"); got != len(legacy.Data) {
+		t.Errorf("stored-bytes=%d, want %d", got, len(legacy.Data))
+	}
+}

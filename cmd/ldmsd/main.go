@@ -37,7 +37,7 @@
 //	            messages match -stream-subjects (comma list, wildcards
 //	            allowed; default the -tag) is appended to a CRC-framed
 //	            segment file as one binary batch entry — the codec of the
-//	            batched wire, so nothing is rendered to JSON — before
+//	            batched wire, a batch frame's payload as it stands — before
 //	            best-effort fan-out, retained under the -stream-max-*
 //	            bounds, and — when -forward is also set — shipped upstream
 //	            through a consumer-acked cursor that survives crashes: the
@@ -162,9 +162,10 @@ func main() {
 		fatal(fmt.Errorf("-sample-interval %v: the sampler interval must be positive", *sampleEvery))
 	}
 
+	// No handler counts the tag: one would make the bus decode every frame
+	// the stream could append as it stands. The count series read what the
+	// bus and the receive path keep.
 	d := ldms.NewDaemon("ldmsd", *producer)
-	count := &ldms.CountStore{}
-	d.AttachStore(*tag, count)
 
 	var stream *streams.DurableStream
 	if *streamPath != "" {
@@ -309,8 +310,8 @@ func main() {
 		srv.Collect(reg, "ldmsd")
 		ldms.CollectPools(reg)
 		reg.RegisterCollector(func(emit func(string, float64)) {
-			emit("dlc_store_count_messages_total", float64(count.Count()))
-			emit("dlc_store_count_bytes_total", float64(count.Bytes()))
+			emit("dlc_store_count_messages_total", float64(d.Bus().Stats(*tag).Published))
+			emit("dlc_store_count_bytes_total", float64(srv.LiteralBytes()))
 		})
 		health := obs.NewHealth()
 		if up != nil {
@@ -339,7 +340,7 @@ func main() {
 	for {
 		select {
 		case <-tick.C:
-			line := fmt.Sprintf("ldmsd: received=%d stored-bytes=%d metric-sets=%d", srv.Received(), count.Bytes(), len(d.Sets()))
+			line := fmt.Sprintf("ldmsd: received=%d stored-bytes=%d metric-sets=%d", srv.Received(), srv.LiteralBytes(), len(d.Sets()))
 			if up != nil {
 				st := up.Stats()
 				line += fmt.Sprintf(" uplink=%s sent=%d retries=%d dropped=%d spool=%d lag=%d floor=%d switches=%d connected=%v",

@@ -93,6 +93,19 @@ func (recordCodec) DecodeTyped(b []byte, t *streams.BatchContext) (streams.Carri
 	return &rec.Record, d.off, nil
 }
 
+// SkipTyped reads one binary record exactly as DecodeTyped does, into
+// scratch on the stack: only the batch's table and base keep anything.
+func (recordCodec) SkipTyped(b []byte, t *streams.BatchContext) (int, error) {
+	d := newDecoder(b, t)
+	var m jsonmsg.Message
+	var s jsonmsg.Segment
+	nseg, err := d.head(&m)
+	for ; err == nil && nseg > 0; nseg-- {
+		err = d.segment(&s)
+	}
+	return d.off, err
+}
+
 // minSegSize is the smallest possible encoded segment: a one-byte
 // DataSet, seven one-byte varints and two one-byte float varints.
 // Decoders cap declared counts with it so a hostile header cannot make
@@ -273,7 +286,29 @@ func (d *decoder) str() string {
 // allocating the segment backing from slab when non-nil (falling back to
 // the heap otherwise).
 func (d *decoder) decodeInto(m *jsonmsg.Message, slab *Slab) error {
-	m.Seg = nil // m may be reused arena memory; every other field is assigned below
+	m.Seg = nil // m may be reused arena memory; every other field is assigned by head
+	nseg, err := d.head(m)
+	if err != nil || nseg == 0 {
+		return err
+	}
+	if slab != nil {
+		m.Seg = slab.Segments(nseg)[:0]
+	} else {
+		m.Seg = make([]jsonmsg.Segment, 0, nseg)
+	}
+	for i := 0; i < nseg; i++ {
+		var s jsonmsg.Segment
+		if err := d.segment(&s); err != nil {
+			return err
+		}
+		m.Seg = append(m.Seg, s)
+	}
+	return nil
+}
+
+// head decodes every field of a record before its segments into m and
+// returns the segment count, capped against the bytes left.
+func (d *decoder) head(m *jsonmsg.Message) (int, error) {
 	m.UID = d.int(colUID)
 	m.Exe = d.str()
 	m.JobID = d.int(colJob)
@@ -291,36 +326,27 @@ func (d *decoder) decodeInto(m *jsonmsg.Message, slab *Slab) error {
 	m.Seq = d.uint(colSeq)
 	nseg := d.uvarint()
 	if d.err != nil {
-		return d.err
+		return 0, d.err
 	}
 	if nseg > uint64(len(d.b)-d.off)/minSegSize+1 {
-		return ErrTruncated
+		return 0, ErrTruncated
 	}
-	if nseg > 0 {
-		if slab != nil {
-			m.Seg = slab.Segments(int(nseg))[:0]
-		} else {
-			m.Seg = make([]jsonmsg.Segment, 0, nseg)
-		}
-	}
-	for i := uint64(0); i < nseg; i++ {
-		var s jsonmsg.Segment
-		s.DataSet = d.str()
-		s.PtSel = d.int(colPtSel)
-		s.IrregHSlab = d.int(colIrregHSlab)
-		s.RegHSlab = d.int(colRegHSlab)
-		s.NDims = d.int(colNDims)
-		s.NPoints = d.int(colNPoints)
-		s.Off = d.int(colOff)
-		s.Len = d.int(colLen)
-		s.Dur = d.float(colDur)
-		s.Timestamp = d.float(colTimestamp)
-		if d.err != nil {
-			return d.err
-		}
-		m.Seg = append(m.Seg, s)
-	}
-	return nil
+	return int(nseg), nil
+}
+
+// segment decodes one segment into s.
+func (d *decoder) segment(s *jsonmsg.Segment) error {
+	s.DataSet = d.str()
+	s.PtSel = d.int(colPtSel)
+	s.IrregHSlab = d.int(colIrregHSlab)
+	s.RegHSlab = d.int(colRegHSlab)
+	s.NDims = d.int(colNDims)
+	s.NPoints = d.int(colNPoints)
+	s.Off = d.int(colOff)
+	s.Len = d.int(colLen)
+	s.Dur = d.float(colDur)
+	s.Timestamp = d.float(colTimestamp)
+	return d.err
 }
 
 // DecodeTypedSlab decodes one binary record of c's batch from the front

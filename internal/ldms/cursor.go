@@ -26,10 +26,14 @@ const RoundSize = 64
 type Cursor struct {
 	cons *streams.Consumer
 	max  int
+	// bodies fetches with FetchBodies: a run that is one whole stored
+	// batch comes as its stored body, its messages left zero.
+	bodies bool
 
-	round []streams.Delivery // fetched, not yet settled
-	msgs  []streams.Message  // the round's messages; backing array reused
-	ends  []int              // the round's batch runs (batchRuns); reused
+	round  []streams.Delivery // fetched, not yet settled
+	msgs   []streams.Message  // the round's messages; backing array reused
+	ends   []int              // the round's batch runs (batchRuns); reused
+	stored [][]byte           // with bodies, each run's Body; reused
 }
 
 // NewCursor returns the round step over cons, at most max deliveries a
@@ -44,8 +48,12 @@ func NewCursor(cons *streams.Consumer, max int) *Cursor {
 // means the consumer was closed or replaced. Next drops a round not yet
 // settled, whose deliveries stay inflight until their deadline.
 func (c *Cursor) Next() ([]streams.Message, []int, error) {
-	ds, err := c.cons.Fetch(c.max)
-	c.round, c.msgs, c.ends = ds, c.msgs[:0], c.ends[:0]
+	fetch := c.cons.Fetch
+	if c.bodies {
+		fetch = c.cons.FetchBodies
+	}
+	ds, err := fetch(c.max)
+	c.round, c.msgs, c.ends, c.stored = ds, c.msgs[:0], c.ends[:0], c.stored[:0]
 	if err != nil || len(ds) == 0 {
 		return nil, nil, err
 	}
@@ -53,6 +61,9 @@ func (c *Cursor) Next() ([]streams.Message, []int, error) {
 		c.msgs = append(c.msgs, d.Msg)
 	}
 	c.ends = batchRuns(c.ends, ds)
+	for lo, i := 0, 0; c.bodies && i < len(c.ends); lo, i = c.ends[i], i+1 {
+		c.stored = append(c.stored, ds[lo].Body)
+	}
 	return c.msgs, c.ends, nil
 }
 
@@ -63,17 +74,17 @@ const idleWait = time.Second
 
 // take is Next for the wall-clock loops: it sleeps on the stream until a
 // round is ready; !ok means the consumer was closed or replaced.
-func (c *Cursor) take() ([]streams.Message, []int, bool) {
+func (c *Cursor) take() ([]streams.Message, []int, [][]byte, bool) {
 	for {
 		msgs, ends, err := c.Next()
 		if err != nil {
-			return nil, nil, false
+			return nil, nil, nil, false
 		}
 		if len(msgs) > 0 {
-			return msgs, ends, true
+			return msgs, ends, c.stored, true
 		}
 		if c.cons.Wait(idleWait) != nil {
-			return nil, nil, false
+			return nil, nil, nil, false
 		}
 	}
 }

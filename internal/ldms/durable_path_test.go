@@ -241,7 +241,7 @@ func TestCrashBetweenSendAndBatchAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		msgs, _, ok := cur.take()
+		msgs, _, _, ok := cur.take()
 		if !ok || len(msgs) != round {
 			t.Fatalf("round %d: %d messages, ok=%v", i+1, len(msgs), ok)
 		}

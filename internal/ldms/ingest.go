@@ -49,7 +49,7 @@ type RoundStore interface {
 func IngestStream(cons *streams.Consumer, store RoundStore, onErr func(error)) error {
 	c := NewCursor(cons, RoundSize)
 	for {
-		if _, _, ok := c.take(); !ok {
+		if _, _, _, ok := c.take(); !ok {
 			return nil
 		}
 		switch err := c.Commit(store, onErr); {

@@ -109,8 +109,7 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 			// The node daemon, wired exactly like `ldmsd -http -forward`
 			// with the row's uplink flag.
 			d := NewDaemon("ldmsd", "nid00001")
-			count := &CountStore{}
-			d.AttachStore("darshanConnector", count)
+			published := func() uint64 { return d.Bus().Stats("darshanConnector").Published }
 			up, stream := tc.uplink(t, d, aggSrv.Addr())
 			defer up.Close()
 			srv, err := ListenTCP(d, "127.0.0.1:0")
@@ -127,8 +126,8 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 			srv.Collect(reg, "ldmsd")
 			CollectPools(reg)
 			reg.RegisterCollector(func(emit func(string, float64)) {
-				emit("dlc_store_count_messages_total", float64(count.Count()))
-				emit("dlc_store_count_bytes_total", float64(count.Bytes()))
+				emit("dlc_store_count_messages_total", float64(published()))
+				emit("dlc_store_count_bytes_total", float64(srv.LiteralBytes()))
 			})
 			up.Collect(reg, "uplink")
 			health := obs.NewHealth()
@@ -149,7 +148,7 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			waitFor(t, "local store", func() bool { return count.Count() == 20 })
+			waitFor(t, "local count", func() bool { return published() == 20 })
 			waitFor(t, "uplink delivery", func() bool { return aggSrv.Received() == 20 })
 			// The receiver counts a frame before the uplink's flush returns
 			// and counts it sent, and on a stream before the round's ack

@@ -130,22 +130,22 @@ func (s *spool) dropLocked(n int) {
 // MaxAge for the round to fill; without one it takes whatever is already
 // queued (natural batching: depth under backpressure, latency near zero
 // when idle). A round the link failed to send is handed back as-is.
-func (s *spool) take() ([]streams.Message, []int, bool) {
+func (s *spool) take() ([]streams.Message, []int, [][]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.round != nil {
 		if !s.closed {
-			return s.round.Messages(), nil, true
+			return s.round.Messages(), nil, nil, true
 		}
 		s.dropLocked(s.round.Len())
 		s.releaseLocked()
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	for len(s.queue) == 0 && !s.closed {
 		s.cond.Wait()
 	}
 	if len(s.queue) == 0 {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	b := batchPool.Get()
 	s.round = b
@@ -180,7 +180,7 @@ func (s *spool) take() ([]streams.Message, []int, bool) {
 		}
 		t.Stop()
 	}
-	return b.Messages(), nil, true
+	return b.Messages(), nil, nil, true
 }
 
 func (s *spool) settle(sent bool) {

@@ -105,6 +105,7 @@ type TCPServer struct {
 	closed     bool
 	received   uint64
 	heartbeats uint64
+	literal    uint64 // payload bytes decoded frames materialized (LiteralBytes)
 	wg         sync.WaitGroup
 	// Obs plane: raw wire bytes and frames by kind (atomic: updated on
 	// every connection's read loop), plus the trace hop set by Instrument.
@@ -136,6 +137,16 @@ func (s *TCPServer) Received() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.received
+}
+
+// LiteralBytes returns the payload bytes received messages carried as
+// literal bytes: a legacy frame's data and a decoded opaque record's
+// payload. A typed record contributes none, and neither does a batch
+// appended as it stands (PublishBody), which materializes no message.
+func (s *TCPServer) LiteralBytes() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.literal
 }
 
 // Heartbeats returns the number of liveness probes received.
@@ -177,20 +188,34 @@ func (s *TCPServer) serve(conn net.Conn) {
 	dec := NewBatchDecoder()
 	for {
 		// One connection may interleave legacy single-message frames and
-		// batch frames; ReadAnyFrameSlab dispatches on the leading byte,
-		// and the same peek classifies the frame for the wire counters (a
-		// legacy frame's first length byte can never be the batch magic —
-		// maxFrame keeps it below 0x01000000). Each frame decodes into a
-		// pooled slab released after the publish fan-out below: PublishBatch
-		// is synchronous, and whatever keeps a message past its return (the
-		// uplink spool detaches, a durable stream stores the encoded record)
-		// keeps nothing slab-owned.
+		// batch frames, told apart by the leading byte (a legacy frame's
+		// first length byte can never be the batch magic — maxFrame keeps
+		// it below 0x01000000). A batch payload that nothing on the bus
+		// needs decoded is appended as it stands (PublishBody). Anything
+		// else decodes into a pooled slab released after the publish
+		// fan-out below: PublishBatch is synchronous, and whatever keeps a
+		// message past its return (the uplink spool detaches, a durable
+		// stream stores the encoded record) keeps nothing slab-owned.
 		lead, err := br.Peek(1)
 		if err != nil {
 			return // EOF: best-effort, drop the link
 		}
 		isBatch := lead[0] == batchMagic
-		msgs, slab, err := dec.ReadAnyFrameSlab(br)
+		var msgs []streams.Message
+		var slab *event.Slab
+		if !isBatch {
+			msgs, slab, err = dec.ReadAnyFrameSlab(br)
+		} else if version, payload, rerr := dec.readBatchPayload(br); rerr != nil {
+			return
+		} else if n, ok := s.d.Bus().PublishBody(version, payload, dec.in, HeartbeatTag); ok {
+			s.batchFrames.Add(1)
+			s.mu.Lock()
+			s.received += uint64(n)
+			s.mu.Unlock()
+			continue
+		} else {
+			msgs, slab, err = dec.decodeSlab(version, payload)
+		}
 		if err != nil {
 			return // EOF or protocol error: best-effort, drop the link
 		}
@@ -201,16 +226,18 @@ func (s *TCPServer) serve(conn net.Conn) {
 		}
 		// The frame goes to the bus as one batch, heartbeats filtered out
 		// in place; the server's own books are kept once per frame.
-		batch := msgs[:0]
+		batch, literal := msgs[:0], 0
 		for _, m := range msgs {
 			if m.Tag != HeartbeatTag {
 				batch = append(batch, m)
+				literal += len(m.Data)
 			}
 		}
 		s.mu.Lock()
 		hop, clock := s.hop, s.clock
 		s.heartbeats += uint64(len(msgs) - len(batch))
 		s.received += uint64(len(batch))
+		s.literal += uint64(literal)
 		s.mu.Unlock()
 		var now time.Duration
 		if hop != "" {

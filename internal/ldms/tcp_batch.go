@@ -34,9 +34,16 @@ import (
 //
 // The payload is the same bytes a durable stream keeps at rest, so a
 // frame received, staged in a stream and forwarded is never re-rendered:
-// typed records whose fields are materialized stay in the compact binary
-// form — no JSON is produced on any hop; records that only have bytes
-// (raw publishers, lossy-encoder placeholders) travel opaque.
+// a receiver whose bus needs no decoded message appends the payload as
+// the entry body (streams.Bus.PublishBody), and a stream uplink writes a
+// round's whole stored batch back out as that body (writeBatchBody). A
+// round falls back to decoding and WriteBatchFrame when it cannot: a
+// version-1 payload, a frame mixing tags, a tag a handler subscribes to,
+// messages stored alone, a batch cut by retention or by a round's start
+// or size, and the tail ring of ReplayLast. Typed records stay in the
+// compact binary form either way — no JSON is produced on any hop;
+// records that only have bytes (raw publishers, lossy-encoder
+// placeholders) travel opaque.
 const (
 	batchMagic   = 0xBB
 	batchVersion = streams.BodyV2
@@ -61,16 +68,28 @@ func WriteBatchFrame(w io.Writer, msgs []streams.Message) error {
 	if len(msgs) == 0 {
 		return errors.New("ldms: empty batch frame")
 	}
-	buf := framePool.Get()
-	buf = append(buf, batchMagic, batchVersion, 0, 0, 0, 0)
-	buf = streams.AppendRecords(buf, msgs)
-	payloadLen := len(buf) - 6
-	if payloadLen > maxFrame {
-		framePool.Put(buf)
-		return fmt.Errorf("ldms: batch frame too large (%d bytes)", payloadLen)
+	buf := append(framePool.Get(), batchMagic, batchVersion, 0, 0, 0, 0)
+	return writeFrameBuf(w, streams.AppendRecords(buf, msgs))
+}
+
+// writeBatchBody writes a stored version-2 batch body as one batch frame:
+// byte for byte the frame WriteBatchFrame writes for its messages.
+func writeBatchBody(w io.Writer, body []byte) error {
+	buf := append(framePool.Get(), batchMagic, batchVersion, 0, 0, 0, 0)
+	return writeFrameBuf(w, append(buf, body...))
+}
+
+// writeFrameBuf fills in the payload length of buf, a batch frame built
+// in a framePool buffer, writes it and returns the buffer to the pool.
+func writeFrameBuf(w io.Writer, buf []byte) error {
+	n := len(buf) - 6
+	var err error
+	if n > maxFrame {
+		err = fmt.Errorf("ldms: batch frame too large (%d bytes)", n)
+	} else {
+		binary.BigEndian.PutUint32(buf[2:6], uint32(n))
+		_, err = w.Write(buf)
 	}
-	binary.BigEndian.PutUint32(buf[2:6], uint32(payloadLen))
-	_, err := w.Write(buf)
 	framePool.Put(buf)
 	return err
 }
@@ -142,32 +161,49 @@ func (d *BatchDecoder) decodeBatch(version byte, payload []byte, slab *event.Sla
 // nothing decoded references it afterward (strings are interned copies,
 // opaque payloads are copied out).
 func (d *BatchDecoder) ReadBatchFrameSlab(r io.Reader) ([]streams.Message, *event.Slab, error) {
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	version, payload, err := d.readBatchPayload(r)
+	if err != nil {
 		return nil, nil, err
 	}
+	return d.decodeSlab(version, payload)
+}
+
+// readBatchPayload reads one batch frame into the decoder's reusable
+// scratch buffer and returns its body version and payload, valid until
+// the next read.
+func (d *BatchDecoder) readBatchPayload(r io.Reader) (byte, []byte, error) {
+	var hdr [6]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, err
+	}
 	if hdr[0] != batchMagic {
-		return nil, nil, fmt.Errorf("ldms: not a batch frame (0x%02x)", hdr[0])
+		return 0, nil, fmt.Errorf("ldms: not a batch frame (0x%02x)", hdr[0])
 	}
 	if hdr[1] != streams.BodyV1 && hdr[1] != batchVersion {
-		return nil, nil, fmt.Errorf("ldms: unsupported batch version %d", hdr[1])
+		return 0, nil, fmt.Errorf("ldms: unsupported batch version %d", hdr[1])
 	}
 	n := binary.BigEndian.Uint32(hdr[2:6])
 	if n == 0 {
-		return nil, nil, errors.New("ldms: zero-length batch frame")
+		return 0, nil, errors.New("ldms: zero-length batch frame")
 	}
 	if n > maxFrame {
-		return nil, nil, fmt.Errorf("ldms: oversized batch frame (%d bytes)", n)
+		return 0, nil, fmt.Errorf("ldms: oversized batch frame (%d bytes)", n)
 	}
 	if cap(d.payload) < int(n) {
 		d.payload = make([]byte, n)
 	}
 	payload := d.payload[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
+	return hdr[1], payload, nil
+}
+
+// decodeSlab decodes a batch payload into a pooled slab, as
+// ReadBatchFrameSlab returns it.
+func (d *BatchDecoder) decodeSlab(version byte, payload []byte) ([]streams.Message, *event.Slab, error) {
 	slab := slabPool.Get()
-	msgs, err := d.decodeBatch(hdr[1], payload, slab)
+	msgs, err := d.decodeBatch(version, payload, slab)
 	if err != nil {
 		slab.Release()
 		return nil, nil, err

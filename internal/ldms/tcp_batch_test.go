@@ -548,6 +548,7 @@ func FuzzReadBatchFrame(f *testing.F) {
 			}
 			slab.Release()
 		}
+		bodyLeg(t, data)
 		if err != nil {
 			return
 		}
@@ -560,6 +561,69 @@ func FuzzReadBatchFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// bodyLeg is FuzzReadBatchFrame's body-path leg. A payload PublishBody
+// refuses leaves the stream — stats, segment, window — untouched. One it
+// takes must deliver the messages the decode path delivers, to the same
+// ack floor and with the same retained Bytes once it is canonical (it
+// re-encodes to itself; the body path keeps the bytes it was given), and
+// a stream uplink must forward it as the stored body it is.
+func bodyLeg(t *testing.T, data []byte) {
+	d := NewBatchDecoder()
+	version, payload, err := d.readBatchPayload(bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	body, dec := newHopStream(t), newHopStream(t)
+	if _, ok := body.bus.PublishBody(version, payload, d.in, HeartbeatTag); !ok {
+		if st := body.s.Stats(); st.Appended != 0 || st.Msgs != 0 || st.Bytes != 0 || body.wal.Len() != 0 {
+			t.Fatalf("a refused payload reached the stream: %+v, %d segment bytes", st, body.wal.Len())
+		}
+		return
+	}
+	msgs, slab, err := d.decodeSlab(version, payload)
+	if err != nil {
+		t.Fatalf("the body path took a payload the decoder refuses: %v", err)
+	}
+	canonical := bytes.Equal(streams.AppendRecords(nil, msgs), payload)
+	dec.bus.PublishBatch(msgs)
+	slab.Release()
+	fetch := func(h hopStream) ([]streams.Delivery, uint64) {
+		c, err := h.s.Consumer(streams.ConsumerConfig{Name: "leg", MaxInflight: len(msgs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := c.Fetch(len(msgs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AckBatch(ds); err != nil {
+			t.Fatal(err)
+		}
+		return ds, c.AckFloor()
+	}
+	bds, bfloor := fetch(body)
+	dds, dfloor := fetch(dec)
+	if len(bds) != len(dds) || bfloor != dfloor {
+		t.Fatalf("body path delivered %d to floor %d, decode path %d to floor %d", len(bds), bfloor, len(dds), dfloor)
+	}
+	for i := range bds {
+		one, two := []streams.Message{bds[i].Msg}, []streams.Message{dds[i].Msg}
+		if bds[i].Seq != dds[i].Seq || !bytes.Equal(streams.AppendRecords(nil, one), streams.AppendRecords(nil, two)) {
+			t.Fatalf("delivery %d differs: %+v / %+v", i, bds[i], dds[i])
+		}
+	}
+	if canonical && body.s.Stats() != dec.s.Stats() {
+		t.Fatalf("stats differ: body path %+v, decode path %+v", body.s.Stats(), dec.s.Stats())
+	}
+	c, err := body.s.Consumer(streams.ConsumerConfig{Name: "fwd", MaxInflight: len(msgs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds, err := c.FetchBodies(len(msgs)); err != nil || !bytes.Equal(ds[0].Body, payload) {
+		t.Fatalf("forwarded % x (%v), want the payload % x", ds[0].Body, err, payload)
+	}
 }
 
 // TestBatchDecoderSlabMatchesLegacy: the arena-pooled decode path must be

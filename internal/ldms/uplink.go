@@ -29,7 +29,8 @@ import (
 //	            NewStreamUplink: durable streams.Consumer (the stream is
 //	            the spool; the ack floor survives a crash); a round is one
 //	            fetch, one ack, one cursor checkpoint, and one batch frame
-//	            per stored batch it holds (Cursor)
+//	            per stored batch it holds (Cursor), a whole one written as
+//	            the body it is stored as
 //	target set  Addr alone, or Addr + Standby with a dial-probe failure
 //	            detector that re-homes the link
 
@@ -178,8 +179,10 @@ type UplinkStats struct {
 type source interface {
 	// take blocks until a round is ready; !ok means the source stopped.
 	// ends, when not nil, are the exclusive ends of the round's batch
-	// frames; nil sends the round as one.
-	take() (round []streams.Message, ends []int, ok bool)
+	// frames; nil sends the round as one. bodies, when not nil, holds per
+	// frame the stored body to write as it stands, or nil to encode the
+	// frame's messages (which a stored body leaves zero).
+	take() (round []streams.Message, ends []int, bodies [][]byte, ok bool)
 	// settle reports the fate of the round take last returned.
 	settle(sent bool)
 	// stop refuses new input and wakes take; Close calls it once.
@@ -283,7 +286,10 @@ func NewStreamUplink(s *streams.DurableStream, cfg UplinkConfig) (*Uplink, error
 		return nil, err
 	}
 	u.batchFrames = true
-	u.start(NewCursor(cons, u.cfg.BatchSize))
+	cur := NewCursor(cons, u.cfg.BatchSize)
+	// The tail ring replays messages, so it needs every round decoded.
+	cur.bodies = u.cfg.ReplayLast == 0
+	u.start(cur)
 	return u, nil
 }
 
@@ -326,12 +332,12 @@ func (u *Uplink) run() {
 	defer u.wg.Done()
 	backoff := u.cfg.InitialBackoff
 	for {
-		round, ends, ok := u.src.take()
+		round, ends, bodies, ok := u.src.take()
 		if !ok {
 			return
 		}
 		n := uint64(len(round))
-		err := u.send(round, ends, u.batchFrames)
+		err := u.send(round, ends, bodies, u.batchFrames)
 		// Count before settling: Flush returns the moment the source is
 		// drained, and a caller reading Stats next must see the round.
 		u.mu.Lock()
@@ -379,17 +385,18 @@ func (u *Uplink) pause(d time.Duration) bool {
 }
 
 // send writes msgs on the current connection — as batch frames ending at
-// ends (one frame for nil ends), or one legacy frame each — dialing first
-// if necessary, and flushes once. Any error tears the connection down for
-// a fresh dial. On a reconnect with ReplayLast set, the recent tail is
-// re-sent before msgs.
-func (u *Uplink) send(msgs []streams.Message, ends []int, batch bool) error {
+// ends (one frame for nil ends) and made of bodies where given (see
+// source.take), or one legacy frame each — dialing first if necessary,
+// and flushes once. Any error tears the connection down for a fresh dial.
+// On a reconnect with ReplayLast set, the recent tail is re-sent before
+// msgs.
+func (u *Uplink) send(msgs []streams.Message, ends []int, bodies [][]byte, batch bool) error {
 	u.connMu.Lock()
 	defer u.connMu.Unlock()
 	if err := u.ensureConnLocked(); err != nil {
 		return err
 	}
-	if err := u.writeRoundLocked(msgs, ends, batch); err != nil {
+	if err := u.writeRoundLocked(msgs, ends, bodies, batch); err != nil {
 		u.teardownLocked()
 		return err
 	}
@@ -409,29 +416,35 @@ func (u *Uplink) send(msgs []streams.Message, ends []int, batch bool) error {
 
 // writeRoundLocked writes the pending tail replay, then msgs, and flushes
 // (connMu held).
-func (u *Uplink) writeRoundLocked(msgs []streams.Message, ends []int, batch bool) error {
+func (u *Uplink) writeRoundLocked(msgs []streams.Message, ends []int, bodies [][]byte, batch bool) error {
 	if u.replayPending {
-		if err := u.writeLocked(u.ring, nil, u.batchFrames); err != nil {
+		if err := u.writeLocked(u.ring, nil, nil, u.batchFrames); err != nil {
 			return err
 		}
 		u.replayed += uint64(len(u.ring))
 		u.replayPending = false
 	}
-	if err := u.writeLocked(msgs, ends, batch); err != nil {
+	if err := u.writeLocked(msgs, ends, bodies, batch); err != nil {
 		return err
 	}
 	return u.bw.Flush()
 }
 
 // writeLocked frames msgs into the connection's buffer (connMu held).
-func (u *Uplink) writeLocked(msgs []streams.Message, ends []int, batch bool) error {
+func (u *Uplink) writeLocked(msgs []streams.Message, ends []int, bodies [][]byte, batch bool) error {
 	if batch {
 		if ends == nil {
 			ends = []int{len(msgs)}
 		}
 		lo := 0
-		for _, hi := range ends {
-			if err := WriteBatchFrame(u.bw, msgs[lo:hi]); err != nil {
+		for i, hi := range ends {
+			var err error
+			if bodies != nil && bodies[i] != nil {
+				err = writeBatchBody(u.bw, bodies[i])
+			} else {
+				err = WriteBatchFrame(u.bw, msgs[lo:hi])
+			}
+			if err != nil {
 				return err
 			}
 			u.batchFramesOut.Add(1)
@@ -513,7 +526,7 @@ func (u *Uplink) heartbeatLoop() {
 		case <-u.done:
 			return
 		case <-tick.C:
-			if u.send(hb, nil, false) == nil {
+			if u.send(hb, nil, nil, false) == nil {
 				u.connMu.Lock()
 				u.heartbeats++
 				u.connMu.Unlock()

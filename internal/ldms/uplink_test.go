@@ -426,7 +426,7 @@ func TestUplinkWireIdentity(t *testing.T) {
 			publish(msgs[1:6]...)
 			srv := listenCapture(t, addr)
 			waitFor(t, "first six sent", func() bool { return u.Stats().Sent == 6 })
-			if err := u.send([]streams.Message{heartbeat}, nil, false); err != nil {
+			if err := u.send([]streams.Message{heartbeat}, nil, nil, false); err != nil {
 				t.Fatal(err)
 			}
 			waitFor(t, "first connection's bytes", func() bool { return len(srv.captured(0)) >= len(tc.want[0]) })
@@ -445,6 +445,59 @@ func TestUplinkWireIdentity(t *testing.T) {
 			}
 			if st := u.Stats(); st.Replayed != 2 || st.Dials != 2 {
 				t.Errorf("replayed %d dials %d, want 2/2", st.Replayed, st.Dials)
+			}
+		})
+	}
+
+	// Without a tail ring, a stream uplink writes a run that is one whole
+	// stored batch as the body it is stored as, and every other run with
+	// WriteBatchFrame over its decoded messages: messages appended alone,
+	// a batch trimmed at its head or cut by the round. The wire is the
+	// same either way, a redelivered batch included.
+	stored := []struct {
+		name    string
+		keep    int // retention MaxMsgs (0 = unbounded)
+		round   int // BatchSize (0 = default)
+		appends [][]streams.Message
+		dead    bool // the first round fails and is naked whole
+		want    []byte
+	}{
+		{"whole batches", 0, 0, [][]streams.Message{msgs[:3], msgs[3:]}, false, cat(batch(msgs[:3]...), batch(msgs[3:]...))},
+		{"appended alone", 0, 0, [][]streams.Message{msgs[:1], msgs[1:2], msgs[2:3]}, false, batch(msgs[:3]...)},
+		{"mid-batch after a trim", 5, 0, [][]streams.Message{msgs}, false, batch(msgs[3:]...)},
+		{"cut by the round", 0, 5, [][]streams.Message{msgs}, false, cat(batch(msgs[:5]...), batch(msgs[5:]...))},
+		{"nak then redeliver", 0, 0, [][]streams.Message{msgs[:6]}, true, batch(msgs[:6]...)},
+	}
+	for _, tc := range stored {
+		t.Run("stored-bodies/"+tc.name, func(t *testing.T) {
+			s, err := streams.OpenStream(streams.StreamConfig{Name: "fwd", Retention: streams.RetentionPolicy{MaxMsgs: tc.keep}}, sos.NewMemWAL())
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for _, ms := range tc.appends {
+				if _, err := s.AppendBatch(ms); err != nil {
+					t.Fatal(err)
+				}
+				n += len(ms)
+			}
+			n = min(n, s.Stats().Msgs)
+			addr := deadAddr(t)
+			cfg := fastUplink(addr)
+			cfg.BatchSize = tc.round
+			u, err := NewStreamUplink(s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer u.Close()
+			if tc.dead {
+				waitFor(t, "a failed round", func() bool { return u.Stats().Retries >= 1 })
+			}
+			srv := listenCapture(t, addr)
+			waitFor(t, "every message sent", func() bool { return u.Stats().Sent == uint64(n) })
+			waitFor(t, "the connection's bytes", func() bool { return len(srv.captured(0)) >= len(tc.want) })
+			if got := srv.captured(0); !bytes.Equal(got, tc.want) {
+				t.Errorf("carried %d bytes, want %d; first difference at offset %d", len(got), len(tc.want), firstDiff(got, tc.want))
 			}
 		})
 	}

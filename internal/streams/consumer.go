@@ -1,6 +1,7 @@
 package streams
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -39,7 +40,7 @@ type Consumer struct {
 	// All mutable state below is guarded by s.mu.
 	floor   uint64
 	acked   map[uint64]struct{} // acked/skipped above the floor
-	infl    map[uint64]*inflightMsg
+	infl    map[uint64]inflightMsg
 	nextSeq uint64 // next never-considered sequence
 	lagPeak uint64 // deepest backlog any Fetch has faced since the last telemetry scrape
 	closed  bool
@@ -108,6 +109,9 @@ type Delivery struct {
 	// appended with, or 0 when it was appended alone: deliveries sharing
 	// a nonzero Batch were stored together.
 	Batch uint64
+	// Body is set by FetchBodies only, on the first delivery of a run
+	// that is one whole stored batch: the version-2 body it rests as.
+	Body []byte
 }
 
 // ConsumerStats is a point-in-time snapshot of one consumer.
@@ -177,7 +181,7 @@ func (s *DurableStream) Consumer(cfg ConsumerConfig) (*Consumer, error) {
 		maxDeliver:  cfg.MaxDeliver,
 		floor:       floor,
 		acked:       map[uint64]struct{}{},
-		infl:        map[uint64]*inflightMsg{},
+		infl:        map[uint64]inflightMsg{},
 		nextSeq:     floor + 1,
 	}
 	s.consumers[cfg.Name] = c
@@ -211,7 +215,17 @@ func (c *Consumer) backoffFor(deliveries int) time.Duration {
 // past MaxDeliver is settled in place — counted and skipped, cursor
 // advanced — rather than delivered. Fetch never blocks; an empty result
 // means nothing is currently deliverable.
-func (c *Consumer) Fetch(max int) ([]Delivery, error) {
+func (c *Consumer) Fetch(max int) ([]Delivery, error) { return c.fetch(max, false) }
+
+// FetchBodies is Fetch for a caller that forwards what the stream stored.
+// A run of deliveries sharing a Batch that is one whole stored batch —
+// every record of it, in order, as a round not cut by max, a trim or a
+// partial ack holds it — comes back undecoded: its first delivery's Body
+// is the batch's stored body and every Msg of the run is zero. Every
+// other delivery is decoded as Fetch decodes it.
+func (c *Consumer) FetchBodies(max int) ([]Delivery, error) { return c.fetch(max, true) }
+
+func (c *Consumer) fetch(max int, bodies bool) ([]Delivery, error) {
 	if max <= 0 {
 		return nil, fmt.Errorf("streams: fetch of %d messages", max)
 	}
@@ -227,11 +241,16 @@ func (c *Consumer) Fetch(max int) ([]Delivery, error) {
 		c.lagPeak = lag
 	}
 	var out []Delivery
-	// deliver decodes seq's slot into out; false means the message is gone
-	// (evicted by retention) and the caller settles it as missed.
+	// deliver decodes seq's slot into out, or leaves that to the runs
+	// below for FetchBodies; false means the message is gone (evicted by
+	// retention) and the caller settles it as missed.
 	deliver := func(seq uint64, deliveries int) bool {
 		sl := s.slotAt(seq)
-		m, ok := s.messageLocked(sl)
+		var m Message
+		ok := sl != nil
+		if !bodies {
+			m, ok = s.messageLocked(sl)
+		}
 		if ok {
 			if out == nil { // sized once: everything due plus everything new, capped by max
 				out = make([]Delivery, 0, min(max, len(c.infl)+int(s.lastSeq+1-c.nextSeq)+1))
@@ -263,6 +282,7 @@ func (c *Consumer) Fetch(max int) ([]Delivery, error) {
 		case deliver(seq, st.deliveries+1):
 			st.deliveries++
 			st.due = now + c.backoffFor(st.deliveries)
+			c.infl[seq] = st
 			c.redelivered++
 		default:
 			// Evicted by retention while inflight: it can never be
@@ -289,7 +309,7 @@ func (c *Consumer) Fetch(max int) ([]Delivery, error) {
 			c.filtered++
 			c.settleLocked(seq)
 		case deliver(seq, 1):
-			c.infl[seq] = &inflightMsg{deliveries: 1, due: now + c.backoffFor(1)}
+			c.infl[seq] = inflightMsg{deliveries: 1, due: now + c.backoffFor(1)}
 			c.delivered++
 		default:
 			// Lagged past retention: the message is gone. Account it and
@@ -301,7 +321,30 @@ func (c *Consumer) Fetch(max int) ([]Delivery, error) {
 	if c.floor != floorBefore {
 		c.checkpointLocked()
 	}
+	if bodies {
+		c.bodiesLocked(out)
+	}
 	return out, nil
+}
+
+// bodiesLocked finishes a FetchBodies round (s.mu held). Deliveries are
+// in ascending sequence order, so a run of n sharing one batch of n
+// records is that whole batch, in order.
+func (c *Consumer) bodiesLocked(out []Delivery) {
+	s := c.s
+	for lo, hi := 0, 0; lo < len(out); lo = hi {
+		k := s.slotAt(out[lo].Seq).ctx
+		for hi = lo + 1; hi < len(out) && out[hi].Batch == out[lo].Batch; hi++ {
+		}
+		if n, _ := binary.Uvarint(k.body); n == uint64(hi-lo) {
+			out[lo].Body = k.body
+			continue
+		}
+		for i := lo; i < hi; i++ {
+			// Every retained slot decodes: its body walked cleanly once.
+			out[i].Msg, _ = s.messageLocked(s.slotAt(out[i].Seq))
+		}
+	}
 }
 
 // Ack settles a delivered message. Acking at or below the floor is an
@@ -365,6 +408,7 @@ func (c *Consumer) Nak(seq uint64) error {
 		return fmt.Errorf("%w: nak %d (floor %d)", ErrNotInflight, seq, c.floor)
 	}
 	st.due = now0(s)
+	c.infl[seq] = st
 	c.naks++
 	s.waiters.Broadcast()
 	return nil
@@ -386,9 +430,10 @@ func (c *Consumer) Redeliver() int {
 	}
 	now := now0(s)
 	n := 0
-	for _, st := range c.infl {
+	for seq, st := range c.infl {
 		if st.due > now {
 			st.due = now
+			c.infl[seq] = st
 			n++
 		}
 	}
@@ -461,10 +506,15 @@ func (c *Consumer) closedErrLocked() error {
 func now0(s *DurableStream) time.Duration { return s.cfg.Clock() }
 
 // settleLocked marks seq settled (acked, skipped or dead-lettered) and
-// advances the floor over the contiguous settled prefix (s.mu held).
+// advances the floor over the contiguous settled prefix (s.mu held). The
+// in-order case — seq is the floor's successor — never touches acked.
 func (c *Consumer) settleLocked(seq uint64) {
-	c.acked[seq] = struct{}{}
-	for {
+	if seq != c.floor+1 {
+		c.acked[seq] = struct{}{}
+		return
+	}
+	c.floor++
+	for len(c.acked) > 0 {
 		if _, ok := c.acked[c.floor+1]; !ok {
 			break
 		}

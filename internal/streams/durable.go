@@ -86,7 +86,8 @@ type DurableStream struct {
 	store sos.WALStore
 	frame sos.Frame    // reused segment record buffer
 	w     BatchContext // reused AppendBatch table
-	marks []int        // reused AppendBatch scratch: offsets and string bases
+	body  []byte       // reused AppendBatch scratch: the body written
+	ws    []slot       // and its records
 
 	// The retained window is the encoded batch bodies plus this index:
 	// slots[head+i] is sequence firstSeq+i, a view into the body it
@@ -223,22 +224,22 @@ func (s *DurableStream) applyReplay(body []byte) error {
 
 // replayBatch appends one slot per record of a recovered version-2 batch
 // body, which the slots alias. All or nothing: the batch joins the window
-// only once every record in it has decoded.
+// only once every record in it has walked cleanly.
 func (s *DurableStream) replayBatch(recs []byte, at time.Duration) error {
-	k := &batchCtx{at: at}
+	k := &batchCtx{at: at, body: recs}
 	_ = k.Reset(BodyV2, nil)
-	mark := len(s.slots)
-	if err := s.walkRecords(recs, k); err != nil {
-		s.slots = s.slots[:mark]
+	slots, err := walkBody(recs, k, s.slots)
+	if err != nil {
 		return replayErr(err)
 	}
-	for _, sl := range s.slots[mark:] {
+	for _, sl := range slots[len(s.slots):] {
 		s.bytes += int64(sl.size)
 	}
-	n := len(s.slots) - mark
+	n := len(slots) - len(s.slots)
 	if n > 1 {
 		k.batch = s.lastSeq + 1
 	}
+	s.slots = slots
 	s.lastSeq += uint64(n)
 	return nil
 }
@@ -252,24 +253,38 @@ func replayErr(err error) error {
 	return sos.ErrStopReplay
 }
 
-// walkRecords decodes every record of recs against k, appending a slot
-// for each.
-func (s *DurableStream) walkRecords(recs []byte, k *batchCtx) error {
-	r := NewRecordWalker(recs, &k.BatchContext)
+// walkBody is the one validating walk of a stored or received batch body,
+// shared by replay and PublishBody. In one pass it checks the record
+// count, every record's bounds and that no bytes trail, and appends to
+// slots one slot per record, a view of body against k. It builds k's
+// table and base and nothing else: a typed body is skipped by the codec,
+// so nothing is allocated per record.
+func walkBody(body []byte, k *batchCtx, slots []slot) ([]slot, error) {
+	r := NewRecordWalker(body, &k.BatchContext)
 	n, err := r.Count()
 	if err != nil {
-		return err
+		return slots, err
 	}
 	for i := 0; i < n; i++ {
 		start, strBase := r.Offset(), k.n
-		m, size, err := r.record()
+		e, err := r.Next()
 		if err != nil {
-			return err
+			return slots, err
+		}
+		size := len(e.Payload)
+		if e.Kind == RecTyped {
+			if typedCodec == nil {
+				return slots, errNoTypedCodec
+			}
+			if size, err = typedCodec.SkipTyped(r.Rest(), r.c); err != nil {
+				return slots, err
+			}
+			r.Skip(size)
 		}
 		end := r.Offset()
-		s.slots = append(s.slots, slot{rec: recs[start:end:end], ctx: k, subject: m.Tag, size: int32(size), strBase: int32(strBase)})
+		slots = append(slots, slot{rec: body[start:end:end], ctx: k, subject: e.Tag, size: int32(size), strBase: int32(strBase)})
 	}
-	return r.Done()
+	return slots, r.Done()
 }
 
 // dropHeadLocked removes the oldest retained message from the window
@@ -320,47 +335,59 @@ func (s *DurableStream) AppendBatch(msgs []Message) (uint64, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.cfg.Clock()
-	first := s.lastSeq + 1
-	rec := appendBatchHeader(s.frame.Begin(), first, now)
-	bodyAt := len(rec)
 	_ = s.w.Reset(BodyV2, nil)
-	rec = binary.AppendUvarint(rec, uint64(len(msgs)))
-	s.marks = s.marks[:0]
+	body := binary.AppendUvarint(s.body[:0], uint64(len(msgs)))
+	s.ws = s.ws[:0]
 	for i := range msgs {
-		start, strBase := len(rec), s.w.n
+		start, strBase := len(body), s.w.n
 		var payloadAt int
-		rec, payloadAt = s.w.appendRecord(rec, &msgs[i])
-		s.marks = append(s.marks, start-bodyAt, payloadAt-bodyAt, strBase)
+		body, payloadAt = s.w.appendRecord(body, &msgs[i])
+		// Only the view's length counts: appendLocked lays it on the body.
+		s.ws = append(s.ws, slot{rec: body[start:], subject: msgs[i].Tag, size: int32(len(body) - payloadAt), strBase: int32(strBase)})
 	}
-	if err := s.frame.Commit(s.store, rec); err != nil {
+	s.body = body
+	return s.appendLocked(body, &s.w, s.ws)
+}
+
+// appendBody durably appends a walked body (PublishBody) as it stands.
+func (s *DurableStream) appendBody(body []byte, w *BatchContext, ws []slot) (uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.appendLocked(body, w, ws)
+}
+
+// appendLocked durably appends a version-2 body as one batch entry (s.mu
+// held): w is the table and base it was written against and ws holds one
+// slot per record, in order, each as long as its record. The window keeps
+// its own copies of the body, the base and the strings.
+func (s *DurableStream) appendLocked(body []byte, w *BatchContext, ws []slot) (uint64, error) {
+	now, first := s.cfg.Clock(), s.lastSeq+1
+	if err := s.frame.Commit(s.store, append(appendBatchHeader(s.frame.Begin(), first, now), body...)); err != nil {
 		return 0, fmt.Errorf("streams: stream %q append: %w", s.cfg.Name, err)
 	}
-	// The frame buffer and the table are reused; the window keeps its own
-	// copies of the body, the base and the strings.
-	body := s.bodies.take(len(rec)-bodyAt, bodyChunk)
-	copy(body, rec[bodyAt:])
 	k := &s.ctxs.take(1, ctxChunk)[0]
-	k.at, k.Base, k.seq0 = now, s.w.Base, s.w.seq0
-	if len(msgs) > 1 {
+	k.at, k.Base, k.seq0 = now, w.Base, w.seq0
+	k.body = s.bodies.take(len(body), bodyChunk)
+	copy(k.body, body)
+	if len(ws) > 1 {
 		k.batch = first
 	}
-	k.strs = s.strs.take(len(s.w.strs), strChunk)
-	copy(k.strs, s.w.strs)
+	k.strs = s.strs.take(len(w.strs), strChunk)
+	copy(k.strs, w.strs)
 	if s.head > 0 && s.head >= s.retained() {
 		n := copy(s.slots, s.slots[s.head:])
 		clear(s.slots[n:])
 		s.slots, s.head = s.slots[:n], 0
 	}
-	for i := range msgs {
-		start, payloadAt, strBase, end := s.marks[3*i], s.marks[3*i+1], s.marks[3*i+2], len(body)
-		if i+1 < len(msgs) {
-			end = s.marks[3*i+3]
-		}
-		s.slots = append(s.slots, slot{rec: body[start:end:end], ctx: k, subject: msgs[i].Tag, size: int32(end - payloadAt), strBase: int32(strBase)})
-		s.bytes += int64(end - payloadAt)
+	_, off := binary.Uvarint(body)
+	for _, sl := range ws {
+		end := off + len(sl.rec)
+		sl.rec, sl.ctx = k.body[off:end:end], k
+		s.slots = append(s.slots, sl)
+		s.bytes += int64(sl.size)
+		off = end
 	}
-	s.lastSeq += uint64(len(msgs))
+	s.lastSeq += uint64(len(ws))
 	s.applyRetentionLocked(now)
 	s.waiters.Broadcast()
 	return first, nil

@@ -89,6 +89,10 @@ type RecordCodec interface {
 	// DecodeTyped decodes one binary record from the front of b into a
 	// self-owned carrier and returns the bytes consumed.
 	DecodeTyped(b []byte, t *BatchContext) (Carrier, int, error)
+	// SkipTyped reads one binary record as DecodeTyped does, building
+	// only t's table and base, and returns the bytes consumed. It
+	// allocates nothing but the strings the table spells out.
+	SkipTyped(b []byte, t *BatchContext) (int, error)
 }
 
 // typedCodec is the registration table of the typed kind, filled at

@@ -100,6 +100,7 @@ type batchCtx struct {
 	BatchContext
 	at    time.Duration
 	batch uint64 // the batch's first sequence, or 0 for a batch of one
+	body  []byte // the whole version-2 body, as stored (FetchBodies)
 }
 
 // legacyMsg is a decoded pre-batch msg entry.

@@ -259,17 +259,14 @@ func (b *Bus) PublishBatch(msgs []Message) int {
 	return total
 }
 
-// publishRun publishes a non-empty run of messages sharing one tag.
-func (b *Bus) publishRun(run []Message) int {
-	tag := run[0].Tag
-	b.mu.Lock()
+// routeLocked returns tag's counters, the handlers subscribed to it and
+// the bound streams that capture it (b.mu held).
+func (b *Bus) routeLocked(tag string) (*Stats, []*Subscription, []*DurableStream) {
 	st, ok := b.stats[tag]
 	if !ok {
 		st = &Stats{}
 		b.stats[tag] = st
 	}
-	st.Published += uint64(len(run))
-	hop, clock := b.hop, b.clock
 	list := append([]*Subscription(nil), b.subs[tag]...)
 	for _, sub := range b.wsubs {
 		if MatchSubject(sub.tag, tag) {
@@ -282,6 +279,15 @@ func (b *Bus) publishRun(run []Message) int {
 			sinks = append(sinks, s)
 		}
 	}
+	return st, list, sinks
+}
+
+// publishRun publishes a non-empty run of messages sharing one tag.
+func (b *Bus) publishRun(run []Message) int {
+	b.mu.Lock()
+	st, list, sinks := b.routeLocked(run[0].Tag)
+	st.Published += uint64(len(run))
+	hop, clock := b.hop, b.clock
 	b.mu.Unlock()
 	if hop != "" {
 		now := clock()
@@ -323,6 +329,70 @@ func (b *Bus) publishRun(run []Message) int {
 	st.Dropped += dropped
 	b.mu.Unlock()
 	return int(delivered)
+}
+
+// walk is PublishBody's scratch: a body's table and its records' slots.
+type walk struct {
+	k     batchCtx
+	slots []slot
+}
+
+var walks = sync.Pool{New: func() any { return new(walk) }}
+
+// PublishBody publishes a received batch body as PublishBatch would its
+// decoded messages, without decoding it, when nothing needs them: the
+// body is version 2, its records carry one tag other than skip, no
+// handler subscribes to it and a bound stream captures it. One walk
+// (walkBody) validates it for every such stream, and each appends it as
+// it stands. Otherwise it publishes nothing and reports false, and a body
+// the walk refused is never stored. in, which may be nil, materializes
+// the strings the body spells out. It returns the messages published.
+func (b *Bus) PublishBody(version byte, body []byte, in Interner, skip string) (int, bool) {
+	b.mu.Lock()
+	bound := len(b.streamNames) > 0 // else nothing could take it: skip the walk
+	b.mu.Unlock()
+	if version != BodyV2 || !bound {
+		return 0, false
+	}
+	w := walks.Get().(*walk)
+	defer func() {
+		clear(w.slots) // the pool keeps nothing of body
+		walks.Put(w)
+	}()
+	_ = w.k.Reset(BodyV2, in)
+	var err error
+	if w.slots, err = walkBody(body, &w.k, w.slots[:0]); err != nil {
+		return 0, false
+	}
+	tag := w.slots[0].subject
+	for _, sl := range w.slots {
+		if sl.subject != tag || tag == skip {
+			return 0, false
+		}
+	}
+	b.mu.Lock()
+	st, list, sinks := b.routeLocked(tag)
+	if len(list) > 0 || len(sinks) == 0 {
+		b.mu.Unlock()
+		return 0, false
+	}
+	n := uint64(len(w.slots))
+	st.Published += n
+	b.mu.Unlock()
+	var stored uint64
+	for _, s := range sinks {
+		if _, err := s.appendBody(body, &w.k.BatchContext, w.slots); err == nil {
+			stored++
+		}
+	}
+	b.mu.Lock()
+	st.Delivered += n * stored
+	st.Errored += n * (uint64(len(sinks)) - stored)
+	if stored == 0 {
+		st.Dropped += n
+	}
+	b.mu.Unlock()
+	return int(n), true
 }
 
 // deliverSafe invokes one handler, absorbing a panic so a broken

@@ -59,12 +59,14 @@ chaos-smoke:
 # blocking Wait raced against AppendBatch, Close and consumer replacement;
 # on the uplink side the cursor's one-frame-one-ack round, the crash
 # between send and batch ack and the idle wake-up; at the store hop the
-# round commit, its refusal and fail-stop, the dead letter, and a kill at
-# each point of a round.
+# round commit, its refusal and fail-stop, the dead letter, a kill at
+# each point of a round, the stored-body ingest against the decode path,
+# and rows reused the round after their insert.
 streams-smoke:
 	$(GO) test -race -short -run 'StreamSoak' ./internal/harness
 	$(GO) test -race -count=1 -run 'Batch|Wait|Legacy|Lazy|Retention' ./internal/streams
-	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|Recover|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory' ./internal/ldms
+	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|Recover|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory|StoredBodyIngestIdentity' ./internal/ldms
+	$(GO) test -race -count=1 -run 'InsertOutlivesRowMemory' ./internal/topo
 
 # CI-sized control-plane soak under the race detector: the managed
 # topology (aggregation tree with failover + consistent-hash shards with

@@ -96,15 +96,54 @@ func (recordCodec) DecodeTyped(b []byte, t *streams.BatchContext) (streams.Carri
 // SkipTyped reads one binary record exactly as DecodeTyped does, into
 // scratch on the stack: only the batch's table and base keep anything.
 func (recordCodec) SkipTyped(b []byte, t *streams.BatchContext) (int, error) {
-	d := newDecoder(b, t)
-	var m jsonmsg.Message
-	var s jsonmsg.Segment
-	nseg, err := d.head(&m)
-	for ; err == nil && nseg > 0; nseg-- {
-		err = d.segment(&s)
+	var r RowDecoder
+	for r.Start(b, t); r.Next(); {
 	}
-	return d.off, err
+	return r.Len(), r.Err()
 }
+
+// RowDecoder reads one binary record as rows, never materializing it:
+// Start reads the record's head into Head and each Next one segment into
+// Seg, both scratch, through the steps every other decode takes. It
+// allocates nothing beyond the strings the batch table spells out.
+type RowDecoder struct {
+	Head jsonmsg.Message
+	Seg  jsonmsg.Segment
+	d    decoder
+	left int // segments not yet read
+}
+
+// Start reads the head of the binary record of c's batch at the front of
+// b.
+func (r *RowDecoder) Start(b []byte, c *streams.BatchContext) {
+	r.d = newDecoder(b, c)
+	var err error
+	if r.left, err = r.d.head(&r.Head); err != nil {
+		r.d.err = err
+	}
+}
+
+// Next reads the record's next segment into Seg. It reports false once
+// the record has no more, or on an error (Err).
+func (r *RowDecoder) Next() bool {
+	if r.left == 0 || r.d.err != nil {
+		return false
+	}
+	r.left--
+	r.d.nid = len(r.d.ids) - 1
+	return r.d.segment(&r.Seg) == nil
+}
+
+// Err is the error that ended the read, if any.
+func (r *RowDecoder) Err() error { return r.d.err }
+
+// Strings returns a version-2 batch's string table and the ids in it of
+// Head's Exe, ProducerName, File, Module, Type and Op and of Seg's
+// DataSet, in that order: the order a record reads them.
+func (r *RowDecoder) Strings() ([]string, *[7]int32) { return r.d.c.Table(), &r.d.ids }
+
+// Len is how many bytes of the record have been read.
+func (r *RowDecoder) Len() int { return r.d.off }
 
 // minSegSize is the smallest possible encoded segment: a one-byte
 // DataSet, seven one-byte varints and two one-byte float varints.
@@ -219,6 +258,8 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
+	ids [7]int32 // the table ids of a row's strings (RowDecoder.Strings)
+	nid int      // strings read into ids
 }
 
 func newDecoder(b []byte, c *streams.BatchContext) decoder {
@@ -273,12 +314,16 @@ func (d *decoder) str() string {
 	if d.err != nil {
 		return ""
 	}
-	s, n, err := d.c.String(d.b[d.off:])
+	s, id, n, err := d.c.String(d.b[d.off:])
 	if err != nil {
 		d.err = ErrTruncated
 		return ""
 	}
 	d.off += n
+	if d.nid < len(d.ids) {
+		d.ids[d.nid] = int32(id)
+	}
+	d.nid++
 	return s
 }
 

@@ -183,7 +183,7 @@ func startStoreHop(e *sim.Engine, s *streams.DurableStream, store ldms.RoundStor
 	if err != nil {
 		return nil, err
 	}
-	cur := ldms.NewCursor(cons, ldms.RoundSize)
+	cur := ldms.NewStoreCursor(cons)
 	e.SpawnDaemon("store-head", func(p *sim.Proc) {
 		for {
 			p.Sleep(hopPollEvery)

@@ -204,17 +204,36 @@ func (a *ackRecorder) Store(m streams.Message) error {
 }
 
 // StoreRound implements ldms.RoundStore over an inner RoundStore: the
-// round's messages are recorded once the inner store committed them.
-func (a *ackRecorder) StoreRound(ms []streams.Message, token uint64, dead func(error)) error {
+// records the run's Keep let through to the inner store — its messages,
+// or a body's records decoded here — are recorded once the inner store
+// committed them.
+func (a *ackRecorder) StoreRound(run ldms.Run, token uint64, dead func(error)) error {
 	inner, ok := a.inner.(ldms.RoundStore)
 	if !ok {
 		return fmt.Errorf("harness: ack ledger over %s: it does not store rounds", a.inner.Name())
 	}
-	if err := inner.StoreRound(ms, token, dead); err != nil {
+	var kept []int
+	keep, i := run.Keep, 0
+	run.Keep = func(m streams.Message) bool {
+		ok := keep == nil || keep(m)
+		if ok {
+			kept = append(kept, i)
+		}
+		i++
+		return ok
+	}
+	if err := inner.StoreRound(run, token, dead); err != nil {
 		return err
 	}
-	for _, m := range ms {
-		a.record(m)
+	ms := run.Msgs
+	if run.Body != nil {
+		var err error
+		if ms, err = streams.DecodeRecords(streams.BodyV2, run.Body); err != nil {
+			return err
+		}
+	}
+	for _, k := range kept {
+		a.record(ms[k])
 	}
 	return nil
 }

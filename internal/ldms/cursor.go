@@ -33,13 +33,20 @@ type Cursor struct {
 	round  []streams.Delivery // fetched, not yet settled
 	msgs   []streams.Message  // the round's messages; backing array reused
 	ends   []int              // the round's batch runs (batchRuns); reused
-	stored [][]byte           // with bodies, each run's Body; reused
+	stored [][]byte           // each run's Body (FetchBodies); reused
 }
 
 // NewCursor returns the round step over cons, at most max deliveries a
 // round.
 func NewCursor(cons *streams.Consumer, max int) *Cursor {
 	return &Cursor{cons: cons, max: max}
+}
+
+// NewStoreCursor returns the round step of a store hop, IngestStream's:
+// RoundSize deliveries a round, each whole stored batch fetched as the
+// body it rests as, which Commit hands to the store undecoded.
+func NewStoreCursor(cons *streams.Consumer) *Cursor {
+	return &Cursor{cons: cons, max: RoundSize, bodies: true}
 }
 
 // Next fetches the next round without blocking: its messages and the
@@ -61,7 +68,7 @@ func (c *Cursor) Next() ([]streams.Message, []int, error) {
 		c.msgs = append(c.msgs, d.Msg)
 	}
 	c.ends = batchRuns(c.ends, ds)
-	for lo, i := 0, 0; c.bodies && i < len(c.ends); lo, i = c.ends[i], i+1 {
+	for lo, i := 0, 0; i < len(c.ends); lo, i = c.ends[i], i+1 {
 		c.stored = append(c.stored, ds[lo].Body)
 	}
 	return c.msgs, c.ends, nil
@@ -123,7 +130,8 @@ func (c *Cursor) Settle(n int) {
 }
 
 // Commit stores the round Next returned as one store.StoreRound per batch
-// run, each tagged with the run's highest stream sequence, and settles
+// run — a whole stored batch as its body, when the cursor fetches bodies —
+// each tagged with the run's highest stream sequence, and settles
 // it: the runs stored are acked, the rest naked. It returns nil when the
 // whole round is stored; an error wrapping dsos.ErrNothingWritten when a
 // run was refused before any of it was written, so the naked rest can
@@ -134,12 +142,12 @@ func (c *Cursor) Commit(store RoundStore, dead func(error)) error {
 	stored := 0
 	var token uint64
 	var err error
-	for _, end := range c.ends {
+	for i, end := range c.ends {
 		token = 0
 		for _, d := range c.round[stored:end] {
 			token = max(token, d.Seq)
 		}
-		if err = store.StoreRound(c.msgs[stored:end], token, dead); err != nil {
+		if err = store.StoreRound(Run{Msgs: c.msgs[stored:end], Body: c.stored[i]}, token, dead); err != nil {
 			break
 		}
 		stored = end

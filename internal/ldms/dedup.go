@@ -2,6 +2,7 @@ package ldms
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"darshanldms/internal/obs"
@@ -37,11 +38,22 @@ type DedupStore struct {
 
 	mu         sync.Mutex
 	seen       map[string]*seenSeqs
-	fresh      []streams.Message // StoreRound's reused survivors
 	duplicates uint64
 	stored     uint64
 	unstamped  uint64
 	clock      obs.Clock // set by Instrument: stamps the "dedup" trace hop
+
+	// What keepLocked (bound once as keep) decided since the last settle.
+	keep  func(streams.Message) bool
+	fresh []identity
+	dups  uint64
+	plain uint64
+}
+
+// identity is a message's (producer, seq).
+type identity struct {
+	producer string
+	seq      uint64
 }
 
 // seenSeqs is one producer's stored identities: every sequence in
@@ -85,7 +97,9 @@ const hopDedup = "dedup"
 
 // NewDedupStore wraps inner with (producer, seq) deduplication.
 func NewDedupStore(inner StorePlugin) *DedupStore {
-	return &DedupStore{inner: inner, seen: map[string]*seenSeqs{}}
+	s := &DedupStore{inner: inner, seen: map[string]*seenSeqs{}}
+	s.keep = s.keepLocked
+	return s
 }
 
 // Name implements StorePlugin.
@@ -98,73 +112,72 @@ func (s *DedupStore) Name() string { return "dedup(" + s.inner.Name() + ")" }
 func (s *DedupStore) Store(m streams.Message) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stampLocked(m)
-	if !stamped(m) {
-		s.unstamped++
-		return s.inner.Store(m)
+	s.fresh, s.dups, s.plain = s.fresh[:0], 0, 0
+	if s.keepLocked(m) {
+		if err := s.inner.Store(m); err != nil {
+			// Not marked seen: the retry that follows is a fresh attempt, not
+			// a replay, and must reach the inner store again.
+			return err
+		}
 	}
-	if s.seen[m.Producer].has(m.Seq) {
-		s.duplicates++
-		return nil
-	}
-	if err := s.inner.Store(m); err != nil {
-		// Not marked seen: the retry that follows is a fresh attempt, not
-		// a replay, and must reach the inner store again.
-		return err
-	}
-	s.markLocked(m)
+	s.settleLocked()
 	return nil
 }
 
-// StoreRound implements RoundStore over an inner RoundStore: it drops the
-// round's replays — identities already stored, and a second copy inside
-// the round — and hands the rest to the inner store as one round. The
-// identities are marked seen, and the counters move, only once that round
-// has committed: a failed round is retried whole, and its retry is not a
-// replay.
-func (s *DedupStore) StoreRound(ms []streams.Message, token uint64, dead func(error)) error {
+// StoreRound implements RoundStore over an inner RoundStore: it hands the
+// run down with a Keep that drops the run's replays — identities already
+// stored, and a second copy inside the run — as the inner store reaches
+// them, envelope by envelope, so a run stored as a body is deduplicated
+// without a walk of its own. The identities are marked seen, and the
+// counters move, only once the run has committed: a failed run is
+// retried whole, and its retry is not a replay.
+func (s *DedupStore) StoreRound(run Run, token uint64, dead func(error)) error {
 	inner, ok := s.inner.(RoundStore)
 	if !ok {
 		return fmt.Errorf("ldms: dedup over %s: it does not store rounds", s.inner.Name())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fresh := s.fresh[:0]
-	dups := uint64(0)
-	for _, m := range ms {
-		s.stampLocked(m)
-		if stamped(m) && (s.seen[m.Producer].has(m.Seq) || inRound(fresh, m)) {
-			dups++
-			continue
-		}
-		fresh = append(fresh, m)
+	s.fresh, s.dups, s.plain = s.fresh[:0], 0, 0
+	run.Keep = s.keep
+	if err := inner.StoreRound(run, token, dead); err != nil {
+		return err
 	}
-	s.fresh = fresh
-	defer clear(fresh) // the round's records are the inner store's now
-	if len(fresh) > 0 {
-		if err := inner.StoreRound(fresh, token, dead); err != nil {
-			return err
-		}
-	}
-	s.duplicates += dups
-	for _, m := range fresh {
-		if stamped(m) {
-			s.markLocked(m)
-		} else {
-			s.unstamped++
-		}
-	}
+	s.settleLocked()
 	return nil
 }
 
-// inRound reports whether round already holds m's identity.
-func inRound(round []streams.Message, m streams.Message) bool {
-	for i := range round {
-		if round[i].Seq == m.Seq && round[i].Producer == m.Producer {
-			return true
-		}
+// keepLocked decides one record (s.mu held): m is fresh unless its
+// identity is stored or already kept since the last settle.
+func (s *DedupStore) keepLocked(m streams.Message) bool {
+	s.stampLocked(m)
+	id := identity{m.Producer, m.Seq}
+	switch {
+	case !stamped(m):
+		s.plain++
+	case s.seen[m.Producer].has(m.Seq) || slices.Contains(s.fresh, id):
+		s.dups++
+		return false
+	default:
+		s.fresh = append(s.fresh, id)
 	}
-	return false
+	return true
+}
+
+// settleLocked books what keepLocked decided, now that what it kept is
+// stored: the counters move and the identities kept are marked seen.
+func (s *DedupStore) settleLocked() {
+	s.duplicates += s.dups
+	s.unstamped += s.plain
+	for _, id := range s.fresh {
+		p := s.seen[id.producer]
+		if p == nil {
+			p = &seenSeqs{}
+			s.seen[id.producer] = p
+		}
+		p.add(id.seq)
+		s.stored++
+	}
 }
 
 // stamped reports whether m carries a (producer, seq) identity.
@@ -176,17 +189,6 @@ func (s *DedupStore) stampLocked(m streams.Message) {
 			st.Stamp(hopDedup, s.clock())
 		}
 	}
-}
-
-// markLocked records m's identity as stored.
-func (s *DedupStore) markLocked(m streams.Message) {
-	p := s.seen[m.Producer]
-	if p == nil {
-		p = &seenSeqs{}
-		s.seen[m.Producer] = p
-	}
-	p.add(m.Seq)
-	s.stored++
 }
 
 // Duplicates returns how many stamped messages were suppressed as

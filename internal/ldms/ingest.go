@@ -16,21 +16,36 @@ const refusedWait = 10 * time.Millisecond
 // one commit.
 type RoundStore interface {
 	StorePlugin
-	// StoreRound stores ms as one commit tagged token, the highest stream
-	// sequence in the round. A message the store cannot decode is reported
-	// to dead and settled with the round. An error wrapping
-	// dsos.ErrNothingWritten means nothing of the round was stored.
-	StoreRound(ms []streams.Message, token uint64, dead func(error)) error
+	// StoreRound stores run as one commit tagged token, the highest
+	// stream sequence in it. A record the store cannot decode is reported
+	// to dead and settled with the run. An error wrapping
+	// dsos.ErrNothingWritten means nothing of the run was stored.
+	StoreRound(run Run, token uint64, dead func(error)) error
 }
+
+// Run is one batch run of an ingest round (batchRuns): its messages, or,
+// when it is one whole stored batch fetched with FetchBodies, the
+// version-2 body it rests as, its messages left zero.
+type Run struct {
+	Msgs []streams.Message
+	Body []byte
+	// Keep, when set, is asked once per record, in order, before the store
+	// decodes it — a Body record as its envelope alone — and false leaves
+	// the record out. DedupStore sets it.
+	Keep func(streams.Message) bool
+}
+
+func (r *Run) keeps(m streams.Message) bool { return r.Keep == nil || r.Keep(m) }
 
 // IngestStream is the store hop of a durable daemon (cmd/dsosd): it
 // drains cons into store until the consumer is closed or replaced,
 // sleeping on the stream while there is nothing to deliver. Each fetched
-// round (at most RoundSize messages) is one commit per batch run in it:
+// round (NewStoreCursor) is one commit per batch run in it:
 // store.StoreRound inserts the fresh rows of each of its batch runs (a
-// stored batch, or messages stored alone; see batchRuns) tagged with the
-// run's token — one log record and one write per shard the run touches —
-// and one AckBatch then settles the round with one cursor checkpoint.
+// stored batch, as its body, or messages stored alone; see batchRuns)
+// tagged with the run's token — one log record and one write per shard
+// the run touches — and one AckBatch then settles the round with one
+// cursor checkpoint.
 //
 // The consumer's durable ack floor is thereby the commit point: every
 // shard log record tagged at or below it belongs to a settled run, and a
@@ -47,7 +62,7 @@ type RoundStore interface {
 // error: only a restart can discard a partial run, and it does so
 // exactly. IngestStream returns nil when the consumer is closed.
 func IngestStream(cons *streams.Consumer, store RoundStore, onErr func(error)) error {
-	c := NewCursor(cons, RoundSize)
+	c := NewStoreCursor(cons)
 	for {
 		if _, _, _, ok := c.take(); !ok {
 			return nil

@@ -134,11 +134,14 @@ type roundStub struct {
 	fail   []error
 	rounds [][]uint64 // the producer seqs of every committed round
 	tokens []uint64   // and its token
+	bodies []bool     // and whether it came as a stored body
 }
 
-func (s *roundStub) Name() string                  { return "store_round_stub" }
-func (s *roundStub) Store(m streams.Message) error { return s.StoreRound([]streams.Message{m}, 0, nil) }
-func (s *roundStub) StoreRound(ms []streams.Message, token uint64, _ func(error)) error {
+func (s *roundStub) Name() string { return "store_round_stub" }
+func (s *roundStub) Store(m streams.Message) error {
+	return s.StoreRound(Run{Msgs: []streams.Message{m}}, 0, nil)
+}
+func (s *roundStub) StoreRound(run Run, token uint64, _ func(error)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.fail) > 0 {
@@ -148,20 +151,29 @@ func (s *roundStub) StoreRound(ms []streams.Message, token uint64, _ func(error)
 			return err
 		}
 	}
+	ms := run.Msgs
+	if run.Body != nil {
+		var err error
+		if ms, err = streams.DecodeRecords(streams.BodyV2, run.Body); err != nil {
+			return err
+		}
+	}
 	var seqs []uint64
 	for _, m := range ms {
 		seqs = append(seqs, m.Seq)
 	}
 	s.rounds = append(s.rounds, seqs)
 	s.tokens = append(s.tokens, token)
+	s.bodies = append(s.bodies, run.Body != nil)
 	return nil
 }
 
 // TestIngestStreamCommitsByStoredBatch: a round that spans stored batches
 // is one commit per batch — messages appended alone share one — each
-// tagged with its own highest sequence, and one ack. A batch refused
-// inside a round leaves the batches before it acked and is retried with
-// the rest.
+// tagged with its own highest sequence, and one ack. Each whole stored
+// batch reaches the store as its stored body, the messages appended alone
+// as messages. A batch refused inside a round leaves the batches before
+// it acked and is retried with the rest, still as its body.
 func TestIngestStreamCommitsByStoredBatch(t *testing.T) {
 	s := openTestStream(t, sos.NewMemWAL())
 	var msgs []streams.Message
@@ -188,8 +200,8 @@ func TestIngestStreamCommitsByStoredBatch(t *testing.T) {
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
-	got := fmt.Sprint(store.rounds, store.tokens)
-	if want := "[[1 2 3] [4 5] [6 7] [8 9] [10 11]] [3 5 7 9 11]"; got != want {
+	got := fmt.Sprint(store.rounds, store.tokens, store.bodies)
+	if want := "[[1 2 3] [4 5] [6 7] [8 9] [10 11]] [3 5 7 9 11] [true true false true true]"; got != want {
 		t.Fatalf("batches of 3 and 2, two singles and two batches of 2 committed as %s, want %s", got, want)
 	}
 	if cs := cons.Stats(); cs.Naks != 4 || cs.Acked != 11 {

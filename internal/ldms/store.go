@@ -2,6 +2,7 @@ package ldms
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"sync"
 
@@ -154,12 +155,17 @@ func (s *CSVStore) Flush() error {
 // the old parse-at-store hop (encode at the connector, re-parse the same
 // bytes here) is gone; raw JSON payloads still parse as before. A round of
 // messages goes down as one batch insert (StoreRound); Store is the round
-// of one.
+// of one. A run stored as one batch body is read in one walk that decodes
+// each typed record straight into row words, never into a message.
 type DSOSStore struct {
 	client *dsos.Client
 	mu     sync.Mutex
 	objs   []sos.Object   // reused row batch of one round
 	arena  *dsos.RowArena // builds the rows by copying fields (guarded by mu)
+	// A body's walk: its table and base, strings, and typed row reader.
+	k    streams.BatchContext
+	in   *event.Interner
+	rows event.RowDecoder
 	// Obs plane (set by Instrument; nil-safe counters otherwise).
 	clock   obs.Clock
 	msgs    *obs.Counter
@@ -172,7 +178,7 @@ const hopStore = "store"
 
 // NewDSOSStore creates the store plugin over a connected client.
 func NewDSOSStore(client *dsos.Client) *DSOSStore {
-	return &DSOSStore{client: client, arena: dsos.NewRowArena()}
+	return &DSOSStore{client: client, arena: dsos.NewRowArena(), in: event.NewInterner()}
 }
 
 // Name implements StorePlugin.
@@ -183,41 +189,41 @@ func (s *DSOSStore) Name() string { return "store_dsos" }
 func (s *DSOSStore) Store(m streams.Message) error {
 	var decodeErr error
 	one := [1]streams.Message{m}
-	if err := s.StoreRound(one[:], 0, func(err error) { decodeErr = err }); err != nil {
+	if err := s.store(one[:], Run{}, 0, func(err error) { decodeErr = err }); err != nil {
 		return err
 	}
 	return decodeErr
 }
 
-// StoreRound implements RoundStore: every message's rows, built through
-// the store's arena, go down as one InsertTagged tagged token. A message
-// that event.Fields cannot decode is dead-lettered: counted as a store
-// error, reported to dead (under the store's lock, so dead must not call
-// back into it) and left out of the insert — it never will decode, and
+// StoreRound implements RoundStore: every record's rows, built through
+// the store's arena, go down as one InsertTagged tagged token. A record
+// that does not decode is dead-lettered: counted as a store error,
+// reported to dead (under the store's lock, so dead must not call back
+// into it) and left out of the insert — it never will decode, and
 // redelivering it would only spin.
-func (s *DSOSStore) StoreRound(ms []streams.Message, token uint64, dead func(error)) error {
+//
+// The rows live in the arena's memory for one run only: InsertTagged
+// copies every row into the shards' pages and logs before it returns, so
+// the next run rewinds the arena and builds its rows in the same words.
+func (s *DSOSStore) StoreRound(run Run, token uint64, dead func(error)) error {
+	return s.store(run.Msgs, Run{Body: run.Body, Keep: run.Keep}, token, dead)
+}
+
+// store is StoreRound with the run's messages in ms, apart from the run,
+// whose body escapes: Store's round of one then stays on the stack.
+func (s *DSOSStore) store(ms []streams.Message, run Run, token uint64, dead func(error)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Rows come from the store's arena: typed words copied from each
-	// message's fields, so steady-state ingest allocates only chunks of
-	// words. A message may be slab-backed — that is fine, the arena copies
-	// every value it reads and keeps no reference to the message.
+	s.arena.Rewind()
 	s.objs = s.objs[:0]
 	decoded := 0
+	if run.Body != nil {
+		decoded = s.bodyLocked(&run, dead)
+	}
 	for _, m := range ms {
-		msg, err := event.Fields(m)
-		if err != nil {
-			s.errs.Inc()
-			dead(err)
-			continue
+		if run.Body == nil && run.keeps(m) {
+			decoded += s.messageLocked(m, dead)
 		}
-		if s.clock != nil {
-			if st, ok := m.Record.(streams.Stamper); ok {
-				st.Stamp(hopStore, s.clock())
-			}
-		}
-		s.objs = s.arena.AppendObjects(s.objs, msg)
-		decoded++
 	}
 	if decoded == 0 {
 		return nil
@@ -229,6 +235,68 @@ func (s *DSOSStore) StoreRound(ms []streams.Message, token uint64, dead func(err
 		s.errs.Inc()
 	}
 	return err
+}
+
+// messageLocked appends m's rows, copied from its fields, and reports 1;
+// or dead-letters m and reports 0.
+func (s *DSOSStore) messageLocked(m streams.Message, dead func(error)) int {
+	msg, err := event.Fields(m)
+	if err != nil {
+		s.errs.Inc()
+		dead(err)
+		return 0
+	}
+	if s.clock != nil {
+		if st, ok := m.Record.(streams.Stamper); ok {
+			st.Stamp(hopStore, s.clock())
+		}
+	}
+	s.objs = s.arena.AppendObjects(s.objs, msg)
+	return 1
+}
+
+// bodyLocked appends the rows of a run's body in one walk and reports how
+// many records it stored. run.Keep sees each envelope first; a typed
+// record kept is decoded straight into row words, one not kept is only
+// walked, and an opaque record takes the message path. The stream walked
+// the body cleanly when it took it, so an error here is a store error.
+func (s *DSOSStore) bodyLocked(run *Run, dead func(error)) int {
+	_ = s.k.Reset(streams.BodyV2, s.in)
+	w := streams.NewRecordWalker(run.Body, &s.k)
+	n, err := w.Count()
+	decoded := 0
+	for ; err == nil && n > 0; n-- {
+		var e streams.Envelope
+		if e, err = w.Next(); err != nil {
+			break
+		}
+		m := streams.Message{Tag: e.Tag, Type: e.Type, Producer: e.Producer, Seq: e.Seq}
+		if len(e.Payload) > 0 {
+			m.Data = e.Payload
+		}
+		keep, r := run.keeps(m), &s.rows
+		if e.Kind == streams.RecOpaque {
+			if keep {
+				decoded += s.messageLocked(m, dead)
+			}
+			continue
+		}
+		for r.Start(w.Rest(), &s.k); r.Next(); {
+			if keep {
+				tab, ids := r.Strings()
+				s.objs = s.arena.AppendRow(s.objs, &r.Head, &r.Seg, tab, ids)
+			}
+		}
+		if err = r.Err(); err == nil && keep {
+			decoded++
+		}
+		w.Skip(r.Len())
+	}
+	if err != nil {
+		s.errs.Inc()
+		dead(fmt.Errorf("ldms: stored batch body: %w", err))
+	}
+	return decoded
 }
 
 // RetryConfig parameterizes a RetryStore.

@@ -8,12 +8,16 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"darshanldms/internal/dsos"
 	"darshanldms/internal/event"
 	"darshanldms/internal/jsonmsg"
+	"darshanldms/internal/sos"
 	"darshanldms/internal/streams"
 )
 
@@ -624,6 +628,64 @@ func bodyLeg(t *testing.T, data []byte) {
 	if ds, err := c.FetchBodies(len(msgs)); err != nil || !bytes.Equal(ds[0].Body, payload) {
 		t.Fatalf("forwarded % x (%v), want the payload % x", ds[0].Body, err, payload)
 	}
+	ingestLeg(t, version, payload)
+}
+
+// ingestLeg is bodyLeg's store step: a body the stream took, stored as
+// the body it rests as, builds the rows and dead letters that decoding
+// it (DecodeRecords, event.Fields, dsos.ObjectsFromMessage) does.
+func ingestLeg(t *testing.T, version byte, payload []byte) {
+	msgs, err := streams.DecodeRecords(version, payload)
+	if err != nil {
+		t.Fatalf("a body the stream took does not decode: %v", err)
+	}
+	var want []string
+	var wantDead []string
+	for _, m := range msgs {
+		msg, err := event.Fields(m)
+		if err != nil {
+			wantDead = append(wantDead, err.Error())
+			continue
+		}
+		for _, o := range dsos.ObjectsFromMessage(msg) {
+			want = append(want, rowBits(o))
+		}
+	}
+	c := dsos.NewCluster(1, "darshan_data")
+	if err := dsos.SetupDarshan(c); err != nil {
+		t.Fatal(err)
+	}
+	store := NewDSOSStore(dsos.Connect(c))
+	var dead []string
+	run := Run{Msgs: make([]streams.Message, len(msgs)), Body: payload}
+	if err := store.StoreRound(run, 0, func(err error) { dead = append(dead, err.Error()) }); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, o := range store.objs {
+		got = append(got, rowBits(o))
+	}
+	if !slices.Equal(got, want) || !slices.Equal(dead, wantDead) {
+		t.Fatalf("body ingest built rows %q, dead letters %q; decoding built %q, %q", got, dead, want, wantDead)
+	}
+}
+
+// rowBits renders a row with its floats as their bits, NaNs included.
+func rowBits(o sos.Object) string {
+	var b strings.Builder
+	for i := 0; i < o.Len(); i++ {
+		switch o.Type(i) {
+		case sos.TypeFloat64:
+			fmt.Fprintf(&b, "%x|", math.Float64bits(o.Float(i)))
+		case sos.TypeInt64:
+			fmt.Fprintf(&b, "%d|", o.Int(i))
+		case sos.TypeUint64:
+			fmt.Fprintf(&b, "%d|", o.Uint(i))
+		default:
+			fmt.Fprintf(&b, "%q|", o.Str(i))
+		}
+	}
+	return b.String()
 }
 
 // TestBatchDecoderSlabMatchesLegacy: the arena-pooled decode path must be

@@ -148,7 +148,7 @@ func (r boxedRow) typed(b *RowBuilder) Object {
 		case float64:
 			b.SetFloat(j, v)
 		case string:
-			b.SetStr(j, v)
+			b.SetStr(j, v, nil, 0)
 		}
 	}
 	return b.Row()

@@ -328,21 +328,21 @@ const builderStrings = 1 << 12
 // them: row words are carved from pointer-free chunks, and strings are
 // interned in one bounded table that every row of the builder indexes.
 // When the table is full a fresh one starts; rows already built keep
-// theirs. A built row is never written again, and chunks are not reused:
-// the caller may hold rows as long as it likes. A RowBuilder is not safe
-// for concurrent use.
+// theirs. A built row is not written again until the caller hands its
+// memory back with Rewind: until then the caller may hold rows as long as
+// it likes. A RowBuilder is not safe for concurrent use.
 type RowBuilder struct {
 	typ   *rowType
 	nstr  int // string attributes per row
 	chunk []uint64
+	first []uint64 // the first chunk carved, where Rewind starts again
 	row   []uint64 // the row since Begin
-	strs  []string // the table: never grown past its capacity
-	ids   map[string]uint32
+	d     dict     // the table: started afresh before it outgrows builderStrings
 }
 
 // NewRowBuilder returns a builder of rows of schema s.
 func NewRowBuilder(s *Schema) *RowBuilder {
-	b := &RowBuilder{typ: &rowType{schemaTypes(s)}, ids: make(map[string]uint32, 256)}
+	b := &RowBuilder{typ: &rowType{schemaTypes(s)}}
 	for _, t := range b.typ.types {
 		if t == TypeString {
 			b.nstr++
@@ -355,10 +355,18 @@ func NewRowBuilder(s *Schema) *RowBuilder {
 // fresh starts a new string table whose id 0 is the empty string, the
 // value of a string attribute never set.
 func (b *RowBuilder) fresh() {
-	b.strs = append(make([]string, 0, max(builderStrings, b.nstr+1)), "")
-	clear(b.ids)
-	b.ids[""] = 0
+	b.d = dict{strs: make([]string, 0, 256), ids: make(map[string]uint32, 256)}
+	b.d.intern("")
 }
+
+// Rewind hands back the memory of every row built so far, to be carved
+// again by the rows built after it: no row built before a Rewind may be
+// read after it. A caller that copies its rows out each round — a store
+// copies every row into its pages and log before an insert returns —
+// rewinds once a round and, while a round fits in a chunk, builds every
+// round in the same words. Rewind also forgets the caller's table
+// (SetStr), which may start over in place.
+func (b *RowBuilder) Rewind() { b.chunk, b.d.src = b.first, nil }
 
 // Begin starts a row with every attribute zero: 0, or the empty string.
 // Its strings all go to one table.
@@ -366,9 +374,13 @@ func (b *RowBuilder) Begin() {
 	w := len(b.typ.types)
 	if len(b.chunk) < w {
 		b.chunk = make([]uint64, w*builderRows)
+		if b.first == nil {
+			b.first = b.chunk
+		}
 	}
 	b.row, b.chunk = b.chunk[:w:w], b.chunk[w:]
-	if cap(b.strs)-len(b.strs) < b.nstr {
+	clear(b.row)
+	if len(b.d.strs)+b.nstr > builderStrings {
 		b.fresh()
 	}
 }
@@ -391,21 +403,22 @@ func (b *RowBuilder) SetFloat(i int, v float64) {
 	b.row[i] = math.Float64bits(v)
 }
 
-// SetStr sets string attribute i of the row.
-func (b *RowBuilder) SetStr(i int, v string) {
+// SetStr sets string attribute i of the row to v, which is tab[id] when
+// tab, a string table of the caller's, is not nil. The builder looks each
+// of tab's ids up once, while tab starts where it did and until Rewind,
+// so the rows of one decoded batch cost a lookup per string, not per row.
+func (b *RowBuilder) SetStr(i int, v string, tab []string, id int) {
 	b.want(i, TypeString)
-	id, ok := b.ids[v]
-	if !ok {
-		id = uint32(len(b.strs))
-		b.strs = append(b.strs, v)
-		b.ids[v] = id
+	if tab == nil {
+		b.row[i] = b.d.intern(v)
+		return
 	}
-	b.row[i] = uint64(id)
+	b.row[i] = b.d.from(&tab[0], uint64(id))
 }
 
 // Row returns the row built since Begin.
 func (b *RowBuilder) Row() Object {
-	return Object{w: first(b.row), strs: first(b.strs), typ: b.typ}
+	return Object{w: first(b.row), strs: first(b.d.strs), typ: b.typ}
 }
 
 func (b *RowBuilder) want(i int, t Type) {

@@ -553,8 +553,8 @@ func TestRestoreSharesStrings(t *testing.T) {
 			b.SetInt(0, int64(k))
 			b.SetUint(1, uint64(k%64))
 			b.SetFloat(2, 1.6e9+float64(k)/8)
-			b.SetStr(3, fmt.Sprintf("/lscratch/out.%03d.dat", k%500))
-			b.SetStr(4, ops[k%len(ops)])
+			b.SetStr(3, fmt.Sprintf("/lscratch/out.%03d.dat", k%500), nil, 0)
+			b.SetStr(4, ops[k%len(ops)], nil, 0)
 			if err := c.Insert("ev", b.Row()); err != nil {
 				t.Fatal(err)
 			}
@@ -604,4 +604,33 @@ func heapAfterGC() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
+}
+
+// TestRowBuilderRewind: Rewind hands the rows' words back — the next row
+// is built where the first one was — and forgets the caller's table, so a
+// table that starts over in place maps its ids afresh.
+func TestRowBuilderRewind(t *testing.T) {
+	s, err := NewSchema("t", []AttrSpec{{Name: "s", Type: TypeString}, {Name: "n", Type: TypeInt64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewRowBuilder(s)
+	tab := []string{"a", "b"}
+	b.Begin()
+	b.SetStr(0, tab[1], tab, 1)
+	b.SetInt(1, 7)
+	first := b.Row()
+	if first.Str(0) != "b" || first.Int(1) != 7 {
+		t.Fatalf("row %v, want [b 7]", first)
+	}
+	b.Rewind()
+	tab[0], tab[1] = "c", "d"
+	b.Begin()
+	b.SetStr(0, tab[1], tab, 1)
+	if second := b.Row(); second.Str(0) != "d" || second.Int(1) != 0 {
+		t.Fatalf("row after Rewind %v, want [d 0]", second)
+	}
+	if first.Str(0) != "d" {
+		t.Fatalf("the rewound row reads %v: its words were not reused", first)
+	}
 }

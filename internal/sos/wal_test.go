@@ -473,17 +473,17 @@ func darshanRows(n int) func(start int) []Object {
 			i := start + k
 			rank := i * 7919 % 64
 			rb.Begin()
-			rb.SetStr(0, "POSIX")
+			rb.SetStr(0, "POSIX", nil, 0)
 			rb.SetInt(1, 99066)
-			rb.SetStr(2, "nid000"+strconv.Itoa(40+rank%8))
-			rb.SetStr(4, "/nscratch/out."+strconv.Itoa(rank%16))
+			rb.SetStr(2, "nid000"+strconv.Itoa(40+rank%8), nil, 0)
+			rb.SetStr(4, "/nscratch/out."+strconv.Itoa(rank%16), nil, 0)
 			rb.SetInt(5, int64(rank))
 			rb.SetUint(7, uint64(rank)*0x9e3779b97f4a7c15)
-			rb.SetStr(8, "/bin/app")
+			rb.SetStr(8, "/bin/app", nil, 0)
 			rb.SetInt(9, -1)
-			rb.SetStr(10, "MOD")
+			rb.SetStr(10, "MOD", nil, 0)
 			rb.SetInt(11, int64(1+i/(1<<18)))
-			rb.SetStr(12, ops[i%4])
+			rb.SetStr(12, ops[i%4], nil, 0)
 			rb.SetInt(13, int64(1+i/64))
 			rb.SetInt(14, int64(i/64)*4096)
 			rb.SetInt(15, -1)
@@ -492,7 +492,7 @@ func darshanRows(n int) func(start int) []Object {
 			for a := 18; a <= 20; a++ {
 				rb.SetInt(a, -1)
 			}
-			rb.SetStr(21, "N/A")
+			rb.SetStr(21, "N/A", nil, 0)
 			rb.SetInt(22, -1)
 			rb.SetFloat(23, 1.7e9+float64(i)/1e4)
 			out[k] = rb.Row()

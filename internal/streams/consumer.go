@@ -45,6 +45,8 @@ type Consumer struct {
 	lagPeak uint64 // deepest backlog any Fetch has faced since the last telemetry scrape
 	closed  bool
 
+	bodyRound []Delivery // FetchBodies' result, reused by the next
+
 	delivered    uint64
 	redelivered  uint64
 	ackedCount   uint64
@@ -222,7 +224,8 @@ func (c *Consumer) Fetch(max int) ([]Delivery, error) { return c.fetch(max, fals
 // every record of it, in order, as a round not cut by max, a trim or a
 // partial ack holds it — comes back undecoded: its first delivery's Body
 // is the batch's stored body and every Msg of the run is zero. Every
-// other delivery is decoded as Fetch decodes it.
+// other delivery is decoded as Fetch decodes it. The deliveries are valid
+// until the next FetchBodies, which reuses their slice.
 func (c *Consumer) FetchBodies(max int) ([]Delivery, error) { return c.fetch(max, true) }
 
 func (c *Consumer) fetch(max int, bodies bool) ([]Delivery, error) {
@@ -241,6 +244,9 @@ func (c *Consumer) fetch(max int, bodies bool) ([]Delivery, error) {
 		c.lagPeak = lag
 	}
 	var out []Delivery
+	if bodies {
+		out = c.bodyRound[:0]
+	}
 	// deliver decodes seq's slot into out, or leaves that to the runs
 	// below for FetchBodies; false means the message is gone (evicted by
 	// retention) and the caller settles it as missed.
@@ -323,6 +329,7 @@ func (c *Consumer) fetch(max int, bodies bool) ([]Delivery, error) {
 	}
 	if bodies {
 		c.bodiesLocked(out)
+		c.bodyRound = out
 	}
 	return out, nil
 }

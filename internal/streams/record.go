@@ -193,34 +193,38 @@ func (c *BatchContext) AppendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// String reads the string at the front of b and reports the bytes it
-// took. A string spelled out for the first time joins the table, unless
-// the table already holds it: a retained record is decoded again against
-// the table its first read built.
-func (c *BatchContext) String(b []byte) (string, int, error) {
+// String reads the string at the front of b and reports its id in the
+// table (-1 in a version-1 body, which has none) and the bytes it took. A
+// string spelled out for the first time joins the table, unless the
+// table already holds it: a retained record is decoded again against the
+// table its first read built.
+func (c *BatchContext) String(b []byte) (string, int, int, error) {
 	v, k := binary.Uvarint(b)
 	if k <= 0 {
-		return "", 0, ErrTruncated
+		return "", 0, 0, ErrTruncated
 	}
 	if !c.v1 {
 		if v < uint64(c.n) {
-			return c.strs[v], k, nil
+			return c.strs[v], int(v), k, nil
 		}
 		v -= uint64(c.n)
 	}
 	if v > uint64(len(b)-k) {
-		return "", 0, ErrTruncated
+		return "", 0, 0, ErrTruncated
 	}
 	lit, k := b[k:k+int(v)], k+int(v)
 	if c.v1 {
-		return c.intern(lit), k, nil
+		return c.intern(lit), -1, k, nil
 	}
 	if c.n == len(c.strs) {
 		c.strs = append(c.strs, c.intern(lit))
 	}
 	c.n++
-	return c.strs[c.n-1], k, nil
+	return c.strs[c.n-1], c.n - 1, k, nil
 }
+
+// Table is the body's string table, by id, as far as it has been read.
+func (c *BatchContext) Table() []string { return c.strs }
 
 func (c *BatchContext) intern(b []byte) string {
 	if c.in != nil {
@@ -332,7 +336,7 @@ func (r *RecordWalker) str() string {
 	if r.err != nil {
 		return ""
 	}
-	s, n, err := r.c.String(r.b[r.off:])
+	s, _, n, err := r.c.String(r.b[r.off:])
 	r.off += n
 	r.err = err
 	return s

@@ -58,14 +58,17 @@ chaos-smoke:
 # inside a batch), PublishBatch accounting, the batch ack, and the
 # blocking Wait raced against AppendBatch, Close and consumer replacement;
 # on the uplink side the cursor's one-frame-one-ack round, the crash
-# between send and batch ack and the idle wake-up; at the store hop the
+# between send and batch ack, the idle wake-up, and the -reconnect spool:
+# its memory-only stream's books under every overflow policy (a block
+# publisher woken by an ack) and the differential against the spool it
+# replaced; at the store hop the
 # round commit, its refusal and fail-stop, the dead letter, a kill at
 # each point of a round, the stored-body ingest against the decode path,
 # and rows reused the round after their insert.
 streams-smoke:
 	$(GO) test -race -short -run 'StreamSoak' ./internal/harness
-	$(GO) test -race -count=1 -run 'Batch|Wait|Legacy|Lazy|Retention' ./internal/streams
-	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|Recover|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory|StoredBodyIngestIdentity' ./internal/ldms
+	$(GO) test -race -count=1 -run 'Batch|Wait|Legacy|Lazy|Retention|MemoryStream' ./internal/streams
+	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|Recover|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory|StoredBodyIngestIdentity|SpoolStream|ForwarderSpool|UplinkHealth' ./internal/ldms
 	$(GO) test -race -count=1 -run 'InsertOutlivesRowMemory' ./internal/topo
 
 # CI-sized control-plane soak under the race detector: the managed

@@ -170,6 +170,14 @@ func TestCLILdmsdRejectsIgnoredUplinkFlags(t *testing.T) {
 		{"batch on the best-effort uplink", []string{"-forward", "127.0.0.1:1", "-batch", "64"}, "-batch "},
 		{"batch-age beside -stream", []string{"-forward", "127.0.0.1:1", "-reconnect", "-stream", stream, "-batch-age", "5ms"}, "-batch-age "},
 		{"batch-bytes on the durable uplink", []string{"-forward", "127.0.0.1:1", "-stream", stream, "-batch-bytes", "4096"}, "-batch-bytes "},
+		{"batch-bytes on the spooled uplink", []string{"-forward", "127.0.0.1:1", "-reconnect", "-batch-bytes", "4096"}, "forwards each stored batch whole"},
+		{"zero spool", []string{"-forward", "127.0.0.1:1", "-reconnect", "-spool", "0"}, "-spool 0:"},
+		{"negative spool", []string{"-forward", "127.0.0.1:1", "-reconnect", "-spool", "-5"}, "-spool -5:"},
+		{"negative batch", []string{"-forward", "127.0.0.1:1", "-reconnect", "-batch", "-3"}, "-batch -3:"},
+		{"negative batch-age", []string{"-forward", "127.0.0.1:1", "-reconnect", "-batch-age", "-1ms"}, "-batch-age -1ms:"},
+		{"negative stream-max-msgs", []string{"-stream", stream, "-stream-max-msgs", "-1"}, "-stream-max-msgs -1:"},
+		{"negative stream-max-bytes", []string{"-stream", stream, "-stream-max-bytes", "-1"}, "-stream-max-bytes -1:"},
+		{"negative stream-max-age", []string{"-stream", stream, "-stream-max-age", "-1s"}, "-stream-max-age -1s:"},
 		{"the durable uplink's own rounds are named", []string{"-forward", "127.0.0.1:1", "-stream", stream, "-batch", "64"}, "rounds of up to 64 as batch frames"},
 		{"unknown spool policy without -reconnect", []string{"-spool-policy", "bogus"}, `"bogus"`},
 		{"unknown spool policy with -reconnect", []string{"-forward", "127.0.0.1:1", "-reconnect", "-spool-policy", "bogus"}, `"bogus"`},
@@ -249,6 +257,7 @@ func TestCLIDsosdRejectsIgnoredStreamFlags(t *testing.T) {
 	}{
 		{"stream-consumer without -stream", []string{"-stream-consumer", "ingest"}, "-stream-consumer "},
 		{"stream-max-msgs without -stream", []string{"-wal", "wal", "-stream-max-msgs", "10"}, "-stream-max-msgs "},
+		{"negative stream-max-msgs", []string{"-stream", "dsosd.stream", "-stream-max-msgs", "-1"}, "-stream-max-msgs -1:"},
 		{"no shards", []string{"-daemons", "0"}, "-daemons 0"},
 		{"replication above the shard count", []string{"-daemons", "2", "-replication", "3"}, "-replication 3"},
 		{"zero replication", []string{"-replication", "0"}, "-replication 0"},
@@ -844,30 +853,11 @@ func TestCLILdmsdCountSeries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test")
 	}
-	bins := t.TempDir()
-	ldmsdBin, dsosdBin := filepath.Join(bins, "ldmsd"), filepath.Join(bins, "dsosd")
-	runCmd(t, "build", "-o", ldmsdBin, "./cmd/ldmsd")
-	runCmd(t, "build", "-o", dsosdBin, "./cmd/dsosd")
-	spawn := func(bin string, args ...string) *lockedBuffer {
-		cmd := exec.Command(bin, args...)
-		cmd.Dir = t.TempDir()
-		stderr := &lockedBuffer{}
-		cmd.Stderr = stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = cmd.Process.Kill(); _ = cmd.Wait() })
-		return stderr
-	}
+	ldmsdBin, dsosdBin := buildDaemons(t)
+	spawn := func(bin string, args ...string) *lockedBuffer { return startDaemon(t, bin, args...) }
 	waitUntil := func(what string, stderr fmt.Stringer, cond func() bool) {
 		t.Helper()
-		deadline := time.Now().Add(20 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s:\n%s", what, stderr)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		waitStderr(t, what, stderr, cond)
 	}
 	storeAddr, storeAPI, nodeAddr, nodeAPI := freeAddr(t), freeAddr(t), freeAddr(t), freeAddr(t)
 	dsosdErr := spawn(dsosdBin, "-listen", storeAddr, "-http", storeAPI, "-snapshot-every", "1h", "-stream", "dsosd.stream")
@@ -921,5 +911,76 @@ func TestCLILdmsdCountSeries(t *testing.T) {
 	}
 	if got := lastStat(ldmsdErr.String(), "stored-bytes"); got != len(legacy.Data) {
 		t.Errorf("stored-bytes=%d, want %d", got, len(legacy.Data))
+	}
+}
+
+// buildDaemons builds ldmsd and dsosd into a scratch directory.
+func buildDaemons(t *testing.T) (ldmsd, dsosd string) {
+	bins := t.TempDir()
+	ldmsd, dsosd = filepath.Join(bins, "ldmsd"), filepath.Join(bins, "dsosd")
+	runCmd(t, "build", "-o", ldmsd, "./cmd/ldmsd")
+	runCmd(t, "build", "-o", dsosd, "./cmd/dsosd")
+	return ldmsd, dsosd
+}
+
+// startDaemon starts bin in a scratch directory, killed at cleanup, and
+// returns its stderr.
+func startDaemon(t *testing.T, bin string, args ...string) *lockedBuffer {
+	cmd := exec.Command(bin, args...)
+	cmd.Dir = t.TempDir()
+	stderr := &lockedBuffer{}
+	cmd.Stderr = stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cmd.Process.Kill(); _ = cmd.Wait() })
+	return stderr
+}
+
+// waitStderr waits up to 20s for cond, failing with the daemon's stderr.
+func waitStderr(t *testing.T, what string, stderr fmt.Stringer, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s:\n%s", what, stderr)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCLIReconnectSendsBatchFrames: ldmsd -reconnect without -batch takes
+// legacy JSON frames in and forwards batch frames of its rounds, never
+// one legacy frame per message, and dsosd stores every event.
+func TestCLIReconnectSendsBatchFrames(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke test")
+	}
+	ldmsdBin, dsosdBin := buildDaemons(t)
+	storeAddr, storeAPI, nodeAddr := freeAddr(t), freeAddr(t), freeAddr(t)
+	dsosdErr := startDaemon(t, dsosdBin, "-listen", storeAddr, "-http", storeAPI, "-snapshot-every", "1h")
+	ldmsdErr := startDaemon(t, ldmsdBin, "-listen", nodeAddr, "-forward", storeAddr, "-reconnect")
+	waitStderr(t, "ldmsd listening", ldmsdErr, func() bool { return ldms.PingTCP(nodeAddr, 200*time.Millisecond) == nil })
+
+	c, err := ldms.DialTCP(nodeAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 200
+	for rank := 0; rank < n; rank++ {
+		m := job7Event(rank)
+		if err := c.Publish(streams.Message{Tag: "darshanConnector", Type: streams.TypeJSON, Data: jsonmsg.FastEncoder{}.Encode(&m)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitStderr(t, "every event stored", dsosdErr, func() bool {
+		_, body := httpDo(t, http.MethodGet, "http://"+storeAPI+"/count")
+		return strings.TrimSpace(body) == strconv.Itoa(n)
+	})
+	_, metrics := httpDo(t, http.MethodGet, "http://"+storeAPI+"/metrics")
+	if !strings.Contains(metrics, "\n"+`dlc_tcp_frames_total{srv="dsosd"} 0`+"\n") ||
+		strings.Contains(metrics, "\n"+`dlc_tcp_batch_frames_total{srv="dsosd"} 0`+"\n") {
+		t.Errorf("dsosd received legacy frames, or no batch frame, from ldmsd -reconnect:\n%s", metrics)
 	}
 }

@@ -107,8 +107,8 @@ func main() {
 		}
 	})
 
-	// Numbers the placement or a ticker would clamp or panic on are a
-	// startup error too.
+	// Numbers the placement or a ticker would clamp or panic on, or a
+	// bound that would read as "off", are a startup error too.
 	switch {
 	case *daemons < 1:
 		fatal(fmt.Errorf("-daemons %d: a dsosd owns at least one shard", *daemons))
@@ -116,6 +116,8 @@ func main() {
 		fatal(fmt.Errorf("-replication %d: R must be between 1 and -daemons (%d)", *repl, *daemons))
 	case *every <= 0:
 		fatal(fmt.Errorf("-snapshot-every %v: the snapshot interval must be positive", *every))
+	case *streamMaxMsgs < 0:
+		fatal(fmt.Errorf("-stream-max-msgs %d: a retention bound cannot be negative (0 = unbounded)", *streamMaxMsgs))
 	}
 
 	// The DSOS cluster this dsosd owns: one or more container shards.

@@ -11,8 +11,7 @@
 //	      [-forward host:4412] [-store-csv out.csv]
 //	      [-samplers meminfo,vmstat] [-sample-interval 1s]
 //	      [-reconnect] [-spool 1024] [-spool-policy drop-oldest]
-//	      [-heartbeat 5s] [-seed 42]
-//	      [-batch 32] [-batch-bytes 262144] [-batch-age 5ms]
+//	      [-heartbeat 5s] [-seed 42] [-batch 64] [-batch-age 5ms]
 //	      [-stream ldmsd.stream] [-stream-subjects 'darshan.>']
 //	      [-stream-max-msgs 100000] [-stream-max-bytes 0] [-stream-max-age 0]
 //	      [-stream-consumer uplink]
@@ -25,14 +24,22 @@
 // By default forwarding is best-effort like LDMS Streams: if the upstream
 // aggregator dies, messages are dropped silently. The two reliable
 // configurations are one ldms.Uplink — a single link state machine (lazy
-// dial, redial with backoff and jitter, -heartbeat liveness probes) — fed
-// by one of two sources:
+// dial, redial with backoff and jitter, -heartbeat liveness probes) over
+// a consumer-acked cursor — reading one of two streams, bound to the
+// daemon's bus so that a received batch frame is appended as the body it
+// arrived as and relayed upstream as that same body, never decoded:
 //
-//	-reconnect  a bounded in-memory spool (-spool, -spool-policy) off the
-//	            daemon's bus. With -batch/-batch-bytes/-batch-age the spool
-//	            drains in rounds that cross the wire as batched frames
-//	            (count, byte and linger-age flush bounds); typed records
-//	            travel in compact binary, never as JSON.
+//	-reconnect  a memory-only stream of the -tag, the spool: it holds only
+//	            what is unsent — an entry leaves once the uplink's round is
+//	            acked — up to -spool messages, and -spool-policy is what an
+//	            append does to a full window: drop-oldest trims the head,
+//	            drop-newest refuses an append that does not fit whole,
+//	            block waits for an ack to make room (all counted in
+//	            dlc_stream_dropped_total); under the last two, an empty
+//	            window takes a larger batch whole. A round holds up to
+//	            -batch messages (default 64, at most -spool), one batch
+//	            frame per stored batch, and a partial round waits up to
+//	            -batch-age to fill. The spool dies with the process.
 //	-stream     the durable stream itself: every received frame whose
 //	            messages match -stream-subjects (comma list, wildcards
 //	            allowed; default the -tag) is appended to a CRC-framed
@@ -47,7 +54,9 @@
 //	            woken by the append and sends rounds of up to 64 messages,
 //	            each one batch frame, one ack and one cursor checkpoint;
 //	            the -batch* flags do not apply to it. -stream supersedes
-//	            -reconnect (the stream is the spool).
+//	            -reconnect (the stream is the spool). Both reject
+//	            -batch-bytes: a round forwards stored batches whole, so
+//	            only a message count can bound it.
 //
 // -topo-role places the daemon in the explicit aggregation tree of the
 // scale-out control plane: node (leaf), l1 or l2 (aggregation levels).
@@ -60,11 +69,14 @@
 // re-homing costs redelivery, never data.
 //
 // Validation is strict: an inconsistent -topo flag set, an unknown
-// -spool-policy, or a -batch*, -spool*, -heartbeat or -stream-* flag the
-// configuration would ignore is a startup error, never a silent default.
+// -spool-policy, a -batch*, -spool*, -heartbeat or -stream-* flag the
+// configuration would ignore, or a bound or interval that would clamp,
+// panic or silently mean "off" is a startup error, never a silent
+// default.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"net/http"
@@ -75,7 +87,6 @@ import (
 	"time"
 
 	"darshanldms/internal/connector"
-	"darshanldms/internal/event"
 	"darshanldms/internal/ldms"
 	"darshanldms/internal/obs"
 	"darshanldms/internal/rng"
@@ -94,13 +105,13 @@ func main() {
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval")
 	samplers := flag.String("samplers", "", "comma list of sampler plugins to run: meminfo,vmstat")
 	sampleEvery := flag.Duration("sample-interval", time.Second, "sampler interval")
-	reconnect := flag.Bool("reconnect", false, "resilient forwarding: spool + redial with backoff instead of best-effort")
-	spoolSize := flag.Int("spool", 1024, "reconnect spool size in messages")
-	spoolPolicy := flag.String("spool-policy", "drop-oldest", "spool overflow policy: drop-oldest, drop-newest or block")
+	reconnect := flag.Bool("reconnect", false, "resilient forwarding: a memory-only stream spool + redial with backoff instead of best-effort")
+	spoolSize := flag.Int("spool", 1024, "reconnect spool window: max unsent messages held")
+	spoolPolicy := flag.String("spool-policy", "drop-oldest", "what an append does to a full spool window: drop-oldest, drop-newest or block")
 	heartbeat := flag.Duration("heartbeat", 0, "liveness probe interval on the -reconnect or -stream uplink (0 = off)")
-	batchRecords := flag.Int("batch", 0, "max records per batched frame of the -reconnect uplink (0 = frame per message)")
-	batchBytes := flag.Int("batch-bytes", 0, "max payload bytes per batched uplink frame (0 = unbounded)")
-	batchAge := flag.Duration("batch-age", 0, "max linger before a partial batch is flushed (0 = no linger)")
+	batchRecords := flag.Int("batch", 0, "max messages per round of the -reconnect uplink (0 = 64)")
+	flag.Int("batch-bytes", 0, "not supported: rounds forward stored batches whole; bound them with -batch")
+	batchAge := flag.Duration("batch-age", 0, "how long a partial round of the -reconnect uplink waits to fill (0 = no linger)")
 	seed := flag.Uint64("seed", 0, "sampler RNG seed; 0 derives one from the wall clock (nonreproducible)")
 	streamPath := flag.String("stream", "", "durable stream segment file; enables persistent, replayable streaming (empty = off)")
 	streamSubjects := flag.String("stream-subjects", "", "comma list of subject filters the stream captures (wildcards allowed; default the -tag)")
@@ -135,7 +146,7 @@ func main() {
 	// Uplink flags get the same treatment: a daemon whose flag line says
 	// -batch 32 -batch-age 5ms while its uplink is shaped by none of it is
 	// as misleading as one sitting outside its tree.
-	policy, err := ldms.ParseOverflowPolicy(*spoolPolicy)
+	policy, err := streams.ParseOverflowPolicy(*spoolPolicy)
 	if err != nil {
 		fatal(err)
 	}
@@ -143,6 +154,8 @@ func main() {
 	uplinked := (*forward != "" || topoCfg.Enabled()) && (*reconnect || *streamPath != "")
 	flag.Visit(func(f *flag.Flag) {
 		switch {
+		case f.Name == "batch-bytes":
+			fatal(fmt.Errorf("-batch-bytes is not supported: the uplink forwards each stored batch whole, as the body it arrived as, so a byte bound cannot cut its rounds; bound a round's messages with -batch"))
 		case strings.HasPrefix(f.Name, "batch") && !spooled:
 			fatal(fmt.Errorf("-%s would be ignored: it shapes the rounds of the spooled uplink (-forward with -reconnect, without -stream); the -stream uplink sends its own rounds of up to 64 as batch frames, and the best-effort uplink one frame per message", f.Name))
 		case strings.HasPrefix(f.Name, "spool") && !spooled:
@@ -154,12 +167,25 @@ func main() {
 		}
 	})
 
-	// An interval a ticker would panic on is a startup error too.
+	// An interval a ticker would panic on is a startup error too, as is a
+	// bound that would clamp or read as "off".
 	switch {
 	case *statsEvery <= 0:
 		fatal(fmt.Errorf("-stats %v: the stats interval must be positive", *statsEvery))
 	case *samplers != "" && *sampleEvery <= 0:
 		fatal(fmt.Errorf("-sample-interval %v: the sampler interval must be positive", *sampleEvery))
+	case *spoolSize <= 0:
+		fatal(fmt.Errorf("-spool %d: the spool window must hold at least one message", *spoolSize))
+	case *batchRecords < 0:
+		fatal(fmt.Errorf("-batch %d: a round holds at least one message (0 = the default 64)", *batchRecords))
+	case *batchAge < 0:
+		fatal(fmt.Errorf("-batch-age %v: a linger cannot be negative", *batchAge))
+	case *streamMaxMsgs < 0:
+		fatal(fmt.Errorf("-stream-max-msgs %d: a retention bound cannot be negative (0 = unbounded)", *streamMaxMsgs))
+	case *streamMaxBytes < 0:
+		fatal(fmt.Errorf("-stream-max-bytes %d: a retention bound cannot be negative (0 = unbounded)", *streamMaxBytes))
+	case *streamMaxAge < 0:
+		fatal(fmt.Errorf("-stream-max-age %v: a retention bound cannot be negative (0 = unbounded)", *streamMaxAge))
 	}
 
 	// No handler counts the tag: one would make the bus decode every frame
@@ -249,10 +275,11 @@ func main() {
 	if *httpAddr != "" {
 		reg = obs.NewRegistry()
 	}
-	// One uplink: the source is the stream when there is one, else the
+	// One uplink over one of two streams: the durable one, else the
 	// -reconnect spool; the target set is -forward, or the topology
 	// plane's parent and standby.
 	var up *ldms.Uplink
+	window := 0 // the memory-only stream's bound, for the health probe
 	ucfg := ldms.UplinkConfig{Addr: *forward, HeartbeatEvery: *heartbeat}
 	if topoCfg.Enabled() {
 		ucfg.Addr, ucfg.Standby = topoCfg.Parent, topoCfg.Standby
@@ -267,17 +294,30 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ldmsd: stream uplink to %s (consumer %q, floor %d)\n",
 			ucfg.Addr, *streamConsumer, up.Stats().Consumer.AckFloor)
 	case *reconnect:
-		ucfg.Tag, ucfg.SpoolSize, ucfg.Overflow = *tag, *spoolSize, policy
-		ucfg.Batch = event.FlushPolicy{MaxRecords: *batchRecords, MaxBytes: *batchBytes, MaxAge: *batchAge}
-		if up, err = ldms.NewSpoolUplink(d, ucfg); err != nil {
+		// The spool is a memory-only stream under the same name, so its
+		// series read like the durable stream's.
+		stream, err = streams.OpenStream(streams.StreamConfig{
+			Name:      "ldmsd",
+			Subjects:  []string{*tag},
+			Retention: streams.RetentionPolicy{MaxMsgs: *spoolSize},
+			Overflow:  policy,
+			Clock:     obs.WallClock(),
+		}, nil)
+		if err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "ldmsd: resilient forwarding tag %q to %s (spool %d, %s)\n",
-			*tag, *forward, *spoolSize, policy)
-		if ucfg.Batch.Enabled() {
-			fmt.Fprintf(os.Stderr, "ldmsd: batching uplink frames (max %d records, %d bytes, linger %s)\n",
-				*batchRecords, *batchBytes, *batchAge)
+		if err := d.Bus().BindStream(stream); err != nil {
+			fatal(err)
 		}
+		// A round never waits for more than the window can hold.
+		window = *spoolSize
+		ucfg.BatchSize = min(cmp.Or(*batchRecords, ldms.RoundSize), *spoolSize)
+		ucfg.Linger = *batchAge
+		if up, err = ldms.NewStreamUplink(stream, ucfg); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "ldmsd: resilient forwarding tag %q to %s (spool %d, %s; rounds of %d, linger %s)\n",
+			*tag, *forward, *spoolSize, policy, ucfg.BatchSize, *batchAge)
 	default:
 		client, err := ldms.DialTCP(*forward)
 		if err != nil {
@@ -316,7 +356,7 @@ func main() {
 		health := obs.NewHealth()
 		if up != nil {
 			up.Collect(reg, "uplink")
-			health.Register("uplink", up.Health())
+			health.Register("uplink", up.Health(window))
 		}
 		if stream != nil {
 			stream.Collect(reg)
@@ -343,11 +383,12 @@ func main() {
 			line := fmt.Sprintf("ldmsd: received=%d stored-bytes=%d metric-sets=%d", srv.Received(), srv.LiteralBytes(), len(d.Sets()))
 			if up != nil {
 				st := up.Stats()
-				line += fmt.Sprintf(" uplink=%s sent=%d retries=%d dropped=%d spool=%d lag=%d floor=%d switches=%d connected=%v",
-					st.Active, st.Sent, st.Retries, st.Dropped, st.SpoolDepth, st.Consumer.Lag, st.Consumer.AckFloor, st.Switches, st.Connected)
-			} else if stream != nil {
+				line += fmt.Sprintf(" uplink=%s sent=%d retries=%d lag=%d floor=%d switches=%d connected=%v",
+					st.Active, st.Sent, st.Retries, st.Consumer.Lag, st.Consumer.AckFloor, st.Switches, st.Connected)
+			}
+			if stream != nil {
 				st := stream.Stats()
-				line += fmt.Sprintf(" stream-msgs=%d stream-dropped=%d", st.Msgs, st.Dropped)
+				line += fmt.Sprintf(" stream-msgs=%d stream-dropped=%d stream-refused=%d", st.Msgs, st.Dropped, st.Refused)
 			}
 			fmt.Fprintln(os.Stderr, line)
 		case <-sig:

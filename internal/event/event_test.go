@@ -209,67 +209,7 @@ func TestBinaryCodecHostileSegCount(t *testing.T) {
 	}
 }
 
-func TestBatchFlushPolicies(t *testing.T) {
-	mk := func() streams.Message {
-		return streams.Message{Tag: "t", Data: []byte("0123456789")}
-	}
-	var b Batch
-	countP := FlushPolicy{MaxRecords: 3}
-	if b.Add(mk(), countP) || b.Add(mk(), countP) {
-		t.Fatalf("batch full before MaxRecords")
-	}
-	if !b.Add(mk(), countP) {
-		t.Fatalf("batch not full at MaxRecords")
-	}
-	b.Reset()
-	if b.Len() != 0 || b.Bytes() != 0 {
-		t.Fatalf("Reset left state: len=%d bytes=%d", b.Len(), b.Bytes())
-	}
-
-	byteP := FlushPolicy{MaxRecords: 100, MaxBytes: 25}
-	b.Add(mk(), byteP)
-	b.Add(mk(), byteP)
-	if !b.Add(mk(), byteP) {
-		t.Fatalf("batch not full at MaxBytes (30 >= 25)")
-	}
-	b.Reset()
-
-	ageP := FlushPolicy{MaxRecords: 100, MaxAge: time.Second}
-	if !ageP.Enabled() || (FlushPolicy{}).Enabled() || (FlushPolicy{MaxRecords: 1}).Enabled() {
-		t.Fatalf("FlushPolicy.Enabled wrong")
-	}
-}
-
-func TestBatchSizeOfUnencodedTyped(t *testing.T) {
-	// An unencoded typed record must contribute a size estimate without
-	// triggering the encode.
-	var calls atomic.Uint64
-	r := NewRecord(sampleMessage(), countingEncoder{&calls})
-	var b Batch
-	b.Add(streams.Message{Record: r}, FlushPolicy{MaxRecords: 10})
-	if b.Bytes() == 0 {
-		t.Fatalf("typed record contributed no size estimate")
-	}
-	if calls.Load() != 0 {
-		t.Fatalf("sizeOf forced an encode")
-	}
-}
-
 func TestPoolsBalance(t *testing.T) {
-	var bp BatchPool
-	b1, b2 := bp.Get(), bp.Get()
-	b1.Add(streams.Message{Data: []byte("x")}, FlushPolicy{MaxRecords: 4})
-	bp.Put(b1)
-	bp.Put(b2)
-	if gets, puts := bp.Counters(); gets != 2 || puts != 2 {
-		t.Fatalf("BatchPool counters = %d/%d, want 2/2", gets, puts)
-	}
-	if b := bp.Get(); b.Len() != 0 {
-		t.Fatalf("pooled batch not reset")
-	} else {
-		bp.Put(b)
-	}
-
 	var fp BufferPool
 	buf := fp.Get()
 	buf = append(buf, 1, 2, 3)

@@ -42,7 +42,7 @@ type Record struct {
 	err     error            // sticky parse error of a bytes-first record
 	counter *atomic.Uint64   // optional: counts bytes actually encoded
 	spans   []obs.Span       // hop trace; only grows while obs tracing is on
-	slab    *Slab            // non-nil for slab-owned records (Slab.Wrap); see DetachCarrier
+	slab    *Slab            // non-nil for slab-owned records (Slab.Wrap)
 }
 
 // NewRecord builds a typed-first record. codec chooses the JSON rendering
@@ -116,34 +116,6 @@ func (r *Record) Encoded() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.payload != nil
-}
-
-// DetachCarrier implements streams.Detacher: it returns a self-owned
-// record safe to retain indefinitely. A heap record returns itself; a
-// slab-owned record (decoded into a pooled arena) returns a deep copy of
-// its message and trace — the slab may be reset the moment its last
-// reference drops, so any consumer that queues the message past the
-// synchronous hand-off (the uplink spool, a channel, a struct field)
-// must detach first. Strings are shared, not copied: interned strings
-// are ordinary immutable heap strings and outlive every slab.
-func (r *Record) DetachCarrier() streams.Carrier {
-	if r.slab == nil {
-		return r
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	nr := &Record{codec: r.codec, err: r.err, counter: r.counter, payload: r.payload}
-	if r.msg != nil {
-		m := *r.msg
-		if len(m.Seg) > 0 {
-			m.Seg = append([]jsonmsg.Segment(nil), m.Seg...)
-		}
-		nr.msg = &m
-	}
-	if len(r.spans) > 0 {
-		nr.spans = append([]obs.Span(nil), r.spans...)
-	}
-	return nr
 }
 
 // Fields extracts the typed message from a streams message whatever its

@@ -13,12 +13,11 @@ import (
 // jsonmsg.Message structs, Segment arrays, Record wrappers and the
 // streams.Message out-slice — so steady-state decode performs zero
 // per-record heap allocations. Slabs are ref-counted: the decoder hands
-// the batch to its consumers with one reference held; a consumer that
-// must keep a record beyond the hand-off detaches an owned copy
-// (Record.DetachCarrier via streams.Detach, indefinite retention — the
-// uplink spool and any other queueing boundary use this). When the
-// last reference drops, the slab resets and returns to its pool; memory
-// is reused for the next frame.
+// the batch to its consumers with one reference held, and every consumer
+// is synchronous: whatever keeps a message past the hand-off keeps its
+// own encoding of it, as a bound stream appends the record into its own
+// body. When the last reference drops, the slab resets and returns to
+// its pool; memory is reused for the next frame.
 //
 // Ownership rules (see DESIGN.md "Wire path & memory discipline"):
 //
@@ -26,8 +25,8 @@ import (
 //   - strings decoded through an Interner are ordinary heap strings and
 //     stay valid forever — only the structs and slices are slab-owned;
 //   - synchronous consumers (bus handlers, stores) need nothing special;
-//   - a consumer that queues the message (spool, channel, field) must
-//     call streams.Detach first — a detached record is self-owned.
+//   - nothing may queue a slab-owned message (channel, field) past the
+//     hand-off: it keeps an encoding of its own, or the slab retained.
 
 // arenaChunk is the default element count of one arena chunk. Batches are
 // bounded by the frame size, so a few chunks cover any frame; chunks are
@@ -172,8 +171,7 @@ func (s *Slab) Out(n int) []streams.Message {
 }
 
 // Wrap allocates a slab-owned typed-first Record around msg. The record
-// is valid while the slab is retained; queueing consumers must detach it
-// (streams.Detach) first. Every field is assigned — arena memory is
+// is valid while the slab is retained. Every field is assigned — arena memory is
 // reused without clearing, so a stale field from the slab's previous
 // life must never survive.
 func (s *Slab) Wrap(msg *jsonmsg.Message, codec jsonmsg.Encoder) *Record {
@@ -209,7 +207,7 @@ func (s *Slab) Release() {
 }
 
 // SlabPool is an instrumented pool of decode slabs, the sibling of
-// BatchPool/BufferPool. Get checks a slab out with one reference held;
+// BufferPool. Get checks a slab out with one reference held;
 // the slab returns itself via Release — there is no Put to forget, but
 // the Get/Release pairing is still an obligation (dlc-lint's poolleak
 // check accepts Release as the discharge).

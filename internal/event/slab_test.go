@@ -177,51 +177,6 @@ func TestInternerBounded(t *testing.T) {
 	}
 }
 
-// TestDetachCarrierDeepCopies: a detached record must survive its slab
-// being released and the arena memory rewound for the next frame.
-func TestDetachCarrierDeepCopies(t *testing.T) {
-	enc := AppendMessage(nil, sampleMessage())
-	s := &Slab{}
-	s.refs.Store(1)
-	m, _, err := DecodeMessageSlab(enc, s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := s.Wrap(m, nil)
-	det, ok := streams.Detach(streams.Message{Record: rec}).Record.(*Record)
-	if !ok {
-		t.Fatalf("detached carrier is %T, want *Record", det)
-	}
-	if det == rec {
-		t.Fatal("slab-owned record detached to itself")
-	}
-	s.Release()
-
-	// Second life of the same arenas: overwrite everything the first
-	// frame decoded.
-	s.refs.Store(1)
-	hostile := sampleMessage()
-	hostile.Module = "CLOBBER"
-	hostile.Seg[0].Off = -777
-	if _, _, err := DecodeMessageSlab(AppendMessage(nil, hostile), s, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := det.Fields()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sampleMessage()) {
-		t.Fatalf("detached record changed when its slab was reused:\n got %+v\nwant %+v", got, sampleMessage())
-	}
-	s.Release()
-
-	// A heap record detaches to itself — no copy tax off the slab path.
-	heap := NewRecord(sampleMessage(), nil)
-	if streams.Detach(streams.Message{Record: heap}).Record.(*Record) != heap {
-		t.Fatal("heap record was needlessly copied by Detach")
-	}
-}
-
 // TestSlabConcurrentDecodeNoReuseWhileRetained is the -race leg of the
 // lifecycle contract: decoders on several goroutines share one pool, each
 // hands its decoded batch to a consumer goroutine holding its own

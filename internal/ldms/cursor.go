@@ -29,6 +29,8 @@ type Cursor struct {
 	// bodies fetches with FetchBodies: a run that is one whole stored
 	// batch comes as its stored body, its messages left zero.
 	bodies bool
+	// linger is how long take lets a partial round wait to fill.
+	linger time.Duration
 
 	round  []streams.Delivery // fetched, not yet settled
 	msgs   []streams.Message  // the round's messages; backing array reused
@@ -80,9 +82,13 @@ func (c *Cursor) Next() ([]streams.Message, []int, error) {
 const idleWait = time.Second
 
 // take is Next for the wall-clock loops: it sleeps on the stream until a
-// round is ready; !ok means the consumer was closed or replaced.
+// round is ready, and lingers up to linger for a partial one to fill; !ok
+// means the consumer was closed or replaced.
 func (c *Cursor) take() ([]streams.Message, []int, [][]byte, bool) {
 	for {
+		if c.linger > 0 && c.cons.Wait(c.max, c.linger) != nil {
+			return nil, nil, nil, false
+		}
 		msgs, ends, err := c.Next()
 		if err != nil {
 			return nil, nil, nil, false
@@ -90,7 +96,7 @@ func (c *Cursor) take() ([]streams.Message, []int, [][]byte, bool) {
 		if len(msgs) > 0 {
 			return msgs, ends, c.stored, true
 		}
-		if c.cons.Wait(idleWait) != nil {
+		if c.cons.Wait(1, idleWait) != nil {
 			return nil, nil, nil, false
 		}
 	}

@@ -11,9 +11,10 @@ import (
 
 // DedupStore makes an at-least-once ingest path exactly-once: the
 // connector stamps every message with a (producer, seq) identity, and this
-// wrapper drops any identity it has already stored. Reconnect replays
-// (an Uplink re-sending its tail, ReplayLast) and fault-link spool replays
-// then become idempotent instead of double-inserting.
+// wrapper drops any identity it has already stored. Redeliveries (a
+// durable cursor resumed after a crash re-sending what it had not acked)
+// and fault-link spool replays then become idempotent instead of
+// double-inserting.
 //
 // A duplicate is acked (Store returns nil) without reaching the inner
 // plugin — the original delivery already stored it. Unstamped messages

@@ -3,20 +3,9 @@ package ldms
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"darshanldms/internal/streams"
 )
-
-// publishStamped publishes a stamped message: (producer, seq) rides on the
-// stream message as the connector does it.
-func publishStamped(d *Daemon, producer string, seq uint64) {
-	d.Bus().Publish(streams.Message{
-		Tag: "darshanConnector", Type: streams.TypeJSON,
-		Data:     []byte(fmt.Sprintf(`{"seq":%d}`, seq)),
-		Producer: producer, Seq: seq,
-	})
-}
 
 func TestDedupStoreSuppressesReplays(t *testing.T) {
 	inner := &seqStore{}
@@ -108,68 +97,4 @@ func (s *failOnceStore) Store(streams.Message) error {
 	}
 	s.stored++
 	return nil
-}
-
-// The satellite test: a forwarder with reconnect replay re-sends its tail
-// after the link dies, and the dedup store still records every
-// (producer, seq) exactly once.
-func TestReconnectReplayExactlyOnce(t *testing.T) {
-	agg := NewDaemon("agg", "head")
-	store := &seqStore{}
-	dedup := NewDedupStore(store)
-	agg.AttachStore("darshanConnector", dedup)
-	srv, err := ListenTCP(agg, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	node := NewDaemon("node", "nid00040")
-	cfg := fastBackoff(srv.Addr())
-	cfg.ReplayLast = 4
-	f, err := NewSpoolUplink(node, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	for i := 1; i <= 8; i++ {
-		publishStamped(node, "nid00040", uint64(i))
-	}
-	if err := f.Flush(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "first batch", func() bool { return srv.Received() == 8 })
-
-	// Kill the TCP connection (server keeps listening): the forwarder
-	// cannot know whether its tail was processed, so after reconnecting it
-	// replays the last 4 frames before sending anything new.
-	srv.DropConnections()
-	waitFor(t, "disconnect detection", func() bool { return !f.Stats().Connected })
-
-	for i := 9; i <= 16; i++ {
-		publishStamped(node, "nid00040", uint64(i))
-	}
-	if err := f.Flush(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// 8 + 4 replayed + 8 = 20 frames on the wire...
-	waitFor(t, "replay + second batch", func() bool { return srv.Received() == 20 })
-
-	if got := f.Stats().Replayed; got != 4 {
-		t.Fatalf("Replayed = %d, want 4", got)
-	}
-	// ...but exactly 16 distinct messages at the store, in order.
-	got := store.Seqs()
-	if len(got) != 16 {
-		t.Fatalf("store saw %d messages, want 16: %v", len(got), got)
-	}
-	for i, seq := range got {
-		if seq != i+1 {
-			t.Fatalf("store sequence broken at %d: %v", i, got)
-		}
-	}
-	if d := dedup.Duplicates(); d != 4 {
-		t.Fatalf("Duplicates() = %d, want the 4 replayed frames", d)
-	}
 }

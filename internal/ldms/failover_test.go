@@ -90,8 +90,8 @@ func TestFailoverUplinkSwitchesToStandby(t *testing.T) {
 	psrv.Close() // primary dies; probes start missing
 	// An append now wakes the uplink at once, so without this wait the
 	// second half could be written into the dead primary's socket before
-	// the close is noticed — frames of unknown fate, which is ReplayLast's
-	// subject, not this test's.
+	// the close is noticed — frames of unknown fate, which no uplink
+	// resends and this test does not measure.
 	waitFor(t, "disconnect detection", func() bool { return !f.Stats().Connected })
 
 	for i := n / 2; i < n; i++ {

@@ -41,11 +41,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // Collect exports the uplink's counters under labels {fwd="<name>"}:
-// connection activity (dials, reconnects, connected, wire bytes, frames),
-// delivery (sent, retries, naks, replay, heartbeats) and the spool. The
-// series are the same for every source and target set — a
-// consumer-sourced uplink reports an empty spool — and everything is read
-// from the snapshot the uplink already keeps, at scrape time only.
+// connection activity (dials, reconnects, connected, wire bytes, frames)
+// and delivery (sent, retries, naks, heartbeats). The series are the same
+// for every stream and target set; the backlog is the stream's own
+// (DurableStream.Collect), and everything is read from the snapshot the
+// uplink already keeps, at scrape time only.
 func (u *Uplink) Collect(reg *obs.Registry, name string) {
 	if reg == nil {
 		return
@@ -53,17 +53,12 @@ func (u *Uplink) Collect(reg *obs.Registry, name string) {
 	labels := `{fwd="` + name + `"}`
 	reg.RegisterCollector(func(emit func(string, float64)) {
 		st := u.Stats()
-		emit("dlc_fwd_enqueued_total"+labels, float64(st.Enqueued))
 		emit("dlc_fwd_sent_total"+labels, float64(st.Sent))
-		emit("dlc_fwd_dropped_total"+labels, float64(st.Dropped))
 		emit("dlc_fwd_retries_total"+labels, float64(st.Retries))
 		emit("dlc_fwd_naks_total"+labels, float64(st.Naks))
 		emit("dlc_fwd_dials_total"+labels, float64(st.Dials))
 		emit("dlc_fwd_reconnects_total"+labels, float64(st.Reconnects))
 		emit("dlc_fwd_heartbeats_total"+labels, float64(st.Heartbeats))
-		emit("dlc_fwd_replayed_total"+labels, float64(st.Replayed))
-		emit("dlc_fwd_spool_depth"+labels, float64(st.SpoolDepth))
-		emit("dlc_fwd_spool_capacity"+labels, float64(st.SpoolCap))
 		connected := 0.0
 		if st.Connected {
 			connected = 1
@@ -75,16 +70,21 @@ func (u *Uplink) Collect(reg *obs.Registry, name string) {
 	})
 }
 
-// Health returns a /healthz probe that fails once the uplink has lost
-// data: a spool pushed into overflow (messages were dropped), or a
-// consumer that lagged past the stream's retention or dead-lettered
-// (messages were skipped) — the signal that the uplink cannot keep up.
-func (u *Uplink) Health() func() error {
+// Health returns a /healthz probe that fails while the uplink cannot keep
+// up: a memory-only window that has refused appends or, when window (its
+// Retention.MaxMsgs) is positive, holds that many unsent; or a consumer
+// that lagged past the stream's retention — a drop-oldest overflow among
+// them — or dead-lettered (messages were skipped).
+func (u *Uplink) Health(window int) func() error {
 	return func() error {
-		st := u.Stats()
-		if st.Dropped > 0 {
-			return errors.New("spool overflow: " + utoa(st.Dropped) + " messages dropped")
+		ss := u.stream.Stats()
+		switch {
+		case ss.Refused > 0:
+			return errors.New("uplink window overflow: " + utoa(ss.Refused) + " messages refused")
+		case window > 0 && ss.Msgs >= window:
+			return errors.New("uplink window full: " + utoa(uint64(ss.Msgs)) + " messages unsent")
 		}
+		st := u.Stats()
 		if n := st.Consumer.Missed + st.Consumer.DeadLettered; n > 0 {
 			return errors.New("uplink lagged past retention: " + utoa(n) + " messages skipped")
 		}
@@ -135,18 +135,14 @@ func (c *TCPClient) Collect(reg *obs.Registry, name string) {
 	})
 }
 
-// CollectPools exports the package's buffer recycling pools: the batch
-// accumulator pool and the batch frame scratch pool, as gets/puts plus
-// the derived outstanding count (gets - puts = buffers currently out).
+// CollectPools exports the package's buffer recycling pool, the batch
+// frame scratch pool, as gets/puts plus the derived outstanding count
+// (gets - puts = buffers currently out).
 func CollectPools(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	reg.RegisterCollector(func(emit func(string, float64)) {
-		bg, bp := BatchPoolCounters()
-		emit(`dlc_pool_gets_total{pool="batch"}`, float64(bg))
-		emit(`dlc_pool_puts_total{pool="batch"}`, float64(bp))
-		emit(`dlc_pool_outstanding{pool="batch"}`, float64(bg-bp))
 		fg, fp := FramePoolCounters()
 		emit(`dlc_pool_gets_total{pool="frame"}`, float64(fg))
 		emit(`dlc_pool_puts_total{pool="frame"}`, float64(fp))

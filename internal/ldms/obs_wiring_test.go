@@ -71,14 +71,11 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 		// uplink wires the node daemon's uplink like the named ldmsd flag
 		// line does and returns it with the stream it reads, if any.
 		uplink func(t *testing.T, d *Daemon, addr string) (*Uplink, *streams.DurableStream)
+		window int // the flag line's -spool, passed to Health
 	}{
 		{"-reconnect", func(t *testing.T, d *Daemon, addr string) (*Uplink, *streams.DurableStream) {
-			up, err := NewSpoolUplink(d, UplinkConfig{Addr: addr, Tag: "darshanConnector", SpoolSize: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return up, nil
-		}},
+			return spoolUplink(t, d, UplinkConfig{Addr: addr}, 64, streams.DropOldest)
+		}, 64},
 		{"-stream", func(t *testing.T, d *Daemon, addr string) (*Uplink, *streams.DurableStream) {
 			s, err := streams.OpenStream(streams.StreamConfig{
 				Name: "ldmsd", Subjects: []string{"darshanConnector"}, Clock: obs.WallClock(),
@@ -94,7 +91,7 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 				t.Fatal(err)
 			}
 			return up, s
-		}},
+		}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,10 +128,8 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 			})
 			up.Collect(reg, "uplink")
 			health := obs.NewHealth()
-			health.Register("uplink", up.Health())
-			if stream != nil {
-				stream.Collect(reg)
-			}
+			health.Register("uplink", up.Health(tc.window))
+			stream.Collect(reg)
 
 			client, err := DialTCP(srv.Addr())
 			if err != nil {
@@ -154,9 +149,7 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 			// and counts it sent, and on a stream before the round's ack
 			// settles: wait for the sender's side too.
 			waitFor(t, "uplink sent count", func() bool { return up.Stats().Sent == 20 })
-			if stream != nil {
-				waitFor(t, "uplink ack floor", func() bool { return up.Stats().Consumer.AckFloor == 20 })
-			}
+			waitFor(t, "uplink ack floor", func() bool { return up.Stats().Consumer.AckFloor == 20 })
 
 			series := scrape(t, reg)
 			if len(series) < 30 {
@@ -180,31 +173,26 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 				`dlc_fwd_sent_total{fwd="uplink"}`:       "20",
 				`dlc_fwd_retries_total{fwd="uplink"}`:    "0",
 				`dlc_fwd_naks_total{fwd="uplink"}`:       "0",
-				`dlc_fwd_spool_depth{fwd="uplink"}`:      "0",
 			} {
 				if got, ok := series[name]; !ok || got != want {
 					t.Errorf("%s = %q, want %s", name, got, want)
 				}
 			}
-			// The spool sends one legacy frame per message; a cursor round
-			// is one batch frame however many messages it holds.
+			// A cursor round is one batch frame per stored batch, whichever
+			// stream it reads; no legacy frame is written.
 			frames, batches := series[`dlc_fwd_frames_total{fwd="uplink"}`], series[`dlc_fwd_batch_frames_total{fwd="uplink"}`]
-			if stream == nil && (frames != "20" || batches != "0") {
-				t.Errorf("spool uplink wrote %s legacy and %s batch frames, want 20 and 0", frames, batches)
-			}
-			if stream != nil && (frames != "0" || batches == "0" || batches == "") {
-				t.Errorf("stream uplink wrote %s legacy and %s batch frames, want 0 and at least 1", frames, batches)
+			if frames != "0" || batches == "0" || batches == "" {
+				t.Errorf("uplink wrote %s legacy and %s batch frames, want 0 and at least 1", frames, batches)
 			}
 			if got := series[`dlc_fwd_wire_bytes_total{fwd="uplink"}`]; got == "" || got == "0" {
 				t.Errorf("dlc_fwd_wire_bytes_total = %q, want the bytes of 20 frames", got)
 			}
-			if stream != nil {
-				// The gauge holds the deepest backlog since the last scrape,
-				// so the scrape above closed the busy interval and a second
-				// one reads the drained stream.
-				if got, ok := scrape(t, reg)[`dlc_stream_consumer_lag{stream="ldmsd",consumer="uplink"}`]; !ok || got != "0" {
-					t.Errorf("dlc_stream_consumer_lag = %q after the drain, want 0", got)
-				}
+			// The gauge holds the deepest backlog since the last scrape, so
+			// the scrape above closed the busy interval and a second one
+			// reads the drained stream: the series bench/scrape.go reads as
+			// ldmsd.uplink_lag_max_msgs, under either flag.
+			if got, ok := scrape(t, reg)[`dlc_stream_consumer_lag{stream="ldmsd",consumer="uplink"}`]; !ok || got != "0" {
+				t.Errorf("dlc_stream_consumer_lag = %q after the drain, want 0", got)
 			}
 			if code := healthCode(health); code != http.StatusOK {
 				t.Errorf("/healthz = %d with a healthy uplink, want 200", code)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,11 +18,41 @@ import (
 func fastBackoff(addr string) UplinkConfig {
 	return UplinkConfig{
 		Addr:           addr,
-		Tag:            "darshanConnector",
 		InitialBackoff: 2 * time.Millisecond,
 		MaxBackoff:     20 * time.Millisecond,
 		Seed:           1,
 	}
+}
+
+// openSpool opens the spool of ldmsd -reconnect on bus: a memory-only
+// stream of the connector tag, size messages at most, overflowing by
+// policy.
+func openSpool(t *testing.T, bus *streams.Bus, size int, policy streams.OverflowPolicy) *streams.DurableStream {
+	t.Helper()
+	s, err := streams.OpenStream(streams.StreamConfig{
+		Name: "ldmsd", Subjects: []string{"darshanConnector"},
+		Retention: streams.RetentionPolicy{MaxMsgs: size}, Overflow: policy,
+		Clock: func() time.Duration { return time.Duration(time.Now().UnixNano()) },
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bus.BindStream(s); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// spoolUplink wires node's uplink as ldmsd -reconnect does: its spool
+// forwarded by a stream uplink.
+func spoolUplink(t *testing.T, node *Daemon, cfg UplinkConfig, size int, policy streams.OverflowPolicy) (*Uplink, *streams.DurableStream) {
+	t.Helper()
+	s := openSpool(t, node.Bus(), size, policy)
+	u, err := NewStreamUplink(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u, s
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -63,9 +95,10 @@ func publishSeq(d *Daemon, i int) {
 
 // TestReconnectingForwarderSurvivesAggregatorRestart is the acceptance
 // scenario: the TCP aggregator is killed mid-stream and restarted on the
-// same address; with the forwarder's spool enabled, every message published
-// during the outage is delivered after reconnect (contrast with
-// TestTCPServerDeathDropsSilently, the best-effort default).
+// same address; with the forwarder's memory-only stream as its spool,
+// every message published during the outage is delivered after reconnect
+// (contrast with TestTCPServerDeathDropsSilently, the best-effort
+// default).
 func TestReconnectingForwarderSurvivesAggregatorRestart(t *testing.T) {
 	agg := NewDaemon("agg", "head")
 	srv, err := ListenTCP(agg, "127.0.0.1:0")
@@ -75,10 +108,7 @@ func TestReconnectingForwarderSurvivesAggregatorRestart(t *testing.T) {
 	addr := srv.Addr()
 
 	node := NewDaemon("node", "nid00040")
-	f, err := NewSpoolUplink(node, fastBackoff(addr))
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, spool := spoolUplink(t, node, fastBackoff(addr), 1024, streams.DropOldest)
 	defer f.Close()
 
 	for i := 0; i < 5; i++ {
@@ -104,8 +134,7 @@ func TestReconnectingForwarderSurvivesAggregatorRestart(t *testing.T) {
 	// against the dead address (so the restart genuinely exercises the
 	// backoff/reconnect path).
 	waitFor(t, "outage batch spooled", func() bool {
-		st := f.Stats()
-		return st.Enqueued == 15 && st.Retries >= 1
+		return spool.Stats().Appended == 15 && f.Stats().Retries >= 1
 	})
 
 	// Restart the aggregator on the same address.
@@ -124,8 +153,8 @@ func TestReconnectingForwarderSurvivesAggregatorRestart(t *testing.T) {
 	waitFor(t, "spool replay", func() bool { return srv2.Received() == 10 })
 
 	st := f.Stats()
-	if st.Sent != 15 || st.Dropped != 0 {
-		t.Fatalf("sent %d dropped %d, want 15/0", st.Sent, st.Dropped)
+	if ss := spool.Stats(); st.Sent != 15 || ss.Dropped+ss.Refused != 0 || ss.Released != 15 || ss.Msgs != 0 {
+		t.Fatalf("sent %d, spool %+v; want 15 sent, all released, none dropped", st.Sent, ss)
 	}
 	if st.Reconnects < 1 {
 		t.Fatalf("reconnects %d, want >= 1", st.Reconnects)
@@ -159,39 +188,34 @@ func deadAddr(t *testing.T) string {
 }
 
 // spoolFixture starts a forwarder against a dead address and waits until
-// message 0 is in flight (worker popped it and is retrying), so subsequent
-// publishes interact with the spool deterministically.
-func spoolFixture(t *testing.T, cfg UplinkConfig) (*Daemon, *Uplink) {
+// message 0 is in flight (the uplink fetched it and is retrying), so
+// subsequent publishes interact with the window deterministically.
+func spoolFixture(t *testing.T, cfg UplinkConfig, size int, policy streams.OverflowPolicy) (*Daemon, *Uplink, *streams.DurableStream) {
 	t.Helper()
 	node := NewDaemon("node", "nid00041")
-	f, err := NewSpoolUplink(node, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, spool := spoolUplink(t, node, cfg, size, policy)
 	t.Cleanup(func() { f.Close() })
 	publishSeq(node, 0)
 	waitFor(t, "msg 0 in flight", func() bool { return f.Stats().Retries >= 1 })
-	return node, f
+	return node, f, spool
 }
 
 func TestForwarderSpoolDropOldest(t *testing.T) {
 	cfg := fastBackoff(deadAddr(t))
-	cfg.SpoolSize = 4
-	cfg.Overflow = DropOldest
-	node, f := spoolFixture(t, cfg)
+	node, f, spool := spoolFixture(t, cfg, 5, streams.DropOldest)
 
 	for i := 1; i <= 9; i++ {
 		publishSeq(node, i)
 	}
-	st := f.Stats()
-	// Spool holds the newest 4 (6..9); 1..5 were evicted. Message 0 is
-	// still in flight.
-	if st.Enqueued != 10 || st.Dropped != 5 || st.SpoolDepth != 5 {
-		t.Fatalf("enqueued %d dropped %d depth %d, want 10/5/5", st.Enqueued, st.Dropped, st.SpoolDepth)
+	// The window holds the newest 5 (5..9); 0..4 were evicted, message 0
+	// in flight among them: the window counts the round in hand.
+	if st := spool.Stats(); st.Appended != 10 || st.Dropped != 5 || st.Msgs != 5 {
+		t.Fatalf("appended %d dropped %d depth %d, want 10/5/5", st.Appended, st.Dropped, st.Msgs)
 	}
-	if bus := node.Bus().Stats("darshanConnector"); bus.Dropped != 5 {
-		t.Fatalf("bus dropped %d, want the forwarder drops folded in (5)", bus.Dropped)
-	}
+
+	// Every later fetch settles 0..4 as missed: once all five are, no
+	// round the uplink takes can hold one of them.
+	waitFor(t, "0..4 missed", func() bool { return f.Stats().Consumer.Missed >= 5 })
 
 	// Bring a server up at the address: the survivors drain, newest kept.
 	agg := NewDaemon("agg", "head")
@@ -205,32 +229,28 @@ func TestForwarderSpoolDropOldest(t *testing.T) {
 	if err := f.Flush(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "drain", func() bool { return srv.Received() == 5 })
-	want := []int{0, 6, 7, 8, 9}
-	got := store.Seqs()
-	if len(got) != len(want) {
+	waitFor(t, "drain", func() bool { return len(store.Seqs()) >= 5 })
+	if got, want := store.Seqs(), []int{5, 6, 7, 8, 9}; !slices.Equal(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
+	if missed := f.Stats().Consumer.Missed; missed != 5 {
+		t.Fatalf("consumer missed %d, want 5 (0..4)", missed)
 	}
 }
 
 func TestForwarderSpoolDropNewest(t *testing.T) {
 	cfg := fastBackoff(deadAddr(t))
-	cfg.SpoolSize = 4
-	cfg.Overflow = DropNewest
-	node, f := spoolFixture(t, cfg)
+	node, f, spool := spoolFixture(t, cfg, 5, streams.DropNewest)
 
 	for i := 1; i <= 9; i++ {
 		publishSeq(node, i)
 	}
-	st := f.Stats()
-	// Spool keeps the oldest 4 (1..4); 5..9 were rejected.
-	if st.Enqueued != 10 || st.Dropped != 5 || st.SpoolDepth != 5 {
-		t.Fatalf("enqueued %d dropped %d depth %d, want 10/5/5", st.Enqueued, st.Dropped, st.SpoolDepth)
+	// The window keeps the oldest 5 (0..4); 5..9 were refused.
+	if st := spool.Stats(); st.Appended != 5 || st.Refused != 5 || st.Msgs != 5 {
+		t.Fatalf("appended %d refused %d depth %d, want 5/5/5", st.Appended, st.Refused, st.Msgs)
+	}
+	if bus := node.Bus().Stats("darshanConnector"); bus.Dropped != 5 {
+		t.Fatalf("bus dropped %d, want the refusals (5)", bus.Dropped)
 	}
 
 	agg := NewDaemon("agg", "head")
@@ -253,15 +273,38 @@ func TestForwarderSpoolDropNewest(t *testing.T) {
 	}
 }
 
+// TestUplinkHealthWindowFull: with the upstream dead, the uplink's health
+// probe fails once the window holds its bound unsent — message 0, in
+// flight, counts — and, under drop-newest, names the refusals once an
+// append was refused.
+func TestUplinkHealthWindowFull(t *testing.T) {
+	for _, policy := range []streams.OverflowPolicy{streams.Block, streams.DropNewest} {
+		node, f, _ := spoolFixture(t, fastBackoff(deadAddr(t)), 3, policy)
+		health := f.Health(3)
+		publishSeq(node, 1)
+		if err := health(); err != nil {
+			t.Fatalf("%s: two of three held: %v", policy, err)
+		}
+		publishSeq(node, 2)
+		if err := health(); err == nil || !strings.Contains(err.Error(), "window full") {
+			t.Fatalf("%s: three of three held: %v, want window full", policy, err)
+		}
+		if policy == streams.DropNewest {
+			publishSeq(node, 3)
+			if err := health(); err == nil || !strings.Contains(err.Error(), "1 messages refused") {
+				t.Fatalf("%s: one refused: %v, want the refusal", policy, err)
+			}
+		}
+	}
+}
+
 func TestForwarderSpoolBlockBackpressure(t *testing.T) {
 	cfg := fastBackoff(deadAddr(t))
-	cfg.SpoolSize = 2
-	cfg.Overflow = Block
-	node, f := spoolFixture(t, cfg)
+	node, f, spool := spoolFixture(t, cfg, 3, streams.Block)
 
 	publishSeq(node, 1)
 	publishSeq(node, 2)
-	// The spool is full; the next publish must block.
+	// The window is full; the next publish must block.
 	released := make(chan struct{})
 	go func() {
 		publishSeq(node, 3)
@@ -288,8 +331,8 @@ func TestForwarderSpoolBlockBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "drain", func() bool { return srv.Received() == 4 })
-	if st := f.Stats(); st.Dropped != 0 || st.Sent != 4 {
-		t.Fatalf("dropped %d sent %d, want 0/4 (block never drops)", st.Dropped, st.Sent)
+	if st, ss := f.Stats(), spool.Stats(); ss.Dropped+ss.Refused != 0 || st.Sent != 4 {
+		t.Fatalf("dropped %d sent %d, want 0/4 (block never drops)", ss.Dropped+ss.Refused, st.Sent)
 	}
 }
 
@@ -304,10 +347,7 @@ func TestForwarderHeartbeatLiveness(t *testing.T) {
 	node := NewDaemon("node", "nid00042")
 	cfg := fastBackoff(srv.Addr())
 	cfg.HeartbeatEvery = 5 * time.Millisecond
-	f, err := NewSpoolUplink(node, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _ := spoolUplink(t, node, cfg, 1024, streams.DropOldest)
 	defer f.Close()
 
 	waitFor(t, "heartbeats", func() bool {
@@ -328,10 +368,7 @@ func TestDropConnectionsForcesReconnect(t *testing.T) {
 	defer srv.Close()
 
 	node := NewDaemon("node", "nid00043")
-	f, err := NewSpoolUplink(node, fastBackoff(srv.Addr()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, spool := spoolUplink(t, node, fastBackoff(srv.Addr()), 1024, streams.DropOldest)
 	defer f.Close()
 
 	publishSeq(node, 0)
@@ -342,8 +379,8 @@ func TestDropConnectionsForcesReconnect(t *testing.T) {
 	waitFor(t, "disconnect detection", func() bool { return !f.Stats().Connected })
 	publishSeq(node, 1)
 	waitFor(t, "redelivery", func() bool { return srv.Received() == 2 })
-	if st := f.Stats(); st.Reconnects < 1 || st.Dropped != 0 {
-		t.Fatalf("reconnects %d dropped %d, want >=1 / 0", st.Reconnects, st.Dropped)
+	if st, ss := f.Stats(), spool.Stats(); st.Reconnects < 1 || ss.Dropped != 0 {
+		t.Fatalf("reconnects %d dropped %d, want >=1 / 0", st.Reconnects, ss.Dropped)
 	}
 }
 
@@ -365,34 +402,18 @@ func TestPingTCP(t *testing.T) {
 }
 
 func TestForwarderConfigValidation(t *testing.T) {
-	node := NewDaemon("node", "nid00044")
-	if _, err := NewSpoolUplink(node, UplinkConfig{Tag: "t"}); err == nil {
+	s, err := streams.OpenStream(streams.StreamConfig{Name: "ldmsd"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewStreamUplink(s, UplinkConfig{}); err == nil {
 		t.Fatal("missing address accepted")
 	}
-	if _, err := NewSpoolUplink(node, UplinkConfig{Addr: "x"}); err == nil {
-		t.Fatal("missing tag accepted")
+	if _, err := NewStreamUplink(nil, UplinkConfig{Addr: "x"}); err == nil {
+		t.Fatal("nil stream accepted")
 	}
-	if _, err := NewSpoolUplink(nil, UplinkConfig{Addr: "x", Tag: "t"}); err == nil {
-		t.Fatal("nil daemon accepted")
-	}
-}
-
-func TestParseOverflowPolicy(t *testing.T) {
-	cases := map[string]OverflowPolicy{
-		"": DropOldest, "drop-oldest": DropOldest,
-		"drop-newest": DropNewest, "block": Block,
-	}
-	for in, want := range cases {
-		got, err := ParseOverflowPolicy(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseOverflowPolicy(%q) = %v, %v; want %v", in, got, err, want)
-		}
-		if in != "" && got.String() != in {
-			t.Fatalf("round trip %q -> %q", in, got)
-		}
-	}
-	if _, err := ParseOverflowPolicy("bogus"); err == nil {
-		t.Fatal("bogus policy accepted")
+	if _, err := NewStreamUplink(s, UplinkConfig{Addr: "x", Standby: "x"}); err == nil {
+		t.Fatal("standby equal to the primary accepted")
 	}
 }
 

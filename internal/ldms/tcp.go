@@ -194,8 +194,8 @@ func (s *TCPServer) serve(conn net.Conn) {
 		// needs decoded is appended as it stands (PublishBody). Anything
 		// else decodes into a pooled slab released after the publish
 		// fan-out below: PublishBatch is synchronous, and whatever keeps a
-		// message past its return (the uplink spool detaches, a durable
-		// stream stores the encoded record) keeps nothing slab-owned.
+		// message past its return (a bound stream, memory-only or not,
+		// stores the encoded record) keeps nothing slab-owned.
 		lead, err := br.Peek(1)
 		if err != nil {
 			return // EOF: best-effort, drop the link

@@ -39,8 +39,8 @@ import (
 // round's whole stored batch back out as that body (writeBatchBody). A
 // round falls back to decoding and WriteBatchFrame when it cannot: a
 // version-1 payload, a frame mixing tags, a tag a handler subscribes to,
-// messages stored alone, a batch cut by retention or by a round's start
-// or size, and the tail ring of ReplayLast. Typed records stay in the
+// messages stored alone, and a batch cut by retention or by a round's
+// start or size. Typed records stay in the
 // compact binary form either way — no JSON is produced on any hop;
 // records that only have bytes (raw publishers, lossy-encoder
 // placeholders) travel opaque.
@@ -100,9 +100,8 @@ func writeFrameBuf(w io.Writer, buf []byte) error {
 // and after the first few frames not even that allocates — a reusable
 // batch table and a reusable payload scratch buffer; decoded structs and
 // slices live in a pooled Slab whose reference the caller holds and must
-// Release once the frame's messages are handed off. Synchronous
-// consumers need nothing more; consumers that queue a message past the
-// hand-off detach it first (streams.Detach).
+// Release once the frame's messages are handed off. Every consumer is
+// synchronous, so nothing more is needed.
 type BatchDecoder struct {
 	in      *event.Interner
 	table   streams.BatchContext

@@ -412,10 +412,11 @@ func TestPublishBatchOverTCP(t *testing.T) {
 	waitFor(t, "batch delivery", func() bool { return store.Count() == 3 })
 }
 
-// TestForwarderBatchDrain is the pooled-buffer batch path under -race:
-// concurrent publishers fan into one bus; the forwarder drains the spool
-// in pooled batches over TCP; a DSOS store ingests the typed records.
-// Afterwards every pool Get must be balanced by a Put.
+// TestForwarderBatchDrain is the batch path under -race: concurrent
+// publishers fan into one bus; the forwarder drains its memory-only
+// stream in rounds of 16 over TCP, a partial round lingering 2ms to
+// fill; a store counts the typed records. Afterwards every frame buffer
+// pool Get must be balanced by a Put.
 func TestForwarderBatchDrain(t *testing.T) {
 	remote := NewDaemon("agg", "head")
 	store := &CountStore{}
@@ -429,11 +430,8 @@ func TestForwarderBatchDrain(t *testing.T) {
 
 	local := NewDaemon("node", "nid00040")
 	cfg := fastBackoff(srv.Addr())
-	cfg.Batch = event.FlushPolicy{MaxRecords: 16, MaxAge: 2 * time.Millisecond}
-	fwd, err := NewSpoolUplink(local, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.BatchSize, cfg.Linger = 16, 2*time.Millisecond
+	fwd, _ := spoolUplink(t, local, cfg, 1024, streams.Block)
 
 	const publishers, per = 8, 50
 	var wg sync.WaitGroup
@@ -461,55 +459,8 @@ func TestForwarderBatchDrain(t *testing.T) {
 	if st.Sent != publishers*per {
 		t.Fatalf("sent %d, want %d", st.Sent, publishers*per)
 	}
-	if gets, puts := BatchPoolCounters(); gets != puts {
-		t.Fatalf("batch pool leak: %d gets, %d puts", gets, puts)
-	}
 	if gets, puts := FramePoolCounters(); gets != puts {
 		t.Fatalf("frame buffer pool leak: %d gets, %d puts", gets, puts)
-	}
-}
-
-// TestBatchReplayDedupExactlyOnce drops the connection mid-stream with
-// tail replay enabled: the batch-frame replay must dedup to exactly one
-// store of each identity, same as the legacy frame-per-message path.
-func TestBatchReplayDedupExactlyOnce(t *testing.T) {
-	remote := NewDaemon("agg", "head")
-	inner := &CountStore{}
-	dedup := NewDedupStore(inner)
-	h := remote.AttachStore("darshanConnector", dedup)
-	defer h.Close()
-	srv, err := ListenTCP(remote, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	local := NewDaemon("node", "nid00040")
-	cfg := fastBackoff(srv.Addr())
-	cfg.Batch = event.FlushPolicy{MaxRecords: 4}
-	cfg.ReplayLast = 8
-	fwd, err := NewSpoolUplink(local, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fwd.Close()
-
-	const total = 40
-	for i := 1; i <= total/2; i++ {
-		local.Bus().Publish(typedMsg(uint64(i)))
-	}
-	waitFor(t, "first half sent", func() bool { return fwd.Stats().Sent >= total/2 })
-	srv.DropConnections()
-	for i := total/2 + 1; i <= total; i++ {
-		local.Bus().Publish(typedMsg(uint64(i)))
-	}
-	if err := fwd.Flush(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "all identities stored", func() bool { return dedup.Stored() == total })
-	// Replayed tail frames arrived too; dedup must have absorbed them.
-	if inner.Count() != total {
-		t.Fatalf("inner store saw %d messages, want exactly %d", inner.Count(), total)
 	}
 }
 

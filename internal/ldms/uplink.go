@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"darshanldms/internal/event"
 	"darshanldms/internal/rng"
 	"darshanldms/internal/streams"
 )
@@ -21,16 +20,18 @@ import (
 // aggregator or a flapping link must not silently eat the stream.
 //
 // There is one link state machine — lazy dial, peer-close monitor,
-// teardown, backoff with jitter, heartbeat, reconnect tail replay — and
-// one delivery loop: take a round from the source, write its frames,
-// flush once, settle. What varies is chosen at construction:
+// teardown, backoff with jitter, heartbeat — and one delivery loop: take
+// a round from the source, write its frames, flush once, settle. The
+// source is always a streams.Consumer behind a Cursor: a round is one
+// fetch, one ack and one batch frame per stored batch it holds, a whole
+// one written as the body it is stored as. What varies is the stream and
+// the target set:
 //
-//	source      NewSpoolUplink: bounded in-memory spool off a daemon's bus
-//	            NewStreamUplink: durable streams.Consumer (the stream is
-//	            the spool; the ack floor survives a crash); a round is one
-//	            fetch, one ack, one cursor checkpoint, and one batch frame
-//	            per stored batch it holds (Cursor), a whole one written as
-//	            the body it is stored as
+//	stream      segment-backed (ldmsd -stream): the ack floor is
+//	            checkpointed and survives a crash
+//	            memory-only (ldmsd -reconnect): a bounded spool that holds
+//	            only what is unsent — an acked entry leaves the window — and
+//	            applies its overflow policy at the append
 //	target set  Addr alone, or Addr + Standby with a dial-probe failure
 //	            detector that re-homes the link
 
@@ -64,46 +65,23 @@ type UplinkConfig struct {
 	// dead link. Probes use HeartbeatTag and are not published remotely.
 	HeartbeatEvery time.Duration
 
-	// ReplayLast, when positive, re-sends the last ReplayLast delivered
-	// messages after every reconnect: frames in flight when a connection
-	// dies are of unknown fate (the kernel may have buffered them, the
-	// peer may have processed them), so the link re-covers the tail
-	// rather than risk a silent gap. This upgrades a spool's delivery from
-	// best-effort to at-least-once; pair the receiving store with a
-	// DedupStore to make the path exactly-once.
-	ReplayLast int
-
-	// Spool source (NewSpoolUplink). Tag is the bus tag to forward
-	// (required). SpoolSize bounds the in-memory spool of undelivered
-	// messages (default 1024); Overflow selects the policy when it fills.
-	Tag       string
-	SpoolSize int
-	Overflow  OverflowPolicy
-
-	// Batch shapes a spool round. When enabled (see
-	// event.FlushPolicy.Enabled) the spool drains up to MaxRecords /
-	// MaxBytes per round, waiting at most MaxAge for a partial round to
-	// fill once the first message is in hand, and the round crosses the
-	// wire as one batch frame. Rounds form naturally under backpressure —
-	// a deep spool yields full rounds, an idle one yields rounds of one
-	// after at most MaxAge. The zero value is a one-record round written
-	// as a legacy frame: the one-frame-per-message wire behavior.
-	Batch event.FlushPolicy
-
-	// Consumer source (NewStreamUplink). Consumer names the durable cursor
-	// (default "uplink"), which takes every subject of the stream.
-	// BatchSize bounds one round — fetched together, sent as one batch
-	// frame, acked together (default 64) — and MaxInflight the consumer's
-	// unacked window (default 2 x BatchSize). AckWait is the
-	// redelivery deadline — how long a fetched-but-unacked message (e.g.
-	// lost when the process died mid-send on a previous incarnation's
-	// cursor) waits before the stream offers it again (default 30s). An
-	// idle uplink sleeps on the stream and is woken by the next append;
-	// there is no poll interval.
+	// Consumer names the durable cursor (default "uplink"), which takes
+	// every subject of the stream. BatchSize bounds one round — fetched
+	// together, sent as one batch frame per stored batch, acked together
+	// (default 64) — and MaxInflight the consumer's unacked window
+	// (default 2 x BatchSize). AckWait is the redelivery deadline — how
+	// long a fetched-but-unacked message (e.g. lost when the process died
+	// mid-send on a previous incarnation's cursor) waits before the stream
+	// offers it again (default 30s). An idle uplink sleeps on the stream
+	// and is woken by the next append; there is no poll interval. Linger,
+	// when positive, is how long a partial round waits to fill once a
+	// message is ready: rounds form naturally under backpressure, and an
+	// idle uplink sends a round of one after at most Linger.
 	Consumer    string
 	BatchSize   int
 	MaxInflight int
 	AckWait     time.Duration
+	Linger      time.Duration
 }
 
 func (cfg *UplinkConfig) setDefaults() {
@@ -124,9 +102,6 @@ func (cfg *UplinkConfig) setDefaults() {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = uint64(time.Now().UnixNano())
-	}
-	if cfg.SpoolSize <= 0 {
-		cfg.SpoolSize = 1024
 	}
 	if cfg.Consumer == "" {
 		cfg.Consumer = "uplink"
@@ -149,64 +124,31 @@ type UplinkStats struct {
 	Dials      uint64 // connection attempts that succeeded
 	Reconnects uint64 // successful dials after the first
 	Heartbeats uint64 // liveness probes written
-	Replayed   uint64 // tail messages re-sent after reconnects (ReplayLast)
 	Connected  bool
 
 	Active   string // address currently uplinked to
 	Switches uint64 // target changes (primary<->standby, both directions)
 	Misses   uint64 // cumulative failed probes
 
-	// Spool source.
-	Enqueued   uint64 // messages accepted from the bus
-	Dropped    uint64 // spool-overflow drops (also folded into bus stats)
-	SpoolDepth int    // messages currently spooled, the round in hand included
-	SpoolCap   int    // the spool's bound (SpoolSize)
-
-	// Consumer source.
 	Naks     uint64 // deliveries handed back for redelivery after a failed round
 	Consumer streams.ConsumerStats
 }
 
-// source is where rounds come from and where their fate is reported. The
-// delivery loop is its only caller besides Stats and Flush.
-//
-//	spool   settle(true) releases the round; settle(false) keeps it in
-//	        hand and the next take returns it again, so a message leaves
-//	        only sent or — on overflow or Close — as a counted drop.
-//	Cursor  settle(true) acks the round with one batch ack after the
-//	        flush and never before; settle(false) naks the whole round
-//	        for immediate redelivery.
-type source interface {
-	// take blocks until a round is ready; !ok means the source stopped.
-	// ends, when not nil, are the exclusive ends of the round's batch
-	// frames; nil sends the round as one. bodies, when not nil, holds per
-	// frame the stored body to write as it stands, or nil to encode the
-	// frame's messages (which a stored body leaves zero).
-	take() (round []streams.Message, ends []int, bodies [][]byte, ok bool)
-	// settle reports the fate of the round take last returned.
-	settle(sent bool)
-	// stop refuses new input and wakes take; Close calls it once.
-	stop()
-	// drained reports whether nothing accepted is still unsent.
-	drained() bool
-	// stats fills the source's share of a snapshot.
-	stats(st *UplinkStats)
-}
-
-// Uplink forwards a source to a remote daemon over TCP like ForwardTCP,
-// but survives the remote daemon dying: undelivered messages wait at the
-// source while the link redials with exponential backoff and jitter, and
-// are resent once the link returns. Delivery is at-least-once: a message
-// in flight when the link breaks may be duplicated after reconnect, never
-// silently lost (unless a spool overflows, which is counted); pair the
-// receiving store with a DedupStore for exactly-once effect.
+// Uplink forwards a stream to a remote daemon over TCP like ForwardTCP,
+// but survives the remote daemon dying: undelivered messages wait in the
+// stream while the link redials with exponential backoff and jitter, and
+// are resent once the link returns. A round is acked after its flush and
+// never before, and a failed one is naked whole for immediate
+// redelivery, so a message leaves the stream only sent — or, from a
+// memory-only stream, as a counted overflow drop. Frames a dying
+// connection had flushed are not resent, while a round that failed part
+// way, or one a crashed process had not acked on a segment-backed
+// stream, is sent again whole; pair the receiving store with a
+// DedupStore for exactly-once effect.
 type Uplink struct {
-	cfg UplinkConfig
-	src source
-	// batchFrames selects the spool's round writer: one batch frame per
-	// round, or one legacy frame per message (the spool's zero-Batch
-	// wire behavior). A cursor round is always batch frames.
-	batchFrames bool
+	cfg    UplinkConfig
+	src    *Cursor
+	stream *streams.DurableStream
 
 	mu      sync.Mutex
 	sent    uint64
@@ -221,12 +163,6 @@ type Uplink struct {
 	heartbeats uint64
 	switches   uint64
 	misses     uint64
-	// Reconnect-replay state (ReplayLast > 0): ring of the most recently
-	// sent messages, and whether a live connection has died since the last
-	// successful send — the signal that the tail must be re-covered.
-	ring          []streams.Message
-	replayPending bool
-	replayed      uint64
 
 	// Wire accounting for the obs plane: bytes actually written to the
 	// socket (headers included) and frames by kind. Atomic so Collect
@@ -244,38 +180,30 @@ type Uplink struct {
 // StreamUplink names the durable configuration of an Uplink.
 type StreamUplink = Uplink
 
-// NewSpoolUplink subscribes to cfg.Tag on from's bus and forwards it
-// through a bounded in-memory spool. The first connection is dialed
-// lazily.
-func NewSpoolUplink(from *Daemon, cfg UplinkConfig) (*Uplink, error) {
-	if from == nil {
-		return nil, errors.New("ldms: nil daemon")
-	}
-	if cfg.Tag == "" {
-		return nil, errors.New("ldms: uplink needs a tag")
-	}
-	u, err := newUplink(cfg)
-	if err != nil {
-		return nil, err
-	}
-	u.batchFrames = u.cfg.Batch.Enabled()
-	u.start(newSpool(from.Bus(), u.cfg))
-	return u, nil
-}
-
 // NewStreamUplink claims (or resumes) the durable consumer cfg.Consumer
 // on s and forwards the stream: a message is acked only after its frame
-// reached the socket, so a crash — of the uplink, the process, or the
-// whole node — resumes from the durable cursor and re-sends anything
-// unacked. A re-home to the standby keeps the same consumer object, so
-// the ack floor survives it by construction.
+// reached the socket, so a crash of a segment-backed stream's process
+// resumes from the durable cursor and re-sends anything unacked. A
+// re-home to the standby keeps the same consumer object, so the ack floor
+// survives it by construction. The first connection is dialed lazily.
 func NewStreamUplink(s *streams.DurableStream, cfg UplinkConfig) (*Uplink, error) {
 	if s == nil {
 		return nil, errors.New("ldms: uplink needs a stream")
 	}
-	u, err := newUplink(cfg)
-	if err != nil {
-		return nil, err
+	if cfg.Addr == "" {
+		return nil, errors.New("ldms: uplink needs an address")
+	}
+	if cfg.Standby == cfg.Addr {
+		return nil, errors.New("ldms: uplink standby equals its primary address")
+	}
+	cfg.setDefaults()
+	u := &Uplink{
+		cfg:     cfg,
+		stream:  s,
+		addr:    cfg.Addr,
+		jr:      rng.New(cfg.Seed),
+		rehomed: make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
 	cons, err := s.Consumer(streams.ConsumerConfig{
 		Name:        u.cfg.Consumer,
@@ -285,35 +213,9 @@ func NewStreamUplink(s *streams.DurableStream, cfg UplinkConfig) (*Uplink, error
 	if err != nil {
 		return nil, err
 	}
-	u.batchFrames = true
-	cur := NewCursor(cons, u.cfg.BatchSize)
-	// The tail ring replays messages, so it needs every round decoded.
-	cur.bodies = u.cfg.ReplayLast == 0
-	u.start(cur)
-	return u, nil
-}
-
-func newUplink(cfg UplinkConfig) (*Uplink, error) {
-	if cfg.Addr == "" {
-		return nil, errors.New("ldms: uplink needs an address")
-	}
-	if cfg.Standby == cfg.Addr {
-		return nil, errors.New("ldms: uplink standby equals its primary address")
-	}
-	cfg.setDefaults()
-	return &Uplink{
-		cfg:     cfg,
-		addr:    cfg.Addr,
-		jr:      rng.New(cfg.Seed),
-		rehomed: make(chan struct{}, 1),
-		done:    make(chan struct{}),
-	}, nil
-}
-
-// start launches the delivery loop and the optional heartbeat and probe
-// loops. Every goroutine is joined by Close through wg.
-func (u *Uplink) start(src source) {
-	u.src = src
+	u.src = &Cursor{cons: cons, max: u.cfg.BatchSize, bodies: true, linger: u.cfg.Linger}
+	// The delivery loop and the optional heartbeat and probe loops; Close
+	// joins every goroutine through wg.
 	u.wg.Add(1)
 	go u.run()
 	if u.cfg.HeartbeatEvery > 0 {
@@ -324,6 +226,7 @@ func (u *Uplink) start(src source) {
 		u.wg.Add(1)
 		go u.probeLoop()
 	}
+	return u, nil
 }
 
 // run is the delivery loop: take a round, send it, settle it; a failed
@@ -337,7 +240,7 @@ func (u *Uplink) run() {
 			return
 		}
 		n := uint64(len(round))
-		err := u.send(round, ends, bodies, u.batchFrames)
+		err := u.send(round, ends, bodies, true)
 		// Count before settling: Flush returns the moment the source is
 		// drained, and a caller reading Stats next must see the round.
 		u.mu.Lock()
@@ -385,61 +288,32 @@ func (u *Uplink) pause(d time.Duration) bool {
 }
 
 // send writes msgs on the current connection — as batch frames ending at
-// ends (one frame for nil ends) and made of bodies where given (see
-// source.take), or one legacy frame each — dialing first if necessary,
+// ends, each made of its stored body where bodies holds one (see
+// Cursor.take), or one legacy frame each — dialing first if necessary,
 // and flushes once. Any error tears the connection down for a fresh dial.
-// On a reconnect with ReplayLast set, the recent tail is re-sent before
-// msgs.
 func (u *Uplink) send(msgs []streams.Message, ends []int, bodies [][]byte, batch bool) error {
 	u.connMu.Lock()
 	defer u.connMu.Unlock()
 	if err := u.ensureConnLocked(); err != nil {
 		return err
 	}
-	if err := u.writeRoundLocked(msgs, ends, bodies, batch); err != nil {
+	err := u.writeLocked(msgs, ends, bodies, batch)
+	if err == nil {
+		err = u.bw.Flush()
+	}
+	if err != nil {
 		u.teardownLocked()
-		return err
 	}
-	if u.cfg.ReplayLast > 0 {
-		for _, m := range msgs {
-			if m.Tag == HeartbeatTag {
-				continue
-			}
-			u.ring = append(u.ring, m)
-			if len(u.ring) > u.cfg.ReplayLast {
-				u.ring = u.ring[1:]
-			}
-		}
-	}
-	return nil
-}
-
-// writeRoundLocked writes the pending tail replay, then msgs, and flushes
-// (connMu held).
-func (u *Uplink) writeRoundLocked(msgs []streams.Message, ends []int, bodies [][]byte, batch bool) error {
-	if u.replayPending {
-		if err := u.writeLocked(u.ring, nil, nil, u.batchFrames); err != nil {
-			return err
-		}
-		u.replayed += uint64(len(u.ring))
-		u.replayPending = false
-	}
-	if err := u.writeLocked(msgs, ends, bodies, batch); err != nil {
-		return err
-	}
-	return u.bw.Flush()
+	return err
 }
 
 // writeLocked frames msgs into the connection's buffer (connMu held).
 func (u *Uplink) writeLocked(msgs []streams.Message, ends []int, bodies [][]byte, batch bool) error {
 	if batch {
-		if ends == nil {
-			ends = []int{len(msgs)}
-		}
 		lo := 0
 		for i, hi := range ends {
 			var err error
-			if bodies != nil && bodies[i] != nil {
+			if bodies[i] != nil {
 				err = writeBatchBody(u.bw, bodies[i])
 			} else {
 				err = WriteBatchFrame(u.bw, msgs[lo:hi])
@@ -509,9 +383,6 @@ func (u *Uplink) teardownLocked() {
 		u.conn.Close()
 		u.conn = nil
 		u.bw = nil
-		if len(u.ring) > 0 {
-			u.replayPending = true
-		}
 	}
 }
 
@@ -596,7 +467,6 @@ func (u *Uplink) Stats() UplinkStats {
 		st.Reconnects = u.dials - 1
 	}
 	st.Heartbeats = u.heartbeats
-	st.Replayed = u.replayed
 	st.Connected = u.conn != nil
 	st.Active = u.addr
 	st.Switches = u.switches
@@ -606,9 +476,8 @@ func (u *Uplink) Stats() UplinkStats {
 	return st
 }
 
-// Flush waits until the source has fully drained — a spool empty with no
-// round in hand, a consumer caught up with the stream head with nothing
-// inflight — up to timeout.
+// Flush waits until the source has fully drained — the consumer caught up
+// with the stream head with nothing inflight — up to timeout.
 func (u *Uplink) Flush(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for !u.src.drained() {
@@ -620,10 +489,10 @@ func (u *Uplink) Flush(timeout time.Duration) error {
 	return nil
 }
 
-// Close stops the loops and releases the connection. Messages still
-// spooled are counted as dropped (call Flush first for a clean drain); a
-// durable cursor survives, and a successor uplink with the same consumer
-// name resumes where this one stopped.
+// Close stops the loops and releases the connection. What the stream
+// still holds stays there (call Flush first for a clean drain): the
+// cursor survives, and a successor uplink with the same consumer name
+// resumes where this one stopped.
 func (u *Uplink) Close() error {
 	u.closeOnce.Do(func() {
 		u.src.stop()

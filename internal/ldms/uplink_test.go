@@ -2,6 +2,7 @@ package ldms
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"net"
 	"runtime"
@@ -9,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"darshanldms/internal/event"
 	"darshanldms/internal/rng"
 	"darshanldms/internal/sos"
 	"darshanldms/internal/streams"
@@ -314,13 +314,14 @@ func (c *captureServer) close() {
 
 // TestUplinkWireIdentity pins the bytes an uplink writes. For a fixed
 // seeded sequence — typed records and opaque payloads, one heartbeat, one
-// reconnect with ReplayLast set — every configuration must put on the
-// wire exactly what WriteFrame / WriteBatchFrame produce for the same
-// sequence: dsosd persists what arrives, so a byte of drift here is a
-// byte of drift in disk_bytes_per_event and a break with older peers.
-// The spool's bytes are what they have always been; a cursor round is
-// exactly WriteBatchFrame(round) of the messages the stream was given —
-// they rest in the segment in the same codec, so nothing is re-rendered.
+// reconnect — every configuration must put on the wire exactly what
+// WriteFrame / WriteBatchFrame produce for the same sequence: dsosd
+// persists what arrives, so a byte of drift here is a byte of drift in
+// disk_bytes_per_event and a break with older peers. A round is exactly
+// WriteBatchFrame of each stored-batch run of the messages the stream was
+// given — they rest in the stream in the same codec, so nothing is
+// re-rendered — whether the stream is the segment-backed one or the
+// memory-only spool the daemon's bus feeds one message at a time.
 func TestUplinkWireIdentity(t *testing.T) {
 	r := rng.New(14)
 	msgs := make([]streams.Message, 8)
@@ -362,32 +363,29 @@ func TestUplinkWireIdentity(t *testing.T) {
 	// the first connection (message 1 alone in the first round, the rest
 	// queued behind it), then one heartbeat; the peer kills the
 	// connection; messages 7 and 8 follow one at a time on the second
-	// connection, behind the replay of the last two delivered.
-	framePerMsg := [2][]byte{
-		cat(frames(msgs[:6]...), frames(heartbeat)),
-		frames(msgs[4], msgs[5], msgs[6], msgs[7]),
-	}
+	// connection. What a dying connection had flushed is not resent.
+	tail := cat(batch(msgs[6]), batch(msgs[7]))
 	cases := []struct {
 		name  string
 		spool bool
-		batch event.FlushPolicy
+		round int // BatchSize (0 = default)
 		want  [2][]byte
 	}{
-		{"spool+frame-per-message", true, event.FlushPolicy{}, framePerMsg},
-		{"spool+batch", true, event.FlushPolicy{MaxRecords: 3}, [2][]byte{
-			cat(batch(msgs[0]), batch(msgs[1:4]...), batch(msgs[4:6]...), frames(heartbeat)),
-			cat(batch(msgs[4:6]...), batch(msgs[6]), batch(msgs[7])),
+		// The spool's messages are appended one at a time, so a round is
+		// one run: one frame, however many messages it holds.
+		{"spool", true, 0, [2][]byte{cat(batch(msgs[:6]...), frames(heartbeat)), tail}},
+		{"spool+batch", true, 3, [2][]byte{
+			cat(batch(msgs[:3]...), batch(msgs[3:6]...), frames(heartbeat)), tail,
 		}},
-		{"consumer", false, event.FlushPolicy{}, [2][]byte{
-			cat(batch(msgs[0]), batch(msgs[1:6]...), frames(heartbeat)),
-			cat(batch(msgs[4:6]...), batch(msgs[6]), batch(msgs[7])),
+		{"consumer", false, 0, [2][]byte{
+			cat(batch(msgs[0]), batch(msgs[1:6]...), frames(heartbeat)), tail,
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			addr := deadAddr(t)
 			cfg := fastUplink(addr)
-			cfg.Tag, cfg.Batch, cfg.ReplayLast = "darshanConnector", tc.batch, 2
+			cfg.BatchSize = tc.round
 			var (
 				u       *Uplink
 				publish func(...streams.Message)
@@ -400,7 +398,7 @@ func TestUplinkWireIdentity(t *testing.T) {
 						node.Bus().Publish(m)
 					}
 				}
-				u, err = NewSpoolUplink(node, cfg)
+				u, _ = spoolUplink(t, node, cfg, 1024, streams.DropOldest)
 			} else {
 				// One AppendBatch per call: the stream shows the cursor all
 				// of them or none, so the round that finally gets through
@@ -443,14 +441,14 @@ func TestUplinkWireIdentity(t *testing.T) {
 						i+1, len(got), len(want), firstDiff(got, want))
 				}
 			}
-			if st := u.Stats(); st.Replayed != 2 || st.Dials != 2 {
-				t.Errorf("replayed %d dials %d, want 2/2", st.Replayed, st.Dials)
+			if st := u.Stats(); st.Dials != 2 {
+				t.Errorf("dials %d, want 2", st.Dials)
 			}
 		})
 	}
 
-	// Without a tail ring, a stream uplink writes a run that is one whole
-	// stored batch as the body it is stored as, and every other run with
+	// A stream uplink writes a run that is one whole stored batch as the
+	// body it is stored as, and every other run with
 	// WriteBatchFrame over its decoded messages: messages appended alone,
 	// a batch trimmed at its head or cut by the round. The wire is the
 	// same either way, a redelivered batch included.
@@ -512,21 +510,26 @@ func firstDiff(a, b []byte) int {
 	return min(len(a), len(b))
 }
 
-// TestUplinkLifecycle is the one lifecycle, tested once: for every source
-// and target set, Close returns whatever the uplink is in the middle of,
-// is idempotent, never dials afterwards and joins every goroutine.
+// TestUplinkLifecycle is the one lifecycle, tested once: for every stream
+// — the memory-only spool of ldmsd -reconnect, the segment-backed stream
+// of ldmsd -stream — and target set, Close returns whatever the uplink is
+// in the middle of, is idempotent, never dials afterwards and joins every
+// goroutine.
 func TestUplinkLifecycle(t *testing.T) {
+	type situation = func(t *testing.T, u *Uplink, s *streams.DurableStream, publish func(int)) (after func(t *testing.T))
 	situations := []struct {
 		name      string
 		spoolOnly bool
 		peerUp    bool
 		cfg       func(*UplinkConfig)
+		size      int // the spool's window (default 1024)
+		policy    streams.OverflowPolicy
 		// enter drives the uplink into the situation; the returned func (if
 		// any) is checked after Close.
-		enter func(t *testing.T, u *Uplink, publish func(int)) (after func(t *testing.T))
+		enter situation
 	}{
 		{name: "idle after a clean drain", peerUp: true,
-			enter: func(t *testing.T, u *Uplink, publish func(int)) func(*testing.T) {
+			enter: func(t *testing.T, u *Uplink, s *streams.DurableStream, publish func(int)) func(*testing.T) {
 				for i := 0; i < 3; i++ {
 					publish(i)
 				}
@@ -536,35 +539,37 @@ func TestUplinkLifecycle(t *testing.T) {
 				return nil
 			}},
 		{name: "peer dead, mid-backoff",
-			enter: func(t *testing.T, u *Uplink, publish func(int)) func(*testing.T) {
+			enter: func(t *testing.T, u *Uplink, s *streams.DurableStream, publish func(int)) func(*testing.T) {
 				publish(0)
 				waitFor(t, "a failed round", func() bool { return u.Stats().Retries >= 1 })
 				return nil
 			}},
 		{name: "mid-linger", spoolOnly: true, peerUp: true,
-			cfg: func(c *UplinkConfig) { c.Batch = event.FlushPolicy{MaxRecords: 100, MaxAge: time.Hour} },
-			enter: func(t *testing.T, u *Uplink, publish func(int)) func(*testing.T) {
+			cfg: func(c *UplinkConfig) { c.BatchSize, c.Linger = 100, time.Hour },
+			enter: func(t *testing.T, u *Uplink, s *streams.DurableStream, publish func(int)) func(*testing.T) {
 				publish(0)
-				waitFor(t, "round in hand, lingering", func() bool {
-					st := u.Stats()
-					return st.SpoolDepth == 1 && st.Sent == 0
+				waitFor(t, "a partial round, lingering", func() bool {
+					return s.Stats().Msgs == 1 && u.Stats().Sent == 0
 				})
+				time.Sleep(10 * time.Millisecond) // into the linger's sleep
+				if st := u.Stats(); st.Sent != 0 || st.Consumer.Inflight != 0 {
+					t.Fatalf("a partial round did not linger: %+v", st)
+				}
 				return nil
 			}},
-		{name: "blocked publisher", spoolOnly: true,
-			cfg: func(c *UplinkConfig) { c.SpoolSize, c.Overflow = 1, Block },
-			enter: func(t *testing.T, u *Uplink, publish func(int)) func(*testing.T) {
+		{name: "blocked publisher", spoolOnly: true, size: 1, policy: streams.Block,
+			enter: func(t *testing.T, u *Uplink, s *streams.DurableStream, publish func(int)) func(*testing.T) {
 				publish(0)
 				waitFor(t, "message 0 in hand", func() bool { return u.Stats().Retries >= 1 })
-				publish(1) // fills the one-slot spool
+				// Message 0, unsent, fills the one-slot window.
 				released := make(chan struct{})
 				go func() {
-					publish(2)
+					publish(1)
 					close(released)
 				}()
 				select {
 				case <-released:
-					t.Fatal("publish did not block on a full spool")
+					t.Fatal("publish did not block on a full window")
 				case <-time.After(30 * time.Millisecond):
 				}
 				return func(t *testing.T) {
@@ -573,8 +578,10 @@ func TestUplinkLifecycle(t *testing.T) {
 					case <-time.After(5 * time.Second):
 						t.Fatal("Close left the publisher blocked")
 					}
-					if st := u.Stats(); st.Dropped != 3 {
-						t.Fatalf("dropped %d, want all 3 counted", st.Dropped)
+					// With no consumer left to ack, the append is refused and
+					// counted; message 0 stays in the window, unsent.
+					if st := s.Stats(); st.Refused != 1 || st.Msgs != 1 {
+						t.Fatalf("refused %d, %d unsent; want 1 and 1", st.Refused, st.Msgs)
 					}
 				}
 			}},
@@ -602,7 +609,6 @@ func TestUplinkLifecycle(t *testing.T) {
 						}
 					}
 					cfg := fastUplink(addrs[0])
-					cfg.Tag = "darshanConnector"
 					cfg.ProbeEvery = 2 * time.Millisecond
 					if len(addrs) == 2 {
 						cfg.Standby = addrs[1]
@@ -612,22 +618,22 @@ func TestUplinkLifecycle(t *testing.T) {
 					}
 					var (
 						u       *Uplink
+						s       *streams.DurableStream
 						publish func(int)
 						err     error
 					)
 					if source == "spool" {
 						node := NewDaemon("node", "nid00040")
 						publish = func(i int) { publishSeq(node, i) }
-						u, err = NewSpoolUplink(node, cfg)
+						u, s = spoolUplink(t, node, cfg, cmp.Or(sit.size, 1024), sit.policy)
 					} else {
-						s := openTestStream(t, sos.NewMemWAL())
+						s = openTestStream(t, sos.NewMemWAL())
 						publish = func(i int) { appendSeq(t, s, i) }
-						u, err = NewStreamUplink(s, cfg)
+						if u, err = NewStreamUplink(s, cfg); err != nil {
+							t.Fatal(err)
+						}
 					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					after := sit.enter(t, u, publish)
+					after := sit.enter(t, u, s, publish)
 
 					closed := make(chan error, 1)
 					go func() { closed <- u.Close() }()

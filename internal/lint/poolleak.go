@@ -7,12 +7,12 @@ import (
 
 var poolleakCheck = &Check{
 	Name: "poolleak",
-	Doc:  "a value checked out of an instrumented pool (BatchPool/BufferPool/SlabPool.Get) must reach Put or Release on every non-escaping path",
+	Doc:  "a value checked out of an instrumented pool (BufferPool/SlabPool.Get) must reach Put or Release on every non-escaping path",
 	Run:  runPoolleak,
 }
 
 // runPoolleak tracks every `v := pool.Get()` where pool's named type ends
-// in "Pool" and either has a Put method (event.BatchPool, event.BufferPool)
+// in "Pool" and either has a Put method (event.BufferPool)
 // or checks out values with their own Release method (event.SlabPool's
 // ref-counted slabs) — sync.Pool itself is exempt, its Get legitimately
 // feeds type assertions that discard on miss. The CFG walk demands that

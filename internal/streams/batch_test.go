@@ -220,7 +220,7 @@ func wallStream(t *testing.T) *DurableStream {
 // waitResult runs c.Wait(d) on its own goroutine.
 func waitResult(c *Consumer, d time.Duration) chan error {
 	done := make(chan error, 1)
-	go func() { done <- c.Wait(d) }()
+	go func() { done <- c.Wait(1, d) }()
 	return done
 }
 
@@ -254,7 +254,7 @@ func TestConsumerWaitWakesOnAppend(t *testing.T) {
 	}
 	drain(t, c)
 	start = time.Now()
-	if err := c.Wait(30 * time.Millisecond); err != nil || time.Since(start) < 25*time.Millisecond {
+	if err := c.Wait(1, 30*time.Millisecond); err != nil || time.Since(start) < 25*time.Millisecond {
 		t.Fatalf("idle Wait returned %v after %v, want the 30ms deadline", err, time.Since(start))
 	}
 }
@@ -272,7 +272,7 @@ func TestConsumerWaitFullWindowWakesOnRedelivery(t *testing.T) {
 		t.Fatalf("window let %d through", len(ds))
 	}
 	start := time.Now()
-	if err := c.Wait(time.Minute); err != nil {
+	if err := c.Wait(1, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if slept := time.Since(start); slept < 40*time.Millisecond || slept > 5*time.Second {
@@ -314,7 +314,7 @@ func TestConsumerWaitUnblockedByCloseAndReplacement(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not unblock the waiter")
 	}
-	if err := c.Wait(time.Minute); !errors.Is(err, ErrConsumerClosed) {
+	if err := c.Wait(1, time.Minute); !errors.Is(err, ErrConsumerClosed) {
 		t.Fatalf("Wait on a closed consumer: %v", err)
 	}
 	c2, _ := s.Consumer(ConsumerConfig{Name: "r"})
@@ -376,7 +376,7 @@ func TestWaitRacesAppendCloseReplace(t *testing.T) {
 					return
 				default:
 				}
-				if c.Wait(5*time.Millisecond) != nil {
+				if c.Wait(1, 5*time.Millisecond) != nil {
 					return
 				}
 				continue

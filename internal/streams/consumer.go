@@ -448,19 +448,20 @@ func (c *Consumer) Redeliver() int {
 	return n
 }
 
-// Wait blocks until Fetch has something to do — a new message the
-// inflight window has room for, or an inflight delivery whose redelivery
-// deadline has passed — or until d has elapsed, whichever comes first; an
-// idle consumer sleeps on the stream instead of polling it. It returns
-// ErrConsumerClosed, at once or on wake-up, when the consumer is closed
-// or replaced. Deadlines are measured on the stream's clock, so Wait
-// belongs to real daemons whose clock is wall time; virtual-time
-// harnesses keep calling the non-blocking Fetch from their own schedule.
-func (c *Consumer) Wait(d time.Duration) error {
+// Wait blocks until Fetch has something to do — n new messages the
+// inflight window has room for (fewer when the room is smaller), or an inflight delivery whose redelivery deadline
+// has passed — or until d has elapsed, whichever comes first; an idle
+// consumer sleeps on the stream instead of polling it, and a partial
+// round can linger to fill. It returns ErrConsumerClosed, at once or on
+// wake-up, when the consumer is closed or replaced. Deadlines are
+// measured on the stream's clock, so Wait belongs to real daemons whose
+// clock is wall time; virtual-time harnesses keep calling the
+// non-blocking Fetch from their own schedule.
+func (c *Consumer) Wait(n int, d time.Duration) error {
 	s := c.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ready, due := c.readyLocked()
+	ready, due := c.readyLocked(n)
 	if c.closed || ready || d <= 0 {
 		return c.closedErrLocked()
 	}
@@ -477,17 +478,18 @@ func (c *Consumer) Wait(d time.Duration) error {
 	defer t.Stop()
 	for !c.closed && !expired && !ready {
 		s.waiters.Wait()
-		ready, _ = c.readyLocked()
+		ready, _ = c.readyLocked(n)
 	}
 	return c.closedErrLocked()
 }
 
-// readyLocked reports whether a Fetch now would deliver or settle
-// anything and, when not, how long until the earliest inflight
-// redelivery deadline (0 when nothing is inflight) (s.mu held).
-func (c *Consumer) readyLocked() (ready bool, due time.Duration) {
+// readyLocked reports whether a Fetch now would deliver n new messages
+// (or as many as the inflight window has room for) or settle anything
+// and, when not, how long until the earliest inflight redelivery
+// deadline (0 when nothing is inflight) (s.mu held).
+func (c *Consumer) readyLocked(n int) (ready bool, due time.Duration) {
 	s := c.s
-	if c.nextSeq <= s.lastSeq && len(c.infl) < c.maxInflight {
+	if room := c.maxInflight - len(c.infl); room > 0 && s.lastSeq+1-c.nextSeq >= uint64(min(n, room)) {
 		return true, 0
 	}
 	now := s.cfg.Clock()
@@ -532,13 +534,16 @@ func (c *Consumer) settleLocked(seq uint64) {
 
 // checkpointLocked makes the floor durable (s.mu held). A failed
 // checkpoint is counted, not fatal: the consumer keeps running and the
-// worst a lost checkpoint costs is redelivery after a crash.
+// worst a lost checkpoint costs is redelivery after a crash. A
+// memory-only stream has nothing to write and releases instead.
 func (c *Consumer) checkpointLocked() {
 	s := c.s
-	if err := s.frame.Commit(s.store, appendCursorEntry(s.frame.Begin(), c.name, c.floor)); err != nil {
+	s.floors[c.name] = c.floor
+	if s.store == nil {
+		s.releaseLocked()
+	} else if err := s.frame.Commit(s.store, appendCursorEntry(s.frame.Begin(), c.name, c.floor)); err != nil {
 		s.walErrs++
 	}
-	s.floors[c.name] = c.floor
 }
 
 // AckFloor returns the durable cursor: every sequence at or below it is

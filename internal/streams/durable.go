@@ -44,6 +44,51 @@ type RetentionPolicy struct {
 	MaxAge   time.Duration // retained message age bound (0 = unbounded)
 }
 
+// OverflowPolicy selects what an append does to a window already at
+// Retention.MaxMsgs.
+type OverflowPolicy int
+
+// Overflow policies.
+const (
+	// DropOldest trims the head, counted as a retention drop by count
+	// (the default; monitoring usually prefers recency).
+	DropOldest OverflowPolicy = iota
+	// DropNewest refuses an append that does not fit whole, counted as
+	// refused.
+	DropNewest
+	// Block makes the append wait until acks release room, or refuses it
+	// once no consumer is left to ack: backpressure onto the publisher.
+	Block
+)
+
+func (p OverflowPolicy) String() string {
+	switch p {
+	case DropOldest:
+		return "drop-oldest"
+	case DropNewest:
+		return "drop-newest"
+	case Block:
+		return "block"
+	}
+	return fmt.Sprintf("OverflowPolicy(%d)", int(p))
+}
+
+// ParseOverflowPolicy parses the string forms used by command-line flags.
+func ParseOverflowPolicy(s string) (OverflowPolicy, error) {
+	for p := DropOldest; p <= Block; p++ {
+		if s == p.String() {
+			return p, nil
+		}
+	}
+	if s == "" {
+		return DropOldest, nil
+	}
+	return 0, fmt.Errorf("streams: unknown overflow policy %q (want drop-oldest, drop-newest or block)", s)
+}
+
+// ErrWindowFull is returned by an append a full window refused.
+var ErrWindowFull = errors.New("streams: window full")
+
 // StreamConfig parameterizes a DurableStream.
 type StreamConfig struct {
 	// Name identifies the stream (required). It is the handle
@@ -54,6 +99,12 @@ type StreamConfig struct {
 	Subjects []string
 	// Retention bounds the retained window.
 	Retention RetentionPolicy
+	// Overflow is what an append does to a window at Retention.MaxMsgs.
+	// DropNewest and Block need a memory-only stream: elsewhere acked
+	// entries stay in the window, and no ack would ever make room. Under
+	// both, an empty window takes a batch larger than the bound whole, so
+	// the window can exceed it by that one batch and loses nothing.
+	Overflow OverflowPolicy
 	// Clock supplies the stream's notion of now, for message ages and
 	// redelivery deadlines. Sim-zone streams must pass virtual time (the
 	// engine clock); real daemons pass a wall clock. Nil pins the clock
@@ -63,9 +114,11 @@ type StreamConfig struct {
 }
 
 // StreamStats is a point-in-time accounting snapshot of a stream. The
-// conservation law Appended == Msgs + Dropped holds at every instant, and
-// Dropped == FirstSeq-1: retention only ever trims the head, so the drop
-// count and the retained window position are two views of one number.
+// conservation law Appended == Msgs + Dropped + Released holds at every
+// instant, and Dropped + Released == FirstSeq-1: retention and release
+// only ever trim the head, so those counts and the retained window
+// position are two views of one number. A refused append never got a
+// sequence and stands outside the law.
 type StreamStats struct {
 	Name       string
 	FirstSeq   uint64 // oldest retained sequence (LastSeq+1 when empty)
@@ -75,6 +128,8 @@ type StreamStats struct {
 	Appended   uint64 // messages ever appended (== LastSeq)
 	Dropped    uint64 // messages evicted by retention, total
 	DroppedFor [int(dropReasons)]uint64
+	Released   uint64 // messages a memory-only window let go once acked
+	Refused    uint64 // messages of appends a full window refused
 	WALErrors  uint64 // segment appends that failed (trim markers, cursors)
 }
 
@@ -83,7 +138,7 @@ type StreamStats struct {
 type DurableStream struct {
 	mu    sync.Mutex
 	cfg   StreamConfig
-	store sos.WALStore
+	store sos.WALStore // nil for a memory-only stream
 	frame sos.Frame    // reused segment record buffer
 	w     BatchContext // reused AppendBatch table
 	body  []byte       // reused AppendBatch scratch: the body written
@@ -101,6 +156,8 @@ type DurableStream struct {
 	lastSeq  uint64
 	bytes    int64
 	drops    [int(dropReasons)]uint64
+	released uint64
+	refused  uint64
 	walErrs  uint64
 	bodies   chunks[byte]
 	ctxs     chunks[batchCtx]
@@ -109,7 +166,8 @@ type DurableStream struct {
 	consumers map[string]*Consumer
 	floors    map[string]uint64 // durable acked floors, incl. unclaimed
 	// waiters is broadcast whenever a waiting consumer may have something
-	// to do: on append, nak and consumer close (Consumer.Wait).
+	// to do, or a Block append room: on append, nak, release and consumer
+	// close (Consumer.Wait, admitLocked).
 	waiters *sync.Cond
 }
 
@@ -117,13 +175,14 @@ type DurableStream struct {
 // store, replaying any existing segment: retained messages, retention
 // trims and consumer cursors are all recovered, and a torn tail — the
 // expected shape of a crash mid-append — is truncated cleanly (a FileWAL
-// backing is Reset so appends resume after the last clean record).
+// backing is Reset so appends resume after the last clean record). A nil
+// store opens a memory-only stream.
 func OpenStream(cfg StreamConfig, store sos.WALStore) (*DurableStream, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("streams: durable stream needs a name")
 	}
-	if store == nil {
-		return nil, fmt.Errorf("streams: durable stream %q needs a segment store", cfg.Name)
+	if store != nil && cfg.Overflow != DropOldest {
+		return nil, fmt.Errorf("streams: stream %q: overflow policy %s needs a memory-only stream", cfg.Name, cfg.Overflow)
 	}
 	if len(cfg.Subjects) == 0 {
 		cfg.Subjects = []string{TailWildcard}
@@ -144,6 +203,9 @@ func OpenStream(cfg StreamConfig, store sos.WALStore) (*DurableStream, error) {
 		floors:    map[string]uint64{},
 	}
 	s.waiters = sync.NewCond(&s.mu)
+	if store == nil {
+		return s, nil
+	}
 	_, consumed, err := sos.ReplayFrames(store, s.applyReplay)
 	if err != nil {
 		return nil, fmt.Errorf("streams: stream %q replay: %w", cfg.Name, err)
@@ -328,13 +390,16 @@ func (s *DurableStream) Append(m Message) (uint64, error) {
 // batch record codec, so a typed record is stored in binary and its lazy
 // JSON payload is not forced. The batch is all or nothing: an error means
 // no message was appended and the caller still owns their fate. Nothing
-// of msgs is retained (a pooled carrier needs no Detach).
+// of msgs is retained, so a slab-owned record may be appended as it is.
 func (s *DurableStream) AppendBatch(msgs []Message) (uint64, error) {
 	if len(msgs) == 0 {
 		return 0, fmt.Errorf("streams: stream %q append: %w", s.cfg.Name, ErrEmptyBatch)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.admitLocked(len(msgs)); err != nil {
+		return 0, err
+	}
 	_ = s.w.Reset(BodyV2, nil)
 	body := binary.AppendUvarint(s.body[:0], uint64(len(msgs)))
 	s.ws = s.ws[:0]
@@ -353,7 +418,55 @@ func (s *DurableStream) AppendBatch(msgs []Message) (uint64, error) {
 func (s *DurableStream) appendBody(body []byte, w *BatchContext, ws []slot) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.admitLocked(len(ws)); err != nil {
+		return 0, err
+	}
 	return s.appendLocked(body, w, ws)
+}
+
+// admitLocked applies the overflow policy to an append of n messages
+// (s.mu held). DropNewest refuses a batch that does not fit whole; Block
+// waits for acks to release room while a consumer is live to ack; an
+// empty window takes any batch whole, even one larger than the bound,
+// and DropOldest leaves the trim to retention. Under the other two,
+// retention never trims by count: this is their only bound.
+func (s *DurableStream) admitLocked(n int) error {
+	for max := s.cfg.Retention.MaxMsgs; s.cfg.Overflow != DropOldest && max > 0 &&
+		s.retained() > 0 && s.retained()+n > max; {
+		if s.cfg.Overflow == DropNewest || !s.liveLocked() {
+			s.refused += uint64(n)
+			return ErrWindowFull
+		}
+		s.waiters.Wait()
+	}
+	return nil
+}
+
+// liveLocked reports whether a consumer is attached (s.mu held).
+func (s *DurableStream) liveLocked() bool {
+	for _, c := range s.consumers {
+		if !c.closed {
+			return true
+		}
+	}
+	return false
+}
+
+// releaseLocked lets a memory-only window go of every entry all
+// consumers have settled (s.mu held), and wakes a Block append.
+func (s *DurableStream) releaseLocked() {
+	floor := s.lastSeq
+	for _, f := range s.floors {
+		floor = min(floor, f)
+	}
+	if s.retained() == 0 || s.firstSeq > floor {
+		return
+	}
+	for s.retained() > 0 && s.firstSeq <= floor {
+		s.dropHeadLocked()
+		s.released++
+	}
+	s.waiters.Broadcast()
 }
 
 // appendLocked durably appends a version-2 body as one batch entry (s.mu
@@ -362,8 +475,10 @@ func (s *DurableStream) appendBody(body []byte, w *BatchContext, ws []slot) (uin
 // its own copies of the body, the base and the strings.
 func (s *DurableStream) appendLocked(body []byte, w *BatchContext, ws []slot) (uint64, error) {
 	now, first := s.cfg.Clock(), s.lastSeq+1
-	if err := s.frame.Commit(s.store, append(appendBatchHeader(s.frame.Begin(), first, now), body...)); err != nil {
-		return 0, fmt.Errorf("streams: stream %q append: %w", s.cfg.Name, err)
+	if s.store != nil {
+		if err := s.frame.Commit(s.store, append(appendBatchHeader(s.frame.Begin(), first, now), body...)); err != nil {
+			return 0, fmt.Errorf("streams: stream %q append: %w", s.cfg.Name, err)
+		}
 	}
 	k := &s.ctxs.take(1, ctxChunk)[0]
 	k.at, k.Base, k.seq0 = now, w.Base, w.seq0
@@ -423,7 +538,7 @@ func (s *DurableStream) applyRetentionLocked(now time.Duration) {
 	var reason DropReason
 	marked := s.firstSeq // where the pending same-reason run started
 	flush := func() {
-		if s.firstSeq == marked {
+		if s.firstSeq == marked || s.store == nil {
 			return
 		}
 		if err := s.frame.Commit(s.store, appendDropEntry(s.frame.Begin(), reason, s.firstSeq)); err != nil {
@@ -438,7 +553,7 @@ func (s *DurableStream) applyRetentionLocked(now time.Duration) {
 		switch {
 		case r.MaxAge > 0 && s.slots[s.head].ctx.at+r.MaxAge < now:
 			why = DropByAge
-		case r.MaxMsgs > 0 && s.retained() > r.MaxMsgs:
+		case r.MaxMsgs > 0 && s.cfg.Overflow == DropOldest && s.retained() > r.MaxMsgs:
 			why = DropByCount
 		case r.MaxBytes > 0 && s.bytes > r.MaxBytes:
 			why = DropByBytes
@@ -507,6 +622,8 @@ func (s *DurableStream) statsLocked() StreamStats {
 		Msgs:      s.retained(),
 		Bytes:     s.bytes,
 		Appended:  s.lastSeq,
+		Released:  s.released,
+		Refused:   s.refused,
 		WALErrors: s.walErrs,
 	}
 	for i, n := range s.drops {

@@ -39,19 +39,19 @@ func mustAppend(t *testing.T, s *DurableStream, subject, payload string) uint64 
 }
 
 // checkConservation asserts the stream accounting invariants that the
-// chaos soak audits globally: Appended == Msgs + Dropped, the dropped
-// total equals the window shift (drops only trim the head), and the
-// per-reason counts sum to the total.
+// chaos soak audits globally: Appended == Msgs + Dropped + Released, the
+// dropped and released total equals the window shift (both only trim the
+// head), and the per-reason counts sum to the total.
 func checkConservation(t *testing.T, s *DurableStream) {
 	t.Helper()
 	st := s.Stats()
-	if st.Appended != uint64(st.Msgs)+st.Dropped {
-		t.Fatalf("conservation violated: appended %d != msgs %d + dropped %d",
-			st.Appended, st.Msgs, st.Dropped)
+	if st.Appended != uint64(st.Msgs)+st.Dropped+st.Released {
+		t.Fatalf("conservation violated: appended %d != msgs %d + dropped %d + released %d",
+			st.Appended, st.Msgs, st.Dropped, st.Released)
 	}
-	if st.Dropped != st.FirstSeq-1 {
-		t.Fatalf("drop accounting violated: dropped %d != firstSeq-1 %d",
-			st.Dropped, st.FirstSeq-1)
+	if st.Dropped+st.Released != st.FirstSeq-1 {
+		t.Fatalf("drop accounting violated: dropped %d + released %d != firstSeq-1 %d",
+			st.Dropped, st.Released, st.FirstSeq-1)
 	}
 	var sum uint64
 	for _, n := range st.DroppedFor {
@@ -235,8 +235,12 @@ func TestStreamConfigValidation(t *testing.T) {
 	if _, err := OpenStream(StreamConfig{}, sos.NewMemWAL()); err == nil {
 		t.Fatal("nameless stream accepted")
 	}
-	if _, err := OpenStream(StreamConfig{Name: "s"}, nil); err == nil {
-		t.Fatal("storeless stream accepted")
+	// A window that keeps acked entries could never make room for Block
+	// or DropNewest; only a memory-only stream releases them.
+	for _, p := range []OverflowPolicy{DropNewest, Block} {
+		if _, err := OpenStream(StreamConfig{Name: "s", Overflow: p}, sos.NewMemWAL()); err == nil {
+			t.Fatalf("overflow %s on a segment-backed stream accepted", p)
+		}
 	}
 	if _, err := OpenStream(StreamConfig{Name: "s", Subjects: []string{">.bad"}}, sos.NewMemWAL()); err == nil {
 		t.Fatal("invalid subject filter accepted")

@@ -40,7 +40,9 @@ func (b *Bus) Collect(reg *obs.Registry, hop string) {
 //	dlc_stream_bytes{stream="<name>"}                 retained payload bytes
 //	dlc_stream_first_seq / dlc_stream_last_seq        retained window edges
 //	dlc_stream_appended_total{stream=...}             ever appended
-//	dlc_stream_dropped_total{stream=...,reason=...}   retention drops by reason
+//	dlc_stream_dropped_total{stream=...,reason=...}   retention drops by reason,
+//	                                                  and refused appends
+//	dlc_stream_released_total{stream=...}             acked out of a memory-only window
 //	dlc_stream_wal_errors_total{stream=...}           failed segment appends
 //	dlc_stream_consumer_ack_floor{stream=...,consumer=...}
 //	dlc_stream_consumer_lag{stream=...,consumer=...}  head minus floor: now, or the
@@ -73,6 +75,8 @@ func (s *DurableStream) Collect(reg *obs.Registry) {
 			emit(`dlc_stream_dropped_total{stream="`+st.Name+`",reason="`+r.String()+`"}`,
 				float64(st.DroppedFor[r]))
 		}
+		emit(`dlc_stream_dropped_total{stream="`+st.Name+`",reason="refused"}`, float64(st.Refused))
+		emit("dlc_stream_released_total"+labels, float64(st.Released))
 		for _, cs := range s.consumerStats(true) {
 			cl := `{stream="` + st.Name + `",consumer="` + cs.Name + `"}`
 			emit("dlc_stream_consumer_ack_floor"+cl, float64(cs.AckFloor))

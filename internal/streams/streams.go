@@ -43,8 +43,8 @@ type Carrier interface {
 // Message is one published stream message. Producer and Seq, when set,
 // form the message's delivery identity: the connector stamps each message
 // with its producer (node) name and a per-producer sequence number so
-// downstream stores can deduplicate at-least-once replays (a reconnecting
-// uplink re-sending its spool) without inspecting the payload. They
+// downstream stores can deduplicate at-least-once replays (an uplink
+// resuming its durable cursor) without inspecting the payload. They
 // ride alongside the payload — the JSON bytes the paper specifies are
 // unchanged — and are zero for messages published without stamping.
 //
@@ -74,28 +74,6 @@ func (m Message) Payload() []byte {
 		return m.Record.Payload()
 	}
 	return nil
-}
-
-// Detacher is a payload carrier whose backing memory may be pooled (a
-// slab-owned *event.Record decoded from a batch frame). DetachCarrier
-// returns a self-owned equivalent that is safe to retain indefinitely.
-// The bus stays decoupled from the event package: it only knows the
-// contract, not the implementation.
-type Detacher interface {
-	DetachCarrier() Carrier
-}
-
-// Detach returns a message safe to retain past the synchronous delivery
-// hand-off. Messages whose carrier owns its memory (heap records, plain
-// Data bytes) pass through untouched; a pooled carrier is replaced by a
-// detached copy. Every queueing boundary — the uplink spool, any
-// handler that stores the message — must pass its message through here;
-// synchronous consumers need not.
-func Detach(m Message) Message {
-	if d, ok := m.Record.(Detacher); ok {
-		m.Record = d.DetachCarrier()
-	}
-	return m
 }
 
 // Handler consumes delivered messages.
@@ -411,24 +389,6 @@ func deliverSafe(h Handler, msg Message) (ok bool) {
 // PublishJSON publishes a JSON payload on tag.
 func (b *Bus) PublishJSON(tag string, data []byte) int {
 	return b.Publish(Message{Tag: tag, Type: TypeJSON, Data: data})
-}
-
-// NoteDrops folds n externally observed drops for tag into the bus
-// counters. Transports that buffer messages after Publish succeeded (e.g.
-// the TCP uplink's spool) use this so that a tag's Stats.Dropped stays
-// the single place to look for lost messages, wherever the loss happened.
-func (b *Bus) NoteDrops(tag string, n uint64) {
-	if n == 0 {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	st, ok := b.stats[tag]
-	if !ok {
-		st = &Stats{}
-		b.stats[tag] = st
-	}
-	st.Dropped += n
 }
 
 // BindStream attaches a durable stream as a persistent sink: every

@@ -222,22 +222,3 @@ func TestSolePanickingHandlerCountsBothWays(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 }
-
-func TestNoteDropsFoldsIntoStats(t *testing.T) {
-	b := NewBus()
-	// Downstream components (e.g. a forwarder spool overflow) account
-	// their losses on the tag even before any publish touched it.
-	b.NoteDrops("darshanConnector", 3)
-	st := b.Stats("darshanConnector")
-	if st.Dropped != 3 || st.Published != 0 {
-		t.Fatalf("stats %+v, want dropped 3 published 0", st)
-	}
-	b.Subscribe("darshanConnector", func(Message) {})
-	b.Publish(Message{Tag: "darshanConnector", Type: TypeString, Data: []byte("x")})
-	b.NoteDrops("darshanConnector", 2)
-	b.NoteDrops("darshanConnector", 0) // no-op
-	st = b.Stats("darshanConnector")
-	if st.Dropped != 5 || st.Published != 1 || st.Delivered != 1 {
-		t.Fatalf("stats %+v, want dropped 5 published 1 delivered 1", st)
-	}
-}

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-baseline test check chaos-smoke streams-smoke topo-smoke topo-soak-diff scenario-smoke fuzz-smoke race-smoke cover determinism-smoke bench bench-smoke bench-ledger bench-full experiments examples clean
+.PHONY: all build vet lint lint-json lint-baseline test check chaos-smoke streams-smoke topo-smoke topo-soak-diff scenario-smoke fuzz-smoke race-smoke cover determinism-smoke bench bench-smoke bench-ledger bench-full experiments examples loc clean
 
 all: build vet lint test
 
@@ -213,6 +213,13 @@ bench-ledger:
 # The paper's full workload sizes (slow: ~20 minutes).
 bench-full:
 	DLC_BENCH_SCALE=1.0 $(GO) test -bench 'Table|Figure' -benchtime 1x .
+
+# Non-test Go lines per package directory (testdata/ excluded), then the
+# total: the figure a PR reports when it grows or shrinks the code.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.*' -print0 \
+		| xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # Regenerate every table and figure at full scale into ./results.
 experiments:

@@ -736,8 +736,8 @@ func TestCLIDurablePathEndToEnd(t *testing.T) {
 	var gotLen int64
 	for _, line := range lines {
 		cells := strings.Split(line, ",")
-		n, err := strconv.ParseInt(cells[dsos.ColSegLen], 10, 64)
-		if err != nil || cells[dsos.ColModule] != "POSIX" {
+		n, err := strconv.ParseInt(cells[jsonmsg.ColSegLen], 10, 64)
+		if err != nil || cells[jsonmsg.ColModule] != "POSIX" {
 			t.Fatalf("row %q", line)
 		}
 		gotLen += n

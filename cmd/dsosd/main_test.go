@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -41,6 +42,14 @@ func testCluster(t *testing.T, shards, n int) (*dsos.Cluster, *dsos.Client) {
 // merged rows, cut at limit, for each query shape.
 func TestQueryStreamsMergedRows(t *testing.T) {
 	_, cl := testCluster(t, 4, 3000)
+	top := jsonmsg.Message{
+		UID: 1, Exe: jsonmsg.NA, JobID: math.MaxInt64, Rank: 0, ProducerName: "nid00041",
+		File: jsonmsg.NA, Module: "POSIX", Type: jsonmsg.TypeMOD, Op: "write",
+		Seg: []jsonmsg.Segment{{DataSet: jsonmsg.NA, Len: 1, Dur: 0.1, Timestamp: 1.6e9}},
+	}
+	if err := cl.InsertBatch(dsos.DarshanSchemaName, dsos.ObjectsFromMessage(&top)); err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(queryHandler(cl))
 	defer srv.Close()
 	for _, q := range []struct {
@@ -50,6 +59,8 @@ func TestQueryStreamsMergedRows(t *testing.T) {
 		limit    int
 	}{
 		{"", "job_rank_time", nil, nil, 0},
+		// The largest job has no job+1: the range is open above.
+		{"?job=9223372036854775807", "job_rank_time", sos.Key{int64(math.MaxInt64)}, nil, 0},
 		{"?job=2&rank=7", "job_rank_time", sos.Key{int64(2), int64(7)}, sos.Key{int64(2), int64(8)}, 0},
 		{"?index=job_time_rank&job=3&rank=7&limit=40", "job_time_rank", sos.Key{int64(3)}, sos.Key{int64(4)}, 40},
 		{"?index=time_job_rank&limit=1000", "time_job_rank", nil, nil, 1000},
@@ -60,6 +71,9 @@ func TestQueryStreamsMergedRows(t *testing.T) {
 		}
 		if q.limit > 0 {
 			objs = objs[:q.limit]
+		}
+		if q.to == nil && q.from != nil && len(objs) != 1 {
+			t.Fatalf("%s: the store holds %d rows of the largest job, want 1", q.params, len(objs))
 		}
 		want := []byte(jsonmsg.CSVHeader + "\n")
 		for _, o := range objs {

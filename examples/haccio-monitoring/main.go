@@ -20,6 +20,7 @@ import (
 	"darshanldms/internal/darshanlog"
 	"darshanldms/internal/dsos"
 	"darshanldms/internal/harness"
+	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/simfs"
 	"darshanldms/internal/sos"
 )
@@ -63,8 +64,8 @@ func main() {
 	fmt.Printf("\njob %d rank 3 timeline (job_rank_time index): %d events\n", camp.JobIDs[0], len(objs))
 	for _, o := range objs {
 		fmt.Printf("  t=%12.3f  %-5s dur=%8.4fs len=%d\n",
-			o.Float(dsos.ColSegTimestamp), o.Str(dsos.ColOp),
-			o.Float(dsos.ColSegDur), o.Int(dsos.ColSegLen))
+			o.Float(jsonmsg.ColSegTimestamp), o.Str(jsonmsg.ColOp),
+			o.Float(jsonmsg.ColSegDur), o.Int(jsonmsg.ColSegLen))
 	}
 
 	// The post-run path for contrast: write and re-parse a Darshan log.

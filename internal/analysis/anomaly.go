@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"darshanldms/internal/dsos"
+	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/stats"
 )
 
@@ -40,11 +41,11 @@ func DetectAnomalies(client *dsos.Client, jobIDs []int64, threshold float64) ([]
 		sums := map[string]float64{}
 		counts := map[string]int{}
 		for _, o := range objs {
-			op := o.Str(dsos.ColOp)
+			op := o.Str(jsonmsg.ColOp)
 			if op != "read" && op != "write" {
 				continue
 			}
-			sums[op] += o.Float(dsos.ColSegDur)
+			sums[op] += o.Float(jsonmsg.ColSegDur)
 			counts[op]++
 		}
 		for op := range durs {

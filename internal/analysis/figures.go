@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"darshanldms/internal/dsos"
+	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/sos"
 	"darshanldms/internal/stats"
 )
@@ -53,7 +54,7 @@ func OpCounts(client *dsos.Client, jobIDs []int64) ([]OpCountStat, error) {
 		}
 		counts := map[string]float64{}
 		for _, o := range objs {
-			counts[o.Str(dsos.ColOp)]++
+			counts[o.Str(jsonmsg.ColOp)]++
 		}
 		for _, op := range []string{"open", "close", "read", "write", "flush"} {
 			perOpPerJob[op] = append(perOpPerJob[op], counts[op])
@@ -95,11 +96,11 @@ func PerNodeOps(client *dsos.Client, jobIDs []int64, ops []string) ([]NodeOpCoun
 		}
 		counts := map[[2]string]int{} // (node, op) -> count
 		for _, o := range objs {
-			op := o.Str(dsos.ColOp)
+			op := o.Str(jsonmsg.ColOp)
 			if !wanted[op] {
 				continue
 			}
-			counts[[2]string{o.Str(dsos.ColProducerName), op}]++
+			counts[[2]string{o.Str(jsonmsg.ColProducerName), op}]++
 		}
 		keys := make([][2]string, 0, len(counts))
 		for k := range counts {
@@ -143,11 +144,11 @@ func PerRankDurations(client *dsos.Client, jobIDs []int64, nranks int) ([]JobOpD
 			var sum float64
 			count := 0
 			for _, o := range objs {
-				if o.Str(dsos.ColOp) != op {
+				if o.Str(jsonmsg.ColOp) != op {
 					continue
 				}
-				rank := int(o.Int(dsos.ColRank))
-				dur := o.Float(dsos.ColSegDur)
+				rank := int(o.Int(jsonmsg.ColRank))
+				dur := o.Float(jsonmsg.ColSegDur)
 				sum += dur
 				count++
 				if rank >= 0 && rank < nranks {
@@ -191,23 +192,23 @@ func TimelineScatter(client *dsos.Client, jobID int64) ([]ScatterPoint, error) {
 	}
 	t0 := 0.0
 	for i, o := range objs {
-		ts := o.Float(dsos.ColSegTimestamp)
+		ts := o.Float(jsonmsg.ColSegTimestamp)
 		if i == 0 || ts < t0 {
 			t0 = ts
 		}
 	}
 	var out []ScatterPoint
 	for _, o := range objs {
-		op := o.Str(dsos.ColOp)
+		op := o.Str(jsonmsg.ColOp)
 		if op != "read" && op != "write" {
 			continue
 		}
 		out = append(out, ScatterPoint{
-			Time: o.Float(dsos.ColSegTimestamp) - t0,
-			Dur:  o.Float(dsos.ColSegDur),
+			Time: o.Float(jsonmsg.ColSegTimestamp) - t0,
+			Dur:  o.Float(jsonmsg.ColSegDur),
 			Op:   op,
-			Rank: o.Int(dsos.ColRank),
-			Len:  o.Int(dsos.ColSegLen),
+			Rank: o.Int(jsonmsg.ColRank),
+			Len:  o.Int(jsonmsg.ColSegLen),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
@@ -234,23 +235,23 @@ func TopFiles(client *dsos.Client, jobID int64, n int) ([]FileHotspot, error) {
 	}
 	byRec := map[uint64]*FileHotspot{}
 	for _, o := range objs {
-		rec := o.Uint(dsos.ColRecordID)
+		rec := o.Uint(jsonmsg.ColRecordID)
 		h := byRec[rec]
 		if h == nil {
 			h = &FileHotspot{RecordID: rec}
 			byRec[rec] = h
 		}
-		if f := o.Str(dsos.ColFile); f != "N/A" && h.File == "" {
+		if f := o.Str(jsonmsg.ColFile); f != "N/A" && h.File == "" {
 			h.File = f
 		}
 		h.Ops++
-		op := o.Str(dsos.ColOp)
+		op := o.Str(jsonmsg.ColOp)
 		if op == "read" || op == "write" {
-			h.Bytes += o.Int(dsos.ColSegLen)
+			h.Bytes += o.Int(jsonmsg.ColSegLen)
 			if op == "write" {
-				h.WriteTime += o.Float(dsos.ColSegDur)
+				h.WriteTime += o.Float(jsonmsg.ColSegDur)
 			} else {
-				h.ReadTime += o.Float(dsos.ColSegDur)
+				h.ReadTime += o.Float(jsonmsg.ColSegDur)
 			}
 		}
 	}

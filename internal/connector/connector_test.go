@@ -114,23 +114,23 @@ func TestConnectorEndToEnd(t *testing.T) {
 		t.Fatalf("stored %d objects", len(objs))
 	}
 	open := objs[0]
-	if open.Str(dsos.ColOp) != "open" || open.Str(dsos.ColType) != jsonmsg.TypeMET {
+	if open.Str(jsonmsg.ColOp) != "open" || open.Str(jsonmsg.ColType) != jsonmsg.TypeMET {
 		t.Fatalf("first object %v", open)
 	}
-	if open.Str(dsos.ColExe) != "/bin/hacc" || open.Str(dsos.ColFile) != "/nscratch/ckpt" {
+	if open.Str(jsonmsg.ColExe) != "/bin/hacc" || open.Str(jsonmsg.ColFile) != "/nscratch/ckpt" {
 		t.Fatalf("MET paths %v", open)
 	}
 	write := objs[1]
-	if write.Str(dsos.ColOp) != "write" || write.Str(dsos.ColExe) != jsonmsg.NA {
+	if write.Str(jsonmsg.ColOp) != "write" || write.Str(jsonmsg.ColExe) != jsonmsg.NA {
 		t.Fatalf("MOD write %v", write)
 	}
-	if write.Int(dsos.ColSegLen) != 8<<20 {
-		t.Fatalf("write len %v", write.Int(dsos.ColSegLen))
+	if write.Int(jsonmsg.ColSegLen) != 8<<20 {
+		t.Fatalf("write len %v", write.Int(jsonmsg.ColSegLen))
 	}
 	// Timestamps must ascend through the job.
 	last := 0.0
 	for _, o := range objs {
-		ts := o.Float(dsos.ColSegTimestamp)
+		ts := o.Float(jsonmsg.ColSegTimestamp)
 		if ts < last {
 			t.Fatal("timestamps not monotone in job_rank_time order")
 		}

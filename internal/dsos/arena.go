@@ -29,44 +29,45 @@ func NewRowArena() *RowArena {
 // AppendObjects (same attribute order, same types) but copied into arena
 // words.
 func (a *RowArena) AppendObjects(dst []sos.Object, m *jsonmsg.Message) []sos.Object {
+	var ids [jsonmsg.NumCols]int32
 	for i := range m.Seg {
-		dst = a.AppendRow(dst, m, &m.Seg[i], nil, &[7]int32{})
+		dst = a.AppendRow(dst, m, &m.Seg[i], nil, &ids)
 	}
 	return dst
 }
 
 // AppendRow appends the row of segment s of m to dst. When tab is not nil
-// m's strings are strings of that table of the caller's, and ids holds
-// the ids of m's Exe, ProducerName, File, Module, Type and Op and of s's
-// DataSet (event.RowDecoder.Strings): the arena looks each id up once,
-// until Rewind.
-func (a *RowArena) AppendRow(dst []sos.Object, m *jsonmsg.Message, s *jsonmsg.Segment, tab []string, ids *[7]int32) []sos.Object {
+// m's and s's strings are strings of that table of the caller's, and ids
+// holds each one's id at its column (event.RowDecoder.Strings): the arena
+// looks each id up once, until Rewind. It sets one column per statement;
+// TestTableHotSites pins it to jsonmsg.Table.
+func (a *RowArena) AppendRow(dst []sos.Object, m *jsonmsg.Message, s *jsonmsg.Segment, tab []string, ids *[jsonmsg.NumCols]int32) []sos.Object {
 	b := a.b
 	b.Begin()
-	b.SetStr(ColModule, m.Module, tab, int(ids[3]))
-	b.SetInt(ColUID, m.UID)
-	b.SetStr(ColProducerName, m.ProducerName, tab, int(ids[1]))
-	b.SetInt(ColSwitches, m.Switches)
-	b.SetStr(ColFile, m.File, tab, int(ids[2]))
-	b.SetInt(ColRank, int64(m.Rank))
-	b.SetInt(ColFlushes, m.Flushes)
-	b.SetUint(ColRecordID, m.RecordID)
-	b.SetStr(ColExe, m.Exe, tab, int(ids[0]))
-	b.SetInt(ColMaxByte, m.MaxByte)
-	b.SetStr(ColType, m.Type, tab, int(ids[4]))
-	b.SetInt(ColJobID, m.JobID)
-	b.SetStr(ColOp, m.Op, tab, int(ids[5]))
-	b.SetInt(ColCnt, m.Cnt)
-	b.SetInt(ColSegOff, s.Off)
-	b.SetInt(ColSegPtSel, s.PtSel)
-	b.SetFloat(ColSegDur, s.Dur)
-	b.SetInt(ColSegLen, s.Len)
-	b.SetInt(ColSegNDims, s.NDims)
-	b.SetInt(ColSegIrregHSlab, s.IrregHSlab)
-	b.SetInt(ColSegRegHSlab, s.RegHSlab)
-	b.SetStr(ColSegDataSet, s.DataSet, tab, int(ids[6]))
-	b.SetInt(ColSegNPoints, s.NPoints)
-	b.SetFloat(ColSegTimestamp, s.Timestamp)
+	b.SetStr(jsonmsg.ColModule, m.Module, tab, int(ids[jsonmsg.ColModule]))
+	b.SetInt(jsonmsg.ColUID, m.UID)
+	b.SetStr(jsonmsg.ColProducerName, m.ProducerName, tab, int(ids[jsonmsg.ColProducerName]))
+	b.SetInt(jsonmsg.ColSwitches, m.Switches)
+	b.SetStr(jsonmsg.ColFile, m.File, tab, int(ids[jsonmsg.ColFile]))
+	b.SetInt(jsonmsg.ColRank, int64(m.Rank))
+	b.SetInt(jsonmsg.ColFlushes, m.Flushes)
+	b.SetUint(jsonmsg.ColRecordID, m.RecordID)
+	b.SetStr(jsonmsg.ColExe, m.Exe, tab, int(ids[jsonmsg.ColExe]))
+	b.SetInt(jsonmsg.ColMaxByte, m.MaxByte)
+	b.SetStr(jsonmsg.ColType, m.Type, tab, int(ids[jsonmsg.ColType]))
+	b.SetInt(jsonmsg.ColJobID, m.JobID)
+	b.SetStr(jsonmsg.ColOp, m.Op, tab, int(ids[jsonmsg.ColOp]))
+	b.SetInt(jsonmsg.ColCnt, m.Cnt)
+	b.SetInt(jsonmsg.ColSegOff, s.Off)
+	b.SetInt(jsonmsg.ColSegPtSel, s.PtSel)
+	b.SetFloat(jsonmsg.ColSegDur, s.Dur)
+	b.SetInt(jsonmsg.ColSegLen, s.Len)
+	b.SetInt(jsonmsg.ColSegNDims, s.NDims)
+	b.SetInt(jsonmsg.ColSegIrregHSlab, s.IrregHSlab)
+	b.SetInt(jsonmsg.ColSegRegHSlab, s.RegHSlab)
+	b.SetStr(jsonmsg.ColSegDataSet, s.DataSet, tab, int(ids[jsonmsg.ColSegDataSet]))
+	b.SetInt(jsonmsg.ColSegNPoints, s.NPoints)
+	b.SetFloat(jsonmsg.ColSegTimestamp, s.Timestamp)
 	return append(dst, b.Row())
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/sos"
 )
 
@@ -105,7 +106,7 @@ func TestInsertBatchBadRowFailsAlone(t *testing.T) {
 		rows = append(rows, sampleObject(1, int64(i), float64(i), "write"))
 	}
 	bad := rows[2].Values()
-	bad[ColRank] = "two" // the schema says int64
+	bad[jsonmsg.ColRank] = "two" // the schema says int64
 	rows[2] = sos.NewObject(bad...)
 	err := cl.InsertBatch(DarshanSchemaName, rows)
 	if err == nil || errors.Is(err, ErrNothingWritten) {

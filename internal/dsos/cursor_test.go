@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/rng"
 	"darshanldms/internal/sos"
 )
@@ -295,7 +296,7 @@ func TestPausedCursorHoldsNoLock(t *testing.T) {
 	if got := queryChunk + 10 + len(rest); got != n+1 {
 		t.Fatalf("cursor returned %d rows, want the %d stored before it opened plus the one inserted ahead of it", got, n)
 	}
-	if op := rest[len(rest)-1].Str(ColOp); op != "ahead" {
+	if op := rest[len(rest)-1].Str(jsonmsg.ColOp); op != "ahead" {
 		t.Fatalf("last row is %q, want the row inserted ahead of the cursor", op)
 	}
 }
@@ -352,7 +353,7 @@ func TestPausedCursorRowsSurviveGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	keyOf := func(o sos.Object) sos.Key {
-		return sos.Key{o.Int(ColJobID), o.Int(ColRank), o.Float(ColSegTimestamp)}
+		return sos.Key{o.Int(jsonmsg.ColJobID), o.Int(jsonmsg.ColRank), o.Float(jsonmsg.ColSegTimestamp)}
 	}
 	resume := map[string]sos.Key{} // by the op of the rows written to a member
 	for m := range cur.scans {
@@ -387,7 +388,7 @@ func TestPausedCursorRowsSurviveGrowth(t *testing.T) {
 	}
 	var old []sos.Object
 	for _, o := range got {
-		if _, ok := resume[o.Str(ColOp)]; !ok {
+		if _, ok := resume[o.Str(jsonmsg.ColOp)]; !ok {
 			old = append(old, o)
 		}
 	}
@@ -400,7 +401,7 @@ func TestPausedCursorRowsSurviveGrowth(t *testing.T) {
 	}
 	var wantAll []sos.Object
 	for _, o := range all {
-		if k, ok := resume[o.Str(ColOp)]; ok && compareKeys(keyOf(o), k) < 0 {
+		if k, ok := resume[o.Str(jsonmsg.ColOp)]; ok && compareKeys(keyOf(o), k) < 0 {
 			continue // behind its member's resume key when it was written
 		}
 		wantAll = append(wantAll, o)
@@ -539,7 +540,7 @@ func TestCursorRacesInsertsAndPlacementSwap(t *testing.T) {
 				rows := 0
 				for cur.Next() {
 					o := cur.Object()
-					key := sos.Key{o.Int(ColJobID), o.Float(ColSegTimestamp), o.Int(ColRank)}
+					key := sos.Key{o.Int(jsonmsg.ColJobID), o.Float(jsonmsg.ColSegTimestamp), o.Int(jsonmsg.ColRank)}
 					if prev != nil && compareKeys(prev, key) > 0 {
 						t.Errorf("row %d out of order: %v after %v", rows, key, prev)
 						return

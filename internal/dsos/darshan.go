@@ -2,6 +2,7 @@ package dsos
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"darshanldms/internal/jsonmsg"
@@ -12,63 +13,30 @@ import (
 // stored under (one row per seg entry, the CSV layout of Fig 3).
 const DarshanSchemaName = "darshanConnector"
 
-// Attribute positions in the darshan schema, for typed access without
-// string lookups on hot paths.
+// ColSegLen and ColSegTimestamp are jsonmsg's row positions of the two
+// columns the benchmark harness reads, under the names it reads them by.
 const (
-	ColModule = iota
-	ColUID
-	ColProducerName
-	ColSwitches
-	ColFile
-	ColRank
-	ColFlushes
-	ColRecordID
-	ColExe
-	ColMaxByte
-	ColType
-	ColJobID
-	ColOp
-	ColCnt
-	ColSegOff
-	ColSegPtSel
-	ColSegDur
-	ColSegLen
-	ColSegNDims
-	ColSegIrregHSlab
-	ColSegRegHSlab
-	ColSegDataSet
-	ColSegNPoints
-	ColSegTimestamp
+	ColSegLen       = jsonmsg.ColSegLen
+	ColSegTimestamp = jsonmsg.ColSegTimestamp
 )
 
-// DarshanSchema builds the schema for connector messages.
+// sosTypes maps a column kind to its attribute type.
+var sosTypes = [...]sos.Type{
+	jsonmsg.KindInt:    sos.TypeInt64,
+	jsonmsg.KindUint:   sos.TypeUint64,
+	jsonmsg.KindFloat:  sos.TypeFloat64,
+	jsonmsg.KindString: sos.TypeString,
+}
+
+// DarshanSchema builds the schema for connector messages: jsonmsg.Table's
+// columns in row order, a seg entry's named "seg_<key>".
 func DarshanSchema() *sos.Schema {
-	s, err := sos.NewSchema(DarshanSchemaName, []sos.AttrSpec{
-		{Name: "module", Type: sos.TypeString},
-		{Name: "uid", Type: sos.TypeInt64},
-		{Name: "ProducerName", Type: sos.TypeString},
-		{Name: "switches", Type: sos.TypeInt64},
-		{Name: "file", Type: sos.TypeString},
-		{Name: "rank", Type: sos.TypeInt64},
-		{Name: "flushes", Type: sos.TypeInt64},
-		{Name: "record_id", Type: sos.TypeUint64},
-		{Name: "exe", Type: sos.TypeString},
-		{Name: "max_byte", Type: sos.TypeInt64},
-		{Name: "type", Type: sos.TypeString},
-		{Name: "job_id", Type: sos.TypeInt64},
-		{Name: "op", Type: sos.TypeString},
-		{Name: "cnt", Type: sos.TypeInt64},
-		{Name: "seg_off", Type: sos.TypeInt64},
-		{Name: "seg_pt_sel", Type: sos.TypeInt64},
-		{Name: "seg_dur", Type: sos.TypeFloat64},
-		{Name: "seg_len", Type: sos.TypeInt64},
-		{Name: "seg_ndims", Type: sos.TypeInt64},
-		{Name: "seg_irreg_hslab", Type: sos.TypeInt64},
-		{Name: "seg_reg_hslab", Type: sos.TypeInt64},
-		{Name: "seg_data_set", Type: sos.TypeString},
-		{Name: "seg_npoints", Type: sos.TypeInt64},
-		{Name: "seg_timestamp", Type: sos.TypeFloat64},
-	})
+	attrs := make([]sos.AttrSpec, jsonmsg.NumCols)
+	for i := range jsonmsg.Table {
+		c := &jsonmsg.Table[i]
+		attrs[c.Row] = sos.AttrSpec{Name: c.Name("_"), Type: sosTypes[c.Kind]}
+	}
+	s, err := sos.NewSchema(DarshanSchemaName, attrs)
 	if err != nil {
 		panic(err) // static schema; cannot fail
 	}
@@ -116,9 +84,26 @@ func DarshanBounds(index string, job, rank *int64) (from, to sos.Key, err error)
 		}
 	}
 	if rank != nil && index == "job_rank_time" {
-		return sos.Key{*job, *rank}, sos.Key{*job, *rank + 1}, nil
+		return sos.Key{*job, *rank}, above(*job, *rank), nil
 	}
-	return sos.Key{*job}, sos.Key{*job + 1}, nil
+	return sos.Key{*job}, above(*job), nil
+}
+
+// above is the least key past every key that starts with k: k with its
+// last value one higher, carried into the value before it when that value
+// is math.MaxInt64, or nil (no bound) when every value is.
+func above(k ...int64) sos.Key {
+	for i := len(k) - 1; i >= 0; i-- {
+		if k[i] < math.MaxInt64 {
+			to := make(sos.Key, i+1)
+			for j, v := range k[:i] {
+				to[j] = v
+			}
+			to[i] = k[i] + 1
+			return to
+		}
+	}
+	return nil
 }
 
 // AppendCSVRow appends o as one CSV row in the Fig 3 column order, without
@@ -160,34 +145,13 @@ func ObjectsFromMessage(m *jsonmsg.Message) []sos.Object {
 // baseline the pipeline benchmark compares against; the batched wire path
 // builds rows through RowArena.AppendObjects instead.
 func AppendObjects(dst []sos.Object, m *jsonmsg.Message) []sos.Object {
+	var vals [jsonmsg.NumCols]any
 	for i := range m.Seg {
-		s := &m.Seg[i]
-		dst = append(dst, sos.NewObject(
-			m.Module,
-			m.UID,
-			m.ProducerName,
-			m.Switches,
-			m.File,
-			int64(m.Rank),
-			m.Flushes,
-			m.RecordID,
-			m.Exe,
-			m.MaxByte,
-			m.Type,
-			m.JobID,
-			m.Op,
-			m.Cnt,
-			s.Off,
-			s.PtSel,
-			s.Dur,
-			s.Len,
-			s.NDims,
-			s.IrregHSlab,
-			s.RegHSlab,
-			s.DataSet,
-			s.NPoints,
-			s.Timestamp,
-		))
+		for j := range jsonmsg.Table {
+			c := &jsonmsg.Table[j]
+			vals[c.Row] = c.Value(m, &m.Seg[i])
+		}
+		dst = append(dst, sos.NewObject(vals[:]...))
 	}
 	return dst
 }

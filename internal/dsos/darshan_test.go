@@ -69,7 +69,7 @@ func TestAppendCSVRowMatchesFormatValue(t *testing.T) {
 }
 
 func TestDarshanBounds(t *testing.T) {
-	job, rank := int64(3), int64(5)
+	job, rank, max := int64(3), int64(5), int64(math.MaxInt64)
 	for _, c := range []struct {
 		index     string
 		job, rank *int64
@@ -84,9 +84,14 @@ func TestDarshanBounds(t *testing.T) {
 		{"time_job_rank", nil, nil, nil, nil, false},
 		{"time_job_rank", &job, nil, nil, nil, true},
 		{"custom", &job, nil, sos.Key{job}, sos.Key{job + 1}, false},
+		// At math.MaxInt64 the bound is carried, or open when it cannot be.
+		{"job_rank_time", &max, nil, sos.Key{max}, nil, false},
+		{"job_time_rank", &max, &rank, sos.Key{max}, nil, false},
+		{"job_rank_time", &job, &max, sos.Key{job, max}, sos.Key{job + 1}, false},
+		{"job_rank_time", &max, &max, sos.Key{max, max}, nil, false},
 	} {
 		from, to, err := DarshanBounds(c.index, c.job, c.rank)
-		if (err != nil) != c.err || fmt.Sprint(from) != fmt.Sprint(c.from) || fmt.Sprint(to) != fmt.Sprint(c.to) {
+		if (err != nil) != c.err || fmt.Sprint(from) != fmt.Sprint(c.from) || fmt.Sprint(to) != fmt.Sprint(c.to) || (to == nil) != (c.to == nil) {
 			t.Errorf("DarshanBounds(%s, %v, %v) = %v, %v, %v", c.index, c.job, c.rank, from, to, err)
 		}
 		if err != nil && !strings.Contains(err.Error(), c.index) {

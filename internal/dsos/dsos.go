@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/obs"
 	"darshanldms/internal/sos"
 )
@@ -888,7 +889,7 @@ func (cl *Client) DistinctJobs() ([]int64, error) {
 				break
 			}
 			err := d.cont.Iter("job_rank_time", from, func(o sos.Object) bool {
-				job = o.Int(ColJobID)
+				job = o.Int(jsonmsg.ColJobID)
 				found = true
 				return false
 			})

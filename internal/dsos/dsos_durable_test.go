@@ -401,7 +401,7 @@ func checkRows(t *testing.T, d *Daemon, want []string) {
 	t.Helper()
 	var got []string
 	if err := d.IterOrigins("job_rank_time", nil, func(o sos.Object, _ uint64) bool {
-		got = append(got, o.Str(ColFile)+" "+o.Str(ColOp))
+		got = append(got, o.Str(jsonmsg.ColFile)+" "+o.Str(jsonmsg.ColOp))
 		return true
 	}); err != nil {
 		t.Fatal(err)

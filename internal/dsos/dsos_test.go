@@ -70,8 +70,8 @@ func TestParallelQueryMergesSorted(t *testing.T) {
 		t.Fatalf("query returned %d of %d", len(objs), n)
 	}
 	for i := 1; i < len(objs); i++ {
-		a := sos.Key{objs[i-1].Int(ColJobID), objs[i-1].Int(ColRank), objs[i-1].Float(ColSegTimestamp)}
-		b := sos.Key{objs[i].Int(ColJobID), objs[i].Int(ColRank), objs[i].Float(ColSegTimestamp)}
+		a := sos.Key{objs[i-1].Int(jsonmsg.ColJobID), objs[i-1].Int(jsonmsg.ColRank), objs[i-1].Float(jsonmsg.ColSegTimestamp)}
+		b := sos.Key{objs[i].Int(jsonmsg.ColJobID), objs[i].Int(jsonmsg.ColRank), objs[i].Float(jsonmsg.ColSegTimestamp)}
 		if compareKeys(a, b) > 0 {
 			t.Fatalf("merged output out of order at %d", i)
 		}
@@ -97,10 +97,10 @@ func TestQueryJobRankPrefix(t *testing.T) {
 	}
 	lastTS := -1.0
 	for _, o := range objs {
-		if o.Int(ColJobID) != 2 || o.Int(ColRank) != 3 {
+		if o.Int(jsonmsg.ColJobID) != 2 || o.Int(jsonmsg.ColRank) != 3 {
 			t.Fatalf("stray object %v", o)
 		}
-		ts := o.Float(ColSegTimestamp)
+		ts := o.Float(jsonmsg.ColSegTimestamp)
 		if ts < lastTS {
 			t.Fatal("timestamps not ascending")
 		}
@@ -118,7 +118,7 @@ func TestAlternateIndexOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(objs); i++ {
-		if objs[i-1].Float(ColSegTimestamp) > objs[i].Float(ColSegTimestamp) {
+		if objs[i-1].Float(jsonmsg.ColSegTimestamp) > objs[i].Float(jsonmsg.ColSegTimestamp) {
 			t.Fatal("time_job_rank not time-ordered")
 		}
 	}
@@ -168,7 +168,7 @@ func TestObjectsFromMessageMultiSeg(t *testing.T) {
 	if len(objs) != 2 {
 		t.Fatalf("objects %d", len(objs))
 	}
-	if objs[1].Int(ColSegLen) != 20 {
+	if objs[1].Int(jsonmsg.ColSegLen) != 20 {
 		t.Fatalf("seg values %v", objs[1])
 	}
 }

@@ -3,6 +3,7 @@ package dsos
 import (
 	"testing"
 
+	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/sos"
 )
 
@@ -24,7 +25,7 @@ func TestSuccessiveRules(t *testing.T) {
 		for di, d := range c.Daemons() {
 			var ranks []int64
 			err := d.IterOrigins("job_rank_time", nil, func(o sos.Object, origin uint64) bool {
-				rank := o.Int(ColRank)
+				rank := o.Int(jsonmsg.ColRank)
 				ranks = append(ranks, rank)
 				if want := uint64(rank+1) * uint64(repl-1); origin != want {
 					t.Errorf("R=%d: %s holds rank %d under origin %d, want %d", repl, d.Name, rank, origin, want)

@@ -32,31 +32,11 @@ var ErrTruncated = errors.New("event: truncated binary record")
 
 func init() { streams.RegisterRecordCodec(recordCodec{}) }
 
-// The numeric columns of a record, in the order of streams.BatchContext's
-// Base.
-const (
-	colUID = iota
-	colJob
-	colRank
-	colRecordID
-	colMaxByte
-	colSwitches
-	colFlushes
-	colCnt
-	colSeq
-	colPtSel
-	colIrregHSlab
-	colRegHSlab
-	colNDims
-	colNPoints
-	colOff
-	colLen
-	colDur
-	colTimestamp
-	numCols
-)
+// A record keeps each numeric column in streams.BatchContext's Base at its
+// Table I row position (jsonmsg.Col*), and its seq after them.
+const colSeq = jsonmsg.NumCols
 
-var _ [streams.BaseCols - numCols]struct{} // Base must hold every column
+var _ [streams.BaseCols - colSeq - 1]struct{} // Base must hold every column
 
 // recordCodec implements streams.RecordCodec over *Record.
 type recordCodec struct{}
@@ -130,17 +110,15 @@ func (r *RowDecoder) Next() bool {
 		return false
 	}
 	r.left--
-	r.d.nid = len(r.d.ids) - 1
 	return r.d.segment(&r.Seg) == nil
 }
 
 // Err is the error that ended the read, if any.
 func (r *RowDecoder) Err() error { return r.d.err }
 
-// Strings returns a version-2 batch's string table and the ids in it of
-// Head's Exe, ProducerName, File, Module, Type and Op and of Seg's
-// DataSet, in that order: the order a record reads them.
-func (r *RowDecoder) Strings() ([]string, *[7]int32) { return r.d.c.Table(), &r.d.ids }
+// Strings returns a version-2 batch's string table and the id in it of
+// each string of Head and Seg, at the string's column (jsonmsg.Col*).
+func (r *RowDecoder) Strings() ([]string, *[jsonmsg.NumCols]int32) { return r.d.c.Table(), &r.d.ids }
 
 // Len is how many bytes of the record have been read.
 func (r *RowDecoder) Len() int { return r.d.off }
@@ -216,37 +194,39 @@ func AppendMessage(b []byte, m *jsonmsg.Message) []byte {
 	return appendBody(b, m, &c)
 }
 
-// appendBody appends m's binary record in c's batch to b.
+// appendBody appends m's binary record in c's batch to b. It writes one
+// statement per column, in Table I order; TestTableHotSites pins it and
+// the decoder's head and segment to jsonmsg.Table.
 func appendBody(b []byte, m *jsonmsg.Message, c *streams.BatchContext) []byte {
 	e := encoder{colsOf(c)}
-	b = e.int(b, colUID, m.UID)
+	b = e.int(b, jsonmsg.ColUID, m.UID)
 	b = c.AppendString(b, m.Exe)
-	b = e.int(b, colJob, m.JobID)
-	b = e.int(b, colRank, int64(m.Rank))
+	b = e.int(b, jsonmsg.ColJobID, m.JobID)
+	b = e.int(b, jsonmsg.ColRank, int64(m.Rank))
 	b = c.AppendString(b, m.ProducerName)
 	b = c.AppendString(b, m.File)
-	b = e.uint(b, colRecordID, m.RecordID)
+	b = e.uint(b, jsonmsg.ColRecordID, m.RecordID)
 	b = c.AppendString(b, m.Module)
 	b = c.AppendString(b, m.Type)
-	b = e.int(b, colMaxByte, m.MaxByte)
-	b = e.int(b, colSwitches, m.Switches)
-	b = e.int(b, colFlushes, m.Flushes)
-	b = e.int(b, colCnt, m.Cnt)
+	b = e.int(b, jsonmsg.ColMaxByte, m.MaxByte)
+	b = e.int(b, jsonmsg.ColSwitches, m.Switches)
+	b = e.int(b, jsonmsg.ColFlushes, m.Flushes)
+	b = e.int(b, jsonmsg.ColCnt, m.Cnt)
 	b = c.AppendString(b, m.Op)
 	b = e.uint(b, colSeq, m.Seq)
 	b = binary.AppendUvarint(b, uint64(len(m.Seg)))
 	for i := range m.Seg {
 		s := &m.Seg[i]
 		b = c.AppendString(b, s.DataSet)
-		b = e.int(b, colPtSel, s.PtSel)
-		b = e.int(b, colIrregHSlab, s.IrregHSlab)
-		b = e.int(b, colRegHSlab, s.RegHSlab)
-		b = e.int(b, colNDims, s.NDims)
-		b = e.int(b, colNPoints, s.NPoints)
-		b = e.int(b, colOff, s.Off)
-		b = e.int(b, colLen, s.Len)
-		b = e.float(b, colDur, s.Dur)
-		b = e.float(b, colTimestamp, s.Timestamp)
+		b = e.int(b, jsonmsg.ColSegPtSel, s.PtSel)
+		b = e.int(b, jsonmsg.ColSegIrregHSlab, s.IrregHSlab)
+		b = e.int(b, jsonmsg.ColSegRegHSlab, s.RegHSlab)
+		b = e.int(b, jsonmsg.ColSegNDims, s.NDims)
+		b = e.int(b, jsonmsg.ColSegNPoints, s.NPoints)
+		b = e.int(b, jsonmsg.ColSegOff, s.Off)
+		b = e.int(b, jsonmsg.ColSegLen, s.Len)
+		b = e.float(b, jsonmsg.ColSegDur, s.Dur)
+		b = e.float(b, jsonmsg.ColSegTimestamp, s.Timestamp)
 	}
 	return b
 }
@@ -258,8 +238,7 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
-	ids [7]int32 // the table ids of a row's strings (RowDecoder.Strings)
-	nid int      // strings read into ids
+	ids [jsonmsg.NumCols]int32 // the table ids of a row's strings, by column (RowDecoder.Strings)
 }
 
 func newDecoder(b []byte, c *streams.BatchContext) decoder {
@@ -310,7 +289,7 @@ func (d *decoder) float(col int) float64 {
 	return math.Float64frombits(v)
 }
 
-func (d *decoder) str() string {
+func (d *decoder) str(col int) string {
 	if d.err != nil {
 		return ""
 	}
@@ -320,10 +299,7 @@ func (d *decoder) str() string {
 		return ""
 	}
 	d.off += n
-	if d.nid < len(d.ids) {
-		d.ids[d.nid] = int32(id)
-	}
-	d.nid++
+	d.ids[col] = int32(id)
 	return s
 }
 
@@ -354,20 +330,20 @@ func (d *decoder) decodeInto(m *jsonmsg.Message, slab *Slab) error {
 // head decodes every field of a record before its segments into m and
 // returns the segment count, capped against the bytes left.
 func (d *decoder) head(m *jsonmsg.Message) (int, error) {
-	m.UID = d.int(colUID)
-	m.Exe = d.str()
-	m.JobID = d.int(colJob)
-	m.Rank = int(d.int(colRank))
-	m.ProducerName = d.str()
-	m.File = d.str()
-	m.RecordID = d.uint(colRecordID)
-	m.Module = d.str()
-	m.Type = d.str()
-	m.MaxByte = d.int(colMaxByte)
-	m.Switches = d.int(colSwitches)
-	m.Flushes = d.int(colFlushes)
-	m.Cnt = d.int(colCnt)
-	m.Op = d.str()
+	m.UID = d.int(jsonmsg.ColUID)
+	m.Exe = d.str(jsonmsg.ColExe)
+	m.JobID = d.int(jsonmsg.ColJobID)
+	m.Rank = int(d.int(jsonmsg.ColRank))
+	m.ProducerName = d.str(jsonmsg.ColProducerName)
+	m.File = d.str(jsonmsg.ColFile)
+	m.RecordID = d.uint(jsonmsg.ColRecordID)
+	m.Module = d.str(jsonmsg.ColModule)
+	m.Type = d.str(jsonmsg.ColType)
+	m.MaxByte = d.int(jsonmsg.ColMaxByte)
+	m.Switches = d.int(jsonmsg.ColSwitches)
+	m.Flushes = d.int(jsonmsg.ColFlushes)
+	m.Cnt = d.int(jsonmsg.ColCnt)
+	m.Op = d.str(jsonmsg.ColOp)
 	m.Seq = d.uint(colSeq)
 	nseg := d.uvarint()
 	if d.err != nil {
@@ -381,16 +357,16 @@ func (d *decoder) head(m *jsonmsg.Message) (int, error) {
 
 // segment decodes one segment into s.
 func (d *decoder) segment(s *jsonmsg.Segment) error {
-	s.DataSet = d.str()
-	s.PtSel = d.int(colPtSel)
-	s.IrregHSlab = d.int(colIrregHSlab)
-	s.RegHSlab = d.int(colRegHSlab)
-	s.NDims = d.int(colNDims)
-	s.NPoints = d.int(colNPoints)
-	s.Off = d.int(colOff)
-	s.Len = d.int(colLen)
-	s.Dur = d.float(colDur)
-	s.Timestamp = d.float(colTimestamp)
+	s.DataSet = d.str(jsonmsg.ColSegDataSet)
+	s.PtSel = d.int(jsonmsg.ColSegPtSel)
+	s.IrregHSlab = d.int(jsonmsg.ColSegIrregHSlab)
+	s.RegHSlab = d.int(jsonmsg.ColSegRegHSlab)
+	s.NDims = d.int(jsonmsg.ColSegNDims)
+	s.NPoints = d.int(jsonmsg.ColSegNPoints)
+	s.Off = d.int(jsonmsg.ColSegOff)
+	s.Len = d.int(jsonmsg.ColSegLen)
+	s.Dur = d.float(jsonmsg.ColSegDur)
+	s.Timestamp = d.float(jsonmsg.ColSegTimestamp)
 	return d.err
 }
 

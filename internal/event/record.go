@@ -5,10 +5,11 @@
 // actually need text (replay files, dsosql/webui output, golden tables).
 //
 // The package complements internal/jsonmsg rather than replacing it:
-// jsonmsg owns the schema and the paper's three encoders; event owns the
-// record lifecycle — lazy encode caching, lazy parse caching, batching
-// with count/byte/age flush policies, pooled buffers, and a compact
-// binary codec for batched TCP frames. The determinism contract is
+// jsonmsg owns the schema (jsonmsg.Table) and the paper's three encoders;
+// event owns the record lifecycle — lazy encode caching, lazy parse
+// caching, pooled frame buffers, the receive-side slab arena, and the
+// compact binary codec a typed record travels and rests in inside batch
+// bodies (batch frames, durable-stream entries). The determinism contract is
 // unchanged: encoder overhead is charged to the rank in *virtual* time at
 // the connector (jsonmsg.Encoder.SimCost), so deferring the real encode
 // cannot perturb any seeded table or figure.

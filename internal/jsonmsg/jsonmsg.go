@@ -1,7 +1,12 @@
 // Package jsonmsg defines the JSON message the Darshan-LDMS Connector
 // publishes to LDMS Streams for every I/O event — the schema of Table I and
-// Fig 3 of the paper — together with three encoders that reproduce the
-// paper's overhead story:
+// Fig 3 of the paper. Table declares it once: each column's JSON key,
+// kind, segment flag, Fig 3 row position (the Col* constants) and field.
+// The CSV header, the store schema (dsos.DarshanSchema), the row builders
+// and the JSON contract (docs/table1.schema.json) are derived from it, and
+// the few hot sites that spell the fields out are pinned to it by test.
+// The package also holds three encoders that reproduce the paper's
+// overhead story:
 //
 //   - Sprintf: formats every field with fmt.Sprintf, the analogue of the C
 //     connector's sprintf() JSON assembly. This is the costly path that
@@ -20,6 +25,7 @@ package jsonmsg
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"time"
@@ -77,10 +83,6 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// jsonQuote returns s as a JSON string literal (the Sprintf encoder's
-// helper).
-func jsonQuote(s string) string { return string(appendJSONString(nil, s)) }
-
 // Segment is one entry of the "seg" list: the per-operation metrics.
 type Segment struct {
 	DataSet    string  `json:"data_set"`
@@ -119,6 +121,132 @@ type Message struct {
 	// message and is accepted here when a peer does include it.
 	Seq uint64 `json:"seq,omitempty"`
 }
+
+// The Table I columns, numbered by their position in the Fig 3 row: the
+// store schema's attribute and the CSV column. The codec's column slots
+// and string ids are these numbers too.
+const (
+	ColModule = iota
+	ColUID
+	ColProducerName
+	ColSwitches
+	ColFile
+	ColRank
+	ColFlushes
+	ColRecordID
+	ColExe
+	ColMaxByte
+	ColType
+	ColJobID
+	ColOp
+	ColCnt
+	ColSegOff
+	ColSegPtSel
+	ColSegDur
+	ColSegLen
+	ColSegNDims
+	ColSegIrregHSlab
+	ColSegRegHSlab
+	ColSegDataSet
+	ColSegNPoints
+	ColSegTimestamp
+	NumCols
+)
+
+// Kind is the type of a column's value.
+type Kind uint8
+
+// The column kinds. A KindInt column is an int64 (Rank, an int, widens);
+// a KindFloat one is rendered with six decimals.
+const (
+	KindInt Kind = iota
+	KindUint
+	KindFloat
+	KindString
+)
+
+// Column is one entry of Table.
+type Column struct {
+	Key  string // the JSON key
+	Kind Kind
+	Seg  bool // a field of each "seg" entry rather than of the message
+	Row  int  // the position in the Fig 3 row (Col*)
+	// Ref returns a pointer to the column's field, in s for a Seg column
+	// and in m otherwise: an *int64, *int, *uint64, *float64 or *string.
+	Ref func(m *Message, s *Segment) any
+}
+
+// Table is Table I in message order, the order of the JSON keys: the
+// message's columns, then each seg entry's. Seq is not a column; it
+// travels out of band.
+var Table = [NumCols]Column{
+	{"uid", KindInt, false, ColUID, func(m *Message, _ *Segment) any { return &m.UID }},
+	{"exe", KindString, false, ColExe, func(m *Message, _ *Segment) any { return &m.Exe }},
+	{"job_id", KindInt, false, ColJobID, func(m *Message, _ *Segment) any { return &m.JobID }},
+	{"rank", KindInt, false, ColRank, func(m *Message, _ *Segment) any { return &m.Rank }},
+	{"ProducerName", KindString, false, ColProducerName, func(m *Message, _ *Segment) any { return &m.ProducerName }},
+	{"file", KindString, false, ColFile, func(m *Message, _ *Segment) any { return &m.File }},
+	{"record_id", KindUint, false, ColRecordID, func(m *Message, _ *Segment) any { return &m.RecordID }},
+	{"module", KindString, false, ColModule, func(m *Message, _ *Segment) any { return &m.Module }},
+	{"type", KindString, false, ColType, func(m *Message, _ *Segment) any { return &m.Type }},
+	{"max_byte", KindInt, false, ColMaxByte, func(m *Message, _ *Segment) any { return &m.MaxByte }},
+	{"switches", KindInt, false, ColSwitches, func(m *Message, _ *Segment) any { return &m.Switches }},
+	{"flushes", KindInt, false, ColFlushes, func(m *Message, _ *Segment) any { return &m.Flushes }},
+	{"cnt", KindInt, false, ColCnt, func(m *Message, _ *Segment) any { return &m.Cnt }},
+	{"op", KindString, false, ColOp, func(m *Message, _ *Segment) any { return &m.Op }},
+	{"data_set", KindString, true, ColSegDataSet, func(_ *Message, s *Segment) any { return &s.DataSet }},
+	{"pt_sel", KindInt, true, ColSegPtSel, func(_ *Message, s *Segment) any { return &s.PtSel }},
+	{"irreg_hslab", KindInt, true, ColSegIrregHSlab, func(_ *Message, s *Segment) any { return &s.IrregHSlab }},
+	{"reg_hslab", KindInt, true, ColSegRegHSlab, func(_ *Message, s *Segment) any { return &s.RegHSlab }},
+	{"ndims", KindInt, true, ColSegNDims, func(_ *Message, s *Segment) any { return &s.NDims }},
+	{"npoints", KindInt, true, ColSegNPoints, func(_ *Message, s *Segment) any { return &s.NPoints }},
+	{"off", KindInt, true, ColSegOff, func(_ *Message, s *Segment) any { return &s.Off }},
+	{"len", KindInt, true, ColSegLen, func(_ *Message, s *Segment) any { return &s.Len }},
+	{"dur", KindFloat, true, ColSegDur, func(_ *Message, s *Segment) any { return &s.Dur }},
+	{"timestamp", KindFloat, true, ColSegTimestamp, func(_ *Message, s *Segment) any { return &s.Timestamp }},
+}
+
+// Name is the column's name in the Fig 3 row: its key, behind "seg" and
+// sep for a Seg column.
+func (c *Column) Name(sep string) string {
+	if c.Seg {
+		return "seg" + sep + c.Key
+	}
+	return c.Key
+}
+
+// Value returns the column's value in m or s as its kind's type: int64,
+// uint64, float64 or string.
+func (c *Column) Value(m *Message, s *Segment) any {
+	switch p := c.Ref(m, s).(type) {
+	case *int:
+		return int64(*p)
+	case *int64:
+		return *p
+	case *uint64:
+		return *p
+	case *float64:
+		return *p
+	default:
+		return *p.(*string)
+	}
+}
+
+// Set stores v, a value of the column's kind's type, into m or s.
+func (c *Column) Set(m *Message, s *Segment, v any) {
+	p := reflect.ValueOf(c.Ref(m, s)).Elem()
+	p.Set(reflect.ValueOf(v).Convert(p.Type()))
+}
+
+// CSVHeader is the column layout the store converts messages into (the
+// bottom of Fig 3): the row's column names, "seg:" marking a seg entry's.
+var CSVHeader = func() string {
+	var names [NumCols]string
+	for i := range Table {
+		names[Table[i].Row] = Table[i].Name(":")
+	}
+	return "#" + strings.Join(names[:], ",")
+}()
 
 // JobMeta is the static job information stamped into every message.
 type JobMeta struct {
@@ -223,39 +351,39 @@ func (SprintfEncoder) SimCost() time.Duration { return 520 * time.Microsecond }
 //lint:allow hotalloc deliberate sprintf-encoder ablation (Table IIc cost model)
 func (SprintfEncoder) Encode(m *Message) []byte {
 	var b strings.Builder
-	b.WriteString(fmt.Sprintf("{%s,", fmt.Sprintf("%q:%d", "uid", m.UID)))
-	b.WriteString(fmt.Sprintf("%q:%s,", "exe", jsonQuote(m.Exe)))
-	b.WriteString(fmt.Sprintf("%q:%d,", "job_id", m.JobID))
-	b.WriteString(fmt.Sprintf("%q:%d,", "rank", m.Rank))
-	b.WriteString(fmt.Sprintf("%q:%s,", "ProducerName", jsonQuote(m.ProducerName)))
-	b.WriteString(fmt.Sprintf("%q:%s,", "file", jsonQuote(m.File)))
-	b.WriteString(fmt.Sprintf("%q:%d,", "record_id", m.RecordID))
-	b.WriteString(fmt.Sprintf("%q:%s,", "module", jsonQuote(m.Module)))
-	b.WriteString(fmt.Sprintf("%q:%s,", "type", jsonQuote(m.Type)))
-	b.WriteString(fmt.Sprintf("%q:%d,", "max_byte", m.MaxByte))
-	b.WriteString(fmt.Sprintf("%q:%d,", "switches", m.Switches))
-	b.WriteString(fmt.Sprintf("%q:%d,", "flushes", m.Flushes))
-	b.WriteString(fmt.Sprintf("%q:%d,", "cnt", m.Cnt))
-	b.WriteString(fmt.Sprintf("%q:%s,", "op", jsonQuote(m.Op)))
-	b.WriteString(fmt.Sprintf("%q:[", "seg"))
+	b.WriteString(sprintfColumns(m, nil) + fmt.Sprintf(",%q:[", "seg"))
 	for i := range m.Seg {
-		s := &m.Seg[i]
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(fmt.Sprintf("{%q:%s,", "data_set", jsonQuote(s.DataSet)))
-		b.WriteString(fmt.Sprintf("%q:%d,", "pt_sel", s.PtSel))
-		b.WriteString(fmt.Sprintf("%q:%d,", "irreg_hslab", s.IrregHSlab))
-		b.WriteString(fmt.Sprintf("%q:%d,", "reg_hslab", s.RegHSlab))
-		b.WriteString(fmt.Sprintf("%q:%d,", "ndims", s.NDims))
-		b.WriteString(fmt.Sprintf("%q:%d,", "npoints", s.NPoints))
-		b.WriteString(fmt.Sprintf("%q:%d,", "off", s.Off))
-		b.WriteString(fmt.Sprintf("%q:%d,", "len", s.Len))
-		b.WriteString(fmt.Sprintf("%q:%.6f,", "dur", s.Dur))
-		b.WriteString(fmt.Sprintf("%q:%.6f}", "timestamp", s.Timestamp))
+		b.WriteString(sprintfColumns(m, &m.Seg[i]) + "}")
 	}
 	b.WriteString("]}")
 	return []byte(b.String())
+}
+
+// sprintfColumns formats "{" and the name:value pairs of Table's message
+// columns, or of its seg columns when s is not nil, with fmt.Sprintf.
+//
+//lint:allow hotalloc deliberate sprintf-encoder ablation (Table IIc cost model)
+func sprintfColumns(m *Message, s *Segment) string {
+	out := "{"
+	for i := range Table {
+		if c := &Table[i]; c.Seg == (s != nil) {
+			if len(out) > 1 {
+				out += ","
+			}
+			switch v := c.Value(m, s).(type) {
+			case string:
+				out += fmt.Sprintf("%q:%s", c.Key, appendJSONString(nil, v))
+			case float64:
+				out += fmt.Sprintf("%q:%.6f", c.Key, v)
+			default:
+				out += fmt.Sprintf("%q:%d", c.Key, v)
+			}
+		}
+	}
+	return out
 }
 
 // FastEncoder is the strconv/append encoder: identical output, far cheaper.
@@ -267,7 +395,10 @@ func (FastEncoder) Name() string { return "fast" }
 // SimCost implements Encoder.
 func (FastEncoder) SimCost() time.Duration { return 20 * time.Microsecond }
 
-// Encode implements Encoder.
+// Encode implements Encoder. It writes the columns in Table order with
+// its keys as literals (read from a table, a key costs a variable-length
+// copy, and the encoder a tenth of its speed); TestTableHotSites and
+// FuzzEncodeParse pin it to Table.
 func (FastEncoder) Encode(m *Message) []byte {
 	b := make([]byte, 0, 512)
 	b = append(b, `{"uid":`...)
@@ -360,66 +491,4 @@ func Parse(data []byte) (*Message, error) {
 		return nil, fmt.Errorf("jsonmsg: %w", err)
 	}
 	return &m, nil
-}
-
-// CSVHeader is the column layout the store converts messages into (the
-// bottom of Fig 3).
-const CSVHeader = "#module,uid,ProducerName,switches,file,rank,flushes,record_id,exe,max_byte,type,job_id,op,cnt,seg:off,seg:pt_sel,seg:dur,seg:len,seg:ndims,seg:irreg_hslab,seg:reg_hslab,seg:data_set,seg:npoints,seg:timestamp"
-
-// CSVRows renders one CSV row per seg entry.
-func (m *Message) CSVRows() []string {
-	rows := make([]string, 0, len(m.Seg))
-	for i := range m.Seg {
-		s := &m.Seg[i]
-		var b strings.Builder
-		b.WriteString(m.Module)
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(m.UID, 10))
-		b.WriteByte(',')
-		b.WriteString(m.ProducerName)
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(m.Switches, 10))
-		b.WriteByte(',')
-		b.WriteString(m.File)
-		b.WriteByte(',')
-		b.WriteString(strconv.Itoa(m.Rank))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(m.Flushes, 10))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatUint(m.RecordID, 10))
-		b.WriteByte(',')
-		b.WriteString(m.Exe)
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(m.MaxByte, 10))
-		b.WriteByte(',')
-		b.WriteString(m.Type)
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(m.JobID, 10))
-		b.WriteByte(',')
-		b.WriteString(m.Op)
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(m.Cnt, 10))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(s.Off, 10))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(s.PtSel, 10))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatFloat(s.Dur, 'f', 6, 64))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(s.Len, 10))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(s.NDims, 10))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(s.IrregHSlab, 10))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(s.RegHSlab, 10))
-		b.WriteByte(',')
-		b.WriteString(s.DataSet)
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatInt(s.NPoints, 10))
-		b.WriteByte(',')
-		b.WriteString(strconv.FormatFloat(s.Timestamp, 'f', 6, 64))
-		rows = append(rows, b.String())
-	}
-	return rows
 }

@@ -2,7 +2,6 @@ package jsonmsg
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -161,30 +160,6 @@ func TestSimCostOrdering(t *testing.T) {
 	s, f, n := SprintfEncoder{}.SimCost(), FastEncoder{}.SimCost(), NoneEncoder{}.SimCost()
 	if !(s > 10*f && f > 10*n) {
 		t.Fatalf("cost ordering violated: sprintf=%v fast=%v none=%v", s, f, n)
-	}
-}
-
-func TestCSVRows(t *testing.T) {
-	m := sampleMsg()
-	rows := m.CSVRows()
-	if len(rows) != 1 {
-		t.Fatalf("rows %d", len(rows))
-	}
-	nCols := len(strings.Split(CSVHeader, ","))
-	got := strings.Split(rows[0], ",")
-	if len(got) != nCols {
-		t.Fatalf("row has %d columns, header %d:\n%s\n%s", len(got), nCols, rows[0], CSVHeader)
-	}
-	if got[0] != "POSIX" || got[2] != "nid00046" || got[12] != "open" {
-		t.Fatalf("row %v", got)
-	}
-}
-
-func TestCSVMultipleSegs(t *testing.T) {
-	m := sampleMsg()
-	m.Seg = append(m.Seg, m.Seg[0])
-	if rows := m.CSVRows(); len(rows) != 2 {
-		t.Fatalf("rows %d", len(rows))
 	}
 }
 

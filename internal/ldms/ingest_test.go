@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"darshanldms/internal/dsos"
+	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/sos"
 	"darshanldms/internal/streams"
 )
@@ -67,7 +68,7 @@ func segOffsets(t *testing.T, cl *dsos.Client) map[int64]int {
 	}
 	seen := map[int64]int{}
 	for _, o := range objs {
-		seen[o.Int(dsos.ColSegOff)]++
+		seen[o.Int(jsonmsg.ColSegOff)]++
 	}
 	return seen
 }

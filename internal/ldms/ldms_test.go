@@ -182,7 +182,7 @@ func TestDSOSStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(objs) != 10 || objs[0].Str(dsos.ColProducerName) != "nid00041" {
+	if len(objs) != 10 || objs[0].Str(jsonmsg.ColProducerName) != "nid00041" {
 		t.Fatalf("query %d objects", len(objs))
 	}
 }

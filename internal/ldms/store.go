@@ -106,16 +106,21 @@ func (c *CountStore) Bytes() uint64 {
 
 // CSVStore renders connector messages into the Fig 3 CSV layout. Typed
 // records feed the CSV writer directly from their fields; only raw JSON
-// payloads (legacy peers, PublishJSON) are parsed.
+// payloads (legacy peers, PublishJSON) are parsed. Each message's rows are
+// built through a row arena and rendered by dsos.AppendCSVRow, the
+// renderer dsosql and dsosd's /query use too.
 type CSVStore struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
 	header bool
+	arena  *dsos.RowArena // builds one message's rows (rewound per store)
+	objs   []sos.Object
+	row    []byte
 }
 
 // NewCSVStore creates a CSV store writing to w.
 func NewCSVStore(w io.Writer) *CSVStore {
-	return &CSVStore{w: bufio.NewWriter(w)}
+	return &CSVStore{w: bufio.NewWriter(w), arena: dsos.NewRowArena()}
 }
 
 // Name implements StorePlugin.
@@ -135,12 +140,13 @@ func (s *CSVStore) Store(m streams.Message) error {
 		}
 		s.header = true
 	}
-	for _, row := range msg.CSVRows() {
-		if _, err := s.w.WriteString(row + "\n"); err != nil {
-			return err
-		}
+	s.arena.Rewind()
+	s.objs, s.row = s.arena.AppendObjects(s.objs[:0], msg), s.row[:0]
+	for _, o := range s.objs {
+		s.row = append(dsos.AppendCSVRow(s.row, o), '\n')
 	}
-	return nil
+	_, err = s.w.Write(s.row)
+	return err
 }
 
 // Flush flushes buffered rows.

@@ -38,7 +38,11 @@ type Stats struct {
 // Job replays every stored event of jobID onto bus, in timestamp order.
 // ctx cancels a paced replay early.
 func Job(ctx context.Context, client *dsos.Client, jobID int64, bus *streams.Bus, opts Options) (*Stats, error) {
-	objs, err := client.Query("job_time_rank", sos.Key{jobID}, sos.Key{jobID + 1})
+	from, to, err := dsos.DarshanBounds("job_time_rank", &jobID, nil)
+	if err != nil {
+		return nil, err
+	}
+	objs, err := client.Query("job_time_rank", from, to)
 	if err != nil {
 		return nil, err
 	}
@@ -54,11 +58,11 @@ func Job(ctx context.Context, client *dsos.Client, jobID int64, bus *streams.Bus
 		enc = jsonmsg.FastEncoder{}
 	}
 	start := time.Now()
-	t0 := objs[0].Float(dsos.ColSegTimestamp)
-	tLast := objs[len(objs)-1].Float(dsos.ColSegTimestamp)
+	t0 := objs[0].Float(jsonmsg.ColSegTimestamp)
+	tLast := objs[len(objs)-1].Float(jsonmsg.ColSegTimestamp)
 	for _, o := range objs {
 		if opts.Speedup > 0 {
-			due := time.Duration((o.Float(dsos.ColSegTimestamp) - t0) / opts.Speedup * float64(time.Second))
+			due := time.Duration((o.Float(jsonmsg.ColSegTimestamp) - t0) / opts.Speedup * float64(time.Second))
 			if wait := due - time.Since(start); wait > 0 {
 				select {
 				case <-time.After(wait):
@@ -76,32 +80,10 @@ func Job(ctx context.Context, client *dsos.Client, jobID int64, bus *streams.Bus
 // messageFromObject reconstructs the connector message from a stored row
 // (the inverse of dsos.ObjectsFromMessage for single-seg messages).
 func messageFromObject(o sos.Object) jsonmsg.Message {
-	return jsonmsg.Message{
-		Module:       o.Str(dsos.ColModule),
-		UID:          o.Int(dsos.ColUID),
-		ProducerName: o.Str(dsos.ColProducerName),
-		Switches:     o.Int(dsos.ColSwitches),
-		File:         o.Str(dsos.ColFile),
-		Rank:         int(o.Int(dsos.ColRank)),
-		Flushes:      o.Int(dsos.ColFlushes),
-		RecordID:     o.Uint(dsos.ColRecordID),
-		Exe:          o.Str(dsos.ColExe),
-		MaxByte:      o.Int(dsos.ColMaxByte),
-		Type:         o.Str(dsos.ColType),
-		JobID:        o.Int(dsos.ColJobID),
-		Op:           o.Str(dsos.ColOp),
-		Cnt:          o.Int(dsos.ColCnt),
-		Seg: []jsonmsg.Segment{{
-			Off:        o.Int(dsos.ColSegOff),
-			PtSel:      o.Int(dsos.ColSegPtSel),
-			Dur:        o.Float(dsos.ColSegDur),
-			Len:        o.Int(dsos.ColSegLen),
-			NDims:      o.Int(dsos.ColSegNDims),
-			IrregHSlab: o.Int(dsos.ColSegIrregHSlab),
-			RegHSlab:   o.Int(dsos.ColSegRegHSlab),
-			DataSet:    o.Str(dsos.ColSegDataSet),
-			NPoints:    o.Int(dsos.ColSegNPoints),
-			Timestamp:  o.Float(dsos.ColSegTimestamp),
-		}},
+	m := jsonmsg.Message{Seg: make([]jsonmsg.Segment, 1)}
+	for i := range jsonmsg.Table {
+		c := &jsonmsg.Table[i]
+		c.Set(&m, &m.Seg[0], o.Value(c.Row))
 	}
+	return m
 }

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -132,5 +133,25 @@ func TestReplayUnknownJob(t *testing.T) {
 	cl := seeded(t)
 	if _, err := Job(context.Background(), cl, 404, streams.NewBus(), Options{}); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestReplayLargestJob: the largest job id has no job+1 to bound its scan
+// by; its events still replay.
+func TestReplayLargestJob(t *testing.T) {
+	cl := seeded(t)
+	m := jsonmsg.Message{
+		JobID: math.MaxInt64, Exe: jsonmsg.NA, ProducerName: "nid00040", File: jsonmsg.NA,
+		Module: "POSIX", Type: jsonmsg.TypeMOD, Op: "write",
+		Seg: []jsonmsg.Segment{{DataSet: jsonmsg.NA, Len: 1, Timestamp: 1.6e9}},
+	}
+	if err := cl.InsertBatch(dsos.DarshanSchemaName, dsos.ObjectsFromMessage(&m)); err != nil {
+		t.Fatal(err)
+	}
+	bus := streams.NewBus()
+	bus.Subscribe("darshanConnector", func(streams.Message) {})
+	st, err := Job(context.Background(), cl, math.MaxInt64, bus, Options{})
+	if err != nil || st.Events != 1 {
+		t.Fatalf("replayed %v, %v; want 1 event", st, err)
 	}
 }

@@ -61,9 +61,11 @@ const (
 // hostile header cannot cause a huge preallocation.
 const MinBatchRecord = 6
 
-// BaseCols is the most numeric columns the typed plane may keep in a
-// BatchContext's Base.
-const BaseCols = 18
+// BaseCols is the most column slots the typed plane may keep in a
+// BatchContext's Base: it keeps each numeric column of Table I at the
+// column's row position, 0 to 23, and the record's seq at 24. A durable
+// stream keeps a copy per stored batch, so there is no spare room.
+const BaseCols = 25
 
 // Record codec errors.
 var (

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"darshanldms/internal/dsos"
+	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/rng"
 	"darshanldms/internal/sos"
 )
@@ -123,10 +124,10 @@ var diffQueries = []struct {
 	attrs    []int
 	from, to sos.Key
 }{
-	{"job_rank_time", []int{dsos.ColJobID, dsos.ColRank, dsos.ColSegTimestamp}, nil, nil},
-	{"job_rank_time", []int{dsos.ColJobID, dsos.ColRank, dsos.ColSegTimestamp}, sos.Key{int64(2), int64(5)}, sos.Key{int64(2), int64(20)}},
-	{"job_time_rank", []int{dsos.ColJobID, dsos.ColSegTimestamp, dsos.ColRank}, sos.Key{int64(1)}, sos.Key{int64(3)}},
-	{"time_job_rank", []int{dsos.ColSegTimestamp, dsos.ColJobID, dsos.ColRank}, nil, nil},
+	{"job_rank_time", []int{jsonmsg.ColJobID, jsonmsg.ColRank, jsonmsg.ColSegTimestamp}, nil, nil},
+	{"job_rank_time", []int{jsonmsg.ColJobID, jsonmsg.ColRank, jsonmsg.ColSegTimestamp}, sos.Key{int64(2), int64(5)}, sos.Key{int64(2), int64(20)}},
+	{"job_time_rank", []int{jsonmsg.ColJobID, jsonmsg.ColSegTimestamp, jsonmsg.ColRank}, sos.Key{int64(1)}, sos.Key{int64(3)}},
+	{"time_job_rank", []int{jsonmsg.ColSegTimestamp, jsonmsg.ColJobID, jsonmsg.ColRank}, nil, nil},
 }
 
 // diffFill inserts n seeded objects. Timestamps repeat (i%40), so equal

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"darshanldms/internal/dsos"
+	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/sos"
 )
 
@@ -16,19 +17,19 @@ import (
 // rank's records stay on one shard, so per-rank diagnosis queries touch
 // one owner, and the key is stable across every hop of the pipeline.
 func DarshanKey(schema string, o sos.Object) string {
-	if schema == dsos.DarshanSchemaName && o.Len() > dsos.ColJobID {
+	if schema == dsos.DarshanSchemaName && o.Len() > jsonmsg.ColJobID {
 		// A mistyped attribute keys as its zero value; the row then fails
 		// the store's check on its owner.
 		var prod string
 		var job, rank int64
-		if o.Type(dsos.ColProducerName) == sos.TypeString {
-			prod = o.Str(dsos.ColProducerName)
+		if o.Type(jsonmsg.ColProducerName) == sos.TypeString {
+			prod = o.Str(jsonmsg.ColProducerName)
 		}
-		if o.Type(dsos.ColJobID) == sos.TypeInt64 {
-			job = o.Int(dsos.ColJobID)
+		if o.Type(jsonmsg.ColJobID) == sos.TypeInt64 {
+			job = o.Int(jsonmsg.ColJobID)
 		}
-		if o.Type(dsos.ColRank) == sos.TypeInt64 {
-			rank = o.Int(dsos.ColRank)
+		if o.Type(jsonmsg.ColRank) == sos.TypeInt64 {
+			rank = o.Int(jsonmsg.ColRank)
 		}
 		return prod + "/" + strconv.FormatInt(job, 10) + "/" + strconv.FormatInt(rank, 10)
 	}

@@ -61,15 +61,21 @@ chaos-smoke:
 # between send and batch ack, the idle wake-up, and the -reconnect spool:
 # its memory-only stream's books under every overflow policy (a block
 # publisher woken by an ack) and the differential against the spool it
-# replaced; at the store hop the
+# replaced; the forward every daemon runs (-forward) against the
+# best-effort reference it replaced, across an upstream restart, under a
+# 200k-event firehose and closed with a publisher blocked on its window,
+# and the frozen legacy-frame capture it still reads; at the store hop the
 # round commit, its refusal and fail-stop, the dead letter, a kill at
 # each point of a round, the stored-body ingest against the decode path,
-# and rows reused the round after their insert.
+# and rows reused the round after their insert. Last, the real binaries:
+# ldmsd -forward across a dsosd restart, ldmsd's SIGTERM with a blocked
+# publisher, and dlc-run -forward.
 streams-smoke:
 	$(GO) test -race -short -run 'StreamSoak' ./internal/harness
 	$(GO) test -race -count=1 -run 'Batch|Wait|Legacy|Lazy|Retention|MemoryStream' ./internal/streams
-	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|Recover|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory|StoredBodyIngestIdentity|SpoolStream|ForwarderSpool|UplinkHealth' ./internal/ldms
+	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|Recover|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory|StoredBodyIngestIdentity|SpoolStream|ForwarderSpool|UplinkHealth|UplinkLifecycle|ForwardMatchesBestEffort|ForwardSurvivesUpstreamRestart|TCPServerDeath|ForwardFirehose|LegacyFrameReadCompat' ./internal/ldms
 	$(GO) test -race -count=1 -run 'InsertOutlivesRowMemory' ./internal/topo
+	$(GO) test -count=1 -run 'TestCLIForwardSurvivesUpstreamRestart|TestCLILdmsdShutdownWithBlockedPublisher|TestCLIRunForward' .
 
 # CI-sized control-plane soak under the race detector: the managed
 # topology (aggregation tree with failover + consistent-hash shards with

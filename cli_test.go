@@ -209,9 +209,10 @@ func TestCLILdmsdRejectsIgnoredUplinkFlags(t *testing.T) {
 		})
 	}
 
-	// bench/proc.go's two flag lines (the uplink dials lazily, so a dead
-	// upstream does not stop either from starting).
+	// bench/proc.go's two flag lines and -forward alone (the uplink dials
+	// lazily, so a dead upstream does not stop any of them from starting).
 	accepted := [][]string{
+		{"-forward", "127.0.0.1:1"},
 		{"-forward", "127.0.0.1:1", "-stream", stream},
 		{"-forward", "127.0.0.1:1", "-reconnect", "-spool", "100000", "-spool-policy", "block", "-batch", "64", "-batch-age", "5ms"},
 	}

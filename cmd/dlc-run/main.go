@@ -7,12 +7,18 @@
 //	dlc-run -app hacc -fs Lustre -scale 0.1 -log hacc.darshan
 //	dlc-run -app hmmer -fs NFS -connector -encoder sprintf -csv events.csv
 //	dlc-run -app mpiio -collective -connector -sample-every 10
+//	dlc-run -app hacc -connector -forward 127.0.0.1:4411
+//
+// -forward runs ldmsd -forward's uplink (a 1024-message block window); a
+// dead upstream at startup, or a window not drained 5 s after the run, is
+// an error.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"darshanldms/internal/apps"
 	"darshanldms/internal/darshan"
@@ -61,6 +67,7 @@ func main() {
 	rt := darshan.NewRuntime(darshan.Config{JobID: *jobID, UID: 99066, Exe: exe, DXT: true}, 0)
 
 	var csv *ldms.CSVStore
+	var up *ldms.Uplink
 	var nranks int
 	if *useConn {
 		cfg, err := connector.ConfigFromEnv(map[string]string{
@@ -74,8 +81,6 @@ func main() {
 		cfg.Meta = jsonmsg.JobMeta{UID: 99066, JobID: *jobID, Exe: exe}
 		daemons := map[string]*ldms.Daemon{}
 		agg := ldms.NewDaemon("agg", "head")
-		count := &ldms.CountStore{}
-		agg.AttachStore(connector.DefaultTag, count)
 		if *csvPath != "" {
 			f, err := os.Create(*csvPath)
 			if err != nil {
@@ -86,12 +91,14 @@ func main() {
 			agg.AttachStore(connector.DefaultTag, csv)
 		}
 		if *forward != "" {
-			tcpClient, err := ldms.DialTCP(*forward)
-			if err != nil {
+			// The uplink dials lazily and blocks: probe a dead upstream.
+			if err := ldms.PingTCP(*forward, 2*time.Second); err != nil {
 				fatal(err)
 			}
-			defer tcpClient.Close()
-			ldms.ForwardTCP(agg, connector.DefaultTag, tcpClient)
+			if up, _, err = ldms.NewForward(agg, connector.DefaultTag, 1024, streams.Block, ldms.UplinkConfig{Addr: *forward}); err != nil {
+				fatal(err)
+			}
+			defer up.Close()
 			fmt.Fprintf(os.Stderr, "dlc-run: forwarding stream to %s\n", *forward)
 		}
 		for _, n := range machine.Nodes() {
@@ -110,18 +117,18 @@ func main() {
 		apps.RunHACCIO(env, cfg)
 	case "mpiio":
 		cfg := apps.DefaultMPIIOTest(machine.Nodes()[:22], *collective)
-		cfg.Iterations = maxi(1, int(10**scale))
-		cfg.ReadBackIterations = maxi(1, int(2**scale))
+		cfg.Iterations = max(1, int(10**scale))
+		cfg.ReadBackIterations = max(1, int(2**scale))
 		nranks = cfg.Ranks()
 		apps.RunMPIIOTest(env, cfg)
 	case "hmmer":
 		cfg := apps.DefaultHMMER(machine.Node(0), simfs.Kind(*fsKind))
-		cfg.Families = maxi(1, int(float64(apps.PfamASeedFamilies)**scale))
+		cfg.Families = max(1, int(float64(apps.PfamASeedFamilies)**scale))
 		nranks = cfg.Ranks
 		apps.RunHMMER(env, cfg)
 	case "sw4":
 		cfg := apps.DefaultSW4(machine.Nodes()[:8])
-		cfg.Steps = maxi(1, int(20**scale))
+		cfg.Steps = max(1, int(20**scale))
 		nranks = cfg.Ranks()
 		apps.RunSW4(env, cfg)
 	default:
@@ -138,6 +145,11 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "dlc-run: %s on %s finished in %.2f virtual seconds, %d events\n",
 		*app, *fsKind, engine.Seconds(), rt.EventCount())
+	if up != nil {
+		if err := up.Flush(5 * time.Second); err != nil {
+			fatal(fmt.Errorf("%d messages unsent to %s: %w", up.Stats().Consumer.Lag, *forward, err))
+		}
+	}
 
 	if *logPath != "" {
 		sum := rt.Finalize(engine.Now(), nranks)
@@ -162,13 +174,6 @@ func sampleStr(n int) string {
 		return ""
 	}
 	return fmt.Sprintf("%d", n)
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

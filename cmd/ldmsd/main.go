@@ -21,25 +21,29 @@
 // reproducible; with -seed 0 (the default) the seed derives from the wall
 // clock and is printed so a run can be replayed after the fact.
 //
-// By default forwarding is best-effort like LDMS Streams: if the upstream
-// aggregator dies, messages are dropped silently. The two reliable
-// configurations are one ldms.Uplink — a single link state machine (lazy
+// Every forward is one ldms.Uplink — a single link state machine (lazy
 // dial, redial with backoff and jitter, -heartbeat liveness probes) over
 // a consumer-acked cursor — reading one of two streams, bound to the
 // daemon's bus so that a received batch frame is appended as the body it
-// arrived as and relayed upstream as that same body, never decoded:
+// arrived as and relayed upstream as that same body, never decoded. The
+// paper's LDMS Streams hop is lossless while the link is up and loses
+// everything after the first error, for it never redials; this one holds
+// what is unsent and delivers it after the redial:
 //
-//	-reconnect  a memory-only stream of the -tag, the spool: it holds only
-//	            what is unsent — an entry leaves once the uplink's round is
-//	            acked — up to -spool messages, and -spool-policy is what an
-//	            append does to a full window: drop-oldest trims the head,
-//	            drop-newest refuses an append that does not fit whole,
-//	            block waits for an ack to make room (all counted in
-//	            dlc_stream_dropped_total); under the last two, an empty
-//	            window takes a larger batch whole. A round holds up to
-//	            -batch messages (default 64, at most -spool), one batch
-//	            frame per stored batch, and a partial round waits up to
-//	            -batch-age to fill. The spool dies with the process.
+//	-forward    alone: a memory-only stream of the -tag, the window. It
+//	            holds only what is unsent — an entry leaves once the
+//	            uplink's round is acked — up to 1024 messages; an append to
+//	            a full window blocks until an ack makes room, so the sender
+//	            waits while the upstream is down. Rounds hold up to 64
+//	            messages with no linger. The window dies with the process.
+//	-reconnect  the same window, shaped: it holds -spool messages, and
+//	            -spool-policy is what an append does to a full one:
+//	            drop-oldest (the default) trims the head, drop-newest
+//	            refuses an append that does not fit whole, block waits
+//	            (all counted in dlc_stream_dropped_total); under the last
+//	            two, an empty window takes a larger batch whole. A round
+//	            holds up to -batch messages (default 64, at most -spool),
+//	            and a partial round waits up to -batch-age to fill.
 //	-stream     the durable stream itself: every received frame whose
 //	            messages match -stream-subjects (comma list, wildcards
 //	            allowed; default the -tag) is appended to a CRC-framed
@@ -76,7 +80,6 @@
 package main
 
 import (
-	"cmp"
 	"flag"
 	"fmt"
 	"net/http"
@@ -105,7 +108,7 @@ func main() {
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval")
 	samplers := flag.String("samplers", "", "comma list of sampler plugins to run: meminfo,vmstat")
 	sampleEvery := flag.Duration("sample-interval", time.Second, "sampler interval")
-	reconnect := flag.Bool("reconnect", false, "resilient forwarding: a memory-only stream spool + redial with backoff instead of best-effort")
+	reconnect := flag.Bool("reconnect", false, "shape -forward's window with -spool, -spool-policy, -batch and -batch-age (without it: 1024, block, 64, no linger)")
 	spoolSize := flag.Int("spool", 1024, "reconnect spool window: max unsent messages held")
 	spoolPolicy := flag.String("spool-policy", "drop-oldest", "what an append does to a full spool window: drop-oldest, drop-newest or block")
 	heartbeat := flag.Duration("heartbeat", 0, "liveness probe interval on the -reconnect or -stream uplink (0 = off)")
@@ -157,9 +160,9 @@ func main() {
 		case f.Name == "batch-bytes":
 			fatal(fmt.Errorf("-batch-bytes is not supported: the uplink forwards each stored batch whole, as the body it arrived as, so a byte bound cannot cut its rounds; bound a round's messages with -batch"))
 		case strings.HasPrefix(f.Name, "batch") && !spooled:
-			fatal(fmt.Errorf("-%s would be ignored: it shapes the rounds of the spooled uplink (-forward with -reconnect, without -stream); the -stream uplink sends its own rounds of up to 64 as batch frames, and the best-effort uplink one frame per message", f.Name))
+			fatal(fmt.Errorf("-%s would be ignored: it shapes the rounds of the spooled uplink (-forward with -reconnect, without -stream); the -stream uplink sends its own rounds of up to 64 as batch frames, and -forward alone rounds of up to 64 from a 1024-message window", f.Name))
 		case strings.HasPrefix(f.Name, "spool") && !spooled:
-			fatal(fmt.Errorf("-%s would be ignored: it bounds the spool of the spooled uplink (-forward with -reconnect, without -stream)", f.Name))
+			fatal(fmt.Errorf("-%s would be ignored: it shapes the window of the spooled uplink (-forward with -reconnect, without -stream); -forward alone holds 1024 messages and blocks", f.Name))
 		case f.Name == "heartbeat" && !uplinked:
 			fatal(fmt.Errorf("-heartbeat would be ignored: it probes the -reconnect or -stream uplink, and no such uplink is configured"))
 		case strings.HasPrefix(f.Name, "stream-") && *streamPath == "":
@@ -276,7 +279,7 @@ func main() {
 		reg = obs.NewRegistry()
 	}
 	// One uplink over one of two streams: the durable one, else the
-	// -reconnect spool; the target set is -forward, or the topology
+	// memory-only window; the target set is -forward, or the topology
 	// plane's parent and standby.
 	var up *ldms.Uplink
 	window := 0 // the memory-only stream's bound, for the health probe
@@ -293,53 +296,27 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "ldmsd: stream uplink to %s (consumer %q, floor %d)\n",
 			ucfg.Addr, *streamConsumer, up.Stats().Consumer.AckFloor)
-	case *reconnect:
-		// The spool is a memory-only stream under the same name, so its
-		// series read like the durable stream's.
-		stream, err = streams.OpenStream(streams.StreamConfig{
-			Name:      "ldmsd",
-			Subjects:  []string{*tag},
-			Retention: streams.RetentionPolicy{MaxMsgs: *spoolSize},
-			Overflow:  policy,
-			Clock:     obs.WallClock(),
-		}, nil)
-		if err != nil {
-			fatal(err)
-		}
-		if err := d.Bus().BindStream(stream); err != nil {
-			fatal(err)
-		}
-		// A round never waits for more than the window can hold.
-		window = *spoolSize
-		ucfg.BatchSize = min(cmp.Or(*batchRecords, ldms.RoundSize), *spoolSize)
-		ucfg.Linger = *batchAge
-		if up, err = ldms.NewStreamUplink(stream, ucfg); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "ldmsd: resilient forwarding tag %q to %s (spool %d, %s; rounds of %d, linger %s)\n",
-			*tag, *forward, *spoolSize, policy, ucfg.BatchSize, *batchAge)
 	default:
-		client, err := ldms.DialTCP(*forward)
-		if err != nil {
+		// Without -reconnect every window flag is rejected above, so only
+		// the policy departs from the flag defaults.
+		if !*reconnect {
+			policy = streams.Block
+		}
+		window = *spoolSize
+		ucfg.BatchSize, ucfg.Linger = *batchRecords, *batchAge
+		if up, stream, err = ldms.NewForward(d, *tag, window, policy, ucfg); err != nil {
 			fatal(err)
 		}
-		defer client.Close()
-		ldms.ForwardTCP(d, *tag, client)
-		client.Collect(reg, "uplink")
-		fmt.Fprintf(os.Stderr, "ldmsd: forwarding tag %q to %s\n", *tag, *forward)
+		fmt.Fprintf(os.Stderr, "ldmsd: forwarding tag %q to %s (window %d, %s)\n", *tag, *forward, window, policy)
 	}
-	if up != nil {
-		defer up.Close()
-		if topoCfg.Enabled() {
-			fmt.Fprintf(os.Stderr, "ldmsd: topo role %q (parent %s, standby %q)\n", topoCfg.Role, topoCfg.Parent, topoCfg.Standby)
-		}
+	if topoCfg.Enabled() {
+		fmt.Fprintf(os.Stderr, "ldmsd: topo role %q (parent %s, standby %q)\n", topoCfg.Role, topoCfg.Parent, topoCfg.Standby)
 	}
 
 	srv, err := ldms.ListenTCP(d, *listen)
 	if err != nil {
 		fatal(err)
 	}
-	defer srv.Close()
 	fmt.Fprintf(os.Stderr, "ldmsd: %s listening on %s (tag %q)\n", *producer, srv.Addr(), *tag)
 
 	if *httpAddr != "" {
@@ -392,15 +369,21 @@ func main() {
 			}
 			fmt.Fprintln(os.Stderr, line)
 		case <-sig:
+			fmt.Fprintf(os.Stderr, "ldmsd: shutting down after %d messages\n", srv.Received())
+			// The uplink closes first, refusing (counted) any append parked
+			// on a full window, for srv.Close waits on the receives; the CSV
+			// store flushes after the last one. What a durable cursor has not
+			// acked resumes on the next start.
+			if up != nil {
+				if err := up.Flush(5 * time.Second); err != nil {
+					fmt.Fprintf(os.Stderr, "ldmsd: %d messages unsent: %v\n", up.Stats().Consumer.Lag, err)
+				}
+				_ = up.Close()
+			}
+			_ = srv.Close()
 			if csv != nil {
 				_ = csv.Flush()
 			}
-			if up != nil {
-				// Give the source a chance to drain before exiting; whatever
-				// a durable cursor has not acked resumes on the next start.
-				_ = up.Flush(5 * time.Second)
-			}
-			fmt.Fprintf(os.Stderr, "ldmsd: shutting down after %d messages\n", srv.Received())
 			return
 		}
 	}

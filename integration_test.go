@@ -16,6 +16,7 @@ import (
 	"darshanldms/internal/ldms"
 	"darshanldms/internal/simfs"
 	"darshanldms/internal/sos"
+	"darshanldms/internal/streams"
 )
 
 // TestFullPipelineOverTCP runs a simulated job whose connector messages are
@@ -37,14 +38,13 @@ func TestFullPipelineOverTCP(t *testing.T) {
 	defer srv.Close()
 
 	// Local side: the simulated job publishes to a head daemon that
-	// forwards over the socket.
+	// forwards over the socket, as ldmsd -forward does.
 	head := ldms.NewDaemon("head", "voltrino-login")
-	tcpClient, err := ldms.DialTCP(srv.Addr())
+	up, _, err := ldms.NewForward(head, connector.DefaultTag, 1024, streams.Block, ldms.UplinkConfig{Addr: srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tcpClient.Close()
-	ldms.ForwardTCP(head, connector.DefaultTag, tcpClient)
+	defer up.Close()
 
 	var events int64
 	res, err := harness.Run(harness.RunOptions{

@@ -111,14 +111,6 @@ func (r *Record) TypedFields() *jsonmsg.Message {
 	return r.msg
 }
 
-// Encoded reports whether wire bytes are already materialized, without
-// forcing an encode (byte-counting stores use this to stay lazy).
-func (r *Record) Encoded() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.payload != nil
-}
-
 // Fields extracts the typed message from a streams message whatever its
 // carrier form: the cached typed record when present, otherwise a parse
 // of the literal payload bytes (the legacy path, kept for raw

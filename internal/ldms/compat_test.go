@@ -5,6 +5,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
+	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,7 +16,7 @@ import (
 	"darshanldms/internal/streams"
 )
 
-var update = flag.Bool("update", false, "rewrite the frozen batch frame in testdata")
+var update = flag.Bool("update", false, "rewrite the frozen version-1 batch frame in testdata")
 
 // appendFrameV1 is a version-1 batch frame of msgs, built by hand: every
 // string spelled out, every number as it stands, typed bodies by
@@ -102,5 +105,67 @@ func TestV1BatchFrameReadCompat(t *testing.T) {
 			}
 		}
 		slab.Release()
+	}
+}
+
+// legacyFrames are the messages frozen in testdata/legacy-frame.bin, as
+// WriteFrame wrote them while daemons still sent legacy frames: a stamped
+// connector message, an unstamped one and a heartbeat.
+func legacyFrames() []streams.Message {
+	const job7 = `{"uid":99066,"exe":"/projects/mpi-io-test","job_id":7,"rank":3,"ProducerName":"nid00040","file":"/nscratch/mpi-io-test.dat","record_id":9,"module":"POSIX","type":"MOD","max_byte":-1,"switches":-1,"flushes":-1,"cnt":1,"op":"write","seg":[{"data_set":"N/A","pt_sel":-1,"irreg_hslab":-1,"reg_hslab":-1,"ndims":-1,"npoints":-1,"off":12288,"len":4096,"dur":0.000125,"timestamp":1600000000.003000}]}`
+	return []streams.Message{
+		{Tag: "darshanConnector", Type: streams.TypeJSON, Data: []byte(job7), Producer: "nid00040", Seq: 7},
+		{Tag: "darshanConnector", Type: streams.TypeJSON, Data: []byte(`{"op":"open"}`)},
+		{Tag: HeartbeatTag, Type: streams.TypeString, Data: []byte("ping")},
+	}
+}
+
+// TestLegacyFrameReadCompat: no daemon writes legacy frames any more, but
+// older peers and raw publishers still send them. The frozen capture
+// decodes through ReadFrame to the messages it was written from, and a
+// live TCPServer takes it off a connection: both messages published with
+// their identity, the heartbeat counted and never published.
+func TestLegacyFrameReadCompat(t *testing.T) {
+	frozen, err := os.ReadFile(filepath.Join("testdata", "legacy-frame.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := legacyFrames()
+	r := bytes.NewReader(frozen)
+	for i, w := range want {
+		got, err := ReadFrame(r)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got.Tag != w.Tag || got.Type != w.Type || !bytes.Equal(got.Data, w.Data) || got.Producer != w.Producer || got.Seq != w.Seq {
+			t.Fatalf("frame %d: got %+v, want %+v", i, got, w)
+		}
+	}
+	if _, err := ReadFrame(r); err != io.EOF {
+		t.Fatalf("after three frames: %v, want EOF", err)
+	}
+
+	d := NewDaemon("agg", "head")
+	ids := &identStore{}
+	d.AttachStore("darshanConnector", ids)
+	srv, err := ListenTCP(d, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frozen); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	waitFor(t, "the capture received", func() bool { return srv.Received() == 2 && srv.Heartbeats() == 1 })
+	if got := fmt.Sprint(ids.ids()); got != "[nid00040/7 /0]" {
+		t.Errorf("stored identities %s, want [nid00040/7 /0]", got)
+	}
+	if got, want := srv.LiteralBytes(), uint64(len(want[0].Data)+len(want[1].Data)); got != want || srv.frames.Load() != 3 {
+		t.Errorf("%d literal bytes in %d legacy frames, want %d in 3", got, srv.frames.Load(), want)
 	}
 }

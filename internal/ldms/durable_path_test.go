@@ -193,8 +193,8 @@ func TestCursorRoundIsOneFrameOneCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "delivery", func() bool { return srv.Received() == 40 })
-	if got := u.batchFramesOut.Load(); got != 3 || u.framesOut.Load() != 0 {
-		t.Fatalf("40 messages in rounds of 16 left as %d batch and %d legacy frames, want 3 and 0", got, u.framesOut.Load())
+	if got := u.batchFramesOut.Load(); got != 3 || srv.frames.Load() != 0 {
+		t.Fatalf("40 messages in rounds of 16 went as %d batch frames and arrived with %d legacy ones, want 3 and 0", got, srv.frames.Load())
 	}
 	if got := wal.writes.Load() - appendWrites; got != 3 {
 		t.Fatalf("%d cursor checkpoints for 3 rounds", got)

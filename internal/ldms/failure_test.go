@@ -1,6 +1,7 @@
 package ldms
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -32,37 +33,43 @@ func TestSubscriberDetachMidStreamLosesData(t *testing.T) {
 	}
 }
 
+// TestTCPServerDeathDropsSilently pins the reference best-effort hop
+// (forwardTCP, the paper's and once ldmsd's default): after the upstream
+// dies the publisher neither crashes nor blocks, and with no redial even
+// an upstream restarted on the same address receives nothing more.
+// TestForwardSurvivesUpstreamRestart runs the same script through the
+// forward every daemon runs now.
 func TestTCPServerDeathDropsSilently(t *testing.T) {
 	server := NewDaemon("agg", "head")
 	srv, err := ListenTCP(server, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr := srv.Addr()
 	node := NewDaemon("node", "nid00040")
-	client, err := DialTCP(srv.Addr())
+	client, err := DialTCP(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	ForwardTCP(node, "darshanConnector", client)
+	forwardTCP(node, "darshanConnector", client)
 
-	node.Bus().PublishJSON("darshanConnector", []byte(`{"n":1}`))
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Received() < 1 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if srv.Received() != 1 {
-		t.Fatal("first message not delivered")
-	}
+	publishSeq(node, 0)
+	waitFor(t, "first message", func() bool { return srv.Received() == 1 })
 	// Kill the aggregator; the publisher must not crash or block — LDMS
 	// Streams is best-effort.
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
+	restarted, err := ListenTCP(NewDaemon("agg", "head"), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
 	done := make(chan struct{})
 	go func() {
-		for i := 0; i < 100; i++ {
-			node.Bus().PublishJSON("darshanConnector", []byte(`{"n":2}`))
+		for i := 1; i <= 100; i++ {
+			publishSeq(node, i)
 		}
 		close(done)
 	}()
@@ -70,6 +77,70 @@ func TestTCPServerDeathDropsSilently(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("publish blocked after server death")
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := restarted.Received(); got != 0 {
+		t.Fatalf("the restarted upstream received %d, want 0: the reference never redials", got)
+	}
+}
+
+// TestForwardSurvivesUpstreamRestart: the forward ldmsd -forward and
+// dlc-run -forward run (NewForward: a 1024-message block window) holds
+// what is published while the upstream is down and redials it once it is
+// back on its address: every message arrives, each once.
+func TestForwardSurvivesUpstreamRestart(t *testing.T) {
+	srv, err := ListenTCP(NewDaemon("agg", "head"), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	node := NewDaemon("ldmsd", "nid00040")
+	u, window, err := NewForward(node, "darshanConnector", 1024, streams.Block, fastBackoff(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+
+	publishSeq(node, 0)
+	waitFor(t, "first message", func() bool { return srv.Received() == 1 })
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "disconnect detection", func() bool { return !u.Stats().Connected })
+	done := make(chan struct{})
+	go func() {
+		for i := 1; i <= 50; i++ {
+			publishSeq(node, i)
+		}
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("publish blocked with the window not full")
+	}
+	agg := NewDaemon("agg", "head")
+	seqs := &seqStore{}
+	agg.AttachStore("darshanConnector", seqs)
+	restarted, err := ListenTCP(agg, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	for i := 51; i <= 100; i++ {
+		publishSeq(node, i)
+	}
+	if err := u.Flush(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "every message after the restart", func() bool { return len(seqs.Seqs()) >= 100 })
+	got := seqs.Seqs()
+	slices.Sort(got)
+	if len(got) != 100 || got[0] != 1 || got[99] != 100 || len(slices.Compact(got)) != 100 {
+		t.Fatalf("the restarted upstream stored %d messages (%v...), want seqs 1..100 once each", len(got), got[:min(len(got), 5)])
+	}
+	if st, ws := u.Stats(), window.Stats(); st.Reconnects < 1 || ws.Dropped != 0 || ws.Refused != 0 {
+		t.Fatalf("reconnects %d, dropped %d, refused %d; want >= 1, 0, 0", st.Reconnects, ws.Dropped, ws.Refused)
 	}
 }
 

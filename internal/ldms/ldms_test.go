@@ -231,12 +231,11 @@ func TestTCPForwardChain(t *testing.T) {
 	defer srv.Close()
 
 	node := NewDaemon("node", "nid00040")
-	client, err := DialTCP(srv.Addr())
+	up, _, err := NewForward(node, "darshanConnector", 1024, streams.Block, UplinkConfig{Addr: srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	ForwardTCP(node, "darshanConnector", client)
+	defer up.Close()
 
 	node.Bus().PublishJSON("darshanConnector", sampleConnectorMessage())
 	deadline := time.Now().Add(5 * time.Second)

@@ -15,8 +15,8 @@ import (
 // is unchanged.
 
 // countingWriter counts bytes flowing to an underlying writer; the
-// uplink and client install it under their bufio layer so the count
-// is real wire bytes (headers included), not payload estimates.
+// uplink installs it under its bufio layer so the count is real wire
+// bytes (headers included), not payload estimates.
 type countingWriter struct {
 	w io.Writer
 	n *atomic.Uint64
@@ -41,11 +41,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // Collect exports the uplink's counters under labels {fwd="<name>"}:
-// connection activity (dials, reconnects, connected, wire bytes, frames)
-// and delivery (sent, retries, naks, heartbeats). The series are the same
-// for every stream and target set; the backlog is the stream's own
-// (DurableStream.Collect), and everything is read from the snapshot the
-// uplink already keeps, at scrape time only.
+// connection activity (dials, reconnects, connected, wire bytes, batch
+// frames) and delivery (sent, retries, naks, heartbeats). The series are
+// the same for every stream and target set; the backlog is the stream's
+// own (DurableStream.Collect), and everything is read from the snapshot
+// the uplink already keeps, at scrape time only.
 func (u *Uplink) Collect(reg *obs.Registry, name string) {
 	if reg == nil {
 		return
@@ -65,7 +65,6 @@ func (u *Uplink) Collect(reg *obs.Registry, name string) {
 		}
 		emit("dlc_fwd_connected"+labels, connected)
 		emit("dlc_fwd_wire_bytes_total"+labels, float64(u.wireBytes.Load()))
-		emit("dlc_fwd_frames_total"+labels, float64(u.framesOut.Load()))
 		emit("dlc_fwd_batch_frames_total"+labels, float64(u.batchFramesOut.Load()))
 	})
 }
@@ -119,20 +118,6 @@ func (s *TCPServer) Instrument(hop string, clock obs.Clock) {
 	s.hop = hop
 	s.clock = clock
 	s.mu.Unlock()
-}
-
-// Collect exports the best-effort client's send-side counters under
-// labels {cli="<name>"}.
-func (c *TCPClient) Collect(reg *obs.Registry, name string) {
-	if reg == nil {
-		return
-	}
-	labels := `{cli="` + name + `"}`
-	reg.RegisterCollector(func(emit func(string, float64)) {
-		emit("dlc_tcp_client_frames_total"+labels, float64(c.frames.Load()))
-		emit("dlc_tcp_client_batch_frames_total"+labels, float64(c.batchFrames.Load()))
-		emit("dlc_tcp_client_wire_bytes_total"+labels, float64(c.wireBytes.Load()))
-	})
 }
 
 // CollectPools exports the package's buffer recycling pool, the batch

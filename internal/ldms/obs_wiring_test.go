@@ -73,6 +73,9 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 		uplink func(t *testing.T, d *Daemon, addr string) (*Uplink, *streams.DurableStream)
 		window int // the flag line's -spool, passed to Health
 	}{
+		{"-forward", func(t *testing.T, d *Daemon, addr string) (*Uplink, *streams.DurableStream) {
+			return spoolUplink(t, d, UplinkConfig{Addr: addr}, 1024, streams.Block)
+		}, 1024},
 		{"-reconnect", func(t *testing.T, d *Daemon, addr string) (*Uplink, *streams.DurableStream) {
 			return spoolUplink(t, d, UplinkConfig{Addr: addr}, 64, streams.DropOldest)
 		}, 64},
@@ -180,9 +183,8 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 			}
 			// A cursor round is one batch frame per stored batch, whichever
 			// stream it reads; no legacy frame is written.
-			frames, batches := series[`dlc_fwd_frames_total{fwd="uplink"}`], series[`dlc_fwd_batch_frames_total{fwd="uplink"}`]
-			if frames != "0" || batches == "0" || batches == "" {
-				t.Errorf("uplink wrote %s legacy and %s batch frames, want 0 and at least 1", frames, batches)
+			if batches := series[`dlc_fwd_batch_frames_total{fwd="uplink"}`]; batches == "0" || batches == "" || aggSrv.frames.Load() != 0 {
+				t.Errorf("uplink wrote %s batch frames and the aggregator read %d legacy ones, want at least 1 and 0", batches, aggSrv.frames.Load())
 			}
 			if got := series[`dlc_fwd_wire_bytes_total{fwd="uplink"}`]; got == "" || got == "0" {
 				t.Errorf("dlc_fwd_wire_bytes_total = %q, want the bytes of 20 frames", got)

@@ -24,31 +24,23 @@ func fastBackoff(addr string) UplinkConfig {
 	}
 }
 
-// openSpool opens the spool of ldmsd -reconnect on bus: a memory-only
-// stream of the connector tag, size messages at most, overflowing by
-// policy.
+// openSpool opens the window of ldmsd -forward on bus (bindWindow): a
+// memory-only stream of the connector tag, size messages at most,
+// overflowing by policy.
 func openSpool(t *testing.T, bus *streams.Bus, size int, policy streams.OverflowPolicy) *streams.DurableStream {
 	t.Helper()
-	s, err := streams.OpenStream(streams.StreamConfig{
-		Name: "ldmsd", Subjects: []string{"darshanConnector"},
-		Retention: streams.RetentionPolicy{MaxMsgs: size}, Overflow: policy,
-		Clock: func() time.Duration { return time.Duration(time.Now().UnixNano()) },
-	}, nil)
+	s, err := bindWindow(bus, "ldmsd", "darshanConnector", size, policy)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bus.BindStream(s); err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-// spoolUplink wires node's uplink as ldmsd -reconnect does: its spool
-// forwarded by a stream uplink.
+// spoolUplink wires node's uplink as ldmsd -forward does (NewForward):
+// its window forwarded by a stream uplink.
 func spoolUplink(t *testing.T, node *Daemon, cfg UplinkConfig, size int, policy streams.OverflowPolicy) (*Uplink, *streams.DurableStream) {
 	t.Helper()
-	s := openSpool(t, node.Bus(), size, policy)
-	u, err := NewStreamUplink(s, cfg)
+	u, s, err := NewForward(node, "darshanConnector", size, policy, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,9 +345,13 @@ func TestForwarderHeartbeatLiveness(t *testing.T) {
 	waitFor(t, "heartbeats", func() bool {
 		return srv.Heartbeats() >= 3 && f.Stats().Heartbeats >= 3
 	})
-	// Probes keep the link observable but are not stream traffic.
+	// Probes keep the link observable but are not stream traffic, and
+	// each is a batch frame of one.
 	if srv.Received() != 0 {
 		t.Fatalf("heartbeats were published as messages: received %d", srv.Received())
+	}
+	if srv.frames.Load() != 0 {
+		t.Fatalf("%d heartbeats came as legacy frames", srv.frames.Load())
 	}
 }
 
@@ -394,6 +390,9 @@ func TestPingTCP(t *testing.T) {
 		t.Fatalf("ping of a live daemon failed: %v", err)
 	}
 	waitFor(t, "probe count", func() bool { return srv.Heartbeats() == 1 })
+	if srv.frames.Load() != 0 || srv.batchFrames.Load() != 1 {
+		t.Fatalf("the probe came as %d legacy and %d batch frames, want a batch frame of one", srv.frames.Load(), srv.batchFrames.Load())
+	}
 	addr := srv.Addr()
 	srv.Close()
 	if err := PingTCP(addr, 100*time.Millisecond); err == nil {

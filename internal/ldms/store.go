@@ -68,24 +68,15 @@ func (h *StoreHandle) Close() { h.sub.Close() }
 type CountStore struct {
 	mu    sync.Mutex
 	count uint64
-	bytes uint64
 }
 
 // Name implements StorePlugin.
 func (c *CountStore) Name() string { return "store_count" }
 
-// Store implements StorePlugin. Only materialized payload bytes are
-// counted — a typed record that nothing has JSON-encoded contributes 0,
-// deliberately: forcing the encode just to count it would undo the lazy
-// plane for every overhead campaign that uses this store.
-func (c *CountStore) Store(m streams.Message) error {
+// Store implements StorePlugin.
+func (c *CountStore) Store(streams.Message) error {
 	c.mu.Lock()
 	c.count++
-	if m.Data != nil {
-		c.bytes += uint64(len(m.Data))
-	} else if r, ok := m.Record.(*event.Record); ok && r.Encoded() {
-		c.bytes += uint64(len(r.Payload()))
-	}
 	c.mu.Unlock()
 	return nil
 }
@@ -95,13 +86,6 @@ func (c *CountStore) Count() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.count
-}
-
-// Bytes returns payload bytes seen.
-func (c *CountStore) Bytes() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
 }
 
 // CSVStore renders connector messages into the Fig 3 CSV layout. Typed

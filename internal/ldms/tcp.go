@@ -16,10 +16,11 @@ import (
 	"darshanldms/internal/streams"
 )
 
-// The TCP transport frames stream messages as a 4-byte big-endian length
-// followed by a JSON envelope. It lets real (non-simulated) daemons form
-// the same multi-hop topology: connector -> node ldmsd -> aggregator ->
-// store, which cmd/ldmsd exposes.
+// The TCP transport lets real (non-simulated) daemons form the same
+// multi-hop topology: connector -> node ldmsd -> aggregator -> store,
+// which cmd/ldmsd exposes. Daemons write batch frames (tcp_batch.go). The
+// legacy frame, a 4-byte big-endian length followed by a JSON envelope of
+// one message, is still read: older peers and raw publishers send it.
 
 // maxFrame bounds a frame to keep a malformed peer from exhausting memory.
 const maxFrame = 16 << 20
@@ -49,8 +50,10 @@ type wireMsg struct {
 	Seq      uint64 `json:"seq,omitempty"`
 }
 
-// WriteFrame writes one stream message to w. The wire needs bytes, so a
-// typed record is encoded here (once, cached) if nothing encoded it yet.
+// WriteFrame writes one stream message to w as a legacy frame. The wire
+// needs bytes, so a typed record is encoded here (once, cached) if nothing
+// encoded it yet. Daemons only read legacy frames (older peers send them);
+// WriteFrame stays exported for the benchmark's frame timings.
 func WriteFrame(w io.Writer, m streams.Message) error {
 	payload, err := json.Marshal(wireMsg{Tag: m.Tag, Type: int(m.Type), Data: m.Payload(), Producer: m.Producer, Seq: m.Seq})
 	if err != nil {
@@ -279,31 +282,25 @@ func (s *TCPServer) Close() error {
 	return err
 }
 
-// TCPClient publishes stream messages to a remote daemon. Delivery is
-// best-effort: there is no reconnect or resend (matching LDMS Streams).
+// TCPClient publishes stream messages over one connection, with no redial
+// or resend. No daemon sends through it (every forward is an Uplink); it,
+// DialTCP, PublishBatch and WriteFrame stay exported for the benchmark.
 type TCPClient struct {
 	mu   sync.Mutex
 	conn net.Conn
 	bw   *bufio.Writer
-	// Obs plane: wire bytes and frames written (always counted — three
-	// atomic adds per frame — so Collect needs no mode switch).
-	wireBytes   atomic.Uint64
-	frames      atomic.Uint64
-	batchFrames atomic.Uint64
 }
 
-// DialTCP connects to a TCPServer.
+// DialTCP connects a TCPClient to a TCPServer (benchmark only).
 func DialTCP(addr string) (*TCPClient, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &TCPClient{conn: conn}
-	c.bw = bufio.NewWriter(&countingWriter{w: conn, n: &c.wireBytes})
-	return c, nil
+	return &TCPClient{conn: conn, bw: bufio.NewWriter(conn)}, nil
 }
 
-// Publish sends one message.
+// Publish sends one message as a legacy frame.
 func (c *TCPClient) Publish(m streams.Message) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -313,7 +310,6 @@ func (c *TCPClient) Publish(m streams.Message) error {
 	if err := WriteFrame(c.bw, m); err != nil {
 		return err
 	}
-	c.frames.Add(1)
 	return c.bw.Flush()
 }
 
@@ -329,17 +325,8 @@ func (c *TCPClient) Close() error {
 	return err
 }
 
-// ForwardTCP relays a tag from a local daemon's bus over TCP to a remote
-// daemon — one hop of a real multi-level topology.
-func ForwardTCP(from *Daemon, tag string, client *TCPClient) *streams.Subscription {
-	return from.Bus().Subscribe(tag, func(m streams.Message) {
-		// Best-effort: a failed send is dropped, as LDMS Streams does.
-		_ = client.Publish(m)
-	})
-}
-
-// PingTCP dials addr, writes one heartbeat frame and closes — a one-shot
-// liveness probe for a remote daemon.
+// PingTCP dials addr, writes one heartbeat as a batch frame of one and
+// closes — a one-shot liveness probe for a remote daemon.
 func PingTCP(addr string, timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = 2 * time.Second
@@ -350,5 +337,5 @@ func PingTCP(addr string, timeout time.Duration) error {
 	}
 	defer conn.Close()
 	conn.SetWriteDeadline(time.Now().Add(timeout))
-	return WriteFrame(conn, heartbeat)
+	return WriteBatchFrame(conn, []streams.Message{heartbeat})
 }

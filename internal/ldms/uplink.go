@@ -2,6 +2,7 @@ package ldms
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -9,15 +10,17 @@ import (
 	"sync/atomic"
 	"time"
 
+	"darshanldms/internal/obs"
 	"darshanldms/internal/rng"
 	"darshanldms/internal/streams"
 )
 
-// This file is the opt-in reliable uplink over the TCP transport. The
-// default transport stays best-effort ("no reconnect or resend for
-// delivery", Section IV-B) so the paper's semantics and numbers are
-// untouched; an Uplink is what a deployment enables when a dead
-// aggregator or a flapping link must not silently eat the stream.
+// This file is the one sender of the real wire: every forward a daemon
+// runs over TCP is an Uplink. The paper's LDMS Streams hop is best-effort,
+// with no reconnect or resend (Section IV-B); the sim-time Relay keeps
+// that, and the paper's numbers come from it. A real daemon must not let
+// a dead aggregator or a flapping link silently eat the stream, so what
+// it has not sent waits in a stream while the link redials.
 //
 // There is one link state machine — lazy dial, peer-close monitor,
 // teardown, backoff with jitter, heartbeat — and one delivery loop: take
@@ -29,9 +32,10 @@ import (
 //
 //	stream      segment-backed (ldmsd -stream): the ack floor is
 //	            checkpointed and survives a crash
-//	            memory-only (ldmsd -reconnect): a bounded spool that holds
-//	            only what is unsent — an acked entry leaves the window — and
-//	            applies its overflow policy at the append
+//	            memory-only (ldmsd -forward, dlc-run -forward; NewForward):
+//	            a bounded window that holds only what is unsent — an acked
+//	            entry leaves it — and applies its overflow policy at the
+//	            append: block, unless ldmsd -reconnect picks another
 //	target set  Addr alone, or Addr + Standby with a dial-probe failure
 //	            detector that re-homes the link
 
@@ -134,10 +138,10 @@ type UplinkStats struct {
 	Consumer streams.ConsumerStats
 }
 
-// Uplink forwards a stream to a remote daemon over TCP like ForwardTCP,
-// but survives the remote daemon dying: undelivered messages wait in the
-// stream while the link redials with exponential backoff and jitter, and
-// are resent once the link returns. A round is acked after its flush and
+// Uplink forwards a stream to a remote daemon over TCP and survives the
+// remote daemon dying: undelivered messages wait in the stream while the
+// link redials with exponential backoff and jitter, and are resent once
+// the link returns. A round is acked after its flush and
 // never before, and a failed one is naked whole for immediate
 // redelivery, so a message leaves the stream only sent — or, from a
 // memory-only stream, as a counted overflow drop. Frames a dying
@@ -165,10 +169,9 @@ type Uplink struct {
 	misses     uint64
 
 	// Wire accounting for the obs plane: bytes actually written to the
-	// socket (headers included) and frames by kind. Atomic so Collect
-	// reads them without touching the link locks.
+	// socket (headers included) and batch frames. Atomic so Collect reads
+	// them without touching the link locks.
 	wireBytes      atomic.Uint64
-	framesOut      atomic.Uint64
 	batchFramesOut atomic.Uint64
 
 	rehomed   chan struct{} // prober -> delivery loop: retry now, on the new target
@@ -229,6 +232,37 @@ func NewStreamUplink(s *streams.DurableStream, cfg UplinkConfig) (*Uplink, error
 	return u, nil
 }
 
+// NewForward wires the forward every real-wire hop runs (ldmsd -forward,
+// dlc-run -forward): a memory-only window of tag bound to d's bus, sent
+// by NewStreamUplink in rounds of at most cfg.BatchSize (default
+// RoundSize) and never more than the window.
+func NewForward(d *Daemon, tag string, window int, policy streams.OverflowPolicy, cfg UplinkConfig) (*Uplink, *streams.DurableStream, error) {
+	s, err := bindWindow(d.Bus(), d.Name, tag, window, policy)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.BatchSize = min(cmp.Or(cfg.BatchSize, RoundSize), window)
+	u, err := NewStreamUplink(s, cfg)
+	return u, s, err
+}
+
+// bindWindow opens a memory-only stream of tag named name, bound to bus:
+// it holds only what is unsent (an entry leaves once its round is acked),
+// at most window messages, and policy is what an append does when full.
+func bindWindow(bus *streams.Bus, name, tag string, window int, policy streams.OverflowPolicy) (*streams.DurableStream, error) {
+	s, err := streams.OpenStream(streams.StreamConfig{
+		Name:      name,
+		Subjects:  []string{tag},
+		Retention: streams.RetentionPolicy{MaxMsgs: window},
+		Overflow:  policy,
+		Clock:     obs.WallClock(),
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return s, bus.BindStream(s)
+}
+
 // run is the delivery loop: take a round, send it, settle it; a failed
 // round backs off before the next attempt.
 func (u *Uplink) run() {
@@ -240,7 +274,7 @@ func (u *Uplink) run() {
 			return
 		}
 		n := uint64(len(round))
-		err := u.send(round, ends, bodies, true)
+		err := u.send(round, ends, bodies)
 		// Count before settling: Flush returns the moment the source is
 		// drained, and a caller reading Stats next must see the round.
 		u.mu.Lock()
@@ -287,17 +321,29 @@ func (u *Uplink) pause(d time.Duration) bool {
 	}
 }
 
-// send writes msgs on the current connection — as batch frames ending at
+// send writes msgs on the current connection as batch frames ending at
 // ends, each made of its stored body where bodies holds one (see
-// Cursor.take), or one legacy frame each — dialing first if necessary,
-// and flushes once. Any error tears the connection down for a fresh dial.
-func (u *Uplink) send(msgs []streams.Message, ends []int, bodies [][]byte, batch bool) error {
+// Cursor.take), dialing first if necessary, and flushes once. Any error
+// tears the connection down for a fresh dial.
+func (u *Uplink) send(msgs []streams.Message, ends []int, bodies [][]byte) (err error) {
 	u.connMu.Lock()
 	defer u.connMu.Unlock()
 	if err := u.ensureConnLocked(); err != nil {
 		return err
 	}
-	err := u.writeLocked(msgs, ends, bodies, batch)
+	lo := 0
+	for i, hi := range ends {
+		if bodies[i] != nil {
+			err = writeBatchBody(u.bw, bodies[i])
+		} else {
+			err = WriteBatchFrame(u.bw, msgs[lo:hi])
+		}
+		if err != nil {
+			break
+		}
+		u.batchFramesOut.Add(1)
+		lo = hi
+	}
 	if err == nil {
 		err = u.bw.Flush()
 	}
@@ -305,34 +351,6 @@ func (u *Uplink) send(msgs []streams.Message, ends []int, bodies [][]byte, batch
 		u.teardownLocked()
 	}
 	return err
-}
-
-// writeLocked frames msgs into the connection's buffer (connMu held).
-func (u *Uplink) writeLocked(msgs []streams.Message, ends []int, bodies [][]byte, batch bool) error {
-	if batch {
-		lo := 0
-		for i, hi := range ends {
-			var err error
-			if bodies[i] != nil {
-				err = writeBatchBody(u.bw, bodies[i])
-			} else {
-				err = WriteBatchFrame(u.bw, msgs[lo:hi])
-			}
-			if err != nil {
-				return err
-			}
-			u.batchFramesOut.Add(1)
-			lo = hi
-		}
-		return nil
-	}
-	for _, m := range msgs {
-		if err := WriteFrame(u.bw, m); err != nil {
-			return err
-		}
-		u.framesOut.Add(1)
-	}
-	return nil
 }
 
 // ensureConnLocked dials the active target if there is no live connection
@@ -391,13 +409,14 @@ func (u *Uplink) heartbeatLoop() {
 	defer u.wg.Done()
 	tick := time.NewTicker(u.cfg.HeartbeatEvery)
 	defer tick.Stop()
-	hb := []streams.Message{heartbeat}
+	// A heartbeat is a batch frame of one.
+	hb, ends, bodies := []streams.Message{heartbeat}, []int{1}, [][]byte{nil}
 	for {
 		select {
 		case <-u.done:
 			return
 		case <-tick.C:
-			if u.send(hb, nil, nil, false) == nil {
+			if u.send(hb, ends, bodies) == nil {
 				u.connMu.Lock()
 				u.heartbeats++
 				u.connMu.Unlock()

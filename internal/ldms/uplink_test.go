@@ -315,13 +315,15 @@ func (c *captureServer) close() {
 // TestUplinkWireIdentity pins the bytes an uplink writes. For a fixed
 // seeded sequence — typed records and opaque payloads, one heartbeat, one
 // reconnect — every configuration must put on the wire exactly what
-// WriteFrame / WriteBatchFrame produce for the same sequence: dsosd
+// WriteBatchFrame produces for the same sequence, the heartbeat a batch
+// frame of one: dsosd
 // persists what arrives, so a byte of drift here is a byte of drift in
 // disk_bytes_per_event and a break with older peers. A round is exactly
 // WriteBatchFrame of each stored-batch run of the messages the stream was
 // given — they rest in the stream in the same codec, so nothing is
 // re-rendered — whether the stream is the segment-backed one or the
-// memory-only spool the daemon's bus feeds one message at a time.
+// memory-only window the daemon's bus feeds one message at a time, under
+// -forward's block policy or -reconnect's.
 func TestUplinkWireIdentity(t *testing.T) {
 	r := rng.New(14)
 	msgs := make([]streams.Message, 8)
@@ -341,15 +343,6 @@ func TestUplinkWireIdentity(t *testing.T) {
 			Producer: "nid00040", Seq: seq,
 		}
 	}
-	frames := func(ms ...streams.Message) []byte {
-		var b bytes.Buffer
-		for _, m := range ms {
-			if err := WriteFrame(&b, m); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return b.Bytes()
-	}
 	batch := func(ms ...streams.Message) []byte {
 		var b bytes.Buffer
 		if err := WriteBatchFrame(&b, ms); err != nil {
@@ -366,19 +359,21 @@ func TestUplinkWireIdentity(t *testing.T) {
 	// connection. What a dying connection had flushed is not resent.
 	tail := cat(batch(msgs[6]), batch(msgs[7]))
 	cases := []struct {
-		name  string
-		spool bool
-		round int // BatchSize (0 = default)
-		want  [2][]byte
+		name   string
+		spool  bool
+		policy streams.OverflowPolicy // the window's, when spool
+		round  int                    // BatchSize (0 = default)
+		want   [2][]byte
 	}{
-		// The spool's messages are appended one at a time, so a round is
+		// The window's messages are appended one at a time, so a round is
 		// one run: one frame, however many messages it holds.
-		{"spool", true, 0, [2][]byte{cat(batch(msgs[:6]...), frames(heartbeat)), tail}},
-		{"spool+batch", true, 3, [2][]byte{
-			cat(batch(msgs[:3]...), batch(msgs[3:6]...), frames(heartbeat)), tail,
+		{"forward", true, streams.Block, 0, [2][]byte{cat(batch(msgs[:6]...), batch(heartbeat)), tail}},
+		{"spool", true, streams.DropOldest, 0, [2][]byte{cat(batch(msgs[:6]...), batch(heartbeat)), tail}},
+		{"spool+batch", true, streams.DropOldest, 3, [2][]byte{
+			cat(batch(msgs[:3]...), batch(msgs[3:6]...), batch(heartbeat)), tail,
 		}},
-		{"consumer", false, 0, [2][]byte{
-			cat(batch(msgs[0]), batch(msgs[1:6]...), frames(heartbeat)), tail,
+		{"consumer", false, 0, 0, [2][]byte{
+			cat(batch(msgs[0]), batch(msgs[1:6]...), batch(heartbeat)), tail,
 		}},
 	}
 	for _, tc := range cases {
@@ -398,7 +393,7 @@ func TestUplinkWireIdentity(t *testing.T) {
 						node.Bus().Publish(m)
 					}
 				}
-				u, _ = spoolUplink(t, node, cfg, 1024, streams.DropOldest)
+				u, _ = spoolUplink(t, node, cfg, 1024, tc.policy)
 			} else {
 				// One AppendBatch per call: the stream shows the cursor all
 				// of them or none, so the round that finally gets through
@@ -422,9 +417,14 @@ func TestUplinkWireIdentity(t *testing.T) {
 			publish(msgs[0])
 			waitFor(t, "message 1 in hand", func() bool { return u.Stats().Retries >= 1 })
 			publish(msgs[1:6]...)
+			// A round taken while 2..6 were being published may still be
+			// dialing; the second round to fail from here on was taken
+			// after them, so the round the peer gets holds all six.
+			failed := u.Stats().Retries
+			waitFor(t, "a round of all six failed", func() bool { return u.Stats().Retries >= failed+2 })
 			srv := listenCapture(t, addr)
 			waitFor(t, "first six sent", func() bool { return u.Stats().Sent == 6 })
-			if err := u.send([]streams.Message{heartbeat}, nil, nil, false); err != nil {
+			if err := u.send([]streams.Message{heartbeat}, []int{1}, [][]byte{nil}); err != nil {
 				t.Fatal(err)
 			}
 			waitFor(t, "first connection's bytes", func() bool { return len(srv.captured(0)) >= len(tc.want[0]) })

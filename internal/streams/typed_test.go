@@ -50,7 +50,7 @@ func TestStreamLazyPayloadNotForced(t *testing.T) {
 	if _, err := s.Append(streams.Message{Tag: "t", Type: streams.TypeJSON, Record: rec, Producer: "nid00046", Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Encoded() || encoded.Load() != 0 {
+	if encoded.Load() != 0 {
 		t.Fatalf("append forced the JSON encode (%d bytes)", encoded.Load())
 	}
 	r, err := wal.Open()
@@ -70,14 +70,19 @@ func TestStreamLazyPayloadNotForced(t *testing.T) {
 			t.Fatalf("fetch: %v %v", ds, err)
 		}
 		got, ok := ds[0].Msg.Record.(*event.Record)
-		if !ok || got.TypedFields() == nil || got.Encoded() {
-			t.Fatalf("delivery is not a typed-first, unencoded record: %+v", ds[0].Msg)
+		if !ok || got.TypedFields() == nil {
+			t.Fatalf("delivery is not a typed-first record: %+v", ds[0].Msg)
 		}
+		var rendered atomic.Uint64
+		got.CountEncodes(&rendered)
 		if !reflect.DeepEqual(got.TypedFields(), sampleFields(1)) {
 			t.Fatalf("fields changed at rest:\n got %+v\nwant %+v", got.TypedFields(), sampleFields(1))
 		}
 		if want := (jsonmsg.FastEncoder{}).Encode(sampleFields(1)); !bytes.Equal(ds[0].Msg.Payload(), want) {
 			t.Fatalf("payload on demand:\n got %s\nwant %s", ds[0].Msg.Payload(), want)
+		}
+		if rendered.Load() == 0 {
+			t.Fatal("the delivery's JSON was rendered before anyone asked for it")
 		}
 	}
 }

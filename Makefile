@@ -73,7 +73,7 @@ chaos-smoke:
 streams-smoke:
 	$(GO) test -race -short -run 'StreamSoak' ./internal/harness
 	$(GO) test -race -count=1 -run 'Batch|Wait|Legacy|Lazy|Retention|MemoryStream' ./internal/streams
-	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|Recover|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory|StoredBodyIngestIdentity|SpoolStream|ForwarderSpool|UplinkHealth|UplinkLifecycle|ForwardMatchesBestEffort|ForwardSurvivesUpstreamRestart|TCPServerDeath|ForwardFirehose|LegacyFrameReadCompat' ./internal/ldms
+	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|Recover|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory|StoredBodyIngestIdentity|SpoolStream|ForwarderSpool|UplinkHealth|UplinkLifecycle|ForwardMatchesBestEffort|ForwardSurvivesUpstreamRestart|TCPServerDeath|ForwardFirehose|LegacyFrameReadCompat|TwoJobsOneProducer' ./internal/ldms ./internal/connector
 	$(GO) test -race -count=1 -run 'InsertOutlivesRowMemory' ./internal/topo
 	$(GO) test -count=1 -run 'TestCLIForwardSurvivesUpstreamRestart|TestCLILdmsdShutdownWithBlockedPublisher|TestCLIRunForward' .
 

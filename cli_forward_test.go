@@ -187,6 +187,33 @@ func TestCLIRunForward(t *testing.T) {
 		waitStderr(t, "every event stored", dsosdErr, func() bool { return storeCount(t, storeAPI) == n })
 	})
 
+	t.Run("two jobs into dsosd -stream", func(t *testing.T) {
+		// Each dlc-run's connector numbers its messages from 1: the second
+		// job from the same nodes must be stored, not absorbed as replays
+		// of the first.
+		storeAddr, storeAPI := freeAddr(t), freeAddr(t)
+		dsosdErr := startDaemon(t, dsosdBin, "-listen", storeAddr, "-http", storeAPI, "-snapshot-every", "1h", "-stream", "dsosd.stream")
+		waitStderr(t, "dsosd listening", dsosdErr, func() bool { return ldms.PingTCP(storeAddr, 200*time.Millisecond) == nil })
+		total := 0
+		for _, job := range []string{"100", "101"} {
+			out, err := run(storeAddr, "-app", "hacc", "-scale", "0.002", "-encoder", "fast", "-seed", "3", "-job", job)
+			if err != nil {
+				t.Fatalf("dlc-run -job %s: %v\n%s", job, err, out)
+			}
+			m := events.FindStringSubmatch(out)
+			if m == nil {
+				t.Fatalf("dlc-run -job %s reported no event count:\n%s", job, out)
+			}
+			n, _ := strconv.Atoi(m[1])
+			total += n
+			waitStderr(t, "job "+job+"'s events stored", dsosdErr, func() bool { return storeCount(t, storeAPI) == total })
+		}
+		_, metrics := httpDo(t, http.MethodGet, "http://"+storeAPI+"/metrics")
+		if !strings.Contains(metrics, "\ndlc_dedup_duplicates_total 0\n") {
+			t.Errorf("dsosd /metrics: want dlc_dedup_duplicates_total 0 in\n%s", metrics)
+		}
+	})
+
 	t.Run("nothing listening", func(t *testing.T) {
 		start := time.Now()
 		out, err := run(freeAddr(t), "-app", "sw4", "-scale", "0.001")

@@ -40,12 +40,8 @@ func main() {
 	only := flag.String("only", "all", "comma-separated subset of 2a,2b,2c,ablation,sweep,5,6,7,8,9,faults,chaos,topo,scenario")
 	scenarioFile := flag.String("scenario", "", "run this ad-hoc scenario spec file instead of a suite (see internal/scenario)")
 	bins := flag.Int("bins", 24, "time bins for Figure 9")
-	telemetry := flag.Bool("telemetry", false, "enable per-event span tracing and dump a pipeline telemetry snapshot to stderr; the generated tables and figures are bit-identical either way (CI diffs the two modes)")
+	telemetry := flag.Bool("telemetry", false, "run an instrumented probe job and dump its per-stage telemetry snapshot (counters, histograms) to stderr; the generated tables and figures are bit-identical either way (CI diffs the two modes)")
 	flag.Parse()
-
-	if *telemetry {
-		obs.SetTracing(true)
-	}
 
 	valid := []string{"2a", "2b", "2c", "ablation", "sweep", "5", "6", "7", "8", "9", "faults", "chaos", "topo", "scenario"}
 	want := map[string]bool{}

@@ -80,8 +80,7 @@ func main() {
 		ingest := ldms.NewDaemon("web-ingest", "dashboard")
 		dstore := ldms.NewDSOSStore(client)
 		serveCluster.Instrument(reg, clock)
-		dstore.Instrument(reg, clock)
-		ingest.Bus().Instrument("web-ingest", clock)
+		dstore.Instrument(reg)
 		ingest.Bus().Collect(reg, "web-ingest")
 		// Stage the replay through a durable stream with a consumer-acked
 		// ingest loop — the same shape as dsosd -stream — so the

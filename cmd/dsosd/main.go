@@ -222,14 +222,16 @@ func main() {
 
 	store := ldms.NewDSOSStore(client)
 	var h *ldms.StoreHandle
+	var dedup *ldms.DedupStore
 	ingestDone := make(chan error, 1)
 	var ingestErr atomic.Pointer[error]
 	if stream != nil {
 		if err := d.Bus().BindStream(stream); err != nil {
 			fatal(err)
 		}
+		dedup = ldms.NewDedupStore(store)
 		go func() {
-			err := ldms.IngestStream(cons, ldms.NewDedupStore(store), func(err error) {
+			err := ldms.IngestStream(cons, dedup, func(err error) {
 				fmt.Fprintln(os.Stderr, "dsosd: ingest:", err)
 			})
 			if err != nil {
@@ -289,19 +291,18 @@ func main() {
 
 	if *httpAddr != "" {
 		// Telemetry: every stage this daemon owns — ingest bus, TCP
-		// receive side, buffer pools, DSOS store plugin, per-shard
-		// cluster state — plus a cluster-quorum health probe.
+		// receive side, buffer pools, DSOS store plugin, the stream's
+		// dedup stage, per-shard cluster state — plus a cluster-quorum
+		// health probe.
 		reg := obs.NewRegistry()
-		clock := obs.WallClock()
-		cluster.Instrument(reg, clock)
-		store.Instrument(reg, clock)
-		d.Bus().Instrument("dsosd-ingest", clock)
+		cluster.Instrument(reg, obs.WallClock())
+		store.Instrument(reg)
 		d.Bus().Collect(reg, "dsosd-ingest")
-		srv.Instrument("tcp:dsosd", clock)
 		srv.Collect(reg, "dsosd")
 		ldms.CollectPools(reg)
 		if stream != nil {
 			stream.Collect(reg)
+			dedup.Instrument(reg)
 		}
 		health := obs.NewHealth()
 		health.Register("cluster", cluster.ClusterHealth())

@@ -320,10 +320,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "ldmsd: %s listening on %s (tag %q)\n", *producer, srv.Addr(), *tag)
 
 	if *httpAddr != "" {
-		clock := obs.WallClock()
-		d.Bus().Instrument("ldmsd", clock)
 		d.Bus().Collect(reg, "ldmsd")
-		srv.Instrument("tcp:ldmsd", clock)
 		srv.Collect(reg, "ldmsd")
 		ldms.CollectPools(reg)
 		reg.RegisterCollector(func(emit func(string, float64)) {

@@ -21,7 +21,9 @@ var exportsKept = map[string]string{
 	"dsos.PartialError.Unwrap":        "interface: errors.Unwrap",
 	"dsos.nothingWritten.Unwrap":      "interface: errors.Unwrap",
 	"dsos.mergeHeap.Less":             "interface: heap.Interface",
+	"dsos.mergeHeap.Swap":             "interface: heap.Interface",
 	"sim.eventHeap.Less":              "interface: heap.Interface",
+	"sim.eventHeap.Swap":              "interface: heap.Interface",
 	"faults.Link.Down":                "test seam: the harness stream soak reads link state",
 	"faults.NewTCPProxy":              "ROADMAP item 11: the multi-process soak's fault proxy",
 	"faults.TCPProxy.Accepted":        "ROADMAP item 11: the multi-process soak's fault proxy",

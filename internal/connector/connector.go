@@ -13,12 +13,14 @@
 package connector
 
 import (
+	"strconv"
 	"sync/atomic"
 
 	"darshanldms/internal/darshan"
 	"darshanldms/internal/event"
 	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/ldms"
+	"darshanldms/internal/obs"
 	"darshanldms/internal/streams"
 )
 
@@ -92,12 +94,23 @@ type Connector struct {
 	stats    Stats
 	bytes    atomic.Uint64 // lazily encoded payload bytes (see Stats.Bytes)
 	lossy    bool          // encoder output does not carry the fields (ablation)
-	// seqs hands out per-producer sequence numbers, the message's
-	// delivery identity for downstream dedup (exactly-once ingest).
-	seqs map[string]uint64
-	// obs, when set (Instrument), records the per-event encoder cost and
-	// stamps the "connector" trace hop. Nil costs one compare per event.
-	obs *connObs
+	// senders hands out each producer's delivery identity for
+	// downstream dedup (exactly-once ingest).
+	senders map[string]*sender
+	// encodeCost, when set (Instrument), records the per-event encoder
+	// cost; nil records nothing.
+	encodeCost *obs.Histogram
+}
+
+// sender is one producer's delivery identity: the envelope producer and
+// the last sequence number handed out. The counter restarts at 1 in
+// every connector, so the envelope producer names the node and the job
+// (JobMeta.JobID) — two jobs on one node must not share identities, or
+// dedup absorbs the second job as replays of the first. The row's
+// producer_name stays the node.
+type sender struct {
+	producer string
+	seq      uint64
 }
 
 // lossyEncoder marks encoders whose output deliberately discards the
@@ -122,7 +135,7 @@ func New(cfg Config, daemonOf func(producer string) *ldms.Daemon) *Connector {
 	if daemonOf == nil {
 		panic("connector: nil daemon router")
 	}
-	c := &Connector{cfg: cfg, daemonOf: daemonOf, seqs: map[string]uint64{}}
+	c := &Connector{cfg: cfg, daemonOf: daemonOf, senders: map[string]*sender{}}
 	c.enc = cfg.Encoder
 	if c.enc == nil {
 		c.enc = jsonmsg.SprintfEncoder{}
@@ -168,8 +181,13 @@ func (c *Connector) OnEvent(ctx *darshan.Ctx, ev *darshan.Event) {
 		return
 	}
 	msg := jsonmsg.FromEvent(ev, c.cfg.Meta)
-	c.seqs[ev.Producer]++
-	msg.Seq = c.seqs[ev.Producer]
+	snd := c.senders[ev.Producer]
+	if snd == nil {
+		snd = &sender{producer: ev.Producer + "/" + strconv.FormatInt(c.cfg.Meta.JobID, 10)}
+		c.senders[ev.Producer] = snd
+	}
+	snd.seq++
+	msg.Seq = snd.seq
 	// The encoder's cost is charged in virtual time here whether or not
 	// the real encode ever happens: the rank pays for formatting in the
 	// paper's cost model, and keeping the charge at the hook is what
@@ -177,11 +195,9 @@ func (c *Connector) OnEvent(ctx *darshan.Ctx, ev *darshan.Event) {
 	if c.cfg.ChargeOverhead {
 		ctx.Charge(c.enc.SimCost())
 	}
-	if c.obs != nil {
-		// SimCost is a pure per-encoder constant, so observing it cannot
-		// perturb the seeded run even when overhead is not being charged.
-		c.obs.encodeCost.Observe(uint64(c.enc.SimCost()))
-	}
+	// SimCost is a pure per-encoder constant, so observing it cannot
+	// perturb the seeded run even when overhead is not being charged.
+	c.encodeCost.Observe(uint64(c.enc.SimCost()))
 	d := c.daemonOf(ev.Producer)
 	if d == nil {
 		c.stats.Dropped++
@@ -194,7 +210,7 @@ func (c *Connector) OnEvent(ctx *darshan.Ctx, ev *darshan.Event) {
 	if c.cfg.HierarchicalSubjects {
 		tag = Subject(ev.Producer, ev.Module)
 	}
-	m := streams.Message{Tag: tag, Type: streams.TypeJSON, Producer: ev.Producer, Seq: msg.Seq}
+	m := streams.Message{Tag: tag, Type: streams.TypeJSON, Producer: snd.producer, Seq: msg.Seq}
 	if c.lossy {
 		// Ablation encoders discard the fields on purpose; keep their
 		// placeholder payload eager so downstream sees exactly what the
@@ -202,11 +218,7 @@ func (c *Connector) OnEvent(ctx *darshan.Ctx, ev *darshan.Event) {
 		m.Data = c.enc.Encode(&msg)
 		c.bytes.Add(uint64(len(m.Data)))
 	} else {
-		rec := event.NewRecord(&msg, c.enc).CountEncodes(&c.bytes)
-		if c.obs != nil && c.obs.trace {
-			rec.Stamp(hopConnector, ctx.Now())
-		}
-		m.Record = rec
+		m.Record = event.NewRecord(&msg, c.enc).CountEncodes(&c.bytes)
 	}
 	if d.Bus().Publish(m) == 0 {
 		c.stats.Dropped++

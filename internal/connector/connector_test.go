@@ -6,6 +6,7 @@ import (
 
 	"darshanldms/internal/darshan"
 	"darshanldms/internal/dsos"
+	"darshanldms/internal/event"
 	"darshanldms/internal/jsonmsg"
 	"darshanldms/internal/ldms"
 	"darshanldms/internal/rng"
@@ -317,5 +318,63 @@ func TestHierarchicalSubjects(t *testing.T) {
 	}
 	if got := Subject("nid00040", darshan.ModPOSIX); got != "darshan.nid00040.POSIX" {
 		t.Fatalf("Subject = %q", got)
+	}
+}
+
+// TestTwoJobsOneProducerDedup: two connectors — two jobs — on one node
+// both number their messages from 1. Behind one dedup store every event
+// of both is stored and none is absorbed, each row still names the node
+// as its producer, and a real replay of either job is still absorbed.
+func TestTwoJobsOneProducerDedup(t *testing.T) {
+	e := sim.NewEngine()
+	defer e.Close()
+	fscfg := simfs.DefaultNFS()
+	fscfg.ShortWriteBase = -1
+	fscfg.OpenRetryBase = -1
+	fs := simfs.New(e, fscfg, rng.New(5).Derive("fs"))
+	d := ldms.NewDaemon("node-ldmsd", "nid00040")
+	count := &ldms.CountStore{}
+	dedup := ldms.NewDedupStore(count)
+	d.AttachStore(DefaultTag, dedup)
+	var msgs []streams.Message
+	d.Bus().Subscribe(DefaultTag, func(m streams.Message) { msgs = append(msgs, m) })
+
+	for _, job := range []int64{100, 101} {
+		rt := darshan.NewRuntime(darshan.Config{JobID: job, UID: 5, Exe: "/bin/app"}, 0)
+		Attach(rt, Config{Encoder: jsonmsg.FastEncoder{}, Meta: jsonmsg.JobMeta{UID: 5, JobID: job, Exe: "/bin/app"}},
+			func(string) *ldms.Daemon { return d })
+		e.Spawn("rank0", func(p *sim.Proc) {
+			ctx := darshan.NewCtx(0, "nid00040", p, nil)
+			f := darshan.OpenPosix(rt, fs, ctx, "/nscratch/out", true)
+			f.Write(p, 0, 4096)
+			f.Close(p)
+		})
+	}
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(msgs) != 6 {
+		t.Fatalf("published %d messages, want 6", len(msgs))
+	}
+	if dedup.Stored() != 6 || dedup.Duplicates() != 0 || count.Count() != 6 {
+		t.Fatalf("dedup stored %d, absorbed %d, store got %d; want 6, 0, 6",
+			dedup.Stored(), dedup.Duplicates(), count.Count())
+	}
+	for _, m := range msgs {
+		msg, err := event.Fields(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg.ProducerName != "nid00040" {
+			t.Fatalf("row producer_name %q, want the node", msg.ProducerName)
+		}
+	}
+	for _, m := range []streams.Message{msgs[0], msgs[len(msgs)-1]} {
+		if err := dedup.Store(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dedup.Duplicates() != 2 || count.Count() != 6 {
+		t.Fatalf("replays: absorbed %d, store got %d; want 2, 6", dedup.Duplicates(), count.Count())
 	}
 }

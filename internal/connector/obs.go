@@ -1,33 +1,16 @@
 package connector
 
-import (
-	"darshanldms/internal/obs"
-)
-
-// hopConnector names the connector's publish hook in record traces.
-const hopConnector = "connector"
-
-// connObs holds the connector's hot-path instruments. Kept in one
-// struct behind a single nil check so an uninstrumented connector pays
-// one pointer compare per event.
-type connObs struct {
-	encodeCost *obs.Histogram // per-published-event encoder SimCost, virtual ns
-	trace      bool           // stamp the "connector" hop on typed records
-}
+import "darshanldms/internal/obs"
 
 // Instrument attaches the connector to a registry: the per-event
 // encoder-cost histogram (virtual nanoseconds — SimCost is what the
 // rank is charged, so the histogram is deterministic under a fixed
-// seed) plus the "connector" trace hop on published typed records.
-// Counter aggregates are exported at scrape time via Collect.
+// seed). Counter aggregates are exported at scrape time via Collect.
 func (c *Connector) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	c.obs = &connObs{
-		encodeCost: reg.Histogram("dlc_connector_encode_cost_vns"),
-		trace:      true,
-	}
+	c.encodeCost = reg.Histogram("dlc_connector_encode_cost_vns")
 }
 
 // Collect registers one scrape-time collector exporting the summed

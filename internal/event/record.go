@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"darshanldms/internal/jsonmsg"
-	"darshanldms/internal/obs"
 	"darshanldms/internal/streams"
 )
 
@@ -42,7 +41,6 @@ type Record struct {
 	payload []byte           // cached wire bytes; nil until first Payload on a typed-first record
 	err     error            // sticky parse error of a bytes-first record
 	counter *atomic.Uint64   // optional: counts bytes actually encoded
-	spans   []obs.Span       // hop trace; only grows while obs tracing is on
 	slab    *Slab            // non-nil for slab-owned records (Slab.Wrap)
 }
 

@@ -182,7 +182,6 @@ func (s *Slab) Wrap(msg *jsonmsg.Message, codec jsonmsg.Encoder) *Record {
 	r.payload = nil
 	r.err = nil
 	r.counter = nil
-	r.spans = nil
 	return r
 }
 

@@ -159,8 +159,8 @@ func runChaosSoak(cfg ChaosSoakConfig, name string, mkProfile func(links, crashe
 		crashNames = append(crashNames, d.Name)
 	}
 	crashNames = append(crashNames, "agg-head")
-	dstore.Instrument(p.reg, p.clock)
-	sc.Instrument(p.reg, p.clock)
+	dstore.Instrument(p.reg)
+	sc.Instrument(p.reg, obs.Clock(p.e.Now))
 
 	profile := faults.Profile{Name: name}
 	if mkProfile != nil {

@@ -17,39 +17,13 @@ import (
 // seeded tables derived from them) are bit-identical with or without
 // the snapshot being taken.
 
-// pipelineHops are the trace hops of the full harness pipeline in flow
-// order: the connector's publish hook, the per-node daemon bus, the two
-// aggregation levels, the dedup layer and the final store. The
-// end-to-end trace test asserts a stored record was stamped at every
-// one of them.
-var pipelineHops = []string{
-	hopConnector, hopNodeBus, hopHeadBus, hopRemoteBus, hopDedup, hopStore,
-}
-
-// Harness hop names. The connector, dedup and store stages stamp their
-// own package-level hop names; these constants mirror them (the
-// packages keep theirs unexported) so the harness names one flow.
-const (
-	hopConnector = "connector"
-	hopNodeBus   = "node"
-	hopHeadBus   = "agg-head"
-	hopRemoteBus = "agg-remote"
-	hopDedup     = "dedup"
-	hopStore     = "store"
-)
-
-// instrumentBuses stamps the two-level pipeline's buses with their trace
-// hops and exports their series: the node daemons' buses as one group,
-// then the head and the remote aggregator's.
-func instrumentBuses(reg *obs.Registry, clock obs.Clock, nodes []*streams.Bus, head, remote *streams.Bus) {
-	for _, b := range nodes {
-		b.Instrument(hopNodeBus, clock)
-	}
-	collectBusGroup(reg, hopNodeBus, nodes)
-	head.Instrument(hopHeadBus, clock)
-	head.Collect(reg, hopHeadBus)
-	remote.Instrument(hopRemoteBus, clock)
-	remote.Collect(reg, hopRemoteBus)
+// collectBuses exports the two-level pipeline's bus series: the node
+// daemons' buses as one group, then the head and the remote
+// aggregator's.
+func collectBuses(reg *obs.Registry, nodes []*streams.Bus, head, remote *streams.Bus) {
+	collectBusGroup(reg, "node", nodes)
+	head.Collect(reg, "agg-head")
+	remote.Collect(reg, "agg-remote")
 }
 
 // collectBusGroup exports one summed set of dlc_bus_* series for a

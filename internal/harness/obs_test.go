@@ -3,123 +3,13 @@ package harness
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"darshanldms/internal/apps"
 	"darshanldms/internal/connector"
-	"darshanldms/internal/darshan"
-	"darshanldms/internal/dsos"
-	"darshanldms/internal/event"
 	"darshanldms/internal/jsonmsg"
-	"darshanldms/internal/ldms"
 	"darshanldms/internal/obs"
-	"darshanldms/internal/rng"
-	"darshanldms/internal/sim"
 	"darshanldms/internal/simfs"
-	"darshanldms/internal/streams"
 )
-
-// captureStore keeps the typed records that reach the end of the store
-// chain so tests can inspect their traces.
-type captureStore struct {
-	inner ldms.StorePlugin
-	recs  []*event.Record
-}
-
-func (c *captureStore) Name() string { return "capture(" + c.inner.Name() + ")" }
-
-func (c *captureStore) Store(m streams.Message) error {
-	if err := c.inner.Store(m); err != nil {
-		return err
-	}
-	if r, ok := m.Record.(*event.Record); ok {
-		c.recs = append(c.recs, r)
-	}
-	return nil
-}
-
-// TestEndToEndTraceCoversEveryHop runs a minimal full pipeline with
-// tracing on and asserts every stored record's span chain covers every
-// pipeline hop — connector, node bus, both aggregation levels, dedup,
-// store — in flow order, with non-decreasing virtual timestamps.
-func TestEndToEndTraceCoversEveryHop(t *testing.T) {
-	prev := obs.SetTracing(true)
-	defer obs.SetTracing(prev)
-
-	e := sim.NewEngine()
-	defer e.Close()
-	fscfg := simfs.DefaultNFS()
-	fscfg.ShortWriteBase = -1
-	fscfg.OpenRetryBase = -1
-	fs := simfs.New(e, fscfg, rng.New(7).Derive("fs"))
-	rt := darshan.NewRuntime(darshan.Config{JobID: 9, UID: 1, Exe: "/bin/trace", DXT: true}, 0)
-
-	node := ldms.NewDaemon("ldmsd-node", "nid00001")
-	head := ldms.NewAggregator("agg-head", "head")
-	remote := ldms.NewAggregator("agg-remote", "shirley")
-	ldms.Relay(e, node, head.Daemon, connector.DefaultTag, 100*time.Microsecond)
-	ldms.Relay(e, head.Daemon, remote.Daemon, connector.DefaultTag, 100*time.Microsecond)
-
-	sc := dsos.NewCluster(2, "trace-darshan")
-	if err := dsos.SetupDarshan(sc); err != nil {
-		t.Fatal(err)
-	}
-	client := dsos.Connect(sc)
-	dstore := ldms.NewDSOSStore(client)
-	capture := &captureStore{inner: dstore}
-	dedup := ldms.NewDedupStore(capture)
-	remote.AttachStore(connector.DefaultTag, dedup)
-
-	reg := obs.NewRegistry()
-	clock := obs.Clock(e.Now)
-	node.Bus().Instrument(hopNodeBus, clock)
-	head.Daemon.Bus().Instrument(hopHeadBus, clock)
-	remote.Daemon.Bus().Instrument(hopRemoteBus, clock)
-	dedup.Instrument(reg, clock)
-	dstore.Instrument(reg, clock)
-
-	conn := connector.Attach(rt, connector.Config{
-		Encoder: jsonmsg.FastEncoder{},
-		Meta:    jsonmsg.JobMeta{UID: 1, JobID: 9, Exe: "/bin/trace"},
-	}, func(string) *ldms.Daemon { return node })
-	conn.Instrument(reg)
-
-	e.Spawn("rank0", func(p *sim.Proc) {
-		ctx := darshan.NewCtx(0, "nid00001", p, nil)
-		f := darshan.OpenPosix(rt, fs, ctx, "/nscratch/trace", true)
-		f.WriteFull(p, 0, 1<<20)
-		f.Close(p)
-		p.Sleep(time.Second) // let relayed messages arrive
-	})
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(capture.recs) == 0 {
-		t.Fatal("no records reached the store")
-	}
-	for _, r := range capture.recs {
-		spans := r.Spans()
-		hops := make([]string, len(spans))
-		for i, s := range spans {
-			hops[i] = s.Hop
-		}
-		next := 0
-		for _, h := range hops {
-			if next < len(pipelineHops) && h == pipelineHops[next] {
-				next++
-			}
-		}
-		if next != len(pipelineHops) {
-			t.Fatalf("span chain %v does not cover every hop %v in order", hops, pipelineHops)
-		}
-		for i := 1; i < len(spans); i++ {
-			if spans[i].At < spans[i-1].At {
-				t.Fatalf("span timestamps regress: %v", spans)
-			}
-		}
-	}
-}
 
 // TestChaosRunSnapshotCoversStages runs one fault-free chaos pipeline
 // and asserts its telemetry snapshot has series for every stage, and
@@ -181,8 +71,8 @@ func TestChaosRunSnapshotCoversStages(t *testing.T) {
 
 // TestTelemetryDoesNotPerturbRun is the in-repo version of the CI
 // determinism-regression job: the same seeded run, once bare and once
-// with a registry attached and tracing on, must produce identical
-// results — telemetry observes, never steers.
+// with a registry attached, must produce identical results — telemetry
+// observes, never steers.
 func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 	base := RunOptions{
 		Seed: 5, JobID: 77, UID: 1, Exe: "/bin/x", FSKind: simfs.Lustre,
@@ -199,19 +89,17 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	prev := obs.SetTracing(true)
 	withObs := base
 	withObs.Telemetry = reg
-	traced, err := Run(withObs)
-	obs.SetTracing(prev)
+	observed, err := Run(withObs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if plain.Runtime != traced.Runtime || plain.Events != traced.Events ||
-		plain.Messages != traced.Messages || plain.Rate != traced.Rate ||
-		plain.Conn != traced.Conn {
-		t.Fatalf("telemetry perturbed the run:\nbare   %+v\ntraced %+v", plain, traced)
+	if plain.Runtime != observed.Runtime || plain.Events != observed.Events ||
+		plain.Messages != observed.Messages || plain.Rate != observed.Rate ||
+		plain.Conn != observed.Conn {
+		t.Fatalf("telemetry perturbed the run:\nbare     %+v\nobserved %+v", plain, observed)
 	}
 	if reg.Value("dlc_connector_published_total") == 0 {
 		t.Fatal("telemetry run recorded nothing")

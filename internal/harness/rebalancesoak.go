@@ -446,7 +446,7 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 	reg := obs.NewRegistry()
 	tree.Collect(reg)
 	hc.Collect(reg)
-	dedup.Instrument(reg, obs.Clock(e.Now))
+	dedup.Instrument(reg)
 
 	// --- Workload: each leaf appends typed connector records with a
 	// unique (producer, seq) identity to its own durable stream. ---

@@ -54,7 +54,7 @@ type RunOptions struct {
 	// process is part of that campaign's seeded event schedule.
 	SampleFSLoad time.Duration
 	// Telemetry, when non-nil, attaches every pipeline stage of this
-	// run to the given obs registry (virtual-clock trace hops included).
+	// run to the given obs registry.
 	// Instrumentation must not perturb the run: a seeded run's results
 	// are bit-identical with or without it.
 	Telemetry *obs.Registry
@@ -137,7 +137,6 @@ func Run(opts RunOptions) (*RunResult, error) {
 	// always-on chaos-soak registry, against the caller's registry.
 	if opts.Telemetry != nil {
 		reg := opts.Telemetry
-		clock := obs.Clock(e.Now)
 		if conn != nil {
 			conn.Instrument(reg)
 			connector.Collect(reg, []*connector.Connector{conn})
@@ -146,9 +145,9 @@ func Run(opts RunOptions) (*RunResult, error) {
 		for _, n := range m.Nodes() {
 			nodeBuses = append(nodeBuses, nodeDaemons[n.Name].Bus())
 		}
-		instrumentBuses(reg, clock, nodeBuses, head.Daemon.Bus(), remote.Daemon.Bus())
+		collectBuses(reg, nodeBuses, head.Daemon.Bus(), remote.Daemon.Bus())
 		if dstore != nil {
-			dstore.Instrument(reg, clock)
+			dstore.Instrument(reg)
 		} else {
 			reg.RegisterCollector(func(emit func(string, float64)) {
 				emit("dlc_store_count_messages_total", float64(count.Count()))

@@ -52,7 +52,7 @@ const chaosReplayTail = 32
 // deliveries, the ack ledger witnesses what was promised durable, retry
 // rides out transient store faults, flaky injects them (the "store"
 // toggle), the caller's store stores. Every run carries its own
-// registry, with trace hops on the engine's virtual clock.
+// registry, its latencies on the engine's virtual clock.
 type faultPipeline struct {
 	cfg       faultRunConfig
 	e         *sim.Engine
@@ -68,7 +68,6 @@ type faultPipeline struct {
 	dedup     *ldms.DedupStore
 	handle    *ldms.StoreHandle
 	reg       *obs.Registry
-	clock     obs.Clock
 }
 
 // newFaultPipeline assembles the pipeline over store on a new engine,
@@ -122,11 +121,10 @@ func newFaultPipeline(cfg faultRunConfig, store ldms.StorePlugin, headName strin
 	}, func(producer string) *ldms.Daemon { return nodeDaemons[producer] })
 
 	p.reg = obs.NewRegistry()
-	p.clock = obs.Clock(e.Now)
 	p.conn.Instrument(p.reg)
 	connector.Collect(p.reg, []*connector.Connector{p.conn})
-	instrumentBuses(p.reg, p.clock, nodeBuses, head.Daemon.Bus(), remote.Daemon.Bus())
-	p.dedup.Instrument(p.reg, p.clock)
+	collectBuses(p.reg, nodeBuses, head.Daemon.Bus(), remote.Daemon.Bus())
+	p.dedup.Instrument(p.reg)
 	p.retry.Collect(p.reg)
 	return p
 }

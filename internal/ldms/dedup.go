@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"darshanldms/internal/obs"
 	"darshanldms/internal/streams"
 )
 
@@ -42,7 +41,6 @@ type DedupStore struct {
 	duplicates uint64
 	stored     uint64
 	unstamped  uint64
-	clock      obs.Clock // set by Instrument: stamps the "dedup" trace hop
 
 	// What keepLocked (bound once as keep) decided since the last settle.
 	keep  func(streams.Message) bool
@@ -92,9 +90,6 @@ func (p *seenSeqs) add(seq uint64) {
 		p.floor++
 	}
 }
-
-// hopDedup names the dedup stage in record traces.
-const hopDedup = "dedup"
 
 // NewDedupStore wraps inner with (producer, seq) deduplication.
 func NewDedupStore(inner StorePlugin) *DedupStore {
@@ -151,7 +146,6 @@ func (s *DedupStore) StoreRound(run Run, token uint64, dead func(error)) error {
 // keepLocked decides one record (s.mu held): m is fresh unless its
 // identity is stored or already kept since the last settle.
 func (s *DedupStore) keepLocked(m streams.Message) bool {
-	s.stampLocked(m)
 	id := identity{m.Producer, m.Seq}
 	switch {
 	case !stamped(m):
@@ -183,14 +177,6 @@ func (s *DedupStore) settleLocked() {
 
 // stamped reports whether m carries a (producer, seq) identity.
 func stamped(m streams.Message) bool { return m.Producer != "" && m.Seq != 0 }
-
-func (s *DedupStore) stampLocked(m streams.Message) {
-	if s.clock != nil {
-		if st, ok := m.Record.(streams.Stamper); ok {
-			st.Stamp(hopDedup, s.clock())
-		}
-	}
-}
 
 // Duplicates returns how many stamped messages were suppressed as
 // replays.

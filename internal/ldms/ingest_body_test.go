@@ -79,7 +79,7 @@ func newIngestPath(t *testing.T, bodies bool) *ingestPath {
 		return w
 	})
 	ds := NewDSOSStore(dsos.Connect(p.cluster))
-	ds.Instrument(p.reg, nil)
+	ds.Instrument(p.reg)
 	p.dedup = NewDedupStore(ds)
 	p.store = &bodyCounter{RoundStore: p.dedup}
 	return p

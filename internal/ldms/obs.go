@@ -111,15 +111,6 @@ func (s *TCPServer) Collect(reg *obs.Registry, name string) {
 	})
 }
 
-// Instrument names the server as a trace hop: every record it publishes
-// onto the daemon bus is stamped "tcp:<name>" with the given clock.
-func (s *TCPServer) Instrument(hop string, clock obs.Clock) {
-	s.mu.Lock()
-	s.hop = hop
-	s.clock = clock
-	s.mu.Unlock()
-}
-
 // CollectPools exports the package's buffer recycling pool, the batch
 // frame scratch pool, as gets/puts plus the derived outstanding count
 // (gets - puts = buffers currently out).
@@ -136,12 +127,8 @@ func CollectPools(reg *obs.Registry) {
 }
 
 // Instrument attaches the dedup stage to the obs plane: absorption
-// counters at scrape time, and the "dedup" trace hop stamped on every
-// stored record with the injected clock (virtual in the sim zone).
-func (s *DedupStore) Instrument(reg *obs.Registry, clock obs.Clock) {
-	s.mu.Lock()
-	s.clock = clock
-	s.mu.Unlock()
+// counters at scrape time.
+func (s *DedupStore) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
@@ -164,12 +151,10 @@ func (s *RetryStore) Collect(reg *obs.Registry) {
 	})
 }
 
-// Instrument attaches the DSOS store plugin to the obs plane: message
-// and object ingest counters, and the "store" trace hop stamped with
-// the injected clock as each record is handed to the cluster.
-func (s *DSOSStore) Instrument(reg *obs.Registry, clock obs.Clock) {
+// Instrument attaches the DSOS store plugin to the obs plane: message,
+// object and error ingest counters.
+func (s *DSOSStore) Instrument(reg *obs.Registry) {
 	s.mu.Lock()
-	s.clock = clock
 	s.msgs = reg.Counter("dlc_store_dsos_messages_total")
 	s.objects = reg.Counter("dlc_store_dsos_objects_total")
 	s.errs = reg.Counter("dlc_store_dsos_errors_total")

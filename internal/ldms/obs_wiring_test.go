@@ -119,10 +119,7 @@ func TestLdmsdMetricsEndpointShape(t *testing.T) {
 			defer srv.Close()
 
 			reg := obs.NewRegistry()
-			clock := obs.WallClock()
-			d.Bus().Instrument("ldmsd", clock)
 			d.Bus().Collect(reg, "ldmsd")
-			srv.Instrument("tcp:ldmsd", clock)
 			srv.Collect(reg, "ldmsd")
 			CollectPools(reg)
 			reg.RegisterCollector(func(emit func(string, float64)) {
@@ -221,12 +218,9 @@ func TestDsosdMetricsEndpointShape(t *testing.T) {
 	defer srv.Close()
 
 	reg := obs.NewRegistry()
-	clock := obs.WallClock()
-	cluster.Instrument(reg, clock)
-	dstore.Instrument(reg, clock)
-	d.Bus().Instrument("dsosd-ingest", clock)
+	cluster.Instrument(reg, obs.WallClock())
+	dstore.Instrument(reg)
 	d.Bus().Collect(reg, "dsosd-ingest")
-	srv.Instrument("tcp:dsosd", clock)
 	srv.Collect(reg, "dsosd")
 	CollectPools(reg)
 	health := obs.NewHealth()

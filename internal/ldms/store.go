@@ -157,14 +157,10 @@ type DSOSStore struct {
 	in   *event.Interner
 	rows event.RowDecoder
 	// Obs plane (set by Instrument; nil-safe counters otherwise).
-	clock   obs.Clock
 	msgs    *obs.Counter
 	objects *obs.Counter
 	errs    *obs.Counter
 }
-
-// hopStore names the DSOS ingest stage in record traces.
-const hopStore = "store"
 
 // NewDSOSStore creates the store plugin over a connected client.
 func NewDSOSStore(client *dsos.Client) *DSOSStore {
@@ -235,11 +231,6 @@ func (s *DSOSStore) messageLocked(m streams.Message, dead func(error)) int {
 		s.errs.Inc()
 		dead(err)
 		return 0
-	}
-	if s.clock != nil {
-		if st, ok := m.Record.(streams.Stamper); ok {
-			st.Stamp(hopStore, s.clock())
-		}
 	}
 	s.objs = s.arena.AppendObjects(s.objs, msg)
 	return 1

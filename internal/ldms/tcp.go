@@ -111,12 +111,10 @@ type TCPServer struct {
 	literal    uint64 // payload bytes decoded frames materialized (LiteralBytes)
 	wg         sync.WaitGroup
 	// Obs plane: raw wire bytes and frames by kind (atomic: updated on
-	// every connection's read loop), plus the trace hop set by Instrument.
+	// every connection's read loop).
 	wireBytes   atomic.Uint64
 	frames      atomic.Uint64
 	batchFrames atomic.Uint64
-	hop         string
-	clock       func() time.Duration
 }
 
 // ListenTCP starts a transport listener for the daemon on addr
@@ -237,15 +235,10 @@ func (s *TCPServer) serve(conn net.Conn) {
 			}
 		}
 		s.mu.Lock()
-		hop, clock := s.hop, s.clock
 		s.heartbeats += uint64(len(msgs) - len(batch))
 		s.received += uint64(len(batch))
 		s.literal += uint64(literal)
 		s.mu.Unlock()
-		var now time.Duration
-		if hop != "" {
-			now = clock()
-		}
 		for i := range batch {
 			m := &batch[i]
 			if m.Record == nil && m.Type == streams.TypeJSON && m.Data != nil {
@@ -253,11 +246,6 @@ func (s *TCPServer) serve(conn net.Conn) {
 				// fanned out below shares one cached parse instead of
 				// re-parsing per consumer.
 				m.Record = event.FromPayload(m.Data)
-			}
-			if hop != "" {
-				if st, ok := m.Record.(streams.Stamper); ok {
-					st.Stamp(hop, now)
-				}
 			}
 		}
 		s.d.Bus().PublishBatch(batch)

@@ -10,8 +10,8 @@ import (
 const obsPkgPath = "darshanldms/internal/obs"
 
 // bannedObsFuncs are obs entry points that bind telemetry to the host's
-// wall clock. Instrumenting sim-zone code with them stamps spans and
-// latency histograms with host time, which silently breaks both the
+// wall clock. Instrumenting sim-zone code with them fills latency
+// histograms with host time, which silently breaks both the
 // clock-agnostic contract and (worse) the bit-identical seeded outputs
 // the telemetry plane promises not to perturb.
 var bannedObsFuncs = map[string]string{

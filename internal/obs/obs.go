@@ -1,7 +1,9 @@
 // Package obs is the pipeline's self-observability plane: a
 // zero-dependency metrics registry (counters, gauges, log-bucketed
-// histograms, scrape-time collectors) plus lightweight per-event span
-// tracing. The paper's whole point is run-time diagnosis of an I/O
+// histograms, scrape-time collectors) plus health probes. Records carry
+// no per-event trace: per-hop latency is to come from per-batch
+// timestamps folded into sampled histograms, not from stamping every
+// record. The paper's whole point is run-time diagnosis of an I/O
 // pipeline; obs turns the same lens on our own pipeline so a stalled
 // chaos soak or a backed-up spool is visible per stage instead of only
 // in final counters.
@@ -15,9 +17,8 @@
 //     (obsclock) bans WallClock from the sim zone.
 //
 //   - Non-perturbing. Instruments are nil-safe no-ops when unattached,
-//     heavy aggregation happens only at scrape time (collectors read
-//     existing stats structs), and span stamping is gated on a global
-//     tracing switch that defaults off. With telemetry fully enabled,
+//     and heavy aggregation happens only at scrape time (collectors read
+//     existing stats structs). With telemetry fully enabled,
 //     every seeded table and figure must remain bit-identical — CI
 //     diffs a telemetry-on run against a telemetry-off run to enforce
 //     it.

@@ -179,20 +179,6 @@ func TestHealthHandler(t *testing.T) {
 	}
 }
 
-func TestTracingToggle(t *testing.T) {
-	prev := SetTracing(true)
-	defer SetTracing(prev)
-	if !TracingEnabled() {
-		t.Fatal("tracing should be on")
-	}
-	if was := SetTracing(false); !was {
-		t.Fatal("SetTracing should report previous setting")
-	}
-	if TracingEnabled() {
-		t.Fatal("tracing should be off")
-	}
-}
-
 func TestWallClockMonotonic(t *testing.T) {
 	c := WallClock()
 	a := c()

@@ -43,7 +43,7 @@ import (
 // string payloads and raw PublishJSON travel — are built in. The typed
 // kind belongs to the typed plane: streams cannot import internal/event
 // (event imports streams), so event registers its codec here once, the
-// same seam Carrier and Stamper already use.
+// same seam Carrier already uses.
 const (
 	RecOpaque = 0
 	RecTyped  = 1

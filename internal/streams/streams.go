@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 )
 
 // MsgType distinguishes the two payload formats LDMS Streams supports.
@@ -93,14 +92,6 @@ type Stats struct {
 	Errored   uint64 // handler panics and failed stream appends
 }
 
-// Stamper is a payload carrier that records hop crossings (it is
-// implemented by *event.Record; the bus stays decoupled from the event
-// package). An instrumented bus stamps every stamping carrier it
-// publishes with its hop name and clock reading.
-type Stamper interface {
-	Stamp(hop string, at time.Duration)
-}
-
 // Bus is a stream bus, the per-daemon rendezvous point. It is safe for
 // concurrent use (the TCP transport delivers from multiple connections).
 type Bus struct {
@@ -114,22 +105,6 @@ type Bus struct {
 	// handlers run. streamNames keeps the deterministic append order.
 	streams     map[string]*DurableStream
 	streamNames []string
-	// hop/clock are set by Instrument; when set, Publish stamps typed
-	// records crossing this bus (the stamp itself is gated on the
-	// process-wide obs tracing switch, so this stays free when off).
-	hop   string
-	clock func() time.Duration
-}
-
-// Instrument names this bus as a trace hop and supplies the clock used
-// to timestamp crossings. Sim-zone buses must pass virtual time (the
-// engine clock); real daemons pass a wall clock. Instrumenting changes
-// no delivery behavior.
-func (b *Bus) Instrument(hop string, clock func() time.Duration) {
-	b.mu.Lock()
-	b.hop = hop
-	b.clock = clock
-	b.mu.Unlock()
 }
 
 // NewBus creates an empty bus.
@@ -265,16 +240,7 @@ func (b *Bus) publishRun(run []Message) int {
 	b.mu.Lock()
 	st, list, sinks := b.routeLocked(run[0].Tag)
 	st.Published += uint64(len(run))
-	hop, clock := b.hop, b.clock
 	b.mu.Unlock()
-	if hop != "" {
-		now := clock()
-		for i := range run {
-			if s, ok := run[i].Record.(Stamper); ok {
-				s.Stamp(hop, now)
-			}
-		}
-	}
 	// Streams first — persistence before best-effort fan-out — then
 	// handlers, all outside the lock so handlers may publish or subscribe.
 	stored, failed := 0, 0

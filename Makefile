@@ -57,6 +57,9 @@ chaos-smoke:
 # batch entry (legacy read-compat, torn batch, hostile counts, trims
 # inside a batch), PublishBatch accounting, the batch ack, and the
 # blocking Wait raced against AppendBatch, Close and consumer replacement;
+# settled history — the model test against a memory-resident stream, a
+# failed read-back as an error, a late joiner reading history while the
+# live consumer acks, and the live heap per retained message;
 # on the uplink side the cursor's one-frame-one-ack round, the crash
 # between send and batch ack, the idle wake-up, and the -reconnect spool:
 # its memory-only stream's books under every overflow policy (a block
@@ -65,15 +68,16 @@ chaos-smoke:
 # best-effort reference it replaced, across an upstream restart, under a
 # 200k-event firehose and closed with a publisher blocked on its window,
 # and the frozen legacy-frame capture it still reads; at the store hop the
-# round commit, its refusal and fail-stop, the dead letter, a kill at
-# each point of a round, the stored-body ingest against the decode path,
-# and rows reused the round after their insert. Last, the real binaries:
+# round commit, its refusal and fail-stop, the dead letter, dedup memory
+# behind a gap that never fills, a kill at each point of a round, the
+# stored-body ingest against the decode path, and rows reused the round
+# after their insert. Last, the real binaries:
 # ldmsd -forward across a dsosd restart, ldmsd's SIGTERM with a blocked
 # publisher, and dlc-run -forward.
 streams-smoke:
 	$(GO) test -race -short -run 'StreamSoak' ./internal/harness
-	$(GO) test -race -count=1 -run 'Batch|Wait|Legacy|Lazy|Retention|MemoryStream' ./internal/streams
-	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|Recover|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory|StoredBodyIngestIdentity|SpoolStream|ForwarderSpool|UplinkHealth|UplinkLifecycle|ForwardMatchesBestEffort|ForwardSurvivesUpstreamRestart|TCPServerDeath|ForwardFirehose|LegacyFrameReadCompat|TwoJobsOneProducer' ./internal/ldms ./internal/connector
+	$(GO) test -race -count=1 -run 'Batch|Wait|Legacy|Lazy|Retention|MemoryStream|Settled|LateJoiner|V1SegmentReadCompat' ./internal/streams
+	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|Recover|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory|SeenSeqs|StoredBodyIngestIdentity|SpoolStream|ForwarderSpool|UplinkHealth|UplinkLifecycle|ForwardMatchesBestEffort|ForwardSurvivesUpstreamRestart|TCPServerDeath|ForwardFirehose|LegacyFrameReadCompat|TwoJobsOneProducer' ./internal/ldms ./internal/connector
 	$(GO) test -race -count=1 -run 'InsertOutlivesRowMemory' ./internal/topo
 	$(GO) test -count=1 -run 'TestCLIForwardSurvivesUpstreamRestart|TestCLILdmsdShutdownWithBlockedPublisher|TestCLIRunForward' .
 

@@ -83,7 +83,7 @@ func main() {
 	walDir := flag.String("wal", "", "write-ahead log directory (empty disables); shards replay their logs at startup")
 	streamPath := flag.String("stream", "", "durable ingest stream segment file; stages received messages before storing (empty = off)")
 	streamConsumer := flag.String("stream-consumer", "ingest", "durable consumer name for the ingest cursor")
-	streamMaxMsgs := flag.Int("stream-max-msgs", 100000, "ingest stream retention: max retained messages (0 = unbounded)")
+	streamMaxMsgs := flag.Int("stream-max-msgs", 100000, "ingest stream retention: max messages the segment keeps for replay (0 = unbounded); memory holds only unsettled ones")
 	topoRole := flag.String("topo-role", "", `topology role; only "store" applies to dsosd (empty = no topology plane)`)
 	topoRingSeed := flag.Uint64("topo-ring-seed", 0, "consistent-hash shard ring seed; same seed + same shards = same placement across restarts")
 	topoVNodes := flag.Int("topo-vnodes", 0, "virtual nodes per shard on the hash ring (0 = default)")
@@ -364,9 +364,7 @@ func main() {
 					strings.Join(hc.Members(), ","))
 			})
 		}
-		mux.HandleFunc("/count", func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprintln(w, client.Count(dsos.DarshanSchemaName))
-		})
+		mux.Handle("/count", countHandler(client))
 		mux.Handle("/query", queryHandler(client))
 		go func() {
 			fmt.Fprintf(os.Stderr, "dsosd: HTTP query API on %s (/metrics, /healthz)\n", *httpAddr)
@@ -396,6 +394,17 @@ func main() {
 				fatal(fmt.Errorf("ingest stopped: %w", err))
 			}
 		}
+	}
+}
+
+// countHandler serves /count: the stored event count and a newline, as
+// plain text. The type is set, not sniffed: the bench polls /count at
+// 1 kHz, and net/http would otherwise run DetectContentType on each reply.
+func countHandler(client *dsos.Client) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		var b [24]byte
+		_, _ = w.Write(append(strconv.AppendInt(b[:0], int64(client.Count(dsos.DarshanSchemaName)), 10), '\n'))
 	}
 }
 

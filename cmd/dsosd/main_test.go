@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -186,5 +187,42 @@ func TestShardFactoryTruncatesStaleLog(t *testing.T) {
 	}
 	if len(got) != 1 || !reflect.DeepEqual(got[0], want.Values()) {
 		t.Fatalf("replayed %d rows %v, want the one row the new shard stored: %v", len(got), got, want.Values())
+	}
+}
+
+// TestCountMatchesSniffedReply: /count answers with the headers and bytes
+// it did when its type was sniffed from a fmt.Fprintln body, so a poller
+// sees no change.
+func TestCountMatchesSniffedReply(t *testing.T) {
+	for _, n := range []int{0, 3000} {
+		_, cl := testCluster(t, 2, n)
+		mux := http.NewServeMux()
+		mux.Handle("/count", countHandler(cl))
+		mux.HandleFunc("/sniffed", func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprintln(w, cl.Count(dsos.DarshanSchemaName))
+		})
+		srv := httptest.NewServer(mux)
+		get := func(path string) (http.Header, string) {
+			resp, err := http.Get(srv.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Header.Del("Date")
+			return resp.Header, string(body)
+		}
+		h, body := get("/count")
+		wantH, wantBody := get("/sniffed")
+		srv.Close()
+		if body != wantBody || body != fmt.Sprintf("%d\n", n) || !reflect.DeepEqual(h, wantH) {
+			t.Fatalf("/count %q %v, want %q %v", body, h, wantBody, wantH)
+		}
+		if ct := h.Get("Content-Type"); ct != "text/plain; charset=utf-8" {
+			t.Fatalf("Content-Type %q", ct)
+		}
 	}
 }

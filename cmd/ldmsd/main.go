@@ -50,7 +50,9 @@
 //	            segment file as one binary batch entry — the codec of the
 //	            batched wire, a batch frame's payload as it stands — before
 //	            best-effort fan-out, retained under the -stream-max-*
-//	            bounds, and — when -forward is also set — shipped upstream
+//	            bounds (what the segment keeps for replay: memory holds
+//	            only what the cursor has not settled), and — when -forward
+//	            is also set — shipped upstream
 //	            through a consumer-acked cursor that survives crashes: the
 //	            cursor (named by -stream-consumer) resumes exactly where the
 //	            previous incarnation's acks stopped, so an aggregator or
@@ -118,7 +120,7 @@ func main() {
 	seed := flag.Uint64("seed", 0, "sampler RNG seed; 0 derives one from the wall clock (nonreproducible)")
 	streamPath := flag.String("stream", "", "durable stream segment file; enables persistent, replayable streaming (empty = off)")
 	streamSubjects := flag.String("stream-subjects", "", "comma list of subject filters the stream captures (wildcards allowed; default the -tag)")
-	streamMaxMsgs := flag.Int("stream-max-msgs", 100000, "stream retention: max retained messages (0 = unbounded)")
+	streamMaxMsgs := flag.Int("stream-max-msgs", 100000, "stream retention: max messages the segment keeps for replay (0 = unbounded); memory holds only unsettled ones")
 	streamMaxBytes := flag.Int64("stream-max-bytes", 0, "stream retention: max retained payload bytes (0 = unbounded)")
 	streamMaxAge := flag.Duration("stream-max-age", 0, "stream retention: max retained message age (0 = unbounded)")
 	streamConsumer := flag.String("stream-consumer", "uplink", "durable consumer name for the stream uplink cursor")

@@ -350,24 +350,12 @@ func (d *Daemon) replayLocked(cont *sos.Container, st sos.WALStore, floor, last 
 	if r.Above > last {
 		return r, fmt.Errorf("the log holds a batch tagged %d, past the last token %d: log and token source are from different incarnations", r.Above, last)
 	}
-	if err := truncateWAL(st, r.Consumed); err != nil {
+	if err := sos.Truncate(st, r.Consumed); err != nil {
 		return r, err
 	}
 	d.wal = sos.ResumeWAL(st, r)
 	d.recovered += uint64(r.Rows)
 	return r, nil
-}
-
-// truncateWAL cuts a log backing to its first n bytes.
-func truncateWAL(st sos.WALStore, n int64) error {
-	switch w := st.(type) {
-	case interface{ Truncate(n int) }:
-		w.Truncate(int(n))
-		return nil
-	case interface{ Reset(n int64) error }:
-		return w.Reset(n)
-	}
-	return fmt.Errorf("WAL store %T cannot be truncated", st)
 }
 
 // IterOrigins walks the index yielding each object with its origin id,
@@ -443,7 +431,7 @@ func (d *Daemon) RetainWhere(index string, keep func(obj sos.Object, origin uint
 	}
 	if d.wal != nil { // a fresh log: a new dictionary, one untagged batch
 		st := d.wal.Store()
-		if err := truncateWAL(st, 0); err != nil {
+		if err := sos.Truncate(st, 0); err != nil {
 			return 0, fmt.Errorf("dsos: %s retain: %w", d.Name, err)
 		}
 		wal := sos.NewWAL(st)

@@ -3,6 +3,7 @@ package ldms
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 
 	"darshanldms/internal/streams"
@@ -28,11 +29,11 @@ import (
 // The identity is remembered exactly, not as a high-water mark: latency
 // spikes can reorder fresh messages across hops, and a high-water mark
 // would misclassify a late-but-new message as a replay. Memory stays
-// bounded for the common in-order stream all the same: per producer the
-// contiguous stored prefix 1..floor is one number, and only sequences
-// stored above a gap sit in a set (the shape streams.Consumer uses for
-// its ack floor). The floor advances over sequences actually stored and
-// never infers one: a gap pins it, and the set grows until the gap fills.
+// bounded all the same: per producer the contiguous stored prefix
+// 1..floor is one number, and the sequences stored above a gap are kept
+// as runs of consecutive sequences, so a gap that never fills — a
+// retention trim upstream — costs one run, not an entry per later event.
+// The floor advances over sequences actually stored and never infers one.
 type DedupStore struct {
 	inner StorePlugin
 
@@ -56,11 +57,15 @@ type identity struct {
 }
 
 // seenSeqs is one producer's stored identities: every sequence in
-// [1, floor] plus the sparse set above it.
+// [1, floor] plus the runs above it, sorted, disjoint and never adjacent
+// to each other or to the floor.
 type seenSeqs struct {
 	floor uint64
-	above map[uint64]struct{}
+	runs  []seqRun
 }
+
+// seqRun is the sequences lo through hi.
+type seqRun struct{ lo, hi uint64 }
 
 func (p *seenSeqs) has(seq uint64) bool {
 	if p == nil {
@@ -69,25 +74,39 @@ func (p *seenSeqs) has(seq uint64) bool {
 	if seq <= p.floor {
 		return true
 	}
-	_, ok := p.above[seq]
-	return ok
+	i := p.search(seq)
+	return i < len(p.runs) && p.runs[i].lo <= seq
+}
+
+// search returns the first run that ends at or past seq.
+func (p *seenSeqs) search(seq uint64) int {
+	return sort.Search(len(p.runs), func(i int) bool { return p.runs[i].hi >= seq })
 }
 
 func (p *seenSeqs) add(seq uint64) {
-	if seq != p.floor+1 {
-		if p.above == nil {
-			p.above = map[uint64]struct{}{}
+	if seq == p.floor+1 {
+		p.floor = seq
+		if len(p.runs) > 0 && p.runs[0].lo == seq+1 {
+			p.floor = p.runs[0].hi
+			p.runs = slices.Delete(p.runs, 0, 1)
 		}
-		p.above[seq] = struct{}{}
 		return
 	}
-	p.floor = seq
-	for len(p.above) > 0 {
-		if _, ok := p.above[p.floor+1]; !ok {
-			break
+	if seq <= p.floor {
+		return
+	}
+	i := p.search(seq - 1) // the run seq would extend, or the first past it
+	switch {
+	case i == len(p.runs) || p.runs[i].lo > seq+1:
+		p.runs = slices.Insert(p.runs, i, seqRun{seq, seq})
+	case p.runs[i].lo == seq+1:
+		p.runs[i].lo = seq
+	case p.runs[i].hi+1 == seq: // extends run i, and may join it to the next
+		p.runs[i].hi = seq
+		if i+1 < len(p.runs) && p.runs[i+1].lo == seq+1 {
+			p.runs[i].hi = p.runs[i+1].hi
+			p.runs = slices.Delete(p.runs, i+1, i+2)
 		}
-		delete(p.above, p.floor+1)
-		p.floor++
 	}
 }
 

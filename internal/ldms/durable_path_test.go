@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"darshanldms/internal/rng"
 	"darshanldms/internal/sos"
 	"darshanldms/internal/streams"
 )
@@ -372,8 +373,8 @@ func TestDedupStoreMemoryIsBounded(t *testing.T) {
 		t.Fatalf("%d producer entries", len(d.seen))
 	}
 	for p, s := range d.seen {
-		if s.floor != perProducer || len(s.above) != 0 {
-			t.Fatalf("producer %s: floor %d with %d sparse entries, want %d and none", p, s.floor, len(s.above), perProducer)
+		if s.floor != perProducer || len(s.runs) != 0 {
+			t.Fatalf("producer %s: floor %d with %d runs, want %d and none", p, s.floor, len(s.runs), perProducer)
 		}
 	}
 	if inner.Count() != perProducer*8 || d.Duplicates() != 0 {
@@ -391,15 +392,15 @@ func TestDedupStoreMemoryIsBounded(t *testing.T) {
 	for _, seq := range []uint64{1, 2, 5, 6, 7} {
 		store(seq)
 	}
-	if s := g.seen["n"]; s.floor != 2 || len(s.above) != 3 || g.seen["n"].has(3) || g.seen["n"].has(4) || !g.seen["n"].has(6) {
-		t.Fatalf("gap state: floor %d, %d above", s.floor, len(s.above))
+	if s := g.seen["n"]; s.floor != 2 || len(s.runs) != 1 || g.seen["n"].has(3) || g.seen["n"].has(4) || !g.seen["n"].has(6) {
+		t.Fatalf("gap state: floor %d, runs %v", s.floor, s.runs)
 	}
 	store(4) // late, below the sparse set, still above the floor
 	store(4) // and its replay
 	store(3) // fills the gap: the floor runs to 7 and the set empties
 	store(6)
-	if s := g.seen["n"]; s.floor != 7 || len(s.above) != 0 {
-		t.Fatalf("after the gap filled: floor %d, %d above", s.floor, len(s.above))
+	if s := g.seen["n"]; s.floor != 7 || len(s.runs) != 0 {
+		t.Fatalf("after the gap filled: floor %d, runs %v", s.floor, s.runs)
 	}
 	if g.Stored() != 7 || g.Duplicates() != 2 {
 		t.Fatalf("stored %d duplicates %d, want 7 and 2", g.Stored(), g.Duplicates())
@@ -413,6 +414,55 @@ func TestDedupStoreMemoryIsBounded(t *testing.T) {
 	}
 	if h.seen["n"].has(1) || h.seen["n"].floor != 0 {
 		t.Fatal("floor advanced over a sequence that was never stored")
+	}
+
+	// A gap that does not fill: a hundred thousand later events are one
+	// run, read exactly on both sides of the gap, until the gap fills.
+	p := NewDedupStore(&CountStore{})
+	storeP := func(seq uint64) {
+		t.Helper()
+		if err := p.Store(streams.Message{Tag: "t", Data: []byte(`{}`), Producer: "n", Seq: seq}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seq := uint64(2); seq <= 100001; seq++ {
+		storeP(seq)
+	}
+	n := p.seen["n"]
+	if n.floor != 0 || len(n.runs) != 1 || n.has(1) || !n.has(2) || !n.has(100001) || n.has(100002) {
+		t.Fatalf("behind a gap: floor %d, runs %v", n.floor, n.runs)
+	}
+	storeP(1)
+	if n.floor != 100001 || len(n.runs) != 0 || !n.has(1) || n.has(100002) {
+		t.Fatalf("after the gap filled: floor %d, runs %v", n.floor, n.runs)
+	}
+}
+
+// TestSeenSeqsMatchesASet: over seeded out-of-order schedules, the floor
+// and runs answer has exactly as the set of every sequence added, and stay
+// sorted, disjoint and apart from each other and from the floor.
+func TestSeenSeqsMatchesASet(t *testing.T) {
+	r := rng.New(7)
+	for round := 0; round < 200; round++ {
+		var p seenSeqs
+		set := map[uint64]bool{}
+		for i := 0; i < 60; i++ {
+			seq := 1 + uint64(r.Intn(48))
+			p.add(seq)
+			set[seq] = true
+			for q := uint64(1); q <= 50; q++ {
+				if p.has(q) != set[q] {
+					t.Fatalf("round %d: has(%d) = %v after adding %d; runs %v, floor %d", round, q, p.has(q), seq, p.runs, p.floor)
+				}
+			}
+			last := p.floor + 1
+			for _, run := range p.runs {
+				if run.lo <= last || run.hi < run.lo {
+					t.Fatalf("round %d: runs %v above floor %d are not apart", round, p.runs, p.floor)
+				}
+				last = run.hi + 1
+			}
+		}
 	}
 }
 

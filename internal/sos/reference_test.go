@@ -620,7 +620,7 @@ func refAppendWALRecord(rec []byte, schema string, objs []refObject, origins []u
 		if rec, err = refAppendWALRow(rec, objs[n], originAt(n)); err != nil {
 			return nil, 0, err
 		}
-		if n > 0 && len(rec)-frameHeader > walMaxRecord {
+		if n > 0 && len(rec)-FrameHeader > walMaxRecord {
 			rec = rec[:end]
 			break
 		}
@@ -700,7 +700,7 @@ func refReplayWALTo(st WALStore, floor uint64, apply func(schema string, obj ref
 			}
 			r.Rows++
 		}
-		r.Consumed += int64(frameHeader + len(body))
+		r.Consumed += int64(FrameHeader + len(body))
 		return nil
 	})
 	if err != nil {

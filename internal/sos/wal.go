@@ -60,9 +60,11 @@ import (
 // bytes were consumed so a file backing can truncate the garbage.
 
 // WALStore is the durable backing of a write-ahead log: appends go through
-// Write, recovery reads the stored bytes from the start via Open.
+// Write, recovery reads the stored bytes from the start via Open, and a
+// log that kept where it wrote a record reads that one back via ReadAt.
 type WALStore interface {
 	io.Writer
+	io.ReaderAt
 	Open() (io.ReadCloser, error)
 }
 
@@ -152,8 +154,8 @@ func (w *WAL) AppendBatch(schema string, objs []Object, origins []uint64, token 
 	return nil
 }
 
-// frameHeader is the length+CRC prefix of every framed record.
-const frameHeader = 8
+// FrameHeader is the length+CRC prefix of every framed record.
+const FrameHeader = 8
 
 // Frame builds length+CRC framed records in one reusable buffer: Begin
 // returns the buffer positioned past the reserved header, the caller
@@ -169,14 +171,14 @@ type Frame struct{ buf []byte }
 
 // Begin starts a record and returns the buffer to append its body to.
 func (f *Frame) Begin() []byte {
-	return append(f.buf[:0], make([]byte, frameHeader)...)
+	return append(f.buf[:0], make([]byte, FrameHeader)...)
 }
 
 // Commit frames rec — the slice Begin returned, with the body appended —
 // and writes it to the store.
 func (f *Frame) Commit(st WALStore, rec []byte) error {
 	f.buf = rec // keep whatever the appends grew
-	body := rec[frameHeader:]
+	body := rec[FrameHeader:]
 	if len(body) == 0 || len(body) > walMaxRecord {
 		return fmt.Errorf("sos: frame body of %d bytes", len(body))
 	}
@@ -191,6 +193,33 @@ func (f *Frame) Commit(st WALStore, rec []byte) error {
 func AppendFrame(st WALStore, body []byte) error {
 	var f Frame
 	return f.Commit(st, append(f.Begin(), body...))
+}
+
+// Truncate cuts a log backing to its first n bytes, where appends then
+// resume: a replay's torn tail goes.
+func Truncate(st WALStore, n int64) error {
+	switch w := st.(type) {
+	case interface{ Truncate(n int) }:
+		w.Truncate(int(n))
+		return nil
+	case interface{ Reset(n int64) error }:
+		return w.Reset(n)
+	}
+	return fmt.Errorf("sos: WAL store %T cannot be truncated", st)
+}
+
+// ReadFrameAt reads back the framed record at offset off whose body is n
+// bytes long, into a fresh buffer, and checks its length and CRC: the
+// random-access twin of ReplayFrames, for a log that kept where it wrote.
+func ReadFrameAt(r io.ReaderAt, off int64, n uint32) ([]byte, error) {
+	rec := make([]byte, FrameHeader+int(n))
+	if got, err := r.ReadAt(rec, off); got != len(rec) {
+		return nil, fmt.Errorf("sos: read frame at %d: %w", off, err)
+	}
+	if binary.LittleEndian.Uint32(rec) != n || binary.LittleEndian.Uint32(rec[4:]) != crc32.ChecksumIEEE(rec[FrameHeader:]) {
+		return nil, fmt.Errorf("sos: corrupt frame at %d", off)
+	}
+	return rec[FrameHeader:], nil
 }
 
 // ErrStopReplay, returned by a ReplayFrames apply callback, stops the
@@ -419,7 +448,7 @@ func ReplayWALTo(st WALStore, floor uint64, apply func(schema string, obj Object
 			}
 			r.Rows++
 		}
-		r.Consumed += int64(frameHeader + len(body))
+		r.Consumed += int64(FrameHeader + len(body))
 		return nil
 	})
 	r.dict = tab.log
@@ -670,6 +699,13 @@ func (m *MemWAL) Open() (io.ReadCloser, error) {
 	return io.NopCloser(bytes.NewReader(snap)), nil
 }
 
+// ReadAt implements WALStore.
+func (m *MemWAL) ReadAt(p []byte, off int64) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return bytes.NewReader(m.buf).ReadAt(p, off)
+}
+
 // Len returns the stored byte count.
 func (m *MemWAL) Len() int {
 	m.mu.Lock()
@@ -711,6 +747,9 @@ func OpenFileWAL(path string) (*FileWAL, error) {
 
 // Write implements WALStore.
 func (w *FileWAL) Write(p []byte) (int, error) { return w.f.Write(p) }
+
+// ReadAt implements WALStore.
+func (w *FileWAL) ReadAt(p []byte, off int64) (int, error) { return w.f.ReadAt(p, off) }
 
 // Open implements WALStore with an independent read handle.
 func (w *FileWAL) Open() (io.ReadCloser, error) { return os.Open(w.path) }

@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -378,7 +380,7 @@ func appendWALRecord(rec []byte, schema string, objs []Object, origins []uint64,
 		if rec, err = appendWALRow(rec, objs[n], originAt(n)); err != nil {
 			return nil, 0, err
 		}
-		if n > 0 && len(rec)-frameHeader > walMaxRecord {
+		if n > 0 && len(rec)-FrameHeader > walMaxRecord {
 			rec = rec[:end]
 			break
 		}
@@ -546,3 +548,36 @@ func TestWALWriterStaysInStepWithItsLog(t *testing.T) {
 		t.Fatalf("replayed %q (%+v, %v), want %q", got, r, err, want)
 	}
 }
+
+// TestReadFrameAt: a frame reads back from its offset and body length,
+// and a wrong length or offset, a flipped byte and an I/O error are all
+// errors.
+func TestReadFrameAt(t *testing.T) {
+	w := NewMemWAL()
+	for _, body := range []string{"hello", "world!"} {
+		if err := AppendFrame(w, []byte(body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		off  int64
+		n    uint32
+		want string
+	}{{0, 5, "hello"}, {13, 6, "world!"}, {0, 6, ""}, {0, 4, ""}, {1, 5, ""}, {13, 7, ""}, {100, 5, ""}, {0, 0, ""}, {-1, 5, ""}} {
+		body, err := ReadFrameAt(w, tc.off, tc.n)
+		if string(body) != tc.want || (err == nil) != (tc.want != "") {
+			t.Fatalf("ReadFrameAt(%d, %d) = %q, %v; want %q", tc.off, tc.n, body, err, tc.want)
+		}
+	}
+	w.buf[10] ^= 0xFF
+	if _, err := ReadFrameAt(w, 0, 5); err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("a flipped body byte: %v", err)
+	}
+	if _, err := ReadFrameAt(failingReaderAt{}, 0, 5); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("an I/O error: %v", err)
+	}
+}
+
+type failingReaderAt struct{}
+
+func (failingReaderAt) ReadAt([]byte, int64) (int, error) { return 0, io.ErrUnexpectedEOF }

@@ -133,7 +133,7 @@ func TestV1SegmentReadCompat(t *testing.T) {
 	if !bytes.Equal(frozen, built.Bytes()) {
 		t.Fatal("the hand-built version-1 segment no longer matches testdata/segment-v1.bin")
 	}
-	wal := sos.NewMemWAL()
+	wal := &readCounter{MemWAL: sos.NewMemWAL()}
 	_, _ = wal.Write(frozen)
 	s, err := streams.OpenStream(streams.StreamConfig{Name: "compat"}, wal)
 	if err != nil {
@@ -160,6 +160,54 @@ func TestV1SegmentReadCompat(t *testing.T) {
 		}
 		sameMessage(t, d.Msg, msgs[i+2])
 	}
+
+	// Settled, the same history reads back from the segment: once both
+	// cursors pass it, a late joiner gets it by reading the version-1
+	// entries again, before and after a reopen.
+	if err := c.AckBatch(ds); err != nil {
+		t.Fatal(err)
+	}
+	ingest, err := s.Consumer(streams.ConsumerConfig{Name: "ingest"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds, err = ingest.Fetch(8); err != nil || len(ds) != 2 || ingest.AckBatch(ds) != nil {
+		t.Fatalf("ingest fetched %d (%v), want 2", len(ds), err)
+	}
+	for round := 0; round < 2; round++ {
+		late, err := s.Consumer(streams.ConsumerConfig{Name: fmt.Sprintf("late-%d", round), StartSeq: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := wal.reads
+		ds, err := late.Fetch(8)
+		if err != nil || len(ds) != 4 || wal.reads == reads {
+			t.Fatalf("late joiner fetched %d (%v) in %d read-backs, want 4 from the segment", len(ds), err, wal.reads-reads)
+		}
+		for i, d := range ds {
+			if d.Seq != uint64(i+3) {
+				t.Fatalf("delivery %d has seq %d", i, d.Seq)
+			}
+			sameMessage(t, d.Msg, msgs[i+2])
+		}
+		if err := late.AckBatch(ds); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = streams.OpenStream(streams.StreamConfig{Name: "compat"}, wal); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// readCounter is a MemWAL that counts read-backs.
+type readCounter struct {
+	*sos.MemWAL
+	reads int
+}
+
+func (w *readCounter) ReadAt(p []byte, off int64) (int, error) {
+	w.reads++
+	return w.MemWAL.ReadAt(p, off)
 }
 
 // sameMessage fails unless got carries want's envelope and payload, typed

@@ -1,7 +1,6 @@
 package streams
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -46,6 +45,7 @@ type Consumer struct {
 	closed  bool
 
 	bodyRound []Delivery // FetchBodies' result, reused by the next
+	bodySlots []slot     // and the slot of each of its deliveries
 
 	delivered    uint64
 	redelivered  uint64
@@ -226,6 +226,10 @@ func (c *Consumer) Fetch(max int) ([]Delivery, error) { return c.fetch(max, fals
 // is the batch's stored body and every Msg of the run is zero. Every
 // other delivery is decoded as Fetch decodes it. The deliveries are valid
 // until the next FetchBodies, which reuses their slice.
+//
+// Both read settled history, a late joiner's, back from the segment; a
+// batch that cannot be read back is an error, never a miss, returned once
+// no delivery precedes it.
 func (c *Consumer) FetchBodies(max int) ([]Delivery, error) { return c.fetch(max, true) }
 
 func (c *Consumer) fetch(max int, bodies bool) ([]Delivery, error) {
@@ -245,26 +249,29 @@ func (c *Consumer) fetch(max int, bodies bool) ([]Delivery, error) {
 	}
 	var out []Delivery
 	if bodies {
-		out = c.bodyRound[:0]
+		out, c.bodySlots = c.bodyRound[:0], c.bodySlots[:0]
 	}
-	// deliver decodes seq's slot into out, or leaves that to the runs
+	// deliver decodes sl, seq's slot, into out, or leaves that to the runs
 	// below for FetchBodies; false means the message is gone (evicted by
 	// retention) and the caller settles it as missed.
-	deliver := func(seq uint64, deliveries int) bool {
-		sl := s.slotAt(seq)
+	deliver := func(seq uint64, sl *slot, deliveries int) bool {
 		var m Message
 		ok := sl != nil
-		if !bodies {
+		if ok && !bodies {
 			m, ok = s.messageLocked(sl)
 		}
 		if ok {
 			if out == nil { // sized once: everything due plus everything new, capped by max
 				out = make([]Delivery, 0, min(max, len(c.infl)+int(s.lastSeq+1-c.nextSeq)+1))
 			}
-			out = append(out, Delivery{Seq: seq, Deliveries: deliveries, Msg: m, Batch: sl.ctx.batch})
+			out = append(out, Delivery{Seq: seq, Deliveries: deliveries, Msg: m, Batch: sl.ctx.batchSeq()})
+			if bodies {
+				c.bodySlots = append(c.bodySlots, *sl)
+			}
 		}
 		return ok
 	}
+	var err error // a settled batch that could not be read back
 
 	// Redeliveries first: an unacked message is older than anything new.
 	// Map iteration order must not reach the caller — sort the due set.
@@ -279,13 +286,17 @@ func (c *Consumer) fetch(max int, bodies bool) ([]Delivery, error) {
 		if len(out) >= max {
 			break
 		}
+		var sl *slot
+		if sl, err = s.slotAt(seq); err != nil {
+			break
+		}
 		st := c.infl[seq]
 		switch {
-		case c.maxDeliver > 0 && st.deliveries >= c.maxDeliver && s.slotAt(seq) != nil:
+		case c.maxDeliver > 0 && st.deliveries >= c.maxDeliver && sl != nil:
 			delete(c.infl, seq)
 			c.deadLettered++
 			c.settleLocked(seq)
-		case deliver(seq, st.deliveries+1):
+		case deliver(seq, sl, st.deliveries+1):
 			st.deliveries++
 			st.due = now + c.backoffFor(st.deliveries)
 			c.infl[seq] = st
@@ -300,7 +311,7 @@ func (c *Consumer) fetch(max int, bodies bool) ([]Delivery, error) {
 	}
 
 	// New messages, subject to the flow-control window.
-	for len(out) < max && len(c.infl) < c.maxInflight && c.nextSeq <= s.lastSeq {
+	for err == nil && len(out) < max && len(c.infl) < c.maxInflight && c.nextSeq <= s.lastSeq {
 		seq := c.nextSeq
 		c.nextSeq++
 		if seq <= c.floor {
@@ -309,12 +320,16 @@ func (c *Consumer) fetch(max int, bodies bool) ([]Delivery, error) {
 		if _, done := c.acked[seq]; done {
 			continue
 		}
-		sl := s.slotAt(seq)
+		var sl *slot
+		if sl, err = s.slotAt(seq); err != nil {
+			c.nextSeq = seq
+			break
+		}
 		switch {
 		case sl != nil && !MatchSubject(c.filter, sl.subject):
 			c.filtered++
 			c.settleLocked(seq)
-		case deliver(seq, 1):
+		case deliver(seq, sl, 1):
 			c.infl[seq] = inflightMsg{deliveries: 1, due: now + c.backoffFor(1)}
 			c.delivered++
 		default:
@@ -331,6 +346,9 @@ func (c *Consumer) fetch(max int, bodies bool) ([]Delivery, error) {
 		c.bodiesLocked(out)
 		c.bodyRound = out
 	}
+	if err != nil && len(out) == 0 {
+		return nil, fmt.Errorf("streams: consumer %q: %w", c.name, err)
+	}
 	return out, nil
 }
 
@@ -338,18 +356,17 @@ func (c *Consumer) fetch(max int, bodies bool) ([]Delivery, error) {
 // in ascending sequence order, so a run of n sharing one batch of n
 // records is that whole batch, in order.
 func (c *Consumer) bodiesLocked(out []Delivery) {
-	s := c.s
 	for lo, hi := 0, 0; lo < len(out); lo = hi {
-		k := s.slotAt(out[lo].Seq).ctx
+		k := c.bodySlots[lo].ctx
 		for hi = lo + 1; hi < len(out) && out[hi].Batch == out[lo].Batch; hi++ {
 		}
-		if n, _ := binary.Uvarint(k.body); n == uint64(hi-lo) {
+		if k.held.n == uint32(hi-lo) {
 			out[lo].Body = k.body
 			continue
 		}
 		for i := lo; i < hi; i++ {
 			// Every retained slot decodes: its body walked cleanly once.
-			out[i].Msg, _ = s.messageLocked(s.slotAt(out[i].Seq))
+			out[i].Msg, _ = c.s.messageLocked(&c.bodySlots[i])
 		}
 	}
 }
@@ -534,16 +551,20 @@ func (c *Consumer) settleLocked(seq uint64) {
 
 // checkpointLocked makes the floor durable (s.mu held). A failed
 // checkpoint is counted, not fatal: the consumer keeps running and the
-// worst a lost checkpoint costs is redelivery after a crash. A
+// worst a lost checkpoint costs is redelivery after a crash. Every batch
+// all consumers have now settled leaves memory for settled history. A
 // memory-only stream has nothing to write and releases instead.
 func (c *Consumer) checkpointLocked() {
 	s := c.s
 	s.floors[c.name] = c.floor
 	if s.store == nil {
 		s.releaseLocked()
-	} else if err := s.frame.Commit(s.store, appendCursorEntry(s.frame.Begin(), c.name, c.floor)); err != nil {
+		return
+	}
+	if _, err := s.commitLocked(appendCursorEntry(s.frame.Begin(), c.name, c.floor)); err != nil {
 		s.walErrs++
 	}
+	s.compactLocked()
 }
 
 // AckFloor returns the durable cursor: every sequence at or below it is

@@ -144,15 +144,17 @@ type DurableStream struct {
 	body  []byte       // reused AppendBatch scratch: the body written
 	ws    []slot       // and its records
 
-	// The retained window is the encoded batch bodies plus this index:
-	// slots[head+i] is sequence firstSeq+i, a view into the body it
-	// arrived in. Retention advances head; AppendBatch slides the window
-	// back to the front of the array once the dead prefix outgrows it, so
-	// a steady-state stream neither reallocates nor copies per append.
-	// Appended bodies, contexts and tables are windows of shared chunks.
-	slots    []slot
-	head     int
-	firstSeq uint64 // seq of slots[head]; lastSeq+1 when empty
+	// The window, firstSeq to lastSeq, is settled history — whole batches
+	// every known consumer has settled, as held (where each lies in the
+	// segment) and sizes[i], firstSeq+i's payload size; back is the batch
+	// read back last — then slots, one view per message into its body.
+	// Bodies, contexts and tables are windows of shared chunks.
+	held     ring[heldBatch]
+	sizes    ring[int32]
+	slots    ring[slot]
+	back     []slot
+	segLen   int64  // the segment's length; -1 once a failed write left it unknown
+	firstSeq uint64 // lastSeq+1 when empty
 	lastSeq  uint64
 	bytes    int64
 	drops    [int(dropReasons)]uint64
@@ -210,10 +212,11 @@ func OpenStream(cfg StreamConfig, store sos.WALStore) (*DurableStream, error) {
 	if err != nil {
 		return nil, fmt.Errorf("streams: stream %q replay: %w", cfg.Name, err)
 	}
-	if fw, ok := store.(*sos.FileWAL); ok {
-		if err := fw.Reset(consumed); err != nil {
-			return nil, fmt.Errorf("streams: stream %q truncate torn tail: %w", cfg.Name, err)
-		}
+	// Appends resume at the end of the last clean entry, where the offsets
+	// of settled history expect them.
+	s.segLen = consumed
+	if err := sos.Truncate(store, consumed); err != nil {
+		return nil, fmt.Errorf("streams: stream %q truncate torn tail: %w", cfg.Name, err)
 	}
 	// Floors can never sit past the appended window (a cursor record that
 	// claims more than the recovered messages means the tail was torn
@@ -227,40 +230,26 @@ func OpenStream(cfg StreamConfig, store sos.WALStore) (*DurableStream, error) {
 	// entries that expired while the process was down, and so bounds that
 	// were tightened between incarnations take effect immediately.
 	s.applyRetentionLocked(s.cfg.Clock())
+	s.compactLocked()
 	return s, nil
 }
 
 // applyReplay folds one recovered segment record into the stream state.
 // body is the frame's own allocation, so batch slots may alias it.
 func (s *DurableStream) applyReplay(body []byte) error {
+	off := s.segLen // this record's; OpenStream sets the end
+	s.segLen += int64(sos.FrameHeader + len(body))
 	if len(body) == 0 {
 		return sos.ErrStopReplay
 	}
 	switch body[0] {
-	case segKindBatch:
-		first, version, at, recs, err := decodeBatchHeader(body)
-		if err != nil || first != s.lastSeq+1 {
-			return sos.ErrStopReplay // corrupt or out-of-order: torn tail
+	case segKindBatch, segKindMsg:
+		first := s.lastSeq + 1
+		at, recs, err := entryRecords(body, first)
+		if err != nil {
+			return replayErr(err) // corrupt or out-of-order: torn tail
 		}
-		if version == BodyV1 {
-			// In memory there is one representation: a version-1 entry is
-			// re-encoded as the version-2 body it would be written as today.
-			msgs, err := DecodeRecords(BodyV1, recs)
-			if err != nil {
-				return replayErr(err)
-			}
-			recs = AppendRecords(nil, msgs)
-		}
-		return s.replayBatch(recs, at)
-	case segKindMsg:
-		e, err := decodeMsgEntry(body)
-		if err != nil || e.seq != s.lastSeq+1 {
-			return sos.ErrStopReplay
-		}
-		// The pre-batch entry is re-encoded as the batch of one it would
-		// be written as today.
-		one := [1]Message{e.msg}
-		return s.replayBatch(AppendRecords(nil, one[:]), e.at)
+		return s.replayBatch(recs, heldBatch{off: off, first: first, at: at, size: uint32(len(body))})
 	case segKindCursor:
 		name, floor, err := decodeCursorEntry(body)
 		if err != nil {
@@ -284,25 +273,68 @@ func (s *DurableStream) applyReplay(body []byte) error {
 	return nil
 }
 
+// entryRecords returns the append time and version-2 records of a stored
+// message entry starting at sequence first (version 1 and msg re-encoded).
+func entryRecords(body []byte, first uint64) (time.Duration, []byte, error) {
+	seq, version, at, recs, err := decodeBatchHeader(body)
+	if len(body) > 0 && body[0] == segKindMsg {
+		var e legacyMsg
+		e, err = decodeMsgEntry(body)
+		one := [1]Message{e.msg}
+		seq, version, at, recs = e.seq, BodyV2, e.at, AppendRecords(nil, one[:])
+	}
+	if err == nil && seq != first {
+		err = fmt.Errorf("streams: segment entry at sequence %d, want %d", seq, first)
+	}
+	if err == nil && version == BodyV1 {
+		var msgs []Message
+		msgs, err = DecodeRecords(BodyV1, recs)
+		recs = AppendRecords(nil, msgs)
+	}
+	return at, recs, err
+}
+
 // replayBatch appends one slot per record of a recovered version-2 batch
 // body, which the slots alias. All or nothing: the batch joins the window
 // only once every record in it has walked cleanly.
-func (s *DurableStream) replayBatch(recs []byte, at time.Duration) error {
-	k := &batchCtx{at: at, body: recs}
+func (s *DurableStream) replayBatch(recs []byte, h heldBatch) error {
+	k := &batchCtx{held: h, body: recs}
 	_ = k.Reset(BodyV2, nil)
-	slots, err := walkBody(recs, k, s.slots)
+	slots, err := walkBody(recs, k, s.ws[:0])
 	if err != nil {
 		return replayErr(err)
 	}
-	for _, sl := range slots[len(s.slots):] {
+	k.held.n = uint32(len(slots))
+	for _, sl := range slots {
+		s.slots.push(sl)
 		s.bytes += int64(sl.size)
 	}
-	n := len(slots) - len(s.slots)
-	if n > 1 {
-		k.batch = s.lastSeq + 1
+	clear(slots) // the scratch keeps nothing of the body
+	s.ws = slots
+	s.lastSeq += uint64(len(slots))
+	return nil
+}
+
+// readBackLocked reads settled batch h back into back, slots over a fresh
+// body that deliveries may alias, checking it is the batch h says (s.mu
+// held).
+func (s *DurableStream) readBackLocked(h heldBatch) error {
+	k := &batchCtx{held: h}
+	_ = k.Reset(BodyV2, nil)
+	body, err := sos.ReadFrameAt(s.store, h.off, h.size)
+	var slots []slot
+	if err == nil {
+		if _, k.body, err = entryRecords(body, h.first); err == nil {
+			slots, err = walkBody(k.body, k, make([]slot, 0, h.n))
+		}
 	}
-	s.slots = slots
-	s.lastSeq += uint64(n)
+	if err == nil && len(slots) != int(h.n) {
+		err = fmt.Errorf("%d records, want %d", len(slots), h.n)
+	}
+	if err != nil {
+		return fmt.Errorf("streams: stream %q: read back batch %d: %w", s.cfg.Name, h.first, err)
+	}
+	s.back = slots
 	return nil
 }
 
@@ -350,17 +382,111 @@ func walkBody(body []byte, k *batchCtx, slots []slot) ([]slot, error) {
 }
 
 // dropHeadLocked removes the oldest retained message from the window
-// (s.mu held). The vacated slot is cleared so the batch body it viewed is
-// collectable as soon as its last slot goes.
+// (s.mu held). The vacated slot is cleared, and with its batch's last slot
+// the batch's context, so the body is collectable once its last slot goes.
 func (s *DurableStream) dropHeadLocked() {
-	s.bytes -= int64(s.slots[s.head].size)
-	s.slots[s.head] = slot{}
-	s.head++
+	if s.sizes.n > 0 {
+		s.bytes -= int64(*s.sizes.at(0))
+		s.sizes.pop()
+		if s.firstSeq == s.held.at(0).last() {
+			s.held.pop()
+		}
+	} else {
+		sl := s.slots.at(0)
+		s.bytes -= int64(sl.size)
+		if k := sl.ctx; s.firstSeq == k.held.last() {
+			*k = batchCtx{}
+		}
+		s.slots.pop()
+	}
 	s.firstSeq++
 }
 
 // retained returns the number of messages in the window (s.mu held).
-func (s *DurableStream) retained() int { return len(s.slots) - s.head }
+func (s *DurableStream) retained() int { return s.sizes.n + s.slots.n }
+
+// headAt returns when the oldest retained message was appended (s.mu held).
+func (s *DurableStream) headAt() time.Duration {
+	if s.sizes.n > 0 {
+		return s.held.at(0).at
+	}
+	return s.slots.at(0).ctx.held.at
+}
+
+// settledLocked returns the lowest floor: the sequence every known
+// consumer has settled through (the head when none is known; s.mu held).
+func (s *DurableStream) settledLocked() uint64 {
+	floor := s.lastSeq
+	for _, f := range s.floors {
+		floor = min(floor, f)
+	}
+	return floor
+}
+
+// compactLocked moves each whole batch at the front of slots that every
+// known consumer has settled into settled history (s.mu held).
+func (s *DurableStream) compactLocked() {
+	floor := s.settledLocked()
+	for s.slots.n > 0 {
+		k := s.slots.at(0).ctx
+		if k.held.off < 0 || k.held.last() > floor {
+			return
+		}
+		s.held.push(k.held)
+		for s.slots.n > 0 && s.slots.at(0).ctx == k {
+			s.sizes.push(s.slots.at(0).size)
+			s.slots.pop()
+		}
+		*k = batchCtx{} // its chunk may outlive it: let go of the body
+	}
+}
+
+// commitLocked writes one record to the segment and returns its offset
+// (s.mu held): -1 for good once a failed write left the length unknown.
+func (s *DurableStream) commitLocked(rec []byte) (int64, error) {
+	off := s.segLen
+	err := s.frame.Commit(s.store, rec)
+	if err != nil || off < 0 {
+		s.segLen = -1
+		return -1, err
+	}
+	s.segLen += int64(len(rec))
+	return off, nil
+}
+
+// ring is a FIFO over a power-of-two array that doubles when full and
+// halves when mostly empty: steady state neither allocates nor copies.
+type ring[T any] struct {
+	a       []T
+	head, n int
+}
+
+func (r *ring[T]) at(i int) *T { return &r.a[(r.head+i)&(len(r.a)-1)] }
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.a) {
+		r.resize(max(16, 2*len(r.a)))
+	}
+	r.n++
+	*r.at(r.n - 1) = v
+}
+
+// pop clears the oldest element, so nothing it referenced stays alive.
+func (r *ring[T]) pop() {
+	*r.at(0) = *new(T)
+	r.head = (r.head + 1) & (len(r.a) - 1)
+	r.n--
+	if len(r.a) > 256 && r.n < len(r.a)/8 {
+		r.resize(len(r.a) / 2)
+	}
+}
+
+func (r *ring[T]) resize(size int) {
+	a := make([]T, size)
+	k := copy(a, r.a[r.head:min(r.head+r.n, len(r.a))])
+	copy(a[k:], r.a[:r.n-k])
+	r.a, r.head = a, 0
+}
 
 // Name returns the stream's name.
 func (s *DurableStream) Name() string { return s.cfg.Name }
@@ -455,10 +581,7 @@ func (s *DurableStream) liveLocked() bool {
 // releaseLocked lets a memory-only window go of every entry all
 // consumers have settled (s.mu held), and wakes a Block append.
 func (s *DurableStream) releaseLocked() {
-	floor := s.lastSeq
-	for _, f := range s.floors {
-		floor = min(floor, f)
-	}
+	floor := s.settledLocked()
 	if s.retained() == 0 || s.firstSeq > floor {
 		return
 	}
@@ -475,30 +598,26 @@ func (s *DurableStream) releaseLocked() {
 // its own copies of the body, the base and the strings.
 func (s *DurableStream) appendLocked(body []byte, w *BatchContext, ws []slot) (uint64, error) {
 	now, first := s.cfg.Clock(), s.lastSeq+1
+	h := heldBatch{off: -1, first: first, at: now, n: uint32(len(ws))}
 	if s.store != nil {
-		if err := s.frame.Commit(s.store, append(appendBatchHeader(s.frame.Begin(), first, now), body...)); err != nil {
+		rec := append(appendBatchHeader(s.frame.Begin(), first, now), body...)
+		h.size = uint32(len(rec) - sos.FrameHeader)
+		var err error
+		if h.off, err = s.commitLocked(rec); err != nil {
 			return 0, fmt.Errorf("streams: stream %q append: %w", s.cfg.Name, err)
 		}
 	}
 	k := &s.ctxs.take(1, ctxChunk)[0]
-	k.at, k.Base, k.seq0 = now, w.Base, w.seq0
+	k.held, k.Base, k.seq0 = h, w.Base, w.seq0
 	k.body = s.bodies.take(len(body), bodyChunk)
 	copy(k.body, body)
-	if len(ws) > 1 {
-		k.batch = first
-	}
 	k.strs = s.strs.take(len(w.strs), strChunk)
 	copy(k.strs, w.strs)
-	if s.head > 0 && s.head >= s.retained() {
-		n := copy(s.slots, s.slots[s.head:])
-		clear(s.slots[n:])
-		s.slots, s.head = s.slots[:n], 0
-	}
 	_, off := binary.Uvarint(body)
 	for _, sl := range ws {
 		end := off + len(sl.rec)
 		sl.rec, sl.ctx = k.body[off:end:end], k
-		s.slots = append(s.slots, sl)
+		s.slots.push(sl)
 		s.bytes += int64(sl.size)
 		off = end
 	}
@@ -541,7 +660,7 @@ func (s *DurableStream) applyRetentionLocked(now time.Duration) {
 		if s.firstSeq == marked || s.store == nil {
 			return
 		}
-		if err := s.frame.Commit(s.store, appendDropEntry(s.frame.Begin(), reason, s.firstSeq)); err != nil {
+		if _, err := s.commitLocked(appendDropEntry(s.frame.Begin(), reason, s.firstSeq)); err != nil {
 			// The in-memory trim stands; a reopened stream re-trims and
 			// re-marks, so the only cost of a lost marker is a re-count.
 			s.walErrs++
@@ -551,7 +670,7 @@ func (s *DurableStream) applyRetentionLocked(now time.Duration) {
 	for s.retained() > 0 {
 		var why DropReason
 		switch {
-		case r.MaxAge > 0 && s.slots[s.head].ctx.at+r.MaxAge < now:
+		case r.MaxAge > 0 && s.headAt()+r.MaxAge < now:
 			why = DropByAge
 		case r.MaxMsgs > 0 && s.cfg.Overflow == DropOldest && s.retained() > r.MaxMsgs:
 			why = DropByCount
@@ -572,12 +691,22 @@ func (s *DurableStream) applyRetentionLocked(now time.Duration) {
 }
 
 // slotAt returns the retained slot with the given sequence (s.mu held),
-// or nil when it is outside the retained window.
-func (s *DurableStream) slotAt(seq uint64) *slot {
+// or nil when it is outside the retained window. A settled message's slot
+// is read back from the segment: an error is a batch that could not be.
+func (s *DurableStream) slotAt(seq uint64) (*slot, error) {
 	if seq < s.firstSeq || seq > s.lastSeq {
-		return nil
+		return nil, nil
 	}
-	return &s.slots[s.head+int(seq-s.firstSeq)]
+	if i := int(seq - s.firstSeq); i >= s.sizes.n {
+		return s.slots.at(i - s.sizes.n), nil
+	}
+	if len(s.back) == 0 || seq-s.back[0].ctx.held.first >= uint64(len(s.back)) {
+		i := sort.Search(s.held.n, func(i int) bool { return s.held.at(i).first > seq }) - 1
+		if err := s.readBackLocked(*s.held.at(i)); err != nil {
+			return nil, err
+		}
+	}
+	return &s.back[seq-s.back[0].ctx.held.first], nil
 }
 
 // messageLocked decodes a retained slot back into the message it was

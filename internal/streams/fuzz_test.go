@@ -3,6 +3,7 @@ package streams
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 	"time"
 
@@ -43,7 +44,9 @@ var fuzzPrefix = []Message{
 // arbitrary bytes — as a raw segment, as a CRC-framed record body, and as
 // direct decoder input — must never panic, and whatever stream state is
 // recovered must satisfy the accounting invariants, resume consumers at a
-// clamped floor, drain to the head, and accept new appends.
+// clamped floor, drain to the head, and accept new appends. The drained
+// history is then settled: a late joiner from the start sequence reads it
+// back from the segment, and so does one on the segment reopened.
 func FuzzStreamCursor(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 0x01})
@@ -101,6 +104,7 @@ func FuzzStreamCursor(f *testing.F) {
 		if c.AckFloor() > st.LastSeq {
 			t.Fatalf("resumed floor %d past head %d", c.AckFloor(), st.LastSeq)
 		}
+		seen := map[uint64]Message{}
 		for i := 0; i < 64; i++ {
 			ds, ferr := c.Fetch(16)
 			if ferr != nil {
@@ -110,6 +114,7 @@ func FuzzStreamCursor(f *testing.F) {
 				break
 			}
 			for _, d := range ds {
+				seen[d.Seq] = d.Msg
 				if aerr := c.Ack(d.Seq); aerr != nil {
 					t.Fatalf("ack %d: %v", d.Seq, aerr)
 				}
@@ -118,22 +123,74 @@ func FuzzStreamCursor(f *testing.F) {
 		if c.AckFloor() != st.LastSeq {
 			t.Fatalf("drained floor %d, head %d", c.AckFloor(), st.LastSeq)
 		}
-		seq, err := s.Append(Message{Tag: "darshan.nid00040.posix", Type: TypeJSON, Data: []byte("x")})
+		m := Message{Tag: "darshan.nid00040.posix", Type: TypeJSON, Data: []byte("x")}
+		seq, err := s.Append(m)
 		if err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		if seq != st.LastSeq+1 {
 			t.Fatalf("recovered append got seq %d, want %d", seq, st.LastSeq+1)
 		}
+		seen[seq] = m
+		for round := 0; round < 2; round++ {
+			fuzzLateJoiner(t, s, fmt.Sprintf("late-%d", round), start, seen)
+			before := s.Stats()
+			if s, err = OpenStream(StreamConfig{Name: "fz"}, wal); err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			if after := s.Stats(); after != before {
+				t.Fatalf("reopen drifted: before %+v after %+v", before, after)
+			}
+		}
 	})
 }
 
+// fuzzLateJoiner joins a consumer at start — or at its durable floor, if
+// the segment already knows the name — and drains it: it must get every
+// retained sequence from there to the head, in order, each as seen (or
+// appended) before, which it records.
+func fuzzLateJoiner(t *testing.T, s *DurableStream, name string, start uint64, seen map[uint64]Message) {
+	t.Helper()
+	c, err := s.Consumer(ConsumerConfig{Name: name, StartSeq: start})
+	if err != nil {
+		t.Fatalf("late joiner: %v", err)
+	}
+	st := s.Stats()
+	next := max(c.AckFloor()+1, st.FirstSeq)
+	for {
+		ds, err := c.Fetch(16)
+		if err != nil {
+			t.Fatalf("late joiner at %d: %v", next, err)
+		}
+		if len(ds) == 0 {
+			break
+		}
+		for _, d := range ds {
+			if m, ok := seen[d.Seq]; d.Seq != next || (ok && !sameEnvelope(d.Msg, m)) {
+				t.Fatalf("late joiner got %d %+v, want %d %+v", d.Seq, d.Msg, next, m)
+			}
+			seen[d.Seq] = d.Msg
+			next++
+		}
+		if err := c.AckBatch(ds); err != nil {
+			t.Fatalf("late joiner ack: %v", err)
+		}
+	}
+	if next != st.LastSeq+1 {
+		t.Fatalf("late joiner stopped at %d, head %d", next, st.LastSeq)
+	}
+}
+
 // FuzzRetention drives a stream through an arbitrary op sequence —
-// appends of varying size, clock jumps, crash/reopen — under a retention
-// policy drawn from the input, checking the drop-accounting invariants
-// after every step. The third byte's top bits start the stream on a
-// segment an earlier writer left: 0x80 a version-1 batch, 0x40 a
-// version-2 one.
+// appends of varying size, clock jumps, crash/reopen, every consumer
+// catching up, a late joiner at a sequence drawn from the input — under a
+// retention policy drawn from the input, checking the drop-accounting
+// invariants after every step. What the consumers settle leaves memory,
+// so the late joiners read it back from the segment, also from a batch
+// retention has trimmed into and after a reopen has settled it again;
+// every delivery must be what was appended. The third byte's top bits
+// start the stream on a segment an earlier writer left: 0x80 a version-1
+// batch, 0x40 a version-2 one.
 func FuzzRetention(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 200, 10, 0, 1, 2, 3, 8, 9, 250, 4, 5})
@@ -152,12 +209,19 @@ func FuzzRetention(f *testing.F) {
 			MaxAge:   time.Duration(ops[2]&0x3F%5) * 8 * time.Millisecond, // 0..32ms
 		}
 		wal := sos.NewMemWAL()
+		sent := map[uint64]Message{}
 		switch {
 		case ops[2]&0x80 != 0:
 			_ = sos.AppendFrame(wal, appendBatchEntryV1(nil, 1, 0, fuzzPrefix))
 		case ops[2]&0x40 != 0:
 			_ = sos.AppendFrame(wal, AppendRecords(appendBatchHeader(nil, 1, 0), fuzzPrefix))
 		}
+		if ops[2]&0xC0 != 0 {
+			for i, m := range fuzzPrefix {
+				sent[uint64(i+1)] = m
+			}
+		}
+		late := 0
 		ops = ops[3:]
 		if len(ops) > 512 {
 			ops = ops[:512]
@@ -170,14 +234,17 @@ func FuzzRetention(f *testing.F) {
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i], ops[i+1]
-			switch op % 5 {
+			switch op % 7 {
 			case 0, 1:
-				if _, err := s.Append(Message{
+				m := Message{
 					Tag: "darshan.nid00040.posix", Type: TypeJSON,
 					Data: bytes.Repeat([]byte("x"), int(arg%33)),
-				}); err != nil {
+				}
+				seq, err := s.Append(m)
+				if err != nil {
 					t.Fatalf("append: %v", err)
 				}
+				sent[seq] = m
 			case 4:
 				// A batch entry of 1..8 messages: retention may trim into
 				// the middle of it, now or after a reopen.
@@ -191,6 +258,9 @@ func FuzzRetention(f *testing.F) {
 				before := s.Stats().LastSeq
 				if first, err := s.AppendBatch(batch); err != nil || first != before+1 {
 					t.Fatalf("append batch: seq %d after %d, %v", first, before, err)
+				}
+				for j, m := range batch {
+					sent[before+1+uint64(j)] = m
 				}
 			case 2:
 				now += time.Duration(arg) * time.Millisecond
@@ -206,6 +276,20 @@ func FuzzRetention(f *testing.F) {
 				if after.LastSeq != before.LastSeq || after.Dropped < before.Dropped {
 					t.Fatalf("reopen drifted: before %+v after %+v", before, after)
 				}
+			case 5:
+				// Every consumer catches up, settling what it has read.
+				names := []string{"live"}
+				for _, cs := range s.ConsumerStats() {
+					names = append(names, cs.Name)
+				}
+				for _, name := range names {
+					fuzzLateJoiner(t, s, name, 0, sent)
+				}
+			case 6:
+				// A late joiner reads history from a drawn sequence; past
+				// eight, a known one reattaches at its floor instead.
+				late++
+				fuzzLateJoiner(t, s, fmt.Sprintf("late-%d", min(late, 8+int(arg%8))), uint64(arg)%(s.Stats().LastSeq+2), sent)
 			}
 			fuzzCheckStream(t, s)
 			st := s.Stats()

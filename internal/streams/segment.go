@@ -98,10 +98,31 @@ type slot struct {
 // batchCtx is what the retained slots of one batch share.
 type batchCtx struct {
 	BatchContext
-	at    time.Duration
-	batch uint64 // the batch's first sequence, or 0 for a batch of one
-	body  []byte // the whole version-2 body, as stored (FetchBodies)
+	held heldBatch // where the batch lies in the segment, and what it holds
+	body []byte    // the whole version-2 body, as stored (FetchBodies)
 }
+
+// batchSeq is Delivery.Batch: the batch's first sequence, or 0 for a
+// batch of one.
+func (k *batchCtx) batchSeq() uint64 {
+	if k.held.n > 1 {
+		return k.held.first
+	}
+	return 0
+}
+
+// heldBatch is what memory keeps of a batch every consumer has settled,
+// besides each message's payload size.
+type heldBatch struct {
+	off   int64 // the entry's frame offset in the segment; -1 when unknown
+	first uint64
+	at    time.Duration
+	n     uint32 // records
+	size  uint32 // the entry's bytes, frame header excluded
+}
+
+// last is the batch's last sequence.
+func (h *heldBatch) last() uint64 { return h.first + uint64(h.n) - 1 }
 
 // legacyMsg is a decoded pre-batch msg entry.
 type legacyMsg struct {

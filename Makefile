@@ -86,15 +86,19 @@ streams-smoke:
 # live rebalancing) must survive seeded schedules of aggregator crashes,
 # link partitions and mid-soak grow/shrink with zero invariant
 # violations — no acked record lost, no (producer,seq) stored twice,
-# every key exactly one post-cutover owner, ack floors never regress —
-# and the static-placement baseline must demonstrably lose acked data
-# under the same schedules (CI runs this too, as its own matrix leg).
-# Both placement strategies sit behind the one dsos client, so its package
-# races here as well, and the dsosd CLI test drives the real binary in
-# both modes (flag validation, live grow, SIGTERM snapshots).
+# every key exactly its ring owners after each move, ack floors never
+# regress — and the static-placement baseline must demonstrably lose
+# acked data under the same schedules (CI runs this too, as its own
+# matrix leg). Both placement strategies sit behind the one dsos client,
+# so its package races here as well; the insert barrier's two tests run
+# fifty times over (a grow or shrink waits for an insert parked between
+# plan and write, and inserts and queries race a grow, a shrink and a
+# grow), and the dsosd CLI test drives the real binary in both modes
+# (flag validation, live grow, SIGTERM snapshots).
 topo-smoke:
 	$(GO) test -race -short -count=1 -run 'RebalanceSoak|SoakHop' ./internal/harness
 	$(GO) test -race -count=1 ./internal/topo ./internal/dsos
+	$(GO) test -race -count=50 -run 'PlacementSwapUnderLoad|MoveWaitsForParkedInsert' ./internal/topo ./internal/dsos
 	$(GO) test -count=1 -run 'TestCLIDsosd' .
 
 # The seeded 20-schedule rebalance soak report is byte-stable, so a change

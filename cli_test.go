@@ -417,10 +417,11 @@ func TestCLIDsosd(t *testing.T) {
 	t.Run("hash placement grows live", func(t *testing.T) {
 		cmd, dir, listen, api, stderr := start(t, "-daemons", "3", "-topo-role", "store")
 		base := "http://" + api
-		for _, path := range []string{"/topo/grow?shard=dsosd3", "/topo/cutover"} {
-			if code, body := httpDo(t, http.MethodPost, base+path); code != http.StatusOK {
-				t.Fatalf("POST %s = %d %s", path, code, body)
-			}
+		if code, body := httpDo(t, http.MethodPost, base+"/topo/grow?shard=dsosd3"); code != http.StatusOK {
+			t.Fatalf("POST /topo/grow = %d %s", code, body)
+		}
+		if code, body := httpDo(t, http.MethodGet, base+"/topo/stats"); code != http.StatusOK || !strings.HasPrefix(body, "members=4 migrations=1 ") {
+			t.Fatalf("/topo/stats after one grow = %d %q", code, body)
 		}
 		publish(t, listen, api, 16, stderr)
 		_, metrics := httpDo(t, http.MethodGet, base+"/metrics")
@@ -494,8 +495,8 @@ func TestCLIDsosd(t *testing.T) {
 		if code, body := httpDo(t, http.MethodGet, "http://"+api+"/count"); code != http.StatusOK || strings.TrimSpace(body) != "0" {
 			t.Errorf("/count = %d %q, want 0", code, body)
 		}
-		if code, _ := httpDo(t, http.MethodPost, "http://"+api+"/topo/cutover"); code != http.StatusNotFound {
-			t.Errorf("/topo/cutover is mounted without -topo-role store (%d)", code)
+		if code, _ := httpDo(t, http.MethodPost, "http://"+api+"/topo/grow?shard=dsosd4"); code != http.StatusNotFound {
+			t.Errorf("/topo/grow is mounted without -topo-role store (%d)", code)
 		}
 		stop(t, cmd, dir, stderr, "darshan_data.sos", "darshan_data.sos.1", "darshan_data.sos.2", "darshan_data.sos.3")
 	})
@@ -530,6 +531,42 @@ func TestCLIDsosd(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestCLIWebReplay: dlc-web -replay streams its demo campaign into the
+// store it serves, through a durable stream and ldms.IngestStream, and
+// the served store ends up holding every event the campaign stored.
+func TestCLIWebReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke test")
+	}
+	bin := filepath.Join(t.TempDir(), "dlc-web")
+	runCmd(t, "build", "-o", bin, "./cmd/dlc-web")
+	addr := freeAddr(t)
+	stderr := startDaemon(t, bin, "-addr", addr, "-jobs", "2", "-scale", "0.02", "-replay", "1000")
+	const stored = "campaign stored "
+	waitStderr(t, "the dashboard", stderr, func() bool { return strings.Contains(stderr.String(), "dashboard at") })
+	out := stderr.String()
+	want := -1
+	if i := strings.Index(out, stored); i >= 0 {
+		fmt.Sscanf(out[i+len(stored):], "%d", &want)
+	}
+	if want <= 0 {
+		t.Fatalf("no campaign size on stderr:\n%s", out)
+	}
+	series := "\ndlc_store_dsos_objects_total " + strconv.Itoa(want) + "\n"
+	waitStderr(t, "every replayed event in the served store", stderr, func() bool {
+		resp, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		return err == nil && strings.Contains(string(body), series)
+	})
+	if strings.Contains(stderr.String(), "dlc-web: ingest") {
+		t.Errorf("dlc-web reported an ingest error:\n%s", stderr)
+	}
 }
 
 // dirOnAnotherFilesystem returns a scratch directory on a filesystem other

@@ -83,7 +83,7 @@ func main() {
 		dstore.Instrument(reg)
 		ingest.Bus().Collect(reg, "web-ingest")
 		// Stage the replay through a durable stream with a consumer-acked
-		// ingest loop — the same shape as dsosd -stream — so the
+		// ingest loop — ldms.IngestStream, the loop dsosd -stream runs — so the
 		// dashboard's consumer-lag panel watches a real pipeline: the
 		// stream head advances with the replay and the ingest consumer's
 		// floor chases it.
@@ -105,22 +105,11 @@ func main() {
 		}
 		deduped := ldms.NewDedupStore(dstore)
 		go func() {
-			for {
-				ds, err := cons.Fetch(64)
-				if err != nil {
-					return
-				}
-				if len(ds) == 0 {
-					time.Sleep(5 * time.Millisecond)
-					continue
-				}
-				for _, del := range ds {
-					if serr := deduped.Store(del.Msg); serr != nil {
-						_ = cons.Nak(del.Seq)
-					} else if aerr := cons.Ack(del.Seq); aerr != nil {
-						return
-					}
-				}
+			err := ldms.IngestStream(cons, deduped, func(err error) {
+				fmt.Fprintln(os.Stderr, "dlc-web: ingest:", err)
+			})
+			if err != nil {
+				fatal(fmt.Errorf("ingest stopped: %w", err))
 			}
 		}()
 		stream.Collect(reg)

@@ -28,11 +28,14 @@
 // -topo-ring-seed, so every daemon with the same seed and shard set
 // agrees on each key's owner) places objects by (producer, job, rank),
 // an insert acks only when all R owners stored it, and the shard set
-// rebalances live through /topo/grow, /topo/shrink, /topo/cutover and
-// /topo/abort on the HTTP API — fenced dual-writes during migration, a
-// handoff of the moved keys and an atomic ring swap at cutover, with
-// queries merging both owners mid-migration. Either way the shards sit
-// behind one DSOS client: the role only selects its placement strategy.
+// rebalances live through POST /topo/grow?shard=NAME and
+// /topo/shrink?shard=NAME on the HTTP API. Each is one step: inserts
+// wait at the cluster's insert barrier while the moving keys are handed
+// to their new owners, the ring swaps and every shard retains what it
+// owns; queries keep running and merge both sides of the move. GET
+// /topo/stats reports the members and the moves made. Either way the
+// shards sit behind one DSOS client: the role only selects its placement
+// strategy.
 // The -topo flag set is validated strictly; inconsistent flags are a
 // startup error, never a silent default.
 //
@@ -42,8 +45,10 @@
 //	      [-daemons 4] [-replication 2] [-wal ./wal]
 //	      [-snapshot-every 30s] [-tag darshanConnector]
 //	      [-stream dsosd.stream] [-stream-consumer ingest]
-//	      [-stream-max-msgs 100000]
+//	      [-stream-max-msgs 100000] [-http :9100]
 //	      [-topo-role store] [-topo-ring-seed 42] [-topo-vnodes 64]
+//	curl -X POST 'http://localhost:9100/topo/grow?shard=dsosd4'   # -topo-role store
+//	curl -X POST 'http://localhost:9100/topo/shrink?shard=dsosd0'
 package main
 
 import (
@@ -198,7 +203,7 @@ func main() {
 	// round-robin replica groups to the consistent-hash ring: every insert
 	// is placed by its (producer, job, rank) key, acked only when all R
 	// owners stored it, and the shard set can grow or shrink live through
-	// the /topo admin endpoints (fenced dual-writes, atomic cutover).
+	// the /topo admin endpoints (one step each, behind the insert barrier).
 	var hc *topo.HashCluster
 	if topoCfg.Enabled() {
 		var err error
@@ -346,22 +351,19 @@ func main() {
 				if err != nil {
 					return err
 				}
-				return hc.BeginAdd(name)
+				return hc.Grow(name)
 			}))
 			mux.HandleFunc("/topo/shrink", admin(func(r *http.Request) error {
 				name, err := shardArg(r)
 				if err != nil {
 					return err
 				}
-				return hc.BeginRemove(name)
+				return hc.Shrink(name)
 			}))
-			mux.HandleFunc("/topo/cutover", admin(func(*http.Request) error { return hc.Cutover() }))
-			mux.HandleFunc("/topo/abort", admin(func(*http.Request) error { return hc.Abort() }))
 			mux.HandleFunc("/topo/stats", func(w http.ResponseWriter, r *http.Request) {
 				st := hc.Stats()
-				fmt.Fprintf(w, "members=%d migrating=%v migrations=%d aborts=%d moved=%d fenced=%d debt=%d\nring: %s\n",
-					st.Members, st.Migrating, st.Migrations, st.Aborts, st.Moved, st.FencedWrites, st.Debt,
-					strings.Join(hc.Members(), ","))
+				fmt.Fprintf(w, "members=%d migrations=%d moved=%d\nring: %s\n",
+					st.Members, st.Migrations, st.Moved, strings.Join(hc.Members(), ","))
 			})
 		}
 		mux.Handle("/count", countHandler(client))
@@ -493,18 +495,8 @@ func fatal(err error) {
 // record.
 func shardFactory(container, walDir string) func(name string) (*dsos.Daemon, error) {
 	return func(name string) (*dsos.Daemon, error) {
-		nd := dsos.NewDaemon(name, container)
-		if err := nd.AddSchema(dsos.DarshanSchema()); err != nil {
-			return nil, err
-		}
-		for _, spec := range dsos.DarshanIndices() {
-			if err := nd.AddIndex(spec); err != nil {
-				return nil, err
-			}
-		}
 		if walDir == "" {
-			nd.EnableWAL(sos.NewMemWAL())
-			return nd, nil
+			return dsos.NewDarshanShard(name, container, sos.NewMemWAL())
 		}
 		fw, err := sos.OpenFileWAL(filepath.Join(walDir, name+".wal"))
 		if err != nil {
@@ -514,7 +506,6 @@ func shardFactory(container, walDir string) func(name string) (*dsos.Daemon, err
 			fw.Close()
 			return nil, err
 		}
-		nd.EnableWAL(fw)
-		return nd, nil
+		return dsos.NewDarshanShard(name, container, fw)
 	}
 }

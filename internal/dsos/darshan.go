@@ -53,15 +53,47 @@ func DarshanIndices() []sos.IndexSpec {
 	}
 }
 
-// SetupDarshan installs the darshan schema and indices on the cluster.
+// SetupDarshan installs the darshan schema and indices on every daemon of
+// the cluster.
 func SetupDarshan(c *Cluster) error {
-	if err := c.AddSchema(DarshanSchema()); err != nil {
-		return err
-	}
-	for _, spec := range DarshanIndices() {
-		if err := c.AddIndex(spec); err != nil {
+	s := DarshanSchema()
+	for _, d := range c.Daemons() {
+		if err := d.setupDarshan(s); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// NewDarshanShard builds an empty shard daemon with the darshan schema and
+// indices, logging to wal (nil: no write-ahead log).
+func NewDarshanShard(name, container string, wal sos.WALStore) (*Daemon, error) {
+	d := NewDaemon(name, container)
+	if wal != nil {
+		d.EnableWAL(wal)
+	}
+	if err := d.setupDarshan(DarshanSchema()); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// setupDarshan registers the darshan schema s and its indices on d.
+func (d *Daemon) setupDarshan(s *sos.Schema) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.cont == nil {
+		return fmt.Errorf("dsos: %s: %w", d.Name, ErrCrashed)
+	}
+	if err := d.cont.AddSchema(s); err != nil {
+		return err
+	}
+	d.schemas = append(d.schemas, s)
+	for _, spec := range DarshanIndices() {
+		if _, err := d.cont.AddIndex(spec); err != nil {
+			return err
+		}
+		d.idxSpecs = append(d.idxSpecs, spec)
 	}
 	return nil
 }

@@ -126,34 +126,6 @@ func (d *Daemon) Recovered() uint64 {
 	return d.recovered
 }
 
-// AddSchema registers a schema on this daemon.
-func (d *Daemon) AddSchema(s *sos.Schema) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.cont == nil {
-		return fmt.Errorf("dsos: %s: %w", d.Name, ErrCrashed)
-	}
-	if err := d.cont.AddSchema(s); err != nil {
-		return err
-	}
-	d.schemas = append(d.schemas, s)
-	return nil
-}
-
-// AddIndex declares an index on this daemon.
-func (d *Daemon) AddIndex(spec sos.IndexSpec) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.cont == nil {
-		return fmt.Errorf("dsos: %s: %w", d.Name, ErrCrashed)
-	}
-	if _, err := d.cont.AddIndex(spec); err != nil {
-		return err
-	}
-	d.idxSpecs = append(d.idxSpecs, spec)
-	return nil
-}
-
 // SetFault makes every subsequent Insert and query on this daemon fail
 // with err until healed with SetFault(nil) — fault injection for the
 // resilience campaigns (a wedged but not crashed dsosd). With the sharded
@@ -387,8 +359,8 @@ func (d *Daemon) Count(schema string) int {
 // and rewrites the write-ahead log (if any) to match, so a later restart
 // cannot resurrect what was dropped. index must cover the objects being
 // retained (any index over the schema does). It returns the number of
-// objects dropped. This is the post-cutover cleanup primitive of a shard
-// migration: the source retains exactly the keys it still owns.
+// objects dropped. This is the cleanup primitive of a shard migration:
+// the source retains exactly the keys it still owns.
 func (d *Daemon) RetainWhere(index string, keep func(obj sos.Object, origin uint64) bool) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -451,6 +423,10 @@ type Cluster struct {
 	place  Placement
 	seq    uint64 // objects placed so far (the round-robin cursor)
 	origin uint64 // cluster-wide logical insert id allocator
+	// barrier: an insert holds the read side from plan through its last
+	// share write, a placement swap the write side. It is not mu, so
+	// queries never wait behind an insert's writes.
+	barrier sync.RWMutex
 	// Obs plane (set by Instrument): quorum latency for replicated
 	// inserts, timed with the injected clock (virtual in the sim zone).
 	obsClock  obs.Clock
@@ -494,12 +470,28 @@ func (c *Cluster) Placement() Placement {
 	return c.place
 }
 
-// SetPlacement swaps the placement strategy. Inserts and queries already
-// planned finish under the placement they started with.
+// SetPlacement swaps the placement strategy behind the insert barrier.
+// Queries already open finish under the placement they started with.
 func (c *Cluster) SetPlacement(p Placement) {
+	c.barrier.Lock()
+	defer c.barrier.Unlock()
+	c.setPlacement(p)
+}
+
+func (c *Cluster) setPlacement(p Placement) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.place = p
+}
+
+// Rebalance runs move behind the insert barrier: inserts in flight finish
+// first, and none is planned until move returns. move swaps the placement
+// through set; queries keep running and follow each swap. move writes to
+// daemons directly: an insert through a Client would wait for it forever.
+func (c *Cluster) Rebalance(move func(set func(Placement)) error) error {
+	c.barrier.Lock()
+	defer c.barrier.Unlock()
+	return move(c.setPlacement)
 }
 
 // Daemons returns the cluster members.
@@ -509,11 +501,7 @@ func (c *Cluster) Daemons() []*Daemon { return c.Placement().Members() }
 // over the current members: each insert is written to R successive
 // daemons. R is clamped to [1, len(daemons)]. R=1 (the default) is the
 // original unreplicated sharding.
-func (c *Cluster) SetReplication(r int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.place = newSuccessive(c.place.Members(), r)
-}
+func (c *Cluster) SetReplication(r int) { c.SetPlacement(newSuccessive(c.Daemons(), r)) }
 
 // Replication returns the replication factor (the owner-group size).
 func (c *Cluster) Replication() int { return len(c.Placement().Groups()[0]) }
@@ -531,26 +519,6 @@ func (c *Cluster) EnableWAL(mk func(daemonName string) sos.WALStore) {
 		}
 		d.EnableWAL(st)
 	}
-}
-
-// AddSchema registers the schema on every daemon.
-func (c *Cluster) AddSchema(s *sos.Schema) error {
-	for _, d := range c.Daemons() {
-		if err := d.AddSchema(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AddIndex declares the index on every daemon.
-func (c *Cluster) AddIndex(spec sos.IndexSpec) error {
-	for _, d := range c.Daemons() {
-		if err := d.AddIndex(spec); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Client is a DSOS client session. It is safe for concurrent use.
@@ -594,8 +562,7 @@ func (e nothingWritten) Unwrap() []error { return []error{e.error, ErrNothingWri
 // (in object order) is returned once every share has been attempted.
 // AckAll: every owner of every object must be up before anything is
 // written, an object is acked only when all its owners stored it, and the
-// first failed share ends the batch. Fence daemons get a best-effort copy
-// either way.
+// first failed share ends the batch.
 func (cl *Client) InsertBatch(schema string, objs []sos.Object) error {
 	return cl.InsertTagged(schema, objs, 0)
 }
@@ -603,7 +570,8 @@ func (cl *Client) InsertBatch(schema string, objs []sos.Object) error {
 // InsertTagged is InsertBatch with every log record it writes tagged
 // token: a durable ingest stream's commit mark, which lets a restart cut
 // each shard log back to what the stream settled (Daemon.RecoverWAL).
-// InsertBatch is the untagged case, token 0.
+// InsertBatch is the untagged case, token 0. It holds the insert barrier
+// from plan through its last share write.
 func (cl *Client) InsertTagged(schema string, objs []sos.Object, token uint64) error {
 	if len(objs) == 0 {
 		return nil
@@ -614,6 +582,8 @@ func (cl *Client) InsertTagged(schema string, objs []sos.Object, token uint64) e
 		defer cl.busy.Store(false)
 	}
 	c := cl.c
+	c.barrier.RLock()
+	defer c.barrier.RUnlock()
 	c.mu.Lock()
 	p := c.place
 	rules := p.Rules()
@@ -629,6 +599,9 @@ func (cl *Client) InsertTagged(schema string, objs []sos.Object, token uint64) e
 	}
 	clock, quorum := c.obsClock, c.quorumLat
 	c.mu.Unlock()
+	if b.hold != nil {
+		b.hold()
+	}
 
 	var q0 time.Duration
 	if clock != nil {
@@ -645,15 +618,15 @@ func (cl *Client) InsertTagged(schema string, objs []sos.Object, token uint64) e
 		if !rules.AckAll {
 			continue
 		}
-		if err := sh.ackErr(); err != nil {
-			b.settle(p, b.shares[:i+1])
+		if err := sh.shareErr(); err != nil {
+			b.settle(b.shares[:i+1])
 			if !stored {
 				return nothingWritten{err}
 			}
 			return err
 		}
 	}
-	b.settle(p, b.shares)
+	b.settle(b.shares)
 	unacked := false
 	for k := range b.objs {
 		o := &b.objs[k]
@@ -677,6 +650,7 @@ func (cl *Client) InsertTagged(schema string, objs []sos.Object, token uint64) e
 type batch struct {
 	shares []share     // one per owner daemon, in first-seen order
 	objs   []objResult // one per object
+	hold   func()      // test seam: runs between plan and the first write (nil in production)
 }
 
 // share is one daemon's part of a batch: its rows in batch order.
@@ -692,14 +666,14 @@ type share struct {
 }
 
 // shareRow places a share's row in its batch: the object it copies, and
-// its daemon's position among that object's ack owners (-1: a fence copy).
+// its daemon's position among that object's owners.
 type shareRow struct{ k, pos int32 }
 
 // objResult is one object's outcome across the shares holding it.
 type objResult struct {
-	owners int           // ack owners
-	acked  int           // ack owners that stored it
-	last   time.Duration // when its last ack share finished
+	owners int           // owners it was written to
+	acked  int           // owners that stored it
+	last   time.Duration // when its last share finished
 }
 
 // rowErr is row i's verdict.
@@ -713,20 +687,18 @@ func (sh *share) rowErr(i int) error {
 	return nil
 }
 
-// ackErr is the first failure among the share's ack rows.
-func (sh *share) ackErr() error {
-	for i, r := range sh.rows {
-		if r.pos >= 0 {
-			if err := sh.rowErr(i); err != nil {
-				return err
-			}
+// shareErr is the first failure among the share's rows.
+func (sh *share) shareErr() error {
+	for i := range sh.rows {
+		if err := sh.rowErr(i); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // plan groups the objects into shares by owner daemon. With AckAll it
-// refuses the batch unless every ack owner of every object is up.
+// refuses the batch unless every owner of every object is up.
 func (b *batch) plan(p Placement, schema string, objs []sos.Object, seq, origin uint64, rules Rules) error {
 	if b.shares == nil {
 		b.shares = make([]share, 0, len(p.Members()))
@@ -737,12 +709,12 @@ func (b *batch) plan(p Placement, schema string, objs []sos.Object, seq, origin 
 	}
 	b.objs = b.objs[:len(objs)]
 	for k, obj := range objs {
-		ack, fence := p.Owners(schema, obj, seq+uint64(k))
+		owners := p.Owners(schema, obj, seq+uint64(k))
 		if rules.AckAll {
-			if len(ack) == 0 {
+			if len(owners) == 0 {
 				return errors.New("dsos: placement has no owner for the object")
 			}
-			for _, d := range ack {
+			for _, d := range owners {
 				if !d.Up() {
 					return fmt.Errorf("dsos: owner %s is down; batch refused", d.Name)
 				}
@@ -752,12 +724,9 @@ func (b *batch) plan(p Placement, schema string, objs []sos.Object, seq, origin 
 		if rules.Stamp {
 			id = origin + uint64(k) + 1
 		}
-		b.objs[k] = objResult{owners: len(ack)}
-		for j, d := range ack {
+		b.objs[k] = objResult{owners: len(owners)}
+		for j, d := range owners {
 			b.shareOf(d, len(objs)).add(obj, id, shareRow{k: int32(k), pos: int32(j)})
-		}
-		for _, d := range fence {
-			b.shareOf(d, len(objs)).add(obj, id, shareRow{k: int32(k), pos: -1})
 		}
 	}
 	return nil
@@ -798,23 +767,13 @@ func (sh *share) add(obj sos.Object, id uint64, r shareRow) {
 	sh.rows = append(sh.rows, r)
 }
 
-// settle folds the attempted shares into per-object outcomes and reports
-// every fence copy that landed to the placement.
-func (b *batch) settle(p Placement, shares []share) {
+// settle folds the attempted shares into per-object outcomes.
+func (b *batch) settle(shares []share) {
 	for i := range shares {
 		sh := &shares[i]
 		for r, row := range sh.rows {
-			ok := sh.rowErr(r) == nil
-			if row.pos < 0 {
-				// A fence daemon that misses its copy is covered by the
-				// migration's drain.
-				if ok {
-					p.Fenced(sh.d, sh.ids[r])
-				}
-				continue
-			}
 			o := &b.objs[row.k]
-			if ok {
+			if sh.rowErr(r) == nil {
 				o.acked++
 			}
 			o.last = max(o.last, sh.done)
@@ -822,8 +781,8 @@ func (b *batch) settle(p Placement, shares []share) {
 	}
 }
 
-// firstErr is the failure of the first object no ack owner stored: the
-// error of its earliest failing ack owner.
+// firstErr is the failure of the first object no owner stored: the error
+// of its earliest failing owner.
 func (b *batch) firstErr() error {
 	for k := range b.objs {
 		if b.objs[k].acked > 0 {
@@ -834,7 +793,7 @@ func (b *batch) firstErr() error {
 		for i := range b.shares {
 			sh := &b.shares[i]
 			for r, row := range sh.rows {
-				if int(row.k) == k && row.pos >= 0 && row.pos < pos {
+				if int(row.k) == k && row.pos < pos {
 					if e := sh.rowErr(r); e != nil {
 						err, pos = e, row.pos
 					}

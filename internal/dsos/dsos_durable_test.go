@@ -329,17 +329,11 @@ func TestCrashWithoutWALLosesShard(t *testing.T) {
 // may be cut: the writer resumes from the dictionary the replay read, not
 // from the one it had before the crash, and appends behind the cut tail.
 func TestRecoverAfterTornDelta(t *testing.T) {
-	d := NewDaemon("dsosd0", "darshan_data")
-	if err := d.AddSchema(DarshanSchema()); err != nil {
+	mem := sos.NewMemWAL()
+	d, err := NewDarshanShard("dsosd0", "darshan_data", mem)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range DarshanIndices() {
-		if err := d.AddIndex(spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mem := sos.NewMemWAL()
-	d.EnableWAL(mem)
 	arena := NewRowArena()
 	var acked []string // file, op of every acked row
 	insert := func(token uint64, files ...string) {
@@ -385,8 +379,8 @@ func TestRecoverAfterTornDelta(t *testing.T) {
 	}
 	checkRows(t, d, acked)
 	// The dsosd path reads the same log, and finds no cut tail in it.
-	d2 := NewDaemon("dsosd0", "darshan_data")
-	if err := d2.AddSchema(DarshanSchema()); err != nil {
+	d2, err := NewDarshanShard("dsosd0", "darshan_data", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	r, err := d2.RecoverWAL(mem, math.MaxUint64, math.MaxUint64)

@@ -13,13 +13,10 @@ type Placement interface {
 	// Members is the query fan-out set, in merge tie-break order. Counts,
 	// telemetry and the health probe walk the same set.
 	Members() []*Daemon
-	// Owners returns where the seq-th object of the cluster's insert
-	// sequence is written: ack are the daemons the ack rule is judged over,
-	// fence get a best-effort copy on top. The slices belong to the
-	// placement; callers must not modify them.
-	Owners(schema string, obj sos.Object, seq uint64) (ack, fence []*Daemon)
-	// Fenced reports that a best-effort copy of origin landed on d.
-	Fenced(d *Daemon, origin uint64)
+	// Owners returns the daemons the seq-th object of the cluster's insert
+	// sequence is written to, which the ack rule is judged over. The slice
+	// belongs to the placement; callers must not modify it.
+	Owners(schema string, obj sos.Object, seq uint64) []*Daemon
 	// Groups lists every owner group Owners can return as ack. Data is
 	// hidden from a query only while every member of some group is down.
 	Groups() [][]*Daemon
@@ -69,12 +66,11 @@ func newSuccessive(members []*Daemon, repl int) *successive {
 	return p
 }
 
-func (p *successive) Members() []*Daemon     { return p.members }
-func (p *successive) Groups() [][]*Daemon    { return p.groups }
-func (p *successive) Fenced(*Daemon, uint64) {}
+func (p *successive) Members() []*Daemon  { return p.members }
+func (p *successive) Groups() [][]*Daemon { return p.groups }
 
-func (p *successive) Owners(_ string, _ sos.Object, seq uint64) (ack, fence []*Daemon) {
-	return p.groups[seq%uint64(len(p.groups))], nil
+func (p *successive) Owners(_ string, _ sos.Object, seq uint64) []*Daemon {
+	return p.groups[seq%uint64(len(p.groups))]
 }
 
 // Rules: any replica acks; origins, and with them dedup and read repair,

@@ -37,7 +37,7 @@ import (
 //     the final merged query.
 //  2. No (producer, seq) stored twice — the merged view never exceeds
 //     the acked multiset, and no shard holds an origin twice.
-//  3. Exactly one post-cutover owner — every stored origin lives on
+//  3. Exactly one owner after the moves — every stored origin lives on
 //     exactly its ring owners (topo.HashCluster.AuditPlacement).
 //  4. Re-homing never regresses an ack floor — every uplink's durable
 //     cursor is monotone across every failover.
@@ -70,24 +70,22 @@ func DefaultRebalanceSoakConfig(seed uint64) RebalanceSoakConfig {
 
 // RebalanceRunResult reports one soak run and its invariant audit.
 type RebalanceRunResult struct {
-	Schedule     string
-	Produced     uint64 // records appended to leaf streams
-	Acked        uint64 // identities acked durable by the store chain
-	Deduped      uint64 // replayed deliveries absorbed by dedup
-	Naks         uint64 // store-head naks: refused rounds, naked whole (down-shard backpressure)
-	AckLost      uint64 // deliveries whose ack a crash inside the ack gap lost
-	Rehomes      uint64 // tree failovers
-	Misses       uint64 // heartbeat misses
-	Migrations   uint64 // completed cutovers
-	Aborts       uint64
-	Moved        uint64 // objects copied by handoff replays
-	FencedWrites uint64
-	MidChecks    int // mid-soak readability probes that ran
-	Merged       int // objects in the final merged query
-	Notes        []string
-	Violations   []string
-	Log          []faults.Record
-	Obs          []obs.Sample
+	Schedule   string
+	Produced   uint64 // records appended to leaf streams
+	Acked      uint64 // identities acked durable by the store chain
+	Deduped    uint64 // replayed deliveries absorbed by dedup
+	Naks       uint64 // store-head naks: refused rounds, naked whole (down-shard backpressure)
+	AckLost    uint64 // deliveries whose ack a crash inside the ack gap lost
+	Rehomes    uint64 // tree failovers
+	Misses     uint64 // heartbeat misses
+	Migrations uint64 // completed grows and shrinks
+	Moved      uint64 // objects copied by handoffs
+	MidChecks  int    // mid-soak readability probes that ran
+	Merged     int    // objects in the final merged query
+	Notes      []string
+	Violations []string
+	Log        []faults.Record
+	Obs        []obs.Sample
 }
 
 // RebalanceSoakResult is a full soak: the calm run (rebalance, no
@@ -207,17 +205,7 @@ const (
 // rebalanceShardFactory builds the shard a grow adds: the darshan schema,
 // its indices and a fresh in-memory WAL.
 func rebalanceShardFactory(name string) (*dsos.Daemon, error) {
-	d := dsos.NewDaemon(name, rebalanceContainer)
-	d.EnableWAL(sos.NewMemWAL())
-	if err := d.AddSchema(dsos.DarshanSchema()); err != nil {
-		return nil, err
-	}
-	for _, spec := range dsos.DarshanIndices() {
-		if err := d.AddIndex(spec); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
+	return dsos.NewDarshanShard(name, rebalanceContainer, sos.NewMemWAL())
 }
 
 // rebalanceSchedule draws one seeded fault schedule over the horizon:
@@ -309,7 +297,6 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 	hc, err := topo.NewHashCluster(topo.HashConfig{
 		Seed:    cfg.Seed ^ 0x5eed,
 		Factory: rebalanceShardFactory,
-		Clock:   e.Now,
 	}, sc)
 	if err != nil {
 		return nil, err
@@ -412,10 +399,28 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 			}
 		})
 	}
-	// Rebalance windows: toggle on = begin, toggle off = cutover. In the
-	// static baseline a grow is impossible and a shrink is a decommission
-	// — the victim shard dies with its data still placed on it.
-	window := func(what string, begin func() error, static func()) func(bool) {
+	// Rebalance windows: the move runs whole when its window opens; one
+	// that fails (a shard down) is retried when the window closes and
+	// again at quiesce. In the static baseline a grow is impossible and a
+	// shrink is a decommission — the victim shard dies with its data
+	// still placed on it.
+	type move struct {
+		what string
+		run  func() error
+		due  bool
+	}
+	attempt := func(m *move) {
+		if err := m.run(); err != nil {
+			note("%s deferred: %v", m.what, err)
+			return
+		}
+		m.due = false
+	}
+	moves := []*move{
+		{what: "grow", run: func() error { return hc.Grow(rebalanceSpare) }},
+		{what: "shrink", run: func() error { return hc.Shrink(rebalanceVictim) }},
+	}
+	window := func(m *move, static func()) func(bool) {
 		return func(on bool) {
 			switch {
 			case cfg.Static:
@@ -423,20 +428,17 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 					static()
 				}
 			case on:
-				if err := begin(); err != nil {
-					note("%s begin: %v", what, err)
-				}
-			case hc.Migrating():
-				if err := hc.Cutover(); err != nil {
-					note("%s cutover deferred: %v", what, err)
-				}
+				m.due = true
+				attempt(m)
+			case m.due:
+				attempt(m)
 			}
 		}
 	}
-	ctl.RegisterToggle("grow", window("grow", func() error { return hc.BeginAdd(rebalanceSpare) }, func() {
+	ctl.RegisterToggle("grow", window(moves[0], func() {
 		note("grow: static placement cannot add a shard")
 	}))
-	ctl.RegisterToggle("shrink", window("shrink", func() error { return hc.BeginRemove(rebalanceVictim) }, func() {
+	ctl.RegisterToggle("shrink", window(moves[1], func() {
 		note("shrink: static placement decommissions %s, stranding its keys", rebalanceVictim)
 		decomm[rebalanceVictim] = true
 		hc.Daemon(rebalanceVictim).Crash()
@@ -503,8 +505,8 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 		})
 	}
 
-	// --- Quiesce: restore the fleet, finish any staged migration, then
-	// let the hops drain every backlog. ---
+	// --- Quiesce: restore the fleet, finish any deferred move, then let
+	// the hops drain every backlog. ---
 	e.At(h, func() {
 		for _, an := range aggNames {
 			restartAgg(an)
@@ -525,16 +527,10 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 		}
 	})
 	e.At(h+h/20, func() {
-		if hc.Migrating() {
-			if err := hc.Cutover(); err != nil {
-				note("final cutover failed (%v); aborting migration", err)
-				if err := hc.Abort(); err != nil {
-					note("final abort: %v", err)
-				}
+		for _, m := range moves {
+			if m.due {
+				attempt(m)
 			}
-		}
-		if err := hc.Settle(); err != nil {
-			note("settle: %v", err)
 		}
 	})
 
@@ -558,7 +554,7 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 	res.Merged = len(merged)
 	res.Log = ctl.Log()
 	st := hc.Stats()
-	res.Migrations, res.Aborts, res.Moved, res.FencedWrites = st.Migrations, st.Aborts, st.Moved, st.FencedWrites
+	res.Migrations, res.Moved = st.Migrations, st.Moved
 	res.Naks = storeCons.Stats().Naks
 	for _, u := range hops {
 		res.AckLost += u.ackLost
@@ -570,8 +566,8 @@ func runRebalanceSoak(cfg RebalanceSoakConfig, name string, mkProfile func(aggs,
 	_, _, violations := auditAcked(ackedSet, multiset(merged), ackedSet, "the acked multiset")
 	res.Violations = append(res.Violations, violations...)
 
-	// 3. Exactly one post-cutover owner per key (and no shard holding an
-	// origin twice — the placement half of invariant 2).
+	// 3. Exactly one owner per key (and no shard holding an origin twice
+	// — the placement half of invariant 2).
 	if violations, err := hc.AuditPlacement(); err != nil {
 		res.Violations = append(res.Violations, fmt.Sprintf("placement-audit-error: %v", err))
 	} else {
@@ -642,12 +638,12 @@ func RenderRebalanceSoak(c *RebalanceSoakResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Rebalance soak: %s (seed %d, %d schedules, horizon %.3fs)\n",
 		c.Label, c.Config.Seed, len(c.Runs), c.Config.Horizon.Seconds())
-	fmt.Fprintf(&b, "%-10s %9s %7s %7s %6s %8s %7s %7s %6s %6s %7s %7s %s\n",
-		"schedule", "produced", "acked", "dedup", "naks", "acklost", "rehome", "miss", "migr", "moved", "fenced", "merged", "invariants")
+	fmt.Fprintf(&b, "%-10s %9s %7s %7s %6s %8s %7s %7s %6s %6s %7s %s\n",
+		"schedule", "produced", "acked", "dedup", "naks", "acklost", "rehome", "miss", "migr", "moved", "merged", "invariants")
 	row := func(r RebalanceRunResult) {
-		fmt.Fprintf(&b, "%-10s %9d %7d %7d %6d %8d %7d %7d %6d %6d %7d %7d %s\n",
+		fmt.Fprintf(&b, "%-10s %9d %7d %7d %6d %8d %7d %7d %6d %6d %7d %s\n",
 			r.Schedule, r.Produced, r.Acked, r.Deduped, r.Naks, r.AckLost, r.Rehomes,
-			r.Misses, r.Migrations, r.Moved, r.FencedWrites, r.Merged, verdict(r.Violations))
+			r.Misses, r.Migrations, r.Moved, r.Merged, verdict(r.Violations))
 	}
 	row(c.Calm)
 	for _, r := range c.Runs {

@@ -24,17 +24,16 @@ var puberrCheck = &Check{
 // is listed beside Publish (both return receiver counts today, so only an
 // error-returning namesake is flagged).
 // InsertBatch covers placement — dsos.Client.InsertBatch, the one insert
-// path under either strategy — and BeginAdd/BeginRemove/Cutover/Abort/
-// Settle cover topo.HashCluster's shard migration: a dropped Cutover
-// error strands a migration half-done with the fence still up.
+// path under either strategy — and Grow/Shrink cover topo.HashCluster's
+// shard migration: a dropped Grow error hides a move that did not
+// happen, so the shard set is not what the operator asked for.
 var pubErrNames = map[string]bool{
 	"Publish": true, "PublishJSON": true, "PublishString": true,
 	"Store": true, "Ingest": true,
 	"Insert": true, "Append": true, "Restart": true, "Recover": true,
 	"Ack": true, "Nak": true, "Fetch": true, "AppendStream": true,
 	"AppendBatch": true, "AckBatch": true, "PublishBatch": true,
-	"InsertBatch": true, "BeginAdd": true, "BeginRemove": true,
-	"Cutover": true, "Abort": true, "Settle": true,
+	"InsertBatch": true, "Grow": true, "Shrink": true,
 }
 
 // runPuberr flags bare expression statements calling a pubErrNames method

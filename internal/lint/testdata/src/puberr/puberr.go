@@ -49,8 +49,14 @@ func (c *Consumer) AckBatch(seqs []uint64) error { return nil }
 // PublishBatch hands a frame to a remote peer; the error reports loss.
 func (f *Forwarder) PublishBatch(b [][]byte) error { return nil }
 
+// Shards mimics the shard migration API.
+type Shards struct{}
+
+// Grow adds a shard and moves its keys; the error says it did not happen.
+func (s *Shards) Grow(name string) error { return nil }
+
 // Bad drops delivery errors on the floor.
-func Bad(f *Forwarder, c *Consumer, b []byte) {
+func Bad(f *Forwarder, c *Consumer, s *Shards, b []byte) {
 	f.Publish(b)        // want puberr
 	f.Store(b)          // want puberr
 	f.Ingest(b)         // want puberr
@@ -64,6 +70,7 @@ func Bad(f *Forwarder, c *Consumer, b []byte) {
 	c.AppendBatch(nil)  // want puberr
 	c.AckBatch(nil)     // want puberr
 	f.PublishBatch(nil) // want puberr
+	s.Grow("dsosd4")    // want puberr
 }
 
 // Good handles, visibly discards, or annotates.

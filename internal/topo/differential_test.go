@@ -36,6 +36,12 @@ import (
 // job_rank_time order. The single client orders by the index queried, as
 // the round-robin client always did. Those queries carry no parent digest
 // and are held to the reference merge alone.
+//
+// The post-grow and post-shrink cases replaced two mid-migration ones when
+// rebalance became one step. Their digests, all four queries, were
+// recorded on the parent commit's two-phase rebalance (begin, then cut
+// over with no insert in between); the one-step Grow and Shrink reproduce
+// them byte for byte.
 
 // referenceQuery is the collect-and-sort merge HashCluster.Query used:
 // gather every live member's rows in member order, keep the first copy of
@@ -173,27 +179,24 @@ func TestUnifiedQueryMatchesDeletedImplementations(t *testing.T) {
 			golden: [4]string{"51940c2372e848db", "be65e33b5ac8f3af"},
 		},
 		{
-			name: "hash-mid-migration",
+			name: "hash-post-grow",
 			build: func(t *testing.T) *dsos.Client {
 				h := newHashCluster(t, 3)
 				diffFill(t, h.cl, 200, 22)
-				if err := h.BeginAdd("dsosd3"); err != nil {
+				if err := h.Grow("dsosd3"); err != nil {
 					t.Fatal(err)
 				}
-				diffFill(t, h.cl, 100, 23) // fenced dual-writes onto dsosd3
-				if h.Stats().FencedWrites == 0 {
-					t.Fatal("scenario wrote nothing through the fence")
-				}
+				diffFill(t, h.cl, 100, 23)
 				return h.cl
 			},
-			golden: [4]string{"f58e9f88755887b9", "bc26bafdce5921e9"},
+			golden: [4]string{"f58e9f88755887b9", "bc26bafdce5921e9", "c6edcaf754486237", "22fbb0ed3f21c08e"},
 		},
 		{
-			name: "hash-mid-migration-owner-down",
+			name: "hash-post-shrink-owner-down",
 			build: func(t *testing.T) *dsos.Client {
 				h := newHashCluster(t, 3)
 				diffFill(t, h.cl, 200, 24)
-				if err := h.BeginRemove("dsosd2"); err != nil {
+				if err := h.Shrink("dsosd2"); err != nil {
 					t.Fatal(err)
 				}
 				diffFill(t, h.cl, 100, 25)
@@ -202,7 +205,7 @@ func TestUnifiedQueryMatchesDeletedImplementations(t *testing.T) {
 			},
 			failed: []string{"dsosd1"},
 			lost:   [][]string{{"dsosd1"}},
-			golden: [4]string{"511f35b4b674ae87", "9a9c70692274486d"},
+			golden: [4]string{"74c97a8637f2ab01", "1a0305c350cc660f", "1f1ef66e8cf11fc4", "c709198f5b941e17"},
 		},
 		{
 			name: "roundrobin-r2-replica-down",

@@ -33,7 +33,7 @@ func (t *Tree) Collect(reg *obs.Registry) {
 }
 
 // Collect registers scrape-time collectors for the shard plane:
-// membership, migration counters and outstanding abort debt.
+// membership and migration counters.
 func (h *HashCluster) Collect(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -41,15 +41,7 @@ func (h *HashCluster) Collect(reg *obs.Registry) {
 	reg.RegisterCollector(func(emit func(string, float64)) {
 		st := h.Stats()
 		emit("topo_shard_members", float64(st.Members))
-		migrating := 0.0
-		if st.Migrating {
-			migrating = 1.0
-		}
-		emit("topo_shard_migrating", migrating)
 		emit("topo_shard_migrations_total", float64(st.Migrations))
-		emit("topo_shard_aborts_total", float64(st.Aborts))
 		emit("topo_shard_moved_total", float64(st.Moved))
-		emit("topo_shard_fenced_writes_total", float64(st.FencedWrites))
-		emit("topo_shard_abort_debt", float64(st.Debt))
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"darshanldms/internal/dsos"
 	"darshanldms/internal/jsonmsg"
@@ -55,62 +54,42 @@ type HashConfig struct {
 	// stored it — a down owner is backpressure for the durable pipeline
 	// to retry, not a silently thinner replica set.
 	Replication int
-	// Factory builds a new shard daemon for BeginAdd (required to grow).
+	// Factory builds a new shard daemon for Grow (required to grow).
 	Factory func(name string) (*dsos.Daemon, error)
-	// Clock stamps the event log (nil = zero timestamps; virtual time in
-	// the sim zone).
-	Clock func() time.Duration
 }
 
 // ringPlacement is the hash ring as a dsos.Placement: one immutable
-// snapshot of the serving ring, the staged ring (nil unless migrating)
-// and the member set. Objects are placed by DarshanKey; every serving
-// owner must ack, staged owners that differ are fenced in best-effort.
+// snapshot of the ring and its member set. Objects are placed by
+// DarshanKey, and every owner must ack.
 type ringPlacement struct {
-	h       *HashCluster
-	ring    *Ring // serving placement
-	staged  *Ring // staged placement (nil unless migrating)
+	ring    *Ring
 	repl    int
 	byName  map[string]*dsos.Daemon
-	members []*dsos.Daemon   // sorted by name, staged members included
-	groups  [][]*dsos.Daemon // the serving ring's owner groups
+	members []*dsos.Daemon   // sorted by name
+	groups  [][]*dsos.Daemon // the ring's owner groups
 }
 
 func (p *ringPlacement) Members() []*dsos.Daemon  { return p.members }
 func (p *ringPlacement) Groups() [][]*dsos.Daemon { return p.groups }
 
 // Rules: every owner acks with whole-batch admission, origins are always
-// stamped (queries dedup fenced and drained copies by them), and there
-// is no read repair — a copy on a non-owner is a placement violation.
+// stamped (queries dedup, by them, the copies a move holds on both sides
+// until its sources retain), and there is no read repair — a copy on a
+// non-owner is a placement violation.
 func (p *ringPlacement) Rules() dsos.Rules { return dsos.Rules{AckAll: true, Stamp: true} }
 
-func (p *ringPlacement) Owners(schema string, obj sos.Object, _ uint64) (ack, fence []*dsos.Daemon) {
-	key := DarshanKey(schema, obj)
-	serving := p.ring.Owners(key, p.repl)
-	ack = make([]*dsos.Daemon, len(serving))
-	for i, name := range serving {
-		ack[i] = p.byName[name]
+func (p *ringPlacement) Owners(schema string, obj sos.Object, _ uint64) []*dsos.Daemon {
+	names := p.ring.Owners(DarshanKey(schema, obj), p.repl)
+	owners := make([]*dsos.Daemon, len(names))
+	for i, name := range names {
+		owners[i] = p.byName[name]
 	}
-	if p.staged != nil {
-		for _, name := range p.staged.Owners(key, p.repl) {
-			if !contains(serving, name) {
-				fence = append(fence, p.byName[name])
-			}
-		}
-	}
-	return ack, fence
+	return owners
 }
 
-// Fenced records a dual-written copy so the cutover drain never re-copies
-// it. A copy landing after the migration ended is not recorded.
-func (p *ringPlacement) Fenced(d *dsos.Daemon, origin uint64) {
-	h := p.h
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.fenced != nil {
-		mark(h.fenced, origin, d.Name)
-		h.fencedWrites++
-	}
+// owns reports whether name is one of the ring owners of o.
+func (p *ringPlacement) owns(name string, o sos.Object) bool {
+	return contains(p.ring.Owners(DarshanKey(hashSchema, o), p.repl), name)
 }
 
 func contains(names []string, name string) bool {
@@ -122,63 +101,37 @@ func contains(names []string, name string) bool {
 	return false
 }
 
-// mark records dst under origin in a two-level set.
-func mark(m map[uint64]map[string]bool, origin uint64, dst string) {
-	set := m[origin]
-	if set == nil {
-		set = map[string]bool{}
-		m[origin] = set
-	}
-	set[dst] = true
-}
-
 // HashCluster is the migration layer over a dsos cluster placed by
 // consistent hash: it owns the ring, swaps the cluster's placement on
 // every membership change, and rebalances live. Inserts and queries go
-// through the cluster's one client. A grow/shrink runs in two phases:
+// through the cluster's one client. Grow and Shrink each do a whole move
+// behind the cluster's insert barrier (dsos.Cluster.Rebalance), so no
+// insert is in flight while the keys move and none outlives the ring it
+// was placed by:
 //
-//	Begin*: the post-rebalance ring is staged. Inserts dual-write: every
-//	  serving owner (ack requires all of them) plus, best-effort, the
-//	  staged owners that differ — the fence. Fenced origins are recorded
-//	  so the drain never re-copies them.
-//	Cutover: each shard hands the objects it is about to stop owning to
-//	  their staged owners; destinations take them behind the fence (fenced
-//	  origins skipped); the ring swap is atomic under the cluster lock;
-//	  sources then retain only what they still own (WALs rewritten to
-//	  match, so restarts cannot resurrect moved keys). Abort reverts the
-//	  staged ring and unwinds fenced copies.
+//	drain: every source hands the objects whose owners on the next ring
+//	  include a member that does not hold them to that destination;
+//	swap: the next ring becomes the cluster's placement;
+//	retain: every member keeps exactly what it owns on the new ring (WALs
+//	  rewritten to match, so restarts cannot resurrect moved keys).
 //
-// Queries fan out over every member (staged members included) and dedup
-// by origin, so a key is readable from whichever side of the fence holds
-// it — at every instant of a migration.
+// Queries keep running through a move and dedup by origin, so a key is
+// readable from one side or both at every instant of it.
 type HashCluster struct {
 	cfg     HashConfig
 	cluster *dsos.Cluster
 
-	mu  sync.Mutex
-	cur *ringPlacement // what the cluster currently places by
-
-	pendingAdd    string
-	pendingRemove string
-	fenced        map[uint64]map[string]bool // origin -> staged dests already written
-	debt          map[string]map[uint64]bool // dest -> aborted fenced origins to drop
-
-	migrations   uint64
-	aborts       uint64
-	moved        uint64 // objects copied by cutover handoffs
-	fencedWrites uint64
-	log          []TreeEvent
+	mu         sync.Mutex
+	cur        *ringPlacement // what the cluster currently places by
+	migrations uint64
+	moved      uint64 // objects copied by handoffs
 }
 
 // RebalanceStats snapshots the migration counters.
 type RebalanceStats struct {
-	Members      int
-	Migrating    bool
-	Migrations   uint64 // completed cutovers
-	Aborts       uint64
-	Moved        uint64 // objects copied by cutover handoffs
-	FencedWrites uint64
-	Debt         int // aborted fenced copies not yet dropped (down dests)
+	Members    int
+	Migrations uint64 // completed grows and shrinks
+	Moved      uint64 // objects copied by handoffs
 }
 
 // NewHashCluster switches the cluster (daemons, schemas and WALs already
@@ -188,10 +141,7 @@ func NewHashCluster(cfg HashConfig, cluster *dsos.Cluster) (*HashCluster, error)
 	if cfg.Replication <= 0 {
 		cfg.Replication = 1
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = func() time.Duration { return 0 }
-	}
-	h := &HashCluster{cfg: cfg, cluster: cluster, debt: map[string]map[uint64]bool{}}
+	h := &HashCluster{cfg: cfg, cluster: cluster}
 	ring := NewRing(cfg.Seed, cfg.VNodes)
 	byName := map[string]*dsos.Daemon{}
 	for _, d := range cluster.Daemons() {
@@ -200,13 +150,14 @@ func NewHashCluster(cfg HashConfig, cluster *dsos.Cluster) (*HashCluster, error)
 		}
 		byName[d.Name] = d
 	}
-	h.placeLocked(ring, nil, byName)
+	h.cur = h.placement(ring, byName)
+	cluster.SetPlacement(h.cur)
 	return h, nil
 }
 
-// placeLocked publishes a new placement snapshot to the cluster.
-func (h *HashCluster) placeLocked(ring, staged *Ring, byName map[string]*dsos.Daemon) {
-	p := &ringPlacement{h: h, ring: ring, staged: staged, repl: h.cfg.Replication, byName: byName}
+// placement builds the placement snapshot of a ring and its members.
+func (h *HashCluster) placement(ring *Ring, byName map[string]*dsos.Daemon) *ringPlacement {
+	p := &ringPlacement{ring: ring, repl: h.cfg.Replication, byName: byName}
 	names := make([]string, 0, len(byName))
 	for name := range byName {
 		names = append(names, name)
@@ -222,8 +173,7 @@ func (h *HashCluster) placeLocked(ring, staged *Ring, byName map[string]*dsos.Da
 		}
 		p.groups = append(p.groups, ds)
 	}
-	h.cur = p
-	h.cluster.SetPlacement(p)
+	return p
 }
 
 // withMember returns a copy of the member map with name set to d (nil
@@ -241,18 +191,7 @@ func (p *ringPlacement) withMember(name string, d *dsos.Daemon) map[string]*dsos
 	return out
 }
 
-func (h *HashCluster) logf(format string, args ...any) {
-	h.log = append(h.log, TreeEvent{At: h.cfg.Clock(), Msg: fmt.Sprintf(format, args...)})
-}
-
-// Ring returns the serving ring (read-only use).
-func (h *HashCluster) Ring() *Ring {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.cur.ring
-}
-
-// Members returns the sorted member names (staged members included).
+// Members returns the sorted member names.
 func (h *HashCluster) Members() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -270,299 +209,162 @@ func (h *HashCluster) Daemon(name string) *dsos.Daemon {
 	return h.cur.byName[name]
 }
 
-// Migrating reports whether a rebalance is staged but not cut over.
-func (h *HashCluster) Migrating() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.cur.staged != nil
+// Grow adds the named shard, built by the factory, and moves to it the
+// keys it owns on the grown ring, in one step (see HashCluster).
+func (h *HashCluster) Grow(name string) error {
+	return h.move(func(cur *ringPlacement) (*ringPlacement, error) {
+		if h.cfg.Factory == nil {
+			return nil, errors.New("topo: hash cluster has no shard factory; cannot grow")
+		}
+		if _, ok := cur.byName[name]; ok {
+			return nil, fmt.Errorf("topo: member %q already present", name)
+		}
+		d, err := h.cfg.Factory(name)
+		if err != nil {
+			return nil, err
+		}
+		next := cur.ring.Clone()
+		if err := next.Add(name); err != nil {
+			return nil, err
+		}
+		return h.placement(next, cur.withMember(name, d)), nil
+	})
 }
 
-// BeginAdd stages a grow: the named shard is built by the factory,
-// joins queries and the dual-write fence immediately, and owns its key
-// ranges after Cutover.
-func (h *HashCluster) BeginAdd(name string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	cur := h.cur
-	if cur.staged != nil {
-		return errors.New("topo: rebalance already in progress")
-	}
-	if h.cfg.Factory == nil {
-		return errors.New("topo: hash cluster has no shard factory; cannot grow")
-	}
-	if _, ok := cur.byName[name]; ok {
-		return fmt.Errorf("topo: member %q already present", name)
-	}
-	d, err := h.cfg.Factory(name)
-	if err != nil {
-		return err
-	}
-	next := cur.ring.Clone()
-	if err := next.Add(name); err != nil {
-		return err
-	}
-	h.placeLocked(cur.ring, next, cur.withMember(name, d))
-	h.pendingAdd = name
-	h.fenced = map[uint64]map[string]bool{}
-	h.logf("begin grow +%s (members %d -> %d)", name, len(cur.members), len(h.cur.members))
-	return nil
+// Shrink drains the named shard into the owners its keys have on the
+// shrunk ring and drops it from the cluster, in one step (see
+// HashCluster).
+func (h *HashCluster) Shrink(name string) error {
+	return h.move(func(cur *ringPlacement) (*ringPlacement, error) {
+		d := cur.byName[name]
+		if d == nil {
+			return nil, fmt.Errorf("topo: member %q not present", name)
+		}
+		if len(cur.members) == 1 {
+			return nil, errors.New("topo: cannot remove the last member")
+		}
+		if !d.Up() {
+			return nil, fmt.Errorf("topo: member %q is down; cannot drain it", name)
+		}
+		next := cur.ring.Clone()
+		if err := next.Remove(name); err != nil {
+			return nil, err
+		}
+		return h.placement(next, cur.withMember(name, nil)), nil
+	})
 }
 
-// BeginRemove stages a shrink: the named shard keeps serving (it still
-// owns its keys) but every insert of a moving key is fenced to the new
-// owners, and Cutover drains what remains before the shard leaves.
-func (h *HashCluster) BeginRemove(name string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	cur := h.cur
-	if cur.staged != nil {
-		return errors.New("topo: rebalance already in progress")
-	}
-	d := cur.byName[name]
-	if d == nil {
-		return fmt.Errorf("topo: member %q not present", name)
-	}
-	if len(cur.members) == 1 {
-		return errors.New("topo: cannot remove the last member")
-	}
-	if !d.Up() {
-		return fmt.Errorf("topo: member %q is down; cannot drain it", name)
-	}
-	next := cur.ring.Clone()
-	if err := next.Remove(name); err != nil {
-		return err
-	}
-	h.placeLocked(cur.ring, next, cur.byName)
-	h.pendingRemove = name
-	h.fenced = map[uint64]map[string]bool{}
-	h.logf("begin shrink -%s (members %d -> %d)", name, len(cur.members), len(cur.members)-1)
-	return nil
+// move runs one grow or shrink behind the insert barrier: plan builds the
+// next placement from the current one, the sources hand off, the ring
+// swaps, and every member retains what it owns. If the drain or a handoff
+// fails, the ring stays: every member retains by it again, which drops
+// the copies already handed off, and the error is returned.
+func (h *HashCluster) move(plan func(cur *ringPlacement) (*ringPlacement, error)) error {
+	return h.cluster.Rebalance(func(set func(dsos.Placement)) error {
+		h.mu.Lock()
+		cur := h.cur
+		h.mu.Unlock()
+		next, err := plan(cur)
+		if err != nil {
+			return err
+		}
+		moved, err := handoff(cur, next)
+		if err != nil {
+			return errors.Join(err, retainOwned(cur))
+		}
+		h.mu.Lock()
+		h.cur = next
+		h.moved += moved
+		h.migrations++
+		h.mu.Unlock()
+		set(next)
+		return retainOwned(next)
+	})
 }
 
-// handoff is one object a cutover moves to a staged owner.
-type handoff struct {
-	obj    sos.Object
-	origin uint64
-}
-
-// Cutover completes the staged rebalance: drain, replay, atomic ring
-// swap, source cleanup. On error the migration is still staged — the
-// caller retries (after restarts) or calls Abort. Runs under the cluster
-// lock, so inserts and queries observe either the old world or the new,
-// never a half-swapped ring.
-func (h *HashCluster) Cutover() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	cur := h.cur
-	if cur.staged == nil {
-		return errors.New("topo: no rebalance in progress")
+// handoff copies, from every member of cur, each object to the owners it
+// gains on next, once per (origin, destination), destinations in sorted
+// order. Nothing is dropped from a source, so a failed handoff loses
+// nothing. It returns the number of copies made.
+func handoff(cur, next *ringPlacement) (uint64, error) {
+	type copyTo struct {
+		origin uint64
+		dst    string
 	}
-	repl := cur.repl
-
-	// Drain: walk every source; any object whose staged owners include a
-	// member that does not already hold it is handed to that destination.
-	// The fence set keeps dual-written (and previously replayed) origins
-	// out; drained tracks this pass only, and commits into the fence per
-	// destination AFTER that destination's replay succeeds — so a cutover
-	// that dies mid-way re-drains exactly the copies that never landed,
-	// and only those. Nothing is dropped from a source before the swap,
-	// so a failed cutover loses nothing.
-	pending := map[string][]handoff{}
-	drained := map[uint64]map[string]bool{}
+	type handed struct {
+		obj    sos.Object
+		origin uint64
+	}
+	pending := map[string][]handed{}
+	sent := map[copyTo]bool{}
 	for _, d := range cur.members {
 		src := d.Name
 		if !d.Up() {
-			return fmt.Errorf("topo: cutover: source %s is down", src)
+			return 0, fmt.Errorf("topo: rebalance: source %s is down", src)
 		}
 		err := d.IterOrigins(hashIndex, nil, func(o sos.Object, origin uint64) bool {
 			key := DarshanKey(hashSchema, o)
-			oldOwners := cur.ring.Owners(key, repl)
+			oldOwners := cur.ring.Owners(key, cur.repl)
 			if !contains(oldOwners, src) {
-				// A lingering copy (aborted fence debt); the owner drains it.
-				return true
+				return true // a lingering copy; its owners hand it off
 			}
-			for _, dst := range cur.staged.Owners(key, repl) {
-				if dst == src || contains(oldOwners, dst) {
+			for _, dst := range next.ring.Owners(key, next.repl) {
+				if contains(oldOwners, dst) || (origin != 0 && sent[copyTo{origin, dst}]) {
 					continue
 				}
-				if origin != 0 && (h.fenced[origin][dst] || drained[origin][dst]) {
-					continue
-				}
-				pending[dst] = append(pending[dst], handoff{o, origin})
+				pending[dst] = append(pending[dst], handed{o, origin})
 				if origin != 0 {
-					mark(drained, origin, dst)
+					sent[copyTo{origin, dst}] = true
 				}
 			}
 			return true
 		})
 		if err != nil {
-			return fmt.Errorf("topo: cutover drain %s: %w", src, err)
+			return 0, fmt.Errorf("topo: rebalance drain %s: %w", src, err)
 		}
 	}
-
-	// Replay behind the fence, destinations in sorted order.
 	dsts := make([]string, 0, len(pending))
 	for dst := range pending {
 		dsts = append(dsts, dst)
 	}
 	sort.Strings(dsts)
-	movedNow := uint64(0)
+	moved := uint64(0)
 	for _, dst := range dsts {
-		d := cur.byName[dst]
-		if d == nil || !d.Up() {
-			return fmt.Errorf("topo: cutover: destination %s is down", dst)
+		d := next.byName[dst]
+		if !d.Up() {
+			return 0, fmt.Errorf("topo: rebalance: destination %s is down", dst)
 		}
 		for _, ho := range pending[dst] {
 			if err := d.InsertOrigin(hashSchema, ho.obj, ho.origin); err != nil {
-				return fmt.Errorf("topo: cutover replay into %s: %w", dst, err)
+				return 0, fmt.Errorf("topo: rebalance handoff into %s: %w", dst, err)
 			}
 		}
-		// Commit this destination's copies into the fence: a retried
-		// cutover must not hand them off again.
-		for _, ho := range pending[dst] {
-			if ho.origin != 0 {
-				mark(h.fenced, ho.origin, dst)
-			}
-		}
-		movedNow += uint64(len(pending[dst]))
+		moved += uint64(len(pending[dst]))
 	}
+	return moved, nil
+}
 
-	// Atomic swap; the removed member leaves the cluster entirely.
-	ring := cur.staged
-	byName := cur.byName
-	if h.pendingRemove != "" {
-		byName = cur.withMember(h.pendingRemove, nil)
-	}
-	h.placeLocked(ring, nil, byName)
-	h.pendingAdd, h.pendingRemove = "", ""
-	h.fenced = nil
-	h.moved += movedNow
-	h.migrations++
-
-	// Cleanup: sources retain exactly what they still own.
-	for _, d := range h.cur.members {
+// retainOwned has every member of p keep exactly the objects it owns on
+// p's ring.
+func retainOwned(p *ringPlacement) error {
+	var errs []error
+	for _, d := range p.members {
 		name := d.Name
-		dropped, err := d.RetainWhere(hashIndex, func(o sos.Object, _ uint64) bool {
-			return contains(ring.Owners(DarshanKey(hashSchema, o), repl), name)
-		})
-		if err != nil {
-			return fmt.Errorf("topo: post-cutover cleanup %s: %w", name, err)
-		}
-		if dropped > 0 {
-			h.logf("cutover: %s released %d moved objects", name, dropped)
+		if _, err := d.RetainWhere(hashIndex, func(o sos.Object, _ uint64) bool { return p.owns(name, o) }); err != nil {
+			errs = append(errs, fmt.Errorf("topo: %s retain: %w", name, err))
 		}
 	}
-	h.logf("cutover complete: moved %d objects, ring %v", movedNow, ring.Members())
-	return h.settleDebtLocked()
-}
-
-// Abort unwinds a staged rebalance: the serving ring stays, fenced
-// copies on non-owners are dropped (down destinations become debt,
-// settled later via Settle), and a staged grow's shard is discarded.
-func (h *HashCluster) Abort() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	cur := h.cur
-	if cur.staged == nil {
-		return errors.New("topo: no rebalance in progress")
-	}
-	// Aggregate fenced copies per destination.
-	for origin, dests := range h.fenced {
-		for dst := range dests {
-			if dst == h.pendingAdd {
-				continue // the whole shard is being discarded
-			}
-			set := h.debt[dst]
-			if set == nil {
-				set = map[uint64]bool{}
-				h.debt[dst] = set
-			}
-			set[origin] = true
-		}
-	}
-	byName := cur.byName
-	if h.pendingAdd != "" {
-		byName = cur.withMember(h.pendingAdd, nil)
-	}
-	h.logf("abort rebalance (add=%q remove=%q)", h.pendingAdd, h.pendingRemove)
-	h.placeLocked(cur.ring, nil, byName)
-	h.pendingAdd, h.pendingRemove = "", ""
-	h.fenced = nil
-	h.aborts++
-	return h.settleDebtLocked()
-}
-
-// Settle retries dropping aborted fenced copies from destinations that
-// were down when the abort ran — call it once the fleet is restored.
-func (h *HashCluster) Settle() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.settleDebtLocked()
-}
-
-func (h *HashCluster) settleDebtLocked() error {
-	if len(h.debt) == 0 {
-		return nil
-	}
-	dsts := make([]string, 0, len(h.debt))
-	for dst := range h.debt {
-		dsts = append(dsts, dst)
-	}
-	sort.Strings(dsts)
-	var firstErr error
-	for _, dst := range dsts {
-		d := h.cur.byName[dst]
-		if d == nil {
-			delete(h.debt, dst)
-			continue
-		}
-		if !d.Up() {
-			continue // retried on the next Settle
-		}
-		drop := h.debt[dst]
-		_, err := d.RetainWhere(hashIndex, func(_ sos.Object, origin uint64) bool {
-			return !drop[origin]
-		})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		delete(h.debt, dst)
-	}
-	return firstErr
+	return errors.Join(errs...)
 }
 
 // Stats snapshots the rebalance counters.
 func (h *HashCluster) Stats() RebalanceStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	debt := 0
-	for _, set := range h.debt {
-		debt += len(set)
-	}
-	return RebalanceStats{
-		Members:      len(h.cur.members),
-		Migrating:    h.cur.staged != nil,
-		Migrations:   h.migrations,
-		Aborts:       h.aborts,
-		Moved:        h.moved,
-		FencedWrites: h.fencedWrites,
-		Debt:         debt,
-	}
+	return RebalanceStats{Members: len(h.cur.members), Migrations: h.migrations, Moved: h.moved}
 }
 
-// Events returns the rebalance event log.
-func (h *HashCluster) Events() []TreeEvent {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]TreeEvent, len(h.log))
-	copy(out, h.log)
-	return out
-}
-
-// AuditPlacement verifies the post-cutover ownership invariant: every
+// AuditPlacement verifies the ownership invariant a move leaves: every
 // stored origin lives on exactly its ring owners — no copy on a shard
 // that does not own it, no owner missing its copy, no shard holding an
 // origin twice. Returns the violations (empty = clean).
@@ -570,9 +372,6 @@ func (h *HashCluster) AuditPlacement() ([]string, error) {
 	h.mu.Lock()
 	cur := h.cur
 	h.mu.Unlock()
-	if cur.staged != nil {
-		return nil, errors.New("topo: audit during a migration is meaningless; cut over or abort first")
-	}
 	type track struct {
 		obj     sos.Object
 		holders []string

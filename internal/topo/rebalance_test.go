@@ -21,15 +21,9 @@ import (
 
 func darshanDaemon(t *testing.T, name string) *dsos.Daemon {
 	t.Helper()
-	d := dsos.NewDaemon(name, "darshan_data")
-	d.EnableWAL(sos.NewMemWAL())
-	if err := d.AddSchema(dsos.DarshanSchema()); err != nil {
+	d, err := dsos.NewDarshanShard(name, "darshan_data", sos.NewMemWAL())
+	if err != nil {
 		t.Fatal(err)
-	}
-	for _, spec := range dsos.DarshanIndices() {
-		if err := d.AddIndex(spec); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return d
 }
@@ -165,56 +159,50 @@ func TestHashInsertRefusedWhenOwnerDown(t *testing.T) {
 	auditClean(t, h)
 }
 
+// TestGrowCutoverMovesKeysOnce: a grow hands each moving object to the new
+// shard once, and after its cutover (the ring swap) every object is read
+// once, from exactly its owner.
 func TestGrowCutoverMovesKeysOnce(t *testing.T) {
 	h := newHashCluster(t, 3)
 	fillHash(t, h, 300, 4)
-	before := queryAll(t, h)
-
-	if err := h.BeginAdd("d3"); err != nil {
+	if err := h.Grow("d3"); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.BeginAdd("d4"); err == nil {
-		t.Fatal("second concurrent rebalance accepted")
+	if err := h.Grow("d3"); err == nil {
+		t.Fatal("growing by a present member accepted")
 	}
-	// Mid-migration inserts dual-write behind the fence.
 	fillHash(t, h, 100, 5)
-	mid := queryAll(t, h)
-	if len(mid) != 400 {
-		t.Fatalf("mid-migration query returned %d of 400 (fence dup leaked?)", len(mid))
-	}
-	if err := h.Cutover(); err != nil {
-		t.Fatal(err)
-	}
-	after := queryAll(t, h)
-	if len(after) != 400 {
-		t.Fatalf("post-cutover query returned %d of 400", len(after))
+	if got := len(queryAll(t, h)); got != 400 {
+		t.Fatalf("post-grow query returned %d of 400", got)
 	}
 	auditClean(t, h)
 	st := h.Stats()
 	if st.Migrations != 1 || st.Moved == 0 {
 		t.Fatalf("stats = %+v (expected one migration moving objects)", st)
 	}
-	if h.Daemon("d3").Count(dsos.DarshanSchemaName) == 0 {
-		t.Fatal("new shard owns nothing after cutover")
+	if held := h.Daemon("d3").Count(dsos.DarshanSchemaName); held == 0 || uint64(held) < st.Moved {
+		t.Fatalf("new shard holds %d objects after %d were moved to it", held, st.Moved)
 	}
-	_ = before
 }
 
+// TestShrinkCutoverDrainsLeaver: a shrink hands everything the leaver
+// held to the other members before its cutover, and the leaver is gone.
 func TestShrinkCutoverDrainsLeaver(t *testing.T) {
 	h := newHashCluster(t, 3)
 	fillHash(t, h, 300, 6)
-	if err := h.BeginRemove("dsosd2"); err != nil {
+	held := h.Daemon("dsosd2").Count(dsos.DarshanSchemaName)
+	if err := h.Shrink("dsosd2"); err != nil {
 		t.Fatal(err)
 	}
-	fillHash(t, h, 100, 7) // fenced to the new owners
-	if err := h.Cutover(); err != nil {
-		t.Fatal(err)
-	}
+	fillHash(t, h, 100, 7)
 	if got := len(queryAll(t, h)); got != 400 {
 		t.Fatalf("post-shrink query returned %d of 400", got)
 	}
 	if len(h.Members()) != 2 || h.Daemon("dsosd2") != nil {
 		t.Fatalf("leaver still present: %v", h.Members())
+	}
+	if moved := h.Stats().Moved; moved != uint64(held) {
+		t.Fatalf("moved %d objects, the leaver held %d", moved, held)
 	}
 	auditClean(t, h)
 }
@@ -222,97 +210,56 @@ func TestShrinkCutoverDrainsLeaver(t *testing.T) {
 func TestShrinkRejectsDownOrLastMember(t *testing.T) {
 	h := newHashCluster(t, 2)
 	h.Daemon("dsosd1").Crash()
-	if err := h.BeginRemove("dsosd1"); err == nil {
+	if err := h.Shrink("dsosd1"); err == nil {
 		t.Fatal("removing a down shard accepted (nothing to drain it from)")
 	}
 	if err := h.Daemon("dsosd1").Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.BeginRemove("dsosd1"); err != nil {
+	if err := h.Shrink("dsosd1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Cutover(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.BeginRemove("dsosd0"); err == nil {
+	if err := h.Shrink("dsosd0"); err == nil {
 		t.Fatal("removing the last member accepted")
 	}
 }
 
-func TestAbortUnwindsFence(t *testing.T) {
-	h := newHashCluster(t, 3)
-	fillHash(t, h, 200, 8)
-	if err := h.BeginAdd("d3"); err != nil {
-		t.Fatal(err)
-	}
-	fillHash(t, h, 100, 9) // some land on d3 via the fence
-	if err := h.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if h.Daemon("d3") != nil {
-		t.Fatal("aborted grow left the staged shard in the cluster")
-	}
-	if got := len(queryAll(t, h)); got != 300 {
-		t.Fatalf("post-abort query returned %d of 300", got)
-	}
-	auditClean(t, h)
-	if h.Stats().Aborts != 1 {
-		t.Fatalf("stats = %+v", h.Stats())
-	}
-}
-
-func TestAbortShrinkSettlesDebtAfterRestart(t *testing.T) {
-	h := newHashCluster(t, 3)
-	fillHash(t, h, 200, 10)
-	if err := h.BeginRemove("dsosd2"); err != nil {
-		t.Fatal(err)
-	}
-	fillHash(t, h, 100, 11) // fenced copies land on d0/d1
-	// A fence destination dies before the abort: its stray copies become
-	// debt, settled only after it restarts.
-	h.Daemon("dsosd0").Crash()
-	if err := h.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Daemon("dsosd0").Restart(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Settle(); err != nil {
-		t.Fatal(err)
-	}
-	if h.Stats().Debt != 0 {
-		t.Fatalf("debt %d after settle", h.Stats().Debt)
-	}
-	if got := len(queryAll(t, h)); got != 300 {
-		t.Fatalf("post-abort query returned %d of 300", got)
-	}
-	auditClean(t, h)
-}
-
-// TestCutoverRetriesAfterDownMember: a cutover that cannot reach a drain
-// source or a handoff destination fails with the migration still staged
-// and every object still readable; the retry moves each object once.
+// TestCutoverRetriesAfterDownMember: a move that cannot reach a drain
+// source or a handoff destination fails before its cutover (the ring
+// swap), with the ring unchanged and every object readable once; the
+// retry moves each object once.
 func TestCutoverRetriesAfterDownMember(t *testing.T) {
 	for _, down := range []string{"dsosd1", "d2"} { // a source, then the destination
 		h := newHashCluster(t, 2)
 		fillHash(t, h, 100, 12)
-		if err := h.BeginAdd("d2"); err != nil {
-			t.Fatal(err)
+		factory := h.cfg.Factory
+		h.cfg.Factory = func(name string) (*dsos.Daemon, error) {
+			d, err := factory(name)
+			if err == nil && name == down {
+				d.Crash()
+			}
+			return d, err
 		}
-		h.Daemon(down).Crash()
-		if err := h.Cutover(); err == nil {
-			t.Fatalf("cutover succeeded with %s down", down)
+		if down != "d2" {
+			h.Daemon(down).Crash()
 		}
-		if !h.Migrating() {
-			t.Fatalf("failed cutover (%s down) dropped the staged migration", down)
+		if err := h.Grow("d2"); err == nil {
+			t.Fatalf("grow succeeded with %s down", down)
 		}
-		if err := h.Daemon(down).Restart(); err != nil {
-			t.Fatal(err)
+		if got := h.Members(); len(got) != 2 || h.Stats().Migrations != 0 {
+			t.Fatalf("%s down: failed grow changed the ring: %v, %+v", down, got, h.Stats())
 		}
+		if down != "d2" {
+			if err := h.Daemon(down).Restart(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.cfg.Factory = factory
 		if got := len(queryAll(t, h)); got != 100 {
-			t.Fatalf("%s down: %d of 100 readable after the failed cutover", down, got)
+			t.Fatalf("%s down: %d of 100 readable after the failed grow", down, got)
 		}
-		if err := h.Cutover(); err != nil {
+		auditClean(t, h)
+		if err := h.Grow("d2"); err != nil {
 			t.Fatal(err)
 		}
 		if got := len(queryAll(t, h)); got != 100 {
@@ -323,6 +270,66 @@ func TestCutoverRetriesAfterDownMember(t *testing.T) {
 			t.Fatalf("%s down: moved %d objects but the new shard holds %d", down, moved, held)
 		}
 	}
+}
+
+// failingWAL is a shard log whose writes fail while fail is set.
+type failingWAL struct {
+	*sos.MemWAL
+	fail atomic.Bool
+}
+
+func (w *failingWAL) Write(p []byte) (int, error) {
+	if w.fail.Load() {
+		return 0, errors.New("disk full")
+	}
+	return w.MemWAL.Write(p)
+}
+
+// TestFailedHandoffDropsItsCopies: a shrink whose handoff lands on one
+// destination and fails on the next leaves the ring as it was, and every
+// member retains by it again — the copies already handed off are dropped,
+// so the audit stays clean and each object is read once.
+func TestFailedHandoffDropsItsCopies(t *testing.T) {
+	wal1 := &failingWAL{MemWAL: sos.NewMemWAL()}
+	c := dsos.NewCluster(3, "darshan_data")
+	c.EnableWAL(func(name string) sos.WALStore {
+		if name == "dsosd1" {
+			return wal1
+		}
+		return sos.NewMemWAL()
+	})
+	if err := dsos.SetupDarshan(c); err != nil {
+		t.Fatal(err)
+	}
+	hc, err := NewHashCluster(HashConfig{Seed: 7}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := hashFixture{hc, dsos.Connect(c)}
+	fillHash(t, h, 300, 17)
+	before := h.Daemon("dsosd0").Count(dsos.DarshanSchemaName)
+	wal1.fail.Store(true)
+	if err := h.Shrink("dsosd2"); err == nil {
+		t.Fatal("shrink succeeded with a destination's log failing")
+	}
+	if got := h.Daemon("dsosd0").Count(dsos.DarshanSchemaName); got != before {
+		t.Fatalf("dsosd0 holds %d objects after the failed shrink, %d before", got, before)
+	}
+	if len(h.Members()) != 3 || h.Stats().Migrations != 0 {
+		t.Fatalf("failed shrink changed the ring: %v", h.Members())
+	}
+	if got := len(queryAll(t, h)); got != 300 {
+		t.Fatalf("%d of 300 readable after the failed shrink", got)
+	}
+	auditClean(t, h)
+	wal1.fail.Store(false)
+	if err := h.Shrink("dsosd2"); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(queryAll(t, h)); got != 300 {
+		t.Fatalf("query returned %d of 300 after the retried shrink", got)
+	}
+	auditClean(t, h)
 }
 
 func TestQueryReportsLostGroups(t *testing.T) {
@@ -372,17 +379,18 @@ func TestDarshanKeyStableAndFallback(t *testing.T) {
 
 func TestHashClusterConfigErrors(t *testing.T) {
 	h := newHashCluster(t, 1)
-	if err := h.BeginAdd("dsosd0"); err == nil {
+	if err := h.Grow("dsosd0"); err == nil {
 		t.Fatal("duplicate member accepted")
 	}
-	if err := h.BeginRemove("ghost"); err == nil {
+	if err := h.Shrink("ghost"); err == nil {
 		t.Fatal("removing an absent member accepted")
 	}
-	if err := h.Cutover(); err == nil {
-		t.Fatal("cutover without a migration accepted")
+	h.cfg.Factory = nil
+	if err := h.Grow("d1"); err == nil {
+		t.Fatal("grow without a shard factory accepted")
 	}
-	if err := h.Abort(); err == nil {
-		t.Fatal("abort without a migration accepted")
+	if st := h.Stats(); st.Members != 1 || st.Migrations != 0 {
+		t.Fatalf("refused moves changed the cluster: %+v", st)
 	}
 }
 
@@ -475,8 +483,8 @@ func TestStorePluginSameInBothModes(t *testing.T) {
 
 // TestTelemetryFollowsLiveMembership pins that the cluster's per-shard
 // series and its health probe walk the placement's members, not the
-// launch-time set: a grown shard appears with BeginAdd, a removed one is
-// gone after its cutover, and a dark owner group fails the one probe.
+// launch-time set: a grown shard appears with its grow, a removed one is
+// gone after its shrink, and a dark owner group fails the one probe.
 func TestTelemetryFollowsLiveMembership(t *testing.T) {
 	h := newHashCluster(t, 3)
 	fillHash(t, h, 100, 16)
@@ -495,23 +503,17 @@ func TestTelemetryFollowsLiveMembership(t *testing.T) {
 	if has(grown) || !has(removed) {
 		t.Fatal("launch-time series wrong")
 	}
-	if err := h.BeginAdd("d3"); err != nil {
+	if err := h.Grow("d3"); err != nil {
 		t.Fatal(err)
 	}
 	if !has(grown) {
 		t.Fatalf("no %s series after the grow", grown)
 	}
-	if err := h.Cutover(); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.BeginRemove("dsosd2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Cutover(); err != nil {
+	if err := h.Shrink("dsosd2"); err != nil {
 		t.Fatal(err)
 	}
 	if has(removed) || !has(grown) {
-		t.Fatalf("after shrink + cutover: %s present=%v, %s present=%v", removed, has(removed), grown, has(grown))
+		t.Fatalf("after the shrink: %s present=%v, %s present=%v", removed, has(removed), grown, has(grown))
 	}
 	if err := health(); err != nil {
 		t.Fatalf("health with every shard up: %v", err)
@@ -524,9 +526,9 @@ func TestTelemetryFollowsLiveMembership(t *testing.T) {
 }
 
 // TestPlacementSwapUnderLoad races inserts and queries on the one client
-// against the placement swaps of a live grow (begin, abort, begin,
-// cutover): under -race nothing may trip, every acked object must stay
-// readable exactly once, and the fan-out must follow the new member.
+// against the placement swaps of a grow, a shrink and a second grow:
+// under -race nothing may trip, every acked object must stay readable
+// exactly once, and the fan-out must follow the membership.
 func TestPlacementSwapUnderLoad(t *testing.T) {
 	h := newHashCluster(t, 3)
 	var wg sync.WaitGroup
@@ -556,10 +558,9 @@ func TestPlacementSwapUnderLoad(t *testing.T) {
 		}(w)
 	}
 	steps := []func() error{
-		func() error { return h.BeginAdd("d3") },
-		h.Abort,
-		func() error { return h.BeginAdd("d3") },
-		h.Cutover,
+		func() error { return h.Grow("d3") },
+		func() error { return h.Shrink("dsosd0") },
+		func() error { return h.Grow("d4") },
 	}
 	for _, step := range steps {
 		time.Sleep(5 * time.Millisecond)
@@ -573,6 +574,49 @@ func TestPlacementSwapUnderLoad(t *testing.T) {
 		t.Fatalf("query returned %d objects, %d were acked", got, acked.Load())
 	}
 	if len(h.cl.Cluster().Daemons()) != 4 {
-		t.Fatalf("fan-out set %d members after the grow, want 4", len(h.cl.Cluster().Daemons()))
+		t.Fatalf("fan-out set %d members after grow, shrink and grow, want 4", len(h.cl.Cluster().Daemons()))
 	}
+	auditClean(t, h)
+}
+
+// BenchmarkGrowBarrier times one Grow of a 4-shard cluster holding 320k
+// rows (4 jobs × 1024 ranks, logs on): the whole move, which is how long
+// inserts wait at the barrier. Each iteration shrinks the grown shard
+// away again off the clock.
+func BenchmarkGrowBarrier(b *testing.B) {
+	c := dsos.NewCluster(4, "darshan_data")
+	c.EnableWAL(nil)
+	if err := dsos.SetupDarshan(c); err != nil {
+		b.Fatal(err)
+	}
+	h, err := NewHashCluster(HashConfig{Seed: 7, Factory: func(name string) (*dsos.Daemon, error) {
+		return dsos.NewDarshanShard(name, "darshan_data", sos.NewMemWAL())
+	}}, c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl := dsos.Connect(c)
+	const rows, per = 320_000, 64
+	batch := make([]sos.Object, 0, per)
+	for i := 0; i < rows; i++ {
+		batch = append(batch, hashObj(int64(1+i%4), int64(i/4%1024), float64(i)))
+		if len(batch) == per {
+			if err := cl.InsertBatch(dsos.DarshanSchemaName, batch); err != nil {
+				b.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := h.Grow("dsosd4"); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := h.Shrink("dsosd4"); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(h.Stats().Moved)/float64(2*b.N), "moved/grow")
 }

@@ -12,9 +12,10 @@
 //   - Consistent-hash shard placement over dsos daemons (ring.go,
 //     rebalance.go): the ring is a dsos.Placement behind the one DSOS
 //     client, and HashCluster rebalances it live — growing or shrinking
-//     the shard set hands over exactly the moved key ranges, behind a
-//     dual-write fence, with an atomic cutover; queries merge both
-//     owners mid-migration so nothing acked is ever unreadable.
+//     the shard set hands over exactly the moved key ranges and swaps
+//     the ring in one step, with inserts held at the cluster's insert
+//     barrier; queries merge both sides of a move, so nothing acked is
+//     ever unreadable.
 //
 // Everything here is clock-agnostic (callers inject time.Duration
 // clocks) and seeded, so the rebalance soak in internal/harness replays
@@ -211,7 +212,7 @@ func (r *Ring) Groups(n int) [][]string {
 	return out
 }
 
-// Clone returns an independent copy (used to stage the post-rebalance
+// Clone returns an independent copy (used to build the post-rebalance
 // ring while the current one keeps serving).
 func (r *Ring) Clone() *Ring {
 	r.mu.RLock()

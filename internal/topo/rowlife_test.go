@@ -14,11 +14,11 @@ import (
 
 // TestInsertOutlivesRowMemory holds the contract that lets a store build
 // each round's rows in the last round's memory (dsos.RowArena.Rewind):
-// InsertTagged copies every row — into each owner's pages and log, and
-// into the staged owner's fenced copy mid-migration — before it returns.
-// Rounds whose row memory is scribbled over right after their insert
-// leave every shard's log and snapshot, and the fence's books, byte for
-// byte as rounds of fresh heap rows do.
+// InsertTagged copies every row into each owner's pages and log before it
+// returns. Rounds whose row memory is scribbled over right after their
+// insert — with a grow between two of them, which hands rows already
+// stored on to the new shard — leave every shard's log and snapshot, and
+// the move's books, byte for byte as rounds of fresh heap rows do.
 func TestInsertOutlivesRowMemory(t *testing.T) {
 	const rounds, per = 8, 64
 	r := rng.New(38)
@@ -61,7 +61,7 @@ func TestInsertOutlivesRowMemory(t *testing.T) {
 		var objs []sos.Object
 		for k := 0; k < rounds; k++ {
 			if k == 2 {
-				if err := h.BeginAdd("dsosd3"); err != nil {
+				if err := h.Grow("dsosd3"); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -106,8 +106,8 @@ func TestInsertOutlivesRowMemory(t *testing.T) {
 	}
 	got, gotStats := run(true)
 	want, wantStats := run(false)
-	if wantStats.FencedWrites == 0 || !wantStats.Migrating {
-		t.Fatalf("no fenced dual-write mid-migration: %+v", wantStats)
+	if wantStats.Migrations != 1 || wantStats.Moved == 0 {
+		t.Fatalf("the grow moved nothing: %+v", wantStats)
 	}
 	if gotStats != wantStats {
 		t.Fatalf("rebalance books %+v, want %+v", gotStats, wantStats)

@@ -149,6 +149,7 @@ FUZZ_TARGETS ?= \
 	internal/sos:FuzzReplayWAL \
 	internal/sos:FuzzObjectsMatchBoxed \
 	internal/dsos:FuzzCursorMatchesQueryEx \
+	internal/dsos:FuzzCSVFloat \
 	internal/streams:FuzzStreamCursor \
 	internal/streams:FuzzRetention \
 	internal/streams:FuzzBatchV2 \
@@ -165,11 +166,11 @@ fuzz-smoke:
 	done
 
 # Race-detector sweep over the concurrent planes (durable streams, TCP
-# transport + uplink, DSOS, observability). -count=1 defeats
+# transport + uplink, SOS page seals, DSOS, observability). -count=1 defeats
 # the test cache so every run actually races; -short keeps soak
 # iterations CI-sized (CI runs this too, as its own matrix leg).
 race-smoke:
-	$(GO) test -race -count=1 -short ./internal/streams ./internal/ldms ./internal/dsos ./internal/obs ./internal/topo
+	$(GO) test -race -count=1 -short ./internal/streams ./internal/ldms ./internal/sos ./internal/dsos ./internal/obs ./internal/topo
 
 # Statement coverage with a ratchet: fail if the total drops more than
 # 0.5pt below the checked-in floor (ci/coverage.floor). Raise the floor

@@ -1,6 +1,7 @@
 package dsos
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -149,7 +150,7 @@ func AppendCSVRow(dst []byte, o sos.Object) []byte {
 		}
 		switch o.Type(i) {
 		case sos.TypeFloat64:
-			dst = strconv.AppendFloat(dst, o.Float(i), 'f', 6, 64)
+			dst = appendFixed6(dst, o.Float(i))
 		case sos.TypeInt64:
 			dst = strconv.AppendInt(dst, o.Int(i), 10)
 		case sos.TypeUint64:
@@ -159,6 +160,29 @@ func AppendCSVRow(dst []byte, o sos.Object) []byte {
 		}
 	}
 	return dst
+}
+
+// appendFixed6 appends v as strconv.AppendFloat(dst, v, 'f', 6, 64) does,
+// which always takes strconv's slow big-decimal path. The shortest form
+// is quicker, and is the same text padded with zeros whenever it has at
+// most six decimals and v is finite and below 2^33 in magnitude: v is then
+// within half an ulp, under 5e-7, of that six-decimal number, so it is
+// also the nearest one.
+func appendFixed6(dst []byte, v float64) []byte {
+	if math.IsNaN(v) || !(math.Abs(v) < 1<<33) {
+		return strconv.AppendFloat(dst, v, 'f', 6, 64)
+	}
+	n := len(dst)
+	dst = strconv.AppendFloat(dst, v, 'f', -1, 64)
+	dot := bytes.IndexByte(dst[n:], '.')
+	if dot < 0 {
+		return append(dst, ".000000"...)
+	}
+	decimals := len(dst) - n - dot - 1
+	if decimals > 6 {
+		return strconv.AppendFloat(dst[:n], v, 'f', 6, 64)
+	}
+	return append(dst, "000000"[decimals:]...)
 }
 
 // ObjectsFromMessage converts a connector message into store objects, one

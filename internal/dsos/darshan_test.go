@@ -22,16 +22,25 @@ func formatValue(v any) string {
 
 // TestAppendCSVRowMatchesFormatValue: the renderer's bytes equal the old
 // per-cell fmt rendering over seeded darshan rows, extreme values
-// included.
+// included, both of the rows as built and of the rows stored, read back
+// from two sealed pages and a page still filling.
 func TestAppendCSVRowMatchesFormatValue(t *testing.T) {
 	sch := DarshanSchema()
+	c := sos.NewContainer("csv")
+	if err := c.AddSchema(sch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddIndex(DarshanIndices()[0]); err != nil {
+		t.Fatal(err)
+	}
+	var wants []string
 	r := rng.New(27)
 	floats := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -0.5, 1e-9, 1.6e9 + 0.123456789, 1e300, -1e21}
 	ints := []int64{0, -1, math.MinInt64, math.MaxInt64, 42}
 	uints := []uint64{0, 1, math.MaxUint64, 1 << 63}
 	strs := []string{"", "N/A", "/nscratch/f,with,commas", "nid00040", "héllo"}
 	var dst []byte
-	for i := 0; i < 500; i++ {
+	for i := 0; i < 600; i++ {
 		o := make([]any, len(sch.Attrs))
 		for j, a := range sch.Attrs {
 			switch a.Type {
@@ -65,6 +74,20 @@ func TestAppendCSVRowMatchesFormatValue(t *testing.T) {
 		if want := strings.Join(cells, ","); string(dst) != want {
 			t.Fatalf("row %d:\n got %s\nwant %s", i, dst, want)
 		}
+		wants = append(wants, string(dst))
+		if err := c.InsertOrigin(sch.Name, sos.NewObject(o...), uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	if err := c.IterOrigins(DarshanIndices()[0].Name, nil, func(o sos.Object, origin uint64) bool {
+		if dst = AppendCSVRow(dst[:0], o); string(dst) != wants[origin-1] {
+			t.Fatalf("stored row %d:\n got %s\nwant %s", origin-1, dst, wants[origin-1])
+		}
+		n++
+		return true
+	}); err != nil || n != len(wants) {
+		t.Fatalf("read back %d of %d stored rows: %v", n, len(wants), err)
 	}
 }
 

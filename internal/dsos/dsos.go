@@ -216,12 +216,23 @@ func (d *Daemon) Insert(schema string, obj sos.Object) error {
 }
 
 // InsertOrigin stores one object stamped with a cluster-wide origin id
-// (0 = unreplicated): the share of one row (insertShare), logged as a row
-// record.
+// (0 = unreplicated): InsertOrigins of one row.
 func (d *Daemon) InsertOrigin(schema string, obj sos.Object, origin uint64) error {
-	sh := share{objs: []sos.Object{obj}, ids: []uint64{origin}}
+	return d.InsertOrigins(schema, []sos.Object{obj}, []uint64{origin})
+}
+
+// InsertOrigins stores objs, each stamped with its origins entry, as one
+// share (insertShare): under one lock, logged as one untagged batch. A
+// row that fails its check fails alone; the error is the first failure.
+func (d *Daemon) InsertOrigins(schema string, objs []sos.Object, origins []uint64) error {
+	sh := share{objs: objs, ids: origins}
 	d.insertShare(schema, &sh, 0)
-	return sh.rowErr(0)
+	for i := range objs {
+		if err := sh.rowErr(i); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // insertShare stores one daemon's share of a batch under one lock: every

@@ -1,9 +1,12 @@
 package dsos
 
 import (
+	"bytes"
 	"context"
 	"hash/fnv"
+	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"darshanldms/internal/rng"
@@ -135,6 +138,33 @@ func FuzzCursorMatchesQueryEx(f *testing.F) {
 			}
 		} else if !reflect.DeepEqual(counts(c), counts(refC)) {
 			t.Fatalf("repair left %v, the reference %v", counts(c), counts(refC))
+		}
+	})
+}
+
+// FuzzCSVFloat holds appendFixed6, the CSV renderer's float path, to the
+// strconv call it replaces, byte for byte, on any float64 bits and on
+// six-decimal values next to them.
+func FuzzCSVFloat(f *testing.F) {
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		0.0078125, 0.0000005, 2.5e-6, 1.0000005, 123.4565, // ties, and near ties, at the sixth decimal
+		1 << 33, math.Nextafter(1<<33, 0), math.Nextafter(1<<33, 2<<33), -math.Nextafter(1<<33, 0),
+		math.Float64frombits(math.Float64bits(1<<33) + 10), // shortest 8589934592.00002, 'f' 6 ...019
+		1e-7, -1e-7, 1.6e9 + 0.123456, 0.001234, 4096, -1.5,
+	} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		// The bits as a float, and as a six-decimal value up to about
+		// 1.8e10 and its neighbours: below 2^33 the shortest form is
+		// taken, above it the shortest form can round the other way.
+		q := float64(bits>>10) / 1e6
+		for _, v := range []float64{math.Float64frombits(bits), q, math.Nextafter(q, -1), math.Nextafter(q, 1<<34)} {
+			got, want := appendFixed6([]byte("x,"), v), strconv.AppendFloat([]byte("x,"), v, 'f', 6, 64)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%#x (%v): appendFixed6 writes %q, strconv %q", math.Float64bits(v), v, got, want)
+			}
 		}
 	})
 }

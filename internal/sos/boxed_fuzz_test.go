@@ -167,6 +167,7 @@ func newBoxedPair(tb testing.TB) (*Container, *refContainer) {
 	if typed.AddSchema(boxedSchema(tb)) != nil || ref.AddSchema(boxedSchema(tb)) != nil {
 		tb.Fatal("schema refused")
 	}
+	smallPages(typed, 3)
 	for _, spec := range boxedIndices {
 		if _, err := typed.AddIndex(spec); err != nil {
 			tb.Fatal(err)
@@ -255,7 +256,9 @@ func matchCursors(t *testing.T, typed *Container, ref *refContainer, stored []re
 
 // FuzzObjectsMatchBoxed holds the typed container to the []any one it
 // replaced (reference_test.go): rows built by NewObject or a RowBuilder,
-// inserted into both, must get the same Check verdicts, yield the same
+// inserted into both (the typed one in 8-row pages, so that rows are read
+// back from sealed pages and a page still filling), must get the same
+// Check verdicts, yield the same
 // rows over every index and bound, and write the same snapshot bytes; the
 // typed container's Restore must round-trip to the same rows. For the log,
 // the v1 writer kept as the reference (appendV1) must still write the

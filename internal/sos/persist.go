@@ -24,8 +24,9 @@ const snapMagic2 = "SOS-GO-SNAP2"
 // Frozen is a container's contents at one instant, for writing a snapshot
 // while the container keeps taking inserts. Slabs, the dictionary and
 // origin lists are append-only — an insert writes past their length or
-// replaces the list, never an element in place — so copies of their
-// headers pin exactly the objects present when Freeze ran.
+// replaces the list, never an element in place, and a seal swaps a page
+// for the same rows packed — so copies of their headers pin exactly the
+// objects present when Freeze ran.
 type Frozen struct {
 	name    string
 	nextOID uint64
@@ -44,7 +45,7 @@ func (c *Container) Freeze() *Frozen {
 	f := &Frozen{name: c.Name, nextOID: c.nextOID, strs: c.dict.strs}
 	for _, name := range c.Schemas() {
 		f.schemas = append(f.schemas, c.schemas[name])
-		f.slabs = append(f.slabs, *c.slabs[name])
+		f.slabs = append(f.slabs, c.slabs[name].view())
 		f.origins = append(f.origins, c.origins[name])
 	}
 	for _, name := range c.Indices() {
@@ -94,8 +95,9 @@ func (f *Frozen) Snapshot(w io.Writer) error {
 		slab, origins := &f.slabs[i], f.origins[i]
 		e.u64(uint64(slab.n))
 		for pos := 0; pos < slab.n; pos++ {
-			for j, w := range slab.row(pos) {
-				e.word(sch.Attrs[j].Type, w, f.strs)
+			o := slab.object(pos, nil)
+			for j, a := range sch.Attrs {
+				e.word(a.Type, o.word(j), f.strs)
 			}
 			if withOrigins {
 				var o uint64
@@ -193,7 +195,7 @@ func Restore(r io.Reader) (*Container, error) {
 		}
 		for j := uint64(0); j < nObjs; j++ {
 			w := slab.grow()
-			for k, t := range slab.typ.types {
+			for k, t := range slab.types {
 				w[k] = d.word(t, &c.dict)
 			}
 			if withOrigins {

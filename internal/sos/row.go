@@ -1,11 +1,13 @@
 package sos
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -14,11 +16,14 @@ import (
 // an id into a string table. In a container the table is the container's
 // dictionary; a row built outside one (NewObject, RowBuilder, a WAL replay)
 // carries its own, and insertion interns its strings into the dictionary.
-// Only this package knows the layout: every reader goes through Object's
-// getters.
+// Only this file knows the layout: every reader goes through Object's
+// word accessor.
 //
-// A schema's rows live in pages: []uint64 arrays allocated once, at full
-// size, that never move and whose words never change once written. A page
+// A schema's rows live in pages of up to 64 KiB, which never move and
+// whose rows never change once written. The page being filled holds words;
+// a full page is sealed into packed rows (seal): each attribute keeps the
+// page's minimum word once, as its base, and each row only its offset from
+// the base, in as few whole bytes as the page's widest offset needs. A page
 // holds no pointer, so the garbage collector never scans one. The
 // dictionary only grows — a string once given an id keeps it — so a slice
 // header of it taken under the lock that serialises inserts stays valid
@@ -37,18 +42,32 @@ const typeOther Type = -1
 // assertion on the value would.
 //
 // An Object is three pointers, as small as the []any header it replaced,
-// so result slices and query chunks of rows cost what they did: the first
-// word (nil for a row without attributes), the first string of the table
-// (nil for an empty one; every string word is an id below its length),
-// and the types, which every row of a kind shares.
+// so result slices and query chunks of rows cost what they did: the row's
+// first byte (nil for a row without attributes), the first string of the
+// table (nil for an empty one; every string word is an id below its
+// length), and the row's type, which every row of a kind, or of a sealed
+// page, shares.
 type Object struct {
-	w    *uint64
+	p    unsafe.Pointer
 	strs *string
 	typ  *rowType
 }
 
-// rowType is the attribute types of a kind of row.
-type rowType struct{ types []Type }
+// rowType is the attribute types of a kind of row and, for the rows of a
+// sealed page, where each attribute sits in a row.
+type rowType struct {
+	types  []Type
+	cols   []col   // nil: the row is one 8-byte word per attribute
+	stride uintptr // the bytes from a row of the page to the next
+}
+
+// col is one attribute of a sealed page's rows: the bytes at off, read as
+// a little-endian word and masked to the attribute's width, are the
+// word's offset from base.
+type col struct {
+	base, mask uint64
+	off        uintptr
+}
 
 // NewObject builds a row from its values, each an int64, uint64, float64
 // or string. A value of any other type makes the row fail Container.Check.
@@ -73,7 +92,13 @@ func NewObject(vals ...any) Object {
 			strs = append(strs, goTypeName(v))
 		}
 	}
-	return Object{w: first(w), strs: first(strs), typ: &rowType{types}}
+	return wordRow(w, first(strs), &rowType{types: types})
+}
+
+// wordRow returns the row of words w, whose strings the table that starts
+// at strs holds.
+func wordRow(w []uint64, strs *string, typ *rowType) Object {
+	return Object{p: unsafe.Pointer(first(w)), strs: strs, typ: typ}
 }
 
 // first returns a pointer to s's first element, or nil for an empty s.
@@ -98,31 +123,31 @@ func (o Object) Type(i int) Type { return o.types()[i] }
 // Int returns int64 attribute i.
 func (o Object) Int(i int) int64 {
 	o.want(i, TypeInt64)
-	return int64(o.words()[i])
+	return int64(o.word(i))
 }
 
 // Uint returns uint64 attribute i.
 func (o Object) Uint(i int) uint64 {
 	o.want(i, TypeUint64)
-	return o.words()[i]
+	return o.word(i)
 }
 
 // Float returns float64 attribute i.
 func (o Object) Float(i int) float64 {
 	o.want(i, TypeFloat64)
-	return math.Float64frombits(o.words()[i])
+	return math.Float64frombits(o.word(i))
 }
 
 // Str returns string attribute i.
 func (o Object) Str(i int) string {
 	o.want(i, TypeString)
-	return o.str(o.words()[i])
+	return o.str(o.word(i))
 }
 
 // Value returns attribute i boxed: an int64, uint64, float64 or string
 // (nil for a value NewObject could not type). It serves generic code.
 func (o Object) Value(i int) any {
-	w := o.words()[i]
+	w := o.word(i)
 	switch o.Type(i) {
 	case TypeInt64:
 		return int64(w)
@@ -152,8 +177,28 @@ func (o Object) types() []Type {
 	return o.typ.types
 }
 
-// words returns the row's words.
-func (o Object) words() []uint64 { return unsafe.Slice(o.w, o.Len()) }
+// word returns attribute i's word in one load: from a row of words, or
+// from a packed row, whose page's slack keeps the 8 bytes at any of its
+// attributes inside the page.
+func (o Object) word(i int) uint64 {
+	if o.typ.cols == nil {
+		_ = o.typ.types[i]
+		return *(*uint64)(unsafe.Add(o.p, 8*i))
+	}
+	c := &o.typ.cols[i]
+	return c.base + binary.LittleEndian.Uint64((*[8]byte)(unsafe.Add(o.p, c.off))[:])&c.mask
+}
+
+// copyWords copies the row's words into w, which has the row's length.
+func (o Object) copyWords(w []uint64) {
+	if o.typ.cols == nil {
+		copy(w, unsafe.Slice((*uint64)(o.p), len(w)))
+		return
+	}
+	for i := range w {
+		w[i] = o.word(i)
+	}
+}
 
 // str returns the string of id, a string word of the row.
 func (o Object) str(id uint64) string { return strAt(o.strs, id) }
@@ -177,7 +222,7 @@ func (o Object) want(i int, t Type) {
 // its Go type.
 func (o Object) typeName(i int) string {
 	if o.Type(i) == typeOther {
-		return o.str(o.words()[i])
+		return o.str(o.word(i))
 	}
 	return o.Type(i).String()
 }
@@ -195,19 +240,32 @@ func schemaTypes(s *Schema) []Type {
 // fit, rounded down to a power of two, and at least one.
 const pageWords = 1 << 13
 
-// slab is one schema's rows, in pages. A copy of it is a view of the rows
-// present when it was taken, which later inserts leave intact.
+// slab is one schema's rows, in pages. A copy of it taken by view is a
+// view of the rows present when it was taken, which later inserts and
+// seals leave intact: the page directory's slots are only ever swapped
+// whole, from the open page to the same rows sealed, and an open page's
+// words are only reused when no view was taken while it was open.
 type slab struct {
-	typ     *rowType
+	types   []Type
 	strCols []int // the string attributes, whose words insert translates
 	width   int
 	shift   uint // a page holds 1<<shift rows
-	pages   [][]uint64
+	pages   []atomic.Pointer[page]
+	open    []uint64 // the last page's words, until it is sealed
 	n       int
 }
 
+// page is one page's rows: the first, and their layout. viewed marks an
+// open page a copy of the slab was taken from (view): a reader may still
+// hold its words after it is sealed.
+type page struct {
+	rowType
+	rows   unsafe.Pointer
+	viewed atomic.Bool
+}
+
 func newSlab(types []Type) *slab {
-	s := &slab{typ: &rowType{types}, width: len(types)}
+	s := &slab{types: types, width: len(types)}
 	for i, t := range types {
 		if t == TypeString {
 			s.strCols = append(s.strCols, i)
@@ -217,25 +275,80 @@ func newSlab(types []Type) *slab {
 	return s
 }
 
-// row returns the words of the row at pos.
-func (s *slab) row(pos int) []uint64 {
-	p := s.pages[pos>>s.shift]
-	off := (pos & (1<<s.shift - 1)) * s.width
-	return p[off : off+s.width : off+s.width]
+// view returns a copy of s: a view of its rows, which later inserts and
+// seals leave intact. Every view of a stored row comes from one.
+func (s *slab) view() slab {
+	if s.open != nil {
+		s.pages[len(s.pages)-1].Load().viewed.Store(true)
+	}
+	return *s
 }
 
-// grow adds a row and returns its words, all zero.
+// grow adds a row and returns its words, all zero. The first row of a
+// page seals the full page before it, whose words the new page takes over
+// unless a view may still read them.
 func (s *slab) grow() []uint64 {
 	if s.n>>s.shift == len(s.pages) {
-		s.pages = append(s.pages, make([]uint64, s.width<<s.shift))
+		if !s.seal() {
+			s.open = make([]uint64, s.width<<s.shift)
+		}
+		s.pages = append(s.pages, atomic.Pointer[page]{})
+		s.pages[len(s.pages)-1].Store(&page{rowType: rowType{types: s.types, stride: 8 * uintptr(s.width)}, rows: unsafe.Pointer(first(s.open))})
 	}
+	off := (s.n & (1<<s.shift - 1)) * s.width
 	s.n++
-	return s.row(s.n - 1)
+	return s.open[off : off+s.width : off+s.width]
+}
+
+// seal packs the full open page into rows of its own layout and swaps it
+// into the page's slot. Each attribute's base is the page's least word,
+// as an int64 for an int64 attribute and as bits otherwise, and its width
+// the bytes of the greatest offset from it; a row is the offsets, packed,
+// and the page ends in 8 bytes of slack so that any attribute is one load.
+// It reports whether s.open, cleared, is free for the next page: no view
+// was taken while the page was open.
+func (s *slab) seal() bool {
+	if s.open == nil {
+		return false
+	}
+	filled := s.pages[len(s.pages)-1].Load()
+	w, pg := s.open, &page{rowType: rowType{types: s.types, cols: make([]col, s.width)}}
+	for j, t := range s.types {
+		var flip uint64 // maps int64 order onto uint64 order
+		if t == TypeInt64 {
+			flip = 1 << 63
+		}
+		lo, hi := ^uint64(0), uint64(0)
+		for r := j; r < len(w); r += s.width {
+			lo, hi = min(lo, w[r]^flip), max(hi, w[r]^flip)
+		}
+		n := (bits.Len64(hi-lo) + 7) / 8
+		pg.cols[j] = col{base: lo ^ flip, mask: 1<<(8*n) - 1, off: pg.stride}
+		pg.stride += uintptr(n)
+	}
+	data := make([]byte, int(pg.stride)<<s.shift+8)
+	pg.rows = unsafe.Pointer(&data[0])
+	for r := 0; r < 1<<s.shift; r++ {
+		row, p := w[r*s.width:(r+1)*s.width], unsafe.Add(pg.rows, uintptr(r)*pg.stride)
+		for j := range row { // each store's high zero bytes are overwritten after it
+			if c := &pg.cols[j]; c.mask != 0 {
+				binary.LittleEndian.PutUint64((*[8]byte)(unsafe.Add(p, c.off))[:], row[j]-c.base)
+			}
+		}
+	}
+	s.pages[len(s.pages)-1].Store(pg)
+	if filled.viewed.Load() {
+		s.open = nil
+		return false
+	}
+	clear(s.open)
+	return true
 }
 
 // object returns a view of the row at pos, whose strings strs holds.
 func (s *slab) object(pos int, strs []string) Object {
-	return Object{w: first(s.row(pos)), strs: first(strs), typ: s.typ}
+	pg := s.pages[pos>>s.shift].Load()
+	return Object{p: unsafe.Add(pg.rows, uintptr(pos&(1<<s.shift-1))*pg.stride), strs: first(strs), typ: &pg.rowType}
 }
 
 // xlateMax bounds the source ids dict.from caches: a longer source table
@@ -342,7 +455,7 @@ type RowBuilder struct {
 
 // NewRowBuilder returns a builder of rows of schema s.
 func NewRowBuilder(s *Schema) *RowBuilder {
-	b := &RowBuilder{typ: &rowType{schemaTypes(s)}}
+	b := &RowBuilder{typ: &rowType{types: schemaTypes(s)}}
 	for _, t := range b.typ.types {
 		if t == TypeString {
 			b.nstr++
@@ -418,7 +531,7 @@ func (b *RowBuilder) SetStr(i int, v string, tab []string, id int) {
 
 // Row returns the row built since Begin.
 func (b *RowBuilder) Row() Object {
-	return Object{w: first(b.row), strs: first(b.d.strs), typ: b.typ}
+	return wordRow(b.row, first(b.d.strs), b.typ)
 }
 
 func (b *RowBuilder) want(i int, t Type) {

@@ -222,8 +222,10 @@ func (c *Container) AddIndex(spec IndexSpec) (*Index, error) {
 	c.indices[spec.Name] = ix
 	c.bySchema[spec.Schema] = append(c.bySchema[spec.Schema], ix)
 	s := c.slabs[spec.Schema]
+	w := make([]uint64, s.width)
 	for pos := 0; pos < s.n; pos++ {
-		ix.insert(s.row(pos), pos)
+		s.object(pos, nil).copyWords(w)
+		ix.insert(w, pos)
 	}
 	return ix, nil
 }
@@ -281,10 +283,10 @@ func (c *Container) Check(schemaName string, obj Object) error {
 	if obj.Len() != s.width {
 		return fmt.Errorf("sos: object has %d values, schema %q has %d attrs", obj.Len(), schemaName, s.width)
 	}
-	if obj.typ == s.typ || slices.Equal(obj.types(), s.typ.types) {
+	if slices.Equal(obj.types(), s.types) {
 		return nil
 	}
-	for i, t := range s.typ.types {
+	for i, t := range s.types {
 		if obj.Type(i) != t {
 			return fmt.Errorf("sos: attribute %q: value %s does not match %s", c.schemas[schemaName].Attrs[i].Name, obj.typeName(i), t)
 		}
@@ -300,7 +302,7 @@ func (c *Container) InsertChecked(schemaName string, obj Object, origin uint64) 
 	s := c.slabs[schemaName]
 	pos := s.n
 	w := s.grow()
-	copy(w, obj.words())
+	obj.copyWords(w)
 	for _, i := range s.strCols {
 		w[i] = c.dict.from(obj.strs, w[i])
 	}
@@ -389,7 +391,7 @@ func (c *Container) open(indexName string, from Key, after []byte, to Key) (Curs
 	if after == nil {
 		lo = appendKey(scratch[0][:0], from)
 	}
-	cur := Cursor{rows: *c.slabs[ix.spec.Schema], strs: c.dict.strs, origins: c.origins[ix.spec.Schema], it: ix.tree.seek(lo, after != nil)}
+	cur := Cursor{rows: c.slabs[ix.spec.Schema].view(), strs: c.dict.strs, origins: c.origins[ix.spec.Schema], it: ix.tree.seek(lo, after != nil)}
 	if to != nil {
 		hi := appendKey(scratch[1][:0], to)
 		cur.end = ix.tree.seek(hi, false)

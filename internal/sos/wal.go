@@ -364,9 +364,9 @@ func (w *WAL) appendRecord(rec []byte, schema string, objs []Object, origins []u
 // row before's (w.prev: the origin, then the attributes), which it becomes.
 func (w *WAL) appendRow(b []byte, obj Object, origin uint64) []byte {
 	b, w.prev[0] = binary.AppendUvarint(b, zigzag(origin-w.prev[0])), origin
-	prev, words := w.prev[1:], obj.words()
+	prev := w.prev[1:]
 	for i, t := range obj.types() {
-		v := words[i]
+		v := obj.word(i)
 		switch t {
 		case TypeString:
 			b = binary.AppendUvarint(b, w.dict.from(obj.strs, v))
@@ -552,7 +552,7 @@ func (tab *walTable) carve(n int) []uint64 {
 // share sets typ to the row type of cur, unless typ already is.
 func (tab *walTable) share() {
 	if tab.typ == nil || !slices.Equal(tab.cur, tab.typ.types) {
-		tab.typ = &rowType{slices.Clone(tab.cur)}
+		tab.typ = &rowType{types: slices.Clone(tab.cur)}
 	}
 }
 
@@ -622,7 +622,7 @@ func (tab *walTable) decodeRowV2(b []byte) (Object, uint64, []byte, error) {
 		}
 		w[i], tab.prev[i] = u, u
 	}
-	return Object{w: first(w), strs: first(tab.log), typ: tab.typ}, tab.origin, b, nil
+	return wordRow(w, first(tab.log), tab.typ), tab.origin, b, nil
 }
 
 // decodeRow reads one v1 row off the front of b.
@@ -668,7 +668,7 @@ func (tab *walTable) decodeRow(b []byte) (obj Object, origin uint64, rest []byte
 		tab.cur = append(tab.cur, tag)
 	}
 	tab.share()
-	return Object{w: first(w), strs: first(tab.dict.strs), typ: tab.typ}, origin, b, nil
+	return wordRow(w, first(tab.dict.strs), tab.typ), origin, b, nil
 }
 
 // MemWAL is an in-memory WALStore — the simulation's "virtual file". It

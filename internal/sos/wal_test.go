@@ -397,18 +397,17 @@ func appendWALRow(b []byte, obj Object, origin uint64) ([]byte, error) {
 	}
 	b = binary.LittleEndian.AppendUint64(b, origin)
 	b = binary.LittleEndian.AppendUint16(b, uint16(obj.Len()))
-	w := obj.words()
 	for i, t := range obj.types() {
 		if t < walInt64 || t > walString {
 			return nil, fmt.Errorf("sos: wal cannot encode value of type %s", obj.typeName(i))
 		}
 		b = append(b, byte(t))
 		if t == TypeString {
-			v := obj.str(w[i])
+			v := obj.str(obj.word(i))
 			b = appendU32(b, uint32(len(v)))
 			b = append(b, v...)
 		} else {
-			b = binary.LittleEndian.AppendUint64(b, w[i])
+			b = binary.LittleEndian.AppendUint64(b, obj.word(i))
 		}
 	}
 	return b, nil

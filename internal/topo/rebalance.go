@@ -284,18 +284,15 @@ func (h *HashCluster) move(plan func(cur *ringPlacement) (*ringPlacement, error)
 
 // handoff copies, from every member of cur, each object to the owners it
 // gains on next, once per (origin, destination), destinations in sorted
-// order. Nothing is dropped from a source, so a failed handoff loses
-// nothing. It returns the number of copies made.
+// order, each destination's copies as one batch (Daemon.InsertOrigins).
+// Nothing is dropped from a source, so a failed handoff loses nothing. It
+// returns the number of copies made.
 func handoff(cur, next *ringPlacement) (uint64, error) {
 	type copyTo struct {
 		origin uint64
 		dst    string
 	}
-	type handed struct {
-		obj    sos.Object
-		origin uint64
-	}
-	pending := map[string][]handed{}
+	pending, origins := map[string][]sos.Object{}, map[string][]uint64{} // by destination
 	sent := map[copyTo]bool{}
 	for _, d := range cur.members {
 		src := d.Name
@@ -312,7 +309,7 @@ func handoff(cur, next *ringPlacement) (uint64, error) {
 				if contains(oldOwners, dst) || (origin != 0 && sent[copyTo{origin, dst}]) {
 					continue
 				}
-				pending[dst] = append(pending[dst], handed{o, origin})
+				pending[dst], origins[dst] = append(pending[dst], o), append(origins[dst], origin)
 				if origin != 0 {
 					sent[copyTo{origin, dst}] = true
 				}
@@ -334,10 +331,8 @@ func handoff(cur, next *ringPlacement) (uint64, error) {
 		if !d.Up() {
 			return 0, fmt.Errorf("topo: rebalance: destination %s is down", dst)
 		}
-		for _, ho := range pending[dst] {
-			if err := d.InsertOrigin(hashSchema, ho.obj, ho.origin); err != nil {
-				return 0, fmt.Errorf("topo: rebalance handoff into %s: %w", dst, err)
-			}
+		if err := d.InsertOrigins(hashSchema, pending[dst], origins[dst]); err != nil {
+			return 0, fmt.Errorf("topo: rebalance handoff into %s: %w", dst, err)
 		}
 		moved += uint64(len(pending[dst]))
 	}

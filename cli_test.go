@@ -130,6 +130,44 @@ func TestCLIExperimentsAdhocScenario(t *testing.T) {
 	}
 }
 
+// A spec that validates must plan in seconds: each hostile spec here once
+// passed Load, and then planned 0 jobs (a horizon past time.Duration),
+// for hours (1e12 burst draws) or forever (an infinite thinning rate).
+func TestCLIExperimentsRejectsHostileScenario(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke test")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "dlc-experiments")
+	runCmd(t, "build", "-o", bin, "./cmd/dlc-experiments")
+	cases := []struct{ name, arrival, horizon, want string }{
+		{"horizon past the cap", `{"kind": "poisson", "rate_per_s": 1}`, "1e10", "scenario: horizon_s: must be at most"},
+		{"bursts past the draw cap", `{"kind": "bursty", "burst_every_s": 1e-12, "burst_size": 1, "burst_jitter_s": 1e12}`, "5",
+			"scenario: arrival: bursts draw"},
+		{"diurnal peak rate past the draw cap", `{"kind": "diurnal", "rate_per_s": 1e308, "periods": [{"period_s": 10, "amplitude": 1}]}`, "10",
+			"scenario: arrival: thinning draws"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := filepath.Join(dir, "hostile.json")
+			if err := os.WriteFile(spec, []byte(`{"name": "hostile", "horizon_s": `+tc.horizon+`, "fs": "NFS",
+  "cluster": {"nodes": 2}, "arrival": `+tc.arrival+`,
+  "jobs": [{"kind": "checkpoint", "weight": 1}]}`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			out, err := exec.CommandContext(ctx, bin, "-scenario", spec, "-seed", "7", "-out", t.TempDir()).CombinedOutput()
+			if ctx.Err() != nil {
+				t.Fatalf("still running at its deadline:\n%s", out)
+			}
+			if err == nil || !strings.Contains(string(out), tc.want) {
+				t.Fatalf("want a failure naming %q, got %v:\n%s", tc.want, err, out)
+			}
+		})
+	}
+}
+
 func TestCLIExperimentsTinyPanel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test")

@@ -256,7 +256,6 @@ func (st *soakState) openStream() error {
 func (st *soakState) claimConsumer() error {
 	c, err := st.stream.Consumer(streams.ConsumerConfig{
 		Name:        "ingest",
-		Filter:      soakFilter,
 		MaxInflight: st.cfg.MaxInflight,
 		AckWait:     st.cfg.AckWait,
 	})
@@ -277,7 +276,6 @@ func (st *soakState) harvest() {
 	st.acc.Redelivered += cs.Redelivered
 	st.acc.Naks += cs.Naks
 	st.acc.Missed += cs.Missed
-	st.acc.DeadLettered += cs.DeadLettered
 }
 
 func (st *soakState) violate(format string, args ...any) {

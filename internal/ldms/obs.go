@@ -73,7 +73,7 @@ func (u *Uplink) Collect(reg *obs.Registry, name string) {
 // up: a memory-only window that has refused appends or, when window (its
 // Retention.MaxMsgs) is positive, holds that many unsent; or a consumer
 // that lagged past the stream's retention — a drop-oldest overflow among
-// them — or dead-lettered (messages were skipped).
+// them (messages were skipped).
 func (u *Uplink) Health(window int) func() error {
 	return func() error {
 		ss := u.stream.Stats()
@@ -84,7 +84,7 @@ func (u *Uplink) Health(window int) func() error {
 			return errors.New("uplink window full: " + utoa(uint64(ss.Msgs)) + " messages unsent")
 		}
 		st := u.Stats()
-		if n := st.Consumer.Missed + st.Consumer.DeadLettered; n > 0 {
+		if n := st.Consumer.Missed; n > 0 {
 			return errors.New("uplink lagged past retention: " + utoa(n) + " messages skipped")
 		}
 		return nil

@@ -58,11 +58,7 @@ func poisson(r *rng.Stream, rate float64, horizon time.Duration) []time.Duration
 // arrive at the envelope rate lambdaMax and survive with probability
 // lambda(t)/lambdaMax, where lambda is the multi-period modulated rate.
 func diurnal(r *rng.Stream, a ArrivalSpec, horizon time.Duration) []time.Duration {
-	ampSum := 0.0
-	for _, p := range a.Periods {
-		ampSum += math.Abs(p.Amplitude)
-	}
-	lambdaMax := a.RatePerS * (1 + ampSum)
+	lambdaMax := a.peakRate()
 	lambda := func(t float64) float64 {
 		v := 1.0
 		for _, p := range a.Periods {
@@ -85,6 +81,16 @@ func diurnal(r *rng.Stream, a ArrivalSpec, horizon time.Duration) []time.Duratio
 			times = append(times, time.Duration(t*float64(time.Second)))
 		}
 	}
+}
+
+// peakRate is the envelope of a diurnal rate: no modulation exceeds
+// rate × (1 + Σ|amplitude|).
+func (a ArrivalSpec) peakRate() float64 {
+	ampSum := 0.0
+	for _, p := range a.Periods {
+		ampSum += math.Abs(p.Amplitude)
+	}
+	return a.RatePerS * (1 + ampSum)
 }
 
 // bursts fires a flash crowd of burst_size arrivals at every, 2*every, ...

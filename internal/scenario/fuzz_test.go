@@ -37,9 +37,11 @@ func suiteSources(t testing.TB) [][]byte {
 }
 
 // FuzzScenarioSpec feeds arbitrary bytes through the full Parse→Validate→
-// canonical path. Properties: no panic on hostile input, and for any spec
-// that parses, the canonical encoding is a fixed point that preserves the
-// validation verdict.
+// canonical→BuildPlan path. Properties: Parse and the reference tree reader
+// agree (sameDecoding); no panic or hang on hostile input, planning
+// included; for any spec that parses, the canonical encoding is a fixed
+// point that preserves the validation verdict; and a spec that validates
+// has a positive horizon.
 func FuzzScenarioSpec(f *testing.F) {
 	for _, src := range suiteSources(f) {
 		f.Add(src)
@@ -49,6 +51,7 @@ func FuzzScenarioSpec(f *testing.F) {
 	f.Add([]byte(`{"cluster": {"nodes": 1e99}}`))
 	f.Add([]byte(`# only a comment`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sameDecoding(t, data)
 		s, err := Parse(data)
 		if err != nil {
 			if s != nil {
@@ -57,6 +60,12 @@ func FuzzScenarioSpec(f *testing.F) {
 			return
 		}
 		verdict := s.Validate()
+		if verdict == nil {
+			if s.Horizon() <= 0 {
+				t.Fatalf("valid spec with horizon_s %v has horizon %v", s.HorizonS, s.Horizon())
+			}
+			BuildPlan(s, 42)
+		}
 
 		c := canonical(t, s)
 		if len(c) > MaxSpecBytes {

@@ -5,15 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"strconv"
+	"strings"
 )
 
 // Scenario files are JSON documents with two YAML-flavoured conveniences:
-// full-line or trailing #-comments, and //-comments. The parser is strict
-// everywhere else — duplicate keys, unknown fields, over-deep nesting,
-// out-of-range numbers and trailing garbage are all errors, because a spec
-// that silently ignores half its content is a spec that lies about what it
-// ran. FuzzScenarioSpec feeds this path arbitrary bytes.
+// full-line or trailing #-comments, and //-comments. Everything else is
+// strict (see the package doc), because a spec that silently ignores half
+// its content is a spec that lies about what it ran. FuzzScenarioSpec
+// feeds this path arbitrary bytes.
 
 // MaxSpecBytes bounds a spec file; hostile inputs cannot make the parser
 // hold more than this.
@@ -40,15 +41,23 @@ func Parse(data []byte) (*Spec, error) {
 	if len(data) > MaxSpecBytes {
 		return nil, parseErr("spec exceeds %d bytes", MaxSpecBytes)
 	}
-	v, err := decodeTree(stripComments(data))
+	w := walker{json.NewDecoder(bytes.NewReader(stripComments(data)))}
+	w.dec.UseNumber()
+	tok, err := w.token(0)
 	if err != nil {
 		return nil, err
 	}
-	obj, ok := v.(*jsonObject)
-	if !ok {
+	if tok != json.Delim('{') {
 		return nil, parseErr("top level must be an object")
 	}
-	return specFromTree(obj)
+	s := new(Spec) // its objects and lists go by their key alone: "cluster", "jobs[2]"
+	if err := w.object(reflect.ValueOf(s).Elem(), "spec", "", 0); err != nil {
+		return nil, err
+	}
+	if _, err := w.dec.Token(); err != io.EOF {
+		return nil, parseErr("trailing content after spec")
+	}
+	return s, nil
 }
 
 // Load parses and validates in one step.
@@ -101,344 +110,160 @@ func stripComments(data []byte) []byte {
 	return out
 }
 
-// jsonObject is an order-preserving object with duplicate-key rejection
-// built during decoding.
-type jsonObject struct {
-	keys []string
-	vals map[string]any
-}
+// walker decodes a token stream into Spec values, driven by their json
+// tags. Errors name the value by its path: an object or list by its key
+// path ("cluster", "arrival.periods", "jobs[2]"), any other value by the
+// path of the object holding it and its key ("spec.name", "jobs[2].kind").
+type walker struct{ dec *json.Decoder }
 
-// decodeTree token-decodes one JSON value with depth and duplicate-key
-// checks, and rejects trailing content.
-func decodeTree(data []byte) (any, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	v, err := decodeValue(dec, 0)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, parseErr("trailing content after spec")
-	}
-	return v, nil
-}
-
-func decodeValue(dec *json.Decoder, depth int) (any, error) {
+// token reads the next token of a value nested depth levels deep.
+func (w walker) token(depth int) (json.Token, error) {
 	if depth > maxSpecDepth {
 		return nil, parseErr("nesting deeper than %d levels", maxSpecDepth)
 	}
-	tok, err := dec.Token()
+	tok, err := w.dec.Token()
 	if err != nil {
 		return nil, parseErr("%v", err)
 	}
-	return decodeFromToken(dec, tok, depth)
+	return tok, nil
 }
 
-func decodeFromToken(dec *json.Decoder, tok json.Token, depth int) (any, error) {
-	switch t := tok.(type) {
-	case json.Delim:
-		switch t {
-		case '{':
-			obj := &jsonObject{vals: map[string]any{}}
-			for dec.More() {
-				keyTok, err := dec.Token()
-				if err != nil {
-					return nil, parseErr("%v", err)
-				}
-				key, ok := keyTok.(string)
-				if !ok {
-					return nil, parseErr("object key must be a string")
-				}
-				if _, dup := obj.vals[key]; dup {
-					return nil, parseErr("duplicate key %q", key)
-				}
-				val, err := decodeValue(dec, depth+1)
-				if err != nil {
-					return nil, err
-				}
-				obj.keys = append(obj.keys, key)
-				obj.vals[key] = val
-			}
-			if _, err := dec.Token(); err != nil { // consume '}'
-				return nil, parseErr("%v", err)
-			}
-			return obj, nil
-		case '[':
-			var arr []any
-			for dec.More() {
-				val, err := decodeValue(dec, depth+1)
-				if err != nil {
-					return nil, err
-				}
-				arr = append(arr, val)
-			}
-			if _, err := dec.Token(); err != nil { // consume ']'
-				return nil, parseErr("%v", err)
-			}
-			return arr, nil
+// end consumes the '}' or ']' that closes the current object or list.
+func (w walker) end() error { _, err := w.token(0); return err }
+
+// object fills struct v from the object whose '{' was just read; the
+// paths of the objects and lists in it begin with prefix. A key that is
+// no field's tag is an error once the object ends: its value is skipped,
+// but still checked for syntax and depth.
+func (w walker) object(v reflect.Value, path, prefix string, depth int) error {
+	seen := map[string]bool{}
+	var unknown []string
+	for w.dec.More() {
+		tok, err := w.token(depth + 1) // the key, at its value's depth
+		if err != nil {
+			return err
 		}
-		return nil, parseErr("unexpected delimiter %v", t)
-	default:
-		return tok, nil // string, json.Number, bool, nil
-	}
-}
-
-// field accessors — each checks type and records consumption so unknown
-// fields can be reported.
-
-type objReader struct {
-	path string
-	obj  *jsonObject
-	seen map[string]bool
-	err  error
-}
-
-func newObjReader(path string, v any) (*objReader, error) {
-	obj, ok := v.(*jsonObject)
-	if !ok {
-		return nil, parseErr("%s: expected an object", path)
-	}
-	return &objReader{path: path, obj: obj, seen: map[string]bool{}}, nil
-}
-
-func (o *objReader) fail(key, format string, args ...any) {
-	if o.err == nil {
-		o.err = parseErr("%s.%s: %s", o.path, key, fmt.Sprintf(format, args...))
-	}
-}
-
-func (o *objReader) get(key string) (any, bool) {
-	o.seen[key] = true
-	v, ok := o.obj.vals[key]
-	return v, ok
-}
-
-func (o *objReader) str(key string) string {
-	v, ok := o.get(key)
-	if !ok {
-		return ""
-	}
-	s, isStr := v.(string)
-	if !isStr {
-		o.fail(key, "expected a string")
-		return ""
-	}
-	return s
-}
-
-func (o *objReader) float(key string) float64 {
-	v, ok := o.get(key)
-	if !ok {
-		return 0
-	}
-	num, isNum := v.(json.Number)
-	if !isNum {
-		o.fail(key, "expected a number")
-		return 0
-	}
-	f, err := strconv.ParseFloat(num.String(), 64)
-	if err != nil {
-		o.fail(key, "number out of range")
-		return 0
-	}
-	return f
-}
-
-func (o *objReader) integer(key string) int {
-	v, ok := o.get(key)
-	if !ok {
-		return 0
-	}
-	num, isNum := v.(json.Number)
-	if !isNum {
-		o.fail(key, "expected an integer")
-		return 0
-	}
-	n, err := strconv.ParseInt(num.String(), 10, 64)
-	if err != nil || int64(int(n)) != n {
-		o.fail(key, "expected an integer in range")
-		return 0
-	}
-	return int(n)
-}
-
-func (o *objReader) int64Field(key string) int64 {
-	v, ok := o.get(key)
-	if !ok {
-		return 0
-	}
-	num, isNum := v.(json.Number)
-	if !isNum {
-		o.fail(key, "expected an integer")
-		return 0
-	}
-	n, err := strconv.ParseInt(num.String(), 10, 64)
-	if err != nil {
-		o.fail(key, "expected an integer in range")
-		return 0
-	}
-	return n
-}
-
-func (o *objReader) uint64Field(key string) uint64 {
-	v, ok := o.get(key)
-	if !ok {
-		return 0
-	}
-	num, isNum := v.(json.Number)
-	if !isNum {
-		o.fail(key, "expected an unsigned integer")
-		return 0
-	}
-	n, err := strconv.ParseUint(num.String(), 10, 64)
-	if err != nil {
-		o.fail(key, "expected an unsigned integer in range")
-		return 0
-	}
-	return n
-}
-
-func (o *objReader) array(key string) []any {
-	v, ok := o.get(key)
-	if !ok {
-		return nil
-	}
-	arr, isArr := v.([]any)
-	if !isArr && v != nil {
-		o.fail(key, "expected an array")
-		return nil
-	}
-	return arr
-}
-
-// finish errors on any key the reader never consumed (unknown fields).
-func (o *objReader) finish() error {
-	if o.err != nil {
-		return o.err
-	}
-	for _, k := range o.obj.keys {
-		if !o.seen[k] {
-			return parseErr("%s: unknown field %q", o.path, k)
+		key, _ := tok.(string) // the decoder yields only strings as keys
+		if seen[key] {
+			return parseErr("duplicate key %q", key)
 		}
+		seen[key] = true
+		if tok, err = w.token(depth + 1); err != nil {
+			return err
+		}
+		if f, ok := field(v, key); ok {
+			err = w.value(f, tok, path+"."+key, prefix+key, depth+1)
+		} else {
+			unknown = append(unknown, key)
+			err = w.skip(tok, depth+1)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if err := w.end(); err != nil {
+		return err
+	}
+	if len(unknown) > 0 {
+		return parseErr("%s: unknown field %q", path, unknown[0])
 	}
 	return nil
 }
 
-func specFromTree(obj *jsonObject) (*Spec, error) {
-	o := &objReader{path: "spec", obj: obj, seen: map[string]bool{}}
-	s := &Spec{
-		Name:     o.str("name"),
-		Seed:     o.uint64Field("seed"),
-		HorizonS: o.float("horizon_s"),
-		FS:       o.str("fs"),
-	}
-	if v, ok := o.get("cluster"); ok {
-		c, err := newObjReader("cluster", v)
-		if err != nil {
-			return nil, err
-		}
-		s.Cluster = ClusterSpec{
-			Nodes:        c.integer("nodes"),
-			RanksPerNode: c.integer("ranks_per_node"),
-		}
-		if err := c.finish(); err != nil {
-			return nil, err
+// field returns the field of struct v whose json tag names key exactly.
+func field(v reflect.Value, key string) (reflect.Value, bool) {
+	for i := 0; i < v.NumField(); i++ {
+		if name, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ","); name == key && name != "" {
+			return v.Field(i), true
 		}
 	}
-	if v, ok := o.get("arrival"); ok {
-		a, err := newObjReader("arrival", v)
-		if err != nil {
-			return nil, err
+	return reflect.Value{}, false
+}
+
+// value decodes the value that begins with tok into v. name labels a
+// type error; path names v when it is an object or a list.
+func (w walker) value(v reflect.Value, tok json.Token, name, path string, depth int) error {
+	num, isNum := tok.(json.Number)
+	switch v.Kind() {
+	case reflect.Struct:
+		if tok != json.Delim('{') {
+			return parseErr("%s: expected an object", path)
 		}
-		s.Arrival = ArrivalSpec{
-			Kind:         a.str("kind"),
-			RatePerS:     a.float("rate_per_s"),
-			BurstEveryS:  a.float("burst_every_s"),
-			BurstSize:    a.integer("burst_size"),
-			BurstJitterS: a.float("burst_jitter_s"),
-			MaxJobs:      a.integer("max_jobs"),
+		return w.object(v, path, path+".", depth)
+	case reflect.Slice:
+		if tok == nil { // null is an empty list
+			return nil
 		}
-		for i, pv := range a.array("periods") {
-			p, err := newObjReader(fmt.Sprintf("arrival.periods[%d]", i), pv)
+		if tok != json.Delim('[') {
+			return parseErr("%s: expected an array", name)
+		}
+		for i := 0; w.dec.More(); i++ {
+			tok, err := w.token(depth + 1)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			s.Arrival.Periods = append(s.Arrival.Periods, PeriodSpec{
-				PeriodS:   p.float("period_s"),
-				Amplitude: p.float("amplitude"),
-			})
-			if err := p.finish(); err != nil {
-				return nil, err
+			elem := reflect.New(v.Type().Elem()).Elem()
+			at := fmt.Sprintf("%s[%d]", path, i)
+			if err := w.value(elem, tok, at, at, depth+1); err != nil {
+				return err
 			}
+			v.Set(reflect.Append(v, elem))
 		}
-		if err := a.finish(); err != nil {
-			return nil, err
+		return w.end()
+	case reflect.String:
+		s, ok := tok.(string)
+		if !ok {
+			return parseErr("%s: expected a string", name)
 		}
+		v.SetString(s)
+	case reflect.Float64:
+		f, err := strconv.ParseFloat(string(num), 64)
+		if !isNum {
+			return parseErr("%s: expected a number", name)
+		} else if err != nil {
+			return parseErr("%s: number out of range", name)
+		}
+		v.SetFloat(f)
+	case reflect.Int, reflect.Int64:
+		n, err := strconv.ParseInt(string(num), 10, 64)
+		if !isNum {
+			return parseErr("%s: expected an integer", name)
+		} else if err != nil || v.OverflowInt(n) {
+			return parseErr("%s: expected an integer in range", name)
+		}
+		v.SetInt(n)
+	case reflect.Uint64:
+		n, err := strconv.ParseUint(string(num), 10, 64)
+		if !isNum {
+			return parseErr("%s: expected an unsigned integer", name)
+		} else if err != nil {
+			return parseErr("%s: expected an unsigned integer in range", name)
+		}
+		v.SetUint(n)
+	default:
+		panic("scenario: no decoding for a spec field of type " + v.Type().String())
 	}
-	if v, ok := o.get("pipeline"); ok {
-		p, err := newObjReader("pipeline", v)
+	return nil
+}
+
+// skip consumes the value that begins with tok, an unknown field's.
+func (w walker) skip(tok json.Token, depth int) error {
+	if tok != json.Delim('{') && tok != json.Delim('[') {
+		return nil
+	}
+	for w.dec.More() {
+		if tok == json.Delim('{') {
+			if _, err := w.token(depth + 1); err != nil { // the key
+				return err
+			}
+		}
+		next, err := w.token(depth + 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		s.Pipeline = PipelineSpec{
-			UplinkRatePerS:  p.float("uplink_rate_per_s"),
-			NodeLatencyUS:   p.float("node_latency_us"),
-			UplinkLatencyUS: p.float("uplink_latency_us"),
-		}
-		if err := p.finish(); err != nil {
-			return nil, err
+		if err := w.skip(next, depth+1); err != nil {
+			return err
 		}
 	}
-	for i, jv := range o.array("jobs") {
-		j, err := newObjReader(fmt.Sprintf("jobs[%d]", i), jv)
-		if err != nil {
-			return nil, err
-		}
-		s.Jobs = append(s.Jobs, JobSpec{
-			Kind:         j.str("kind"),
-			Weight:       j.float("weight"),
-			Nodes:        j.integer("nodes"),
-			RanksPerNode: j.integer("ranks_per_node"),
-			BytesPerRank: j.int64Field("bytes_per_rank"),
-			BlockBytes:   j.int64Field("block_bytes"),
-			Iterations:   j.integer("iterations"),
-			FilesPerRank: j.integer("files_per_rank"),
-			FileBytes:    j.int64Field("file_bytes"),
-			Trace:        j.str("trace"),
-			Speedup:      j.float("speedup"),
-		})
-		if err := j.finish(); err != nil {
-			return nil, err
-		}
-	}
-	if v, ok := o.get("faults"); ok {
-		f, err := newObjReader("faults", v)
-		if err != nil {
-			return nil, err
-		}
-		s.Faults.RandomEvents = f.integer("random_events")
-		for i, ev := range f.array("events") {
-			e, err := newObjReader(fmt.Sprintf("faults.events[%d]", i), ev)
-			if err != nil {
-				return nil, err
-			}
-			s.Faults.Events = append(s.Faults.Events, FaultEventSpec{
-				Kind:    e.str("kind"),
-				Target:  e.str("target"),
-				AtFrac:  e.float("at_frac"),
-				DurFrac: e.float("dur_frac"),
-				ExtraMS: e.float("extra_ms"),
-			})
-			if err := e.finish(); err != nil {
-				return nil, err
-			}
-		}
-		if err := f.finish(); err != nil {
-			return nil, err
-		}
-	}
-	if err := o.finish(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return w.end()
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"sort"
 	"strconv"
 	"strings"
@@ -124,51 +125,18 @@ func BuildPlan(s *Spec, campaignSeed uint64) *Plan {
 
 // resolveJob applies template and cluster defaults.
 func resolveJob(t *JobSpec, c ClusterSpec) PlannedJob {
-	nodes := t.Nodes
-	if nodes == 0 {
-		nodes = defaultJobNodes
-	}
-	if nodes > c.Nodes {
-		nodes = c.Nodes
-	}
-	rpn := t.RanksPerNode
-	if rpn == 0 {
-		rpn = c.RanksPerNode
-	}
-	if rpn == 0 {
-		rpn = defaultRanksPerNode
-	}
-	j := PlannedJob{
+	return PlannedJob{
 		Kind:         t.Kind,
-		NodeIndexes:  make([]int, nodes),
-		RanksPerNode: rpn,
-		BytesPerRank: t.BytesPerRank,
-		BlockBytes:   t.BlockBytes,
-		Iterations:   t.Iterations,
-		FilesPerRank: t.FilesPerRank,
-		FileBytes:    t.FileBytes,
+		NodeIndexes:  make([]int, min(cmp.Or(t.Nodes, defaultJobNodes), c.Nodes)),
+		RanksPerNode: cmp.Or(t.RanksPerNode, c.RanksPerNode, defaultRanksPerNode),
+		BytesPerRank: cmp.Or(t.BytesPerRank, defaultBytesPerRank),
+		BlockBytes:   cmp.Or(t.BlockBytes, defaultBlockBytes),
+		Iterations:   cmp.Or(t.Iterations, defaultIterations),
+		FilesPerRank: cmp.Or(t.FilesPerRank, defaultFilesPerRank),
+		FileBytes:    cmp.Or(t.FileBytes, defaultFileBytes),
 		Trace:        t.Trace,
-		Speedup:      t.Speedup,
+		Speedup:      cmp.Or(t.Speedup, 1),
 	}
-	if j.BytesPerRank == 0 {
-		j.BytesPerRank = defaultBytesPerRank
-	}
-	if j.BlockBytes == 0 {
-		j.BlockBytes = defaultBlockBytes
-	}
-	if j.Iterations == 0 {
-		j.Iterations = defaultIterations
-	}
-	if j.FilesPerRank == 0 {
-		j.FilesPerRank = defaultFilesPerRank
-	}
-	if j.FileBytes == 0 {
-		j.FileBytes = defaultFileBytes
-	}
-	if j.Speedup == 0 {
-		j.Speedup = 1
-	}
-	return j
 }
 
 // buildFaultProfile resolves the spec's explicit fault events against the
@@ -204,7 +172,7 @@ func buildFaultProfile(s *Spec, r *rng.Stream, horizon time.Duration, usedNodes 
 			links = append(links, "uplink")
 		}
 		for _, idx := range usedNodes {
-			links = append(links, "node-"+itoa(idx))
+			links = append(links, "node-"+strconv.Itoa(idx))
 		}
 		rp := faults.RandomProfile(r, s.Name+"-random", horizon, s.Faults.RandomEvents, links, nil)
 		p.Events = append(p.Events, rp.Events...)
@@ -213,7 +181,7 @@ func buildFaultProfile(s *Spec, r *rng.Stream, horizon time.Duration, usedNodes 
 	return p
 }
 
-// nodeTargetIndex parses a validated "node-<i>" fault target.
+// nodeTargetIndex parses a "node-<i>" fault target.
 func nodeTargetIndex(t string) (int, bool) {
 	const prefix = "node-"
 	if !strings.HasPrefix(t, prefix) {
@@ -221,20 +189,4 @@ func nodeTargetIndex(t string) (int, bool) {
 	}
 	i, err := strconv.Atoi(t[len(prefix):])
 	return i, err == nil
-}
-
-// itoa avoids pulling strconv into the hot planning loop signature; tiny
-// and allocation-free for small indexes.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -16,12 +16,20 @@
 // hand-wrote, each one a replayable campaign (ROADMAP open item 3;
 // Recorder arXiv:2501.04654 motivates trace-driven evaluation, LASSi
 // arXiv:1906.03884 diverse contention scenarios).
+//
+// The Spec structs are the schema: Parse walks the JSON token stream into
+// them by their json tags, so a new spec field is one tagged struct line.
+// The walk is strict where encoding/json is lenient. A duplicate key, a
+// key that matches a tag only case-insensitively, an unknown field, null
+// anywhere but a list, nesting deeper than 16 levels, a top level that is
+// not an object and trailing content are errors, as are a wrong type and
+// an out-of-range number; each names its field path ("jobs[2].weight",
+// "arrival.periods[0]").
 package scenario
 
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -36,6 +44,10 @@ const (
 	MaxRandomFaults = 64
 	MaxPeriods      = 16
 	MaxJobsCap      = 10_000
+	MaxHorizonS     = 1_000_000 // ≈11.6 days: Horizon() cannot wrap (a time.Duration spans ≈292 years)
+	// MaxArrivalDraws bounds the arrivals a bursty or diurnal process
+	// draws while planning, landed or not (see validateArrival).
+	MaxArrivalDraws = 1_000_000
 	// DefaultMaxJobs caps arrivals when the spec does not set max_jobs.
 	DefaultMaxJobs = 256
 )
@@ -228,6 +240,9 @@ func (s *Spec) Validate() error {
 	if !(s.HorizonS > 0) {
 		return invalid("horizon_s", "must be positive, got %v", s.HorizonS)
 	}
+	if s.HorizonS > MaxHorizonS {
+		return invalid("horizon_s", "must be at most %d, got %v", MaxHorizonS, s.HorizonS)
+	}
 	if s.Cluster.Nodes < 1 || s.Cluster.Nodes > MaxClusterNodes {
 		return invalid("cluster.nodes", "must be in [1, %d], got %d", MaxClusterNodes, s.Cluster.Nodes)
 	}
@@ -266,6 +281,9 @@ func (s *Spec) validateArrival() error {
 		if a.BurstJitterS < 0 {
 			return invalid("arrival.burst_jitter_s", "must be non-negative, got %v", a.BurstJitterS)
 		}
+		if draws := s.HorizonS / a.BurstEveryS * float64(a.BurstSize); draws > MaxArrivalDraws {
+			return invalid("arrival", "bursts draw %g arrivals (horizon_s / burst_every_s × burst_size), at most %d", draws, MaxArrivalDraws)
+		}
 	default:
 		return invalid("arrival.kind", "must be one of %s, %s, %s; got %q",
 			ArrivalPoisson, ArrivalDiurnal, ArrivalBursty, a.Kind)
@@ -283,6 +301,9 @@ func (s *Spec) validateArrival() error {
 		if p.Amplitude < -1 || p.Amplitude > 1 {
 			return invalid(fmt.Sprintf("arrival.periods[%d].amplitude", i), "must be in [-1, 1], got %v", p.Amplitude)
 		}
+	}
+	if draws := a.peakRate() * s.HorizonS; a.Kind == ArrivalDiurnal && draws > MaxArrivalDraws {
+		return invalid("arrival", "thinning draws %g candidate arrivals (rate_per_s × (1 + Σ|amplitude|) × horizon_s), at most %d", draws, MaxArrivalDraws)
 	}
 	if a.MaxJobs < 0 || a.MaxJobs > MaxJobsCap {
 		return invalid("arrival.max_jobs", "must be in [0, %d], got %d", MaxJobsCap, a.MaxJobs)
@@ -385,13 +406,6 @@ func (s *Spec) validateFaults() error {
 
 // validLinkTarget accepts "uplink" and "node-<i>" for i in [0, nodes).
 func validLinkTarget(t string, nodes int) bool {
-	if t == "uplink" {
-		return true
-	}
-	const prefix = "node-"
-	if !strings.HasPrefix(t, prefix) {
-		return false
-	}
-	i, err := strconv.Atoi(t[len(prefix):])
-	return err == nil && i >= 0 && i < nodes && t == prefix+strconv.Itoa(i)
+	i, ok := nodeTargetIndex(t)
+	return t == "uplink" || ok && i >= 0 && i < nodes && t == "node-"+strconv.Itoa(i)
 }

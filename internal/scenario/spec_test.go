@@ -28,81 +28,91 @@ func TestValidateAcceptsBaseline(t *testing.T) {
 
 // One golden case per validation error class: the exact message is part of
 // the user-facing contract (dlc-experiments prints it verbatim).
+var validateGoldenCases = []struct {
+	name   string
+	mutate func(*Spec)
+	want   string
+}{
+	{"missing name", func(s *Spec) { s.Name = "" },
+		`scenario: name: required`},
+	{"bad fs", func(s *Spec) { s.FS = "GPFS" },
+		`scenario: fs: must be "NFS" or "Lustre", got "GPFS"`},
+	{"non-positive horizon", func(s *Spec) { s.HorizonS = 0 },
+		`scenario: horizon_s: must be positive, got 0`},
+	{"horizon past the cap", func(s *Spec) { s.HorizonS = 1e10 },
+		`scenario: horizon_s: must be at most 1000000, got 1e+10`},
+	{"cluster too large", func(s *Spec) { s.Cluster.Nodes = 10001 },
+		`scenario: cluster.nodes: must be in [1, 10000], got 10001`},
+	{"ranks per node over cap", func(s *Spec) { s.Cluster.RanksPerNode = 65 },
+		`scenario: cluster.ranks_per_node: must be in [0, 64], got 65`},
+	{"unknown arrival kind", func(s *Spec) { s.Arrival.Kind = "uniform" },
+		`scenario: arrival.kind: must be one of poisson, diurnal, bursty; got "uniform"`},
+	{"poisson needs rate", func(s *Spec) { s.Arrival.RatePerS = 0 },
+		`scenario: arrival.rate_per_s: must be positive for poisson arrivals, got 0`},
+	{"diurnal needs periods", func(s *Spec) {
+		s.Arrival.Kind = ArrivalDiurnal
+	}, `scenario: arrival.periods: diurnal arrivals need at least one period`},
+	{"period must be positive", func(s *Spec) {
+		s.Arrival.Kind = ArrivalDiurnal
+		s.Arrival.Periods = []PeriodSpec{{PeriodS: 0, Amplitude: 0.5}}
+	}, `scenario: arrival.periods[0].period_s: must be positive, got 0`},
+	{"amplitude out of range", func(s *Spec) {
+		s.Arrival.Kind = ArrivalDiurnal
+		s.Arrival.Periods = []PeriodSpec{{PeriodS: 10, Amplitude: 1.5}}
+	}, `scenario: arrival.periods[0].amplitude: must be in [-1, 1], got 1.5`},
+	{"bursty needs spacing", func(s *Spec) {
+		s.Arrival.Kind = ArrivalBursty
+		s.Arrival.BurstSize = 4
+	}, `scenario: arrival.burst_every_s: must be positive for bursty arrivals, got 0`},
+	{"bursty needs size", func(s *Spec) {
+		s.Arrival.Kind = ArrivalBursty
+		s.Arrival.BurstEveryS = 5
+	}, `scenario: arrival.burst_size: must be at least 1 for bursty arrivals, got 0`},
+	{"bursts past the draw cap", func(s *Spec) {
+		s.HorizonS = 5
+		s.Arrival = ArrivalSpec{Kind: ArrivalBursty, BurstEveryS: 1e-8, BurstSize: 1, BurstJitterS: 1e12}
+	}, `scenario: arrival: bursts draw 5e+08 arrivals (horizon_s / burst_every_s × burst_size), at most 1000000`},
+	{"thinning past the draw cap", func(s *Spec) {
+		s.Arrival = ArrivalSpec{Kind: ArrivalDiurnal, RatePerS: 1e6, Periods: []PeriodSpec{{PeriodS: 10, Amplitude: -1}}}
+	}, `scenario: arrival: thinning draws 2e+07 candidate arrivals (rate_per_s × (1 + Σ|amplitude|) × horizon_s), at most 1000000`},
+	{"max jobs over cap", func(s *Spec) { s.Arrival.MaxJobs = 10001 },
+		`scenario: arrival.max_jobs: must be in [0, 10000], got 10001`},
+	{"negative uplink rate", func(s *Spec) { s.Pipeline.UplinkRatePerS = -1 },
+		`scenario: pipeline.uplink_rate_per_s: must be non-negative, got -1`},
+	{"no job templates", func(s *Spec) { s.Jobs = nil },
+		`scenario: jobs: must list at least one job template`},
+	{"unknown job kind", func(s *Spec) { s.Jobs[0].Kind = "mapreduce" },
+		`scenario: jobs[0].kind: must be one of checkpoint, shared-file, metadata-storm, small-file, replay; got "mapreduce"`},
+	{"non-positive weight", func(s *Spec) { s.Jobs[0].Weight = 0 },
+		`scenario: jobs[0].weight: must be positive, got 0`},
+	{"job wider than cluster", func(s *Spec) { s.Jobs[0].Nodes = 25 },
+		`scenario: jobs[0].nodes: must be in [0, cluster.nodes=24], got 25`},
+	{"replay needs trace", func(s *Spec) { s.Jobs[0] = JobSpec{Kind: JobReplay, Weight: 1} },
+		`scenario: jobs[0].trace: replay jobs must name a trace`},
+	{"trace on non-replay", func(s *Spec) { s.Jobs[0].Trace = "builtin:sample" },
+		`scenario: jobs[0].trace: only valid for replay jobs`},
+	{"unknown fault kind", func(s *Spec) {
+		s.Faults.Events = []FaultEventSpec{{Kind: "meteor", Target: "uplink"}}
+	}, `scenario: faults.events[0].kind: must be one of link-partition, latency-spike, slow-subscriber, daemon-crash; got "meteor"`},
+	{"bad link target", func(s *Spec) {
+		s.Faults.Events = []FaultEventSpec{{Kind: FaultLinkPartition, Target: "node-24"}}
+	}, `scenario: faults.events[0].target: must be "uplink" or "node-<i>" with i < cluster.nodes, got "node-24"`},
+	{"uplink fault vs rate limit", func(s *Spec) {
+		s.Pipeline.UplinkRatePerS = 100
+		s.Faults.Events = []FaultEventSpec{{Kind: FaultLinkPartition, Target: "uplink"}}
+	}, `scenario: faults.events[0].target: uplink faults conflict with pipeline.uplink_rate_per_s (the rate-limited uplink is not fault-addressable)`},
+	{"crash targets head only", func(s *Spec) {
+		s.Faults.Events = []FaultEventSpec{{Kind: FaultDaemonCrash, Target: "node-0"}}
+	}, `scenario: faults.events[0].target: daemon-crash targets "head", got "node-0"`},
+	{"at_frac out of range", func(s *Spec) {
+		s.Faults.Events = []FaultEventSpec{{Kind: FaultLinkPartition, Target: "uplink", AtFrac: 1.5}}
+	}, `scenario: faults.events[0].at_frac: must be in [0, 1], got 1.5`},
+	{"random events over cap", func(s *Spec) { s.Faults.RandomEvents = 65 },
+		`scenario: faults.random_events: must be in [0, 64], got 65`},
+}
+
 func TestValidateGoldenErrors(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*Spec)
-		want   string
-	}{
-		{"missing name", func(s *Spec) { s.Name = "" },
-			`scenario: name: required`},
-		{"bad fs", func(s *Spec) { s.FS = "GPFS" },
-			`scenario: fs: must be "NFS" or "Lustre", got "GPFS"`},
-		{"non-positive horizon", func(s *Spec) { s.HorizonS = 0 },
-			`scenario: horizon_s: must be positive, got 0`},
-		{"cluster too large", func(s *Spec) { s.Cluster.Nodes = 10001 },
-			`scenario: cluster.nodes: must be in [1, 10000], got 10001`},
-		{"ranks per node over cap", func(s *Spec) { s.Cluster.RanksPerNode = 65 },
-			`scenario: cluster.ranks_per_node: must be in [0, 64], got 65`},
-		{"unknown arrival kind", func(s *Spec) { s.Arrival.Kind = "uniform" },
-			`scenario: arrival.kind: must be one of poisson, diurnal, bursty; got "uniform"`},
-		{"poisson needs rate", func(s *Spec) { s.Arrival.RatePerS = 0 },
-			`scenario: arrival.rate_per_s: must be positive for poisson arrivals, got 0`},
-		{"diurnal needs periods", func(s *Spec) {
-			s.Arrival.Kind = ArrivalDiurnal
-		}, `scenario: arrival.periods: diurnal arrivals need at least one period`},
-		{"period must be positive", func(s *Spec) {
-			s.Arrival.Kind = ArrivalDiurnal
-			s.Arrival.Periods = []PeriodSpec{{PeriodS: 0, Amplitude: 0.5}}
-		}, `scenario: arrival.periods[0].period_s: must be positive, got 0`},
-		{"amplitude out of range", func(s *Spec) {
-			s.Arrival.Kind = ArrivalDiurnal
-			s.Arrival.Periods = []PeriodSpec{{PeriodS: 10, Amplitude: 1.5}}
-		}, `scenario: arrival.periods[0].amplitude: must be in [-1, 1], got 1.5`},
-		{"bursty needs spacing", func(s *Spec) {
-			s.Arrival.Kind = ArrivalBursty
-			s.Arrival.BurstSize = 4
-		}, `scenario: arrival.burst_every_s: must be positive for bursty arrivals, got 0`},
-		{"bursty needs size", func(s *Spec) {
-			s.Arrival.Kind = ArrivalBursty
-			s.Arrival.BurstEveryS = 5
-		}, `scenario: arrival.burst_size: must be at least 1 for bursty arrivals, got 0`},
-		{"max jobs over cap", func(s *Spec) { s.Arrival.MaxJobs = 10001 },
-			`scenario: arrival.max_jobs: must be in [0, 10000], got 10001`},
-		{"negative uplink rate", func(s *Spec) { s.Pipeline.UplinkRatePerS = -1 },
-			`scenario: pipeline.uplink_rate_per_s: must be non-negative, got -1`},
-		{"no job templates", func(s *Spec) { s.Jobs = nil },
-			`scenario: jobs: must list at least one job template`},
-		{"unknown job kind", func(s *Spec) { s.Jobs[0].Kind = "mapreduce" },
-			`scenario: jobs[0].kind: must be one of checkpoint, shared-file, metadata-storm, small-file, replay; got "mapreduce"`},
-		{"non-positive weight", func(s *Spec) { s.Jobs[0].Weight = 0 },
-			`scenario: jobs[0].weight: must be positive, got 0`},
-		{"job wider than cluster", func(s *Spec) { s.Jobs[0].Nodes = 25 },
-			`scenario: jobs[0].nodes: must be in [0, cluster.nodes=24], got 25`},
-		{"replay needs trace", func(s *Spec) { s.Jobs[0] = JobSpec{Kind: JobReplay, Weight: 1} },
-			`scenario: jobs[0].trace: replay jobs must name a trace`},
-		{"trace on non-replay", func(s *Spec) { s.Jobs[0].Trace = "builtin:sample" },
-			`scenario: jobs[0].trace: only valid for replay jobs`},
-		{"unknown fault kind", func(s *Spec) {
-			s.Faults.Events = []FaultEventSpec{{Kind: "meteor", Target: "uplink"}}
-		}, `scenario: faults.events[0].kind: must be one of link-partition, latency-spike, slow-subscriber, daemon-crash; got "meteor"`},
-		{"bad link target", func(s *Spec) {
-			s.Faults.Events = []FaultEventSpec{{Kind: FaultLinkPartition, Target: "node-24"}}
-		}, `scenario: faults.events[0].target: must be "uplink" or "node-<i>" with i < cluster.nodes, got "node-24"`},
-		{"uplink fault vs rate limit", func(s *Spec) {
-			s.Pipeline.UplinkRatePerS = 100
-			s.Faults.Events = []FaultEventSpec{{Kind: FaultLinkPartition, Target: "uplink"}}
-		}, `scenario: faults.events[0].target: uplink faults conflict with pipeline.uplink_rate_per_s (the rate-limited uplink is not fault-addressable)`},
-		{"crash targets head only", func(s *Spec) {
-			s.Faults.Events = []FaultEventSpec{{Kind: FaultDaemonCrash, Target: "node-0"}}
-		}, `scenario: faults.events[0].target: daemon-crash targets "head", got "node-0"`},
-		{"at_frac out of range", func(s *Spec) {
-			s.Faults.Events = []FaultEventSpec{{Kind: FaultLinkPartition, Target: "uplink", AtFrac: 1.5}}
-		}, `scenario: faults.events[0].at_frac: must be in [0, 1], got 1.5`},
-		{"random events over cap", func(s *Spec) { s.Faults.RandomEvents = 65 },
-			`scenario: faults.random_events: must be in [0, 64], got 65`},
-	}
-	for _, tc := range cases {
+	for _, tc := range validateGoldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := validSpec()
 			tc.mutate(s)
@@ -118,31 +128,41 @@ func TestValidateGoldenErrors(t *testing.T) {
 }
 
 // One golden case per parser error class.
+var parseGoldenCases = []struct {
+	name string
+	in   string
+	want string // substring of the error
+}{
+	{"duplicate key", `{"name": "a", "name": "b"}`, `duplicate key "name"`},
+	{"unknown field", `{"name": "a", "colour": 3}`, `spec: unknown field "colour"`},
+	{"unknown nested field", `{"cluster": {"nodes": 4, "cores": 8}}`, `cluster: unknown field "cores"`},
+	{"type mismatch", `{"name": 42}`, `spec.name: expected a string`},
+	{"non-integer count", `{"cluster": {"nodes": 4.5}}`, `cluster.nodes: expected an integer`},
+	{"number out of range", `{"cluster": {"nodes": 99999999999999999999999999}}`, `cluster.nodes: expected an integer in range`},
+	{"trailing content", `{"name": "a"} {"name": "b"}`, `trailing content after spec`},
+	{"top level not object", `[1, 2, 3]`, `top level must be an object`},
+	{"truncated", `{"name": "a", "cluster": {`, `EOF`},
+	{"too deep", strings.Repeat(`{"cluster":`, 20) + `1` + strings.Repeat(`}`, 20), `nesting deeper than 16 levels`},
+	{"key differs from its tag in case", `{"Name": "a"}`, `spec: unknown field "Name"`},
+	{"null scalar", `{"cluster": {"nodes": null}}`, `cluster.nodes: expected an integer`},
+	{"null object", `{"pipeline": null}`, `pipeline: expected an object`},
+	{"type error in a list element", `{"jobs": [{}, {}, {"kind": 1}]}`, `jobs[2].kind: expected a string`},
+	{"indexed path", `{"arrival": {"periods": [{"period_s": 1}, {"period": 1}]}}`, `arrival.periods[1]: unknown field "period"`},
+}
+
+// TestParseGoldenErrors holds Parse, and the reference tree reader, to
+// every row's text.
 func TestParseGoldenErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-		want string // substring of the error
-	}{
-		{"duplicate key", `{"name": "a", "name": "b"}`, `duplicate key "name"`},
-		{"unknown field", `{"name": "a", "colour": 3}`, `spec: unknown field "colour"`},
-		{"unknown nested field", `{"cluster": {"nodes": 4, "cores": 8}}`, `cluster: unknown field "cores"`},
-		{"type mismatch", `{"name": 42}`, `spec.name: expected a string`},
-		{"non-integer count", `{"cluster": {"nodes": 4.5}}`, `cluster.nodes: expected an integer`},
-		{"number out of range", `{"cluster": {"nodes": 99999999999999999999999999}}`, `cluster.nodes: expected an integer in range`},
-		{"trailing content", `{"name": "a"} {"name": "b"}`, `trailing content after spec`},
-		{"top level not object", `[1, 2, 3]`, `top level must be an object`},
-		{"truncated", `{"name": "a", "cluster": {`, `EOF`},
-		{"too deep", strings.Repeat(`{"cluster":`, 20) + `1` + strings.Repeat(`}`, 20), `nesting deeper than 16 levels`},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseGoldenCases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse([]byte(tc.in))
-			if err == nil {
-				t.Fatalf("want error containing %q, got nil", tc.want)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not contain %q", err.Error(), tc.want)
+			for _, parse := range []func([]byte) (*Spec, error){Parse, refParse} {
+				_, err := parse([]byte(tc.in))
+				if err == nil {
+					t.Fatalf("want error containing %q, got nil", tc.want)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("error %q does not contain %q", err.Error(), tc.want)
+				}
 			}
 		})
 	}

@@ -15,26 +15,24 @@ import (
 //
 //	          Fetch                 Ack
 //	pending ───────▶ inflight ───────────▶ acked ──▶ floor advances
-//	  ▲                │  │                           (durable cursor)
-//	  │   deadline/Nak │  │ MaxDeliver exceeded
-//	  └────────────────┘  └──────▶ dead-lettered (counted, skipped)
+//	  ▲                │                              (durable cursor)
+//	  │   deadline/Nak │
+//	  └────────────────┘
 //
-// The acked floor — every sequence at or below it is acked, skipped or
-// dead-lettered — is checkpointed to the stream's WAL segment whenever
-// it advances, so a restarted consumer resumes exactly where its durable
-// cursor left off. Messages acked out of order above the floor are
-// remembered in memory only: after a crash they are redelivered, never
-// skipped, keeping the contract at-least-once (pair the handler with an
-// ldms.DedupStore for exactly-once effect). The floor is monotone by
-// construction; it never moves backward, crash or no crash.
+// The acked floor — every sequence at or below it is acked, or was
+// evicted by retention before it could be — is checkpointed to the
+// stream's WAL segment whenever it advances, so a restarted consumer
+// resumes exactly where its durable cursor left off. Messages acked out
+// of order above the floor are remembered in memory only: after a crash
+// they are redelivered, never skipped, keeping the contract
+// at-least-once (pair the handler with an ldms.DedupStore for
+// exactly-once effect). The floor is monotone by construction; it never
+// moves backward, crash or no crash.
 type Consumer struct {
 	s           *DurableStream
 	name        string
-	filter      string
 	maxInflight int
 	ackWait     time.Duration
-	backoffMax  time.Duration
-	maxDeliver  int
 
 	// All mutable state below is guarded by s.mu.
 	floor   uint64
@@ -47,13 +45,11 @@ type Consumer struct {
 	bodyRound []Delivery // FetchBodies' result, reused by the next
 	bodySlots []slot     // and the slot of each of its deliveries
 
-	delivered    uint64
-	redelivered  uint64
-	ackedCount   uint64
-	naks         uint64
-	filtered     uint64 // skipped: subject outside the consumer's filter
-	missed       uint64 // skipped: evicted by retention before delivery
-	deadLettered uint64
+	delivered   uint64
+	redelivered uint64
+	ackedCount  uint64
+	naks        uint64
+	missed      uint64 // skipped: evicted by retention before delivery
 }
 
 // inflightMsg tracks one delivered-but-unacked message.
@@ -69,10 +65,6 @@ type ConsumerConfig struct {
 	// checkpointed under it and a later Consumer call with the same name
 	// resumes from its floor.
 	Name string
-	// Filter restricts delivery to matching subjects (wildcards
-	// allowed); non-matching sequences are skipped and the cursor
-	// advances over them. Default ">" (everything).
-	Filter string
 	// StartSeq is where a consumer with no durable cursor begins
 	// (replay-from-sequence for late joiners). 0 or 1 starts at the
 	// stream's first retained message.
@@ -82,15 +74,8 @@ type ConsumerConfig struct {
 	MaxInflight int
 	// AckWait is the base redelivery deadline: a delivery unacked after
 	// AckWait becomes eligible again, with the deadline doubling per
-	// redelivery up to BackoffMax. Default 30s.
+	// redelivery up to 8 x AckWait. Default 30s.
 	AckWait time.Duration
-	// BackoffMax caps the exponential redelivery deadline. Default
-	// 8 x AckWait.
-	BackoffMax time.Duration
-	// MaxDeliver, when positive, bounds deliveries per message: a
-	// message exceeding it is dead-lettered (counted, cursor advances)
-	// instead of redelivered forever. Default 0 (unlimited).
-	MaxDeliver int
 }
 
 // Errors returned by consumer operations.
@@ -118,20 +103,17 @@ type Delivery struct {
 
 // ConsumerStats is a point-in-time snapshot of one consumer.
 type ConsumerStats struct {
-	Name         string
-	Filter       string
-	AckFloor     uint64 // every sequence <= this is settled
-	Lag          uint64 // stream head minus floor: how far behind, right now
-	LagPeak      uint64 // the deepest Lag any Fetch has faced since the last telemetry scrape
-	Inflight     int    // delivered, unacked
-	Delivered    uint64 // first deliveries
-	Redelivered  uint64 // deadline/Nak redeliveries
-	Acked        uint64
-	Naks         uint64
-	Filtered     uint64 // skipped, subject outside filter
-	Missed       uint64 // skipped, evicted by retention before delivery
-	DeadLettered uint64
-	Closed       bool
+	Name        string
+	AckFloor    uint64 // every sequence <= this is settled
+	Lag         uint64 // stream head minus floor: how far behind, right now
+	LagPeak     uint64 // the deepest Lag any Fetch has faced since the last telemetry scrape
+	Inflight    int    // delivered, unacked
+	Delivered   uint64 // first deliveries
+	Redelivered uint64 // deadline/Nak redeliveries
+	Acked       uint64
+	Naks        uint64
+	Missed      uint64 // skipped, evicted by retention before delivery
+	Closed      bool
 }
 
 // Consumer returns the named durable consumer, resuming from its
@@ -143,20 +125,11 @@ func (s *DurableStream) Consumer(cfg ConsumerConfig) (*Consumer, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("streams: consumer needs a name")
 	}
-	if cfg.Filter == "" {
-		cfg.Filter = TailWildcard
-	}
-	if !ValidFilter(cfg.Filter) {
-		return nil, fmt.Errorf("streams: consumer %q: invalid filter %q", cfg.Name, cfg.Filter)
-	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 64
 	}
 	if cfg.AckWait <= 0 {
 		cfg.AckWait = 30 * time.Second
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 8 * cfg.AckWait
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -176,11 +149,8 @@ func (s *DurableStream) Consumer(cfg ConsumerConfig) (*Consumer, error) {
 	c := &Consumer{
 		s:           s,
 		name:        cfg.Name,
-		filter:      cfg.Filter,
 		maxInflight: cfg.MaxInflight,
 		ackWait:     cfg.AckWait,
-		backoffMax:  cfg.BackoffMax,
-		maxDeliver:  cfg.MaxDeliver,
 		floor:       floor,
 		acked:       map[uint64]struct{}{},
 		infl:        map[uint64]inflightMsg{},
@@ -195,28 +165,17 @@ func (s *DurableStream) Consumer(cfg ConsumerConfig) (*Consumer, error) {
 func (c *Consumer) Name() string { return c.name }
 
 // backoffFor returns the redelivery deadline for the nth delivery:
-// AckWait doubled per prior delivery, capped at BackoffMax.
+// AckWait doubled per prior delivery, capped at 8 x AckWait.
 func (c *Consumer) backoffFor(deliveries int) time.Duration {
-	d := c.ackWait
-	for i := 1; i < deliveries; i++ {
-		d *= 2
-		if d >= c.backoffMax {
-			return c.backoffMax
-		}
-	}
-	if d > c.backoffMax {
-		d = c.backoffMax
-	}
-	return d
+	return c.ackWait << min(deliveries-1, 3)
 }
 
 // Fetch returns up to max deliveries: first any inflight messages whose
 // redelivery deadline has passed (oldest sequence first), then new
-// messages while the inflight window has room. A message outside the
-// consumer's subject filter, evicted by retention before delivery, or
-// past MaxDeliver is settled in place — counted and skipped, cursor
-// advanced — rather than delivered. Fetch never blocks; an empty result
-// means nothing is currently deliverable.
+// messages while the inflight window has room. A message evicted by
+// retention before delivery is settled in place — counted and skipped,
+// cursor advanced — rather than delivered. Fetch never blocks; an empty
+// result means nothing is currently deliverable.
 func (c *Consumer) Fetch(max int) ([]Delivery, error) { return c.fetch(max, false) }
 
 // FetchBodies is Fetch for a caller that forwards what the stream stored.
@@ -290,18 +249,12 @@ func (c *Consumer) fetch(max int, bodies bool) ([]Delivery, error) {
 		if sl, err = s.slotAt(seq); err != nil {
 			break
 		}
-		st := c.infl[seq]
-		switch {
-		case c.maxDeliver > 0 && st.deliveries >= c.maxDeliver && sl != nil:
-			delete(c.infl, seq)
-			c.deadLettered++
-			c.settleLocked(seq)
-		case deliver(seq, sl, st.deliveries+1):
+		if st := c.infl[seq]; deliver(seq, sl, st.deliveries+1) {
 			st.deliveries++
 			st.due = now + c.backoffFor(st.deliveries)
 			c.infl[seq] = st
 			c.redelivered++
-		default:
+		} else {
 			// Evicted by retention while inflight: it can never be
 			// delivered again. Settle it so the cursor is not pinned.
 			delete(c.infl, seq)
@@ -325,14 +278,10 @@ func (c *Consumer) fetch(max int, bodies bool) ([]Delivery, error) {
 			c.nextSeq = seq
 			break
 		}
-		switch {
-		case sl != nil && !MatchSubject(c.filter, sl.subject):
-			c.filtered++
-			c.settleLocked(seq)
-		case deliver(seq, sl, 1):
+		if deliver(seq, sl, 1) {
 			c.infl[seq] = inflightMsg{deliveries: 1, due: now + c.backoffFor(1)}
 			c.delivered++
-		default:
+		} else {
 			// Lagged past retention: the message is gone. Account it and
 			// move on — a stuck cursor would be worse than a counted gap.
 			c.missed++
@@ -531,9 +480,9 @@ func (c *Consumer) closedErrLocked() error {
 // now0 reads the stream clock (helper so Nak stays readable).
 func now0(s *DurableStream) time.Duration { return s.cfg.Clock() }
 
-// settleLocked marks seq settled (acked, skipped or dead-lettered) and
-// advances the floor over the contiguous settled prefix (s.mu held). The
-// in-order case — seq is the floor's successor — never touches acked.
+// settleLocked marks seq settled (acked or skipped) and advances the
+// floor over the contiguous settled prefix (s.mu held). The in-order
+// case — seq is the floor's successor — never touches acked.
 func (c *Consumer) settleLocked(seq uint64) {
 	if seq != c.floor+1 {
 		c.acked[seq] = struct{}{}
@@ -584,20 +533,17 @@ func (c *Consumer) Stats() ConsumerStats {
 
 func (c *Consumer) statsLocked() ConsumerStats {
 	return ConsumerStats{
-		Name:         c.name,
-		Filter:       c.filter,
-		AckFloor:     c.floor,
-		Lag:          c.s.lastSeq - c.floor,
-		LagPeak:      c.lagPeak,
-		Inflight:     len(c.infl),
-		Delivered:    c.delivered,
-		Redelivered:  c.redelivered,
-		Acked:        c.ackedCount,
-		Naks:         c.naks,
-		Filtered:     c.filtered,
-		Missed:       c.missed,
-		DeadLettered: c.deadLettered,
-		Closed:       c.closed,
+		Name:        c.name,
+		AckFloor:    c.floor,
+		Lag:         c.s.lastSeq - c.floor,
+		LagPeak:     c.lagPeak,
+		Inflight:    len(c.infl),
+		Delivered:   c.delivered,
+		Redelivered: c.redelivered,
+		Acked:       c.ackedCount,
+		Naks:        c.naks,
+		Missed:      c.missed,
+		Closed:      c.closed,
 	}
 }
 

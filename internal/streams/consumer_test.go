@@ -91,11 +91,10 @@ func TestConsumerBackoffCapped(t *testing.T) {
 	clk := &testClock{}
 	s := mustOpenStream(t, StreamConfig{Name: "s", Clock: clk.fn()}, nil)
 	mustAppend(t, s, "t", "m")
-	c, _ := s.Consumer(ConsumerConfig{
-		Name: "c", AckWait: time.Second, BackoffMax: 4 * time.Second,
-	})
-	// Deadlines double per delivery — 1s, 2s, 4s — then stay capped at 4s.
-	waits := []time.Duration{time.Second, 2 * time.Second, 4 * time.Second, 4 * time.Second, 4 * time.Second}
+	c, _ := s.Consumer(ConsumerConfig{Name: "c", AckWait: time.Second})
+	// Deadlines double per delivery — 1s, 2s, 4s, 8s — then stay capped
+	// at 8 x AckWait.
+	waits := []time.Duration{time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second, 8 * time.Second, 8 * time.Second}
 	if ds, _ := c.Fetch(1); len(ds) != 1 {
 		t.Fatal("first fetch")
 	}
@@ -156,71 +155,6 @@ func TestConsumerMaxInflightWindow(t *testing.T) {
 	}
 	if st := c.Stats(); st.Inflight != 3 {
 		t.Fatalf("stats %+v", st)
-	}
-}
-
-func TestConsumerMaxDeliverDeadLetters(t *testing.T) {
-	clk := &testClock{}
-	s := mustOpenStream(t, StreamConfig{Name: "s", Clock: clk.fn()}, nil)
-	mustAppend(t, s, "t", "poison")
-	mustAppend(t, s, "t", "good")
-	c, _ := s.Consumer(ConsumerConfig{
-		Name: "c", AckWait: time.Second, BackoffMax: time.Second, MaxDeliver: 3, MaxInflight: 1,
-	})
-	deliveries := 0
-	for i := 0; i < 10; i++ {
-		ds, _ := c.Fetch(1)
-		for _, d := range ds {
-			if string(d.Msg.Data) == "poison" {
-				deliveries++
-			} else {
-				if err := c.Ack(d.Seq); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		clk.Advance(time.Second)
-	}
-	if deliveries != 3 {
-		t.Fatalf("poison delivered %d times, want MaxDeliver=3", deliveries)
-	}
-	st := c.Stats()
-	if st.DeadLettered != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-	// Dead-lettering settles the sequence: the floor moved past it and the
-	// good message was deliverable despite the 1-wide window.
-	if c.AckFloor() != 2 {
-		t.Fatalf("floor %d, want 2", c.AckFloor())
-	}
-}
-
-func TestConsumerFilterSkipsNonMatching(t *testing.T) {
-	s := mustOpenStream(t, StreamConfig{Name: "s"}, nil)
-	mustAppend(t, s, "darshan.a.posix", "p1")
-	mustAppend(t, s, "darshan.a.mpiio", "x")
-	mustAppend(t, s, "darshan.b.posix", "p2")
-	c, _ := s.Consumer(ConsumerConfig{Name: "c", Filter: "darshan.*.posix"})
-	ds, _ := c.Fetch(10)
-	if len(ds) != 2 || ds[0].Msg.Tag != "darshan.a.posix" || ds[1].Msg.Tag != "darshan.b.posix" {
-		t.Fatalf("filtered fetch %+v", ds)
-	}
-	// The skipped sequence is implicitly settled, so acking the two
-	// delivered messages advances the floor over it.
-	if err := c.Ack(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Ack(3); err != nil {
-		t.Fatal(err)
-	}
-	if c.AckFloor() != 3 {
-		t.Fatalf("floor %d, want 3 (skip settled seq 2)", c.AckFloor())
-	}
-	if st := c.Stats(); st.Filtered != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-	if _, err := s.Consumer(ConsumerConfig{Name: "bad", Filter: ">.x"}); err == nil {
-		t.Fatal("invalid filter accepted")
 	}
 }
 
@@ -382,7 +316,7 @@ func TestConsumerStatsAndNames(t *testing.T) {
 	s := mustOpenStream(t, StreamConfig{Name: "s"}, nil)
 	mustAppend(t, s, "t", "m1")
 	mustAppend(t, s, "t", "m2")
-	c, _ := s.Consumer(ConsumerConfig{Name: "live", Filter: ">"})
+	c, _ := s.Consumer(ConsumerConfig{Name: "live"})
 	ds := mustFetch(t, c, 1)
 	if err := c.Ack(ds[0].Seq); err != nil {
 		t.Fatal(err)

@@ -51,7 +51,6 @@ func (b *Bus) Collect(reg *obs.Registry, hop string) {
 //	dlc_stream_consumer_inflight{stream=...,consumer=...}
 //	dlc_stream_consumer_redelivered_total{...}
 //	dlc_stream_consumer_missed_total{...}             lagged past retention
-//	dlc_stream_consumer_deadlettered_total{...}
 //
 // Like the bus collector it only reads state the stream already keeps —
 // append and fetch paths are untouched — and all iteration is sorted. The
@@ -84,7 +83,6 @@ func (s *DurableStream) Collect(reg *obs.Registry) {
 			emit("dlc_stream_consumer_inflight"+cl, float64(cs.Inflight))
 			emit("dlc_stream_consumer_redelivered_total"+cl, float64(cs.Redelivered))
 			emit("dlc_stream_consumer_missed_total"+cl, float64(cs.Missed))
-			emit("dlc_stream_consumer_deadlettered_total"+cl, float64(cs.DeadLettered))
 		}
 	})
 }

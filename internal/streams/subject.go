@@ -70,7 +70,7 @@ func MatchSubject(filter, subject string) bool {
 	if !strings.ContainsAny(filter, "*>") {
 		return filter == subject && filter != ""
 	}
-	if filter == TailWildcard { // every consumer's default: no need to tokenize
+	if filter == TailWildcard { // every stream's default: no need to tokenize
 		return subject != ""
 	}
 	if !ValidFilter(filter) || subject == "" {

@@ -137,14 +137,14 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 			}
 			b.WriteString(`<table border="1" cellpadding="4" style="border-collapse:collapse">` +
 				`<tr><th>consumer</th><th>ack floor</th><th>lag</th><th>inflight</th>` +
-				`<th>delivered</th><th>redelivered</th><th>missed</th><th>dead-lettered</th></tr>`)
+				`<th>delivered</th><th>redelivered</th><th>missed</th></tr>`)
 			for _, c := range v.Consumers {
 				lagStyle := ""
 				if c.Lag > 0 && st.Msgs >= 0 && c.Lag >= uint64(st.Msgs) && st.Dropped > 0 {
 					lagStyle = ` style="background:#fdd"` // lagging past retention
 				}
-				fmt.Fprintf(&b, `<tr%s><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr>`,
-					lagStyle, c.Name, c.AckFloor, c.Lag, c.Inflight, c.Delivered, c.Redelivered, c.Missed, c.DeadLettered)
+				fmt.Fprintf(&b, `<tr%s><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr>`,
+					lagStyle, c.Name, c.AckFloor, c.Lag, c.Inflight, c.Delivered, c.Redelivered, c.Missed)
 			}
 			b.WriteString("</table>")
 		}

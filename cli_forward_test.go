@@ -2,9 +2,9 @@ package darshanldms_test
 
 import (
 	"context"
-	"io"
 	"net"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -226,20 +226,11 @@ func TestCLIRunForward(t *testing.T) {
 	})
 
 	t.Run("window does not drain", func(t *testing.T) {
-		// The upstream answers dlc-run's startup probe and is gone before
-		// the run sends anything.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			conn, err := ln.Accept()
-			ln.Close()
-			if err == nil {
-				_, _ = io.Copy(io.Discard, conn)
-				conn.Close()
-			}
-		}()
+		// The upstream answers dlc-run's startup probe and never takes an
+		// uplink connection: its accept queue holds one connection and is
+		// never drained, so the probe fills it and the kernel drops every
+		// later SYN until the uplink's dial times out.
+		ln := unacceptedListener(t)
 		out, err := run(ln.Addr().String(), "-app", "sw4", "-scale", "0.001")
 		if err == nil {
 			t.Fatalf("dlc-run exited zero with its window undrained:\n%s", out)
@@ -249,4 +240,28 @@ func TestCLIRunForward(t *testing.T) {
 			t.Fatalf("dlc-run did not name its unsent messages:\n%s", out)
 		}
 	})
+}
+
+// unacceptedListener listens on a loopback port with a backlog of zero (an
+// accept queue of one connection) and is never accepted from.
+func unacceptedListener(t *testing.T) net.Listener {
+	t.Helper()
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := os.NewFile(uintptr(fd), "listener")
+	defer f.Close()
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Listen(fd, 0); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.FileListener(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	return ln
 }

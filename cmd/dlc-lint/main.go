@@ -1,19 +1,28 @@
 // dlc-lint is the project's determinism & safety static-analysis driver.
-// It walks the module (or the named directories), runs the check suite
-// from internal/lint, and reports findings with file:line, check name and
-// a fix hint.
+// It loads the packages its arguments name, runs the check suite from
+// internal/lint, and reports findings with file:line, check name and a fix
+// hint.
 //
 // Usage:
 //
-//	dlc-lint [flags] [./... | dir ...]
+//	dlc-lint [flags] [package pattern ...]
 //
 //	dlc-lint ./...                      # whole module, text output
+//	dlc-lint ./internal/sim/...         # one subtree
 //	dlc-lint -json ./...                # machine-readable report envelope
 //	dlc-lint -checks walltime,puberr .  # subset of checks
 //	dlc-lint -list                      # describe the suite
-//	dlc-lint -tests ./...               # also analyze _test.go files
 //	dlc-lint -baseline ci/lint.baseline ./...        # suppress known debt
 //	dlc-lint -write-baseline ci/lint.baseline ./...  # record current debt
+//
+// The arguments (default ./...) are `go list` patterns, resolved from the
+// working directory. Test files are never analyzed: tests legitimately
+// sleep, poll wall clocks and drop errors. Loading runs `go list -export`,
+// which compiles the named packages and their dependencies, so the first
+// run on a cold build cache costs a `go build`.
+//
+// Baseline entries are file paths relative to the working directory, so
+// run -baseline and -write-baseline from the module root.
 //
 // With -baseline, recorded findings are suppressed, new findings still
 // fail, and stale entries (debt that was actually paid) fail the run
@@ -21,8 +30,10 @@
 // shrinks deliberately.
 //
 // Exit status: 0 when clean, 1 when findings were reported (or the
-// baseline is stale), 2 on usage or load errors. CI gates on this via
-// `make lint` / `make check`.
+// baseline is stale), 2 on usage or load errors: a pattern that matches
+// no package, a package that does not compile, or export data this
+// program cannot read (a go on PATH from another release than the one
+// that built it). CI gates on this via `make lint` / `make check`.
 package main
 
 import (
@@ -30,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -41,7 +51,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit a JSON report envelope (findings, suppression counts, per-check timing)")
 	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := flag.Bool("list", false, "list the available checks and exit")
-	tests := flag.Bool("tests", false, "also analyze _test.go files")
 	verbose := flag.Bool("v", false, "report soft type-check errors to stderr")
 	baselinePath := flag.String("baseline", "", "suppress findings recorded in this baseline file; stale entries fail the run")
 	writeBaseline := flag.String("write-baseline", "", "record current findings into this baseline file and exit")
@@ -69,16 +78,10 @@ func main() {
 		args = []string{"./..."}
 	}
 
-	loader := lint.NewLoader()
-	loader.IncludeTests = *tests
-	var pkgs []*lint.Package
-	for _, arg := range args {
-		loaded, err := load(loader, arg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dlc-lint:", err)
-			os.Exit(2)
-		}
-		pkgs = append(pkgs, loaded...)
+	pkgs, err := lint.Load(".", args...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dlc-lint:", err)
+		os.Exit(2)
 	}
 
 	var findings []lint.Finding
@@ -100,14 +103,10 @@ func main() {
 		timings = append(timings, lint.CheckTiming{Check: c.Name, Elapse: timing[c.Name]})
 	}
 
-	cwd, err := os.Getwd()
+	root, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dlc-lint:", err)
 		os.Exit(2)
-	}
-	root, err := findModuleRoot(cwd)
-	if err != nil {
-		root = cwd
 	}
 
 	if *writeBaseline != "" {
@@ -168,67 +167,6 @@ func main() {
 	}
 	if len(findings) > 0 || len(stale) > 0 {
 		os.Exit(1)
-	}
-}
-
-// load resolves one command-line argument into packages. "dir/..." (and the
-// plain "./...") walks the subtree; a plain directory loads one package.
-func load(loader *lint.Loader, arg string) ([]*lint.Package, error) {
-	recursive := false
-	if strings.HasSuffix(arg, "/...") {
-		recursive = true
-		arg = strings.TrimSuffix(arg, "/...")
-		if arg == "" || arg == "." {
-			arg = "."
-		}
-	}
-	dir, err := filepath.Abs(arg)
-	if err != nil {
-		return nil, err
-	}
-	root, err := findModuleRoot(dir)
-	if err != nil {
-		return nil, err
-	}
-	if recursive && dir == root {
-		return loader.LoadTree(root)
-	}
-	modPath, err := lint.ModulePath(root)
-	if err != nil {
-		return nil, err
-	}
-	var dirs []string
-	if recursive {
-		dirs, err = lint.DiscoverDirs(dir)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		dirs = []string{dir}
-	}
-	var pkgs []*lint.Package
-	for _, d := range dirs {
-		pkg, err := loader.LoadDir(root, modPath, d)
-		if err != nil {
-			return nil, err
-		}
-		if pkg != nil {
-			pkgs = append(pkgs, pkg)
-		}
-	}
-	return pkgs, nil
-}
-
-func findModuleRoot(dir string) (string, error) {
-	for d := dir; ; {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d, nil
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		d = parent
 	}
 }
 

@@ -131,8 +131,9 @@ type Package struct {
 	Types   *types.Package // may be nil if type-checking failed hard
 	Info    *types.Info    // always non-nil; possibly partial
 	Zone    Zone
-	// TypeErrors collects soft type-check errors. Checks degrade to
-	// syntactic heuristics when type information is missing.
+	// TypeErrors collects soft type-check errors (an unresolved import
+	// fails the load instead). Checks degrade to syntactic heuristics when
+	// type information is missing.
 	TypeErrors []error
 }
 

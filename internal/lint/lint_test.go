@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,26 +21,51 @@ func repoRoot(t *testing.T) string {
 	return root
 }
 
+var fixtureNames = []string{
+	"walltime", "obsclock", "globalrand", "maporder", "lockheld",
+	"puberr", "hotalloc", "poolleak", "ackleak", "goroleak",
+	"deferloop", "clean",
+}
+
+func fixturePattern(name string) string { return "./internal/lint/testdata/src/" + name }
+
+var fixtures = sync.OnceValues(func() (map[string]*Package, error) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		return nil, err
+	}
+	var patterns []string
+	for _, name := range fixtureNames {
+		patterns = append(patterns, fixturePattern(name))
+	}
+	pkgs, err := Load(root, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	byName := map[string]*Package{}
+	for _, pkg := range pkgs {
+		byName[filepath.Base(pkg.Dir)] = pkg
+	}
+	return byName, nil
+})
+
+// loadFixture returns a copy of the named fixture package; all fixtures are
+// loaded together, once per test binary.
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
-	root := repoRoot(t)
-	modPath, err := ModulePath(root)
+	byName, err := fixtures()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(root, "internal", "lint", "testdata", "src", name)
-	loader := NewLoader()
-	pkg, err := loader.LoadDir(root, modPath, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pkg == nil {
+	pkg, ok := byName[name]
+	if !ok {
 		t.Fatalf("fixture %s: no package loaded", name)
 	}
 	for _, terr := range pkg.TypeErrors {
 		t.Errorf("fixture %s: type-check: %v", name, terr)
 	}
-	return pkg
+	cp := *pkg
+	return &cp
 }
 
 var wantRe = regexp.MustCompile(`// want (\w+)`)
@@ -75,12 +101,7 @@ func wantedFindings(t *testing.T, dir string) map[string]bool {
 // fixture asserts zero findings; the others each force their check to fire
 // and exercise suppression.
 func TestFixtures(t *testing.T) {
-	fixtures := []string{
-		"walltime", "obsclock", "globalrand", "maporder", "lockheld",
-		"puberr", "hotalloc", "poolleak", "ackleak", "goroleak",
-		"deferloop", "clean",
-	}
-	for _, name := range fixtures {
+	for _, name := range fixtureNames {
 		t.Run(name, func(t *testing.T) {
 			pkg := loadFixture(t, name)
 			findings := Run(pkg, Checks())
@@ -164,14 +185,13 @@ func TestZoneFor(t *testing.T) {
 
 // TestRepoIsClean runs the suite over the real module tree: the
 // determinism contract must hold on every commit. This doubles as an
-// integration test of the loader against all 20+ packages.
+// integration test of the loader against all 20+ packages: a type error
+// would mean some check ran on syntax alone.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	root := repoRoot(t)
-	loader := NewLoader()
-	pkgs, err := loader.LoadTree(root)
+	pkgs, err := Load(repoRoot(t), "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +202,9 @@ func TestRepoIsClean(t *testing.T) {
 	for _, pkg := range pkgs {
 		if pkg.Zone == ZoneSim {
 			simSeen = true
+		}
+		for _, terr := range pkg.TypeErrors {
+			t.Errorf("%s: type-check: %v", pkg.RelPath, terr)
 		}
 		for _, f := range Run(pkg, Checks()) {
 			t.Errorf("%v", f)

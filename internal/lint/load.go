@@ -1,182 +1,127 @@
 package lint
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// Loader parses and type-checks packages for analysis. One Loader shares a
-// FileSet and a source importer across packages, so transitively imported
-// packages are type-checked once.
-type Loader struct {
-	Fset *token.FileSet
-	// IncludeTests also analyzes _test.go files (off by default: tests
-	// legitimately sleep, poll wall clocks and drop errors).
-	IncludeTests bool
-
-	imp types.Importer
+// listedPackage is the part of `go list -json` output Load reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	DepOnly    bool
+	Module     struct{ Path string } // zero outside a module
+	Error      *struct{ Err string }
 }
 
-// NewLoader returns a Loader backed by the stdlib source importer, which
-// resolves both standard-library and module-internal imports from source.
-func NewLoader() *Loader {
+// Load runs `go list -e -export -deps` on patterns in dir and returns every
+// matched package that has non-test Go files, sorted by import path. The go
+// tool decides what the patterns match and compiles each package; Load then
+// parses each matched package and type-checks it once, resolving every
+// import from the compiler's export data.
+//
+// Load fails when go list reports an error (a package that does not
+// compile), when nothing matched, or when an import's export data is
+// missing or unreadable: a check that silently fell back to syntax would
+// pass as clean. Other type-check errors are soft (Package.TypeErrors).
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	args := append([]string{"list", "-e", "-export", "-deps",
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Module,Error"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint: go list: %v\n%s", err, strings.TrimSpace(stderr.String()))
+	}
+
+	exports := map[string]string{}
+	var targets []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp listedPackage
+		if err := dec.Decode(&lp); err != nil {
+			return nil, fmt.Errorf("lint: decoding go list output: %w", err)
+		}
+		if lp.Error != nil {
+			return nil, fmt.Errorf("lint: go list: %s: %s", lp.ImportPath, strings.TrimSpace(lp.Error.Err))
+		}
+		exports[lp.ImportPath] = lp.Export
+		if !lp.DepOnly && len(lp.GoFiles) > 0 {
+			targets = append(targets, lp)
+		}
+	}
+	if len(targets) == 0 {
+		return nil, fmt.Errorf("lint: go list %s: no package to analyze\n%s", strings.Join(patterns, " "), strings.TrimSpace(stderr.String()))
+	}
+	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
+
 	fset := token.NewFileSet()
-	return &Loader{
-		Fset: fset,
-		imp:  importer.ForCompiler(fset, "source", nil),
-	}
-}
-
-// ModulePath reads the module path from root/go.mod.
-func ModulePath(root string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			return strings.TrimSpace(rest), nil
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file := exports[path]
+		if file == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
-	}
-	return "", fmt.Errorf("lint: no module directive in %s/go.mod", root)
-}
-
-// skipDirs are directory names never descended into while discovering
-// packages. testdata is the Go-tools convention for fixture trees — that is
-// where dlc-lint's own known-bad fixtures live.
-var skipDirs = map[string]bool{
-	"testdata":  true,
-	"vendor":    true,
-	".git":      true,
-	"results":   true,
-	"dashboard": true,
-}
-
-// DiscoverDirs walks root and returns every directory containing buildable
-// .go files, in sorted order.
-func DiscoverDirs(root string) ([]string, error) {
-	seen := map[string]bool{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != root && (skipDirs[name] || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		seen[filepath.Dir(path)] = true
-		return nil
+		return os.Open(file)
 	})
-	if err != nil {
-		return nil, err
-	}
-	dirs := make([]string, 0, len(seen))
-	for d := range seen {
-		dirs = append(dirs, d)
-	}
-	sort.Strings(dirs)
-	return dirs, nil
-}
-
-// LoadTree loads every package under root (the module root).
-func (l *Loader) LoadTree(root string) ([]*Package, error) {
-	modPath, err := ModulePath(root)
-	if err != nil {
-		return nil, err
-	}
-	dirs, err := DiscoverDirs(root)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		pkg, err := l.LoadDir(root, modPath, dir)
+	pkgs := make([]*Package, 0, len(targets))
+	for _, lp := range targets {
+		pkg, err := check(fset, imp, lp)
 		if err != nil {
 			return nil, err
 		}
-		if pkg != nil {
-			pkgs = append(pkgs, pkg)
-		}
+		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the package in dir. The returned package
-// is nil when the directory holds no buildable files. Type-check errors are
-// soft: they are collected into Package.TypeErrors and analysis proceeds
-// with whatever type information was recovered.
-func (l *Loader) LoadDir(root, modPath, dir string) (*Package, error) {
-	filter := func(fi fs.FileInfo) bool {
-		if strings.HasSuffix(fi.Name(), "_test.go") {
-			return l.IncludeTests
+// check parses lp's files and type-checks them against imp.
+func check(fset *token.FileSet, imp types.Importer, lp listedPackage) (*Package, error) {
+	files := make([]*ast.File, 0, len(lp.GoFiles))
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("lint: parsing %s: %w", lp.Dir, err)
 		}
-		return true
+		files = append(files, f)
 	}
-	astPkgs, err := parser.ParseDir(l.Fset, dir, filter, parser.ParseComments)
-	if err != nil {
-		return nil, fmt.Errorf("lint: parsing %s: %w", dir, err)
-	}
-	// A directory can hold at most a package and its external test package;
-	// analyze the primary (non _test-suffixed) one, folding in the external
-	// test files only when tests are included.
-	var names []string
-	for name := range astPkgs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var files []*ast.File
-	var fileNames []string
-	for _, name := range names {
-		if strings.HasSuffix(name, "_test") && !l.IncludeTests {
-			continue
-		}
-		for fn := range astPkgs[name].Files {
-			fileNames = append(fileNames, fn)
-		}
-	}
-	if len(fileNames) == 0 {
-		return nil, nil
-	}
-	sort.Strings(fileNames)
-	for _, fn := range fileNames {
-		for _, name := range names {
-			if f, ok := astPkgs[name].Files[fn]; ok {
-				files = append(files, f)
-				break
+	// Resolve every import before the check so that missing or unreadable
+	// export data is a load error, not a soft type error. The importer
+	// caches, so the check itself imports nothing twice.
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			path, err := strconv.Unquote(spec.Path.Value)
+			if err != nil || path == "unsafe" {
+				continue
+			}
+			if _, err := imp.Import(path); err != nil {
+				return nil, exportError(lp.Dir, lp.ImportPath, err)
 			}
 		}
 	}
 
-	rel, err := filepath.Rel(root, dir)
-	if err != nil {
-		return nil, err
-	}
-	rel = filepath.ToSlash(rel)
-	pkgPath := modPath
-	if rel != "." {
-		pkgPath = modPath + "/" + rel
-	}
-
+	rel := cmp.Or(strings.TrimPrefix(strings.TrimPrefix(lp.ImportPath, lp.Module.Path), "/"), ".")
 	pkg := &Package{
-		Dir:     dir,
+		Dir:     lp.Dir,
 		RelPath: rel,
-		Fset:    l.Fset,
+		Fset:    fset,
 		Files:   files,
 		Info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
@@ -188,13 +133,12 @@ func (l *Loader) LoadDir(root, modPath, dir string) (*Package, error) {
 		},
 	}
 	conf := types.Config{
-		Importer: l.imp,
+		Importer: imp,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
 	// Check returns an error when any soft error occurred; partial type
 	// information is still recorded in pkg.Info.
-	tpkg, _ := conf.Check(pkgPath, l.Fset, files, pkg.Info)
-	pkg.Types = tpkg
+	pkg.Types, _ = conf.Check(lp.ImportPath, fset, files, pkg.Info)
 
 	if z, ok := zoneDirective(files); ok {
 		pkg.Zone = z
@@ -202,4 +146,17 @@ func (l *Loader) LoadDir(root, modPath, dir string) (*Package, error) {
 		pkg.Zone = ZoneFor(rel)
 	}
 	return pkg, nil
+}
+
+// exportError explains a failed import of pkgPath's dependency. Export data
+// is only readable by the release that wrote it, so a go on PATH from
+// another release than the one that built this program is named.
+func exportError(dir, pkgPath string, err error) error {
+	cmd := exec.Command("go", "env", "GOVERSION")
+	cmd.Dir = dir
+	out, _ := cmd.Output()
+	if v := strings.TrimSpace(string(out)); v != "" && v != runtime.Version() {
+		err = fmt.Errorf("%w (export data written by %s, read by a linter built with %s)", err, v, runtime.Version())
+	}
+	return fmt.Errorf("lint: %s: %w", pkgPath, err)
 }

@@ -39,7 +39,8 @@ func suiteSources(t testing.TB) [][]byte {
 // FuzzScenarioSpec feeds arbitrary bytes through the full Parse→Validate→
 // canonical→BuildPlan path. Properties: Parse and the reference tree reader
 // agree (sameDecoding); no panic or hang on hostile input, planning
-// included; for any spec that parses, the canonical encoding is a fixed
+// included; a valid spec plans at most MaxNodeSlots node slots and no
+// negative latency spike; for any spec that parses, the canonical encoding is a fixed
 // point that preserves the validation verdict; and a spec that validates
 // has a positive horizon.
 func FuzzScenarioSpec(f *testing.F) {
@@ -50,6 +51,15 @@ func FuzzScenarioSpec(f *testing.F) {
 	f.Add([]byte(`{"name": "a", "name": "b"}`))
 	f.Add([]byte(`{"cluster": {"nodes": 1e99}}`))
 	f.Add([]byte(`# only a comment`))
+	// 10,000 jobs of 1,000 nodes: ten times the planned node slots a
+	// spec may ask for.
+	f.Add([]byte(`{"name": "wide", "fs": "Lustre", "horizon_s": 1, "cluster": {"nodes": 1000},
+		"arrival": {"kind": "poisson", "rate_per_s": 20000, "max_jobs": 10000},
+		"jobs": [{"kind": "checkpoint", "weight": 1, "nodes": 1000}]}`))
+	f.Add([]byte(`{"name": "spike", "fs": "Lustre", "horizon_s": 1, "cluster": {"nodes": 1},
+		"arrival": {"kind": "poisson", "rate_per_s": 1},
+		"jobs": [{"kind": "checkpoint", "weight": 1}],
+		"faults": {"events": [{"kind": "latency-spike", "target": "uplink", "extra_ms": 1e20}]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sameDecoding(t, data)
 		s, err := Parse(data)
@@ -64,7 +74,19 @@ func FuzzScenarioSpec(f *testing.F) {
 			if s.Horizon() <= 0 {
 				t.Fatalf("valid spec with horizon_s %v has horizon %v", s.HorizonS, s.Horizon())
 			}
-			BuildPlan(s, 42)
+			plan := BuildPlan(s, 42)
+			slots := 0
+			for _, j := range plan.Jobs {
+				slots += len(j.NodeIndexes)
+			}
+			if slots > MaxNodeSlots {
+				t.Fatalf("valid spec planned %d node slots, at most %d", slots, MaxNodeSlots)
+			}
+			for _, ev := range plan.Faults.Events {
+				if ev.Extra < 0 {
+					t.Fatalf("valid spec planned a latency spike of %v", ev.Extra)
+				}
+			}
 		}
 
 		c := canonical(t, s)

@@ -123,11 +123,16 @@ func BuildPlan(s *Spec, campaignSeed uint64) *Plan {
 	return plan
 }
 
+// jobNodes is the number of nodes a job of template t spans.
+func jobNodes(t *JobSpec, c ClusterSpec) int {
+	return min(cmp.Or(t.Nodes, defaultJobNodes), c.Nodes)
+}
+
 // resolveJob applies template and cluster defaults.
 func resolveJob(t *JobSpec, c ClusterSpec) PlannedJob {
 	return PlannedJob{
 		Kind:         t.Kind,
-		NodeIndexes:  make([]int, min(cmp.Or(t.Nodes, defaultJobNodes), c.Nodes)),
+		NodeIndexes:  make([]int, jobNodes(t, c)),
 		RanksPerNode: cmp.Or(t.RanksPerNode, c.RanksPerNode, defaultRanksPerNode),
 		BytesPerRank: cmp.Or(t.BytesPerRank, defaultBytesPerRank),
 		BlockBytes:   cmp.Or(t.BlockBytes, defaultBlockBytes),

@@ -28,6 +28,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"time"
@@ -45,6 +46,13 @@ const (
 	MaxPeriods      = 16
 	MaxJobsCap      = 10_000
 	MaxHorizonS     = 1_000_000 // ≈11.6 days: Horizon() cannot wrap (a time.Duration spans ≈292 years)
+	// Latencies are capped at the horizon cap, so their time.Duration
+	// conversions cannot wrap either.
+	MaxExtraMS   = MaxHorizonS * 1_000     // faults.events[].extra_ms
+	MaxLatencyUS = MaxHorizonS * 1_000_000 // pipeline.node_latency_us, pipeline.uplink_latency_us
+	// MaxNodeSlots bounds max_jobs × the widest job's nodes: BuildPlan
+	// allocates one node slot per planned job per node it spans.
+	MaxNodeSlots = 1_000_000
 	// MaxArrivalDraws bounds the arrivals a bursty or diurnal process
 	// draws while planning, landed or not (see validateArrival).
 	MaxArrivalDraws = 1_000_000
@@ -319,6 +327,12 @@ func (s *Spec) validatePipeline() error {
 	if p.NodeLatencyUS < 0 || p.UplinkLatencyUS < 0 {
 		return invalid("pipeline", "latencies must be non-negative")
 	}
+	if p.NodeLatencyUS > MaxLatencyUS {
+		return invalid("pipeline.node_latency_us", "must be at most %g, got %v", float64(MaxLatencyUS), p.NodeLatencyUS)
+	}
+	if p.UplinkLatencyUS > MaxLatencyUS {
+		return invalid("pipeline.uplink_latency_us", "must be at most %g, got %v", float64(MaxLatencyUS), p.UplinkLatencyUS)
+	}
 	return nil
 }
 
@@ -329,6 +343,7 @@ func (s *Spec) validateJobs() error {
 	if len(s.Jobs) > MaxJobTemplates {
 		return invalid("jobs", "at most %d templates, got %d", MaxJobTemplates, len(s.Jobs))
 	}
+	widest := 0
 	for i, j := range s.Jobs {
 		field := func(name string) string { return fmt.Sprintf("jobs[%d].%s", i, name) }
 		switch j.Kind {
@@ -361,6 +376,10 @@ func (s *Spec) validateJobs() error {
 		if j.Kind != JobReplay && j.Trace != "" {
 			return invalid(field("trace"), "only valid for replay jobs")
 		}
+		widest = max(widest, jobNodes(&j, s.Cluster))
+	}
+	if slots := cmp.Or(s.Arrival.MaxJobs, DefaultMaxJobs) * widest; slots > MaxNodeSlots {
+		return invalid("jobs", "max_jobs × the widest job's nodes plans %d node slots, at most %d", slots, MaxNodeSlots)
 	}
 	return nil
 }
@@ -399,6 +418,9 @@ func (s *Spec) validateFaults() error {
 		}
 		if ev.ExtraMS < 0 {
 			return invalid(field("extra_ms"), "must be non-negative, got %v", ev.ExtraMS)
+		}
+		if ev.ExtraMS > MaxExtraMS {
+			return invalid(field("extra_ms"), "must be at most %g, got %v", float64(MaxExtraMS), ev.ExtraMS)
 		}
 	}
 	return nil

@@ -79,6 +79,10 @@ var validateGoldenCases = []struct {
 		`scenario: arrival.max_jobs: must be in [0, 10000], got 10001`},
 	{"negative uplink rate", func(s *Spec) { s.Pipeline.UplinkRatePerS = -1 },
 		`scenario: pipeline.uplink_rate_per_s: must be non-negative, got -1`},
+	{"node latency past the cap", func(s *Spec) { s.Pipeline.NodeLatencyUS = 1e20 },
+		`scenario: pipeline.node_latency_us: must be at most 1e+12, got 1e+20`},
+	{"uplink latency past the cap", func(s *Spec) { s.Pipeline.UplinkLatencyUS = 1e20 },
+		`scenario: pipeline.uplink_latency_us: must be at most 1e+12, got 1e+20`},
 	{"no job templates", func(s *Spec) { s.Jobs = nil },
 		`scenario: jobs: must list at least one job template`},
 	{"unknown job kind", func(s *Spec) { s.Jobs[0].Kind = "mapreduce" },
@@ -91,6 +95,16 @@ var validateGoldenCases = []struct {
 		`scenario: jobs[0].trace: replay jobs must name a trace`},
 	{"trace on non-replay", func(s *Spec) { s.Jobs[0].Trace = "builtin:sample" },
 		`scenario: jobs[0].trace: only valid for replay jobs`},
+	{"node slots past the cap", func(s *Spec) {
+		s.Cluster.Nodes = 10000
+		s.Arrival.MaxJobs = 10000
+		s.Jobs = append(s.Jobs, JobSpec{Kind: JobSmallFile, Weight: 1, Nodes: 101})
+	}, `scenario: jobs: max_jobs × the widest job's nodes plans 1010000 node slots, at most 1000000`},
+	{"default max_jobs counts toward node slots", func(s *Spec) {
+		s.Cluster.Nodes = 10000
+		s.Arrival.MaxJobs = 0
+		s.Jobs[0].Nodes = 4000
+	}, `scenario: jobs: max_jobs × the widest job's nodes plans 1024000 node slots, at most 1000000`},
 	{"unknown fault kind", func(s *Spec) {
 		s.Faults.Events = []FaultEventSpec{{Kind: "meteor", Target: "uplink"}}
 	}, `scenario: faults.events[0].kind: must be one of link-partition, latency-spike, slow-subscriber, daemon-crash; got "meteor"`},
@@ -104,6 +118,9 @@ var validateGoldenCases = []struct {
 	{"crash targets head only", func(s *Spec) {
 		s.Faults.Events = []FaultEventSpec{{Kind: FaultDaemonCrash, Target: "node-0"}}
 	}, `scenario: faults.events[0].target: daemon-crash targets "head", got "node-0"`},
+	{"extra_ms past the cap", func(s *Spec) {
+		s.Faults.Events = []FaultEventSpec{{Kind: FaultLatencySpike, Target: "uplink", ExtraMS: 1e20}}
+	}, `scenario: faults.events[0].extra_ms: must be at most 1e+09, got 1e+20`},
 	{"at_frac out of range", func(s *Spec) {
 		s.Faults.Events = []FaultEventSpec{{Kind: FaultLinkPartition, Target: "uplink", AtFrac: 1.5}}
 	}, `scenario: faults.events[0].at_frac: must be in [0, 1], got 1.5`},

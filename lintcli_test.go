@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -21,12 +23,20 @@ func runLint(t *testing.T, args ...string) (string, int) {
 	if err == nil {
 		return string(out), 0
 	}
-	ee, ok := err.(*exec.ExitError)
-	if !ok {
+	if _, ok := err.(*exec.ExitError); !ok {
 		t.Fatalf("go run ./cmd/dlc-lint %v: %v\n%s", args, err, out)
 	}
-	return string(out), ee.ExitCode()
+	// go run itself exits 1 whatever the program's status, which it
+	// reports as its last line.
+	m := exitStatusRe.FindStringSubmatch(string(out))
+	if m == nil {
+		t.Fatalf("go run ./cmd/dlc-lint %v: no exit status in\n%s", args, out)
+	}
+	code, _ := strconv.Atoi(m[1])
+	return string(out), code
 }
+
+var exitStatusRe = regexp.MustCompile(`exit status (\d+)\n$`)
 
 func TestCLILintCleanTree(t *testing.T) {
 	if testing.Short() {
@@ -48,6 +58,31 @@ func TestCLILintBadFixture(t *testing.T) {
 	}
 	if !strings.Contains(out, "maporder") {
 		t.Fatalf("expected maporder findings, got:\n%s", out)
+	}
+}
+
+// TestCLILintPatterns: the arguments are go list patterns. A subtree and a
+// single fixture directory load; a pattern that matches no package and the
+// removed -tests flag are load and usage errors (exit 2).
+func TestCLILintPatterns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke test")
+	}
+	cases := []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"./internal/sim/..."}, 0, ""},
+		{[]string{"./internal/lint/testdata/src/globalrand"}, 1, "globalrand"},
+		{[]string{"./docs/..."}, 2, `"./docs/..." matched no packages`},
+		{[]string{"-tests", "./..."}, 2, "flag provided but not defined: -tests"},
+	}
+	for _, tc := range cases {
+		out, code := runLint(t, tc.args...)
+		if code != tc.code || !strings.Contains(out, tc.want) {
+			t.Errorf("dlc-lint %v: exit %d, want %d with %q\n%s", tc.args, code, tc.code, tc.want, out)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-baseline test check chaos-smoke streams-smoke topo-smoke topo-soak-diff scenario-smoke fuzz-smoke race-smoke cover determinism-smoke bench bench-smoke bench-ledger bench-full experiments examples loc clean
+.PHONY: all build vet lint lint-json test check chaos-smoke streams-smoke topo-smoke topo-soak-diff scenario-smoke fuzz-smoke race-smoke cover determinism-smoke bench bench-smoke bench-ledger bench-full experiments examples loc clean
 
 all: build vet lint test
 
@@ -15,22 +15,18 @@ vet:
 # Determinism & safety static analysis (see DESIGN.md "Static analysis"):
 # no wall clocks or global rand in the sim zone, no map-order leaks, no
 # lock/pool/ack/goroutine lifecycle leaks, no silently dropped
-# publish/store errors. Known debt lives in ci/lint.baseline (currently
-# empty); new findings and stale baseline entries both fail. The second
-# invocation is the self-check: the analyzer and its driver must be clean
-# under their own rules.
+# publish/store errors. The only suppression is a //lint:allow <check>
+# <reason> beside the code, and one that suppresses nothing fails the run
+# too. `./...` covers the analyzer and its driver, so they are held to
+# their own rules in the same call.
 lint:
-	$(GO) run ./cmd/dlc-lint -baseline ci/lint.baseline ./...
-	$(GO) run ./cmd/dlc-lint ./internal/lint ./cmd/dlc-lint
+	$(GO) run ./cmd/dlc-lint ./...
 
-# Machine-readable lint report (findings, baseline suppressions, per-check
-# timing); CI uploads lint-report.json as an artifact on every run.
+# The same run as a machine-readable report (findings, per-check timing):
+# it fails exactly when `make lint` does, and CI gates on it and uploads
+# lint-report.json as an artifact on every run.
 lint-json:
-	$(GO) run ./cmd/dlc-lint -json -baseline ci/lint.baseline ./... > lint-report.json
-
-# Regenerate the known-findings ledger after deliberately paying debt.
-lint-baseline:
-	$(GO) run ./cmd/dlc-lint -write-baseline ci/lint.baseline ./...
+	$(GO) run ./cmd/dlc-lint -json ./... > lint-report.json
 
 test:
 	$(GO) test ./...
@@ -38,7 +34,7 @@ test:
 # Static checks plus the full test suite under the race detector.
 check:
 	$(GO) vet ./...
-	$(GO) run ./cmd/dlc-lint -baseline ci/lint.baseline ./...
+	$(GO) run ./cmd/dlc-lint ./...
 	$(GO) test -race ./...
 
 # Short seeded chaos soak under the race detector: the durable DSOS
@@ -205,7 +201,7 @@ bench:
 # query's row count, and writes bench/out/bench.json; ci/benchgate then
 # holds that run's allocs/event and bytes/event (every layer, and every
 # workload's disk bytes with its per-daemon split) to the committed
-# ci/bench.ledger in both directions, like the lint baseline: worse is a
+# ci/bench.ledger in both directions: worse is a
 # regression, better is a stale entry, missing on either side is an error.
 # Only allocs and bytes are gated because only they repeat from run to run
 # and host to host; wall-clock numbers wander 12-37% here, so a speed
@@ -219,7 +215,7 @@ bench-smoke:
 	$(GO) run ./ci/benchgate
 
 # Deliberately regenerate the ledger from this tree (the only way it
-# changes, mirroring lint-baseline); commit the diff with its reason, and
+# changes); commit the diff with its reason, and
 # if the Go minor changed, move ci.yml's pinned bench-smoke leg with it.
 bench-ledger:
 	$(GO) run ./bench -smoke

@@ -1,9 +1,9 @@
 // Command benchgate is the CI perf gate. It compares the metrics of one
 // `go run ./bench -smoke` that do not move with the host — every layer's
 // allocs/event and bytes/event, and every workload's disk bytes/event with
-// its per-daemon split — against the committed ledger, in both directions
-// like ci/lint.baseline: a metric above its entry is a regression, one
-// below it is a stale entry, one missing from either side is an error.
+// its per-daemon split — against the committed ledger, in both directions:
+// a metric above its entry is a regression, one below it is a stale
+// entry, one missing from either side is an error.
 // The ledger changes only through -write (`make bench-ledger`).
 package main
 

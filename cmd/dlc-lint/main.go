@@ -12,8 +12,6 @@
 //	dlc-lint -json ./...                # machine-readable report envelope
 //	dlc-lint -checks walltime,puberr .  # subset of checks
 //	dlc-lint -list                      # describe the suite
-//	dlc-lint -baseline ci/lint.baseline ./...        # suppress known debt
-//	dlc-lint -write-baseline ci/lint.baseline ./...  # record current debt
 //
 // The arguments (default ./...) are `go list` patterns, resolved from the
 // working directory. Test files are never analyzed: tests legitimately
@@ -21,19 +19,16 @@
 // which compiles the named packages and their dependencies, so the first
 // run on a cold build cache costs a `go build`.
 //
-// Baseline entries are file paths relative to the working directory, so
-// run -baseline and -write-baseline from the module root.
+// A finding is silenced only by a //lint:allow <check> <reason> directive
+// next to it (or on its function's doc comment). A directive for a
+// selected check that suppresses nothing, and one that names no check,
+// are reported as "allow" findings.
 //
-// With -baseline, recorded findings are suppressed, new findings still
-// fail, and stale entries (debt that was actually paid) fail the run
-// until the file is regenerated with -write-baseline — the ledger only
-// shrinks deliberately.
-//
-// Exit status: 0 when clean, 1 when findings were reported (or the
-// baseline is stale), 2 on usage or load errors: a pattern that matches
-// no package, a package that does not compile, or export data this
-// program cannot read (a go on PATH from another release than the one
-// that built it). CI gates on this via `make lint` / `make check`.
+// Exit status: 0 when clean, 1 when findings were reported, 2 on usage or
+// load errors: a pattern that matches no package, a package that does not
+// compile, or export data this program cannot read (a go on PATH from
+// another release than the one that built it). CI gates on this via
+// `make lint-json`, `make lint` and `make check`.
 package main
 
 import (
@@ -48,12 +43,10 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit a JSON report envelope (findings, suppression counts, per-check timing)")
+	jsonOut := flag.Bool("json", false, "emit a JSON report envelope (findings, per-check timing)")
 	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := flag.Bool("list", false, "list the available checks and exit")
 	verbose := flag.Bool("v", false, "report soft type-check errors to stderr")
-	baselinePath := flag.String("baseline", "", "suppress findings recorded in this baseline file; stale entries fail the run")
-	writeBaseline := flag.String("write-baseline", "", "record current findings into this baseline file and exit")
 	flag.Parse()
 
 	if *list {
@@ -103,47 +96,14 @@ func main() {
 		timings = append(timings, lint.CheckTiming{Check: c.Name, Elapse: timing[c.Name]})
 	}
 
-	root, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dlc-lint:", err)
-		os.Exit(2)
-	}
-
-	if *writeBaseline != "" {
-		b := lint.NewBaseline(root, findings)
-		if err := b.Write(*writeBaseline); err != nil {
-			fmt.Fprintln(os.Stderr, "dlc-lint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "dlc-lint: recorded %d finding(s) across %d entrie(s) into %s\n",
-			len(findings), len(b.Entries), *writeBaseline)
-		return
-	}
-
-	suppressed := 0
-	var stale []lint.BaselineEntry
-	if *baselinePath != "" {
-		b, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dlc-lint:", err)
-			os.Exit(2)
-		}
-		findings, stale, suppressed = b.Apply(root, findings)
-	}
-
 	if *jsonOut {
 		if findings == nil {
 			findings = []lint.Finding{}
 		}
-		if stale == nil {
-			stale = []lint.BaselineEntry{}
-		}
 		report := struct {
-			Findings      []lint.Finding       `json:"findings"`
-			Suppressed    int                  `json:"suppressed"`
-			StaleBaseline []lint.BaselineEntry `json:"stale_baseline"`
-			Checks        []lint.CheckTiming   `json:"checks"`
-		}{findings, suppressed, stale, timings}
+			Findings []lint.Finding     `json:"findings"`
+			Checks   []lint.CheckTiming `json:"checks"`
+		}{findings, timings}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {
@@ -157,15 +117,8 @@ func main() {
 		if len(findings) > 0 {
 			fmt.Fprintf(os.Stderr, "dlc-lint: %d finding(s)\n", len(findings))
 		}
-		if suppressed > 0 {
-			fmt.Fprintf(os.Stderr, "dlc-lint: %d finding(s) suppressed by baseline\n", suppressed)
-		}
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "dlc-lint: stale baseline entry %s %s (count %d): debt was paid, regenerate with -write-baseline\n",
-				e.File, e.Check, e.Count)
-		}
 	}
-	if len(findings) > 0 || len(stale) > 0 {
+	if len(findings) > 0 {
 		os.Exit(1)
 	}
 }

@@ -239,7 +239,7 @@ func main() {
 		// An explicit -seed makes real-daemon fault campaigns reproducible:
 		// the same seed yields the same sampler noise across runs.
 		if *seed == 0 {
-			*seed = uint64(time.Now().UnixNano()) //lint:allow walltime -seed 0 explicitly opts into a wall-clock seed
+			*seed = uint64(time.Now().UnixNano())
 			fmt.Fprintf(os.Stderr, "ldmsd: sampler seed %d (pass -seed %d to reproduce)\n", *seed, *seed)
 		}
 		r := rng.New(*seed)
@@ -254,12 +254,12 @@ func main() {
 				fatal(fmt.Errorf("unknown sampler %q", name))
 			}
 		}
-		start := time.Now() //lint:allow walltime real daemon: samplers run in wall time
+		start := time.Now()
 		go func() {
-			tick := time.NewTicker(*sampleEvery) //lint:allow walltime real daemon: sampling cadence is wall time
+			tick := time.NewTicker(*sampleEvery)
 			defer tick.Stop()
 			for range tick.C {
-				d.SampleOnce(time.Since(start)) //lint:allow walltime real daemon: metric timestamps are wall time
+				d.SampleOnce(time.Since(start))
 			}
 		}()
 		fmt.Fprintf(os.Stderr, "ldmsd: sampling %s every %s\n", *samplers, *sampleEvery)
@@ -351,7 +351,7 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	tick := time.NewTicker(*statsEvery) //lint:allow walltime real daemon: stats reporting is wall time
+	tick := time.NewTicker(*statsEvery)
 	defer tick.Stop()
 	for {
 		select {

@@ -65,29 +65,6 @@ func isHotPath(pkg *Package) bool {
 	return false
 }
 
-// funcAllowsHotalloc reports whether the function's doc comment carries a
-// //lint:allow hotalloc directive (with a reason). The per-line allow
-// table cannot express "this whole function is the deliberate ablation" —
-// the sprintf encoder is 20+ flagged lines that are the point of the
-// experiment — so hotalloc honors a single function-level suppression on
-// the declaration's doc comment.
-func funcAllowsHotalloc(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		rest, ok := strings.CutPrefix(c.Text, allowPrefix)
-		if !ok {
-			continue
-		}
-		fields := strings.Fields(rest)
-		if len(fields) >= 2 && fields[0] == "hotalloc" {
-			return true
-		}
-	}
-	return false
-}
-
 // isAnySliceLit reports whether cl is a non-empty composite literal whose
 // type's underlying is []any (sos.Key and friends): each element is boxed
 // into an interface at construction, so one literal on the hot path is
@@ -111,8 +88,9 @@ func (p *Pass) isAnySliceLit(cl *ast.CompositeLit) bool {
 
 // runHotalloc flags fmt.Sprint* call sites and boxing []any composite
 // literals in hot-path packages, skipping cold formatting methods
-// (String/Name/Error) and functions whose doc comment carries
-// //lint:allow hotalloc <reason>.
+// (String/Name/Error). A deliberate ablation is suppressed like any other
+// finding, usually for the whole function by a //lint:allow hotalloc
+// <reason> on its doc comment.
 func runHotalloc(p *Pass) {
 	if !isHotPath(p.Package) {
 		return
@@ -121,7 +99,7 @@ func runHotalloc(p *Pass) {
 		f := file
 		for _, decl := range f.Decls {
 			fd, isFunc := decl.(*ast.FuncDecl)
-			if isFunc && (coldMethodNames[fd.Name.Name] || funcAllowsHotalloc(fd)) {
+			if isFunc && coldMethodNames[fd.Name.Name] {
 				continue
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {

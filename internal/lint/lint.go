@@ -17,11 +17,13 @@
 //     tcpproxy, replay, webui, cmd/*, examples), which talks to actual
 //     sockets and clocks and is exempt from the walltime check.
 //
-// Checks can be suppressed per line with
+// The one way to silence a finding is
 //
 //	//lint:allow <check> <reason>
 //
-// placed on the offending line or the line directly above it. A file can
+// placed on the offending line or the line directly above it, or on a
+// function's doc comment to cover the whole function. A directive that
+// suppresses nothing is itself a finding (check name "allow"). A file can
 // force its package's zone (used by fixtures and by real-zone files living
 // in otherwise-deterministic packages) with
 //
@@ -77,18 +79,6 @@ var simZonePaths = []string{
 	"internal/harness",
 	"internal/topo",
 	"internal/scenario",
-}
-
-// realZonePaths document the explicit allowlist of wall-clock users. They
-// are outside simZonePaths already, so the list is informational: ZoneFor
-// returns ZoneReal for anything not in the sim zone.
-var realZonePaths = []string{
-	"internal/ldms",   // real TCP transport + resilient forwarder
-	"internal/faults", // tcpproxy drives real sockets
-	"internal/replay", // live capture replay runs in wall time (DXT re-execution is virtual-time but shares the package)
-	"internal/webui",  // HTTP dashboard
-	"cmd",             // all binaries talk to the real world
-	"examples",
 }
 
 // ZoneFor classifies a module-relative package path ("internal/sim",
@@ -293,9 +283,13 @@ func Run(pkg *Package, checks []*Check) []Finding {
 	return f
 }
 
-// RunTimed is Run plus per-check wall time, in suite order.
+// RunTimed is Run plus per-check wall time, in suite order. After the
+// checks, every //lint:allow directive that absorbed no finding of a
+// selected check, or that names no check at all, is reported under the
+// check name "allow": a suppression cannot outlive the finding it was
+// written for.
 func RunTimed(pkg *Package, checks []*Check) ([]Finding, []CheckTiming) {
-	allow := collectAllows(pkg)
+	allows := collectAllows(pkg)
 	var findings []Finding
 	var timings []CheckTiming
 	for _, c := range checks {
@@ -304,15 +298,16 @@ func RunTimed(pkg *Package, checks []*Check) ([]Finding, []CheckTiming) {
 		}
 		pass := &Pass{Package: pkg, check: c.Name}
 		pass.report = func(f Finding) {
-			if allow.permits(f.File, f.Line, f.Check) {
+			if allows.permits(f.File, f.Line, f.Check) {
 				return
 			}
 			findings = append(findings, f)
 		}
-		start := time.Now() //lint:allow walltime timing instrumentation, not sim state
+		start := time.Now()
 		c.Run(pass)
-		timings = append(timings, CheckTiming{Check: c.Name, Elapse: time.Since(start)}) //lint:allow walltime timing instrumentation, not sim state
+		timings = append(timings, CheckTiming{Check: c.Name, Elapse: time.Since(start)})
 	}
+	findings = append(findings, allows.unused(pkg.Zone, checks)...)
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.File != b.File {
@@ -329,20 +324,63 @@ func RunTimed(pkg *Package, checks []*Check) ([]Finding, []CheckTiming) {
 	return findings, timings
 }
 
-// allowTable maps file -> line -> set of allowed check names ("*" = all).
-type allowTable map[string]map[int]map[string]bool
+// allowCheck is the check name unused directives are reported under.
+const allowCheck = "allow"
 
+// allow is one //lint:allow directive: it suppresses findings of check
+// on lines from..to of the directive's file.
+type allow struct {
+	pos      token.Position // the directive itself
+	check    string
+	from, to int
+	used     bool
+}
+
+type allowTable []*allow
+
+// permits reports whether a directive covers the finding, and marks every
+// directive that does as used.
 func (t allowTable) permits(file string, line int, check string) bool {
-	lines, ok := t[file]
-	if !ok {
-		return false
-	}
-	for _, ln := range []int{line, line - 1} {
-		if set, ok := lines[ln]; ok && (set[check] || set["*"]) {
-			return true
+	ok := false
+	for _, a := range t {
+		if a.pos.Filename == file && a.check == check && a.from <= line && line <= a.to {
+			a.used = true
+			ok = true
 		}
 	}
-	return false
+	return ok
+}
+
+// unused reports, as allow findings, each directive that names no check
+// and each directive for a selected check that suppressed nothing, whether
+// or not the check runs in zone.
+func (t allowTable) unused(zone Zone, checks []*Check) []Finding {
+	selected := map[string]*Check{}
+	for _, c := range checks {
+		selected[c.Name] = c
+	}
+	known := map[string]bool{}
+	for _, name := range CheckNames() {
+		known[name] = true
+	}
+	var out []Finding
+	for _, a := range t {
+		f := Finding{File: a.pos.Filename, Line: a.pos.Line, Col: a.pos.Column, Check: allowCheck, Hint: "delete the directive"}
+		c := selected[a.check]
+		switch {
+		case !known[a.check]:
+			f.Message = fmt.Sprintf("//lint:allow names no known check %q", a.check)
+			f.Hint = "name one of the checks dlc-lint -list shows"
+		case c == nil || a.used:
+			continue
+		case !c.appliesTo(zone):
+			f.Message = fmt.Sprintf("//lint:allow %s suppresses nothing: %s does not run in the %s zone", a.check, a.check, zone)
+		default:
+			f.Message = fmt.Sprintf("//lint:allow %s suppresses nothing", a.check)
+		}
+		out = append(out, f)
+	}
+	return out
 }
 
 const (
@@ -359,33 +397,37 @@ const (
 //	//lint:allow puberr best-effort fan-out, drops are counted
 //	fwd.Publish(m)
 //
+// On a function's doc comment it covers the whole function, for a body
+// that is deliberately exempt throughout (the sprintf-encoder ablation,
+// whose allocations are the point of the experiment).
+//
 // A directive without a reason is ignored (the reason is part of the
 // contract: reviewers should see why the rule does not apply).
 func collectAllows(pkg *Package) allowTable {
-	t := allowTable{}
+	var t allowTable
 	for _, file := range pkg.Files {
+		funcEnd := map[*ast.CommentGroup]token.Pos{}
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
+				funcEnd[fd.Doc] = fd.End()
+			}
+		}
 		for _, cg := range file.Comments {
 			for _, c := range cg.List {
-				text := c.Text
-				if !strings.HasPrefix(text, allowPrefix) {
+				rest, ok := strings.CutPrefix(c.Text, allowPrefix)
+				if !ok {
 					continue
 				}
-				fields := strings.Fields(strings.TrimPrefix(text, allowPrefix))
+				fields := strings.Fields(rest)
 				if len(fields) < 2 {
 					continue // no reason given: directive is inert
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				lines, ok := t[pos.Filename]
-				if !ok {
-					lines = map[int]map[string]bool{}
-					t[pos.Filename] = lines
+				a := &allow{pos: pos, check: fields[0], from: pos.Line, to: pos.Line + 1}
+				if end, ok := funcEnd[cg]; ok {
+					a.to = pkg.Fset.Position(end).Line
 				}
-				set, ok := lines[pos.Line]
-				if !ok {
-					set = map[string]bool{}
-					lines[pos.Line] = set
-				}
-				set[fields[0]] = true
+				t = append(t, a)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package lint
 import (
 	"encoding/json"
 	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -24,7 +25,7 @@ func repoRoot(t *testing.T) string {
 var fixtureNames = []string{
 	"walltime", "obsclock", "globalrand", "maporder", "lockheld",
 	"puberr", "hotalloc", "poolleak", "ackleak", "goroleak",
-	"deferloop", "clean",
+	"deferloop", "allow", "clean",
 }
 
 func fixturePattern(name string) string { return "./internal/lint/testdata/src/" + name }
@@ -259,7 +260,9 @@ func TestCheckSuite(t *testing.T) {
 
 // TestAllowTable covers the suppression placement rules directly.
 func TestAllowTable(t *testing.T) {
-	tbl := allowTable{"f.go": {10: {"walltime": true}, 20: {"*": true}}}
+	line := &allow{pos: token.Position{Filename: "f.go", Line: 10}, check: "walltime", from: 10, to: 11}
+	fn := &allow{pos: token.Position{Filename: "f.go", Line: 20}, check: "puberr", from: 20, to: 30}
+	tbl := allowTable{line, fn}
 	cases := []struct {
 		line  int
 		check string
@@ -269,7 +272,8 @@ func TestAllowTable(t *testing.T) {
 		{11, "walltime", true},  // directive on the line above
 		{12, "walltime", false}, // two lines down: out of scope
 		{10, "puberr", false},   // different check
-		{21, "puberr", true},    // wildcard
+		{30, "puberr", true},    // last line of a doc-comment directive's function
+		{31, "puberr", false},   // past the function
 	}
 	for _, c := range cases {
 		if got := tbl.permits("f.go", c.line, c.check); got != c.want {
@@ -278,5 +282,8 @@ func TestAllowTable(t *testing.T) {
 	}
 	if tbl.permits("other.go", 10, "walltime") {
 		t.Error("suppression leaked across files")
+	}
+	if !line.used || !fn.used {
+		t.Errorf("used = %v, %v after both directives suppressed a finding", line.used, fn.used)
 	}
 }

@@ -3,7 +3,6 @@ package darshanldms_test
 import (
 	"encoding/json"
 	"os/exec"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -63,25 +62,29 @@ func TestCLILintBadFixture(t *testing.T) {
 
 // TestCLILintPatterns: the arguments are go list patterns. A subtree and a
 // single fixture directory load; a pattern that matches no package and the
-// removed -tests flag are load and usage errors (exit 2).
+// removed -tests and -baseline flags are load and usage errors (exit 2).
+// With -checks, an unused directive is reported only for a selected check.
 func TestCLILintPatterns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke test")
 	}
 	cases := []struct {
-		args []string
-		code int
-		want string
+		args   []string
+		code   int
+		want   string
+		absent string
 	}{
-		{[]string{"./internal/sim/..."}, 0, ""},
-		{[]string{"./internal/lint/testdata/src/globalrand"}, 1, "globalrand"},
-		{[]string{"./docs/..."}, 2, `"./docs/..." matched no packages`},
-		{[]string{"-tests", "./..."}, 2, "flag provided but not defined: -tests"},
+		{[]string{"./internal/sim/..."}, 0, "", ""},
+		{[]string{"./internal/lint/testdata/src/globalrand"}, 1, "globalrand", ""},
+		{[]string{"./docs/..."}, 2, `"./docs/..." matched no packages`, ""},
+		{[]string{"-tests", "./..."}, 2, "flag provided but not defined: -tests", ""},
+		{[]string{"-baseline", "x", "./..."}, 2, "flag provided but not defined: -baseline", ""},
+		{[]string{"-checks", "walltime", "./internal/lint/testdata/src/allow"}, 1, "allow: //lint:allow walltime suppresses nothing", "//lint:allow puberr suppresses nothing"},
 	}
 	for _, tc := range cases {
 		out, code := runLint(t, tc.args...)
-		if code != tc.code || !strings.Contains(out, tc.want) {
-			t.Errorf("dlc-lint %v: exit %d, want %d with %q\n%s", tc.args, code, tc.code, tc.want, out)
+		if code != tc.code || !strings.Contains(out, tc.want) || (tc.absent != "" && strings.Contains(out, tc.absent)) {
+			t.Errorf("dlc-lint %v: exit %d, want %d with %q and without %q\n%s", tc.args, code, tc.code, tc.want, tc.absent, out)
 		}
 	}
 }
@@ -101,12 +104,6 @@ func TestCLILintJSON(t *testing.T) {
 			Check   string `json:"check"`
 			Message string `json:"message"`
 		} `json:"findings"`
-		Suppressed    int `json:"suppressed"`
-		StaleBaseline []struct {
-			File  string `json:"file"`
-			Check string `json:"check"`
-			Count int    `json:"count"`
-		} `json:"stale_baseline"`
 		Checks []struct {
 			Check     string `json:"check"`
 			ElapsedNS int64  `json:"elapsed_ns"`
@@ -136,39 +133,6 @@ func TestCLILintJSON(t *testing.T) {
 		if !seen[name] {
 			t.Fatalf("timing for %s missing: %+v", name, report.Checks)
 		}
-	}
-}
-
-// TestCLILintBaseline drives the full baseline lifecycle: record debt on
-// a known-bad fixture, verify the baseline silences it, then verify a
-// stale entry (debt paid, e.g. by pointing at a clean package) fails.
-func TestCLILintBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CLI smoke test")
-	}
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "lint.baseline")
-
-	out, code := runLint(t, "-write-baseline", baseline, "./internal/lint/testdata/src/poolleak")
-	if code != 0 {
-		t.Fatalf("-write-baseline exit %d:\n%s", code, out)
-	}
-
-	out, code = runLint(t, "-baseline", baseline, "./internal/lint/testdata/src/poolleak")
-	if code != 0 {
-		t.Fatalf("baseline did not absorb known findings: exit %d\n%s", code, out)
-	}
-	if !strings.Contains(out, "suppressed by baseline") {
-		t.Fatalf("expected suppression notice:\n%s", out)
-	}
-
-	// Against a clean fixture every entry is stale: the guard must fail.
-	out, code = runLint(t, "-baseline", baseline, "./internal/lint/testdata/src/clean")
-	if code != 1 {
-		t.Fatalf("stale baseline exit %d, want 1\n%s", code, out)
-	}
-	if !strings.Contains(out, "stale baseline entry") {
-		t.Fatalf("expected stale-entry notice:\n%s", out)
 	}
 }
 

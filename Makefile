@@ -144,6 +144,7 @@ FUZZ_TARGETS ?= \
 	internal/sos:FuzzKeyOrder \
 	internal/sos:FuzzReplayWAL \
 	internal/sos:FuzzObjectsMatchBoxed \
+	internal/sos:FuzzBTreeMatchesReference \
 	internal/dsos:FuzzCursorMatchesQueryEx \
 	internal/dsos:FuzzCSVFloat \
 	internal/streams:FuzzStreamCursor \

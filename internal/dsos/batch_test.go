@@ -7,8 +7,10 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"darshanldms/internal/jsonmsg"
+	"darshanldms/internal/obs"
 	"darshanldms/internal/sos"
 )
 
@@ -163,6 +165,34 @@ func TestInsertBatchNothingWritten(t *testing.T) {
 	}
 	if got := c.Daemons()[0].Count(DarshanSchemaName); got != 1 {
 		t.Fatalf("the retried row is not on dsosd0 (%d rows there): the refused batch consumed placement sequence", got)
+	}
+}
+
+// TestQuorumClockOnlyWhenReplicated: an insert reads the obs clock only
+// when its plan placed some object on more than one daemon, the only
+// objects dlc_dsos_quorum_latency_ns times. At R = 1 a batch and a single
+// insert read it never and the histogram stays empty; at R = 2 every
+// object lands one observation, as before.
+func TestQuorumClockOnlyWhenReplicated(t *testing.T) {
+	for _, repl := range []int{1, 2} {
+		c, cl := newDarshanCluster(t, 4)
+		c.SetReplication(repl)
+		reg, reads := obs.NewRegistry(), 0
+		c.Instrument(reg, func() time.Duration { reads++; return time.Duration(reads) })
+		var rows []sos.Object
+		for i := 0; i < 64; i++ {
+			rows = append(rows, sampleObject(1, int64(i%8), float64(i), "write"))
+		}
+		if err := cl.InsertBatch(DarshanSchemaName, rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Insert(DarshanSchemaName, rows[0]); err != nil {
+			t.Fatal(err)
+		}
+		n := reg.Histogram("dlc_dsos_quorum_latency_ns").Count()
+		if repl == 1 && (reads != 0 || n != 0) || repl == 2 && (reads == 0 || n != 65) {
+			t.Errorf("R=%d: %d clock reads, %d quorum observations; want none at R=1 and 65 at R=2", repl, reads, n)
+		}
 	}
 }
 

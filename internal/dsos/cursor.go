@@ -5,6 +5,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"darshanldms/internal/sos"
@@ -276,12 +277,12 @@ func (d *Daemon) scan(s *memberScan, index string, from, to sos.Key, n int) bool
 	s.cont = d.cont
 	s.rows, s.keys, s.pos = s.rows[:0], s.keys[:0], 0
 	for len(s.rows) < n && cur.Next() {
-		k := cur.Key() // the tree's bytes, which the next insert may move: copied under the lock
-		if cap(s.keys) == 0 {
-			s.keys = make([]byte, 0, n*len(k)) // room for a chunk of such keys
+		at := len(s.keys)
+		s.keys = cur.AppendKey(s.keys)
+		if at == 0 {
+			s.keys = slices.Grow(s.keys, (n-1)*len(s.keys)) // room for a chunk of such keys
 		}
-		s.keys = append(s.keys, k...)
-		s.rows = append(s.rows, scanRow{key: s.keys[len(s.keys)-len(k):], obj: cur.Object(), origin: cur.Origin()})
+		s.rows = append(s.rows, scanRow{key: s.keys[at:], obj: cur.Object(), origin: cur.Origin()})
 	}
 	s.more = len(s.rows) == n
 	return true

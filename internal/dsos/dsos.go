@@ -610,6 +610,9 @@ func (cl *Client) InsertTagged(schema string, objs []sos.Object, token uint64) e
 	}
 	clock, quorum := c.obsClock, c.quorumLat
 	c.mu.Unlock()
+	if !b.replicated {
+		clock = nil // the quorum histogram times replicated objects only
+	}
 	if b.hold != nil {
 		b.hold()
 	}
@@ -662,6 +665,9 @@ type batch struct {
 	shares []share     // one per owner daemon, in first-seen order
 	objs   []objResult // one per object
 	hold   func()      // test seam: runs between plan and the first write (nil in production)
+	// replicated is set when some object has more than one owner: only
+	// then does an insert read the quorum clock.
+	replicated bool
 }
 
 // share is one daemon's part of a batch: its rows in batch order.
@@ -719,6 +725,7 @@ func (b *batch) plan(p Placement, schema string, objs []sos.Object, seq, origin 
 		b.objs = make([]objResult, len(objs))
 	}
 	b.objs = b.objs[:len(objs)]
+	b.replicated = false
 	for k, obj := range objs {
 		owners := p.Owners(schema, obj, seq+uint64(k))
 		if rules.AckAll {
@@ -736,6 +743,7 @@ func (b *batch) plan(p Placement, schema string, objs []sos.Object, seq, origin 
 			id = origin + uint64(k) + 1
 		}
 		b.objs[k] = objResult{owners: len(owners)}
+		b.replicated = b.replicated || len(owners) > 1
 		for j, d := range owners {
 			b.shareOf(d, len(objs)).add(obj, id, shareRow{k: int32(k), pos: int32(j)})
 		}

@@ -246,7 +246,7 @@ func matchCursors(t *testing.T, typed *Container, ref *refContainer, stored []re
 				if !tn {
 					break
 				}
-				if !bytes.Equal(tc.Key(), rc.Key()) || tc.Origin() != rc.Origin() || !sameRow(tc.Object(), rc.Object()) {
+				if !bytes.Equal(tc.AppendKey(nil), rc.Key()) || tc.Origin() != rc.Origin() || !sameRow(tc.Object(), rc.Object()) {
 					t.Fatalf("%s [%v, %v) row %d: typed %v origin %d, reference %v origin %d", spec.Name, bd[0], bd[1], n, tc.Object(), tc.Origin(), rc.Object(), rc.Origin())
 				}
 			}

@@ -2,6 +2,7 @@ package sos
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"slices"
 )
@@ -13,56 +14,118 @@ import (
 // suffix. The tree supports insertion and ordered iteration — SOS
 // partitions are append-mostly, and the monitoring workload never deletes.
 //
-// Every key of a tree has one width w, so a node stores its keys back to
-// back in one array of nodeBytes, allocated once at full size and never
-// regrown: key i is keys[i*w:]. An insert shifts the keys after it in
-// place. A compare is bytes.Compare on node-local memory, and a node's only
-// pointers are children and next, so the garbage collector never traces a
-// key.
+// A node's keys live in one array of nodeBytes, allocated once; its only
+// pointers are children and next, so the collector never traces a key. An
+// internal node holds whole tree keys; a leaf packs them at its own base
+// and byte width per key column (DESIGN.md § "Node layout").
 
 // nodeBytes is the size of a node's key array: one allocation size class.
 const nodeBytes = 2048
 
-// KeySuffixLen is the length of a tree key's suffix (Cursor.Key): the row's
-// big-endian slab position, after the encoded index attributes.
+// KeySuffixLen is the length of a tree key's suffix (Cursor.AppendKey): the
+// row's big-endian slab position, after the encoded index attributes.
 const KeySuffixLen = 4
 
+// column is one key column of a leaf: each key holds the column's value,
+// less base, big-endian in width bytes at offset off.
+type column struct {
+	base  uint64
+	off   uint16
+	width uint8
+}
+
+// shift takes the column's offset out of an 8-byte big-endian load at it;
+// span is the greatest offset its width holds, top the greatest value.
+func (c *column) shift() uint  { return 64 - 8*uint(c.width) }
+func (c *column) span() uint64 { return ^uint64(0) >> c.shift() }
+func (c *column) top() uint64  { return c.base + min(c.span(), ^c.base) }
+
+// load returns the column's value in the packed key at b[at:].
+func (c *column) load(b []byte, at int) uint64 {
+	return c.base + binary.BigEndian.Uint64(b[at+int(c.off):])>>c.shift()
+}
+
+// store writes v, a value the column holds, into the packed key at b[at:],
+// and zeroes the 8-width bytes after it: a key's columns are stored in
+// order, keys in order, and 8 bytes of room follow the last.
+func (c *column) store(b []byte, at int, v uint64) {
+	binary.BigEndian.PutUint64(b[at+int(c.off):], (v-c.base)<<c.shift())
+}
+
+// cover widens the column to hold v: a value below the base lowers it and
+// keeps the top, one above the top raises it and keeps the base. Either way
+// the width grows.
+func (c *column) cover(v uint64) {
+	switch top := c.top(); {
+	case v < c.base:
+		c.width = uint8(byteWidth(top - v))
+		c.base = top - min(top, c.span())
+	case v > top:
+		c.width = uint8(byteWidth(v - c.base))
+	}
+}
+
+// leafCap is a leaf's keys at stride bytes, leaving 8 for a load past them.
+func leafCap(stride int) int { return int((nodeBytes - 8) / uint32(max(stride, 1))) }
+
+// btreeNode is an internal node or a leaf; leaf searches read fields 1–5.
 type btreeNode struct {
-	keys     []byte       // len/w keys, in an array of the tree's node capacity
-	children []*btreeNode // internal nodes: one more than keys
-	next     *btreeNode   // leaf chain
-	last     int32        // leaf nodes: the index of the previous insert
 	leaf     bool
+	n        int32        // leaf: the keys it holds
+	stride   int32        // leaf: bytes per packed key
+	last     int32        // leaf: the index of the previous insert
+	keys     []byte       // internal: len/w separators; leaf: n packed keys
+	cols     []column     // leaf: the layout of its keys
+	next     *btreeNode   // leaf chain
+	children []*btreeNode // internal nodes: one more than keys
 }
 
 type btree struct {
 	root  *btreeNode
-	width int    // bytes per key
-	order int    // keys per node: nodeBytes/width
+	width int    // bytes per tree key
+	order int    // separators per internal node: nodeBytes/width
 	sep   []byte // the separator an insert is carrying up
 	size  int
+	// an insert's scratch: key columns, a layout, a packed key, a leaf copy
+	vals  []uint64
+	cols  []column
+	probe []byte
+	old   btreeNode
+	retry bool // a node split without taking the key: insert it again
 }
 
-// newBTree makes an empty tree of keys width bytes long; at least four
-// must fit a node.
+// newBTree makes an empty tree of keys width bytes long: 8 bytes per
+// attribute, then KeySuffixLen. At least four must fit a node.
 func newBTree(width int) *btree {
-	t := &btree{width: width, order: nodeBytes / width, sep: make([]byte, width)}
+	ncols := (width-KeySuffixLen)/8 + 1
+	t := &btree{width: width, order: nodeBytes / width, sep: make([]byte, width),
+		vals: make([]uint64, ncols), cols: make([]column, ncols), probe: make([]byte, width+8),
+		old: btreeNode{keys: make([]byte, nodeBytes), cols: make([]column, ncols)}}
 	t.root = t.newNode(true)
 	return t
 }
 
 func (t *btree) newNode(leaf bool) *btreeNode {
-	n := &btreeNode{keys: make([]byte, 0, t.order*t.width), last: -1, leaf: leaf}
-	if !leaf {
-		n.children = make([]*btreeNode, 0, t.order+1)
+	if leaf {
+		return &btreeNode{keys: make([]byte, nodeBytes), cols: make([]column, len(t.vals)), last: -1, leaf: true}
 	}
-	return n
+	return &btreeNode{keys: make([]byte, 0, t.order*t.width), children: make([]*btreeNode, 0, t.order+1), last: -1}
 }
 
-// key returns the node's i-th key, of width w.
+// columns splits the tree key into its column values, v.
+func columns(v []uint64, key []byte) {
+	last := len(v) - 1
+	for j := range last {
+		v[j] = binary.BigEndian.Uint64(key[8*j:])
+	}
+	v[last] = uint64(binary.BigEndian.Uint32(key[8*last:]))
+}
+
+// key returns internal node n's i-th separator, of width w.
 func (n *btreeNode) key(i, w int) []byte { return n.keys[i*w : i*w+w : i*w+w] }
 
-// put shifts the keys from i on one place right and copies key in at i.
+// put shifts internal node n's separators from i on one place right and
+// copies key in at i.
 func (n *btreeNode) put(i int, key []byte) {
 	w := len(key)
 	n.keys = n.keys[:len(n.keys)+w]
@@ -70,7 +133,8 @@ func (n *btreeNode) put(i int, key []byte) {
 	copy(n.keys[i*w:], key)
 }
 
-// search returns the first index whose key is >= key, or > key when after.
+// search returns the index of internal node n's first separator >= key,
+// or > key when after.
 func (n *btreeNode) search(key []byte, w int, after bool) int {
 	lo, hi := 0, len(n.keys)/w
 	for lo < hi {
@@ -84,113 +148,215 @@ func (n *btreeNode) search(key []byte, w int, after bool) int {
 	return lo
 }
 
+// appendKey appends leaf n's i-th key to b as a tree key.
+func (n *btreeNode) appendKey(b []byte, i int) []byte {
+	at, last := i*int(n.stride), len(n.cols)-1
+	for j := range last {
+		b = binary.BigEndian.AppendUint64(b, n.cols[j].load(n.keys, at))
+	}
+	return binary.BigEndian.AppendUint32(b, uint32(n.cols[last].load(n.keys, at)))
+}
+
+// pack packs p, a tree key's column values, into q (max(n.stride, 8)
+// bytes) in leaf n's layout. It returns 0 when the layout holds p; below 0
+// when a column lies below its base, packing p as the least key with its
+// earlier columns; above 0 when one lies above its top, as the greatest.
+func (n *btreeNode) pack(p []uint64, q []byte) (clamp int) {
+	for j := range n.cols {
+		c := &n.cols[j]
+		v := p[j]
+		if clamp == 0 && (v < c.base || v > c.top()) {
+			clamp = cmp.Compare(v, c.base)
+		}
+		if clamp < 0 {
+			v = c.base
+		} else if clamp > 0 {
+			v = c.top()
+		}
+		c.store(q, 0, v)
+	}
+	return clamp
+}
+
+// find returns the index of leaf n's first key >= q, or > q when after; q
+// is a packed key, compared as one word when the stride is at most 8 bytes.
+func (n *btreeNode) find(q []byte, after bool) int {
+	s, lo, hi := int(n.stride), 0, int(n.n)
+	sh := uint(64 - 8*min(s, 8))
+	x := binary.BigEndian.Uint64(q) >> sh
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		c := cmp.Compare(binary.BigEndian.Uint64(n.keys[mid*s:])>>sh, x)
+		if c == 0 && s > 8 { // a wider key ties on its first 8 bytes
+			c = bytes.Compare(n.keys[mid*s+8:mid*s+s], q[8:s])
+		}
+		if c < 0 || after && c == 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // insert adds key, copying it. Keys must be unique (the position suffix
-// makes them so).
+// makes them so). A node that splits on the way takes no key, and the
+// insert starts again from the root.
 func (t *btree) insert(key []byte) {
-	if right := t.insertAt(t.root, key); right != nil {
-		root := t.newNode(false)
-		root.children = append(root.children, t.root, right)
-		root.put(0, t.sep)
-		t.root = root
+	for t.retry = true; t.retry; {
+		t.retry = false
+		if right := t.insertAt(t.root, key); right != nil {
+			root := t.newNode(false)
+			root.children = append(root.children, t.root, right)
+			root.put(0, t.sep)
+			t.root = root
+		}
 	}
 	t.size++
 }
 
 // insertAt inserts key under n. Separators are copies of right-node first
-// keys: child i holds keys < key(i), child i+1 keys >= key(i). A full node
-// splits, and insertAt returns the new right sibling, leaving the separator
-// the parent needs for it in t.sep.
-//
-// A leaf whose previous insert landed just before this one splits at the
-// insertion point: the new key ends the left half, or starts the right one
-// when it is the leaf's last. Keys appended to a key region then fill each
-// leaf, even when the next region's first keys share it. Every other node
-// splits in the middle.
+// keys: child i holds keys < key(i), child i+1 keys >= key(i). A node that
+// splits returns its new right sibling and leaves its separator in t.sep;
+// a full internal node splits in the middle before an insert passes it.
 func (t *btree) insertAt(n *btreeNode, key []byte) *btreeNode {
-	w := t.width
-	i := n.search(key, w, true)
 	if n.leaf {
-		if len(n.keys) < cap(n.keys) {
-			n.put(i, key)
-			n.last = int32(i)
-			return nil
-		}
-		// Split as if the key were in: the left half keeps the first at
-		// keys of the node with it.
-		at := (t.order + 1) / 2
-		if i > 0 && i == int(n.last)+1 {
-			at = min(i+1, t.order)
-		}
-		from := at
-		if i < at {
-			from--
-		}
-		right := t.split(n, from)
-		right.next, n.next = n.next, right
-		n.last = int32(i)
-		if i < at {
-			n.put(i, key)
-		} else {
-			right.put(i-from, key)
-			right.last = int32(i - from)
-		}
-		copy(t.sep, right.key(0, w))
-		return right
+		return t.insertLeaf(n, key)
 	}
-	right := t.insertAt(n.children[i], key)
-	if right == nil {
-		return nil
+	w := t.width
+	if len(n.keys) == cap(n.keys) {
+		mid := t.order / 2
+		r := t.newNode(false)
+		r.keys = append(r.keys, n.keys[(mid+1)*w:]...)
+		r.children = append(r.children, n.children[mid+1:]...)
+		copy(t.sep, n.key(mid, w))
+		clear(n.children[mid+1:])
+		n.keys, n.children, t.retry = n.keys[:mid*w], n.children[:mid+1], true
+		return r
 	}
-	if len(n.keys) < cap(n.keys) {
+	i := n.search(key, w, true)
+	if right := t.insertAt(n.children[i], key); right != nil {
 		n.put(i, t.sep)
 		n.children = slices.Insert(n.children, i+1, right)
-		return nil
 	}
-	// The right half takes key mid and the children after it; the child's
-	// separator goes into its half, then key mid moves up to the parent.
-	mid := t.order / 2
-	r := t.split(n, mid)
-	r.children = append(r.children, n.children[mid+1:]...)
-	clear(n.children[mid+1:])
-	n.children = n.children[:mid+1]
-	if i <= mid {
-		n.put(i, t.sep)
-		n.children = slices.Insert(n.children, i+1, right)
-	} else {
-		r.put(i-mid, t.sep)
-		r.children = slices.Insert(r.children, i-mid, right)
-	}
-	copy(t.sep, r.key(0, w))
-	r.keys = r.keys[:copy(r.keys, r.keys[w:])]
-	return r
+	return nil
 }
 
-// split moves n's keys from index at on into a new right sibling and
-// returns it.
-func (t *btree) split(n *btreeNode, at int) *btreeNode {
-	right := t.newNode(n.leaf)
-	right.keys = append(right.keys, n.keys[at*t.width:]...)
-	n.keys = n.keys[:at*t.width]
+// insertLeaf inserts key into leaf n, first repacking the leaf in place if
+// its layout must widen to hold the key, or splits a leaf without room.
+func (t *btree) insertLeaf(n *btreeNode, key []byte) *btreeNode {
+	v := t.vals
+	columns(v, key)
+	clamp := n.pack(v, t.probe)
+	s, widen := int(n.stride), clamp != 0
+	if widen {
+		s = 0
+		for j, c := range n.cols {
+			if n.n == 0 { // the empty root: based at v
+				c.base = v[j]
+			}
+			c.cover(v[j])
+			t.cols[j], s = c, s+int(c.width)
+		}
+	}
+	if int(n.n) >= leafCap(s) {
+		return t.splitLeaf(n, n.find(t.probe, clamp >= 0))
+	}
+	if widen {
+		t.repack(n, n, 0, int(n.n), t.cols)
+		n.pack(v, t.probe)
+	}
+	i := n.find(t.probe, true)
+	copy(n.keys[(i+1)*s:], n.keys[i*s:int(n.n)*s])
+	copy(n.keys[i*s:], t.probe[:s])
+	n.n++
+	n.last = int32(i)
+	return nil
+}
+
+// splitLeaf moves leaf n's keys from a split point on into a new right
+// sibling and has the key that belongs at index i inserted again. A leaf
+// whose previous insert landed just before i splits there, so appends to a
+// key region fill each leaf, and the right half is repacked at the least
+// layout its keys need. Every other leaf splits in the middle, and both
+// halves keep n's layout: keys that arrive out of order would widen a
+// tighter one again, one repack at a time.
+func (t *btree) splitLeaf(n *btreeNode, i int) *btreeNode {
+	c, s := int(n.n), int(n.stride)
+	at := c / 2
+	right := t.newNode(true)
+	if i > 0 && i == int(n.last)+1 {
+		at = min(i, c-1)
+		for j := range t.cols {
+			lo, hi := ^uint64(0), uint64(0)
+			for r := at; r < c; r++ {
+				x := n.cols[j].load(n.keys, r*s)
+				lo, hi = min(lo, x), max(hi, x)
+			}
+			t.cols[j] = column{base: lo, width: uint8(byteWidth(hi - lo))}
+		}
+		t.repack(right, n, at, c, t.cols)
+	} else {
+		copy(right.keys, n.keys[at*s:c*s])
+		copy(right.cols, n.cols)
+		right.stride, right.n = n.stride, int32(c-at)
+	}
+	n.n, right.next, n.next = int32(at), n.next, right
+	t.sep, t.retry = right.appendKey(t.sep[:0], 0), true
 	return right
 }
 
-// iterator walks leaves in ascending key order; off is the byte offset of
-// the current key in its leaf.
+// repack writes leaf src's keys [a, b) into leaf dst from its first key on,
+// in layout cols, which becomes dst's. src may be dst.
+func (t *btree) repack(dst, src *btreeNode, a, b int, cols []column) {
+	if src == dst {
+		copy(t.old.keys, src.keys[a*int(src.stride):b*int(src.stride)])
+		copy(t.old.cols, src.cols)
+		t.old.stride = src.stride
+		src, a, b = &t.old, 0, b-a
+	}
+	s := 0 // lay the columns out back to back
+	for j := range cols {
+		cols[j].off, s = uint16(s), s+int(cols[j].width)
+	}
+	for r := range b - a {
+		for j := range cols {
+			cols[j].store(dst.keys, r*s, src.cols[j].load(src.keys, (a+r)*int(src.stride)))
+		}
+	}
+	copy(dst.cols, cols)
+	dst.stride, dst.n = int32(s), int32(b-a)
+}
+
+// iterator walks leaves in ascending key order; i is the index of the
+// current key in its leaf.
 type iterator struct {
-	node   *btreeNode
-	off, w int
+	node *btreeNode
+	i    int
 }
 
 // seek positions an iterator at the first key >= key, or > key when
 // after (empty key = the minimum). Tree keys are unique, so seeking after
 // a key the tree returned resumes exactly behind it, whatever was
-// inserted in between.
+// inserted in between. A shorter key is sought as if zero-padded, a longer
+// one cut to the tree's width and sought after.
 func (t *btree) seek(key []byte, after bool) iterator {
+	var buf [nodeBytes/4 + 8]byte // the widest tree key, then its packed probe
+	p := buf[:t.width]
+	copy(p, key)
+	if len(key) != t.width {
+		after = len(key) > t.width
+	}
 	n := t.root
 	for !n.leaf {
-		n = n.children[n.search(key, t.width, true)]
+		n = n.children[n.search(p, t.width, true)]
 	}
-	it := iterator{node: n, off: n.search(key, t.width, after) * t.width, w: t.width}
+	var vals [maxIndexAttrs + 1]uint64
+	columns(vals[:len(n.cols)], p)
+	if clamp := n.pack(vals[:len(n.cols)], buf[:]); clamp != 0 {
+		after = clamp > 0
+	}
+	it := iterator{node: n, i: n.find(buf[:], after)}
 	it.advanceLeaf()
 	return it
 }
@@ -198,27 +364,23 @@ func (t *btree) seek(key []byte, after bool) iterator {
 // advanceLeaf moves an iterator positioned past its leaf's last key onto
 // the next leaf's first.
 func (it *iterator) advanceLeaf() {
-	for it.node != nil && it.off >= len(it.node.keys) {
+	for it.node != nil && it.i >= int(it.node.n) {
 		it.node = it.node.next
-		it.off = 0
+		it.i = 0
 	}
 }
 
 // valid reports whether the iterator points at an entry.
-func (it *iterator) valid() bool {
-	return it.node != nil && it.off < len(it.node.keys)
-}
+func (it *iterator) valid() bool { return it.node != nil && it.i < int(it.node.n) }
 
 // next advances to the following entry.
 func (it *iterator) next() {
-	it.off += it.w
+	it.i++
 	it.advanceLeaf()
 }
 
-// key returns the current entry's key.
-func (it *iterator) key() []byte { return it.node.keys[it.off : it.off+it.w : it.off+it.w] }
-
 // pos returns the current entry's slab position, its key's suffix.
 func (it *iterator) pos() int {
-	return int(binary.BigEndian.Uint32(it.node.keys[it.off+it.w-KeySuffixLen:]))
+	n := it.node
+	return int(n.cols[len(n.cols)-1].load(n.keys, it.i*int(n.stride)))
 }

@@ -20,7 +20,7 @@ func treeKey(k Key, pos int) []byte {
 func (t *btree) scan() [][]byte {
 	var out [][]byte
 	for it := t.seek(nil, false); it.valid(); it.next() {
-		out = append(out, it.key())
+		out = append(out, it.node.appendKey(nil, it.i))
 	}
 	return out
 }
@@ -66,11 +66,14 @@ func TestBTreeSeekSemantics(t *testing.T) {
 
 // insertPatterns are the key orders a tree must stay correct under, as
 // attribute values stored at rising slab positions. The per-region
-// pattern is the job_rank_time shape: 64 regions, each appended to 1024
-// times in rising time, interleaved at random.
+// pattern is the job_rank_time shape: 16 regions, each appended to 8192
+// times in rising time, interleaved at random. Each in-order pattern has
+// enough keys for three levels of leaves packed 500–1000 keys deep, and
+// each region enough leaves that its first and last leaf, part full, are
+// a small share of them.
 var insertPatterns = map[string]func() []Key{
 	"ascending": func() []Key {
-		return seqKeys(60000, func(i int) Key { return Key{int64(i)} })
+		return seqKeys(200000, func(i int) Key { return Key{int64(i)} })
 	},
 	"descending": func() []Key {
 		return seqKeys(60000, func(i int) Key { return Key{int64(-i)} })
@@ -81,18 +84,18 @@ var insertPatterns = map[string]func() []Key{
 	},
 	"per-region": func() []Key {
 		r := rng.New(2)
-		next := make([]int, 64)
-		return seqKeys(64*1024, func(int) Key {
-			reg := r.Intn(64)
-			for next[reg] == 1024 {
-				reg = (reg + 1) % 64
+		next := make([]int, 16)
+		return seqKeys(16*8192, func(int) Key {
+			reg := r.Intn(16)
+			for next[reg] == 8192 {
+				reg = (reg + 1) % 16
 			}
 			next[reg]++
-			return Key{int64(reg / 8), int64(reg % 8), float64(next[reg])}
+			return Key{int64(reg / 4), int64(reg % 4), float64(next[reg])}
 		})
 	},
 	"all-equal": func() []Key {
-		return seqKeys(60000, func(int) Key { return Key{int64(7), 1.5} })
+		return seqKeys(200000, func(int) Key { return Key{int64(7), 1.5} })
 	},
 }
 
@@ -107,9 +110,10 @@ func seqKeys(n int, f func(int) Key) []Key {
 // TestBTreeStructure builds a tree of three or more levels under each
 // insertion pattern and checks its invariants: the leaf chain is strictly
 // ascending, every separator s has left < s <= right, every leaf is at
-// the same depth, every node's key array holds nodeBytes/w keys of width
-// w, seek agrees with sort.Search on a sorted copy of the keys, and size is
-// exact. In-order patterns fill their leaves.
+// the same depth, every internal node's key array holds nodeBytes/w
+// separators of width w, every leaf's keys lie inside its layout and fit
+// its array at its stride, seek agrees with sort.Search on a sorted copy of
+// the keys, and size is exact. In-order patterns fill their leaves.
 func TestBTreeStructure(t *testing.T) {
 	for name, pattern := range insertPatterns {
 		t.Run(name, func(t *testing.T) {
@@ -125,12 +129,12 @@ func TestBTreeStructure(t *testing.T) {
 			if got := tr.scan(); tr.size != len(want) || !slices.EqualFunc(got, want, bytes.Equal) {
 				t.Fatalf("size %d, leaf chain of %d keys, want the %d inserted in order", tr.size, len(got), len(want))
 			}
-			depth, leaves := checkNode(t, tr, tr.root, nil, nil)
+			depth, leaves, room := checkNode(t, tr, tr.root, nil, nil)
 			if depth < 3 {
 				t.Fatalf("a tree of %d levels; the test needs three", depth)
 			}
-			fill := float64(tr.size) / float64(leaves*(nodeBytes/tr.width))
-			t.Logf("%d keys, %d levels, %d leaves, leaf fill %.1f%%", tr.size, depth, leaves, 100*fill)
+			fill := float64(tr.size) / float64(room)
+			t.Logf("%d keys, %d levels, %d leaves (%.1f keys each), leaf fill %.1f%%", tr.size, depth, leaves, float64(tr.size)/float64(leaves), 100*fill)
 			if (name == "ascending" || name == "per-region" || name == "all-equal") && fill < 0.9 {
 				t.Errorf("leaf fill %.1f%%, want >= 90%% for keys arriving in order", 100*fill)
 			}
@@ -149,7 +153,7 @@ func TestBTreeStructure(t *testing.T) {
 						return c > 0 || c == 0 && !after
 					})
 					it := tr.seek(probe, after)
-					if it.valid() != (i < len(want)) || it.valid() && !bytes.Equal(it.key(), want[i]) {
+					if it.valid() != (i < len(want)) || it.valid() && !bytes.Equal(it.node.appendKey(nil, it.i), want[i]) {
 						t.Fatalf("seek(%x, after=%v) disagrees with sort.Search's %d of %d", probe, after, i, len(want))
 					}
 				}
@@ -159,9 +163,14 @@ func TestBTreeStructure(t *testing.T) {
 }
 
 // checkNode checks the subtree of tr under n, whose keys must lie in
-// [lo, hi) (nil = open), and returns its depth and leaf count.
-func checkNode(t *testing.T, tr *btree, n *btreeNode, lo, hi []byte) (depth, leaves int) {
+// [lo, hi) (nil = open), and returns its depth, its leaf count and the
+// keys its leaves hold at their strides.
+func checkNode(t *testing.T, tr *btree, n *btreeNode, lo, hi []byte) (depth, leaves, room int) {
 	t.Helper()
+	if n.leaf {
+		checkLeaf(t, tr, n, lo, hi)
+		return 1, 1, leafCap(int(n.stride))
+	}
 	w := tr.width
 	if cap(n.keys) != nodeBytes/w*w || len(n.keys)%w != 0 || len(n.keys) == 0 {
 		t.Fatalf("a node of %d key bytes in an array of %d; want keys of %d bytes in one of %d", len(n.keys), cap(n.keys), w, nodeBytes/w*w)
@@ -172,9 +181,6 @@ func checkNode(t *testing.T, tr *btree, n *btreeNode, lo, hi []byte) (depth, lea
 		if lo != nil && bytes.Compare(k, lo) < 0 || hi != nil && bytes.Compare(k, hi) >= 0 || i > 0 && bytes.Compare(n.key(i-1, w), k) >= 0 {
 			t.Fatalf("key %x is out of order or outside [%x, %x)", k, lo, hi)
 		}
-	}
-	if n.leaf {
-		return 1, 1
 	}
 	if len(n.children) != nkeys+1 {
 		t.Fatalf("%d children under %d separators", len(n.children), nkeys)
@@ -187,13 +193,57 @@ func checkNode(t *testing.T, tr *btree, n *btreeNode, lo, hi []byte) (depth, lea
 		if i < nkeys {
 			chi = n.key(i, w)
 		}
-		d, l := checkNode(t, tr, child, clo, chi)
+		d, l, c := checkNode(t, tr, child, clo, chi)
 		if i > 0 && d != depth {
 			t.Fatalf("leaves at depths %d and %d", depth, d)
 		}
-		depth, leaves = d, leaves+l
+		depth, leaves, room = d, leaves+l, room+c
 	}
-	return depth + 1, leaves
+	return depth + 1, leaves, room
+}
+
+// checkLeaf checks leaf n's layout and keys: one column per attribute and
+// the position, laid back to back at the stride, each at most 8 bytes wide
+// (4 for the position); a key count that fits the array at the stride,
+// with 8 bytes to spare; every key's columns inside [base, top]; packed
+// keys ascending bytewise and decoding to tree keys ascending inside
+// [lo, hi).
+func checkLeaf(t *testing.T, tr *btree, n *btreeNode, lo, hi []byte) {
+	t.Helper()
+	ncols := (tr.width-KeySuffixLen)/8 + 1
+	if len(n.keys) != nodeBytes || len(n.cols) != ncols || n.n < 1 {
+		t.Fatalf("a leaf of %d keys in %d bytes with %d columns; want at least one key in %d bytes with %d", n.n, len(n.keys), len(n.cols), nodeBytes, ncols)
+	}
+	off := 0
+	for j, c := range n.cols {
+		if int(c.off) != off || c.width > 8 || j == ncols-1 && c.width > KeySuffixLen {
+			t.Fatalf("column %d of %d: offset %d, width %d; want offset %d", j, ncols, c.off, c.width, off)
+		}
+		off += int(c.width)
+	}
+	s := int(n.stride)
+	if s != off || int(n.n) > leafCap(s) || int(n.n)*s+8 > nodeBytes {
+		t.Fatalf("%d keys at stride %d (columns %d bytes) in a leaf of %d", n.n, s, off, nodeBytes)
+	}
+	v := make([]uint64, ncols)
+	var prev []byte
+	for i := range int(n.n) {
+		k := n.appendKey(nil, i)
+		columns(v, k)
+		for j := range n.cols {
+			c := &n.cols[j]
+			if raw := binary.BigEndian.Uint64(n.keys[i*s+int(c.off):]) >> c.shift(); raw > c.span() || v[j] < c.base || v[j] > c.top() {
+				t.Fatalf("key %d column %d: %#x outside [%#x, %#x]", i, j, v[j], c.base, c.top())
+			}
+		}
+		if lo != nil && bytes.Compare(k, lo) < 0 || hi != nil && bytes.Compare(k, hi) >= 0 || prev != nil && bytes.Compare(prev, k) >= 0 {
+			t.Fatalf("leaf key %x is out of order or outside [%x, %x)", k, lo, hi)
+		}
+		if i > 0 && bytes.Compare(n.keys[(i-1)*s:i*s], n.keys[i*s:(i+1)*s]) >= 0 {
+			t.Fatalf("packed keys %d and %d are out of order", i-1, i)
+		}
+		prev = k
+	}
 }
 
 // TestSteadyStateInsertAllocs: once the slab has room, an insert into a

@@ -3,6 +3,7 @@ package sos
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"darshanldms/internal/rng"
@@ -86,8 +87,10 @@ func TestCursorMatchesReferenceRange(t *testing.T) {
 // would have returned without the inserts, in order, plus exactly the
 // inserted ones whose keys sort past the resume point. The inserts land in
 // the resume key's own region, shifting the tree's bytes under it: the
-// scan resumes from a copy.
+// scan resumes from a copy. It resumes as well across a repack and a split
+// of the leaf that held its last key (resumeAcrossRepackAndSplit).
 func TestCursorAfterResumesPastInserts(t *testing.T) {
+	resumeAcrossRepackAndSplit(t)
 	c := newTestContainer(t)
 	fillEvents(t, c, 1000, 3)
 	want, _ := c.Range("job_rank_time", Key{int64(1)}, Key{int64(3)})
@@ -102,7 +105,7 @@ func TestCursorAfterResumesPastInserts(t *testing.T) {
 		var last []byte
 		for n < 37 && cur.Next() {
 			got = append(got, cur.Object())
-			last = append(last[:0], cur.Key()...)
+			last = cur.AppendKey(last[:0])
 			n++
 		}
 		if n < 37 {
@@ -150,6 +153,69 @@ func TestCursorAfterResumesPastInserts(t *testing.T) {
 	}
 }
 
+// resumeAcrossRepackAndSplit scans 100 rows of one job and rank, and
+// resumes twice. Before the first resume, a row that sorts before the scan
+// lowers the rank base of the leaf holding the scan's last key by 2^40,
+// repacking the leaf in place at a wider stride; before the second, 300
+// rows that sort just past the scan's last key split that leaf. The scan
+// returns every row past its resume points, the 300 included, in order,
+// and not the row behind it.
+func resumeAcrossRepackAndSplit(t *testing.T) {
+	c := newTestContainer(t)
+	var early, late []Object
+	for i := range 100 {
+		early = append(early, NewObject(int64(1), int64(0), float64(i), "early", int64(i)))
+		if err := c.Insert("darshan_event", early[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 300 {
+		late = append(late, NewObject(int64(1), int64(0), 59+float64(i+1)/1000, "late", int64(i)))
+	}
+	want := slices.Concat(early[:60], late, early[60:])
+	tree := c.Index("job_rank_time").tree
+	var got []Object
+	var last []byte
+	read := func(cur Cursor, n int) {
+		for ; n > 0 && cur.Next(); n-- {
+			got = append(got, cur.Object())
+			last = cur.AppendKey(last[:0])
+		}
+	}
+	cur, err := c.Cursor("job_rank_time", Key{int64(1)}, Key{int64(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read(cur, 40)
+	leaf := tree.seek(last, false).node
+	stride, next := leaf.stride, leaf.next
+	if err := c.Insert("darshan_event", NewObject(int64(1), int64(-1)<<40, 0.0, "behind", int64(0))); err != nil {
+		t.Fatal(err)
+	}
+	if tree.seek(last, false).node != leaf || leaf.stride <= stride || leaf.next != next {
+		t.Fatalf("the insert left the resume key's leaf at stride %d (was %d); want it repacked wider in place", leaf.stride, stride)
+	}
+	if cur, err = c.CursorAfter("job_rank_time", last, Key{int64(2)}); err != nil {
+		t.Fatal(err)
+	}
+	read(cur, 20)
+	for _, o := range late {
+		if err := c.Insert("darshan_event", o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if leaf.next == next {
+		t.Fatal("300 inserts left the resume key's leaf whole; want it split")
+	}
+	if cur, err = c.CursorAfter("job_rank_time", last, Key{int64(2)}); err != nil {
+		t.Fatal(err)
+	}
+	read(cur, len(want))
+	if !reflect.DeepEqual(rowValues(got), rowValues(want)) {
+		t.Fatalf("across a repack and a split the scan returned %d rows, want the %d stored past its resume points", len(got), len(want))
+	}
+}
+
 // TestCursorRejectsMistypedBounds: a bound element of another type than
 // the attribute it lines up with is an error from every entry point;
 // unchecked, the first one panics inside the B+tree seek.
@@ -193,13 +259,15 @@ func TestCursorRejectsMistypedBounds(t *testing.T) {
 func TestCursorScanAllocatesNothing(t *testing.T) {
 	c := newTestContainer(t)
 	fillEvents(t, c, 5000, 5)
+	key := make([]byte, 0, 64)
 	allocs := testing.AllocsPerRun(5, func() {
 		cur, err := c.Cursor("job_rank_time", Key{int64(1)}, Key{int64(3)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for cur.Next() {
-			_, _, _ = cur.Key(), cur.Object(), cur.Origin()
+			key = cur.AppendKey(key[:0])
+			_, _ = cur.Object(), cur.Origin()
 		}
 	})
 	if allocs != 0 {

@@ -26,7 +26,7 @@ type refIndex struct {
 	spec     IndexSpec
 	attrIdxs []int
 	types    []Type // the type of each key attribute
-	tree     *btree
+	tree     *refBTree
 	key      []byte // the tree key being inserted
 }
 
@@ -132,7 +132,7 @@ func (c *refContainer) AddIndex(spec IndexSpec) (*refIndex, error) {
 		}
 		idxs[i], types[i] = pos, sch.Attrs[pos].Type
 	}
-	ix := &refIndex{spec: spec, attrIdxs: idxs, types: types, tree: newBTree(8*len(idxs) + KeySuffixLen)}
+	ix := &refIndex{spec: spec, attrIdxs: idxs, types: types, tree: newRefBTree(8*len(idxs) + KeySuffixLen)}
 	c.indices[spec.Name] = ix
 	c.bySchema[spec.Schema] = append(c.bySchema[spec.Schema], ix)
 	for pos, obj := range c.slabs[spec.Schema] {
@@ -241,7 +241,7 @@ func (c *refContainer) Count(schema string) int {
 type refCursor struct {
 	slab    []refObject
 	origins []uint64
-	it, end iterator // end is the first entry past the range
+	it, end refIterator // end is the first entry past the range
 	started bool
 }
 

@@ -322,7 +322,7 @@ func (s *slab) seal() bool {
 		for r := j; r < len(w); r += s.width {
 			lo, hi = min(lo, w[r]^flip), max(hi, w[r]^flip)
 		}
-		n := (bits.Len64(hi-lo) + 7) / 8
+		n := byteWidth(hi - lo)
 		pg.cols[j] = col{base: lo ^ flip, mask: 1<<(8*n) - 1, off: pg.stride}
 		pg.stride += uintptr(n)
 	}
@@ -344,6 +344,9 @@ func (s *slab) seal() bool {
 	clear(s.open)
 	return true
 }
+
+// byteWidth returns the whole bytes that hold every offset up to span.
+func byteWidth(span uint64) int { return (bits.Len64(span) + 7) / 8 }
 
 // object returns a view of the row at pos, whose strings strs holds.
 func (s *slab) object(pos int, strs []string) Object {

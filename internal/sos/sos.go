@@ -346,9 +346,9 @@ func (c *Container) Count(schema string) int {
 // Cursor walks one index in key order over an attribute-prefix range
 // [from, to). It copies nothing and holds no lock: Object returns a view of
 // the container's own memory, which stays valid after the container is
-// modified. The cursor itself, and the bytes Key returns, are valid until
-// the container is next modified; a scan that spans modifications reopens
-// with CursorAfter a copy of the last Key it saw.
+// modified. The cursor itself is valid until the container is next
+// modified; a scan that spans modifications reopens with CursorAfter the
+// last key AppendKey gave it.
 type Cursor struct {
 	rows    slab
 	strs    []string
@@ -365,7 +365,7 @@ func (c *Container) Cursor(indexName string, from, to Key) (Cursor, error) {
 	return c.open(indexName, from, nil, to)
 }
 
-// CursorAfter opens a cursor just past after, a tree key (Cursor.Key)
+// CursorAfter opens a cursor just past after, a tree key (Cursor.AppendKey)
 // that a cursor on the same index returned, that stops before to. Tree keys
 // end in the row's unique slab position, so the scan resumes exactly behind
 // the last entry it saw.
@@ -411,12 +411,11 @@ func (cur *Cursor) Next() bool {
 	return cur.it != cur.end && cur.it.valid()
 }
 
-// Key returns the current entry's tree key: the encoded index attributes,
-// then the KeySuffixLen-byte slab position that makes it unique. The bytes
-// are the tree's own, which an insert into their node moves: they are valid
-// until the container is next modified, and a caller that keeps them past
-// that copies them first.
-func (cur *Cursor) Key() []byte { return cur.it.key() }
+// AppendKey appends the current entry's tree key to dst and returns the
+// extended slice: the encoded index attributes, then the KeySuffixLen-byte
+// slab position that makes it unique. The tree's leaves hold keys packed,
+// so the key is decoded into dst, which the caller owns.
+func (cur *Cursor) AppendKey(dst []byte) []byte { return cur.it.node.appendKey(dst, cur.it.i) }
 
 // Object returns the current entry's object, a view of its page and the
 // container's dictionary.

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"slices"
+	"sort"
 )
 
 // A B+tree over the fixed-width byte keys of key.go, the index structure
@@ -65,9 +66,6 @@ func (c *column) cover(v uint64) {
 	}
 }
 
-// leafCap is a leaf's keys at stride bytes, leaving 8 for a load past them.
-func leafCap(stride int) int { return int((nodeBytes - 8) / uint32(max(stride, 1))) }
-
 // btreeNode is an internal node or a leaf; leaf searches read fields 1–5.
 type btreeNode struct {
 	leaf     bool
@@ -86,8 +84,7 @@ type btree struct {
 	order int    // separators per internal node: nodeBytes/width
 	sep   []byte // the separator an insert is carrying up
 	size  int
-	// an insert's scratch: key columns, a layout, a packed key, a leaf copy
-	vals  []uint64
+	// an insert's scratch: a layout, a packed key, a leaf's spare arrays
 	cols  []column
 	probe []byte
 	old   btreeNode
@@ -99,7 +96,7 @@ type btree struct {
 func newBTree(width int) *btree {
 	ncols := (width-KeySuffixLen)/8 + 1
 	t := &btree{width: width, order: nodeBytes / width, sep: make([]byte, width),
-		vals: make([]uint64, ncols), cols: make([]column, ncols), probe: make([]byte, width+8),
+		cols: make([]column, ncols), probe: make([]byte, width+8),
 		old: btreeNode{keys: make([]byte, nodeBytes), cols: make([]column, ncols)}}
 	t.root = t.newNode(true)
 	return t
@@ -107,22 +104,19 @@ func newBTree(width int) *btree {
 
 func (t *btree) newNode(leaf bool) *btreeNode {
 	if leaf {
-		return &btreeNode{keys: make([]byte, nodeBytes), cols: make([]column, len(t.vals)), last: -1, leaf: true}
+		return &btreeNode{keys: make([]byte, nodeBytes), cols: make([]column, len(t.cols)), last: -1, leaf: true}
 	}
 	return &btreeNode{keys: make([]byte, 0, t.order*t.width), children: make([]*btreeNode, 0, t.order+1), last: -1}
 }
 
-// columns splits the tree key into its column values, v.
-func columns(v []uint64, key []byte) {
-	last := len(v) - 1
-	for j := range last {
-		v[j] = binary.BigEndian.Uint64(key[8*j:])
+// value returns column j of ncols in tree key: an attribute's order word,
+// or the last, the slab position.
+func value(key []byte, j, ncols int) uint64 {
+	if j == ncols-1 {
+		return uint64(binary.BigEndian.Uint32(key[8*j:]))
 	}
-	v[last] = uint64(binary.BigEndian.Uint32(key[8*last:]))
+	return binary.BigEndian.Uint64(key[8*j:])
 }
-
-// key returns internal node n's i-th separator, of width w.
-func (n *btreeNode) key(i, w int) []byte { return n.keys[i*w : i*w+w : i*w+w] }
 
 // put shifts internal node n's separators from i on one place right and
 // copies key in at i.
@@ -139,7 +133,7 @@ func (n *btreeNode) search(key []byte, w int, after bool) int {
 	lo, hi := 0, len(n.keys)/w
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c := bytes.Compare(n.key(mid, w), key); c < 0 || after && c == 0 {
+		if c := bytes.Compare(n.keys[mid*w:mid*w+w], key); c < 0 || after && c == 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -157,14 +151,13 @@ func (n *btreeNode) appendKey(b []byte, i int) []byte {
 	return binary.BigEndian.AppendUint32(b, uint32(n.cols[last].load(n.keys, at)))
 }
 
-// pack packs p, a tree key's column values, into q (max(n.stride, 8)
-// bytes) in leaf n's layout. It returns 0 when the layout holds p; below 0
-// when a column lies below its base, packing p as the least key with its
-// earlier columns; above 0 when one lies above its top, as the greatest.
-func (n *btreeNode) pack(p []uint64, q []byte) (clamp int) {
+// pack packs tree key k into q (max(n.stride, 8) bytes) in leaf n's
+// layout. It returns 0 when the layout holds k; below 0 when a column lies
+// below its base, packing k as the least key with its earlier columns;
+// above 0 when one lies above its top, as the greatest.
+func (n *btreeNode) pack(k, q []byte) (clamp int) {
 	for j := range n.cols {
-		c := &n.cols[j]
-		v := p[j]
+		c, v := &n.cols[j], value(k, j, len(n.cols))
 		if clamp == 0 && (v < c.base || v > c.top()) {
 			clamp = cmp.Compare(v, c.base)
 		}
@@ -178,8 +171,9 @@ func (n *btreeNode) pack(p []uint64, q []byte) (clamp int) {
 	return clamp
 }
 
-// find returns the index of leaf n's first key >= q, or > q when after; q
-// is a packed key, compared as one word when the stride is at most 8 bytes.
+// find returns the index of leaf n's first key >= q, a packed key, or > q
+// when after. It compares the keys' first 8 bytes as one word, and the
+// rest of a wider stride with bytes.Compare only on a tie.
 func (n *btreeNode) find(q []byte, after bool) int {
 	s, lo, hi := int(n.stride), 0, int(n.n)
 	sh := uint(64 - 8*min(s, 8))
@@ -187,7 +181,7 @@ func (n *btreeNode) find(q []byte, after bool) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		c := cmp.Compare(binary.BigEndian.Uint64(n.keys[mid*s:])>>sh, x)
-		if c == 0 && s > 8 { // a wider key ties on its first 8 bytes
+		if c == 0 && s > 8 {
 			c = bytes.Compare(n.keys[mid*s+8:mid*s+s], q[8:s])
 		}
 		if c < 0 || after && c == 0 {
@@ -229,7 +223,7 @@ func (t *btree) insertAt(n *btreeNode, key []byte) *btreeNode {
 		r := t.newNode(false)
 		r.keys = append(r.keys, n.keys[(mid+1)*w:]...)
 		r.children = append(r.children, n.children[mid+1:]...)
-		copy(t.sep, n.key(mid, w))
+		copy(t.sep, n.keys[mid*w:])
 		clear(n.children[mid+1:])
 		n.keys, n.children, t.retry = n.keys[:mid*w], n.children[:mid+1], true
 		return r
@@ -245,26 +239,26 @@ func (t *btree) insertAt(n *btreeNode, key []byte) *btreeNode {
 // insertLeaf inserts key into leaf n, first repacking the leaf in place if
 // its layout must widen to hold the key, or splits a leaf without room.
 func (t *btree) insertLeaf(n *btreeNode, key []byte) *btreeNode {
-	v := t.vals
-	columns(v, key)
-	clamp := n.pack(v, t.probe)
+	clamp := n.pack(key, t.probe)
 	s, widen := int(n.stride), clamp != 0
 	if widen {
 		s = 0
 		for j, c := range n.cols {
+			v := value(key, j, len(n.cols))
 			if n.n == 0 { // the empty root: based at v
-				c.base = v[j]
+				c.base = v
 			}
-			c.cover(v[j])
+			c.cover(v)
 			t.cols[j], s = c, s+int(c.width)
 		}
 	}
-	if int(n.n) >= leafCap(s) {
+	if (int(n.n)+1)*s+8 > nodeBytes { // no room for the key and a load past it
 		return t.splitLeaf(n, n.find(t.probe, clamp >= 0))
 	}
-	if widen {
-		t.repack(n, n, 0, int(n.n), t.cols)
-		n.pack(v, t.probe)
+	if widen { // repack from n's arrays, swapped for the tree's spare ones
+		t.old.keys, t.old.cols, t.old.stride, n.keys, n.cols = n.keys, n.cols, n.stride, t.old.keys, t.old.cols
+		repack(n, &t.old, 0, int(n.n), t.cols)
+		n.pack(key, t.probe)
 	}
 	i := n.find(t.probe, true)
 	copy(n.keys[(i+1)*s:], n.keys[i*s:int(n.n)*s])
@@ -275,18 +269,20 @@ func (t *btree) insertLeaf(n *btreeNode, key []byte) *btreeNode {
 }
 
 // splitLeaf moves leaf n's keys from a split point on into a new right
-// sibling and has the key that belongs at index i inserted again. A leaf
-// whose previous insert landed just before i splits there, so appends to a
-// key region fill each leaf, and the right half is repacked at the least
-// layout its keys need. Every other leaf splits in the middle, and both
-// halves keep n's layout: keys that arrive out of order would widen a
-// tighter one again, one repack at a time.
+// sibling and has the key that belongs at index i inserted again. When the
+// leaf's previous insert landed just before i, the point is the cut
+// nearest i, so appends to a key region fill each leaf, and the right half
+// is packed at the least layout its keys need. Otherwise it is the cut
+// nearest the middle, and both halves keep n's layout: keys that arrive
+// out of order would widen a tighter one again, one repack at a time.
 func (t *btree) splitLeaf(n *btreeNode, i int) *btreeNode {
-	c, s := int(n.n), int(n.stride)
-	at := c / 2
+	c, s, at := int(n.n), int(n.stride), int(n.n)/2
+	app := i > 0 && i == int(n.last)+1
 	right := t.newNode(true)
-	if i > 0 && i == int(n.last)+1 {
+	if app {
 		at = min(i, c-1)
+	}
+	if at = n.cut(at); app {
 		for j := range t.cols {
 			lo, hi := ^uint64(0), uint64(0)
 			for r := at; r < c; r++ {
@@ -295,7 +291,7 @@ func (t *btree) splitLeaf(n *btreeNode, i int) *btreeNode {
 			}
 			t.cols[j] = column{base: lo, width: uint8(byteWidth(hi - lo))}
 		}
-		t.repack(right, n, at, c, t.cols)
+		repack(right, n, at, c, t.cols)
 	} else {
 		copy(right.keys, n.keys[at*s:c*s])
 		copy(right.cols, n.cols)
@@ -306,15 +302,30 @@ func (t *btree) splitLeaf(n *btreeNode, i int) *btreeNode {
 	return right
 }
 
-// repack writes leaf src's keys [a, b) into leaf dst from its first key on,
-// in layout cols, which becomes dst's. src may be dst.
-func (t *btree) repack(dst, src *btreeNode, a, b int, cols []column) {
-	if src == dst {
-		copy(t.old.keys, src.keys[a*int(src.stride):b*int(src.stride)])
-		copy(t.old.cols, src.cols)
-		t.old.stride = src.stride
-		src, a, b = &t.old, 0, b-a
+// cut returns the split point of leaf n nearest at among those whose keys
+// on either side differ in the earliest column: a split keeps a key region
+// (keys equal in their leading columns) whole in one leaf where it can.
+// Columns before the first that varies are equal across the leaf, so that
+// column ascends, and the points nearest at are the ends of at's run in it.
+func (n *btreeNode) cut(at int) int {
+	s, c := int(n.stride), int(n.n)
+	for j := range n.cols {
+		col := &n.cols[j]
+		v := col.load(n.keys, at*s)
+		lo := sort.Search(c, func(p int) bool { return col.load(n.keys, p*s) >= v })
+		hi := sort.Search(c, func(p int) bool { return col.load(n.keys, p*s) > v })
+		if lo > 0 && (hi == c || at-lo <= hi-at) {
+			return lo
+		} else if hi < c {
+			return hi
+		}
 	}
+	return at
+}
+
+// repack writes leaf src's keys [a, b) into leaf dst from its first key on,
+// in layout cols, which becomes dst's.
+func repack(dst, src *btreeNode, a, b int, cols []column) {
 	s := 0 // lay the columns out back to back
 	for j := range cols {
 		cols[j].off, s = uint16(s), s+int(cols[j].width)
@@ -341,8 +352,8 @@ type iterator struct {
 // inserted in between. A shorter key is sought as if zero-padded, a longer
 // one cut to the tree's width and sought after.
 func (t *btree) seek(key []byte, after bool) iterator {
-	var buf [nodeBytes/4 + 8]byte // the widest tree key, then its packed probe
-	p := buf[:t.width]
+	var buf [nodeBytes/2 + 8]byte // the widest tree key, then its packed probe
+	p, q := buf[:t.width], buf[t.width:]
 	copy(p, key)
 	if len(key) != t.width {
 		after = len(key) > t.width
@@ -351,12 +362,10 @@ func (t *btree) seek(key []byte, after bool) iterator {
 	for !n.leaf {
 		n = n.children[n.search(p, t.width, true)]
 	}
-	var vals [maxIndexAttrs + 1]uint64
-	columns(vals[:len(n.cols)], p)
-	if clamp := n.pack(vals[:len(n.cols)], buf[:]); clamp != 0 {
+	if clamp := n.pack(p, q); clamp != 0 {
 		after = clamp > 0
 	}
-	it := iterator{node: n, i: n.find(buf[:], after)}
+	it := iterator{node: n, i: n.find(q, after)}
 	it.advanceLeaf()
 	return it
 }

@@ -66,11 +66,10 @@ func TestBTreeSeekSemantics(t *testing.T) {
 
 // insertPatterns are the key orders a tree must stay correct under, as
 // attribute values stored at rising slab positions. The per-region
-// pattern is the job_rank_time shape: 16 regions, each appended to 8192
-// times in rising time, interleaved at random. Each in-order pattern has
-// enough keys for three levels of leaves packed 500–1000 keys deep, and
-// each region enough leaves that its first and last leaf, part full, are
-// a small share of them.
+// patterns are the job_rank_time shape: regions, each appended to in
+// rising time, interleaved at random; 64 regions of 1024 keys is the
+// bench's rows per (job, rank), and 16 of 8192 spans many leaves a region.
+// Each in-order pattern has enough keys for three levels of leaves.
 var insertPatterns = map[string]func() []Key{
 	"ascending": func() []Key {
 		return seqKeys(200000, func(i int) Key { return Key{int64(i)} })
@@ -82,21 +81,26 @@ var insertPatterns = map[string]func() []Key{
 		r := rng.New(1)
 		return seqKeys(60000, func(int) Key { return Key{r.Float64()} })
 	},
-	"per-region": func() []Key {
-		r := rng.New(2)
-		next := make([]int, 16)
-		return seqKeys(16*8192, func(int) Key {
-			reg := r.Intn(16)
-			for next[reg] == 8192 {
-				reg = (reg + 1) % 16
-			}
-			next[reg]++
-			return Key{int64(reg / 4), int64(reg % 4), float64(next[reg])}
-		})
-	},
+	"per-region":      func() []Key { return regionKeys(64, 1024) },
+	"per-region-long": func() []Key { return regionKeys(16, 8192) },
 	"all-equal": func() []Key {
 		return seqKeys(200000, func(int) Key { return Key{int64(7), 1.5} })
 	},
+}
+
+// regionKeys appends n keys to each of regions (job, rank) regions in
+// rising time, choosing the region of each key at random.
+func regionKeys(regions, n int) []Key {
+	r := rng.New(2)
+	next := make([]int, regions)
+	return seqKeys(regions*n, func(int) Key {
+		reg := r.Intn(regions)
+		for next[reg] == n {
+			reg = (reg + 1) % regions
+		}
+		next[reg]++
+		return Key{int64(reg / 8), int64(reg % 8), float64(next[reg])}
+	})
 }
 
 func seqKeys(n int, f func(int) Key) []Key {
@@ -135,7 +139,7 @@ func TestBTreeStructure(t *testing.T) {
 			}
 			fill := float64(tr.size) / float64(room)
 			t.Logf("%d keys, %d levels, %d leaves (%.1f keys each), leaf fill %.1f%%", tr.size, depth, leaves, float64(tr.size)/float64(leaves), 100*fill)
-			if (name == "ascending" || name == "per-region" || name == "all-equal") && fill < 0.9 {
+			if (name == "ascending" || name == "per-region" || name == "per-region-long" || name == "all-equal") && fill < 0.9 {
 				t.Errorf("leaf fill %.1f%%, want >= 90%% for keys arriving in order", 100*fill)
 			}
 			r := rng.New(3)
@@ -169,7 +173,7 @@ func checkNode(t *testing.T, tr *btree, n *btreeNode, lo, hi []byte) (depth, lea
 	t.Helper()
 	if n.leaf {
 		checkLeaf(t, tr, n, lo, hi)
-		return 1, 1, leafCap(int(n.stride))
+		return 1, 1, (nodeBytes - 8) / max(int(n.stride), 1)
 	}
 	w := tr.width
 	if cap(n.keys) != nodeBytes/w*w || len(n.keys)%w != 0 || len(n.keys) == 0 {
@@ -177,8 +181,8 @@ func checkNode(t *testing.T, tr *btree, n *btreeNode, lo, hi []byte) (depth, lea
 	}
 	nkeys := len(n.keys) / w
 	for i := range nkeys {
-		k := n.key(i, w)
-		if lo != nil && bytes.Compare(k, lo) < 0 || hi != nil && bytes.Compare(k, hi) >= 0 || i > 0 && bytes.Compare(n.key(i-1, w), k) >= 0 {
+		k := sepAt(n, i, w)
+		if lo != nil && bytes.Compare(k, lo) < 0 || hi != nil && bytes.Compare(k, hi) >= 0 || i > 0 && bytes.Compare(sepAt(n, i-1, w), k) >= 0 {
 			t.Fatalf("key %x is out of order or outside [%x, %x)", k, lo, hi)
 		}
 	}
@@ -188,10 +192,10 @@ func checkNode(t *testing.T, tr *btree, n *btreeNode, lo, hi []byte) (depth, lea
 	for i, child := range n.children {
 		clo, chi := lo, hi
 		if i > 0 {
-			clo = n.key(i-1, w)
+			clo = sepAt(n, i-1, w)
 		}
 		if i < nkeys {
-			chi = n.key(i, w)
+			chi = sepAt(n, i, w)
 		}
 		d, l, c := checkNode(t, tr, child, clo, chi)
 		if i > 0 && d != depth {
@@ -201,6 +205,9 @@ func checkNode(t *testing.T, tr *btree, n *btreeNode, lo, hi []byte) (depth, lea
 	}
 	return depth + 1, leaves, room
 }
+
+// sepAt returns internal node n's i-th separator, of width w.
+func sepAt(n *btreeNode, i, w int) []byte { return n.keys[i*w : i*w+w] }
 
 // checkLeaf checks leaf n's layout and keys: one column per attribute and
 // the position, laid back to back at the stride, each at most 8 bytes wide
@@ -222,18 +229,16 @@ func checkLeaf(t *testing.T, tr *btree, n *btreeNode, lo, hi []byte) {
 		off += int(c.width)
 	}
 	s := int(n.stride)
-	if s != off || int(n.n) > leafCap(s) || int(n.n)*s+8 > nodeBytes {
+	if s != off || int(n.n)*s+8 > nodeBytes {
 		t.Fatalf("%d keys at stride %d (columns %d bytes) in a leaf of %d", n.n, s, off, nodeBytes)
 	}
-	v := make([]uint64, ncols)
 	var prev []byte
 	for i := range int(n.n) {
 		k := n.appendKey(nil, i)
-		columns(v, k)
 		for j := range n.cols {
-			c := &n.cols[j]
-			if raw := binary.BigEndian.Uint64(n.keys[i*s+int(c.off):]) >> c.shift(); raw > c.span() || v[j] < c.base || v[j] > c.top() {
-				t.Fatalf("key %d column %d: %#x outside [%#x, %#x]", i, j, v[j], c.base, c.top())
+			c, v := &n.cols[j], value(k, j, ncols)
+			if raw := binary.BigEndian.Uint64(n.keys[i*s+int(c.off):]) >> c.shift(); raw > c.span() || v < c.base || v > c.top() {
+				t.Fatalf("key %d column %d: %#x outside [%#x, %#x]", i, j, v, c.base, c.top())
 			}
 		}
 		if lo != nil && bytes.Compare(k, lo) < 0 || hi != nil && bytes.Compare(k, hi) >= 0 || prev != nil && bytes.Compare(prev, k) >= 0 {

@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -537,6 +538,59 @@ func TestCLIDsosd(t *testing.T) {
 			t.Errorf("/topo/grow is mounted without -topo-role store (%d)", code)
 		}
 		stop(t, cmd, dir, stderr, "darshan_data.sos", "darshan_data.sos.1", "darshan_data.sos.2", "darshan_data.sos.3")
+	})
+
+	// The shutdown snapshot is the store as it stood: dsosql on the shard
+	// file prints the bytes the live /query did, for one job and rank and
+	// for the whole job, over 600 rows (two sealed pages and an open one).
+	t.Run("snapshot reads as the live query", func(t *testing.T) {
+		sql := filepath.Join(t.TempDir(), "dsosql")
+		runCmd(t, "build", "-o", sql, "./cmd/dsosql")
+		cmd, dir, listen, api, stderr := start(t, "-daemons", "1")
+		c, err := ldms.DialTCP(listen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 600
+		for i := 0; i < n; i++ {
+			m := job7Event(i % 8)
+			m.Seg[0].Timestamp += float64(i)
+			if err := c.Publish(streams.Message{Tag: "darshanConnector", Type: streams.TypeJSON, Data: jsonmsg.FastEncoder{}.Encode(&m)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if _, body := httpDo(t, http.MethodGet, "http://"+api+"/count"); strings.TrimSpace(body) == strconv.Itoa(n) {
+				break
+			} else if time.Now().After(deadline) {
+				t.Fatalf("/count = %q, want %d:\n%s", body, n, stderr)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		queries := [][2]string{{"?job=7&rank=3", "-rank=3"}, {"?job=7", "-rank=-1"}}
+		live := make([]string, len(queries))
+		for i, q := range queries {
+			code, body := httpDo(t, http.MethodGet, "http://"+api+"/query"+q[0])
+			if code != http.StatusOK || strings.Count(body, "\n") < 2 {
+				t.Fatalf("/query%s = %d:\n%s", q[0], code, body)
+			}
+			live[i] = body
+		}
+		stop(t, cmd, dir, stderr, "darshan_data.sos")
+		if !regexp.MustCompile(`dsosd: snapshot darshan_data.sos \(1 shards, 600 objects, 600 stored\): [1-9][0-9]* bytes in [0-9]+ ms\n`).MatchString(stderr.String()) {
+			t.Errorf("no snapshot line with its bytes and time on stderr:\n%s", stderr)
+		}
+		for i, q := range queries {
+			out, err := exec.Command(sql, "-snapshot", filepath.Join(dir, "darshan_data.sos"), "-job=7", q[1]).Output()
+			if err != nil {
+				t.Fatalf("dsosql %s: %v", q[1], err)
+			}
+			if string(out) != live[i] {
+				t.Errorf("dsosql -job=7 %s prints other bytes than /query%s:\n%s\nwant:\n%s", q[1], q[0], out, live[i])
+			}
+		}
 	})
 
 	// The temporary a snapshot is written to must sit beside -snapshot, or

@@ -55,6 +55,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -258,31 +259,36 @@ func main() {
 	fmt.Fprintf(os.Stderr, "dsosd: container %q (%d shards, R=%d, wal=%q) listening on %s\n",
 		*container, *daemons, cluster.Replication(), *walDir, srv.Addr())
 
-	snapShard := func(path string, d *dsos.Daemon) {
+	// snapShard writes one shard's snapshot and returns its size.
+	snapShard := func(path string, d *dsos.Daemon) int64 {
 		// Beside its destination, so the rename never crosses filesystems.
 		f, err := os.CreateTemp(filepath.Dir(path), "dsosd-snap-*")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dsosd: snapshot:", err)
-			return
+			return 0
 		}
 		name := f.Name()
 		err = d.Snapshot(f)
+		size, _ := f.Seek(0, io.SeekCurrent)
 		cerr := f.Close()
 		if err != nil || cerr != nil {
 			os.Remove(name)
 			fmt.Fprintln(os.Stderr, "dsosd: snapshot:", err, cerr)
-			return
+			return 0
 		}
 		if err := os.Rename(name, path); err != nil {
 			os.Remove(name)
 			fmt.Fprintln(os.Stderr, "dsosd: snapshot:", err)
-			return
+			return 0
 		}
+		return size
 	}
 	snap := func() {
+		start := time.Now()
 		shards := cluster.Daemons()
+		var written int64
 		for i, d := range shards {
-			snapShard(snapPath(i, d), d)
+			written += snapShard(snapPath(i, d), d)
 		}
 		stored := uint64(0)
 		if h != nil {
@@ -290,8 +296,8 @@ func main() {
 		} else if stream != nil {
 			stored = stream.Stats().Appended
 		}
-		fmt.Fprintf(os.Stderr, "dsosd: snapshot %s (%d shards, %d objects, %d stored)\n",
-			*snapshot, len(shards), client.Count(dsos.DarshanSchemaName), stored)
+		fmt.Fprintf(os.Stderr, "dsosd: snapshot %s (%d shards, %d objects, %d stored): %d bytes in %d ms\n",
+			*snapshot, len(shards), client.Count(dsos.DarshanSchemaName), stored, written, time.Since(start).Milliseconds())
 	}
 
 	if *httpAddr != "" {

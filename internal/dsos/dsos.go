@@ -368,10 +368,13 @@ func (d *Daemon) Count(schema string) int {
 
 // RetainWhere rebuilds the shard keeping only the objects keep accepts,
 // and rewrites the write-ahead log (if any) to match, so a later restart
-// cannot resurrect what was dropped. index must cover the objects being
-// retained (any index over the schema does). It returns the number of
-// objects dropped. This is the cleanup primitive of a shard migration:
-// the source retains exactly the keys it still owns.
+// cannot resurrect what was dropped. index names the schema whose objects
+// are retained (any index over it does). The kept objects are stored and
+// logged again in the order they were inserted, so every index is rebuilt
+// from its keys in arrival order, as ingest built it, and rows whose keys
+// tie keep their relative order. It returns the number of objects
+// dropped. This is the cleanup primitive of a shard migration: the source
+// retains exactly the keys it still owns.
 func (d *Daemon) RetainWhere(index string, keep func(obj sos.Object, origin uint64) bool) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -390,16 +393,14 @@ func (d *Daemon) RetainWhere(index string, keep func(obj sos.Object, origin uint
 	var kept []sos.Object
 	var origins []uint64
 	dropped := 0
-	if err := d.cont.IterOrigins(index, nil, func(o sos.Object, origin uint64) bool {
+	d.cont.Scan(schema, func(o sos.Object, origin uint64) bool {
 		if keep(o, origin) {
 			kept, origins = append(kept, o), append(origins, origin)
 		} else {
 			dropped++
 		}
 		return true
-	}); err != nil {
-		return 0, err
-	}
+	})
 	if dropped == 0 {
 		return 0, nil
 	}

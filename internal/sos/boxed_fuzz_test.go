@@ -258,10 +258,11 @@ func matchCursors(t *testing.T, typed *Container, ref *refContainer, stored []re
 // replaced (reference_test.go): rows built by NewObject or a RowBuilder,
 // inserted into both (the typed one in 8-row pages, so that rows are read
 // back from sealed pages and a page still filling), must get the same
-// Check verdicts, yield the same
-// rows over every index and bound, and write the same snapshot bytes; the
-// typed container's Restore must round-trip to the same rows. For the log,
-// the v1 writer kept as the reference (appendV1) must still write the
+// Check verdicts and yield the same rows over every index and bound; the
+// typed container's snapshot, and the reference's snapshot in the
+// row-by-row format, must restore to the same rows, and the restored
+// container must write the same snapshot bytes again. For the log, the
+// v1 writer kept as the reference (appendV1) must still write the
 // []any writer's bytes, and the v2 log the live writer writes must replay
 // to the rows, origins and tokens the v1 log replays to. The input format
 // is boxedRows'.
@@ -331,6 +332,9 @@ func FuzzObjectsMatchBoxed(f *testing.F) {
 			t.Fatalf("v1 WAL bytes differ: typed %d bytes, reference %d", len(v1Bytes), len(refBytes))
 		}
 
+		// The snapshot, and the reference's SNAP1/SNAP2 snapshot of the same
+		// rows, restore to the reference's contents; the restored container
+		// writes the snapshot it was restored from.
 		var tsnap, rsnap bytes.Buffer
 		if err := typed.Snapshot(&tsnap); err != nil {
 			t.Fatal(err)
@@ -338,19 +342,21 @@ func FuzzObjectsMatchBoxed(f *testing.F) {
 		if err := ref.Snapshot(&rsnap); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(tsnap.Bytes(), rsnap.Bytes()) {
-			t.Fatalf("snapshot bytes differ: typed %d bytes, reference %d", tsnap.Len(), rsnap.Len())
-		}
-
 		restored, err := Restore(bytes.NewReader(tsnap.Bytes()))
 		if err != nil {
 			t.Fatalf("restore: %v", err)
 		}
-		boxedRestored, err := refRestore(bytes.NewReader(rsnap.Bytes()))
+		fromRef, err := Restore(bytes.NewReader(rsnap.Bytes()))
 		if err != nil {
-			t.Fatalf("reference restore: %v", err)
+			t.Fatalf("restore of the reference's snapshot: %v", err)
 		}
-		matchCursors(t, restored, boxedRestored, stored)
+		for _, c := range []*Container{restored, fromRef} {
+			if c.Count("ev") != ref.Count("ev") || c.nextOID != ref.nextOID {
+				t.Fatalf("restored %d rows, next id %d; the reference holds %d, %d", c.Count("ev"), c.nextOID, ref.Count("ev"), ref.nextOID)
+			}
+			matchCursors(t, c, ref, stored)
+		}
+		sameContents(t, restored, typed)
 		var again bytes.Buffer
 		if err := restored.Snapshot(&again); err != nil || !bytes.Equal(again.Bytes(), tsnap.Bytes()) {
 			t.Fatalf("a restored container snapshots to other bytes (%v)", err)

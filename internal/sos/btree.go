@@ -172,18 +172,12 @@ func (n *btreeNode) pack(k, q []byte) (clamp int) {
 }
 
 // find returns the index of leaf n's first key >= q, a packed key, or > q
-// when after. It compares the keys' first 8 bytes as one word, and the
-// rest of a wider stride with bytes.Compare only on a tie.
+// when after.
 func (n *btreeNode) find(q []byte, after bool) int {
 	s, lo, hi := int(n.stride), 0, int(n.n)
-	sh := uint(64 - 8*min(s, 8))
-	x := binary.BigEndian.Uint64(q) >> sh
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		c := cmp.Compare(binary.BigEndian.Uint64(n.keys[mid*s:])>>sh, x)
-		if c == 0 && s > 8 {
-			c = bytes.Compare(n.keys[mid*s+8:mid*s+s], q[8:s])
-		}
+		c := bytes.Compare(n.keys[mid*s:mid*s+s], q[:s])
 		if c < 0 || after && c == 0 {
 			lo = mid + 1
 		} else {

@@ -1,11 +1,15 @@
 package sos
 
 import (
+	"bufio"
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -29,6 +33,9 @@ func FuzzRestore(f *testing.F) {
 	f.Add([]byte(snapMagic))
 	f.Add([]byte("SOS-GO-SNAP1garbage here"))
 	f.Add([]byte{})
+	for _, fault := range v3Faults() {
+		f.Add(fault.snap)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c2, err := Restore(bytes.NewReader(data))
 		if err == nil && c2 == nil {
@@ -41,6 +48,116 @@ func FuzzRestore(f *testing.F) {
 			}
 		}
 	})
+}
+
+// v3Page is one page of a hand-built v3 snapshot: its stride, each
+// attribute's base, width and offset, and its packed rows.
+type v3Page struct {
+	stride uint64
+	cols   [2][3]uint64
+	rows   []byte
+}
+
+// v3Snapshot hand-builds a v3 snapshot of schema ev (job_id int64, name
+// string) over the dictionary {"", "x"}: perPage rows a page, n rows in
+// pages, and an index on job_id.
+func v3Snapshot(perPage, n uint64, pages ...v3Page) []byte {
+	var snap bytes.Buffer
+	snap.WriteString(snapMagic3)
+	zw := gzip.NewWriter(&snap)
+	bw := bufio.NewWriter(zw)
+	e := &snapEnc{w: bw}
+	e.str("fz")
+	e.u64(n) // next object id
+	e.u64(2)
+	e.str("")
+	e.str("x")
+	e.u64(1)
+	e.str("ev")
+	e.u64(2)
+	e.str("job_id")
+	e.u64(uint64(TypeInt64))
+	e.str("name")
+	e.u64(uint64(TypeString))
+	e.u64(n)
+	e.u64(perPage)
+	e.u64(0) // no origins
+	for _, p := range pages {
+		e.u64(p.stride)
+		for _, c := range p.cols {
+			e.u64(c[0])
+			e.u64(c[1])
+			e.u64(c[2])
+		}
+		e.write(p.rows)
+	}
+	e.u64(1)
+	e.str("j")
+	e.str("ev")
+	e.u64(1)
+	e.str("job_id")
+	if e.err != nil || bw.Flush() != nil || zw.Close() != nil {
+		panic("building a snapshot in memory failed")
+	}
+	return snap.Bytes()
+}
+
+// v3Faults returns a valid hand-built v3 snapshot (5 rows in pages of 4:
+// one full page, then one row) and variants of it that Restore must
+// refuse, each with the words its error names.
+func v3Faults() []struct {
+	name, err string
+	snap      []byte
+} {
+	full := func(stride uint64, job, name [3]uint64) v3Page {
+		rows := make([]byte, 4*stride)
+		for r := uint64(0); r < 4; r++ { // job offset r, then name id r&1
+			rows[r*stride], rows[r*stride+1] = byte(r), byte(r&1)
+		}
+		return v3Page{stride, [2][3]uint64{job, name}, rows}
+	}
+	last := v3Page{1, [2][3]uint64{{20, 1, 0}, {1, 0, 1}}, []byte{5}}
+	valid := v3Snapshot(4, 5, full(2, [3]uint64{10, 1, 0}, [3]uint64{0, 1, 1}), last)
+	return []struct {
+		name, err string
+		snap      []byte
+	}{
+		{"valid", "", valid},
+		{"truncated", "EOF", valid[:len(valid)/2]},
+		{"stride is not the sum of widths", "a 3-byte row of attributes 2 bytes wide", v3Snapshot(4, 5, full(3, [3]uint64{10, 1, 0}, [3]uint64{0, 1, 1}), last)},
+		{"width 9", "attribute 0 (int64) of 9 bytes", v3Snapshot(4, 5, full(2, [3]uint64{10, 9, 0}, [3]uint64{0, 1, 1}), last)},
+		{"offset past the stride", "attribute 1 (string) of 1 bytes at offset 5 in a 2-byte row", v3Snapshot(4, 5, full(2, [3]uint64{10, 1, 0}, [3]uint64{0, 1, 5}), last)},
+		{"string id past the dictionary", "string id past the dictionary's 2", v3Snapshot(4, 5, full(2, [3]uint64{10, 1, 0}, [3]uint64{1, 1, 1}), last)},
+		{"row count past maxRows", "4294967296 rows, 0 origins; at most 4294967295 rows", v3Snapshot(4, maxRows+1, full(2, [3]uint64{10, 1, 0}, [3]uint64{0, 1, 1}), last)},
+		{"pages larger than this build's", "pages of 8192 rows; this build's pages hold 4096", v3Snapshot(8192, 5, full(2, [3]uint64{10, 1, 0}, [3]uint64{0, 1, 1}), last)},
+	}
+}
+
+// TestRestoreV3Faults: Restore refuses each hostile variant of a v3
+// snapshot with an error naming the fault, and restores the valid one
+// with the page size it was written with.
+func TestRestoreV3Faults(t *testing.T) {
+	for _, fault := range v3Faults() {
+		c, err := Restore(bytes.NewReader(fault.snap))
+		if fault.err == "" {
+			if err != nil {
+				t.Fatalf("%s: %v", fault.name, err)
+			}
+			var jobs []int64
+			var names []string
+			c.Iter("j", nil, func(o Object) bool {
+				jobs, names = append(jobs, o.Int(0)), append(names, o.Str(1))
+				return true
+			})
+			if !slices.Equal(jobs, []int64{10, 11, 12, 13, 25}) || !slices.Equal(names, []string{"", "x", "", "x", "x"}) || c.slabs["ev"].shift != 2 {
+				t.Fatalf("%s: restored jobs %v names %q in pages of %d rows", fault.name, jobs, names, 1<<c.slabs["ev"].shift)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), fault.err) {
+			t.Errorf("%s: error %v, want one naming %q", fault.name, err, fault.err)
+		}
+	}
 }
 
 // FuzzReplayWAL hardens the floor-bounded log replay. The first two bytes

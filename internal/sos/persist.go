@@ -7,19 +7,32 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
+	"sync/atomic"
+	"unsafe"
 )
 
-// Snapshot persistence: schemas and object slabs are written; indices are
-// rebuilt from their specs on restore (SOS stores its trees on disk, but
-// rebuilding keeps the format simple and is fast at monitoring scales).
+// Snapshot persistence. A snapshot is the container as it is held, so
+// writing one encodes nothing per row; indices are rebuilt from their
+// specs on restore (SOS stores its trees on disk, but rebuilding keeps the
+// format simple). Only the third format, snapMagic3, is written. In one
+// gzip stream: the container's name and next object id, the dictionary,
+// then per schema its attributes, row count, rows a page, origin list
+// (empty unless an origin was ever stamped) and pages: each one's stride,
+// each attribute's base, width and offset, and its rows packed (the open
+// page's packed as a seal would pack them). Then the index specs. The
+// first two formats, which inline every value of every row, stay
+// readable.
 
 const snapMagic = "SOS-GO-SNAP1"
 
-// snapMagic2 is the snapshot format carrying per-object origin ids. It is
-// only written when the container actually has stamped origins, so
-// unreplicated snapshots stay byte-identical to the original format.
+// snapMagic2 is the second format: the first with per-object origin ids,
+// written when the container had stamped origins.
 const snapMagic2 = "SOS-GO-SNAP2"
+
+// snapMagic3 is the format Snapshot writes.
+const snapMagic3 = "SOS-GO-SNAP3"
 
 // Frozen is a container's contents at one instant, for writing a snapshot
 // while the container keeps taking inserts. Slabs, the dictionary and
@@ -54,37 +67,25 @@ func (c *Container) Freeze() *Frozen {
 	return f
 }
 
-// hasOrigins reports whether any object carries a non-zero origin.
-func (f *Frozen) hasOrigins() bool {
-	for _, origins := range f.origins {
-		for _, o := range origins {
-			if o != 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Snapshot writes the container to w (gzip-compressed binary).
 func (c *Container) Snapshot(w io.Writer) error { return c.Freeze().Snapshot(w) }
 
 // Snapshot writes the frozen contents to w in Container.Snapshot's format.
 func (f *Frozen) Snapshot(w io.Writer) error {
-	withOrigins := f.hasOrigins()
-	magic := snapMagic
-	if withOrigins {
-		magic = snapMagic2
-	}
-	if _, err := io.WriteString(w, magic); err != nil {
+	if _, err := io.WriteString(w, snapMagic3); err != nil {
 		return err
 	}
-	zw := gzip.NewWriter(w)
+	zw, _ := gzip.NewWriterLevel(w, gzip.BestSpeed) // the level is valid
 	bw := bufio.NewWriter(zw)
 	e := &snapEnc{w: bw}
 	e.str(f.name)
 	e.u64(f.nextOID)
+	e.u64(uint64(len(f.strs)))
+	for _, s := range f.strs {
+		e.str(s)
+	}
 	e.u64(uint64(len(f.schemas)))
+	var words []uint64
 	for i, sch := range f.schemas {
 		e.str(sch.Name)
 		e.u64(uint64(len(sch.Attrs)))
@@ -92,20 +93,31 @@ func (f *Frozen) Snapshot(w io.Writer) error {
 			e.str(a.Name)
 			e.u64(uint64(a.Type))
 		}
-		slab, origins := &f.slabs[i], f.origins[i]
-		e.u64(uint64(slab.n))
-		for pos := 0; pos < slab.n; pos++ {
-			o := slab.object(pos, nil)
-			for j, a := range sch.Attrs {
-				e.word(a.Type, o.word(j), f.strs)
-			}
-			if withOrigins {
-				var o uint64
-				if pos < len(origins) {
-					o = origins[pos]
+		s, origins := &f.slabs[i], f.origins[i]
+		e.u64(uint64(s.n))
+		e.u64(1 << s.shift)
+		e.u64(uint64(len(origins)))
+		for _, o := range origins {
+			e.u64(o)
+		}
+		for p := 0; p<<s.shift < s.n; p++ {
+			pg, rows := s.pages[p].Load(), min(s.n-p<<s.shift, 1<<s.shift)
+			if pg.cols == nil || rows < 1<<s.shift {
+				// The open page, or the first rows of a page sealed since
+				// Freeze: packed as a seal packs them.
+				words = slices.Grow(words[:0], rows*s.width)[:rows*s.width]
+				for r := 0; r < rows; r++ {
+					s.object(p<<s.shift+r, nil).copyWords(words[r*s.width : (r+1)*s.width])
 				}
-				e.u64(o)
+				pg = s.pack(words, rows)
 			}
+			e.u64(uint64(pg.stride))
+			for _, c := range pg.cols {
+				e.u64(c.base)
+				e.u64(uint64(bits.OnesCount64(c.mask) / 8))
+				e.u64(uint64(c.off))
+			}
+			e.write(unsafe.Slice((*byte)(pg.rows), int(pg.stride)*rows))
 		}
 	}
 	e.u64(uint64(len(f.indices)))
@@ -126,14 +138,15 @@ func (f *Frozen) Snapshot(w io.Writer) error {
 	return zw.Close()
 }
 
-// Restore reads a container snapshot written by Snapshot (either format).
+// Restore reads a container snapshot written by Snapshot, in any of the
+// three formats.
 func Restore(r io.Reader) (*Container, error) {
 	magic := make([]byte, len(snapMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, err
 	}
-	withOrigins := string(magic) == snapMagic2
-	if string(magic) != snapMagic && !withOrigins {
+	v3, withOrigins := string(magic) == snapMagic3, string(magic) == snapMagic2
+	if string(magic) != snapMagic && !withOrigins && !v3 {
 		return nil, errors.New("sos: not a container snapshot")
 	}
 	zr, err := gzip.NewReader(r)
@@ -144,6 +157,11 @@ func Restore(r io.Reader) (*Container, error) {
 	d := &snapDec{r: bufio.NewReader(zr)}
 	c := NewContainer(d.str())
 	c.nextOID = d.u64()
+	if v3 { // the dictionary, ids as written
+		for n := d.u64(); n > 0 && d.err == nil; n-- {
+			c.dict.intern(d.str())
+		}
+	}
 	nSchemas := d.u64()
 	if d.err != nil {
 		return nil, d.err
@@ -172,12 +190,16 @@ func Restore(r io.Reader) (*Container, error) {
 		if err := c.AddSchema(sch); err != nil {
 			return nil, err
 		}
-		nObjs := d.u64()
+		nObjs, perPage, nOrigins := d.u64(), uint64(0), uint64(0)
+		if v3 {
+			perPage, nOrigins = d.u64(), d.u64()
+			withOrigins = nOrigins > 0
+		}
 		if d.err != nil {
 			return nil, d.err
 		}
-		if nObjs > maxRows {
-			return nil, errFull(name)
+		if nObjs > maxRows || v3 && nOrigins != 0 && nOrigins != nObjs {
+			return nil, fmt.Errorf("sos: schema %q: %d rows, %d origins; at most %d rows, each with an origin or none", name, nObjs, nOrigins, uint64(maxRows))
 		}
 		if nObjs > 0 && len(attrs) == 0 && !withOrigins {
 			// Such objects occupy no bytes, so nothing would ever stop the
@@ -193,7 +215,15 @@ func Restore(r io.Reader) (*Container, error) {
 		if withOrigins {
 			origins = make([]uint64, 0, min(nObjs, 1<<16))
 		}
-		for j := uint64(0); j < nObjs; j++ {
+		for j := uint64(0); v3 && j < nOrigins && d.err == nil; j++ {
+			origins = append(origins, d.u64())
+		}
+		if v3 && d.err == nil {
+			if err := d.pages(slab, perPage, int(nObjs), len(c.dict.strs)); err != nil {
+				return nil, fmt.Errorf("sos: schema %q: %w", name, err)
+			}
+		}
+		for j := uint64(0); !v3 && j < nObjs && d.err == nil; j++ {
 			w := slab.grow()
 			for k, t := range slab.types {
 				w[k] = d.word(t, &c.dict)
@@ -201,9 +231,9 @@ func Restore(r io.Reader) (*Container, error) {
 			if withOrigins {
 				origins = append(origins, d.u64())
 			}
-			if d.err != nil {
-				return nil, d.err
-			}
+		}
+		if d.err != nil {
+			return nil, d.err
 		}
 		if withOrigins {
 			c.origins[name] = origins
@@ -238,6 +268,60 @@ func Restore(r io.Reader) (*Container, error) {
 	return c, d.err
 }
 
+// pages reads n rows of slab s in v3 pages of perPage rows each, whose
+// string words index a dictionary of nstrs strings. A full page is
+// adopted as it stands; the rows of a last page that is not full become
+// the slab's open page again. A file whose pages hold fewer rows than
+// this build's keeps its page size; one whose pages hold more is refused.
+func (d *snapDec) pages(s *slab, perPage uint64, n, nstrs int) error {
+	if perPage == 0 || perPage&(perPage-1) != 0 || perPage > 1<<s.shift {
+		return fmt.Errorf("pages of %d rows; this build's pages hold %d, a power of two", perPage, 1<<s.shift)
+	}
+	s.shift = uint(bits.TrailingZeros64(perPage))
+	for p := 0; p<<s.shift < n; p++ {
+		rows := min(n-p<<s.shift, 1<<s.shift)
+		stride := d.u64()
+		pg, sum := &page{rowType: rowType{types: s.types, cols: make([]col, s.width), stride: uintptr(stride)}}, uint64(0)
+		for j, t := range s.types {
+			base, width, off := d.u64(), d.u64(), d.u64()
+			if d.err == nil && (width > 8 || off > stride || width > stride-off || uint(t) > uint(TypeString)) {
+				return fmt.Errorf("page %d: attribute %d (%v) of %d bytes at offset %d in a %d-byte row", p, j, t, width, off, stride)
+			}
+			pg.cols[j], sum = col{base: base, mask: 1<<(8*width) - 1, off: uintptr(off)}, sum+width
+		}
+		if d.err != nil {
+			return d.err
+		}
+		if sum != stride {
+			return fmt.Errorf("page %d: a %d-byte row of attributes %d bytes wide", p, stride, sum)
+		}
+		data := make([]byte, int(stride)<<s.shift+8) // as seal allocates it
+		if _, err := io.ReadFull(d.r, data[:int(stride)*rows]); err != nil {
+			return err
+		}
+		pg.rows = unsafe.Pointer(&data[0])
+		for _, j := range s.strCols {
+			c, hi := &pg.cols[j], uint64(0)
+			for r := 0; r < rows; r++ {
+				hi = max(hi, binary.LittleEndian.Uint64(data[r*int(stride)+int(c.off):])&c.mask)
+			}
+			if c.base >= uint64(nstrs) || hi >= uint64(nstrs)-c.base {
+				return fmt.Errorf("page %d: attribute %d holds a string id past the dictionary's %d", p, j, nstrs)
+			}
+		}
+		if rows < 1<<s.shift {
+			for r := 0; r < rows; r++ {
+				Object{p: unsafe.Add(pg.rows, uintptr(r)*pg.stride), typ: &pg.rowType}.copyWords(s.grow())
+			}
+			break
+		}
+		s.pages = append(s.pages, atomic.Pointer[page]{})
+		s.pages[p].Store(pg)
+		s.n += rows
+	}
+	return nil
+}
+
 type snapEnc struct {
 	w   *bufio.Writer
 	err error
@@ -259,13 +343,10 @@ func (e *snapEnc) str(s string) {
 	}
 }
 
-// word writes a row word of type t; a string word indexes strs.
-func (e *snapEnc) word(t Type, w uint64, strs []string) {
-	switch t {
-	case TypeInt64, TypeUint64, TypeFloat64:
-		e.u64(w)
-	case TypeString:
-		e.str(strs[w])
+// write writes b as it stands.
+func (e *snapEnc) write(b []byte) {
+	if e.err == nil {
+		_, e.err = e.w.Write(b)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -450,119 +449,6 @@ func (f *refFrozen) Snapshot(w io.Writer) error {
 	return zw.Close()
 }
 
-// refRestore reads a container snapshot written by Snapshot (either format).
-func refRestore(r io.Reader) (*refContainer, error) {
-	magic := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, err
-	}
-	withOrigins := string(magic) == snapMagic2
-	if string(magic) != snapMagic && !withOrigins {
-		return nil, errors.New("sos: not a container snapshot")
-	}
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	defer zr.Close()
-	d := &snapDec{r: bufio.NewReader(zr)}
-	c := newRefContainer(d.str())
-	c.nextOID = d.u64()
-	nSchemas := d.u64()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if nSchemas > 1<<20 {
-		return nil, fmt.Errorf("sos: implausible schema count %d", nSchemas)
-	}
-	for i := uint64(0); i < nSchemas; i++ {
-		name := d.str()
-		nAttrs := d.u64()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if nAttrs > 1<<16 {
-			return nil, fmt.Errorf("sos: implausible attr count %d", nAttrs)
-		}
-		attrs := make([]AttrSpec, nAttrs)
-		for j := range attrs {
-			attrs[j].Name = d.str()
-			attrs[j].Type = Type(d.u64())
-		}
-		sch, err := NewSchema(name, attrs)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.AddSchema(sch); err != nil {
-			return nil, err
-		}
-		nObjs := d.u64()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if nObjs > 1<<32 {
-			return nil, fmt.Errorf("sos: implausible object count %d", nObjs)
-		}
-		if nObjs > 0 && len(attrs) == 0 && !withOrigins {
-			// Such objects occupy no bytes, so nothing would ever stop the
-			// loop below short of the declared count.
-			return nil, fmt.Errorf("sos: %d objects declared for a schema without attributes", nObjs)
-		}
-		// The count is a hint, not a promise: preallocate no more than a
-		// modest slab so a hostile header cannot ask for gigabytes before
-		// the first object fails to read.
-		slab := make([]refObject, 0, min(nObjs, 1<<16))
-		var origins []uint64
-		if withOrigins {
-			origins = make([]uint64, 0, min(nObjs, 1<<16))
-		}
-		for j := uint64(0); j < nObjs; j++ {
-			obj := make(refObject, len(attrs))
-			for k := range attrs {
-				obj[k] = d.refValue(attrs[k].Type)
-			}
-			slab = append(slab, obj)
-			if withOrigins {
-				origins = append(origins, d.u64())
-			}
-			if d.err != nil {
-				return nil, d.err
-			}
-		}
-		c.slabs[name] = slab
-		if withOrigins {
-			c.origins[name] = origins
-		}
-	}
-	nIdx := d.u64()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if nIdx > 1<<16 {
-		return nil, fmt.Errorf("sos: implausible index count %d", nIdx)
-	}
-	for i := uint64(0); i < nIdx; i++ {
-		spec := IndexSpec{Name: d.str(), Schema: d.str()}
-		nAttrs := d.u64()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if nAttrs > 1<<16 {
-			return nil, fmt.Errorf("sos: implausible index attr count %d", nAttrs)
-		}
-		for j := uint64(0); j < nAttrs; j++ {
-			spec.Attrs = append(spec.Attrs, d.str())
-		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		if _, err := c.AddIndex(spec); err != nil {
-			return nil, err
-		}
-	}
-	return c, d.err
-}
-
 func (e *snapEnc) refValue(t Type, v any) {
 	switch t {
 	case TypeInt64:
@@ -574,21 +460,6 @@ func (e *snapEnc) refValue(t Type, v any) {
 	case TypeString:
 		e.str(v.(string))
 	}
-}
-
-func (d *snapDec) refValue(t Type) any {
-	switch t {
-	case TypeInt64:
-		return int64(d.u64())
-	case TypeUint64:
-		return d.u64()
-	case TypeFloat64:
-		return math.Float64frombits(d.u64())
-	case TypeString:
-		return d.str()
-	}
-	d.err = fmt.Errorf("sos: unknown type %d", t)
-	return nil
 }
 
 // refAppendWALRecord appends the body of one record holding a prefix of objs

@@ -300,11 +300,7 @@ func (s *slab) grow() []uint64 {
 	return s.open[off : off+s.width : off+s.width]
 }
 
-// seal packs the full open page into rows of its own layout and swaps it
-// into the page's slot. Each attribute's base is the page's least word,
-// as an int64 for an int64 attribute and as bits otherwise, and its width
-// the bytes of the greatest offset from it; a row is the offsets, packed,
-// and the page ends in 8 bytes of slack so that any attribute is one load.
+// seal packs the full open page (pack) and swaps it into the page's slot.
 // It reports whether s.open, cleared, is free for the next page: no view
 // was taken while the page was open.
 func (s *slab) seal() bool {
@@ -312,7 +308,23 @@ func (s *slab) seal() bool {
 		return false
 	}
 	filled := s.pages[len(s.pages)-1].Load()
-	w, pg := s.open, &page{rowType: rowType{types: s.types, cols: make([]col, s.width)}}
+	s.pages[len(s.pages)-1].Store(s.pack(s.open, 1<<s.shift))
+	if filled.viewed.Load() {
+		s.open = nil
+		return false
+	}
+	clear(s.open)
+	return true
+}
+
+// pack packs rows of words w, which holds rows rows, into a page of their
+// own layout. Each attribute's base is the rows' least word, as an int64
+// for an int64 attribute and as bits otherwise, and its width the bytes of
+// the greatest offset from it; a row is the offsets, packed, and the page
+// ends in 8 bytes of slack so that any attribute is one load.
+func (s *slab) pack(w []uint64, rows int) *page {
+	pg := &page{rowType: rowType{types: s.types, cols: make([]col, s.width)}}
+	w = w[:rows*s.width]
 	for j, t := range s.types {
 		var flip uint64 // maps int64 order onto uint64 order
 		if t == TypeInt64 {
@@ -326,9 +338,9 @@ func (s *slab) seal() bool {
 		pg.cols[j] = col{base: lo ^ flip, mask: 1<<(8*n) - 1, off: pg.stride}
 		pg.stride += uintptr(n)
 	}
-	data := make([]byte, int(pg.stride)<<s.shift+8)
+	data := make([]byte, int(pg.stride)*rows+8)
 	pg.rows = unsafe.Pointer(&data[0])
-	for r := 0; r < 1<<s.shift; r++ {
+	for r := 0; r < rows; r++ {
 		row, p := w[r*s.width:(r+1)*s.width], unsafe.Add(pg.rows, uintptr(r)*pg.stride)
 		for j := range row { // each store's high zero bytes are overwritten after it
 			if c := &pg.cols[j]; c.mask != 0 {
@@ -336,13 +348,7 @@ func (s *slab) seal() bool {
 			}
 		}
 	}
-	s.pages[len(s.pages)-1].Store(pg)
-	if filled.viewed.Load() {
-		s.open = nil
-		return false
-	}
-	clear(s.open)
-	return true
+	return pg
 }
 
 // byteWidth returns the whole bytes that hold every offset up to span.

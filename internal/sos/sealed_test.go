@@ -18,7 +18,7 @@ import (
 	"darshanldms/internal/rng"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden snapshot and log of sealed rows in testdata")
+var update = flag.Bool("update", false, "rewrite the golden snapshots and log of sealed rows in testdata")
 
 // sealedAttrs is a 24-attribute schema, so a page holds 256 rows as a
 // darshan page does, whose columns reach every packed width: constant
@@ -117,7 +117,7 @@ func storedRows(c *Container, schema string) []Object {
 }
 
 // gunzipSnapshot returns a snapshot's magic followed by its uncompressed
-// body, which does not depend on the compressor's version.
+// body, which does not depend on the compressor's version or level.
 func gunzipSnapshot(t *testing.T, snap []byte) []byte {
 	t.Helper()
 	zr, err := gzip.NewReader(bytes.NewReader(snap[len(snapMagic):]))
@@ -131,25 +131,133 @@ func gunzipSnapshot(t *testing.T, snap []byte) []byte {
 	return append(snap[:len(snapMagic):len(snapMagic)], body...)
 }
 
-// TestSealedGolden holds the snapshot of a container whose full pages are
-// sealed, and the log of its stored rows, to bytes written when every
-// page was still open words: 700 rows, two full pages and part of a third.
+// originAt returns the origin of row pos of schema, 0 when none is stamped.
+func originAt(c *Container, schema string, pos int) uint64 {
+	if o := c.origins[schema]; pos < len(o) {
+		return o[pos]
+	}
+	return 0
+}
+
+// sameContents fails unless got holds what want does: the name, next
+// object id, schemas and indices, every row at its slab position bit for
+// bit with its string values and origin, and, over every index, the same
+// tree keys, rows and origins in order, also from a cursor resumed after
+// each of a sample of keys.
+func sameContents(t *testing.T, got, want *Container) {
+	t.Helper()
+	if got.Name != want.Name || got.nextOID != want.nextOID || !slices.Equal(got.Schemas(), want.Schemas()) || !slices.Equal(got.Indices(), want.Indices()) {
+		t.Fatalf("container %q (next id %d, schemas %v, indices %v), want %q (%d, %v, %v)",
+			got.Name, got.nextOID, got.Schemas(), got.Indices(), want.Name, want.nextOID, want.Schemas(), want.Indices())
+	}
+	for _, name := range want.Schemas() {
+		g, w := storedRows(got, name), storedRows(want, name)
+		if len(g) != len(w) || got.Count(name) != want.Count(name) {
+			t.Fatalf("schema %s: %d rows, want %d", name, len(g), len(w))
+		}
+		for pos := range w {
+			if !sameObject(g[pos], w[pos]) || g[pos].String() != w[pos].String() || originAt(got, name, pos) != originAt(want, name, pos) {
+				t.Fatalf("schema %s row %d: %v origin %d, want %v origin %d", name, pos, g[pos], originAt(got, name, pos), w[pos], originAt(want, name, pos))
+			}
+		}
+	}
+	for _, name := range want.Indices() {
+		var keys [][]byte
+		gc, _ := got.Cursor(name, nil, nil)
+		wc, _ := want.Cursor(name, nil, nil)
+		for n := 0; ; n++ {
+			gn, wn := gc.Next(), wc.Next()
+			if gn != wn {
+				t.Fatalf("index %s: entry %d exists in one container only", name, n)
+			}
+			if !gn {
+				break
+			}
+			k := wc.AppendKey(nil)
+			if !bytes.Equal(gc.AppendKey(nil), k) || gc.Origin() != wc.Origin() || !sameObject(gc.Object(), wc.Object()) {
+				t.Fatalf("index %s entry %d: %v origin %d, want %v origin %d", name, n, gc.Object(), gc.Origin(), wc.Object(), wc.Origin())
+			}
+			keys = append(keys, k)
+		}
+		for k := 0; k < len(keys); k += len(keys)/7 + 1 {
+			cur, err := got.CursorAfter(name, keys[k], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range keys[k+1:] {
+				if !cur.Next() || !bytes.Equal(cur.AppendKey(nil), want) {
+					t.Fatalf("index %s resumed after entry %d: not the entries after it", name, k)
+				}
+			}
+			if cur.Next() {
+				t.Fatalf("index %s resumed after entry %d: an entry past the last", name, k)
+			}
+		}
+	}
+}
+
+// restoreFile restores the snapshot at path.
+func restoreFile(t *testing.T, path string) *Container {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Restore(bytes.NewReader(b))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return c
+}
+
+// sealedRef stores rows in the boxed reference as sealedContainer stores
+// them, stamping origins when withOrigins.
+func sealedRef(t *testing.T, rows [][]any, withOrigins bool) *refContainer {
+	t.Helper()
+	ref := newRefContainer("sealed")
+	sch, _ := NewSchema("ev", sealedAttrs)
+	if err := ref.AddSchema(sch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.AddIndex(IndexSpec{Name: "job_rank_time", Schema: "ev", Attrs: []string{"job_id", "rank", "timestamp"}}); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range rows {
+		var origin uint64
+		if withOrigins {
+			origin = uint64(i + 1)
+		}
+		ref.InsertChecked("ev", refObject(v), origin)
+	}
+	return ref
+}
+
+// TestSealedGolden holds a container whose full pages are sealed (700
+// rows: two full pages and part of a third) to frozen files:
+//   - sealed.snap3, its snapshot: the bytes it writes, which restore to
+//     the same contents and which the restored container writes again;
+//   - sealed.snap (SNAP2, written before pages were sealed) and
+//     sealed-v1.snap (SNAP1, the same rows without origins), the two
+//     row-by-row formats: they restore to the same contents, and the boxed
+//     reference writer still writes them;
+//   - sealed.wal, the log of its stored rows.
 func TestSealedGolden(t *testing.T) {
-	c := sealedContainer(t, sealedRows(700))
+	rows := sealedRows(700)
+	c := sealedContainer(t, rows)
 	var snap bytes.Buffer
 	if err := c.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 	log := NewMemWAL()
-	rows := storedRows(c, "ev")
-	origins := make([]uint64, len(rows))
+	stored := storedRows(c, "ev")
+	origins := make([]uint64, len(stored))
 	for i := range origins {
 		origins[i] = uint64(i + 1)
 	}
-	if err := NewWAL(log).AppendBatch("ev", rows, origins, 9); err != nil {
+	if err := NewWAL(log).AppendBatch("ev", stored, origins, 9); err != nil {
 		t.Fatal(err)
 	}
-	snapPath, walPath := filepath.Join("testdata", "sealed.snap"), filepath.Join("testdata", "sealed.wal")
+	snapPath, walPath := filepath.Join("testdata", "sealed.snap3"), filepath.Join("testdata", "sealed.wal")
 	if *update {
 		if err := os.WriteFile(snapPath, snap.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -167,10 +275,54 @@ func TestSealedGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gunzipSnapshot(t, snap.Bytes()), gunzipSnapshot(t, wantSnap)) {
-		t.Error("the snapshot differs from testdata/sealed.snap")
+		t.Error("the snapshot differs from testdata/sealed.snap3")
+	}
+	golden := restoreFile(t, snapPath)
+	sameContents(t, golden, c)
+	var again bytes.Buffer
+	if err := golden.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gunzipSnapshot(t, again.Bytes()), gunzipSnapshot(t, wantSnap)) {
+		t.Error("testdata/sealed.snap3, restored, snapshots to other bytes")
 	}
 	if !bytes.Equal(readLog(t, log), wantWAL) {
 		t.Error("the log of the stored rows differs from testdata/sealed.wal")
+	}
+
+	plain := NewContainer("sealed")
+	if err := plain.AddSchema(c.Schema("ev")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.AddIndex(IndexSpec{Name: "job_rank_time", Schema: "ev", Attrs: []string{"job_id", "rank", "timestamp"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, vals := range rows {
+		if err := plain.Insert("ev", NewObject(vals...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, old := range []struct {
+		file, magic string
+		want        *Container
+		ref         *refContainer
+	}{
+		{"sealed.snap", snapMagic2, c, sealedRef(t, rows, true)},
+		{"sealed-v1.snap", snapMagic, plain, sealedRef(t, rows, false)},
+	} {
+		path := filepath.Join("testdata", old.file)
+		var refSnap bytes.Buffer
+		if err := old.ref.Snapshot(&refSnap); err != nil {
+			t.Fatal(err)
+		}
+		frozen, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(frozen[:len(old.magic)]) != old.magic || !bytes.Equal(gunzipSnapshot(t, refSnap.Bytes()), gunzipSnapshot(t, frozen)) {
+			t.Errorf("the reference writer no longer writes testdata/%s", old.file)
+		}
+		sameContents(t, restoreFile(t, path), old.want)
 	}
 }
 
@@ -196,8 +348,10 @@ func sameObject(a, b Object) bool {
 }
 
 // TestSealedRowsMatchOpen reads every row of two sealed pages and an open
-// one back through each getter, Value, a log record and the snapshot, and
-// requires what the row built from the same values gives. The columns
+// one back through each getter, Value, a log record and a snapshot, and
+// requires what the row built from the same values gives: the snapshot,
+// and the boxed reference's snapshot of the same rows, restore to the
+// container's contents. The columns
 // reach every packed width, including 0 and 8 bytes.
 func TestSealedRowsMatchOpen(t *testing.T) {
 	vals := sealedRows(700)
@@ -251,31 +405,23 @@ func TestSealedRowsMatchOpen(t *testing.T) {
 			t.Fatalf("row %d logs to other bytes than the row it was built from", pos)
 		}
 	}
-	ref := newRefContainer("sealed")
-	sch, _ := NewSchema("ev", sealedAttrs)
-	if err := ref.AddSchema(sch); err != nil {
+	var snap, refSnap bytes.Buffer
+	if err := c.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.AddIndex(IndexSpec{Name: "job_rank_time", Schema: "ev", Attrs: []string{"job_id", "rank", "timestamp"}}); err != nil {
+	if err := sealedRef(t, vals, true).Snapshot(&refSnap); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range vals {
-		ref.InsertChecked("ev", refObject(v), uint64(i+1))
-	}
-	var got, want bytes.Buffer
-	if err := c.Snapshot(&got); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Snapshot(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("the sealed container snapshots to other bytes than the boxed reference")
-	}
-	restored, err := Restore(&got)
+	restored, err := Restore(&snap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fromRef, err := Restore(&refSnap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameContents(t, restored, c)
+	sameContents(t, fromRef, c)
 	for pos, o := range storedRows(restored, "ev") {
 		if !sameObject(o, NewObject(vals[pos]...)) {
 			t.Fatalf("restored row %d reads %v", pos, o)
@@ -355,84 +501,21 @@ func TestSealedBytesPerRow(t *testing.T) {
 		t.Skip("measures a 1M-row heap")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(20))
-	attrs := []AttrSpec{
-		{Name: "uid", Type: TypeInt64}, {Name: "exe", Type: TypeString}, {Name: "job_id", Type: TypeInt64},
-		{Name: "rank", Type: TypeInt64}, {Name: "ProducerName", Type: TypeString}, {Name: "file", Type: TypeString},
-		{Name: "record_id", Type: TypeUint64}, {Name: "module", Type: TypeString}, {Name: "type", Type: TypeString},
-		{Name: "max_byte", Type: TypeInt64}, {Name: "switches", Type: TypeInt64}, {Name: "flushes", Type: TypeInt64},
-		{Name: "cnt", Type: TypeInt64}, {Name: "op", Type: TypeString}, {Name: "data_set", Type: TypeString},
-		{Name: "pt_sel", Type: TypeInt64}, {Name: "irreg_hslab", Type: TypeInt64}, {Name: "reg_hslab", Type: TypeInt64},
-		{Name: "ndims", Type: TypeInt64}, {Name: "npoints", Type: TypeInt64}, {Name: "off", Type: TypeInt64},
-		{Name: "len", Type: TypeInt64}, {Name: "dur", Type: TypeFloat64}, {Name: "timestamp", Type: TypeFloat64},
-	}
-	sch, err := NewSchema("ev", attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := liveObjectBytes()
-	c := NewContainer("bytes")
-	if err := c.AddSchema(sch); err != nil {
-		t.Fatal(err)
-	}
 	const rows = 1000000
-	ops := []string{"open", "read", "write", "close"}
-	modules := []string{"POSIX", "MPIIO", "STDIO"}
-	b := NewRowBuilder(sch)
-	r := rng.New(42)
-	for i := 0; c.Count("ev") < rows; i++ {
-		job, rank, file, op := r.Intn(16), r.Intn(64), r.Intn(16), ops[r.Intn(len(ops))]
-		var length int64
-		if op == "read" || op == "write" {
-			length = int64(4096 * (1 + r.Intn(4)))
-		}
-		dur, ts := math.Round(r.Float64()*1e4)/1e6, math.Round((1.6e9+float64(i)*0.001+r.Float64()*0.0005)*1e6)/1e6
-		module, maxByte, switches, flushes := modules[r.Intn(len(modules))], r.Intn(1<<24), r.Intn(2), r.Intn(3)
-		if i%4 != 0 {
-			continue
-		}
-		b.Begin()
-		b.SetInt(0, 99066)
-		b.SetStr(1, fmt.Sprintf("/projects/bench/app-%d", job%4), nil, 0)
-		b.SetInt(2, int64(job))
-		b.SetInt(3, int64(rank))
-		b.SetStr(4, fmt.Sprintf("nid%05d", 40+(job*64+rank)%16), nil, 0)
-		b.SetStr(5, fmt.Sprintf("/lscratch/bench/out.%02d.dat", file), nil, 0)
-		b.SetUint(6, uint64(file)+1)
-		b.SetStr(7, module, nil, 0)
-		b.SetStr(8, "MOD", nil, 0)
-		b.SetInt(9, int64(maxByte))
-		b.SetInt(10, int64(switches))
-		b.SetInt(11, int64(flushes))
-		b.SetInt(12, 1)
-		b.SetStr(13, op, nil, 0)
-		b.SetStr(14, "N/A", nil, 0)
-		for j := 15; j < 20; j++ {
-			b.SetInt(j, -1)
-		}
-		b.SetInt(20, int64(i)*4096)
-		b.SetInt(21, length)
-		b.SetFloat(22, dur)
-		b.SetFloat(23, ts)
-		if err := c.Insert("ev", b.Row()); err != nil {
-			t.Fatal(err)
-		}
-		if i%4096 == 0 {
-			b.Rewind()
-		}
-	}
-	b = nil
+	before := liveObjectBytes()
+	c := benchShard(t, rows)
 	total := liveObjectBytes() - before
 	runtime.KeepAlive(c)
 	perRow := float64(total) / rows
 	t.Logf("%d rows in %d pages: %.1f B/row live (pages, directory and dictionary)", rows, len(c.slabs["ev"].pages), perRow)
-	widths := make([]float64, len(attrs))
+	widths := make([]float64, len(c.Schema("ev").Attrs))
 	s := c.slabs["ev"]
 	for p := 0; p < len(s.pages)-1; p++ {
 		for j, col := range s.pages[p].Load().cols {
 			widths[j] += float64(bits.OnesCount64(col.mask)/8) / float64(len(s.pages)-1)
 		}
 	}
-	for j, a := range attrs {
+	for j, a := range c.Schema("ev").Attrs {
 		t.Logf("%-12s %.2f B/row", a.Name, widths[j])
 	}
 	if perRow > 48 {

@@ -224,7 +224,10 @@ func (c *Container) AddIndex(spec IndexSpec) (*Index, error) {
 	s := c.slabs[spec.Schema]
 	w := make([]uint64, s.width)
 	for pos := 0; pos < s.n; pos++ {
-		s.object(pos, nil).copyWords(w)
+		o := s.object(pos, nil)
+		for _, ai := range idxs { // only the key's words
+			w[ai] = o.word(ai)
+		}
 		ix.insert(w, pos)
 	}
 	return ix, nil
@@ -450,6 +453,21 @@ func (c *Container) IterOrigins(indexName string, from Key, yield func(Object, u
 	for cur.Next() && yield(cur.Object(), cur.Origin()) {
 	}
 	return nil
+}
+
+// Scan streams the objects of schema with their origin ids in slab
+// order, the order they were inserted in, until yield returns false.
+func (c *Container) Scan(schema string, yield func(Object, uint64) bool) {
+	s, origins := c.slabs[schema], c.origins[schema]
+	for pos := 0; s != nil && pos < s.n; pos++ {
+		var origin uint64
+		if pos < len(origins) {
+			origin = origins[pos]
+		}
+		if !yield(s.object(pos, c.dict.strs), origin) {
+			return
+		}
+	}
 }
 
 // Range collects objects whose index key (attribute prefix) lies in

@@ -192,7 +192,7 @@ func TestFileWAL(t *testing.T) {
 }
 
 // Origins written through InsertOrigin survive a snapshot/restore cycle,
-// and origin-free containers keep the original snapshot format.
+// and an origin-free container's snapshot carries no origin list.
 func TestSnapshotOrigins(t *testing.T) {
 	c := NewContainer("repl")
 	sch, err := NewSchema("s", []AttrSpec{{Name: "k", Type: TypeInt64}})
@@ -214,8 +214,8 @@ func TestSnapshotOrigins(t *testing.T) {
 	if err := c.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if string(buf.Bytes()[:len(snapMagic2)]) != snapMagic2 {
-		t.Fatalf("snapshot magic = %q, want %q", buf.Bytes()[:len(snapMagic2)], snapMagic2)
+	if string(buf.Bytes()[:len(snapMagic3)]) != snapMagic3 {
+		t.Fatalf("snapshot magic = %q, want %q", buf.Bytes()[:len(snapMagic3)], snapMagic3)
 	}
 	c2, err := Restore(&buf)
 	if err != nil {
@@ -236,6 +236,24 @@ func TestSnapshotOrigins(t *testing.T) {
 		if o != uint64(100+i) {
 			t.Fatalf("origin[%d] = %d, want %d", i, o, 100+i)
 		}
+	}
+	plain := NewContainer("plain")
+	if err := plain.AddSchema(sch); err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Insert("s", NewObject(int64(1))); err != nil {
+		t.Fatal(err)
+	}
+	var plainSnap bytes.Buffer
+	if err := plain.Snapshot(&plainSnap); err != nil {
+		t.Fatal(err)
+	}
+	c3, err := Restore(&plainSnap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c3.origins["s"] != nil {
+		t.Fatalf("an origin-free container restored with origins %v", c3.origins["s"])
 	}
 }
 

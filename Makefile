@@ -66,14 +66,17 @@ chaos-smoke:
 # and the frozen legacy-frame capture it still reads; at the store hop the
 # round commit, its refusal and fail-stop, the dead letter, dedup memory
 # behind a gap that never fills, a kill at each point of a round, the
-# stored-body ingest against the decode path, and rows reused the round
-# after their insert. Last, the real binaries:
+# stored-body ingest against the decode path, the receive store (each
+# frame stored as one run from its connection) against the bus handler
+# it replaced, two connections racing the same frames into one receive
+# store, and rows reused the round after their insert. Last, the
+# real binaries:
 # ldmsd -forward across a dsosd restart, ldmsd's SIGTERM with a blocked
 # publisher, and dlc-run -forward.
 streams-smoke:
 	$(GO) test -race -short -run 'StreamSoak' ./internal/harness
 	$(GO) test -race -count=1 -run 'Batch|Wait|Legacy|Lazy|Retention|MemoryStream|Settled|LateJoiner|V1SegmentReadCompat' ./internal/streams
-	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|Recover|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory|SeenSeqs|StoredBodyIngestIdentity|SpoolStream|ForwarderSpool|UplinkHealth|UplinkLifecycle|ForwardMatchesBestEffort|ForwardSurvivesUpstreamRestart|TCPServerDeath|ForwardFirehose|LegacyFrameReadCompat|TwoJobsOneProducer' ./internal/ldms ./internal/connector
+	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|Recover|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory|SeenSeqs|StoredBodyIngestIdentity|ReceiveStore|SpoolStream|ForwarderSpool|UplinkHealth|UplinkLifecycle|ForwardMatchesBestEffort|ForwardSurvivesUpstreamRestart|TCPServerDeath|ForwardFirehose|LegacyFrameReadCompat|TwoJobsOneProducer' ./internal/ldms ./internal/connector
 	$(GO) test -race -count=1 -run 'InsertOutlivesRowMemory' ./internal/topo
 	$(GO) test -count=1 -run 'TestCLIForwardSurvivesUpstreamRestart|TestCLILdmsdShutdownWithBlockedPublisher|TestCLIRunForward' .
 

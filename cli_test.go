@@ -540,6 +540,43 @@ func TestCLIDsosd(t *testing.T) {
 		stop(t, cmd, dir, stderr, "darshan_data.sos", "darshan_data.sos.1", "darshan_data.sos.2", "darshan_data.sos.3")
 	})
 
+	// Without -stream dsosd stores through the same dedup chain as with
+	// it: a stamped batch frame an uplink resends after a redial is
+	// stored once.
+	t.Run("a resent frame is stored once", func(t *testing.T) {
+		cmd, dir, listen, api, stderr := start(t, "-daemons", "2")
+		frame := make([]streams.Message, 64)
+		for i := range frame {
+			m := job7Event(i)
+			m.Seq = uint64(i + 1)
+			frame[i] = streams.Message{Tag: "darshanConnector", Type: streams.TypeJSON, Record: event.NewRecord(&m, nil), Producer: "nid00041", Seq: m.Seq}
+		}
+		conn, err := net.Dial("tcp", listen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := ldms.WriteBatchFrame(conn, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		conn.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			_, metrics := httpDo(t, http.MethodGet, "http://"+api+"/metrics")
+			if strings.Contains("\n"+metrics, "\ndlc_dedup_duplicates_total 64\n") {
+				break
+			} else if time.Now().After(deadline) {
+				t.Fatalf("/metrics never showed 64 duplicates:\n%s\n%s", metrics, stderr)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if code, body := httpDo(t, http.MethodGet, "http://"+api+"/count"); code != http.StatusOK || strings.TrimSpace(body) != "64" {
+			t.Errorf("/count = %d %q, want 64", code, body)
+		}
+		stop(t, cmd, dir, stderr, "darshan_data.sos", "darshan_data.sos.1")
+	})
+
 	// The shutdown snapshot is the store as it stood: dsosql on the shard
 	// file prints the bytes the live /query did, for one job and rank and
 	// for the whole job, over 600 rows (two sealed pages and an open one).

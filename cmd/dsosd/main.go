@@ -8,16 +8,21 @@
 // a crashed dsosd restarts with its data intact. With -replication R each
 // insert is written to R successive shards.
 //
+// Every record is stored through one chain: a DedupStore, which drops a
+// (producer, seq) stored already — a frame an uplink resent after a
+// redial — over the DSOS store. Without -stream each received frame is
+// one insert from the connection that read it (ldms.Daemon.StoreReceived).
+//
 // With -stream the receive and store stages are decoupled by a durable
 // stream: every received frame is appended to a CRC-framed segment file
 // as one binary batch entry before anything else, and a consumer-acked
-// ingest loop (ldms.IngestStream) feeds the shards from it, woken by the
+// ingest loop (ldms.IngestStream) feeds the chain from it, woken by the
 // append. Each fetched round commits as one insert — one log record per
 // shard, tagged with the round's highest stream sequence — and one ack,
 // so the consumer's durable ack floor is the commit point: at startup
 // each shard log replays only up to that floor, the rest is cut and the
 // stream redelivers it. A dsosd crash anywhere between receive and insert
-// then costs redelivery, neither data nor a duplicate, and a DedupStore
+// then costs redelivery, neither data nor a duplicate, and the DedupStore
 // absorbs replays inside one incarnation. A log tagged past the stream's
 // last sequence belongs to another stream: dsosd refuses to start on it.
 // A round that fails after part of it was written stops the daemon with
@@ -53,6 +58,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -141,10 +147,10 @@ func main() {
 	floor, last := uint64(math.MaxUint64), uint64(math.MaxUint64)
 	if *streamPath != "" {
 		// Durable staging: received frames hit the segment before any
-		// insert, and the ingest loop below consumes with acks. The direct
-		// bus->store attachment is skipped so every message takes exactly
-		// one path. The DedupStore makes the at-least-once redelivery of
-		// naked/unacked messages exactly-once in the shards.
+		// insert, and the ingest loop below consumes with acks; nothing is
+		// stored from the connections. The DedupStore makes the
+		// at-least-once redelivery of naked/unacked messages exactly-once
+		// in the shards.
 		fw, err := sos.OpenFileWAL(*streamPath)
 		if err != nil {
 			fatal(err)
@@ -227,15 +233,13 @@ func main() {
 	}
 
 	store := ldms.NewDSOSStore(client)
-	var h *ldms.StoreHandle
-	var dedup *ldms.DedupStore
+	dedup := ldms.NewDedupStore(store)
 	ingestDone := make(chan error, 1)
 	var ingestErr atomic.Pointer[error]
 	if stream != nil {
 		if err := d.Bus().BindStream(stream); err != nil {
 			fatal(err)
 		}
-		dedup = ldms.NewDedupStore(store)
 		go func() {
 			err := ldms.IngestStream(cons, dedup, func(err error) {
 				fmt.Fprintln(os.Stderr, "dsosd: ingest:", err)
@@ -249,7 +253,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dsosd: durable ingest stream %s: recovered seqs [%d,%d], consumer %q at floor %d\n",
 			*streamPath, st.FirstSeq, st.LastSeq, *streamConsumer, floor)
 	} else {
-		h = d.AttachStore(*tag, store)
+		d.StoreReceived(*tag, dedup)
 	}
 	srv, err := ldms.ListenTCP(d, *listen)
 	if err != nil {
@@ -259,10 +263,13 @@ func main() {
 	fmt.Fprintf(os.Stderr, "dsosd: container %q (%d shards, R=%d, wal=%q) listening on %s\n",
 		*container, *daemons, cluster.Replication(), *walDir, srv.Addr())
 
-	// snapShard writes one shard's snapshot and returns its size.
+	// snapShard writes one shard's snapshot and returns its size. The
+	// bytes are synced before the rename makes them the snapshot, and the
+	// directory after it, so neither can reach the disk without the other.
 	snapShard := func(path string, d *dsos.Daemon) int64 {
 		// Beside its destination, so the rename never crosses filesystems.
-		f, err := os.CreateTemp(filepath.Dir(path), "dsosd-snap-*")
+		dir := filepath.Dir(path)
+		f, err := os.CreateTemp(dir, "dsosd-snap-*")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dsosd: snapshot:", err)
 			return 0
@@ -270,13 +277,16 @@ func main() {
 		name := f.Name()
 		err = d.Snapshot(f)
 		size, _ := f.Seek(0, io.SeekCurrent)
-		cerr := f.Close()
-		if err != nil || cerr != nil {
-			os.Remove(name)
-			fmt.Fprintln(os.Stderr, "dsosd: snapshot:", err, cerr)
-			return 0
+		if err == nil {
+			err = f.Sync()
 		}
-		if err := os.Rename(name, path); err != nil {
+		if err = errors.Join(err, f.Close()); err == nil {
+			err = os.Rename(name, path)
+		}
+		if err == nil {
+			err = syncDir(dir)
+		}
+		if err != nil {
 			os.Remove(name)
 			fmt.Fprintln(os.Stderr, "dsosd: snapshot:", err)
 			return 0
@@ -290,30 +300,23 @@ func main() {
 		for i, d := range shards {
 			written += snapShard(snapPath(i, d), d)
 		}
-		stored := uint64(0)
-		if h != nil {
-			stored = h.Received()
-		} else if stream != nil {
-			stored = stream.Stats().Appended
-		}
-		fmt.Fprintf(os.Stderr, "dsosd: snapshot %s (%d shards, %d objects, %d stored): %d bytes in %d ms\n",
-			*snapshot, len(shards), client.Count(dsos.DarshanSchemaName), stored, written, time.Since(start).Milliseconds())
+		fmt.Fprintf(os.Stderr, "dsosd: snapshot %s (%d shards, %d objects, %d stored): %d bytes in %d ms\n", *snapshot, len(shards),
+			client.Count(dsos.DarshanSchemaName), dedup.Stored()+dedup.Unstamped(), written, time.Since(start).Milliseconds())
 	}
 
 	if *httpAddr != "" {
 		// Telemetry: every stage this daemon owns — ingest bus, TCP
-		// receive side, buffer pools, DSOS store plugin, the stream's
-		// dedup stage, per-shard cluster state — plus a cluster-quorum
-		// health probe.
+		// receive side, buffer pools, dedup stage, DSOS store plugin,
+		// per-shard cluster state — plus a cluster-quorum health probe.
 		reg := obs.NewRegistry()
 		cluster.Instrument(reg, obs.WallClock())
 		store.Instrument(reg)
+		dedup.Instrument(reg)
 		d.Bus().Collect(reg, "dsosd-ingest")
 		srv.Collect(reg, "dsosd")
 		ldms.CollectPools(reg)
 		if stream != nil {
 			stream.Collect(reg)
-			dedup.Instrument(reg)
 		}
 		health := obs.NewHealth()
 		health.Register("cluster", cluster.ClusterHealth())
@@ -490,6 +493,15 @@ func queryHandler(client *dsos.Client) http.HandlerFunc {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "dsosd:", err)
 	os.Exit(1)
+}
+
+// syncDir syncs directory dir, so a rename inside it is on the disk.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }
 
 // shardFactory builds the empty shard a hash-placement grow adds, with

@@ -21,6 +21,9 @@
 // reproducible; with -seed 0 (the default) the seed derives from the wall
 // clock and is printed so a run can be replayed after the fact.
 //
+// -store-csv writes each received frame's -tag records as CSV rows from
+// the connection that read it (ldms.Daemon.StoreReceived).
+//
 // Every forward is one ldms.Uplink — a single link state machine (lazy
 // dial, redial with backoff and jitter, -heartbeat liveness probes) over
 // a consumer-acked cursor — reading one of two streams, bound to the
@@ -193,9 +196,9 @@ func main() {
 		fatal(fmt.Errorf("-stream-max-age %v: a retention bound cannot be negative (0 = unbounded)", *streamMaxAge))
 	}
 
-	// No handler counts the tag: one would make the bus decode every frame
-	// the stream could append as it stands. The count series read what the
-	// bus and the receive path keep.
+	// No handler counts or stores the tag: one would make the bus decode
+	// every frame the stream could append as it stands. The count series
+	// read what the receive path keeps.
 	d := ldms.NewDaemon("ldmsd", *producer)
 
 	var stream *streams.DurableStream
@@ -273,7 +276,7 @@ func main() {
 		}
 		defer f.Close()
 		csv = ldms.NewCSVStore(f)
-		d.AttachStore(*tag, csv)
+		d.StoreReceived(*tag, csv)
 	}
 	// Without -http the registry stays nil and every Collect is a no-op.
 	var reg *obs.Registry
@@ -326,7 +329,7 @@ func main() {
 		srv.Collect(reg, "ldmsd")
 		ldms.CollectPools(reg)
 		reg.RegisterCollector(func(emit func(string, float64)) {
-			emit("dlc_store_count_messages_total", float64(d.Bus().Stats(*tag).Published))
+			emit("dlc_store_count_messages_total", float64(srv.Received()))
 			emit("dlc_store_count_bytes_total", float64(srv.LiteralBytes()))
 		})
 		health := obs.NewHealth()

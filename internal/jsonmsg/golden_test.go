@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"net"
 	"os"
 	"path/filepath"
 	"sort"
@@ -238,5 +239,49 @@ func TestTableIGolden(t *testing.T) {
 			}
 			t.Errorf("%s: %d bytes differ from the golden %d", name, len(got[name]), len(want))
 		}
+	}
+}
+
+// TestStoreCSVReceivePathGolden: ldmsd -store-csv stores what it receives
+// (ldms.Daemon.StoreReceived), a batch frame walked from the bytes it
+// arrived as, and writes the CSV the golden store-csv.txt holds, byte for
+// byte.
+func TestStoreCSVReceivePathGolden(t *testing.T) {
+	corpus := goldenCorpus()
+	msgs := make([]streams.Message, len(corpus))
+	for i := range corpus {
+		msgs[i] = streams.Message{Tag: "darshanConnector", Type: streams.TypeJSON, Record: event.NewRecord(&corpus[i], nil)}
+	}
+	d := ldms.NewDaemon("ldmsd", "golden")
+	var csv bytes.Buffer
+	store := ldms.NewCSVStore(&csv)
+	h := d.StoreReceived("darshanConnector", store)
+	srv, err := ldms.ListenTCP(d, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ldms.WriteBatchFrame(conn, msgs); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	for deadline := time.Now().Add(5 * time.Second); h.Received() < uint64(len(msgs)); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stored %d of %d messages", h.Received(), len(msgs))
+		}
+	}
+	srv.Close()
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", "store-csv.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(csv.Bytes(), want) {
+		t.Errorf("the receive path wrote %d CSV bytes that differ from the golden %d:\n%s", csv.Len(), len(want), csv.Bytes())
 	}
 }

@@ -84,7 +84,7 @@ func TestV1BatchFrameReadCompat(t *testing.T) {
 	}
 	dec := NewBatchDecoder()
 	for _, wire := range [][]byte{frozen, v2.Bytes(), frozen} {
-		got, slab, err := dec.ReadAnyFrameSlab(bufio.NewReader(bytes.NewReader(wire)))
+		got, err := readAnyFrame(dec, bufio.NewReader(bytes.NewReader(wire)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,6 @@ func TestV1BatchFrameReadCompat(t *testing.T) {
 				}
 			}
 		}
-		slab.Release()
 	}
 }
 

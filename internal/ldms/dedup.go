@@ -43,8 +43,10 @@ type DedupStore struct {
 	stored     uint64
 	unstamped  uint64
 
-	// What keepLocked (bound once as keep) decided since the last settle.
+	// What keepLocked (bound once as keep) decided since the last settle;
+	// it asks outer, the Keep of the run being stored, first.
 	keep  func(streams.Message) bool
+	outer func(streams.Message) bool
 	fresh []identity
 	dups  uint64
 	plain uint64
@@ -122,8 +124,8 @@ func (s *DedupStore) Name() string { return "dedup(" + s.inner.Name() + ")" }
 
 // Store implements StorePlugin. The lock is held across the inner call so
 // two concurrent deliveries of the same identity cannot both pass the
-// check — the store chain is serialized by AttachStore anyway, so this
-// costs nothing in the pipeline.
+// check — a StoreHandle serializes the chain anyway, so this costs
+// nothing in the pipeline.
 func (s *DedupStore) Store(m streams.Message) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -154,8 +156,10 @@ func (s *DedupStore) StoreRound(run Run, token uint64, dead func(error)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.fresh, s.dups, s.plain = s.fresh[:0], 0, 0
-	run.Keep = s.keep
-	if err := inner.StoreRound(run, token, dead); err != nil {
+	s.outer, run.Keep = run.Keep, s.keep
+	err := inner.StoreRound(run, token, dead)
+	s.outer = nil
+	if err != nil {
 		return err
 	}
 	s.settleLocked()
@@ -165,6 +169,9 @@ func (s *DedupStore) StoreRound(run Run, token uint64, dead func(error)) error {
 // keepLocked decides one record (s.mu held): m is fresh unless its
 // identity is stored or already kept since the last settle.
 func (s *DedupStore) keepLocked(m streams.Message) bool {
+	if s.outer != nil && !s.outer(m) {
+		return false
+	}
 	id := identity{m.Producer, m.Seq}
 	switch {
 	case !stamped(m):

@@ -1,6 +1,7 @@
 package ldms
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"testing"
@@ -55,12 +56,11 @@ func receive(t testing.TB, frame []byte, body, dec hopStream) bool {
 		t.Fatal(err)
 	}
 	_, ok := body.bus.PublishBody(version, payload, d.in, HeartbeatTag)
-	msgs, slab, err := NewBatchDecoder().ReadBatchFrameSlab(bytes.NewReader(frame))
+	msgs, err := readAnyFrame(NewBatchDecoder(), bufio.NewReader(bytes.NewReader(frame)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dec.bus.PublishBatch(msgs)
-	slab.Release()
 	return ok
 }
 

@@ -9,6 +9,7 @@ package ldms
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"darshanldms/internal/rng"
@@ -40,7 +41,8 @@ type Daemon struct {
 	Producer string // node name used as ProducerName
 	bus      *streams.Bus
 	samplers []Sampler
-	sets     map[string]MetricSet // latest set per schema+instance
+	sets     map[string]MetricSet        // latest set per schema+instance
+	recv     atomic.Pointer[StoreHandle] // the receive store (StoreReceived), or nil
 }
 
 // NewDaemon creates a daemon for the given producer (node) name.

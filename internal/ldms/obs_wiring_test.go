@@ -210,7 +210,8 @@ func TestDsosdMetricsEndpointShape(t *testing.T) {
 	client := dsos.Connect(cluster)
 	d := NewDaemon("dsosd-ingest", "dsosd")
 	dstore := NewDSOSStore(client)
-	d.AttachStore("darshanConnector", dstore)
+	dedup := NewDedupStore(dstore)
+	d.StoreReceived("darshanConnector", dedup)
 	srv, err := ListenTCP(d, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -220,6 +221,7 @@ func TestDsosdMetricsEndpointShape(t *testing.T) {
 	reg := obs.NewRegistry()
 	cluster.Instrument(reg, obs.WallClock())
 	dstore.Instrument(reg)
+	dedup.Instrument(reg)
 	d.Bus().Collect(reg, "dsosd-ingest")
 	srv.Collect(reg, "dsosd")
 	CollectPools(reg)
@@ -240,7 +242,7 @@ func TestDsosdMetricsEndpointShape(t *testing.T) {
 	}
 	// Count sees every replica: R=2 puts each of the ten rows on two shards.
 	deadline := time.Now().Add(5 * time.Second)
-	for client.Count(dsos.DarshanSchemaName) < 2*10 && time.Now().Before(deadline) {
+	for (client.Count(dsos.DarshanSchemaName) < 2*10 || srv.Received() < 10) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
@@ -248,11 +250,24 @@ func TestDsosdMetricsEndpointShape(t *testing.T) {
 	if len(series) < 30 {
 		t.Fatalf("dsosd /metrics serves %d series, want >= 30", len(series))
 	}
+	// Without -stream the bus carries nothing: the receive store takes
+	// every frame, and dedup is a stage.
 	wantStagePrefixes(t, series, []string{
-		"dlc_bus_", "dlc_tcp_", "dlc_pool_", "dlc_store_dsos_", "dlc_dsos_shard_", "dlc_dsos_quorum_latency_ns",
+		"dlc_dedup_", "dlc_tcp_", "dlc_pool_", "dlc_store_dsos_", "dlc_dsos_shard_", "dlc_dsos_quorum_latency_ns",
 	})
-	if got := series["dlc_store_dsos_messages_total"]; got != "10" {
-		t.Errorf("dlc_store_dsos_messages_total = %s, want 10", got)
+	for name, want := range map[string]string{
+		"dlc_store_dsos_messages_total":       "10",
+		"dlc_dedup_unstamped_total":           "10",
+		`dlc_tcp_received_total{srv="dsosd"}`: "10",
+	} {
+		if got := series[name]; got != want {
+			t.Errorf("%s = %s, want %s", name, got, want)
+		}
+	}
+	for name := range series {
+		if strings.HasPrefix(name, "dlc_bus_") {
+			t.Errorf("%s: the bus carried a frame the receive store took", name)
+		}
 	}
 	if got := series[`dlc_dsos_shard_up{shard="dsosd0"}`]; got != "1" {
 		t.Errorf(`dlc_dsos_shard_up{shard="dsosd0"} = %s, want 1`, got)

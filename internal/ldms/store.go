@@ -2,6 +2,7 @@ package ldms
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -20,30 +21,99 @@ type StorePlugin interface {
 	Store(m streams.Message) error
 }
 
-// AttachStore subscribes a store plugin to a tag on the daemon's bus.
-// Store errors are counted, not propagated — LDMS storage is best-effort.
+// AttachStore subscribes a store plugin to a tag on the daemon's bus, as
+// the simulation stores. Store errors are counted, not propagated — LDMS
+// storage is best-effort.
 func (d *Daemon) AttachStore(tag string, s StorePlugin) *StoreHandle {
-	h := &StoreHandle{plugin: s}
-	h.sub = d.bus.Subscribe(tag, func(m streams.Message) {
+	h := &StoreHandle{}
+	h.detach = d.bus.Subscribe(tag, func(m streams.Message) {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		h.received++
 		if err := s.Store(m); err != nil {
-			h.errors++
-			h.lastErr = err
+			h.fail(err)
 		}
-	})
+	}).Close
 	return h
 }
 
-// StoreHandle tracks one attached store.
+// StoreReceived makes s the daemon's receive store: each frame a
+// TCPServer of d receives is stored into s as one run tagged 0 from the
+// connection's goroutine, before the bus sees it — a version-2 batch as
+// the body it arrived as, anything else decoded — leaving out heartbeats
+// and tags other than tag. The handle counts the records kept, and each
+// dead letter and failed run as an error.
+func (d *Daemon) StoreReceived(tag string, s RoundStore) *StoreHandle {
+	h := &StoreHandle{rounds: s, tag: tag}
+	h.keep, h.dead = h.keepLocked, h.fail
+	h.detach = func() { d.recv.CompareAndSwap(h, nil) }
+	d.recv.Store(h)
+	return h
+}
+
+// StoreHandle tracks one attached store: a bus handler (AttachStore) or
+// a receive store (StoreReceived), with its Keep and dead-letter
+// callbacks bound once and the tally of the frame it is storing.
 type StoreHandle struct {
-	plugin   StorePlugin
-	sub      *streams.Subscription
+	detach func()
+	rounds RoundStore
+	tag    string
+	keep   func(streams.Message) bool
+	dead   func(error)
+	frame  tally
+
 	mu       sync.Mutex
 	received uint64
 	errors   uint64
 	lastErr  error
+}
+
+// tally is what one received frame held: messages besides heartbeats,
+// heartbeats, the former's literal bytes, and the messages kept.
+type tally struct{ msgs, heartbeats, literal, kept int }
+
+// add tallies m and reports whether it is a heartbeat.
+func (t *tally) add(m streams.Message) bool {
+	if m.Tag == HeartbeatTag {
+		t.heartbeats++
+		return true
+	}
+	t.msgs++
+	t.literal += len(m.Data)
+	return false
+}
+
+// storeFrame stores one received frame as one run and returns its tally;
+// false means its body does not walk, and nothing of it is stored.
+func (h *StoreHandle) storeFrame(run Run) (tally, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.frame, run.Keep = tally{}, h.keep
+	err := h.rounds.StoreRound(run, 0, h.dead)
+	if errors.Is(err, errBadBody) {
+		return tally{}, false
+	}
+	h.received += uint64(h.frame.kept)
+	if err != nil {
+		h.fail(err)
+	}
+	return h.frame, true
+}
+
+// keepLocked is a receive store's Keep (h.mu held): it tallies m and
+// keeps it when it is of the stored tag.
+func (h *StoreHandle) keepLocked(m streams.Message) bool {
+	if h.frame.add(m) || m.Tag != h.tag {
+		return false
+	}
+	h.frame.kept++
+	return true
+}
+
+// fail counts a failed store or a dead letter (h.mu held).
+func (h *StoreHandle) fail(err error) {
+	h.errors++
+	h.lastErr = err
 }
 
 // Received returns the number of messages delivered to the store.
@@ -60,8 +130,8 @@ func (h *StoreHandle) Errors() (uint64, error) {
 	return h.errors, h.lastErr
 }
 
-// Close detaches the store from the bus.
-func (h *StoreHandle) Close() { h.sub.Close() }
+// Close detaches the store.
+func (h *StoreHandle) Close() { h.detach() }
 
 // CountStore counts messages and discards payloads (used by the overhead
 // campaigns, which need message counts and rates but not retained data).
@@ -88,91 +158,35 @@ func (c *CountStore) Count() uint64 {
 	return c.count
 }
 
-// CSVStore renders connector messages into the Fig 3 CSV layout. Typed
-// records feed the CSV writer directly from their fields; only raw JSON
-// payloads (legacy peers, PublishJSON) are parsed. Each message's rows are
-// built through a row arena and rendered by dsos.AppendCSVRow, the
-// renderer dsosql and dsosd's /query use too.
-type CSVStore struct {
-	mu     sync.Mutex
-	w      *bufio.Writer
-	header bool
-	arena  *dsos.RowArena // builds one message's rows (rewound per store)
-	objs   []sos.Object
-	row    []byte
-}
+// errBadBody marks a run body that does not walk to its end: a malformed
+// frame. A stream never holds one: it walks each body with this decoder.
+var errBadBody = errors.New("ldms: batch body")
 
-// NewCSVStore creates a CSV store writing to w.
-func NewCSVStore(w io.Writer) *CSVStore {
-	return &CSVStore{w: bufio.NewWriter(w), arena: dsos.NewRowArena()}
-}
-
-// Name implements StorePlugin.
-func (s *CSVStore) Name() string { return "store_csv" }
-
-// Store implements StorePlugin.
-func (s *CSVStore) Store(m streams.Message) error {
-	msg, err := event.Fields(m)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.header {
-		if _, err := s.w.WriteString(jsonmsg.CSVHeader + "\n"); err != nil {
-			return err
-		}
-		s.header = true
-	}
-	s.arena.Rewind()
-	s.objs, s.row = s.arena.AppendObjects(s.objs[:0], msg), s.row[:0]
-	for _, o := range s.objs {
-		s.row = append(dsos.AppendCSVRow(s.row, o), '\n')
-	}
-	_, err = s.w.Write(s.row)
-	return err
-}
-
-// Flush flushes buffered rows.
-func (s *CSVStore) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Flush()
-}
-
-// DSOSStore inserts connector messages into a DSOS cluster (the paper's
-// storage path). Typed records are ingested straight from their fields —
-// the old parse-at-store hop (encode at the connector, re-parse the same
-// bytes here) is gone; raw JSON payloads still parse as before. A round of
-// messages goes down as one batch insert (StoreRound); Store is the round
-// of one. A run stored as one batch body is read in one walk that decodes
-// each typed record straight into row words, never into a message.
-type DSOSStore struct {
-	client *dsos.Client
-	mu     sync.Mutex
-	objs   []sos.Object   // reused row batch of one round
-	arena  *dsos.RowArena // builds the rows by copying fields (guarded by mu)
-	// A body's walk: its table and base, strings, and typed row reader.
+// rowStore is what CSVStore and DSOSStore share: a run's Table I rows
+// are built in an arena by one walk, under the store's lock, and handed
+// to the store's sink, where the two differ. A body is read in one walk
+// that decodes each typed record straight into row words, never into a
+// message; a message's rows are copied from its fields.
+type rowStore struct {
+	mu    sync.Mutex
+	objs  []sos.Object   // the run's rows, valid until the next run
+	arena *dsos.RowArena // the rows' memory, rewound by each run
+	// A body's table and base, strings, and typed row reader.
 	k    streams.BatchContext
 	in   *event.Interner
 	rows event.RowDecoder
-	// Obs plane (set by Instrument; nil-safe counters otherwise).
-	msgs    *obs.Counter
-	objects *obs.Counter
-	errs    *obs.Counter
+	errs *obs.Counter // dead letters and failed sinks (nil-safe)
+	// sink takes objs, the rows of decoded records, tagged token (mu held).
+	sink func(decoded int, token uint64) error
 }
 
-// NewDSOSStore creates the store plugin over a connected client.
-func NewDSOSStore(client *dsos.Client) *DSOSStore {
-	return &DSOSStore{client: client, arena: dsos.NewRowArena(), in: event.NewInterner()}
+func (s *rowStore) init(sink func(int, uint64) error) {
+	s.arena, s.in, s.sink = dsos.NewRowArena(), event.NewInterner(), sink
 }
-
-// Name implements StorePlugin.
-func (s *DSOSStore) Name() string { return "store_dsos" }
 
 // Store implements StorePlugin: the untagged round of one message, whose
 // decode error, if any, is the error.
-func (s *DSOSStore) Store(m streams.Message) error {
+func (s *rowStore) Store(m streams.Message) error {
 	var decodeErr error
 	one := [1]streams.Message{m}
 	if err := s.store(one[:], Run{}, 0, func(err error) { decodeErr = err }); err != nil {
@@ -181,51 +195,41 @@ func (s *DSOSStore) Store(m streams.Message) error {
 	return decodeErr
 }
 
-// StoreRound implements RoundStore: every record's rows, built through
-// the store's arena, go down as one InsertTagged tagged token. A record
-// that does not decode is dead-lettered: counted as a store error,
-// reported to dead (under the store's lock, so dead must not call back
-// into it) and left out of the insert — it never will decode, and
-// redelivering it would only spin.
-//
-// The rows live in the arena's memory for one run only: InsertTagged
-// copies every row into the shards' pages and logs before it returns, so
-// the next run rewinds the arena and builds its rows in the same words.
-func (s *DSOSStore) StoreRound(run Run, token uint64, dead func(error)) error {
+// StoreRound implements RoundStore: the rows of every record the run's
+// Keep keeps go to the sink as one batch. A record that does not decode
+// is dead-lettered: counted, reported to dead (under the store's lock, so
+// dead must not call back into it) and left out — it never will decode,
+// and a retry would only spin. A body that does not walk to its end
+// stores nothing and is an errBadBody.
+func (s *rowStore) StoreRound(run Run, token uint64, dead func(error)) error {
 	return s.store(run.Msgs, Run{Body: run.Body, Keep: run.Keep}, token, dead)
 }
 
 // store is StoreRound with the run's messages in ms, apart from the run,
 // whose body escapes: Store's round of one then stays on the stack.
-func (s *DSOSStore) store(ms []streams.Message, run Run, token uint64, dead func(error)) error {
+func (s *rowStore) store(ms []streams.Message, run Run, token uint64, dead func(error)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.arena.Rewind()
 	s.objs = s.objs[:0]
-	decoded := 0
+	decoded, err := 0, error(nil)
 	if run.Body != nil {
-		decoded = s.bodyLocked(&run, dead)
+		decoded, err = s.bodyLocked(&run, dead)
 	}
 	for _, m := range ms {
 		if run.Body == nil && run.keeps(m) {
 			decoded += s.messageLocked(m, dead)
 		}
 	}
-	if decoded == 0 {
-		return nil
+	if err != nil || decoded == 0 {
+		return err
 	}
-	s.msgs.Add(uint64(decoded))
-	s.objects.Add(uint64(len(s.objs)))
-	err := s.client.InsertTagged(dsos.DarshanSchemaName, s.objs, token)
-	if err != nil {
-		s.errs.Inc()
-	}
-	return err
+	return s.sink(decoded, token)
 }
 
 // messageLocked appends m's rows, copied from its fields, and reports 1;
 // or dead-letters m and reports 0.
-func (s *DSOSStore) messageLocked(m streams.Message, dead func(error)) int {
+func (s *rowStore) messageLocked(m streams.Message, dead func(error)) int {
 	msg, err := event.Fields(m)
 	if err != nil {
 		s.errs.Inc()
@@ -237,11 +241,10 @@ func (s *DSOSStore) messageLocked(m streams.Message, dead func(error)) int {
 }
 
 // bodyLocked appends the rows of a run's body in one walk and reports how
-// many records it stored. run.Keep sees each envelope first; a typed
-// record kept is decoded straight into row words, one not kept is only
-// walked, and an opaque record takes the message path. The stream walked
-// the body cleanly when it took it, so an error here is a store error.
-func (s *DSOSStore) bodyLocked(run *Run, dead func(error)) int {
+// many records it built rows for. run.Keep sees each envelope first; a
+// typed record kept is decoded straight into row words, one not kept is
+// only walked, and an opaque record takes the message path.
+func (s *rowStore) bodyLocked(run *Run, dead func(error)) (int, error) {
 	_ = s.k.Reset(streams.BodyV2, s.in)
 	w := streams.NewRecordWalker(run.Body, &s.k)
 	n, err := w.Count()
@@ -273,11 +276,93 @@ func (s *DSOSStore) bodyLocked(run *Run, dead func(error)) int {
 		}
 		w.Skip(r.Len())
 	}
+	if err == nil {
+		err = w.Done()
+	}
+	if err != nil {
+		s.objs = s.objs[:0]
+		return 0, fmt.Errorf("%w: %w", errBadBody, err)
+	}
+	return decoded, nil
+}
+
+// CSVStore renders connector messages into the Fig 3 CSV layout, each
+// run's rows appended as one write by dsos.AppendCSVRow, the renderer
+// dsosql and dsosd's /query use too.
+type CSVStore struct {
+	rowStore
+	w      *bufio.Writer
+	header bool
+	row    []byte
+}
+
+// NewCSVStore creates a CSV store writing to w.
+func NewCSVStore(w io.Writer) *CSVStore {
+	s := &CSVStore{w: bufio.NewWriter(w)}
+	s.init(s.write)
+	return s
+}
+
+// Name implements StorePlugin.
+func (s *CSVStore) Name() string { return "store_csv" }
+
+// write is the CSV store's sink. A CSV file has no log to cut, so the
+// token is not kept.
+func (s *CSVStore) write(int, uint64) error {
+	if !s.header {
+		if _, err := s.w.WriteString(jsonmsg.CSVHeader + "\n"); err != nil {
+			return err
+		}
+		s.header = true
+	}
+	s.row = s.row[:0]
+	for _, o := range s.objs {
+		s.row = append(dsos.AppendCSVRow(s.row, o), '\n')
+	}
+	_, err := s.w.Write(s.row)
+	return err
+}
+
+// Flush flushes buffered rows.
+func (s *CSVStore) Flush() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Flush()
+}
+
+// DSOSStore inserts connector messages into a DSOS cluster (the paper's
+// storage path): each run's rows go down as one InsertTagged.
+type DSOSStore struct {
+	rowStore
+	client *dsos.Client
+	// Obs plane (set by Instrument; nil-safe counters otherwise).
+	msgs    *obs.Counter
+	objects *obs.Counter
+}
+
+// NewDSOSStore creates the store plugin over a connected client.
+func NewDSOSStore(client *dsos.Client) *DSOSStore {
+	s := &DSOSStore{client: client}
+	s.init(s.insert)
+	return s
+}
+
+// Name implements StorePlugin.
+func (s *DSOSStore) Name() string { return "store_dsos" }
+
+// insert is the DSOS store's sink: the rows go down as one InsertTagged
+// tagged token. They live in the arena's memory for one run only:
+// InsertTagged copies every row into the shards' pages and logs before it
+// returns, so the next run rewinds the arena and builds its rows in the
+// same words.
+func (s *DSOSStore) insert(decoded int, token uint64) error {
+	s.msgs.Add(uint64(decoded))
+	s.objects.Add(uint64(len(s.objs)))
+	err := s.client.InsertTagged(dsos.DarshanSchemaName, s.objs, token)
 	if err != nil {
 		s.errs.Inc()
-		dead(fmt.Errorf("ldms: stored batch body: %w", err))
 	}
-	return decoded
+	return err
 }
 
 // RetryConfig parameterizes a RetryStore.

@@ -2,6 +2,7 @@ package ldms
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -12,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"darshanldms/internal/event"
 	"darshanldms/internal/streams"
 )
 
@@ -98,8 +98,9 @@ func ReadFrame(r io.Reader) (streams.Message, error) {
 	return streams.Message{Tag: wm.Tag, Type: streams.MsgType(wm.Type), Data: wm.Data, Producer: wm.Producer, Seq: wm.Seq}, nil
 }
 
-// TCPServer accepts transport connections and publishes received messages
-// onto a daemon's bus.
+// TCPServer accepts transport connections, stores what they carry into
+// the daemon's receive store (StoreReceived), if it has one, and
+// publishes it onto the daemon's bus.
 type TCPServer struct {
 	d          *Daemon
 	ln         net.Listener
@@ -142,8 +143,9 @@ func (s *TCPServer) Received() uint64 {
 
 // LiteralBytes returns the payload bytes received messages carried as
 // literal bytes: a legacy frame's data and a decoded opaque record's
-// payload. A typed record contributes none, and neither does a batch
-// appended as it stands (PublishBody), which materializes no message.
+// payload — a receive store decodes every record it walks. A typed
+// record contributes none, and neither does a batch only appended as it
+// stands (PublishBody), which materializes no message.
 func (s *TCPServer) LiteralBytes() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -191,66 +193,87 @@ func (s *TCPServer) serve(conn net.Conn) {
 		// One connection may interleave legacy single-message frames and
 		// batch frames, told apart by the leading byte (a legacy frame's
 		// first length byte can never be the batch magic — maxFrame keeps
-		// it below 0x01000000). A batch payload that nothing on the bus
-		// needs decoded is appended as it stands (PublishBody). Anything
-		// else decodes into a pooled slab released after the publish
-		// fan-out below: PublishBatch is synchronous, and whatever keeps a
-		// message past its return (a bound stream, memory-only or not,
-		// stores the encoded record) keeps nothing slab-owned.
+		// it below 0x01000000). A version-2 batch stays the body it
+		// arrived as; a legacy frame or a version-1 payload is decoded.
 		lead, err := br.Peek(1)
 		if err != nil {
 			return // EOF: best-effort, drop the link
 		}
-		isBatch := lead[0] == batchMagic
-		var msgs []streams.Message
-		var slab *event.Slab
-		if !isBatch {
-			msgs, slab, err = dec.ReadAnyFrameSlab(br)
-		} else if version, payload, rerr := dec.readBatchPayload(br); rerr != nil {
-			return
-		} else if n, ok := s.d.Bus().PublishBody(version, payload, dec.in, HeartbeatTag); ok {
-			s.batchFrames.Add(1)
-			s.mu.Lock()
-			s.received += uint64(n)
-			s.mu.Unlock()
-			continue
+		var run Run
+		kind := &s.batchFrames
+		if lead[0] == batchMagic {
+			var version byte
+			if version, run.Body, err = dec.readBatchPayload(br); err == nil && version != streams.BodyV2 {
+				run.Msgs, err = decodeFrame(version, run.Body)
+				run.Body = nil
+			}
 		} else {
-			msgs, slab, err = dec.decodeSlab(version, payload)
+			kind = &s.frames
+			var m streams.Message
+			m, err = ReadFrame(br)
+			run.Msgs = []streams.Message{m}
 		}
-		if err != nil {
+		if err != nil || !s.receive(run, dec.in, kind) {
 			return // EOF or protocol error: best-effort, drop the link
 		}
-		if isBatch {
-			s.batchFrames.Add(1)
-		} else {
-			s.frames.Add(1)
-		}
-		// The frame goes to the bus as one batch, heartbeats filtered out
-		// in place; the server's own books are kept once per frame.
-		batch, literal := msgs[:0], 0
-		for _, m := range msgs {
-			if m.Tag != HeartbeatTag {
-				batch = append(batch, m)
-				literal += len(m.Data)
-			}
-		}
-		s.mu.Lock()
-		s.heartbeats += uint64(len(msgs) - len(batch))
-		s.received += uint64(len(batch))
-		s.literal += uint64(literal)
-		s.mu.Unlock()
-		for i := range batch {
-			m := &batch[i]
-			if m.Record == nil && m.Type == streams.TypeJSON && m.Data != nil {
-				// Wrap raw JSON in a bytes-first record so every store
-				// fanned out below shares one cached parse instead of
-				// re-parsing per consumer.
-				m.Record = event.FromPayload(m.Data)
-			}
-		}
-		s.d.Bus().PublishBatch(batch)
-		slab.Release()
 	}
+}
+
+// receive hands one frame, as a run, to the daemon's receive store
+// (StoreReceived) and then to its bus, counts it under kind and keeps
+// the server's books. The bus appends a body as it stands where it can
+// (PublishBody) and is handed the frame decoded otherwise, unless the
+// receive store took it and nothing is on the bus. false means the frame
+// does not decode, which drops the link.
+func (s *TCPServer) receive(run Run, in streams.Interner, kind *atomic.Uint64) bool {
+	var t tally
+	h := s.d.recv.Load()
+	if h != nil {
+		var ok bool
+		if t, ok = h.storeFrame(run); !ok {
+			return false
+		}
+	}
+	bus := s.d.Bus()
+	msgs, done := run.Msgs, h != nil && bus.Idle()
+	if !done && run.Body != nil {
+		var n int
+		var err error
+		if n, done = bus.PublishBody(streams.BodyV2, run.Body, in, HeartbeatTag); done && h == nil {
+			t.msgs = n
+		} else if !done {
+			if msgs, err = decodeFrame(streams.BodyV2, run.Body); err != nil {
+				return false
+			}
+		}
+	}
+	if !done {
+		// The frame goes to the bus as one batch, heartbeats filtered out
+		// in place.
+		batch, tt := msgs[:0], tally{}
+		for _, m := range msgs {
+			if !tt.add(m) {
+				batch = append(batch, m)
+			}
+		}
+		if h == nil {
+			t = tt
+		}
+		bus.PublishBatch(batch)
+	}
+	kind.Add(1)
+	s.mu.Lock()
+	s.heartbeats += uint64(t.heartbeats)
+	s.received += uint64(t.msgs)
+	s.literal += uint64(t.literal)
+	s.mu.Unlock()
+	return true
+}
+
+// decodeFrame decodes a batch payload of version into messages that own
+// their memory: the payload buffer is the next frame's.
+func decodeFrame(version byte, payload []byte) ([]streams.Message, error) {
+	return streams.DecodeRecords(version, bytes.Clone(payload))
 }
 
 // Close stops the listener and all connections.

@@ -1,7 +1,6 @@
 package ldms
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,8 +16,7 @@ import (
 // first byte: legacy frames start with the high byte of a 4-byte
 // big-endian length bounded by maxFrame (16 MiB), which is always 0x00
 // or 0x01, so batchMagic can never be confused for one. Both kinds may
-// interleave on a single connection; ReadAnyFrameSlab dispatches per
-// frame.
+// interleave on a single connection; TCPServer dispatches per frame.
 //
 // Layout:
 //
@@ -33,17 +31,17 @@ import (
 //	            numbers after the first written against the first's
 //
 // The payload is the same bytes a durable stream keeps at rest, so a
-// frame received, staged in a stream and forwarded is never re-rendered:
-// a receiver whose bus needs no decoded message appends the payload as
-// the entry body (streams.Bus.PublishBody), and a stream uplink writes a
-// round's whole stored batch back out as that body (writeBatchBody). A
-// round falls back to decoding and WriteBatchFrame when it cannot: a
-// version-1 payload, a frame mixing tags, a tag a handler subscribes to,
-// messages stored alone, and a batch cut by retention or by a round's
-// start or size. Typed records stay in the
-// compact binary form either way — no JSON is produced on any hop;
-// records that only have bytes (raw publishers, lossy-encoder
-// placeholders) travel opaque.
+// frame received, stored, staged in a stream and forwarded is never
+// re-rendered: a receive store walks it into rows (StoreReceived), a bus
+// that needs no decoded message appends it as the entry body
+// (streams.Bus.PublishBody), and a stream uplink writes a round's whole
+// stored batch back out as that body (writeBatchBody). A round
+// falls back to decoding and WriteBatchFrame when it cannot: a version-1
+// payload, a frame mixing tags, a tag a handler subscribes to, messages
+// stored alone, and a batch cut by retention or by a round's start or
+// size. Typed records stay in the compact binary form either way — no
+// JSON is produced on any hop; records that only have bytes (raw
+// publishers, lossy-encoder placeholders) travel opaque.
 const (
 	batchMagic   = 0xBB
 	batchVersion = streams.BodyV2
@@ -53,8 +51,8 @@ const (
 // does not allocate a frame buffer per flush.
 var framePool event.BufferPool
 
-// slabPool recycles decode slabs for the batched receive path; every
-// frame decoded through a BatchDecoder borrows one slab and the caller
+// slabPool recycles decode slabs for ReadBatchFrameSlab, which only the
+// benchmark calls; every frame it decodes borrows one slab and the caller
 // releases it when the frame's messages have been handed off.
 var slabPool event.SlabPool
 
@@ -94,14 +92,14 @@ func writeFrameBuf(w io.Writer, buf []byte) error {
 	return err
 }
 
-// BatchDecoder is the zero-alloc receive side of the batched wire path:
-// one per connection (it is not safe for concurrent use). It owns a
-// string interner — a batch's strings are materialized once per batch,
-// and after the first few frames not even that allocates — a reusable
-// batch table and a reusable payload scratch buffer; decoded structs and
-// slices live in a pooled Slab whose reference the caller holds and must
-// Release once the frame's messages are handed off. Every consumer is
-// synchronous, so nothing more is needed.
+// BatchDecoder is the receive side of the batched wire path: one per
+// connection (it is not safe for concurrent use). It owns a reusable
+// payload scratch buffer and a string interner — a batch's strings are
+// materialized once per batch, and after the first few frames not even
+// that allocates. ReadBatchFrameSlab, which only the benchmark calls,
+// also decodes into a reusable batch table and a pooled Slab whose
+// reference the caller holds and must Release once the frame's messages
+// are handed off.
 type BatchDecoder struct {
 	in      *event.Interner
 	table   streams.BatchContext
@@ -164,7 +162,13 @@ func (d *BatchDecoder) ReadBatchFrameSlab(r io.Reader) ([]streams.Message, *even
 	if err != nil {
 		return nil, nil, err
 	}
-	return d.decodeSlab(version, payload)
+	slab := slabPool.Get()
+	msgs, err := d.decodeBatch(version, payload, slab)
+	if err != nil {
+		slab.Release()
+		return nil, nil, err
+	}
+	return msgs, slab, nil
 }
 
 // readBatchPayload reads one batch frame into the decoder's reusable
@@ -196,39 +200,6 @@ func (d *BatchDecoder) readBatchPayload(r io.Reader) (byte, []byte, error) {
 		return 0, nil, err
 	}
 	return hdr[1], payload, nil
-}
-
-// decodeSlab decodes a batch payload into a pooled slab, as
-// ReadBatchFrameSlab returns it.
-func (d *BatchDecoder) decodeSlab(version byte, payload []byte) ([]streams.Message, *event.Slab, error) {
-	slab := slabPool.Get()
-	msgs, err := d.decodeBatch(version, payload, slab)
-	if err != nil {
-		slab.Release()
-		return nil, nil, err
-	}
-	return msgs, slab, nil
-}
-
-// ReadAnyFrameSlab reads the next frame, legacy or batch, into a pooled
-// slab (a legacy frame's single message is placed in a slab out-slice so
-// the caller's release discipline is uniform). The caller must Release
-// the slab after handing the messages off.
-func (d *BatchDecoder) ReadAnyFrameSlab(br *bufio.Reader) ([]streams.Message, *event.Slab, error) {
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, nil, err
-	}
-	if first[0] == batchMagic {
-		return d.ReadBatchFrameSlab(br)
-	}
-	m, err := ReadFrame(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	slab := slabPool.Get()
-	msgs := append(slab.Out(1), m)
-	return msgs, slab, nil
 }
 
 // PublishBatch sends msgs as a single batch frame. Like the rest of

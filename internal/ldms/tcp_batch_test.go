@@ -271,11 +271,26 @@ func decodeRecordsHeap(version byte, body []byte) ([]streams.Message, error) {
 	return out, nil
 }
 
-// readAnyFrame reads one frame through the production (slab) decoder. The
-// slab is left retained, so the messages stay valid for the test's life.
-func readAnyFrame(br *bufio.Reader) ([]streams.Message, error) {
-	msgs, _, err := NewBatchDecoder().ReadAnyFrameSlab(br)
-	return msgs, err
+// readAnyFrame reads one frame as TCPServer does: a legacy frame with
+// ReadFrame, a batch frame's payload through dec and decodeFrame, into
+// messages that own their memory.
+func readAnyFrame(dec *BatchDecoder, br *bufio.Reader) ([]streams.Message, error) {
+	first, err := br.Peek(1)
+	if err != nil {
+		return nil, err
+	}
+	if first[0] != batchMagic {
+		m, err := ReadFrame(br)
+		if err != nil {
+			return nil, err
+		}
+		return []streams.Message{m}, nil
+	}
+	version, payload, err := dec.readBatchPayload(br)
+	if err != nil {
+		return nil, err
+	}
+	return decodeFrame(version, payload)
 }
 
 func TestBatchFrameRoundTripMixed(t *testing.T) {
@@ -289,9 +304,9 @@ func TestBatchFrameRoundTripMixed(t *testing.T) {
 	if err := WriteBatchFrame(&buf, in); err != nil {
 		t.Fatalf("WriteBatchFrame: %v", err)
 	}
-	out, err := readAnyFrame(bufio.NewReader(&buf))
+	out, err := readAnyFrame(NewBatchDecoder(), bufio.NewReader(&buf))
 	if err != nil {
-		t.Fatalf("ReadAnyFrameSlab: %v", err)
+		t.Fatalf("readAnyFrame: %v", err)
 	}
 	if len(out) != len(in) {
 		t.Fatalf("got %d messages, want %d", len(out), len(in))
@@ -336,10 +351,10 @@ func TestBatchFrameInterleavesWithLegacy(t *testing.T) {
 	if err := WriteFrame(&buf, streams.Message{Tag: "b", Type: streams.TypeJSON, Data: []byte(`{}`)}); err != nil {
 		t.Fatal(err)
 	}
-	br := bufio.NewReader(&buf)
+	br, dec := bufio.NewReader(&buf), NewBatchDecoder()
 	var tags []string
 	for i := 0; i < 3; i++ {
-		msgs, err := readAnyFrame(br)
+		msgs, err := readAnyFrame(dec, br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -360,7 +375,7 @@ func TestBatchFrameRejectsEmpty(t *testing.T) {
 	}
 	// A hand-built frame declaring zero records must be rejected too.
 	frame := []byte{batchMagic, batchVersion, 0, 0, 0, 1, 0}
-	if _, err := readAnyFrame(bufio.NewReader(bytes.NewReader(frame))); err == nil {
+	if _, err := readAnyFrame(NewBatchDecoder(), bufio.NewReader(bytes.NewReader(frame))); err == nil {
 		t.Fatalf("zero-record batch frame accepted by reader")
 	}
 }
@@ -372,7 +387,7 @@ func TestBatchFrameRejectsOversizedDeclaredCount(t *testing.T) {
 	frame = append(frame, batchMagic, batchVersion, 0, 0, 0, 0)
 	frame = append(frame, payload...)
 	binary.BigEndian.PutUint32(frame[2:6], uint32(len(payload)))
-	if _, err := readAnyFrame(bufio.NewReader(bytes.NewReader(frame))); err == nil {
+	if _, err := readAnyFrame(NewBatchDecoder(), bufio.NewReader(bytes.NewReader(frame))); err == nil {
 		t.Fatalf("hostile declared count accepted")
 	}
 }
@@ -384,7 +399,7 @@ func TestBatchFrameTruncation(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for n := 0; n < len(full); n++ {
-		if _, err := readAnyFrame(bufio.NewReader(bytes.NewReader(full[:n]))); err == nil {
+		if _, err := readAnyFrame(NewBatchDecoder(), bufio.NewReader(bytes.NewReader(full[:n]))); err == nil {
 			t.Fatalf("truncated frame (%d/%d bytes) accepted", n, len(full))
 		}
 	}
@@ -486,22 +501,42 @@ func FuzzReadBatchFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msgs, err := readAnyFrameHeap(bufio.NewReader(bytes.NewReader(data)))
-		// The arena-pooled decoder must make the same accept/reject
-		// decision on every input and yield the same message count.
-		smsgs, slab, serr := NewBatchDecoder().ReadAnyFrameSlab(bufio.NewReader(bytes.NewReader(data)))
-		if (err == nil) != (serr == nil) {
-			t.Fatalf("decoders disagree on validity: heap err=%v, slab err=%v", err, serr)
+		// The receive path's reader, and the arena-pooled decoder the
+		// benchmark times, must make the same accept/reject decision on
+		// every input and yield the same messages: equal batches re-encode
+		// to equal bytes (float bits included, where NaN defeats
+		// DeepEqual).
+		agree := func(name string, got []streams.Message, gerr error) {
+			if (err == nil) != (gerr == nil) {
+				t.Fatalf("decoders disagree on validity: heap err=%v, %s err=%v", err, name, gerr)
+			}
+			if gerr != nil {
+				return
+			}
+			if len(got) != len(msgs) {
+				t.Fatalf("%s path decoded %d messages, heap %d", name, len(got), len(msgs))
+			}
+			if g, w := streams.AppendRecords(nil, got), streams.AppendRecords(nil, msgs); !bytes.Equal(g, w) {
+				t.Fatalf("%s and heap decodes differ:\n %s % x\n heap % x", name, name, g, w)
+			}
 		}
-		if serr == nil {
-			if len(smsgs) != len(msgs) {
-				t.Fatalf("slab path decoded %d messages, heap %d", len(smsgs), len(msgs))
+		rmsgs, rerr := readAnyFrame(NewBatchDecoder(), bufio.NewReader(bytes.NewReader(data)))
+		agree("receive", rmsgs, rerr)
+		// A receive store walks a version-2 payload without decoding it,
+		// and must refuse exactly the payloads the decoders refuse.
+		if version, payload, perr := NewBatchDecoder().readBatchPayload(bytes.NewReader(data)); perr == nil && version == streams.BodyV2 {
+			var w rowStore
+			w.init(func(int, uint64) error { return nil })
+			if berr := w.StoreRound(Run{Body: payload}, 0, func(error) {}); (berr == nil) != (err == nil) {
+				t.Fatalf("the receive store's walk and the decoders disagree on validity: walk err=%v, heap err=%v", berr, err)
 			}
-			// And the same messages: equal batches re-encode to equal
-			// bytes (float bits included, where NaN defeats DeepEqual).
-			if got, want := streams.AppendRecords(nil, smsgs), streams.AppendRecords(nil, msgs); !bytes.Equal(got, want) {
-				t.Fatalf("slab and heap decodes differ:\n slab % x\n heap % x", got, want)
+		}
+		if len(data) > 0 && data[0] == batchMagic {
+			smsgs, slab, serr := NewBatchDecoder().ReadBatchFrameSlab(bytes.NewReader(data))
+			agree("slab", smsgs, serr)
+			if serr == nil {
+				slab.Release()
 			}
-			slab.Release()
 		}
 		bodyLeg(t, data)
 		if err != nil {
@@ -537,13 +572,12 @@ func bodyLeg(t *testing.T, data []byte) {
 		}
 		return
 	}
-	msgs, slab, err := d.decodeSlab(version, payload)
+	msgs, err := decodeFrame(version, payload)
 	if err != nil {
 		t.Fatalf("the body path took a payload the decoder refuses: %v", err)
 	}
 	canonical := bytes.Equal(streams.AppendRecords(nil, msgs), payload)
 	dec.bus.PublishBatch(msgs)
-	slab.Release()
 	fetch := func(h hopStream) ([]streams.Delivery, uint64) {
 		c, err := h.s.Consumer(streams.ConsumerConfig{Name: "leg", MaxInflight: len(msgs)})
 		if err != nil {
@@ -639,11 +673,11 @@ func rowBits(o sos.Object) string {
 	return b.String()
 }
 
-// TestBatchDecoderSlabMatchesLegacy: the arena-pooled decode path must be
-// observationally identical to the allocating one (readAnyFrameHeap: the
-// decoder durable streams read segments with) — same envelopes, same
-// typed fields, same opaque payloads — for a mixed batch and for a legacy
-// single-message frame.
+// TestBatchDecoderSlabMatchesLegacy: the receive path's decode, and the
+// arena-pooled one the benchmark times, must be observationally identical
+// to the allocating one (readAnyFrameHeap: the decoder durable streams
+// read segments with) — same envelopes, same typed fields, same opaque
+// payloads — for a mixed batch and for a legacy single-message frame.
 func TestBatchDecoderSlabMatchesLegacy(t *testing.T) {
 	in := []streams.Message{
 		typedMsg(1),
@@ -662,45 +696,68 @@ func TestBatchDecoderSlabMatchesLegacy(t *testing.T) {
 	}
 	wire := buf.Bytes()
 
+	same := func(frame int, via string, got, want []streams.Message) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("frame %d: %d messages via %s, %d via heap", frame, len(got), via, len(want))
+		}
+		for i := range want {
+			if got[i].Tag != want[i].Tag || got[i].Type != want[i].Type ||
+				got[i].Producer != want[i].Producer || got[i].Seq != want[i].Seq {
+				t.Fatalf("frame %d msg %d envelope mismatch via %s:\n got %+v\nwant %+v", frame, i, via, got[i], want[i])
+			}
+			wantFields, wantErr := event.Fields(want[i])
+			gotFields, gotErr := event.Fields(got[i])
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("frame %d msg %d parse disagreement via %s: %v vs %v", frame, i, via, gotErr, wantErr)
+			}
+			if wantErr == nil && !reflect.DeepEqual(gotFields, wantFields) {
+				t.Fatalf("frame %d msg %d fields mismatch via %s:\n got %+v\nwant %+v", frame, i, via, gotFields, wantFields)
+			}
+			if !bytes.Equal(got[i].Data, want[i].Data) {
+				t.Fatalf("frame %d msg %d payload mismatch via %s", frame, i, via)
+			}
+		}
+	}
+
 	heapBR := bufio.NewReader(bytes.NewReader(wire))
-	slabBR := bufio.NewReader(bytes.NewReader(wire))
+	recvBR := bufio.NewReader(bytes.NewReader(wire))
 	dec := NewBatchDecoder()
+	var prev []streams.Message
+	var prevRaw []byte
 	for frame := 0; frame < 2; frame++ {
 		want, err := readAnyFrameHeap(heapBR)
 		if err != nil {
 			t.Fatalf("frame %d heap: %v", frame, err)
 		}
-		got, slab, err := dec.ReadAnyFrameSlab(slabBR)
+		got, err := readAnyFrame(dec, recvBR)
 		if err != nil {
-			t.Fatalf("frame %d slab: %v", frame, err)
+			t.Fatalf("frame %d receive: %v", frame, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("frame %d: %d messages via slab, %d via heap", frame, len(got), len(want))
+		same(frame, "receive", got, want)
+		// Opaque payloads must be self-owned copies: decoding the next
+		// frame into the same decoder must not disturb them (a bound
+		// stream or a handler may keep these bytes).
+		if prev != nil && !bytes.Equal(prev[1].Data, prevRaw) {
+			t.Fatalf("frame %d: the previous frame's opaque payload changed", frame)
 		}
-		for i := range want {
-			if got[i].Tag != want[i].Tag || got[i].Type != want[i].Type ||
-				got[i].Producer != want[i].Producer || got[i].Seq != want[i].Seq {
-				t.Fatalf("frame %d msg %d envelope mismatch:\n got %+v\nwant %+v", frame, i, got[i], want[i])
-			}
-			wantFields, wantErr := event.Fields(want[i])
-			gotFields, gotErr := event.Fields(got[i])
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("frame %d msg %d parse disagreement: %v vs %v", frame, i, gotErr, wantErr)
-			}
-			if wantErr == nil && !reflect.DeepEqual(gotFields, wantFields) {
-				t.Fatalf("frame %d msg %d fields mismatch:\n got %+v\nwant %+v", frame, i, gotFields, wantFields)
-			}
-			if !bytes.Equal(got[i].Data, want[i].Data) {
-				t.Fatalf("frame %d msg %d payload mismatch", frame, i)
-			}
-		}
-		// Opaque payloads must be self-owned copies: releasing the slab and
-		// decoding the next frame into the same decoder must not disturb
-		// them (the durable stream retains these bytes indefinitely).
-		rawBefore := append([]byte(nil), got[1%len(got)].Data...)
-		slab.Release()
-		if !bytes.Equal(got[1%len(got)].Data, rawBefore) {
-			t.Fatalf("frame %d: opaque payload changed after slab release", frame)
-		}
+		prev, prevRaw = got, append([]byte(nil), got[1%len(got)].Data...)
+	}
+
+	// The slab decoder reads the batch frame.
+	want, err := readAnyFrameHeap(bufio.NewReader(bytes.NewReader(wire)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, slab, err := NewBatchDecoder().ReadBatchFrameSlab(bytes.NewReader(wire))
+	if err != nil {
+		t.Fatalf("slab: %v", err)
+	}
+	same(0, "slab", got, want)
+	// Releasing the slab must not disturb its opaque payloads either.
+	rawBefore := append([]byte(nil), got[1].Data...)
+	slab.Release()
+	if !bytes.Equal(got[1].Data, rawBefore) {
+		t.Fatal("opaque payload changed after slab release")
 	}
 }

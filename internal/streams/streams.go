@@ -447,6 +447,14 @@ func (b *Bus) StatTags() []string {
 	return out
 }
 
+// Idle reports whether a publish would reach nothing: no handler is
+// subscribed and no stream is bound.
+func (b *Bus) Idle() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.subs) == 0 && len(b.wsubs) == 0 && len(b.streamNames) == 0
+}
+
 // SubscriberCount returns the number of active subscriptions a message
 // published on tag would reach: its exact subscribers plus any wildcard
 // subscribers whose filter matches it.

@@ -148,6 +148,7 @@ FUZZ_TARGETS ?= \
 	internal/sos:FuzzReplayWAL \
 	internal/sos:FuzzObjectsMatchBoxed \
 	internal/sos:FuzzBTreeMatchesReference \
+	internal/sos:FuzzDerivedOrderMatchesTree \
 	internal/dsos:FuzzCursorMatchesQueryEx \
 	internal/dsos:FuzzCSVFloat \
 	internal/streams:FuzzStreamCursor \

@@ -606,7 +606,12 @@ func TestCLIDsosd(t *testing.T) {
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-		queries := [][2]string{{"?job=7&rank=3", "-rank=3"}, {"?job=7", "-rank=-1"}}
+		queries := [][2]string{
+			{"?job=7&rank=3", "-job=7 -rank=3"},
+			{"?job=7", "-job=7"},
+			{"?index=time_job_rank&limit=250", "-index=time_job_rank -limit=250"},
+			{"?index=job_time_rank&job=7", "-index=job_time_rank -job=7"},
+		}
 		live := make([]string, len(queries))
 		for i, q := range queries {
 			code, body := httpDo(t, http.MethodGet, "http://"+api+"/query"+q[0])
@@ -620,12 +625,12 @@ func TestCLIDsosd(t *testing.T) {
 			t.Errorf("no snapshot line with its bytes and time on stderr:\n%s", stderr)
 		}
 		for i, q := range queries {
-			out, err := exec.Command(sql, "-snapshot", filepath.Join(dir, "darshan_data.sos"), "-job=7", q[1]).Output()
+			out, err := exec.Command(sql, append([]string{"-snapshot", filepath.Join(dir, "darshan_data.sos")}, strings.Fields(q[1])...)...).Output()
 			if err != nil {
 				t.Fatalf("dsosql %s: %v", q[1], err)
 			}
 			if string(out) != live[i] {
-				t.Errorf("dsosql -job=7 %s prints other bytes than /query%s:\n%s\nwant:\n%s", q[1], q[0], out, live[i])
+				t.Errorf("dsosql %s prints other bytes than /query%s:\n%s\nwant:\n%s", q[1], q[0], out, live[i])
 			}
 		}
 	})

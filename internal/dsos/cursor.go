@@ -274,6 +274,7 @@ func (d *Daemon) scan(s *memberScan, index string, from, to sos.Key, n int) bool
 	if err != nil {
 		return false
 	}
+	defer cur.Close()
 	s.cont = d.cont
 	s.rows, s.keys, s.pos = s.rows[:0], s.keys[:0], 0
 	for len(s.rows) < n && cur.Next() {

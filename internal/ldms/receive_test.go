@@ -408,3 +408,50 @@ func TestCSVReceiveStoreKeepsBody(t *testing.T) {
 		t.Errorf("CSV through the receive path:\n%s\nwant the header and 3 rows:\n%s", csv.String(), want.String())
 	}
 }
+
+// TestPlainReceiveWalksBody: a receiver that stores nothing and whose bus
+// has nothing on it (ldmsd with neither -forward nor -store-csv) books a
+// batch body by walking it, never decoding it: about no allocation a
+// record, and the books a decode keeps — the server's received,
+// heartbeat and literal-byte counts, and each tag's published and dropped
+// messages.
+func TestPlainReceiveWalksBody(t *testing.T) {
+	msgs := genFrames(52, 64, 64)[0]
+	msgs = append(msgs, streams.Message{Tag: HeartbeatTag, Type: streams.TypeString, Data: []byte("hb")},
+		streams.Message{Tag: "other", Type: streams.TypeJSON, Data: []byte(`{"x":1}`)})
+	body := streams.AppendRecords(nil, msgs)
+	d := NewDaemon("ldmsd", "nid00040")
+	srv, err := ListenTCP(d, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	in, kind := NewBatchDecoder().in, &srv.batchFrames
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, func() {
+		if !srv.receive(Run{Body: body}, in, kind) {
+			t.Fatal("the body was refused")
+		}
+	})
+	// The walk's scratch comes from a sync.Pool, which the race detector
+	// empties at random: there a body costs a few allocations, never the
+	// ≈3 a record a decode costs.
+	if perRecord := allocs / float64(len(msgs)); perRecord > 0.25 {
+		t.Errorf("%.0f allocations a body of %d records (%.2f a record); want about none", allocs, len(msgs), perRecord)
+	}
+	frames := uint64(runs + 1) // AllocsPerRun runs once more to warm up
+	if got, want := srv.Received(), frames*uint64(len(msgs)-1); got != want {
+		t.Errorf("received %d messages, want %d", got, want)
+	}
+	if got := srv.Heartbeats(); got != frames {
+		t.Errorf("%d heartbeats, want %d", got, frames)
+	}
+	if got, want := srv.LiteralBytes(), frames*uint64(len(`{"x":1}`)); got != want {
+		t.Errorf("%d literal bytes, want %d", got, want)
+	}
+	for tag, n := range map[string]uint64{receiveTag: 64, "other": 1, HeartbeatTag: 0} {
+		if st := d.Bus().Stats(tag); st.Published != frames*n || st.Dropped != frames*n || st.Delivered != 0 {
+			t.Errorf("%s: %+v, want %d published and dropped", tag, st, frames*n)
+		}
+	}
+}

@@ -236,6 +236,14 @@ func (s *TCPServer) receive(run Run, in streams.Interner, kind *atomic.Uint64) b
 	}
 	bus := s.d.Bus()
 	msgs, done := run.Msgs, h != nil && bus.Idle()
+	if h == nil && run.Body != nil {
+		// Nothing stores the frame: where nothing receives it either, a
+		// walk books it.
+		var bt streams.BodyTally
+		if bt, done = bus.PublishIdle(run.Body, in, HeartbeatTag); done {
+			t = tally{msgs: bt.Msgs, heartbeats: bt.Skipped, literal: bt.Bytes}
+		}
+	}
 	if !done && run.Body != nil {
 		var n int
 		var err error

@@ -266,34 +266,51 @@ func (t *btree) insertLeaf(n *btreeNode, key []byte) *btreeNode {
 // sibling and has the key that belongs at index i inserted again. When the
 // leaf's previous insert landed just before i, the point is the cut
 // nearest i, so appends to a key region fill each leaf, and the right half
-// is packed at the least layout its keys need. Otherwise it is the cut
-// nearest the middle, and both halves keep n's layout: keys that arrive
-// out of order would widen a tighter one again, one repack at a time.
+// is packed at the least layout its keys need. When it landed at i, the
+// mirror: the cut nearest i keeps at least one key on the left, so
+// descending keys fill each leaf, and the left half is packed at its least
+// layout. Otherwise it is the cut nearest the middle, and both halves keep
+// n's layout: keys that arrive out of order would widen a tighter one
+// again, one repack at a time.
 func (t *btree) splitLeaf(n *btreeNode, i int) *btreeNode {
 	c, s, at := int(n.n), int(n.stride), int(n.n)/2
-	app := i > 0 && i == int(n.last)+1
+	app, pre := i > 0 && i == int(n.last)+1, i < c && i == int(n.last)
 	right := t.newNode(true)
 	if app {
 		at = min(i, c-1)
+	} else if pre {
+		at = max(i, 1)
 	}
-	if at = n.cut(at); app {
-		for j := range t.cols {
-			lo, hi := ^uint64(0), uint64(0)
-			for r := at; r < c; r++ {
-				x := n.cols[j].load(n.keys, r*s)
-				lo, hi = min(lo, x), max(hi, x)
-			}
-			t.cols[j] = column{base: lo, width: uint8(byteWidth(hi - lo))}
-		}
-		repack(right, n, at, c, t.cols)
+	at = n.cut(at)
+	if app {
+		repack(right, n, at, c, t.least(n, at, c))
 	} else {
 		copy(right.keys, n.keys[at*s:c*s])
 		copy(right.cols, n.cols)
 		right.stride, right.n = n.stride, int32(c-at)
 	}
+	if pre { // repack from n's arrays, swapped for the tree's spare ones
+		cols := t.least(n, 0, at)
+		t.old.keys, t.old.cols, t.old.stride, n.keys, n.cols = n.keys, n.cols, n.stride, t.old.keys, t.old.cols
+		repack(n, &t.old, 0, at, cols)
+	}
 	n.n, right.next, n.next = int32(at), n.next, right
 	t.sep, t.retry = right.appendKey(t.sep[:0], 0), true
 	return right
+}
+
+// least returns, in t.cols, the least layout that holds leaf n's keys
+// [a, b).
+func (t *btree) least(n *btreeNode, a, b int) []column {
+	for j := range t.cols {
+		lo, hi := ^uint64(0), uint64(0)
+		for r := a; r < b; r++ {
+			x := n.cols[j].load(n.keys, r*int(n.stride))
+			lo, hi = min(lo, x), max(hi, x)
+		}
+		t.cols[j] = column{base: lo, width: uint8(byteWidth(hi - lo))}
+	}
+	return t.cols
 }
 
 // cut returns the split point of leaf n nearest at among those whose keys

@@ -33,11 +33,17 @@ func appendValue(b []byte, v any) []byte {
 // appendWord appends the order-preserving encoding of a row word of type
 // t to b.
 func appendWord(b []byte, t Type, w uint64) []byte {
+	return binary.BigEndian.AppendUint64(b, orderWord(t, w))
+}
+
+// orderWord returns the order-preserving encoding of a row word of type t
+// as a number: its big-endian bytes are the word's key bytes.
+func orderWord(t Type, w uint64) uint64 {
 	switch t {
 	case TypeInt64:
-		return binary.BigEndian.AppendUint64(b, w^1<<63)
+		return w ^ 1<<63
 	case TypeUint64:
-		return binary.BigEndian.AppendUint64(b, w)
+		return w
 	case TypeFloat64:
 		switch v := math.Float64frombits(w); {
 		case v != v:
@@ -46,11 +52,9 @@ func appendWord(b []byte, t Type, w uint64) []byte {
 			w = 0 // -0 is +0
 		}
 		if w>>63 == 0 {
-			w |= 1 << 63
-		} else {
-			w = ^w
+			return w | 1<<63
 		}
-		return binary.BigEndian.AppendUint64(b, w)
+		return ^w
 	}
 	panic("sos: unsupported key type " + t.String())
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 	"strconv"
 	"sync/atomic"
 	"unsafe"
@@ -253,7 +254,19 @@ type slab struct {
 	pages   []atomic.Pointer[page]
 	open    []uint64 // the last page's words, until it is sealed
 	n       int
+
+	// The time ranges of sealed pages, for an order that leads with
+	// attribute rangeCol (-1: none): spans[p] is page p's least and
+	// greatest order word of it, byLo the sealed pages by least word (then
+	// page), and reach[i] the greatest word of any page in byLo[:i+1].
+	rangeCol int
+	spans    []span
+	byLo     []int32
+	reach    []uint64
 }
+
+// span is the least and greatest order word of a page's range column.
+type span struct{ lo, hi uint64 }
 
 // page is one page's rows: the first, and their layout. viewed marks an
 // open page a copy of the slab was taken from (view): a reader may still
@@ -265,7 +278,7 @@ type page struct {
 }
 
 func newSlab(types []Type) *slab {
-	s := &slab{types: types, width: len(types)}
+	s := &slab{types: types, width: len(types), rangeCol: -1}
 	for i, t := range types {
 		if t == TypeString {
 			s.strCols = append(s.strCols, i)
@@ -309,6 +322,9 @@ func (s *slab) seal() bool {
 	}
 	filled := s.pages[len(s.pages)-1].Load()
 	s.pages[len(s.pages)-1].Store(s.pack(s.open, 1<<s.shift))
+	if s.rangeCol >= 0 {
+		s.addSpan(len(s.pages) - 1)
+	}
 	if filled.viewed.Load() {
 		s.open = nil
 		return false
@@ -349,6 +365,43 @@ func (s *slab) pack(w []uint64, rows int) *page {
 		}
 	}
 	return pg
+}
+
+// sealed returns the number of sealed pages: all but an open last one.
+func (s *slab) sealed() int {
+	if s.open != nil {
+		return len(s.pages) - 1
+	}
+	return len(s.pages)
+}
+
+// keepSpans has every sealed page, and every page sealed from now on,
+// keep its range of attribute col.
+func (s *slab) keepSpans(col int) {
+	s.rangeCol = col
+	for p := range s.sealed() {
+		s.addSpan(p)
+	}
+}
+
+// addSpan records the range of page p, the next sealed, and files it in
+// byLo.
+func (s *slab) addSpan(p int) {
+	sp := span{lo: ^uint64(0)}
+	for pos := p << s.shift; pos < (p+1)<<s.shift; pos++ {
+		v := orderWord(s.types[s.rangeCol], s.object(pos, nil).word(s.rangeCol))
+		sp.lo, sp.hi = min(sp.lo, v), max(sp.hi, v)
+	}
+	s.spans = append(s.spans, sp)
+	i := sort.Search(p, func(i int) bool { return s.spans[s.byLo[i]].lo > sp.lo })
+	s.byLo = slices.Insert(s.byLo, i, int32(p))
+	s.reach = append(s.reach, 0)
+	for ; i <= p; i++ {
+		s.reach[i] = s.spans[s.byLo[i]].hi
+		if i > 0 {
+			s.reach[i] = max(s.reach[i], s.reach[i-1])
+		}
+	}
 }
 
 // byteWidth returns the whole bytes that hold every offset up to span.

@@ -1,8 +1,9 @@
 // Package sos is the single-node Scalable Object Store underlying DSOS:
 // schemas of typed attributes, append-only object slabs (partitions) of
 // typed rows (row.go), B+tree indices over single or joint attribute keys
-// (the paper's job_rank_time-style indices), ordered iteration, and binary
-// snapshot persistence. The distributed layer (package dsos) shards
+// (the paper's job_rank_time-style indices; one led by time is read from
+// the pages instead, order.go), ordered iteration, and binary snapshot
+// persistence. The distributed layer (package dsos) shards
 // objects over several of these stores and merges parallel index scans.
 package sos
 
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // Type is an attribute type.
@@ -89,13 +91,17 @@ type IndexSpec struct {
 	Attrs  []string
 }
 
-// Index is a live B+tree over a composite key.
+// Index is a live order over a composite key: a B+tree, or an order read
+// from the pages (order.go).
 type Index struct {
 	spec     IndexSpec
 	attrIdxs []int
 	types    []Type // the type of each key attribute
-	tree     *btree
+	tree     *btree // nil: the order is read from the pages
 	key      []byte // the tree key being inserted
+
+	base  *Index                   // an order read from the pages: the tree it reorders
+	spare atomic.Pointer[pageWalk] // a closed cursor's, for the next one opened
 }
 
 // insert adds the row w, stored at slab position pos, under its tree key:
@@ -128,7 +134,12 @@ func (ix *Index) CheckKey(k Key) error {
 }
 
 // Len returns the number of indexed entries.
-func (ix *Index) Len() int { return ix.tree.size }
+func (ix *Index) Len() int {
+	if ix.tree == nil {
+		return ix.base.tree.size
+	}
+	return ix.tree.size
+}
 
 // Container is one SOS container: schemas, object slabs, the string
 // dictionary their rows share, and indices.
@@ -138,7 +149,7 @@ type Container struct {
 	slabs   map[string]*slab
 	dict    dict
 	indices map[string]*Index
-	// bySchema lists each schema's indices, which every insert updates.
+	// bySchema lists each schema's trees, which every insert updates.
 	bySchema map[string][]*Index
 	// nextOID counts the objects ever inserted. No tree key holds it; the
 	// snapshot format does.
@@ -193,8 +204,24 @@ const maxIndexAttrs = (nodeBytes/4 - KeySuffixLen) / 8
 
 // AddIndex declares an index; existing objects are back-indexed. Every
 // index attribute is an int64, a uint64 or a float64: a string has no
-// fixed-width encoding that sorts by value.
+// fixed-width encoding that sorts by value. An index that reorders the
+// attributes of a tree declared before it to lead with the tree's last is
+// read from the pages (derive) and builds nothing; any other gets a tree
+// of its own.
 func (c *Container) AddIndex(spec IndexSpec) (*Index, error) {
+	ix, err := c.newIndex(spec)
+	if err != nil {
+		return nil, err
+	}
+	if !c.derive(ix) {
+		c.addTree(ix)
+	}
+	c.indices[spec.Name] = ix
+	return ix, nil
+}
+
+// newIndex checks spec and resolves its attributes.
+func (c *Container) newIndex(spec IndexSpec) (*Index, error) {
 	if _, dup := c.indices[spec.Name]; dup {
 		return nil, fmt.Errorf("sos: index %q already exists", spec.Name)
 	}
@@ -217,20 +244,24 @@ func (c *Container) AddIndex(spec IndexSpec) (*Index, error) {
 		}
 		idxs[i], types[i] = pos, sch.Attrs[pos].Type
 	}
-	width := 8*len(idxs) + KeySuffixLen
-	ix := &Index{spec: spec, attrIdxs: idxs, types: types, tree: newBTree(width), key: make([]byte, 0, width)}
-	c.indices[spec.Name] = ix
-	c.bySchema[spec.Schema] = append(c.bySchema[spec.Schema], ix)
-	s := c.slabs[spec.Schema]
+	return &Index{spec: spec, attrIdxs: idxs, types: types}, nil
+}
+
+// addTree gives ix a tree, fills it from the stored rows and has every
+// insert update it.
+func (c *Container) addTree(ix *Index) {
+	width := 8*len(ix.attrIdxs) + KeySuffixLen
+	ix.tree, ix.key = newBTree(width), make([]byte, 0, width)
+	c.bySchema[ix.spec.Schema] = append(c.bySchema[ix.spec.Schema], ix)
+	s := c.slabs[ix.spec.Schema]
 	w := make([]uint64, s.width)
 	for pos := 0; pos < s.n; pos++ {
 		o := s.object(pos, nil)
-		for _, ai := range idxs { // only the key's words
+		for _, ai := range ix.attrIdxs { // only the key's words
 			w[ai] = o.word(ai)
 		}
 		ix.insert(w, pos)
 	}
-	return ix, nil
 }
 
 // Index returns the named index, or nil.
@@ -347,17 +378,19 @@ func (c *Container) Count(schema string) int {
 }
 
 // Cursor walks one index in key order over an attribute-prefix range
-// [from, to). It copies nothing and holds no lock: Object returns a view of
-// the container's own memory, which stays valid after the container is
-// modified. The cursor itself is valid until the container is next
-// modified; a scan that spans modifications reopens with CursorAfter the
-// last key AppendKey gave it.
+// [from, to). It holds no lock: Object returns a view of the container's
+// own memory, which stays valid after the container is modified. The
+// cursor itself is valid until the container is next modified; a scan
+// that spans modifications reopens with CursorAfter the last key AppendKey
+// gave it. A tree's cursor copies nothing; one on an order read from the
+// pages holds the keys of the runs it merges (order.go).
 type Cursor struct {
 	rows    slab
 	strs    []string
 	origins []uint64
 	it, end iterator // end is the first entry past the range
 	started bool
+	d       *pageWalk // an order read from the pages; nil on a tree
 }
 
 // Cursor opens a cursor on the named index at the first key >= from (nil
@@ -394,12 +427,21 @@ func (c *Container) open(indexName string, from Key, after []byte, to Key) (Curs
 	if after == nil {
 		lo = appendKey(scratch[0][:0], from)
 	}
-	cur := Cursor{rows: c.slabs[ix.spec.Schema].view(), strs: c.dict.strs, origins: c.origins[ix.spec.Schema], it: ix.tree.seek(lo, after != nil)}
+	var hi []byte
 	if to != nil {
-		hi := appendKey(scratch[1][:0], to)
+		hi = appendKey(scratch[1][:0], to)
+	}
+	empty := to != nil && bytes.Compare(lo, hi) >= 0
+	cur := Cursor{rows: c.slabs[ix.spec.Schema].view(), strs: c.dict.strs, origins: c.origins[ix.spec.Schema]}
+	if ix.tree == nil {
+		cur.d = ix.walk(cur.rows, lo, after != nil, hi, empty)
+		return cur, nil
+	}
+	cur.it = ix.tree.seek(lo, after != nil)
+	if to != nil {
 		cur.end = ix.tree.seek(hi, false)
-		if bytes.Compare(lo, hi) >= 0 {
-			cur.it = cur.end // an empty range
+		if empty {
+			cur.it = cur.end
 		}
 	}
 	return cur, nil
@@ -407,6 +449,9 @@ func (c *Container) open(indexName string, from Key, after []byte, to Key) (Curs
 
 // Next moves to the next entry in range and reports whether there is one.
 func (cur *Cursor) Next() bool {
+	if cur.d != nil {
+		return cur.d.next()
+	}
 	if cur.started && cur.it != cur.end {
 		cur.it.next()
 	}
@@ -418,11 +463,35 @@ func (cur *Cursor) Next() bool {
 // extended slice: the encoded index attributes, then the KeySuffixLen-byte
 // slab position that makes it unique. The tree's leaves hold keys packed,
 // so the key is decoded into dst, which the caller owns.
-func (cur *Cursor) AppendKey(dst []byte) []byte { return cur.it.node.appendKey(dst, cur.it.i) }
+func (cur *Cursor) AppendKey(dst []byte) []byte {
+	if cur.d != nil {
+		return cur.d.appendKey(dst)
+	}
+	return cur.it.node.appendKey(dst, cur.it.i)
+}
+
+// Close hands a page walk's buffers to the next cursor opened; the
+// cursor must not be used after. A cursor that is not closed costs only
+// its garbage.
+func (cur *Cursor) Close() {
+	if d := cur.d; d != nil {
+		ix := d.ix
+		d.ix, d.rows, cur.d = nil, slab{}, nil // hold no pages
+		ix.spare.Store(d)
+	}
+}
+
+// pos returns the current entry's slab position.
+func (cur *Cursor) pos() int {
+	if cur.d != nil {
+		return int(cur.d.key[cur.d.w-1])
+	}
+	return cur.it.pos()
+}
 
 // Object returns the current entry's object, a view of its page and the
 // container's dictionary.
-func (cur *Cursor) Object() Object { return cur.rows.object(cur.it.pos(), cur.strs) }
+func (cur *Cursor) Object() Object { return cur.rows.object(cur.pos(), cur.strs) }
 
 // Origin returns the current object's stamped origin id (0 when the
 // schema has none).
@@ -430,7 +499,7 @@ func (cur *Cursor) Origin() uint64 {
 	if len(cur.origins) == 0 {
 		return 0 // no need to decode the position
 	}
-	if pos := cur.it.pos(); pos < len(cur.origins) {
+	if pos := cur.pos(); pos < len(cur.origins) {
 		return cur.origins[pos]
 	}
 	return 0
@@ -450,6 +519,7 @@ func (c *Container) IterOrigins(indexName string, from Key, yield func(Object, u
 	if err != nil {
 		return err
 	}
+	defer cur.Close()
 	for cur.Next() && yield(cur.Object(), cur.Origin()) {
 	}
 	return nil
@@ -477,6 +547,7 @@ func (c *Container) Range(indexName string, from, to Key) ([]Object, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer cur.Close()
 	var out []Object
 	for cur.Next() {
 		out = append(out, cur.Object())

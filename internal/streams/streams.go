@@ -339,6 +339,57 @@ func (b *Bus) PublishBody(version byte, body []byte, in Interner, skip string) (
 	return int(n), true
 }
 
+// BodyTally is what PublishIdle booked of a body: its messages, the
+// records of the skipped tag, and the opaque payload bytes the messages
+// carried.
+type BodyTally struct{ Msgs, Skipped, Bytes int }
+
+// PublishIdle books a received version-2 body on an idle bus (Idle), where
+// every message would be dropped: each record not of tag skip counts as
+// published and dropped under its tag, as PublishBatch would count its
+// decoded message, but the body is only walked (walkBody), never decoded.
+// It reports false, booking nothing, when the bus is not idle or the body
+// does not walk.
+func (b *Bus) PublishIdle(body []byte, in Interner, skip string) (BodyTally, bool) {
+	var t BodyTally
+	if !b.Idle() {
+		return t, false // skip the walk
+	}
+	w := walks.Get().(*walk)
+	defer func() {
+		clear(w.slots) // the pool keeps nothing of body
+		walks.Put(w)
+	}()
+	_ = w.k.Reset(BodyV2, in)
+	var err error
+	if w.slots, err = walkBody(body, &w.k, w.slots[:0]); err != nil {
+		return t, false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.idleLocked() {
+		return t, false
+	}
+	for _, sl := range w.slots {
+		if sl.subject == skip {
+			t.Skipped++
+			continue
+		}
+		st, ok := b.stats[sl.subject]
+		if !ok {
+			st = &Stats{}
+			b.stats[sl.subject] = st
+		}
+		st.Published++
+		st.Dropped++
+		t.Msgs++
+		if sl.rec[0] == RecOpaque {
+			t.Bytes += int(sl.size)
+		}
+	}
+	return t, true
+}
+
 // deliverSafe invokes one handler, absorbing a panic so a broken
 // subscriber cannot take down the publisher (or skew the accounting of
 // the other receivers). It reports whether the delivery completed.
@@ -452,6 +503,10 @@ func (b *Bus) StatTags() []string {
 func (b *Bus) Idle() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.idleLocked()
+}
+
+func (b *Bus) idleLocked() bool {
 	return len(b.subs) == 0 && len(b.wsubs) == 0 && len(b.streamNames) == 0
 }
 

@@ -75,7 +75,7 @@ chaos-smoke:
 # publisher, and dlc-run -forward.
 streams-smoke:
 	$(GO) test -race -short -run 'StreamSoak' ./internal/harness
-	$(GO) test -race -count=1 -run 'Batch|Wait|Legacy|Lazy|Retention|MemoryStream|Settled|LateJoiner|V1SegmentReadCompat' ./internal/streams
+	$(GO) test -race -count=1 -run 'Batch|Wait|Legacy|Lazy|Retention|MemoryStream|Settled|LateJoiner|V1SegmentReadCompat|V2SegmentReadCompat|Compaction' ./internal/streams
 	$(GO) test -race -count=1 -run 'Cursor|CrashBetween|IngestStream|Recover|IdleUplink|ServeKeepsBooks|UplinkWireIdentity|DedupStoreMemory|SeenSeqs|StoredBodyIngestIdentity|ReceiveStore|SpoolStream|ForwarderSpool|UplinkHealth|UplinkLifecycle|ForwardMatchesBestEffort|ForwardSurvivesUpstreamRestart|TCPServerDeath|ForwardFirehose|LegacyFrameReadCompat|TwoJobsOneProducer' ./internal/ldms ./internal/connector
 	$(GO) test -race -count=1 -run 'InsertOutlivesRowMemory' ./internal/topo
 	$(GO) test -count=1 -run 'TestCLIForwardSurvivesUpstreamRestart|TestCLILdmsdShutdownWithBlockedPublisher|TestCLIRunForward' .

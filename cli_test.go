@@ -660,7 +660,7 @@ func TestCLIDsosd(t *testing.T) {
 			t.Errorf("restored %d objects, want 5", got)
 		}
 		for _, d := range []string{dir, snapDir} {
-			if left, _ := filepath.Glob(filepath.Join(d, "dsosd-snap-*")); len(left) > 0 {
+			if left, _ := filepath.Glob(filepath.Join(d, "*.tmp")); len(left) > 0 {
 				t.Errorf("temporary snapshot left behind: %v", left)
 			}
 		}
@@ -1155,4 +1155,118 @@ func TestCLIReconnectSendsBatchFrames(t *testing.T) {
 		strings.Contains(metrics, "\n"+`dlc_tcp_batch_frames_total{srv="dsosd"} 0`+"\n") {
 		t.Errorf("dsosd received legacy frames, or no batch frame, from ldmsd -reconnect:\n%s", metrics)
 	}
+}
+
+// TestCLIStreamRetentionBoundsTheSegment pushes ~4 MiB of events through
+// ldmsd -stream -stream-max-msgs 1000 into dsosd in paced rounds, passing
+// the 1 MiB compaction floor several times: after every round the segment
+// file holds at most twice the window's bytes plus 1 MiB and a round,
+// where without compaction it grows with every event ever received. ldmsd
+// is SIGKILLed once mid-run and restarted on the same file: the stream
+// reopens at the head it had and the uplink cursor at its floor, and
+// dsosd ends up storing every event exactly once.
+func TestCLIStreamRetentionBoundsTheSegment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke test")
+	}
+	ldmsdBin, dsosdBin := buildDaemons(t)
+	storeAddr, api, nodeAddr, ldmsdAPI := freeAddr(t), freeAddr(t), freeAddr(t), freeAddr(t)
+	dsosdErr := startDaemon(t, dsosdBin, "-listen", storeAddr, "-http", api, "-daemons", "1", "-snapshot-every", "1h")
+	waitStderr(t, "dsosd listening", dsosdErr, func() bool { return ldms.PingTCP(storeAddr, 200*time.Millisecond) == nil })
+	dir := t.TempDir()
+	segPath := filepath.Join(dir, "ldmsd.stream")
+	start := func() (*exec.Cmd, *lockedBuffer) {
+		cmd := exec.Command(ldmsdBin, "-listen", nodeAddr, "-forward", storeAddr, "-http", ldmsdAPI,
+			"-stream", "ldmsd.stream", "-stream-max-msgs", "1000", "-stats", "20ms", "-producer", "nid00040")
+		cmd.Dir = dir
+		stderr := &lockedBuffer{}
+		cmd.Stderr = stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = cmd.Process.Kill(); _ = cmd.Wait() })
+		waitStderr(t, "ldmsd listening", stderr, func() bool { return ldms.PingTCP(nodeAddr, 200*time.Millisecond) == nil })
+		return cmd, stderr
+	}
+	// Each event names a file of its own, so each costs about a KiB of
+	// segment and a few thousand pass the floor several times.
+	const rounds, round, window, floor = 8, 512, 1000, 1 << 20
+	event := func(i int) streams.Message {
+		m := &jsonmsg.Message{
+			UID: 99066, Exe: "/projects/mpi-io-test", JobID: 7, Rank: i % 8, ProducerName: "nid00040",
+			File: fmt.Sprintf("/nscratch/%01000d", i), RecordID: 9, Module: "POSIX", Type: jsonmsg.TypeMOD,
+			MaxByte: -1, Switches: -1, Flushes: -1, Cnt: 1, Op: "write", Seq: uint64(i + 1),
+			Seg: []jsonmsg.Segment{{DataSet: jsonmsg.NA, PtSel: -1, IrregHSlab: -1, RegHSlab: -1, NDims: -1, NPoints: -1,
+				Off: int64(i) * 4096, Len: 4096, Dur: 0.000125, Timestamp: jsonmsg.Quant6(1.6e9 + float64(i)/1000)}},
+		}
+		return streams.Message{Tag: "darshanConnector", Type: streams.TypeJSON, Record: event.NewRecord(m, nil), Producer: "nid00040", Seq: uint64(i + 1)}
+	}
+	send := func(from, n int) {
+		t.Helper()
+		conn, err := net.Dial("tcp", nodeAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		batch := make([]streams.Message, 0, 64)
+		for i := from; i < from+n; i++ {
+			if batch = append(batch, event(i)); len(batch) == cap(batch) || i == from+n-1 {
+				if err := ldms.WriteBatchFrame(conn, batch); err != nil {
+					t.Fatal(err)
+				}
+				batch = batch[:0]
+			}
+		}
+	}
+	segSize := func() int64 {
+		fi, err := os.Stat(segPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+
+	cmd, stderr := start()
+	var perEvent, peak int64
+	sent := 0
+	for r := 0; r < rounds; r++ {
+		send(sent, round)
+		sent += round
+		if r == rounds/2 {
+			// Killed once the round is in the segment, while the uplink
+			// may still be forwarding it.
+			waitStderr(t, "round received", stderr, func() bool { return lastStat(stderr.String(), "received") == sent })
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
+			cmd, stderr = start()
+			s := stderr.String()
+			floorAt := strings.Index(s, "floor ")
+			if !strings.Contains(s, fmt.Sprintf("recovered seqs [%d,%d]", sent-window+1, sent)) || floorAt < 0 {
+				t.Fatalf("restarted after %d events:\n%s", sent, s)
+			}
+			if f, _ := strconv.Atoi(strings.TrimRight(strings.Fields(s[floorAt+6:])[0], ")")); f < sent-round || f > sent {
+				t.Fatalf("restarted at floor %d, want within the last round (%d..%d]:\n%s", f, sent-round, sent, s)
+			}
+		}
+		waitStderr(t, "round forwarded", stderr, func() bool { return lastStat(stderr.String(), "floor") == sent })
+		size := segSize()
+		if r == 0 {
+			perEvent = size / round
+		}
+		if bound := 2*window*perEvent + floor + round*perEvent; size > bound {
+			t.Fatalf("after %d events the segment holds %d bytes, past 2 x %d retained + 1 MiB + a round = %d", sent, size, window*perEvent, bound)
+		}
+		peak = max(peak, size)
+	}
+	waitStderr(t, "every event stored", dsosdErr, func() bool {
+		_, body := httpDo(t, http.MethodGet, "http://"+api+"/count")
+		n, _ := strconv.Atoi(strings.TrimSpace(body))
+		return n == sent
+	})
+	_, metrics := httpDo(t, http.MethodGet, "http://"+ldmsdAPI+"/metrics")
+	if !strings.Contains(metrics, fmt.Sprintf("dlc_stream_segment_bytes{stream=\"ldmsd\"} %d\n", segSize())) ||
+		!regexp.MustCompile(`dlc_stream_rewritten_bytes_total\{stream="ldmsd"\} [1-9]`).MatchString(metrics) {
+		t.Fatalf("segment series do not match a %d-byte segment compacted since the restart:\n%s", segSize(), metrics)
+	}
+	t.Logf("%d events, ~%d B each: segment peaked at %d bytes, %d at the end", sent, perEvent, peak, segSize())
 }

@@ -21,10 +21,13 @@
 // shard, tagged with the round's highest stream sequence — and one ack,
 // so the consumer's durable ack floor is the commit point: at startup
 // each shard log replays only up to that floor, the rest is cut and the
-// stream redelivers it. A dsosd crash anywhere between receive and insert
-// then costs redelivery, neither data nor a duplicate, and the DedupStore
-// absorbs replays inside one incarnation. A log tagged past the stream's
-// last sequence belongs to another stream: dsosd refuses to start on it.
+// stream redelivers it. Retention (-stream-max-msgs) bounds the segment
+// file as well as the window: it is rewritten in place once the bytes
+// before the window are as many as the bytes kept. A dsosd crash anywhere
+// between receive and insert then costs redelivery, neither data nor a
+// duplicate, and the DedupStore absorbs replays inside one incarnation. A
+// log tagged past the stream's last sequence belongs to another stream:
+// dsosd refuses to start on it.
 // A round that fails after part of it was written stops the daemon with
 // a non-zero exit, to be discarded by that restart.
 //
@@ -95,7 +98,7 @@ func main() {
 	walDir := flag.String("wal", "", "write-ahead log directory (empty disables); shards replay their logs at startup")
 	streamPath := flag.String("stream", "", "durable ingest stream segment file; stages received messages before storing (empty = off)")
 	streamConsumer := flag.String("stream-consumer", "ingest", "durable consumer name for the ingest cursor")
-	streamMaxMsgs := flag.Int("stream-max-msgs", 100000, "ingest stream retention: max messages the segment keeps for replay (0 = unbounded); memory holds only unsettled ones")
+	streamMaxMsgs := flag.Int("stream-max-msgs", 100000, "ingest stream retention: max messages kept for replay (0 = unbounded); the segment file is rewritten in place to stay within about twice that, and memory holds only unsettled ones")
 	topoRole := flag.String("topo-role", "", `topology role; only "store" applies to dsosd (empty = no topology plane)`)
 	topoRingSeed := flag.Uint64("topo-ring-seed", 0, "consistent-hash shard ring seed; same seed + same shards = same placement across restarts")
 	topoVNodes := flag.Int("topo-vnodes", 0, "virtual nodes per shard on the hash ring (0 = default)")
@@ -165,6 +168,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		defer stream.Close() // before fw.Close: a compaction in flight finishes
 		if cons, err = stream.Consumer(streams.ConsumerConfig{Name: *streamConsumer}); err != nil {
 			fatal(err)
 		}
@@ -265,29 +269,16 @@ func main() {
 
 	// snapShard writes one shard's snapshot and returns its size. The
 	// bytes are synced before the rename makes them the snapshot, and the
-	// directory after it, so neither can reach the disk without the other.
+	// directory after it, so neither can reach the disk without the other
+	// (sos.ReplaceFile, the primitive under every file the daemons rewrite).
 	snapShard := func(path string, d *dsos.Daemon) int64 {
-		// Beside its destination, so the rename never crosses filesystems.
-		dir := filepath.Dir(path)
-		f, err := os.CreateTemp(dir, "dsosd-snap-*")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dsosd: snapshot:", err)
-			return 0
-		}
-		name := f.Name()
-		err = d.Snapshot(f)
-		size, _ := f.Seek(0, io.SeekCurrent)
-		if err == nil {
-			err = f.Sync()
-		}
-		if err = errors.Join(err, f.Close()); err == nil {
-			err = os.Rename(name, path)
-		}
-		if err == nil {
-			err = syncDir(dir)
+		f, err := sos.ReplaceFile(path, d.Snapshot)
+		var size int64
+		if f != nil {
+			size, _ = f.Seek(0, io.SeekCurrent)
+			err = errors.Join(err, f.Close())
 		}
 		if err != nil {
-			os.Remove(name)
 			fmt.Fprintln(os.Stderr, "dsosd: snapshot:", err)
 			return 0
 		}
@@ -493,15 +484,6 @@ func queryHandler(client *dsos.Client) http.HandlerFunc {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "dsosd:", err)
 	os.Exit(1)
-}
-
-// syncDir syncs directory dir, so a rename inside it is on the disk.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	return errors.Join(d.Sync(), d.Close())
 }
 
 // shardFactory builds the empty shard a hash-placement grow adds, with

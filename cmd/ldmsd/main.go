@@ -53,8 +53,11 @@
 //	            segment file as one binary batch entry — the codec of the
 //	            batched wire, a batch frame's payload as it stands — before
 //	            best-effort fan-out, retained under the -stream-max-*
-//	            bounds (what the segment keeps for replay: memory holds
-//	            only what the cursor has not settled), and — when -forward
+//	            bounds (what the segment keeps for replay — it is
+//	            rewritten in place once the bytes before the window are as
+//	            many as the bytes kept, so it stays within about twice the
+//	            window — while memory holds only what the cursor has not
+//	            settled), and — when -forward
 //	            is also set — shipped upstream
 //	            through a consumer-acked cursor that survives crashes: the
 //	            cursor (named by -stream-consumer) resumes exactly where the
@@ -123,9 +126,9 @@ func main() {
 	seed := flag.Uint64("seed", 0, "sampler RNG seed; 0 derives one from the wall clock (nonreproducible)")
 	streamPath := flag.String("stream", "", "durable stream segment file; enables persistent, replayable streaming (empty = off)")
 	streamSubjects := flag.String("stream-subjects", "", "comma list of subject filters the stream captures (wildcards allowed; default the -tag)")
-	streamMaxMsgs := flag.Int("stream-max-msgs", 100000, "stream retention: max messages the segment keeps for replay (0 = unbounded); memory holds only unsettled ones")
-	streamMaxBytes := flag.Int64("stream-max-bytes", 0, "stream retention: max retained payload bytes (0 = unbounded)")
-	streamMaxAge := flag.Duration("stream-max-age", 0, "stream retention: max retained message age (0 = unbounded)")
+	streamMaxMsgs := flag.Int("stream-max-msgs", 100000, "stream retention: max messages kept for replay (0 = unbounded); the segment file is rewritten in place to stay within about twice what the -stream-max-* bounds keep, and memory holds only unsettled ones")
+	streamMaxBytes := flag.Int64("stream-max-bytes", 0, "stream retention: max retained payload bytes (0 = unbounded); bounds the segment file as -stream-max-msgs does")
+	streamMaxAge := flag.Duration("stream-max-age", 0, "stream retention: max retained message age (0 = unbounded); bounds the segment file as -stream-max-msgs does")
 	streamConsumer := flag.String("stream-consumer", "uplink", "durable consumer name for the stream uplink cursor")
 	topoRole := flag.String("topo-role", "", "aggregation-tree role: node, l1 or l2 (empty = no topology plane)")
 	topoParent := flag.String("topo-parent", "", "upstream daemon address for the -topo-role (replaces -forward)")
@@ -230,6 +233,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		defer stream.Close() // before wal.Close: a compaction in flight finishes
 		if err := d.Bus().BindStream(stream); err != nil {
 			fatal(err)
 		}

@@ -33,7 +33,6 @@ var exportsKept = map[string]string{
 	"faults.TCPProxy.SetPartitioned":  "ROADMAP item 11: the multi-process soak's fault proxy",
 	"simfs.FileSystem.Exists":         "test seam: apps tests check the files a workload wrote",
 	"simfs.FileSystem.FileSize":       "test seam: apps and mpi tests check the bytes a workload wrote",
-	"sos.AppendFrame":                 "test seam: streams tests write hand-built segment frames",
 	"streams.Bus.UnbindStream":        "test seam: the harness stream soak detaches a crashed stream",
 }
 

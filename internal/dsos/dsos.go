@@ -333,7 +333,7 @@ func (d *Daemon) replayLocked(cont *sos.Container, st sos.WALStore, floor, last 
 	if r.Above > last {
 		return r, fmt.Errorf("the log holds a batch tagged %d, past the last token %d: log and token source are from different incarnations", r.Above, last)
 	}
-	if err := sos.Truncate(st, r.Consumed); err != nil {
+	if err := st.Reset(r.Consumed); err != nil {
 		return r, err
 	}
 	d.wal = sos.ResumeWAL(st, r)
@@ -413,16 +413,28 @@ func (d *Daemon) RetainWhere(index string, keep func(obj sos.Object, origin uint
 			return 0, fmt.Errorf("dsos: %s retain: %w", d.Name, err)
 		}
 	}
-	if d.wal != nil { // a fresh log: a new dictionary, one untagged batch
-		st := d.wal.Store()
-		if err := sos.Truncate(st, 0); err != nil {
-			return 0, fmt.Errorf("dsos: %s retain: %w", d.Name, err)
-		}
-		wal := sos.NewWAL(st)
-		if err := wal.AppendBatch(schema, kept, origins, 0); err != nil {
+	if d.wal != nil {
+		// A fresh log — a new dictionary, one untagged batch — replaces the
+		// old one whole, or not at all: a failed rewrite leaves the log, the
+		// shard and the writer as they were.
+		fresh := sos.NewMemWAL()
+		if err := sos.NewWAL(fresh).AppendBatch(schema, kept, origins, 0); err != nil {
 			return 0, fmt.Errorf("dsos: %s retain: wal rewrite: %w", d.Name, err)
 		}
-		d.wal = wal
+		st := d.wal.Store()
+		err := st.Replace(func(w io.Writer) error {
+			r, _ := fresh.Open()
+			_, err := io.Copy(w, r)
+			return err
+		})
+		if err != nil {
+			return 0, fmt.Errorf("dsos: %s retain: wal rewrite: %w", d.Name, err)
+		}
+		r, err := sos.ReplayWALTo(fresh, math.MaxUint64, func(string, sos.Object, uint64) error { return nil })
+		if err != nil {
+			return 0, fmt.Errorf("dsos: %s retain: %w", d.Name, err)
+		}
+		d.wal = sos.ResumeWAL(st, r)
 	}
 	d.cont = cont
 	return dropped, nil

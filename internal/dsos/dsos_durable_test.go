@@ -365,7 +365,7 @@ func TestRecoverAfterTornDelta(t *testing.T) {
 	if at < 0 {
 		t.Fatal("the second record's delta does not hold its new string")
 	}
-	mem.Truncate(clean + at + 20) // mid-string, inside the delta
+	_ = mem.Reset(int64(clean + at + 20)) // mid-string, inside the delta
 	if err := d.Restart(); err != nil {
 		t.Fatal(err)
 	}
@@ -426,4 +426,85 @@ func readMem(t *testing.T, m *sos.MemWAL) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// errDiskFull is what a failingWAL's writes return while it is armed.
+var errDiskFull = errors.New("no space left on device")
+
+// failingWAL is a MemWAL whose writes fail while armed: appends, and the
+// writes of a rewrite that would replace the log.
+type failingWAL struct {
+	*sos.MemWAL
+	armed bool
+}
+
+func (w *failingWAL) Write(p []byte) (int, error) {
+	if w.armed {
+		return 0, errDiskFull
+	}
+	return w.MemWAL.Write(p)
+}
+
+func (w *failingWAL) Replace(fill func(io.Writer) error) error {
+	return w.MemWAL.Replace(func(dst io.Writer) error {
+		if w.armed {
+			dst = w // every write of the rewrite fails
+		}
+		return fill(dst)
+	})
+}
+
+// TestRetainWhereFailedRewriteKeepsTheLog: a RetainWhere whose log
+// rewrite fails (the disk is full) leaves the shard, its log and its log
+// writer as they were, so inserts after it still log and a restart
+// recovers every row. Rewriting by truncating the log first and appending
+// the kept rows after left an empty log on that failure, and the writer,
+// still on the old dictionary, logged records a replay cut as a torn
+// tail: the restart recovered nothing.
+func TestRetainWhereFailedRewriteKeepsTheLog(t *testing.T) {
+	wal := &failingWAL{MemWAL: sos.NewMemWAL()}
+	d, err := NewDarshanShard("s0", "darshan_data", wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := d.Insert(DarshanSchemaName, sampleObject(int64(1+i%2), int64(i), float64(i), "write")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal.armed = true
+	keepJob1 := func(o sos.Object, _ uint64) bool { return o.Int(jsonmsg.ColJobID) == 1 }
+	if _, err := d.RetainWhere("job_rank_time", keepJob1); !errors.Is(err, errDiskFull) {
+		t.Fatalf("retain on a full disk: %v", err)
+	}
+	wal.armed = false
+	if got := d.Count(DarshanSchemaName); got != 10 {
+		t.Fatalf("a failed retain left %d rows live, want 10", got)
+	}
+	if err := d.Insert(DarshanSchemaName, sampleObject(3, 0, 10, "newdictstring")); err != nil {
+		t.Fatal(err)
+	}
+	d.Crash()
+	if err := d.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Count(DarshanSchemaName); got != 11 {
+		t.Fatalf("restart recovered %d rows, want 11", got)
+	}
+
+	// And a retain that succeeds is what a restart recovers, with the
+	// inserts after it.
+	if dropped, err := d.RetainWhere("job_rank_time", keepJob1); err != nil || dropped != 6 {
+		t.Fatalf("retain dropped %d, %v; want 6", dropped, err)
+	}
+	if err := d.Insert(DarshanSchemaName, sampleObject(1, 9, 11, "after")); err != nil {
+		t.Fatal(err)
+	}
+	d.Crash()
+	if err := d.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Count(DarshanSchemaName); got != 6 {
+		t.Fatalf("restart after a retain recovered %d rows, want 6", got)
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 )
@@ -62,10 +63,15 @@ import (
 // WALStore is the durable backing of a write-ahead log: appends go through
 // Write, recovery reads the stored bytes from the start via Open, and a
 // log that kept where it wrote a record reads that one back via ReadAt.
+// Reset cuts the log to its first n bytes, where appends then resume (a
+// replay's torn tail goes). Replace swaps in, whole, the bytes fill writes
+// aside: a reader or a crash sees the old log or the new one, never a mix.
 type WALStore interface {
 	io.Writer
 	io.ReaderAt
 	Open() (io.ReadCloser, error)
+	Reset(n int64) error
+	Replace(fill func(io.Writer) error) error
 }
 
 // walMaxRecord bounds one record so a corrupt length prefix cannot ask for
@@ -175,8 +181,8 @@ func (f *Frame) Begin() []byte {
 }
 
 // Commit frames rec — the slice Begin returned, with the body appended —
-// and writes it to the store.
-func (f *Frame) Commit(st WALStore, rec []byte) error {
+// and writes it to st, a store or any other writer.
+func (f *Frame) Commit(st io.Writer, rec []byte) error {
 	f.buf = rec // keep whatever the appends grew
 	body := rec[FrameHeader:]
 	if len(body) == 0 || len(body) > walMaxRecord {
@@ -186,26 +192,6 @@ func (f *Frame) Commit(st WALStore, rec []byte) error {
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(body))
 	_, err := st.Write(rec)
 	return err
-}
-
-// AppendFrame writes body as one framed record: the one-shot form of
-// Frame for callers without a buffer to reuse.
-func AppendFrame(st WALStore, body []byte) error {
-	var f Frame
-	return f.Commit(st, append(f.Begin(), body...))
-}
-
-// Truncate cuts a log backing to its first n bytes, where appends then
-// resume: a replay's torn tail goes.
-func Truncate(st WALStore, n int64) error {
-	switch w := st.(type) {
-	case interface{ Truncate(n int) }:
-		w.Truncate(int(n))
-		return nil
-	case interface{ Reset(n int64) error }:
-		return w.Reset(n)
-	}
-	return fmt.Errorf("sos: WAL store %T cannot be truncated", st)
 }
 
 // ReadFrameAt reads back the framed record at offset off whose body is n
@@ -674,7 +660,7 @@ func (tab *walTable) decodeRow(b []byte) (obj Object, origin uint64, rest []byte
 // MemWAL is an in-memory WALStore — the simulation's "virtual file". It
 // lives outside the daemon whose inserts it logs, so a simulated daemon
 // crash (which discards the daemon's container) leaves it intact, exactly
-// like a disk surviving a process kill. Truncate simulates a torn write.
+// like a disk surviving a process kill. Reset simulates a torn write.
 type MemWAL struct {
 	mu  sync.Mutex
 	buf []byte
@@ -713,14 +699,24 @@ func (m *MemWAL) Len() int {
 	return len(m.buf)
 }
 
-// Truncate cuts the log to n bytes — tests use it to simulate a crash that
-// tore the last record mid-write.
-func (m *MemWAL) Truncate(n int) {
+// Reset implements WALStore; tests also use it to tear the last record.
+func (m *MemWAL) Reset(n int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if n >= 0 && n < len(m.buf) {
-		m.buf = m.buf[:n]
+	m.buf = m.buf[:min(max(n, 0), int64(len(m.buf)))]
+	return nil
+}
+
+// Replace implements WALStore: what fill writes becomes the log.
+func (m *MemWAL) Replace(fill func(io.Writer) error) error {
+	var b bytes.Buffer
+	if err := fill(&b); err != nil {
+		return err
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.buf = b.Bytes()
+	return nil
 }
 
 // FileWAL is a real-file WALStore for cmd/dsosd: appends go to an open
@@ -731,8 +727,9 @@ type FileWAL struct {
 }
 
 // OpenFileWAL opens (creating if needed) the WAL file at path for
-// appending. Call ReplayWALTo before writing so the append position sits
-// after the last clean record (Reset truncates a torn tail).
+// appending, and removes the temporary a Replace cut short left beside it.
+// Call ReplayWALTo before writing so the append position sits after the
+// last clean record (Reset truncates a torn tail).
 func OpenFileWAL(path string) (*FileWAL, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -742,6 +739,7 @@ func OpenFileWAL(path string) (*FileWAL, error) {
 		f.Close()
 		return nil, err
 	}
+	os.Remove(path + ".tmp")
 	return &FileWAL{path: path, f: f}, nil
 }
 
@@ -754,14 +752,53 @@ func (w *FileWAL) ReadAt(p []byte, off int64) (int, error) { return w.f.ReadAt(p
 // Open implements WALStore with an independent read handle.
 func (w *FileWAL) Open() (io.ReadCloser, error) { return os.Open(w.path) }
 
-// Reset truncates the file to n bytes (discarding a torn tail found by
-// ReplayWALTo) and repositions appends there.
+// Reset implements WALStore: the file is truncated to n bytes and appends
+// resume there.
 func (w *FileWAL) Reset(n int64) error {
 	if err := w.f.Truncate(n); err != nil {
 		return err
 	}
 	_, err := w.f.Seek(n, io.SeekStart)
 	return err
+}
+
+// Replace implements WALStore through ReplaceFile.
+func (w *FileWAL) Replace(fill func(io.Writer) error) error {
+	f, err := ReplaceFile(w.path, fill)
+	if f != nil {
+		w.f.Close()
+		w.f = f
+	}
+	return err
+}
+
+// ReplaceFile replaces the file at path with what fill writes to
+// path+".tmp", synced, renamed over path, and the directory synced: a
+// crash leaves the old file or the new one, and at most the temporary. A
+// failure before the rename removes the temporary; after it, the new file
+// is returned open at its end, with any error of the directory sync.
+func ReplaceFile(path string, fill func(io.Writer) error) (*os.File, error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err = fill(f); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return nil, err
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		err = errors.Join(d.Sync(), d.Close())
+	}
+	return f, err
 }
 
 // Sync flushes the file to stable storage.

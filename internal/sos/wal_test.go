@@ -83,7 +83,7 @@ func TestWALTornTail(t *testing.T) {
 	if err := w.Append("s", walObj(10), 0); err != nil {
 		t.Fatal(err)
 	}
-	mem.Truncate(clean + 5) // tear the 11th record mid-body
+	_ = mem.Reset(int64(clean + 5)) // tear the 11th record mid-body
 
 	recs, consumed, err := replayWAL(mem, func(string, Object, uint64) error { return nil })
 	if err != nil {
@@ -572,7 +572,7 @@ func TestWALWriterStaysInStepWithItsLog(t *testing.T) {
 func TestReadFrameAt(t *testing.T) {
 	w := NewMemWAL()
 	for _, body := range []string{"hello", "world!"} {
-		if err := AppendFrame(w, []byte(body)); err != nil {
+		if err := appendFrame(w, []byte(body)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -598,3 +598,73 @@ func TestReadFrameAt(t *testing.T) {
 type failingReaderAt struct{}
 
 func (failingReaderAt) ReadAt([]byte, int64) (int, error) { return 0, io.ErrUnexpectedEOF }
+
+// appendFrame writes body as one framed record.
+func appendFrame(st io.Writer, body []byte) error {
+	var f Frame
+	return f.Commit(st, append(f.Begin(), body...))
+}
+
+// TestReplace: a store's Replace swaps in, whole, what fill wrote, and
+// appends and reads then go to the new bytes; a fill that fails leaves
+// the old bytes, still appended to. A FileWAL leaves no temporary beside
+// the log either way, and OpenFileWAL removes one a crash left.
+func TestReplace(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "seg")
+	fw, err := OpenFileWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { fw.Close() }()
+	for name, st := range map[string]WALStore{"mem": NewMemWAL(), "file": fw} {
+		read := func() string {
+			r, err := st.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			b, _ := io.ReadAll(r)
+			return string(b)
+		}
+		_, _ = st.Write([]byte("old bytes"))
+		boom := errors.New("boom")
+		if err := st.Replace(func(w io.Writer) error {
+			_, _ = w.Write([]byte("half"))
+			return boom
+		}); !errors.Is(err, boom) {
+			t.Fatalf("%s: a failed fill: %v", name, err)
+		}
+		_, _ = st.Write([]byte("+"))
+		if got := read(); got != "old bytes+" {
+			t.Fatalf("%s: after a failed fill the log reads %q", name, got)
+		}
+		if err := st.Replace(func(w io.Writer) error {
+			_, err := w.Write([]byte("new"))
+			return err
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, _ = st.Write([]byte("+appended"))
+		buf := make([]byte, 3)
+		if got := read(); got != "new+appended" {
+			t.Fatalf("%s: after a replace the log reads %q", name, got)
+		}
+		if _, err := st.ReadAt(buf, 4); err != nil || string(buf) != "app" {
+			t.Fatalf("%s: ReadAt after a replace: %q, %v", name, buf, err)
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) > 0 {
+			t.Fatalf("%s: %v left beside the log", name, left)
+		}
+	}
+	fw.Close()
+	if err := os.WriteFile(path+".tmp", []byte("a crash's temporary"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if fw, err = OpenFileWAL(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("the temporary survived OpenFileWAL: %v", err)
+	}
+}

@@ -110,7 +110,7 @@ func TestV1SegmentReadCompat(t *testing.T) {
 		v1Batch(5, 30, msgs[4:]),
 		cursorRec("ingest", 4),
 	} {
-		if err := sos.AppendFrame(seg, rec); err != nil {
+		if err := streams.AppendFrame(seg, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -320,7 +320,7 @@ func FuzzBatchV2(f *testing.F) {
 		}
 		v1 := sos.NewMemWAL()
 		entry := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64([]byte{0x04, streams.BodyV1}, 1), 0)
-		if err := sos.AppendFrame(v1, streams.AppendRecordsV1(entry, msgs)); err != nil {
+		if err := streams.AppendFrame(v1, streams.AppendRecordsV1(entry, msgs)); err != nil {
 			t.Fatal(err)
 		}
 		for round, wal := range []sos.WALStore{nil, wal, v1} {

@@ -513,6 +513,7 @@ func (c *Consumer) checkpointLocked() {
 	if _, err := s.commitLocked(appendCursorEntry(s.frame.Begin(), c.name, c.floor)); err != nil {
 		s.walErrs++
 	}
+	s.saved[c.name] = c.floor
 	s.compactLocked()
 }
 

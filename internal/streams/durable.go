@@ -4,8 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"darshanldms/internal/sos"
@@ -20,7 +24,7 @@ import (
 // durable acked floor, redeliver unacked messages, and replay history for
 // late joiners. A crashed process reopens the stream from the same
 // segment and resumes: retained messages, drop counters and consumer
-// cursors all survive.
+// cursors all survive. Retention bounds the segment too (compact).
 //
 // The stream is deliberately clock-agnostic like the obs plane: all
 // timestamps (message age, redelivery deadlines) come from the injected
@@ -120,17 +124,19 @@ type StreamConfig struct {
 // position are two views of one number. A refused append never got a
 // sequence and stands outside the law.
 type StreamStats struct {
-	Name       string
-	FirstSeq   uint64 // oldest retained sequence (LastSeq+1 when empty)
-	LastSeq    uint64 // newest appended sequence (0 before the first)
-	Msgs       int    // retained message count
-	Bytes      int64  // retained payload bytes (a typed record counts its binary body)
-	Appended   uint64 // messages ever appended (== LastSeq)
-	Dropped    uint64 // messages evicted by retention, total
-	DroppedFor [int(dropReasons)]uint64
-	Released   uint64 // messages a memory-only window let go once acked
-	Refused    uint64 // messages of appends a full window refused
-	WALErrors  uint64 // segment appends that failed (trim markers, cursors)
+	Name         string
+	FirstSeq     uint64 // oldest retained sequence (LastSeq+1 when empty)
+	LastSeq      uint64 // newest appended sequence (0 before the first)
+	Msgs         int    // retained message count
+	Bytes        int64  // retained payload bytes (a typed record counts its binary body)
+	Appended     uint64 // messages ever appended (== LastSeq)
+	Dropped      uint64 // messages evicted by retention, total
+	DroppedFor   [int(dropReasons)]uint64
+	Released     uint64 // messages a memory-only window let go once acked
+	Refused      uint64 // messages of appends a full window refused
+	WALErrors    uint64 // segment appends that failed (trim markers, cursors)
+	SegmentBytes int64  // the segment's length: the disk it holds
+	Rewritten    int64  // bytes this process's compactions wrote
 }
 
 // DurableStream is a named, persistent, replayable message log. It is
@@ -167,6 +173,14 @@ type DurableStream struct {
 
 	consumers map[string]*Consumer
 	floors    map[string]uint64 // durable acked floors, incl. unclaimed
+	saved     map[string]uint64 // the floors the segment holds: what a reopen reads
+
+	base       *segBase // the base record a replay read, until the open ends
+	rewritten  int64
+	retry      int64       // after a failed compaction: the length to try again at
+	compacting bool        // a compaction is building the segment's copy
+	closed     bool        // Close: no more compactions
+	due        atomic.Bool // an append found a compaction due
 	// waiters is broadcast whenever a waiting consumer may have something
 	// to do, or a Block append room: on append, nak, release and consumer
 	// close (Consumer.Wait, admitLocked).
@@ -203,19 +217,24 @@ func OpenStream(cfg StreamConfig, store sos.WALStore) (*DurableStream, error) {
 		firstSeq:  1,
 		consumers: map[string]*Consumer{},
 		floors:    map[string]uint64{},
+		saved:     map[string]uint64{},
 	}
 	s.waiters = sync.NewCond(&s.mu)
 	if store == nil {
 		return s, nil
 	}
 	_, consumed, err := sos.ReplayFrames(store, s.applyReplay)
+	if err == nil && s.base != nil && s.lastSeq < s.base.last {
+		err = fmt.Errorf("segment ends at %d, inside its base window [%d,%d]", s.lastSeq, s.base.first, s.base.last)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("streams: stream %q replay: %w", cfg.Name, err)
 	}
+	s.base = nil
 	// Appends resume at the end of the last clean entry, where the offsets
 	// of settled history expect them.
 	s.segLen = consumed
-	if err := sos.Truncate(store, consumed); err != nil {
+	if err := store.Reset(consumed); err != nil {
 		return nil, fmt.Errorf("streams: stream %q truncate torn tail: %w", cfg.Name, err)
 	}
 	// Floors can never sit past the appended window (a cursor record that
@@ -231,6 +250,8 @@ func OpenStream(cfg StreamConfig, store sos.WALStore) (*DurableStream, error) {
 	// were tightened between incarnations take effect immediately.
 	s.applyRetentionLocked(s.cfg.Clock())
 	s.compactLocked()
+	s.due.Store(s.dueLocked())
+	s.compactIfDue()
 	return s, nil
 }
 
@@ -256,7 +277,7 @@ func (s *DurableStream) applyReplay(body []byte) error {
 			return sos.ErrStopReplay
 		}
 		if floor > s.floors[name] { // floors are monotone; keep the highest
-			s.floors[name] = floor
+			s.floors[name], s.saved[name] = floor, floor
 		}
 	case segKindDrop:
 		reason, newFirst, err := decodeDropEntry(body)
@@ -266,6 +287,15 @@ func (s *DurableStream) applyReplay(body []byte) error {
 		s.drops[reason] += newFirst - s.firstSeq
 		for s.firstSeq < newFirst {
 			s.dropHeadLocked()
+		}
+	case segKindBase:
+		sb, err := decodeBaseEntry(body)
+		if err != nil || off != 0 {
+			return sos.ErrStopReplay
+		}
+		s.firstSeq, s.lastSeq, s.drops, s.base = sb.start, sb.start-1, sb.drops, &sb
+		for name, fl := range sb.floors {
+			s.floors[name], s.saved[name] = fl, fl
 		}
 	default:
 		return sos.ErrStopReplay
@@ -312,6 +342,9 @@ func (s *DurableStream) replayBatch(recs []byte, h heldBatch) error {
 	clear(slots) // the scratch keeps nothing of the body
 	s.ws = slots
 	s.lastSeq += uint64(len(slots))
+	for s.base != nil && s.firstSeq < s.base.first { // counted in the base
+		s.dropHeadLocked()
+	}
 	return nil
 }
 
@@ -454,6 +487,147 @@ func (s *DurableStream) commitLocked(rec []byte) (int64, error) {
 	return off, nil
 }
 
+// compactFloor is the least dead prefix a compaction removes: a
+// constant, which tests lower through export_test.go.
+var compactFloor int64 = 1 << 20
+
+// dueLocked reports whether the segment is due a compaction (s.mu held):
+// its dead prefix — the bytes before the frame of the batch that holds
+// firstSeq, all of them when the window is empty — is at least as large as
+// the bytes kept, and at least compactFloor. Copying then costs at most a
+// byte per byte appended, and the segment stays within twice the window
+// plus one batch.
+func (s *DurableStream) dueLocked() bool {
+	dead := s.segLen
+	if s.sizes.n > 0 {
+		dead = s.held.at(0).off
+	} else if s.slots.n > 0 {
+		dead = s.slots.at(0).ctx.held.off
+	}
+	return s.store != nil && !s.compacting && !s.closed && dead > 0 && dead >= compactFloor && 2*dead >= s.segLen && s.segLen >= s.retry
+}
+
+// compactIfDue runs the compaction an append found due, once the append
+// has let go of the lock: the appender pays for the copy. One that fails
+// (the disk is full) leaves the segment as it was, and the next waits
+// until the segment has doubled.
+func (s *DurableStream) compactIfDue() {
+	if s.due.CompareAndSwap(true, false) {
+		_ = s.compact(false)
+	}
+}
+
+// eachBatchLocked calls f with every retained batch's place in the
+// segment, in sequence order: settled history, then the batch of each run
+// of unsettled slots (s.mu held).
+func (s *DurableStream) eachBatchLocked(f func(h *heldBatch)) {
+	for i := 0; i < s.held.n; i++ {
+		f(s.held.at(i))
+	}
+	for i := 0; i < s.slots.n; i = int(s.slots.at(i).ctx.held.last()-s.firstSeq) + 1 - s.sizes.n {
+		f(&s.slots.at(i).ctx.held)
+	}
+}
+
+// compact rewrites the segment in place (WALStore.Replace) as a base
+// record — the window's edges, the drop counts and the floors the segment
+// holds — then the window's batch frames as they were written, then what
+// was appended while the copy was built. The copy is built off the lock
+// from frames that never change; the lock is taken only to copy what was
+// appended since, swap the file and move every offset held into it.
+// Unless force, it rewrites only a segment dueLocked.
+func (s *DurableStream) compact(force bool) error {
+	s.mu.Lock()
+	if s.compacting || s.closed || s.store == nil || s.segLen < 0 || !force && !s.dueLocked() {
+		s.mu.Unlock()
+		return nil
+	}
+	s.compacting = true
+	cut := s.segLen
+	sb := segBase{first: s.firstSeq, last: s.lastSeq, start: s.lastSeq + 1, drops: s.drops, floors: maps.Clone(s.saved)}
+	var olds []heldBatch
+	s.eachBatchLocked(func(h *heldBatch) { olds = append(olds, *h) })
+	if len(olds) > 0 {
+		sb.start = olds[0].first
+	}
+	s.mu.Unlock()
+
+	news := make([]int64, len(olds))
+	var n, tail int64 // the copy's length, and where what was appended since starts in it
+	locked := false
+	err := s.store.Replace(func(w io.Writer) error {
+		var f sos.Frame
+		rec := appendBaseEntry(f.Begin(), &sb)
+		if err := f.Commit(w, rec); err != nil {
+			return err
+		}
+		n = int64(len(rec))
+		var buf []byte
+		for i, h := range olds {
+			buf = slices.Grow(buf[:0], sos.FrameHeader+int(h.size))[:sos.FrameHeader+int(h.size)]
+			if got, err := s.store.ReadAt(buf, h.off); got != len(buf) {
+				return fmt.Errorf("read batch %d at %d: %w", h.first, h.off, err)
+			}
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			news[i], n = n, n+int64(len(buf))
+		}
+		if f, ok := w.(interface{ Sync() error }); ok { // the bulk reaches the disk off the lock
+			if err := f.Sync(); err != nil {
+				return err
+			}
+		}
+		s.mu.Lock() //lint:allow lockheld held through the swap; compact unlocks it once Replace returns
+		locked, tail = true, n
+		if s.segLen < 0 {
+			return fmt.Errorf("segment length lost to a failed write")
+		}
+		n += s.segLen - cut
+		_, err := io.Copy(w, io.NewSectionReader(s.store, cut, s.segLen-cut))
+		return err
+	})
+	if !locked {
+		s.mu.Lock()
+	}
+	defer s.mu.Unlock()
+	s.compacting = false
+	s.waiters.Broadcast() // Close may be waiting
+	if err != nil {
+		s.retry = 2 * cut // not again before the segment has doubled
+		return fmt.Errorf("streams: stream %q compact: %w", s.cfg.Name, err)
+	}
+	move := func(h *heldBatch) {
+		i := sort.Search(len(olds), func(i int) bool { return olds[i].off >= h.off })
+		switch {
+		case h.off >= cut:
+			h.off += tail - cut
+		case i < len(olds) && olds[i].off == h.off:
+			h.off = news[i]
+		default:
+			h.off = -1 // not in the copy: never read again
+		}
+	}
+	s.eachBatchLocked(move)
+	if len(s.back) > 0 {
+		move(&s.back[0].ctx.held)
+	}
+	s.segLen, s.rewritten, s.retry = n, s.rewritten+n, 0
+	return nil
+}
+
+// Close waits out a compaction in progress and starts no other, so the
+// segment's store can be closed with no temporary beside it. The stream
+// stays usable.
+func (s *DurableStream) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	for s.compacting {
+		s.waiters.Wait()
+	}
+}
+
 // ring is a FIFO over a power-of-two array that doubles when full and
 // halves when mostly empty: steady state neither allocates nor copies.
 type ring[T any] struct {
@@ -521,6 +695,7 @@ func (s *DurableStream) AppendBatch(msgs []Message) (uint64, error) {
 	if len(msgs) == 0 {
 		return 0, fmt.Errorf("streams: stream %q append: %w", s.cfg.Name, ErrEmptyBatch)
 	}
+	defer s.compactIfDue()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.admitLocked(len(msgs)); err != nil {
@@ -542,6 +717,7 @@ func (s *DurableStream) AppendBatch(msgs []Message) (uint64, error) {
 
 // appendBody durably appends a walked body (PublishBody) as it stands.
 func (s *DurableStream) appendBody(body []byte, w *BatchContext, ws []slot) (uint64, error) {
+	defer s.compactIfDue()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.admitLocked(len(ws)); err != nil {
@@ -623,6 +799,9 @@ func (s *DurableStream) appendLocked(body []byte, w *BatchContext, ws []slot) (u
 	}
 	s.lastSeq += uint64(len(ws))
 	s.applyRetentionLocked(now)
+	if s.dueLocked() {
+		s.due.Store(true)
+	}
 	s.waiters.Broadcast()
 	return first, nil
 }
@@ -745,15 +924,17 @@ func (s *DurableStream) Stats() StreamStats {
 
 func (s *DurableStream) statsLocked() StreamStats {
 	st := StreamStats{
-		Name:      s.cfg.Name,
-		FirstSeq:  s.firstSeq,
-		LastSeq:   s.lastSeq,
-		Msgs:      s.retained(),
-		Bytes:     s.bytes,
-		Appended:  s.lastSeq,
-		Released:  s.released,
-		Refused:   s.refused,
-		WALErrors: s.walErrs,
+		Name:         s.cfg.Name,
+		FirstSeq:     s.firstSeq,
+		LastSeq:      s.lastSeq,
+		Msgs:         s.retained(),
+		Bytes:        s.bytes,
+		Appended:     s.lastSeq,
+		Released:     s.released,
+		Refused:      s.refused,
+		WALErrors:    s.walErrs,
+		SegmentBytes: max(s.segLen, 0),
+		Rewritten:    s.rewritten,
 	}
 	for i, n := range s.drops {
 		st.DroppedFor[i] = n

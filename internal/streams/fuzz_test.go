@@ -3,7 +3,10 @@ package streams
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,13 +17,13 @@ import (
 // entry of two, and a cursor record.
 func fuzzSeg(floor uint64) *sos.MemWAL {
 	wal := sos.NewMemWAL()
-	_ = sos.AppendFrame(wal, encodeMsgEntry(&entry{
+	_ = AppendFrame(wal, encodeMsgEntry(&entry{
 		seq: 1, at: 1,
 		subject: "darshan.nid00040.posix", mtype: TypeJSON,
 		payload: []byte(`{"n":1}`), producer: "nid00040", pseq: 1,
 	}))
-	_ = sos.AppendFrame(wal, fuzzBatchEntry(2))
-	_ = sos.AppendFrame(wal, encodeCursorEntry("fz", floor))
+	_ = AppendFrame(wal, fuzzBatchEntry(2))
+	_ = AppendFrame(wal, encodeCursorEntry("fz", floor))
 	return wal
 }
 
@@ -89,9 +92,9 @@ func FuzzStreamCursor(f *testing.F) {
 		// this is what reaches the record decoders through recovery.
 		wal := fuzzSeg(1)
 		if len(body) > 0 {
-			_ = sos.AppendFrame(wal, body)
+			_ = AppendFrame(wal, body)
 		}
-		_ = sos.AppendFrame(wal, encodeCursorEntry("fz", start))
+		_ = AppendFrame(wal, encodeCursorEntry("fz", start))
 		s, err := OpenStream(StreamConfig{Name: "fz"}, wal)
 		if err != nil {
 			return
@@ -148,8 +151,8 @@ func FuzzStreamCursor(f *testing.F) {
 // fuzzLateJoiner joins a consumer at start — or at its durable floor, if
 // the segment already knows the name — and drains it: it must get every
 // retained sequence from there to the head, in order, each as seen (or
-// appended) before, which it records.
-func fuzzLateJoiner(t *testing.T, s *DurableStream, name string, start uint64, seen map[uint64]Message) {
+// appended) before, which it records. It returns the sequences delivered.
+func fuzzLateJoiner(t *testing.T, s *DurableStream, name string, start uint64, seen map[uint64]Message) []uint64 {
 	t.Helper()
 	c, err := s.Consumer(ConsumerConfig{Name: name, StartSeq: start})
 	if err != nil {
@@ -157,6 +160,7 @@ func fuzzLateJoiner(t *testing.T, s *DurableStream, name string, start uint64, s
 	}
 	st := s.Stats()
 	next := max(c.AckFloor()+1, st.FirstSeq)
+	var got []uint64
 	for {
 		ds, err := c.Fetch(16)
 		if err != nil {
@@ -170,6 +174,7 @@ func fuzzLateJoiner(t *testing.T, s *DurableStream, name string, start uint64, s
 				t.Fatalf("late joiner got %d %+v, want %d %+v", d.Seq, d.Msg, next, m)
 			}
 			seen[d.Seq] = d.Msg
+			got = append(got, d.Seq)
 			next++
 		}
 		if err := c.AckBatch(ds); err != nil {
@@ -179,11 +184,19 @@ func fuzzLateJoiner(t *testing.T, s *DurableStream, name string, start uint64, s
 	if next != st.LastSeq+1 {
 		t.Fatalf("late joiner stopped at %d, head %d", next, st.LastSeq)
 	}
+	return got
 }
+
+// noCompactWAL is a MemWAL that refuses every Replace: a stream over it
+// never compacts.
+type noCompactWAL struct{ *sos.MemWAL }
+
+func (noCompactWAL) Replace(func(io.Writer) error) error { return errors.New("no compaction here") }
 
 // FuzzRetention drives a stream through an arbitrary op sequence —
 // appends of varying size, clock jumps, crash/reopen, every consumer
-// catching up, a late joiner at a sequence drawn from the input — under a
+// catching up, a late joiner at a sequence drawn from the input, a
+// compaction with a consumer left holding redeliveries — under a
 // retention policy drawn from the input, checking the drop-accounting
 // invariants after every step. What the consumers settle leaves memory,
 // so the late joiners read it back from the segment, also from a batch
@@ -191,6 +204,11 @@ func fuzzLateJoiner(t *testing.T, s *DurableStream, name string, start uint64, s
 // every delivery must be what was appended. The third byte's top bits
 // start the stream on a segment an earlier writer left: 0x80 a version-1
 // batch, 0x40 a version-2 one.
+//
+// The stream compacts whenever its segment has any dead prefix at all
+// (the floor is 0), and a twin driven by the same ops never compacts:
+// the two must agree on Stats(), on every consumer's stats and floor, on
+// every delivery and redelivery, and on the history a reopen reads back.
 func FuzzRetention(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 200, 10, 0, 1, 2, 3, 8, 9, 250, 4, 5})
@@ -199,22 +217,26 @@ func FuzzRetention(f *testing.F) {
 	f.Add([]byte{8, 8, 0, 1, 3, 3, 0, 2, 2, 128, 3, 0, 255})
 	f.Add([]byte{2, 0, 0x80, 0, 9, 3, 0, 4, 5, 3, 0})
 	f.Add([]byte{2, 0, 0x40, 0, 9, 3, 0, 4, 5, 3, 0})
+	f.Add([]byte{3, 0, 0, 4, 7, 7, 3, 2, 40, 7, 0, 3, 0, 4, 2, 7, 1, 5, 0}) // compact, redeliver, reopen
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) < 3 {
 			return
 		}
+		defer SetCompactFloor(0)()
 		pol := RetentionPolicy{
 			MaxMsgs:  int(ops[0] % 9),                                     // 0..8 (0 = unbounded)
 			MaxBytes: int64(ops[1]%5) * 16,                                // 0..64
 			MaxAge:   time.Duration(ops[2]&0x3F%5) * 8 * time.Millisecond, // 0..32ms
 		}
-		wal := sos.NewMemWAL()
+		wals := [2]sos.WALStore{sos.NewMemWAL(), noCompactWAL{sos.NewMemWAL()}}
 		sent := map[uint64]Message{}
-		switch {
-		case ops[2]&0x80 != 0:
-			_ = sos.AppendFrame(wal, appendBatchEntryV1(nil, 1, 0, fuzzPrefix))
-		case ops[2]&0x40 != 0:
-			_ = sos.AppendFrame(wal, AppendRecords(appendBatchHeader(nil, 1, 0), fuzzPrefix))
+		for _, wal := range wals {
+			switch {
+			case ops[2]&0x80 != 0:
+				_ = AppendFrame(wal, appendBatchEntryV1(nil, 1, 0, fuzzPrefix))
+			case ops[2]&0x40 != 0:
+				_ = AppendFrame(wal, AppendRecords(appendBatchHeader(nil, 1, 0), fuzzPrefix))
+			}
 		}
 		if ops[2]&0xC0 != 0 {
 			for i, m := range fuzzPrefix {
@@ -228,23 +250,39 @@ func FuzzRetention(f *testing.F) {
 		}
 		var now time.Duration
 		cfg := StreamConfig{Name: "fz", Retention: pol, Clock: func() time.Duration { return now }}
-		s, err := OpenStream(cfg, wal)
-		if err != nil {
-			t.Fatal(err)
+		var ss [2]*DurableStream
+		open := func() {
+			for i := range ss {
+				var err error
+				if ss[i], err = OpenStream(cfg, wals[i]); err != nil {
+					t.Fatalf("open %d: %v", i, err)
+				}
+			}
+		}
+		open()
+		// both runs f on each stream and requires the same result of both.
+		both := func(what string, f func(s *DurableStream) any) {
+			a, b := f(ss[0]), f(ss[1])
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: compacting stream %+v, twin %+v", what, a, b)
+			}
 		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i], ops[i+1]
-			switch op % 7 {
+			switch op % 8 {
 			case 0, 1:
 				m := Message{
 					Tag: "darshan.nid00040.posix", Type: TypeJSON,
 					Data: bytes.Repeat([]byte("x"), int(arg%33)),
 				}
-				seq, err := s.Append(m)
-				if err != nil {
-					t.Fatalf("append: %v", err)
-				}
-				sent[seq] = m
+				both("append", func(s *DurableStream) any {
+					seq, err := s.Append(m)
+					if err != nil {
+						t.Fatalf("append: %v", err)
+					}
+					sent[seq] = m
+					return seq
+				})
 			case 4:
 				// A batch entry of 1..8 messages: retention may trim into
 				// the middle of it, now or after a reopen.
@@ -255,44 +293,80 @@ func FuzzRetention(f *testing.F) {
 						Data: bytes.Repeat([]byte("y"), int(arg%33)),
 					}
 				}
-				before := s.Stats().LastSeq
-				if first, err := s.AppendBatch(batch); err != nil || first != before+1 {
-					t.Fatalf("append batch: seq %d after %d, %v", first, before, err)
-				}
-				for j, m := range batch {
-					sent[before+1+uint64(j)] = m
-				}
+				both("append batch", func(s *DurableStream) any {
+					before := s.Stats().LastSeq
+					if first, err := s.AppendBatch(batch); err != nil || first != before+1 {
+						t.Fatalf("append batch: seq %d after %d, %v", first, before, err)
+					}
+					for j, m := range batch {
+						sent[before+1+uint64(j)] = m
+					}
+					return before
+				})
 			case 2:
 				now += time.Duration(arg) * time.Millisecond
 			case 3:
 				// Crash: reopen from the same segment. Accounting must
 				// survive, and age-based retention re-applies at open.
-				before := s.Stats()
-				s, err = OpenStream(cfg, wal)
-				if err != nil {
-					t.Fatalf("reopen: %v", err)
-				}
-				after := s.Stats()
+				before := ss[0].Stats()
+				open()
+				after := ss[0].Stats()
 				if after.LastSeq != before.LastSeq || after.Dropped < before.Dropped {
 					t.Fatalf("reopen drifted: before %+v after %+v", before, after)
 				}
+				both("history read back after a reopen", func(s *DurableStream) any {
+					img := imageOf(t, cfg, segmentBytes(t, s.store))
+					img.msgs = nil // compared by fuzzLateJoiner against what was sent
+					return img
+				})
 			case 5:
 				// Every consumer catches up, settling what it has read.
 				names := []string{"live"}
-				for _, cs := range s.ConsumerStats() {
+				for _, cs := range ss[0].ConsumerStats() {
 					names = append(names, cs.Name)
 				}
 				for _, name := range names {
-					fuzzLateJoiner(t, s, name, 0, sent)
+					both("catch up "+name, func(s *DurableStream) any { return fuzzLateJoiner(t, s, name, 0, sent) })
 				}
 			case 6:
 				// A late joiner reads history from a drawn sequence; past
 				// eight, a known one reattaches at its floor instead.
 				late++
-				fuzzLateJoiner(t, s, fmt.Sprintf("late-%d", min(late, 8+int(arg%8))), uint64(arg)%(s.Stats().LastSeq+2), sent)
+				name := fmt.Sprintf("late-%d", min(late, 8+int(arg%8)))
+				start := uint64(arg) % (ss[0].Stats().LastSeq + 2)
+				both("late joiner", func(s *DurableStream) any { return fuzzLateJoiner(t, s, name, start, sent) })
+			case 7:
+				// Compact; then a consumer with a 1ms ack deadline takes a
+				// round and acks only its first delivery, so what it holds
+				// comes back as redeliveries once the clock passes due.
+				if err := ss[0].compact(true); err != nil {
+					t.Fatalf("compact: %v", err)
+				}
+				both("partial round", func(s *DurableStream) any {
+					c, err := s.Consumer(ConsumerConfig{Name: "part", AckWait: time.Millisecond})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ds, err := c.Fetch(1 + int(arg%4))
+					if err != nil {
+						t.Fatalf("partial round: %v", err)
+					}
+					if len(ds) > 0 {
+						_ = c.Ack(ds[0].Seq)
+					}
+					var got []Delivery
+					for _, d := range ds {
+						if m, ok := sent[d.Seq]; ok && !sameEnvelope(d.Msg, m) {
+							t.Fatalf("partial round got %d %+v, want %+v", d.Seq, d.Msg, m)
+						}
+						got = append(got, Delivery{Seq: d.Seq, Deliveries: d.Deliveries})
+					}
+					return got
+				})
 			}
-			fuzzCheckStream(t, s)
-			st := s.Stats()
+			both("stats", func(s *DurableStream) any { return windowStats(fuzzCheckStream(t, s)) })
+			both("consumers", func(s *DurableStream) any { return s.ConsumerStats() })
+			st := ss[0].Stats()
 			if pol.MaxMsgs > 0 && st.Msgs > pol.MaxMsgs {
 				t.Fatalf("retention bound broken: %d msgs > MaxMsgs %d", st.Msgs, pol.MaxMsgs)
 			}

@@ -44,6 +44,8 @@ func (b *Bus) Collect(reg *obs.Registry, hop string) {
 //	                                                  and refused appends
 //	dlc_stream_released_total{stream=...}             acked out of a memory-only window
 //	dlc_stream_wal_errors_total{stream=...}           failed segment appends
+//	dlc_stream_segment_bytes{stream=...}              the segment's length on disk
+//	dlc_stream_rewritten_bytes_total{stream=...}      bytes compactions wrote
 //	dlc_stream_consumer_ack_floor{stream=...,consumer=...}
 //	dlc_stream_consumer_lag{stream=...,consumer=...}  head minus floor: now, or the
 //	                                                  deepest any fetch faced since the
@@ -70,6 +72,8 @@ func (s *DurableStream) Collect(reg *obs.Registry) {
 		emit("dlc_stream_last_seq"+labels, float64(st.LastSeq))
 		emit("dlc_stream_appended_total"+labels, float64(st.Appended))
 		emit("dlc_stream_wal_errors_total"+labels, float64(st.WALErrors))
+		emit("dlc_stream_segment_bytes"+labels, float64(st.SegmentBytes))
+		emit("dlc_stream_rewritten_bytes_total"+labels, float64(st.Rewritten))
 		for r := DropReason(0); r < dropReasons; r++ {
 			emit(`dlc_stream_dropped_total{stream="`+st.Name+`",reason="`+r.String()+`"}`,
 				float64(st.DroppedFor[r]))

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 )
 
@@ -21,6 +22,8 @@ import (
 //	              the records; version 2 is written, 1 is read only)
 //	cursor: 0x02 | u64 ackFloor | str consumer
 //	drop:   0x03 | u8 reason | u64 newFirstSeq
+//	base:   0x05 | u64 firstSeq | u64 lastSeq | u64 startSeq
+//	              | u64 dropped, per reason | (u64 floor | str consumer)...
 //	msg:    0x01 | u64 seq | u8 msgtype | u64 publishedAt (ns)
 //	              | u64 producerSeq | str subject | str producer | str payload
 //
@@ -38,7 +41,10 @@ import (
 // order). A drop record makes a retention trim durable: replay discards
 // buffered messages below newFirstSeq without re-counting them, so drop
 // accounting survives a crash exactly — also when the trim lands in the
-// middle of a batch.
+// middle of a batch. A base record is only ever a segment's first: a
+// compaction writes it, then the window's batch entries from startSeq
+// (lastSeq+1 when there are none); replay drops what precedes firstSeq
+// uncounted, as its drop counts and floors already stand for it.
 
 // Segment record kinds.
 const (
@@ -46,6 +52,7 @@ const (
 	segKindCursor = 0x02
 	segKindDrop   = 0x03
 	segKindBatch  = 0x04
+	segKindBase   = 0x05
 )
 
 // segBatchVersion is the batch entry layout version written: the batch
@@ -275,4 +282,60 @@ func decodeDropEntry(b []byte) (reason DropReason, newFirst uint64, err error) {
 		return 0, 0, fmt.Errorf("streams: unknown drop reason %d", b[1])
 	}
 	return DropReason(b[1]), binary.LittleEndian.Uint64(b[2:]), nil
+}
+
+// segBase is a decoded base record.
+type segBase struct {
+	first, last, start uint64
+	drops              [int(dropReasons)]uint64
+	floors             map[string]uint64
+}
+
+// appendBaseEntry appends a base record body; floors go in name order.
+func appendBaseEntry(b []byte, sb *segBase) []byte {
+	b = append(b, segKindBase)
+	for _, v := range append([]uint64{sb.first, sb.last, sb.start}, sb.drops[:]...) {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	names := make([]string, 0, len(sb.floors))
+	for name := range sb.floors {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		b = appendStr(binary.LittleEndian.AppendUint64(b, sb.floors[name]), name)
+	}
+	return b
+}
+
+// decodeBaseEntry parses a base record body (including the kind tag) and
+// checks that its edges and drop counts agree: startSeq <= firstSeq <=
+// lastSeq+1, and the drops account for every sequence below firstSeq.
+func decodeBaseEntry(b []byte) (sb segBase, err error) {
+	var w [3 + int(dropReasons)]uint64
+	if len(b) < 1+8*len(w) || b[0] != segKindBase {
+		return sb, fmt.Errorf("streams: short segment base record")
+	}
+	var dropped uint64
+	for i := range w {
+		if w[i] = binary.LittleEndian.Uint64(b[1+8*i:]); i >= 3 {
+			dropped += w[i]
+		}
+	}
+	sb = segBase{first: w[0], last: w[1], start: w[2], floors: map[string]uint64{}}
+	copy(sb.drops[:], w[3:])
+	if sb.start == 0 || sb.start > sb.first || sb.first > sb.last+1 || dropped != sb.first-1 {
+		return sb, fmt.Errorf("streams: segment base record [%d,%d] from %d with %d dropped", sb.first, sb.last, sb.start, dropped)
+	}
+	for rest := b[1+8*len(w):]; len(rest) > 0; {
+		name, r, ok := "", rest, len(rest) >= 8
+		if ok {
+			name, r, ok = takeStr(rest[8:])
+		}
+		if !ok || name == "" {
+			return sb, fmt.Errorf("streams: bad segment base floor")
+		}
+		sb.floors[name], rest = binary.LittleEndian.Uint64(rest), r
+	}
+	return sb, nil
 }

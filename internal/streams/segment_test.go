@@ -93,12 +93,12 @@ func TestLegacySegmentReopens(t *testing.T) {
 	}
 	wal := sos.NewMemWAL()
 	for i := range old {
-		if err := sos.AppendFrame(wal, encodeMsgEntry(&old[i])); err != nil {
+		if err := AppendFrame(wal, encodeMsgEntry(&old[i])); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_ = sos.AppendFrame(wal, encodeDropEntry(DropByCount, 2))
-	_ = sos.AppendFrame(wal, encodeCursorEntry("reader", 3))
+	_ = AppendFrame(wal, encodeDropEntry(DropByCount, 2))
+	_ = AppendFrame(wal, encodeCursorEntry("reader", 3))
 
 	check := func(s *DurableStream, wantLast uint64) []Delivery {
 		t.Helper()
@@ -216,7 +216,7 @@ func TestBatchEntryHostileCountStopsReplay(t *testing.T) {
 		wal := sos.NewMemWAL()
 		s := mustOpenStream(t, StreamConfig{Name: "darshan"}, wal)
 		mustAppend(t, s, "t", "first")
-		if err := sos.AppendFrame(wal, body); err != nil {
+		if err := AppendFrame(wal, body); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(1, func() {
@@ -234,7 +234,7 @@ func TestBatchEntryHostileCountStopsReplay(t *testing.T) {
 	wal := sos.NewMemWAL()
 	s := mustOpenStream(t, StreamConfig{Name: "darshan"}, wal)
 	mustAppend(t, s, "t", "first")
-	_ = sos.AppendFrame(wal, good)
+	_ = AppendFrame(wal, good)
 	if st := mustOpenStream(t, StreamConfig{Name: "darshan"}, wal).Stats(); st.LastSeq != 2 {
 		t.Fatalf("well-formed hand-built batch did not replay: %+v", st)
 	}

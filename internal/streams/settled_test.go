@@ -240,7 +240,7 @@ func (m *model) drain(name string) {
 
 func (m *model) check() {
 	st := [2]StreamStats{m.ss[0].Stats(), m.ss[1].Stats()}
-	if st[0] != st[1] {
+	if windowStats(st[0]) != windowStats(st[1]) {
 		m.t.Fatalf("stats %+v, reference %+v", st[0], st[1])
 	}
 	var ref []ConsumerStats
